@@ -21,12 +21,11 @@ configuration) it measures sustained write throughput three ways:
 
 Results append to ``BENCH_serve.json`` at the repo root so CI accumulates
 the trajectory (the ``shm`` column records the shared-memory transport).
-Every row records its transport, frame codec (``binary`` record frames vs
-``pickle`` payloads — see :mod:`repro.serve.frames`) and ingress bytes
-per delivered event; each shm shard count also runs a **pickled-codec
-control** (``binary_frames=False`` on the same ring transport), and the
-``binary_vs_pickled`` column records the binary data plane's speedup
-over it.
+Every row records its transport, the frame codec its batches rode
+(``binary`` record frames vs ``pickle`` payloads, read off the server's
+codec-mix counters — see :mod:`repro.serve.frames`) and ingress bytes
+per delivered event.  (What binary frames buy over pickling the same
+rows is gated by ``bench_frame_codec.py``.)
 Every serve row also records the end-to-end **write→notify latency**
 percentiles its pass observed (the metrics plane's
 ``write_notify_latency`` summary), and a ``metrics_overhead`` control leg
@@ -125,7 +124,6 @@ def bench_serve(
     executor: str,
     passes: int,
     transport: str = "auto",
-    binary_frames="auto",
     metrics="auto",
     check_segments=None,
 ):
@@ -145,7 +143,6 @@ def bench_serve(
         num_shards=num_shards,
         executor=executor,
         transport=transport,
-        binary_frames=binary_frames,
         metrics=metrics,
         overlay_algorithm="vnm_a",
         dataflow="mincut",
@@ -176,7 +173,7 @@ def bench_serve(
         lat = stats.get("write_notify_latency", {})
         meta = {
             "transport": server.transport,
-            "codec": "binary" if stats["binary_frames"] else "pickle",
+            "codec": "pickle" if mix.get("write_frames_pickle") else "binary",
             "bytes_per_event": round(
                 mix.get("ingress_bytes", 0) / delivered, 1
             ),
@@ -210,7 +207,6 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
         "threaded_eps": 0.0,
         "serve": {},
         "shm": {},
-        "shm_pickled": {},
         "serve_inprocess_eps": 0.0,
     }
 
@@ -240,13 +236,6 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
             graph, events, shards, "process", passes,
             transport="shm", check_segments=_assert_segments_gone,
         )
-        # The pickled-codec control on the same transport: what the shm
-        # ring costs when every frame payload is pickle.dumps/loads.
-        pickled_eps, pickled_meta = bench_serve(
-            graph, events, shards, "process", passes,
-            transport="shm", binary_frames=False,
-            check_segments=_assert_segments_gone,
-        )
         results["serve"][str(shards)] = {
             "eps": round(queue_eps),
             "speedup_vs_threaded": round(
@@ -262,23 +251,13 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
             "speedup_vs_queue": round(
                 shm_eps / queue_eps if queue_eps else 0.0, 2
             ),
-            "binary_vs_pickled": round(
-                shm_eps / pickled_eps if pickled_eps else 0.0, 2
-            ),
             **shm_meta,
-        }
-        results["shm_pickled"][str(shards)] = {
-            "eps": round(pickled_eps),
-            **pickled_meta,
         }
         rows.append(row(f"serve-proc x{shards} (queue)", queue_eps, queue_meta))
         rows.append(row(f"serve-proc x{shards} (shm)", shm_eps, shm_meta))
-        rows.append(
-            row(f"serve-proc x{shards} (shm, pickled)", pickled_eps, pickled_meta)
-        )
 
-    # The metrics-off control leg: the fastest configuration (1-shard shm
-    # binary) re-run with the metrics plane disabled.  Relative
+    # The metrics-off control leg: the fastest configuration (1-shard
+    # shm) re-run with the metrics plane disabled.  Relative
     # instrumentation overhead is largest where per-event work is
     # smallest, so this is the worst case for the observability tax
     # (bench_obs_overhead.py measures the same ratio with interleaved
@@ -336,8 +315,6 @@ def persist(results, num_events: int) -> None:
 
 def main(argv):
     smoke = "--smoke" in argv
-    # Smoke still needs a timed region big enough that the 1-shard
-    # binary-vs-pickled floor below measures the codec, not the timer.
     num_events = 4_000 if smoke else NUM_EVENTS
     shard_counts = (1, 2) if smoke else SHARD_COUNTS
     # Full runs take best-of-5: at 4 shard processes on a shared single
@@ -349,14 +326,12 @@ def main(argv):
     top = str(max(int(s) for s in results["serve"]))
     best = results["serve"][top]
     best_shm = results["shm"][top]
-    one_shard = results["shm"].get("1")
     print(
         f"threaded: {results['threaded_eps']:,} ev/s; "
         f"serve x{top} queue: {best['eps']:,} ev/s "
         f"({best['speedup_vs_threaded']}x); "
         f"shm: {best_shm['eps']:,} ev/s "
-        f"({best_shm['speedup_vs_queue']}x vs queue, "
-        f"{best_shm['binary_vs_pickled']}x vs pickled); "
+        f"({best_shm['speedup_vs_queue']}x vs queue); "
         f"write→notify p99 {best_shm['write_notify_p99_ms']} ms; "
         f"metrics on/off {results['metrics_overhead']['on_vs_off']}x; "
         f"JSON -> {JSON_PATH}"
@@ -375,13 +350,6 @@ def main(argv):
         assert best_shm["speedup_vs_queue"] >= 0.5, (
             f"shm transport grossly regressed vs queue: "
             f"{best_shm['speedup_vs_queue']}x"
-        )
-        # The binary codec must never *lose* to pickling the same frames
-        # (the full-run acceptance target is >= 1.3x at one shard; the
-        # smoke floor only trips on a real regression, not runner noise).
-        assert one_shard is None or one_shard["binary_vs_pickled"] >= 0.8, (
-            f"binary frames regressed vs pickled frames: "
-            f"{one_shard['binary_vs_pickled']}x"
         )
 
 

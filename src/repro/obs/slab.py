@@ -36,8 +36,7 @@ except Exception:  # pragma: no cover
 
 _MAGIC = 0x4D455452  # "METR"
 _HEADER = struct.Struct("<qqqq")
-_Q = struct.Struct("<q")
-_SEQ_OFF = 16  # byte offset of the seq slot
+_SEQ_SLOT = 2  # index of the seq slot in the header's int64 view
 _DATA_OFF = _HEADER.size
 _SCRAPE_ATTEMPTS = 8
 
@@ -51,6 +50,11 @@ class MetricsSlab:
         self._owner = bool(owner)
         self._closed = False
         self._fmt = struct.Struct(f"<{self.n_slots}d")
+        # The seqlock word is read and written through an int64 view: one
+        # aligned 8-byte access each.  ``struct.pack_into`` zero-fills the
+        # slot before writing the value, so a scraper could load an even
+        # 0 in the middle of a publish and accept a torn copy.
+        self._header = shm.buf[:_DATA_OFF].cast("q")
 
     # -- lifecycle ----------------------------------------------------
     @classmethod
@@ -85,6 +89,7 @@ class MetricsSlab:
         if self._closed:
             return
         self._closed = True
+        self._header.release()
         self._shm.close()
 
     def unlink(self):
@@ -92,10 +97,10 @@ class MetricsSlab:
 
     # -- seqlock ------------------------------------------------------
     def _seq(self):
-        return _Q.unpack_from(self._shm.buf, _SEQ_OFF)[0]
+        return self._header[_SEQ_SLOT]
 
     def _set_seq(self, v):
-        _Q.pack_into(self._shm.buf, _SEQ_OFF, v)
+        self._header[_SEQ_SLOT] = v
 
     def publish(self, values):
         """Publisher side: bulk-write the flat value array under the seqlock."""

@@ -2,10 +2,12 @@
 
 The serving layer's hot path moves two kinds of payloads: write batches
 (front-end → shard, through the shm ingress ring or the queue executor)
-and change notifications (shard → front-end → subscriber).  Both default
-to *binary frames* — raw numpy record bytes behind tiny fixed headers —
-so a steady-state columnar batch flows client → ring → scatter →
-notification → subscriber without a single ``pickle.dumps``/``loads``.
+and change notifications (shard → front-end → subscriber).  Whatever
+packs losslessly travels as *binary frames* — raw numpy record bytes
+behind tiny fixed headers — so a steady-state columnar batch flows
+client → ring → scatter → notification → subscriber without a single
+``pickle.dumps``/``loads``; the batch's own packability is the only
+selector.
 
 Wire format of a ring payload (the first byte always tags the codec):
 
@@ -171,10 +173,11 @@ def _changeframe_from_bytes(
 class ChangeFrame:
     """A shard's changed-ego report for one write batch, columnar.
 
-    Replaces the per-object notice list in ``R_WRITE`` replies on the
-    binary path: ``egos``/``values`` are parallel int64/float64 arrays of
-    every *watched* ego whose finalized value changed, and ``batch`` is
-    the shard runtime's global write stamp for the batch.  Subscriber
+    The packed form of an ``R_WRITE`` reply's change rows (a plain
+    ``(ego, value, batch)`` list carries the ones that fail the gate):
+    ``egos``/``values`` are parallel int64/float64 arrays of every
+    *watched* ego whose finalized value changed, and ``batch`` is the
+    shard runtime's global write stamp for the batch.  Subscriber
     fan-out happens front-side (the front-end keeps the ego → watchers
     reverse map), so the frame stays one row per changed ego no matter
     how many subscribers watch it.

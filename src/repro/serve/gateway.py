@@ -406,8 +406,7 @@ class GatewayServer:
 
     def _apply_write(self, items: Any) -> int:
         # A decoded K_WRITE carries a WriteFrame view over the received
-        # payload; write_batch accepts it directly (and unpacks to
-        # triples itself when the binary plane is off).
+        # payload; write_batch accepts it directly.
         if items.__class__ is not WriteFrame and items.__class__ is not list:
             items = list(items)
         return self._server.write_batch(items)
@@ -423,7 +422,6 @@ class GatewayServer:
                     rid,
                     {
                         "server": "eagr-gateway",
-                        "binary_frames": self._server.binary_frames,
                         "num_shards": self._server.num_shards,
                     },
                 ),

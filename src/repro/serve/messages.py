@@ -37,40 +37,39 @@ On the shared-memory transport (:mod:`repro.serve.shm`) the *same
 request tuples* travel through the shard's ingress ring instead — FIFO
 order, and therefore every ordering guarantee documented here, is
 preserved — and write batches stop producing ``R_WRITE`` replies unless
-they carry notices: the applied watermark is published through the
-ring's header, so an empty acknowledgement would be pure codec traffic.
+they carry a change report: the applied watermark is published through
+the ring's header, so an empty acknowledgement would be pure codec
+traffic.
 
-Wire frames and codec negotiation (:mod:`repro.serve.frames`): every
-ring payload starts with a one-byte frame kind.
+Wire frames (:mod:`repro.serve.frames`): every ring payload starts with
+a one-byte frame kind, and **the batch's own packability picks it** —
+there is no deployment-level codec setting.
 
-* ``K_PICKLE`` (0) — ``pickle.dumps`` of the request tuple, the
-  universal fallback.  Control ops (read/subscribe/drain/...) always
-  use it; so do write batches whose items fail the packing gate.
-* ``K_WRITE`` (1) — a pickle-free write batch: a 32-byte fixed header
-  (kind, seq, batch_no, count) followed by the raw bytes of a
+* ``K_WRITE`` (1) — a pickle-free write batch: a fixed header (kind,
+  seq, batch_no, count, ingress stamp) followed by the raw bytes of a
   ``(node, value, timestamp)`` numpy record array
   (:class:`repro.core.statestore.WriteFrame`).  The shard decodes it
   with one ``np.frombuffer`` — zero per-item deserialization before
-  the columnar scatter.
+  the columnar scatter.  Every batch that passes the packing gate
+  (``int`` node ids, ``float`` values and timestamps, numpy present)
+  is packed once, at the front-end's door, and travels this way.
+* ``K_PICKLE`` (0) — ``pickle.dumps`` of the request tuple.  Control
+  ops (read/subscribe/drain/...) always use it; so do write batches
+  that fail the gate, item for item, on the same ring with identical
+  ordering and replay semantics — mixed workloads need no switches.
 
-Negotiation is server-wide, resolved once at construction from the
-``binary_frames`` parameter (``True`` / ``False`` / ``"auto"``, where
-auto honours the ``EAGR_BINARY_FRAMES`` env toggle and otherwise
-enables binary exactly when numpy is importable).  Fallback is always
-per-batch and lossless: a batch that cannot pack — non-int node ids,
-non-float values, control traffic — rides ``K_PICKLE`` on the same
-ring with identical ordering and replay semantics, so mixed workloads
-need no client-side switches.  On the binary plane, changed-ego
-notices travel front-ward as columnar ``ChangeFrame``/``NoteFrame``
-record batches instead of per-object tuples; ``R_WRITE``'s documented
-shape below describes the pickle plane, with frames carrying the same
-fields column-wise.
+Change reports follow the same rule in the other direction: the rows a
+shard reports travel as one columnar ``ChangeFrame`` when they pack and
+as a plain list otherwise.
 
 Replies:
 
-* ``(R_WRITE, seq, count, notices)`` — write batch applied; ``notices``
-  is a list of ``(subscriber, ego, value, shard_batch)`` for every watched
-  ego whose value actually changed.
+* ``(R_WRITE, seq, count, changes)`` — write batch applied; ``changes``
+  reports every watched ego whose value actually changed, one row per
+  ego (subscriber fan-out is the front-end's job): a
+  :class:`~repro.serve.frames.ChangeFrame` (ego and value columns plus
+  the shard write stamp) when the rows pass the packing gate, else a
+  list of ``(ego, value, shard_batch)`` triples.
 * ``(R_OK, seq, payload)`` — success for every other op.
 * ``(R_ERR, seq, message)`` — the request raised; ``message`` is the
   stringified error (exceptions themselves may not pickle).

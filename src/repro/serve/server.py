@@ -60,7 +60,18 @@ import os as _os
 import queue as _queue
 import threading
 import time as _time
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from collections import deque
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.execution import normalize_write
 from repro.core.query import EgoQuery
@@ -154,11 +165,12 @@ def _note_count(item: Any) -> int:
 def _merge_segments(items: List) -> Any:
     """Outbox segments (triples and/or WriteFrames) -> one submit payload.
 
-    The columnar write fast path appends per-shard subframes to the
-    outboxes as segments; legacy rounds append plain triples.  A pure
-    triple list passes through untouched, consecutive frames concatenate
-    into one, and a mixed backlog (only under backpressure coalescing)
-    flattens to triples — ``_submit_write`` re-packs it if it can.
+    Packable batches land in the outboxes as per-shard subframes, the
+    rest as plain triples.  A pure triple list passes through untouched,
+    frames concatenate into one (keeping the oldest ingress stamp), and
+    a mixed backlog — a batch that failed the gate coalesced with
+    packable ones under backpressure, or reshard residue — flattens to
+    triples and rides the pickle codec.
     """
     if not any(seg.__class__ is WriteFrame for seg in items):
         return items
@@ -187,9 +199,9 @@ class Subscription:
     :attr:`snapshot` holds the value of every subscribed ego at
     subscription time (the diffing baseline).
 
-    On the binary data plane the queue carries
-    :class:`~repro.serve.frames.NoteFrame` record batches instead of
-    individual :class:`~repro.serve.messages.Notification` objects.
+    The queue carries a :class:`~repro.serve.frames.NoteFrame` record
+    batch for every change report that packed and individual
+    :class:`~repro.serve.messages.Notification` objects for the rest.
     :meth:`get` and :meth:`poll` hide the difference — frames
     materialize into notification objects on demand — while
     :meth:`poll_batch` hands the raw frames (columnar record-array
@@ -201,7 +213,7 @@ class Subscription:
         self.snapshot: Dict[NodeId, Any] = {}
         self._queue: "_queue.Queue[Any]" = _queue.Queue()
         #: notifications materialized from a partially-consumed frame.
-        self._buffer: List[Notification] = []
+        self._buffer: Deque[Notification] = deque()
         #: Optional zero-argument callable fired (from the delivery
         #: thread, outside any blocking wait) after each item lands in
         #: the queue.  The network gateway points this at its event
@@ -220,7 +232,7 @@ class Subscription:
         extended by wakeups that yield nothing.
         """
         if self._buffer:
-            return self._buffer.pop(0)
+            return self._buffer.popleft()
         deadline = None if timeout is None else _time.monotonic() + timeout
         while True:
             if deadline is None:
@@ -257,12 +269,12 @@ class Subscription:
     def poll_batch(self) -> List[Any]:
         """Drain without materializing: the columnar fast path.
 
-        Returns the queued delivery items as they arrived — on the
-        binary plane, :class:`~repro.serve.frames.NoteFrame` batches
-        whose ``records`` attribute is the raw ``(ego, value, stamp,
-        batch)`` record array (call :meth:`NoteFrame.notifications` per
-        frame only if objects are needed); on the pickle plane, plain
-        :class:`Notification` objects.  Notifications already
+        Returns the queued delivery items as they arrived —
+        :class:`~repro.serve.frames.NoteFrame` batches whose ``records``
+        attribute is the raw ``(ego, value, stamp, batch)`` record array
+        (call :meth:`NoteFrame.notifications` per frame only if objects
+        are needed), and plain :class:`Notification` objects for change
+        reports that could not pack.  Notifications already
         materialized by an interleaved :meth:`get` are prepended as
         objects so no stamp is ever skipped or reordered.
         """
@@ -306,22 +318,6 @@ class EAGrServer:
         no numpy, object-store aggregates such as TOP-K).  ``"queue"``
         forces the fallback; ``"shm"`` demands shared memory and raises
         :class:`ServeError` when unsupported.
-    binary_frames:
-        Whether the data plane runs pickle-free (see
-        :mod:`repro.serve.frames`).  ``"auto"`` (default) turns binary
-        frames on whenever numpy is present, honouring the
-        ``EAGR_BINARY_FRAMES`` environment variable (``"1"``/``"0"``)
-        when set; pass ``True``/``False`` to override both.  When on,
-        integer-keyed write batches pack once into
-        :class:`~repro.core.statestore.WriteFrame` record arrays that
-        ride the ingress ring, the redo log and the WAL as raw bytes,
-        and shard change reports come back as columnar
-        :class:`~repro.serve.frames.ChangeFrame`\\ s fanned out
-        front-side into per-subscriber
-        :class:`~repro.serve.frames.NoteFrame` batches.  Batches that
-        fail the packing gate (non-``int`` keys, non-``float`` values)
-        fall back to the pickle codec item-for-item — semantics are
-        codec-independent.
     metrics:
         Whether the metrics plane is on (see :mod:`repro.obs` and the
         Observability section of PERFORMANCE.md).  ``"auto"`` (default)
@@ -337,12 +333,12 @@ class EAGrServer:
         stay on in production — the overhead bound is benchmarked in
         ``benchmarks/bench_obs_overhead.py``.
     assign:
-        Optional reader→shard assignment.  Defaults to the
-        locality-aware :func:`~repro.core.partitioned.community_assignment`
-        partition (BFS-grown balanced communities), which co-locates
-        neighborhoods and cuts the multicast replication factor — the
-        dominant serve-tier write cost — relative to a stable hash.
-        Pass a callable for custom placement.
+        Optional reader→shard assignment.  Defaults to the balanced
+        min-cut partition :func:`~repro.core.partition.mincut_assignment`
+        (recursive bisection of the writer→reader affinity graph), which
+        co-locates neighborhoods and cuts the multicast replication
+        factor — the dominant serve-tier write cost — relative to a
+        stable hash.  Pass a callable for custom placement.
     queue_depth:
         Request-queue bound per shard — the backpressure window (queue
         transport).
@@ -398,7 +394,6 @@ class EAGrServer:
         num_shards: int = 2,
         executor: str = "process",
         transport: str = "auto",
-        binary_frames: Any = "auto",
         metrics: Any = "auto",
         assign: Optional[Callable[[NodeId], int]] = None,
         queue_depth: int = 8,
@@ -487,7 +482,6 @@ class EAGrServer:
         if journal_dir is not None:
             _os.makedirs(journal_dir, exist_ok=True)
         self.transport = self._resolve_transport(transport, executor, query)
-        self.binary_frames = self._resolve_binary(binary_frames)
 
         # Balanced min-cut sharding by default: the writer→reader affinity
         # graph is partitioned on the Section-4 max-flow machinery
@@ -561,18 +555,11 @@ class EAGrServer:
         self._subs_lock = threading.Lock()
         self._async_errors: List[str] = []
         self._outbox: List[List[Tuple]] = [[] for _ in range(num_shards)]
-        #: per-shard oldest ingress stamp of the writes currently parked
-        #: in the outbox (route-lock-protected).  Covers the per-item
-        #: path, whose triples cannot carry a stamp themselves — the
-        #: flush attaches it to the frame ``_submit_write`` packs, so
-        #: write→notify latency includes outbox dwell time either way.
-        self._outbox_ingress: List[Optional[float]] = [None] * num_shards
-        #: lazy routing cache for the columnar write fast path: ``None``
-        #: or a ``(writer_shards, array_or_False)`` pair keyed by the
-        #: exact dict the array was built from (``False`` = not
-        #: applicable: sparse/non-int writer keys).  ``reshard`` swaps
+        #: lazy routing cache for packed write batches: ``None`` or a
+        #: ``(writer_shards, table_or_None)`` pair keyed by the exact
+        #: dict the table was built from.  ``reshard`` swaps
         #: ``writer_shards`` wholesale, so the identity key is what
-        #: invalidates a stale array — see :meth:`_route_table`.
+        #: invalidates a stale table — see :meth:`_route_table`.
         self._route_array: Any = None
         self._route_lock = threading.Lock()
         # One flush lock per shard, held across outbox-pop *and* submit:
@@ -626,10 +613,10 @@ class EAGrServer:
         self.replayed_batches = 0
         self.shm_reads = 0
 
-        # -- binary data plane bookkeeping --------------------------------
+        # -- notification fan-out bookkeeping ------------------------------
         #: per-shard ego -> ordered {subscriber: None} reverse watch map,
         #: mirrored from the shard-side registries under the subs lock:
-        #: binary change reports carry one row per changed ego and the
+        #: change reports carry one row per changed ego and the
         #: subscriber fan-out happens here, front-side.
         self._ego_watchers: List[Dict[NodeId, Dict[Hashable, None]]] = [
             {} for _ in range(num_shards)
@@ -708,7 +695,6 @@ class EAGrServer:
                 value_store=value_store,
                 engine_kwargs=engine_kwargs,
                 shm=shm_specs[shard_id],
-                binary_notices=self.binary_frames,
                 metrics=self.metrics_enabled,
             )
             for shard_id in range(num_shards)
@@ -760,39 +746,12 @@ class EAGrServer:
         return "shm" if supported else "queue"
 
     @staticmethod
-    def _resolve_binary(binary_frames: Any) -> bool:
-        """Resolve the ``binary_frames`` toggle (see __init__).
-
-        Precedence: explicit ``True``/``False`` > ``EAGR_BINARY_FRAMES``
-        env var > auto (on iff numpy is importable).  Binary frames are
-        record arrays, so without numpy the resolved flag is always
-        ``False`` — an explicit ``True`` on a no-numpy host raises
-        instead of silently degrading.
-        """
-        if binary_frames is True:
-            if _np is None:
-                raise ServeError("binary_frames=True requires numpy")
-            return True
-        if binary_frames is False:
-            return False
-        if binary_frames != "auto":
-            raise ValueError(
-                "binary_frames must be True, False or 'auto', "
-                f"got {binary_frames!r}"
-            )
-        env = _os.environ.get("EAGR_BINARY_FRAMES")
-        if env is not None and env.strip() != "":
-            return env.strip() not in ("0", "false", "no", "off") and _np is not None
-        return _np is not None
-
-    @staticmethod
     def _resolve_metrics(metrics: Any) -> bool:
         """Resolve the ``metrics`` toggle (see __init__).
 
         Precedence: explicit ``True``/``False`` > ``EAGR_METRICS`` env
-        var > on.  Unlike binary frames, metrics have no numpy
-        dependency — the registry falls back to plain lists — so the
-        default is unconditionally on.
+        var > on.  Metrics have no numpy dependency — the registry falls
+        back to plain lists — so the default is unconditionally on.
         """
         if metrics is True:
             return True
@@ -893,28 +852,10 @@ class EAGrServer:
         crash_after = self._wal.faults.get("crash_after_replay_batches")
         replayed = 0
         for shard_id in range(self.num_shards):
-            ex = self._executors[shard_id]
-            with self._subs_lock:
-                rearm = [
-                    (subscriber, list(state.watches.get(shard_id, ())))
-                    for subscriber, state in self._subs.items()
-                    if state.watches.get(shard_id)
-                ]
-            for subscriber, watch_nodes in rearm:
-                ex.submit(
-                    (OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes)
-                )
-            for batch_no, items in self._write_log[shard_id]:
-                if items.__class__ is WriteFrame:
-                    # The dead epoch's monotonic ingress stamps are
-                    # meaningless against this process's clock — a
-                    # replayed batch must never produce a latency sample.
-                    items.ingress = None
-                ex.submit((OP_WRITE, self._next_seq(), batch_no, items))
-                replayed += 1
-                if crash_after is not None and replayed >= crash_after:
-                    self._wal._crash("crash during WAL replay")
-            ex.flush_bell()
+            replayed += self._rearm_and_replay(
+                shard_id,
+                crash_after=None if crash_after is None else crash_after - replayed,
+            )
             pending = recovered.pending_items(shard_id)
             if pending:
                 for seg in pending:
@@ -923,6 +864,49 @@ class EAGrServer:
                 self._outbox[shard_id] = pending
         self.recovered_batches = replayed
         self.replayed_batches += replayed
+
+    def _rearm_watches(self, shard_ids: Sequence[int]) -> None:
+        """Re-arm every subscriber's standing watches on freshly built
+        workers.  Called before any write reaches them (the executors
+        are FIFO), so their diffing baselines sit at checkpoint-time
+        values — the ordering that makes post-restart change reports
+        exact."""
+        with self._subs_lock:
+            rearm = [
+                (shard_id, subscriber, list(state.watches[shard_id]))
+                for subscriber, state in self._subs.items()
+                for shard_id in shard_ids
+                if state.watches.get(shard_id)
+            ]
+        for shard_id, subscriber, watch_nodes in rearm:
+            self._executors[shard_id].submit(
+                (OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes)
+            )
+
+    def _rearm_and_replay(
+        self, shard_id: int, crash_after: Optional[int] = None
+    ) -> int:
+        """Bring a rebuilt worker up to date: re-arm its watches, then
+        replay the shard's redo log in order; returns the batches
+        replayed.  Batch numbers the worker's checkpoint already covers
+        are skipped shard-side, re-derived notifications subscribers
+        already saw are suppressed front-side.  ``crash_after`` is the
+        WAL fault plan's remaining replay budget (tests only)."""
+        self._rearm_watches([shard_id])
+        ex = self._executors[shard_id]
+        replayed = 0
+        for batch_no, items in self._write_log[shard_id]:
+            if items.__class__ is WriteFrame:
+                # A replay is not a fresh write, and after a cold restart
+                # its ingress stamp belongs to a dead process's monotonic
+                # clock: it must never produce a latency sample.
+                items.ingress = None
+            ex.submit((OP_WRITE, self._next_seq(), batch_no, items))
+            replayed += 1
+            if crash_after is not None and replayed >= crash_after:
+                self._wal._crash("crash during WAL replay")
+        ex.flush_bell()
+        return replayed
 
     def _flush_loop(self) -> None:
         failed = self._flush_failed  # restart_shard() clears recovered shards
@@ -965,11 +949,7 @@ class EAGrServer:
         def handle(reply: Tuple) -> None:
             kind = reply[0]
             if kind == R_WRITE:
-                payload = reply[3]
-                if payload.__class__ is ChangeFrame:
-                    self._deliver_frame(shard_id, payload)
-                else:
-                    self._deliver(shard_id, payload)
+                self._deliver(shard_id, reply[3])
                 return
             if kind == R_STOPPED:
                 return
@@ -990,83 +970,57 @@ class EAGrServer:
 
         return handle
 
-    def _deliver(self, shard_id: int, notices: Sequence[Tuple]) -> None:
-        """Route shard notices into subscriber journals and queues.
-
-        Stamps are assigned here, once, under the subscriber lock — the
-        journal append happens *before* the live put, so every stamped
-        notification is resumable.  A notice whose shard write stamp is
-        at or below the last one delivered for that ego is a replay (a
-        restarted shard re-diffing from its checkpointed baseline under
-        checkpoint-restored stamps) and is suppressed: delivery is
-        exactly-once per change even across shard restarts.
-        """
-        if not notices:
-            return
-        with self._subs_lock:
-            for subscriber, ego, value, batch in notices:
-                state = self._subs.get(subscriber)
-                if state is None:  # unsubscribed while the notice was in flight
-                    continue
-                last = state.last_batch
-                if last.get(ego, -1) >= batch:
-                    self.notifications_suppressed += 1
-                    continue
-                last[ego] = batch
-                state.stamp += 1
-                note = Notification(
-                    subscriber=subscriber,
-                    ego=ego,
-                    value=value,
-                    stamp=state.stamp,
-                    shard=shard_id,
-                    batch=batch,
-                )
-                state.journal.append(note)
-                if state.queue is not None:
-                    state.queue.put(note)
-                    hook = state.subscription.on_delivery
-                    if hook is not None:
-                        try:
-                            hook()
-                        except Exception:  # noqa: BLE001 - see on_delivery
-                            pass
-                self.notifications_delivered += 1
-                self._egress[shard_id]["notes_pickle"] += 1
-
-    def _deliver_frame(self, shard_id: int, frame: ChangeFrame) -> None:
-        """Binary counterpart of :meth:`_deliver`.
+    def _deliver(self, shard_id: int, changes: Any) -> None:
+        """Fan a shard's change report out into subscriber journals and
+        queues.
 
         The shard reports one ``(ego, value)`` row per changed watched
-        ego; subscriber fan-out happens here against the front-side
-        reverse watch map.  Suppression, stamping and journaling follow
-        the exact rules of :meth:`_deliver` — per-subscriber stamps are
-        contiguous and each subscriber sees its changed egos in the
-        shard's report order, so stamp assignment is codec-identical to
-        the pickle plane.  Each subscriber's rows for the batch land as
-        one :class:`~repro.serve.frames.NoteFrame`: one journal entry,
-        one queue put, zero ``Notification`` allocations.
+        ego — a :class:`~repro.serve.frames.ChangeFrame` when the rows
+        packed, ``(ego, value, batch)`` triples otherwise, all stamped
+        with the one write stamp of the batch that caused them — and the
+        subscriber fan-out happens here against the front-side reverse
+        watch map.  Stamps are assigned here, once, under the subscriber
+        lock, contiguous per subscriber in the shard's report order, and
+        the journal append happens *before* the live put, so every
+        stamped notification is resumable.  A row whose shard write
+        stamp is at or below the last one delivered for that ego is a
+        replay (a restarted shard re-diffing from its checkpointed
+        baseline under checkpoint-restored stamps) and is suppressed:
+        delivery is exactly-once per change even across shard restarts.
+
+        A packed report lands as one
+        :class:`~repro.serve.frames.NoteFrame` per subscriber — one
+        journal entry, one queue put, zero ``Notification`` allocations
+        — and a list report as individual
+        :class:`~repro.serve.messages.Notification` objects; stamps,
+        suppression and journal order are the same either way.
         """
-        if not len(frame):
+        if not len(changes):
             return
-        egos = frame.egos.tolist()
-        values = frame.values.tolist()
-        batch = frame.batch
-        ingress = frame.ingress
-        latency = None
-        if ingress is not None and self.metrics_enabled:
-            # T1 is taken here, in the same process whose clock stamped
-            # T0 — no cross-process monotonic skew.  A stamp from a dead
-            # epoch that slipped past the recovery zeroing would read as
-            # an absurd duration; the guard discards it (counted) rather
-            # than poisoning the histogram.
-            latency = _time.monotonic() - ingress
-            if not 0.0 <= latency < 3600.0:
-                self._m_latency_discarded.inc()
-                latency = None
+        packed = changes.__class__ is ChangeFrame
+        ingress = latency = None
+        if packed:
+            egos = changes.egos.tolist()
+            values = changes.values.tolist()
+            batch = changes.batch
+            ingress = changes.ingress
+            if ingress is not None and self.metrics_enabled:
+                # T1 is taken here, in the same process whose clock
+                # stamped T0 — no cross-process monotonic skew.  A stamp
+                # from a dead epoch that slipped past the recovery
+                # zeroing would read as an absurd duration; the guard
+                # discards it (counted) rather than poisoning the
+                # histogram.
+                latency = _time.monotonic() - ingress
+                if not 0.0 <= latency < 3600.0:
+                    self._m_latency_discarded.inc()
+                    latency = None
+        else:
+            # one report = one applied batch: every row has its stamp
+            egos, values, (batch, *_same) = zip(*changes)
         with self._subs_lock:
             watchers = self._ego_watchers[shard_id]
-            per_sub: Dict[Hashable, Tuple[List[int], List[float]]] = {}
+            per_sub: Dict[Hashable, Tuple[List[NodeId], List[Any]]] = {}
             for ego, value in zip(egos, values):
                 subs = watchers.get(ego)
                 if not subs:
@@ -1090,27 +1044,46 @@ class EAGrServer:
                 state = self._subs[subscriber]
                 first_stamp = state.stamp + 1
                 state.stamp += len(sub_egos)
-                note_frame = NoteFrame.build(
-                    subscriber,
-                    shard_id,
-                    sub_egos,
-                    sub_values,
-                    first_stamp,
-                    batch,
-                    ingress=ingress,
-                )
-                state.journal.append(note_frame)
-                if state.queue is not None:
-                    state.queue.put(note_frame)
-                    hook = state.subscription.on_delivery
-                    if hook is not None:
-                        try:
-                            hook()
-                        except Exception:  # noqa: BLE001 - see on_delivery
-                            pass
+                if packed:
+                    items: List[Any] = [
+                        NoteFrame.build(
+                            subscriber,
+                            shard_id,
+                            sub_egos,
+                            sub_values,
+                            first_stamp,
+                            batch,
+                            ingress=ingress,
+                        )
+                    ]
+                    egress["notes_binary"] += len(sub_egos)
+                    egress["egress_bytes"] += items[0].nbytes
+                else:
+                    items = [
+                        Notification(
+                            subscriber=subscriber,
+                            ego=ego,
+                            value=value,
+                            stamp=stamp,
+                            shard=shard_id,
+                            batch=batch,
+                        )
+                        for stamp, (ego, value) in enumerate(
+                            zip(sub_egos, sub_values), first_stamp
+                        )
+                    ]
+                    egress["notes_pickle"] += len(sub_egos)
+                hook = state.subscription.on_delivery
+                for item in items:
+                    state.journal.append(item)
+                    if state.queue is not None:
+                        state.queue.put(item)
+                        if hook is not None:
+                            try:
+                                hook()
+                            except Exception:  # noqa: BLE001 - see on_delivery
+                                pass
                 self.notifications_delivered += len(sub_egos)
-                egress["notes_binary"] += len(sub_egos)
-                egress["egress_bytes"] += note_frame.nbytes
                 if latency is not None:
                     self._m_latency.observe(latency)
             if latency is not None and per_sub:
@@ -1160,71 +1133,69 @@ class EAGrServer:
     # ------------------------------------------------------------------
 
     def _route_table(self, writer_shards=None):
-        """Lazy node -> shard numpy lookup for packed write batches.
+        """Lazy writer -> shard-set lookup for packed write batches.
 
-        ``-1`` marks writers no reader aggregates, ``-2`` multicast
-        writers (those batches route on the per-item path).  Returns
-        ``None`` when the writer key space is not dense non-negative
-        ints (the table would be huge or impossible).  ``writer_shards``
-        is never mutated in place — :meth:`reshard` installs a *new*
-        dict under the route lock — so the cache is keyed by the dict's
-        identity: a stale array can never be served for a new partition,
-        and because the array is built from the single snapshot passed
-        in (or read once here), a concurrent swap cannot produce a
-        half-old half-new table.
+        Returns ``(keys, member)`` — the sorted ``int64`` writer ids and a
+        ``num_shards x len(keys)`` boolean membership matrix
+        (``member[s, k]``: shard ``s`` aggregates writer ``keys[k]``, so
+        a multicast writer is simply set in several rows) — or ``None``
+        when packed batches cannot be routed through it: numpy is
+        absent, or some writer key is not a plain ``int`` in ``int64``
+        range (``True`` or ``1.0`` match a written id ``1`` in the dict
+        the per-item path consults; the table could not say so).
+        ``writer_shards`` is never mutated in place — :meth:`reshard`
+        installs a *new* dict under the route lock — so the cache is
+        keyed by the dict's identity: a stale table can never be served
+        for a new partition, and because the table is built from the
+        single snapshot passed in (or read once here), a concurrent swap
+        cannot produce a half-old half-new table.
         """
         if writer_shards is None:
             writer_shards = self.writer_shards
         cached = self._route_array
         if cached is not None and cached[0] is writer_shards:
-            table = cached[1]
-        else:
-            table = False
-            if _np is not None and writer_shards:
-                top = -1
-                dense = True
-                for node in writer_shards:
-                    if type(node) is not int or node < 0:
-                        dense = False
-                        break
-                    if node > top:
-                        top = node
-                if dense and top < 4 * len(writer_shards) + 1024:
-                    arr = _np.full(top + 1, -1, dtype=_np.int64)
-                    for node, shards in writer_shards.items():
-                        arr[node] = shards[0] if len(shards) == 1 else -2
-                    table = arr
-            self._route_array = (writer_shards, table)
-        return None if table is False else table
+            return cached[1]
+        table = None
+        if _np is not None and all(type(node) is int for node in writer_shards):
+            try:
+                keys = _np.array(sorted(writer_shards), dtype=_np.int64)
+            except OverflowError:
+                keys = None
+            if keys is not None:
+                member = _np.zeros((self.num_shards, len(keys)), dtype=bool)
+                for slot, node in enumerate(keys.tolist()):
+                    member[list(writer_shards[node]), slot] = True
+                table = (keys, member)
+        self._route_array = (writer_shards, table)
+        return table
 
     def _route_frame(self, frame, writer_shards=None) -> Optional[Dict[int, Any]]:
         """Split a packed batch into per-shard subframes, or ``None``.
 
-        ``None`` falls back to the per-item path (multicast writers in
-        the batch, writer ids outside the table).  Rows whose writer no
-        reader aggregates are dropped, exactly like the per-item path
-        drops them; a batch that lands wholly on one shard reuses the
-        input frame without copying.  ``writer_shards`` pins the routing
-        to one snapshot of the partition (see :meth:`_route_table`).
+        Every row lands, in batch order, in the subframe of each shard
+        that aggregates its writer — byte-for-byte the records the
+        per-item loop would have filed in those outboxes.  Rows whose
+        writer no reader aggregates are dropped, exactly like the
+        per-item path drops them.  ``None`` (no usable table, see
+        :meth:`_route_table`) sends the batch down the per-item path.
+        ``writer_shards`` pins the routing to one snapshot of the
+        partition.
         """
         table = self._route_table(writer_shards)
         if table is None:
             return None
-        nodes = frame.nodes
-        if int(nodes.min()) < 0 or int(nodes.max()) >= len(table):
-            return None
-        route = table[nodes]
+        keys, member = table
         parts: Dict[int, Any] = {}
-        for shard_id in _np.unique(route).tolist():
-            if shard_id == -2:
-                return None
-            if shard_id < 0:
-                continue
-            mask = route == shard_id
-            parts[shard_id] = (
-                frame
-                if mask.all()
-                else WriteFrame(frame.records[mask], ingress=frame.ingress)
+        if not len(keys):
+            return parts
+        nodes = frame.nodes
+        slot = _np.minimum(_np.searchsorted(keys, nodes), len(keys) - 1)
+        hits = member[:, slot] & (keys[slot] == nodes)
+        records = frame.records
+        for shard_id in _np.flatnonzero(hits.any(axis=1)).tolist():
+            mask = hits[shard_id]
+            parts[shard_id] = WriteFrame(
+                records if mask.all() else records[mask], ingress=frame.ingress
             )
         return parts
 
@@ -1260,37 +1231,30 @@ class EAGrServer:
         wal = self._wal
         touched: Dict[int, None] = {}
         logged: Dict[int, List[Tuple]] = {}
-        count = 0
-        # Columnar fast path: a batch of explicit (int, float, float)
-        # triples packs ONCE at the door and routes through the numpy
-        # node->shard table — no per-item Python below this point.  The
-        # per-shard subframes land in the outboxes as segments (the
-        # flush path merges segments back into one submit payload), and
-        # the same subframes are the WAL round record.  Multicast
-        # writers, unpackable items and exotic key spaces fall through
-        # to the per-item loop with identical semantics.
-        parts = frame = None
+        # One pack attempt at the door: a batch of (int, float, float)
+        # triples packs ONCE here and splits through the membership
+        # table — no per-item Python below this point.  The per-shard
+        # subframes land in the outboxes as segments (the flush path
+        # merges segments back into one submit payload), ride the
+        # transport and the redo log as they are, and are the WAL round
+        # record too.  Only a batch that fails the gate walks the
+        # per-item loop below.
         if writes.__class__ is WriteFrame:
-            # A pre-packed batch (the network gateway hands the decoded
-            # wire frame straight through).  Routed columnar on the
-            # binary plane; unpacked to triples when the plane is off or
-            # the batch needs the per-item (multicast) path.
-            if self.binary_frames and len(writes):
-                frame = writes
-                if metered:
-                    frame.ingress = t0
-                parts = self._route_frame(frame, writer_shards)
-            if parts is None:
-                writes = writes.tolist()
-        elif self.binary_frames and writes.__class__ is list:
+            # Pre-packed (the network gateway hands the decoded wire
+            # frame straight through).
+            frame = writes if len(writes) else None
+        else:
+            if writes.__class__ is not list:
+                writes = list(writes)
             frame = WriteFrame.from_items(writes)
-            if frame is not None:
-                if metered:
-                    # T0 of the write→notify latency measurement: rides
-                    # the frame through ring, shard and change report
-                    # back to _deliver_frame (same process, same clock).
-                    frame.ingress = t0
-                parts = self._route_frame(frame, writer_shards)
+        parts = None
+        if frame is not None:
+            if metered:
+                # T0 of the write→notify latency measurement: rides the
+                # frame through ring, shard and change report back to
+                # _deliver (same process, same clock).
+                frame.ingress = t0
+            parts = self._route_frame(frame, writer_shards)
         with self._route_lock:
             if self.writer_shards is not writer_shards:
                 # A reshard() swapped the partition between the routing
@@ -1304,12 +1268,32 @@ class EAGrServer:
                 writer_shards = self.writer_shards
                 if parts is not None:
                     parts = self._route_frame(frame, writer_shards)
-                    if parts is None:
-                        # The new partition multicasts a writer in this
-                        # batch: fall back to the per-item path.
-                        writes = frame.tolist()
             outbox = self._outbox
             clock = self._clock
+            if parts is None:
+                if frame is not None:
+                    writes = frame.tolist()  # no usable route table
+                triples: List[Tuple] = []
+                normalized = False
+                for item in writes:
+                    triple = normalize_write(item)
+                    timestamp = triple[2]
+                    if timestamp is None:
+                        clock += 1.0
+                        triple = (triple[0], triple[1], clock)
+                    elif timestamp > clock:
+                        clock = timestamp
+                    if triple is not item:
+                        normalized = True
+                    triples.append(triple)
+                if normalized:
+                    # The door attempt saw pairs, ``None`` timestamps or
+                    # event objects: the stamped triples get theirs now.
+                    frame = WriteFrame.from_items(triples)
+                    if frame is not None:
+                        if metered:
+                            frame.ingress = t0
+                        parts = self._route_frame(frame, writer_shards)
             if parts is not None:
                 count = len(frame)
                 top = float(frame.timestamps.max())
@@ -1320,17 +1304,11 @@ class EAGrServer:
                     touched[shard_id] = None
                 logged = parts
             else:
-                for item in writes:
-                    node, value, timestamp = normalize_write(item)
-                    count += 1
-                    if timestamp is None:
-                        timestamp = clock = clock + 1.0
-                    elif timestamp > clock:
-                        clock = timestamp
-                    shards = writer_shards.get(node)
+                count = len(triples)
+                for triple in triples:
+                    shards = writer_shards.get(triple[0])
                     if not shards:
                         continue  # no reader anywhere aggregates this writer
-                    triple = (node, value, timestamp)
                     for shard_id in shards:
                         outbox[shard_id].append(triple)
                         touched[shard_id] = None
@@ -1338,20 +1316,7 @@ class EAGrServer:
                             logged.setdefault(shard_id, []).append(triple)
             self._clock = clock
             self.writes_sent += count
-            if metered:
-                for shard_id in touched:
-                    current = self._outbox_ingress[shard_id]
-                    if current is None or t0 < current:
-                        self._outbox_ingress[shard_id] = t0
             if wal is not None and count:
-                if parts is None and self.binary_frames:
-                    # Binary batch records: replay decodes each shard's
-                    # round with one frombuffer instead of per-triple
-                    # unpickling (unpackable rounds stay lists).
-                    logged = {
-                        shard_id: WriteFrame.from_items(triples) or triples
-                        for shard_id, triples in logged.items()
-                    }
                 # Acceptance record, appended under the route lock: WAL
                 # file order *is* acceptance order, so batch-number
                 # coverage ("B" records) stays a simple seq interval.
@@ -1415,21 +1380,14 @@ class EAGrServer:
             taken = self._take_outbox(shard_id)
             if taken is None:
                 return
-            items, covered, ingress = taken
-            if self._submit_write(
-                shard_id, items, block=block, covered=covered, ingress=ingress
-            ):
+            items, covered = taken
+            if self._submit_write(shard_id, items, block=block, covered=covered):
                 return
             # Shard backed up: coalesce into the outbox; later flushes (or
             # the cap) carry these items in one bigger batch.
             with self._route_lock:
                 restored = [items] if items.__class__ is WriteFrame else items
                 self._outbox[shard_id] = restored + self._outbox[shard_id]
-                if ingress is not None:
-                    current = self._outbox_ingress[shard_id]
-                    self._outbox_ingress[shard_id] = (
-                        ingress if current is None else min(current, ingress)
-                    )
                 self.writes_delivered -= len(items)
                 pending = _pending_count(self._outbox[shard_id])
             self.coalesced_flushes += 1
@@ -1437,11 +1395,7 @@ class EAGrServer:
                 taken = self._take_outbox(shard_id)
                 if taken is not None:
                     self._submit_write(
-                        shard_id,
-                        taken[0],
-                        block=True,
-                        covered=taken[1],
-                        ingress=taken[2],
+                        shard_id, taken[0], block=True, covered=taken[1]
                     )
         finally:
             lock.release()
@@ -1452,7 +1406,6 @@ class EAGrServer:
         items: List[Tuple],
         block: bool,
         covered: int = 0,
-        ingress: Optional[float] = None,
     ) -> bool:
         """Number, redo-log, and enqueue one write batch (flush lock held).
 
@@ -1464,21 +1417,13 @@ class EAGrServer:
         renumber when they eventually flush; the WAL gets a compensating
         ``RB`` record).  Returns whether the batch was enqueued.
 
-        On the binary plane the items pack **once** here into a
-        :class:`~repro.core.statestore.WriteFrame`: the redo log, the
-        executor submit (hence the ring payload or queue pickle) and any
-        restart/recovery replay all share the same record array — no
-        repacking, no per-item work downstream.  Batches that fail the
-        packing gate stay lists and ride the pickle codec unchanged.
+        ``items`` is whatever ``write_batch`` filed: a
+        :class:`~repro.core.statestore.WriteFrame` packed at the door —
+        the redo log, the executor submit (hence the ring payload or
+        queue pickle) and any restart/recovery replay all share that one
+        record array — or, for batches that failed the packing gate, a
+        triple list that rides the pickle codec.
         """
-        if self.binary_frames and items.__class__ is list:
-            frame = WriteFrame.from_items(items)
-            if frame is not None:
-                # Packed here (not at the door: e.g. the producer let
-                # the server assign timestamps), so the outbox's oldest
-                # ingress stamp attaches here too.
-                frame.ingress = ingress
-                items = frame
         batch_no = self._batch_no[shard_id] + 1
         self._batch_no[shard_id] = batch_no
         self._write_log[shard_id].append((batch_no, items))
@@ -1497,25 +1442,18 @@ class EAGrServer:
             self._wal.append(("RB", shard_id, batch_no))
         return False
 
-    def _take_outbox(
-        self, shard_id: int
-    ) -> Optional[Tuple[List[Tuple], int, Optional[float]]]:
+    def _take_outbox(self, shard_id: int) -> Optional[Tuple[Any, int]]:
         """Pop a shard's outbox (caller holds that shard's flush lock).
 
-        Returns ``(items, covered, ingress)`` where ``covered`` is the
-        WAL accept seq the pop observed: every accepted round up to it
-        that touched this shard is in ``items`` — which is exactly what a
-        ``B`` record needs to reconstruct the batch from ``W`` records on
-        recovery.  ``ingress`` is the oldest ingress stamp of the popped
-        writes (``None`` when un-metered); a frame payload absorbs it
-        directly, a list payload carries it to ``_submit_write``'s pack.
+        Returns ``(items, covered)`` where ``covered`` is the WAL accept
+        seq the pop observed: every accepted round up to it that touched
+        this shard is in ``items`` — which is exactly what a ``B`` record
+        needs to reconstruct the batch from ``W`` records on recovery.
         """
         with self._route_lock:
             return self._take_outbox_locked(shard_id)
 
-    def _take_outbox_locked(
-        self, shard_id: int
-    ) -> Optional[Tuple[List[Tuple], int, Optional[float]]]:
+    def _take_outbox_locked(self, shard_id: int) -> Optional[Tuple[Any, int]]:
         """Core of :meth:`_take_outbox`; caller holds the route lock too.
 
         ``reshard`` calls this directly so its quiesce drain can take
@@ -1528,17 +1466,9 @@ class EAGrServer:
         if not items:
             return None
         self._outbox[shard_id] = []
-        ingress = self._outbox_ingress[shard_id]
-        self._outbox_ingress[shard_id] = None
         payload = _merge_segments(items)
-        if payload.__class__ is WriteFrame:
-            stamps = [
-                s for s in (payload.ingress, ingress) if s is not None
-            ]
-            payload.ingress = min(stamps) if stamps else None
-            ingress = payload.ingress
         self.writes_delivered += len(payload)
-        return payload, self._wal_seq, ingress
+        return payload, self._wal_seq
 
     def flush(self) -> None:
         """Force every outbox into its shard queue (blocking on full queues)."""
@@ -2136,34 +2066,13 @@ class EAGrServer:
                 # handle map, refetched lazily) stays valid throughout.
                 ring.reset()
             self._handle_maps.pop(shard_id, None)
-            ex = self._make_shard_executor(spec)
-            self._executors[shard_id] = ex
+            self._executors[shard_id] = self._make_shard_executor(spec)
             self._flush_failed.discard(shard_id)
             if not self._flush_failed:
                 # Every flush-failed shard has been rebuilt: acceptance
                 # may resume (the un-poison mirror of _flush_loop).
                 self._poisoned = None
-            with self._subs_lock:
-                rearm = [
-                    (
-                        state.subscription.subscriber,
-                        list(state.watches.get(shard_id, ())),
-                    )
-                    for state in self._subs.values()
-                    if state.watches.get(shard_id)
-                ]
-            for subscriber, watch_nodes in rearm:
-                ex.submit((OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes))
-            replayed = 0
-            for batch_no, items in self._write_log[shard_id]:
-                if items.__class__ is WriteFrame:
-                    # A redo replay is not a fresh write: its re-derived
-                    # notifications must not report time-since-original-
-                    # ingress as write→notify latency.
-                    items.ingress = None
-                ex.submit((OP_WRITE, self._next_seq(), batch_no, items))
-                replayed += 1
-            ex.flush_bell()
+            replayed = self._rearm_and_replay(shard_id)
         self.restarts += 1
         self.replayed_batches += replayed
         return replayed
@@ -2272,11 +2181,7 @@ class EAGrServer:
                     taken = drained[shard_id]
                     if taken is not None:
                         self._submit_write(
-                            shard_id,
-                            taken[0],
-                            block=True,
-                            covered=taken[1],
-                            ingress=taken[2],
+                            shard_id, taken[0], block=True, covered=taken[1]
                         )
                     self._executors[shard_id].flush_bell()
                 self._fault("pre_checkpoint")
@@ -2419,26 +2324,13 @@ class EAGrServer:
                             if src_watch is not None and ego in src_watch:
                                 del src_watch[ego]
                                 state.watches.setdefault(dst, {})[ego] = None
-                    rearm = [
-                        (shard_id, subscriber, list(state.watches[shard_id]))
-                        for subscriber, state in self._subs.items()
-                        for shard_id in affected
-                        if state.watches.get(shard_id)
-                    ]
-                # Watches re-arm before any write reaches the new workers
-                # (FIFO: the flush below queues behind these), preserving
-                # the restart ordering that makes baselines exact.
-                for shard_id, subscriber, watch_nodes in rearm:
-                    self._executors[shard_id].submit(
-                        (OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes)
-                    )
+                # Before any write reaches the new workers: the flush
+                # below queues behind these.
+                self._rearm_watches(affected)
 
                 # -- 4. the atomic swap -----------------------------------
                 with self._route_lock:
                     residue: Dict[int, List[Tuple]] = {}
-                    residue_ingress = [
-                        self._outbox_ingress[shard_id] for shard_id in affected
-                    ]
                     for shard_id in affected:
                         flat: List[Tuple] = []
                         for segment in self._outbox[shard_id]:
@@ -2448,7 +2340,6 @@ class EAGrServer:
                                 flat.append(segment)
                         residue[shard_id] = flat
                         self._outbox[shard_id] = []
-                        self._outbox_ingress[shard_id] = None
                     new_writer_shards = self._build_writer_shards(new_table)
                     old_writer_shards = self.writer_shards
                     rerouted: Dict[int, List[Tuple]] = {
@@ -2471,12 +2362,8 @@ class EAGrServer:
                                         rerouted.setdefault(dst, []).append(
                                             triple
                                         )
-                    stamps = [s for s in residue_ingress if s is not None]
-                    refill_ingress = min(stamps) if stamps else None
                     for shard_id, items in rerouted.items():
-                        if items:
-                            self._outbox[shard_id].extend(items)
-                            self._outbox_ingress[shard_id] = refill_ingress
+                        self._outbox[shard_id].extend(items)
                     self.reader_shard = new_table
                     self.writer_shards = new_writer_shards
                     self._route_array = None
@@ -2824,14 +2711,14 @@ class EAGrServer:
         counts (from the shard's executor), egress notification bytes
         and binary-vs-pickle notification counts (from the delivery
         threads).  ``codec_mix`` is the same, summed over shards — on a
-        steady-state columnar workload with ``binary_frames`` on,
+        workload whose batches all pass the packing gate,
         ``write_frames_pickle`` and ``notes_pickle`` stay at zero.
         ``write_notify_latency`` is the end-to-end write→notify latency
         summary (count/sum/p50/p95/p99 in seconds) measured from
         ``write_batch`` ingress to subscriber-queue delivery through the
-        full shm + binary-frame path; with metrics off (or on the pickle
-        codec, which carries no ingress stamps) it reports zeros —
-        present and finite either way.
+        full shm + binary-frame path; with metrics off (or for batches
+        on the pickle codec, which carries no ingress stamps) it reports
+        zeros — present and finite either way.
         """
         m = self.metrics()
         server = m["server"]
@@ -2856,7 +2743,6 @@ class EAGrServer:
             "wal": m["wal"]["enabled"],
             "wal_bytes": m["wal"]["total_bytes"],
             "recovered_batches": self.recovered_batches,
-            "binary_frames": self.binary_frames,
             "shard_io": [
                 m["shard_io"][str(shard_id)]
                 for shard_id in range(self.num_shards)

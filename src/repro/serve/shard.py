@@ -117,12 +117,6 @@ class ShardSpec:
         pre-crash epoch delivered, so the front-end's stamp-keyed replay
         filter suppresses precisely the duplicates and nothing else.
         Batches beyond it are fresh traffic and free to merge.
-    binary_notices:
-        When true, changed-ego reports for watched egos travel as
-        columnar :class:`~repro.serve.frames.ChangeFrame` replies (one
-        row per changed ego; subscriber fan-out happens front-side)
-        whenever the batch's egos/values pass the packing gate; the
-        per-subscriber notice list stays the fallback.
     metrics:
         Whether the shard keeps a live metrics registry (apply/recompute
         histograms, engine op seconds — see ``repro.obs``).  With the shm
@@ -144,7 +138,6 @@ class ShardSpec:
         faults: Optional[Dict[str, int]] = None,
         shm: Optional[Dict[str, str]] = None,
         merge_after: int = 0,
-        binary_notices: bool = False,
         metrics: bool = True,
     ) -> None:
         self.graph = graph
@@ -169,7 +162,6 @@ class ShardSpec:
         self.faults = faults
         self.shm = shm
         self.merge_after = merge_after
-        self.binary_notices = binary_notices
         self.metrics = metrics
 
     def with_checkpoint(
@@ -234,7 +226,6 @@ class ShardHost:
             shm_name=shm_name,
             **spec.engine_kwargs,
         )
-        self._binary_notices = bool(getattr(spec, "binary_notices", False))
         # -- observability (repro.obs): a local slot-backed registry.
         # Disabled registries hand out shared no-op metrics, so the
         # metrics-off hot path pays one truthy check per batch.
@@ -339,24 +330,24 @@ class ShardHost:
 
     def apply_write_batch(
         self, batch_no: Optional[int], items: List[Tuple]
-    ) -> Tuple[int, List[Tuple[Hashable, NodeId, Any, int]]]:
-        """Apply one write batch; returns ``(count, notices)``.
+    ) -> Tuple[int, Any]:
+        """Apply one write batch; returns ``(count, changes)``.
 
         ``batch_no`` is the front-end's per-shard monotone batch number;
         a batch at or below :attr:`applied_through` was already absorbed
         (this request is a redo-log replay after a restart) and is
         skipped, making replays idempotent.  ``items`` is a triple list
         or a packed :class:`~repro.core.statestore.WriteFrame` (the
-        engine dispatches on the type).  ``notices`` holds
-        ``(subscriber, ego, value, stamp)`` for every watched ego whose
-        aggregate value actually changed — candidates come from the
-        O(affected) changed-reader report, a re-read (batched, pull
-        subtrees shared) filters out cancellations, and ``stamp`` is the
-        runtime's global write stamp (stable across restarts).  With
-        ``spec.binary_notices`` the same changes pack into one
-        :class:`~repro.serve.frames.ChangeFrame` instead (one row per
-        changed ego; the front-end fans out to subscribers) whenever the
-        egos/values pass the packing gate.
+        engine dispatches on the type).  ``changes`` reports every
+        watched ego whose aggregate value actually changed — one row per
+        ego however many subscribers watch it (the front-end fans out) —
+        stamped with the runtime's global write stamp (stable across
+        restarts): candidates come from the O(affected) changed-reader
+        report and a re-read (batched, pull subtrees shared) filters out
+        cancellations.  The rows travel as one
+        :class:`~repro.serve.frames.ChangeFrame` when they pass the
+        packing gate and as a list of ``(ego, value, stamp)`` triples
+        otherwise.
         """
         if batch_no is not None and batch_no <= self.applied_through:
             return 0, []
@@ -399,21 +390,13 @@ class ShardHost:
                 pairs.append((node, value))
             if not pairs:
                 return count, []
-            if self._binary_notices:
-                frame = self._change_frame(pairs, stamp, ingress)
-                if frame is not None:
-                    self.notices_emitted += len(frame)
-                    if metered:
-                        self.metrics["shard_notices_emitted"].inc(len(frame))
-                    return count, frame
-            notices: List[Tuple[Hashable, NodeId, Any, int]] = []
-            for node, value in pairs:
-                for subscriber in watchers[node]:
-                    notices.append((subscriber, node, value, stamp))
-            self.notices_emitted += len(notices)
+            self.notices_emitted += len(pairs)
             if metered:
-                self.metrics["shard_notices_emitted"].inc(len(notices))
-            return count, notices
+                self.metrics["shard_notices_emitted"].inc(len(pairs))
+            frame = self._change_frame(pairs, stamp, ingress)
+            if frame is not None:
+                return count, frame
+            return count, [(node, value, stamp) for node, value in pairs]
         finally:
             if metered:
                 # Everything after the scatter — change diffing, the
@@ -446,7 +429,7 @@ class ShardHost:
 
     def apply_write_group(
         self, group: List[Tuple[Optional[int], List[Tuple]]]
-    ) -> Tuple[int, List[Tuple[Hashable, NodeId, Any, int]]]:
+    ) -> Tuple[int, Any]:
         """Apply several numbered batches as **one** engine batch.
 
         The shm worker's consumer-side coalescing: already-applied batch
@@ -586,8 +569,8 @@ class ShardHost:
         seq = request[1]
         try:
             if op == OP_WRITE:
-                count, notices = self.apply_write_batch(request[2], request[3])
-                return (R_WRITE, seq, count, notices)
+                count, changes = self.apply_write_batch(request[2], request[3])
+                return (R_WRITE, seq, count, changes)
             if op == OP_READ:
                 return (R_OK, seq, self._guarded(self.engine.read_batch, request[2]))
             if op == OP_SUBSCRIBE:
@@ -673,7 +656,7 @@ def shard_worker_shm(spec: ShardSpec, ring_name: str, replies, doorbell) -> None
     * after every applied write batch the worker publishes ``(applied
       batch_no, runtime write stamp)`` through the ring header — the
       front-end's read-your-writes watermark — and **skips** the
-      ``R_WRITE`` reply unless it carries subscription notices (errors
+      ``R_WRITE`` reply unless it carries a change report (errors
       always reply);
     * the host's value columns live in the spec's named shared segment
       (see :class:`ShardSpec`), bracketed by the store's seqlock around
@@ -788,10 +771,10 @@ def shard_worker_shm(spec: ShardSpec, ring_name: str, replies, doorbell) -> None
                         follow_up = extra_request
                         break
                 try:
-                    count, notices = host.apply_write_group(
+                    count, changes = host.apply_write_group(
                         [(req[2], req[3]) for req in group]
                     )
-                    reply = (R_WRITE, group[-1][1], count, notices)
+                    reply = (R_WRITE, group[-1][1], count, changes)
                 except Exception as error:  # noqa: BLE001 - reply, don't die
                     reply = (
                         R_ERR,

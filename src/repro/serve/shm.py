@@ -11,10 +11,12 @@ feeder thread, pipe syscalls and per-message wakeups.
 Framing is seqlock-style: a frame's payload bytes are written first and
 the ring's ``tail`` cursor — the publication point — is stored *after*
 them, so the consumer never observes a partially written frame (``head``
-and ``tail`` are monotone byte offsets in aligned int64 header slots;
-8-byte aligned stores are single machine stores on the supported
-platforms).  The consumer advances ``head`` only after fully copying a
-frame out.
+and ``tail`` are monotone byte offsets in aligned int64 header slots,
+read and written through a ``memoryview`` cast to ``"q"``: one aligned
+8-byte load or store each, a single machine access on the supported
+platforms — ``struct.pack_into`` would not do, it zero-fills the slot
+before writing the value and a concurrent reader can see the zero).
+The consumer advances ``head`` only after fully copying a frame out.
 
 The header also carries the shard's **applied watermark**: after applying
 a write batch the worker publishes ``(applied batch_no, runtime write
@@ -50,7 +52,6 @@ _SLOT_POPPED = 7
 _HEADER_SLOTS = 8
 _HEADER_BYTES = _HEADER_SLOTS * 8
 
-_Q = struct.Struct("<q")
 _LEN = struct.Struct("<q")
 
 
@@ -77,19 +78,16 @@ class ShmRing:
     def __init__(self, name: str, capacity: int = 1 << 20, create: bool = True) -> None:
         if create:
             self._segment = create_segment(name, _HEADER_BYTES + capacity)
-            self._buf = self._segment.buf
-            _Q.pack_into(self._buf, _SLOT_CAPACITY * 8, capacity)
-            _Q.pack_into(self._buf, _SLOT_HEAD * 8, 0)
-            _Q.pack_into(self._buf, _SLOT_TAIL * 8, 0)
-            _Q.pack_into(self._buf, _SLOT_APPLIED * 8, -1)
-            _Q.pack_into(self._buf, _SLOT_STAMP * 8, 0)
-            _Q.pack_into(self._buf, _SLOT_WAITING * 8, 0)
-            _Q.pack_into(self._buf, _SLOT_PUSHED * 8, 0)
-            _Q.pack_into(self._buf, _SLOT_POPPED * 8, 0)
         else:
             self._segment = attach_segment(name)
-            self._buf = self._segment.buf
-            capacity = _Q.unpack_from(self._buf, _SLOT_CAPACITY * 8)[0]
+        self._buf = self._segment.buf
+        #: the header as int64 slots (see the module docstring).
+        self._slots = self._buf[:_HEADER_BYTES].cast("q")
+        if create:
+            self._slots[_SLOT_CAPACITY] = capacity
+            self.reset()
+        else:
+            capacity = self._slots[_SLOT_CAPACITY]
         self.name = self._segment.name
         self.capacity = int(capacity)
         self.owner = create
@@ -97,16 +95,16 @@ class ShmRing:
     # -- header accessors ---------------------------------------------------
 
     def _load(self, slot: int) -> int:
-        buf = self._buf
-        if buf is None:
+        slots = self._slots
+        if slots is None:
             raise RingClosed(f"ring {self.name} is closed")
-        return _Q.unpack_from(buf, slot * 8)[0]
+        return slots[slot]
 
     def _store(self, slot: int, value: int) -> None:
-        buf = self._buf
-        if buf is None:
+        slots = self._slots
+        if slots is None:
             raise RingClosed(f"ring {self.name} is closed")
-        _Q.pack_into(buf, slot * 8, value)
+        slots[slot] = value
 
     def publish_applied(self, batch_no: int, stamp: int) -> None:
         """Worker side: announce the highest processed batch, plus the
@@ -259,7 +257,8 @@ class ShmRing:
         segment, self._segment = self._segment, None
         if segment is None:
             return
-        self._buf = None
+        self._slots.release()
+        self._slots = self._buf = None
         try:
             segment.close()
         except BufferError:  # pragma: no cover - a view escaped

@@ -25,9 +25,9 @@ Records are pickled tuples, one per frame:
   the stamped ``(node, value, timestamp)`` triples each shard's outbox
   received, appended under the route lock (file order = acceptance
   order) and fsynced before ``write_batch`` returns — an acknowledged
-  batch is durable.  With ``binary_frames`` on, ``items`` is a
-  :class:`~repro.core.statestore.WriteFrame` whose pickled form is its
-  raw record bytes, so replay rebuilds each round with one
+  batch is durable.  For a batch that passed the packing gate ``items``
+  is a :class:`~repro.core.statestore.WriteFrame` whose pickled form is
+  its raw record bytes, so replay rebuilds each round with one
   ``frombuffer`` instead of unpickling per-triple objects.
 * ``("B", shard, batch_no, covered_seq)`` — a batch-number assignment:
   shard ``shard``'s batch ``batch_no`` consists of every accepted round
@@ -335,19 +335,18 @@ class WalState:
         else:
             raise WalError(f"unknown WAL record kind {kind!r}")
 
-    def pending_items(self, shard_id: int) -> List[Tuple]:
-        """Accepted-but-unbatched triples for ``shard_id`` (outbox refill).
-
-        Always a plain list of triples — the outbox is append-mutable, so
-        binary rounds materialize here (recovery-only, off the hot path).
-        """
-        items: List[Tuple] = []
+    def pending_items(self, shard_id: int) -> List[Any]:
+        """Accepted-but-unbatched rounds for ``shard_id`` as outbox
+        segments (the refill of a dead outbox): packed rounds stay
+        :class:`~repro.core.statestore.WriteFrame` segments, list rounds
+        contribute their triples."""
+        segments: List[Any] = []
         for _seq, round_items in self.rounds.get(shard_id, ()):
             if round_items.__class__ is WriteFrame:
-                items.extend(round_items.tolist())
+                segments.append(round_items)
             else:
-                items.extend(round_items)
-        return items
+                segments.extend(round_items)
+        return segments
 
 
 def _fsync_dir(directory: str) -> None:

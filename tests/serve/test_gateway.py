@@ -74,7 +74,6 @@ class TestRoundTrip:
         host, port = gateway.address
         with EAGrClient(host, port, client_id="rt") as client:
             assert client.server_info["num_shards"] == server.num_shards
-            assert client.server_info["binary_frames"] == server.binary_frames
             for round_ in range(4):
                 batch = [
                     (n, float(round_ + i % 3), float(round_))

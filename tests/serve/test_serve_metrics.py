@@ -37,13 +37,6 @@ def make_server(graph, query, num_shards=2, **kwargs):
     return EAGrServer(graph, query, num_shards=num_shards, **kwargs)
 
 
-def make_latency_server(graph, query, **kwargs):
-    """A server whose latency pipeline is live regardless of the
-    ``EAGR_BINARY_FRAMES`` codec matrix this suite runs under."""
-    kwargs.setdefault("binary_frames", True)
-    return make_server(graph, query, **kwargs)
-
-
 def drive(server, nodes, rounds=4, width=25):
     for r in range(rounds):
         server.write_batch([(n, 1.0 + r, None) for n in nodes[:width]])
@@ -66,7 +59,7 @@ LATENCY_FIELDS = ("count", "sum", "p50", "p95", "p99")
 @needs_latency
 class TestLatencyPipeline:
     def test_inprocess_latency_sampled(self, graph, query):
-        with make_latency_server(graph, query) as server:
+        with make_server(graph, query) as server:
             nodes = list(graph.nodes())
             server.subscribe("watcher", nodes[:6])
             drive(server, nodes)
@@ -80,11 +73,10 @@ class TestLatencyPipeline:
         """The acceptance path: real worker processes, binary frames on
         the shm ring, latency measured end-to-end and shard metrics
         scraped from the slabs without any control message."""
-        with make_latency_server(
-            graph, query, executor="process", transport="shm",
-            binary_frames=True,
+        with make_server(
+            graph, query, executor="process", transport="shm"
         ) as server:
-            assert server.transport == "shm" and server.binary_frames
+            assert server.transport == "shm"
             nodes = list(graph.nodes())
             server.subscribe("watcher", nodes[:6])
             drive(server, nodes, rounds=6)
@@ -108,7 +100,7 @@ class TestLatencyPipeline:
     def test_timestamped_writes_carry_ingress(self, graph, query):
         """Explicit-timestamp batches take the door-pack fast path into a
         binary WriteFrame; the stamp must ride that path too."""
-        with make_latency_server(graph, query) as server:
+        with make_server(graph, query) as server:
             nodes = list(graph.nodes())
             server.subscribe("watcher", nodes[:6])
             t = 0.0
@@ -130,14 +122,14 @@ class TestReplayHygiene:
         self, graph, query, tmp_path
     ):
         wal_dir = str(tmp_path / "wal")
-        with make_latency_server(graph, query, wal_dir=wal_dir) as server:
+        with make_server(graph, query, wal_dir=wal_dir) as server:
             nodes = list(graph.nodes())
             server.subscribe("watcher", nodes[:6])
             drive(server, nodes)
             live = server.server_stats()["write_notify_latency"]
             assert live["count"] > 0
 
-        with make_latency_server(graph, query, wal_dir=wal_dir) as revived:
+        with make_server(graph, query, wal_dir=wal_dir) as revived:
             revived.subscribe("watcher", resume_from=0)
             revived.drain()
             assert revived.recovered_batches > 0
@@ -156,7 +148,7 @@ class TestReplayHygiene:
     def test_journal_resume_replays_without_latency_samples(
         self, graph, query
     ):
-        with make_latency_server(graph, query) as server:
+        with make_server(graph, query) as server:
             nodes = list(graph.nodes())
             sub = server.subscribe("watcher", nodes[:6])
             drive(server, nodes)
@@ -172,7 +164,7 @@ class TestReplayHygiene:
             assert after == baseline, "journal replay re-observed latency"
 
     def test_restart_redo_replays_without_latency_samples(self, graph, query):
-        with make_latency_server(graph, query) as server:
+        with make_server(graph, query) as server:
             nodes = list(graph.nodes())
             server.subscribe("watcher", nodes[:6])
             drive(server, nodes)
@@ -254,7 +246,7 @@ class TestMetricsSnapshot:
                 "replication_factor", "shard_sizes", "writes_sent",
                 "writes_delivered", "shm_reads", "notifications_delivered",
                 "coalesced_flushes", "restarts", "replayed_batches",
-                "wal", "wal_bytes", "recovered_batches", "binary_frames",
+                "wal", "wal_bytes", "recovered_batches",
                 "shard_io", "codec_mix", "metrics_enabled",
                 "write_notify_latency",
             ):

@@ -7,12 +7,19 @@ scheduling nondeterminism.  The process-boundary behavior of the same
 code paths is covered in ``test_executors.py``.
 """
 
+import importlib.util
+import os
+import sys
+
 import pytest
 
+from repro.core import statestore
 from repro.core.aggregates import Mean, Sum, TopK
 from repro.core.engine import EAGrEngine
-from repro.core.query import EgoQuery
+from repro.core.query import EgoQuery, Neighborhood
+from repro.core.statestore import WriteFrame
 from repro.core.windows import TupleWindow
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import paper_figure1, random_graph
 from repro.serve import EAGrServer, ServeError
 from repro.serve.messages import OP_READ
@@ -232,6 +239,106 @@ class TestCoalescingAndBackpressure:
                 # The cap bounded the outbox: a blocking flush happened.
                 assert len(server._outbox[0]) < 12
             server.flush()
+
+
+def _suite_generator():
+    """The benchmark suite's own input generator (``benchmarks/suite/
+    suitelib/gen.py`` — numpy and the standard library only), loaded by
+    path: the suite directory is not a package on the test path."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, os.pardir,
+        "benchmarks", "suite", "suitelib", "gen.py",
+    )
+    spec = importlib.util.spec_from_file_location("_suite_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(statestore._np is None, reason="packing needs numpy")
+class TestPackabilityPicksTheRoute:
+    """Whether a batch packs is the only thing that selects its route."""
+
+    def test_suite_schedules_split_byte_equal_and_never_pickle(self):
+        """The benchmark's own two-shard deployment (``gen.GRAPH_SEED``
+        graph, default min-cut placement, a fifth of the writers
+        multicast): every batch of the ``serve_feed`` and
+        ``durable_ingest`` schedules splits into per-shard subframes
+        byte-equal to what the per-item loop files, multicast rows
+        included, and after the run the codec counters show no write
+        batch and no notification on the pickle codec."""
+        gen = _suite_generator()
+        feed = gen.generate(gen.SPECS["serve_feed"], seed=1)
+        ingest = gen.generate(gen.SPECS["durable_ingest"], seed=1)
+        assert feed.edges == ingest.edges  # one deployment, two schedules
+        query = EgoQuery(
+            aggregate=Sum(),
+            window=TupleWindow(1),
+            neighborhood=Neighborhood.in_neighbors(),
+        )
+        schedules = {
+            "durable_ingest": [
+                batch
+                for thread in range(ingest.spec.writers)
+                for batch in ingest.write_batches(thread)
+            ],
+            "serve_feed": feed.write_batches(0),
+        }
+        graph = DynamicGraph.from_edges(feed.edges)
+        with make_server(graph, query, dataflow="mincut") as server:
+            writer_shards = server.writer_shards
+            multicast = {w for w, s in writer_shards.items() if len(s) > 1}
+            hit = total = 0
+            for workload, batches in schedules.items():
+                if workload == "serve_feed":  # the one with subscriptions
+                    for index, egos in enumerate(feed.watch):
+                        server.subscribe(f"s{index}", egos)
+                for batch in batches:
+                    reference = {}
+                    for triple in batch:
+                        for shard_id in writer_shards.get(triple[0], ()):
+                            reference.setdefault(shard_id, []).append(triple)
+                    parts = server._route_frame(WriteFrame.from_items(batch))
+                    assert sorted(parts) == sorted(reference)
+                    for shard_id, triples in reference.items():
+                        expected = WriteFrame.from_items(triples)
+                        assert parts[shard_id].tobytes() == expected.tobytes()
+                    hit += any(triple[0] in multicast for triple in batch)
+                    assert server.write_batch(batch) == len(batch)
+                total += len(batches)
+            server.drain()
+            # the parent routed 2/240 and 0/1 024 of these columnar
+            assert hit > 0.9 * total
+            mix = server.server_stats()["codec_mix"]
+            assert mix["write_frames_pickle"] == 0 and mix["notes_pickle"] == 0
+            assert mix["write_frames_binary"] >= total
+            assert mix["notes_binary"] > 0
+
+    def test_timestampless_batch_reaches_the_outbox_packed(self):
+        """``(node, value)`` pairs are stamped by the server, then get
+        their one pack attempt at the door: what parks in the outbox of
+        a backed-up shard is already the frame the shard will decode."""
+        graph = random_graph(20, 80, seed=93)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+        nodes = list(graph.nodes())
+        single = EAGrEngine(graph, query, overlay_algorithm="vnm_a")
+        with make_server(graph, query, num_shards=1) as server:
+            with refuse_submits(server._executors[0], 10**9):
+                for batch in (
+                    [(n, 1.5) for n in nodes],
+                    [(n, 2.5, None) for n in nodes],
+                ):
+                    server.write_batch(batch)
+                    single.write_batch(batch)
+                outbox = list(server._outbox[0])
+                assert outbox
+                assert all(seg.__class__ is WriteFrame for seg in outbox)
+                stamps = [t for seg in outbox for t in seg.timestamps.tolist()]
+                assert stamps == [float(i + 1) for i in range(2 * len(nodes))]
+            assert server.read_batch(nodes) == single.read_batch(nodes)
+            mix = server.server_stats()["codec_mix"]
+            assert mix["write_frames_pickle"] == 0
 
 
 class TestDurability:

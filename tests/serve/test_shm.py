@@ -106,6 +106,84 @@ class TestShmRing:
             ring.unlink()
 
 
+    def test_cursor_publication_never_tears_across_processes(self):
+        """Both directions of the header, hammered from two processes:
+        the consumer must pop every pushed frame intact, and the applied
+        watermark it publishes must never read lower than a value
+        already seen.  Cursors are published with one aligned 8-byte
+        store; ``struct.pack_into`` zero-filled the slot first, so the
+        other side could load 0 mid-store — a consumer seeing
+        ``tail == 0`` took the ring for non-empty and decoded stale
+        bytes as a frame, a reader saw the watermark fall back."""
+        import multiprocessing
+
+        from repro.serve.shm import ShmRing
+
+        context = multiprocessing.get_context("spawn")
+        ring = ShmRing(f"eagr_test_ring_tear_{os.getpid()}", capacity=1 << 16)
+        try:
+            verdict = context.Queue()
+            consumer = context.Process(
+                target=_pop_numbered_frames, args=(ring.name, 1.0, verdict)
+            )
+            consumer.start()
+            try:
+                pushed = 0
+                watermark = -1
+                while consumer.is_alive():
+                    if ring.try_push(_numbered_frame(pushed)):
+                        pushed += 1
+                    applied = ring.applied()
+                    assert applied >= watermark, (watermark, applied)
+                    watermark = applied
+                found = verdict.get(timeout=10)
+            finally:
+                consumer.join(timeout=10)
+                if consumer.is_alive():
+                    consumer.kill()
+                    consumer.join()
+            assert found is None, found
+            assert watermark > 1000  # the race window was actually exercised
+        finally:
+            ring.unlink()
+
+
+def _numbered_frame(k: int) -> bytes:
+    """Frame ``k``: its number, then a length and fill byte derived from
+    it, so a stale or torn frame can never pass for the expected one."""
+    return k.to_bytes(8, "little") + bytes([k % 251]) * ((k % 97) * 13)
+
+
+def _pop_numbered_frames(name: str, seconds: float, verdict) -> None:
+    """Consumer process of the tear test: pops for ``seconds``,
+    publishing each frame's number as the applied watermark, and reports
+    the first frame that is not the next numbered one."""
+    import struct
+
+    from repro.serve.shm import ShmRing
+
+    ring = ShmRing(name, create=False)
+    try:
+        expect = 0
+        end = time.monotonic() + seconds
+        while time.monotonic() < end:
+            try:
+                payload = ring.try_pop()
+            except (struct.error, ValueError, IndexError) as exc:
+                verdict.put(f"frame {expect}: try_pop raised {exc!r}")
+                return
+            if payload is None:
+                continue
+            if payload != _numbered_frame(expect):
+                verdict.put(f"frame {expect}: popped {len(payload)} stale bytes")
+                return
+            ring.publish_applied(expect, expect)
+            expect += 1
+        verdict.put(None)
+    finally:
+        ring.close()
+
+
 # ---------------------------------------------------------------------------
 # transport resolution
 # ---------------------------------------------------------------------------
@@ -442,60 +520,111 @@ def test_no_resource_tracker_warnings_on_clean_shutdown():
 # ---------------------------------------------------------------------------
 
 
-def _codec_workload(binary_frames):
-    """One seeded write → notify → read workload; returns its observables.
+def _parity_workload(label, wal_dir):
+    """One seeded write → notify → read workload, with a mid-run
+    ``resume_from`` reconnect and a WAL cold restart, on
+    ``random_graph(20, 80, seed=97)`` relabelled through ``label``.
+
+    Returns ``(reads, rounds, stats)`` with node ids mapped back to the
+    unlabelled ints: ``rounds`` holds, per write round, the sorted
+    ``(ego, value)`` pairs it notified and the sorted stamps they
+    carried (the order of egos *within* one change report follows set
+    iteration, which legitimately depends on the key type).
 
     Single shard so per-subscriber stamp assignment is deterministic
     (with multiple shards the reply drainers race, making cross-shard
-    stamp interleaving legitimately order-free on *both* planes).
+    stamp interleaving legitimately order-free).
     """
     import random
 
-    graph = random_graph(20, 80, seed=97)
-    query = make_query()
-    nodes = list(graph.nodes())
+    from repro.graph.dynamic_graph import DynamicGraph
+
+    base = random_graph(20, 80, seed=97)
+    graph = DynamicGraph()
+    for node in base.nodes():
+        graph.add_node(label(node))
+    for u, v in base.edges():
+        graph.add_edge(label(u), label(v))
+    ids = list(base.nodes())
+    back = {label(node): node for node in ids}
+    nodes = [label(node) for node in ids]
     rng = random.Random(11)
-    with EAGrServer(
-        graph, query, num_shards=1, executor="process",
-        overlay_algorithm="vnm_a", reply_timeout=30.0,
-        binary_frames=binary_frames,
-    ) as server:
-        assert server.transport == "shm"
-        assert server.binary_frames is binary_frames
-        sub = server.subscribe("parity", nodes)
-        notes = []
-        for _round in range(10):
+    rounds = []
+
+    def play(server, sub, count):
+        for _round in range(count):
             batch = [
-                (rng.choice(nodes), float(rng.randrange(50)))
+                (label(rng.choice(ids)), float(rng.randrange(50)))
                 for _ in range(16)
             ]
             server.write_batch(batch)
             server.drain()  # R_WRITE replies precede the drain ack (FIFO)
-            notes.extend(sub.poll())
+            if sub is not None:
+                record(sub.poll())
+
+    def record(notes):
+        rounds.append(
+            (
+                sorted((back[n.ego], n.value) for n in notes),
+                sorted(n.stamp for n in notes),
+            )
+        )
+
+    def make():
+        return EAGrServer(
+            graph, make_query(), num_shards=1, executor="process",
+            overlay_algorithm="vnm_a", reply_timeout=30.0, wal_dir=wal_dir,
+        )
+
+    with make() as server:
+        assert server.transport == "shm"
+        sub = server.subscribe("parity", nodes)
+        play(server, sub, 4)
+        cut = server.disconnect("parity")
+        play(server, None, 2)  # journaled while the client is away
+        sub = server.subscribe("parity", resume_from=cut)
+        record(sub.poll())
+        play(server, sub, 2)
+        last = server.last_stamp("parity")
+        mixes = [server.server_stats()["codec_mix"]]
+    with make() as server:  # cold restart: redo replay re-derives, suppressed
+        assert server.recovered_batches > 0
+        sub = server.subscribe("parity", resume_from=last)
+        server.drain()
+        assert sub.poll() == []
+        play(server, sub, 2)
         reads = server.read_batch(nodes)
-        stats = server.server_stats()
-    return reads, notes, stats
+        mixes.append(server.server_stats()["codec_mix"])
+    return reads, rounds, mixes
 
 
 class TestBinaryDataPlane:
-    def test_codec_planes_byte_identical_with_pickle_free_hot_path(self):
-        """The tentpole property: the same seeded workload through the
-        binary and pickle codecs yields identical reads and identical
-        notifications (egos, values, stamps, batch tags) — and the codec
-        counters prove the binary run never chose pickle on the
-        steady-state write → notify path, while the pickle run never
-        chose a binary frame."""
-        reads_b, notes_b, stats_b = _codec_workload(True)
-        reads_p, notes_p, stats_p = _codec_workload(False)
+    def test_packability_picks_the_codec_and_nothing_else(self, tmp_path):
+        """The tentpole property: the same seeded workload, once with
+        items that pass the packing gate and once on a string-keyed
+        graph that fails it in both directions (writes and change
+        reports), yields identical reads and identical notifications —
+        egos, values and stamps, across a ``resume_from`` reconnect and
+        a WAL cold restart — while the codec counters prove the first
+        run never chose pickle on the write → notify path and the
+        second never chose a binary frame."""
+        reads_b, rounds_b, mixes_b = _parity_workload(
+            int, str(tmp_path / "packable")
+        )
+        reads_p, rounds_p, mixes_p = _parity_workload(
+            "n{:03d}".format, str(tmp_path / "unpackable")
+        )
         assert reads_b == reads_p
-        assert notes_b and notes_b == notes_p
-        mix_b, mix_p = stats_b["codec_mix"], stats_p["codec_mix"]
-        assert mix_b["write_frames_binary"] > 0 and mix_b["notes_binary"] > 0
-        assert mix_b["write_frames_pickle"] == 0 and mix_b["notes_pickle"] == 0
-        assert mix_b["ingress_bytes"] > 0 and mix_b["egress_bytes"] > 0
-        assert mix_p["write_frames_pickle"] > 0 and mix_p["notes_pickle"] > 0
-        assert mix_p["write_frames_binary"] == 0 and mix_p["notes_binary"] == 0
-        assert stats_b["binary_frames"] and not stats_p["binary_frames"]
+        assert rounds_b == rounds_p
+        stamps = [stamp for _pairs, stamps in rounds_b for stamp in stamps]
+        assert stamps and stamps == list(range(1, len(stamps) + 1))
+        for mix in mixes_b:
+            assert mix["write_frames_binary"] > 0 and mix["notes_binary"] > 0
+            assert mix["write_frames_pickle"] == 0 and mix["notes_pickle"] == 0
+            assert mix["ingress_bytes"] > 0 and mix["egress_bytes"] > 0
+        for mix in mixes_p:
+            assert mix["write_frames_pickle"] > 0 and mix["notes_pickle"] > 0
+            assert mix["write_frames_binary"] == 0 and mix["notes_binary"] == 0
 
     def test_unpackable_batches_fall_back_per_batch(self):
         """A batch failing the packing gate (non-float value) rides the
@@ -509,7 +638,6 @@ class TestBinaryDataPlane:
         with EAGrServer(
             graph, query, num_shards=1, executor="process",
             overlay_algorithm="identity", dataflow="all_push",
-            binary_frames=True,
         ) as server:
             nodes = list(graph.nodes())
             packable = [(n, 1.5) for n in nodes]
@@ -529,7 +657,7 @@ class TestBinaryDataPlane:
         graph = random_graph(14, 44, seed=59)
         with EAGrServer(
             graph, make_query(), num_shards=1, executor="process",
-            overlay_algorithm="vnm_a", binary_frames=True,
+            overlay_algorithm="vnm_a",
         ) as server:
             nodes = list(graph.nodes())
             sub = server.subscribe("columnar", nodes)
@@ -566,7 +694,6 @@ class TestBinaryDataPlane:
         with EAGrServer(
             graph, make_query(), num_shards=1, executor="inprocess",
             overlay_algorithm="identity", dataflow="all_push",
-            binary_frames=True,
         ) as server:
             nodes = list(graph.nodes())
             sub = server.subscribe("resumer", nodes)
