@@ -44,11 +44,12 @@ except ImportError:  # script mode
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.partition import (
+    _stable_hash,
     mincut_partition,
     planned_replication_factor,
     shard_sizes,
 )
-from repro.core.partitioned import _stable_hash, community_assignment
+from repro.core.partitioned import community_assignment
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import community_graph

@@ -34,7 +34,17 @@ regression tests depend on it hard.
 from __future__ import annotations
 
 import collections
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.dataflow.maxflow import INF, FlowNetwork
 
@@ -43,6 +53,35 @@ NodeId = Hashable
 #: Above this many readers, recursive bisection (which re-runs Dinic per
 #: level) is not worth the boot-time tax; fall back to the BFS heuristic.
 DEFAULT_MAX_NODES = 50_000
+
+
+def _stable_hash(node: NodeId) -> int:
+    """Process-independent hash (``hash()`` is salted for strings)."""
+    import zlib
+
+    return zlib.crc32(repr(node).encode())
+
+
+def partition_readers(
+    graph,
+    query,
+    num_shards: int,
+    assign: Optional[Callable[[NodeId], int]] = None,
+) -> Dict[NodeId, int]:
+    """Reader node → owning shard for every pred-selected graph node.
+
+    The single source of the reader partition, shared by
+    :class:`~repro.core.partitioned.PartitionedEngine` and the serving
+    layer's ``EAGrServer`` so the predicate/assignment semantics cannot
+    drift apart.  ``assign`` defaults to the process-independent stable
+    hash.
+    """
+    assign = assign or (lambda node: _stable_hash(node) % num_shards)
+    reader_shard: Dict[NodeId, int] = {}
+    for node in graph.nodes():
+        if query.predicate is None or query.predicate(node):
+            reader_shard[node] = assign(node) % num_shards
+    return reader_shard
 
 
 def _reader_closures(

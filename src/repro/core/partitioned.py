@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from repro.core.engine import EAGrEngine
+from repro.core.partition import partition_readers
 from repro.core.query import EgoQuery
 from repro.graph.dynamic_graph import DynamicGraph
 
@@ -229,34 +230,6 @@ class _ShardPredicate:
         if self._reader_shard.get(node) != self._shard_id:
             return False
         return self._base(node) if self._base is not None else True
-
-
-def _stable_hash(node: NodeId) -> int:
-    """Process-independent hash (``hash()`` is salted for strings)."""
-    import zlib
-
-    return zlib.crc32(repr(node).encode())
-
-
-def partition_readers(
-    graph: DynamicGraph,
-    query: EgoQuery,
-    num_shards: int,
-    assign: Optional[Callable[[NodeId], int]] = None,
-) -> Dict[NodeId, int]:
-    """Reader node → owning shard for every pred-selected graph node.
-
-    The single source of the reader partition, shared by
-    :class:`PartitionedEngine` and the serving layer's ``EAGrServer`` so
-    the predicate/assignment semantics cannot drift apart.  ``assign``
-    defaults to the process-independent stable hash.
-    """
-    assign = assign or (lambda node: _stable_hash(node) % num_shards)
-    reader_shard: Dict[NodeId, int] = {}
-    for node in graph.nodes():
-        if query.predicate is None or query.predicate(node):
-            reader_shard[node] = assign(node) % num_shards
-    return reader_shard
 
 
 def community_assignment(

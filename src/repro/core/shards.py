@@ -35,14 +35,16 @@ The contract:
   drops**: writes accepted before ``close`` are visible to a final read.
 
 The contract is deliberately *transport-free*: a backend may absorb
-writes from an in-process call, a bounded ``mp.Queue``, or the serve
-layer's shared-memory ingress rings (:mod:`repro.serve.shm`), and may
-answer ``read_batch`` itself or expose its value columns for the caller
-to gather zero-copy — as long as the visibility rules above hold.  The
-shm transport meets them with a published *applied watermark* (the
-highest absorbed batch number plus the global write stamp) instead of
-per-request acknowledgements; consumers treat "watermark covers every
-batch I routed" as equivalent to a ``drain()`` barrier for reads.
+writes from an in-process call or through either of the serve layer's
+transports (:mod:`repro.serve.transport` — a bounded ``mp.Queue`` or a
+shared-memory ingress ring, behind one worker loop), and may answer
+``read_batch`` itself or expose its value columns for the caller to
+gather zero-copy — as long as the visibility rules above hold.  The
+ring transport meets them with a published *processed-through
+watermark* (the highest absorbed batch number plus the global write
+stamp) instead of per-request acknowledgements; consumers treat
+"watermark covers every batch I routed" as equivalent to a ``drain()``
+barrier for reads.
 
 It is also deliberately *durability-free*: ``write_batch`` returning
 means accepted, not persisted.  Callers that need "acked ⇒ on stable

@@ -10,12 +10,17 @@ serving tier:
   need them through message-coalescing queues with bounded backpressure,
   routes reads, and manages subscriptions.
 * :mod:`~repro.serve.shard` — the shard side: a picklable
-  :class:`~repro.serve.shard.ShardSpec` describing one shard's slice, and
-  the :class:`~repro.serve.shard.ShardHost` that builds the shard's engine
-  (columnar store + compiled plans) and serves its message loop.
+  :class:`~repro.serve.shard.ShardSpec` describing one shard's slice, the
+  :class:`~repro.serve.shard.ShardHost` that builds the shard's engine
+  (columnar store + compiled plans) and answers its messages, and the one
+  per-request step and worker loop every deployment runs.
 * :mod:`~repro.serve.executors` — where a shard runs: in a worker
   **process** (``multiprocessing`` spawn, true multi-core) or in-process
   (deterministic, for tests and CI smoke).
+* :mod:`~repro.serve.transport` — how requests reach a worker process and
+  how its state is read back: a bounded queue, or a shared-memory ingress
+  ring with zero-copy reads from the shard's shared value columns.  The
+  only module that knows the difference.
 * :mod:`~repro.serve.gateway` / :mod:`~repro.serve.client` — the network
   edge: :class:`~repro.serve.gateway.GatewayServer` multiplexes many TCP
   clients onto one front-end over a length-prefixed binary protocol

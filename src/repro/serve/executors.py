@@ -6,30 +6,29 @@ an ``on_reply`` callback:
 * :class:`ProcessShardExecutor` — the real deployment shape.  The shard
   host lives in its own **worker process** (``multiprocessing``, spawn
   context by default so the shard is fully reconstructed from pickled
-  state — no fork-inherited locks or caches), fed by a *bounded* request
-  queue: :meth:`try_submit` refuses instead of blocking when the shard is
+  state — no fork-inherited locks or caches) running the one
+  :func:`~repro.serve.shard.shard_worker` loop, reached through a
+  transport (:mod:`repro.serve.transport` — bounded queue or
+  shared-memory ring; the executor does not know which).
+  :meth:`try_submit` refuses instead of blocking when the shard is
   backed up (the front-end then coalesces), :meth:`submit` blocks — the
   deployment's backpressure.  A drainer thread pumps the reply queue into
   ``on_reply`` so the front-end never polls.
 * :class:`InProcessShardExecutor` — same protocol, zero processes: every
-  request executes synchronously on the caller's thread and the reply is
-  delivered before ``submit`` returns.  Deterministic and dependency-free,
-  this is the executor tests and CI smoke jobs run on.
-* :class:`ShmShardExecutor` — a worker process fed through the shard's
-  **shared-memory ingress ring** (:mod:`repro.serve.shm`) instead of a
-  request queue: the front-end encodes request frames straight into the
-  ring (FIFO — every queue-transport ordering guarantee carries over),
-  the worker polls, and backpressure is ring space instead of queue
-  depth.  Frames use the :mod:`repro.serve.frames` codec: packed write
-  batches go in as raw ``K_WRITE`` record bytes (no pickling on either
-  side), everything else as ``K_PICKLE`` fallback payloads.  Replies
-  still ride an ``mp.Queue`` (they are rare on the hot path: write
-  batches publish their applied watermark through the ring header and
-  only reply when carrying notices or errors).
+  request runs the same :class:`~repro.serve.shard.RequestStep`
+  synchronously on the caller's thread and the reply is delivered before
+  ``submit`` returns.  Deterministic and dependency-free, this is the
+  executor tests and CI smoke jobs run on.
 
-Every executor tallies its ingress codec mix and byte volume in ``io``
+The shared surface is ``submit`` / ``try_submit`` / ``flush_bell`` /
+``stop`` / ``kill`` / ``alive`` plus what the shard can tell the
+front-end without a request: ``read_local`` (values readable front-side),
+``metric_values`` (the shard's metric registry) and ``io`` — the ingress
+codec mix and byte volume
 (``write_frames_binary`` / ``write_frames_pickle`` / ``control_frames``
-/ ``ingress_bytes``), surfaced per shard by ``server_stats()``.
+/ ``ingress_bytes``), surfaced per shard by ``server_stats()``.  A
+stopped or dead executor answers ``try_submit`` with ``False`` and
+``submit`` with ``RuntimeError``.
 
 ``on_reply`` may be invoked from a drainer thread (process executor) or
 the submitting thread (in-process); the front-end's handler is written to
@@ -38,51 +37,15 @@ be thread-safe either way.
 
 from __future__ import annotations
 
+import queue as _queue
 import threading
-import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
-from repro.core.statestore import WriteFrame
-from repro.serve import frames as _frames
-from repro.serve.messages import OP_STOP, OP_WRITE, R_STOPPED
-from repro.serve.shard import ShardSpec, shard_worker, shard_worker_shm
+from repro.serve.messages import OP_STOP, R_STOPPED
+from repro.serve.shard import RequestStep, ShardSpec, shard_worker
+from repro.serve.transport import io_counters, tally_request
 
 OnReply = Callable[[Tuple], None]
-
-
-def _io_counters() -> Dict[str, int]:
-    """Fresh per-executor ingress codec/byte counters.
-
-    ``ring_stalls`` counts rejected pushes (ring full / depth bound hit
-    — the frame parks in the outbox) and ``doorbell_rings`` the actual
-    wake-up bytes sent; both stay 0 on non-shm transports.
-    """
-    return {
-        "ingress_bytes": 0,
-        "write_frames_binary": 0,
-        "write_frames_pickle": 0,
-        "control_frames": 0,
-        "ring_stalls": 0,
-        "doorbell_rings": 0,
-    }
-
-
-def _tally_request(io: Dict[str, int], request: Tuple) -> None:
-    """Count one accepted request in an executor's codec-mix counters.
-
-    Queue/in-process transports move objects, not encoded payloads, so
-    only binary frames have a meaningful byte count (their raw record
-    bytes); pickled requests count codec-only.
-    """
-    if request[0] == OP_WRITE:
-        items = request[3]
-        if items.__class__ is WriteFrame:
-            io["write_frames_binary"] += 1
-            io["ingress_bytes"] += items.nbytes
-        else:
-            io["write_frames_pickle"] += 1
-    else:
-        io["control_frames"] += 1
 
 
 class InProcessShardExecutor:
@@ -99,12 +62,13 @@ class InProcessShardExecutor:
 
     kind = "inprocess"
 
-    def __init__(self, spec: ShardSpec, on_reply: OnReply, queue_depth: int = 0) -> None:
+    def __init__(self, spec: ShardSpec, on_reply: OnReply) -> None:
         self.shard_id = spec.shard_id
         self._host = spec.build()
+        self._step = RequestStep(spec, self._host, self.kill)
         self._on_reply = on_reply
-        self.io = _io_counters()
-        # The queue transports serialize requests through the worker's
+        self.io = io_counters()
+        # The process transports serialize requests through the worker's
         # single-threaded loop; synchronous execution must provide the
         # same contract explicitly, or concurrent front-end callers
         # (e.g. the gateway's call pool) interleave inside the shard
@@ -113,10 +77,6 @@ class InProcessShardExecutor:
         self._lock = threading.RLock()
         self._stopped = False
         self._crashed = False
-        faults = spec.faults or {}
-        self._exit_before = faults.get("exit_before_writes")
-        self._exit_after = faults.get("exit_after_writes")
-        self._writes_seen = 0
 
     @property
     def host(self):
@@ -127,9 +87,9 @@ class InProcessShardExecutor:
         """No-op: synchronous execution needs no wake-up signal."""
 
     def try_submit(self, request: Tuple) -> bool:
-        """Execute immediately; refuses only when the shard has crashed."""
+        """Execute immediately; refuses only a stopped or crashed shard."""
         with self._lock:
-            if self._crashed:
+            if self._crashed or self._stopped:
                 return False
             self.submit(request)
             return True
@@ -140,23 +100,10 @@ class InProcessShardExecutor:
                 raise RuntimeError(f"shard {self.shard_id} worker died")
             if self._stopped:
                 raise RuntimeError(f"shard {self.shard_id} executor is stopped")
-            _tally_request(self.io, request)
-            if request[0] == OP_WRITE:
-                self._writes_seen += 1
-                if (
-                    self._exit_before is not None
-                    and self._writes_seen >= self._exit_before
-                ):
-                    self.kill()  # batch received, never applied
-                    return
-            reply = self._host.handle(request)
-            if (
-                request[0] == OP_WRITE
-                and self._exit_after is not None
-                and self._writes_seen >= self._exit_after
-            ):
-                self.kill()  # batch applied, reply lost
-                return
+            tally_request(self.io, request)
+            reply = self._step(request)
+            if reply is None:
+                return  # died at a kill point
             if reply[0] == R_STOPPED:
                 self._stopped = True
             self._on_reply(reply)
@@ -175,76 +122,116 @@ class InProcessShardExecutor:
     def alive(self) -> bool:
         return not self._stopped and not self._crashed
 
+    def read_local(
+        self,
+        nodes: Sequence[Any],
+        positions: List[int],
+        results: List[Any],
+        target_batch: int,
+    ) -> List[int]:
+        """Nothing is answered outside the request path."""
+        return positions
+
+    def metric_values(self):
+        """The host registry's flat value array, read directly."""
+        host = self._host
+        return None if host is None else host.metrics_values()
+
 
 class ProcessShardExecutor:
     """Run a shard in a dedicated worker process (spawn-safe).
+
+    One worker *incarnation*: construction resets ``transport`` (fresh
+    channels, rewound ring, stale read attachments dropped) and spawns
+    the worker on its worker half; the transport itself outlives the
+    executor — the front-end hands it to the successor when it replaces
+    a dead worker.
 
     Parameters
     ----------
     spec:
         Pickled to the worker, which builds the shard there.
     on_reply:
-        Invoked on this executor's drainer thread for every reply.
-    queue_depth:
-        Bound of the request queue — the backpressure window.  ``0`` means
-        unbounded (not recommended for write-heavy streams).
+        Invoked on this executor's drainer thread for every reply.  An
+        exception it raises is handed to ``on_error`` and draining
+        continues — one bad delivery must not wedge every later call on
+        the shard behind a dead drainer.
+    on_error:
+        ``on_error(exc)``, called on the drainer thread.
+    transport:
+        The shard's :class:`~repro.serve.transport.QueueTransport` or
+        :class:`~repro.serve.transport.RingTransport`.
     mp_context:
         ``multiprocessing`` start method.  ``spawn`` (default) is the
         portable, state-clean choice; ``fork`` starts faster on POSIX but
         inherits the parent's whole heap.
     """
 
-    kind = "process"
-
     def __init__(
         self,
         spec: ShardSpec,
         on_reply: OnReply,
-        queue_depth: int = 8,
+        on_error: Callable[[Exception], None],
+        transport,
         mp_context: str = "spawn",
     ) -> None:
         import multiprocessing
 
         self.shard_id = spec.shard_id
         self._on_reply = on_reply
-        self.io = _io_counters()
-        ctx = multiprocessing.get_context(mp_context)
-        self._requests = ctx.Queue(queue_depth) if queue_depth else ctx.Queue()
-        self._replies = ctx.Queue()
-        self._process = ctx.Process(
+        self._on_error = on_error
+        #: the shard's transport (it outlives this executor).
+        self.transport = transport
+        #: ``"process"`` over the queue, ``"shm"`` over the ring.
+        self.kind = "shm" if transport.kind == "shm" else "process"
+        transport.reset()
+        self.io = transport.io
+        self._process = multiprocessing.get_context(mp_context).Process(
             target=shard_worker,
-            args=(spec, self._requests, self._replies),
+            args=(spec, transport.worker_half()),
             name=f"eagr-shard-{spec.shard_id}",
             daemon=True,
         )
         self._process.start()
+        self._alive = self._process.is_alive
         self._drainer = threading.Thread(
             target=self._drain_replies,
+            args=(transport.replies,),
             name=f"eagr-shard-{spec.shard_id}-drainer",
             daemon=True,
         )
         self._drainer.start()
         self._stopped = False
 
-    def _drain_replies(self) -> None:
-        import queue as _queue
+    def _drain_replies(self, replies) -> None:
+        from multiprocessing.connection import wait
 
+        watched = [replies._reader, self._process.sentinel]
         while True:
+            # Sleep until a reply is readable or the worker is gone.  A
+            # worker that died without acknowledging OP_STOP sends
+            # nothing more: once its pipe is drained this thread ends,
+            # and with it the join in stop()/kill().  (Waking it through
+            # the queue instead is not an option: a worker killed
+            # mid-reply dies holding the queue's write lock.)
+            wait(watched)
             try:
-                reply = self._replies.get(timeout=0.5)
+                reply = replies.get_nowait()
             except _queue.Empty:
-                # A worker that died without acknowledging OP_STOP sends
-                # nothing more; once it is gone and the queue is drained,
-                # parking here forever would stall stop()'s join.
-                if not self._process.is_alive():
+                if not self._alive():
                     return
                 continue
-            self._on_reply(reply)
+            try:
+                self._on_reply(reply)
+            except Exception as exc:  # noqa: BLE001 - report, keep draining
+                self._on_error(exc)
             if reply[0] == R_STOPPED:
                 return
 
     def flush_bell(self) -> None:
-        """No-op: the queue's feeder thread wakes the worker by itself."""
+        """Wake the worker for everything submitted since the last call
+        (one deferred wake-up per submission round; see the transport)."""
+        self.transport.wake()
 
     def try_submit(self, request: Tuple) -> bool:
         """Non-blocking submit; ``False`` when the shard is backed up.
@@ -254,301 +241,76 @@ class ProcessShardExecutor:
         shard that is backed up until :meth:`EAGrServer.restart_shard`
         replaces it — writes park in the outbox instead of being lost.
         """
-        import queue as _queue
-
         if self._stopped:
             return False
-        try:
-            self._requests.put_nowait(request)
-        except _queue.Full:
-            return False
-        _tally_request(self.io, request)
-        return True
+        return self.transport.try_send(request, self._alive)
 
     def submit(self, request: Tuple) -> None:
-        """Blocking submit: waits for queue space (backpressure).
-
-        Re-checks worker liveness once a second so a crashed shard (OOM,
-        killed mid-apply) surfaces as an error instead of an unbounded
-        hang on its never-draining queue.
-        """
-        import queue as _queue
-
+        """Blocking submit: waits for transport space (backpressure);
+        a dead worker surfaces as ``RuntimeError``, never a hang."""
         if self._stopped:
             raise RuntimeError(f"shard {self.shard_id} executor is stopped")
-        while True:
-            try:
-                self._requests.put(request, timeout=1.0)
-                _tally_request(self.io, request)
-                return
-            except _queue.Full:
-                if not self._process.is_alive():
-                    raise RuntimeError(
-                        f"shard {self.shard_id} worker died with a full "
-                        "request queue"
-                    ) from None
+        self.transport.send(request, self._alive)
 
     def stop(self, seq: int, timeout: float = 10.0) -> None:
         """Send ``OP_STOP``, join worker and drainer (idempotent).
 
-        The stop request rides the same FIFO queue as everything else, so
-        the worker flushes all earlier requests before acknowledging.
+        The stop request rides the same FIFO transport as everything
+        else, so the worker flushes all earlier requests before
+        acknowledging.
         """
-        import queue as _queue
-
         if self._stopped:
             return
         self._stopped = True
-        if self._process.is_alive():
+        if self._alive():
             try:
-                self._requests.put((OP_STOP, seq), timeout=timeout)
-            except _queue.Full:  # dead/wedged worker: fall through to kill
+                self.transport.send((OP_STOP, seq), self._alive, timeout)
+                self.transport.wake()
+            except RuntimeError:  # died under us: nothing left to flush
                 pass
-        self._process.join(timeout=timeout)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=1.0)
-        self._drainer.join(timeout=timeout)
+        self._join(self._process.terminate, timeout)
 
     def kill(self, timeout: float = 10.0) -> None:
         """Terminate the worker without flushing (crash injection).
 
-        Unlike :meth:`stop`, queued requests are abandoned — exactly what
-        a real worker death does.  The drainer exits once the process is
-        gone and the reply queue is drained.  The front-end recovers by
-        rebuilding the shard from its spec + checkpoint and replaying the
-        redo log (:meth:`repro.serve.server.EAGrServer.restart_shard`).
+        Unlike :meth:`stop`, in-flight requests are abandoned — exactly
+        what a real worker death does.  The drainer exits once the
+        process is gone and the reply queue is drained.  The front-end
+        recovers by rebuilding the shard from its spec + checkpoint and
+        replaying the redo log
+        (:meth:`repro.serve.server.EAGrServer.restart_shard`).
         """
         self._stopped = True
-        if self._process.is_alive():
+        if self._alive():
             self._process.terminate()
+        self._join(self._process.kill, timeout)
+
+    def _join(self, escalate: Callable[[], None], timeout: float) -> None:
         self._process.join(timeout=timeout)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.kill()
+        if self._alive():  # pragma: no cover - defensive
+            escalate()
             self._process.join(timeout=1.0)
-        # The request queue's feeder thread may hold buffered items for a
-        # reader that no longer exists; don't let interpreter shutdown
-        # block on flushing them to a dead pipe.
-        self._requests.cancel_join_thread()
         self._drainer.join(timeout=timeout)
 
     def alive(self) -> bool:
-        return self._process.is_alive()
+        return self._alive()
 
-
-class ShmShardExecutor(ProcessShardExecutor):
-    """Worker process fed through a shared-memory ingress ring.
-
-    The ring object is owned by the front-end (it survives executor
-    replacement across shard restarts — the server resets it and hands it
-    to the successor); this executor only pushes frames and watches the
-    worker.  ``submit``/``try_submit`` serialize on a push lock so the
-    ring stays single-producer even with concurrent server threads
-    (reads, subscribes, the background flusher).
-
-    Unlike the queue executor — whose blocking ``submit`` only notices a
-    dead worker once the queue fills — a blocking submit here fails fast
-    whenever the worker is gone: ring space says nothing about liveness,
-    and a frame pushed at a corpse would silently never apply (the
-    server's redo log still has it; ``restart_shard`` replays).
-    """
-
-    kind = "shm"
-
-    def __init__(
+    def read_local(
         self,
-        spec: ShardSpec,
-        on_reply: OnReply,
-        ring,
-        queue_depth: int = 8,
-        mp_context: str = "spawn",
-    ) -> None:
-        import multiprocessing
-
-        self.shard_id = spec.shard_id
-        self._on_reply = on_reply
-        self.io = _io_counters()
-        self.ring = ring
-        #: In-flight frame bound — the queue transport's depth semantics.
-        #: Byte capacity alone would let a fast producer enqueue hundreds
-        #: of small batches, defeating the outbox coalescing that keeps a
-        #: lagging worker fed with few, large batches; 0 means unbounded.
-        self._depth = queue_depth
-        self._push_lock = threading.Lock()
-        ctx = multiprocessing.get_context(mp_context)
-        self._requests = None  # transport is the ring
-        self._replies = ctx.Queue()
-        # Doorbell: the worker parks on this pipe when the ring is empty;
-        # _push rings it on every empty→non-empty transition (one syscall
-        # per burst, none while frames keep flowing, no busy polling).
-        bell_recv, self._bell = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(
-            target=shard_worker_shm,
-            args=(spec, ring.name, self._replies, bell_recv),
-            name=f"eagr-shard-{spec.shard_id}",
-            daemon=True,
-        )
-        self._process.start()
-        self._drainer = threading.Thread(
-            target=self._drain_replies,
-            name=f"eagr-shard-{spec.shard_id}-drainer",
-            daemon=True,
-        )
-        self._drainer.start()
-        self._stopped = False
-        self._bell_pending = False
-
-    def _encode(self, request: Tuple) -> Tuple[bytes, str]:
-        """``(ring payload, codec-counter key)`` for one request tuple."""
-        if request[0] == OP_WRITE and request[3].__class__ is WriteFrame:
-            return (
-                _frames.encode_write(request[1], request[2], request[3]),
-                "write_frames_binary",
-            )
-        return (
-            _frames.encode_pickle(request),
-            "write_frames_pickle" if request[0] == OP_WRITE else "control_frames",
+        nodes: Sequence[Any],
+        positions: List[int],
+        results: List[Any],
+        target_batch: int,
+    ) -> List[int]:
+        """Fill ``results`` for the ``positions`` of ``nodes`` the
+        transport can answer front-side once the shard has processed
+        batch ``target_batch``; returns the positions left for
+        ``OP_READ``."""
+        return self.transport.read_local(
+            nodes, positions, results, target_batch, self._alive
         )
 
-    def _push(self, payload: bytes, codec: str = "control_frames") -> bool:
-        """Push one frame; the wake-up is *deferred* to :meth:`flush_bell`.
-
-        Ringing per push would wake the worker mid-multicast and let the
-        scheduler preempt the producing front-end between shard pushes
-        (the queue transport avoids this accidentally — its feeder thread
-        only writes the pipe once the producer drops the GIL).  Deferring
-        the doorbell to the end of the caller's submission round keeps
-        the producer's burst intact: one syscall per round, workers wake
-        to a ring already holding everything.
-        """
-        with self._push_lock:
-            if self._depth and self.ring.pending_frames >= self._depth:
-                self.io["ring_stalls"] += 1
-                return False
-            if not self.ring.try_push(payload):
-                self.io["ring_stalls"] += 1
-                return False
-            self._bell_pending = True
-            io = self.io
-            io[codec] += 1
-            io["ingress_bytes"] += len(payload)
-        return True
-
-    def flush_bell(self) -> None:
-        """Wake the worker for every frame pushed since the last flush.
-
-        The byte is sent only while the worker is parked (or parking) on
-        the doorbell — ``ring.waiting()`` — so pipe traffic is bounded at
-        one byte per park cycle and a busy worker, which never drains the
-        pipe, cannot back it up into a blocking ``send_bytes``.  The
-        announce-then-recheck order in the worker makes the gate safe: a
-        worker that misses our frame during its recheck has already set
-        the flag we test here.  Its 0.5 s poll timeout is the final
-        backstop, so a missed flush costs latency, never progress.
-        """
-        if not self._bell_pending:
-            return
-        with self._push_lock:
-            if not self._bell_pending:
-                return
-            self._bell_pending = False
-        if not self.ring.waiting():
-            return  # worker is processing; it will see the frames itself
-        try:
-            self._bell.send_bytes(b"!")
-            self.io["doorbell_rings"] += 1
-        except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-            pass
-
-    def try_submit(self, request: Tuple) -> bool:
-        """Non-blocking push; ``False`` when the ring is full or the
-        worker is stopped/dead (writes then park in the outbox, exactly
-        like a backed-up queue shard)."""
-        if self._stopped or not self._process.is_alive():
-            return False
-        payload, codec = self._encode(request)
-        return self._push(payload, codec)
-
-    def submit(self, request: Tuple) -> None:
-        """Blocking push: waits for ring space; fails fast on a corpse."""
-        if self._stopped:
-            raise RuntimeError(f"shard {self.shard_id} executor is stopped")
-        payload, codec = self._encode(request)
-        while True:
-            if not self._process.is_alive():
-                raise RuntimeError(
-                    f"shard {self.shard_id} worker died; ingress ring "
-                    "abandoned until restart"
-                )
-            if self._push(payload, codec):
-                return
-            # Ring full: make sure the worker is awake to drain it.
-            self.flush_bell()
-            time.sleep(0.0005)
-
-    def stop(self, seq: int, timeout: float = 10.0) -> None:
-        """Push ``OP_STOP``, join worker and drainer (idempotent)."""
-        if self._stopped:
-            return
-        self._stopped = True
-        payload = _frames.encode_pickle((OP_STOP, seq))
-        deadline = time.monotonic() + timeout
-        while self._process.is_alive():
-            if self._push(payload):
-                self.flush_bell()
-                break
-            self.flush_bell()
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.001)
-        self._process.join(timeout=timeout)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.terminate()
-            self._process.join(timeout=1.0)
-        self._drainer.join(timeout=timeout)
-        self._bell.close()
-
-    def kill(self, timeout: float = 10.0) -> None:
-        """Terminate the worker without flushing (crash injection)."""
-        self._stopped = True
-        if self._process.is_alive():
-            self._process.terminate()
-        self._process.join(timeout=timeout)
-        if self._process.is_alive():  # pragma: no cover - defensive
-            self._process.kill()
-            self._process.join(timeout=1.0)
-        self._drainer.join(timeout=timeout)
-        self._bell.close()
-
-
-EXECUTOR_KINDS = {
-    "process": ProcessShardExecutor,
-    "inprocess": InProcessShardExecutor,
-    "shm": ShmShardExecutor,
-}
-
-
-def make_executor(
-    kind: str,
-    spec: ShardSpec,
-    on_reply: OnReply,
-    queue_depth: int = 8,
-    mp_context: str = "spawn",
-    ring=None,
-):
-    """Instantiate the executor ``kind`` for ``spec`` (see module doc)."""
-    if kind == "process":
-        return ProcessShardExecutor(
-            spec, on_reply, queue_depth=queue_depth, mp_context=mp_context
-        )
-    if kind == "inprocess":
-        return InProcessShardExecutor(spec, on_reply, queue_depth=queue_depth)
-    if kind == "shm":
-        if ring is None:
-            raise ValueError("shm executor requires the shard's ingress ring")
-        return ShmShardExecutor(
-            spec, on_reply, ring, queue_depth=queue_depth, mp_context=mp_context
-        )
-    raise ValueError(
-        f"executor must be one of {sorted(EXECUTOR_KINDS)}, got {kind!r}"
-    )
+    def metric_values(self):
+        """The shard's flat metric value array by the transport's
+        cheapest route; ``None`` when it cannot be scraped."""
+        return self.transport.metric_values(self._alive)

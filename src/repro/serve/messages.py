@@ -32,14 +32,13 @@ Requests — ``(op, seq, *payload)``:
   it to answer push-reader reads straight from the shard's shared
   columns; pull readers and unknown nodes stay on the ``OP_READ`` path.
 
-Transports: requests normally ride the executor's bounded ``mp.Queue``.
-On the shared-memory transport (:mod:`repro.serve.shm`) the *same
-request tuples* travel through the shard's ingress ring instead — FIFO
-order, and therefore every ordering guarantee documented here, is
-preserved — and write batches stop producing ``R_WRITE`` replies unless
-they carry a change report: the applied watermark is published through
-the ring's header, so an empty acknowledgement would be pure codec
-traffic.
+Transports (:mod:`repro.serve.transport`): requests ride either a
+bounded ``mp.Queue`` or the shard's shared-memory ingress ring.  Both
+carry the *same request tuples* in FIFO order — every ordering guarantee
+documented here holds on either — and on the ring write batches stop
+producing ``R_WRITE`` replies unless they carry a change report: the
+processed-through watermark is published through the ring's header, so
+an empty acknowledgement would be pure codec traffic.
 
 Wire frames (:mod:`repro.serve.frames`): every ring payload starts with
 a one-byte frame kind, and **the batch's own packability picks it** —
@@ -103,6 +102,10 @@ R_OK = 0
 R_WRITE = 1
 R_ERR = 2
 R_STOPPED = 3
+
+
+class ServeError(Exception):
+    """Raised when a shard reports an error or a reply times out."""
 
 
 @dataclass(frozen=True, slots=True)

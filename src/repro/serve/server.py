@@ -6,25 +6,22 @@ four verbs:
 
 * :meth:`EAGrServer.write_batch` — multicast each write to the shards
   whose readers need it.  Writes land in per-shard *outboxes* and flush
-  through the executor's bounded queue; when a shard is backed up, the
-  flush refuses instead of blocking and consecutive batches **coalesce**
-  in the outbox until either the queue frees up or the coalescing cap
+  through the shard's executor; when a shard is backed up, the flush
+  refuses instead of blocking and consecutive batches **coalesce** in
+  the outbox until either the shard frees up or the coalescing cap
   forces a blocking submit — bounded memory, bounded latency, no drops.
 * :meth:`EAGrServer.read_batch` — route reads to owning shards.  The
-  per-shard FIFO queue orders them after every previously accepted write
-  (read-your-writes per shard).  On the **shared-memory transport** (the
-  default for columnar process deployments) push readers are answered
-  zero-copy from the shard's shared value columns instead: the front-end
-  waits on the shard's applied watermark, gathers under the store's
-  seqlock stamp, and finalizes locally — no request, no reply, no pickle.
-* **Transports** — requests reach process workers either over bounded
-  ``mp.Queue``\\ s (the fallback for object-store aggregates and no-numpy
-  hosts) or through per-shard shared-memory ingress rings
-  (:mod:`repro.serve.shm`): accepted write batches are scattered into the
-  ring as length-prefixed frames published tail-last (seqlock-style batch
-  framing), workers poll, and the per-batch acknowledgement disappears —
-  the applied watermark rides the ring header.  FIFO order, and with it
-  every guarantee in this docstring, is transport-independent.
+  per-shard FIFO transport orders them after every previously accepted
+  write (read-your-writes per shard); what the shard's executor can
+  answer without a request — push readers, zero-copy from the shard's
+  shared value columns, on the **shared-memory transport** (the default
+  for columnar process deployments) — never becomes one.
+* **Transports** — how requests reach a process worker and how its state
+  is read back is :mod:`repro.serve.transport`'s secret: this module
+  resolves *which* transport a deployment gets (``_resolve_transport``),
+  holds one per shard for the shard's life, and otherwise talks to
+  executors.  FIFO order, and with it every guarantee in this docstring,
+  is transport-independent.
 * :meth:`EAGrServer.subscribe` / :meth:`EAGrServer.unsubscribe` — standing
   queries: shards diff watched egos after each applied batch (via the
   runtime's O(affected) changed-reader report) and push
@@ -52,6 +49,37 @@ four verbs:
 Write ingestion is designed for one producer thread (the order of two
 racing ``write_batch`` calls is undefined anyway); reads, subscriptions
 and notifications are thread-safe.
+
+Lock order
+----------
+Acquired strictly in this order, never the reverse:
+
+1. ``_reshard_lock`` — one ``reshard``/``rebalance`` at a time.  Only
+   ``reshard`` takes it, holding nothing.
+2. ``_flush_locks[shard]`` — held across outbox-pop *and* submit, so a
+   shard's batches are numbered and enqueued in acceptance order; also
+   what a worker replacement (``restart_shard``, ``reshard``) and a
+   redo truncation hold.  Only ``reshard`` holds more than one, taken in
+   ascending shard id; non-blocking flushes ``acquire(blocking=False)``
+   and skip migrating shards, so a producer never waits out a
+   migration.  (An in-process executor's own submit lock nests here.)
+3. ``_route_lock`` — outboxes, the routing tables' swap, ``_migrating``,
+   the ingest clock and the WAL's acceptance order.  Taken with or
+   without a flush lock; nothing but leaves is taken under it.
+   ``_subs_lock`` — subscriber registry, reverse watch maps, stamp
+   assignment + journal append + live put.  Same level: it is never
+   held together with ``_route_lock``.  A reply drainer's ``_deliver``
+   takes this lock and no other, holding none on entry; an in-process
+   shard's ``_deliver`` runs on the submitting thread, under that
+   shard's flush lock.
+
+Leaves (nothing is acquired while holding one): ``_seq_lock``,
+``_pending_lock``, the WAL's and each journal's internal lock, the
+transports' push and attach locks.  ``_scrape_lock`` serializes metric
+scrapes and is taken holding nothing (a queue-transport scrape awaits a
+shard reply under it).  ``_flush_failed`` / ``_poisoned`` /
+``_async_errors`` are written lock-free from the flusher and drainer
+threads (set-add, list-append, first-writer-wins string).
 """
 
 from __future__ import annotations
@@ -61,6 +89,7 @@ import queue as _queue
 import threading
 import time as _time
 from collections import deque
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -77,7 +106,7 @@ from repro.core.execution import normalize_write
 from repro.core.query import EgoQuery
 from repro.core.statestore import WriteFrame, _np
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.serve.executors import make_executor
+from repro.serve.executors import InProcessShardExecutor, ProcessShardExecutor
 from repro.serve.frames import ChangeFrame, NoteFrame
 from repro.serve.journal import (
     NotificationLog,
@@ -88,7 +117,6 @@ from repro.serve.messages import (
     Notification,
     OP_CHECKPOINT,
     OP_DRAIN,
-    OP_HANDLES,
     OP_READ,
     OP_STATS,
     OP_SUBSCRIBE,
@@ -98,15 +126,13 @@ from repro.serve.messages import (
     R_OK,
     R_STOPPED,
     R_WRITE,
+    ServeError,
     ShardCheckpoint,
 )
 from repro.serve.shard import ShardSpec
+from repro.serve.transport import open_transports
 
 NodeId = Hashable
-
-
-class ServeError(Exception):
-    """Raised when a shard reports an error or a reply times out."""
 
 
 class _Call:
@@ -411,7 +437,11 @@ class EAGrServer:
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        from repro.core.partitioned import community_assignment, partition_readers
+        if executor not in ("process", "inprocess"):
+            raise ValueError(
+                f"executor must be 'process' or 'inprocess', got {executor!r}"
+            )
+        from repro.core.partition import partition_readers
         from repro.obs import MetricsRegistry, SlowOpLog, declare_shard_metrics
 
         # -- metrics plane: the registry comes up before the WAL so the
@@ -473,8 +503,6 @@ class EAGrServer:
         self.executor_kind = executor
         self._coalesce_max = coalesce_max
         self._reply_timeout = reply_timeout
-        self._queue_depth = queue_depth
-        self._ring_bytes = ring_bytes
         self._mp_context = mp_context
         self._journal_capacity = journal_capacity
         self._journal_dir = journal_dir
@@ -628,62 +656,23 @@ class EAGrServer:
             for _ in range(num_shards)
         ]
 
-        # -- shared-memory transport wiring ------------------------------
-        # The front-end names (and crash-safely unlinks) every segment:
-        # per-shard ingress rings are created here and attached by the
-        # workers; the per-shard value-store segments are *created by the
-        # workers* (only they know the shard overlay) under front-end
-        # names, attached here lazily for zero-copy reads.
-        self._rings: List[Optional[Any]] = [None] * num_shards
-        self._shm_stores: Dict[int, Any] = {}
-        #: shard -> (store segment name, {node: (handle, is_push)}).
-        self._handle_maps: Dict[
-            int, Tuple[str, Dict[NodeId, Tuple[int, bool]]]
-        ] = {}
-        #: per-shard metrics slabs (shm transport + metrics on): created
-        #: here by name, attached and published by the workers, scraped
-        #: by :meth:`metrics` with zero IPC, unlinked in _release_shm.
-        self._metric_slabs: List[Optional[Any]] = [None] * num_shards
-        shm_specs: List[Optional[Dict[str, str]]] = [None] * num_shards
-        if self.transport == "shm":
-            from repro.serve.shm import ShmRing
-
-            if self.metrics_enabled:
-                from repro.obs import MetricsSlab
-
-            base = "eagr{:x}_{:x}".format(
-                _os.getpid(), int.from_bytes(_os.urandom(4), "little")
+        # -- transports: one per process shard, for the shard's life ------
+        # (worker replacement resets and re-uses them; an in-process
+        # shard has none — its executor calls the host directly).
+        self._transports: List[Any] = []
+        if executor == "process":
+            self._transports = open_transports(
+                self.transport,
+                num_shards,
+                query,
+                bool(engine_kwargs.get("adaptive")),
+                mp_context,
+                queue_depth,
+                ring_bytes,
+                self._shard_schema.n_slots if self.metrics_enabled else 0,
+                reply_timeout,
+                self._call,
             )
-            self._shm_base = base
-            for shard_id in range(num_shards):
-                self._rings[shard_id] = ShmRing(
-                    f"{base}r{shard_id}", capacity=ring_bytes, create=True
-                )
-                shm_specs[shard_id] = {
-                    "ring": f"{base}r{shard_id}",
-                    "store": f"{base}v{shard_id}",
-                }
-                if self.metrics_enabled:
-                    self._metric_slabs[shard_id] = MetricsSlab.create(
-                        f"{base}m{shard_id}", self._shard_schema.n_slots
-                    )
-                    shm_specs[shard_id]["metrics"] = f"{base}m{shard_id}"
-        else:
-            self._shm_base = None
-        # Zero-copy reads stay off for time windows (a read advances
-        # window expiry shard-side, which a front-end column gather
-        # cannot do) and for adaptive deployments (reads answered
-        # front-side would starve the shard controller's observed-pull
-        # signal, flip-flopping its decisions versus the queue
-        # transport).  Writes still ride the ring either way.
-        from repro.core.windows import TimeWindow as _TimeWindow
-
-        self._shm_read_ok = (
-            self.transport == "shm"
-            and not isinstance(query.window, _TimeWindow)
-            and not engine_kwargs.get("adaptive")
-        )
-        self._shm_lock = threading.Lock()
 
         self.specs = [
             ShardSpec(
@@ -694,24 +683,20 @@ class EAGrServer:
                 readers=frozenset(shard_readers[shard_id]),
                 value_store=value_store,
                 engine_kwargs=engine_kwargs,
-                shm=shm_specs[shard_id],
+                shm=self._transports[shard_id].segments if self._transports else None,
                 metrics=self.metrics_enabled,
             )
             for shard_id in range(num_shards)
         ]
+        self._executors: List[Any] = [None] * num_shards
         if recovered is not None:
-            for shard_id in range(num_shards):
-                spec = self.specs[shard_id]
-                spec.checkpoint = self._checkpoints.get(shard_id)
-                # Redo batches must re-apply batch-exact so re-derived
-                # notification stamps reproduce the dead epoch's (same
-                # invariant as restart_shard).
-                spec.merge_after = self._batch_no[shard_id]
-        self._executors = [
-            self._make_shard_executor(spec) for spec in self.specs
-        ]
+            self._recover_subscribers(recovered)
+        # Every worker boots before any replay starts, so the shards
+        # build their overlays in parallel.
+        for shard_id in range(num_shards):
+            self._replace_worker(shard_id, self._checkpoints.get(shard_id))
         if recovered is not None:
-            self._recover_from_wal(recovered)
+            self._recover_writes(recovered)
         # Background flusher: a refused non-blocking flush parks writes in
         # the outbox; without a retry they would sit there until the next
         # caller-driven flush, stalling notifications for an idle
@@ -766,24 +751,52 @@ class EAGrServer:
             return env.strip() not in ("0", "false", "no", "off")
         return True
 
-    def _make_shard_executor(self, spec: ShardSpec):
-        """Build the executor matching this deployment's transport."""
-        if self.transport == "shm":
-            return make_executor(
-                "shm",
+    def _replace_worker(
+        self,
+        shard_id: int,
+        checkpoint: Optional[ShardCheckpoint],
+        readers: Optional[frozenset] = None,
+    ) -> None:
+        """Give ``shard_id`` a fresh worker restored from ``checkpoint``
+        — the one path first boot, WAL cold recovery, ``restart_shard``
+        and ``reshard`` all take (caller holds the shard's flush lock
+        once the server is live).
+
+        A still-running predecessor is killed uncleanly.  The successor
+        is told to apply everything up to the shard's batch high-water
+        mark batch-exact (``merge_after``): whatever is replayed at it
+        must re-derive notifications under the stamps the previous epoch
+        delivered.  A process executor resets the shard's transport
+        before spawning, dropping the frames the predecessor abandoned
+        and every cached view of its state.  Watches are re-armed before
+        this returns, hence before any write reaches the new worker (the
+        executors are FIFO), so its diffing baselines sit at
+        checkpoint-time values.
+        """
+        old = self._executors[shard_id]
+        if old is not None and old.alive():
+            old.kill()
+        if readers is not None:
+            self.specs[shard_id].readers = readers
+        spec = self.specs[shard_id].with_checkpoint(checkpoint)
+        spec.merge_after = self._batch_no[shard_id]
+        on_reply = self._reply_handler(shard_id)
+        if self._transports:
+            self._executors[shard_id] = ProcessShardExecutor(
                 spec,
-                self._reply_handler(spec.shard_id),
-                queue_depth=self._queue_depth,
-                mp_context=self._mp_context,
-                ring=self._rings[spec.shard_id],
+                on_reply,
+                partial(self._fail_shard, shard_id, "reply delivery failed"),
+                self._transports[shard_id],
+                self._mp_context,
             )
-        return make_executor(
-            self.executor_kind,
-            spec,
-            self._reply_handler(spec.shard_id),
-            queue_depth=self._queue_depth,
-            mp_context=self._mp_context,
-        )
+        else:
+            self._executors[shard_id] = InProcessShardExecutor(spec, on_reply)
+        self._flush_failed.discard(shard_id)
+        if not self._flush_failed:
+            # Every failed shard has been rebuilt: acceptance may resume
+            # (the un-poison mirror of _fail_shard).
+            self._poisoned = None
+        self._rearm_watches(shard_id)
 
     def _build_writer_shards(
         self, reader_shard: Dict[NodeId, int]
@@ -797,30 +810,20 @@ class EAGrServer:
                 routing.setdefault(writer, {})[shard_id] = None
         return {w: tuple(s) for w, s in routing.items()}
 
-    def _recover_from_wal(self, recovered) -> None:
-        """Finish a cold restart from the folded WAL state.
+    def _recover_subscribers(self, recovered) -> None:
+        """Cold restart, before the workers boot: rebuild per-subscriber
+        state from the folded WAL so :meth:`_replace_worker` has watches
+        to re-arm.
 
-        Runs inside ``__init__`` after the executors are built (each
-        already carrying its checkpoint and ``merge_after``) and before
-        the background flusher starts, so nothing races the replay:
-
-        1. per-subscriber state is rebuilt — the disk journal reloads
-           (stamps continue where they stopped), the watch registry
-           comes from the fold, and the per-ego replay filter is
-           rehydrated from the subscribe-time seeds plus the retained
-           journal entries' ``batch`` tags (valid here, and only here,
-           because the batch-exact replay reproduces pre-crash shard
-           stamps precisely);
-        2. every shard is re-armed with its watches, then the redo
-           suffix replays in order — already-checkpointed batches are
-           skipped shard-side, re-derived notifications the dead epoch
-           delivered are suppressed front-side;
-        3. accepted-but-never-batched rounds (the dead outboxes) refill
-           the outboxes and flush as fresh batches behind the replay.
-
-        Recovered subscribers start *disconnected* (their client died
-        with the old process); ``subscribe(resume_from=N)`` splices them
-        back in with no gap and no duplicate.
+        The disk journal reloads (stamps continue where they stopped),
+        the watch registry comes from the fold, and the per-ego replay
+        filter is rehydrated from the subscribe-time seeds plus the
+        retained journal entries' ``batch`` tags (valid here, and only
+        here, because the batch-exact replay reproduces pre-crash shard
+        stamps precisely).  Recovered subscribers start *disconnected*
+        (their client died with the old process);
+        ``subscribe(resume_from=N)`` splices them back in with no gap
+        and no duplicate.
         """
         for subscriber, shard_watches in recovered.watches.items():
             if not any(shard_watches.values()):
@@ -849,10 +852,20 @@ class EAGrServer:
                     state.last_batch[note.ego] = note.batch
             with self._subs_lock:
                 self._subs[subscriber] = state
+
+    def _recover_writes(self, recovered) -> None:
+        """Cold restart, after the workers boot (each from its
+        checkpoint, watches re-armed) and before the background flusher
+        starts, so nothing races the replay: the redo suffix replays in
+        order — already-checkpointed batches are skipped shard-side,
+        re-derived notifications the dead epoch delivered are suppressed
+        front-side — then accepted-but-never-batched rounds (the dead
+        outboxes) refill the outboxes and flush as fresh batches behind
+        it."""
         crash_after = self._wal.faults.get("crash_after_replay_batches")
         replayed = 0
         for shard_id in range(self.num_shards):
-            replayed += self._rearm_and_replay(
+            replayed += self._replay(
                 shard_id,
                 crash_after=None if crash_after is None else crash_after - replayed,
             )
@@ -865,34 +878,26 @@ class EAGrServer:
         self.recovered_batches = replayed
         self.replayed_batches += replayed
 
-    def _rearm_watches(self, shard_ids: Sequence[int]) -> None:
-        """Re-arm every subscriber's standing watches on freshly built
-        workers.  Called before any write reaches them (the executors
-        are FIFO), so their diffing baselines sit at checkpoint-time
-        values — the ordering that makes post-restart change reports
-        exact."""
+    def _rearm_watches(self, shard_id: int) -> None:
+        """Re-arm every subscriber's standing watches on a freshly built
+        worker (see :meth:`_replace_worker` for the ordering)."""
         with self._subs_lock:
             rearm = [
-                (shard_id, subscriber, list(state.watches[shard_id]))
+                (subscriber, list(state.watches[shard_id]))
                 for subscriber, state in self._subs.items()
-                for shard_id in shard_ids
                 if state.watches.get(shard_id)
             ]
-        for shard_id, subscriber, watch_nodes in rearm:
-            self._executors[shard_id].submit(
-                (OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes)
-            )
+        ex = self._executors[shard_id]
+        for subscriber, watch_nodes in rearm:
+            ex.submit((OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes))
 
-    def _rearm_and_replay(
-        self, shard_id: int, crash_after: Optional[int] = None
-    ) -> int:
-        """Bring a rebuilt worker up to date: re-arm its watches, then
-        replay the shard's redo log in order; returns the batches
-        replayed.  Batch numbers the worker's checkpoint already covers
-        are skipped shard-side, re-derived notifications subscribers
-        already saw are suppressed front-side.  ``crash_after`` is the
-        WAL fault plan's remaining replay budget (tests only)."""
-        self._rearm_watches([shard_id])
+    def _replay(self, shard_id: int, crash_after: Optional[int] = None) -> int:
+        """Bring a rebuilt worker up to date: replay the shard's redo
+        log in order; returns the batches replayed.  Batch numbers the
+        worker's checkpoint already covers are skipped shard-side,
+        re-derived notifications subscribers already saw are suppressed
+        front-side.  ``crash_after`` is the WAL fault plan's remaining
+        replay budget (tests only)."""
         ex = self._executors[shard_id]
         replayed = 0
         for batch_no, items in self._write_log[shard_id]:
@@ -926,15 +931,20 @@ class EAGrServer:
                     # failure poisons acceptance (write_batch raises) the
                     # same way a WAL fsync failure does.  restart_shard()
                     # is the recovery path.
-                    failed.add(shard_id)
-                    if self._poisoned is None:
-                        self._poisoned = (
-                            f"shard {shard_id}: background flush failed "
-                            f"({type(exc).__name__}: {exc})"
-                        )
-                    self._async_errors.append(
-                        f"shard {shard_id}: background flush failed"
-                    )
+                    self._fail_shard(shard_id, "background flush failed", exc)
+
+    def _fail_shard(self, shard_id: int, what: str, exc: Exception) -> None:
+        """The async-error channel: a failure on a thread no caller is
+        waiting on (the background flusher, a reply drainer).  The shard
+        is marked failed, acceptance is poisoned, and the error surfaces
+        at the next :meth:`drain`/:meth:`close`; ``restart_shard`` is
+        the recovery path."""
+        self._flush_failed.add(shard_id)
+        if self._poisoned is None:
+            self._poisoned = (
+                f"shard {shard_id}: {what} ({type(exc).__name__}: {exc})"
+            )
+        self._async_errors.append(f"shard {shard_id}: {what}")
 
     # ------------------------------------------------------------------
     # request plumbing
@@ -1102,6 +1112,11 @@ class EAGrServer:
         # by earlier write pushes plus this request (shm transport).
         ex.flush_bell()
         return call
+
+    def _call(self, shard_id: int, op: int) -> Any:
+        """One awaited control request (what a transport uses to ask its
+        own shard for ``OP_HANDLES`` / ``OP_STATS``)."""
+        return self._await([self._submit_call(shard_id, op)])[0]
 
     def _await(self, calls: Sequence[_Call]) -> List[Any]:
         results = []
@@ -1489,14 +1504,12 @@ class EAGrServer:
 
         Flushes the involved shards' outboxes first, so a read observes
         every write this server accepted before the call (per-shard FIFO
-        read-your-writes).  On the shm transport, push readers are
-        answered **zero-copy** from the shard's shared value columns:
-        the front-end waits for the shard's applied watermark to cover
-        every batch it routed (read-your-writes without a round-trip),
-        gathers the column scalars under the store's seqlock stamp —
-        retrying if a concurrent batch landed mid-gather — and finalizes
-        locally.  Pull readers, time-window queries, cleared slots
-        (adaptive flips) and dead workers fall back to ``OP_READ``.
+        read-your-writes).  Each shard's executor first answers what
+        it can without a request — on the shm transport, push readers
+        **zero-copy** from the shard's shared value columns once its
+        watermark covers every batch routed to it
+        (:meth:`repro.serve.transport.RingTransport.read_local`) — and
+        the leftover goes to the shard as ``OP_READ``.
         """
         self._check_open()
         nodes = list(nodes)
@@ -1520,170 +1533,24 @@ class EAGrServer:
                 break
         calls = []
         for shard_id, positions in per_shard.items():
-            if self._shm_read_ok:
-                positions = self._read_shm(shard_id, nodes, positions, results)
-                if not positions:
-                    continue
-            calls.append(
-                (
-                    positions,
-                    self._submit_call(
-                        shard_id, OP_READ, [nodes[p] for p in positions]
-                    ),
-                )
+            leftover = self._executors[shard_id].read_local(
+                nodes, positions, results, self._batch_no[shard_id]
             )
+            self.shm_reads += len(positions) - len(leftover)
+            if leftover:
+                calls.append(
+                    (
+                        leftover,
+                        self._submit_call(
+                            shard_id, OP_READ, [nodes[p] for p in leftover]
+                        ),
+                    )
+                )
         for positions, call in calls:
             values = self._await([call])[0]
             for position, value in zip(positions, values):
                 results[position] = value
         return results
-
-    def _wait_applied(self, shard_id: int) -> None:
-        """Block until the shard's applied watermark covers every batch
-        this front-end has submitted to it (shm transport).
-
-        The wait is bounded two ways, so a worker that dies between the
-        caller's liveness check and the watermark publication can never
-        hang this thread: every spin iteration re-checks worker liveness
-        (fail fast with :class:`ServeError`, not the reply timeout), and
-        an absolute deadline of ``reply_timeout`` catches a live-but-
-        wedged worker.  Death is confirmed against the watermark once
-        more before raising — a worker that applied the final batch and
-        *then* exited left complete columns behind, and reads from them
-        are correct.
-        """
-        ring = self._rings[shard_id]
-        target = self._batch_no[shard_id]
-        self._executors[shard_id].flush_bell()
-        if ring.applied() >= target:
-            return
-        deadline = _time.monotonic() + self._reply_timeout
-        while ring.applied() < target:
-            if not self._executors[shard_id].alive():
-                if ring.applied() >= target:
-                    return  # applied everything, then exited: columns complete
-                raise ServeError(
-                    f"shard {shard_id}: worker died before applying "
-                    f"batch {target}"
-                )
-            if _time.monotonic() >= deadline:
-                raise ServeError(
-                    f"shard {shard_id}: timed out waiting for batch "
-                    f"{target} to apply"
-                )
-            _time.sleep(0.0002)
-
-    def _attach_store(self, shard_id: int, name: str):
-        """Attach (or re-attach) the shard's shared value columns by the
-        name the shard itself reported — a worker whose store migrated to
-        a fresh segment (owner growth re-allocates under a new name) must
-        not be read through the stale mapping.  Returns ``None`` when the
-        segment is not attachable (callers fall back to ``OP_READ``).
-        Serialized on the shm lock: concurrent reader threads must not
-        race an attach (leaking the loser's mapping) or close a store
-        out from under each other on a name change."""
-        from repro.core.statestore import SharedColumnarStore, ValueStoreError
-
-        with self._shm_lock:
-            store = self._shm_stores.get(shard_id)
-            if store is not None:
-                if store.name == name:
-                    return store
-                store.close()
-                self._shm_stores.pop(shard_id, None)
-            try:
-                store = SharedColumnarStore.attach(
-                    self.query.aggregate.column_spec, name
-                )
-            except (FileNotFoundError, ValueStoreError):
-                return None
-            self._shm_stores[shard_id] = store
-            return store
-
-    def _shm_handle_map(self, shard_id: int):
-        """``(store segment name, {node: (handle, is_push)})`` for the
-        shard (fetched once per worker incarnation over the ring, so it
-        trails every boot-time rebuild)."""
-        cached = self._handle_maps.get(shard_id)
-        if cached is None:
-            store_name, hmap = self._await(
-                [self._submit_call(shard_id, OP_HANDLES)]
-            )[0]
-            with self._shm_lock:
-                cached = self._handle_maps.setdefault(
-                    shard_id,
-                    (store_name or self.specs[shard_id].shm["store"], hmap),
-                )
-        return cached
-
-    def _read_shm(
-        self,
-        shard_id: int,
-        nodes: Sequence[NodeId],
-        positions: List[int],
-        results: List[Any],
-    ) -> List[int]:
-        """Serve what we can from the shard's shared columns.
-
-        Fills ``results`` in place for push readers and returns the
-        positions that still need a shard-side ``OP_READ`` (pull
-        readers, cleared slots, or the whole list when the fast path is
-        unavailable).  Raises :class:`ServeError` when the worker died
-        before covering the watermark — same fail-fast surface as the
-        queue path.
-        """
-        if not self._executors[shard_id].alive():
-            return positions  # the queue path surfaces the death fast
-        self._wait_applied(shard_id)
-        store_name, hmap = self._shm_handle_map(shard_id)
-        store = self._attach_store(shard_id, store_name)
-        if store is None:
-            return positions
-        leftover: List[int] = []
-        fast: List[Tuple[int, int]] = []
-        for position in positions:
-            info = hmap.get(nodes[position])
-            if info is None or not info[1]:
-                leftover.append(position)
-            else:
-                fast.append((position, info[0]))
-        if not fast:
-            return leftover
-        columns = store.columns
-        cleared_mask = store._cleared
-        aggregate = self.query.aggregate
-        unpack = aggregate.column_spec.unpack
-        # Bounded validation retries: under sustained write pressure a
-        # large gather can overlap a scatter on every attempt; after a
-        # few failed validations the shard answers via OP_READ instead
-        # of spinning toward the reply timeout.
-        for attempt in range(8):
-            stamp = store.read_seq()
-            if stamp % 2 == 0:
-                gathered = [
-                    tuple(column[handle] for column in columns)
-                    for _position, handle in fast
-                ]
-                cleared = [bool(cleared_mask[handle]) for _p, handle in fast]
-                if store.read_seq() == stamp:
-                    break
-            _time.sleep(0.0002)
-        else:
-            return leftover + [position for position, _handle in fast]
-        finalize = aggregate.finalize
-        served = 0
-        for (position, _handle), scalars, is_cleared in zip(
-            fast, gathered, cleared
-        ):
-            if is_cleared:
-                # Unmaterialized slot (e.g. an adaptive flip to pull since
-                # the handle map was fetched): let the shard answer.
-                leftover.append(position)
-            else:
-                results[position] = finalize(unpack(scalars))
-                served += 1
-        self.shm_reads += served
-        return leftover
 
     # ------------------------------------------------------------------
     # subscriptions
@@ -2003,22 +1870,27 @@ class EAGrServer:
             ck = self._await([call])[0]
             self._checkpoints[shard_id] = ck
             with self._flush_locks[shard_id]:
-                # Truncating here (not just at restart) is what bounds
-                # front-end redo memory over a long run: entries the
-                # persisted checkpoint covers can never replay again.
-                self._write_log[shard_id] = [
-                    entry
-                    for entry in self._write_log[shard_id]
-                    if entry[0] > ck.applied_through
-                ]
-                if self._wal is not None:
-                    self._wal.append(("C", shard_id, ck), sync=True)
+                self._truncate_redo(shard_id, ck)
             out[shard_id] = ck
         if self._wal is not None:
             # Checkpoint-gated: once every shard has one, the log can
             # fold to a snapshot segment and stay size-bounded too.
             self._wal.maybe_compact()
         return out
+
+    def _truncate_redo(self, shard_id: int, ck: ShardCheckpoint) -> None:
+        """Drop the redo batches ``ck`` covers and log the checkpoint
+        (caller holds the shard's flush lock).  Truncating at every
+        checkpoint (not just at restart) is what bounds front-end redo
+        memory over a long run: entries a persisted checkpoint covers
+        can never replay again."""
+        self._write_log[shard_id] = [
+            entry
+            for entry in self._write_log[shard_id]
+            if entry[0] > ck.applied_through
+        ]
+        if self._wal is not None:
+            self._wal.append(("C", shard_id, ck), sync=True)
 
     def restart_shard(self, shard_id: int) -> int:
         """Rebuild a (dead or live) shard worker and recover its state.
@@ -2044,35 +1916,8 @@ class EAGrServer:
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"no such shard: {shard_id}")
         with self._flush_locks[shard_id]:
-            old = self._executors[shard_id]
-            if old.alive():
-                old.kill()
-            spec = self.specs[shard_id].with_checkpoint(
-                self._checkpoints.get(shard_id)
-            )
-            # Redo-log batches must re-apply batch-exact (their re-derived
-            # notification stamps have to reproduce the pre-crash epoch's);
-            # consumer-side merging resumes beyond the high-water mark.
-            spec.merge_after = self._batch_no[shard_id]
-            ring = self._rings[shard_id]
-            if ring is not None:
-                # Abandoned frames from the dead worker's epoch are
-                # superseded by the redo-log replay below; the successor
-                # starts from an empty ring and republishes its applied
-                # watermark once it has restored the checkpoint.  The
-                # value-store segment is left in place — the replacement
-                # worker adopts it by name and re-materializes every
-                # column, and this front-end's read attachment (plus the
-                # handle map, refetched lazily) stays valid throughout.
-                ring.reset()
-            self._handle_maps.pop(shard_id, None)
-            self._executors[shard_id] = self._make_shard_executor(spec)
-            self._flush_failed.discard(shard_id)
-            if not self._flush_failed:
-                # Every flush-failed shard has been rebuilt: acceptance
-                # may resume (the un-poison mirror of _flush_loop).
-                self._poisoned = None
-            replayed = self._rearm_and_replay(shard_id)
+            self._replace_worker(shard_id, self._checkpoints.get(shard_id))
+            replayed = self._replay(shard_id)
         self.restarts += 1
         self.replayed_batches += replayed
         return replayed
@@ -2202,14 +2047,7 @@ class EAGrServer:
                         f"reshard aborted: {exc}; restart_shard() and retry"
                     ) from exc
                 for shard_id in affected:
-                    ck = cks[shard_id]
-                    self._write_log[shard_id] = [
-                        entry
-                        for entry in self._write_log[shard_id]
-                        if entry[0] > ck.applied_through
-                    ]
-                    if self._wal is not None:
-                        self._wal.append(("C", shard_id, ck), sync=True)
+                    self._truncate_redo(shard_id, cks[shard_id])
 
                 # -- 3. splice state into the new partition ---------------
                 new_table = dict(old_table)
@@ -2281,37 +2119,10 @@ class EAGrServer:
             # Past this point a failure leaves shards mid-rebuild:
             # fail-stop (poison) instead of unwinding, like a flush crash.
             try:
-                for shard_id in affected:
-                    old = self._executors[shard_id]
-                    if old.alive():
-                        old.kill()
-                for shard_id in affected:
-                    self.specs[shard_id].readers = frozenset(
-                        new_readers[shard_id]
-                    )
-                    self._checkpoints[shard_id] = synthetic[shard_id]
-                    self._batch_no[shard_id] = max_batch
-                    spec = self.specs[shard_id].with_checkpoint(
-                        synthetic[shard_id]
-                    )
-                    spec.merge_after = max_batch
-                    ring = self._rings[shard_id]
-                    if ring is not None:
-                        ring.reset()
-                    self._handle_maps.pop(shard_id, None)
-                    # Unlike restart_shard, the reader set changed: a
-                    # rebuilt worker whose new overlay needs more handles
-                    # than the segment's capacity recreates it — larger,
-                    # under the SAME name — so the cached read attachment
-                    # must go too, not just the handle map.
-                    with self._shm_lock:
-                        stale = self._shm_stores.pop(shard_id, None)
-                        if stale is not None:
-                            stale.close()
-                    self._executors[shard_id] = self._make_shard_executor(spec)
-                    self._flush_failed.discard(shard_id)
-
-                # Move the front-side watch bookkeeping with the egos.
+                # Move the front-side watch bookkeeping with the egos
+                # (the step-2 checkpoint replies trailed every earlier
+                # change report, so none is in flight), then rebuild the
+                # workers — each re-arms from the moved bookkeeping.
                 with self._subs_lock:
                     for ego, dst in moves.items():
                         src = old_table[ego]
@@ -2324,9 +2135,14 @@ class EAGrServer:
                             if src_watch is not None and ego in src_watch:
                                 del src_watch[ego]
                                 state.watches.setdefault(dst, {})[ego] = None
-                # Before any write reaches the new workers: the flush
-                # below queues behind these.
-                self._rearm_watches(affected)
+                for shard_id in affected:
+                    self._checkpoints[shard_id] = synthetic[shard_id]
+                    self._batch_no[shard_id] = max_batch
+                    self._replace_worker(
+                        shard_id,
+                        synthetic[shard_id],
+                        frozenset(new_readers[shard_id]),
+                    )
 
                 # -- 4. the atomic swap -----------------------------------
                 with self._route_lock:
@@ -2499,7 +2315,9 @@ class EAGrServer:
             with self._subs_lock:
                 for state in self._subs.values():
                     state.journal.close()
-            self._release_shm()
+            for transport in self._transports:
+                # Unlinks every segment the deployment named, by name.
+                transport.close()
             if self._wal is not None:
                 # Closing drops the flock: a standby replica can promote.
                 self._wal.close()
@@ -2508,65 +2326,6 @@ class EAGrServer:
             # shutdown completed, but the caller must learn about them.
             errors, self._async_errors = self._async_errors, []
             raise ServeError("; ".join(errors))
-
-    def _release_shm(self) -> None:
-        """Tear down every shm segment this deployment named (idempotent).
-
-        Crash-safe cleanup lives here, in the front-end: segments are
-        unlinked **by name**, so value stores created by workers that
-        have since died uncleanly are destroyed too; a worker that never
-        got far enough to create its store simply yields a no-op unlink.
-        The resource tracker remains the backstop for a front-end that
-        dies before reaching this.
-        """
-        if self.transport != "shm":
-            return
-        from repro.core.statestore import unlink_segment
-
-        for store in self._shm_stores.values():
-            store.close()
-        self._shm_stores.clear()
-        self._handle_maps.clear()
-        for shard_id, ring in enumerate(self._rings):
-            if ring is not None:
-                ring.unlink()
-                self._rings[shard_id] = None
-        for shard_id, slab in enumerate(self._metric_slabs):
-            if slab is not None:
-                slab.close()
-                slab.unlink()
-                self._metric_slabs[shard_id] = None
-        for spec in self.specs:
-            if spec.shm is not None:
-                unlink_segment(spec.shm["store"])
-
-    def _shard_metric_values(self, shard_id: int):
-        """One shard's flat metric value array, by the cheapest route:
-        shm slab scrape (zero IPC, no worker perturbation) > in-process
-        host registry (direct read) > an ``OP_STATS`` round trip (the
-        queue-transport fallback — the only route that costs a control
-        message).  ``None`` when the shard cannot be scraped (dead
-        worker, metrics off shard-side)."""
-        slab = self._metric_slabs[shard_id]
-        if slab is not None:
-            try:
-                return slab.scrape()
-            except Exception:  # noqa: BLE001 - scrape must never raise
-                return None
-        ex = self._executors[shard_id]
-        host = getattr(ex, "host", None)
-        if host is not None:
-            try:
-                return host.metrics_values()
-            except Exception:  # noqa: BLE001
-                return None
-        if not ex.alive():
-            return None
-        try:
-            stats = self._await([self._submit_call(shard_id, OP_STATS)])[0]
-        except ServeError:
-            return None
-        return stats.get("metrics_values")
 
     def metrics(self, include_buckets: bool = False) -> Dict[str, Any]:
         """Structured metrics snapshot — the metrics plane's API surface.
@@ -2610,10 +2369,13 @@ class EAGrServer:
         rings: Dict[str, Dict[str, Any]] = {}
         if self.metrics_enabled and not self._closed:
             with self._scrape_lock:
-                for shard_id in range(self.num_shards):
-                    values = self._shard_metric_values(shard_id)
-                    if values is None:
+                for shard_id, ex in enumerate(self._executors):
+                    try:
+                        values = ex.metric_values()
+                    except Exception:  # noqa: BLE001 - scrape must never raise
                         continue
+                    if values is None:
+                        continue  # dead worker, or metrics off shard-side
                     try:
                         self._shard_schema.load_values(values)
                     except ValueError:
@@ -2621,12 +2383,13 @@ class EAGrServer:
                     shards[str(shard_id)] = self._shard_schema.snapshot(
                         include_buckets
                     )
-            for shard_id, ring in enumerate(self._rings):
-                if ring is not None:
-                    try:
-                        rings[str(shard_id)] = ring.depth_stats()
-                    except Exception:  # noqa: BLE001 - ring closed mid-scrape
-                        pass
+            for shard_id, transport in enumerate(self._transports):
+                try:
+                    depth = transport.depth_stats()
+                except Exception:  # noqa: BLE001 - ring closed mid-scrape
+                    continue
+                if depth is not None:
+                    rings[str(shard_id)] = depth
         with self._subs_lock:
             states = list(self._subs.values())
         journal = {

@@ -1,4 +1,4 @@
-"""Shard side of the serving layer: spec, host, and worker loop.
+"""Shard side of the serving layer: spec, host, step, and worker loop.
 
 A :class:`ShardSpec` is the *picklable* description of one shard's slice of
 the deployment — the data graph, the query's components, the shard's reader
@@ -11,10 +11,14 @@ overlay can be constructed for the readers assigned to that machine"),
 plus the shard-local subscription state.
 
 The host is transport-agnostic: :meth:`ShardHost.handle` maps one request
-tuple to one reply tuple (see :mod:`repro.serve.messages`), and
-:func:`shard_worker` is the process entry point that pumps a request queue
-through it.  The in-process executor calls ``handle`` directly — same code
-path, no queues — which is what the CI smoke tests run on.
+tuple to one reply tuple (see :mod:`repro.serve.messages`).  Around it sits
+:class:`RequestStep` — kill points, consumer-side merging, the
+reply-or-watermark decision — the one per-request step of every
+deployment: :func:`shard_worker`, the single process entry point, drives
+it over the worker half of whichever transport the shard has
+(:mod:`repro.serve.transport`), and the in-process executor calls it
+directly — same code path, no channel — which is what the CI smoke tests
+run on.
 """
 
 from __future__ import annotations
@@ -102,27 +106,26 @@ class ShardSpec:
         N-th batch but before acknowledging — the applied-but-unacked
         window a real crash exposes.  ``None`` (default) disables both.
     shm:
-        Shared-memory transport wiring, or ``None`` (queue transport).
-        A dict ``{"ring": ingress ring segment name, "store": value
-        store segment name}``: the worker attaches the ring, hosts its
-        value columns in the named shared segment (created on first
-        boot, adopted on restart), and publishes its applied watermark
-        through the ring header.  Names are allocated by the front-end,
-        which also owns crash-safe unlinking.
+        The named shared-memory segments of the shard's ring transport
+        (:attr:`repro.serve.transport.RingTransport.segments`), or
+        ``None`` off it: ``{"ring": ..., "store": ..., "metrics": ...}``.
+        The host puts its value columns in the ``store`` segment
+        (created on first boot, adopted on restart); the transport's
+        worker half attaches the other two.  Names are allocated by the
+        front-end, which also owns crash-safe unlinking.
     merge_after:
-        Highest batch number the shm worker must apply **batch-exact**
-        (no consumer-side merging).  ``restart_shard`` sets this to the
-        redo log's high-water mark: replayed batches then re-derive
-        notifications under exactly the per-batch write stamps the
-        pre-crash epoch delivered, so the front-end's stamp-keyed replay
-        filter suppresses precisely the duplicates and nothing else.
-        Batches beyond it are fresh traffic and free to merge.
+        Highest batch number the worker must apply **batch-exact** (no
+        consumer-side merging, see :class:`RequestStep`).  Every worker
+        replacement sets this to the shard's batch high-water mark:
+        replayed batches then re-derive notifications under exactly the
+        per-batch write stamps the pre-crash epoch delivered, so the
+        front-end's stamp-keyed replay filter suppresses precisely the
+        duplicates and nothing else.  Batches beyond it are fresh
+        traffic and free to merge.
     metrics:
         Whether the shard keeps a live metrics registry (apply/recompute
-        histograms, engine op seconds — see ``repro.obs``).  With the shm
-        transport the worker additionally publishes the registry into the
-        front-end-named metrics slab (``spec.shm["metrics"]``) after each
-        applied group, so the front-end scrapes it with zero IPC.
+        histograms, engine op seconds — see ``repro.obs``); the
+        transport decides how the front-end reads it back.
     """
 
     def __init__(
@@ -432,8 +435,8 @@ class ShardHost:
     ) -> Tuple[int, Any]:
         """Apply several numbered batches as **one** engine batch.
 
-        The shm worker's consumer-side coalescing: already-applied batch
-        numbers are skipped per entry (replay idempotency at the same
+        Consumer-side coalescing (:class:`RequestStep`): already-applied
+        batch numbers are skipped per entry (replay idempotency at the same
         granularity as :meth:`apply_write_batch`), the survivors apply as
         a single merged batch acknowledged at the newest number, and the
         runtime's global write stamp is advanced by the group size so it
@@ -519,8 +522,8 @@ class ShardHost:
     def metrics_values(self):
         """The registry's flat value array, engine gauges refreshed.
 
-        This is what the shm worker publishes into its metrics slab and
-        what ``stats()`` carries for the queue transport — one schema
+        This is what the ring transport publishes into its metrics slab
+        and what ``stats()`` carries for the queue transport — one schema
         (``repro.obs.schema.SHARD_METRICS``) either way.
         """
         counters = self.engine.counters
@@ -563,13 +566,25 @@ class ShardHost:
     # message dispatch
     # ------------------------------------------------------------------
 
-    def handle(self, request: Tuple) -> Tuple:
-        """Map one request tuple to one reply tuple (never raises)."""
+    def handle(self, request: Tuple, more: Optional[List[Tuple]] = None) -> Tuple:
+        """Map one request tuple to one reply tuple (never raises).
+
+        ``more`` is the rest of a consumer-side merge group: further
+        ``OP_WRITE`` requests to apply together with ``request`` as one
+        engine batch, acknowledged at the last one's seq.  Empty or
+        ``None`` is a group of one.
+        """
         op = request[0]
         seq = request[1]
         try:
             if op == OP_WRITE:
-                count, changes = self.apply_write_batch(request[2], request[3])
+                if more:
+                    seq = more[-1][1]
+                    count, changes = self.apply_write_group(
+                        [(req[2], req[3]) for req in (request, *more)]
+                    )
+                else:
+                    count, changes = self.apply_write_batch(request[2], request[3])
                 return (R_WRITE, seq, count, changes)
             if op == OP_READ:
                 return (R_OK, seq, self._guarded(self.engine.read_batch, request[2]))
@@ -596,228 +611,142 @@ class ShardHost:
 _MISSING = object()
 
 
-def shard_worker(spec: ShardSpec, requests, replies) -> None:
-    """Process entry point: pump ``requests`` through a fresh shard host.
+class RequestStep:
+    """One request through one shard — the single per-request step.
 
-    Spawn-safe: everything arrives via the pickled ``spec`` and the two
-    queues.  The loop is single-threaded, so request order *is* apply
-    order — the front-end's FIFO queues give per-shard read-your-writes.
-    Exits after acknowledging ``OP_STOP`` (the ``R_STOPPED`` reply also
-    tells the front-end's drainer thread to finish).
+    ``step(request)`` is: kill points → :meth:`ShardHost.handle` →
+    reply-or-watermark decision, and returns the reply to send (``None``
+    when the shard just died at a kill point, or when the published
+    watermark makes an empty write acknowledgement redundant).  It is
+    driven by :func:`shard_worker` over either transport and, directly,
+    by :class:`~repro.serve.executors.InProcessShardExecutor` — so kill
+    points, replay idempotency and stamp discipline cannot differ
+    between deployments.
 
-    When ``spec.faults`` is set (crash/restart tests), the worker kills
-    itself at the configured deterministic point: on *receiving* the N-th
-    write batch (``exit_before_writes``, batch lost unapplied) or after
-    *applying* it but before the reply leaves (``exit_after_writes``, the
-    applied-but-unacknowledged window).  ``os._exit`` skips every
-    finalizer — as close to ``kill -9`` as the worker can do to itself —
-    so recovery is exercised against a genuinely unclean death.
+    Parameters
+    ----------
+    poll:
+        The transport worker half's ``poll`` (``None`` in-process): a
+        request already waiting behind the current one.  **Consumer-side
+        merging**: when the worker falls behind, the write frames ``poll``
+        yields are folded into the current apply as *one* engine batch
+        (replay-skipped per frame, acknowledged at the last frame's seq
+        and ``batch_no``, at most 128 frames), so the per-batch fixed
+        costs — plan dispatch, scatter setup, change diffing — amortize
+        exactly when they matter.  A non-write frame met while gathering
+        ends the group and is left in :attr:`follow_up` for the driver
+        to run next (FIFO preserved).  Merging is off while a kill point
+        is armed (so batch counting stays frame-exact) and for redo
+        frames (``batch_no <= spec.merge_after``), whose re-derived
+        notification stamps must match the pre-crash epoch's exactly.
+    published:
+        The worker half's ``published(batch_no, stamp)`` (``None``
+        in-process).  The watermark is *processed-through*, not
+        applied-through: it advances past failed (``R_ERR``) and
+        replay-skipped batches too.  Its one consumer is the front-end's
+        read barrier, and a batch that was processed-but-not-applied has
+        nothing further for a read to wait on — were the watermark
+        pinned to ``applied_through``, one poisoned batch would wedge
+        every later zero-copy read until the reply timeout.
+    die:
+        What a triggered ``spec.faults`` kill point calls: on
+        *receiving* the N-th write batch (``exit_before_writes``, batch
+        lost unapplied) or after *applying* it, before either the
+        watermark or the reply leaves (``exit_after_writes``, the
+        applied-but-unacknowledged window).
     """
-    host = spec.build()
-    faults = spec.faults or {}
-    exit_before = faults.get("exit_before_writes")
-    exit_after = faults.get("exit_after_writes")
-    writes_seen = 0
-    while True:
-        request = requests.get()
-        if request[0] == OP_WRITE:
-            writes_seen += 1
-            if exit_before is not None and writes_seen >= exit_before:
-                import os
 
-                os._exit(17)
-        reply = host.handle(request)
-        if (
-            request[0] == OP_WRITE
-            and exit_after is not None
-            and writes_seen >= exit_after
-        ):
-            import os
+    def __init__(
+        self, spec: ShardSpec, host: "ShardHost", die, poll=None, published=None
+    ) -> None:
+        self._host = host
+        self._die = die
+        self._poll = poll
+        self._published = published
+        faults = spec.faults or {}
+        self._exit_before = faults.get("exit_before_writes")
+        self._exit_after = faults.get("exit_after_writes")
+        self._writes_seen = 0
+        self._merge = poll is not None and not faults
+        self._merge_floor = spec.merge_after
+        self._processed = host.applied_through
+        #: the non-write request popped while gathering a merge group.
+        self.follow_up: Optional[Tuple] = None
+        if published is not None:
+            published(self._processed, host.engine.runtime.stamp)
 
-            os._exit(17)
-        replies.put(reply)
-        if reply[0] == R_STOPPED:
-            break
+    def __call__(self, request: Tuple) -> Optional[Tuple]:
+        self.follow_up = None
+        host = self._host
+        if request[0] != OP_WRITE:
+            return host.handle(request)
+        self._writes_seen += 1
+        if self._exit_before is not None and self._writes_seen >= self._exit_before:
+            self._die()  # batch received, never applied
+            return None
+        batch_no = request[2]
+        more = None
+        if self._merge and (batch_no is None or batch_no > self._merge_floor):
+            poll = self._poll
+            extra = poll()
+            if extra is not None:
+                more = []
+                while extra is not None and extra[0] == OP_WRITE:
+                    more.append(extra)
+                    # groups cap at 128 frames
+                    extra = poll() if len(more) < 127 else None
+                self.follow_up = extra  # a non-write frame ended the group
+                if more:
+                    batch_no = more[-1][2]
+        reply = host.handle(request, more)
+        if self._exit_after is not None and self._writes_seen >= self._exit_after:
+            self._die()  # applied, but neither watermark nor reply left
+            return None
+        published = self._published
+        if published is not None:
+            if batch_no is not None and batch_no > self._processed:
+                self._processed = batch_no
+            if (
+                published(self._processed, host.engine.runtime.stamp)
+                and reply[0] == R_WRITE
+                and not len(reply[3])
+            ):
+                return None  # the watermark says it all: empty ack saved
+        return reply
 
 
-def shard_worker_shm(spec: ShardSpec, ring_name: str, replies, doorbell) -> None:
-    """Shm-transport process entry point: pump the ingress ring.
+def shard_worker(spec: ShardSpec, channel) -> None:
+    """Process entry point: pump a transport through a fresh shard host.
 
-    Identical protocol semantics to :func:`shard_worker` — requests are
-    the same tuples, handled by the same host, in the same FIFO order
-    (the ring is single-producer/single-consumer) — with three transport
-    differences:
-
-    * requests arrive as codec-tagged frames popped from the shard's
-      shared ingress ring (:class:`~repro.serve.shm.ShmRing`) instead of
-      a bounded ``mp.Queue``: packed write batches decode with one
-      ``np.frombuffer`` view over the frame bytes
-      (:func:`repro.serve.frames.decode`), everything else unpickles;
-    * after every applied write batch the worker publishes ``(applied
-      batch_no, runtime write stamp)`` through the ring header — the
-      front-end's read-your-writes watermark — and **skips** the
-      ``R_WRITE`` reply unless it carries a change report (errors
-      always reply);
-    * the host's value columns live in the spec's named shared segment
-      (see :class:`ShardSpec`), bracketed by the store's seqlock around
-      each batch so front-end zero-copy reads never observe a torn
-      scatter.
-
-    ``doorbell`` is the wake-up pipe: an empty ring parks the worker in a
-    kernel block on it (no busy polling — a spinning worker would steal
-    the cycles the front-end needs to produce), and the executor rings it
-    exactly on the ring's empty→non-empty transitions, so a burst costs
-    one syscall at its head and none while frames keep flowing.
-
-    **Consumer-side coalescing**: when the worker falls behind, several
-    write frames wait in the ring; they are drained and applied as *one*
-    merged engine batch (replay-skipped per frame, acknowledged at the
-    last frame's ``batch_no``), so the per-batch fixed costs — unpickle,
-    plan dispatch, scatter setup, change diffing — amortize exactly when
-    they matter.  This mirrors the producer-side outbox coalescing a
-    bounded queue forces, but lives where the shm transport's slack is.
-    A worker that keeps up applies single batches (cheap anyway).
-
-    Kill-point fault injection disables merging so batch counting stays
-    frame-exact, and counts ring write frames exactly as the queue worker
-    counts queue ones — the crash/restart harness drives both transports
-    through one dial.
+    Spawn-safe: everything arrives via the pickled ``spec`` and
+    ``channel``, the worker half of the shard's transport
+    (:mod:`repro.serve.transport`).  The loop is single-threaded and the
+    transports are FIFO, so request order *is* apply order — per-shard
+    read-your-writes.  Exits after acknowledging ``OP_STOP`` (the
+    ``R_STOPPED`` reply also tells the front-end's drainer thread to
+    finish).  A triggered kill point calls ``os._exit`` — no finalizer
+    runs, as close to ``kill -9`` as the worker can do to itself — so
+    recovery is exercised against a genuinely unclean death.
     """
-    from repro.serve.frames import decode
-    from repro.serve.shm import ShmRing
+    import os
 
-    ring = ShmRing(ring_name, create=False)
     host = spec.build()
-    runtime = host.engine.runtime
-    # Metrics slab: front-end-created segment this worker bulk-publishes
-    # its registry values into after every applied group (and before
-    # parking), so the front-end scrapes shard metrics with zero IPC.
-    slab = None
-    slab_name = (spec.shm or {}).get("metrics")
-    if slab_name is not None and host._metrics_on:
-        from repro.obs import MetricsSlab
-
-        try:
-            slab = MetricsSlab.attach(slab_name, host.metrics_registry.n_slots)
-        except Exception:
-            slab = None  # scrape degrades to OP_STATS; never kill the worker
-    metrics = host.metrics
-
-    def publish_metrics():
-        if slab is not None:
-            slab.publish(host.metrics_values())
-
-    # The published watermark is *processed-through*, not applied-through:
-    # it advances past failed (R_ERR) and replay-skipped batches too.  Its
-    # one consumer is the front-end's read barrier, and a batch that was
-    # processed-but-not-applied has nothing further for a read to wait on
-    # — were the watermark pinned to applied_through, one poisoned batch
-    # would wedge every later zero-copy read until the reply timeout.
-    processed = host.applied_through
-    ring.publish_applied(processed, runtime.stamp)
-    faults = spec.faults or {}
-    exit_before = faults.get("exit_before_writes")
-    exit_after = faults.get("exit_after_writes")
-    merge_writes = not faults
-    merge_floor = spec.merge_after
-    merge_cap = 128
-    writes_seen = 0
+    channel = channel.attach(spec, host)
+    step = RequestStep(
+        spec, host, lambda: os._exit(17), channel.poll, channel.published
+    )
+    request = channel.recv()
     while True:
-        frame = ring.try_pop()
-        if frame is None:
-            # Park on the doorbell: announce first, re-check the ring
-            # (closing the producer's push-then-check race), then block.
-            ring.set_waiting(True)
-            frame = ring.try_pop()
-            if frame is None:
-                metrics["shard_parks"].inc()
-                publish_metrics()  # idle worker: keep the scrape fresh
-                try:
-                    if doorbell.poll(0.5):
-                        metrics["shard_doorbell_wakeups"].inc()
-                        while doorbell.poll(0):  # swallow queued rings
-                            doorbell.recv_bytes()
-                except (EOFError, OSError):
-                    pass  # sender closed: frames (incl. OP_STOP) still drain
-                ring.set_waiting(False)
-                continue
-            ring.set_waiting(False)
-        request = decode(frame)
-        op = request[0]
-        if op == OP_WRITE:
-            writes_seen += 1
-            if exit_before is not None and writes_seen >= exit_before:
-                import os
-
-                os._exit(17)
-            if merge_writes and (request[2] is None or request[2] > merge_floor):
-                # Drain whatever other write frames already wait and fold
-                # them into this apply; a trailing non-write frame is
-                # remembered and handled right after (FIFO preserved).
-                # (Redo-replay frames — batch_no <= merge_floor — never
-                # get here: they take the batch-exact path below so their
-                # re-derived notification stamps match the pre-crash
-                # epoch's exactly.)
-                group = [request]
-                follow_up = None
-                while len(group) < merge_cap:
-                    extra = ring.try_pop()
-                    if extra is None:
-                        break
-                    extra_request = decode(extra)
-                    if extra_request[0] == OP_WRITE:
-                        group.append(extra_request)
-                    else:
-                        follow_up = extra_request
-                        break
-                try:
-                    count, changes = host.apply_write_group(
-                        [(req[2], req[3]) for req in group]
-                    )
-                    reply = (R_WRITE, group[-1][1], count, changes)
-                except Exception as error:  # noqa: BLE001 - reply, don't die
-                    reply = (
-                        R_ERR,
-                        group[-1][1],
-                        f"{type(error).__name__}: {error}",
-                    )
-                last_no = group[-1][2]
-                if last_no is not None and last_no > processed:
-                    processed = last_no
-                ring.publish_applied(processed, runtime.stamp)
-                publish_metrics()
-                if reply[0] == R_ERR or reply[3]:
-                    replies.put(reply)
-                if follow_up is None:
-                    continue
-                request = follow_up
-                op = request[0]
-        if op == OP_WRITE:  # batch-exact path (fault-armed or redo replay)
-            reply = host.handle(request)
-            if exit_after is not None and writes_seen >= exit_after:
-                import os
-
-                os._exit(17)  # applied, but neither watermark nor reply left
-            batch_no = request[2]
-            if batch_no is not None and batch_no > processed:
-                processed = batch_no
-            ring.publish_applied(processed, runtime.stamp)
-            publish_metrics()
-            if reply[0] == R_WRITE and not reply[3]:
-                continue  # watermark published; empty ack saved
-            replies.put(reply)
-            continue
-        reply = host.handle(request)
-        replies.put(reply)
-        if reply[0] == R_STOPPED:
-            break
+        reply = step(request)
+        if reply is not None:
+            channel.reply(reply)
+            if reply[0] == R_STOPPED:
+                break
+        request = step.follow_up or channel.recv()
     # Clean exit: drop the shm views *before* interpreter teardown, or
     # SharedMemory.__del__ trips over the still-exported numpy buffers
-    # ("cannot close exported pointers exist" noise on stderr).  The
-    # segments themselves survive — unlinking is the front-end's job.
+    # ("cannot close exported pointers exist" noise on stderr).
     store_close = getattr(host.engine.runtime.values, "close", None)
     if store_close is not None:
         store_close()
-    if slab is not None:
-        slab.close()
-    ring.close()
+    channel.close()

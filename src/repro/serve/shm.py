@@ -3,8 +3,8 @@
 :class:`ShmRing` is the per-shard **ingress ring**: a single-producer /
 single-consumer byte ring in a named ``multiprocessing.shared_memory``
 segment.  The front-end (one logical producer; concurrent server threads
-serialize on the executor's push lock) appends length-prefixed pickled
-request frames; the shard worker polls and consumes them in FIFO order —
+serialize on the transport's push lock) appends length-prefixed request
+frames; the shard worker polls and consumes them in FIFO order —
 the same total order the bounded ``mp.Queue`` gave, minus the queue's
 feeder thread, pipe syscalls and per-message wakeups.
 
@@ -90,7 +90,6 @@ class ShmRing:
             capacity = self._slots[_SLOT_CAPACITY]
         self.name = self._segment.name
         self.capacity = int(capacity)
-        self.owner = create
 
     # -- header accessors ---------------------------------------------------
 
@@ -124,15 +123,10 @@ class ShmRing:
         return self._load(_SLOT_STAMP)
 
     @property
-    def pending_bytes(self) -> int:
-        """Bytes currently enqueued (published but not yet consumed)."""
-        return self._load(_SLOT_TAIL) - self._load(_SLOT_HEAD)
-
-    @property
     def pending_frames(self) -> int:
         """Frames currently enqueued.
 
-        The executor bounds this at its queue depth: an effectively
+        The transport bounds this at its queue depth: an effectively
         bottomless byte ring would remove the backpressure that makes the
         front-end *coalesce* consecutive batches for a lagging shard, and
         per-batch fixed costs (unpickle, plan dispatch, scatter setup)
@@ -236,9 +230,9 @@ class ShmRing:
         return payload
 
     # There is deliberately no blocking ``pop``: the one blessed consumer
-    # pattern is ``try_pop`` plus the executor's doorbell pipe (see
-    # ``shard_worker_shm``) — kernel-blocking, not poll-burning, because
-    # shard workers share cores with the producing front-end.
+    # pattern is ``try_pop`` plus the transport's doorbell pipe (see
+    # ``repro.serve.transport``) — kernel-blocking, not poll-burning,
+    # because shard workers share cores with the producing front-end.
 
     # -- lifecycle ----------------------------------------------------------
 

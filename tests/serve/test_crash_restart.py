@@ -10,11 +10,15 @@ stamps ``> N``, in order, with no gaps and no duplicates, and the
 recovered shard's reads are byte-equal to a single-process oracle that
 never crashed.
 
-One 2-shard process server is shared across all seeds (worker boots are
-the dominant cost); every seed gets a fresh subscriber, so stamp streams
-are independent, and shard 0 is re-checkpointed at the start of each
-schedule so redo logs stay short.  Shard 1 is never killed — its
-uninterrupted service is asserted implicitly through the oracle equality.
+The schedules run on **both process transports** — 10 seeds over the
+queue, 10 over the shared-memory ring — so the kill points of the one
+worker loop are reached through each transport's worker half (the ring
+leg skips without numpy).  One 2-shard process server per transport is
+shared across its seeds (worker boots are the dominant cost); every seed
+gets a fresh subscriber, so stamp streams are independent, and shard 0
+is re-checkpointed at the start of each schedule so redo logs stay
+short.  Shard 1 is never killed — its uninterrupted service is asserted
+implicitly through the oracle equality.
 
 All waits are condition-based (``faultlib``): after ``drain()`` returns,
 every notice from earlier batches is already in the subscriber queues
@@ -26,6 +30,7 @@ import random
 
 import pytest
 
+from repro.core import statestore
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -44,12 +49,24 @@ from tests.serve.faultlib import (
     wait_dead,
 )
 
-NUM_SEEDS = 20
+NUM_SEEDS = 10  # per transport
 
 
-@pytest.fixture(scope="module")
-def crashpad():
-    """One process-mode deployment + the accumulated accepted-batch log."""
+@pytest.fixture(
+    scope="module",
+    params=[
+        "queue",
+        pytest.param(
+            "shm",
+            marks=pytest.mark.skipif(
+                statestore._np is None, reason="shm transport requires numpy"
+            ),
+        ),
+    ],
+)
+def crashpad(request):
+    """One process-mode deployment per transport + the accumulated
+    accepted-batch log."""
     graph = random_graph(14, 52, seed=41)
     query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
     server = EAGrServer(
@@ -57,6 +74,7 @@ def crashpad():
         query,
         num_shards=2,
         executor="process",
+        transport=request.param,
         overlay_algorithm="identity",
         dataflow="all_push",
         reply_timeout=30.0,
@@ -101,9 +119,11 @@ def test_seeded_crash_restart_resume(seed, crashpad):
     env = crashpad
     server = env["server"]
     nodes = env["nodes"]
+    if server.transport == "shm":
+        seed += NUM_SEEDS  # the ring leg runs schedules 10-19
     rng = random.Random(1000 + seed)
     name = f"watcher-{seed}"
-    tag = f"seed {seed}:"
+    tag = f"seed {seed} ({server.transport}):"
 
     # Short redo log + fresh restart baseline for this schedule.
     server.checkpoint()

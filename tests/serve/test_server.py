@@ -709,7 +709,7 @@ class TestInProcessSerialization:
                 overlap = {"active": 0, "max": 0}
                 overlaps.append(overlap)
 
-                def spy(request):
+                def spy(request, more=None):
                     with guard:
                         overlap["active"] += 1
                         overlap["max"] = max(
@@ -717,7 +717,7 @@ class TestInProcessSerialization:
                         )
                     try:
                         time.sleep(0.001)  # widen any unserialized window
-                        return orig(request)
+                        return orig(request, more)
                     finally:
                         with guard:
                             overlap["active"] -= 1

@@ -1,8 +1,9 @@
 """Shared-memory serve transport: rings, zero-copy reads, lifecycle.
 
-The crash/restart schedules in ``test_crash_restart.py`` already run on
-the shm transport (it is the default for columnar process deployments);
-this module covers what those do not: the ring primitive itself, byte
+Half of the crash/restart schedules in ``test_crash_restart.py`` run on
+the shm transport, and ``test_transport.py`` drives the one worker loop
+and the worker-replacement path over it; this module covers what those
+do not: the ring primitive itself, byte
 parity between the queue and shm transports, the zero-copy read path and
 its fallbacks, segment lifecycle (front-end-owned unlink, no leaks after
 close, survival across shard restarts) and the resource-tracker warning
@@ -43,6 +44,18 @@ pytestmark = pytest.mark.skipif(
 
 def make_query(window=None, aggregate=None):
     return EgoQuery(aggregate=aggregate or Sum(), window=window or TupleWindow(1))
+
+
+def answers_reads_front_side(server, shard_id=0):
+    """Whether the shard's executor serves any of its readers without a
+    request (the zero-copy path) — asked through ``read_local``, the one
+    question ``read_batch`` itself asks."""
+    nodes = [n for n, s in server.reader_shard.items() if s == shard_id]
+    positions = list(range(len(nodes)))
+    leftover = server._executors[shard_id].read_local(
+        nodes, positions, [None] * len(nodes), 0
+    )
+    return leftover != positions
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +305,8 @@ def test_time_windows_keep_shard_side_reads():
         graph, query, num_shards=2, executor="process",
         overlay_algorithm="identity", dataflow="all_push",
     ) as server:
-        assert server.transport == "shm" and not server._shm_read_ok
+        assert server.transport == "shm"
+        assert not answers_reads_front_side(server)
         nodes = list(graph.nodes())
         clock = 0.0
         for i in range(6):
@@ -313,7 +327,8 @@ def test_adaptive_deployments_keep_shard_side_reads():
         graph, make_query(), num_shards=2, executor="process",
         overlay_algorithm="vnm_a", adaptive=True,
     ) as server:
-        assert server.transport == "shm" and not server._shm_read_ok
+        assert server.transport == "shm"
+        assert not answers_reads_front_side(server)
         nodes = list(graph.nodes())
         for i in range(4):
             batch = [(n, float(i + 1)) for n in nodes]
@@ -715,8 +730,8 @@ class TestBinaryDataPlane:
 
 
 class TestWaitAppliedLiveness:
-    """``_wait_applied`` (the shm read path's watermark wait) must never
-    outlive its worker: a death mid-wait fails fast with ServeError, far
+    """``wait_applied`` (the ring transport's watermark wait, the read
+    barrier of ``read_local``) must never outlive its worker: a death mid-wait fails fast with ServeError, far
     inside ``reply_timeout``, and a worker that applied everything
     before exiting still serves the completed columns."""
 
@@ -731,16 +746,16 @@ class TestWaitAppliedLiveness:
             nodes = list(graph.nodes())
             server.write_batch([(n, 1.0) for n in nodes])
             server.drain()
-            # Simulate a submitted-but-never-applied batch, then kill the
-            # worker mid-wait: the liveness check must end the spin long
-            # before the 60s reply deadline would.
+            # Wait on a batch the worker never got (the one write above
+            # was batch 1) with the worker killed mid-wait: the liveness
+            # check must end the spin long before the 60s reply deadline
+            # would.
             kill_shard(server, 0)
-            server._batch_no[0] += 1
+            ex = server._executors[0]
             start = time.monotonic()
             with pytest.raises(ServeError, match="died before applying"):
-                server._wait_applied(0)
+                ex.transport.wait_applied(2, ex.alive)
             assert time.monotonic() - start < 10.0
-            server._batch_no[0] -= 1
         finally:
             with contextlib.suppress(ServeError):
                 server.close()
@@ -758,7 +773,8 @@ class TestWaitAppliedLiveness:
             kill_shard(server, 0)
             # target already applied: the wait is a no-op even though the
             # worker is gone
-            server._wait_applied(0)
+            ex = server._executors[0]
+            ex.transport.wait_applied(1, ex.alive)
         finally:
             with contextlib.suppress(ServeError):
                 server.close()
@@ -780,7 +796,7 @@ class TestWaitAppliedLiveness:
             server.write_batch([(nodes[0], 9.0)])
             wait_dead(server, 0)
             start = time.monotonic()
-            # the shm fast path raises ServeError from _wait_applied; a
+            # the shm fast path raises ServeError from wait_applied; a
             # death noticed before the wait falls back to the queue path,
             # whose executor raises RuntimeError — both are prompt
             with pytest.raises((ServeError, RuntimeError)):

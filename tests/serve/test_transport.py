@@ -1,0 +1,462 @@
+"""The transport seam: one worker loop, one process executor, one
+worker-replacement path — pinned once, over every transport.
+
+* ``TestWorkerLoop`` runs the single ``shard_worker`` loop, on a thread
+  of this process, over the worker half of each transport with a
+  scripted request sequence pre-loaded into the front half: what leaves
+  (replies, watermark) and what the host holds afterwards must be the
+  same on the queue and on the ring, except where the transports differ
+  on purpose (the ring merges fresh frames and saves empty write acks).
+  A kill point ends the thread instead of the process (``os._exit`` is
+  patched), so the host can be inspected *after* its death.
+* ``test_stopped_and_killed_executors_answer_alike`` pins ``try_submit``
+  / ``submit`` / ``stop`` / ``kill`` / ``alive`` after stop and after
+  kill over ``{inprocess, queue, shm}``.
+* ``test_drainer_survives_a_failing_delivery`` is the silent-wedge
+  regression: one exception in the reply handler used to kill the
+  drainer thread, and every later call on the shard waited out
+  ``reply_timeout``.
+* ``TestReplacementPaths`` is the matrix ``{inprocess, queue, shm}`` ×
+  ``{restart_shard, reshard, WAL cold reopen}`` — the three callers of
+  ``EAGrServer._replace_worker`` — against a brute-force oracle.
+"""
+
+import os
+import queue
+import random
+import threading
+
+import pytest
+
+from repro.core import statestore
+from repro.core.aggregates import Sum
+from repro.core.engine import EAGrEngine
+from repro.core.query import EgoQuery
+from repro.core.windows import TupleWindow
+from repro.graph.generators import random_graph
+from repro.serve import (
+    EAGrServer,
+    InProcessShardExecutor,
+    ProcessShardExecutor,
+    ServeError,
+    ShardSpec,
+)
+from repro.serve.messages import (
+    OP_DRAIN,
+    OP_READ,
+    OP_STOP,
+    OP_SUBSCRIBE,
+    OP_WRITE,
+    R_OK,
+    R_STOPPED,
+    R_WRITE,
+)
+from repro.serve.shard import shard_worker
+from repro.serve.transport import open_transports
+
+from tests.serve.faultlib import (
+    assert_contiguous,
+    assert_no_segments,
+    kill_shard,
+    shm_segment_names,
+    wait_until,
+)
+
+needs_numpy = pytest.mark.skipif(
+    statestore._np is None, reason="shm transport requires numpy"
+)
+TRANSPORTS = ["queue", pytest.param("shm", marks=needs_numpy)]
+ENGINE = {"overlay_algorithm": "identity", "dataflow": "all_push"}
+
+
+def make_query():
+    return EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+
+
+def no_call(shard_id, op):
+    raise AssertionError("these tests never need a control round trip")
+
+
+@pytest.fixture
+def shard(request):
+    """``(graph, query, transport, make_spec)`` for one single-shard
+    deployment on the parametrized transport (``None`` in-process);
+    segments checked gone."""
+    graph = random_graph(10, 30, seed=23)
+    query = make_query()
+    transport = segments = None
+    if request.param != "inprocess":
+        transport = open_transports(
+            request.param, 1, query, False, "spawn", 8, 1 << 16, 0, 5.0, no_call
+        )[0]
+        segments = transport.segments
+
+    def make_spec(**kwargs):
+        return ShardSpec(
+            graph, query, 0, 1, frozenset(graph.nodes()),
+            engine_kwargs=ENGINE, shm=segments, **kwargs,
+        )
+
+    yield graph, query, transport, make_spec
+    if transport is not None:
+        transport.close()
+        assert_no_segments((segments or {}).values(), tag=request.param)
+
+
+def batch(nodes, round_no):
+    return [
+        (node, float(round_no * 10 + i), float(round_no))
+        for i, node in enumerate(nodes)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the single worker loop, over both transports
+# ---------------------------------------------------------------------------
+
+
+class Died(BaseException):
+    """What the patched ``os._exit`` raises: the worker thread unwinds
+    at the kill point exactly where the process would have vanished."""
+
+
+class Loop:
+    """``shard_worker`` on a thread, fed through a transport's front half."""
+
+    def __init__(self, monkeypatch, spec, transport):
+        def die(code):
+            raise Died(code)
+
+        monkeypatch.setattr(os, "_exit", die)
+        transport.reset()
+        self.transport = transport
+        self.died = False
+        build = spec.build
+
+        def build_and_keep():
+            self.host = build()
+            return self.host
+
+        spec.build = build_and_keep
+        self._thread = threading.Thread(
+            target=self._run, args=(spec, transport.worker_half()), daemon=True
+        )
+
+    def _run(self, spec, half):
+        try:
+            shard_worker(spec, half)
+        except Died:
+            self.died = True
+            # A real death takes its mappings with it; this one must
+            # drop them by hand (the loop's clean-exit path never ran).
+            close = getattr(self.host.engine.runtime.values, "close", None)
+            if close is not None:
+                close()
+            half.close()
+
+    def send(self, *requests):
+        for request in requests:
+            assert self.transport.try_send(request, lambda: True)
+        self.transport.wake()
+
+    def run(self):
+        """Start the loop, wait for it to end, return every reply as
+        ``(kind, seq)`` in arrival order (payloads: ``self.payload[seq]``)."""
+        self._thread.start()
+        self._thread.join(timeout=20.0)
+        assert not self._thread.is_alive(), "worker loop did not terminate"
+        replies, self.payload = [], {}
+        while True:
+            try:
+                reply = self.transport.replies.get(timeout=0.2)
+            except queue.Empty:
+                return replies
+            replies.append((reply[0], reply[1]))
+            self.payload[reply[1]] = reply[2]
+
+
+@pytest.mark.parametrize("shard", TRANSPORTS, indirect=True)
+class TestWorkerLoop:
+    def test_fifo_order_and_stopped_termination(self, monkeypatch, shard):
+        graph, query, transport, make_spec = shard
+        nodes = list(graph.nodes())
+        loop = Loop(monkeypatch, make_spec(), transport)
+        loop.send(
+            (OP_SUBSCRIBE, 1, "watcher", nodes),
+            (OP_WRITE, 2, 1, batch(nodes, 1)),
+            (OP_READ, 3, nodes),
+            (OP_WRITE, 4, 2, batch(nodes, 2)),
+            (OP_DRAIN, 5),
+            (OP_STOP, 6),
+        )
+        # Every write moves watched egos, so its R_WRITE carries a change
+        # report and leaves on both transports; replies come back in
+        # request order and R_STOPPED ends the loop.
+        assert loop.run() == [
+            (R_OK, 1), (R_WRITE, 2), (R_OK, 3), (R_WRITE, 4), (R_OK, 5),
+            (R_STOPPED, 6),
+        ]
+        assert not loop.died
+        oracle = EAGrEngine(graph, query, **ENGINE)
+        oracle.write_batch(batch(nodes, 1))  # the read sits between the writes
+        assert loop.payload[3] == oracle.read_batch(nodes)
+
+    @pytest.mark.parametrize("point", ["exit_before_writes", "exit_after_writes"])
+    def test_kill_points_count_identically(self, monkeypatch, shard, point):
+        graph, _query, transport, make_spec = shard
+        nodes = list(graph.nodes())
+        loop = Loop(monkeypatch, make_spec(faults={point: 2}), transport)
+        loop.send(
+            (OP_SUBSCRIBE, 1, "watcher", nodes),
+            (OP_WRITE, 2, 1, batch(nodes, 1)),
+            (OP_WRITE, 3, 2, batch(nodes, 2)),
+            (OP_DRAIN, 4),
+        )
+        # Dies on the 2nd write frame: the first was acknowledged, the
+        # second leaves no reply either way, the drain is never reached.
+        assert loop.run() == [(R_OK, 1), (R_WRITE, 2)]
+        assert loop.died
+        # before: batch 2 never applied; after: applied, yet ...
+        applied = 1 if point == "exit_before_writes" else 2
+        assert loop.host.applied_through == applied
+        if transport.kind == "shm":
+            # ... neither reply nor watermark left.
+            transport.wait_applied(1, lambda: False)
+            with pytest.raises(ServeError, match="died before applying"):
+                transport.wait_applied(2, lambda: False)
+
+    def test_redo_frames_never_merge(self, monkeypatch, shard):
+        graph, query, transport, make_spec = shard
+        nodes = list(graph.nodes())
+        loop = Loop(monkeypatch, make_spec(merge_after=3), transport)
+        loop.send(
+            *[(OP_WRITE, n, n, batch(nodes, n)) for n in range(1, 7)],
+            (OP_READ, 7, nodes),
+            (OP_STOP, 8),
+        )
+        replies = loop.run()
+        host = loop.host
+        if transport.kind == "shm":
+            # Batches 1-3 are redo (<= merge_after): one apply each.  4-6
+            # were all waiting: one merged apply.  Nobody watches, so the
+            # watermark stands in for every (empty) write ack.
+            assert host.batches == 4
+            assert replies == [(R_OK, 7), (R_STOPPED, 8)]
+        else:
+            assert host.batches == 6  # the queue worker never merges
+            assert replies == [(R_WRITE, n) for n in range(1, 7)] + [
+                (R_OK, 7), (R_STOPPED, 8),
+            ]
+        # Merged or not, the stamp advanced once per batch.
+        assert host.applied_through == 6
+        assert host.engine.runtime.stamp == 6
+        oracle = EAGrEngine(graph, query, **ENGINE)
+        for n in range(1, 7):
+            oracle.write_batch(batch(nodes, n))
+        assert loop.payload[7] == oracle.read_batch(nodes)
+
+
+# ---------------------------------------------------------------------------
+# executor contract after stop and after kill
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "shard", ["inprocess"] + TRANSPORTS, indirect=True
+)
+def test_stopped_and_killed_executors_answer_alike(shard):
+    """A stopped executor is a backed-up shard: ``try_submit`` answers
+    ``False``, ``submit`` raises, ``stop``/``kill`` stay callable —
+    whichever executor, and whether it was stopped or killed."""
+    graph, query, transport, make_spec = shard
+    replies, errors = [], []
+
+    def boot():
+        if transport is None:
+            return InProcessShardExecutor(make_spec(), replies.append)
+        return ProcessShardExecutor(
+            make_spec(), replies.append, errors.append, transport
+        )
+
+    for end in ("kill", "stop"):  # the second boot re-uses the transport
+        ex = boot()
+        assert ex.alive()
+        assert ex.try_submit((OP_DRAIN, 1))
+        ex.submit((OP_DRAIN, 2))
+        ex.flush_bell()
+        wait_until(lambda: len(replies) >= 2, desc="live replies")
+        if end == "kill":
+            ex.kill()
+        else:
+            ex.stop(3)
+            assert replies[-1][0] == R_STOPPED
+        assert not ex.alive()
+        assert ex.try_submit((OP_DRAIN, 4)) is False
+        with pytest.raises(RuntimeError):
+            ex.submit((OP_DRAIN, 5))
+        ex.stop(6)
+        ex.kill()
+        assert not ex.alive()
+        assert [reply[1] for reply in replies if reply[1] > 3] == []
+        assert errors == []
+        del replies[:]
+
+
+# ---------------------------------------------------------------------------
+# silent wedge: a raising reply handler must not kill the drainer
+# ---------------------------------------------------------------------------
+
+
+def test_drainer_survives_a_failing_delivery():
+    graph = random_graph(10, 30, seed=19)
+    nodes = list(graph.nodes())
+    server = EAGrServer(
+        graph, make_query(), num_shards=1, executor="process",
+        transport="queue", reply_timeout=5.0, **ENGINE,
+    )
+    try:
+        server.subscribe("watcher", nodes)
+        journal = server._subs["watcher"].journal
+        append = journal.append
+
+        def fail_once(item):
+            journal.append = append
+            raise OSError("disk full")
+
+        journal.append = fail_once
+        server.write_batch(batch(nodes, 1))
+        # The drainer outlives the failed delivery: this barrier's reply
+        # arrives (it used to wait out reply_timeout), and the failure
+        # surfaces on the async-error channel ...
+        with pytest.raises(ServeError, match="reply delivery failed"):
+            server.drain()
+        # ... poisoning acceptance, like a background flush failure,
+        with pytest.raises(ServeError, match="poisoned"):
+            server.write_batch(batch(nodes, 2))
+        assert len(server.read_batch(nodes)) == len(nodes)  # still serving
+        # until the shard is rebuilt.
+        server.restart_shard(0)
+        server.write_batch(batch(nodes, 3))
+        server.drain()
+    finally:
+        server.close()
+
+
+# ---------------------------------------------------------------------------
+# the replacement path: {inprocess, queue, shm} x {restart, reshard, reopen}
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["inprocess"] + TRANSPORTS)
+def pad(request, tmp_path_factory):
+    """One 2-shard WAL-backed deployment per transport, shared by the
+    three replacement paths; every accepted batch and every delivered
+    notification is kept for the oracle checks."""
+    kind = request.param
+    graph = random_graph(14, 52, seed=41)
+    query = make_query()
+    wal_dir = str(tmp_path_factory.mktemp(f"wal-{kind}"))
+
+    def boot():
+        return EAGrServer(
+            graph, query, num_shards=2, wal_dir=wal_dir, reply_timeout=30.0,
+            executor="inprocess" if kind == "inprocess" else "process",
+            transport="auto" if kind == "inprocess" else kind,
+            **ENGINE,
+        )
+
+    server = boot()
+    env = {
+        "kind": kind, "graph": graph, "query": query, "boot": boot,
+        "server": server, "nodes": list(graph.nodes()),
+        "rng": random.Random(5), "batches": [], "seen": [],
+    }
+    env["sub"] = server.subscribe("watcher", env["nodes"])
+    yield env
+    names = shm_segment_names(env["server"])
+    env["server"].close()
+    assert_no_segments(names, tag=f"{kind} teardown:")
+
+
+def write(env, count=3):
+    rng, nodes = env["rng"], env["nodes"]
+    for _ in range(count):
+        items = [
+            (rng.choice(nodes), float(rng.randint(1, 9)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        env["server"].write_batch(items)
+        env["batches"].append(items)
+
+
+def check(env):
+    """Reads equal the brute-force oracle; the subscriber's stream is
+    contiguous from stamp 1 and ends every ego at its true value."""
+    server, nodes = env["server"], env["nodes"]
+    server.drain()
+    env["seen"] += env["sub"].poll()
+    tag = f"{env['kind']}:"
+    assert_contiguous([note.stamp for note in env["seen"]], tag=tag)
+    oracle = EAGrEngine(env["graph"], env["query"], **ENGINE)
+    for items in env["batches"]:
+        oracle.write_batch(items)
+    final = {node: oracle.reference_read(node) for node in nodes}
+    assert dict(zip(nodes, server.read_batch(nodes))) == final, tag
+    last = {note.ego: note.value for note in env["seen"]}
+    assert all(final[ego] == value for ego, value in last.items()), tag
+    return final
+
+
+class TestReplacementPaths:
+    def test_restart_shard(self, pad):
+        env, server = pad, pad["server"]
+        write(env)
+        kill_shard(server, 0)
+        write(env, 2)  # accepted while dead: redo log
+        assert server.restart_shard(0) >= 2
+        write(env)
+        before = server.shm_reads
+        check(env)
+        # The ring's cached view of the dead worker went with it: the
+        # zero-copy path serves again through a refetched handle map.
+        assert (server.shm_reads > before) == (env["kind"] == "shm")
+
+    def test_reshard_changes_the_reader_set(self, pad):
+        env, server = pad, pad["server"]
+        write(env)
+        server.drain()
+        server.read_batch(env["nodes"])  # views of the old reader sets cached
+        moves = {
+            node: 1
+            for node in sorted(server.reader_shard)
+            if server.reader_shard[node] == 0
+        }
+        moves = dict(list(moves.items())[:3])
+        assert moves, "shard 0 owns no readers in this seed"
+        assert server.reshard(moves)["moved"] == len(moves)
+        write(env)
+        final = check(env)
+        if env["kind"] == "shm":
+            # Shard 1's new worker serves the readers it gained straight
+            # from its (regrown) columns: handle map and attachment were
+            # both refetched, or these would be misses or stale slots.
+            moved = list(moves)
+            results = [None] * len(moved)
+            leftover = server._executors[1].read_local(
+                moved, list(range(len(moved))), results, 0
+            )
+            assert leftover == [] and results == [final[n] for n in moved]
+
+    def test_wal_cold_reopen(self, pad):
+        env, old = pad, pad["server"]
+        write(env)
+        check(env)
+        names = shm_segment_names(old)
+        old.close()
+        assert_no_segments(names, tag=f"{env['kind']} close:")
+        server = env["server"] = env["boot"]()
+        assert server.recovered_batches > 0
+        resume_from = env["seen"][-1].stamp if env["seen"] else 0
+        env["sub"] = server.subscribe("watcher", resume_from=resume_from)
+        write(env)
+        check(env)
