@@ -335,7 +335,9 @@ class NoteFrame:
 
 
 # ---------------------------------------------------------------------------
-# batch merging (shared by coalescing, WAL folding and the replica)
+# batch merging — the one segment-merging function in serve/: the
+# ledger's ``B`` fold (hence coalescing, cold recovery and the replica)
+# and the shard worker's consumer-side group merge both call it
 # ---------------------------------------------------------------------------
 
 
@@ -343,12 +345,18 @@ def merge_items(batches: Sequence) -> Any:
     """Concatenate write batches, staying columnar when possible.
 
     Each element is either a :class:`WriteFrame` or a list of triples;
-    an all-frame run concatenates into one frame (array concat, no
-    per-row objects), anything mixed materializes into a plain list —
-    both shapes are valid ``OP_WRITE`` items.
+    a single batch passes through untouched, an all-frame run
+    concatenates into one frame (array concat, no per-row objects,
+    keeping the oldest ingress stamp), anything mixed — a batch that
+    failed the packing gate coalesced with packable ones under
+    backpressure, or reshard residue — materializes into a plain list
+    and rides the pickle codec.  Every shape is a valid ``OP_WRITE``
+    payload.
     """
     if not batches:
         return []
+    if len(batches) == 1:
+        return batches[0]
     if all(batch.__class__ is WriteFrame for batch in batches):
         return WriteFrame.concat(list(batches))
     merged: List = []

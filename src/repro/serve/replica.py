@@ -5,17 +5,27 @@ tier; the EAGr front-end's :class:`~repro.serve.wal.WriteAheadLog` is the
 natural replication stream, because it already totally orders every
 accepted write round and batch assignment.  :class:`ReplicaServer`
 follows that log — poll-driven, read-only, never truncating — and keeps
-its own in-process shard engines a bounded lag behind the primary:
+its own in-process shard engines a bounded lag behind the primary.
 
-* ``META`` / ``SNAP`` records build (or rebuild) the shard hosts — the
-  same :class:`~repro.serve.shard.ShardSpec` + checkpoint restore path
-  a crash recovery uses;
-* ``W`` records stash accepted rounds; a ``B`` record assembles them
-  into the exact batch the primary submitted and applies it
-  **batch-exact** through :meth:`ShardHost.apply_write_batch`, so the
-  replica's engines advance through precisely the primary's stamp
-  trajectory (idempotently — re-application after a snapshot reset is
-  skipped by ``applied_through``);
+It interprets nothing itself: every tailed record goes through the same
+:meth:`WalState.fold <repro.serve.wal.WalState.fold>` the primary's
+live ledger and a cold restart run, into the replica's own
+:class:`~repro.serve.wal.WalState`.  What is replica-specific happens
+*after* a fold:
+
+* a ``B`` fold just filed the exact batch the primary submitted at the
+  redo tail; the replica applies it **batch-exact** through
+  :meth:`ShardHost.apply_write_batch`, so its engines advance through
+  precisely the primary's stamp trajectory (idempotently —
+  re-application after a snapshot reset is skipped by
+  ``applied_through``).  The one piece of record state the replica
+  keeps is the *rolled-back marker*: an ``RB`` voids a batch this
+  replica already applied, so the re-issue under the same number applies
+  only its newer rounds;
+* ``META`` / ``SNAP`` rebuild every shard host, ``P`` the affected ones,
+  from the fold — reader sets, checkpoint, redo suffix — through one
+  helper, the same :class:`~repro.serve.shard.ShardSpec` + checkpoint
+  restore path a crash recovery uses;
 * a compaction racing the tailer is self-healing: when the cursor's
   segment disappears, the tailer re-anchors at the new snapshot base
   and the replica rebuilds from the ``SNAP`` record.
@@ -42,11 +52,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.query import EgoQuery
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.serve.frames import merge_items
 from repro.serve.shard import ShardHost, ShardSpec
 from repro.serve.wal import WalState, WalTailer, list_segments
 
@@ -97,16 +106,11 @@ class ReplicaServer:
         self._engine_kwargs = engine_kwargs
         self._tailer = WalTailer(wal_dir)
         self._apply_lock = threading.Lock()
-        self._hosts: List[Optional[ShardHost]] = []
-        self.num_shards = 0
-        self.reader_shard: Dict[NodeId, int] = {}
-        #: shard -> [(wal_seq, items)] accepted rounds awaiting a ``B``.
-        self._rounds: Dict[int, List[Tuple[int, List[Tuple]]]] = {}
-        self._covered: Dict[int, int] = {}
+        self._hosts: List[ShardHost] = []
+        #: the fold of everything consumed so far (under the apply lock).
+        self._state = WalState()
         #: shard -> batch number voided by an ``RB`` (awaiting re-issue).
         self._rolled_back: Dict[int, int] = {}
-        self._last_seq = 0
-        self.partition_epoch = 0
         self.reshards_applied = 0
         self.batches_applied = 0
         self.resets = 0
@@ -144,132 +148,99 @@ class ReplicaServer:
     # record consumption
     # ------------------------------------------------------------------
 
-    def _build_hosts(self, state: WalState) -> None:
-        """(Re)build every shard host from a fold of the log prefix."""
-        self.num_shards = state.num_shards
-        self.reader_shard = dict(state.reader_shard)
-        shard_readers: List[set] = [set() for _ in range(self.num_shards)]
-        for node, shard_id in self.reader_shard.items():
-            shard_readers[shard_id].add(node)
-        hosts: List[Optional[ShardHost]] = []
-        for shard_id in range(self.num_shards):
-            spec = ShardSpec(
-                self.graph,
-                self.query,
-                shard_id=shard_id,
-                num_shards=self.num_shards,
-                readers=frozenset(shard_readers[shard_id]),
-                value_store=self._value_store,
-                engine_kwargs=self._engine_kwargs,
-                checkpoint=state.checkpoints.get(shard_id),
-            )
-            host = spec.build()
-            for batch_no, items in state.redo.get(shard_id, ()):
-                host.apply_write_batch(batch_no, items)
-            hosts.append(host)
-        self._hosts = hosts
-        self._rounds = {
-            shard_id: list(rounds) for shard_id, rounds in state.rounds.items()
-        }
-        self._covered = dict(state.covered)
-        self._rolled_back = {}
-        self._last_seq = state.wal_seq
-        self.partition_epoch = state.meta.get("partition_epoch", 0)
+    @property
+    def num_shards(self) -> int:
+        return self._state.num_shards or 0
+
+    @property
+    def reader_shard(self) -> Dict[NodeId, int]:
+        """The primary's reader partition as of the last consumed record
+        (a ``P`` fold updates it in place: route under the apply lock)."""
+        return self._state.reader_shard
+
+    @property
+    def partition_epoch(self) -> int:
+        return self._state.meta.get("partition_epoch", 0)
+
+    def _build_host(self, shard_id: int) -> ShardHost:
+        """One shard host as the fold describes it: the shard's readers,
+        restored from its checkpoint, redo suffix replayed."""
+        state = self._state
+        spec = ShardSpec(
+            self.graph,
+            self.query,
+            shard_id=shard_id,
+            num_shards=state.num_shards,
+            readers=frozenset(
+                node
+                for node, owner in state.reader_shard.items()
+                if owner == shard_id
+            ),
+            value_store=self._value_store,
+            engine_kwargs=self._engine_kwargs,
+            checkpoint=state.checkpoints.get(shard_id),
+        )
+        host = spec.build()
+        for batch_no, items in state.redo.get(shard_id, ()):
+            host.apply_write_batch(batch_no, items)
+        return host
 
     def _consume(self, records: Sequence[Tuple]) -> None:
-        """Apply a run of tailed records (caller holds the apply lock)."""
+        """Fold a run of tailed records and bring the hosts up to the
+        new state (caller holds the apply lock)."""
+        state = self._state
         for record in records:
             kind = record[0]
-            if kind == "W":
-                _k, seq, per_shard, _clock = record
-                self._last_seq = seq
-                for shard_id, items in per_shard.items():
-                    self._rounds.setdefault(shard_id, []).append((seq, items))
-            elif kind == "B":
-                _k, shard_id, batch_no, covered = record
-                parts: List[Any] = []
-                keep: List[Tuple[int, Any]] = []
-                for seq, round_items in self._rounds.get(shard_id, ()):
-                    if seq <= covered:
-                        parts.append(round_items)
-                    else:
-                        keep.append((seq, round_items))
-                self._rounds[shard_id] = keep
-                # Binary rounds stay columnar end-to-end: frame concat
-                # here, frame scatter in ``apply_write_batch``.
-                items = merge_items(parts)
-                self._covered[shard_id] = covered
+            already_applied = 0
+            if kind == "B" and self._rolled_back.pop(record[1], None) == record[2]:
+                # Re-issue of a rolled-back batch.  The replica applies
+                # eagerly, so it applied the original under this number
+                # (the primary's rollback happened before any worker
+                # saw it); the ``RB`` fold put those rows back at the
+                # head of the shard's rounds, and this fold will merge
+                # them in front of the newer ones.
+                already_applied = len(state.rounds[record[1]][0][1])
+            state.fold(record)
+            if kind == "B":
+                _k, shard_id, batch_no, _covered = record
+                items = state.redo[shard_id][-1][1]
                 host = self._hosts[shard_id]
-                if self._rolled_back.pop(shard_id, None) == batch_no:
-                    # Re-issue of a rolled-back batch: this replica
-                    # already applied the original under the same
-                    # number (it applies eagerly; the primary's
-                    # rollback happened before any worker saw it), so
-                    # only the *newer* rounds are new here.  They apply
+                if already_applied:
+                    # Only the newer rounds are new here.  They apply
                     # unnumbered — value-equivalent, ``applied_through``
                     # already at ``batch_no`` — since a numbered apply
                     # would be skipped as a duplicate.
-                    host.apply_write_batch(None, items)
+                    host.apply_write_batch(None, list(items)[already_applied:])
                 else:
-                    # Batch-exact application: the replica's engines
-                    # advance through exactly the primary's batch
-                    # trajectory; ``applied_through`` makes a
-                    # re-application after a SNAP reset a no-op.
+                    # Batch-exact application: ``applied_through`` makes
+                    # a re-application after a SNAP reset a no-op.
                     host.apply_write_batch(batch_no, items)
                 self.batches_applied += 1
             elif kind == "RB":
-                _k, shard_id, batch_no = record
                 # A refused non-blocking submit on the primary: the
                 # assignment is void there, but the replica already
-                # applied it.  Mark the number; the matching re-issue
-                # (same ``batch_no``, wider coverage) takes the delta
-                # path above instead of being skipped.
-                self._rolled_back[shard_id] = batch_no
-            elif kind == "C":
-                pass  # the replica applied those batches as they streamed
+                # applied it.  Mark the number for the re-issue above.
+                self._rolled_back[record[1]] = record[2]
             elif kind == "P":
-                # A live reshard on the primary: rebuild the affected
-                # shards from their synthetic post-splice checkpoints and
-                # replace their pending rounds with the re-routed residue
-                # — the same splice the primary performed, minus the
-                # subscriber machinery the replica never materializes.
-                _k, epoch, moves, checkpoints, pending = record
-                for node, dst in moves.items():
-                    self.reader_shard[node] = dst
-                shard_readers: Dict[int, set] = {
-                    shard_id: set() for shard_id in checkpoints
-                }
-                for node, shard_id in self.reader_shard.items():
-                    if shard_id in shard_readers:
-                        shard_readers[shard_id].add(node)
-                for shard_id, ck in checkpoints.items():
-                    spec = ShardSpec(
-                        self.graph,
-                        self.query,
-                        shard_id=shard_id,
-                        num_shards=self.num_shards,
-                        readers=frozenset(shard_readers[shard_id]),
-                        value_store=self._value_store,
-                        engine_kwargs=self._engine_kwargs,
-                        checkpoint=ck,
-                    )
-                    self._hosts[shard_id] = spec.build()
-                    items = pending.get(shard_id) or []
-                    self._rounds[shard_id] = (
-                        [(self._last_seq, items)] if items else []
-                    )
+                # A live reshard on the primary: the fold moved the
+                # readers, installed the synthetic post-splice
+                # checkpoints and replaced the pending rounds with the
+                # re-routed residue; rebuild the affected hosts from it.
+                for shard_id in record[3]:
+                    self._hosts[shard_id] = self._build_host(shard_id)
                     self._rolled_back.pop(shard_id, None)
-                self.partition_epoch = epoch
                 self.reshards_applied += 1
-            elif kind in ("S", "U"):
-                pass  # subscriptions are the primary's concern
-            elif kind == "META":
-                state = WalState()
-                state.fold(record)
-                self._build_hosts(state)
-            elif kind == "SNAP":
-                self.resets += 1
-                self._build_hosts(record[1])
+            elif kind in ("META", "SNAP"):
+                if kind == "SNAP":
+                    self.resets += 1
+                self._hosts = [
+                    self._build_host(shard_id)
+                    for shard_id in range(state.num_shards)
+                ]
+                self._rolled_back = {}
+            # ``C`` / ``S`` / ``U``: the fold is all there is to do — the
+            # replica applied those batches as they streamed, and
+            # subscriptions are the primary's concern.
 
     def _tail_loop(self) -> None:
         while not self._stop.wait(self.poll_interval):
@@ -296,7 +267,7 @@ class ReplicaServer:
         """
         segments = list_segments(self.wal_dir)
         total = 0
-        cursor_index = self._tailer._segment_index
+        cursor_index, cursor_offset = self._tailer.position()
         for index, path in segments:
             try:
                 size = os.path.getsize(path)
@@ -305,7 +276,7 @@ class ReplicaServer:
             if cursor_index is None or index > cursor_index:
                 total += size
             elif index == cursor_index:
-                total += max(0, size - self._tailer._offset)
+                total += max(0, size - cursor_offset)
         return total
 
     def watermark(self) -> Dict[int, int]:
@@ -314,7 +285,6 @@ class ReplicaServer:
             return {
                 shard_id: host.applied_through
                 for shard_id, host in enumerate(self._hosts)
-                if host is not None
             }
 
     def read(self, node: NodeId, **kwargs: Any) -> Any:
@@ -332,7 +302,10 @@ class ReplicaServer:
         suffix is at most ``max_lag_bytes``; raises
         :class:`StaleReadError` otherwise.  The answer is computed under
         the apply lock, so it is exactly the primary's state at
-        :meth:`watermark` — reads never observe a half-applied batch.
+        :meth:`watermark` — reads never observe a half-applied batch —
+        and routed under it too: a tailed ``P`` record moves readers
+        between hosts, and an ego resolved against the table from
+        before it would be asked of a host that no longer owns it.
         """
         self._check_open()
         deadline = time.monotonic() + wait
@@ -348,11 +321,12 @@ class ReplicaServer:
         identity = aggregate.finalize(aggregate.identity())
         results: List[Any] = [identity] * len(nodes)
         per_shard: Dict[int, List[int]] = {}
-        for position, node in enumerate(nodes):
-            shard_id = self.reader_shard.get(node)
-            if shard_id is not None:
-                per_shard.setdefault(shard_id, []).append(position)
         with self._apply_lock:
+            table = self._state.reader_shard
+            for position, node in enumerate(nodes):
+                shard_id = table.get(node)
+                if shard_id is not None:
+                    per_shard.setdefault(shard_id, []).append(position)
             for shard_id, positions in per_shard.items():
                 host = self._hosts[shard_id]
                 values = host.engine.read_batch(

@@ -5,11 +5,12 @@ engine behind an executor — worker process or in-process), then serves
 four verbs:
 
 * :meth:`EAGrServer.write_batch` — multicast each write to the shards
-  whose readers need it.  Writes land in per-shard *outboxes* and flush
-  through the shard's executor; when a shard is backed up, the flush
-  refuses instead of blocking and consecutive batches **coalesce** in
-  the outbox until either the shard frees up or the coalescing cap
-  forces a blocking submit — bounded memory, bounded latency, no drops.
+  whose readers need it.  Writes land in per-shard *outboxes* (the
+  ledger's pending rounds, below) and flush through the shard's
+  executor; when a shard is backed up, the flush refuses instead of
+  blocking and consecutive batches **coalesce** in the outbox until
+  either the shard frees up or the coalescing cap forces a blocking
+  submit — bounded memory, bounded latency, no drops.
 * :meth:`EAGrServer.read_batch` — route reads to owning shards.  The
   per-shard FIFO transport orders them after every previously accepted
   write (read-your-writes per shard); what the shard's executor can
@@ -36,13 +37,25 @@ four verbs:
   live deliveries — exactly-once-after-resume.  A ``resume_from`` older
   than the journal's horizon raises
   :class:`~repro.serve.journal.ResumeGapError` (never a silent gap).
+* **One durability ledger** — which rounds are accepted, which batch
+  each became, what a checkpoint covers and who watches what is the
+  state of one :class:`~repro.serve.wal.WriteAheadLog`, and this class
+  keeps no copy of it: every transition is ``log.append(record)``
+  (``W`` accepts a round into the outboxes, ``B`` pops a shard's rounds
+  into the numbered redo batch that is then submitted, ``RB`` undoes a
+  refused submit, ``C`` files a checkpoint and truncates the redo log,
+  ``S``/``U`` record watches, ``P`` a reshard), and the server reads
+  ``log.state`` back.  ``wal_dir=None`` is the same ledger with no file
+  behind it; with a directory every record is on disk before the call
+  that caused it returns, and a cold boot folds it back.
 * **Checkpoint / restart** — :meth:`EAGrServer.checkpoint` snapshots each
   shard's restart state (window buffers, watch registry, applied batch
-  number) and truncates the per-shard *redo log* of submitted write
-  batches; :meth:`EAGrServer.restart_shard` rebuilds a dead worker from
-  its spec + checkpoint, re-arms subscriptions, and replays the redo log
-  idempotently (batch numbers already applied are skipped shard-side,
-  already-delivered notification values are suppressed front-side).
+  number), which truncates the ledger's per-shard *redo log* of
+  submitted write batches; :meth:`EAGrServer.restart_shard` rebuilds a
+  dead worker from its spec + checkpoint, re-arms subscriptions, and
+  replays the redo log idempotently (batch numbers already applied are
+  skipped shard-side, already-delivered notification values are
+  suppressed front-side).
 * :meth:`EAGrServer.drain` / :meth:`EAGrServer.close` — barrier and
   clean shutdown (flushes, never drops).
 
@@ -56,16 +69,22 @@ Acquired strictly in this order, never the reverse:
 
 1. ``_reshard_lock`` — one ``reshard``/``rebalance`` at a time.  Only
    ``reshard`` takes it, holding nothing.
-2. ``_flush_locks[shard]`` — held across outbox-pop *and* submit, so a
-   shard's batches are numbered and enqueued in acceptance order; also
-   what a worker replacement (``restart_shard``, ``reshard``) and a
-   redo truncation hold.  Only ``reshard`` holds more than one, taken in
+2. ``_flush_locks[shard]`` — held across a shard's ``B`` append (the
+   outbox pop and the numbering) *and* the submit, so its batches are
+   numbered and enqueued in acceptance order; every other record that
+   removes from that shard's rounds or redo log (``RB``, ``C``, ``P``)
+   is appended under it too, as is a worker replacement
+   (``restart_shard``, ``reshard``) with its redo replay — so the
+   holder reads ``state.redo[shard]`` and ``state.checkpoints[shard]``
+   as a matching pair.  Only ``reshard`` holds more than one, taken in
    ascending shard id; non-blocking flushes ``acquire(blocking=False)``
    and skip migrating shards, so a producer never waits out a
    migration.  (An in-process executor's own submit lock nests here.)
-3. ``_route_lock`` — outboxes, the routing tables' swap, ``_migrating``,
-   the ingest clock and the WAL's acceptance order.  Taken with or
-   without a flush lock; nothing but leaves is taken under it.
+3. ``_route_lock`` — acceptance: every ``W`` and ``P`` append (so log
+   order is acceptance order and ``state.wal_seq`` / ``state.clock``
+   are read-then-advanced atomically), the routing tables' swap,
+   ``_migrating`` and the ``writes_*`` counters.  Taken with or without
+   a flush lock; nothing but leaves is taken under it.
    ``_subs_lock`` — subscriber registry, reverse watch maps, stamp
    assignment + journal append + live put.  Same level: it is never
    held together with ``_route_lock``.  A reply drainer's ``_deliver``
@@ -74,7 +93,9 @@ Acquired strictly in this order, never the reverse:
    shard's flush lock.
 
 Leaves (nothing is acquired while holding one): ``_seq_lock``,
-``_pending_lock``, the WAL's and each journal's internal lock, the
+``_pending_lock``, the ledger's lock (it serializes folds, so it is what
+guards the rounds and redo *lists*; the flush and route locks above only
+decide who may append which record), each journal's internal lock, the
 transports' push and attach locks.  ``_scrape_lock`` serializes metric
 scrapes and is taken holding nothing (a queue-transport scrape awaits a
 shard reply under it).  ``_flush_failed`` / ``_poisoned`` /
@@ -107,7 +128,7 @@ from repro.core.query import EgoQuery
 from repro.core.statestore import WriteFrame, _np
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serve.executors import InProcessShardExecutor, ProcessShardExecutor
-from repro.serve.frames import ChangeFrame, NoteFrame
+from repro.serve.frames import ChangeFrame, NoteFrame, merge_items
 from repro.serve.journal import (
     NotificationLog,
     ResumeGapError,
@@ -131,6 +152,7 @@ from repro.serve.messages import (
 )
 from repro.serve.shard import ShardSpec
 from repro.serve.transport import open_transports
+from repro.serve.wal import WriteAheadLog
 
 NodeId = Hashable
 
@@ -186,36 +208,6 @@ class _SubState:
 def _note_count(item: Any) -> int:
     """Notifications carried by one delivery-queue item (frame or object)."""
     return len(item) if item.__class__ is NoteFrame else 1
-
-
-def _merge_segments(items: List) -> Any:
-    """Outbox segments (triples and/or WriteFrames) -> one submit payload.
-
-    Packable batches land in the outboxes as per-shard subframes, the
-    rest as plain triples.  A pure triple list passes through untouched,
-    frames concatenate into one (keeping the oldest ingress stamp), and
-    a mixed backlog — a batch that failed the gate coalesced with
-    packable ones under backpressure, or reshard residue — flattens to
-    triples and rides the pickle codec.
-    """
-    if not any(seg.__class__ is WriteFrame for seg in items):
-        return items
-    if all(seg.__class__ is WriteFrame for seg in items):
-        return WriteFrame.concat(items)
-    flat: List[Tuple] = []
-    for seg in items:
-        if seg.__class__ is WriteFrame:
-            flat.extend(seg.tolist())
-        else:
-            flat.append(seg)
-    return flat
-
-
-def _pending_count(segments: List) -> int:
-    """Write events held in an outbox (frames count their rows)."""
-    return sum(
-        len(seg) if seg.__class__ is WriteFrame else 1 for seg in segments
-    )
 
 
 class Subscription:
@@ -441,12 +433,14 @@ class EAGrServer:
             raise ValueError(
                 f"executor must be 'process' or 'inprocess', got {executor!r}"
             )
-        from repro.core.partition import partition_readers
+        # Every argument check runs before the log opens: a rejected
+        # deployment must never have held the single-writer lock.
+        self.transport = self._resolve_transport(transport, executor, query)
+        self.metrics_enabled = self._resolve_metrics(metrics)
         from repro.obs import MetricsRegistry, SlowOpLog, declare_shard_metrics
 
-        # -- metrics plane: the registry comes up before the WAL so the
-        # log's append/fsync paths can write straight into its slots ----
-        self.metrics_enabled = self._resolve_metrics(metrics)
+        # -- metrics plane: the registry comes up before the log so its
+        # append/fsync paths can write straight into the slots -----------
         self._registry = MetricsRegistry(enabled=self.metrics_enabled)
         reg = self._registry
         self._m_route = reg.histogram("srv_route_seconds")
@@ -466,17 +460,12 @@ class EAGrServer:
         declare_shard_metrics(self._shard_schema)
         self._scrape_lock = threading.Lock()
 
-        # -- write-ahead log: open (and recover) before anything else ----
-        self._wal = None
-        recovered = None
+        wal_kwargs = dict(wal_options or {})
         if wal_dir is not None:
-            from repro.serve.wal import WriteAheadLog
-
             if journal_dir is None:
                 journal_dir = _os.path.join(wal_dir, "journals")
             if checkpoint_interval is None:
                 checkpoint_interval = 256
-            wal_kwargs = dict(wal_options or {})
             if self.metrics_enabled:
                 wal_kwargs.setdefault(
                     "metrics",
@@ -486,16 +475,6 @@ class EAGrServer:
                         "bytes": self._m_wal_bytes,
                     },
                 )
-            self._wal = WriteAheadLog(wal_dir, **wal_kwargs)
-            if self._wal.recovered:
-                recovered = self._wal.state
-                if recovered.num_shards != num_shards:
-                    self._wal.close()
-                    raise ValueError(
-                        f"WAL at {wal_dir!r} belongs to a "
-                        f"{recovered.num_shards}-shard deployment, not "
-                        f"{num_shards}"
-                    )
 
         self.graph = graph
         self.query = query
@@ -509,55 +488,9 @@ class EAGrServer:
         self._checkpoint_interval = checkpoint_interval
         if journal_dir is not None:
             _os.makedirs(journal_dir, exist_ok=True)
-        self.transport = self._resolve_transport(transport, executor, query)
-
-        # Balanced min-cut sharding by default: the writer→reader affinity
-        # graph is partitioned on the Section-4 max-flow machinery
-        # (``core.partition``), so a write multicasts to fewer shards than
-        # under either the stable hash or the BFS community heuristic (see
-        # ``replication_factor``).  A WAL recovery reuses the *persisted*
-        # partition instead: every replayed (and future) write must route
-        # to the shard the dead epoch's batch numbering assumed, whatever
-        # the assignment algorithm would compute today.
-        self.partition_epoch = 0
-        if recovered is not None:
-            self.assignment = recovered.meta.get("assignment", "recovered")
-            self.reader_shard = dict(recovered.reader_shard)
-            self.partition_epoch = recovered.meta.get("partition_epoch", 0)
-        else:
-            if assign is None and num_shards > 1:
-                from repro.core.partition import mincut_assignment
-
-                assign = mincut_assignment(graph, query, num_shards)
-                self.assignment = "mincut"
-            else:
-                self.assignment = "custom" if assign is not None else "single"
-
-            #: reader node -> owning shard (the user predicate already
-            #: applied; same partition semantics as PartitionedEngine).
-            self.reader_shard = partition_readers(graph, query, num_shards, assign)
-            if self._wal is not None:
-                self._wal.append(
-                    (
-                        "META",
-                        {
-                            "num_shards": num_shards,
-                            "reader_shard": self.reader_shard,
-                            "assignment": self.assignment,
-                        },
-                    ),
-                    sync=True,
-                )
-        shard_readers: List[set] = [set() for _ in range(num_shards)]
-        for node, shard_id in self.reader_shard.items():
-            shard_readers[shard_id].add(node)
-
-        # writer node -> shards whose readers aggregate it (multicast table).
-        self.writer_shards: Dict[NodeId, Tuple[int, ...]] = (
-            self._build_writer_shards(self.reader_shard)
-        )
 
         # -- live resharding state ---------------------------------------
+        self.partition_epoch = 0
         #: shards mid-migration: their non-blocking flushes park (the
         #: producer never waits on a lock ``reshard`` holds) and their
         #: auto-checkpoints defer.  Mutated under the route lock.
@@ -582,7 +515,6 @@ class EAGrServer:
         self._subs: Dict[Hashable, _SubState] = {}
         self._subs_lock = threading.Lock()
         self._async_errors: List[str] = []
-        self._outbox: List[List[Tuple]] = [[] for _ in range(num_shards)]
         #: lazy routing cache for packed write batches: ``None`` or a
         #: ``(writer_shards, table_or_None)`` pair keyed by the exact
         #: dict the table was built from.  ``reshard`` swaps
@@ -590,25 +522,14 @@ class EAGrServer:
         #: invalidates a stale table — see :meth:`_route_table`.
         self._route_array: Any = None
         self._route_lock = threading.Lock()
-        # One flush lock per shard, held across outbox-pop *and* submit:
-        # without it a reader's blocking flush could observe an empty
-        # outbox while a preempted producer still holds popped-but-not-
-        # submitted writes, breaking read-your-writes (and two racing
-        # flushes could enqueue batches out of acceptance order).
+        # One flush lock per shard, held across the ``B`` append (outbox
+        # pop + numbering) *and* the submit: without it a reader's
+        # blocking flush could observe an empty outbox while a preempted
+        # producer still holds a numbered-but-not-submitted batch,
+        # breaking read-your-writes (and two racing flushes could
+        # enqueue batches out of acceptance order).
         self._flush_locks = [threading.Lock() for _ in range(num_shards)]
-        self._clock = 0.0
         self._closed = False
-
-        # -- durability bookkeeping (redo log, checkpoints) --------------
-        #: per-shard monotone batch numbers (assigned under the flush lock).
-        self._batch_no = [0] * num_shards
-        #: per-shard redo log: ``(batch_no, items)`` for every submitted
-        #: batch since the shard's last checkpoint — replayed on restart.
-        self._write_log: List[List[Tuple[int, List[Tuple]]]] = [
-            [] for _ in range(num_shards)
-        ]
-        #: latest checkpoint per shard (restart baseline).
-        self._checkpoints: Dict[int, ShardCheckpoint] = {}
         self._flush_failed: set = set()
         #: Fail-stop marker, mirroring the WAL's fsync poisoning: the
         #: first background-flush failure records its reason here and
@@ -617,20 +538,8 @@ class EAGrServer:
         #: durable" must hold even without a WAL).  ``restart_shard``
         #: clears it once no shard remains flush-failed.
         self._poisoned: Optional[str] = None
-        #: monotone id of the last accepted write round logged to the WAL.
-        self._wal_seq = 0
-        self.recovered_batches = 0
-        if recovered is not None:
-            self._wal_seq = recovered.wal_seq
-            self._clock = recovered.clock
-            self._batch_no = [
-                recovered.batch_no.get(s, 0) for s in range(num_shards)
-            ]
-            self._write_log = [
-                list(recovered.redo.get(s, ())) for s in range(num_shards)
-            ]
-            self._checkpoints = dict(recovered.checkpoints)
 
+        self.recovered_batches = 0
         self.writes_sent = 0
         self.writes_delivered = 0
         self.notifications_delivered = 0
@@ -656,21 +565,102 @@ class EAGrServer:
             for _ in range(num_shards)
         ]
 
+        #: The durability ledger (see module docstring): the outboxes
+        #: (``state.rounds``), batch counters, redo log, checkpoints,
+        #: ingest clock and watch seeds live in ``_wal.state`` and
+        #: nowhere else.  With ``wal_dir`` it opens — and recovers —
+        #: the on-disk log; whatever fails from here on closes it
+        #: again, so a retry on the same directory finds the
+        #: single-writer lock free.
+        self._wal = WriteAheadLog(wal_dir, **wal_kwargs)
+        try:
+            self._boot(assign, queue_depth, ring_bytes, value_store, engine_kwargs)
+        except BaseException:
+            self._wal.close()
+            raise
+
+    def _boot(
+        self,
+        assign: Optional[Callable[[NodeId], int]],
+        queue_depth: int,
+        ring_bytes: int,
+        value_store: str,
+        engine_kwargs: Dict[str, Any],
+    ) -> None:
+        """The constructor's second half — everything that runs with the
+        log open: partition (persisted or fresh), transports, workers,
+        and on a cold restart the replay."""
+        graph, query, num_shards = self.graph, self.query, self.num_shards
+        state = self._wal.state
+        recovered = self._wal.recovered
+        if recovered and state.num_shards != num_shards:
+            raise ValueError(
+                f"WAL at {self._wal.directory!r} belongs to a "
+                f"{state.num_shards}-shard deployment, not {num_shards}"
+            )
+        # Balanced min-cut sharding by default: the writer→reader affinity
+        # graph is partitioned on the Section-4 max-flow machinery
+        # (``core.partition``), so a write multicasts to fewer shards than
+        # under either the stable hash or the BFS community heuristic (see
+        # ``replication_factor``).  A WAL recovery reuses the *persisted*
+        # partition instead: every replayed (and future) write must route
+        # to the shard the dead epoch's batch numbering assumed, whatever
+        # the assignment algorithm would compute today.
+        if recovered:
+            self.assignment = state.meta.get("assignment", "recovered")
+            self.reader_shard = dict(state.reader_shard)
+            self.partition_epoch = state.meta.get("partition_epoch", 0)
+        else:
+            from repro.core.partition import partition_readers
+
+            if assign is None and num_shards > 1:
+                from repro.core.partition import mincut_assignment
+
+                assign = mincut_assignment(graph, query, num_shards)
+                self.assignment = "mincut"
+            else:
+                self.assignment = "custom" if assign is not None else "single"
+
+            #: reader node -> owning shard (the user predicate already
+            #: applied; same partition semantics as PartitionedEngine).
+            self.reader_shard = partition_readers(graph, query, num_shards, assign)
+            self._wal.append(
+                (
+                    "META",
+                    {
+                        "num_shards": num_shards,
+                        # a copy: the fold updates its table in place
+                        # on ``P``, this one is replaced wholesale.
+                        "reader_shard": dict(self.reader_shard),
+                        "assignment": self.assignment,
+                    },
+                ),
+                sync=True,
+            )
+        shard_readers: List[set] = [set() for _ in range(num_shards)]
+        for node, shard_id in self.reader_shard.items():
+            shard_readers[shard_id].add(node)
+
+        # writer node -> shards whose readers aggregate it (multicast table).
+        self.writer_shards: Dict[NodeId, Tuple[int, ...]] = (
+            self._build_writer_shards(self.reader_shard)
+        )
+
         # -- transports: one per process shard, for the shard's life ------
         # (worker replacement resets and re-uses them; an in-process
         # shard has none — its executor calls the host directly).
         self._transports: List[Any] = []
-        if executor == "process":
+        if self.executor_kind == "process":
             self._transports = open_transports(
                 self.transport,
                 num_shards,
                 query,
                 bool(engine_kwargs.get("adaptive")),
-                mp_context,
+                self._mp_context,
                 queue_depth,
                 ring_bytes,
                 self._shard_schema.n_slots if self.metrics_enabled else 0,
-                reply_timeout,
+                self._reply_timeout,
                 self._call,
             )
 
@@ -689,14 +679,14 @@ class EAGrServer:
             for shard_id in range(num_shards)
         ]
         self._executors: List[Any] = [None] * num_shards
-        if recovered is not None:
-            self._recover_subscribers(recovered)
+        if recovered:
+            self._recover_subscribers()
         # Every worker boots before any replay starts, so the shards
         # build their overlays in parallel.
         for shard_id in range(num_shards):
-            self._replace_worker(shard_id, self._checkpoints.get(shard_id))
-        if recovered is not None:
-            self._recover_writes(recovered)
+            self._replace_worker(shard_id, state.checkpoints.get(shard_id))
+        if recovered:
+            self._recover_writes()
         # Background flusher: a refused non-blocking flush parks writes in
         # the outbox; without a retry they would sit there until the next
         # caller-driven flush, stalling notifications for an idle
@@ -779,7 +769,7 @@ class EAGrServer:
         if readers is not None:
             self.specs[shard_id].readers = readers
         spec = self.specs[shard_id].with_checkpoint(checkpoint)
-        spec.merge_after = self._batch_no[shard_id]
+        spec.merge_after = self._wal.state.batch_no.get(shard_id, 0)
         on_reply = self._reply_handler(shard_id)
         if self._transports:
             self._executors[shard_id] = ProcessShardExecutor(
@@ -810,7 +800,7 @@ class EAGrServer:
                 routing.setdefault(writer, {})[shard_id] = None
         return {w: tuple(s) for w, s in routing.items()}
 
-    def _recover_subscribers(self, recovered) -> None:
+    def _recover_subscribers(self) -> None:
         """Cold restart, before the workers boot: rebuild per-subscriber
         state from the folded WAL so :meth:`_replace_worker` has watches
         to re-arm.
@@ -825,7 +815,7 @@ class EAGrServer:
         ``subscribe(resume_from=N)`` splices them back in with no gap
         and no duplicate.
         """
-        for subscriber, shard_watches in recovered.watches.items():
+        for subscriber, shard_watches in self._wal.state.watches.items():
             if not any(shard_watches.values()):
                 continue
             state = self._make_substate(subscriber)
@@ -853,15 +843,15 @@ class EAGrServer:
             with self._subs_lock:
                 self._subs[subscriber] = state
 
-    def _recover_writes(self, recovered) -> None:
+    def _recover_writes(self) -> None:
         """Cold restart, after the workers boot (each from its
         checkpoint, watches re-armed) and before the background flusher
         starts, so nothing races the replay: the redo suffix replays in
         order — already-checkpointed batches are skipped shard-side,
         re-derived notifications the dead epoch delivered are suppressed
-        front-side — then accepted-but-never-batched rounds (the dead
-        outboxes) refill the outboxes and flush as fresh batches behind
-        it."""
+        front-side.  Accepted-but-never-batched rounds (the dead
+        outboxes) are already where the fold left them — in the
+        outboxes — and flush as fresh batches behind the replay."""
         crash_after = self._wal.faults.get("crash_after_replay_batches")
         replayed = 0
         for shard_id in range(self.num_shards):
@@ -869,12 +859,9 @@ class EAGrServer:
                 shard_id,
                 crash_after=None if crash_after is None else crash_after - replayed,
             )
-            pending = recovered.pending_items(shard_id)
-            if pending:
-                for seg in pending:
-                    if seg.__class__ is WriteFrame:
-                        seg.ingress = None
-                self._outbox[shard_id] = pending
+            for _seq, items in self._wal.state.rounds.get(shard_id, ()):
+                if items.__class__ is WriteFrame:
+                    items.ingress = None  # a dead process's clock, as in _replay
         self.recovered_batches = replayed
         self.replayed_batches += replayed
 
@@ -900,7 +887,7 @@ class EAGrServer:
         replay budget (tests only)."""
         ex = self._executors[shard_id]
         replayed = 0
-        for batch_no, items in self._write_log[shard_id]:
+        for batch_no, items in self._wal.state.redo.get(shard_id, ()):
             if items.__class__ is WriteFrame:
                 # A replay is not a fresh write, and after a cold restart
                 # its ingress stamp belongs to a dead process's monotonic
@@ -916,8 +903,9 @@ class EAGrServer:
     def _flush_loop(self) -> None:
         failed = self._flush_failed  # restart_shard() clears recovered shards
         while not self._stop_flusher.wait(self._flush_interval):
+            rounds = self._wal.state.rounds
             for shard_id in range(self.num_shards):
-                if shard_id in failed or not self._outbox[shard_id]:
+                if shard_id in failed or not rounds.get(shard_id):
                     continue
                 try:
                     self._flush_shard(shard_id, block=False)
@@ -1243,17 +1231,17 @@ class EAGrServer:
         # dict, and the route-lock block re-verifies it by identity (a
         # concurrent reshard() installs a *new* dict, never mutates).
         writer_shards = self.writer_shards
-        wal = self._wal
-        touched: Dict[int, None] = {}
-        logged: Dict[int, List[Tuple]] = {}
+        log = self._wal
+        #: shard -> this round's items for it: the ``W`` record's body,
+        #: which the fold files in the outboxes as it stands.
+        accepted: Dict[int, Any] = {}
         # One pack attempt at the door: a batch of (int, float, float)
         # triples packs ONCE here and splits through the membership
         # table — no per-item Python below this point.  The per-shard
-        # subframes land in the outboxes as segments (the flush path
-        # merges segments back into one submit payload), ride the
-        # transport and the redo log as they are, and are the WAL round
-        # record too.  Only a batch that fails the gate walks the
-        # per-item loop below.
+        # subframes are the round the ``W`` record carries (the ``B``
+        # fold merges a shard's rounds back into one submit payload)
+        # and ride the transport and the redo log as they are.  Only a
+        # batch that fails the gate walks the per-item loop below.
         if writes.__class__ is WriteFrame:
             # Pre-packed (the network gateway hands the decoded wire
             # frame straight through).
@@ -1283,8 +1271,8 @@ class EAGrServer:
                 writer_shards = self.writer_shards
                 if parts is not None:
                     parts = self._route_frame(frame, writer_shards)
-            outbox = self._outbox
-            clock = self._clock
+            state = log.state
+            clock = state.clock
             if parts is None:
                 if frame is not None:
                     writes = frame.tolist()  # no usable route table
@@ -1314,10 +1302,7 @@ class EAGrServer:
                 top = float(frame.timestamps.max())
                 if top > clock:
                     clock = top
-                for shard_id, sub in parts.items():
-                    outbox[shard_id].append(sub)
-                    touched[shard_id] = None
-                logged = parts
+                accepted = parts
             else:
                 count = len(triples)
                 for triple in triples:
@@ -1325,18 +1310,14 @@ class EAGrServer:
                     if not shards:
                         continue  # no reader anywhere aggregates this writer
                     for shard_id in shards:
-                        outbox[shard_id].append(triple)
-                        touched[shard_id] = None
-                        if wal is not None:
-                            logged.setdefault(shard_id, []).append(triple)
-            self._clock = clock
+                        accepted.setdefault(shard_id, []).append(triple)
             self.writes_sent += count
-            if wal is not None and count:
-                # Acceptance record, appended under the route lock: WAL
-                # file order *is* acceptance order, so batch-number
-                # coverage ("B" records) stays a simple seq interval.
-                self._wal_seq += 1
-                wal.append(("W", self._wal_seq, logged, clock))
+            if count:
+                # Acceptance, appended under the route lock: log order
+                # *is* acceptance order, so batch-number coverage ("B"
+                # records) stays a simple seq interval.  The fold files
+                # the round in the outboxes and advances the clock.
+                log.append(("W", state.wal_seq + 1, accepted, clock))
         if metered:
             self._m_write_calls.inc()
             if count:
@@ -1348,28 +1329,29 @@ class EAGrServer:
             self._m_route.observe(route_cost)
             self.slow_ops.note("write_batch.route", route_cost, rows=count)
         migrating = self._migrating
-        for shard_id in touched:
+        for shard_id in accepted:
             if shard_id in migrating:
                 continue  # parked for the live migration; rerouted at swap
             self._flush_shard(shard_id, block=False)
-        for shard_id in touched:
+        for shard_id in accepted:
             if shard_id in migrating:
                 continue
             # One doorbell per shard per multicast round, rung after every
             # push: workers wake to a ring already holding the whole round
             # instead of preempting the producer between shard pushes.
             self._executors[shard_id].flush_bell()
-        if wal is not None and count:
+        if count:
             # One fsync per accepted batch, after the lock is dropped:
             # when this call returns, the batch is on stable storage.
-            wal.sync()
+            log.sync()
         if self._checkpoint_interval:
             # A dead shard cannot answer OP_CHECKPOINT — leave its redo
             # log growing (writes keep parking) until restart_shard().
+            redo = log.state.redo
             due = [
                 shard_id
-                for shard_id in touched
-                if len(self._write_log[shard_id]) >= self._checkpoint_interval
+                for shard_id in accepted
+                if len(redo.get(shard_id, ())) >= self._checkpoint_interval
                 and shard_id not in migrating
                 and self._executors[shard_id].alive()
             ]
@@ -1392,58 +1374,67 @@ class EAGrServer:
         else:
             lock.acquire()
         try:
-            taken = self._take_outbox(shard_id)
-            if taken is None:
+            batch = self._number_batch(shard_id)
+            if batch is None or self._submit_write(shard_id, batch, block):
                 return
-            items, covered = taken
-            if self._submit_write(shard_id, items, block=block, covered=covered):
-                return
-            # Shard backed up: coalesce into the outbox; later flushes (or
-            # the cap) carry these items in one bigger batch.
-            with self._route_lock:
-                restored = [items] if items.__class__ is WriteFrame else items
-                self._outbox[shard_id] = restored + self._outbox[shard_id]
-                self.writes_delivered -= len(items)
-                pending = _pending_count(self._outbox[shard_id])
+            # Shard backed up: the batch is back in the outbox (``RB``);
+            # later flushes (or the cap) carry it in one bigger batch.
             self.coalesced_flushes += 1
-            if pending >= self._coalesce_max:
-                taken = self._take_outbox(shard_id)
-                if taken is not None:
-                    self._submit_write(
-                        shard_id, taken[0], block=True, covered=taken[1]
-                    )
+            if self._parked_rows(shard_id) >= self._coalesce_max:
+                self._submit_write(
+                    shard_id, self._number_batch(shard_id), block=True
+                )
         finally:
             lock.release()
 
+    def _parked_rows(self, shard_id: int) -> int:
+        """Write events parked in a shard's outbox — the ledger's pending
+        rounds (a peek: exact only while nothing can append to them)."""
+        return sum(
+            len(items) for _seq, items in self._wal.state.rounds.get(shard_id, ())
+        )
+
+    def _number_batch(self, shard_id: int) -> Optional[Tuple[int, Any]]:
+        """Turn a shard's outbox into its next numbered batch (flush
+        lock held): one ``B`` record, whose fold pops every accepted
+        round up to the ``wal_seq`` read here, merges them once and
+        files ``(batch_no, items)`` at the redo tail — returned for
+        :meth:`_submit_write`.  ``None`` when the outbox is empty.
+
+        A round is in the list only once ``wal_seq`` has reached its
+        seq, and only this lock's holder pops, so the batch is never
+        empty; a round accepted after the read waits for the next ``B``.
+        """
+        state = self._wal.state
+        if not state.rounds.get(shard_id):
+            return None
+        batch_no = state.batch_no.get(shard_id, 0) + 1
+        self._wal.append(("B", shard_id, batch_no, state.wal_seq))
+        return state.redo[shard_id][-1]
+
     def _submit_write(
-        self,
-        shard_id: int,
-        items: List[Tuple],
-        block: bool,
-        covered: int = 0,
+        self, shard_id: int, batch: Tuple[int, Any], block: bool
     ) -> bool:
-        """Number, redo-log, and enqueue one write batch (flush lock held).
+        """Enqueue a numbered batch (flush lock held); returns whether
+        the shard took it.
 
-        The batch number is assigned and the batch recorded in the redo
-        log — and, with a WAL, the ``("B", shard, batch_no, covered)``
-        assignment record written — *before* the enqueue, so a batch a
-        dying worker swallows is still replayable; a refused non-blocking
-        submit rolls both back (the items return to the outbox and will
-        renumber when they eventually flush; the WAL gets a compensating
-        ``RB`` record).  Returns whether the batch was enqueued.
+        Its ``B`` record — number assigned, batch in the redo log, and
+        with a directory on disk — preceded this call, so a batch a
+        dying worker swallows is still replayable; a refused
+        non-blocking submit appends the compensating ``RB`` (the items
+        return to the head of the outbox and renumber when they
+        eventually flush).
 
-        ``items`` is whatever ``write_batch`` filed: a
+        The items are whatever ``write_batch`` filed: a
         :class:`~repro.core.statestore.WriteFrame` packed at the door —
         the redo log, the executor submit (hence the ring payload or
         queue pickle) and any restart/recovery replay all share that one
         record array — or, for batches that failed the packing gate, a
         triple list that rides the pickle codec.
         """
-        batch_no = self._batch_no[shard_id] + 1
-        self._batch_no[shard_id] = batch_no
-        self._write_log[shard_id].append((batch_no, items))
-        if self._wal is not None:
-            self._wal.append(("B", shard_id, batch_no, covered))
+        batch_no, items = batch
+        with self._route_lock:
+            self.writes_delivered += len(items)
         request = (OP_WRITE, self._next_seq(), batch_no, items)
         ex = self._executors[shard_id]
         if block:
@@ -1451,39 +1442,10 @@ class EAGrServer:
             return True
         if ex.try_submit(request):
             return True
-        self._batch_no[shard_id] = batch_no - 1
-        self._write_log[shard_id].pop()
-        if self._wal is not None:
-            self._wal.append(("RB", shard_id, batch_no))
-        return False
-
-    def _take_outbox(self, shard_id: int) -> Optional[Tuple[Any, int]]:
-        """Pop a shard's outbox (caller holds that shard's flush lock).
-
-        Returns ``(items, covered)`` where ``covered`` is the WAL accept
-        seq the pop observed: every accepted round up to it that touched
-        this shard is in ``items`` — which is exactly what a ``B`` record
-        needs to reconstruct the batch from ``W`` records on recovery.
-        """
+        self._wal.append(("RB", shard_id, batch_no))
         with self._route_lock:
-            return self._take_outbox_locked(shard_id)
-
-    def _take_outbox_locked(self, shard_id: int) -> Optional[Tuple[Any, int]]:
-        """Core of :meth:`_take_outbox`; caller holds the route lock too.
-
-        ``reshard`` calls this directly so its quiesce drain can take
-        *every* affected shard's outbox in one route-lock critical
-        section: multicast pushes are atomic under that lock, so a
-        single atomic snapshot keeps the drained/residue split identical
-        across shards for every multicast writer.
-        """
-        items = self._outbox[shard_id]
-        if not items:
-            return None
-        self._outbox[shard_id] = []
-        payload = _merge_segments(items)
-        self.writes_delivered += len(payload)
-        return payload, self._wal_seq
+            self.writes_delivered -= len(items)
+        return False
 
     def flush(self) -> None:
         """Force every outbox into its shard queue (blocking on full queues)."""
@@ -1534,7 +1496,10 @@ class EAGrServer:
         calls = []
         for shard_id, positions in per_shard.items():
             leftover = self._executors[shard_id].read_local(
-                nodes, positions, results, self._batch_no[shard_id]
+                nodes,
+                positions,
+                results,
+                self._wal.state.batch_no.get(shard_id, 0),
             )
             self.shm_reads += len(positions) - len(leftover)
             if leftover:
@@ -1675,13 +1640,12 @@ class EAGrServer:
                     # this subscriber.  setdefault — a racing live
                     # delivery (necessarily a later stamp) wins.
                     state.last_batch.setdefault(ego, shard_stamp)
-            if self._wal is not None:
-                # Persist the watch *and* its filter seed: a cold restart
-                # must not deliver pre-subscription changes either.
-                self._wal.append(
-                    ("S", subscriber, shard_id, list(shard_nodes), shard_stamp),
-                    sync=True,
-                )
+            # Persist the watch *and* its filter seed: a cold restart
+            # must not deliver pre-subscription changes either.
+            self._wal.append(
+                ("S", subscriber, shard_id, list(shard_nodes), shard_stamp),
+                sync=True,
+            )
         return subscription
 
     def disconnect(self, subscriber: Hashable) -> int:
@@ -1770,11 +1734,10 @@ class EAGrServer:
                     )
                 )
         removed = sum(self._await(calls))
-        if self._wal is not None:
-            self._wal.append(
-                ("U", subscriber, None if nodes is None else list(nodes)),
-                sync=True,
-            )
+        self._wal.append(
+            ("U", subscriber, None if nodes is None else list(nodes)),
+            sync=True,
+        )
         if nodes is None:
             # Deliberate retirement: the journal (and its file) go too —
             # this is the one path that forgets a subscriber entirely.
@@ -1852,8 +1815,11 @@ class EAGrServer:
         a :class:`~repro.serve.messages.ShardCheckpoint` (the request rides
         the FIFO queue, so the checkpoint covers every batch submitted
         before it), remember it as the shard's restart baseline, and drop
-        redo-log batches the checkpoint already contains.  Returns the new
-        checkpoints keyed by shard id.
+        redo-log batches the checkpoint already contains (the ``C``
+        record's fold does both, at every checkpoint and not just at
+        restart — which is what bounds redo memory over a long run:
+        entries a persisted checkpoint covers can never replay again).
+        Returns the new checkpoints keyed by shard id.
 
         Checkpoint cost is O(shard state) — the window buffers and watch
         registry are pickled — so production deployments amortize it via
@@ -1868,29 +1834,13 @@ class EAGrServer:
         out: Dict[int, ShardCheckpoint] = {}
         for shard_id, call in calls:
             ck = self._await([call])[0]
-            self._checkpoints[shard_id] = ck
             with self._flush_locks[shard_id]:
-                self._truncate_redo(shard_id, ck)
+                self._wal.append(("C", shard_id, ck), sync=True)
             out[shard_id] = ck
-        if self._wal is not None:
-            # Checkpoint-gated: once every shard has one, the log can
-            # fold to a snapshot segment and stay size-bounded too.
-            self._wal.maybe_compact()
+        # Checkpoint-gated: once every shard has one, the log can
+        # fold to a snapshot segment and stay size-bounded too.
+        self._wal.maybe_compact()
         return out
-
-    def _truncate_redo(self, shard_id: int, ck: ShardCheckpoint) -> None:
-        """Drop the redo batches ``ck`` covers and log the checkpoint
-        (caller holds the shard's flush lock).  Truncating at every
-        checkpoint (not just at restart) is what bounds front-end redo
-        memory over a long run: entries a persisted checkpoint covers
-        can never replay again."""
-        self._write_log[shard_id] = [
-            entry
-            for entry in self._write_log[shard_id]
-            if entry[0] > ck.applied_through
-        ]
-        if self._wal is not None:
-            self._wal.append(("C", shard_id, ck), sync=True)
 
     def restart_shard(self, shard_id: int) -> int:
         """Rebuild a (dead or live) shard worker and recover its state.
@@ -1916,7 +1866,9 @@ class EAGrServer:
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"no such shard: {shard_id}")
         with self._flush_locks[shard_id]:
-            self._replace_worker(shard_id, self._checkpoints.get(shard_id))
+            self._replace_worker(
+                shard_id, self._wal.state.checkpoints.get(shard_id)
+            )
             replayed = self._replay(shard_id)
         self.restarts += 1
         self.replayed_batches += replayed
@@ -2006,27 +1958,26 @@ class EAGrServer:
             locks = [self._flush_locks[shard_id] for shard_id in affected]
             for lock in locks:
                 lock.acquire()
-            swapped = False
             try:
                 # -- 1. drain the already-parked writes into the old epoch.
                 # One route-lock critical section across every affected
-                # shard: a multicast write pushed between per-shard takes
+                # shard, so every ``B`` covers the same ``wal_seq``: a
+                # multicast round accepted between per-shard numberings
                 # would be drained (applied + checkpointed) on one shard
                 # yet remain residue on another — step 3's merged buffers
                 # would bake its effect into the synthetic checkpoint AND
                 # the residue would replay it after the swap, double-
-                # counting the event.  An atomic snapshot makes the
+                # counting the event.  One coverage point makes the
                 # drained/residue split identical across affected shards.
                 with self._route_lock:
                     drained = {
-                        shard_id: self._take_outbox_locked(shard_id)
+                        shard_id: self._number_batch(shard_id)
                         for shard_id in affected
                     }
                 for shard_id in affected:
-                    taken = drained[shard_id]
-                    if taken is not None:
+                    if drained[shard_id] is not None:
                         self._submit_write(
-                            shard_id, taken[0], block=True, covered=taken[1]
+                            shard_id, drained[shard_id], block=True
                         )
                     self._executors[shard_id].flush_bell()
                 self._fault("pre_checkpoint")
@@ -2047,7 +1998,7 @@ class EAGrServer:
                         f"reshard aborted: {exc}; restart_shard() and retry"
                     ) from exc
                 for shard_id in affected:
-                    self._truncate_redo(shard_id, cks[shard_id])
+                    self._wal.append(("C", shard_id, cks[shard_id]), sync=True)
 
                 # -- 3. splice state into the new partition ---------------
                 new_table = dict(old_table)
@@ -2067,7 +2018,8 @@ class EAGrServer:
                 # number* per ego, and an ego moving from a long-lived
                 # shard to a younger one must not have its next change
                 # land under a smaller number and read as a replay.
-                max_batch = max(self._batch_no[sid] for sid in affected)
+                batch_no = self._wal.state.batch_no
+                max_batch = max(batch_no.get(sid, 0) for sid in affected)
                 for shard_id in affected:
                     merged_buffers.update(cks[shard_id].buffers)
                 synthetic: Dict[int, ShardCheckpoint] = {}
@@ -2136,8 +2088,6 @@ class EAGrServer:
                                 del src_watch[ego]
                                 state.watches.setdefault(dst, {})[ego] = None
                 for shard_id in affected:
-                    self._checkpoints[shard_id] = synthetic[shard_id]
-                    self._batch_no[shard_id] = max_batch
                     self._replace_worker(
                         shard_id,
                         synthetic[shard_id],
@@ -2146,21 +2096,20 @@ class EAGrServer:
 
                 # -- 4. the atomic swap -----------------------------------
                 with self._route_lock:
-                    residue: Dict[int, List[Tuple]] = {}
-                    for shard_id in affected:
-                        flat: List[Tuple] = []
-                        for segment in self._outbox[shard_id]:
-                            if segment.__class__ is WriteFrame:
-                                flat.extend(segment.tolist())
-                            else:
-                                flat.append(segment)
-                        residue[shard_id] = flat
-                        self._outbox[shard_id] = []
+                    rounds = self._wal.state.rounds
+                    residue: Dict[int, List[Tuple]] = {
+                        shard_id: list(
+                            merge_items(
+                                [items for _seq, items in rounds.get(shard_id, ())]
+                            )
+                        )
+                        for shard_id in affected
+                    }
                     new_writer_shards = self._build_writer_shards(new_table)
                     old_writer_shards = self.writer_shards
                     rerouted: Dict[int, List[Tuple]] = {
                         shard_id: [] for shard_id in affected
-                    }
+                    }  # destinations of moves are affected: no other key
                     for shard_id in affected:
                         for triple in residue[shard_id]:
                             writer = triple[0]
@@ -2175,31 +2124,28 @@ class EAGrServer:
                             if shard_id == donor:
                                 for dst in new_shards:
                                     if dst not in old_shards:
-                                        rerouted.setdefault(dst, []).append(
-                                            triple
-                                        )
-                    for shard_id, items in rerouted.items():
-                        self._outbox[shard_id].extend(items)
+                                        rerouted[dst].append(triple)
                     self.reader_shard = new_table
                     self.writer_shards = new_writer_shards
                     self._route_array = None
                     self.partition_epoch += 1
                     self._epoch_base = (self.writes_sent, self.writes_delivered)
-                    if self._wal is not None:
-                        # One record, appended in acceptance order: every
-                        # W before it replays under the old partition,
-                        # every W after it under the new one.
-                        self._wal.append(
-                            (
-                                "P",
-                                self.partition_epoch,
-                                dict(moves),
-                                synthetic,
-                                rerouted,
-                            ),
-                            sync=True,
-                        )
-                swapped = True
+                    # One record, appended in acceptance order: every W
+                    # before it replays under the old partition, every W
+                    # after it under the new one.  Its fold installs the
+                    # synthetic checkpoints, aligns the affected batch
+                    # counters to ``max_batch`` and replaces their
+                    # outboxes with the re-routed residue.
+                    self._wal.append(
+                        (
+                            "P",
+                            self.partition_epoch,
+                            dict(moves),
+                            synthetic,
+                            rerouted,
+                        ),
+                        sync=True,
+                    )
             except BaseException as exc:
                 if self._poisoned is None:
                     self._poisoned = (
@@ -2219,8 +2165,7 @@ class EAGrServer:
             for shard_id in affected:
                 self._flush_shard(shard_id, block=True)
                 self._executors[shard_id].flush_bell()
-            if self._wal is not None:
-                self._wal.maybe_compact()
+            self._wal.maybe_compact()
             self.reshards += 1
             return {
                 "moved": len(moves),
@@ -2318,9 +2263,8 @@ class EAGrServer:
             for transport in self._transports:
                 # Unlinks every segment the deployment named, by name.
                 transport.close()
-            if self._wal is not None:
-                # Closing drops the flock: a standby replica can promote.
-                self._wal.close()
+            # Closing drops the flock: a standby replica can promote.
+            self._wal.close()
         if self._async_errors:
             # Fire-and-forget write failures since the last drain():
             # shutdown completed, but the caller must learn about them.
@@ -2400,10 +2344,10 @@ class EAGrServer:
         }
         wal = self._wal
         wal_section = {
-            "enabled": wal is not None,
-            "total_bytes": wal.total_bytes() if wal is not None else 0,
-            "appends": wal.appends if wal is not None else 0,
-            "fsyncs": wal.fsyncs if wal is not None else 0,
+            "enabled": wal.directory is not None,
+            "total_bytes": wal.total_bytes(),
+            "appends": wal.appends,
+            "fsyncs": wal.fsyncs,
         }
         return {
             "enabled": self.metrics_enabled,
@@ -2432,11 +2376,9 @@ class EAGrServer:
         the rebalance policy consumes and operators read — same source
         (the ``obs`` shard gauges), so the two can never disagree."""
         sizes = self.shard_sizes()
-        with self._route_lock:
-            pending = [
-                _pending_count(self._outbox[shard_id])
-                for shard_id in range(self.num_shards)
-            ]
+        pending = [
+            self._parked_rows(shard_id) for shard_id in range(self.num_shards)
+        ]
         rows: List[Dict[str, Any]] = []
         for shard_id in range(self.num_shards):
             row = {

@@ -269,8 +269,10 @@ class ShardHost:
         runtime = self.engine.runtime
         # The engine's whole value state is derivable from the writer
         # window buffers: swap in the checkpointed ones and re-materialize.
+        # Copies — an in-process host shares ``ck`` with whoever keeps it
+        # as the restart baseline, and live writes must not edit that.
         runtime.buffers.clear()
-        runtime.buffers.update(ck.buffers)
+        runtime.buffers.update(pickle.loads(pickle.dumps(ck.buffers)))
         runtime.clock = ck.clock
         runtime.stamp = ck.stamp
         runtime.rebuild()

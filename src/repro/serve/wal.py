@@ -1,17 +1,24 @@
-"""Whole-server write-ahead log: crash-consistent cold restart.
+"""The serve tier's durability ledger: one record fold, optionally on disk.
 
-PR 4 made per-subscriber journals durable; everything else the front-end
-knows — shard checkpoints, the redo log, the watch registry, its batch
-counters — lived only in memory, so killing the ``EAGrServer`` process
-erased all ingestion history.  :class:`WriteAheadLog` closes that gap:
-the front-end appends every *accepted* write round, every batch-number
-assignment, every :class:`~repro.serve.messages.ShardCheckpoint` and
-every watch change to a CRC-framed, fsync-disciplined on-disk log, and a
-cold ``EAGrServer(wal_dir=...)`` boot folds the log back into the exact
-front-end state the dead process held — then rebuilds every shard from
-its checkpoint and replays the redo suffix batch-exact through the
-existing ``restart_shard()`` machinery, reproducing pre-crash
-notification stamps precisely.
+"Which write rounds are accepted, which batch each became, what a
+checkpoint covers, who watches what" is one state machine, written once:
+:meth:`WalState.fold`.  :class:`WriteAheadLog` owns the only copy of
+that state the front-end has — every transition ``EAGrServer`` makes is
+``log.append(record)``, and the outboxes, batch counters, redo log,
+checkpoints and ingest clock it serves from are ``log.state`` — so the
+live server, a cold restart and a tailing replica cannot disagree about
+what a record means: they run the same fold.
+
+``WriteAheadLog(None)`` is that ledger with no file behind it
+(``append`` folds, ``sync`` / ``maybe_compact`` do nothing): a server
+built without ``wal_dir`` runs the same code, minus the bytes.  With a
+directory, every record is also framed (CRC, fsync discipline below)
+into a segmented on-disk log before the caller acknowledges anything,
+and a cold ``EAGrServer(wal_dir=...)`` boot folds the log back into the
+exact ledger the dead process held — then rebuilds every shard from its
+checkpoint and replays the redo suffix batch-exact through the
+``restart_shard()`` machinery, reproducing pre-crash notification
+stamps precisely.
 
 Record stream
 -------------
@@ -31,16 +38,18 @@ Records are pickled tuples, one per frame:
   ``frombuffer`` instead of unpickling per-triple objects.
 * ``("B", shard, batch_no, covered_seq)`` — a batch-number assignment:
   shard ``shard``'s batch ``batch_no`` consists of every accepted round
-  with ``wal_seq`` in ``(previous covered_seq, covered_seq]``.  Logged
-  *before* the enqueue (mirroring the in-memory redo log, so a batch the
-  dying worker swallowed is still replayable); a refused non-blocking
-  submit appends a compensating ``("RB", shard, batch_no)`` that returns
-  the items to the pending pool, exactly like the live rollback path.
+  with ``wal_seq`` in ``(previous covered_seq, covered_seq]``.  Folding
+  it pops those rounds, merges them once and files the result at the
+  redo tail — the batch the front-end then submits.  Logged *before*
+  the enqueue, so a batch the dying worker swallowed is still
+  replayable; a refused non-blocking submit appends a compensating
+  ``("RB", shard, batch_no)`` whose fold returns the items to the head
+  of the pending rounds and frees the number for re-issue.
   ``B``/``RB`` are flushed but not fsynced: tearing one off only demotes
   its items to pending, and they renumber identically on recovery.
 * ``("C", shard, ShardCheckpoint)`` — a shard checkpoint; folding one
   truncates that shard's redo entries at ``applied_through`` (this is
-  what bounds both the log's replay suffix and the in-memory mirror).
+  what bounds both the log's replay suffix and the ledger's memory).
 * ``("S", subscriber, shard, nodes, shard_stamp)`` /
   ``("U", subscriber, nodes_or_None)`` — watch registry changes;
   ``shard_stamp`` persists the subscribe-time replay-filter seed so a
@@ -109,7 +118,6 @@ import zlib
 from time import monotonic as _monotonic
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from repro.core.statestore import WriteFrame
 from repro.serve.frames import merge_items
 
 _HEADER = struct.Struct("<II")
@@ -190,18 +198,23 @@ def read_frame(fh) -> Optional[Any]:
 
 
 class WalState:
-    """The fold of a WAL prefix: everything a cold restart restores.
+    """The front-end's durability state, defined by its record fold.
 
-    Mirrors the front-end's durability bookkeeping exactly —
-    per-shard batch counters and redo logs, the latest checkpoints, the
-    accepted-but-unbatched rounds (a dead outbox's contents), the
-    logical clock, and the watch registry with its per-ego replay-filter
-    seeds.  The live :class:`WriteAheadLog` maintains one incrementally
-    (``fold`` per append) so compaction can snapshot without re-reading
-    its own segments; recovery and the replica build theirs by folding
-    records off disk.  Redo entries and pending rounds are bounded by
-    the checkpoint interval and the coalescing window respectively, so
-    the mirror's memory is bounded too.
+    Per-shard batch counters and redo logs, the latest checkpoints, the
+    accepted-but-unbatched rounds (the outboxes), the logical ingest
+    clock, and the watch registry with its per-ego replay-filter seeds.
+    :meth:`fold` is the one place each record kind's effect is written;
+    the live :class:`WriteAheadLog` folds on every append (its ``state``
+    *is* what ``EAGrServer`` serves from, and what compaction
+    snapshots), recovery folds the same records off disk, and a
+    :class:`~repro.serve.replica.ReplicaServer` folds them as it tails.
+    Redo entries and pending rounds are bounded by the checkpoint
+    interval and the coalescing window respectively, so the state's
+    memory is bounded too.
+
+    Not synchronized: the owning log's lock serializes folds; which
+    fields are stable to *read* between folds is decided by the locks
+    the appender holds (``serve/server.py``'s lock-order section).
     """
 
     def __init__(self) -> None:
@@ -335,19 +348,6 @@ class WalState:
         else:
             raise WalError(f"unknown WAL record kind {kind!r}")
 
-    def pending_items(self, shard_id: int) -> List[Any]:
-        """Accepted-but-unbatched rounds for ``shard_id`` as outbox
-        segments (the refill of a dead outbox): packed rounds stay
-        :class:`~repro.core.statestore.WriteFrame` segments, list rounds
-        contribute their triples."""
-        segments: List[Any] = []
-        for _seq, round_items in self.rounds.get(shard_id, ()):
-            if round_items.__class__ is WriteFrame:
-                segments.append(round_items)
-            else:
-                segments.extend(round_items)
-        return segments
-
 
 def _fsync_dir(directory: str) -> None:
     try:
@@ -363,15 +363,17 @@ def _fsync_dir(directory: str) -> None:
 
 
 class WriteAheadLog:
-    """Append-only, CRC-framed, segmented, single-writer WAL (see module
-    docstring).
+    """The durability ledger (:attr:`state`, one fold per append) and,
+    with a directory, its append-only, CRC-framed, segmented,
+    single-writer log (see module docstring).
 
     Parameters
     ----------
     directory:
         The log directory (created if missing).  Existing segments are
         recovered on open: torn tail truncated, state folded, stray
-        ``.tmp`` files and superseded segments removed.
+        ``.tmp`` files and superseded segments removed.  ``None`` keeps
+        the ledger in memory only: nothing is locked, read or written.
     segment_bytes:
         Rotate to a fresh segment once the current one exceeds this.
     compact_min_bytes:
@@ -391,7 +393,7 @@ class WriteAheadLog:
 
     def __init__(
         self,
-        directory: str,
+        directory: Optional[str],
         *,
         segment_bytes: int = 4 << 20,
         compact_min_bytes: int = 1 << 20,
@@ -411,13 +413,26 @@ class WriteAheadLog:
         self._appends = 0
         self._fsyncs = 0
         self._poisoned: Optional[str] = None
+        self._closed = False
+        #: leaf lock: serializes folds (hence ``state``'s rounds and
+        #: redo lists) and the file writes behind them.
         self._lock = threading.Lock()
         self._file = None
         self._lock_fh = None
-        os.makedirs(directory, exist_ok=True)
-        self._acquire_lock()
+        self._segment_index = 0
+        self._tail_bytes = 0
+        self._base_bytes = 0
         self.state = WalState()
-        self._recover()
+        #: whether opening found a log to fold (a cold restart).
+        self.recovered = False
+        if directory is not None:
+            os.makedirs(directory, exist_ok=True)
+            self._acquire_lock()
+            try:
+                self._recover()
+            except BaseException:
+                self.close()
+                raise
 
     # ------------------------------------------------------------------
     # open / recover
@@ -514,7 +529,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def append(self, record: Tuple, sync: bool = False) -> None:
-        """Fold ``record`` into the mirror and write one frame.
+        """Fold ``record`` into :attr:`state` and write one frame.
 
         The write is flushed to the OS (surviving process death); pass
         ``sync=True`` — or call :meth:`sync` after a group of appends —
@@ -524,6 +539,8 @@ class WriteAheadLog:
         with self._lock:
             self._check_usable()
             self.state.fold(record)
+            if self._file is None:
+                return
             frame = encode_frame(record)
             self._appends += 1
             torn_at = self.faults.get("torn_append_at")
@@ -552,7 +569,8 @@ class WriteAheadLog:
         """Force every accepted append to stable storage (fsync)."""
         with self._lock:
             self._check_usable()
-            self._sync_locked()
+            if self._file is not None:
+                self._sync_locked()
 
     def _sync_locked(self) -> None:
         self._file.flush()
@@ -610,7 +628,7 @@ class WriteAheadLog:
         compaction ran."""
         with self._lock:
             self._check_usable()
-            if self.state.num_shards is None:
+            if self._file is None or self.state.num_shards is None:
                 return False
             if len(self.state.checkpoints) < self.state.num_shards:
                 return False
@@ -651,7 +669,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
 
     def _check_usable(self) -> None:
-        if self._file is None:
+        if self._closed:
             raise WalError("WAL is closed")
         if self._poisoned is not None:
             raise WalError(f"WAL is poisoned fail-stop ({self._poisoned})")
@@ -665,6 +683,7 @@ class WriteAheadLog:
 
     def close(self) -> None:
         """Flush, fsync, release the writer lock (idempotent)."""
+        self._closed = True
         if self._file is not None:
             try:
                 if self._poisoned is None:
@@ -699,8 +718,15 @@ class WalTailer:
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
-        self._segment_index: Optional[int] = None
-        self._offset = 0
+        #: ``(segment index or None, byte offset)``, replaced as one
+        #: tuple so another thread always reads a matching pair.
+        self._cursor: Tuple[Optional[int], int] = (None, 0)
+
+    def position(self) -> Tuple[Optional[int], int]:
+        """The cursor ``(segment index, offset)`` — everything before it
+        has been yielded; ``(None, 0)`` before the first attach and
+        while re-anchoring after a compaction."""
+        return self._cursor
 
     def poll(self, limit: Optional[int] = None) -> List[Tuple]:
         records: List[Tuple] = []
@@ -708,8 +734,9 @@ class WalTailer:
             segments = list_segments(self.directory)
             if not segments:
                 return records
-            if self._segment_index is None or not any(
-                index == self._segment_index for index, _p in segments
+            current, start = self._cursor
+            if current is None or not any(
+                index == current for index, _p in segments
             ):
                 # First attach, or our segment was compacted away:
                 # restart from the newest snapshot base.
@@ -720,16 +747,14 @@ class WalTailer:
                     ):
                         base_at = position
                         break
-                self._segment_index = segments[base_at][0]
-                self._offset = 0
+                current, start = segments[base_at][0], 0
             position = next(
-                i for i, (index, _p) in enumerate(segments)
-                if index == self._segment_index
+                i for i, (index, _p) in enumerate(segments) if index == current
             )
             path = segments[position][1]
             try:
                 with open(path, "rb") as fh:
-                    fh.seek(self._offset)
+                    fh.seek(start)
                     while limit is None or len(records) < limit:
                         offset = fh.tell()
                         try:
@@ -737,19 +762,18 @@ class WalTailer:
                         except WalError:
                             record = None  # torn tail: wait for the writer
                         if record is None:
-                            self._offset = offset
+                            self._cursor = (current, offset)
                             break
                         records.append(record)
                     else:
-                        self._offset = fh.tell()
+                        self._cursor = (current, fh.tell())
                         return records
             except FileNotFoundError:
-                self._segment_index = None  # compacted under us: re-anchor
+                self._cursor = (None, 0)  # compacted under us: re-anchor
                 continue
             if position + 1 < len(segments):
                 # A newer segment exists, so this one is finished;
                 # anything unparsed at its tail is dead garbage.
-                self._segment_index = segments[position + 1][0]
-                self._offset = 0
+                self._cursor = (segments[position + 1][0], 0)
                 continue
             return records

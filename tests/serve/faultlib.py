@@ -173,7 +173,7 @@ def arm_kill_point(
     """
     if (after is None) == (before is None):
         raise ValueError("exactly one of after/before is required")
-    offset = len(server._write_log[shard_id])
+    offset = len(server._wal.state.redo.get(shard_id, ()))
     faults: Dict[str, int] = {}
     if after is not None:
         faults["exit_after_writes"] = offset + after

@@ -118,9 +118,7 @@ def test_replica_reads_equal_primary_and_oracle(deployment):
         assert reads == fresh_oracle(env).read_batch(env["nodes"])
         # The watermark is exactly the primary's per-shard batch position
         # once the lag is zero — reads correspond to a whole-batch state.
-        assert replica.watermark() == dict(
-            enumerate(env["server"]._batch_no)
-        )
+        assert replica.watermark() == env["server"]._wal.state.batch_no
         stats = replica.stats()
         assert stats["batches_applied"] > 0
         assert stats["lag_bytes"] == 0
@@ -229,3 +227,59 @@ def test_promotion_refused_while_primary_alive(deployment):
         assert env["server"].read_batch(env["nodes"]) == fresh_oracle(
             env
         ).read_batch(env["nodes"])
+
+
+def test_read_racing_a_tailed_reshard_is_routed_under_the_apply_lock(deployment):
+    """A ``P`` record consumed while ``read_batch`` is between resolving
+    an ego's shard and reading it: the source host has been rebuilt
+    without the moved reader, so a route taken *outside* the apply lock
+    asks a host that no longer owns the ego.  The race is forced, not
+    awaited: the replica tails by hand (its own poll never fires), and a
+    probe key that sorts after the moved ego in the request launches the
+    consumption from inside the routing loop — its ``__hash__`` runs
+    after the ego was resolved, and waits for the consumer thread to
+    finish or to block on the apply lock."""
+    import threading
+
+    env = deployment
+    server, nodes = env["server"], env["nodes"]
+    write_batches(env, random.Random(17), 6)
+    expected = fresh_oracle(env).read_batch(nodes)
+    replica = attach_replica(env, poll_interval=3600.0)
+    consumer_done = threading.Event()
+
+    def consume():
+        with replica._apply_lock:
+            replica._consume(replica._tailer.poll())
+        consumer_done.set()
+
+    consumer = threading.Thread(target=consume)
+
+    class Probe:
+        """Not a graph node: routes nowhere, reads as the identity."""
+
+        def __hash__(self):
+            consumer.start()
+            consumer_done.wait(timeout=0.5)
+            return 0
+
+    try:
+        ego = next(
+            n
+            for n, value in zip(nodes, expected)
+            if server.reader_shard[n] == 0 and value  # a wrong host reads 0.0
+        )
+        server.reshard({ego: 1})
+        assert replica.partition_epoch == 0  # the P is on disk, untailed
+        got = replica.read_batch([ego, Probe()], max_lag_bytes=1 << 30)
+        assert got[0] == expected[nodes.index(ego)]
+        consumer.join(timeout=10.0)
+        assert consumer_done.is_set()
+        # ...and once the P is folded the replica follows the primary's
+        # new partition: same table, same reads, same batch counters.
+        assert replica.partition_epoch == 1
+        assert replica.reader_shard == server.reader_shard
+        assert replica.read_batch(nodes, max_lag_bytes=1 << 30) == expected
+        assert replica.watermark() == server._wal.state.batch_no
+    finally:
+        replica.close()

@@ -237,7 +237,7 @@ class TestCoalescingAndBackpressure:
                 for i in range(12):
                     server.write_batch([(nodes[0], float(i))])
                 # The cap bounded the outbox: a blocking flush happened.
-                assert len(server._outbox[0]) < 12
+                assert server._parked_rows(0) < 12
             server.flush()
 
 
@@ -331,7 +331,7 @@ class TestPackabilityPicksTheRoute:
                 ):
                     server.write_batch(batch)
                     single.write_batch(batch)
-                outbox = list(server._outbox[0])
+                outbox = [items for _seq, items in server._wal.state.rounds[0]]
                 assert outbox
                 assert all(seg.__class__ is WriteFrame for seg in outbox)
                 stamps = [t for seg in outbox for t in seg.timestamps.tolist()]
@@ -491,6 +491,28 @@ class TestDurability:
             server.drain()
             assert server.read_batch(nodes) == single.read_batch(nodes)
 
+    def test_a_checkpoint_restores_the_same_state_every_time(self):
+        """Two restarts from one checkpoint.  An in-process host used to
+        adopt the checkpoint's window buffers as its live ones, so the
+        writes after the first restart edited the restart baseline and
+        the second restart replayed them on top of themselves — which
+        shows once the window is longer than the replay: [1, 2, 4]
+        restored as [1, 2, 4] + replay of 2, 4 sums [4, 2, 4]."""
+        graph = random_graph(20, 80, seed=186)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(3))
+        single = EAGrEngine(graph, query, overlay_algorithm="vnm_a")
+        nodes = list(graph.nodes())
+        with make_server(graph, query, num_shards=2) as server:
+            for step, value in enumerate((1.0, 2.0, 4.0)):
+                batch = [(n, value) for n in nodes]
+                server.write_batch(batch)
+                single.write_batch(batch)
+                if step == 0:
+                    server.checkpoint()
+                else:
+                    assert server.restart_shard(0) == step
+                assert server.read_batch(nodes) == single.read_batch(nodes)
+
     def test_auto_checkpoint_bounds_redo_log(self):
         graph = random_graph(20, 80, seed=185)
         query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
@@ -500,10 +522,11 @@ class TestDurability:
         ) as server:
             for i in range(12):
                 server.write_batch([(n, float(i + 1)) for n in nodes])
+            state = server._wal.state
             assert all(
-                len(log) <= 3 for log in server._write_log
-            ), [len(log) for log in server._write_log]
-            assert set(server._checkpoints) == {0, 1}
+                len(log) <= 3 for log in state.redo.values()
+            ), [len(log) for log in state.redo.values()]
+            assert set(state.checkpoints) == {0, 1}
 
 
 class TestLifecycle:
@@ -515,7 +538,7 @@ class TestLifecycle:
         ex = server._executors[0]
         ex.try_submit = lambda request: False  # trap writes in the outbox
         server.write_batch([(n, 2.0) for n in nodes])
-        assert any(server._outbox)
+        assert any(server._wal.state.rounds.values())
         ex.try_submit = lambda request: (ex.submit(request), True)[1]
         server.close()
         # In-process executors keep their host alive after close: the
@@ -610,7 +633,7 @@ class TestFlushFailurePoisonsServer:
             # Step 1: park a batch in shard 0's outbox (refused submit).
             ex.try_submit = lambda request: False
             server.write_batch([(n, 1.0) for n in nodes])
-            assert server._outbox[0]
+            assert server._wal.state.rounds[0]
             # Step 2: the flush retry hits a hard failure, not a refusal.
             def explode(request):
                 raise OSError("injected: shard transport broken")

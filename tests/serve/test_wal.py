@@ -62,7 +62,7 @@ class FakeCheckpoint:
 
 def fold_wal(directory):
     """Independent re-fold of a log directory (never trusts the writer's
-    in-memory mirror)."""
+    live state)."""
     state = WalState()
     for _index, path in list_segments(directory):
         with open(path, "rb") as fh:
@@ -234,11 +234,11 @@ def test_rollback_record_restores_pending_round(tmp_path):
     wal.append(("RB", 0, 1))  # the submit was refused: undo the assignment
     assert wal.state.redo[0] == []
     assert wal.state.batch_no[0] == 0
-    assert wal.state.pending_items(0) == [("a", 2.0, 1)]
+    assert wal.state.rounds[0] == [(1, [("a", 2.0, 1)])]
     # The same stream must fold identically from disk.
     wal.close()
     reopened = WriteAheadLog(str(tmp_path))
-    assert reopened.state.pending_items(0) == [("a", 2.0, 1)]
+    assert reopened.state.rounds[0] == [(1, [("a", 2.0, 1)])]
     reopened.close()
 
 
@@ -391,12 +391,16 @@ def test_tailer_follows_appends_and_waits_on_torn_tail(tmp_path):
         wal.append(record)
     wal.sync()
     tailer = WalTailer(str(tmp_path))
+    assert tailer.position() == (None, 0)
     assert tailer.poll() == records[:3]
     assert tailer.poll() == []
     for record in records[3:]:
         wal.append(record)
     wal.sync()
     assert tailer.poll() == records[3:]
+    # The cursor is one (segment, offset) pair: everything before it
+    # has been yielded — here, the whole single segment.
+    assert tailer.position() == (1, wal.total_bytes())
     wal.close()
 
     # A torn frame at the newest segment's tail is an append in
@@ -406,10 +410,13 @@ def test_tailer_follows_appends_and_waits_on_torn_tail(tmp_path):
     (segment,) = wal_files(str(tmp_path))
     with open(segment, "ab") as fh:
         fh.write(frame[: len(frame) // 2])
+    parked = tailer.position()
     assert tailer.poll() == []
+    assert tailer.position() == parked  # the half frame is not consumed
     with open(segment, "ab") as fh:
         fh.write(frame[len(frame) // 2:])
     assert tailer.poll() == [("U", "w", None)]
+    assert tailer.position() == (1, os.path.getsize(segment))
 
 
 def test_tailer_crosses_segment_rotation(tmp_path):
@@ -424,6 +431,8 @@ def test_tailer_crosses_segment_rotation(tmp_path):
     seen.extend(tailer.poll())
     assert len(wal_files(str(tmp_path))) > 1
     assert seen == records
+    last_index, last_path = list_segments(str(tmp_path))[-1]
+    assert tailer.position() == (last_index, os.path.getsize(last_path))
     wal.close()
 
 
