@@ -8,7 +8,11 @@ serving tier:
 * :class:`~repro.serve.server.EAGrServer` — the front-end.  Partitions the
   reader space over shards, multicasts write batches to the shards that
   need them through message-coalescing queues with bounded backpressure,
-  routes reads, and manages subscriptions.
+  routes reads, and resolves which shard a subscription's egos live on.
+* :mod:`~repro.serve.subscriptions` — the subscription plane behind it:
+  subscriber states and journals, and the one delivery path that
+  filters, stamps, journals and queues every change report against the
+  ledger's watch registry.
 * :mod:`~repro.serve.shard` — the shard side: a picklable
   :class:`~repro.serve.shard.ShardSpec` describing one shard's slice, the
   :class:`~repro.serve.shard.ShardHost` that builds the shard's engine

@@ -178,8 +178,8 @@ class ChangeFrame:
     ``egos``/``values`` are parallel int64/float64 arrays of every
     *watched* ego whose finalized value changed, and ``batch`` is the
     shard runtime's global write stamp for the batch.  Subscriber
-    fan-out happens front-side (the front-end keeps the ego → watchers
-    reverse map), so the frame stays one row per changed ego no matter
+    fan-out happens front-side (against the ledger's ego → watchers
+    registry), so the frame stays one row per changed ego no matter
     how many subscribers watch it.
     """
 

@@ -203,12 +203,19 @@ class NotificationLog:
         return list(self._entries)
 
     def append(self, entry: Any) -> None:
-        """Record ``entry`` (its stamps must all exceed :attr:`last_stamp`)."""
+        """Record ``entry`` (its stamps must all exceed :attr:`last_stamp`).
+
+        The frame is written before the ring changes: an append that
+        raises (a full disk) leaves the ring exactly as it was, so the
+        caller may treat the entry as never stamped; whatever part of
+        the frame reached the file is compacted away before the next
+        frame lands (see :meth:`_write_frame`)."""
         if getattr(entry, "first_stamp", entry.stamp) <= self.last_stamp:
             raise ValueError(
                 f"non-monotone journal append: stamp {entry.stamp} after "
                 f"{self.last_stamp}"
             )
+        self._write_frame(("A", entry))
         self._entries.append(entry)
         before = self.evicted_through
         self._note_total, self.evicted_through = _evict_excess(
@@ -221,7 +228,6 @@ class NotificationLog:
             # Stamps are per-note contiguous, so the horizon delta *is*
             # the number of notifications evicted.
             self.evictions += self.evicted_through - before
-        self._write_frame(("A", entry))
 
     def replay(self, resume_from: int) -> List[Any]:
         """Every retained entry with stamp ``> resume_from``, in order.
@@ -324,11 +330,21 @@ class NotificationLog:
     def _write_frame(self, frame) -> None:
         if self._file is None:
             return
-        pickle.dump(frame, self._file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._file.flush()
-        self._frames_since_compact += 1
+        # A due compaction runs first: it snapshots the ring as it stands
+        # — before an append's entry, after a truncation — and the frame
+        # then lands behind that snapshot, which is where it replays.
         if self._frames_since_compact >= self._compact_every:
             self.compact()
+        try:
+            pickle.dump(frame, self._file, protocol=pickle.HIGHEST_PROTOCOL)
+            self._file.flush()
+        except BaseException:
+            # The file may now end in part of a frame, and ``_load`` stops
+            # at a tear: have the next write first rewrite it from the
+            # ring, so nothing is ever appended behind the garbage.
+            self._frames_since_compact = self._compact_every
+            raise
+        self._frames_since_compact += 1
 
     def compact(self) -> None:
         """Atomically rewrite the backing file as one snapshot frame."""

@@ -25,12 +25,17 @@ four verbs:
   is transport-independent.
 * :meth:`EAGrServer.subscribe` / :meth:`EAGrServer.unsubscribe` — standing
   queries: shards diff watched egos after each applied batch (via the
-  runtime's O(affected) changed-reader report) and push
-  :class:`~repro.serve.messages.Notification` events, which reply-drainer
-  threads deliver into per-subscriber queues with strictly monotone,
-  **contiguous** per-subscriber stamps.
-* **Durability and resume** — every stamped notification is appended to the
-  subscriber's :class:`~repro.serve.journal.NotificationLog` (bounded ring,
+  runtime's O(affected) changed-reader report) and report one row per
+  changed ego.  This class resolves which shard owns an ego and sends it
+  ``OP_SUBSCRIBE`` / ``OP_UNSUBSCRIBE``; everything after the shard's
+  reply is :class:`~repro.serve.subscriptions.Subscriptions`' — the
+  fan-out to per-subscriber queues with strictly monotone,
+  **contiguous** per-subscriber stamps, the replay filter, the
+  journals.  *Who watches what* is neither's: it is the ledger's fold
+  (``S``/``U``/``P``, below), which ``Subscriptions`` appends to and
+  reads.
+* **Durability and resume** — every stamped notification is journalled
+  (:class:`~repro.serve.journal.NotificationLog`: bounded ring,
   optionally disk-backed) *before* live delivery.  A disconnected client
   reconnects with ``subscribe(..., resume_from=N)`` and receives the
   journal suffix with the original stamps ``> N`` spliced gap-free ahead of
@@ -52,10 +57,10 @@ four verbs:
   shard's restart state (window buffers, watch registry, applied batch
   number), which truncates the ledger's per-shard *redo log* of
   submitted write batches; :meth:`EAGrServer.restart_shard` rebuilds a
-  dead worker from its spec + checkpoint, re-arms subscriptions, and
-  replays the redo log idempotently (batch numbers already applied are
-  skipped shard-side, already-delivered notification values are
-  suppressed front-side).
+  dead worker from its spec + checkpoint, re-arms the ledger's watches
+  on it, and replays the redo log idempotently (batch numbers already
+  applied are skipped shard-side, already-delivered notification values
+  are suppressed front-side).
 * :meth:`EAGrServer.drain` / :meth:`EAGrServer.close` — barrier and
   clean shutdown (flushes, never drops).
 
@@ -85,57 +90,52 @@ Acquired strictly in this order, never the reverse:
    are read-then-advanced atomically), the routing tables' swap,
    ``_migrating`` and the ``writes_*`` counters.  Taken with or without
    a flush lock; nothing but leaves is taken under it.
-   ``_subs_lock`` — subscriber registry, reverse watch maps, stamp
-   assignment + journal append + live put.  Same level: it is never
-   held together with ``_route_lock``.  A reply drainer's ``_deliver``
-   takes this lock and no other, holding none on entry; an in-process
-   shard's ``_deliver`` runs on the submitting thread, under that
-   shard's flush lock.
+   The subscriptions lock (``Subscriptions._lock``) — every field of
+   the :class:`~repro.serve.subscriptions.Subscriptions` object and of
+   the subscriber states it holds (queue, stamp, journal, delivery
+   filter), and nothing of this class's; the ``S`` and ``U`` appends
+   happen under it (their fsync after it).  Same level as the route
+   lock: the two are never held together.  A reply drainer's
+   ``_deliver`` takes this lock and no other, holding none on entry; an
+   in-process shard's ``_deliver`` runs on the submitting thread, under
+   that shard's flush lock.
+
+   What makes ``state.watches[shard]`` stable for a delivery walking it
+   under this lock: only three folds write the registry.  ``S`` and
+   ``U`` are appended under this same lock.  ``P`` is appended under
+   the route lock instead, and moves entries only between shards
+   ``reshard`` has quiesced — it holds their flush locks, their
+   checkpoint replies trailed every earlier change report, and no write
+   reaches their new workers before those locks release — so no
+   delivery, and no ``_replay`` re-arm (flush lock, or boot), reads the
+   slices it edits.
 
 Leaves (nothing is acquired while holding one): ``_seq_lock``,
 ``_pending_lock``, the ledger's lock (it serializes folds, so it is what
 guards the rounds and redo *lists*; the flush and route locks above only
-decide who may append which record), each journal's internal lock, the
-transports' push and attach locks.  ``_scrape_lock`` serializes metric
-scrapes and is taken holding nothing (a queue-transport scrape awaits a
-shard reply under it).  ``_flush_failed`` / ``_poisoned`` /
-``_async_errors`` are written lock-free from the flusher and drainer
-threads (set-add, list-append, first-writer-wins string).
+decide who may append which record), the transports' push and attach
+locks.  ``_scrape_lock`` serializes metric scrapes and is taken holding
+nothing (a queue-transport scrape awaits a shard reply under it).
+``_flush_failed`` / ``_poisoned`` / ``_async_errors`` are written
+lock-free from the flusher and drainer threads (set-add, list-append,
+first-writer-wins string).
 """
 
 from __future__ import annotations
 
 import os as _os
-import queue as _queue
 import threading
 import time as _time
-from collections import deque
 from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Hashable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.execution import normalize_write
 from repro.core.query import EgoQuery
 from repro.core.statestore import WriteFrame, _np
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serve.executors import InProcessShardExecutor, ProcessShardExecutor
-from repro.serve.frames import ChangeFrame, NoteFrame, merge_items
-from repro.serve.journal import (
-    NotificationLog,
-    ResumeGapError,
-    subscriber_log_path,
-)
+from repro.serve.frames import merge_items
 from repro.serve.messages import (
-    Notification,
     OP_CHECKPOINT,
     OP_DRAIN,
     OP_READ,
@@ -144,13 +144,14 @@ from repro.serve.messages import (
     OP_UNSUBSCRIBE,
     OP_WRITE,
     R_ERR,
-    R_OK,
     R_STOPPED,
     R_WRITE,
     ServeError,
     ShardCheckpoint,
 )
 from repro.serve.shard import ShardSpec
+# ``Subscription`` stays importable from here (its public path).
+from repro.serve.subscriptions import Subscription, Subscriptions
 from repro.serve.transport import open_transports
 from repro.serve.wal import WriteAheadLog
 
@@ -167,149 +168,6 @@ class _Call:
         self.result: Any = None
         self.error: Optional[str] = None
         self.shard = shard
-
-
-class _SubState:
-    """Server-side per-subscriber delivery state.
-
-    ``queue`` is ``None`` while the subscriber is disconnected — the
-    journal keeps recording, live delivery is skipped.  ``stamp`` is the
-    last stamp assigned (it survives reconnects; replay re-uses original
-    stamps).  ``last_batch`` maps each ego to the shard write stamp of
-    its last delivered notification: a restarted shard re-derives
-    notifications from its checkpointed baselines under the *same* write
-    stamps (the runtime's global stamp is checkpoint-restored), so any
-    notice at or below the recorded stamp is a replay the subscriber
-    already saw and is suppressed.  ``watches`` maps
-    ``shard_id -> {ego: None}`` so a restarted shard can be re-armed with
-    this subscriber's standing queries.
-    """
-
-    __slots__ = (
-        "queue",
-        "stamp",
-        "subscription",
-        "journal",
-        "last_batch",
-        "watches",
-        "acked",
-    )
-
-    def __init__(self, subscription: "Subscription", journal: NotificationLog) -> None:
-        self.queue = subscription._queue
-        self.journal = journal
-        self.stamp = journal.last_stamp
-        self.subscription = subscription
-        self.last_batch: Dict[NodeId, int] = {}
-        self.watches: Dict[int, Dict[NodeId, None]] = {}
-        self.acked = 0
-
-
-def _note_count(item: Any) -> int:
-    """Notifications carried by one delivery-queue item (frame or object)."""
-    return len(item) if item.__class__ is NoteFrame else 1
-
-
-class Subscription:
-    """A subscriber's handle: baseline snapshot + delivery queue.
-
-    Notifications arrive in per-subscriber stamp order;
-    :attr:`snapshot` holds the value of every subscribed ego at
-    subscription time (the diffing baseline).
-
-    The queue carries a :class:`~repro.serve.frames.NoteFrame` record
-    batch for every change report that packed and individual
-    :class:`~repro.serve.messages.Notification` objects for the rest.
-    :meth:`get` and :meth:`poll` hide the difference — frames
-    materialize into notification objects on demand — while
-    :meth:`poll_batch` hands the raw frames (columnar record-array
-    views) straight to subscribers that want to stay allocation-free.
-    """
-
-    def __init__(self, subscriber: Hashable) -> None:
-        self.subscriber = subscriber
-        self.snapshot: Dict[NodeId, Any] = {}
-        self._queue: "_queue.Queue[Any]" = _queue.Queue()
-        #: notifications materialized from a partially-consumed frame.
-        self._buffer: Deque[Notification] = deque()
-        #: Optional zero-argument callable fired (from the delivery
-        #: thread, outside any blocking wait) after each item lands in
-        #: the queue.  The network gateway points this at its event
-        #: loop so an async pump can sleep on an event instead of
-        #: burning a thread per subscription.  Exceptions are swallowed:
-        #: a dying hook must never take the reply drainer down with it.
-        self.on_delivery: Optional[Callable[[], None]] = None
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Notification]:
-        """Next notification, blocking up to ``timeout`` (``None``: forever);
-        returns ``None`` on timeout.
-
-        The deadline is absolute, computed once on entry: however many
-        internal waits servicing the call takes, it returns no later
-        than ``timeout`` seconds after it started — a wait can never be
-        extended by wakeups that yield nothing.
-        """
-        if self._buffer:
-            return self._buffer.popleft()
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        while True:
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    return None
-            try:
-                item = self._queue.get(timeout=remaining)
-                break
-            except _queue.Empty:
-                return None
-        if item.__class__ is NoteFrame:
-            notes = item.notifications()
-            self._buffer.extend(notes[1:])
-            return notes[0]
-        return item
-
-    def poll(self) -> List[Notification]:
-        """Drain everything currently queued without blocking."""
-        drained: List[Notification] = list(self._buffer)
-        self._buffer.clear()
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except _queue.Empty:
-                return drained
-            if item.__class__ is NoteFrame:
-                drained.extend(item.notifications())
-            else:
-                drained.append(item)
-
-    def poll_batch(self) -> List[Any]:
-        """Drain without materializing: the columnar fast path.
-
-        Returns the queued delivery items as they arrived —
-        :class:`~repro.serve.frames.NoteFrame` batches whose ``records``
-        attribute is the raw ``(ego, value, stamp, batch)`` record array
-        (call :meth:`NoteFrame.notifications` per frame only if objects
-        are needed), and plain :class:`Notification` objects for change
-        reports that could not pack.  Notifications already
-        materialized by an interleaved :meth:`get` are prepended as
-        objects so no stamp is ever skipped or reordered.
-        """
-        drained: List[Any] = list(self._buffer)
-        self._buffer.clear()
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except _queue.Empty:
-                return drained
-
-    @property
-    def pending(self) -> int:
-        """Number of undelivered notifications currently queued."""
-        with self._queue.mutex:
-            queued = sum(_note_count(item) for item in self._queue.queue)
-        return len(self._buffer) + queued
 
 
 class EAGrServer:
@@ -483,11 +341,7 @@ class EAGrServer:
         self._coalesce_max = coalesce_max
         self._reply_timeout = reply_timeout
         self._mp_context = mp_context
-        self._journal_capacity = journal_capacity
-        self._journal_dir = journal_dir
         self._checkpoint_interval = checkpoint_interval
-        if journal_dir is not None:
-            _os.makedirs(journal_dir, exist_ok=True)
 
         # -- live resharding state ---------------------------------------
         self.partition_epoch = 0
@@ -512,8 +366,6 @@ class EAGrServer:
         self._seq_lock = threading.Lock()
         self._pending: Dict[int, _Call] = {}
         self._pending_lock = threading.Lock()
-        self._subs: Dict[Hashable, _SubState] = {}
-        self._subs_lock = threading.Lock()
         self._async_errors: List[str] = []
         #: lazy routing cache for packed write batches: ``None`` or a
         #: ``(writer_shards, table_or_None)`` pair keyed by the exact
@@ -542,38 +394,32 @@ class EAGrServer:
         self.recovered_batches = 0
         self.writes_sent = 0
         self.writes_delivered = 0
-        self.notifications_delivered = 0
-        self.notifications_replayed = 0
-        self.notifications_suppressed = 0
         self.coalesced_flushes = 0
         self.restarts = 0
         self.replayed_batches = 0
         self.shm_reads = 0
 
-        # -- notification fan-out bookkeeping ------------------------------
-        #: per-shard ego -> ordered {subscriber: None} reverse watch map,
-        #: mirrored from the shard-side registries under the subs lock:
-        #: change reports carry one row per changed ego and the
-        #: subscriber fan-out happens here, front-side.
-        self._ego_watchers: List[Dict[NodeId, Dict[Hashable, None]]] = [
-            {} for _ in range(num_shards)
-        ]
-        #: per-shard egress codec counters (complements each executor's
-        #: ingress ``io`` dict in :meth:`server_stats`).
-        self._egress: List[Dict[str, int]] = [
-            {"egress_bytes": 0, "notes_binary": 0, "notes_pickle": 0}
-            for _ in range(num_shards)
-        ]
-
         #: The durability ledger (see module docstring): the outboxes
         #: (``state.rounds``), batch counters, redo log, checkpoints,
-        #: ingest clock and watch seeds live in ``_wal.state`` and
+        #: ingest clock and watch registry live in ``_wal.state`` and
         #: nowhere else.  With ``wal_dir`` it opens — and recovers —
         #: the on-disk log; whatever fails from here on closes it
         #: again, so a retry on the same directory finds the
         #: single-writer lock free.
         self._wal = WriteAheadLog(wal_dir, **wal_kwargs)
         try:
+            #: The subscription plane (``serve/subscriptions.py``):
+            #: subscriber states, journals and delivery over the ledger's
+            #: watch registry.  Over a recovered log it comes up holding
+            #: every watching subscriber, disconnected, before any worker
+            #: boots.
+            self._subs = Subscriptions(
+                self._wal,
+                num_shards,
+                journal_capacity,
+                journal_dir,
+                self._m_latency.observe,
+            )
             self._boot(assign, queue_depth, ring_bytes, value_store, engine_kwargs)
         except BaseException:
             self._wal.close()
@@ -622,7 +468,7 @@ class EAGrServer:
                 self.assignment = "custom" if assign is not None else "single"
 
             #: reader node -> owning shard (the user predicate already
-            #: applied; same partition semantics as PartitionedEngine).
+            #: applied: a node it filters out has no owner).
             self.reader_shard = partition_readers(graph, query, num_shards, assign)
             self._wal.append(
                 (
@@ -679,8 +525,6 @@ class EAGrServer:
             for shard_id in range(num_shards)
         ]
         self._executors: List[Any] = [None] * num_shards
-        if recovered:
-            self._recover_subscribers()
         # Every worker boots before any replay starts, so the shards
         # build their overlays in parallel.
         for shard_id in range(num_shards):
@@ -758,10 +602,9 @@ class EAGrServer:
         must re-derive notifications under the stamps the previous epoch
         delivered.  A process executor resets the shard's transport
         before spawning, dropping the frames the predecessor abandoned
-        and every cached view of its state.  Watches are re-armed before
-        this returns, hence before any write reaches the new worker (the
-        executors are FIFO), so its diffing baselines sit at
-        checkpoint-time values.
+        and every cached view of its state.  The worker knows the
+        watches its checkpoint carried; :meth:`_replay` brings it the
+        rest.
         """
         old = self._executors[shard_id]
         if old is not None and old.alive():
@@ -786,7 +629,6 @@ class EAGrServer:
             # Every failed shard has been rebuilt: acceptance may resume
             # (the un-poison mirror of _fail_shard).
             self._poisoned = None
-        self._rearm_watches(shard_id)
 
     def _build_writer_shards(
         self, reader_shard: Dict[NodeId, int]
@@ -800,58 +642,16 @@ class EAGrServer:
                 routing.setdefault(writer, {})[shard_id] = None
         return {w: tuple(s) for w, s in routing.items()}
 
-    def _recover_subscribers(self) -> None:
-        """Cold restart, before the workers boot: rebuild per-subscriber
-        state from the folded WAL so :meth:`_replace_worker` has watches
-        to re-arm.
-
-        The disk journal reloads (stamps continue where they stopped),
-        the watch registry comes from the fold, and the per-ego replay
-        filter is rehydrated from the subscribe-time seeds plus the
-        retained journal entries' ``batch`` tags (valid here, and only
-        here, because the batch-exact replay reproduces pre-crash shard
-        stamps precisely).  Recovered subscribers start *disconnected*
-        (their client died with the old process);
-        ``subscribe(resume_from=N)`` splices them back in with no gap
-        and no duplicate.
-        """
-        for subscriber, shard_watches in self._wal.state.watches.items():
-            if not any(shard_watches.values()):
-                continue
-            state = self._make_substate(subscriber)
-            state.queue = None
-            for shard_id, egos in shard_watches.items():
-                if not egos:
-                    continue
-                state.watches[shard_id] = dict.fromkeys(egos)
-                watchers = self._ego_watchers[shard_id]
-                for ego, seed in egos.items():
-                    state.last_batch[ego] = seed
-                    watchers.setdefault(ego, {})[subscriber] = None
-            for note in state.journal.entries():
-                if note.__class__ is NoteFrame:
-                    # One journal entry may cover many egos: rehydrate the
-                    # replay filter row by row from the record columns.
-                    for ego, batch in zip(
-                        note.records["ego"].tolist(),
-                        note.records["batch"].tolist(),
-                    ):
-                        if state.last_batch.get(ego, -1) < batch:
-                            state.last_batch[ego] = batch
-                elif state.last_batch.get(note.ego, -1) < note.batch:
-                    state.last_batch[note.ego] = note.batch
-            with self._subs_lock:
-                self._subs[subscriber] = state
-
     def _recover_writes(self) -> None:
         """Cold restart, after the workers boot (each from its
-        checkpoint, watches re-armed) and before the background flusher
-        starts, so nothing races the replay: the redo suffix replays in
-        order — already-checkpointed batches are skipped shard-side,
-        re-derived notifications the dead epoch delivered are suppressed
-        front-side.  Accepted-but-never-batched rounds (the dead
-        outboxes) are already where the fold left them — in the
-        outboxes — and flush as fresh batches behind the replay."""
+        checkpoint) and before the background flusher starts, so
+        nothing races the replay: per shard, watches re-arm and the
+        redo suffix replays in order — already-checkpointed batches are
+        skipped shard-side, re-derived notifications the dead epoch
+        delivered are suppressed front-side.  Accepted-but-never-batched
+        rounds (the dead outboxes) are already where the fold left them
+        — in the outboxes — and flush as fresh batches behind the
+        replay."""
         crash_after = self._wal.faults.get("crash_after_replay_batches")
         replayed = 0
         for shard_id in range(self.num_shards):
@@ -865,27 +665,25 @@ class EAGrServer:
         self.recovered_batches = replayed
         self.replayed_batches += replayed
 
-    def _rearm_watches(self, shard_id: int) -> None:
-        """Re-arm every subscriber's standing watches on a freshly built
-        worker (see :meth:`_replace_worker` for the ordering)."""
-        with self._subs_lock:
-            rearm = [
-                (subscriber, list(state.watches[shard_id]))
-                for subscriber, state in self._subs.items()
-                if state.watches.get(shard_id)
-            ]
-        ex = self._executors[shard_id]
-        for subscriber, watch_nodes in rearm:
-            ex.submit((OP_SUBSCRIBE, self._next_seq(), subscriber, watch_nodes))
-
     def _replay(self, shard_id: int, crash_after: Optional[int] = None) -> int:
-        """Bring a rebuilt worker up to date: replay the shard's redo
-        log in order; returns the batches replayed.  Batch numbers the
-        worker's checkpoint already covers are skipped shard-side,
-        re-derived notifications subscribers already saw are suppressed
-        front-side.  ``crash_after`` is the WAL fault plan's remaining
-        replay budget (tests only)."""
+        """Bring a worker rebuilt from the shard's last checkpoint up to
+        date with what the ledger recorded since (flush lock held, or
+        booting).  Watches *first* — ahead, in the FIFO, of any write,
+        so diffing baselines sit at checkpoint-time values: the ones
+        forgotten since the checkpoint are dropped, the registry's are
+        re-armed.  Then the redo log replays in order; returns the
+        batches replayed.  Batch numbers the checkpoint already covers
+        are skipped shard-side, re-derived notifications subscribers
+        already saw are suppressed front-side.  ``crash_after`` is the
+        WAL fault plan's remaining replay budget (tests only)."""
         ex = self._executors[shard_id]
+        checkpoint = self._wal.state.checkpoints.get(shard_id)
+        stale, standing = self._subs.rearm(
+            shard_id, checkpoint.watchers if checkpoint is not None else {}
+        )
+        for op, watches in ((OP_UNSUBSCRIBE, stale), (OP_SUBSCRIBE, standing)):
+            for subscriber, egos in watches:
+                ex.submit((op, self._next_seq(), subscriber, egos))
         replayed = 0
         for batch_no, items in self._wal.state.redo.get(shard_id, ()):
             if items.__class__ is WriteFrame:
@@ -969,125 +767,28 @@ class EAGrServer:
         return handle
 
     def _deliver(self, shard_id: int, changes: Any) -> None:
-        """Fan a shard's change report out into subscriber journals and
-        queues.
-
-        The shard reports one ``(ego, value)`` row per changed watched
-        ego — a :class:`~repro.serve.frames.ChangeFrame` when the rows
-        packed, ``(ego, value, batch)`` triples otherwise, all stamped
-        with the one write stamp of the batch that caused them — and the
-        subscriber fan-out happens here against the front-side reverse
-        watch map.  Stamps are assigned here, once, under the subscriber
-        lock, contiguous per subscriber in the shard's report order, and
-        the journal append happens *before* the live put, so every
-        stamped notification is resumable.  A row whose shard write
-        stamp is at or below the last one delivered for that ego is a
-        replay (a restarted shard re-diffing from its checkpointed
-        baseline under checkpoint-restored stamps) and is suppressed:
-        delivery is exactly-once per change even across shard restarts.
-
-        A packed report lands as one
-        :class:`~repro.serve.frames.NoteFrame` per subscriber — one
-        journal entry, one queue put, zero ``Notification`` allocations
-        — and a list report as individual
-        :class:`~repro.serve.messages.Notification` objects; stamps,
-        suppression and journal order are the same either way.
-        """
+        """Hand a shard's change report to the subscription plane
+        (:meth:`Subscriptions.deliver` fans it out), timing the
+        write→notify loop when the report carries an ingress stamp."""
         if not len(changes):
             return
-        packed = changes.__class__ is ChangeFrame
-        ingress = latency = None
-        if packed:
-            egos = changes.egos.tolist()
-            values = changes.values.tolist()
-            batch = changes.batch
-            ingress = changes.ingress
-            if ingress is not None and self.metrics_enabled:
-                # T1 is taken here, in the same process whose clock
-                # stamped T0 — no cross-process monotonic skew.  A stamp
-                # from a dead epoch that slipped past the recovery
-                # zeroing would read as an absurd duration; the guard
-                # discards it (counted) rather than poisoning the
-                # histogram.
-                latency = _time.monotonic() - ingress
-                if not 0.0 <= latency < 3600.0:
-                    self._m_latency_discarded.inc()
-                    latency = None
-        else:
-            # one report = one applied batch: every row has its stamp
-            egos, values, (batch, *_same) = zip(*changes)
-        with self._subs_lock:
-            watchers = self._ego_watchers[shard_id]
-            per_sub: Dict[Hashable, Tuple[List[NodeId], List[Any]]] = {}
-            for ego, value in zip(egos, values):
-                subs = watchers.get(ego)
-                if not subs:
-                    continue
-                for subscriber in subs:
-                    state = self._subs.get(subscriber)
-                    if state is None:  # unsubscribed while in flight
-                        continue
-                    last = state.last_batch
-                    if last.get(ego, -1) >= batch:
-                        self.notifications_suppressed += 1
-                        continue
-                    last[ego] = batch
-                    entry = per_sub.get(subscriber)
-                    if entry is None:
-                        entry = per_sub[subscriber] = ([], [])
-                    entry[0].append(ego)
-                    entry[1].append(value)
-            egress = self._egress[shard_id]
-            for subscriber, (sub_egos, sub_values) in per_sub.items():
-                state = self._subs[subscriber]
-                first_stamp = state.stamp + 1
-                state.stamp += len(sub_egos)
-                if packed:
-                    items: List[Any] = [
-                        NoteFrame.build(
-                            subscriber,
-                            shard_id,
-                            sub_egos,
-                            sub_values,
-                            first_stamp,
-                            batch,
-                            ingress=ingress,
-                        )
-                    ]
-                    egress["notes_binary"] += len(sub_egos)
-                    egress["egress_bytes"] += items[0].nbytes
-                else:
-                    items = [
-                        Notification(
-                            subscriber=subscriber,
-                            ego=ego,
-                            value=value,
-                            stamp=stamp,
-                            shard=shard_id,
-                            batch=batch,
-                        )
-                        for stamp, (ego, value) in enumerate(
-                            zip(sub_egos, sub_values), first_stamp
-                        )
-                    ]
-                    egress["notes_pickle"] += len(sub_egos)
-                hook = state.subscription.on_delivery
-                for item in items:
-                    state.journal.append(item)
-                    if state.queue is not None:
-                        state.queue.put(item)
-                        if hook is not None:
-                            try:
-                                hook()
-                            except Exception:  # noqa: BLE001 - see on_delivery
-                                pass
-                self.notifications_delivered += len(sub_egos)
-                if latency is not None:
-                    self._m_latency.observe(latency)
-            if latency is not None and per_sub:
-                self.slow_ops.note(
-                    "write_notify", latency, shard=shard_id, egos=len(egos)
-                )
+        latency = None
+        ingress = getattr(changes, "ingress", None)  # packed reports only
+        if ingress is not None and self.metrics_enabled:
+            # T1 is taken here, in the same process whose clock stamped
+            # T0 — no cross-process monotonic skew.  A stamp from a dead
+            # epoch that slipped past the recovery zeroing would read as
+            # an absurd duration; the guard discards it (counted) rather
+            # than poisoning the histogram.
+            latency = _time.monotonic() - ingress
+            if not 0.0 <= latency < 3600.0:
+                self._m_latency_discarded.inc()
+                latency = None
+        reached = self._subs.deliver(shard_id, changes, latency)
+        if latency is not None and reached:
+            self.slow_ops.note(
+                "write_notify", latency, shard=shard_id, egos=len(changes)
+            )
 
     def _submit_call(self, shard_id: int, op: int, *payload: Any) -> _Call:
         seq = self._next_seq()
@@ -1461,6 +1162,30 @@ class EAGrServer:
         """Evaluate the query at one node."""
         return self.read_batch([node])[0]
 
+    def _owning_shards(self, nodes: List[NodeId]) -> Dict[int, List[int]]:
+        """``{shard: positions in nodes}`` for the nodes some shard owns,
+        with those shards' outboxes flushed — what every per-ego request
+        (read, subscribe, unsubscribe) is addressed by.
+
+        Resolution retries across a concurrent ``reshard``: a blocking
+        flush that waited out a migration may have resolved ownership
+        against the pre-swap table, and a request sent by it would reach
+        a shard that no longer owns the ego (``reshard`` installs a
+        *new* dict, so identity comparison detects the swap exactly).
+        """
+        for _attempt in range(8):
+            table = self.reader_shard
+            per_shard: Dict[int, List[int]] = {}
+            for position, node in enumerate(nodes):
+                shard_id = table.get(node)
+                if shard_id is not None:
+                    per_shard.setdefault(shard_id, []).append(position)
+            for shard_id in per_shard:
+                self._flush_shard(shard_id, block=True)
+            if self.reader_shard is table:
+                break
+        return per_shard
+
     def read_batch(self, nodes: Sequence[NodeId]) -> List[Any]:
         """Evaluate the query at each node, preserving input order.
 
@@ -1478,23 +1203,8 @@ class EAGrServer:
         aggregate = self.query.aggregate
         identity = aggregate.finalize(aggregate.identity())
         results: List[Any] = [identity] * len(nodes)
-        # Shard resolution retries across a concurrent ``reshard``: a
-        # blocking flush that waited out a migration may have resolved
-        # ownership against the pre-swap table (``reshard`` installs a
-        # *new* dict, so identity comparison detects the swap exactly).
-        for _attempt in range(8):
-            table = self.reader_shard
-            per_shard: Dict[int, List[int]] = {}
-            for position, node in enumerate(nodes):
-                shard_id = table.get(node)
-                if shard_id is not None:
-                    per_shard.setdefault(shard_id, []).append(position)
-            for shard_id in per_shard:
-                self._flush_shard(shard_id, block=True)
-            if self.reader_shard is table:
-                break
         calls = []
-        for shard_id, positions in per_shard.items():
+        for shard_id, positions in self._owning_shards(nodes).items():
             leftover = self._executors[shard_id].read_local(
                 nodes,
                 positions,
@@ -1520,31 +1230,6 @@ class EAGrServer:
     # ------------------------------------------------------------------
     # subscriptions
     # ------------------------------------------------------------------
-
-    def _make_substate(self, subscriber: Hashable) -> _SubState:
-        """Build fresh per-subscriber state (caller holds the subs lock).
-
-        With a journal directory configured, a pre-existing log file is
-        reloaded — stamps continue where they left off and the retained
-        suffix is resumable even across a front-end process restart.
-        """
-        path = (
-            subscriber_log_path(self._journal_dir, subscriber)
-            if self._journal_dir is not None
-            else None
-        )
-        journal = NotificationLog(capacity=self._journal_capacity, path=path)
-        # Note: the per-ego replay filter (``last_batch``) is deliberately
-        # NOT rehydrated from a reloaded journal here.  Its batch tags are
-        # shard write stamps, which are stable across checkpoint-restored
-        # shard restarts *within* a serving epoch — but a non-WAL reboot
-        # builds fresh shards whose stamps restart at 0, so old-epoch tags
-        # would suppress every new notification.  Fresh subscriptions
-        # re-seed the filter at their subscribe-time stamps instead.  The
-        # one path where rehydration *is* valid — WAL cold restart, whose
-        # batch-exact replay reproduces old-epoch stamps — does it in
-        # ``_recover_from_wal``.
-        return _SubState(Subscription(subscriber), journal)
 
     def subscribe(
         self,
@@ -1576,76 +1261,24 @@ class EAGrServer:
         """
         self._check_open()
         nodes = list(nodes) if nodes is not None else []
-        with self._subs_lock:
-            state = self._subs.get(subscriber)
-            if state is None:
-                state = self._make_substate(subscriber)
-                self._subs[subscriber] = state
-            if resume_from is not None:
-                replayed = state.journal.replay(resume_from)  # may raise
-                subscription = Subscription(subscriber)
-                state.subscription = subscription
-                state.queue = subscription._queue
-                for note in replayed:
-                    state.queue.put(note)
-                self.notifications_replayed += sum(
-                    _note_count(note) for note in replayed
-                )
-            elif state.queue is None:
-                # Re-baseline after a disconnect (e.g. the resume window
-                # was lost to a ResumeGapError): fresh queue, no replay —
-                # the journal suffix is forfeited, live delivery resumes.
-                subscription = Subscription(subscriber)
-                state.subscription = subscription
-                state.queue = subscription._queue
-            subscription = state.subscription
-        aggregate = self.query.aggregate
-        identity = aggregate.finalize(aggregate.identity())
-        # Same reshard-aware re-resolution as ``read_batch``: settle on a
-        # routing table that survived the blocking flushes before arming
-        # any shard-side watch.
-        for _attempt in range(8):
-            table = self.reader_shard
-            per_shard: Dict[int, List[NodeId]] = {}
-            for node in nodes:
-                shard_id = table.get(node)
-                if shard_id is not None:
-                    per_shard.setdefault(shard_id, []).append(node)
-            for shard_id in per_shard:
-                self._flush_shard(shard_id, block=True)
-            if self.reader_shard is table:
-                break
-        for node in nodes:
-            if table.get(node) is None:
-                subscription.snapshot[node] = identity
-        calls = []
-        for shard_id, shard_nodes in per_shard.items():
-            calls.append(
-                self._submit_call(shard_id, OP_SUBSCRIBE, subscriber, shard_nodes)
-            )
+        subscription = self._subs.attach(subscriber, resume_from)  # may raise
+        per_shard = {
+            shard_id: [nodes[position] for position in positions]
+            for shard_id, positions in self._owning_shards(nodes).items()
+        }
+        calls = [
+            self._submit_call(shard_id, OP_SUBSCRIBE, subscriber, shard_nodes)
+            for shard_id, shard_nodes in per_shard.items()
+        ]
         for (shard_id, shard_nodes), (snapshot, shard_stamp) in zip(
             per_shard.items(), self._await(calls)
         ):
             subscription.snapshot.update(snapshot)
-            with self._subs_lock:
-                state.watches.setdefault(shard_id, {}).update(
-                    dict.fromkeys(shard_nodes)
-                )
-                watchers = self._ego_watchers[shard_id]
-                for ego in shard_nodes:
-                    watchers.setdefault(ego, {})[subscriber] = None
-                for ego in snapshot:
-                    # Seed the replay filter at the subscribe-time stamp:
-                    # a redo replay of earlier batches must not notify
-                    # this subscriber.  setdefault — a racing live
-                    # delivery (necessarily a later stamp) wins.
-                    state.last_batch.setdefault(ego, shard_stamp)
-            # Persist the watch *and* its filter seed: a cold restart
-            # must not deliver pre-subscription changes either.
-            self._wal.append(
-                ("S", subscriber, shard_id, list(shard_nodes), shard_stamp),
-                sync=True,
-            )
+            self._subs.watch(subscriber, shard_id, shard_nodes, shard_stamp)
+        aggregate = self.query.aggregate
+        identity = aggregate.finalize(aggregate.identity())
+        for node in nodes:
+            subscription.snapshot.setdefault(node, identity)  # no shard owns it
         return subscription
 
     def disconnect(self, subscriber: Hashable) -> int:
@@ -1657,12 +1290,7 @@ class EAGrServer:
         (what a fully caught-up client would resume from).  Unknown
         subscribers return 0.
         """
-        with self._subs_lock:
-            state = self._subs.get(subscriber)
-            if state is None:
-                return 0
-            state.queue = None
-            return state.stamp
+        return self._subs.disconnect(subscriber)
 
     def last_stamp(self, subscriber: Hashable) -> int:
         """The last notification stamp assigned to ``subscriber`` (0 for
@@ -1670,18 +1298,14 @@ class EAGrServer:
         this value as its resume token; the gateway reports it in
         subscribe replies so reconnect cursors start from truth rather
         than from whatever the client last saw."""
-        with self._subs_lock:
-            state = self._subs.get(subscriber)
-            return 0 if state is None else state.stamp
+        return self._subs.last_stamp(subscriber)
 
     def resume_horizon(self, subscriber: Hashable) -> int:
         """The oldest stamp a ``resume_from`` may name without raising
         :class:`~repro.serve.journal.ResumeGapError` — the subscriber's
         journal horizon (``evicted_through``).  0 for unknown
         subscribers (everything is resumable)."""
-        with self._subs_lock:
-            state = self._subs.get(subscriber)
-            return 0 if state is None else state.journal.resumable_from
+        return self._subs.resume_horizon(subscriber)
 
     def ack(self, subscriber: Hashable, stamp: int) -> int:
         """Acknowledge delivery through ``stamp``: the journal drops that
@@ -1693,17 +1317,7 @@ class EAGrServer:
         advance the journal's horizon past its own stamp counter and
         poison the next append (killing the reply drainer).
         """
-        with self._subs_lock:
-            state = self._subs.get(subscriber)
-            if state is None:
-                return 0
-            if stamp > state.stamp:
-                raise ValueError(
-                    f"cannot ack stamp {stamp}: nothing beyond "
-                    f"{state.stamp} has been delivered to {subscriber!r}"
-                )
-            state.acked = max(state.acked, stamp)
-            return state.journal.truncate(stamp)
+        return self._subs.ack(subscriber, stamp)
 
     def unsubscribe(
         self, subscriber: Hashable, nodes: Optional[Sequence[NodeId]] = None
@@ -1715,64 +1329,20 @@ class EAGrServer:
         in-flight notifications for it are dropped.
         """
         self._check_open()
-        calls = []
         if nodes is None:
-            for shard_id in range(self.num_shards):
-                calls.append(
-                    self._submit_call(shard_id, OP_UNSUBSCRIBE, subscriber, None)
-                )
+            per_shard: Dict[int, Any] = dict.fromkeys(range(self.num_shards))
         else:
-            per_shard: Dict[int, List[NodeId]] = {}
-            for node in nodes:
-                shard_id = self.reader_shard.get(node)
-                if shard_id is not None:
-                    per_shard.setdefault(shard_id, []).append(node)
-            for shard_id, shard_nodes in per_shard.items():
-                calls.append(
-                    self._submit_call(
-                        shard_id, OP_UNSUBSCRIBE, subscriber, shard_nodes
-                    )
-                )
+            nodes = list(nodes)
+            per_shard = {
+                shard_id: [nodes[position] for position in positions]
+                for shard_id, positions in self._owning_shards(nodes).items()
+            }
+        calls = [
+            self._submit_call(shard_id, OP_UNSUBSCRIBE, subscriber, shard_nodes)
+            for shard_id, shard_nodes in per_shard.items()
+        ]
         removed = sum(self._await(calls))
-        self._wal.append(
-            ("U", subscriber, None if nodes is None else list(nodes)),
-            sync=True,
-        )
-        if nodes is None:
-            # Deliberate retirement: the journal (and its file) go too —
-            # this is the one path that forgets a subscriber entirely.
-            with self._subs_lock:
-                state = self._subs.pop(subscriber, None)
-                for watchers in self._ego_watchers:
-                    for ego in list(watchers):
-                        watchers[ego].pop(subscriber, None)
-                        if not watchers[ego]:
-                            del watchers[ego]
-            if state is not None:
-                state.journal.close()
-                if state.journal.path is not None:
-                    try:
-                        _os.remove(state.journal.path)
-                    except OSError:  # pragma: no cover - best effort
-                        pass
-        else:
-            with self._subs_lock:
-                state = self._subs.get(subscriber)
-                if state is not None:
-                    for shard_id, shard_nodes in per_shard.items():
-                        watched = state.watches.get(shard_id)
-                        watchers = self._ego_watchers[shard_id]
-                        for node in shard_nodes:
-                            if watched is not None:
-                                watched.pop(node, None)
-                            subs = watchers.get(node)
-                            if subs is not None:
-                                subs.pop(subscriber, None)
-                                if not subs:
-                                    del watchers[node]
-                            # Forget the replay filter: a re-subscribe
-                            # re-seeds it at the new subscribe stamp.
-                            state.last_batch.pop(node, None)
+        self._subs.forget(subscriber, nodes)
         return removed
 
     # ------------------------------------------------------------------
@@ -1907,7 +1477,7 @@ class EAGrServer:
            every affected shard adopts the *maximum* write stamp/clock so
            re-derived notifications can never collide with a moved ego's
            replay filter.  Old workers are killed, new ones boot from the
-           synthetic checkpoints, watches re-arm first (restart order).
+           synthetic checkpoints, watches included.
         4. **Swap**, atomically under the route lock: a *new* routing
            table is installed (readers re-resolve by dict identity), the
            residue is re-routed under the new table (a write kept where
@@ -1916,7 +1486,8 @@ class EAGrServer:
            and a single WAL ``P`` record (epoch, moves, synthetic
            checkpoints, rerouted residue) makes the whole migration one
            atomic recovery event: a crash replays entirely before or
-           entirely after it.
+           entirely after it.  Its fold is also what moves the watch
+           registry's entries with their egos — here and on recovery.
         5. The flush locks release, residue flushes to the new workers,
            the partition epoch bumps (resetting the observed replication
            window).
@@ -2071,22 +1642,12 @@ class EAGrServer:
             # Past this point a failure leaves shards mid-rebuild:
             # fail-stop (poison) instead of unwinding, like a flush crash.
             try:
-                # Move the front-side watch bookkeeping with the egos
-                # (the step-2 checkpoint replies trailed every earlier
-                # change report, so none is in flight), then rebuild the
-                # workers — each re-arms from the moved bookkeeping.
-                with self._subs_lock:
-                    for ego, dst in moves.items():
-                        src = old_table[ego]
-                        subs = self._ego_watchers[src].pop(ego, None)
-                        if subs:
-                            self._ego_watchers[dst][ego] = subs
-                    for state in self._subs.values():
-                        for ego, dst in moves.items():
-                            src_watch = state.watches.get(old_table[ego])
-                            if src_watch is not None and ego in src_watch:
-                                del src_watch[ego]
-                                state.watches.setdefault(dst, {})[ego] = None
+                # The synthetic checkpoints carry the moved watches, so
+                # the new workers boot armed.  The front-side registry
+                # follows at the swap, by the ``P`` fold: the step-2
+                # checkpoint replies trailed every earlier change report
+                # and no write reaches a new worker before the flush
+                # locks release, so no delivery runs in between.
                 for shard_id in affected:
                     self._replace_worker(
                         shard_id,
@@ -2203,6 +1764,22 @@ class EAGrServer:
         return summary
 
     @property
+    def notifications_delivered(self) -> int:
+        """Notifications journalled (and, for connected subscribers,
+        queued) so far."""
+        return self._subs.delivered
+
+    @property
+    def notifications_replayed(self) -> int:
+        """Notifications re-queued from journals by ``resume_from``."""
+        return self._subs.replayed
+
+    @property
+    def notifications_suppressed(self) -> int:
+        """Re-derived rows the replay filter withheld."""
+        return self._subs.suppressed
+
+    @property
     def replication_factor(self) -> float:
         """**Planned** replication: mean shards per writer in the current
         routing table — what the partitioner promised, independent of
@@ -2255,11 +1832,7 @@ class EAGrServer:
             self._closed = True
             for ex in self._executors:
                 ex.stop(self._next_seq())
-            # Journal files survive close (that is the point: a rebooted
-            # front-end reloads them); only the handles are released.
-            with self._subs_lock:
-                for state in self._subs.values():
-                    state.journal.close()
+            self._subs.close()
             for transport in self._transports:
                 # Unlinks every segment the deployment named, by name.
                 transport.close()
@@ -2293,9 +1866,9 @@ class EAGrServer:
         server.update(
             writes_sent=self.writes_sent,
             writes_delivered=self.writes_delivered,
-            notifications_delivered=self.notifications_delivered,
-            notifications_replayed=self.notifications_replayed,
-            notifications_suppressed=self.notifications_suppressed,
+            notifications_delivered=self._subs.delivered,
+            notifications_replayed=self._subs.replayed,
+            notifications_suppressed=self._subs.suppressed,
             coalesced_flushes=self.coalesced_flushes,
             restarts=self.restarts,
             replayed_batches=self.replayed_batches,
@@ -2305,7 +1878,7 @@ class EAGrServer:
         shard_io: Dict[str, Dict[str, int]] = {}
         codec_mix: Dict[str, int] = {}
         for shard_id in range(self.num_shards):
-            row = {**self._executors[shard_id].io, **self._egress[shard_id]}
+            row = {**self._executors[shard_id].io, **self._subs.egress[shard_id]}
             shard_io[str(shard_id)] = row
             for key, value in row.items():
                 codec_mix[key] = codec_mix.get(key, 0) + value
@@ -2334,14 +1907,6 @@ class EAGrServer:
                     continue
                 if depth is not None:
                     rings[str(shard_id)] = depth
-        with self._subs_lock:
-            states = list(self._subs.values())
-        journal = {
-            "subscribers": len(states),
-            "entries": sum(len(state.journal) for state in states),
-            "notes": sum(state.journal.note_count for state in states),
-            "evictions": sum(state.journal.evictions for state in states),
-        }
         wal = self._wal
         wal_section = {
             "enabled": wal.directory is not None,
@@ -2356,7 +1921,7 @@ class EAGrServer:
             "codec_mix": codec_mix,
             "shards": shards,
             "rings": rings,
-            "journal": journal,
+            "journal": self._subs.journal_stats(),
             "wal": wal_section,
             "slow_ops": self.slow_ops.snapshot(),
         }
@@ -2441,7 +2006,7 @@ class EAGrServer:
             "writes_sent": self.writes_sent,
             "writes_delivered": self.writes_delivered,
             "shm_reads": self.shm_reads,
-            "notifications_delivered": self.notifications_delivered,
+            "notifications_delivered": self._subs.delivered,
             "coalesced_flushes": self.coalesced_flushes,
             "restarts": self.restarts,
             "replayed_batches": self.replayed_batches,

@@ -51,19 +51,28 @@ Records are pickled tuples, one per frame:
   truncates that shard's redo entries at ``applied_through`` (this is
   what bounds both the log's replay suffix and the ledger's memory).
 * ``("S", subscriber, shard, nodes, shard_stamp)`` /
-  ``("U", subscriber, nodes_or_None)`` — watch registry changes;
-  ``shard_stamp`` persists the subscribe-time replay-filter seed so a
-  recovered replay never delivers a pre-subscription change.
+  ``("U", subscriber, nodes_or_None)`` — watch registry changes
+  (``state.watches``: shard → ego → {subscriber: seed}, the one record
+  of who watches what — ``serve/subscriptions.py`` delivers from it);
+  ``shard_stamp`` is the subscribe-time replay-filter seed, so neither
+  a live redo replay nor a recovered one delivers a pre-subscription
+  change.  ``U`` names no shard: the watch goes wherever it lives.
 * ``("P", epoch, {reader: dst_shard}, {shard: ShardCheckpoint},
   {shard: triples})`` — a live reshard (``EAGrServer.reshard``): the
   reader moves, the synthetic post-splice checkpoint of every affected
   shard, and the re-routed residue (writes accepted before the swap that
-  flush after it).  Appended under the route lock like ``W``, so the
-  record stream is partition-consistent: every ``W`` before it replays
-  under the old partition, every ``W`` after it under the new — recovery
-  lands entirely before or entirely after the migration, never inside.
-* ``("SNAP", WalState)`` — a compaction snapshot: the complete fold of
-  everything before it (see below).
+  flush after it); its fold also moves each reader's registry entries
+  to the destination shard.  Appended under the route lock like ``W``,
+  so the record stream is partition-consistent: every ``W`` before it
+  replays under the old partition, every ``W`` after it under the new —
+  recovery lands entirely before or entirely after the migration, never
+  inside.
+* ``("SNAP", WalState, 2)`` — a compaction snapshot: the complete fold
+  of everything before it (see below).  The trailing ``2`` names the
+  registry's shape: a snapshot without it pickled the earlier
+  ``subscriber → shard → {ego: seed}`` one, which nothing can tell apart
+  from today's by looking, so its fold raises :class:`WalError` rather
+  than deliver from a mis-keyed registry.
 
 Framing and recovery
 --------------------
@@ -124,6 +133,8 @@ _HEADER = struct.Struct("<II")
 SEGMENT_PREFIX = "wal-"
 SEGMENT_SUFFIX = ".seg"
 LOCK_NAME = "wal.lock"
+#: what a ``SNAP`` record says ``WalState.watches`` is keyed by (see above).
+_SNAP_SHAPE = 2
 
 
 class WalError(RuntimeError):
@@ -202,7 +213,9 @@ class WalState:
 
     Per-shard batch counters and redo logs, the latest checkpoints, the
     accepted-but-unbatched rounds (the outboxes), the logical ingest
-    clock, and the watch registry with its per-ego replay-filter seeds.
+    clock, and the watch registry — who watches which ego on which
+    shard, and from which shard write stamp — kept once, in the shape
+    notification fan-out walks (:attr:`watches`).
     :meth:`fold` is the one place each record kind's effect is written;
     the live :class:`WriteAheadLog` folds on every append (its ``state``
     *is* what ``EAGrServer`` serves from, and what compaction
@@ -232,8 +245,12 @@ class WalState:
         #: shard -> [(wal_seq, items)] — accepted rounds no ``B`` record
         #: has covered yet (pending outbox contents at fold time).
         self.rounds: Dict[int, List[Tuple[int, List[Tuple]]]] = {}
-        #: subscriber -> shard -> {ego: subscribe-time stamp seed}.
-        self.watches: Dict[Hashable, Dict[int, Dict[Hashable, int]]] = {}
+        #: shard -> ego -> {subscriber: seed}, insertion-ordered, empty
+        #: ego entries pruned.  ``seed`` is the shard write stamp at
+        #: subscribe time: a change stamped at or below it predates the
+        #: watch and is never delivered.  Written by ``S``/``U``/``P``
+        #: folds only; ``serve/subscriptions.py`` reads it.
+        self.watches: Dict[int, Dict[Hashable, Dict[Hashable, int]]] = {}
 
     def fold(self, record: Tuple) -> None:
         kind = record[0]
@@ -288,25 +305,27 @@ class WalState:
             ]
         elif kind == "S":
             _kind, subscriber, shard_id, nodes, stamp = record
-            shard_watch = self.watches.setdefault(subscriber, {}).setdefault(
-                shard_id, {}
-            )
+            egos = self.watches.setdefault(shard_id, {})
             for node in nodes:
-                shard_watch.setdefault(node, stamp)
+                egos.setdefault(node, {}).setdefault(subscriber, stamp)
         elif kind == "U":
+            # No shard in the record: the watch goes wherever it lives.
             _kind, subscriber, nodes = record
-            if nodes is None:
-                self.watches.pop(subscriber, None)
-            else:
-                shards = self.watches.get(subscriber)
-                if shards:
-                    for shard_watch in shards.values():
-                        for node in nodes:
-                            shard_watch.pop(node, None)
+            for egos in self.watches.values():
+                for node in list(egos) if nodes is None else nodes:
+                    subs = egos.get(node)
+                    if subs and subs.pop(subscriber, None) is not None and not subs:
+                        del egos[node]
         elif kind == "P":
             _kind, epoch, moves, checkpoints, pending = record
             self.meta["partition_epoch"] = epoch
             for node, dst in moves.items():
+                # The ego's watchers migrate with it, seeds and order
+                # intact — the only thing that moves a watch between
+                # shards, live and on recovery.
+                src = self.watches.get(self.reader_shard.get(node), {})
+                if node in src:
+                    self.watches.setdefault(dst, {})[node] = src.pop(node)
                 self.reader_shard[node] = dst
             for shard_id, ck in checkpoints.items():
                 self.checkpoints[shard_id] = ck
@@ -328,23 +347,15 @@ class WalState:
                 self.rounds[shard_id] = (
                     [(self.wal_seq, items)] if items else []
                 )
-            # Watch-registry egos migrate with their readers, keeping
-            # their subscribe-time replay-filter seeds.
-            for shards in self.watches.values():
-                for node, dst in moves.items():
-                    for shard_id, shard_watch in list(shards.items()):
-                        if shard_id != dst and node in shard_watch:
-                            shards.setdefault(dst, {})[node] = (
-                                shard_watch.pop(node)
-                            )
         elif kind == "META":
             _kind, info = record
             self.meta = dict(info)
             self.num_shards = info["num_shards"]
             self.reader_shard = info["reader_shard"]
         elif kind == "SNAP":
-            other: WalState = record[1]
-            self.__dict__.update(other.__dict__)
+            if record[2:] != (_SNAP_SHAPE,):
+                raise WalError("SNAP predates the re-keyed watch registry")
+            self.__dict__.update(record[1].__dict__)
         else:
             raise WalError(f"unknown WAL record kind {kind!r}")
 
@@ -644,7 +655,7 @@ class WriteAheadLog:
         final_path = os.path.join(self.directory, _segment_name(next_index))
         tmp_path = final_path + ".tmp"
         with open(tmp_path, "wb") as fh:
-            fh.write(encode_frame(("SNAP", self.state)))
+            fh.write(encode_frame(("SNAP", self.state, _SNAP_SHAPE)))
             fh.flush()
             if self._fsync_enabled:
                 os.fsync(fh.fileno())

@@ -222,6 +222,19 @@ def refuse_submits(executor, times: int):
         executor.try_submit = original
 
 
+def fail_journal_once(server, subscriber) -> None:
+    """Make ``subscriber``'s next notification-journal frame write raise
+    ``OSError("disk full")`` (one full disk, then healthy again)."""
+    journal = server._subs._subs[subscriber].journal
+    write_frame = journal._write_frame
+
+    def fail_once(frame):
+        journal._write_frame = write_frame
+        raise OSError("disk full")
+
+    journal._write_frame = fail_once
+
+
 def shear_tail(path, nbytes: int) -> int:
     """Torn write: drop the last ``nbytes`` bytes of ``path`` in place.
 

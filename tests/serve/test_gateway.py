@@ -150,6 +150,19 @@ class TestSubscriptions:
             with pytest.raises(ResumeGapError):
                 client.subscribe(resume_from=10_000)
 
+    def test_failed_resume_of_an_invented_id_registers_nothing(self, deployment):
+        """Any TCP client can send K_SUBSCRIBE with a made-up subscriber
+        id and a resume token: each must fail without leaving a
+        subscriber (queue, journal) behind on the server."""
+        graph, server, gateway = deployment
+        host, port = gateway.address
+        with EAGrClient(host, port, client_id="honest") as client:
+            client.subscribe(list(graph.nodes())[:3])
+            for invented in ("ghost-1", "ghost-2"):
+                with pytest.raises(ResumeGapError):
+                    client.subscribe(subscriber=invented, resume_from=5)
+            assert server.metrics()["journal"]["subscribers"] == 1
+
 
 class TestReconnect:
     def test_drop_resume_gap_free(self, deployment):

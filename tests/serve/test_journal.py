@@ -129,6 +129,33 @@ class TestDiskBacking:
         assert [n.stamp for n in again.replay(0)] == [1, 2, 3, 4]
         again.close()
 
+    def test_a_half_written_frame_never_hides_later_appends(self, tmp_path):
+        path = str(tmp_path / "sub.journal")
+        log = NotificationLog(capacity=8, path=path)
+        log.append(note(1))
+
+        class HalfFull:
+            """The disk fills up in the middle of the next write, once."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                log._file = self.fh
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        log._file = HalfFull(log._file)
+        with pytest.raises(OSError, match="disk full"):
+            log.append(note(2))
+        assert log.last_stamp == 1  # never stamped: the caller re-uses 2
+        log.append(note(2))
+        log.append(note(3))
+        log.close()
+        reloaded = NotificationLog(capacity=8, path=path)
+        assert [n.stamp for n in reloaded.replay(0)] == [1, 2, 3]
+        reloaded.close()
+
     def test_compaction_bounds_file_size(self, tmp_path):
         path = str(tmp_path / "sub.journal")
         log = NotificationLog(capacity=4, path=path, compact_every=8)

@@ -12,6 +12,14 @@ three things that used to be kept equal by hand are now the same code:
 * a refused submit's ``B`` → ``RB`` → re-issued ``B`` reads the same on
   the primary, after a **cold restart**, and on a tailing **replica**.
 
+The watch registry is part of that ledger (``state.watches``), and the
+front-end keeps no second copy of it either: after every step of the
+walk it equals a model the test maintains from the walk's own
+subscribe / unsubscribe / reshard steps, each shard host watches exactly
+its slice, and — live, after restarting every shard, after a cold
+reopen — a write that moves every watched ego notifies each
+(subscriber, ego) exactly once, stamps contiguous.
+
 Plus the constructor contract that rides along: whatever fails while the
 log is open closes it again, so the single-writer lock never leaks.
 """
@@ -28,7 +36,7 @@ from repro.graph.generators import random_graph
 from repro.serve import EAGrServer, ReplicaServer, ServeError
 from repro.serve.wal import WriteAheadLog
 
-from tests.serve.faultlib import refuse_submits
+from tests.serve.faultlib import assert_contiguous, refuse_submits
 from tests.serve.test_wal import fold_wal, sample_records, state_digest
 
 ENGINE_OPTS = dict(overlay_algorithm="identity", dataflow="all_push")
@@ -67,9 +75,84 @@ def ledger_digest(state):
     return digest
 
 
+class WatchModel:
+    """Who watches what, kept by the test from the walk's own steps —
+    it never reads the server's registry, only the routing table the
+    walk starts from."""
+
+    def __init__(self, reader_shard):
+        self.owner = dict(reader_shard)
+        self.watchers = {}  # ego -> {subscriber}
+
+    def subscribe(self, subscriber, egos):
+        for ego in egos:
+            if ego in self.owner:
+                self.watchers.setdefault(ego, set()).add(subscriber)
+
+    def unsubscribe(self, subscriber, egos):
+        for ego in list(self.watchers) if egos is None else egos:
+            subs = self.watchers.get(ego, set())
+            subs.discard(subscriber)
+            if ego in self.watchers and not subs:
+                del self.watchers[ego]
+
+    def registry(self):
+        """``{shard: {ego: {subscriber}}}``, empty slices left out."""
+        out = {}
+        for ego, subs in self.watchers.items():
+            out.setdefault(self.owner[ego], {})[ego] = set(subs)
+        return out
+
+    def check(self, server):
+        ledger = {
+            shard: {ego: set(subs) for ego, subs in egos.items()}
+            for shard, egos in server._wal.state.watches.items()
+            if egos
+        }
+        assert ledger == self.registry()
+        for shard, executor in enumerate(server._executors):
+            armed = {
+                ego: set(subs) for ego, subs in executor.host.watchers.items()
+            }
+            assert armed == ledger.get(shard, {}), shard
+
+
+def probe(server, oracle, model, nodes, value):
+    """One write that moves every watched ego: exactly one notification
+    per (subscriber, ego), at the oracle's value, stamps contiguous
+    behind whatever each subscriber had before."""
+    watching = {}  # subscriber -> {ego}
+    for ego, subs in model.watchers.items():
+        for subscriber in subs:
+            watching.setdefault(subscriber, set()).add(ego)
+    handles = {}
+    for subscriber in watching:
+        handles[subscriber] = server.subscribe(
+            subscriber, resume_from=server.last_stamp(subscriber)
+        )
+        assert handles[subscriber].poll() == []  # nothing was owed
+    watched = sorted(model.watchers)
+    before = dict(zip(watched, oracle.read_batch(watched)))
+    batch = [(node, value) for node in nodes]
+    server.write_batch(batch)
+    oracle.write_batch(batch)
+    server.drain()
+    after = dict(zip(watched, oracle.read_batch(watched)))
+    assert all(before[ego] != after[ego] for ego in watched)
+    for subscriber, egos in watching.items():
+        last = server.last_stamp(subscriber) - len(egos)
+        notes = handles[subscriber].poll()
+        assert sorted((n.ego, n.value) for n in notes) == sorted(
+            (ego, after[ego]) for ego in egos
+        ), subscriber
+        assert_contiguous([n.stamp for n in notes], last + 1, tag=subscriber)
+
+
 def drive(server, oracle, nodes, seed, steps, after_each=lambda: None):
-    """A seeded walk over the public operations that move the ledger."""
+    """A seeded walk over the public operations that move the ledger;
+    returns the watch model it kept (checked after every step)."""
     rng = random.Random(seed)
+    model = WatchModel(server.reader_shard)
 
     def write(make_value):
         batch = [
@@ -90,15 +173,20 @@ def drive(server, oracle, nodes, seed, steps, after_each=lambda: None):
         write(lambda: rng.choice([float(rng.randint(1, 9)), rng.randint(1, 9)]))
 
     def subscribe():
-        server.subscribe(f"sub{rng.randrange(3)}", rng.sample(nodes, 3))
+        subscriber, egos = f"sub{rng.randrange(3)}", rng.sample(nodes, 3)
+        server.subscribe(subscriber, egos)
+        model.subscribe(subscriber, egos)
 
     def unsubscribe():
         egos = rng.choice([None, rng.sample(nodes, 2)])
-        server.unsubscribe(f"sub{rng.randrange(3)}", egos)
+        subscriber = f"sub{rng.randrange(3)}"
+        server.unsubscribe(subscriber, egos)
+        model.unsubscribe(subscriber, egos)
 
     def reshard():
-        ego = rng.choice(sorted(server.reader_shard))
-        server.reshard({ego: 1 - server.reader_shard[ego]})
+        ego = rng.choice(sorted(model.owner))
+        model.owner[ego] = 1 - model.owner[ego]
+        server.reshard({ego: model.owner[ego]})
 
     operations = [
         packable, packable, unpackable, mixed,
@@ -109,7 +197,17 @@ def drive(server, oracle, nodes, seed, steps, after_each=lambda: None):
     ]
     for _ in range(steps):
         rng.choice(operations)()
+        model.check(server)
         after_each()
+    return model
+
+
+def probe_live_and_restarted(server, oracle, model, nodes):
+    probe(server, oracle, model, nodes, 1000.0)
+    for shard in range(server.num_shards):
+        server.restart_shard(shard)  # the redo replay re-derives: all seen
+    model.check(server)
+    probe(server, oracle, model, nodes, 2000)  # ints: the pickle plane
 
 
 @pytest.mark.parametrize("seed", [2, 13, 71])
@@ -135,18 +233,27 @@ def test_live_ledger_is_the_fold_of_the_bytes_on_disk(tmp_path, seed):
             )
 
         oracle = EAGrEngine(graph, query, **ENGINE_OPTS)
-        drive(server, oracle, nodes, seed, steps=60, after_each=check)
+        model = drive(server, oracle, nodes, seed, steps=60, after_each=check)
+        assert model.watchers, "the walk ended with nobody watching"
         assert server.read_batch(nodes) == oracle.read_batch(nodes)
         check()
         durable = ledger_digest(server._wal.state)
+        probe_live_and_restarted(server, oracle, model, nodes)
+        check()
     assert kinds >= {"W", "B", "RB", "C", "S", "U", "P"}, kinds
+
+    # A cold reopen folds the same registry and re-arms it.
+    with make_server(graph, query, wal_dir) as server:
+        model.check(server)
+        probe(server, oracle, model, nodes, 3000.0)
 
     # The same walk over the no-file ledger: same code, same states.
     with make_server(graph, query, None) as server:
         oracle = EAGrEngine(graph, query, **ENGINE_OPTS)
-        drive(server, oracle, nodes, seed, steps=60)
+        model = drive(server, oracle, nodes, seed, steps=60)
         assert server.read_batch(nodes) == oracle.read_batch(nodes)
         assert ledger_digest(server._wal.state) == durable
+        probe_live_and_restarted(server, oracle, model, nodes)
         wal = server.metrics()["wal"]
         assert wal == {
             "enabled": False, "total_bytes": 0, "appends": 0, "fsyncs": 0

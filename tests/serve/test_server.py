@@ -767,7 +767,7 @@ class TestInProcessSerialization:
                 )
             # every subscriber's watched ego changed once: one delivery each
             for i in range(64):
-                sub = server._subs[f"c{i}"]
-                assert sub.stamp == 1, (f"c{i}", sub.stamp)
+                stamp = server.last_stamp(f"c{i}")
+                assert stamp == 1, (f"c{i}", stamp)
         finally:
             server.close()

@@ -57,6 +57,7 @@ from repro.serve.transport import open_transports
 from tests.serve.faultlib import (
     assert_contiguous,
     assert_no_segments,
+    fail_journal_once,
     kill_shard,
     shm_segment_names,
     wait_until,
@@ -316,14 +317,7 @@ def test_drainer_survives_a_failing_delivery():
     )
     try:
         server.subscribe("watcher", nodes)
-        journal = server._subs["watcher"].journal
-        append = journal.append
-
-        def fail_once(item):
-            journal.append = append
-            raise OSError("disk full")
-
-        journal.append = fail_once
+        fail_journal_once(server, "watcher")
         server.write_batch(batch(nodes, 1))
         # The drainer outlives the failed delivery: this barrier's reply
         # arrives (it used to wait out reply_timeout), and the failure

@@ -286,6 +286,27 @@ def test_compaction_folds_to_single_snapshot_segment(tmp_path):
     reopened.close()
 
 
+def test_a_snapshot_of_the_old_registry_shape_is_refused(tmp_path):
+    """Before the registry was re-keyed (shard → ego → {subscriber: seed})
+    a ``SNAP`` pickled ``subscriber → shard → {ego: seed}`` — the same
+    nesting of dicts, so nothing but the record's shape stamp can tell
+    them apart.  A snapshot without it must fail the open, not come back
+    as a registry whose shards are subscribers."""
+    wal = checkpointed_wal(tmp_path)
+    assert wal.maybe_compact(force=True)
+    state = wal.state
+    wal.close()
+    (path,) = wal_files(str(tmp_path))
+    with open(path, "wb") as fh:
+        fh.write(encode_frame(("SNAP", state)))  # as the parent wrote it
+    with pytest.raises(WalError, match="re-keyed"):
+        WriteAheadLog(str(tmp_path))
+    # ... and the failed open released the single-writer lock.
+    with open(path, "wb") as fh:
+        fh.write(encode_frame(("SNAP", state, 2)))
+    WriteAheadLog(str(tmp_path)).close()
+
+
 def test_compaction_gates(tmp_path):
     wal = WriteAheadLog(str(tmp_path), compact_min_bytes=1 << 20)
     for record in sample_records(rounds=4):
