@@ -67,7 +67,7 @@ class ThreadedEngine:
         # would block forever on its unfinished-task count.
         self._submit_lock = threading.Lock()
         # Writer handles touched by accepted submissions; changed_readers()
-        # maps them through the runtime's compiled reader closures.
+        # hands them to the runtime's changed_handles().
         self._touched_writers: Dict[int, None] = {}
         self._touched_lock = threading.Lock()
         self._workers = [
@@ -265,7 +265,8 @@ class ThreadedEngine:
         tracking cannot see which micro-tasks were value no-ops, so every
         reader downstream of a touched writer is reported; consumers diff
         values before acting.  Drains first so reported readers reflect
-        fully-applied state.
+        fully-applied state.  A view of the runtime's one who-changed
+        computation: each reader once, ascending overlay handle.
         """
         self.drain()
         with self._touched_lock:

@@ -241,12 +241,24 @@ class EAGrEngine:
     # shard-execution protocol (repro.core.shards.ShardExecution)
     # ------------------------------------------------------------------
 
-    def changed_readers(self) -> List[NodeId]:
-        """Reader nodes whose value changed since the last call.
+    def changed_handles(self):
+        """Reader *handles* whose value may have changed since the last
+        report (see :meth:`repro.core.execution.Runtime.changed_handles`):
+        an ascending int array over :attr:`runtime`'s overlay, valid until
+        the next structural change.  ``runtime.labels_of`` maps (a subset
+        of) it to node ids — what the serve layer does after intersecting
+        with its watch mask.
+        """
+        self._sync()
+        return self.runtime.changed_handles()
 
-        Consumes the runtime's changed-writer report and maps it through
-        the compiled per-writer reader closures — O(affected readers).
-        The serve layer's subscription diffing is built on this.
+    def changed_readers(self) -> List[NodeId]:
+        """Reader nodes whose value may have changed since the last call.
+
+        Consumes the runtime's pending report — moved writers mapped
+        through their frozen reader closures, plus the readers structural
+        changes affected — in O(affected readers).  No duplicates,
+        ascending overlay handle order.
         """
         self._sync()
         return self.runtime.changed_readers()
@@ -274,9 +286,13 @@ class EAGrEngine:
 
         With a maintainer attached the overlay absorbs the change
         incrementally; otherwise the engine recompiles lazily on the next
-        read/write.
+        read/write.  Either way the readers whose neighbourhood the event
+        alters — before or after it — enter the pending change report:
+        their aggregates can move although no writer did.
         """
         op = event.op
+        endpoints = (event.u,) if event.v is None else (event.u, event.v)
+        affected = self._readers_near(endpoints)
         if op is StructureOp.ADD_EDGE:
             self.graph.add_edge(event.u, event.v)
         elif op is StructureOp.REMOVE_EDGE:
@@ -287,9 +303,23 @@ class EAGrEngine:
             self.graph.remove_node(event.u)
         else:  # pragma: no cover - enum exhaustive
             raise ValueError(f"unknown structure op: {op}")
+        affected |= self._readers_near(endpoints)
+        self.runtime.note_restructured_readers(affected)
         self._oracle_members.clear()
         if self.maintainer is None:
             self._needs_recompile = True
+
+    def _readers_near(self, endpoints) -> set:
+        """Nodes whose ``N(r)`` may involve one of ``endpoints`` in the
+        graph as it stands (the set the overlay maintainer re-derives)."""
+        graph = self.graph
+        affected_readers = self.query.neighborhood.affected_readers
+        near = set()
+        for node in endpoints:
+            if node in graph:
+                near.add(node)
+                near |= affected_readers(graph, node)
+        return near
 
     # ------------------------------------------------------------------
     # synchronization after structural changes
@@ -316,9 +346,10 @@ class EAGrEngine:
     def _recompile(self) -> None:
         """Full re-compilation (no maintainer): rebuild AG, overlay,
         decisions and runtime, preserving writer window buffers and the
-        pending changed-writer report (both keyed by graph node id)."""
+        pending change report (all keyed by graph node id)."""
         buffers = self.runtime.buffers
         pending_changes = self.runtime._changed_writers
+        pending_readers = self.runtime._restructured_readers
         stamp = self.runtime.stamp
         self._oracle_members.clear()
         close_store = getattr(self.runtime.values, "close", None)
@@ -344,6 +375,7 @@ class EAGrEngine:
             shm_name=self.shm_name,
         )
         self.runtime._changed_writers.update(pending_changes)
+        self.runtime._restructured_readers.update(pending_readers)
         if self.controller is not None:
             self.controller = AdaptiveController(
                 self.runtime, self.cost_model, self.controller.config

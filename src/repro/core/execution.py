@@ -75,14 +75,22 @@ through the same dirty-set machinery as the plans.
 
 Changed-reader reporting
 ------------------------
-Every write path records the writers whose value actually moved;
-:meth:`Runtime.changed_readers` maps that pending set through compiled
-per-writer **reader closures** (the full downstream reader set, push and
-pull alike, cached and invalidated through the same dependency index as
-the plans) and returns the reader nodes whose aggregates may have
-changed.  The serving layer (:mod:`repro.serve`) diffs exactly these
-candidates after each batch, which keeps continuous-subscription
-notification work O(affected readers) instead of O(subscribers).
+Every write path records the writers whose value actually moved, and
+structural changes record the readers whose neighbourhood they altered;
+:meth:`Runtime.changed_handles` turns both into the reader *handles*
+whose aggregates may have changed.  Each writer's **reader closure** (the
+full downstream reader set, push and pull alike, cached and invalidated
+through the same dependency index as the plans) is frozen as an int row
+of reader handles; a batch's rows are concatenated, marked in a
+persistent bool bitmap over the handle space and read back with one
+``flatnonzero`` — deduplicated and in ascending handle order without a
+sort or a per-reader Python step.  :meth:`Runtime.changed_readers` is
+that plus one gather through an object array of the overlay's labels
+(:meth:`Runtime.labels_of`), so node ids exist only for the handles a
+caller keeps: the serving layer (:mod:`repro.serve`) intersects the
+handles with its watch mask first and diffs exactly those egos after each
+batch, which keeps continuous-subscription notification work O(affected
+watched readers) instead of O(subscribers).
 
 The runtime also counts *observed* push and pull frequencies per node —
 including would-be pushes blocked at the frontier — which the adaptive
@@ -300,18 +308,18 @@ class PullSegment:
 class ReaderClosure:
     """One writer's downstream reader set, compiled for change reporting.
 
-    ``readers`` holds the *data-graph node ids* of every reader reachable
-    from the writer in the overlay — regardless of push/pull decisions,
-    because a pull reader's value changes just as much when an upstream
-    writer moves (it is merely computed on demand).  ``touched`` indexes
-    the closure into the same dependency-indexed invalidation registry as
-    the propagation plans, so overlay surgery drops exactly the closures
-    it reroutes.
+    ``readers`` holds the *overlay handles* of every reader reachable from
+    the writer in the overlay (an int array; a tuple without numpy) —
+    regardless of push/pull decisions, because a pull reader's value
+    changes just as much when an upstream writer moves (it is merely
+    computed on demand).  ``touched`` indexes the closure into the same
+    dependency-indexed invalidation registry as the propagation plans, so
+    overlay surgery drops exactly the closures it reroutes.
     """
 
     __slots__ = ("readers", "touched")
 
-    def __init__(self, readers: Tuple[NodeId, ...], touched: FrozenSet[int]) -> None:
+    def __init__(self, readers: Sequence[int], touched: FrozenSet[int]) -> None:
         self.readers = readers
         self.touched = touched
 
@@ -474,6 +482,10 @@ class Runtime:
         # notifications, which is what keeps notification work O(affected
         # readers) instead of O(subscribers).
         self._changed_writers: Dict[NodeId, None] = {}
+        # Readers whose neighbourhood a structural change altered since the
+        # last report (their value can move with no writer moving), keyed
+        # by graph node id for the same reason.
+        self._restructured_readers: Dict[NodeId, None] = {}
         self._plan_deps: Dict[int, Set[Tuple[int, int]]] = {}
         self._out_cache: Dict[int, List[Tuple[int, int, bool, int]]] = {}
         self._csr: Optional[OverlayCSR] = None
@@ -511,6 +523,20 @@ class Runtime:
         self._obs_pending_handles = []
         self._obs_pending_events = []
         self._obs_raw_batches = []
+        # Change reporting in handle space: the dedup scratch bitmap
+        # (all-false between calls) and the handle -> node id gather table.
+        # Both are ``None`` without numpy — the one observation every
+        # who-changed function degrades on.
+        np = _statestore._np
+        if np is None:
+            self._changed_mark = self._label_array = None
+        else:
+            self._changed_mark = np.zeros(n, dtype=np.bool_)
+            # Filled slot by slot: assigning the list whole would broadcast
+            # tuple labels into a second axis.
+            self._label_array = np.empty(n, dtype=object)
+            for handle, label in enumerate(overlay.labels):
+                self._label_array[handle] = label
         for node, handle in overlay.writer_of.items():
             if node not in self.buffers:
                 self.buffers[node] = self.query.window.make_buffer(
@@ -845,20 +871,20 @@ class Runtime:
         return segment
 
     def _compile_reader_closure(self, writer: int) -> ReaderClosure:
-        """Freeze the set of reader nodes downstream of ``writer``.
+        """Freeze the reader handles downstream of ``writer`` into a row.
 
         The traversal follows *every* overlay edge (not just push edges):
         a changed writer affects each reachable reader's value whether that
-        reader materializes it eagerly or computes it on demand.  Reader
-        node ids are collected in visit order and deduplicated.
+        reader materializes it eagerly or computes it on demand.  Each
+        reader appears once; the row's order is the visit order and carries
+        no meaning (:meth:`changed_handles` reports in handle order).
         """
         csr = self._ensure_csr()
         out_indptr = csr.out_indptr
         out_indices = csr.out_indices
         kinds = csr.kinds
-        labels = self.overlay.labels
         touched = {writer}
-        readers: Dict[NodeId, None] = {}
+        readers: List[int] = []
         stack = [writer]
         while stack:
             node = stack.pop()
@@ -868,10 +894,16 @@ class Runtime:
                     continue
                 touched.add(dst)
                 if kinds[dst] == KIND_READER:
-                    readers[labels[dst]] = None
+                    readers.append(dst)
                 else:
                     stack.append(dst)
-        closure = ReaderClosure(tuple(readers), frozenset(touched))
+        np = _statestore._np
+        closure = ReaderClosure(
+            tuple(readers)
+            if self._changed_mark is None
+            else np.asarray(readers, dtype=np.int64),
+            frozenset(touched),
+        )
         self._reader_closures[writer] = closure
         self._register_plan(_PLAN_READERS, writer, closure.touched)
         return closure
@@ -900,28 +932,83 @@ class Runtime:
         self._changed_writers.clear()
         return changed
 
-    def changed_readers(self, writers: Optional[Iterable[int]] = None) -> List[NodeId]:
-        """Reader nodes whose aggregate may have changed.
+    def note_restructured_readers(self, nodes: Iterable[NodeId]) -> None:
+        """Record readers whose neighbourhood a structural change altered.
 
-        Maps ``writers`` (default: :meth:`pop_changed_writers`) through the
-        compiled per-writer reader closures and deduplicates, so the cost is
-        O(affected readers), not O(all readers).  The result is a *candidate*
-        set: a reader is included when an upstream writer moved, even if
-        cancellation (e.g. a MAX that did not grow) leaves its final value
-        unchanged — consumers diff actual values before notifying.
+        Their aggregates can move without any writer moving (an edge
+        removal takes a value out of ``N(r)``), so the next report unions
+        them in as candidates.  Node-keyed like the pending writers: the
+        record survives the overlay rebuild the change triggers, and nodes
+        that are no longer readers by then drop out silently.
+        """
+        self._restructured_readers.update(dict.fromkeys(nodes))
+
+    def changed_handles(self, writers: Optional[Iterable[int]] = None):
+        """Reader *handles* whose aggregate may have changed — the one
+        who-changed computation; every other report is a view of it.
+
+        Concatenates the frozen reader-closure rows of ``writers``
+        (default: :meth:`pop_changed_writers`) and of the structurally
+        affected readers recorded since the last call, marks them in the
+        persistent scratch bitmap and reads the set back with
+        ``flatnonzero``: O(closure entries) in a handful of numpy calls,
+        no per-reader Python step, no sort.  Returns an int array (a list
+        without numpy) with no duplicates, **in ascending handle order** —
+        closure visit order is not observable and nothing may rely on it.
+        The bitmap is all-false again when the call returns or raises.
+
+        The result is a *candidate* set: a reader is included when an
+        upstream writer moved, even if cancellation (e.g. a MAX that did
+        not grow) leaves its final value unchanged — consumers diff actual
+        values before notifying.  Supersets are allowed, drops never.
         """
         if writers is None:
             writers = self.pop_changed_writers()
         self._check_plans()
         closures = self._reader_closures
-        result: Dict[NodeId, None] = {}
+        rows = []
         for writer in writers:
             closure = closures.get(writer)
             if closure is None:
                 closure = self._compile_reader_closure(writer)
-            for reader in closure.readers:
-                result[reader] = None
-        return list(result)
+            rows.append(closure.readers)
+        np = _statestore._np
+        mark = self._changed_mark
+        restructured = self._restructured_readers
+        if restructured:
+            reader_of = self.overlay.reader_of
+            row = [reader_of[node] for node in restructured if node in reader_of]
+            restructured.clear()
+            rows.append(row if mark is None else np.asarray(row, dtype=np.int64))
+        if mark is None:
+            return sorted(set().union(*rows))
+        if not rows:
+            return np.empty(0, dtype=np.int64)
+        try:
+            mark[np.concatenate(rows)] = True
+            return np.flatnonzero(mark)
+        finally:
+            mark.fill(False)
+
+    def labels_of(self, handles) -> List[NodeId]:
+        """Node ids of ``handles`` (as :meth:`changed_handles` returns
+        them), in the same order — the one place the change report turns
+        handles into Python objects, so callers that filter in handle
+        space first (the serve layer's watch mask) pay for what they keep.
+        """
+        if self._label_array is None:
+            return list(map(self.overlay.labels.__getitem__, handles))
+        return self._label_array[handles].tolist()
+
+    def changed_readers(self, writers: Optional[Iterable[int]] = None) -> List[NodeId]:
+        """Reader nodes whose aggregate may have changed.
+
+        :meth:`changed_handles` mapped to node ids through
+        :meth:`labels_of`: same candidate-set semantics (structurally
+        affected readers included), no duplicates, ascending overlay
+        handle order.
+        """
+        return self.labels_of(self.changed_handles(writers))
 
     def changed_report(self) -> Tuple[int, List[NodeId]]:
         """``(stamp, readers)``: the changed-reader set with its version.
@@ -932,6 +1019,7 @@ class Runtime:
         attribute is never reset) and shard restarts (a restored runtime
         is seeded with the checkpointed value), so consumers can use it
         to order and correlate change reports across those boundaries.
+        ``readers`` is :meth:`changed_readers` (ascending overlay handle).
         """
         return self.stamp, self.changed_readers()
 

@@ -156,7 +156,9 @@ class PartitionedEngine:
         """Union of every shard's changed-reader report, shard order.
 
         Reader partitions are disjoint, so no cross-shard deduplication is
-        needed; each shard consumes its own runtime report.
+        needed; each shard consumes its own runtime report (ascending
+        handle in that shard's overlay — handle spaces are per shard, so
+        the union exists only as node ids).
         """
         changed: List[NodeId] = []
         for shard in self.shards:

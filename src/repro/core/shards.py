@@ -19,9 +19,19 @@ The contract:
   observing every write the backend has *accepted* before this call (an
   asynchronous backend drains first).
 * ``changed_readers() -> list`` — reader nodes whose aggregate value may
-  have changed since the previous call (a superset is allowed — consumers
-  diff values before acting; an empty list means "nothing changed").  This
-  is the signal continuous subscriptions are built on.
+  have changed since the previous call: readers downstream of a writer
+  that moved **and** readers whose neighbourhood a structural change
+  altered (a superset is allowed — consumers diff values before acting;
+  an empty list means "nothing changed").  No node appears twice.  Order
+  is ascending overlay handle within one engine (shard by shard for a
+  partitioned backend) — an artefact of how the set is deduplicated, not
+  a meaning: nothing may rely on closure visit order or on more than
+  "each candidate once".  This is the signal continuous subscriptions are
+  built on.  Backends over a single overlay compute it in handle space
+  (``EAGrEngine.changed_handles()`` / ``Runtime.changed_handles()``) and
+  turn handles into node ids last (``Runtime.labels_of``), so a consumer
+  that filters first — the serve layer's watch mask — materialises only
+  what it keeps; ``changed_readers`` is that call with nothing filtered.
 * ``changed_report() -> (stamp, readers)`` — the stamped variant:
   ``readers`` as above plus the backend's **global write stamp**, a
   monotone count of ingestion calls that survives overlay rebuilds and —
@@ -78,7 +88,8 @@ class ShardExecution(Protocol):
         ...
 
     def changed_readers(self) -> List[NodeId]:
-        """Reader nodes possibly changed since the last call (consumed)."""
+        """Reader nodes possibly changed since the last call (consumed):
+        each once, ascending overlay handle, structural candidates in."""
         ...
 
     def changed_report(self) -> Tuple[int, List[NodeId]]:

@@ -28,6 +28,7 @@ import pickle
 from time import monotonic as _monotonic
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
+from repro.core import statestore as _statestore
 from repro.core.query import EgoQuery
 from repro.serve import frames as _frames
 from repro.serve.messages import (
@@ -203,7 +204,9 @@ class ShardHost:
     egos in the runtime's changed-reader report against their last
     notified values — so a quiet batch costs one empty report, a busy
     batch costs O(affected watched egos), and no batch ever scans the full
-    subscriber table.
+    subscriber table.  The intersection happens in overlay-handle space
+    (the report's handles against a mask of the watched egos' handles), so
+    only watched-and-changed egos ever become Python objects.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -255,6 +258,11 @@ class ShardHost:
         self._busy_window = 0.0
         self._applied_window = 0
         self._load_mark = _monotonic()
+        # The watched egos as a mask over the handle space of one
+        # (runtime, overlay version); a ``None`` stamp makes the next batch
+        # rebuild it from ``self.watchers``.
+        self._watch_mask = None
+        self._watch_stamp: Optional[Tuple[Any, int]] = None
         if spec.checkpoint is not None:
             self._restore(spec.checkpoint)
 
@@ -281,6 +289,7 @@ class ShardHost:
             ego: dict.fromkeys(subs) for ego, subs in ck.watchers.items()
         }
         self.baseline = dict(ck.baseline)
+        self._watch_stamp = None
 
     def checkpoint(self) -> ShardCheckpoint:
         """Snapshot this shard's restart state (pickle-isolated).
@@ -347,12 +356,15 @@ class ShardHost:
         watched ego whose aggregate value actually changed — one row per
         ego however many subscribers watch it (the front-end fans out) —
         stamped with the runtime's global write stamp (stable across
-        restarts): candidates come from the O(affected) changed-reader
-        report and a re-read (batched, pull subtrees shared) filters out
-        cancellations.  The rows travel as one
-        :class:`~repro.serve.frames.ChangeFrame` when they pass the
-        packing gate and as a list of ``(ego, value, stamp)`` triples
-        otherwise.
+        restarts): candidates are the engine's changed reader *handles*
+        (moved writers' closures plus structurally affected readers)
+        intersected with the watch mask, only those are turned into node
+        ids (``runtime.labels_of``), and a re-read (batched, pull subtrees
+        shared) filters out cancellations.  Rows come in ascending overlay
+        handle order; nothing may rely on more than "one row per ego".
+        They travel as one :class:`~repro.serve.frames.ChangeFrame` when
+        they pass the packing gate and as a list of ``(ego, value,
+        stamp)`` triples otherwise.
         """
         if batch_no is not None and batch_no <= self.applied_through:
             return 0, []
@@ -380,10 +392,10 @@ class ShardHost:
                 # (keeping it bounded) without compiling reader closures.
                 engine.runtime.pop_changed_writers()
                 return count, []
-            stamp, changed = engine.changed_report()
-            candidates = [node for node in changed if node in watchers]
+            candidates = self._watched(engine.changed_handles())
             if not candidates:
                 return count, []
+            stamp = engine.runtime.stamp
             pairs: List[Tuple[NodeId, Any]] = []
             baseline = self.baseline
             for node, value in zip(
@@ -411,6 +423,33 @@ class ShardHost:
                 self.metrics["shard_recompute_seconds"].observe(end - t1)
                 self._busy_window += end - t0
                 self._applied_window += count
+
+    def _watched(self, handles) -> List[NodeId]:
+        """The watched egos among the engine's reader ``handles``.
+
+        The watch set lives as a bool mask over the handle space (a
+        handle set without numpy), rebuilt from :attr:`watchers` when it
+        was edited or when the engine's runtime or overlay is no longer
+        the one it was built for; only the handles inside it are mapped
+        to node ids.
+        """
+        engine = self.engine
+        runtime = engine.runtime
+        stamp = (runtime, engine.overlay.version)
+        if stamp != self._watch_stamp:
+            reader_of = engine.overlay.reader_of
+            watched = [reader_of[ego] for ego in self.watchers if ego in reader_of]
+            np = _statestore._np  # the runtime's handles degrade on the same
+            if np is None:
+                self._watch_mask = frozenset(watched)
+            else:
+                self._watch_mask = np.zeros(engine.overlay.num_nodes, dtype=np.bool_)
+                self._watch_mask[watched] = True
+            self._watch_stamp = stamp
+        mask = self._watch_mask
+        if mask.__class__ is frozenset:
+            return runtime.labels_of([h for h in handles if h in mask])
+        return runtime.labels_of(handles[mask[handles]])
 
     @staticmethod
     def _change_frame(
@@ -485,6 +524,7 @@ class ShardHost:
         for node in nodes:
             self.watchers.setdefault(node, {})[subscriber] = None
             snapshot[node] = self.baseline[node]
+        self._watch_stamp = None
         return snapshot, self.engine.runtime.stamp
 
     def unsubscribe(
@@ -500,6 +540,7 @@ class ShardHost:
                 if not watching:
                     del self.watchers[node]
                     self.baseline.pop(node, None)
+        self._watch_stamp = None
         return removed
 
     def handles(self) -> Tuple[Optional[str], Dict[NodeId, Tuple[int, bool]]]:

@@ -8,6 +8,7 @@ from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
+from repro.graph.streams import StructureEvent, StructureOp
 
 try:
     import numpy  # noqa: F401
@@ -131,25 +132,86 @@ class TestInvalidationAndRebuild:
         # the reader closure beyond what other plans needed.
         assert engine.runtime.plan_compiles == compiles_before
 
+    @pytest.mark.parametrize("value_store", STORES)
+    def test_plan_compiles_are_first_touch_not_churn(self, value_store):
+        """A steady write → changed_readers → read cycle compiles each
+        plan once: whatever ``plan_compiles`` reads after the first pass
+        over a schedule is what it reads after the second (ROADMAP's
+        question about ``core.plan_compiles`` on ``engine_write_heavy``)."""
+        import random
+
+        graph = random_graph(60, 400, seed=41)
+        engine = build(graph=graph, value_store=value_store, dataflow="mincut")
+        rng = random.Random(41)
+        nodes = list(graph.nodes())
+        cycle = [
+            (
+                [(rng.choice(nodes), float(rng.randrange(9))) for _ in range(12)],
+                rng.sample(nodes, 6),
+            )
+            for _ in range(40)
+        ]
+
+        def one_pass():
+            for writes, egos in cycle:
+                engine.write_batch(writes)
+                engine.changed_readers()
+                engine.read_batch(egos)
+            runtime = engine.runtime
+            return runtime.plan_compiles, runtime.plan_invalidations
+
+        compiles, invalidations = one_pass()
+        assert compiles > 0
+        assert one_pass() == (compiles, invalidations)
+
     @pytest.mark.parametrize("maintain", [False, True])
     def test_pending_report_survives_structure_change(self, maintain):
         """The report is keyed by node id, so overlay rebuilds (lazy full
         recompile and incremental maintainer surgery alike) cannot lose a
-        change accepted before the mutation."""
-        from repro.graph.streams import StructureEvent, StructureOp
-
+        change accepted before the mutation — and it is mapped through the
+        closures of the overlay *after* the mutation."""
         engine = build(maintain=maintain)
         engine.write_batch([("c", 5.0)])
+        engine.changed_readers()  # compiles c's closure on the old overlay
+        assert "b" not in downstream_readers(engine, "c")
+        engine.write_batch([("c", 6.0)])  # pending across the mutation
         engine.apply_structure_event(
-            StructureEvent(StructureOp.ADD_EDGE, "c", "g")
+            StructureEvent(StructureOp.ADD_EDGE, "c", "b")
         )
-        # Mapped through the *current* overlay: c's downstream now
-        # includes g as well.
-        assert set(engine.changed_readers()) == downstream_readers(engine, "c")
-        assert "g" in downstream_readers(engine, "c")
-        # Fresh writes keep reporting against the new overlay.
+        assert "b" in downstream_readers(engine, "c")
+        assert downstream_readers(engine, "c") <= set(engine.changed_readers())
+        # Nothing structural is pending any more: "b" is reported for a
+        # fresh write only if c's closure was re-derived.
         engine.write_batch([("c", 7.0)])
-        assert "g" in set(engine.changed_readers())
+        assert set(engine.changed_readers()) == downstream_readers(engine, "c")
+
+
+STRUCTURE_EVENTS = [
+    StructureEvent(StructureOp.ADD_EDGE, "c", "b"),
+    StructureEvent(StructureOp.REMOVE_EDGE, "c", "g"),
+    StructureEvent(StructureOp.REMOVE_NODE, "c"),
+]
+
+
+@pytest.mark.parametrize("value_store", STORES)
+@pytest.mark.parametrize("maintain", [False, True])
+@pytest.mark.parametrize("event", STRUCTURE_EVENTS, ids=lambda e: e.op.name)
+def test_structure_change_reports_readers_it_moved(event, maintain, value_store):
+    """A structural change moves aggregates with no writer moving (an edge
+    removal takes a value out of N(r)); the report must name every reader
+    whose value it changed, or a continuous subscriber never hears."""
+    engine = build(maintain=maintain, value_store=value_store)
+    engine.write_batch([("c", 5.0)])
+    engine.changed_readers()
+    before = {r: engine.read(r) for r in engine.overlay.reader_of}
+    engine.apply_structure_event(event)
+    changed = engine.changed_readers()
+    after = {r: engine.read(r) for r in engine.overlay.reader_of}
+    moved = {r for r, value in after.items() if value != before.get(r, 0.0)}
+    assert moved, "the event was chosen to move at least one aggregate"
+    assert moved <= set(changed)
+    assert len(changed) == len(set(changed))
+    assert engine.changed_readers() == []
 
 
 class TestGlobalWriteStamp:
@@ -166,8 +228,6 @@ class TestGlobalWriteStamp:
         assert stamp_b == stamp_a + 1
 
     def test_stamp_survives_full_recompile(self):
-        from repro.graph.streams import StructureEvent, StructureOp
-
         engine = build(maintain=False)
         engine.write_batch([("c", 1.0)])
         engine.changed_readers()
