@@ -230,7 +230,7 @@ class EAGrEngine:
 
     def read_batch(self, nodes: Sequence[NodeId]) -> List[Any]:
         """Evaluate the query at each of ``nodes`` (one structural sync,
-        compiled pull plans shared across the batch)."""
+        one pass of the runtime's read path for the whole batch)."""
         self._sync()
         results = self.runtime.read_batch(nodes)
         if self.controller is not None:
@@ -251,6 +251,19 @@ class EAGrEngine:
         """
         self._sync()
         return self.runtime.changed_handles()
+
+    def read_handles(self, handles) -> List[Any]:
+        """:meth:`read_batch` for callers already in handle space: the
+        values at reader ``handles`` of :attr:`runtime`'s overlay, in order
+        (see :meth:`repro.core.execution.Runtime.read_handles`).  No
+        structural sync — one could renumber the handles under the caller;
+        they are valid from the :meth:`changed_handles` (or any other
+        synced call) that produced them until the next structural change.
+        """
+        results = self.runtime.read_handles(handles)
+        if self.controller is not None:
+            self.controller.tick(len(results))
+        return results
 
     def changed_readers(self) -> List[NodeId]:
         """Reader nodes whose value may have changed since the last call.

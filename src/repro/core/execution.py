@@ -61,15 +61,15 @@ object-list semantics.  On the columnar backend:
   batch through a precompiled **scatter table** — one ``np.add.at`` per
   column over ragged per-writer frontier rows — instead of a Python loop
   per plan step;
-* pull reads evaluate per-node **pull segments**: the node's direct push
-  inputs reduce as one vectorized gather-sum (or ``fmax``/``fmin`` for
-  the lattice extrema), nested pull inputs recurse, and
-  :meth:`Runtime.read_batch` memoizes evaluated segments keyed by
-  ``(node, plan stamp)`` so overlapping readers share subtree work.
+* reads run in handle space through frozen **pull rows** — each reader's
+  pull subtree flattened, on first touch, to its push-frontier leaves and
+  their signed coefficients (:mod:`repro.core.pullrows`) — and one kernel
+  that maps a whole batch with one gather × coefficient and one
+  ``reduceat`` per column (``fmax``/``fmin`` for the lattice extrema).
 
 Backend choice is invisible: reads are byte-identical between backends
 for integer streams (asserted by ``tests/core/test_statestore.py``), and
-both the scatter table and the segments ride the existing dependency
+both the scatter table and the pull rows ride the existing dependency
 -indexed invalidation, so overlay surgery resizes and remaps columns
 through the same dirty-set machinery as the plans.
 
@@ -128,6 +128,7 @@ from repro.core.overlay import (
     OverlayCSR,
     OverlayError,
 )
+from repro.core.pullrows import PullRows, ragged_index
 from repro.core.query import EgoQuery
 from repro.core.statestore import WriteFrame, make_value_store
 from repro.core.windows import NO_VALUE, TimeWindow, TupleWindow, WindowBuffer
@@ -140,7 +141,7 @@ PAO = Any
 _OP_LEAF, _OP_ENTER, _OP_EXIT = 0, 1, 2
 
 #: Plan-kind codes for the dependency-indexed invalidation registry.
-_PLAN_PUSH, _PLAN_PULL, _PLAN_SEGMENT, _PLAN_READERS = 0, 1, 2, 3
+_PLAN_PUSH, _PLAN_PULL, _PLAN_ROW, _PLAN_READERS = 0, 1, 2, 3
 
 #: Distinguishes "memo maps this key to None" from "no memo entry".
 _MISS = object()
@@ -276,35 +277,6 @@ class PullPlan:
         self.observe_all = tuple(a for op, a, _ in program if op != _OP_EXIT)
 
 
-class PullSegment:
-    """One pull node's direct frontier, compiled for vectorized reads.
-
-    ``leaf_idx``/``leaf_sign`` gather the node's *direct* push inputs (in
-    input order) for a single vectorized reduction; ``children`` are the
-    nested pull inputs, evaluated recursively (and shared through the
-    per-batch memo).  ``observe`` credits the handles this segment itself
-    observes, ``observe_deep`` the whole subtree (credited on a memo hit
-    so the adaptive controller's frequency estimates match unmemoized
-    execution); ``ops`` is the merge count a non-memoized evaluation of
-    the segment performs.
-    """
-
-    __slots__ = (
-        "node", "leaf_idx", "leaf_sign", "children",
-        "observe", "observe_deep", "ops", "touched",
-    )
-
-    def __init__(self, node, leaf_idx, leaf_sign, children, observe, observe_deep, ops, touched):
-        self.node = node
-        self.leaf_idx = leaf_idx
-        self.leaf_sign = leaf_sign
-        self.children = children
-        self.observe = observe
-        self.observe_deep = observe_deep
-        self.ops = ops
-        self.touched = touched
-
-
 class ReaderClosure:
     """One writer's downstream reader set, compiled for change reporting.
 
@@ -360,13 +332,9 @@ class _ScatterTable:
         """
         starts = self.indptr[w_arr]
         counts = self.indptr[w_arr + 1] - starts
-        total = int(counts.sum())
-        if not total:
+        idx, _offsets = ragged_index(np, starts, counts)
+        if not idx.size:
             return None
-        prefix = np.cumsum(counts) - counts
-        idx = np.repeat(starts - prefix, counts) + np.arange(
-            total, dtype=np.int64
-        )
         return idx, counts
 
 
@@ -423,14 +391,6 @@ class Runtime:
         self._spec = self.aggregate.column_spec if self._columnar else None
         self._columnar_delta = self._columnar and self._spec.kind == "delta"
         self._scalar_buffers = self._columnar and self._spec.scalar_raws
-        if self._columnar and self._spec.kind == "lattice":
-            self._seg_fold = (
-                _statestore._np.fmax
-                if self._spec.merge_ufunc == "maximum"
-                else _statestore._np.fmin
-            )
-        else:
-            self._seg_fold = None
         self.snapshots: List[Optional[Dict[int, PAO]]] = []
         self._observed_push_store = []
         self.observed_pull = []
@@ -462,6 +422,14 @@ class Runtime:
         self._lattice_columns = (
             self._columnar and self._spec.kind == "lattice" and self.trace is None
         )
+        # Columnar reads run through frozen pull rows and one kernel
+        # (:meth:`_row_columns`) whose ``_row_fold.reduceat`` folds a row;
+        # the object store and trace collection keep the interpreted plans.
+        self._row_reads = self._columnar and self.trace is None
+        if self._row_reads:
+            np = _statestore._np
+            folds = {"add": np.add, "maximum": np.fmax, "minimum": np.fmin}
+            self._row_fold = folds[self._spec.merge_ufunc]
         # The identity PAO is immutable by the aggregate API contract
         # (merge/subtract never mutate arguments), so one instance serves
         # every identity use instead of reconstructing it per operation.
@@ -472,7 +440,8 @@ class Runtime:
         # -- compiled-plan caches -------------------------------------
         self._push_plans: Dict[int, PushPlan] = {}
         self._pull_plans: Dict[int, PullPlan] = {}
-        self._pull_segments: Dict[int, PullSegment] = {}
+        # Dict-shaped either way; empty for good when reads are interpreted.
+        self._pull_rows = PullRows(_statestore._np) if self._row_reads else {}
         self._reader_closures: Dict[int, ReaderClosure] = {}
         # Writers whose value changed since the last pop_changed_writers()
         # (dict-as-ordered-set: first-touch order), keyed by *graph node
@@ -494,6 +463,8 @@ class Runtime:
         self.plan_compiles = 0
         self.plan_invalidations = 0
         self.scatter_builds = 0
+        #: Pull subtrees the *interpreted* ``read_batch`` answered from its
+        #: per-batch memo: an object-store counter, 0 under the row kernel.
         self.pull_memo_hits = 0
         # Construction-time dirt predates any compiled plan; absorb it so
         # later pops only carry genuinely new mutations.
@@ -520,14 +491,13 @@ class Runtime:
         else:
             self._observed_push_store = [0] * n
             self.observed_pull = [0] * n
-        self._obs_pending_handles = []
-        self._obs_pending_events = []
-        self._obs_raw_batches = []
-        # Change reporting in handle space: the dedup scratch bitmap
+        # Handle space: the dedup scratch bitmap of :meth:`_distinct`
         # (all-false between calls) and the handle -> node id gather table.
         # Both are ``None`` without numpy — the one observation every
         # who-changed function degrades on.
         np = _statestore._np
+        if self._row_reads:
+            self._pull_rows.resize(np, n)
         if np is None:
             self._changed_mark = self._label_array = None
         else:
@@ -693,12 +663,12 @@ class Runtime:
             self.plan_invalidations += (
                 len(self._push_plans)
                 + len(self._pull_plans)
-                + len(self._pull_segments)
+                + len(self._pull_rows)
                 + len(self._reader_closures)
             )
             self._push_plans.clear()
             self._pull_plans.clear()
-            self._pull_segments.clear()
+            self._pull_rows.clear()
             self._reader_closures.clear()
             self._plan_deps.clear()
             return
@@ -714,8 +684,8 @@ class Runtime:
             return self._push_plans
         if kind == _PLAN_PULL:
             return self._pull_plans
-        if kind == _PLAN_SEGMENT:
-            return self._pull_segments
+        if kind == _PLAN_ROW:
+            return self._pull_rows
         return self._reader_closures
 
     def _drop_plan(self, key: Tuple[int, int]) -> None:
@@ -820,55 +790,38 @@ class Runtime:
         self._register_plan(_PLAN_PULL, root, plan.touched)
         return plan
 
-    def _compile_pull_segment(self, node: int) -> PullSegment:
-        """Compile one pull node's direct frontier for vectorized reads.
+    def _compile_pull_row(self, root: int) -> None:
+        """Flatten reader ``root``'s pull subtree into its :class:`PullRow`.
 
-        Children (nested pull inputs) are compiled recursively first so the
-        segment's deep observation list and dependency registration cover
-        the whole subtree — precise invalidation then matches the
-        monolithic pull plans exactly.
+        The walk multiplies edge signs down every path, so a leaf's
+        coefficient is its net signed path count and ``credit`` counts the
+        visits a sequential pull would make (shared pull nodes expand once
+        per path, exactly as the interpreted plan replays them).
         """
-        existing = self._pull_segments.get(node)
-        if existing is not None:
-            return existing
-        np = _statestore._np
         overlay = self.overlay
         decisions = overlay.decisions
-        leaves: List[int] = []
-        signs: List[int] = []
-        children: List[Tuple[int, int]] = []
-        touched = {node}
-        observe: List[int] = [node]
-        observe_deep: List[int] = [node]
-        for src, sign in overlay.inputs[node].items():
-            touched.add(src)
-            if decisions[src] is Decision.PUSH:
-                leaves.append(src)
-                signs.append(sign)
-                observe.append(src)
-                observe_deep.append(src)
-            else:
-                child = self._compile_pull_segment(src)
-                children.append((src, sign))
-                touched |= child.touched
-                observe_deep.extend(child.observe_deep.tolist())
-        segment = PullSegment(
-            node=node,
-            leaf_idx=np.asarray(leaves, dtype=np.int64),
-            leaf_sign=(
-                None
-                if all(sign > 0 for sign in signs)
-                else np.asarray(signs, dtype=np.int8)
-            ),
-            children=tuple(children),
-            observe=np.asarray(observe, dtype=np.int64),
-            observe_deep=np.asarray(observe_deep, dtype=np.int64),
-            ops=len(overlay.inputs[node]),
-            touched=frozenset(touched),
+        inputs = overlay.inputs
+        coeff: Dict[int, int] = {}
+        credit: Dict[int, int] = {root: 1}
+        pull = decisions[root] is not Decision.PUSH
+        if not pull:
+            coeff[root] = 1
+        stack = [(root, 1)] if pull else []
+        while stack:
+            node, carried = stack.pop()
+            for src, sign in inputs[node].items():
+                credit[src] = credit.get(src, 0) + 1
+                if decisions[src] is Decision.PUSH:
+                    coeff[src] = coeff.get(src, 0) + carried * sign
+                else:
+                    stack.append((src, carried * sign))
+        leaf = [handle for handle, net in coeff.items() if net]
+        touched = frozenset(credit)
+        self._pull_rows.put(
+            _statestore._np, root, leaf, [coeff[handle] for handle in leaf],
+            list(credit), list(credit.values()), len(leaf) if pull else 0, touched,
         )
-        self._pull_segments[node] = segment
-        self._register_plan(_PLAN_SEGMENT, node, segment.touched)
-        return segment
+        self._register_plan(_PLAN_ROW, root, touched)
 
     def _compile_reader_closure(self, writer: int) -> ReaderClosure:
         """Freeze the reader handles downstream of ``writer`` into a row.
@@ -984,9 +937,15 @@ class Runtime:
             return sorted(set().union(*rows))
         if not rows:
             return np.empty(0, dtype=np.int64)
+        return self._distinct(np.concatenate(rows))
+
+    def _distinct(self, handles):
+        """``handles`` (an int array) without duplicates, ascending, through
+        the scratch bitmap — all-false again on return or raise."""
+        mark = self._changed_mark
         try:
-            mark[np.concatenate(rows)] = True
-            return np.flatnonzero(mark)
+            mark[handles] = True
+            return _statestore._np.flatnonzero(mark)
         finally:
             mark.fill(False)
 
@@ -2003,47 +1962,31 @@ class Runtime:
     # reads
     # ------------------------------------------------------------------
 
-    def read(self, node: NodeId, _memo: Optional[Dict] = None) -> Any:
+    def read(self, node: NodeId) -> Any:
         """Process one read: the current value of ``F(N(node))``.
 
-        ``_memo`` is the per-batch pull cache :meth:`read_batch` threads
-        through its reads: evaluated pull subtrees are stored under
-        ``(overlay handle, plan stamp)`` so overlapping readers in the
-        same batch do not re-reduce shared subtrees.
+        A pull reader on the columnar store is a batch of one through
+        :meth:`_row_columns`, so ``read(n)`` and ``read_batch([n])[0]``
+        are the same floating-point computation.
         """
-        self.counters.reads += 1
-        if self._time_window:
-            self._advance_time(self.clock)
-        agg = self.aggregate
+        self._begin_reads(1)
         handle = self.overlay.reader_of.get(node)
         if handle is None:
-            return agg.finalize(self._identity)
-        if self.overlay.decisions[handle] is Decision.PUSH:
-            self.observed_pull[handle] += 1
-            if self.trace is not None:
-                self.trace.append(TraceOp(handle, "read", 1))
-            return agg.finalize(self.values[handle])
-        self._check_plans()
-        if self._columnar and self.trace is None:
-            return agg.finalize(
-                self._spec.unpack(self._pull_segment_eval(handle, _memo))
-            )
-        plan = self._pull_plans.get(handle)
-        if plan is None:
-            plan = self._compile_pull_plan(handle)
-        if _memo is None:
-            return agg.finalize(self._run_pull_plan(plan))
-        return agg.finalize(self._run_pull_plan_memo(plan, handle, _memo))
+            return self.aggregate.finalize(self._identity)
+        if self._row_reads and self.overlay.decisions[handle] is not Decision.PUSH:
+            return self._finalize_columns(self._row_columns((handle,)))[0]
+        return self.aggregate.finalize(self._read_interpreted(handle, None))
 
     def read_batch(self, nodes: Sequence[NodeId]) -> List[Any]:
-        """Process many reads, memoizing shared pull subtrees.
+        """Process many reads: node ids to handles, :meth:`read_handles`,
+        unknown nodes answered with the identity.
 
-        One memo dict spans the batch: every completed pull node's
-        accumulator is cached under ``(handle, plan stamp)``, so readers
-        whose pull plans overlap evaluate each shared subtree once.  The
-        saving shows up in ``counters.pull_ops`` (work actually performed)
-        while ``observed_pull`` — the adaptive controller's traffic signal
-        — is still credited as if every reader evaluated alone.
+        The columnar store runs the batch as one pass of the row kernel,
+        duplicates collapsed; the object store spans it with one memo dict,
+        so overlapping pull plans evaluate each shared subtree once.  Either
+        saving shows in ``counters.pull_ops`` (work performed) while
+        ``observed_pull`` — the adaptive controller's traffic signal — is
+        credited as if every reader evaluated alone.
         """
         if not self.op_timing:
             return self._read_batch_impl(nodes)
@@ -2054,66 +1997,119 @@ class Runtime:
             self.counters.read_seconds += _monotonic() - t0
 
     def _read_batch_impl(self, nodes: Sequence[NodeId]) -> List[Any]:
+        handles = list(map(self.overlay.reader_of.get, nodes))
+        if None not in handles:
+            return self.read_handles(handles)
+        self.counters.reads += handles.count(None)
+        values = iter(self.read_handles([h for h in handles if h is not None]))
+        identity = self.aggregate.finalize(self._identity)
+        return [identity if h is None else next(values) for h in handles]
+
+    def read_handles(self, handles) -> List[Any]:
+        """The values of reader *handles* (as :meth:`changed_handles`
+        returns them), in order: what :meth:`read_batch` runs on, public
+        for callers already in handle space (the serve layer's diff)."""
+        self._begin_reads(len(handles))
+        if not len(handles):
+            return []
+        if self._row_reads:
+            return self._finalize_columns(self._row_columns(handles))
+        finalize = self.aggregate.finalize
         memo: Dict = {}
-        read = self.read
-        return [read(node, _memo=memo) for node in nodes]
+        return [finalize(self._read_interpreted(handle, memo)) for handle in handles]
 
-    def _pull_segment_eval(self, node: int, memo: Optional[Dict]) -> Tuple:
-        """Columnar pull: vectorized per-segment reduction with sharing.
+    def _begin_reads(self, count: int) -> None:
+        """Once per read call, however many rows it carries."""
+        self.counters.reads += count
+        if self._time_window:
+            self._advance_time(self.clock)
+        self._check_plans()
 
-        Returns the node's accumulator as a tuple of column scalars.  The
-        node's direct push inputs reduce in one gather (signed sum for
-        delta columns, nan-ignoring ``fmax``/``fmin`` for the lattice
-        extremum); nested pull inputs recurse through the same memo.
+    def _finalize_columns(self, columns) -> List[Any]:
+        """Column scalars to results — the one place the kernel's arrays
+        become Python objects."""
+        unpack, finalize = self._spec.unpack, self.aggregate.finalize
+        scalars = zip(*[column.tolist() for column in columns])
+        return [finalize(unpack(cols)) for cols in scalars]
+
+    def _row_columns(self, handles):
+        """The columnar read kernel: the accumulators of reader ``handles``
+        (non-empty, any order, duplicates allowed) as one array per value
+        column, aligned with ``handles``.
+
+        Duplicates collapse, missing rows compile (first touch), and the
+        batch's rows become two flat index arrays into the arena — two
+        slices for a batch of one, all that differs for it.  Leaf entries
+        reduce with one gather × coefficient and one ``reduceat`` per
+        column (empty rows keep the identity fill); observe entries credit
+        ``observed_pull`` with one scatter, once per *requested* reader;
+        ``counters.pull_ops`` grows by the leaf entries folded.
         """
         np = _statestore._np
-        if memo is not None:
-            key = (node, self._plan_stamp)
-            cached = memo.get(key, _MISS)
-            if cached is not _MISS:
-                segment = self._pull_segments.get(node)
-                if segment is None:
-                    segment = self._compile_pull_segment(node)
-                np.add.at(self.observed_pull, segment.observe_deep, 1)
-                self.pull_memo_hits += 1
-                return cached
-        segment = self._pull_segments.get(node)
-        if segment is None:
-            segment = self._compile_pull_segment(node)
-        np.add.at(self.observed_pull, segment.observe, 1)
-        self.counters.pull_ops += segment.ops
-        columns = self.values.columns
-        leaf_idx = segment.leaf_idx
-        if self._seg_fold is None:  # delta columns: signed sums
-            totals = []
-            for column in columns:
-                if leaf_idx.size:
-                    gathered = column[leaf_idx]
-                    if segment.leaf_sign is not None:
-                        gathered = gathered * segment.leaf_sign
-                    totals.append(gathered.sum())
-                else:
-                    totals.append(column.dtype.type(0))
-            for child, sign in segment.children:
-                child_cols = self._pull_segment_eval(child, memo)
-                if sign > 0:
-                    totals = [t + c for t, c in zip(totals, child_cols)]
-                else:
-                    totals = [t - c for t, c in zip(totals, child_cols)]
-            result = tuple(totals)
-        else:  # lattice extremum: nan encodes the empty identity
-            fold = self._seg_fold
-            best = (
-                fold.reduce(columns[0][leaf_idx])
-                if leaf_idx.size
-                else float("nan")
-            )
-            for child, _sign in segment.children:
-                best = fold(best, self._pull_segment_eval(child, memo)[0])
-            result = (best,)
-        if memo is not None:
-            memo[(node, self._plan_stamp)] = result
-        return result
+        handles = np.asarray(handles, dtype=np.int64)
+        rows = self._pull_rows
+        inverse = repeats = None
+        if handles.size == 1:
+            root = int(handles[0])
+            if rows.meta[0, root] < 0:
+                self._compile_pull_row(root)
+            start, leaves, observes, ops = rows.meta[:, root].tolist()
+            leaf_at = slice(start, start + leaves)
+            observe_at = slice(leaf_at.stop, leaf_at.stop + observes)
+            offsets = np.zeros(1, dtype=np.int64)
+            live = slice(0, min(leaves, 1))  # the one row, unless it is empty
+        else:
+            requested = handles
+            handles = self._distinct(requested)
+            inverse = np.searchsorted(handles, requested)
+            if handles.size < requested.size:
+                repeats = np.bincount(inverse)
+            meta = rows.meta[:, handles]
+            if meta[0].min() < 0:
+                for root in handles[meta[0] < 0].tolist():
+                    self._compile_pull_row(root)
+                meta = rows.meta[:, handles]
+            start, leaves, observes, ops = meta
+            ops = int(ops.sum())
+            leaf_at, offsets = ragged_index(np, start, leaves)
+            observe_at, _ = ragged_index(np, start + leaves, observes)
+            live = leaves > 0
+        self.counters.pull_ops += ops
+        handle_of, weight_of = rows.entries
+        credit = weight_of[observe_at]
+        if repeats is not None:
+            credit = credit * np.repeat(repeats, observes)
+        np.add.at(self.observed_pull, handle_of[observe_at], credit)
+        leaf = handle_of[leaf_at]
+        coeff = weight_of[leaf_at]
+        bounds = offsets[live]
+        fold = self._row_fold
+        columns = []
+        for column, fill in zip(self.values.columns, self._spec.fills):
+            gathered = column[leaf]
+            if fold is np.add:
+                gathered = gathered * coeff
+            out = np.full(handles.size, fill, dtype=column.dtype)
+            if bounds.size:
+                out[live] = fold.reduceat(gathered, bounds)
+            columns.append(out if inverse is None else out[inverse])
+        return columns
+
+    def _read_interpreted(self, handle: int, memo: Optional[Dict]) -> PAO:
+        """One reader's PAO without the row kernel: a push reader's stored
+        value, or its compiled :class:`PullPlan` run (through the per-batch
+        ``memo`` when one is given)."""
+        if self.overlay.decisions[handle] is Decision.PUSH:
+            self.observed_pull[handle] += 1
+            if self.trace is not None:
+                self.trace.append(TraceOp(handle, "read", 1))
+            return self.values[handle]
+        plan = self._pull_plans.get(handle)
+        if plan is None:
+            plan = self._compile_pull_plan(handle)
+        if memo is None:
+            return self._run_pull_plan(plan)
+        return self._run_pull_plan_memo(plan, handle, memo)
 
     def _run_pull_plan_memo(self, plan: PullPlan, root: int, memo: Dict) -> PAO:
         """Interpreted pull with per-batch subtree memoization.
@@ -2329,10 +2325,11 @@ class Runtime:
         the whole plan cache is dropped.  Returns ``self`` for chaining.
         """
         self._expiry_heap.clear()
-        if dirty is None:
-            self.invalidate_plans()
-        else:
-            self.invalidate_plans(dirty)
+        # The observed counters restart at zero below: credits still deferred
+        # die with them rather than expand over a handle space that moved.
+        self._obs_pending_handles, self._obs_pending_events = [], []
+        self._obs_raw_batches = []
+        self.invalidate_plans(dirty)
         self._plan_stamp = (self.overlay.version, self.overlay.decision_version)
         self._materialize()
         return self

@@ -232,6 +232,19 @@ class OverlayMaintainer:
             self.state.add_reader(reader, sorted(inputs, key=repr))
         self._direct_counts[reader] = 0
 
+    def _contribute(self, piece: int, handle: int) -> None:
+        """Make ``piece`` count once, positively, at reader ``handle``.
+
+        A negative edge already there (``vnm_n``: the piece is subtracted
+        out of a shared partial the reader also consumes) is *removed* —
+        that is the +1 — where adding nothing would leave the net at 0.
+        """
+        sign = self.overlay.inputs[handle].get(piece)
+        if sign is None:
+            self.overlay.add_edge(piece, handle, 1)
+        elif sign < 0:
+            self.overlay.remove_edge(piece, handle)
+
     def _process_additions(self, reader: NodeId, added: Set[NodeId]) -> None:
         handle = self.overlay.reader_of.get(reader)
         if handle is None:
@@ -241,12 +254,10 @@ class OverlayMaintainer:
         if len(added) > self.delta_threshold:
             # Large delta: aggregate it behind (possibly reused) partials.
             for piece in self.state.cover(added_handles):
-                if not self.overlay.has_edge(piece, handle):
-                    self.overlay.add_edge(piece, handle, 1)
+                self._contribute(piece, handle)
         else:
             for writer_handle in sorted(added_handles):
-                if not self.overlay.has_edge(writer_handle, handle):
-                    self.overlay.add_edge(writer_handle, handle, 1)
+                self._contribute(writer_handle, handle)
             count = self._direct_counts.get(reader, 0) + len(added_handles)
             self._direct_counts[reader] = count
             if count > self.direct_edge_threshold:
@@ -283,8 +294,7 @@ class OverlayMaintainer:
             survivors = self.state.coverage[src] - removed_handles
             if survivors:
                 for piece in self.state.cover(set(survivors)):
-                    if not overlay.has_edge(piece, handle):
-                        overlay.add_edge(piece, handle, 1)
+                    self._contribute(piece, handle)
         self.state.prune_orphans(touched_partials)
 
     # ------------------------------------------------------------------

@@ -70,6 +70,7 @@ from repro.serve.frames import (
     decode,
     decode_control,
     encode_control,
+    frame_bytes,
 )
 from repro.serve.journal import ResumeGapError
 from repro.serve.messages import OP_WRITE
@@ -554,25 +555,32 @@ class GatewayServer:
                 subscription = stream.subscription
                 if subscription is None:
                     continue  # paused or mid-transition
+                # One wake-up is one socket write: the budget and the
+                # resume cursor advance per item, the frames leave together.
+                frames = []
+                notes = 0
+                exhausted = False
                 for item in subscription.poll_batch():
-                    payload = encode_control(
-                        K_NOTES, (stream.subscriber, item)
+                    frame = frame_bytes(
+                        encode_control(K_NOTES, (stream.subscriber, item))
                     )
-                    nbytes = LENGTH_PREFIX.size + len(payload)
+                    frames.append(frame)
                     stamp = item.stamp
-                    stream.ledger.append((stamp, nbytes))
-                    conn.inflight += nbytes
+                    stream.ledger.append((stamp, len(frame)))
+                    conn.inflight += len(frame)
                     stream.last_sent = stamp
-                    await self._send(conn, payload)
-                    self._gm["gw_notes_sent"].inc(
-                        len(item) if hasattr(item, "__len__") else 1
-                    )
+                    notes += len(item) if hasattr(item, "__len__") else 1
                     if conn.inflight >= self._max_inflight:
-                        # Budget exhausted: drop the drained remainder
-                        # (journaled — the resume replay restores it)
-                        # and pause every stream on this connection.
-                        await self._pause_all(conn)
+                        exhausted = True
                         break
+                if frames:
+                    await self._send_frames(conn, frames)
+                    self._gm["gw_notes_sent"].inc(notes)
+                if exhausted:
+                    # Budget exhausted: drop the drained remainder
+                    # (journaled — the resume replay restores it)
+                    # and pause every stream on this connection.
+                    await self._pause_all(conn)
         except asyncio.CancelledError:
             pass
         except (ConnectionError, RuntimeError):
@@ -642,14 +650,18 @@ class GatewayServer:
     # ------------------------------------------------------------------
 
     async def _send(self, conn: _Connection, payload: bytes) -> None:
-        data = LENGTH_PREFIX.pack(len(payload)) + payload
+        await self._send_frames(conn, [frame_bytes(payload)])
+
+    async def _send_frames(self, conn: _Connection, frames) -> None:
+        """Write complete wire frames back to back: one lock hold, one
+        ``writelines``, one ``drain`` (and one latency sample) however many."""
         t0 = _time.monotonic()
         async with conn.send_lock:
-            conn.writer.write(data)
+            conn.writer.writelines(frames)
             await conn.writer.drain()
         self._gm["gw_send_seconds"].observe(_time.monotonic() - t0)
-        self._gm["gw_frames_out"].inc()
-        self._gm["gw_bytes_out"].inc(len(data))
+        self._gm["gw_frames_out"].inc(len(frames))
+        self._gm["gw_bytes_out"].inc(sum(map(len, frames)))
 
     async def _send_error(
         self,

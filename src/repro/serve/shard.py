@@ -359,9 +359,11 @@ class ShardHost:
         restarts): candidates are the engine's changed reader *handles*
         (moved writers' closures plus structurally affected readers)
         intersected with the watch mask, only those are turned into node
-        ids (``runtime.labels_of``), and a re-read (batched, pull subtrees
-        shared) filters out cancellations.  Rows come in ascending overlay
-        handle order; nothing may rely on more than "one row per ego".
+        ids (``runtime.labels_of``), and a re-read of the same handles
+        (``engine.read_handles``: one pass of the runtime's read kernel,
+        no node id looked up again) filters out cancellations.  Rows come
+        in ascending overlay handle order; nothing may rely on more than
+        "one row per ego".
         They travel as one :class:`~repro.serve.frames.ChangeFrame` when
         they pass the packing gate and as a list of ``(ego, value,
         stamp)`` triples otherwise.
@@ -392,14 +394,14 @@ class ShardHost:
                 # (keeping it bounded) without compiling reader closures.
                 engine.runtime.pop_changed_writers()
                 return count, []
-            candidates = self._watched(engine.changed_handles())
+            handles, candidates = self._watched(engine.changed_handles())
             if not candidates:
                 return count, []
             stamp = engine.runtime.stamp
             pairs: List[Tuple[NodeId, Any]] = []
             baseline = self.baseline
             for node, value in zip(
-                candidates, self._guarded(engine.read_batch, candidates)
+                candidates, self._guarded(engine.read_handles, handles)
             ):
                 if value == baseline.get(node, _MISSING):
                     continue
@@ -424,8 +426,9 @@ class ShardHost:
                 self._busy_window += end - t0
                 self._applied_window += count
 
-    def _watched(self, handles) -> List[NodeId]:
-        """The watched egos among the engine's reader ``handles``.
+    def _watched(self, handles) -> Tuple[Any, List[NodeId]]:
+        """The watched egos among the engine's reader ``handles``:
+        ``(surviving handles, their node ids)``, aligned.
 
         The watch set lives as a bool mask over the handle space (a
         handle set without numpy), rebuilt from :attr:`watchers` when it
@@ -448,8 +451,10 @@ class ShardHost:
             self._watch_stamp = stamp
         mask = self._watch_mask
         if mask.__class__ is frozenset:
-            return runtime.labels_of([h for h in handles if h in mask])
-        return runtime.labels_of(handles[mask[handles]])
+            kept = [h for h in handles if h in mask]
+        else:
+            kept = handles[mask[handles]]
+        return kept, runtime.labels_of(kept)
 
     @staticmethod
     def _change_frame(

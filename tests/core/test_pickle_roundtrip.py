@@ -91,18 +91,21 @@ class TestCompiledPlans:
             assert clone.spans == plan.spans
             assert clone.touched == plan.touched
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="segments require numpy")
-    def test_pull_segments_roundtrip(self):
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="pull rows require numpy")
+    def test_pull_rows_roundtrip(self):
         engine = warmed_engine(value_store="columnar")
-        runtime = engine.runtime
-        assert runtime._pull_segments, "expected compiled pull segments"
-        for segment in runtime._pull_segments.values():
-            clone = roundtrip(segment, byte_identical=False)
-            assert list(clone.leaf_idx) == list(segment.leaf_idx)
-            assert list(clone.observe) == list(segment.observe)
-            assert list(clone.observe_deep) == list(segment.observe_deep)
-            assert clone.children == segment.children
-            assert clone.touched == segment.touched
+        rows = engine.runtime._pull_rows
+        assert len(rows), "expected compiled pull rows"
+        clone = roundtrip(rows, byte_identical=False)
+        assert clone.used == rows.used
+        assert set(clone.touched) == set(rows.touched)
+        for handle in rows.touched:
+            before, after = rows.row(handle), clone.row(handle)
+            for field in ("leaf", "coeff", "observe", "credit"):
+                assert list(getattr(after, field)) == list(getattr(before, field))
+            assert after.touched == before.touched
+            again = roundtrip(before, byte_identical=False)
+            assert list(again.leaf) == list(before.leaf)
 
     def test_reader_closures_roundtrip(self):
         engine = warmed_engine()

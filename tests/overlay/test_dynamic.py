@@ -84,6 +84,38 @@ class TestEdgeAddition:
         check(maintainer, graph)
 
 
+    def test_added_writer_that_was_subtracted_out(self):
+        """``vnm_n`` shape: r consumes a partial over {a, b, c} minus c.
+        When c starts feeding r the negative edge must go — skipping the
+        addition because "an edge is already there" leaves c's net at 0
+        (regression: reads of r then missed c's value)."""
+        from repro.core.overlay import Overlay
+
+        graph = DynamicGraph()
+        for node in ("a", "b", "c", "r", "s"):
+            graph.add_node(node)
+        for writer in ("a", "b", "c"):
+            graph.add_edge(writer, "s")
+        graph.add_edge("a", "r")
+        graph.add_edge("b", "r")
+        overlay = Overlay()
+        writers = {name: overlay.add_writer(name) for name in ("a", "b", "c")}
+        partial = overlay.add_partial()
+        for handle in writers.values():
+            overlay.add_edge(handle, partial)
+        overlay.add_edge(partial, overlay.add_reader("s"))
+        r = overlay.add_reader("r")
+        overlay.add_edge(partial, r)
+        overlay.add_edge(writers["c"], r, -1)
+        maintainer = OverlayMaintainer(
+            graph, Neighborhood.in_neighbors(), overlay
+        ).attach()
+        check(maintainer, graph)
+        graph.add_edge("c", "r")
+        check(maintainer, graph)
+        assert writers["c"] not in overlay.inputs[r]
+
+
 class TestEdgeDeletion:
     def test_direct_edge_removal(self):
         graph = paper_figure1()
