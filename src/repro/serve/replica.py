@@ -56,6 +56,7 @@ from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.query import EgoQuery
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.serve.router import Router, readers
 from repro.serve.shard import ShardHost, ShardSpec
 from repro.serve.wal import WalState, WalTailer, list_segments
 
@@ -109,6 +110,8 @@ class ReplicaServer:
         self._hosts: List[ShardHost] = []
         #: the fold of everything consumed so far (under the apply lock).
         self._state = WalState()
+        #: reads resolve their owning hosts the way the primary does.
+        self._router = Router(graph, query, self._state)
         #: shard -> batch number voided by an ``RB`` (awaiting re-issue).
         self._rolled_back: Dict[int, int] = {}
         self.reshards_applied = 0
@@ -155,7 +158,8 @@ class ReplicaServer:
     @property
     def reader_shard(self) -> Dict[NodeId, int]:
         """The primary's reader partition as of the last consumed record
-        (a ``P`` fold updates it in place: route under the apply lock)."""
+        (a ``P`` fold replaces it with a new dict; the hosts follow under
+        the apply lock, so route under it)."""
         return self._state.reader_shard
 
     @property
@@ -171,11 +175,7 @@ class ReplicaServer:
             self.query,
             shard_id=shard_id,
             num_shards=state.num_shards,
-            readers=frozenset(
-                node
-                for node, owner in state.reader_shard.items()
-                if owner == shard_id
-            ),
+            readers=readers(state.reader_shard, [shard_id])[shard_id],
             value_store=self._value_store,
             engine_kwargs=self._engine_kwargs,
             checkpoint=state.checkpoints.get(shard_id),
@@ -320,14 +320,8 @@ class ReplicaServer:
         aggregate = self.query.aggregate
         identity = aggregate.finalize(aggregate.identity())
         results: List[Any] = [identity] * len(nodes)
-        per_shard: Dict[int, List[int]] = {}
         with self._apply_lock:
-            table = self._state.reader_shard
-            for position, node in enumerate(nodes):
-                shard_id = table.get(node)
-                if shard_id is not None:
-                    per_shard.setdefault(shard_id, []).append(position)
-            for shard_id, positions in per_shard.items():
+            for shard_id, positions in self._router.owners(nodes).items():
                 host = self._hosts[shard_id]
                 values = host.engine.read_batch(
                     [nodes[p] for p in positions]

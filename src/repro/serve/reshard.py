@@ -22,12 +22,23 @@ This module is where plans come from:
 
 The policy proposes; it never executes.  ``EAGrServer.rebalance()``
 wires the two together (propose, then :meth:`reshard` if non-empty).
+
+What a migration does to shard state is here too, as two pure
+functions the coordinator calls under its locks: :func:`splice` (step
+3: the synthetic checkpoints the new workers boot from) and
+:func:`reroute` (step 4: where the residue — writes accepted before the
+swap, flushed after it — goes under the new partition).
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+
+from repro.serve.frames import merge_items
+from repro.serve.messages import ShardCheckpoint
+from repro.serve.router import readers
 
 NodeId = Hashable
 
@@ -210,3 +221,89 @@ def propose_rebalance(
             f"to shard {cold}"
         ),
     )
+
+
+def splice(
+    reader_shard: Dict[NodeId, int],
+    moves: Dict[NodeId, int],
+    checkpoints: Dict[int, ShardCheckpoint],
+    batch_no: Dict[int, int],
+) -> Tuple[Dict[int, frozenset], Dict[int, ShardCheckpoint]]:
+    """Step 3 of a reshard: ``(readers, checkpoints)`` for every shard in
+    ``checkpoints`` (the affected ones, each checkpointed under the
+    partition ``reader_shard``) once ``moves`` apply.
+
+    Each synthetic checkpoint keeps its shard's own watchers and notify
+    baselines for the egos it still owns and takes a moved-in ego's from
+    the source shard.  Its window buffers are the union of every affected
+    shard's — exact for every writer the new overlay compiles (rebuild()
+    drops the rest): multicast kept shared buffers identical, and a
+    gained reader's writers all lived on its source.  ``stamp``,
+    ``clock`` and ``applied_through`` are the group maximum, so a moved
+    ego's next change can neither collide with its replay filter nor
+    land under a smaller batch number than its last delivered one
+    (``batch_no`` is the ledger's per-shard counter).  Each checkpoint
+    is pickle-isolated: two in-process hosts must not alias one buffer
+    object through the union.
+    """
+    owned = readers({**reader_shard, **moves}, checkpoints)
+    buffers: Dict[NodeId, Any] = {}
+    for ck in checkpoints.values():
+        buffers.update(ck.buffers)
+    stamp = max(ck.stamp for ck in checkpoints.values())
+    clock = max(ck.clock for ck in checkpoints.values())
+    applied_through = max(batch_no.get(shard_id, 0) for shard_id in checkpoints)
+    synthetic: Dict[int, ShardCheckpoint] = {}
+    for shard_id, own in checkpoints.items():
+        kept = owned[shard_id]
+        watchers = {ego: s for ego, s in own.watchers.items() if ego in kept}
+        baseline = {ego: v for ego, v in own.baseline.items() if ego in kept}
+        for ego, dst in moves.items():
+            if dst != shard_id:
+                continue
+            source = checkpoints[reader_shard[ego]]
+            if ego in source.watchers:
+                watchers[ego] = source.watchers[ego]
+            if ego in source.baseline:
+                baseline[ego] = source.baseline[ego]
+        ck = ShardCheckpoint(
+            shard_id=shard_id,
+            applied_through=applied_through,
+            stamp=stamp,
+            clock=clock,
+            buffers=buffers,
+            watchers=watchers,
+            baseline=baseline,
+        )
+        synthetic[shard_id] = pickle.loads(pickle.dumps(ck))
+    return owned, synthetic
+
+
+def reroute(
+    rounds: Dict[int, List[Tuple[int, Any]]],
+    affected: Sequence[int],
+    old_routes: Dict[NodeId, Tuple[int, ...]],
+    new_routes: Dict[NodeId, Tuple[int, ...]],
+) -> Dict[int, List[Tuple]]:
+    """Step 4 of a reshard: the affected shards' pending ``rounds`` (the
+    ledger's outboxes) filed under the new writer → shards map.
+
+    A write stays where its writer is still read, and is duplicated once
+    — from the lowest affected shard that held it — to each shard its
+    writer newly reaches.  Every destination of a move is affected, so
+    the result has no other key.
+    """
+    rerouted: Dict[int, List[Tuple]] = {shard_id: [] for shard_id in affected}
+    for shard_id in affected:
+        residue = merge_items([items for _seq, items in rounds.get(shard_id, ())])
+        for triple in residue:
+            new_shards = new_routes.get(triple[0], ())
+            old_shards = old_routes.get(triple[0], ())
+            if shard_id in new_shards:
+                rerouted[shard_id].append(triple)
+            donor = min((s for s in old_shards if s in rerouted), default=None)
+            if shard_id == donor:
+                for dst in new_shards:
+                    if dst not in old_shards:
+                        rerouted[dst].append(triple)
+    return rerouted

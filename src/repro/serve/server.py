@@ -5,7 +5,9 @@ engine behind an executor — worker process or in-process), then serves
 four verbs:
 
 * :meth:`EAGrServer.write_batch` — multicast each write to the shards
-  whose readers need it.  Writes land in per-shard *outboxes* (the
+  whose readers need it (:class:`~repro.serve.router.Router` derives
+  that from the ledger's reader partition, which this class never
+  copies).  Writes land in per-shard *outboxes* (the
   ledger's pending rounds, below) and flush through the shard's
   executor; when a shard is backed up, the flush refuses instead of
   blocking and consecutive batches **coalesce** in the outbox until
@@ -26,8 +28,9 @@ four verbs:
 * :meth:`EAGrServer.subscribe` / :meth:`EAGrServer.unsubscribe` — standing
   queries: shards diff watched egos after each applied batch (via the
   runtime's O(affected) changed-reader report) and report one row per
-  changed ego.  This class resolves which shard owns an ego and sends it
-  ``OP_SUBSCRIBE`` / ``OP_UNSUBSCRIBE``; everything after the shard's
+  changed ego.  This class sends ``OP_SUBSCRIBE`` / ``OP_UNSUBSCRIBE``
+  to the shard that owns an ego, under its flush lock (see the lock
+  order below); everything after the shard's
   reply is :class:`~repro.serve.subscriptions.Subscriptions`' — the
   fan-out to per-subscriber queues with strictly monotone,
   **contiguous** per-subscriber stamps, the replay filter, the
@@ -42,9 +45,10 @@ four verbs:
   live deliveries — exactly-once-after-resume.  A ``resume_from`` older
   than the journal's horizon raises
   :class:`~repro.serve.journal.ResumeGapError` (never a silent gap).
-* **One durability ledger** — which rounds are accepted, which batch
-  each became, what a checkpoint covers and who watches what is the
-  state of one :class:`~repro.serve.wal.WriteAheadLog`, and this class
+* **One durability ledger** — which shard owns which reader, which
+  rounds are accepted, which batch each became, what a checkpoint
+  covers and who watches what is the state of one
+  :class:`~repro.serve.wal.WriteAheadLog`, and this class
   keeps no copy of it: every transition is ``log.append(record)``
   (``W`` accepts a round into the outboxes, ``B`` pops a shard's rounds
   into the numbered redo batch that is then submitted, ``RB`` undoes a
@@ -81,34 +85,50 @@ Acquired strictly in this order, never the reverse:
    is appended under it too, as is a worker replacement
    (``restart_shard``, ``reshard``) with its redo replay — so the
    holder reads ``state.redo[shard]`` and ``state.checkpoints[shard]``
-   as a matching pair.  Only ``reshard`` holds more than one, taken in
-   ascending shard id; non-blocking flushes ``acquire(blocking=False)``
-   and skip migrating shards, so a producer never waits out a
-   migration.  (An in-process executor's own submit lock nests here.)
+   as a matching pair.  It is also who owns an ego right now: a
+   reshard holds the locks of every shard it moves an ego from or to,
+   so no ego changes owner while its owner's lock is held.  Every
+   per-ego request (``read_batch``, ``subscribe``,
+   ``unsubscribe(nodes=...)``) is therefore sent under the owning
+   shards' locks (``_owners_locked``): flush, resolve ownership, submit
+   — a read also answers front-side what it can, which on the shm
+   transport waits for the shard's watermark, and ``subscribe`` also
+   awaits the reply and appends ``S`` — before they release, so no
+   write and no reshard reaches a shard between a watch being armed and
+   it being recorded, and no read asks a shard that lost the ego.
+   Holders of more than one (``reshard``, a per-ego request) take them
+   in ascending shard id; non-blocking flushes
+   ``acquire(blocking=False)`` and skip migrating shards, so a producer
+   never waits out a migration, a read's watermark or a subscribe's
+   reply — its writes park, and leave with the holder's closing flush
+   or the background flusher.  (An in-process executor's own submit
+   lock nests here.)
 3. ``_route_lock`` — acceptance: every ``W`` and ``P`` append (so log
-   order is acceptance order and ``state.wal_seq`` / ``state.clock``
-   are read-then-advanced atomically), the routing tables' swap,
-   ``_migrating`` and the ``writes_*`` counters.  Taken with or without
-   a flush lock; nothing but leaves is taken under it.
+   order is acceptance order, ``state.wal_seq`` / ``state.clock`` are
+   read-then-advanced atomically, and a round is routed by the
+   partition it is logged under), ``_migrating`` and the ``writes_*``
+   counters.  Taken with or without a flush lock; nothing but leaves is
+   taken under it.
    The subscriptions lock (``Subscriptions._lock``) — every field of
    the :class:`~repro.serve.subscriptions.Subscriptions` object and of
    the subscriber states it holds (queue, stamp, journal, delivery
    filter), and nothing of this class's; the ``S`` and ``U`` appends
    happen under it (their fsync after it).  Same level as the route
-   lock: the two are never held together.  A reply drainer's
-   ``_deliver`` takes this lock and no other, holding none on entry; an
-   in-process shard's ``_deliver`` runs on the submitting thread, under
-   that shard's flush lock.
+   lock: the two are never held together.  Taken holding nothing (a
+   reply drainer's ``_deliver``, ``unsubscribe``'s ``U``) or holding
+   flush locks (an in-process shard's ``_deliver``, which runs on the
+   submitting thread; ``subscribe``'s ``S``).
 
    What makes ``state.watches[shard]`` stable for a delivery walking it
    under this lock: only three folds write the registry.  ``S`` and
-   ``U`` are appended under this same lock.  ``P`` is appended under
-   the route lock instead, and moves entries only between shards
-   ``reshard`` has quiesced — it holds their flush locks, their
-   checkpoint replies trailed every earlier change report, and no write
-   reaches their new workers before those locks release — so no
-   delivery, and no ``_replay`` re-arm (flush lock, or boot), reads the
-   slices it edits.
+   ``U`` are appended under this same lock (``S`` by a holder of the
+   ego's flush lock, so under the shard that owns it).  ``P`` is
+   appended under the route lock instead, and moves entries only
+   between shards ``reshard`` has quiesced — it holds their flush
+   locks, their checkpoint replies trailed every earlier change report,
+   and no write reaches their new workers before those locks release —
+   so no delivery, and no ``_replay`` re-arm (flush lock, or boot),
+   reads the slices it edits.
 
 Leaves (nothing is acquired while holding one): ``_seq_lock``,
 ``_pending_lock``, the ledger's lock (it serializes folds, so it is what
@@ -126,15 +146,15 @@ from __future__ import annotations
 import os as _os
 import threading
 import time as _time
+from contextlib import contextmanager
 from functools import partial
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.execution import normalize_write
 from repro.core.query import EgoQuery
-from repro.core.statestore import WriteFrame, _np
+from repro.core.statestore import WriteFrame
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.serve.executors import InProcessShardExecutor, ProcessShardExecutor
-from repro.serve.frames import merge_items
 from repro.serve.messages import (
     OP_CHECKPOINT,
     OP_DRAIN,
@@ -149,6 +169,8 @@ from repro.serve.messages import (
     ServeError,
     ShardCheckpoint,
 )
+from repro.serve.reshard import propose_rebalance, reroute, splice
+from repro.serve.router import Router, readers
 from repro.serve.shard import ShardSpec
 # ``Subscription`` stays importable from here (its public path).
 from repro.serve.subscriptions import Subscription, Subscriptions
@@ -344,7 +366,6 @@ class EAGrServer:
         self._checkpoint_interval = checkpoint_interval
 
         # -- live resharding state ---------------------------------------
-        self.partition_epoch = 0
         #: shards mid-migration: their non-blocking flushes park (the
         #: producer never waits on a lock ``reshard`` holds) and their
         #: auto-checkpoints defer.  Mutated under the route lock.
@@ -367,12 +388,6 @@ class EAGrServer:
         self._pending: Dict[int, _Call] = {}
         self._pending_lock = threading.Lock()
         self._async_errors: List[str] = []
-        #: lazy routing cache for packed write batches: ``None`` or a
-        #: ``(writer_shards, table_or_None)`` pair keyed by the exact
-        #: dict the table was built from.  ``reshard`` swaps
-        #: ``writer_shards`` wholesale, so the identity key is what
-        #: invalidates a stale table — see :meth:`_route_table`.
-        self._route_array: Any = None
         self._route_lock = threading.Lock()
         # One flush lock per shard, held across the ``B`` append (outbox
         # pop + numbering) *and* the submit: without it a reader's
@@ -399,14 +414,15 @@ class EAGrServer:
         self.replayed_batches = 0
         self.shm_reads = 0
 
-        #: The durability ledger (see module docstring): the outboxes
-        #: (``state.rounds``), batch counters, redo log, checkpoints,
-        #: ingest clock and watch registry live in ``_wal.state`` and
-        #: nowhere else.  With ``wal_dir`` it opens — and recovers —
-        #: the on-disk log; whatever fails from here on closes it
-        #: again, so a retry on the same directory finds the
+        #: The durability ledger (see module docstring): the reader
+        #: partition, the outboxes (``state.rounds``), batch counters,
+        #: redo log, checkpoints, ingest clock and watch registry live in
+        #: ``_wal.state`` and nowhere else.  With ``wal_dir`` it opens —
+        #: and recovers — the on-disk log; whatever fails from here on
+        #: closes it again, so a retry on the same directory finds the
         #: single-writer lock free.
         self._wal = WriteAheadLog(wal_dir, **wal_kwargs)
+        self._router = Router(graph, query, self._wal.state)
         try:
             #: The subscription plane (``serve/subscriptions.py``):
             #: subscriber states, journals and delivery over the ledger's
@@ -452,45 +468,33 @@ class EAGrServer:
         # partition instead: every replayed (and future) write must route
         # to the shard the dead epoch's batch numbering assumed, whatever
         # the assignment algorithm would compute today.
-        if recovered:
-            self.assignment = state.meta.get("assignment", "recovered")
-            self.reader_shard = dict(state.reader_shard)
-            self.partition_epoch = state.meta.get("partition_epoch", 0)
-        else:
+        if not recovered:
             from repro.core.partition import partition_readers
 
             if assign is None and num_shards > 1:
                 from repro.core.partition import mincut_assignment
 
                 assign = mincut_assignment(graph, query, num_shards)
-                self.assignment = "mincut"
+                assignment = "mincut"
             else:
-                self.assignment = "custom" if assign is not None else "single"
-
-            #: reader node -> owning shard (the user predicate already
-            #: applied: a node it filters out has no owner).
-            self.reader_shard = partition_readers(graph, query, num_shards, assign)
+                assignment = "custom" if assign is not None else "single"
             self._wal.append(
                 (
                     "META",
                     {
                         "num_shards": num_shards,
-                        # a copy: the fold updates its table in place
-                        # on ``P``, this one is replaced wholesale.
-                        "reader_shard": dict(self.reader_shard),
-                        "assignment": self.assignment,
+                        # the user predicate already applied: a node it
+                        # filters out has no owner.
+                        "reader_shard": partition_readers(
+                            graph, query, num_shards, assign
+                        ),
+                        "assignment": assignment,
                     },
                 ),
                 sync=True,
             )
-        shard_readers: List[set] = [set() for _ in range(num_shards)]
-        for node, shard_id in self.reader_shard.items():
-            shard_readers[shard_id].add(node)
-
-        # writer node -> shards whose readers aggregate it (multicast table).
-        self.writer_shards: Dict[NodeId, Tuple[int, ...]] = (
-            self._build_writer_shards(self.reader_shard)
-        )
+        self.assignment = state.meta.get("assignment", "recovered")
+        owned = readers(self.reader_shard, range(num_shards))
 
         # -- transports: one per process shard, for the shard's life ------
         # (worker replacement resets and re-uses them; an in-process
@@ -516,7 +520,7 @@ class EAGrServer:
                 query,
                 shard_id=shard_id,
                 num_shards=num_shards,
-                readers=frozenset(shard_readers[shard_id]),
+                readers=owned[shard_id],
                 value_store=value_store,
                 engine_kwargs=engine_kwargs,
                 shm=self._transports[shard_id].segments if self._transports else None,
@@ -629,18 +633,6 @@ class EAGrServer:
             # Every failed shard has been rebuilt: acceptance may resume
             # (the un-poison mirror of _fail_shard).
             self._poisoned = None
-
-    def _build_writer_shards(
-        self, reader_shard: Dict[NodeId, int]
-    ) -> Dict[NodeId, Tuple[int, ...]]:
-        """Writer -> multicast shard tuple implied by ``reader_shard``."""
-        routing: Dict[NodeId, Dict[int, None]] = {}
-        neighborhood = self.query.neighborhood
-        graph = self.graph
-        for reader, shard_id in reader_shard.items():
-            for writer in neighborhood(graph, reader):
-                routing.setdefault(writer, {})[shard_id] = None
-        return {w: tuple(s) for w, s in routing.items()}
 
     def _recover_writes(self) -> None:
         """Cold restart, after the workers boot (each from its
@@ -796,7 +788,12 @@ class EAGrServer:
         with self._pending_lock:
             self._pending[seq] = call
         ex = self._executors[shard_id]
-        ex.submit((op, seq, *payload))
+        try:
+            ex.submit((op, seq, *payload))
+        except RuntimeError as exc:  # a dead worker, as _await reports one
+            with self._pending_lock:
+                del self._pending[seq]
+            raise ServeError(f"shard {shard_id}: {exc}") from exc
         # Awaited call: the worker must wake now for any frames deferred
         # by earlier write pushes plus this request (shm transport).
         ex.flush_bell()
@@ -836,73 +833,6 @@ class EAGrServer:
     # writes (multicast, coalescing, backpressure)
     # ------------------------------------------------------------------
 
-    def _route_table(self, writer_shards=None):
-        """Lazy writer -> shard-set lookup for packed write batches.
-
-        Returns ``(keys, member)`` — the sorted ``int64`` writer ids and a
-        ``num_shards x len(keys)`` boolean membership matrix
-        (``member[s, k]``: shard ``s`` aggregates writer ``keys[k]``, so
-        a multicast writer is simply set in several rows) — or ``None``
-        when packed batches cannot be routed through it: numpy is
-        absent, or some writer key is not a plain ``int`` in ``int64``
-        range (``True`` or ``1.0`` match a written id ``1`` in the dict
-        the per-item path consults; the table could not say so).
-        ``writer_shards`` is never mutated in place — :meth:`reshard`
-        installs a *new* dict under the route lock — so the cache is
-        keyed by the dict's identity: a stale table can never be served
-        for a new partition, and because the table is built from the
-        single snapshot passed in (or read once here), a concurrent swap
-        cannot produce a half-old half-new table.
-        """
-        if writer_shards is None:
-            writer_shards = self.writer_shards
-        cached = self._route_array
-        if cached is not None and cached[0] is writer_shards:
-            return cached[1]
-        table = None
-        if _np is not None and all(type(node) is int for node in writer_shards):
-            try:
-                keys = _np.array(sorted(writer_shards), dtype=_np.int64)
-            except OverflowError:
-                keys = None
-            if keys is not None:
-                member = _np.zeros((self.num_shards, len(keys)), dtype=bool)
-                for slot, node in enumerate(keys.tolist()):
-                    member[list(writer_shards[node]), slot] = True
-                table = (keys, member)
-        self._route_array = (writer_shards, table)
-        return table
-
-    def _route_frame(self, frame, writer_shards=None) -> Optional[Dict[int, Any]]:
-        """Split a packed batch into per-shard subframes, or ``None``.
-
-        Every row lands, in batch order, in the subframe of each shard
-        that aggregates its writer — byte-for-byte the records the
-        per-item loop would have filed in those outboxes.  Rows whose
-        writer no reader aggregates are dropped, exactly like the
-        per-item path drops them.  ``None`` (no usable table, see
-        :meth:`_route_table`) sends the batch down the per-item path.
-        ``writer_shards`` pins the routing to one snapshot of the
-        partition.
-        """
-        table = self._route_table(writer_shards)
-        if table is None:
-            return None
-        keys, member = table
-        parts: Dict[int, Any] = {}
-        if not len(keys):
-            return parts
-        nodes = frame.nodes
-        slot = _np.minimum(_np.searchsorted(keys, nodes), len(keys) - 1)
-        hits = member[:, slot] & (keys[slot] == nodes)
-        records = frame.records
-        for shard_id in _np.flatnonzero(hits.any(axis=1)).tolist():
-            mask = hits[shard_id]
-            parts[shard_id] = WriteFrame(
-                records if mask.all() else records[mask], ingress=frame.ingress
-            )
-        return parts
-
     def write_batch(self, writes: Sequence) -> int:
         """Accept a batch of writes; returns the number accepted.
 
@@ -928,14 +858,12 @@ class EAGrServer:
             )
         metered = self.metrics_enabled
         t0 = _time.monotonic() if metered else 0.0
-        # Partition snapshot: routing below happens against this exact
-        # dict, and the route-lock block re-verifies it by identity (a
-        # concurrent reshard() installs a *new* dict, never mutates).
-        writer_shards = self.writer_shards
+        router = self._router
+        # Partition snapshot: routing below happens against these routes,
+        # and the route-lock block re-verifies them (a reshard's ``P``
+        # installs a *new* table, hence new routes).
+        routes = router.routes()
         log = self._wal
-        #: shard -> this round's items for it: the ``W`` record's body,
-        #: which the fold files in the outboxes as it stands.
-        accepted: Dict[int, Any] = {}
         # One pack attempt at the door: a batch of (int, float, float)
         # triples packs ONCE here and splits through the membership
         # table — no per-item Python below this point.  The per-shard
@@ -951,32 +879,31 @@ class EAGrServer:
             if writes.__class__ is not list:
                 writes = list(writes)
             frame = WriteFrame.from_items(writes)
-        parts = None
         if frame is not None:
             if metered:
                 # T0 of the write→notify latency measurement: rides the
                 # frame through ring, shard and change report back to
                 # _deliver (same process, same clock).
                 frame.ingress = t0
-            parts = self._route_frame(frame, writer_shards)
+            #: shard -> this round's items for it: the ``W`` record's
+            #: body, which the fold files in the outboxes as it stands.
+            accepted = router.split(frame, routes)
         with self._route_lock:
-            if self.writer_shards is not writer_shards:
+            if router.routes() is not routes:
                 # A reshard() swapped the partition between the routing
                 # above and this push.  Its step-4 residue re-route has
                 # already run, so a batch routed by the old table would
                 # be applied (and durably WAL-replayed) on shards a
                 # moved reader just left and never reach the shard it
-                # now lives on.  Re-route against the live table before
-                # touching any outbox; the swap happens under this lock,
-                # so the refreshed snapshot cannot go stale again here.
-                writer_shards = self.writer_shards
-                if parts is not None:
-                    parts = self._route_frame(frame, writer_shards)
+                # now lives on.  Re-route against the live partition
+                # before touching any outbox; ``P`` is appended under
+                # this lock, so it cannot go stale again here.
+                routes = router.routes()
+                if frame is not None:
+                    accepted = router.split(frame, routes)
             state = log.state
             clock = state.clock
-            if parts is None:
-                if frame is not None:
-                    writes = frame.tolist()  # no usable route table
+            if frame is None:
                 triples: List[Tuple] = []
                 normalized = False
                 for item in writes:
@@ -994,24 +921,17 @@ class EAGrServer:
                     # The door attempt saw pairs, ``None`` timestamps or
                     # event objects: the stamped triples get theirs now.
                     frame = WriteFrame.from_items(triples)
-                    if frame is not None:
-                        if metered:
-                            frame.ingress = t0
-                        parts = self._route_frame(frame, writer_shards)
-            if parts is not None:
+                    if frame is not None and metered:
+                        frame.ingress = t0
+                accepted = router.split(
+                    triples if frame is None else frame, routes
+                )
+                count = len(triples)
+            else:
                 count = len(frame)
                 top = float(frame.timestamps.max())
                 if top > clock:
                     clock = top
-                accepted = parts
-            else:
-                count = len(triples)
-                for triple in triples:
-                    shards = writer_shards.get(triple[0])
-                    if not shards:
-                        continue  # no reader anywhere aggregates this writer
-                    for shard_id in shards:
-                        accepted.setdefault(shard_id, []).append(triple)
             self.writes_sent += count
             if count:
                 # Acceptance, appended under the route lock: log order
@@ -1075,18 +995,20 @@ class EAGrServer:
         else:
             lock.acquire()
         try:
-            batch = self._number_batch(shard_id)
-            if batch is None or self._submit_write(shard_id, batch, block):
-                return
-            # Shard backed up: the batch is back in the outbox (``RB``);
-            # later flushes (or the cap) carry it in one bigger batch.
-            self.coalesced_flushes += 1
-            if self._parked_rows(shard_id) >= self._coalesce_max:
-                self._submit_write(
-                    shard_id, self._number_batch(shard_id), block=True
-                )
+            self._flush_locked(shard_id, block)
         finally:
             lock.release()
+
+    def _flush_locked(self, shard_id: int, block: bool) -> None:
+        """Number and submit the shard's outbox (its flush lock held)."""
+        batch = self._number_batch(shard_id)
+        if batch is None or self._submit_write(shard_id, batch, block):
+            return
+        # Shard backed up: the batch is back in the outbox (``RB``);
+        # later flushes (or the cap) carry it in one bigger batch.
+        self.coalesced_flushes += 1
+        if self._parked_rows(shard_id) >= self._coalesce_max:
+            self._submit_write(shard_id, self._number_batch(shard_id), block=True)
 
     def _parked_rows(self, shard_id: int) -> int:
         """Write events parked in a shard's outbox — the ledger's pending
@@ -1162,29 +1084,42 @@ class EAGrServer:
         """Evaluate the query at one node."""
         return self.read_batch([node])[0]
 
-    def _owning_shards(self, nodes: List[NodeId]) -> Dict[int, List[int]]:
-        """``{shard: positions in nodes}`` for the nodes some shard owns,
-        with those shards' outboxes flushed — what every per-ego request
-        (read, subscribe, unsubscribe) is addressed by.
+    @contextmanager
+    def _owners_locked(self, nodes: List[NodeId]):
+        """Hold the flush locks of the shards that own ``nodes``, their
+        outboxes flushed; yields the ``{shard: positions}`` that is
+        current while they are held — what a per-ego request is sent
+        by, before they release.
 
-        Resolution retries across a concurrent ``reshard``: a blocking
-        flush that waited out a migration may have resolved ownership
-        against the pre-swap table, and a request sent by it would reach
-        a shard that no longer owns the ego (``reshard`` installs a
-        *new* dict, so identity comparison detects the swap exactly).
+        The locks go in ascending shard id, as ``reshard`` takes them.
+        A ``P`` fold installs a new table, so finding the same one once
+        they are held proves the owners still stand; after a swap they
+        are resolved again, and if an ego moved to a shard not held,
+        this starts over holding every flush lock, which freezes the
+        partition.  On the way out the held outboxes flush again without
+        blocking, so writes that parked behind the hold leave with it.
         """
-        for _attempt in range(8):
-            table = self.reader_shard
-            per_shard: Dict[int, List[int]] = {}
-            for position, node in enumerate(nodes):
-                shard_id = table.get(node)
-                if shard_id is not None:
-                    per_shard.setdefault(shard_id, []).append(position)
-            for shard_id in per_shard:
-                self._flush_shard(shard_id, block=True)
-            if self.reader_shard is table:
+        table = self.reader_shard
+        owners = self._router.owners(nodes)
+        for held in (sorted(owners), range(self.num_shards)):
+            locks = [self._flush_locks[shard_id] for shard_id in held]
+            for lock in locks:
+                lock.acquire()
+            if self.reader_shard is not table:
+                owners = self._router.owners(nodes)
+            if owners.keys() <= set(held):
                 break
-        return per_shard
+            for lock in reversed(locks):
+                lock.release()
+        try:
+            for shard_id in owners:
+                self._flush_locked(shard_id, block=True)
+            yield owners
+            for shard_id in owners:
+                self._flush_locked(shard_id, block=False)
+        finally:
+            for lock in reversed(locks):
+                lock.release()
 
     def read_batch(self, nodes: Sequence[NodeId]) -> List[Any]:
         """Evaluate the query at each node, preserving input order.
@@ -1204,23 +1139,17 @@ class EAGrServer:
         identity = aggregate.finalize(aggregate.identity())
         results: List[Any] = [identity] * len(nodes)
         calls = []
-        for shard_id, positions in self._owning_shards(nodes).items():
-            leftover = self._executors[shard_id].read_local(
-                nodes,
-                positions,
-                results,
-                self._wal.state.batch_no.get(shard_id, 0),
-            )
-            self.shm_reads += len(positions) - len(leftover)
-            if leftover:
-                calls.append(
-                    (
-                        leftover,
-                        self._submit_call(
-                            shard_id, OP_READ, [nodes[p] for p in leftover]
-                        ),
-                    )
+        with self._owners_locked(nodes) as owners:
+            batch_no = self._wal.state.batch_no
+            for shard_id, positions in owners.items():
+                leftover = self._executors[shard_id].read_local(
+                    nodes, positions, results, batch_no.get(shard_id, 0)
                 )
+                self.shm_reads += len(positions) - len(leftover)
+                if leftover:
+                    egos = [nodes[p] for p in leftover]
+                    call = self._submit_call(shard_id, OP_READ, egos)
+                    calls.append((leftover, call))
         for positions, call in calls:
             values = self._await([call])[0]
             for position, value in zip(positions, values):
@@ -1262,19 +1191,22 @@ class EAGrServer:
         self._check_open()
         nodes = list(nodes) if nodes is not None else []
         subscription = self._subs.attach(subscriber, resume_from)  # may raise
-        per_shard = {
-            shard_id: [nodes[position] for position in positions]
-            for shard_id, positions in self._owning_shards(nodes).items()
-        }
-        calls = [
-            self._submit_call(shard_id, OP_SUBSCRIBE, subscriber, shard_nodes)
-            for shard_id, shard_nodes in per_shard.items()
-        ]
-        for (shard_id, shard_nodes), (snapshot, shard_stamp) in zip(
-            per_shard.items(), self._await(calls)
-        ):
-            subscription.snapshot.update(snapshot)
-            self._subs.watch(subscriber, shard_id, shard_nodes, shard_stamp)
+        with self._owners_locked(nodes) as owners:
+            # Reply and ``S`` under the locks too: no write and no
+            # reshard reaches a shard between arming and recording.
+            per_shard = {
+                shard_id: [nodes[position] for position in positions]
+                for shard_id, positions in owners.items()
+            }
+            calls = [
+                self._submit_call(shard_id, OP_SUBSCRIBE, subscriber, shard_nodes)
+                for shard_id, shard_nodes in per_shard.items()
+            ]
+            for (shard_id, shard_nodes), (snapshot, shard_stamp) in zip(
+                per_shard.items(), self._await(calls)
+            ):
+                subscription.snapshot.update(snapshot)
+                self._subs.watch(subscriber, shard_id, shard_nodes, shard_stamp)
         aggregate = self.query.aggregate
         identity = aggregate.finalize(aggregate.identity())
         for node in nodes:
@@ -1330,17 +1262,23 @@ class EAGrServer:
         """
         self._check_open()
         if nodes is None:
-            per_shard: Dict[int, Any] = dict.fromkeys(range(self.num_shards))
+            # Every shard, no flush lock: the ``U`` names no shard.
+            calls = [
+                self._submit_call(shard_id, OP_UNSUBSCRIBE, subscriber, None)
+                for shard_id in range(self.num_shards)
+            ]
         else:
             nodes = list(nodes)
-            per_shard = {
-                shard_id: [nodes[position] for position in positions]
-                for shard_id, positions in self._owning_shards(nodes).items()
-            }
-        calls = [
-            self._submit_call(shard_id, OP_UNSUBSCRIBE, subscriber, shard_nodes)
-            for shard_id, shard_nodes in per_shard.items()
-        ]
+            with self._owners_locked(nodes) as owners:
+                calls = [
+                    self._submit_call(
+                        shard_id,
+                        OP_UNSUBSCRIBE,
+                        subscriber,
+                        [nodes[position] for position in positions],
+                    )
+                    for shard_id, positions in owners.items()
+                ]
         removed = sum(self._await(calls))
         self._subs.forget(subscriber, nodes)
         return removed
@@ -1469,28 +1407,20 @@ class EAGrServer:
         2. **Checkpoint** each affected shard through its FIFO queue —
            the reply guarantees every earlier notification was delivered,
            so watch moves below cannot strand an in-flight change.
-        3. **Splice**: synthetic checkpoints are assembled per the new
-           partition — moved readers' writer window buffers come from
-           their source shard's checkpoint (multicast keeps shared
-           buffers byte-identical across shards, so any donor is exact),
-           watch registries and notify baselines move ego-by-ego, and
-           every affected shard adopts the *maximum* write stamp/clock so
-           re-derived notifications can never collide with a moved ego's
-           replay filter.  Old workers are killed, new ones boot from the
-           synthetic checkpoints, watches included.
-        4. **Swap**, atomically under the route lock: a *new* routing
-           table is installed (readers re-resolve by dict identity), the
-           residue is re-routed under the new table (a write kept where
-           its writer is still read, duplicated once — from the lowest
-           affected source — to each shard its writer newly reaches),
-           and a single WAL ``P`` record (epoch, moves, synthetic
-           checkpoints, rerouted residue) makes the whole migration one
-           atomic recovery event: a crash replays entirely before or
-           entirely after it.  Its fold is also what moves the watch
-           registry's entries with their egos — here and on recovery.
+        3. **Splice** (:func:`~repro.serve.reshard.splice`): synthetic
+           checkpoints for the new partition, moved watches and baselines
+           following their egos.  Old workers are killed, new ones boot
+           from the synthetic checkpoints, watches included.
+        4. **Swap**, atomically under the route lock: the residue is
+           re-routed under the new partition
+           (:func:`~repro.serve.reshard.reroute`), and a single WAL ``P``
+           record (epoch, moves, synthetic checkpoints, rerouted residue)
+           makes the whole migration one atomic recovery event: a crash
+           replays entirely before or entirely after it.  Its fold
+           installs the new partition and moves the watch registry's
+           entries with their egos — here and on recovery.
         5. The flush locks release, residue flushes to the new workers,
-           the partition epoch bumps (resetting the observed replication
-           window).
+           the observed replication window restarts.
 
         Raises :class:`ServeError` (and leaves the old partition fully
         intact) if an affected worker dies before step 3 hands anything
@@ -1499,16 +1429,12 @@ class EAGrServer:
         Returns a summary dict (``moved``, ``affected``, ``epoch``...).
         """
         self._check_open()
-        moves: Dict[NodeId, int] = dict(getattr(plan, "moves", plan))
-        for node, dst in list(moves.items()):
+        moves: Dict[NodeId, int] = {}
+        for node, dst in dict(getattr(plan, "moves", plan)).items():
             dst = int(dst)
             if not 0 <= dst < self.num_shards:
                 raise ValueError(f"no such shard: {dst}")
-            if self.reader_shard.get(node) is None or (
-                self.reader_shard[node] == dst
-            ):
-                del moves[node]
-            else:
+            if self.reader_shard.get(node) not in (None, dst):
                 moves[node] = dst
         if not moves:
             return {
@@ -1517,18 +1443,17 @@ class EAGrServer:
                 "epoch": self.partition_epoch,
                 "replication_factor": self.replication_factor,
             }
-        import pickle as _pickle
-
         with self._reshard_lock:
             old_table = self.reader_shard
-            sources = {old_table[node] for node in moves}
-            affected = sorted(sources | set(moves.values()))
-            affected_set = set(affected)
+            affected = sorted(
+                {old_table[node] for node in moves} | set(moves.values())
+            )
             with self._route_lock:
                 self._migrating.update(affected)
             locks = [self._flush_locks[shard_id] for shard_id in affected]
             for lock in locks:
                 lock.acquire()
+            handed_over = False
             try:
                 # -- 1. drain the already-parked writes into the old epoch.
                 # One route-lock critical section across every affected
@@ -1554,94 +1479,25 @@ class EAGrServer:
                 self._fault("pre_checkpoint")
 
                 # -- 2. checkpoint through the FIFO (notices all delivered)
-                try:
-                    calls = [
-                        (shard_id, self._submit_call(shard_id, OP_CHECKPOINT))
-                        for shard_id in affected
-                    ]
-                    cks: Dict[int, ShardCheckpoint] = {}
-                    for shard_id, call in calls:
-                        cks[shard_id] = self._await([call])[0]
-                except RuntimeError as exc:
-                    # A dead worker surfaces as the executor's submit-time
-                    # RuntimeError; map it to the documented abort error.
-                    raise ServeError(
-                        f"reshard aborted: {exc}; restart_shard() and retry"
-                    ) from exc
+                calls = [
+                    self._submit_call(shard_id, OP_CHECKPOINT)
+                    for shard_id in affected
+                ]
+                cks = dict(zip(affected, self._await(calls)))
                 for shard_id in affected:
                     self._wal.append(("C", shard_id, cks[shard_id]), sync=True)
 
                 # -- 3. splice state into the new partition ---------------
-                new_table = dict(old_table)
-                for node, dst in moves.items():
-                    new_table[node] = dst
-                new_readers: Dict[int, set] = {
-                    shard_id: set() for shard_id in affected
-                }
-                for node, shard_id in new_table.items():
-                    if shard_id in new_readers:
-                        new_readers[shard_id].add(node)
-                merged_buffers: Dict[NodeId, Any] = {}
-                max_stamp = max(ck.stamp for ck in cks.values())
-                max_clock = max(ck.clock for ck in cks.values())
-                # Batch counters align to the max too: the front-end's
-                # replay filter compares an ego's last delivered *batch
-                # number* per ego, and an ego moving from a long-lived
-                # shard to a younger one must not have its next change
-                # land under a smaller number and read as a replay.
-                batch_no = self._wal.state.batch_no
-                max_batch = max(batch_no.get(sid, 0) for sid in affected)
-                for shard_id in affected:
-                    merged_buffers.update(cks[shard_id].buffers)
-                synthetic: Dict[int, ShardCheckpoint] = {}
-                for shard_id in affected:
-                    own = cks[shard_id]
-                    readers = new_readers[shard_id]
-                    watchers = {
-                        ego: subs
-                        for ego, subs in own.watchers.items()
-                        if ego in readers
-                    }
-                    baseline = {
-                        ego: value
-                        for ego, value in own.baseline.items()
-                        if ego in readers
-                    }
-                    for ego, dst in moves.items():
-                        if dst != shard_id:
-                            continue
-                        src_ck = cks[old_table[ego]]
-                        if ego in src_ck.watchers:
-                            watchers[ego] = src_ck.watchers[ego]
-                        if ego in src_ck.baseline:
-                            baseline[ego] = src_ck.baseline[ego]
-                    ck = ShardCheckpoint(
-                        shard_id=shard_id,
-                        applied_through=max_batch,
-                        stamp=max_stamp,
-                        clock=max_clock,
-                        # The merged superset is exact for every writer the
-                        # new overlay compiles (rebuild() drops the rest):
-                        # multicast kept shared buffers identical, and a
-                        # gained reader's writers all lived on its source.
-                        buffers=merged_buffers,
-                        watchers=watchers,
-                        baseline=baseline,
-                    )
-                    # Pickle-isolate per shard: two in-process hosts must
-                    # not alias the same buffer objects via the merge.
-                    synthetic[shard_id] = _pickle.loads(_pickle.dumps(ck))
+                owned, synthetic = splice(
+                    old_table, moves, cks, self._wal.state.batch_no
+                )
+                new_routes = self._router.derive({**old_table, **moves})
                 self._fault("pre_swap")
-            except BaseException:
-                with self._route_lock:
-                    self._migrating.difference_update(affected)
-                for lock in reversed(locks):
-                    lock.release()
-                raise
 
-            # Past this point a failure leaves shards mid-rebuild:
-            # fail-stop (poison) instead of unwinding, like a flush crash.
-            try:
+                # Past this point a failure leaves shards mid-rebuild:
+                # fail-stop (poison) instead of unwinding, like a flush
+                # crash.
+                handed_over = True
                 # The synthetic checkpoints carry the moved watches, so
                 # the new workers boot armed.  The front-side registry
                 # follows at the swap, by the ``P`` fold: the step-2
@@ -1650,70 +1506,42 @@ class EAGrServer:
                 # locks release, so no delivery runs in between.
                 for shard_id in affected:
                     self._replace_worker(
-                        shard_id,
-                        synthetic[shard_id],
-                        frozenset(new_readers[shard_id]),
+                        shard_id, synthetic[shard_id], owned[shard_id]
                     )
 
                 # -- 4. the atomic swap -----------------------------------
                 with self._route_lock:
-                    rounds = self._wal.state.rounds
-                    residue: Dict[int, List[Tuple]] = {
-                        shard_id: list(
-                            merge_items(
-                                [items for _seq, items in rounds.get(shard_id, ())]
-                            )
-                        )
-                        for shard_id in affected
-                    }
-                    new_writer_shards = self._build_writer_shards(new_table)
-                    old_writer_shards = self.writer_shards
-                    rerouted: Dict[int, List[Tuple]] = {
-                        shard_id: [] for shard_id in affected
-                    }  # destinations of moves are affected: no other key
-                    for shard_id in affected:
-                        for triple in residue[shard_id]:
-                            writer = triple[0]
-                            new_shards = new_writer_shards.get(writer, ())
-                            old_shards = old_writer_shards.get(writer, ())
-                            if shard_id in new_shards:
-                                rerouted[shard_id].append(triple)
-                            donor = min(
-                                (s for s in old_shards if s in affected_set),
-                                default=None,
-                            )
-                            if shard_id == donor:
-                                for dst in new_shards:
-                                    if dst not in old_shards:
-                                        rerouted[dst].append(triple)
-                    self.reader_shard = new_table
-                    self.writer_shards = new_writer_shards
-                    self._route_array = None
-                    self.partition_epoch += 1
+                    rerouted = reroute(
+                        self._wal.state.rounds,
+                        affected,
+                        self.writer_shards,
+                        new_routes.writer_shards,
+                    )
                     self._epoch_base = (self.writes_sent, self.writes_delivered)
                     # One record, appended in acceptance order: every W
                     # before it replays under the old partition, every W
                     # after it under the new one.  Its fold installs the
-                    # synthetic checkpoints, aligns the affected batch
-                    # counters to ``max_batch`` and replaces their
-                    # outboxes with the re-routed residue.
+                    # new partition and the synthetic checkpoints, aligns
+                    # the affected batch counters to theirs and replaces
+                    # their outboxes with the re-routed residue.
                     self._wal.append(
                         (
                             "P",
-                            self.partition_epoch,
-                            dict(moves),
+                            self.partition_epoch + 1,
+                            moves,
                             synthetic,
                             rerouted,
                         ),
                         sync=True,
                     )
             except BaseException as exc:
-                if self._poisoned is None:
-                    self._poisoned = (
-                        f"reshard failed mid-splice ({type(exc).__name__}: "
-                        f"{exc}); restart_shard() the affected shards"
-                    )
-                self._flush_failed.update(affected)
+                if handed_over:
+                    self._flush_failed.update(affected)
+                    if self._poisoned is None:
+                        self._poisoned = (
+                            f"reshard failed mid-splice ({type(exc).__name__}"
+                            f": {exc}); restart_shard() the affected shards"
+                        )
                 raise
             finally:
                 with self._route_lock:
@@ -1747,21 +1575,27 @@ class EAGrServer:
         a writer-closure of readers off the hottest shard.  Returns the
         reshard summary (``moved == 0`` and ``"plan": None`` when load is
         balanced — calling this on a quiet server is free)."""
-        from repro.serve.reshard import RebalancePolicy, propose_rebalance
-
-        if policy is None:
-            policy = RebalancePolicy()
         plan = propose_rebalance(self, policy=policy, write_freq=write_freq)
-        if plan is None or not plan.moves:
-            return {
-                "moved": 0,
-                "affected": [],
-                "epoch": self.partition_epoch,
-                "plan": None,
-            }
-        summary = self.reshard(plan)
-        summary["plan"] = {"kind": plan.kind, "reason": plan.reason}
+        summary = self.reshard(plan or {})
+        summary["plan"] = {"kind": plan.kind, "reason": plan.reason} if plan else None
         return summary
+
+    @property
+    def reader_shard(self) -> Dict[NodeId, int]:
+        """Reader -> owning shard: the ledger's own table (read-only; a
+        reshard's ``P`` fold replaces it with a new dict)."""
+        return self._wal.state.reader_shard
+
+    @property
+    def partition_epoch(self) -> int:
+        """Reshards applied to this deployment's partition, ever."""
+        return self._wal.state.meta.get("partition_epoch", 0)
+
+    @property
+    def writer_shards(self) -> Dict[NodeId, Tuple[int, ...]]:
+        """Writer -> the shards whose readers aggregate it, derived from
+        :attr:`reader_shard` (read-only)."""
+        return self._router.routes().writer_shards
 
     @property
     def notifications_delivered(self) -> int:

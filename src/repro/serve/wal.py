@@ -5,9 +5,10 @@ checkpoint covers, who watches what" is one state machine, written once:
 :meth:`WalState.fold`.  :class:`WriteAheadLog` owns the only copy of
 that state the front-end has — every transition ``EAGrServer`` makes is
 ``log.append(record)``, and the outboxes, batch counters, redo log,
-checkpoints and ingest clock it serves from are ``log.state`` — so the
-live server, a cold restart and a tailing replica cannot disagree about
-what a record means: they run the same fold.
+checkpoints, ingest clock and reader partition it serves from are
+``log.state`` — so the live server, a cold restart and a tailing
+replica cannot disagree about what a record means: they run the same
+fold.
 
 ``WriteAheadLog(None)`` is that ledger with no file behind it
 (``append`` folds, ``sync`` / ``maybe_compact`` do nothing): a server
@@ -61,8 +62,11 @@ Records are pickled tuples, one per frame:
   {shard: triples})`` — a live reshard (``EAGrServer.reshard``): the
   reader moves, the synthetic post-splice checkpoint of every affected
   shard, and the re-routed residue (writes accepted before the swap that
-  flush after it); its fold also moves each reader's registry entries
-  to the destination shard.  Appended under the route lock like ``W``,
+  flush after it).  Its fold installs a *new* ``reader_shard`` dict
+  rather than editing the old one — the table is the only copy of the
+  partition, and what routes derive from it is cached by its identity —
+  and moves each reader's registry entries to the destination shard.
+  Appended under the route lock like ``W``,
   so the record stream is partition-consistent: every ``W`` before it
   replays under the old partition, every ``W`` after it under the new —
   recovery lands entirely before or entirely after the migration, never
@@ -211,11 +215,11 @@ def read_frame(fh) -> Optional[Any]:
 class WalState:
     """The front-end's durability state, defined by its record fold.
 
-    Per-shard batch counters and redo logs, the latest checkpoints, the
-    accepted-but-unbatched rounds (the outboxes), the logical ingest
-    clock, and the watch registry — who watches which ego on which
-    shard, and from which shard write stamp — kept once, in the shape
-    notification fan-out walks (:attr:`watches`).
+    The reader partition, per-shard batch counters and redo logs, the
+    latest checkpoints, the accepted-but-unbatched rounds (the outboxes),
+    the logical ingest clock, and the watch registry — who watches which
+    ego on which shard, and from which shard write stamp — kept once, in
+    the shape notification fan-out walks (:attr:`watches`).
     :meth:`fold` is the one place each record kind's effect is written;
     the live :class:`WriteAheadLog` folds on every append (its ``state``
     *is* what ``EAGrServer`` serves from, and what compaction
@@ -233,6 +237,9 @@ class WalState:
     def __init__(self) -> None:
         self.num_shards: Optional[int] = None
         self.meta: Dict[str, Any] = {}
+        #: reader -> owning shard: the partition, kept nowhere else.
+        #: ``META`` installs it and each ``P`` replaces it with a new
+        #: dict, so identity tells a swapped partition apart.
         self.reader_shard: Dict[Hashable, int] = {}
         self.clock = 0.0
         self.wal_seq = 0
@@ -319,14 +326,18 @@ class WalState:
         elif kind == "P":
             _kind, epoch, moves, checkpoints, pending = record
             self.meta["partition_epoch"] = epoch
+            # A new table, never an edit of the old one: routes derived
+            # from a partition are cached by its dict's identity.
+            table = dict(self.reader_shard)
             for node, dst in moves.items():
                 # The ego's watchers migrate with it, seeds and order
                 # intact — the only thing that moves a watch between
                 # shards, live and on recovery.
-                src = self.watches.get(self.reader_shard.get(node), {})
+                src = self.watches.get(table.get(node), {})
                 if node in src:
                     self.watches.setdefault(dst, {})[node] = src.pop(node)
-                self.reader_shard[node] = dst
+                table[node] = dst
+            self.reader_shard = table
             for shard_id, ck in checkpoints.items():
                 self.checkpoints[shard_id] = ck
                 # The splice aligned every affected shard's batch counter
@@ -351,7 +362,8 @@ class WalState:
             _kind, info = record
             self.meta = dict(info)
             self.num_shards = info["num_shards"]
-            self.reader_shard = info["reader_shard"]
+            # Held once: the partition is ``reader_shard``, not ``meta``.
+            self.reader_shard = self.meta.pop("reader_shard")
         elif kind == "SNAP":
             if record[2:] != (_SNAP_SHAPE,):
                 raise WalError("SNAP predates the re-keyed watch registry")

@@ -18,7 +18,10 @@ walk it equals a model the test maintains from the walk's own
 subscribe / unsubscribe / reshard steps, each shard host watches exactly
 its slice, and — live, after restarting every shard, after a cold
 reopen — a write that moves every watched ego notifies each
-(subscriber, ego) exactly once, stamps contiguous.
+(subscriber, ego) exactly once, stamps contiguous.  The reader
+partition is the ledger's too: ``server.reader_shard`` *is* the fold's
+table after every step, and every ``S`` on disk names the shard that
+owned its egos when it was folded.
 
 Plus the constructor contract that rides along: whatever fails while the
 log is open closes it again, so the single-writer lock never leaks.
@@ -104,6 +107,7 @@ class WatchModel:
         return out
 
     def check(self, server):
+        assert server.reader_shard is server._wal.state.reader_shard
         ledger = {
             shard: {ego: set(subs) for ego, subs in egos.items()}
             for shard, egos in server._wal.state.watches.items()
@@ -115,6 +119,19 @@ class WatchModel:
                 ego: set(subs) for ego, subs in executor.host.watchers.items()
             }
             assert armed == ledger.get(shard, {}), shard
+
+
+def assert_watches_filed_with_their_egos(wal_dir):
+    """Refold the bytes on disk: every ``S`` names the shard that owns
+    its egos at that point of the fold."""
+
+    def check(state, record):
+        if record[0] == "S":
+            _kind, subscriber, shard, egos, _seed = record
+            owners = {state.reader_shard[ego] for ego in egos}
+            assert owners == {shard}, (subscriber, egos, shard)
+
+    fold_wal(wal_dir, check)
 
 
 def probe(server, oracle, model, nodes, value):
@@ -231,6 +248,7 @@ def test_live_ledger_is_the_fold_of_the_bytes_on_disk(tmp_path, seed):
             assert ledger_digest(server._wal.state) == ledger_digest(
                 fold_wal(wal_dir)
             )
+            assert_watches_filed_with_their_egos(wal_dir)
 
         oracle = EAGrEngine(graph, query, **ENGINE_OPTS)
         model = drive(server, oracle, nodes, seed, steps=60, after_each=check)

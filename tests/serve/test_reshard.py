@@ -34,7 +34,14 @@ from repro.core.windows import TupleWindow
 from repro.graph.generators import community_graph, random_graph
 from repro.core.partition import mincut_assignment
 from repro.serve import EAGrServer, ReshardPlan, ServeError
-from repro.serve.reshard import plan_from_assignment, propose_rebalance, RebalancePolicy
+from repro.serve.messages import ShardCheckpoint
+from repro.serve.reshard import (
+    RebalancePolicy,
+    plan_from_assignment,
+    propose_rebalance,
+    reroute,
+    splice,
+)
 
 from tests.serve.faultlib import (
     assert_contiguous,
@@ -592,14 +599,15 @@ class TestWriteRouteRace:
         oracle = EAGrEngine(graph, query, overlay_algorithm="identity",
                             dataflow="all_push")
         with make_server(graph, query) as server:
-            if server._route_table() is None:
+            router = server._router
+            if router.routes().table is None:
                 pytest.skip("columnar routing needs numpy + binary frames")
             moves = cross_shard_plan(server, movers=len(nodes))
-            orig = server._route_frame
+            orig = router.split
             fired = []
 
-            def racy(frame, writer_shards=None):
-                parts = orig(frame, writer_shards)
+            def racy(frame, routes):
+                parts = orig(frame, routes)
                 if not fired:
                     # A full migration completes inside the window
                     # between write_batch's routing and its push.
@@ -607,12 +615,12 @@ class TestWriteRouteRace:
                     server.reshard(moves)
                 return parts
 
-            server._route_frame = racy
+            router.split = racy
             batch = [(node, 2.0, float(i + 1)) for i, node in enumerate(nodes)]
             try:
                 assert server.write_batch(batch) == len(batch)
             finally:
-                server._route_frame = orig
+                router.split = orig
             oracle.write_batch(batch)
             assert fired and server.partition_epoch == 1
             server.drain()
@@ -623,3 +631,53 @@ class TestWriteRouteRace:
                 oracle.write_batch(later)
             server.drain()
             assert server.read_batch(nodes) == oracle.read_batch(nodes)
+
+
+class TestSpliceAndReroute:
+    """Steps 3 and 4 of a migration, as the pure functions they are."""
+
+    TABLE = {"a": 0, "b": 0, "c": 1}
+
+    @staticmethod
+    def checkpoints():
+        return {
+            0: ShardCheckpoint(
+                0, 5, 40, 7.0, {"w": [1.0]},
+                {"a": ("s1",), "b": ("s2",)}, {"a": 1.0, "b": 2.0},
+            ),
+            1: ShardCheckpoint(
+                1, 3, 90, 6.0, {"x": [2.0]}, {"c": ("s3",)}, {"c": 3.0},
+            ),
+        }
+
+    def test_a_moved_ego_takes_its_watchers_and_baseline(self):
+        readers, synthetic = splice(
+            self.TABLE, {"a": 1}, self.checkpoints(), {0: 5, 1: 3}
+        )
+        assert readers == {0: {"b"}, 1: {"a", "c"}}
+        assert synthetic[0].watchers == {"b": ("s2",)}
+        assert synthetic[0].baseline == {"b": 2.0}
+        assert synthetic[1].watchers == {"c": ("s3",), "a": ("s1",)}
+        assert synthetic[1].baseline == {"c": 3.0, "a": 1.0}
+
+    def test_counters_are_the_group_max_and_no_buffer_is_shared(self):
+        cks = self.checkpoints()
+        _readers, synthetic = splice(self.TABLE, {"a": 1}, cks, {0: 5, 1: 3})
+        for shard_id, ck in synthetic.items():
+            assert ck.shard_id == shard_id
+            assert (ck.applied_through, ck.stamp, ck.clock) == (5, 90, 7.0)
+            assert ck.buffers == {"w": [1.0], "x": [2.0]}
+        buffers = [ck.buffers[w] for ck in synthetic.values() for w in ("w", "x")]
+        buffers += [cks[0].buffers["w"], cks[1].buffers["x"]]
+        assert len({id(buffer) for buffer in buffers}) == len(buffers)
+
+    def test_residue_stays_where_read_and_reaches_each_new_reader_once(self):
+        w, v, u = ("w", 1.0, 1.0), ("v", 2.0, 2.0), ("u", 3.0, 3.0)
+        old = {"w": (0, 1), "v": (1,), "u": (0,)}
+        new = {"w": (1, 2), "v": (1, 2), "u": (0,)}
+        rounds = {0: [(1, [w]), (2, [u])], 1: [(1, [w, v])]}
+        assert reroute(rounds, [0, 1, 2], old, new) == {
+            0: [u],  # w is no longer read on 0
+            1: [w, v],  # both still read on 1
+            2: [w, v],  # newly reached: w from donor 0 only, v from 1
+        }

@@ -299,7 +299,9 @@ class TestPackabilityPicksTheRoute:
                     for triple in batch:
                         for shard_id in writer_shards.get(triple[0], ()):
                             reference.setdefault(shard_id, []).append(triple)
-                    parts = server._route_frame(WriteFrame.from_items(batch))
+                    parts = server._router.split(
+                        WriteFrame.from_items(batch), server._router.routes()
+                    )
                     assert sorted(parts) == sorted(reference)
                     for shard_id, triples in reference.items():
                         expected = WriteFrame.from_items(triples)

@@ -20,17 +20,30 @@ registry, and every later report on that ego raised for everyone.
 
 The invariant these follow from — who-watches-what is the ledger's fold
 and nothing else — is walked in ``test_ledger.py``.
+
+Three more lost updates had one cause — a per-ego request resolved its
+owner at one moment and was sent at another — and each fails at the
+commit before per-ego requests were sent under the owning shards' flush
+locks: a write applied between a subscribe's shard reply and its ``S``
+record never reached the new subscriber; a reshard in that window filed
+the watch under the shard the ego had just left; a reshard between a
+read's owner resolution and its ``OP_READ`` read the identity from the
+old owner.  The hold's failure edges ride along: a dead worker releases
+every lock, and a writer never waits on a subscribe.
 """
 
 import os
+import threading
 
 import pytest
 
 from repro.core.aggregates import Sum
+from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import random_graph
-from repro.serve import EAGrServer, ResumeGapError
+from repro.serve import EAGrServer, ResumeGapError, ServeError
+from repro.serve.messages import OP_SUBSCRIBE
 
 from tests.serve.faultlib import fail_journal_once
 
@@ -122,8 +135,9 @@ def test_unsubscribe_racing_a_reshard_reaches_the_new_owner():
     ) as server:
         ego = watched_ego(server, shard_id=0)
         sub = server.subscribe("w", [ego])
-        server.reader_shard = RacyTable(
-            server.reader_shard, lambda: server.reshard({ego: 1})
+        state = server._wal.state
+        state.reader_shard = RacyTable(
+            state.reader_shard, lambda: server.reshard({ego: 1})
         )
         assert server.unsubscribe("w", [ego]) == 1
         assert server.partition_epoch == 1 and server.reader_shard[ego] == 1
@@ -179,3 +193,202 @@ def test_an_unsubscribe_landing_before_the_watch_record_costs_nobody():
         assert [(n.ego, n.stamp) for n in sub_b.poll()] == [(ego, 1)]
         assert sub_a.poll() == []
         assert set(server._executors[0].host.watchers[ego]) == {"B"}
+
+
+def oracle_after(graph, query, nodes, value):
+    oracle = EAGrEngine(graph, query, **ENGINE)
+    write_all(oracle, nodes, value)
+    return oracle
+
+
+class ContendedLock:
+    """A flush lock that reports when a caller has to wait for it."""
+
+    def __init__(self, lock, waiting):
+        self._lock = lock
+        self._waiting = waiting
+
+    def acquire(self, blocking=True):
+        if self._lock.acquire(blocking=False):
+            return True
+        if not blocking:
+            return False
+        self._waiting.set()
+        return self._lock.acquire()
+
+    def release(self):
+        self._lock.release()
+
+    __enter__ = acquire
+
+    def __exit__(self, *exc_info):
+        self.release()
+
+
+def race(server, action):
+    """Run ``action`` on another thread until it finishes or waits for a
+    flush lock; returns a ``join`` that re-raises what it raised."""
+    waiting, errors = threading.Event(), []
+    server._flush_locks = [
+        ContendedLock(lock, waiting) for lock in server._flush_locks
+    ]
+
+    def run():
+        try:
+            action()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by join
+            errors.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    while thread.is_alive() and not waiting.wait(0.01):
+        pass
+
+    def join():
+        thread.join(timeout=60)
+        assert not thread.is_alive() and not errors, errors
+
+    return join
+
+
+def between_reply_and_record(server, action):
+    """Run ``action`` once, inside the next ``S`` append's window."""
+    watch = server._subs.watch
+
+    def racing_watch(*args):
+        server._subs.watch = watch
+        action()
+        watch(*args)
+
+    server._subs.watch = racing_watch
+
+
+def test_a_write_between_arming_and_recording_reaches_the_subscriber():
+    graph, query, nodes = make_env()
+    with EAGrServer(
+        graph, query, num_shards=1, executor="inprocess", **ENGINE
+    ) as server:
+        ego = watched_ego(server)
+        between_reply_and_record(server, lambda: write_all(server, nodes, 7))
+        sub = server.subscribe("w", [ego])
+        server.drain()
+        now = oracle_after(graph, query, nodes, 7).read(ego)
+        assert sub.snapshot[ego] == 0.0 != now == server.read(ego)
+        assert [(n.ego, n.value) for n in sub.poll()] == [(ego, now)]
+
+
+def test_a_reshard_between_arming_and_recording_files_the_watch_with_its_ego():
+    graph, query, nodes = make_env(seed=41)
+    with EAGrServer(
+        graph, query, num_shards=2, executor="inprocess", **ENGINE
+    ) as server:
+        ego = watched_ego(server, shard_id=0)
+        joins = []
+        between_reply_and_record(
+            server,
+            lambda: joins.append(race(server, lambda: server.reshard({ego: 1}))),
+        )
+        sub = server.subscribe("w", [ego])
+        joins[0]()
+        assert server.reader_shard[ego] == 1
+        watches = server._wal.state.watches
+        assert list(watches[1][ego]) == ["w"] and ego not in watches.get(0, {})
+        assert list(server._executors[1].host.watchers[ego]) == ["w"]
+        write_all(server, nodes, 8)
+        server.drain()
+        now = oracle_after(graph, query, nodes, 8).read(ego)
+        assert [(n.ego, n.value) for n in sub.poll()] == [(ego, now)]
+
+
+def test_a_reshard_between_resolving_and_reading_reads_the_new_owner():
+    graph, query, nodes = make_env(seed=41)
+    with EAGrServer(
+        graph, query, num_shards=2, executor="inprocess", **ENGINE
+    ) as server:
+        ego = watched_ego(server, shard_id=0)
+        write_all(server, nodes, 3)
+        executor = server._executors[0]
+        joins = []
+
+        def racing_read_local(*args):
+            del executor.read_local  # once
+            joins.append(race(server, lambda: server.reshard({ego: 1})))
+            return executor.read_local(*args)
+
+        executor.read_local = racing_read_local
+        expected = oracle_after(graph, query, nodes, 3).read(ego)
+        assert server.read(ego) == expected != 0.0
+        joins[0]()
+        assert server.reader_shard[ego] == 1
+        assert server.read(ego) == expected
+
+
+@pytest.mark.parametrize("verb", ["subscribe", "read", "unsubscribe"])
+def test_a_request_to_a_dead_worker_raises_and_releases_its_locks(verb):
+    graph, query, nodes = make_env()
+    with EAGrServer(
+        graph, query, num_shards=1, executor="inprocess", **ENGINE
+    ) as server:
+        ego = watched_ego(server)
+        send = {
+            "subscribe": lambda: server.subscribe("w", [ego]),
+            "read": lambda: server.read(ego),
+            "unsubscribe": lambda: server.unsubscribe("w", [ego]),
+        }[verb]
+        server._executors[0].kill()
+        with pytest.raises(ServeError):
+            send()
+        assert not any(lock.locked() for lock in server._flush_locks)
+        server.restart_shard(0)
+        send()
+
+
+def test_a_subscribe_to_a_worker_that_died_fails_fast_and_recovers():
+    graph, query, nodes = make_env()
+    with EAGrServer(
+        graph, query, num_shards=1, executor="process", transport="queue",
+        reply_timeout=30.0, **ENGINE,
+    ) as server:
+        ego = watched_ego(server)
+        process = server._executors[0]._process
+        process.terminate()
+        process.join(timeout=10.0)
+        with pytest.raises(ServeError, match="died"):
+            server.subscribe("w", [ego])
+        assert not server._flush_locks[0].locked()
+        server.restart_shard(0)
+        sub = server.subscribe("w", [ego])
+        write_all(server, nodes, 5)
+        note = sub.get(timeout=30.0)
+        now = oracle_after(graph, query, nodes, 5).read(ego)
+        assert (note.ego, note.value) == (ego, now)
+
+
+def test_a_subscribe_holding_its_locks_never_blocks_a_writer():
+    graph, query, nodes = make_env()
+    with EAGrServer(
+        graph, query, num_shards=1, executor="inprocess", **ENGINE
+    ) as server:
+        server._stop_flusher.set()  # only the subscribe may carry the write
+        server._flusher.join(timeout=5.0)
+        ego = watched_ego(server)
+        executor = server._executors[0]
+        parked = []
+
+        def awaited_submit(request):
+            if request[0] == OP_SUBSCRIBE:
+                writer = threading.Thread(target=write_all, args=(server, nodes, 9))
+                writer.start()
+                writer.join(timeout=10.0)
+                parked.append(
+                    (writer.is_alive(), bool(server._wal.state.rounds.get(0)))
+                )
+            type(executor).submit(executor, request)
+
+        executor.submit = awaited_submit
+        sub = server.subscribe("w", [ego])
+        assert parked == [(False, True)]  # returned, its round parked
+        assert not server._wal.state.rounds.get(0)  # and gone with the hold
+        now = oracle_after(graph, query, nodes, 9).read(ego)
+        assert sub.snapshot[ego] == 0.0
+        assert [(n.ego, n.value) for n in sub.poll()] == [(ego, now)]

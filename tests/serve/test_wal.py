@@ -60,9 +60,10 @@ class FakeCheckpoint:
         return f"FakeCheckpoint({self.applied_through})"
 
 
-def fold_wal(directory):
+def fold_wal(directory, before_fold=lambda state, record: None):
     """Independent re-fold of a log directory (never trusts the writer's
-    live state)."""
+    live state); ``before_fold(state, record)`` sees each record against
+    the fold of everything before it."""
     state = WalState()
     for _index, path in list_segments(directory):
         with open(path, "rb") as fh:
@@ -73,6 +74,7 @@ def fold_wal(directory):
                     break
                 if record is None:
                     break
+                before_fold(state, record)
                 state.fold(record)
     return state
 
