@@ -359,11 +359,13 @@ class EAGrEngine:
     def _recompile(self) -> None:
         """Full re-compilation (no maintainer): rebuild AG, overlay,
         decisions and runtime, preserving writer window buffers and the
-        pending change report (all keyed by graph node id)."""
+        pending change report (all keyed by graph node id), the write
+        stamp and the logical clock."""
         buffers = self.runtime.buffers
         pending_changes = self.runtime._changed_writers
         pending_readers = self.runtime._restructured_readers
         stamp = self.runtime.stamp
+        clock = self.runtime.clock
         self._oracle_members.clear()
         close_store = getattr(self.runtime.values, "close", None)
         if close_store is not None:
@@ -387,6 +389,7 @@ class EAGrEngine:
             stamp=stamp,
             shm_name=self.shm_name,
         )
+        self.runtime.clock = clock
         self.runtime._changed_writers.update(pending_changes)
         self.runtime._restructured_readers.update(pending_readers)
         if self.controller is not None:

@@ -61,6 +61,13 @@ object-list semantics.  On the columnar backend:
   batch through a precompiled **scatter table** — one ``np.add.at`` per
   column over ragged per-writer frontier rows — instead of a Python loop
   per plan step;
+* for SUM/MEAN over a tuple window the ingestion itself runs in handle
+  space: every writer's window is a row of one ring matrix
+  (:class:`~repro.core.windows.TupleRing`) and a packed batch folds into
+  it in one pass (:meth:`Runtime._write_ring`) — for long batches a
+  vectorised kernel (node ids to rows by ``searchsorted``, one stable
+  ``argsort``, one ``np.add.at`` over the per-event ``value - old``
+  terms), for short ones the same fold as a Python loop;
 * reads run in handle space through frozen **pull rows** — each reader's
   pull subtree flattened, on first touch, to its push-frontier leaves and
   their signed coefficients (:mod:`repro.core.pullrows`) — and one kernel
@@ -101,9 +108,10 @@ for the simulated multi-core executor.
 from __future__ import annotations
 
 import heapq
+from itertools import chain
 from dataclasses import dataclass
 from time import monotonic as _monotonic
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
@@ -130,8 +138,15 @@ from repro.core.overlay import (
 )
 from repro.core.pullrows import PullRows, ragged_index
 from repro.core.query import EgoQuery
-from repro.core.statestore import WriteFrame, make_value_store
-from repro.core.windows import NO_VALUE, TimeWindow, TupleWindow, WindowBuffer
+from repro.core.statestore import WriteFrame, gated_columns, make_value_store
+from repro.core.windows import (
+    NO_VALUE,
+    RingRow,
+    TimeWindow,
+    TupleRing,
+    TupleWindow,
+    WindowBuffer,
+)
 
 NodeId = Hashable
 PAO = Any
@@ -148,8 +163,11 @@ _MISS = object()
 
 #: C-level batch extraction of WriteEvent-shaped items.
 _EVENT_FIELDS = attrgetter("node", "value", "timestamp")
-_TRIPLE_NV = itemgetter(0, 1)
-_TRIPLE_TS = itemgetter(2)
+
+#: Shortest packed batch ``Runtime._write_ring`` folds with the vectorised
+#: kernel; below it the Python loop is cheaper (measured crossover 64–128
+#: rows, by how often writers repeat within a batch).
+_RING_ROWS = 128
 
 
 def normalize_write(item) -> Tuple[NodeId, Any, Optional[float]]:
@@ -299,39 +317,42 @@ class ReaderClosure:
 class _ScatterTable:
     """Ragged per-writer frontiers, frozen for whole-batch scatters.
 
-    ``indptr[w]:indptr[w+1]`` slices ``dst``/``coeff`` to every
-    destination writer ``w``'s compiled propagation observes, in the exact
-    order the per-writer plan would visit them.  ``coeff`` carries the
-    cumulative edge sign for push destinations and **0** for would-be
-    pushes stopping at the pull frontier — so one ragged expansion serves
-    both scatters of a batch: ``np.add.at(column, dst, coeff * delta)``
-    applies the value updates (pull-frontier rows contribute exact zeros)
-    and ``np.add.at(observed, dst, events)`` credits the observed-push
-    frequencies.  ``push_counts[w]`` is the number of real push
-    applications in ``w``'s row (the work-counter credit).
+    Two row sets per writer ``w``, each in the exact order the per-writer
+    plan visits its steps.  ``indptr[w]:indptr[w+1]`` slices ``dst`` to
+    every destination ``w``'s compiled propagation observes — push
+    applications and the would-be pushes stopping at the pull frontier —
+    what ``np.add.at(observed, dst, events)`` credits the observed-push
+    frequencies over.  ``push_indptr`` slices ``push_dst``/``push_coeff``
+    to the push applications alone, with their cumulative edge signs:
+    ``np.add.at(column, push_dst, push_coeff * delta)`` applies a batch's
+    value updates in the per-writer loop's addition order (the frontier
+    stops it leaves out would only add exact zeros to slots no read
+    uses), and a push row's length is its work-counter credit.
     """
 
-    __slots__ = ("indptr", "dst", "coeff", "push_counts", "has_push")
+    __slots__ = ("indptr", "dst", "push_indptr", "push_dst", "push_coeff", "has_push")
 
-    def __init__(self, indptr, dst, coeff, push_counts):
+    def __init__(self, indptr, dst, push_indptr, push_dst, push_coeff):
         self.indptr = indptr
         self.dst = dst
-        self.coeff = coeff
-        self.push_counts = push_counts
+        self.push_indptr = push_indptr
+        self.push_dst = push_dst
+        self.push_coeff = push_coeff
         # All-pull frontier right at the writers (pure on-demand systems):
-        # batches then skip the per-batch push-count gather entirely.
-        self.has_push = bool(push_counts.any())
+        # batches then skip the value scatter entirely.
+        self.has_push = bool(push_dst.size)
 
-    def expand(self, np, w_arr):
-        """Ragged expansion of ``w_arr``'s frontier rows.
+    def expand(self, np, w_arr, push: bool = False):
+        """Ragged expansion of ``w_arr``'s rows (push rows with ``push``).
 
-        Returns ``(idx, counts)`` where ``idx`` indexes ``dst``/``coeff``
-        with every row of every writer in ``w_arr``, writers in input
-        order and steps in row order, or ``None`` when the rows are all
-        empty.
+        Returns ``(idx, counts)`` where ``idx`` indexes ``dst`` (or
+        ``push_dst``/``push_coeff``) with every row of every writer in
+        ``w_arr``, writers in input order and steps in row order, or
+        ``None`` when the rows are all empty.
         """
-        starts = self.indptr[w_arr]
-        counts = self.indptr[w_arr + 1] - starts
+        indptr = self.push_indptr if push else self.indptr
+        starts = indptr[w_arr]
+        counts = indptr[w_arr + 1] - starts
         idx, _offsets = ragged_index(np, starts, counts)
         if not idx.size:
             return None
@@ -363,12 +384,6 @@ class Runtime:
         if not overlay.decisions_consistent():
             raise OverlayError("overlay decisions are inconsistent (pull feeds push)")
         self._time_window = isinstance(query.window, TimeWindow)
-        # ``ROWS 1`` (latest value per writer): a batch's net effect per
-        # writer telescopes to (last value - previous slot), unlocking the
-        # grouped columnar ingestion path.
-        self._unit_window = (
-            isinstance(query.window, TupleWindow) and query.window.size == 1
-        )
         # Per-writer sliding windows, keyed by *graph node id* so they can
         # survive overlay rebuilds.
         self.buffers: Dict[NodeId, WindowBuffer] = buffers if buffers is not None else {}
@@ -391,18 +406,27 @@ class Runtime:
         self._spec = self.aggregate.column_spec if self._columnar else None
         self._columnar_delta = self._columnar and self._spec.kind == "delta"
         self._scalar_buffers = self._columnar and self._spec.scalar_raws
+        # SUM/MEAN over a tuple window: the windows are rows of one ring
+        # matrix (see _build_ring) and packable batches take _write_ring.
+        self._ring: Optional[TupleRing] = None
+        self._ring_keys = None
+        self._ring_window = (
+            self._columnar_delta
+            and self._spec.scalar_raws
+            and isinstance(query.window, TupleWindow)
+        )
         self.snapshots: List[Optional[Dict[int, PAO]]] = []
         self._observed_push_store = []
         self.observed_pull = []
         # Deferred observed-push credits from columnar batches: (writer,
-        # events) pairs expanded through the scatter table only when the
-        # counters are actually read (or before the table is invalidated).
-        # Tuple-window batches defer at batch granularity instead: the
-        # extracted event triples are retained whole (O(1) per batch) and
-        # counted per writer only at flush time.
+        # events) pairs, plus the writer rows (kernel) or node ids (loop)
+        # of every ring batch (O(1) per batch), expanded through the
+        # scatter table only when the counters are actually read (or
+        # before the table goes).
         self._obs_pending_handles: List[int] = []
         self._obs_pending_events: List[int] = []
-        self._obs_raw_batches: List[List] = []
+        self._obs_ring_rows: List = []
+        self._obs_ring_nodes: List = []
         self.counters = RuntimeCounters()
         # Engine-op wall-time accounting for the observability plane:
         # off by default; the serve layer's ShardHost re-syncs it onto
@@ -444,12 +468,12 @@ class Runtime:
         self._pull_rows = PullRows(_statestore._np) if self._row_reads else {}
         self._reader_closures: Dict[int, ReaderClosure] = {}
         # Writers whose value changed since the last pop_changed_writers()
-        # (dict-as-ordered-set: first-touch order), keyed by *graph node
-        # id* — like the window buffers — so the pending report survives
-        # overlay rebuilds that remap the handle space.  The serve layer
-        # turns this into the set of egos to diff for subscription
-        # notifications, which is what keeps notification work O(affected
-        # readers) instead of O(subscribers).
+        # (dict-as-set; its order is not observable — changed_handles
+        # sorts), keyed by *graph node id* — like the window buffers — so
+        # the pending report survives overlay rebuilds that remap the
+        # handle space.  The serve layer turns this into the set of egos to
+        # diff for subscription notifications, which is what keeps
+        # notification work O(affected readers) instead of O(subscribers).
         self._changed_writers: Dict[NodeId, None] = {}
         # Readers whose neighbourhood a structural change altered since the
         # last report (their value can move with no writer moving), keyed
@@ -507,6 +531,8 @@ class Runtime:
             self._label_array = np.empty(n, dtype=object)
             for handle, label in enumerate(overlay.labels):
                 self._label_array[handle] = label
+        if self._ring_window:
+            self._build_ring()
         for node, handle in overlay.writer_of.items():
             if node not in self.buffers:
                 self.buffers[node] = self.query.window.make_buffer(
@@ -546,6 +572,38 @@ class Runtime:
             if overlay.decisions[handle] is Decision.PUSH:
                 self._initialize_push_node(handle)
 
+    def _build_ring(self) -> None:
+        """Rebuild the ring matrix over the current writers from the
+        node-keyed windows (views of the previous matrix, or detached
+        buffers from a checkpoint), and make every ``buffers`` entry a view
+        of its row.  With plain ``int`` writer ids the rows are in id
+        order, so ``_ring_keys`` maps node ids to rows by ``searchsorted``
+        (the kernel's precondition; ``None`` otherwise, or under trace
+        collection)."""
+        np = _statestore._np
+        writer_of = self.overlay.writer_of
+        nodes = list(writer_of)
+        keyed = bool(nodes) and all(type(node) is int for node in nodes)
+        if keyed:
+            nodes.sort()
+        ring = TupleRing(np, len(nodes), self.query.window.size)
+        buffers = self.buffers
+        for row, node in enumerate(nodes):
+            buffer = buffers.get(node)
+            if buffer is not None:
+                ring.load(row, buffer)
+            buffers[node] = RingRow(ring, row)
+        self._ring = ring
+        self._ring_handles = np.array(
+            [writer_of[node] for node in nodes], dtype=np.int64
+        )
+        self._ring_keys = None
+        if keyed and self.trace is None:
+            try:
+                self._ring_keys = np.array(nodes, dtype=np.int64)
+            except OverflowError:  # ids beyond int64: per-event path only
+                pass
+
     def _initialize_push_node(self, handle: int) -> None:
         """Compute a push node's PAO from its (push, by consistency) inputs."""
         agg = self.aggregate
@@ -570,66 +628,57 @@ class Runtime:
         """Observed push frequencies per handle (adaptive signal).
 
         Columnar batches defer their credits — as ``(writer, events)``
-        pairs, or for tuple windows as whole retained event batches — and
-        expand them through the scatter table on first read, so the
-        batched hot path never pays for bookkeeping nobody is looking at.
-        One deliberate nuance: batch-granular deferral credits a writer's
-        stream traffic even when its batch delta sums to exactly zero —
-        the closer reading of the paper's ``f_h`` write-frequency
-        estimate.  Both the object kernel and the per-event
-        ``write()`` path skip identity-delta writers instead, so on the
-        columnar backend a zero-net-delta workload (e.g. COUNT over a
-        full tuple window) reports higher — stream-accurate — frequencies
-        through ``write_batch`` than through ``write``.
+        pairs, or from ring batches as each batch's writer rows or node
+        ids — and expand them through the scatter table on first read,
+        so the batched hot path never pays for bookkeeping nobody is
+        looking at.  One deliberate nuance: tuple-window batches credit
+        every event of a writer's stream traffic even when its batch
+        delta sums to exactly zero — the closer reading of the paper's
+        ``f_h`` write-frequency estimate.  Both the object kernel and the
+        per-event ``write()`` path skip identity-delta writers instead,
+        so on the columnar backend a zero-net-delta workload (e.g. COUNT
+        over a full tuple window) reports higher — stream-accurate —
+        frequencies through ``write_batch`` than through ``write``.
         """
-        if self._obs_pending_handles or self._obs_raw_batches:
+        if self._obs_pending_handles or self._obs_ring_rows or self._obs_ring_nodes:
             self._flush_observed()
         return self._observed_push_store
 
     def _flush_observed(self) -> None:
-        """Materialize deferred observed-push credits into the counters."""
-        raw = self._obs_raw_batches
-        if raw:
-            self._obs_raw_batches = []
-            ingest_get = self._ingest.get
-            tally: Dict[int, int] = {}
-            for batch in raw:
-                if batch.__class__ is tuple:
-                    # ``("nodes", [...])`` from the WriteFrame fast path:
-                    # only the node column was retained (triples batches
-                    # are lists, so the tag is unambiguous).
-                    for node in batch[1]:
-                        route = ingest_get(node)
-                        if route is not None:
-                            handle = route[0]
-                            tally[handle] = tally.get(handle, 0) + 1
-                    continue
-                for node, _value, _timestamp in batch:
-                    route = ingest_get(node)
-                    if route is not None:
-                        handle = route[0]
-                        tally[handle] = tally.get(handle, 0) + 1
-            self._obs_pending_handles.extend(tally.keys())
-            self._obs_pending_events.extend(tally.values())
-        handles = self._obs_pending_handles
-        if not handles:
-            return
-        events = self._obs_pending_events
-        self._obs_pending_handles = []
-        self._obs_pending_events = []
+        """Materialize deferred observed-push credits into the counters:
+        the ``(writer, events)`` pairs and the ``bincount`` of the retained
+        ring rows (node ids mapped to rows first) added into one per-handle
+        tally, then one expansion of the credited writers through the
+        scatter table."""
         np = _statestore._np
+        tally = np.zeros(len(self._observed_push_store), dtype=np.int64)
+        if self._obs_pending_handles:
+            np.add.at(tally, self._obs_pending_handles, self._obs_pending_events)
+            self._obs_pending_handles, self._obs_pending_events = [], []
+        if self._obs_ring_nodes:
+            nodes = np.fromiter(chain.from_iterable(self._obs_ring_nodes), np.int64)
+            self._obs_ring_nodes = []
+            keys = self._ring_keys
+            rows = np.minimum(keys.searchsorted(nodes), len(keys) - 1)
+            self._obs_ring_rows.append(rows[keys[rows] == nodes])
+        if self._obs_ring_rows:
+            tally[self._ring_handles] += np.bincount(
+                np.concatenate(self._obs_ring_rows),
+                minlength=len(self._ring_handles),
+            )
+            self._obs_ring_rows = []
+        writers = tally.nonzero()[0]
+        if not writers.size:
+            return
         table = self._scatter
         if table is None:
             table = self._build_scatter_table()
-        w_arr = np.asarray(handles, dtype=np.int64)
-        expanded = table.expand(np, w_arr)
+        expanded = table.expand(np, writers)
         if expanded is None:
             return
         idx, counts = expanded
         np.add.at(
-            self._observed_push_store,
-            table.dst[idx],
-            np.repeat(np.asarray(events, dtype=np.int64), counts),
+            self._observed_push_store, table.dst[idx], np.repeat(tally[writers], counts)
         )
 
     # ------------------------------------------------------------------
@@ -654,7 +703,7 @@ class Runtime:
         """
         # Deferred observed-push credits belong to the *outgoing* scatter
         # table's frontier rows; settle them before dropping it.
-        if self._obs_pending_handles or self._obs_raw_batches:
+        if self._obs_pending_handles or self._obs_ring_rows or self._obs_ring_nodes:
             self._flush_observed()
         self._csr = None
         self._scatter = None
@@ -872,7 +921,9 @@ class Runtime:
         writers are skipped exactly where propagation skips them).  The
         pending set is keyed by graph node id, so it survives overlay
         rebuilds: stale entries map to the writer's *current* handle, and
-        writers removed from the overlay drop out silently.
+        writers removed from the overlay drop out silently.  The order of
+        the list is not observable: :meth:`changed_handles`, its only
+        consumer, reports in ascending handle order.
         """
         if not self._changed_writers:
             return []
@@ -1000,11 +1051,11 @@ class Runtime:
         n = self.overlay.num_nodes
         indptr = [0] * (n + 1)
         dsts: List[int] = []
-        coeffs: List[int] = []
-        push_counts = [0] * n
+        push_indptr = [0] * (n + 1)
+        push_dsts: List[int] = []
+        push_coeffs: List[int] = []
         for handle in range(n):
             if kinds[handle] == KIND_WRITER:
-                pushes = 0
                 stack: List[Tuple[int, int]] = [(handle, 1)]
                 while stack:
                     node, carried = stack.pop()
@@ -1013,18 +1064,17 @@ class Runtime:
                         sign = carried * out_signs[i]
                         dsts.append(dst)
                         if push[dst]:
-                            coeffs.append(sign)
-                            pushes += 1
+                            push_dsts.append(dst)
+                            push_coeffs.append(sign)
                             stack.append((dst, sign))
-                        else:
-                            coeffs.append(0)
-                push_counts[handle] = pushes
             indptr[handle + 1] = len(dsts)
+            push_indptr[handle + 1] = len(push_dsts)
         table = _ScatterTable(
             indptr=np.asarray(indptr, dtype=np.int64),
             dst=np.asarray(dsts, dtype=np.int64),
-            coeff=np.asarray(coeffs, dtype=np.int8),
-            push_counts=np.asarray(push_counts, dtype=np.int64),
+            push_indptr=np.asarray(push_indptr, dtype=np.int64),
+            push_dst=np.asarray(push_dsts, dtype=np.int64),
+            push_coeff=np.asarray(push_coeffs, dtype=np.int8),
         )
         self._scatter = table
         self.scatter_builds += 1
@@ -1093,20 +1143,26 @@ class Runtime:
     def _write_batch_impl(self, writes: Sequence) -> int:
         self._check_plans()
         self.stamp += 1
+        # Packed batches of a ring runtime take _write_ring: a frame's record
+        # columns (serve ingress, WAL replay) as they are, a list when it
+        # passes the WriteFrame gate (int nodes, float values and
+        # timestamps), pairs as well as triples.
         if writes.__class__ is WriteFrame:
-            # Packed binary batch (serve ingress / WAL replay): the ROWS-1
-            # columnar path scatters straight from the record columns; any
-            # other configuration falls back to plain triples.
-            if (
-                self._columnar_delta
-                and self.trace is None
-                and self._unit_window
-                and not self._time_window
-            ):
-                result = self._write_frame_unit(writes)
-                if result is not None:
-                    return result
+            if self._ring_keys is not None:
+                stamps = writes.timestamps
+                last = float(stamps.max()) if stamps.size else None
+                return self._write_ring(writes.nodes, writes.values, last)
             writes = writes.tolist()
+        else:
+            if writes.__class__ is not list and not isinstance(writes, tuple):
+                # Packing and the fallback both walk the batch; a one-shot
+                # iterator would reach the second walk exhausted.
+                writes = list(writes)
+            if self._ring_keys is not None:
+                columns = gated_columns(writes, 2) or gated_columns(writes, 3)
+                if columns is not None:
+                    last = max(columns[2]) if len(columns) == 3 else None
+                    return self._write_ring(columns[0], columns[1], last)
         if self._columnar_delta and self.trace is None:
             return self._write_batch_columnar(writes)
         overlay = self.overlay
@@ -1224,9 +1280,8 @@ class Runtime:
         A writer whose batch run evicted nothing can only *raise* the
         extremum (lattice merges are monotone), so its whole downstream
         frontier applies as an idempotent extremum scatter over the same
-        ragged rows the delta kernels use — pull-frontier rows (coefficient
-        0 in the scatter table) are masked out, and lattice overlays carry
-        no negative edges, so every surviving coefficient is +1.  Writers
+        push rows the delta kernels use — lattice overlays carry no
+        negative edges, so every coefficient there is +1.  Writers
         that saw an eviction (the extremum may shrink) recompute from their
         window buffer and propagate through the data-dependent DFS, which
         gathers input columns directly instead of per-node snapshots.
@@ -1271,15 +1326,13 @@ class Runtime:
             v_arr = np.fromiter(grow_values, dtype=np.float64, count=count)
             column[w_arr] = v_arr
             cleared[w_arr] = False
-            expanded = table.expand(np, w_arr)
+            expanded = table.expand(np, w_arr, push=True)
             if expanded is not None:
                 idx, counts = expanded
-                live = table.coeff[idx] != 0  # drop pull-frontier rows
-                if live.any():
-                    dsts = table.dst[idx][live]
-                    fold_at(column, dsts, np.repeat(v_arr, counts)[live])
-                    cleared[dsts] = False
-            self.counters.push_ops += int(table.push_counts[w_arr].sum())
+                dsts = table.push_dst[idx]
+                fold_at(column, dsts, np.repeat(v_arr, counts))
+                cleared[dsts] = False
+                self.counters.push_ops += idx.size
             self._obs_pending_handles.extend(grow_handles)
             self._obs_pending_events.extend(grow_events)
         for handle, (added, evicted) in slow:
@@ -1343,20 +1396,13 @@ class Runtime:
         handful of numpy calls.  Tuple windows additionally take the
         buffers' allocation-free
         :meth:`~repro.core.windows.WindowBuffer.push` path, fusing the
-        steady-state (window full) event into a single ``+= value - old``.
+        steady-state (window full) event into a single ``+= value - old``;
+        this is what a tuple-window batch the ring kernel cannot take
+        (:meth:`_write_ring`: COUNT, unpackable items) runs.
         """
         time_window = self._time_window
         use_value = "value" in self._spec.sources
         clock = self.clock
-        if writes.__class__ is not list and not isinstance(writes, tuple):
-            # The fast paths re-iterate on extraction fallback; a one-shot
-            # iterator would silently lose the already-consumed prefix.
-            writes = list(writes)
-        if self._unit_window:
-            result = self._write_batch_unit(writes, clock, use_value)
-            if result is not None:
-                return result
-            # (fell through: heterogeneous items or None timestamps)
         marker = object()  # tags routes touched by *this* batch
         touched: List[List] = []  # touched routes, in first-touch order
         touched_append = touched.append
@@ -1372,7 +1418,7 @@ class Runtime:
                 except AttributeError:
                     triples = [
                         (
-                            (item[0], item[1], item[2])
+                            item
                             if item.__class__ is tuple and len(item) == 3
                             else (item[0], item[1], None)
                             if item.__class__ is tuple
@@ -1385,13 +1431,6 @@ class Runtime:
                         for item in writes
                     ]
                 count = len(triples)
-                # Observed-push credits for the whole batch are deferred
-                # by retaining the extracted triples (O(1)); per-writer
-                # add counts are tallied only at flush time.  The cap
-                # bounds retained memory on read-free streams.
-                self._obs_raw_batches.append(triples)
-                if len(self._obs_raw_batches) >= 256:
-                    self._flush_observed()
                 if use_value:
                     # Hyper path: SUM/MEAN-style value folding; the
                     # steady-state event is one fused ``+= value - old``.
@@ -1410,6 +1449,7 @@ class Runtime:
                             entry = route[2] = [0.0, 0, 0]
                             route[3] = marker
                             touched_append(route)
+                        entry[2] += 1
                         if old is NO_VALUE:
                             entry[0] += value
                             entry[1] += 1
@@ -1432,6 +1472,7 @@ class Runtime:
                             entry = route[2] = [0.0, 0, 0]
                             route[3] = marker
                             touched_append(route)
+                        entry[2] += 1
                         if old is NO_VALUE:
                             entry[1] += 1
             else:
@@ -1482,142 +1523,123 @@ class Runtime:
             # buffers must propagate even when an item raises.
             self.clock = clock
             self.counters.writes += count
-            self._apply_pending_columnar(touched, raw_observed=not time_window)
+            self._apply_pending_columnar(touched, credit_all=not time_window)
         return count
 
-    def _write_batch_unit(
-        self, writes: Sequence, clock: float, use_value: bool
-    ) -> Optional[int]:
-        """Grouped columnar ingestion for ``ROWS 1`` windows.
+    def _write_ring(self, nodes, values, last: Optional[float]) -> int:
+        """The tuple-window write: one packed batch — ``nodes`` (ints) and
+        ``values`` (floats) in stream order, ``last`` its largest timestamp
+        or ``None`` for a timestamp-less batch, which advances the clock by
+        one per event — folded into the ring matrix and scattered.
 
-        With a one-slot window a batch's net effect per writer telescopes:
-        only the *last* value matters (``delta = last - previous slot``),
-        every intermediate write cancels.  The batch is therefore grouped
-        with a C-level ``dict(map(...))`` — keeping each writer's last
-        value — and the Python loop runs once per unique writer instead of
-        once per event.  Returns ``None`` (caller falls back to the
-        per-event loop) for heterogeneous items or ``None`` timestamps,
-        whose clock semantics need sequential treatment.
+        Events of unknown writers are dropped; each writer's run folds its
+        per-event ``value - old`` terms in stream order (the additions of
+        the per-event ``entry[0] += value - old``), and moved writers reach
+        :meth:`_scatter_deltas` in first-touch order, as the per-event loop
+        hands them over — so the columns are bit-identical to it.  A batch
+        of ``_RING_ROWS`` or more runs the vectorised kernel
+        (:meth:`_ring_kernel`); a shorter one, whose events cost less than
+        the kernel's numpy calls, the same fold as a Python loop
+        (:meth:`_ring_loop`).
         """
-        try:
-            triples = list(map(_EVENT_FIELDS, writes))
-        except AttributeError:
-            return None
-        count = len(triples)
-        if not count:
-            return 0
-        try:
-            ts_max = max(map(_TRIPLE_TS, triples))
-            if ts_max > clock:
-                clock = ts_max
-        except TypeError:  # a None timestamp: needs the sequential loop
-            return None
-        # Whole-batch observed-push deferral (tallied per writer at flush).
-        self._obs_raw_batches.append(triples)
-        if len(self._obs_raw_batches) >= 256:
-            self._flush_observed()
-        # C-level grouping: keep each writer's LAST value, in first-touch
-        # key order (matching the per-event loop's coalescing order).
-        last = dict(map(_TRIPLE_NV, triples))
-        ingest_get = self._ingest.get
-        use_count = "count" in self._spec.sources
-        writers: List[int] = []
-        value_deltas: List[float] = []
-        count_deltas: List[int] = []
-        try:
-            if use_value:  # SUM / MEAN
-                for node, value in last.items():
-                    route = ingest_get(node)
-                    if route is None:
-                        continue
-                    old = route[1](value, clock)
-                    if old is NO_VALUE:
-                        dv = value
-                        dc = 1
-                    else:
-                        dv = value - old
-                        dc = 0
-                    if dv or (dc and use_count):
-                        writers.append(route[0])
-                        value_deltas.append(dv)
-                        count_deltas.append(dc)
-            else:  # COUNT: only first-fill changes the count
-                for node, value in last.items():
-                    route = ingest_get(node)
-                    if route is None:
-                        continue
-                    if route[1](value, clock) is NO_VALUE:
-                        writers.append(route[0])
-                        count_deltas.append(1)
-        finally:
-            self.clock = clock
-            self.counters.writes += count
-            self._scatter_deltas(writers, value_deltas, count_deltas, None)
-        return count
-
-    def _write_frame_unit(self, frame: WriteFrame) -> Optional[int]:
-        """:meth:`_write_batch_unit` fed straight from a packed frame.
-
-        Mirrors the grouped ROWS-1 path exactly — same last-per-writer
-        grouping in first-touch order, same per-unique-writer route loop,
-        same scatter — but extracts the batch from the frame's record
-        columns in three C-level ``tolist()`` calls instead of a
-        per-item unpack, and defers observed-push credits as the node
-        column alone.  Frames never carry ``None`` timestamps (they are
-        packed ``f8``), so the sequential-clock fallback of the triple
-        path cannot trigger here.
-        """
-        count = len(frame)
-        if not count:
-            return 0
+        count = len(nodes)
         clock = self.clock
-        records = frame.records
-        ts_max = float(records["timestamp"].max())
-        if ts_max > clock:
-            clock = ts_max
-        nodes = records["node"].tolist()
-        # Whole-batch observed-push deferral: only the node column is
-        # needed for the per-writer tally (see _flush_observed).
-        self._obs_raw_batches.append(("nodes", nodes))
-        if len(self._obs_raw_batches) >= 256:
+        if last is None:
+            clock = float(clock)
+            if clock.is_integer() and clock < 2.0**52:
+                clock += count  # exactly the per-event ``+ 1.0`` chain
+            else:
+                for _ in range(count):
+                    clock += 1.0
+        elif last > clock:
+            clock = last
+        self.clock = clock
+        self.counters.writes += count
+        if count >= _RING_ROWS:
+            np = _statestore._np
+            self._ring_kernel(
+                np.asarray(nodes, dtype=np.int64), np.asarray(values, dtype=np.float64)
+            )
+        elif count:
+            if nodes.__class__ is not tuple:  # record columns
+                nodes, values = nodes.tolist(), values.tolist()
+            self._ring_loop(nodes, values)
+        return count
+
+    def _ring_loop(self, nodes, values) -> None:
+        """:meth:`_write_ring` for a short batch: events grouped per writer
+        in first-touch order, each run pushed through the matrix's flat
+        memoryviews (:class:`TupleRing`'s slot discipline) with the per-event
+        ``dv += value - old`` — plain Python floats, so the same IEEE
+        additions as the kernel's.  Observed-push credits keep the batch's
+        node list (mapped to rows when they are flushed)."""
+        runs: Dict[NodeId, List[float]] = {}
+        for node, value in zip(nodes, values):
+            run = runs.get(node)
+            if run is None:
+                runs[node] = [value]
+            else:
+                run.append(value)
+        self._obs_ring_nodes.append(nodes)
+        if len(self._obs_ring_nodes) >= 256:  # bounds what read-free streams retain
             self._flush_observed()
-        last = dict(zip(nodes, records["value"].tolist()))
+        ring = self._ring
+        size, cells, counts = ring.size, ring.cells, ring.counts
         ingest_get = self._ingest.get
-        use_value = "value" in self._spec.sources
         use_count = "count" in self._spec.sources
         writers: List[int] = []
         value_deltas: List[float] = []
         count_deltas: List[int] = []
-        try:
-            if use_value:  # SUM / MEAN
-                for node, value in last.items():
-                    route = ingest_get(node)
-                    if route is None:
-                        continue
-                    old = route[1](value, clock)
-                    if old is NO_VALUE:
-                        dv = value
-                        dc = 1
-                    else:
-                        dv = value - old
-                        dc = 0
-                    if dv or (dc and use_count):
-                        writers.append(route[0])
-                        value_deltas.append(dv)
-                        count_deltas.append(dc)
-            else:  # COUNT: only first-fill changes the count
-                for node, value in last.items():
-                    route = ingest_get(node)
-                    if route is None:
-                        continue
-                    if route[1](value, clock) is NO_VALUE:
-                        writers.append(route[0])
-                        count_deltas.append(1)
-        finally:
-            self.clock = clock
-            self.counters.writes += count
-            self._scatter_deltas(writers, value_deltas, count_deltas, None)
-        return count
+        for node, run in runs.items():
+            route = ingest_get(node)
+            if route is None:
+                continue
+            row = route[4].row
+            pushed = counts[row]
+            base = row * size
+            dv, dc = 0.0, 0
+            for value in run:
+                cell = base + pushed % size
+                if pushed < size:
+                    dv += value
+                    dc += 1
+                else:
+                    dv += value - cells[cell]
+                cells[cell] = value
+                pushed += 1
+            counts[row] = pushed
+            if dv or (dc and use_count):
+                writers.append(route[0])
+                value_deltas.append(dv)
+                count_deltas.append(dc)
+        self._scatter_deltas(writers, value_deltas, count_deltas)
+
+    def _ring_kernel(self, nodes, values) -> None:
+        """:meth:`_write_ring` for a long batch: node ids to rows by
+        ``searchsorted`` over the sorted writer ids, one stable ``argsort``
+        to group the events per writer, :meth:`TupleRing.fold_sorted`."""
+        np = _statestore._np
+        keys = self._ring_keys
+        order = nodes.argsort(kind="stable")  # sorted needles search faster
+        sought = nodes[order]
+        rows = keys.searchsorted(sought)
+        np.minimum(rows, len(keys) - 1, out=rows)
+        known = keys[rows] == sought
+        if not known.all():
+            rows, order = rows[known], order[known]
+        if not rows.size:
+            return
+        self._obs_ring_rows.append(rows)
+        if len(self._obs_ring_rows) >= 256:  # bounds what read-free streams retain
+            self._flush_observed()
+        starts, dv, dc = self._ring.fold_sorted(rows, values[order])
+        moved = dv != 0
+        if "count" in self._spec.sources:
+            moved |= dc != 0
+        touch = order[starts].argsort()  # first-touch order
+        touch = touch[moved[touch]]
+        handles = self._ring_handles[rows[starts][touch]]
+        self._scatter_deltas(handles, dv[touch], dc[touch])
 
     def _advance_time_deferred_scalar(
         self, now: float, marker: Any, touched: List[List], use_value: bool
@@ -1644,125 +1666,86 @@ class Runtime:
                         entry[0] -= raw
                 entry[1] -= len(evicted)
 
-    def _apply_pending_columnar(
-        self, touched: List[List], raw_observed: bool = False
-    ) -> None:
-        """Propagation phase of a columnar batch: one scatter per column.
+    def _apply_pending_columnar(self, touched: List[List], credit_all: bool) -> None:
+        """Propagation phase of a per-event columnar batch: one scatter
+        per column.
 
         Per-writer column deltas come straight off the touched routes'
         accumulators (``value`` columns from the folded value delta,
         ``count`` columns from the count delta); zero-delta writers'
         *state* is skipped exactly as the object kernel skips identity
-        deltas.  The concatenated ragged rows apply with ``np.add.at`` in
-        (writer, step) order — the same addition sequence as the
-        per-writer loop, so results match bit for bit.  With
-        ``raw_observed`` the observed-push credits were already deferred
-        at batch granularity by the ingestion loop; otherwise they are
-        recorded here as (writer, events) pairs.
+        deltas.  Observed-push credits are deferred as (writer, events)
+        pairs: with ``credit_all`` (tuple windows) every touched writer's
+        events — the stream-accurate credit of the ring kernel — otherwise
+        (time windows) only moved writers', an eviction-only sweep
+        counting one.
         """
-        if not touched:
-            return
         sources = self._spec.sources
         use_value = "value" in sources
         use_count = "count" in sources
+        credited, events = self._obs_pending_handles, self._obs_pending_events
         writers: List[int] = []
-        events_list: List[int] = []
         value_deltas: List[float] = []
         count_deltas: List[int] = []
-        if use_value and not use_count:  # SUM: single value column
-            if raw_observed:
-                for route in touched:
-                    dv = route[2][0]
-                    if not dv:
-                        continue
-                    writers.append(route[0])
-                    value_deltas.append(dv)
-            else:
-                for route in touched:
-                    entry = route[2]
-                    dv = entry[0]
-                    if not dv:
-                        continue
-                    writers.append(route[0])
-                    events_list.append(entry[2] or 1)  # eviction-only sweep
-                    value_deltas.append(dv)
-        else:
-            for route in touched:
-                entry = route[2]
-                dv = entry[0] if use_value else 0
-                dc = entry[1] if use_count else 0
-                if not dv and not dc:
-                    continue
-                writers.append(route[0])
-                if not raw_observed:
-                    events_list.append(entry[2] or 1)
-                if use_value:
-                    value_deltas.append(dv)
-                if use_count:
-                    count_deltas.append(dc)
-        self._scatter_deltas(
-            writers,
-            value_deltas,
-            count_deltas,
-            None if raw_observed else events_list,
-        )
+        for route in touched:
+            entry = route[2]
+            dv = entry[0] if use_value else 0
+            dc = entry[1] if use_count else 0
+            if credit_all:
+                credited.append(route[0])
+                events.append(entry[2])
+            if not dv and not dc:
+                continue
+            if not credit_all:
+                credited.append(route[0])
+                events.append(entry[2] or 1)
+            writers.append(route[0])
+            value_deltas.append(dv)
+            count_deltas.append(dc)
+        if len(credited) >= 8192:  # bounds what read-free streams retain
+            self._flush_observed()
+        self._scatter_deltas(writers, value_deltas, count_deltas)
 
-    def _scatter_deltas(
-        self,
-        writers: List[int],
-        value_deltas: List[float],
-        count_deltas: List[int],
-        events_list: Optional[List[int]],
-    ) -> None:
+    def _scatter_deltas(self, writers, value_deltas, count_deltas) -> None:
         """Apply per-writer column deltas through the scatter table.
 
-        ``events_list`` of ``None`` means the observed-push credits for
-        these writers were already deferred at batch granularity.
+        ``writers`` (handles) and the two delta sequences are aligned, in
+        the order the batch hands the writers over: the scatter's
+        additions into a shared destination happen in that order.
         """
-        if not writers:
-            return
-        changed = self._changed_writers
-        labels = self.overlay.labels
-        for writer in writers:
-            changed[labels[writer]] = None
         np = _statestore._np
+        w_arr = np.asarray(writers, dtype=np.int64)
+        num_writers = w_arr.size
+        if not num_writers:
+            return
+        self._changed_writers.update(
+            dict.fromkeys(self._label_array[w_arr].tolist())
+        )
         table = self._scatter
         if table is None:
             table = self._build_scatter_table()
-        sources = self._spec.sources
         columns = self.values.columns
-        num_writers = len(writers)
-        w_arr = np.fromiter(writers, dtype=np.int64, count=num_writers)
         deltas = tuple(
-            np.fromiter(
+            np.asarray(
                 value_deltas if source == "value" else count_deltas,
                 dtype=column.dtype,
-                count=num_writers,
             )
-            for source, column in zip(sources, columns)
+            for source, column in zip(self._spec.sources, columns)
         )
-        push_total = (
-            int(table.push_counts[w_arr].sum()) if table.has_push else 0
-        )
-        if push_total:
-            # Pull-frontier rows carry coefficient 0 (see _ScatterTable).
-            idx, counts = table.expand(np, w_arr)
-            dsts = table.dst[idx]
-            coeff = table.coeff[idx]
-            reps = np.repeat(
-                np.arange(num_writers, dtype=np.int64), counts
-            )
+        push_total = 0
+        expanded = table.expand(np, w_arr, push=True) if table.has_push else None
+        if expanded is not None:
+            idx, counts = expanded
+            push_total = idx.size
+            dsts = table.push_dst[idx]
+            coeff = table.push_coeff[idx]
+            reps = np.repeat(np.arange(num_writers, dtype=np.int64), counts)
             for column, delta in zip(columns, deltas):
                 np.add.at(column, dsts, coeff * delta[reps])
         # Writer-local state (writers never receive edges, so these slots
         # are disjoint from every scatter destination).
         for column, delta in zip(columns, deltas):
             column[w_arr] += delta
-        # Observed-push credits are deferred (see the observed_push
-        # property); batch-granular deferral already retained its events.
-        if events_list is not None:
-            self._obs_pending_handles.extend(writers)
-            self._obs_pending_events.extend(events_list)
         self.counters.push_ops += push_total
 
     def writer_step(
@@ -2328,7 +2311,7 @@ class Runtime:
         # The observed counters restart at zero below: credits still deferred
         # die with them rather than expand over a handle space that moved.
         self._obs_pending_handles, self._obs_pending_events = [], []
-        self._obs_raw_batches = []
+        self._obs_ring_rows, self._obs_ring_nodes = [], []
         self.invalidate_plans(dirty)
         self._plan_stamp = (self.overlay.version, self.overlay.decision_version)
         self._materialize()

@@ -521,6 +521,29 @@ _FLOAT_TYPES = (
 )
 
 
+def gated_columns(items, width: int) -> Optional[Tuple[tuple, ...]]:
+    """The ``width`` columns of ``items`` if every item has exactly
+    ``width`` fields, the first a plain ``int`` and the rest ``float``
+    (``np.float64`` passes; ints, bools and ``np.float32`` do not), else
+    ``None`` — the lossless-packing gate of :meth:`WriteFrame.from_items`,
+    run column-wise in C (one transpose, one ``set(map(type, column))``
+    per column)."""
+    if _np is None or not items:
+        return None
+    try:
+        if sum(map(len, items)) != width * len(items):
+            return None  # an item of another width hides in the batch
+        columns = tuple(zip(*items))
+    except TypeError:
+        return None
+    if len(columns) != width or set(map(type, columns[0])) != _INT_ONLY:
+        return None
+    for column in columns[1:]:
+        if not set(map(type, column)) <= _FLOAT_TYPES:
+            return None
+    return columns
+
+
 def _writeframe_from_bytes(data: bytes, ingress: float = None) -> "WriteFrame":
     """Unpickle helper for :meth:`WriteFrame.__reduce__` (module-level so
     queue transports can resolve it by name; ``ingress`` defaults so
@@ -574,22 +597,12 @@ class WriteFrame:
         pack run column-wise in C — one transpose, one ``set(map(type,
         column))`` per column, one array assignment per column — because
         a per-item Python loop here would cost as much as the
-        ``pickle.dumps`` the frame exists to avoid.
+        ``pickle.dumps`` the frame exists to avoid (:func:`gated_columns`).
         """
-        if _np is None or not items:
+        columns = gated_columns(items, 3)
+        if columns is None:
             return None
-        try:
-            if sum(map(len, items)) != 3 * len(items):
-                return None  # a non-triple hides somewhere in the batch
-            nodes, values, stamps = zip(*items)
-        except (TypeError, ValueError):
-            return None
-        if (
-            set(map(type, nodes)) != _INT_ONLY
-            or not set(map(type, values)) <= _FLOAT_TYPES
-            or not set(map(type, stamps)) <= _FLOAT_TYPES
-        ):
-            return None
+        nodes, values, stamps = columns
         records = _np.empty(len(nodes), dtype=WRITE_DTYPE)
         records["node"] = nodes
         records["value"] = values

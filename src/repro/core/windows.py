@@ -16,6 +16,16 @@ their live values in fixed slots that are overwritten in place, expose the
 allocation-free :meth:`WindowBuffer.push` fast path (evicted value or the
 :data:`NO_VALUE` sentinel, no per-event list), and so compute eviction
 deltas without any per-event container churn.
+
+A columnar runtime over a delta aggregate with scalar raws (SUM, MEAN)
+keeps every writer's tuple window in one :class:`TupleRing` — a
+``[writers, k]`` float64 matrix with a per-row push count (cursor and fill
+in one column) — which a vectorised write kernel pushes whole batches
+into (:meth:`TupleRing.fold_sorted`).  Its scalar tuple buffers are then
+:class:`RingRow` *views* into that matrix, the only copy of the window
+contents: they serve the per-event paths and the oracle like any buffer,
+and pickle as the detached per-writer buffer (``make_buffer(scalar=True)``)
+holding the same values, so checkpoints never carry the matrix.
 """
 
 from __future__ import annotations
@@ -287,6 +297,141 @@ class _ScalarTupleBuffer(WindowBuffer):
 
     def __len__(self) -> int:
         return self._count
+
+
+class TupleRing:
+    """The tuple windows of every writer of one runtime, as one matrix.
+
+    Row ``r`` is a writer's window: ``values[r]`` has ``size`` float64
+    slots and ``pushed[r]`` counts the values the writer has ever pushed.
+    The ``i``-th lands in slot ``i % size``, so the window holds the last
+    ``min(pushed, size)`` of them, oldest first from slot ``pushed % size``
+    once full (from slot 0 until then) — one column is both cursor and
+    fill.  ``cells``/``counts`` are flat memoryviews of the same two
+    arrays, for per-event accesses (:class:`RingRow`, the runtime's short
+    batches: a Python float or int per element, several times cheaper than
+    numpy scalar indexing).  ``np`` is the numpy module (passed in: this
+    module does not import it).
+    """
+
+    __slots__ = ("np", "size", "values", "pushed", "cells", "counts")
+
+    def __init__(self, np, rows: int, size: int) -> None:
+        self.np = np
+        self.size = size
+        self.values = np.zeros((rows, size), dtype=np.float64)
+        self.pushed = np.zeros(rows, dtype=np.int64)
+        self.cells = memoryview(self.values.reshape(-1))
+        self.counts = memoryview(self.pushed)
+
+    def fold_sorted(self, rows, vals):
+        """Push a whole batch: ``rows`` ascending, each writer's events in
+        stream order (a stable sort's), ``vals`` aligned.  Returns
+        ``(starts, dv, filled)``: each writer's first index into ``rows``,
+        the delta of its window sum folded as the per-event ``dv += value
+        - old`` would (``dv += value`` into an empty slot, in stream
+        order), and how many values went into empty slots.
+
+        Event ``j`` of a writer that had pushed ``p`` values writes slot
+        ``(p + j) % size`` and evicts what it held — the matrix's value for
+        ``j < size``, the same writer's event ``j - size`` otherwise — and
+        one ``np.add.at`` folds the terms in stream order."""
+        np, size, count = self.np, self.size, rows.size
+        head = np.empty(count, dtype=bool)
+        head[0] = True
+        np.not_equal(rows[1:], rows[:-1], out=head[1:])
+        starts = head.nonzero()[0]
+        group = head.cumsum()
+        group -= 1
+        writers = rows[starts]
+        pushed = self.pushed[writers]
+        index = np.arange(count)  # becomes each event's push number
+        index += (pushed - starts)[group]
+        at = index % size
+        old = self.values[rows, at]
+        again = rows[size:] == rows[:-size]  # event i + size evicts event i
+        repeats = again.any()
+        if repeats:
+            np.copyto(old[size:], vals[:-size], where=again)
+        empty = index < size
+        old[empty] = 0.0
+        dv = np.zeros(writers.size)
+        np.add.at(dv, group, vals - old)
+        if repeats:
+            keep = np.ones(count, dtype=bool)
+            np.logical_not(again, out=keep[:-size])
+            rows, at, vals = rows[keep], at[keep], vals[keep]
+        self.values[rows, at] = vals
+        self.pushed[writers] = pushed + np.bincount(group)
+        return starts, dv, np.bincount(group[empty], minlength=writers.size)
+
+    def load(self, row: int, buffer: WindowBuffer) -> None:
+        """Copy ``buffer``'s window into ``row`` (a view's slots verbatim)."""
+        if buffer.__class__ is RingRow:
+            self.values[row] = buffer.ring.values[buffer.row]
+            self.pushed[row] = buffer.ring.pushed[buffer.row]
+            return
+        values = buffer.values()
+        self.values[row, : len(values)] = values
+        self.pushed[row] = len(values)
+
+
+class RingRow(WindowBuffer):
+    """One writer's tuple window: a view of row ``row`` of a
+    :class:`TupleRing` (values come back as floats)."""
+
+    __slots__ = ("ring", "row")
+
+    def __init__(self, ring: TupleRing, row: int) -> None:
+        self.ring = ring
+        self.row = row
+
+    def push(self, value: Any, timestamp: float) -> Any:
+        ring, row = self.ring, self.row
+        size, counts = ring.size, ring.counts
+        pushed = counts[row]
+        cell = row * size + pushed % size
+        old = ring.cells[cell] if pushed >= size else NO_VALUE
+        ring.cells[cell] = value
+        counts[row] = pushed + 1
+        return old
+
+    def append(self, value: Any, timestamp: float) -> List[Any]:
+        evicted = self.push(value, timestamp)
+        return [] if evicted is NO_VALUE else [evicted]
+
+    def evict_until(self, timestamp: float) -> List[Any]:
+        return []
+
+    def values(self) -> List[Any]:
+        ring, row = self.ring, self.row
+        size = ring.size
+        pushed = ring.counts[row]
+        slots = ring.cells[row * size : (row + 1) * size].tolist()
+        if pushed < size:
+            return slots[:pushed]
+        start = pushed % size
+        return slots[start:] + slots[:start]
+
+    def next_expiry(self) -> Optional[float]:
+        return None
+
+    def __len__(self) -> int:
+        return min(self.ring.counts[self.row], self.ring.size)
+
+    def __reduce__(self):
+        # Pickled (and copied) as the detached buffer: checkpoints keep
+        # their per-writer shape and never carry the matrix.
+        return (_detached, (self.ring.size, self.values()))
+
+
+def _detached(size: int, values: List[Any]) -> WindowBuffer:
+    """The standalone scalar buffer of a ``TupleWindow(size)`` holding
+    ``values`` (oldest first) — what a :class:`RingRow` unpickles as."""
+    buffer = TupleWindow(size).make_buffer(scalar=True)
+    for value in values:
+        buffer.push(value, 0.0)
+    return buffer
 
 
 class _ScalarTimeBuffer(WindowBuffer):

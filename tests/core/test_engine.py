@@ -181,6 +181,25 @@ class TestStructuralChanges:
     def test_with_recompile(self):
         self.run_change_scenario(maintain=False)
 
+    @pytest.mark.parametrize("maintain", [True, False])
+    def test_the_clock_survives_a_structural_change(self, maintain):
+        """A recompile used to start the new runtime's clock at 0: the next
+        timestamp-less write then went into a time window *behind* the
+        last one and raised."""
+        from repro.core.windows import TimeWindow
+
+        graph = random_graph(12, 36, seed=3)
+        query = EgoQuery(aggregate=Sum(), window=TimeWindow(5.0))
+        engine = EAGrEngine(graph, query, maintain=maintain)
+        node = next(iter(graph.edges()))[0]
+        engine.write_batch([(node, 1.0, 100.0)])
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, 999))
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, 999, node))
+        engine.write(node, 2.0)
+        assert engine.runtime.clock == 101.0
+        for reader in graph.nodes():
+            assert engine.read(reader) == engine.reference_read(reader)
+
 
 class TestRedecide:
     def test_redecide_with_new_frequencies(self):

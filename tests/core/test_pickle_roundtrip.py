@@ -253,3 +253,133 @@ class TestWindowBufferCheckpoints:
                     buffer.append(float(step), float(step))
                 clone = pickle.loads(pickle.dumps(buffer))
                 assert clone.values() == buffer.values(), (window, scalar)
+
+
+#: ``ShardCheckpoint`` pickles (protocol 4, base64) written while each
+#: writer's window was its own ``_ScalarTupleBuffer`` (TupleWindow(3), SUM)
+#: or ``_ScalarUnitBuffer`` (TupleWindow(1), MEAN) object, before windows
+#: became rows of the runtime's ring matrix; :func:`legacy_writes` is the
+#: stream they hold.
+LEGACY_CHECKPOINTS = {
+    "sum3": (
+        "gASVcAQAAAAAAACMFHJlcHJvLnNlcnZlLm1lc3NhZ2VzlIwPU2hhcmRDaGVja3BvaW50"
+        "lJOUKYGUXZQoSwBLAEsFR0BIgAAAAAAAfZQoSwCMEnJlcHJvLmNvcmUud2luZG93c5SM"
+        "El9TY2FsYXJUdXBsZUJ1ZmZlcpSTlCmBlE59lCiMBV9zaXpllEsDjAZfc2xvdHOUXZQo"
+        "R8AEAAAAAAAAR0AaAAAAAAAATmWMBl9zdGFydJRLAIwGX2NvdW50lEsCdYaUYksBaAgp"
+        "gZROfZQoaAtLA2gMXZQoR0AeAAAAAAAAR0AWAAAAAAAATmVoDksAaA9LAnWGlGJLC2gI"
+        "KYGUTn2UKGgLSwNoDF2UKEc/4AAAAAAAAEe/+AAAAAAAAE5laA5LAGgPSwJ1hpRiSwxo"
+        "CCmBlE59lChoC0sDaAxdlChHQBIAAAAAAABHv+AAAAAAAABHQAQAAAAAAABlaA5LAGgP"
+        "SwN1hpRiSw1oCCmBlE59lChoC0sDaAxdlChHQAwAAAAAAABHP/gAAAAAAABOZWgOSwBo"
+        "D0sCdYaUYksOaAgpgZROfZQoaAtLA2gMXZQoR0AeAAAAAAAAR0AEAAAAAAAAR0AWAAAA"
+        "AAAAZWgOSwBoD0sDdYaUYksPaAgpgZROfZQoaAtLA2gMXZQoR0AaAAAAAAAAR0ASAAAA"
+        "AAAATmVoDksAaA9LAnWGlGJLEGgIKYGUTn2UKGgLSwNoDF2UKEe/4AAAAAAAAEdAFgAA"
+        "AAAAAEfABAAAAAAAAGVoDksAaA9LA3WGlGJLEWgIKYGUTn2UKGgLSwNoDF2UKEe/+AAA"
+        "AAAAAEdAHgAAAAAAAE5laA5LAGgPSwJ1hpRiSxJoCCmBlE59lChoC0sDaAxdlChHQAQA"
+        "AAAAAABHwAQAAAAAAABHP+AAAAAAAABlaA5LAGgPSwN1hpRiSxNoCCmBlE59lChoC0sD"
+        "aAxdlChHP/gAAAAAAABHv+AAAAAAAABOZWgOSwBoD0sCdYaUYksCaAgpgZROfZQoaAtL"
+        "A2gMXZQoRz/gAAAAAAAAR0AaAAAAAAAAR7/4AAAAAAAAZWgOSwBoD0sDdYaUYksDaAgp"
+        "gZROfZQoaAtLA2gMXZQoR7/gAAAAAAAAR8AEAAAAAAAATmVoDksAaA9LAnWGlGJLBWgI"
+        "KYGUTn2UKGgLSwNoDF2UKEdABAAAAAAAAEc/4AAAAAAAAE5laA5LAGgPSwJ1hpRiSwZo"
+        "CCmBlE59lChoC0sDaAxdlChHQBoAAAAAAABHP/gAAAAAAABHQBIAAAAAAABlaA5LAGgP"
+        "SwN1hpRiSwdoCCmBlE59lChoC0sDaAxdlChHQBYAAAAAAABHQAwAAAAAAABOZWgOSwBo"
+        "D0sCdYaUYksIaAgpgZROfZQoaAtLA2gMXZQoR7/4AAAAAAAAR0ASAAAAAAAAR0AeAAAA"
+        "AAAAZWgOSwBoD0sDdYaUYksJaAgpgZROfZQoaAtLA2gMXZQoR8AEAAAAAAAAR0AaAAAA"
+        "AAAATmVoDksAaA9LAnWGlGJ1fZR9lGViLg=="
+    ),
+    "mean1": (
+        "gASVPAIAAAAAAACMFHJlcHJvLnNlcnZlLm1lc3NhZ2VzlIwPU2hhcmRDaGVja3BvaW50"
+        "lJOUKYGUXZQoSwBLAEsFR0BIgAAAAAAAfZQoSwCMEnJlcHJvLmNvcmUud2luZG93c5SM"
+        "EV9TY2FsYXJVbml0QnVmZmVylJOUKYGUTn2UjAVfc2xvdJRHQBoAAAAAAABzhpRiSwFo"
+        "CCmBlE59lGgLR0AWAAAAAAAAc4aUYksLaAgpgZROfZRoC0e/+AAAAAAAAHOGlGJLDGgI"
+        "KYGUTn2UaAtHQAQAAAAAAABzhpRiSw1oCCmBlE59lGgLRz/4AAAAAAAAc4aUYksOaAgp"
+        "gZROfZRoC0dAFgAAAAAAAHOGlGJLD2gIKYGUTn2UaAtHQBIAAAAAAABzhpRiSxBoCCmB"
+        "lE59lGgLR8AEAAAAAAAAc4aUYksRaAgpgZROfZRoC0dAHgAAAAAAAHOGlGJLEmgIKYGU"
+        "Tn2UaAtHP+AAAAAAAABzhpRiSxNoCCmBlE59lGgLR7/gAAAAAAAAc4aUYksCaAgpgZRO"
+        "fZRoC0e/+AAAAAAAAHOGlGJLA2gIKYGUTn2UaAtHwAQAAAAAAABzhpRiSwVoCCmBlE59"
+        "lGgLRz/gAAAAAAAAc4aUYksGaAgpgZROfZRoC0dAEgAAAAAAAHOGlGJLB2gIKYGUTn2U"
+        "aAtHQAwAAAAAAABzhpRiSwhoCCmBlE59lGgLR0AeAAAAAAAAc4aUYksJaAgpgZROfZRo"
+        "C0dAGgAAAAAAAHOGlGJ1fZR9lGViLg=="
+    ),
+}
+
+
+def legacy_writes(graph, rounds):
+    nodes = sorted(graph.nodes())
+    return [
+        [(n, float((n * 7 + r * 3) % 11) - 2.5) for n in nodes[r % 3 :: 2]]
+        for r in range(rounds)
+    ]
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="ring windows need the columnar store")
+class TestLegacyCheckpoints:
+    """Checkpoints of the per-writer buffer objects still restore: the
+    buffers load into the ring matrix and the shard reads what an engine
+    fed the same stream reads, before and after further writes."""
+
+    @pytest.mark.parametrize(
+        "name, aggregate, size, kind",
+        [("sum3", Sum, 3, "_ScalarTupleBuffer"), ("mean1", Mean, 1, "_ScalarUnitBuffer")],
+    )
+    def test_restores_and_reads_equal_the_oracle(self, name, aggregate, size, kind):
+        import base64
+
+        from repro.core.windows import RingRow
+
+        ck = pickle.loads(base64.b64decode("".join(LEGACY_CHECKPOINTS[name])))
+        assert {type(buffer).__name__ for buffer in ck.buffers.values()} == {kind}
+        graph = random_graph(20, 80, seed=23)
+        query = EgoQuery(aggregate=aggregate(), window=TupleWindow(size))
+        readers = sorted(graph.nodes())[:12]
+        spec = ShardSpec(
+            graph, query, shard_id=0, num_shards=1, readers=frozenset(readers),
+            engine_kwargs={"overlay_algorithm": "vnm_a"},
+        )
+        host = spec.with_checkpoint(ck).build()
+        runtime = host.engine.runtime
+        assert all(type(buffer) is RingRow for buffer in runtime.buffers.values())
+        assert (runtime.stamp, runtime.clock) == (ck.stamp, ck.clock) == (5, 49.0)
+        oracle = EAGrEngine(graph.copy(), query, value_store="object")
+        stream = legacy_writes(graph, 9)
+        for batch in stream[:5]:
+            oracle.write_batch(batch)
+        for node, buffer in ck.buffers.items():
+            assert runtime.buffers[node].values() == buffer.values()
+        assert host.engine.read_batch(readers) == [oracle.read(r) for r in readers]
+        for batch in stream[5:]:
+            host.engine.write_batch(batch)
+            oracle.write_batch(batch)
+            assert host.engine.read_batch(readers) == [oracle.read(r) for r in readers]
+            assert [host.engine.reference_read(r) for r in readers] == [
+                oracle.read(r) for r in readers
+            ]
+
+    def test_a_new_checkpoint_unpickles_without_a_runtime(self):
+        """A checkpoint taken over ring views unpickles in a fresh
+        interpreter that never built an engine: the windows arrive as the
+        per-writer scalar buffers, holding the same values."""
+        import os
+        import subprocess
+        import sys
+
+        graph = random_graph(20, 80, seed=23)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(3))
+        spec = ShardSpec(graph, query, shard_id=0, num_shards=1,
+                         readers=frozenset(graph.nodes()))
+        host = spec.build()
+        for batch in legacy_writes(graph, 7):
+            host.engine.write_batch(batch)
+        expected = {n: b.values() for n, b in host.engine.runtime.buffers.items()}
+        script = (
+            "import pickle, sys\n"
+            "ck = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(repr({n: (type(b).__name__, b.values()) for n, b in ck.buffers.items()}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(host.checkpoint()),
+            capture_output=True, check=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        restored = eval(done.stdout.decode())
+        assert {n: values for n, (_kind, values) in restored.items()} == expected
+        assert {kind for kind, _values in restored.values()} == {"_ScalarTupleBuffer"}
