@@ -150,11 +150,17 @@ def _bisect(
     cap: int,
 ) -> Tuple[List[int], List[int]]:
     """Split ``members`` into (left, right) minimizing the writer cut,
-    with ``len(left) <= k_left * cap`` and ``len(right) <= k_right * cap``."""
+    with ``len(left) <= k_left * cap`` and ``len(right) <= k_right * cap``.
+
+    Dinic cuts the gadget network between two peripheral seed sets; then
+    :func:`_repair` moves readers off the oversized side.  Each writer's
+    member count ``|R(w) ∩ members|`` is taken once here and shared by
+    both."""
     member_set = set(members)
     n = len(members)
     if n <= 1 or k_left == 0 or k_right == 0:
         return (list(members), []) if k_right == 0 else ([], list(members))
+    inside = [len(readers_of_w & member_set) for readers_of_w in writer_readers]
 
     # Reader-reader adjacency *through shared writers*, restricted to the
     # subproblem — used only for seeding, so a sampled/truncated view is
@@ -183,11 +189,7 @@ def _bisect(
     # Gadget network: 0=s, 1=t, then one node per local reader, then
     # (w_in, w_out) per writer active in this subproblem.
     reader_node = {r: 2 + i for i, r in enumerate(members)}
-    active = [
-        w_id
-        for w_id, readers_of_w in enumerate(writer_readers)
-        if len(readers_of_w & member_set) >= 2
-    ]
+    active = [w_id for w_id, count in enumerate(inside) if count >= 2]
     base = 2 + n
     net = FlowNetwork(base + 2 * len(active))
     for slot, w_id in enumerate(active):
@@ -207,53 +209,87 @@ def _bisect(
     left = [r for r in members if reader_node[r] in source_side]
     right = [r for r in members if reader_node[r] not in source_side]
 
-    # Balance repair: move the cheapest readers (by cut delta) from the
-    # oversized side until both sides fit their capacity.  Counts are per
-    # writer per side, so a delta is O(deg(reader)).
-    left_set = set(left)
-    left_count: Dict[int, int] = collections.defaultdict(int)
+    _repair(
+        left,
+        right,
+        inside,
+        writer_freq,
+        writer_readers,
+        reader_writers,
+        min_left=n - k_right * cap,
+        max_left=k_left * cap,
+    )
+    return left, right
+
+
+def _cut_term(on: int, total: int) -> int:
+    """Change in whether a writer is cut when one of the ``on`` members it
+    has on a reader's side (of ``total``) leaves that side: -1, 0 or 1."""
+    return (0 < on - 1 < total) - (0 < on < total)
+
+
+def _repair(
+    left: List[int],
+    right: List[int],
+    inside: List[int],
+    writer_freq: List[float],
+    writer_readers: List[Set[int]],
+    reader_writers: Dict[int, List[int]],
+    min_left: int,
+    max_left: int,
+) -> None:
+    """Greedy balance repair, in place: while ``left`` holds more than
+    ``max_left`` readers, move its cheapest reader to the end of
+    ``right``; then, while it holds fewer than ``min_left``, move the
+    cheapest reader of ``right`` to the end of ``left``.
+
+    A reader's cost is its *cut delta*, ``Σ f(w)·_cut_term(on(w), t(w))``
+    over its writers in ``reader_writers`` order, where ``t(w)`` is
+    ``inside[w]`` and ``on(w)`` counts ``w``'s members on the reader's
+    side.  Deltas are cached for the whole pool.  A move changes ``on``
+    only for the moved reader's writers, and a writer's term only when
+    its count crosses 1, 2 or ``t``; only the pool readers of such
+    writers are recomputed, from scratch and in the same order, so every
+    cached delta is the float a full rescan would produce.  A hub writer
+    whose count stays mid-range costs nothing.  The cheapest reader is
+    the first minimum in pool order.
+    """
+    on_left = [0] * len(inside)
     for r in left:
         for w_id in reader_writers.get(r, ()):
-            left_count[w_id] += 1
+            on_left[w_id] += 1
 
-    def move_cheapest(from_left: bool) -> None:
-        pool = left if from_left else right
-        best_r, best_delta = None, None
-        for r in pool:
-            delta = 0.0
+    def drain(pool: List[int], dest: List[int], moves: int, from_left: bool) -> None:
+        if moves <= 0:
+            return
+
+        def on(w_id: int) -> int:
+            return on_left[w_id] if from_left else inside[w_id] - on_left[w_id]
+
+        def delta(r: int) -> float:
+            total = 0.0
             for w_id in reader_writers.get(r, ()):
-                total = len(writer_readers[w_id] & member_set)
-                on_left = left_count[w_id]
-                on_right = total - on_left
-                if from_left:
-                    was_cut = 0 < on_left < total
-                    now_cut = 0 < on_left - 1 < total
-                else:
-                    was_cut = 0 < on_right < total
-                    now_cut = 0 < on_right - 1 < total
-                delta += writer_freq[w_id] * (int(now_cut) - int(was_cut))
-            if best_delta is None or delta < best_delta:
-                best_r, best_delta = r, delta
-        assert best_r is not None
-        pool.remove(best_r)
-        if from_left:
-            right.append(best_r)
-            left_set.discard(best_r)
-            for w_id in reader_writers.get(best_r, ()):
-                left_count[w_id] -= 1
-        else:
-            left.append(best_r)
-            left_set.add(best_r)
-            for w_id in reader_writers.get(best_r, ()):
-                left_count[w_id] += 1
+                total += writer_freq[w_id] * _cut_term(on(w_id), inside[w_id])
+            return total
 
-    min_left = n - k_right * cap
-    max_left = k_left * cap
-    while len(left) > max_left:
-        move_cheapest(from_left=True)
-    while len(left) < min_left:
-        move_cheapest(from_left=False)
-    return left, right
+        deltas = {r: delta(r) for r in pool}
+        step = -1 if from_left else 1
+        for _ in range(moves):
+            best = min(pool, key=deltas.__getitem__)
+            pool.remove(best)
+            dest.append(best)
+            del deltas[best]
+            stale: Set[int] = set()
+            for w_id in reader_writers.get(best, ()):
+                before = on(w_id)
+                on_left[w_id] += step
+                if _cut_term(before - 1, inside[w_id]) != _cut_term(before, inside[w_id]):
+                    stale.update(r for r in writer_readers[w_id] if r in deltas)
+            for r in stale:
+                deltas[r] = delta(r)
+
+    drain(left, right, len(left) - max_left, from_left=True)
+    drain(right, left, min_left - len(left), from_left=False)
 
 
 def mincut_partition(

@@ -42,11 +42,15 @@ Reader = Hashable
 class FPNode:
     """One tree node: an item plus the readers supporting it at this path."""
 
-    __slots__ = ("item", "parent", "children", "support", "neg_support", "mined_support")
+    __slots__ = (
+        "item", "parent", "depth", "children", "support", "neg_support", "mined_support"
+    )
 
     def __init__(self, item: Optional[Item], parent: Optional["FPNode"]) -> None:
         self.item = item
         self.parent = parent
+        #: path length from the root (the root is 0)
+        self.depth: int = 0 if parent is None else parent.depth + 1
         self.children: Dict[Item, FPNode] = {}
         self.support: Set[Reader] = set()
         self.neg_support: Set[Reader] = set()
@@ -124,15 +128,25 @@ class FPTree:
     # ------------------------------------------------------------------
 
     def _sorted(self, items: Iterable[Item]) -> List[Item]:
-        return sorted(items, key=lambda item: self._rank[item])
+        return sorted(items, key=self._rank.__getitem__)
 
     def _register(self, reader: Reader, node: FPNode, kind: str) -> None:
         getattr(node, kind).add(reader)
         self._registry[reader].add(node)
 
     def _extend_branch(
-        self, start: FPNode, reader: Reader, items: Sequence[Item]
+        self,
+        start: FPNode,
+        reader: Reader,
+        items: Sequence[Item],
+        mined: Optional[Set[Item]] = None,
     ) -> None:
+        """Register ``reader`` along ``items`` below ``start``, following
+        existing children and creating missing ones; items in ``mined``
+        go to ``mined_support``, the rest to ``support``."""
+        if not items:
+            return
+        registered = self._registry[reader]
         node = start
         for item in items:
             child = node.children.get(item)
@@ -140,7 +154,11 @@ class FPTree:
                 child = FPNode(item, node)
                 node.children[item] = child
                 self._num_nodes += 1
-            self._register(reader, child, "support")
+            if mined and item in mined:
+                child.mined_support.add(reader)
+            else:
+                child.support.add(reader)
+            registered.add(child)
             node = child
 
     def insert(
@@ -155,29 +173,7 @@ class FPTree:
         were consumed by an earlier biclique this iteration; the reader is
         registered in ``mined_support`` at those nodes instead.
         """
-        mined = set(mined_items)
-        ordered = self._sorted(items)
-        node = self.root
-        position = 0
-        while position < len(ordered):
-            child = node.children.get(ordered[position])
-            if child is None:
-                break
-            kind = "mined_support" if ordered[position] in mined else "support"
-            self._register(reader, child, kind)
-            node = child
-            position += 1
-        # Remaining items start a fresh branch.
-        remaining = ordered[position:]
-        for item in remaining:
-            child = node.children.get(item)
-            if child is None:
-                child = FPNode(item, node)
-                node.children[item] = child
-                self._num_nodes += 1
-            kind = "mined_support" if item in mined else "support"
-            self._register(reader, child, kind)
-            node = child
+        self._extend_branch(self.root, reader, self._sorted(items), set(mined_items))
 
     def insert_with_negatives(
         self,
@@ -250,54 +246,60 @@ class FPTree:
         per surviving reader, ``saving(r) = pos(r) − 1 − neg(r)`` (readers
         with non-positive saving are left out), and the path's benefit is
         ``Σ_r max(saving, 0) − L``.  A reader present at a node is present
-        at every ancestor, so ``pos(r) = L − neg(r) − mined(r)`` with the
-        per-reader counters maintained incrementally along the DFS.
+        at every ancestor, so ``pos(r) = L − neg(r) − mined(r)`` and
+        ``saving(r) = L − 1 − (2·neg(r) + mined(r))``.
+
+        The bracket is each reader's *penalty*, kept along the DFS for
+        the readers whose path has a negative or mined registration and
+        unwound on backtrack.  Every other reader at the node is a
+        support reader saving ``L − 1``, so a node starts from
+        ``|S|·(L − 1) − L`` — its exact benefit on a clean path, at O(1)
+        — and only the penalised readers are walked to correct it.  A
+        reader counts once for ``S`` and once more if it is also in ``S'``
+        or ``S_mined`` at the node.
         """
         best: Optional[MineCandidate] = None
-        neg_count: Dict[Reader, int] = {}
-        mined_count: Dict[Reader, int] = {}
-        # Iterative DFS with explicit enter/leave records so the per-reader
-        # path counters can be unwound on backtrack.
-        stack: List[Tuple[str, FPNode, int]] = [
-            ("enter", child, 1) for child in self.root.children.values()
-        ]
+        penalty: Dict[Reader, int] = {}
+
+        def charge(node: FPNode, sign: int) -> None:
+            for weight, readers in ((2, node.neg_support), (1, node.mined_support)):
+                for reader in readers:
+                    total = penalty.get(reader, 0) + sign * weight
+                    if total:
+                        penalty[reader] = total
+                    else:
+                        del penalty[reader]
+
+        # Iterative DFS.  A node with penalised registrations charges them
+        # on entry and marks the stack height below its subtree; they are
+        # refunded once the stack is back at that height.
+        stack: List[FPNode] = list(self.root.children.values())
+        marks: List[Tuple[int, FPNode]] = []
         while stack:
-            action, node, depth = stack.pop()
-            if action == "leave":
-                for reader in node.neg_support:
-                    neg_count[reader] -= 1
-                for reader in node.mined_support:
-                    mined_count[reader] -= 1
-                continue
-            for reader in node.neg_support:
-                neg_count[reader] = neg_count.get(reader, 0) + 1
-            for reader in node.mined_support:
-                mined_count[reader] = mined_count.get(reader, 0) + 1
-            benefit = -depth
-            for reader in node.support:
-                saving = (
-                    depth
-                    - neg_count.get(reader, 0)
-                    - mined_count.get(reader, 0)
-                    - 1
-                    - neg_count.get(reader, 0)
-                )
-                if saving > 0:
-                    benefit += saving
-            for reader in node.neg_support | node.mined_support:
-                negs = neg_count.get(reader, 0)
-                saving = depth - negs - mined_count.get(reader, 0) - 1 - negs
-                if saving > 0:
-                    benefit += saving
+            while marks and len(stack) <= marks[-1][0]:
+                charge(marks.pop()[1], -1)
+            node = stack.pop()
+            depth = node.depth
+            negs, mined = node.neg_support, node.mined_support
+            if negs or mined:
+                charge(node, 1)
+                marks.append((len(stack), node))
+            support = node.support
+            benefit = len(support) * (depth - 1) - depth
+            if penalty:
+                for reader, cost in penalty.items():
+                    saving = max(depth - 1 - cost, 0)
+                    if reader in support:
+                        benefit += saving - (depth - 1)
+                    if reader in negs or reader in mined:
+                        benefit += saving
             if (
                 benefit >= 1
                 and (skip is None or id(node) not in skip)
                 and (best is None or benefit > best.approx_benefit)
             ):
                 best = MineCandidate(node=node, approx_benefit=benefit)
-            stack.append(("leave", node, depth))
-            for child in node.children.values():
-                stack.append(("enter", child, depth + 1))
+            stack.extend(node.children.values())
         return best
 
     def extract(

@@ -17,6 +17,7 @@ irreproducible.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
@@ -63,16 +64,36 @@ def shingle_order(
 ) -> List[Hashable]:
     """Order transaction keys (readers) by their min-hash signature.
 
-    Ties are broken by a deterministic key of the reader id itself so the
-    order is total and stable across runs.
+    Each distinct item is hashed once per hash function: items get dense
+    ids in first-encounter order over the transactions (the ids
+    :meth:`ShingleHasher.shingles` would assign called on each transaction
+    in turn), every hash function becomes an item → hash table, and a
+    transaction's shingle is its minimum over that table.  An empty
+    transaction's shingles are ``_PRIME``.  Ties are broken by a
+    deterministic key of the reader id itself, then by position in
+    ``transactions``, so the order is total and stable across runs.
     """
-    hasher = ShingleHasher(num_hashes=num_hashes, seed=seed)
-    keyed = [
-        (hasher.shingles(items), type(reader).__name__, repr(reader), reader)
-        for reader, items in transactions.items()
+    coeffs = ShingleHasher(num_hashes=num_hashes, seed=seed)._coeffs
+    items = dict.fromkeys(itertools.chain.from_iterable(transactions.values()))
+    tables = [
+        {item: (a * x + b) % _PRIME for x, item in enumerate(items, 1)}
+        for a, b in coeffs
     ]
-    keyed.sort(key=lambda entry: entry[:3])
-    return [entry[3] for entry in keyed]
+    readers = list(transactions)
+    rows = list(transactions.values())
+    minima = [
+        [min(map(table.__getitem__, row), default=_PRIME) for row in rows]
+        for table in tables
+    ]
+    keyed = sorted(
+        zip(
+            zip(*minima),
+            [type(reader).__name__ for reader in readers],
+            map(repr, readers),
+            range(len(readers)),
+        )
+    )
+    return [readers[entry[-1]] for entry in keyed]
 
 
 def chunk(ordered: Sequence[Hashable], size: int, overlap: float = 0.0) -> List[List[Hashable]]:

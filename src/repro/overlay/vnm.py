@@ -30,6 +30,8 @@ virtual→virtual edges and hence multi-level overlays).
 
 from __future__ import annotations
 
+import collections
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
@@ -251,10 +253,9 @@ class _VNMBuilder:
         # Per-group item frequencies; rare items cannot join a biclique of
         # width >= 2 within this group, so they are filtered out (they keep
         # their direct overlay edges).
-        frequency: Dict[int, int] = {}
-        for reader in group:
-            for item in transactions[reader]:
-                frequency[item] = frequency.get(item, 0) + 1
+        frequency = collections.Counter(
+            itertools.chain.from_iterable(transactions[reader] for reader in group)
+        )
         eligible = {
             item for item, f in frequency.items() if f >= config.min_item_frequency
         }

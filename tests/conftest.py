@@ -1,6 +1,9 @@
 """Shared fixtures and oracles for the test suite."""
 
+import importlib.util
+import os
 import random
+import sys
 
 import pytest
 
@@ -46,6 +49,21 @@ def play_and_check(engine: EAGrEngine, events, comparator=None):
             )
             checked += 1
     return checked
+
+
+def suite_generator():
+    """The benchmark suite's own input generator (``benchmarks/suite/
+    suitelib/gen.py`` — numpy and the standard library only), loaded by
+    path: the suite directory is not a package on the test path."""
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir,
+        "benchmarks", "suite", "suitelib", "gen.py",
+    )
+    spec = importlib.util.spec_from_file_location("_suite_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations here
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

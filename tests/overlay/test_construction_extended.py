@@ -1,6 +1,7 @@
 """Extended construction coverage: degenerate AGs, determinism, stress
 shapes, and IOB improvement iterations under hypothesis."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.overlay import NodeKind, Overlay
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, build_bipartite
+from repro.graph.generators import social_graph, web_graph
+from repro.graph.neighborhoods import Neighborhood
+from repro.overlay import construct_overlay
 from repro.overlay.iob import IOBState, build_iob
 from repro.overlay.vnm import build_vnm
 
@@ -92,6 +96,41 @@ class TestDeterminism:
         b = build_vnm(ag, variant="vnm_a", iterations=3, seed=2)
         a.overlay.validate(ag)
         b.overlay.validate(ag)  # different shingles, both correct
+
+
+#: sha256 of ``repr([(handle, kind, sorted inputs)])`` of each algorithm's
+#: default-parameter overlay, taken before shingles were hashed once per
+#: item and ``mine_best`` walked only penalised readers.
+GOLDEN_OVERLAYS = {
+    ("web", "vnm"): "cd85a624b6518e3879db7906bcf46bb9b0108c210879fb64c89be1db71fa19f5",
+    ("web", "vnm_a"): "5aae3b832726612a2b37cbb5661cb6b01a4c3e9c5ceaa0a10f7266ded5075f03",
+    ("web", "vnm_n"): "d634cce4eda797df2f19c740ba9ceaeaaace67a3a767c47c79f0656bfc3b6eb6",
+    ("web", "vnm_d"): "eab3f20d72231a28c657009b1cf9e42e05df14c1156e2ad5c9cf329281db3dd0",
+    ("web", "iob"): "90ae02664e3990ca90dbf737f2f6f782e3b33e6d13c22e81113d9c25ac1beceb",
+    ("social", "vnm"): "4a5739a76551bbc528240c8fbc427096e707550459852b512024606d3a91cfca",
+    ("social", "vnm_a"): "baa41cceb5ca299170afc27f464525c19112d0eb5921b99a19f2403d42a14b84",
+    ("social", "vnm_n"): "9e6c768daf48d413c401d8f1287ac7a4bb091e80d79cccc081409a9c1ffdd0e7",
+    ("social", "vnm_d"): "e0b4c03434086a54c13bf7061c20163c11db49f0c8435a7a1ed2a0ad1f8825ff",
+    ("social", "iob"): "d2dbfed1d22695f7fad2bb2b421a2049bc0e48f25db54bcfa53ca0aca7443478",
+}
+
+GOLDEN_GRAPHS = {
+    "web": lambda: web_graph(600, 6, copy_probability=0.9, seed=25),
+    "social": lambda: social_graph(500, seed=25),
+}
+
+
+class TestSameOverlays:
+    @pytest.mark.parametrize("graph,algorithm", sorted(GOLDEN_OVERLAYS))
+    def test_golden_overlay(self, graph, algorithm):
+        ag = build_bipartite(GOLDEN_GRAPHS[graph](), Neighborhood.in_neighbors())
+        overlay = construct_overlay(ag, algorithm).overlay
+        rows = [
+            (handle, overlay.kinds[handle].name, sorted(overlay.inputs[handle].items()))
+            for handle in range(overlay.num_nodes)
+        ]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == GOLDEN_OVERLAYS[graph, algorithm]
 
 
 class TestIOBImprovement:

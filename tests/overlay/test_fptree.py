@@ -1,6 +1,8 @@
 """Unit tests for FP-tree construction and biclique mining."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.overlay.fptree import FPTree, mine_all
 
@@ -190,3 +192,98 @@ class TestMineDuplicateInsensitive:
         w1_node = tree.root.children["w1"]
         assert "r1" in w1_node.mined_support
         assert "r1" in w1_node.children["w2"].support
+
+
+def full_walk_mine_best(tree, skip=None):
+    """Reference: the DFS that scores every reader of every node, with
+    per-reader negative and mined counters along the path.  Returns
+    ``(node, benefit)`` of the best candidate, or None."""
+    best = None
+    neg_count = {}
+    mined_count = {}
+    stack = [("enter", child, 1) for child in tree.root.children.values()]
+    while stack:
+        action, node, depth = stack.pop()
+        if action == "leave":
+            for reader in node.neg_support:
+                neg_count[reader] -= 1
+            for reader in node.mined_support:
+                mined_count[reader] -= 1
+            continue
+        for reader in node.neg_support:
+            neg_count[reader] = neg_count.get(reader, 0) + 1
+        for reader in node.mined_support:
+            mined_count[reader] = mined_count.get(reader, 0) + 1
+        benefit = -depth
+        for reader in node.support:
+            saving = (
+                depth
+                - neg_count.get(reader, 0)
+                - mined_count.get(reader, 0)
+                - 1
+                - neg_count.get(reader, 0)
+            )
+            if saving > 0:
+                benefit += saving
+        for reader in node.neg_support | node.mined_support:
+            negs = neg_count.get(reader, 0)
+            saving = depth - negs - mined_count.get(reader, 0) - 1 - negs
+            if saving > 0:
+                benefit += saving
+        if (
+            benefit >= 1
+            and (skip is None or id(node) not in skip)
+            and (best is None or benefit > best[1])
+        ):
+            best = (node, benefit)
+        stack.append(("leave", node, depth))
+        for child in node.children.values():
+            stack.append(("enter", child, depth + 1))
+    return best
+
+
+ITEM_SETS = st.lists(st.integers(0, 7), min_size=1, max_size=7, unique=True)
+INSERTS = st.lists(
+    st.tuples(
+        st.sampled_from(["plain", "negatives", "mined"]),
+        st.integers(0, 9),  # reader
+        ITEM_SETS,
+        st.data(),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestPenalisedWalk:
+    """``mine_best`` walks only penalised readers; it must pick the node
+    and benefit the full per-reader walk picks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inserts=INSERTS, extractions=st.lists(st.booleans(), max_size=4))
+    def test_equals_full_walk(self, inserts, extractions):
+        tree = FPTree(make_rank(range(8)))
+        for kind, reader, items, data in inserts:
+            if kind == "plain":
+                tree.insert(reader, items)
+            elif kind == "negatives":
+                tree.insert_with_negatives(
+                    reader, items,
+                    k1=data.draw(st.integers(1, 3)),
+                    k2=data.draw(st.integers(0, 3)),
+                    min_gain=data.draw(st.integers(0, 2)),
+                )
+            else:
+                mined = data.draw(st.lists(st.sampled_from(items), unique=True))
+                tree.insert(reader, items, mined_items=mined)
+        skip = set()
+        # Re-mine after each extraction (both modes), skipping nodes whose
+        # extraction was refused, as the builder does.
+        for duplicate_insensitive in extractions + [False]:
+            want = full_walk_mine_best(tree, skip)
+            got = tree.mine_best(skip)
+            assert (got and (got.node, got.approx_benefit)) == want
+            if got is None:
+                return
+            if tree.extract(got, duplicate_insensitive=duplicate_insensitive) is None:
+                skip.add(id(got.node))

@@ -1,6 +1,8 @@
 """Unit tests for min-hash shingle ordering and chunking."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.overlay.shingles import ShingleHasher, chunk, shingle_order
 
@@ -54,6 +56,46 @@ class TestOrder:
     def test_all_readers_present(self):
         transactions = {i: [i, i + 1] for i in range(25)}
         assert sorted(shingle_order(transactions)) == sorted(transactions)
+
+
+def per_transaction_order(transactions, num_hashes, seed):
+    """Reference: one :meth:`ShingleHasher.shingles` call per transaction,
+    in order, on a shared hasher (so item ids follow first encounter)."""
+    hasher = ShingleHasher(num_hashes=num_hashes, seed=seed)
+    keyed = [
+        (hasher.shingles(items), type(reader).__name__, repr(reader), reader)
+        for reader, items in transactions.items()
+    ]
+    keyed.sort(key=lambda entry: entry[:3])
+    return [entry[3] for entry in keyed]
+
+
+ITEMS = st.one_of(st.integers(0, 12), st.text(alphabet="abc", max_size=2))
+
+
+class TestHashedOnce:
+    """``shingle_order`` hashes each distinct item once; the order must be
+    the per-transaction hasher's, item for item."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        transactions=st.dictionaries(
+            st.one_of(st.integers(0, 40), st.text(alphabet="xyz", max_size=3)),
+            st.lists(ITEMS, max_size=8),
+            max_size=30,
+        ),
+        num_hashes=st.integers(1, 3),
+        seed=st.integers(0, 5000),
+    )
+    @example(  # str items, duplicates within a transaction, empty ones
+        transactions={"a": [], "b": ["x", "x", "y"], 3: [1, "1", 1], "c": [], 4: ["y", "x"]},
+        num_hashes=2,
+        seed=2014,
+    )
+    def test_equals_per_transaction_shingles(self, transactions, num_hashes, seed):
+        assert shingle_order(transactions, num_hashes, seed) == per_transaction_order(
+            transactions, num_hashes, seed
+        )
 
 
 class TestChunk:

@@ -7,10 +7,6 @@ scheduling nondeterminism.  The process-boundary behavior of the same
 code paths is covered in ``test_executors.py``.
 """
 
-import importlib.util
-import os
-import sys
-
 import pytest
 
 from repro.core import statestore
@@ -24,7 +20,7 @@ from repro.graph.generators import paper_figure1, random_graph
 from repro.serve import EAGrServer, ServeError
 from repro.serve.messages import OP_READ
 
-from tests.conftest import make_events
+from tests.conftest import make_events, suite_generator
 from tests.serve.faultlib import collect, refuse_submits
 
 
@@ -241,21 +237,6 @@ class TestCoalescingAndBackpressure:
             server.flush()
 
 
-def _suite_generator():
-    """The benchmark suite's own input generator (``benchmarks/suite/
-    suitelib/gen.py`` — numpy and the standard library only), loaded by
-    path: the suite directory is not a package on the test path."""
-    path = os.path.join(
-        os.path.dirname(__file__), os.pardir, os.pardir,
-        "benchmarks", "suite", "suitelib", "gen.py",
-    )
-    spec = importlib.util.spec_from_file_location("_suite_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations here
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.skipif(statestore._np is None, reason="packing needs numpy")
 class TestPackabilityPicksTheRoute:
     """Whether a batch packs is the only thing that selects its route."""
@@ -268,7 +249,7 @@ class TestPackabilityPicksTheRoute:
         byte-equal to what the per-item loop files, multicast rows
         included, and after the run the codec counters show no write
         batch and no notification on the pickle codec."""
-        gen = _suite_generator()
+        gen = suite_generator()
         feed = gen.generate(gen.SPECS["serve_feed"], seed=1)
         ingest = gen.generate(gen.SPECS["durable_ingest"], seed=1)
         assert feed.edges == ingest.edges  # one deployment, two schedules
