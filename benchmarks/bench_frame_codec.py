@@ -38,7 +38,7 @@ except ImportError:  # script mode
     sys.path.insert(0, os.path.dirname(__file__))
     from _common import emit_table
 
-from repro.core.statestore import WriteFrame, _np
+from repro.core.statestore import WriteFrame
 from repro.serve import frames
 from repro.serve.messages import OP_WRITE
 
@@ -160,9 +160,6 @@ def persist(results) -> None:
 
 
 def main(argv):
-    if _np is None:
-        print("frame codec bench skipped: numpy unavailable")
-        return
     smoke = "--smoke" in argv
     results = run_bench(iterations=60 if smoke else 400)
     persist(results)

@@ -1,6 +1,6 @@
-"""Setup shim: the offline environment lacks the `wheel` package, so PEP 660
-editable installs fail; this file enables pip's legacy `setup.py develop`
-editable path. All metadata lives in pyproject.toml / here."""
+"""Package metadata for ``repro`` (there is no pyproject.toml; this file is
+the whole build configuration).  ``pip install -e .`` takes pip's legacy
+``setup.py develop`` path, which needs no ``wheel`` package."""
 from setuptools import find_packages, setup
 
 setup(
@@ -14,8 +14,6 @@ setup(
     packages=find_packages(where="src"),
     # slots-based event dataclasses require dataclass(slots=True) (3.10+)
     python_requires=">=3.10",
-    # numpy is optional: without it the value-store layer, CSR snapshots
-    # and window buffers degrade to pure-Python paths (CI runs both).
-    install_requires=[],
-    extras_require={"fast": ["numpy"]},
+    # PAOs live in numpy columns; every handle-space kernel runs on them.
+    install_requires=["numpy"],
 )

@@ -72,11 +72,11 @@ class EAGrEngine:
         Attach the Section 4.8 adaptive decision controller.
     value_store:
         Aggregate-state backend: ``auto`` (columnar numpy columns when the
-        aggregate declares a column spec and numpy imports, object lists
-        otherwise), or force ``object`` / ``columnar`` / ``shared``
-        (shared-memory columns other processes can attach by name — the
-        serving layer's zero-copy read path).  Invisible to callers —
-        reads are byte-identical between backends for integer streams.
+        aggregate declares a column spec, object lists otherwise), or
+        force ``object`` / ``columnar`` / ``shared`` (shared-memory
+        columns other processes can attach by name — the serving layer's
+        zero-copy read path).  Invisible to callers — reads are
+        byte-identical between backends for integer streams.
     shm_name:
         Segment name for the ``shared`` backend (created, or adopted when
         a compatible segment already exists); ignored otherwise.
@@ -420,7 +420,7 @@ class EAGrEngine:
     @property
     def value_store_backend(self) -> str:
         """The backend the ``value_store`` mode resolved to (``object`` /
-        ``columnar``) for this engine's aggregate on this host."""
+        ``columnar`` / ``shared``) for this engine's aggregate."""
         return self.runtime.values.backend
 
     def sharing_index(self) -> float:

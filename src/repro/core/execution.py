@@ -125,7 +125,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core import statestore as _statestore
+import numpy as np
+
 from repro.core.aggregates import NEED_RECOMPUTE
 from repro.core.overlay import (
     Decision,
@@ -299,10 +300,9 @@ class ReaderClosure:
     """One writer's downstream reader set, compiled for change reporting.
 
     ``readers`` holds the *overlay handles* of every reader reachable from
-    the writer in the overlay (an int array; a tuple without numpy) —
-    regardless of push/pull decisions, because a pull reader's value
-    changes just as much when an upstream writer moves (it is merely
-    computed on demand).  ``touched`` indexes the closure into the same
+    the writer in the overlay (an int array) — regardless of push/pull
+    decisions, because a pull reader's value changes just as much when an
+    upstream writer moves (it is merely computed on demand).  ``touched`` indexes the closure into the same
     dependency-indexed invalidation registry as the propagation plans, so
     overlay surgery drops exactly the closures it reroutes.
     """
@@ -342,7 +342,7 @@ class _ScatterTable:
         # batches then skip the value scatter entirely.
         self.has_push = bool(push_dst.size)
 
-    def expand(self, np, w_arr, push: bool = False):
+    def expand(self, w_arr, push: bool = False):
         """Ragged expansion of ``w_arr``'s rows (push rows with ``push``).
 
         Returns ``(idx, counts)`` where ``idx`` indexes ``dst`` (or
@@ -353,7 +353,7 @@ class _ScatterTable:
         indptr = self.push_indptr if push else self.indptr
         starts = indptr[w_arr]
         counts = indptr[w_arr + 1] - starts
-        idx, _offsets = ragged_index(np, starts, counts)
+        idx, _offsets = ragged_index(starts, counts)
         if not idx.size:
             return None
         return idx, counts
@@ -451,7 +451,6 @@ class Runtime:
         # the object store and trace collection keep the interpreted plans.
         self._row_reads = self._columnar and self.trace is None
         if self._row_reads:
-            np = _statestore._np
             folds = {"add": np.add, "maximum": np.fmax, "minimum": np.fmin}
             self._row_fold = folds[self._spec.merge_ufunc]
         # The identity PAO is immutable by the aggregate API contract
@@ -465,7 +464,7 @@ class Runtime:
         self._push_plans: Dict[int, PushPlan] = {}
         self._pull_plans: Dict[int, PullPlan] = {}
         # Dict-shaped either way; empty for good when reads are interpreted.
-        self._pull_rows = PullRows(_statestore._np) if self._row_reads else {}
+        self._pull_rows = PullRows() if self._row_reads else {}
         self._reader_closures: Dict[int, ReaderClosure] = {}
         # Writers whose value changed since the last pop_changed_writers()
         # (dict-as-set; its order is not observable — changed_handles
@@ -509,28 +508,21 @@ class Runtime:
         self.values.resize(n)
         self.snapshots = [None] * n
         if self._columnar:
-            np = _statestore._np
             self._observed_push_store = np.zeros(n, dtype=np.int64)
             self.observed_pull = np.zeros(n, dtype=np.int64)
         else:
             self._observed_push_store = [0] * n
             self.observed_pull = [0] * n
+        if self._row_reads:
+            self._pull_rows.resize(n)
         # Handle space: the dedup scratch bitmap of :meth:`_distinct`
         # (all-false between calls) and the handle -> node id gather table.
-        # Both are ``None`` without numpy — the one observation every
-        # who-changed function degrades on.
-        np = _statestore._np
-        if self._row_reads:
-            self._pull_rows.resize(np, n)
-        if np is None:
-            self._changed_mark = self._label_array = None
-        else:
-            self._changed_mark = np.zeros(n, dtype=np.bool_)
-            # Filled slot by slot: assigning the list whole would broadcast
-            # tuple labels into a second axis.
-            self._label_array = np.empty(n, dtype=object)
-            for handle, label in enumerate(overlay.labels):
-                self._label_array[handle] = label
+        self._changed_mark = np.zeros(n, dtype=np.bool_)
+        # Filled slot by slot: assigning the list whole would broadcast
+        # tuple labels into a second axis.
+        self._label_array = np.empty(n, dtype=object)
+        for handle, label in enumerate(overlay.labels):
+            self._label_array[handle] = label
         if self._ring_window:
             self._build_ring()
         for node, handle in overlay.writer_of.items():
@@ -580,13 +572,12 @@ class Runtime:
         order, so ``_ring_keys`` maps node ids to rows by ``searchsorted``
         (the kernel's precondition; ``None`` otherwise, or under trace
         collection)."""
-        np = _statestore._np
         writer_of = self.overlay.writer_of
         nodes = list(writer_of)
         keyed = bool(nodes) and all(type(node) is int for node in nodes)
         if keyed:
             nodes.sort()
-        ring = TupleRing(np, len(nodes), self.query.window.size)
+        ring = TupleRing(len(nodes), self.query.window.size)
         buffers = self.buffers
         for row, node in enumerate(nodes):
             buffer = buffers.get(node)
@@ -650,7 +641,6 @@ class Runtime:
         ring rows (node ids mapped to rows first) added into one per-handle
         tally, then one expansion of the credited writers through the
         scatter table."""
-        np = _statestore._np
         tally = np.zeros(len(self._observed_push_store), dtype=np.int64)
         if self._obs_pending_handles:
             np.add.at(tally, self._obs_pending_handles, self._obs_pending_events)
@@ -673,7 +663,7 @@ class Runtime:
         table = self._scatter
         if table is None:
             table = self._build_scatter_table()
-        expanded = table.expand(np, writers)
+        expanded = table.expand(writers)
         if expanded is None:
             return
         idx, counts = expanded
@@ -867,7 +857,7 @@ class Runtime:
         leaf = [handle for handle, net in coeff.items() if net]
         touched = frozenset(credit)
         self._pull_rows.put(
-            _statestore._np, root, leaf, [coeff[handle] for handle in leaf],
+            root, leaf, [coeff[handle] for handle in leaf],
             list(credit), list(credit.values()), len(leaf) if pull else 0, touched,
         )
         self._register_plan(_PLAN_ROW, root, touched)
@@ -899,12 +889,8 @@ class Runtime:
                     readers.append(dst)
                 else:
                     stack.append(dst)
-        np = _statestore._np
         closure = ReaderClosure(
-            tuple(readers)
-            if self._changed_mark is None
-            else np.asarray(readers, dtype=np.int64),
-            frozenset(touched),
+            np.asarray(readers, dtype=np.int64), frozenset(touched)
         )
         self._reader_closures[writer] = closure
         self._register_plan(_PLAN_READERS, writer, closure.touched)
@@ -956,9 +942,9 @@ class Runtime:
         affected readers recorded since the last call, marks them in the
         persistent scratch bitmap and reads the set back with
         ``flatnonzero``: O(closure entries) in a handful of numpy calls,
-        no per-reader Python step, no sort.  Returns an int array (a list
-        without numpy) with no duplicates, **in ascending handle order** —
-        closure visit order is not observable and nothing may rely on it.
+        no per-reader Python step, no sort.  Returns an int array with no
+        duplicates, **in ascending handle order** — closure visit order is
+        not observable and nothing may rely on it.
         The bitmap is all-false again when the call returns or raises.
 
         The result is a *candidate* set: a reader is included when an
@@ -976,16 +962,12 @@ class Runtime:
             if closure is None:
                 closure = self._compile_reader_closure(writer)
             rows.append(closure.readers)
-        np = _statestore._np
-        mark = self._changed_mark
         restructured = self._restructured_readers
         if restructured:
             reader_of = self.overlay.reader_of
             row = [reader_of[node] for node in restructured if node in reader_of]
             restructured.clear()
-            rows.append(row if mark is None else np.asarray(row, dtype=np.int64))
-        if mark is None:
-            return sorted(set().union(*rows))
+            rows.append(np.asarray(row, dtype=np.int64))
         if not rows:
             return np.empty(0, dtype=np.int64)
         return self._distinct(np.concatenate(rows))
@@ -996,7 +978,7 @@ class Runtime:
         mark = self._changed_mark
         try:
             mark[handles] = True
-            return _statestore._np.flatnonzero(mark)
+            return np.flatnonzero(mark)
         finally:
             mark.fill(False)
 
@@ -1006,8 +988,6 @@ class Runtime:
         handles into Python objects, so callers that filter in handle
         space first (the serve layer's watch mask) pay for what they keep.
         """
-        if self._label_array is None:
-            return list(map(self.overlay.labels.__getitem__, handles))
         return self._label_array[handles].tolist()
 
     def changed_readers(self, writers: Optional[Iterable[int]] = None) -> List[NodeId]:
@@ -1041,7 +1021,6 @@ class Runtime:
         concatenated rows performs the same additions, in the same order,
         as the per-writer Python loop.
         """
-        np = _statestore._np
         csr = self._ensure_csr()
         out_indptr = csr.out_indptr
         out_indices = csr.out_indices
@@ -1291,7 +1270,6 @@ class Runtime:
         of the delta kernels); DFS writers credit per visited node like
         the interpreter.  Both feed the same adaptive estimates.
         """
-        np = _statestore._np
         is_max = self._spec.merge_ufunc == "maximum"
         fold_at = np.fmax.at if is_max else np.fmin.at
         store = self.values
@@ -1326,7 +1304,7 @@ class Runtime:
             v_arr = np.fromiter(grow_values, dtype=np.float64, count=count)
             column[w_arr] = v_arr
             cleared[w_arr] = False
-            expanded = table.expand(np, w_arr, push=True)
+            expanded = table.expand(w_arr, push=True)
             if expanded is not None:
                 idx, counts = expanded
                 dsts = table.push_dst[idx]
@@ -1556,7 +1534,6 @@ class Runtime:
         self.clock = clock
         self.counters.writes += count
         if count >= _RING_ROWS:
-            np = _statestore._np
             self._ring_kernel(
                 np.asarray(nodes, dtype=np.int64), np.asarray(values, dtype=np.float64)
             )
@@ -1618,7 +1595,6 @@ class Runtime:
         """:meth:`_write_ring` for a long batch: node ids to rows by
         ``searchsorted`` over the sorted writer ids, one stable ``argsort``
         to group the events per writer, :meth:`TupleRing.fold_sorted`."""
-        np = _statestore._np
         keys = self._ring_keys
         order = nodes.argsort(kind="stable")  # sorted needles search faster
         sought = nodes[order]
@@ -1713,7 +1689,6 @@ class Runtime:
         the order the batch hands the writers over: the scatter's
         additions into a shared destination happen in that order.
         """
-        np = _statestore._np
         w_arr = np.asarray(writers, dtype=np.int64)
         num_writers = w_arr.size
         if not num_writers:
@@ -1733,7 +1708,7 @@ class Runtime:
             for source, column in zip(self._spec.sources, columns)
         )
         push_total = 0
-        expanded = table.expand(np, w_arr, push=True) if table.has_push else None
+        expanded = table.expand(w_arr, push=True) if table.has_push else None
         if expanded is not None:
             idx, counts = expanded
             push_total = idx.size
@@ -2028,7 +2003,6 @@ class Runtime:
         ``observed_pull`` with one scatter, once per *requested* reader;
         ``counters.pull_ops`` grows by the leaf entries folded.
         """
-        np = _statestore._np
         handles = np.asarray(handles, dtype=np.int64)
         rows = self._pull_rows
         inverse = repeats = None
@@ -2054,8 +2028,8 @@ class Runtime:
                 meta = rows.meta[:, handles]
             start, leaves, observes, ops = meta
             ops = int(ops.sum())
-            leaf_at, offsets = ragged_index(np, start, leaves)
-            observe_at, _ = ragged_index(np, start + leaves, observes)
+            leaf_at, offsets = ragged_index(start, leaves)
+            observe_at, _ = ragged_index(start + leaves, observes)
             live = leaves > 0
         self.counters.pull_ops += ops
         handle_of, weight_of = rows.entries

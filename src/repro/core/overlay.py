@@ -30,11 +30,6 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from repro.graph.bipartite import BipartiteGraph
 
-try:  # numpy is optional: CSR snapshots degrade to plain lists without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image ships numpy
-    _np = None
-
 NodeId = Hashable
 
 
@@ -514,14 +509,13 @@ class OverlayCSR:
     give node ``v``'s inputs (and symmetrically for outputs); ``push`` and
     ``kinds`` are dense bitmaps.  The plan compiler in
     :mod:`repro.core.execution` walks these flat arrays instead of the
-    dict-of-dict representation; :meth:`numpy_arrays` exposes the same data
-    as numpy ``int32``/``uint8`` arrays for vectorized consumers.
+    dict-of-dict representation.
     """
 
     __slots__ = (
         "num_nodes", "in_indptr", "in_indices", "in_signs",
         "out_indptr", "out_indices", "out_signs",
-        "push", "kinds", "fan_in", "version", "decision_version", "_np_cache",
+        "push", "kinds", "fan_in", "version", "decision_version",
     )
 
     def __init__(
@@ -551,29 +545,10 @@ class OverlayCSR:
         self.fan_in = list(fan_in)
         self.version = version
         self.decision_version = decision_version
-        self._np_cache = None
 
     @property
     def num_edges(self) -> int:
         return len(self.in_indices)
-
-    def numpy_arrays(self):
-        """The snapshot as numpy arrays (``None`` when numpy is missing)."""
-        if _np is None:  # pragma: no cover - the image ships numpy
-            return None
-        if self._np_cache is None:
-            self._np_cache = {
-                "in_indptr": _np.asarray(self.in_indptr, dtype=_np.int32),
-                "in_indices": _np.asarray(self.in_indices, dtype=_np.int32),
-                "in_signs": _np.asarray(self.in_signs, dtype=_np.int8),
-                "out_indptr": _np.asarray(self.out_indptr, dtype=_np.int32),
-                "out_indices": _np.asarray(self.out_indices, dtype=_np.int32),
-                "out_signs": _np.asarray(self.out_signs, dtype=_np.int8),
-                "push": _np.asarray(self.push, dtype=_np.uint8),
-                "kinds": _np.asarray(self.kinds, dtype=_np.uint8),
-                "fan_in": _np.asarray(self.fan_in, dtype=_np.int32),
-            }
-        return self._np_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OverlayCSR(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -5,14 +5,14 @@ evaluates a batch of readers with a handful of numpy calls because each
 reader's pull subtree was flattened, once, into a :class:`PullRow`; this
 module is where those rows live — :class:`PullRows`, one growable arena
 indexed by overlay handle — and knows nothing about the runtime that
-compiles them or the registry that drops them.  numpy is passed in by
-the caller (``repro.core.statestore._np``): the module is importable, and
-unused, without it.
+compiles them or the registry that drops them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional
+
+import numpy as np
 
 
 class PullRow:
@@ -40,7 +40,7 @@ class PullRow:
         self.touched = touched
 
 
-def ragged_index(np, starts, counts):
+def ragged_index(starts, counts):
     """``(idx, offsets)``: flat indices of the ragged rows
     ``starts[i] : starts[i] + counts[i]``, rows in input order, and each
     row's offset into ``idx``."""
@@ -67,7 +67,7 @@ class PullRows:
 
     __slots__ = ("touched", "meta", "entries", "used")
 
-    def __init__(self, np, num_handles: int = 0) -> None:
+    def __init__(self, num_handles: int = 0) -> None:
         self.touched: Dict[int, FrozenSet[int]] = {}
         self.meta = np.full((4, num_handles), -1, dtype=np.int64)
         self.entries = np.empty((2, 1024), dtype=np.int64)
@@ -76,7 +76,7 @@ class PullRows:
     def __len__(self) -> int:
         return len(self.touched)
 
-    def resize(self, np, num_handles: int) -> None:
+    def resize(self, num_handles: int) -> None:
         """Cover a grown handle space (existing rows keep their handles)."""
         grow = num_handles - self.meta.shape[1]
         if grow > 0:
@@ -84,10 +84,10 @@ class PullRows:
                 [self.meta, np.full((4, grow), -1, dtype=np.int64)], axis=1
             )
 
-    def put(self, np, root, leaf, coeff, observe, credit, ops, touched) -> None:
+    def put(self, root, leaf, coeff, observe, credit, ops, touched) -> None:
         size = len(leaf) + len(observe)
         if self.used + size > self.entries.shape[1]:
-            self._make_room(np, size)
+            self._make_room(size)
         start = self.used
         self.entries[0, start:start + size] = leaf + observe
         self.entries[1, start:start + size] = coeff + credit
@@ -95,11 +95,11 @@ class PullRows:
         self.used = start + size
         self.touched[root] = touched
 
-    def _make_room(self, np, extra: int) -> None:
+    def _make_room(self, extra: int) -> None:
         """Compact the live rows into an arena with room to double."""
         roots = np.flatnonzero(self.meta[0] >= 0)
         start, leaves, observes, _ops = self.meta[:, roots]
-        idx, offsets = ragged_index(np, start, leaves + observes)
+        idx, offsets = ragged_index(start, leaves + observes)
         entries = np.empty((2, max(1024, 2 * (idx.size + extra))), dtype=np.int64)
         entries[:, :idx.size] = self.entries[:, idx]
         self.meta[0, roots] = offsets

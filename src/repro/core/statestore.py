@@ -5,9 +5,9 @@ object per overlay node.  This module abstracts *where* those PAOs live
 behind a small list-like protocol so two backends can coexist:
 
 * :class:`ObjectStore` — a plain Python list of PAOs.  Exact seed
-  semantics for arbitrary aggregates (TOP-K counter tables, distinct
-  sets, user-defined aggregates) and the only backend available when
-  numpy is not importable.
+  semantics for the aggregates that declare no column spec (TOP-K
+  counter tables, user-defined aggregates), and the reference the
+  columnar kernels are tested against (``value_store="object"``).
 * :class:`ColumnarStore` — dense numpy columns, one per field of the
   aggregate's :class:`~repro.core.aggregates.ColumnSpec` (SUM/COUNT one
   column, MEAN a ``(sum, count)`` pair, MAX/MIN one nan-encoded extremum
@@ -32,12 +32,12 @@ and ``store[handle] = pao`` / ``store[handle] = None`` round-trip.  The
 property tests in ``tests/core/test_statestore.py`` assert read-for-read
 equivalence between the backends on integer streams.
 
-Selection is by :func:`make_value_store`: ``"auto"`` picks columnar
-exactly when the aggregate declares a column spec and numpy imports,
-``"object"`` forces the seed behavior, ``"columnar"`` requests columns
-but degrades to the object store when unsupported (missing numpy or an
-aggregate without a spec) so deployments stay portable, and ``"shared"``
-requests shared-memory columns with the same degradation rule.
+Selection is by :func:`make_value_store`, and the rule is a property of
+the aggregate, not of the host: ``"auto"`` picks columnar exactly when
+the aggregate declares a column spec, ``"object"`` forces the seed
+behavior, ``"columnar"`` requests columns but takes the object store for
+an aggregate without a spec, and ``"shared"`` requests shared-memory
+columns with the same rule.
 """
 
 from __future__ import annotations
@@ -45,12 +45,9 @@ from __future__ import annotations
 import os as _os
 from typing import Any, List, Optional, Tuple
 
-from repro.core.aggregates import AggregateFunction, ColumnSpec
+import numpy as np
 
-try:  # numpy is optional: the store layer degrades to ObjectStore without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the masked-import test
-    _np = None
+from repro.core.aggregates import AggregateFunction, ColumnSpec
 
 PAO = Any
 
@@ -197,17 +194,15 @@ class ColumnarStore:
     backend = "columnar"
 
     def __init__(self, spec: ColumnSpec, num_handles: int = 0) -> None:
-        if _np is None:
-            raise ValueStoreError("ColumnarStore requires numpy")
         self.spec = spec
         self._unpack = spec.unpack
         self._pack = spec.pack
         self._num_handles = num_handles
         self.columns = tuple(
-            _np.full(num_handles, fill, dtype=dtype)
+            np.full(num_handles, fill, dtype=dtype)
             for dtype, fill in zip(spec.dtypes, spec.fills)
         )
-        self._cleared = _np.ones(num_handles, dtype=bool)
+        self._cleared = np.ones(num_handles, dtype=bool)
 
     @property
     def data(self) -> "ColumnarStore":
@@ -250,10 +245,10 @@ class ColumnarStore:
         if num_handles != self._num_handles:
             self._num_handles = num_handles
             self.columns = tuple(
-                _np.full(num_handles, fill, dtype=dtype)
+                np.full(num_handles, fill, dtype=dtype)
                 for dtype, fill in zip(self.spec.dtypes, self.spec.fills)
             )
-            self._cleared = _np.ones(num_handles, dtype=bool)
+            self._cleared = np.ones(num_handles, dtype=bool)
         else:
             for column, fill in zip(self.columns, self.spec.fills):
                 column.fill(fill)
@@ -284,7 +279,7 @@ def _shm_layout(spec: ColumnSpec, capacity: int):
     offsets = []
     cursor = _SHM_HEADER_BYTES
     for dtype in spec.dtypes:
-        itemsize = _np.dtype(dtype).itemsize
+        itemsize = np.dtype(dtype).itemsize
         cursor = (cursor + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
         offsets.append(cursor)
         cursor += capacity * itemsize
@@ -337,8 +332,6 @@ class SharedColumnarStore(ColumnarStore):
         name: Optional[str] = None,
         capacity: Optional[int] = None,
     ) -> None:
-        if _np is None:
-            raise ValueStoreError("SharedColumnarStore requires numpy")
         capacity = max(num_handles, capacity or 0, 1)
         segment = None
         if name is not None:
@@ -347,8 +340,8 @@ class SharedColumnarStore(ColumnarStore):
             except FileNotFoundError:
                 segment = None
             if segment is not None:  # adopt: validate, then reset below
-                header = _np.frombuffer(
-                    segment.buf, dtype=_np.int64, count=_SHM_HEADER_SLOTS
+                header = np.frombuffer(
+                    segment.buf, dtype=np.int64, count=_SHM_HEADER_SLOTS
                 )
                 if (
                     int(header[0]) != _SHM_MAGIC
@@ -387,13 +380,13 @@ class SharedColumnarStore(ColumnarStore):
         self._capacity = capacity
         _total, offsets, cleared_offset = _shm_layout(spec, capacity)
         buf = segment.buf
-        self._header = _np.frombuffer(buf, dtype=_np.int64, count=_SHM_HEADER_SLOTS)
+        self._header = np.frombuffer(buf, dtype=np.int64, count=_SHM_HEADER_SLOTS)
         self.columns = tuple(
-            _np.frombuffer(buf, dtype=dtype, count=capacity, offset=offset)
+            np.frombuffer(buf, dtype=dtype, count=capacity, offset=offset)
             for dtype, offset in zip(spec.dtypes, offsets)
         )
-        self._cleared = _np.frombuffer(
-            buf, dtype=_np.bool_, count=capacity, offset=cleared_offset
+        self._cleared = np.frombuffer(
+            buf, dtype=np.bool_, count=capacity, offset=cleared_offset
         )
 
     @classmethod
@@ -403,10 +396,8 @@ class SharedColumnarStore(ColumnarStore):
         Raises ``FileNotFoundError`` when no segment of that name exists
         and :class:`ValueStoreError` on a layout mismatch.
         """
-        if _np is None:
-            raise ValueStoreError("SharedColumnarStore requires numpy")
         segment = attach_segment(name)
-        header = _np.frombuffer(segment.buf, dtype=_np.int64, count=_SHM_HEADER_SLOTS)
+        header = np.frombuffer(segment.buf, dtype=np.int64, count=_SHM_HEADER_SLOTS)
         magic, capacity, num_handles, _seq, ncols = (
             int(header[i]) for i in range(5)
         )
@@ -507,18 +498,12 @@ class SharedColumnarStore(ColumnarStore):
 # ---------------------------------------------------------------------------
 
 #: Record layout of a packed write batch: one row per write event.
-WRITE_DTYPE = (
-    None
-    if _np is None
-    else _np.dtype([("node", "<i8"), ("value", "<f8"), ("timestamp", "<f8")])
-)
+WRITE_DTYPE = np.dtype([("node", "<i8"), ("value", "<f8"), ("timestamp", "<f8")])
 
 
 #: Exact column types :meth:`WriteFrame.from_items` packs losslessly.
 _INT_ONLY = frozenset((int,))
-_FLOAT_TYPES = (
-    frozenset((float,)) if _np is None else frozenset((float, _np.float64))
-)
+_FLOAT_TYPES = frozenset((float, np.float64))
 
 
 def gated_columns(items, width: int) -> Optional[Tuple[tuple, ...]]:
@@ -528,7 +513,7 @@ def gated_columns(items, width: int) -> Optional[Tuple[tuple, ...]]:
     ``None`` — the lossless-packing gate of :meth:`WriteFrame.from_items`,
     run column-wise in C (one transpose, one ``set(map(type, column))``
     per column)."""
-    if _np is None or not items:
+    if not items:
         return None
     try:
         if sum(map(len, items)) != width * len(items):
@@ -548,7 +533,7 @@ def _writeframe_from_bytes(data: bytes, ingress: float = None) -> "WriteFrame":
     """Unpickle helper for :meth:`WriteFrame.__reduce__` (module-level so
     queue transports can resolve it by name; ``ingress`` defaults so
     frames pickled before the stamp existed still load)."""
-    return WriteFrame(_np.frombuffer(data, dtype=WRITE_DTYPE), ingress=ingress)
+    return WriteFrame(np.frombuffer(data, dtype=WRITE_DTYPE), ingress=ingress)
 
 
 class WriteFrame:
@@ -603,7 +588,7 @@ class WriteFrame:
         if columns is None:
             return None
         nodes, values, stamps = columns
-        records = _np.empty(len(nodes), dtype=WRITE_DTYPE)
+        records = np.empty(len(nodes), dtype=WRITE_DTYPE)
         records["node"] = nodes
         records["value"] = values
         records["timestamp"] = stamps
@@ -621,7 +606,7 @@ class WriteFrame:
             return frames[0]
         stamps = [f.ingress for f in frames if f.ingress is not None]
         return cls(
-            _np.concatenate([frame.records for frame in frames]),
+            np.concatenate([frame.records for frame in frames]),
             ingress=min(stamps) if stamps else None,
         )
 
@@ -678,7 +663,7 @@ class WriteFrame:
 
 
 def resolve_value_store(aggregate: AggregateFunction, mode: str = "auto") -> str:
-    """The backend ``mode`` resolves to for ``aggregate`` on this host."""
+    """The backend ``mode`` resolves to for ``aggregate``."""
     if mode not in VALUE_STORE_MODES:
         raise ValueStoreError(
             f"value_store must be one of {VALUE_STORE_MODES}, got {mode!r}"
@@ -686,7 +671,7 @@ def resolve_value_store(aggregate: AggregateFunction, mode: str = "auto") -> str
     if mode == "object":
         return "object"
     spec = getattr(aggregate, "column_spec", None)
-    if spec is None or _np is None:
+    if spec is None:
         return "object"
     return "shared" if mode == "shared" else "columnar"
 

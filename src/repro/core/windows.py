@@ -35,6 +35,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Deque, List, Optional, Tuple
 
+import numpy as np
+
+
 class _NoValueType:
     """Singleton sentinel type with pickle-stable identity.
 
@@ -310,14 +313,12 @@ class TupleRing:
     fill.  ``cells``/``counts`` are flat memoryviews of the same two
     arrays, for per-event accesses (:class:`RingRow`, the runtime's short
     batches: a Python float or int per element, several times cheaper than
-    numpy scalar indexing).  ``np`` is the numpy module (passed in: this
-    module does not import it).
+    numpy scalar indexing).
     """
 
-    __slots__ = ("np", "size", "values", "pushed", "cells", "counts")
+    __slots__ = ("size", "values", "pushed", "cells", "counts")
 
-    def __init__(self, np, rows: int, size: int) -> None:
-        self.np = np
+    def __init__(self, rows: int, size: int) -> None:
         self.size = size
         self.values = np.zeros((rows, size), dtype=np.float64)
         self.pushed = np.zeros(rows, dtype=np.int64)
@@ -336,7 +337,7 @@ class TupleRing:
         ``(p + j) % size`` and evicts what it held — the matrix's value for
         ``j < size``, the same writer's event ``j - size`` otherwise — and
         one ``np.add.at`` folds the terms in stream order."""
-        np, size, count = self.np, self.size, rows.size
+        size, count = self.size, rows.size
         head = np.empty(count, dtype=bool)
         head[0] = True
         np.not_equal(rows[1:], rows[:-1], out=head[1:])

@@ -9,10 +9,10 @@ measurement plane on the same zero-copy substrate as the data plane:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — a slot-backed registry
   of counters, gauges and log-bucketed latency histograms.  All metric
-  values live in one flat float64 array (numpy when available, a plain
-  list on the fallback path), so an increment is one indexed add and a
-  snapshot is one copy.  A disabled registry hands out shared no-op
-  metrics, making the metrics-off cost a single attribute load.
+  values live in one flat numpy float64 array, so an increment is one
+  indexed add and a snapshot is one copy.  A disabled registry hands out
+  shared no-op metrics, making the metrics-off cost a single attribute
+  load.
 * :class:`~repro.obs.slab.MetricsSlab` — a named shared-memory segment
   (same ``multiprocessing.shared_memory`` + seqlock discipline as
   ``SharedColumnarStore``/``ShmRing``) into which each shard worker

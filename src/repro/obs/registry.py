@@ -1,9 +1,7 @@
 """Slot-backed metrics registry: counters, gauges, log-bucket histograms.
 
 Every metric registered with a :class:`MetricsRegistry` is assigned a
-contiguous range of slots in one flat float64 value array (a numpy array
-when numpy is importable, a plain Python list otherwise — both paths
-share the exact same slot layout, which the parity tests pin).  That
+contiguous range of slots in one flat numpy float64 value array.  That
 flat layout is the whole trick:
 
 * an increment is one indexed ``+=`` — no dict lookup on the hot path,
@@ -40,10 +38,7 @@ from __future__ import annotations
 from collections import deque
 from time import monotonic
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+import numpy as np
 
 #: Number of count buckets per histogram (excluding the sum slot).
 HIST_BUCKETS = 48
@@ -252,10 +247,7 @@ class MetricsRegistry:
         self._metrics = {}
         self._order = []  # [(name, kind, offset)] in registration order
         self._n_slots = 0
-        if _np is not None:
-            self._values = _np.zeros(0, dtype=_np.float64)
-        else:
-            self._values = []
+        self._values = np.zeros(0, dtype=np.float64)
 
     # -- registration -------------------------------------------------
     def _register(self, name, kind, cls):
@@ -274,14 +266,10 @@ class MetricsRegistry:
             self._n_slots += _WIDTHS[kind]
             return _NULL
         off = self._n_slots
-        width = _WIDTHS[kind]
-        self._n_slots += width
-        if _np is not None:
-            grown = _np.zeros(self._n_slots, dtype=_np.float64)
-            grown[: len(self._values)] = self._values
-            self._values = grown
-        else:
-            self._values.extend([0.0] * width)
+        self._n_slots += _WIDTHS[kind]
+        grown = np.zeros(self._n_slots, dtype=np.float64)
+        grown[: len(self._values)] = self._values
+        self._values = grown
         metric = cls(self, off, name)
         self._metrics[name] = metric
         self._order.append((name, kind, off))
@@ -308,10 +296,8 @@ class MetricsRegistry:
         return self._n_slots
 
     def values_snapshot(self):
-        """Copy of the flat value array (list on the fallback path)."""
-        if _np is not None and self.enabled:
-            return self._values.copy()
-        return list(self._values)
+        """Copy of the flat value array."""
+        return self._values.copy()
 
     def load_values(self, values):
         """Overwrite the backing array from a scraped snapshot."""
@@ -321,10 +307,7 @@ class MetricsRegistry:
             raise ValueError(
                 f"snapshot has {len(values)} slots, registry declares {self._n_slots}"
             )
-        if _np is not None:
-            self._values = _np.asarray(values, dtype=_np.float64).copy()
-        else:
-            self._values = [float(v) for v in values]
+        self._values = np.array(values, dtype=np.float64)
 
     def merge_values(self, values):
         """Elementwise-add a same-schema snapshot into this registry.
@@ -339,10 +322,7 @@ class MetricsRegistry:
             raise ValueError(
                 f"snapshot has {len(values)} slots, registry declares {self._n_slots}"
             )
-        if _np is not None:
-            self._values = self._values + _np.asarray(values, dtype=_np.float64)
-        else:
-            self._values = [a + float(b) for a, b in zip(self._values, values)]
+        self._values = self._values + np.asarray(values, dtype=np.float64)
 
     # -- snapshots ----------------------------------------------------
     def schema(self):

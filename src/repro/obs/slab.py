@@ -27,12 +27,9 @@ from __future__ import annotations
 
 import struct
 
-from ..core.statestore import attach_segment, create_segment, unlink_segment
+import numpy as np
 
-try:  # pragma: no cover - exercised via the no-numpy CI job
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+from ..core.statestore import attach_segment, create_segment, unlink_segment
 
 _MAGIC = 0x4D455452  # "METR"
 _HEADER = struct.Struct("<qqqq")
@@ -49,7 +46,6 @@ class MetricsSlab:
         self.n_slots = int(n_slots)
         self._owner = bool(owner)
         self._closed = False
-        self._fmt = struct.Struct(f"<{self.n_slots}d")
         # The seqlock word is read and written through an int64 view: one
         # aligned 8-byte access each.  ``struct.pack_into`` zero-fills the
         # slot before writing the value, so a scraper could load an even
@@ -108,38 +104,29 @@ class MetricsSlab:
             return
         seq = self._seq()
         self._set_seq(seq + 1)  # odd: write in progress
-        if _np is not None:
-            view = _np.frombuffer(
-                self._shm.buf, dtype=_np.float64, count=self.n_slots, offset=_DATA_OFF
-            )
-            view[:] = values
-        else:
-            self._fmt.pack_into(self._shm.buf, _DATA_OFF, *values)
+        self._view()[:] = values
         self._set_seq(seq + 2)  # even: stable
 
     def scrape(self):
         """Reader side: seqlock-consistent copy of the value array.
 
-        Returns a list (fallback) or numpy array.  After
-        ``_SCRAPE_ATTEMPTS`` torn reads the last copy is returned anyway
-        — a metrics scrape must never wedge behind a busy publisher.
+        Returns a numpy array.  After ``_SCRAPE_ATTEMPTS`` torn reads the
+        last copy is returned anyway — a metrics scrape must never wedge
+        behind a busy publisher.
         """
         if self._closed:
-            return [0.0] * self.n_slots
+            return np.zeros(self.n_slots, dtype=np.float64)
         out = None
         for _ in range(_SCRAPE_ATTEMPTS):
             s0 = self._seq()
             if s0 & 1:
                 continue
-            out = self._copy_values()
+            out = self._view().copy()
             if self._seq() == s0:
                 return out
-        return out if out is not None else self._copy_values()
+        return out if out is not None else self._view().copy()
 
-    def _copy_values(self):
-        if _np is not None:
-            view = _np.frombuffer(
-                self._shm.buf, dtype=_np.float64, count=self.n_slots, offset=_DATA_OFF
-            )
-            return view.copy()
-        return list(self._fmt.unpack_from(self._shm.buf, _DATA_OFF))
+    def _view(self):
+        return np.frombuffer(
+            self._shm.buf, dtype=np.float64, count=self.n_slots, offset=_DATA_OFF
+        )

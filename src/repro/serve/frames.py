@@ -31,10 +31,6 @@ That residual framing (the queue transport's own pickling of a
 bytes-carrying frame) is *below* the codec layer: the codec counters
 exported by ``server_stats()`` count what this module chose, and the
 steady-state columnar path chooses pickle exactly zero times.
-
-Everything here degrades gracefully without numpy: the encode helpers
-fall back to ``K_PICKLE`` and the frame classes simply go unused (the
-server's packing gate never produces them).
 """
 
 from __future__ import annotations
@@ -43,7 +39,9 @@ import pickle
 import struct
 from typing import Any, List, Optional, Sequence
 
-from repro.core.statestore import WriteFrame, _np
+import numpy as np
+
+from repro.core.statestore import WriteFrame
 from repro.serve.messages import OP_WRITE, Notification
 
 # -- payload codec kinds (first byte of every ring payload) -----------------
@@ -80,12 +78,8 @@ _K_PICKLE_BYTE = bytes([K_PICKLE])
 WRITE_HEADER = struct.Struct("<B7xqqqd")
 
 #: Record layout of a :class:`NoteFrame` (one row per notification).
-NOTE_DTYPE = (
-    None
-    if _np is None
-    else _np.dtype(
-        [("ego", "<i8"), ("value", "<f8"), ("stamp", "<i8"), ("batch", "<i8")]
-    )
+NOTE_DTYPE = np.dtype(
+    [("ego", "<i8"), ("value", "<f8"), ("stamp", "<i8"), ("batch", "<i8")]
 )
 
 
@@ -125,7 +119,7 @@ def decode(payload: bytes) -> Any:
     """
     if payload[0] == K_WRITE:
         _kind, seq, batch_no, count, ingress = WRITE_HEADER.unpack_from(payload)
-        records = _np.frombuffer(
+        records = np.frombuffer(
             payload, dtype=WriteFrame.dtype, count=count, offset=WRITE_HEADER.size
         )
         frame = WriteFrame(records, ingress=None if ingress == 0.0 else ingress)
@@ -163,8 +157,8 @@ def _changeframe_from_bytes(
     ego_bytes: bytes, value_bytes: bytes, batch: int, ingress: float = None
 ):
     return ChangeFrame(
-        _np.frombuffer(ego_bytes, dtype=_np.int64),
-        _np.frombuffer(value_bytes, dtype=_np.float64),
+        np.frombuffer(ego_bytes, dtype=np.int64),
+        np.frombuffer(value_bytes, dtype=np.float64),
         batch,
         ingress=ingress,
     )
@@ -213,7 +207,7 @@ class ChangeFrame:
 
 def _noteframe_from_bytes(subscriber, shard: int, data: bytes, ingress: float = None):
     return NoteFrame(
-        subscriber, shard, _np.frombuffer(data, dtype=NOTE_DTYPE), ingress=ingress
+        subscriber, shard, np.frombuffer(data, dtype=NOTE_DTYPE), ingress=ingress
     )
 
 
@@ -250,11 +244,11 @@ class NoteFrame:
     def build(cls, subscriber, shard, egos, values, first_stamp, batch, ingress=None):
         """One frame from parallel ego/value arrays, stamping rows
         ``first_stamp, first_stamp+1, ...`` (the journal contract)."""
-        records = _np.empty(len(egos), dtype=NOTE_DTYPE)
+        records = np.empty(len(egos), dtype=NOTE_DTYPE)
         records["ego"] = egos
         records["value"] = values
-        records["stamp"] = _np.arange(
-            first_stamp, first_stamp + len(egos), dtype=_np.int64
+        records["stamp"] = np.arange(
+            first_stamp, first_stamp + len(egos), dtype=np.int64
         )
         records["batch"] = batch
         return cls(subscriber, shard, records, ingress=ingress)

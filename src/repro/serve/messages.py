@@ -50,8 +50,8 @@ there is no deployment-level codec setting.
   (:class:`repro.core.statestore.WriteFrame`).  The shard decodes it
   with one ``np.frombuffer`` — zero per-item deserialization before
   the columnar scatter.  Every batch that passes the packing gate
-  (``int`` node ids, ``float`` values and timestamps, numpy present)
-  is packed once, at the front-end's door, and travels this way.
+  (``int`` node ids, ``float`` values and timestamps) is packed once,
+  at the front-end's door, and travels this way.
 * ``K_PICKLE`` (0) — ``pickle.dumps`` of the request tuple.  Control
   ops (read/subscribe/drain/...) always use it; so do write batches
   that fail the gate, item for item, on the same ring with identical

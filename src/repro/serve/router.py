@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.core.statestore import WriteFrame, _np
+import numpy as np
+
+from repro.core.statestore import WriteFrame
 
 NodeId = Hashable
 
@@ -42,10 +44,10 @@ class Routes(NamedTuple):
     it.  ``table`` is ``(keys, member)`` — the sorted ``int64`` writer
     ids and a ``num_shards x len(keys)`` boolean membership matrix
     (``member[s, k]``: shard ``s`` aggregates writer ``keys[k]``) — or
-    ``None`` when packed frames cannot be routed through it: numpy is
-    absent, or some writer key is not a plain ``int`` in ``int64`` range
-    (``True`` or ``1.0`` match a written id ``1`` in the dict the
-    per-item path consults; the table could not say so).
+    ``None`` when packed frames cannot be routed through it: some writer
+    key is not a plain ``int`` in ``int64`` range (``True`` or ``1.0``
+    match a written id ``1`` in the dict the per-item path consults; the
+    table could not say so).
     """
 
     reader_shard: Dict[NodeId, int]
@@ -82,13 +84,13 @@ class Router:
                 multicast.setdefault(writer, {})[shard_id] = None
         writer_shards = {w: tuple(s) for w, s in multicast.items()}
         table = None
-        if _np is not None and all(type(node) is int for node in writer_shards):
+        if all(type(node) is int for node in writer_shards):
             try:
-                keys = _np.array(sorted(writer_shards), dtype=_np.int64)
+                keys = np.array(sorted(writer_shards), dtype=np.int64)
             except OverflowError:
                 keys = None
             if keys is not None:
-                member = _np.zeros((self._state.num_shards, len(keys)), dtype=bool)
+                member = np.zeros((self._state.num_shards, len(keys)), dtype=bool)
                 for slot, node in enumerate(keys.tolist()):
                     member[list(writer_shards[node]), slot] = True
                 table = (keys, member)
@@ -122,10 +124,10 @@ class Router:
             if not len(keys):
                 return parts
             nodes = writes.nodes
-            slot = _np.minimum(_np.searchsorted(keys, nodes), len(keys) - 1)
+            slot = np.minimum(np.searchsorted(keys, nodes), len(keys) - 1)
             hits = member[:, slot] & (keys[slot] == nodes)
             records = writes.records
-            for shard_id in _np.flatnonzero(hits.any(axis=1)).tolist():
+            for shard_id in np.flatnonzero(hits.any(axis=1)).tolist():
                 mask = hits[shard_id]
                 parts[shard_id] = WriteFrame(
                     records if mask.all() else records[mask],

@@ -209,13 +209,13 @@ class EAGrServer:
     transport:
         How requests reach process workers.  ``"auto"`` (default) picks
         the shared-memory transport — per-shard ingress rings plus a
-        shared value-column segment answered zero-copy on reads —
-        whenever the deployment supports it (process executor, numpy
-        present, columnar-capable aggregate), and falls back to the
-        pickle-over-queue transport otherwise (in-process executor,
-        no numpy, object-store aggregates such as TOP-K).  ``"queue"``
-        forces the fallback; ``"shm"`` demands shared memory and raises
-        :class:`ServeError` when unsupported.
+        shared value-column segment answered zero-copy on reads — and
+        the pickle-over-queue transport exactly where the rule of
+        :mod:`repro.serve.transport` sends a shard there (aggregates
+        without a column spec such as TOP-K; in-process shards have no
+        transport and report ``"queue"``).  ``"queue"`` forces the queue;
+        ``"shm"`` demands shared memory and raises :class:`ServeError`
+        where the rule forbids it.
     metrics:
         Whether the metrics plane is on (see :mod:`repro.obs` and the
         Observability section of PERFORMANCE.md).  ``"auto"`` (default)
@@ -561,8 +561,8 @@ class EAGrServer:
         ) == "shared"
         if transport == "shm" and not supported:
             raise ServeError(
-                "shm transport requires process executors, numpy and a "
-                "columnar-capable aggregate"
+                "shm transport requires process executors and an aggregate "
+                "with a column spec"
             )
         if transport == "queue":
             return "queue"
@@ -573,8 +573,7 @@ class EAGrServer:
         """Resolve the ``metrics`` toggle (see __init__).
 
         Precedence: explicit ``True``/``False`` > ``EAGR_METRICS`` env
-        var > on.  Metrics have no numpy dependency — the registry falls
-        back to plain lists — so the default is unconditionally on.
+        var > on.
         """
         if metrics is True:
             return True

@@ -28,7 +28,8 @@ import pickle
 from time import monotonic as _monotonic
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
-from repro.core import statestore as _statestore
+import numpy as np
+
 from repro.core.query import EgoQuery
 from repro.serve import frames as _frames
 from repro.serve.messages import (
@@ -430,11 +431,10 @@ class ShardHost:
         """The watched egos among the engine's reader ``handles``:
         ``(surviving handles, their node ids)``, aligned.
 
-        The watch set lives as a bool mask over the handle space (a
-        handle set without numpy), rebuilt from :attr:`watchers` when it
-        was edited or when the engine's runtime or overlay is no longer
-        the one it was built for; only the handles inside it are mapped
-        to node ids.
+        The watch set lives as a bool mask over the handle space, rebuilt
+        from :attr:`watchers` when it was edited or when the engine's
+        runtime or overlay is no longer the one it was built for; only the
+        handles inside it are mapped to node ids.
         """
         engine = self.engine
         runtime = engine.runtime
@@ -442,18 +442,10 @@ class ShardHost:
         if stamp != self._watch_stamp:
             reader_of = engine.overlay.reader_of
             watched = [reader_of[ego] for ego in self.watchers if ego in reader_of]
-            np = _statestore._np  # the runtime's handles degrade on the same
-            if np is None:
-                self._watch_mask = frozenset(watched)
-            else:
-                self._watch_mask = np.zeros(engine.overlay.num_nodes, dtype=np.bool_)
-                self._watch_mask[watched] = True
+            self._watch_mask = np.zeros(engine.overlay.num_nodes, dtype=np.bool_)
+            self._watch_mask[watched] = True
             self._watch_stamp = stamp
-        mask = self._watch_mask
-        if mask.__class__ is frozenset:
-            kept = [h for h in handles if h in mask]
-        else:
-            kept = handles[mask[handles]]
+        kept = handles[self._watch_mask[handles]]
         return kept, runtime.labels_of(kept)
 
     @staticmethod
@@ -464,9 +456,6 @@ class ShardHost:
         (same lossless gate as the ingress frames: int egos, float
         values).  ``ingress`` rides along so the front-end can close the
         write→notify latency loop."""
-        np = _frames._np
-        if np is None:
-            return None
         for node, value in pairs:
             if type(node) is not int or not isinstance(value, float):
                 return None

@@ -16,14 +16,20 @@ worker half             ``attach`` · ``recv`` / ``poll`` / ``reply`` /
 
 There are exactly two implementations, and both carry the *same request
 tuples* in the same FIFO order, so every ordering guarantee of
-:mod:`repro.serve.messages` is transport-independent:
+:mod:`repro.serve.messages` is transport-independent.  Which one a shard
+gets (``transport="auto"``) is a property of the query, not of the
+host: the ring needs the shard's state in shared columns, so an
+aggregate without a :class:`~repro.core.aggregates.ColumnSpec` (TOP-K,
+user aggregates — they keep an :class:`~repro.core.statestore.ObjectStore`)
+rides the queue, and every other aggregate rides the ring.  In-process
+shards have no transport at all (their executor calls the host
+directly) and report ``"queue"``.
 
-* :class:`QueueTransport` — a bounded ``mp.Queue`` of pickled requests
-  (the fallback for object-store aggregates and no-numpy hosts).  Queue
-  depth is the backpressure window.  ``poll`` never yields (the worker
-  applies one batch per request), ``published`` is a no-op (every write
-  batch is acknowledged by an ``R_WRITE`` reply), nothing can be read
-  locally, and shard metrics cost an ``OP_STATS`` round trip.
+* :class:`QueueTransport` — a bounded ``mp.Queue`` of pickled requests.
+  Queue depth is the backpressure window.  ``poll`` never yields (the
+  worker applies one batch per request), ``published`` is a no-op (every
+  write batch is acknowledged by an ``R_WRITE`` reply), nothing can be
+  read locally, and shard metrics cost an ``OP_STATS`` round trip.
 * :class:`RingTransport` — a shared-memory ingress ring
   (:class:`~repro.serve.shm.ShmRing`) of codec-tagged frames
   (:mod:`repro.serve.frames`: packed write batches as raw ``K_WRITE``

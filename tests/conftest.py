@@ -10,6 +10,8 @@ import pytest
 from repro.core.engine import EAGrEngine
 from repro.graph.streams import ReadEvent, WriteEvent
 
+from tests.serve.faultlib import SHM_DIR
+
 
 def make_events(nodes, count, write_fraction=0.5, seed=0, vocabulary=12):
     """Deterministic interleaved read/write events over ``nodes``."""
@@ -64,6 +66,31 @@ def suite_generator():
     sys.modules[spec.name] = module  # dataclasses resolve annotations here
     spec.loader.exec_module(module)
     return module
+
+
+def _eagr_segments():
+    return {name for name in os.listdir(SHM_DIR) if name.startswith("eagr")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_segments():
+    """The run leaves no new ``eagr*`` shared-memory segment behind.
+
+    Every segment the serve tier creates is unlinked by name by whoever
+    owns it — the front end on close, or the test that SIGKILLed the front
+    end (``faultlib.unlink_orphaned_segments``).  A segment that outlives
+    the session is a leak, and this fails the run naming it.
+    """
+    if not os.path.isdir(SHM_DIR):
+        yield
+        return
+    before = _eagr_segments()
+    yield
+    leaked = sorted(_eagr_segments() - before)
+    assert not leaked, (
+        f"the test run left {len(leaked)} shared-memory segment(s) in "
+        f"{SHM_DIR}: {leaked}"
+    )
 
 
 @pytest.fixture

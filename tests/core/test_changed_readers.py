@@ -10,14 +10,7 @@ from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-STORES = ["object"] + (["columnar"] if HAVE_NUMPY else [])
+STORES = ["object", "columnar"]
 
 
 def build(graph=None, aggregate=None, value_store="auto", **kwargs):

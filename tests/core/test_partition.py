@@ -230,7 +230,6 @@ SUITE_QUERY = EgoQuery(
 @pytest.fixture(scope="module")
 def suite_graphs():
     """nodes -> (graph, write_freq) of the benchmark's serve deployment."""
-    pytest.importorskip("numpy")  # the suite's generator draws with numpy
     gen = suite_generator()
     graphs = {}
     for nodes in sorted({key[0] for key in GOLDEN_TABLES}):

@@ -22,13 +22,6 @@ from repro.graph.neighborhoods import Neighborhood
 from repro.overlay.dynamic import OverlayMaintainer
 from repro.serve.shard import ShardSpec
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
 
 def roundtrip(obj, byte_identical=True):
     """Pickle → unpickle; asserts byte identity, returns the clone.
@@ -91,7 +84,6 @@ class TestCompiledPlans:
             assert clone.spans == plan.spans
             assert clone.touched == plan.touched
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="pull rows require numpy")
     def test_pull_rows_roundtrip(self):
         engine = warmed_engine(value_store="columnar")
         rows = engine.runtime._pull_rows
@@ -118,7 +110,6 @@ class TestCompiledPlans:
             assert clone.touched == closure.touched
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar store requires numpy")
 class TestColumnarStore:
     @pytest.mark.parametrize("aggregate", [Sum(), Count(), Mean(), Max(), Min()])
     def test_roundtrip_preserves_columns(self, aggregate):
@@ -311,7 +302,6 @@ def legacy_writes(graph, rounds):
     ]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="ring windows need the columnar store")
 class TestLegacyCheckpoints:
     """Checkpoints of the per-writer buffer objects still restore: the
     buffers load into the ring matrix and the shard reads what an engine

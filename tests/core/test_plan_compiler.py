@@ -1,7 +1,5 @@
 """Compiled propagation plans: caching, kernels, precise invalidation."""
 
-import pytest
-
 from repro.core.aggregates import Max, Sum, TopK
 from repro.core.execution import Runtime
 from repro.core.overlay import Decision, Overlay
@@ -206,11 +204,3 @@ class TestCSRSnapshot:
         csr = ov.to_csr()
         assert csr.in_signs[csr.in_indptr[r] : csr.in_indptr[r + 1]] == [1, -1]
         assert csr.push[a] and csr.push[b] and csr.push[p] and not csr.push[r]
-
-    def test_csr_numpy_arrays(self):
-        pytest.importorskip("numpy")
-        ov, *_ = shared_overlay()
-        arrays = ov.to_csr().numpy_arrays()
-        assert arrays is not None
-        assert arrays["out_indices"].dtype.kind == "i"
-        assert len(arrays["push"]) == ov.num_nodes

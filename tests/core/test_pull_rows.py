@@ -8,9 +8,9 @@ read must equal the brute-force oracle and the uncompiled recursive
 behave as a per-node loop; and a batch must credit ``observed_pull`` with
 exactly what evaluating its readers one after the other credits.  On the
 columnar store that exercises the frozen rows (``repro.core.pullrows``)
-and their invalidation; on the object store — the only store without
-numpy — the same schedules run the interpreted ``PullPlan`` path, and the
-row-specific tests skip.
+and their invalidation; on the object store — the store of aggregates
+without a column spec — the same schedules run the interpreted
+``PullPlan`` path, the reference the rows are held to.
 """
 
 import random
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import statestore
 from repro.core.adaptive import AdaptiveController
 from repro.core.aggregates import Count, Max, Mean, Min, Sum
 from repro.core.engine import EAGrEngine
@@ -33,9 +32,7 @@ from repro.graph.neighborhoods import Neighborhood
 
 from tests.test_changed_plane_properties import random_structure_event
 
-HAVE_NUMPY = statestore._np is not None
-STORES = ["object"] + (["columnar"] if HAVE_NUMPY else [])
-needs_rows = pytest.mark.skipif(not HAVE_NUMPY, reason="pull rows require numpy")
+STORES = ["object", "columnar"]
 
 AGGREGATES = {"sum": Sum, "count": Count, "mean": Mean, "max": Max, "min": Min}
 GROUP = ("sum", "count", "mean")
@@ -180,8 +177,8 @@ def run_schedule(seed, plan, dataflow, label_type, window, maintain, value_store
 # outside the read path: the maintainer kept a negative edge to a writer
 # that had just joined the reader's neighbourhood, and a rebuild expanded
 # deferred observed-push credits over an overlay that had grown meanwhile.
-@example((412, ("sum", "vnm_n"), "all_pull", int, 1, True), STORES[-1])
-@example((125, ("count", "vnm_a"), "all_push", int, 2, True), STORES[-1])
+@example((412, ("sum", "vnm_n"), "all_pull", int, 1, True), "columnar")
+@example((125, ("count", "vnm_a"), "all_push", int, 2, True), "columnar")
 def test_reads_equal_oracle_and_uncompiled_pull(schedule, value_store):
     run_schedule(*schedule, value_store)
 
@@ -204,7 +201,6 @@ def test_read_is_a_batch_of_one_on_non_integer_floats(schedule, value_store):
         assert value == want or value == pytest.approx(want, rel=1e-12)
 
 
-@needs_rows
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(schedules)
 def test_rows_never_outgrow_the_bipartite_graph(schedule):
@@ -308,7 +304,6 @@ def steady_engine(value_store, dataflow="mincut", **kwargs):
     return engine, nodes
 
 
-@needs_rows
 def test_a_row_is_recompiled_after_exactly_the_invalidations_that_touch_it():
     engine, nodes = steady_engine("columnar", dataflow="all_pull")
     runtime = engine.runtime
@@ -333,7 +328,6 @@ def test_a_row_is_recompiled_after_exactly_the_invalidations_that_touch_it():
             assert list(rows.row(root).coeff) == list(before[root].coeff)
 
 
-@needs_rows
 def test_the_arena_compacts_its_garbage_instead_of_growing():
     engine, nodes = steady_engine("columnar", dataflow="all_pull")
     runtime = engine.runtime

@@ -4,15 +4,13 @@ Seeded property drives play identical integer streams through two engines
 that differ only in their value-store backend and assert every read comes
 back byte-identical (value *and* type), across overlay algorithms ×
 {SUM, COUNT, MEAN, MAX} × tuple/time windows, with window evictions,
-adaptive decision flips and overlay surgery interleaved mid-stream.  A
-masked-import test covers the pure-Python fallback when numpy is absent.
+adaptive decision flips and overlay surgery interleaved mid-stream.
 """
 
 import random
 
 import pytest
 
-from repro.core import statestore
 from repro.core.aggregates import Count, Max, Mean, Sum, TopK
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -39,8 +37,6 @@ from repro.core.windows import (
 from repro.graph.generators import random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
-
-HAVE_NUMPY = statestore._np is not None
 
 AGGREGATES = {
     "sum": Sum,
@@ -173,8 +169,7 @@ def test_backend_parity_across_algorithms(aggregate_name, window_name):
         columnar_engine = make_engine(
             graph.copy(), aggregate_name, algorithm, window_name, "columnar"
         )
-        if HAVE_NUMPY:
-            assert columnar_engine.value_store_backend == "columnar"
+        assert columnar_engine.value_store_backend == "columnar"
         assert object_engine.value_store_backend == "object"
         checked = drive_backend_pair(
             object_engine,
@@ -225,11 +220,10 @@ def test_backend_parity_with_adaptive_flips():
 
 class TestStores:
     def test_resolution(self):
-        expected = "columnar" if HAVE_NUMPY else "object"
-        assert resolve_value_store(Sum(), "auto") == expected
+        assert resolve_value_store(Sum(), "auto") == "columnar"
         assert resolve_value_store(Sum(), "object") == "object"
         assert resolve_value_store(TopK(3), "auto") == "object"
-        # columnar is a request, degraded when unsupported
+        # columnar is a request; an aggregate without a spec keeps objects
         assert resolve_value_store(TopK(3), "columnar") == "object"
         with pytest.raises(ValueStoreError):
             resolve_value_store(Sum(), "bogus")
@@ -243,7 +237,6 @@ class TestStores:
         store.resize(2)
         assert len(store) == 2 and store[1] is None
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar store requires numpy")
     def test_columnar_roundtrip_types(self):
         for aggregate, pao in (
             (Sum(), 3.5),
@@ -260,7 +253,6 @@ class TestStores:
             store[1] = None
             assert store[1] is None
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar store requires numpy")
     def test_columnar_lattice_identity(self):
         store = make_value_store(Max(), 3, "columnar")
         store[0] = None
@@ -268,7 +260,6 @@ class TestStores:
         store[0] = Max().identity()  # identity is None for lattices
         assert store[0] is None
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar store requires numpy")
     def test_columnar_resize_remaps(self):
         store = make_value_store(Mean(), 3, "columnar")
         store[2] = (6.0, 3)
@@ -285,7 +276,6 @@ class TestStores:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="shared store requires numpy")
 @pytest.mark.parametrize("aggregate_name", ["sum", "mean", "max"])
 def test_shared_backend_parity(aggregate_name):
     """`value_store="shared"` answers byte-identically to the object
@@ -304,7 +294,6 @@ def test_shared_backend_parity(aggregate_name):
         store.unlink()
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="shared store requires numpy")
 def test_shared_attach_by_name_sees_identical_state():
     """A second process-style attachment by name reads the same bytes the
     owner wrote — the serve tier's zero-copy read contract."""
@@ -329,7 +318,6 @@ def test_shared_attach_by_name_sees_identical_state():
         store.unlink()
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="shared store requires numpy")
 class TestSharedLifecycle:
     def test_create_adopt_unlink_roundtrip(self):
         spec = Sum().column_spec
@@ -399,7 +387,6 @@ class TestSharedLifecycle:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar store requires numpy")
 @pytest.mark.parametrize("aggregate", ["max", "min"])
 def test_lattice_batches_take_the_scatter_path(aggregate):
     """Eviction-free MAX/MIN batches apply as extremum scatters (no
@@ -442,28 +429,6 @@ def test_lattice_batches_take_the_scatter_path(aggregate):
 
 
 # ---------------------------------------------------------------------------
-# no-numpy fallback (import masked)
-# ---------------------------------------------------------------------------
-
-
-def test_fallback_without_numpy(monkeypatch):
-    """With numpy masked, every mode degrades to the object store and the
-    engine still answers correctly."""
-    monkeypatch.setattr(statestore, "_np", None)
-    assert resolve_value_store(Sum(), "auto") == "object"
-    assert resolve_value_store(Sum(), "columnar") == "object"
-    with pytest.raises(ValueStoreError):
-        ColumnarStore(Sum().column_spec, 3)
-    graph = random_graph(12, 30, seed=5)
-    engine = make_engine(graph, "sum", "vnm_a", "tuple", "auto")
-    assert engine.value_store_backend == "object"
-    nodes = sorted(graph.nodes(), key=repr)
-    engine.write_batch([(node, 2.0) for node in nodes])
-    for node in nodes[:8]:
-        assert engine.read(node) == engine.reference_read(node)
-
-
-# ---------------------------------------------------------------------------
 # batch-aware pull memoization
 # ---------------------------------------------------------------------------
 
@@ -486,7 +451,7 @@ def test_read_batch_memoizes_shared_pull_subtrees(value_store):
     batch = engine.read_batch(nodes + nodes)  # duplicates force reuse
     assert batch == singles + singles
     batched_ops = runtime.counters.pull_ops - before_ops
-    if engine.value_store_backend == "columnar":  # "object" without numpy
+    if value_store == "columnar":
         assert runtime.pull_memo_hits == before_hits == 0
         assert engine.read_batch(nodes) == singles
         assert runtime.counters.pull_ops - before_ops == 2 * batched_ops

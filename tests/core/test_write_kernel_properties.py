@@ -54,10 +54,6 @@ from repro.graph.neighborhoods import Neighborhood
 
 from tests.test_changed_plane_properties import random_structure_event
 
-pytestmark = pytest.mark.skipif(
-    statestore._np is None, reason="the ring kernel needs the columnar store"
-)
-
 AGGREGATES = {"sum": Sum, "mean": Mean}
 SHAPES = ("pairs", "triples", "frame", "repeat", "outside", "empty", "ints", "mixed_none")
 _names = count()

@@ -1,17 +1,15 @@
-"""Registry math: bucket boundaries, quantile recovery, shard merges,
-and numpy-vs-fallback slot-layout parity.
+"""Registry math: bucket boundaries, quantile recovery, shard merges.
 
 The registry's one structural promise is that two registries making the
 same registration calls in the same order are layout-compatible — that
 is what lets a front-end decode a shard's slab bytes by declaring the
-same schema.  These tests pin that promise on both value backends.
+same schema.  These tests pin that promise.
 """
 
 import math
 
 import pytest
 
-from repro.obs import registry as reg_mod
 from repro.obs.registry import (
     HIST_BUCKETS,
     MetricsRegistry,
@@ -168,62 +166,6 @@ def test_reregistration_returns_same_metric():
     r = MetricsRegistry()
     assert r.counter("x") is r.counter("x")
     assert r.n_slots == 1
-
-
-# ---------------------------------------------------------------------------
-# numpy vs fallback parity
-# ---------------------------------------------------------------------------
-
-def make_fallback_registry(monkeypatch):
-    """A registry forced onto the plain-list backend for its lifetime.
-
-    ``_np`` is consulted on every value operation, not just at
-    construction, so the patch must stay active while the registry is
-    exercised — callers exercise it inside the patched context.
-    """
-    monkeypatch.setattr(reg_mod, "_np", None)
-    return MetricsRegistry()
-
-
-def _exercise(registry):
-    h = registry.histogram("lat_seconds")
-    c = registry.counter("ops")
-    g = registry.gauge("depth")
-    for us in (3, 64, 65, 4096, 10 ** 9):
-        h.observe(us / 1e6)
-    c.inc(4)
-    g.set(9.5)
-    g.add(0.5)
-    return registry.snapshot(include_buckets=True)
-
-
-def test_numpy_and_fallback_agree(monkeypatch):
-    if reg_mod._np is None:
-        pytest.skip("numpy fallback is already the only backend")
-    numpy_backed = MetricsRegistry()
-    rich = _exercise(numpy_backed)
-    numpy_values = list(numpy_backed.values_snapshot())
-    with monkeypatch.context() as patch:
-        fallback = make_fallback_registry(patch)
-        plain = _exercise(fallback)
-        fallback_values = list(fallback.values_snapshot())
-    assert plain == rich
-    assert fallback_values == numpy_values
-
-
-def test_fallback_slab_roundtrip(monkeypatch):
-    # A list-backed shard snapshot decodes in a (possibly numpy-backed)
-    # front-end registry declaring the same schema.
-    with monkeypatch.context() as patch:
-        fallback = make_fallback_registry(patch)
-        snap = _exercise(fallback)
-        values = fallback.values_snapshot()
-    twin = MetricsRegistry()
-    twin.histogram("lat_seconds")
-    twin.counter("ops")
-    twin.gauge("depth")
-    twin.load_values(values)
-    assert twin.snapshot(include_buckets=True) == snap
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,7 @@ def test_scrape_skips_torn_reads(slab_name):
         # arriving now must not trust the bytes.
         owner._set_seq(owner._seq() + 1)
         torn = [99.0] + [1.0] * 7
-        if hasattr(owner, "_fmt"):
-            owner._fmt.pack_into(owner._shm.buf, 32, *torn)
+        owner._view()[:] = torn
         reader = MetricsSlab.attach(slab_name)
         got = list(reader.scrape())
         # All attempts saw an odd seq; the last-resort copy is whatever

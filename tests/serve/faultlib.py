@@ -33,6 +33,8 @@ lands in the window is both flaky and slow; everything here is
   server's named shared-memory segments (ingress rings + value stores)
   and assert they are gone after teardown: the leak check for the
   zero-copy transport's front-end-owned cleanup.
+  :func:`unlink_orphaned_segments` is the cleanup a SIGKILLed front end
+  never ran: every segment named for its pid, unlinked by name.
 * stream verifiers — :func:`assert_contiguous`,
   :func:`assert_spliced_stream`, :func:`assert_subsequence`: the
   delivery-contract checks (monotone gap-free stamps, exactly-once
@@ -57,6 +59,9 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 DEFAULT_TIMEOUT = 30.0
+
+#: Where POSIX shared-memory segments appear as files (Linux).
+SHM_DIR = "/dev/shm"
 
 
 class FaultTimeout(AssertionError):
@@ -283,6 +288,26 @@ def shm_segment_names(server) -> List[str]:
         if getattr(spec, "shm", None):
             names.extend(spec.shm.values())
     return names
+
+
+def unlink_orphaned_segments(pid: int) -> List[str]:
+    """Unlink every segment named for front-end ``pid``; returns the names.
+
+    The serve tier names its segments ``eagr{front-end pid:x}_…`` and the
+    front end unlinks them on close.  A front end killed by SIGKILL never
+    gets there (nor does its resource tracker, which dies with the process
+    group), so whoever killed it cleans up by name.
+    """
+    from repro.core.statestore import unlink_segment
+
+    prefix = "eagr{:x}_".format(pid)
+    try:
+        names = sorted(os.listdir(SHM_DIR))
+    except FileNotFoundError:  # no POSIX shm directory: nothing to unlink
+        return []
+    return [
+        name for name in names if name.startswith(prefix) and unlink_segment(name)
+    ]
 
 
 def assert_no_segments(names: Sequence[str], tag: str = "") -> None:

@@ -12,9 +12,9 @@ never crashed.
 
 The schedules run on **both process transports** — 10 seeds over the
 queue, 10 over the shared-memory ring — so the kill points of the one
-worker loop are reached through each transport's worker half (the ring
-leg skips without numpy).  One 2-shard process server per transport is
-shared across its seeds (worker boots are the dominant cost); every seed
+worker loop are reached through each transport's worker half.  One
+2-shard process server per transport is shared across its seeds (worker
+boots are the dominant cost); every seed
 gets a fresh subscriber, so stamp streams are independent, and shard 0
 is re-checkpointed at the start of each schedule so redo logs stay
 short.  Shard 1 is never killed — its uninterrupted service is asserted
@@ -30,7 +30,6 @@ import random
 
 import pytest
 
-from repro.core import statestore
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -54,15 +53,7 @@ NUM_SEEDS = 10  # per transport
 
 @pytest.fixture(
     scope="module",
-    params=[
-        "queue",
-        pytest.param(
-            "shm",
-            marks=pytest.mark.skipif(
-                statestore._np is None, reason="shm transport requires numpy"
-            ),
-        ),
-    ],
+    params=["queue", "shm"],
 )
 def crashpad(request):
     """One process-mode deployment per transport + the accumulated

@@ -41,6 +41,7 @@ from tests.serve.faultlib import (
     collect,
     kill_shard,
     transitions_by_ego,
+    unlink_orphaned_segments,
 )
 
 DRIVER = reshard_driver.__file__
@@ -63,7 +64,10 @@ SCHEDULES = [
 
 
 def spawn_driver(tmp_path, sched):
-    """One sacrificial run in its own session; returns progress events."""
+    """One sacrificial run in its own session; returns progress events.
+
+    The dead front end's segments are unlinked here, since it never could.
+    """
     progress = tmp_path / "progress.jsonl"
     log_path = tmp_path / "driver.log"
     cmd = [
@@ -80,6 +84,7 @@ def spawn_driver(tmp_path, sched):
             cmd, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
         )
         returncode = proc.wait(timeout=120)
+    unlink_orphaned_segments(proc.pid)
     assert returncode == -signal.SIGKILL, (
         f"{sched['id']}: driver exited {returncode} instead of dying by "
         f"SIGKILL:\n{log_path.read_text()}"

@@ -13,9 +13,12 @@ for every subscriber:
   value transitions from the subscribe point on (batch granularity);
 * the final delivered value per ego equals the oracle's final read.
 
-The in-process executor never coalesces (its queue is never backed up),
-so batch boundaries — and therefore value transitions — are preserved
-exactly, which is what makes strict oracle equality assertable here.
+The in-process executor's queue is never backed up, and every write is
+flushed before the next is accepted, so batch boundaries — and therefore
+value transitions — are preserved exactly, which is what makes strict
+oracle equality assertable here.  (Without that flush, the background
+flusher holding a shard's flush lock makes ``write_batch``'s
+non-blocking flush park the rows, and the next write merges with them.)
 """
 
 import random
@@ -76,6 +79,7 @@ def run_schedule(seed, aggregate, window):
             for _ in range(size)
         ]
         server.write_batch(batch)
+        server.flush()
         batches.append(batch)
 
     def do_subscribe(client):

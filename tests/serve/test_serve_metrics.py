@@ -20,15 +20,6 @@ from repro.core.aggregates import Sum
 from repro.core.query import EgoQuery
 from repro.graph.generators import random_graph
 from repro.serve import EAGrServer
-from repro.serve import frames as _frames
-
-#: Ingress stamps ride the binary frame plane; without numpy the frames
-#: (and therefore the latency pipeline) are unavailable by design.
-HAS_BINARY = _frames._np is not None
-needs_latency = pytest.mark.skipif(
-    not HAS_BINARY,
-    reason="write→notify stamps ride binary frames, which need numpy",
-)
 
 
 def make_server(graph, query, num_shards=2, **kwargs):
@@ -56,7 +47,6 @@ def query():
 LATENCY_FIELDS = ("count", "sum", "p50", "p95", "p99")
 
 
-@needs_latency
 class TestLatencyPipeline:
     def test_inprocess_latency_sampled(self, graph, query):
         with make_server(graph, query) as server:
@@ -116,7 +106,6 @@ class TestLatencyPipeline:
             assert lat["p99"] < 3600.0
 
 
-@needs_latency
 class TestReplayHygiene:
     def test_wal_recovery_replays_without_latency_samples(
         self, graph, query, tmp_path

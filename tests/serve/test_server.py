@@ -9,7 +9,6 @@ code paths is covered in ``test_executors.py``.
 
 import pytest
 
-from repro.core import statestore
 from repro.core.aggregates import Mean, Sum, TopK
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery, Neighborhood
@@ -237,7 +236,6 @@ class TestCoalescingAndBackpressure:
             server.flush()
 
 
-@pytest.mark.skipif(statestore._np is None, reason="packing needs numpy")
 class TestPackabilityPicksTheRoute:
     """Whether a batch packs is the only thing that selects its route."""
 

@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-from repro.core import statestore
 from repro.core.aggregates import Max, Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -36,11 +35,6 @@ from tests.serve.faultlib import (
     shm_segment_names,
     wait_dead,
 )
-
-pytestmark = pytest.mark.skipif(
-    statestore._np is None, reason="shm transport requires numpy"
-)
-
 
 def make_query(window=None, aggregate=None):
     return EgoQuery(aggregate=aggregate or Sum(), window=window or TupleWindow(1))

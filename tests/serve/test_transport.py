@@ -28,7 +28,6 @@ import threading
 
 import pytest
 
-from repro.core import statestore
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -63,10 +62,7 @@ from tests.serve.faultlib import (
     wait_until,
 )
 
-needs_numpy = pytest.mark.skipif(
-    statestore._np is None, reason="shm transport requires numpy"
-)
-TRANSPORTS = ["queue", pytest.param("shm", marks=needs_numpy)]
+TRANSPORTS = ["queue", "shm"]
 ENGINE = {"overlay_algorithm": "identity", "dataflow": "all_push"}
 
 

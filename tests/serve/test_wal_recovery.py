@@ -44,6 +44,7 @@ from tests.serve.faultlib import (
     assert_contiguous,
     assert_subsequence,
     transitions_by_ego,
+    unlink_orphaned_segments,
 )
 
 DRIVER = wal_driver.__file__
@@ -97,7 +98,8 @@ def spawn_phase(tmp_path, sched, phase, extra_args):
 
     The driver runs as its own session leader, so its ``os.kill(0,
     SIGKILL)`` — or the WAL fault's — takes down the entire group
-    including spawn workers, and cannot touch the pytest process.
+    including spawn workers, and cannot touch the pytest process.  The
+    dead front end's segments are unlinked here, since it never could.
     """
     progress = tmp_path / f"progress-{phase}.jsonl"
     log_path = tmp_path / f"driver-{phase}.log"
@@ -116,6 +118,7 @@ def spawn_phase(tmp_path, sched, phase, extra_args):
             cmd, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
         )
         returncode = proc.wait(timeout=90)
+    unlink_orphaned_segments(proc.pid)
     assert returncode == -signal.SIGKILL, (
         f"{sched['id']} phase {phase}: driver exited {returncode} instead of "
         f"dying by SIGKILL:\n{log_path.read_text()}"

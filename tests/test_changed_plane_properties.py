@@ -6,18 +6,16 @@ report must equal a brute force computed from the graph alone —
 ``{r : some moved writer ∈ N(r)}`` ∪ the readers next to a structural
 change — and must name every reader whose value actually moved, without
 duplicates, in ascending overlay-handle order, consumed by the call, with
-the dedup bitmap left all-false.  The same schedules run once with numpy
-masked so tier-1-with-numpy also covers the degrade.
+the dedup bitmap left all-false.
 """
 
 import random
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import statestore
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -26,8 +24,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
-HAVE_NUMPY = statestore._np is not None
-STORES = ["object"] + (["columnar"] if HAVE_NUMPY else [])
+STORES = ["object", "columnar"]
 
 schedules = st.tuples(
     st.integers(min_value=0, max_value=100_000),  # seed
@@ -93,8 +90,7 @@ def check_report(engine, moved, restructured, seen):
         if value != seen.get(reader, 0.0):
             assert reader in expected, "a reader's value moved unreported"
     assert engine.changed_readers() == []
-    mark = engine.runtime._changed_mark
-    assert mark is None or not mark.any()
+    assert not engine.runtime._changed_mark.any()
     return values
 
 
@@ -157,14 +153,6 @@ def test_report_equals_brute_force(schedule, value_store):
     run_schedule(*schedule, value_store)
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schedules)
-def test_report_equals_brute_force_without_numpy(schedule):
-    with mock.patch.object(statestore, "_np", None):
-        run_schedule(*schedule, "object")
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the bitmap exists only with numpy")
 def test_bitmap_is_clean_after_a_call_that_raised(monkeypatch):
     from repro.graph.generators import paper_figure1
 
@@ -186,7 +174,7 @@ def test_bitmap_is_clean_after_a_call_that_raised(monkeypatch):
         raise RuntimeError("midway")
 
     with monkeypatch.context() as patch:
-        patch.setattr(statestore._np, "flatnonzero", boom)
+        patch.setattr(np, "flatnonzero", boom)
         with pytest.raises(RuntimeError):
             runtime.changed_handles(writers)
     assert not runtime._changed_mark.any()
