@@ -14,9 +14,14 @@ Two layers over one wire protocol (see :mod:`repro.serve.gateway`):
 Write batches are encoded client-side with the same
 :class:`~repro.core.statestore.WriteFrame` packing the ingress shm ring
 uses — when the batch qualifies for the columnar fast path the gateway
-hands the received frame to ``EAGrServer.write_batch`` without ever
+hands the received frame to ``EAGrServer.accept`` without ever
 materializing triples.  Non-packable batches fall back to the pickle
 payload transparently.
+
+A write returns when the gateway's ``K_OK`` arrives, and ``K_OK`` means
+*accepted*: the batch is routed and logged, and fsynced when the server
+has a write-ahead log.  The shard apply and the notifications follow
+asynchronously.  A read sent after the write returns still observes it.
 
 Resume tokens double as reconnect cursors: every stream tracks the last
 stamp it has seen (:attr:`~AsyncSubscriptionStream.resume_token`), and a
@@ -243,7 +248,9 @@ class AsyncEAGrClient:
             self._pending.pop(rid, None)
 
     async def write_batch(self, writes: Sequence) -> int:
-        """Apply one write batch through the gateway; returns the count."""
+        """Send one write batch; returns the count once the gateway has
+        accepted it (fsynced, with a write-ahead log).  Its notifications
+        follow asynchronously; a later read observes it."""
         items = writes if isinstance(writes, list) else list(writes)
         frame = WriteFrame.from_items(items) if items else None
 

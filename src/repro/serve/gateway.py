@@ -19,9 +19,23 @@ Wire protocol (see ``PERFORMANCE.md`` for the frame table)::
 ``K_WRITE``/``K_PICKLE`` payloads are write batches (the client's request
 id rides the header's ``seq`` slot); ``K_HELLO``/``K_SUBSCRIBE``/
 ``K_READ``/``K_ACK`` are client control frames, ``K_OK``/``K_ERROR``
-replies and ``K_NOTES`` the server-push stream.  Control bodies are
-pickled tuples: the gateway is a trusted-perimeter edge — the same trust
-domain as the shard transports — not an internet-facing protocol.
+replies and ``K_NOTES`` the server-push stream.  A frame that does not
+decode — a ``K_WRITE`` whose length disagrees with its row count, a
+control body of the wrong shape, an unpicklable ``K_PICKLE`` — is a
+protocol error: the gateway answers ``K_ERROR``, counts it in
+``gw_protocol_errors`` and hangs up.
+
+Control bodies (and ``K_PICKLE`` write batches) are **pickled**, and
+unpickling runs code the sender chooses: the gateway is a
+trusted-perimeter edge — the same trust domain as the shard transports —
+not an internet-facing protocol.  Listen only on trusted interfaces; the
+default host is ``127.0.0.1``.
+
+The ``K_OK`` of a write means *accepted*: routed and logged by
+:meth:`EAGrServer.accept`, and fsynced when the server has a write-ahead
+log.  The shard apply and the notifications it triggers follow
+asynchronously (the server's background flusher runs them); a read sent
+after the ``K_OK`` still observes the write.
 
 Flow control maps onto the server's own journal machinery instead of
 buffering in the gateway.  Each connection has a bounded in-flight
@@ -67,6 +81,7 @@ from repro.serve.frames import (
     K_WRITE,
     LENGTH_PREFIX,
     MAX_FRAME_BYTES,
+    WRITE_HEADER,
     decode,
     decode_control,
     encode_control,
@@ -150,13 +165,14 @@ class GatewayServer:
     Parameters
     ----------
     server:
-        The front-end to expose.  The gateway serializes every
-        ``write_batch`` through one worker thread (the server's write
-        path is single-producer by design); reads, subscribes and acks
-        run on a small shared pool.
+        The front-end to expose.  The gateway runs every write batch's
+        :meth:`EAGrServer.accept` on one worker thread, so acceptance
+        order across connections is the order that thread runs them in;
+        reads, subscribes and acks run on a small shared pool.
     host / port:
         Listen address.  ``port=0`` picks a free port; :meth:`start`
-        returns the bound ``(host, port)``.
+        returns the bound ``(host, port)``.  Control frames are pickled:
+        bind a trusted interface only.
     max_inflight_bytes:
         Per-connection flow-control budget: notification bytes sent but
         not yet acked.  A connection at the budget has its streams
@@ -199,8 +215,8 @@ class GatewayServer:
         self._connections: Set[_Connection] = set()
         self.address: Optional[Tuple[str, int]] = None
         self._closed = False
-        # One writer thread: write_batch acceptance order across every
-        # connection is the order this executor runs them in.
+        # One writer thread: acceptance order across every connection is
+        # the order this executor runs them in.
         self._write_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="eagr-gw-write"
         )
@@ -320,7 +336,19 @@ class GatewayServer:
                 payload = await reader.readexactly(length)
                 self._gm["gw_frames_in"].inc()
                 self._gm["gw_bytes_in"].inc(LENGTH_PREFIX.size + length)
-                await self._dispatch(conn, payload)
+                try:
+                    await self._dispatch(conn, payload)
+                except ConnectionError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - a malformed frame
+                    # Whatever did not decode or unpack: answered, counted
+                    # and hung up on, like the oversized frame above.
+                    self._gm["gw_protocol_errors"].inc()
+                    await self._send_error(
+                        conn, None, "GatewayError",
+                        f"malformed frame: {type(exc).__name__}: {exc}",
+                    )
+                    break
         except (
             asyncio.IncompleteReadError,
             ConnectionError,
@@ -388,13 +416,22 @@ class GatewayServer:
             )
 
     async def _do_write(self, conn: _Connection, payload: bytes) -> None:
+        if payload[0] == K_WRITE:
+            # The header's row count must account for every byte: a
+            # short or padded payload (or a count of -1, which
+            # ``np.frombuffer`` reads as "the rest") is malformed.
+            count = WRITE_HEADER.unpack_from(payload)[3]
+            if len(payload) != WRITE_HEADER.size + count * WriteFrame.dtype.itemsize:
+                raise GatewayError(
+                    f"K_WRITE of {len(payload)} bytes does not hold {count} rows"
+                )
         request = decode(payload)
-        if request.__class__ is not tuple or not request or request[0] != OP_WRITE:
-            self._gm["gw_protocol_errors"].inc()
-            await self._send_error(
-                conn, None, "GatewayError", "malformed write frame"
-            )
-            return
+        if (
+            request.__class__ is not tuple
+            or len(request) != 4
+            or request[0] != OP_WRITE
+        ):
+            raise GatewayError("not a write request")
         _op, rid, _batch_no, items = request
         try:
             count = await self._loop.run_in_executor(
@@ -407,10 +444,11 @@ class GatewayServer:
 
     def _apply_write(self, items: Any) -> int:
         # A decoded K_WRITE carries a WriteFrame view over the received
-        # payload; write_batch accepts it directly.
+        # payload; accept takes it directly.  The K_OK goes out once the
+        # batch is accepted; its fan-out runs on the server's flusher.
         if items.__class__ is not WriteFrame and items.__class__ is not list:
             items = list(items)
-        return self._server.write_batch(items)
+        return self._server.accept(items)
 
     async def _do_hello(self, conn: _Connection, body: Tuple) -> None:
         rid, client_id = body

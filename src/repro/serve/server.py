@@ -68,9 +68,13 @@ four verbs:
 * :meth:`EAGrServer.drain` / :meth:`EAGrServer.close` — barrier and
   clean shutdown (flushes, never drops).
 
-Write ingestion is designed for one producer thread (the order of two
-racing ``write_batch`` calls is undefined anyway); reads, subscriptions
-and notifications are thread-safe.
+Every verb is thread-safe, writes included: two racing ``write_batch``
+/ ``accept`` callers are accepted in the order they take the route lock
+(see the lock order below).  :meth:`EAGrServer.accept` is the first half
+of ``write_batch`` — acceptance: routed, logged and, with a log
+directory, fsynced — and leaves the second half, the fan-out (outbox
+flush, doorbells, due checkpoints), to the background flusher it wakes.
+That is the network gateway's ack path.
 
 Lock order
 ----------
@@ -101,8 +105,10 @@ Acquired strictly in this order, never the reverse:
    ``acquire(blocking=False)`` and skip migrating shards, so a producer
    never waits out a migration, a read's watermark or a subscribe's
    reply — its writes park, and leave with the holder's closing flush
-   or the background flusher.  (An in-process executor's own submit
-   lock nests here.)
+   or the background flusher.  The one flush-lock wait a producer makes
+   is the coalesce cap's: ``accept`` blocks on a shard's lock (timed, re-checking
+   ``_migrating``) once its outbox holds ``coalesce_max`` rows.  (An
+   in-process executor's own submit lock nests here.)
 3. ``_route_lock`` — acceptance: every ``W`` and ``P`` append (so log
    order is acceptance order, ``state.wal_seq`` / ``state.clock`` are
    read-then-advanced atomically, and a round is routed by the
@@ -148,7 +154,17 @@ import threading
 import time as _time
 from contextlib import contextmanager
 from functools import partial
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Collection,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.execution import normalize_write
 from repro.core.query import EgoQuery
@@ -539,9 +555,11 @@ class EAGrServer:
         # the outbox; without a retry they would sit there until the next
         # caller-driven flush, stalling notifications for an idle
         # producer.  This thread retries non-empty outboxes every
-        # ``flush_interval`` seconds, bounding coalescing latency.
+        # ``flush_interval`` seconds, bounding coalescing latency, and
+        # runs the fan-out of every ``accept`` as soon as it is woken.
         self._flush_interval = 0.05
         self._stop_flusher = threading.Event()
+        self._wake_flusher = threading.Event()
         self._flusher = threading.Thread(
             target=self._flush_loop, name="eagr-server-flusher", daemon=True
         )
@@ -691,21 +709,27 @@ class EAGrServer:
 
     def _flush_loop(self) -> None:
         failed = self._flush_failed  # restart_shard() clears recovered shards
-        while not self._stop_flusher.wait(self._flush_interval):
+        wake = self._wake_flusher
+        while True:
+            wake.wait(self._flush_interval)
+            # Cleared before the outboxes are read: an accept() that
+            # lands after this line is seen below or wakes the next pass.
+            wake.clear()
+            if self._stop_flusher.is_set():
+                return
             rounds = self._wal.state.rounds
             for shard_id in range(self.num_shards):
                 if shard_id in failed or not rounds.get(shard_id):
                     continue
                 try:
-                    self._flush_shard(shard_id, block=False)
-                    self._executors[shard_id].flush_bell()
+                    self._fan_out((shard_id,))
                 except Exception as exc:  # noqa: BLE001 - surfaced via drain/close
                     # One dead shard must not disable retries for the
                     # healthy ones; stop touching it, keep flushing the rest.
-                    # But the *server* must stop accepting: a write_batch
-                    # that succeed-acks after this point would pile writes
-                    # behind a flush that can never happen, so the first
-                    # failure poisons acceptance (write_batch raises) the
+                    # But the *server* must stop accepting: an accept or
+                    # write_batch that succeed-acks after this point would
+                    # pile writes behind a flush that can never happen, so
+                    # the first failure poisons acceptance (both raise) the
                     # same way a WAL fsync failure does.  restart_shard()
                     # is the recovery path.
                     self._fail_shard(shard_id, "background flush failed", exc)
@@ -833,7 +857,8 @@ class EAGrServer:
     # ------------------------------------------------------------------
 
     def write_batch(self, writes: Sequence) -> int:
-        """Accept a batch of writes; returns the number accepted.
+        """Accept a batch of writes and fan it out; returns the number
+        accepted.
 
         Each write is stamped with a server-monotone timestamp when it
         carries none (so cross-shard time windows stay coherent), then
@@ -842,13 +867,65 @@ class EAGrServer:
         writes coalesce until :attr:`coalesce_max` forces backpressure.
 
         ``writes`` is a sequence of ``(node, value, timestamp)`` items or
-        a pre-packed :class:`~repro.core.statestore.WriteFrame` (the
-        network gateway hands the decoded wire frame straight through).
+        a pre-packed :class:`~repro.core.statestore.WriteFrame`.
+
+        This is :meth:`accept` with the fan-out — the outbox flushes, the
+        doorbells and the due-checkpoint check, which the background
+        flusher runs after an :meth:`accept` — done inline on the
+        caller's thread, ahead of the fsync.  With in-process shards the
+        shard apply and the notification delivery therefore finish
+        before this returns.
 
         Raises :class:`ServeError` without accepting anything once a
         background flush has failed (see :meth:`restart_shard`): a batch
         acknowledged after that point could never be delivered.
         """
+        accepted, count = self._accept(writes)
+        self._fan_out(accepted)
+        if count:
+            # One fsync per accepted batch, after the lock is dropped and
+            # the shards have the batch (they apply while the disk syncs):
+            # when this call returns, the batch is on stable storage.
+            self._wal.sync()
+        return count
+
+    def accept(self, writes: Sequence) -> int:
+        """Accept a batch of writes and return before its fan-out;
+        returns the number accepted.
+
+        When this returns the batch is routed, its ``W`` record is in the
+        ledger (acceptance order is fixed) and, with ``wal_dir``, it is
+        on stable storage.  The background flusher is woken and carries
+        the fan-out :meth:`write_batch` would have run inline, so
+        notifications follow asynchronously.  Reads still see the batch:
+        :meth:`read_batch` flushes the owning shard's outbox under its
+        flush lock first, and :meth:`drain` / :meth:`close` flush too.
+        A fan-out failure on the flusher takes the async-error path: the
+        shard is marked failed, later acceptance raises
+        :class:`ServeError`, and :meth:`drain` / :meth:`close` raise it;
+        :meth:`restart_shard` replays the accepted batch from the redo
+        log.
+
+        Backpressure is :meth:`write_batch`'s: a shard whose outbox holds
+        :attr:`coalesce_max` rows is flushed on the caller's thread,
+        blocking, before this returns — an ack never runs more than the
+        cap ahead of the shard.
+        """
+        accepted, count = self._accept(writes)
+        self._wake_flusher.set()
+        for shard_id in accepted:
+            self._relieve(shard_id)
+        if count:
+            # As in write_batch: the flusher's fan-out overlaps the fsync,
+            # and the caller's ack waits for it.
+            self._wal.sync()
+        return count
+
+    def _accept(self, writes: Sequence) -> Tuple[Dict[int, Any], int]:
+        """Acceptance up to the fsync, which the callers run once the
+        fan-out is under way: door checks, pack, route, the ``W`` append
+        under the route lock.  Returns the round (shard -> items) and the
+        number of writes accepted."""
         self._check_open()
         if self._poisoned is not None:
             raise ServeError(
@@ -948,36 +1025,38 @@ class EAGrServer:
             route_cost = _time.monotonic() - t0
             self._m_route.observe(route_cost)
             self.slow_ops.note("write_batch.route", route_cost, rows=count)
+        return accepted, count
+
+    def _fan_out(self, shards: Collection[int]) -> None:
+        """Fan-out: flush each shard's outbox without blocking, ring the
+        doorbells, checkpoint the shards whose redo log is due — run by
+        :meth:`write_batch` on the caller's thread and by the background
+        flusher after an :meth:`accept`."""
         migrating = self._migrating
-        for shard_id in accepted:
+        for shard_id in shards:
             if shard_id in migrating:
                 continue  # parked for the live migration; rerouted at swap
             self._flush_shard(shard_id, block=False)
-        for shard_id in accepted:
+        for shard_id in shards:
             if shard_id in migrating:
                 continue
             # One doorbell per shard per multicast round, rung after every
             # push: workers wake to a ring already holding the whole round
             # instead of preempting the producer between shard pushes.
             self._executors[shard_id].flush_bell()
-        if count:
-            # One fsync per accepted batch, after the lock is dropped:
-            # when this call returns, the batch is on stable storage.
-            log.sync()
         if self._checkpoint_interval:
             # A dead shard cannot answer OP_CHECKPOINT — leave its redo
             # log growing (writes keep parking) until restart_shard().
-            redo = log.state.redo
+            redo = self._wal.state.redo
             due = [
                 shard_id
-                for shard_id in accepted
+                for shard_id in shards
                 if len(redo.get(shard_id, ())) >= self._checkpoint_interval
                 and shard_id not in migrating
                 and self._executors[shard_id].alive()
             ]
             if due:
                 self.checkpoint(due)
-        return count
 
     def _flush_shard(self, shard_id: int, block: bool) -> None:
         lock = self._flush_locks[shard_id]
@@ -998,13 +1077,39 @@ class EAGrServer:
         finally:
             lock.release()
 
+    def _relieve(self, shard_id: int) -> None:
+        """:meth:`accept`'s backpressure: flush a shard whose outbox
+        holds :attr:`coalesce_max` rows, blocking, on the caller's
+        thread — waiting for the flush lock too, since the flusher may
+        hold it, stuck on the same backed-up shard.  A migrating shard is
+        skipped (``reshard`` holds its lock for the whole rebuild and
+        drains the outbox itself); the timed wait notices a migration
+        that starts while this one waits."""
+        lock = self._flush_locks[shard_id]
+        while (
+            self._parked_rows(shard_id) >= self._coalesce_max
+            and shard_id not in self._migrating
+        ):
+            if lock.acquire(timeout=self._flush_interval):
+                try:
+                    self._flush_locked(shard_id, block=True)
+                finally:
+                    lock.release()
+                self._executors[shard_id].flush_bell()
+
     def _flush_locked(self, shard_id: int, block: bool) -> None:
-        """Number and submit the shard's outbox (its flush lock held)."""
-        batch = self._number_batch(shard_id)
-        if batch is None or self._submit_write(shard_id, batch, block):
-            return
+        """Number and submit the shard's outbox (its flush lock held),
+        batch by batch (see :meth:`_number_batch`), until it is empty or
+        the shard refuses one."""
+        while True:
+            batch = self._number_batch(shard_id)
+            if batch is None:
+                return
+            if not self._submit_write(shard_id, batch, block):
+                break
         # Shard backed up: the batch is back in the outbox (``RB``);
-        # later flushes (or the cap) carry it in one bigger batch.
+        # later flushes (or the cap) carry it, and every round parked
+        # behind it, in one bigger batch.
         self.coalesced_flushes += 1
         if self._parked_rows(shard_id) >= self._coalesce_max:
             self._submit_write(shard_id, self._number_batch(shard_id), block=True)
@@ -1016,22 +1121,39 @@ class EAGrServer:
             len(items) for _seq, items in self._wal.state.rounds.get(shard_id, ())
         )
 
-    def _number_batch(self, shard_id: int) -> Optional[Tuple[int, Any]]:
-        """Turn a shard's outbox into its next numbered batch (flush
-        lock held): one ``B`` record, whose fold pops every accepted
-        round up to the ``wal_seq`` read here, merges them once and
+    def _number_batch(
+        self, shard_id: int, drain: bool = False
+    ) -> Optional[Tuple[int, Any]]:
+        """Turn the head of a shard's outbox into its next numbered batch
+        (flush lock held): one ``B`` record, whose fold pops every
+        accepted round up to the seq named here, merges them once and
         files ``(batch_no, items)`` at the redo tail — returned for
         :meth:`_submit_write`.  ``None`` when the outbox is empty.
 
-        A round is in the list only once ``wal_seq`` has reached its
-        seq, and only this lock's holder pops, so the batch is never
-        empty; a round accepted after the read waits for the next ``B``.
+        Each accepted round is its own batch, as if it had been flushed
+        the moment it was accepted — an outbox that fills because the
+        fan-out runs later (after :meth:`accept`, behind a held flush
+        lock) does not change what subscribers are told.  Only a shard
+        that refused a batch coalesces: a head round at or below the
+        shard's ``covered`` seq came back from that refusal (``RB``),
+        and then every round up to the ``wal_seq`` read here goes in one
+        batch — as with ``drain``, which ``reshard`` numbers by so that
+        every affected shard covers the same seq.  A round is in the list
+        only once ``wal_seq`` has reached its seq, and only this lock's
+        holder pops, so the batch is never empty; a round accepted after
+        the read waits for the next ``B``.
         """
         state = self._wal.state
-        if not state.rounds.get(shard_id):
+        rounds = state.rounds.get(shard_id)
+        if not rounds:
             return None
+        head = rounds[0][0]
+        if drain or head <= state.covered.get(shard_id, 0):
+            covered = state.wal_seq
+        else:
+            covered = head
         batch_no = state.batch_no.get(shard_id, 0) + 1
-        self._wal.append(("B", shard_id, batch_no, state.wal_seq))
+        self._wal.append(("B", shard_id, batch_no, covered))
         return state.redo[shard_id][-1]
 
     def _submit_write(
@@ -1328,6 +1450,13 @@ class EAGrServer:
         entries a persisted checkpoint covers can never replay again).
         Returns the new checkpoints keyed by shard id.
 
+        Safe to race: the flusher checkpoints due shards after an
+        :meth:`accept` while a :meth:`write_batch` caller may do the same.
+        A snapshot whose worker was replaced before it could be logged is
+        dropped, and the ``C`` fold ignores one older than the installed
+        checkpoint, so an out-of-order pair never truncates redo entries
+        the surviving checkpoint lacks.
+
         Checkpoint cost is O(shard state) — the window buffers and watch
         registry are pickled — so production deployments amortize it via
         ``checkpoint_interval`` rather than checkpointing per batch.
@@ -1337,11 +1466,19 @@ class EAGrServer:
         calls = []
         for shard_id in targets:
             self._flush_shard(shard_id, block=True)
-            calls.append((shard_id, self._submit_call(shard_id, OP_CHECKPOINT)))
+            worker = self._executors[shard_id]
+            calls.append(
+                (shard_id, worker, self._submit_call(shard_id, OP_CHECKPOINT))
+            )
         out: Dict[int, ShardCheckpoint] = {}
-        for shard_id, call in calls:
+        for shard_id, worker, call in calls:
             ck = self._await([call])[0]
             with self._flush_locks[shard_id]:
+                if self._executors[shard_id] is not worker:
+                    # A reshard or restart_shard replaced the worker
+                    # meanwhile: this snapshot is of a retired incarnation
+                    # (a reshard's synthetic checkpoint supersedes it).
+                    continue
                 self._wal.append(("C", shard_id, ck), sync=True)
             out[shard_id] = ck
         # Checkpoint-gated: once every shard has one, the log can
@@ -1466,7 +1603,7 @@ class EAGrServer:
                 # drained/residue split identical across affected shards.
                 with self._route_lock:
                     drained = {
-                        shard_id: self._number_batch(shard_id)
+                        shard_id: self._number_batch(shard_id, drain=True)
                         for shard_id in affected
                     }
                 for shard_id in affected:
@@ -1658,6 +1795,7 @@ class EAGrServer:
         if self._closed:
             return
         self._stop_flusher.set()
+        self._wake_flusher.set()
         self._flusher.join(timeout=5.0)
         try:
             self.flush()

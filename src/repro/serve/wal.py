@@ -51,6 +51,9 @@ Records are pickled tuples, one per frame:
 * ``("C", shard, ShardCheckpoint)`` — a shard checkpoint; folding one
   truncates that shard's redo entries at ``applied_through`` (this is
   what bounds both the log's replay suffix and the ledger's memory).
+  A ``C`` whose ``applied_through`` is below the installed checkpoint's
+  is stale (concurrent checkpointers append out of order) and folds to
+  nothing.
 * ``("S", subscriber, shard, nodes, shard_stamp)`` /
   ``("U", subscriber, nodes_or_None)`` — watch registry changes
   (``state.watches``: shard → ego → {subscriber: seed}, the one record
@@ -304,6 +307,13 @@ class WalState:
             self.batch_no[shard_id] = batch_no - 1
         elif kind == "C":
             _kind, shard_id, ck = record
+            installed = self.checkpoints.get(shard_id)
+            if installed is not None and ck.applied_through < installed.applied_through:
+                # Two checkpointers (a write_batch caller and the
+                # flusher) can append their C records out of order; the
+                # older one must not replace the newer one, whose fold
+                # already dropped the redo entries between them.
+                return
             self.checkpoints[shard_id] = ck
             self.redo[shard_id] = [
                 entry

@@ -8,9 +8,12 @@ a remote client would drive them.  The 1000-subscription acceptance
 test lives in ``test_gateway_load.py`` (separate process driver).
 """
 
+import pickle
 import socket
 import struct
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -27,7 +30,17 @@ from repro.serve import (
     ResumeGapError,
     ServeError,
 )
-from repro.serve.frames import LENGTH_PREFIX
+from repro.core.statestore import WriteFrame
+from repro.serve.frames import (
+    K_ERROR,
+    K_PICKLE,
+    K_READ,
+    K_WRITE,
+    LENGTH_PREFIX,
+    WRITE_HEADER,
+    decode_control,
+    encode_control,
+)
 
 from tests.serve.faultlib import assert_contiguous, deadline, wait_until
 
@@ -94,6 +107,60 @@ class TestRoundTrip:
             assert client.write_batch([(nodes[0], 3.0), (nodes[1], 4.0)]) == 2
             server.drain()
             assert client.read_batch([nodes[0]]) == server.read_batch([nodes[0]])
+
+    def test_read_your_writes_without_drain(self, deployment):
+        """The ack comes before the fan-out; a read sent right after it
+        must still see the write (it flushes the owner's outbox first)."""
+        graph, server, gateway = deployment
+        oracle = EAGrEngine(graph, make_query(), overlay_algorithm="vnm_a")
+        nodes = list(graph.nodes())
+        host, port = gateway.address
+        with EAGrClient(host, port, client_id="ryw") as client:
+            for round_ in range(6):
+                written = nodes[round_ * 4 : round_ * 4 + 9]
+                batch = [(n, float(round_ + 2), float(round_)) for n in written]
+                assert client.write_batch(batch) == len(batch)
+                oracle.write_batch(batch)
+                assert client.read_batch(written) == oracle.read_batch(written)
+            assert client.read_batch(nodes) == oracle.read_batch(nodes)
+
+    def test_ack_precedes_the_fan_out(self, deployment):
+        """A write is acknowledged once accepted: a subscriber whose
+        delivery hook is held must not hold the writer's ack."""
+        graph, server, gateway = deployment
+        nodes = list(graph.nodes())
+        held, release = threading.Event(), threading.Event()
+        blocker = server.subscribe("blocker", nodes)
+
+        def hook():
+            held.set()
+            release.wait(30.0)
+
+        blocker.on_delivery = hook
+        host, port = gateway.address
+        try:
+            with EAGrClient(host, port, client_id="ack") as client, \
+                    ThreadPoolExecutor(max_workers=1) as pool:
+                stream = client.subscribe(nodes)
+                acks = pool.submit(
+                    lambda: [
+                        client.write_batch(
+                            [(n, float(r + 1), float(r)) for n in nodes[:7]]
+                        )
+                        for r in range(3)
+                    ]
+                )
+                assert acks.result(timeout=10.0) == [7, 7, 7]
+                assert held.wait(10.0), "the fan-out never reached the hook"
+                release.set()
+                server.drain()
+                notes = drain_stream(stream, server.last_stamp("ack"))
+                assert_contiguous([n.stamp for n in notes], tag="ack stream:")
+                assert_contiguous(
+                    [n.stamp for n in blocker.poll()], tag="held subscriber:"
+                )
+        finally:
+            release.set()
 
     def test_server_error_surfaces_in_caller(self, deployment):
         graph, server, gateway = deployment
@@ -207,9 +274,21 @@ class TestReconnect:
                             | {n.stamp for n in post})
             assert_contiguous(merged, tag="reconnect:")
             assert max(merged) == expected_total
-            # the severed stream fails loudly, never silently ends
+            # the severed stream fails loudly, never silently ends (notes
+            # that arrived before the cut are still handed out first: the
+            # ack precedes the fan-out, so some may postdate ``pre``)
+            late = []
             with pytest.raises(GatewayClosed):
-                s1.get(timeout=1.0)
+                while True:
+                    note = s1.get(timeout=1.0)
+                    if note is None:
+                        break
+                    late.append(note)
+            # ... and what it handed out late is the rest of the same
+            # stream: no stray, no duplicate, no gap after ``pre``
+            stamps = [n.stamp for n in pre + late]
+            assert_contiguous(stamps, tag="severed stream:")
+            assert stamps[-1] <= expected_total
             c2.close()
 
     def test_gateway_restart_clients_resume(self, deployment):
@@ -303,6 +382,42 @@ class TestFlowControl:
             server.close()
 
 
+def exchange_raw(address, payload):
+    """Send one raw frame; return every reply payload until the gateway
+    hangs up (a socket timeout means it did not)."""
+    with socket.create_connection(address, timeout=10.0) as sock:
+        sock.sendall(LENGTH_PREFIX.pack(len(payload)) + payload)
+        data = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+    replies = []
+    while data:
+        (length,) = LENGTH_PREFIX.unpack_from(data)
+        replies.append(data[LENGTH_PREFIX.size : LENGTH_PREFIX.size + length])
+        data = data[LENGTH_PREFIX.size + length :]
+    return replies
+
+
+def write_payload(count, rows):
+    """A K_WRITE payload whose header claims ``count`` rows over ``rows``."""
+    frame = WriteFrame.from_items([(n, 1.0, 1.0) for n in range(rows)])
+    return WRITE_HEADER.pack(K_WRITE, 1, -1, count, 0.0) + frame.records.tobytes()
+
+
+MALFORMED = {
+    "write-shorter-than-header": bytes([K_WRITE]) + b"\x00" * 8,
+    "write-count-exceeds-rows": write_payload(5, 2),
+    "write-count-short-of-rows": write_payload(1, 2),
+    "write-count-minus-one": write_payload(-1, 2),
+    "control-wrong-arity": encode_control(K_READ, (1,)),
+    "pickle-unpicklable": bytes([K_PICKLE]) + b"not a pickle",
+    "pickle-wrong-arity": bytes([K_PICKLE]) + pickle.dumps((1, 2)),
+}
+
+
 class TestProtocol:
     def test_unknown_frame_kind_is_reported(self, deployment):
         graph, server, gateway = deployment
@@ -339,6 +454,21 @@ class TestProtocol:
                 data += chunk
             assert data  # the error frame arrived before the close
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_frame_is_a_protocol_error(self, deployment, case):
+        """A frame that does not decode is answered, counted and hung up
+        on, like an oversized one — never a silently dropped connection."""
+        graph, server, gateway = deployment
+        replies = exchange_raw(gateway.address, MALFORMED[case])
+        assert [reply[0] for reply in replies] == [K_ERROR]
+        rid, kind, message, subscriber = decode_control(replies[0])
+        assert kind == "GatewayError" and "malformed" in message
+        wait_until(
+            lambda: server.metrics()["server"]["gw_protocol_errors"] == 1,
+            desc="protocol error counted",
+        )
+        assert server.writes_sent == 0
+
     def test_metrics_ride_the_existing_exposition(self, deployment):
         graph, server, gateway = deployment
         host, port = gateway.address
@@ -353,3 +483,4 @@ class TestProtocol:
         assert snap["gw_frames_in"] >= 2
         assert snap["gw_frames_out"] >= 2
         assert snap["gw_bytes_in"] > 0 and snap["gw_bytes_out"] > 0
+

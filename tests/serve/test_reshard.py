@@ -113,6 +113,91 @@ class TestBasicMigration:
             server.drain()
             assert server.read_batch(nodes) == oracle.read_batch(nodes)
 
+    def test_rounds_pending_at_the_swap_count_once(self):
+        """Rounds accepted but not yet fanned out when a reshard starts
+        (``accept`` with the flusher stopped) drain into the old epoch up
+        to one common seq on every affected shard.  Drained one round per
+        shard instead, shard 0 would drain the writer-11 round and shard 2
+        the first writer-4 round, which shard 0 then replays as residue on
+        top of the spliced buffers: counted twice."""
+        graph, _ = build_env(seed=41)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(8))
+        nodes = sorted(graph.nodes())
+        oracle = EAGrEngine(graph, query, overlay_algorithm="identity",
+                            dataflow="all_push")
+        with make_server(graph, query, assign=lambda n: n % 3) as server:
+            # writer 11 is read on shard 0 only, writer 4 on shards 0 and 2
+            assert server.writer_shards[11] == (0,)
+            assert sorted(server.writer_shards[4]) == [0, 2]
+            server._stop_flusher.set()
+            server._wake_flusher.set()
+            server._flusher.join(timeout=5.0)
+            batches = [[(11, 1.0)], [(4, 2.0)], [(4, 3.0)], [(11, 5.0)], [(4, 7.0)]]
+            for batch in batches:
+                server.accept(batch)
+                oracle.write_batch(batch)
+            server.reshard(cross_shard_plan(server, movers=2))
+            server.drain()
+            assert server.read_batch(nodes) == oracle.read_batch(nodes)
+
+    def test_a_snapshot_taken_before_the_swap_is_not_logged_after_it(self):
+        """The flusher snapshots the due shards, then a reshard replaces
+        their workers before the ``C`` records can be logged (they wait
+        for the flush locks the reshard holds).  Logged after the ``P``
+        record, an old worker's snapshot — same ``applied_through`` as
+        the synthetic checkpoint — would replace it, and a restart would
+        boot the shard with its pre-move buffers."""
+        graph, query = build_env(seed=41)
+        nodes = sorted(graph.nodes())
+        oracle = EAGrEngine(graph, query, overlay_algorithm="identity",
+                            dataflow="all_push")
+        with make_server(graph, query, checkpoint_interval=1) as server:
+            snapped, swapped, logged = (threading.Event() for _ in range(3))
+            await_, checkpoint = server._await, server.checkpoint
+
+            def on_flusher():
+                return threading.current_thread().name == "eagr-server-flusher"
+
+            def stall_after_snapshot(calls):
+                replies = await_(calls)
+                if on_flusher() and not snapped.is_set():
+                    snapped.set()
+                    swapped.wait(10.0)
+                return replies
+
+            def checkpoint_and_note(shards=None):
+                try:
+                    return checkpoint(shards)
+                finally:
+                    if on_flusher():
+                        logged.set()
+
+            server._await = stall_after_snapshot
+            server.checkpoint = checkpoint_and_note
+            batch = [(node, 3.0) for node in nodes]
+            server.accept(batch)
+            oracle.write_batch(batch)
+            assert snapped.wait(10.0), "the flusher never checkpointed"
+            # The flusher stalls on shard 0.  Move it a reader with a
+            # writer it did not hold: only the synthetic checkpoint has
+            # that writer's window on shard 0.
+            mover = next(
+                node
+                for node in sorted(server.reader_shard, key=repr)
+                if server.reader_shard[node] != 0
+                and any(
+                    0 not in server.writer_shards.get(writer, ())
+                    for writer in query.neighborhood(graph, node)
+                )
+            )
+            server.reshard({mover: 0})
+            swapped.set()
+            assert logged.wait(10.0), "the flusher's checkpoint never ended"
+            server._executors[0].kill()
+            server.restart_shard(0)
+            server.drain()
+            assert server.read_batch(nodes) == oracle.read_batch(nodes)
+
     def test_reshard_plan_object_and_back(self):
         graph, query = build_env(seed=42)
         with make_server(graph, query) as server:

@@ -235,6 +235,54 @@ class TestCoalescingAndBackpressure:
                 assert server._parked_rows(0) < 12
             server.flush()
 
+    def test_accept_blocks_at_the_coalesce_cap(self):
+        """``accept`` leaves the fan-out to the flusher, but not without
+        bound: once a stuck shard's outbox holds ``coalesce_max`` rows,
+        the next ack waits for the shard."""
+        import threading
+        import time
+
+        graph = random_graph(20, 80, seed=93)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+        oracle = EAGrEngine(graph, query, overlay_algorithm="vnm_a")
+        nodes = list(graph.nodes())
+        held, release = threading.Event(), threading.Event()
+        with make_server(graph, query, num_shards=1, coalesce_max=4) as server:
+            writer = next(n for n in nodes if server.writer_shards.get(n))
+            sub = server.subscribe("w", nodes)
+
+            def hook():
+                held.set()
+                release.wait(30.0)
+
+            sub.on_delivery = hook
+            try:
+                first = [(writer, 1.0)]  # below the cap: no inline flush
+                server.accept(first)
+                oracle.write_batch(first)
+                # The flusher is now stuck delivering, its flush lock held.
+                assert held.wait(10.0)
+                batches = [[(writer, float(i + 2))] for i in range(8)]
+                acks = []
+                pump = threading.Thread(
+                    target=lambda: [acks.append(server.accept(b)) for b in batches]
+                )
+                pump.start()
+                time.sleep(0.5)
+                # Three one-row acks park three rows; the fourth fills the
+                # outbox to the cap and waits.
+                assert pump.is_alive() and acks == [1, 1, 1]
+                assert server._parked_rows(0) == 4
+                release.set()
+                pump.join(timeout=10.0)
+                assert not pump.is_alive() and acks == [1] * 8
+            finally:
+                release.set()
+            for batch in batches:
+                oracle.write_batch(batch)
+            server.drain()
+            assert server.read_batch(nodes) == oracle.read_batch(nodes)
+
 
 class TestPackabilityPicksTheRoute:
     """Whether a batch packs is the only thing that selects its route."""
@@ -509,6 +557,55 @@ class TestDurability:
             ), [len(log) for log in state.redo.values()]
             assert set(state.checkpoints) == {0, 1}
 
+    def test_racing_checkpointers_lose_no_batch(self):
+        """The flusher (after ``accept``) and a ``write_batch`` caller both
+        find a shard due.  The flusher's snapshot is taken first but its
+        ``C`` record lands second; it must not replace the newer one,
+        whose fold already dropped the batch between them from redo."""
+        import threading
+
+        graph = random_graph(20, 80, seed=187)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+        single = EAGrEngine(graph, query, overlay_algorithm="vnm_a")
+        nodes = list(graph.nodes())
+        with make_server(
+            graph, query, num_shards=1, checkpoint_interval=1
+        ) as server:
+            snapped, logged, stale = (threading.Event() for _ in range(3))
+            await_, append = server._await, server._wal.append
+
+            def flusher_snapshot_then_stall(calls):
+                replies = await_(calls)
+                if threading.current_thread().name == "eagr-server-flusher":
+                    if not snapped.is_set():
+                        snapped.set()
+                        logged.wait(10.0)
+                return replies
+
+            def append_and_note(record, sync=False):
+                append(record, sync=sync)
+                if record[0] == "C" and snapped.is_set():
+                    if threading.current_thread().name == "eagr-server-flusher":
+                        stale.set()
+                    else:
+                        logged.set()
+
+            server._await = flusher_snapshot_then_stall
+            server._wal.append = append_and_note
+            first, second = ([(n, value) for n in nodes] for value in (1.0, 2.0))
+            server.accept(first)
+            assert snapped.wait(10.0), "the flusher never checkpointed"
+            server.write_batch(second)  # checkpoints batch 2 and logs it
+            assert stale.wait(10.0), "the flusher never logged its snapshot"
+            for batch in (first, second):
+                single.write_batch(batch)
+            server.drain()
+            assert server._wal.state.checkpoints[0].applied_through == 2
+            server._executors[0].kill()
+            server.restart_shard(0)
+            server.drain()
+            assert server.read_batch(nodes) == single.read_batch(nodes)
+
 
 class TestLifecycle:
     def test_close_flushes_pending_writes(self):
@@ -674,6 +771,46 @@ class TestFlushFailurePoisonsServer:
             with pytest.raises(ServeError):
                 server.drain()
             server.drain()
+        finally:
+            server.close()
+
+    def test_failed_fan_out_after_accept_is_not_silent(self):
+        """``accept`` acks before the fan-out, so a fan-out that fails on
+        the flusher has no caller to raise in: it must poison acceptance,
+        surface at ``drain``, and leave the acked batch replayable."""
+        from tests.serve.faultlib import wait_until
+
+        graph = random_graph(20, 80, seed=97)
+        query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+        server = make_server(graph, query, num_shards=2)
+        oracle = EAGrEngine(graph, query, overlay_algorithm="vnm_a")
+        try:
+            nodes = list(graph.nodes())
+
+            def explode(request):
+                raise OSError("injected: fan-out broken")
+
+            for ex in server._executors:
+                ex.try_submit = explode
+            batch = [(n, float(i % 5 + 1), 1.0) for i, n in enumerate(nodes)]
+            assert server.accept(batch) == len(batch)
+            oracle.write_batch(batch)
+            wait_until(
+                lambda: server._poisoned is not None,
+                desc="the flusher's fan-out failure poisons the server",
+            )
+            with pytest.raises(ServeError, match="poisoned"):
+                server.accept([(nodes[0], 2.0)])
+            with pytest.raises(ServeError, match="poisoned"):
+                server.write_batch([(nodes[0], 2.0)])
+            with pytest.raises(ServeError, match="background flush failed"):
+                server.drain()
+            failed = sorted(server._flush_failed)
+            assert failed
+            for shard_id in failed:
+                assert server.restart_shard(shard_id) >= 1  # the acked batch
+            assert server._poisoned is None
+            assert server.read_batch(nodes) == oracle.read_batch(nodes)
         finally:
             server.close()
 

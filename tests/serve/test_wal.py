@@ -251,6 +251,25 @@ def test_mismatched_rollback_is_structural_error():
         state.fold(("RB", 0, 3))
 
 
+def test_out_of_order_checkpoint_is_ignored():
+    """Two checkpointers can append their ``C`` records out of order; the
+    older one must not replace the newer one and leave the batches
+    between them nowhere (dropped from redo, missing from the baseline)."""
+    state = WalState()
+    state.fold(("META", {"num_shards": 1, "reader_shard": {"a": 0}}))
+    for seq in range(1, 5):
+        state.fold(("W", seq, {0: [("a", float(seq), seq)]}, float(seq)))
+        state.fold(("B", 0, seq, seq))
+    state.fold(("C", 0, FakeCheckpoint(3)))
+    state.fold(("C", 0, FakeCheckpoint(1)))  # taken first, logged second
+    assert state.checkpoints[0] == FakeCheckpoint(3)
+    assert [no for no, _items in state.redo[0]] == [4]
+    state.fold(("C", 0, FakeCheckpoint(3)))  # equal: a later snapshot wins
+    state.fold(("C", 0, FakeCheckpoint(4)))
+    assert state.checkpoints[0] == FakeCheckpoint(4)
+    assert state.redo[0] == []
+
+
 # ---------------------------------------------------------------------------
 # compaction
 # ---------------------------------------------------------------------------
