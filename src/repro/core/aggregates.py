@@ -186,6 +186,11 @@ class AggregateFunction(ABC):
     #: ``negate == -`` (SUM, COUNT): enables the compiled push plans'
     #: scalar kernel (``values[dst] += sign * delta``).
     scalar_delta: bool = False
+    #: The columnar read result *is* the column scalar: one column whose
+    #: ``tolist()`` value ``column_spec.unpack`` and :meth:`finalize` both
+    #: return unchanged (SUM, COUNT), so reads skip the per-row calls.  A
+    #: subclass that changes either must clear it.
+    plain_reads: bool = False
     #: Declarative columnar layout (:class:`ColumnSpec`) enabling the dense
     #: numpy value store and vectorized batch kernels; ``None`` means PAOs
     #: are opaque objects and the state layer keeps them in the object store.
@@ -267,6 +272,7 @@ class Sum(AggregateFunction):
     name = "sum"
     subtractable = True
     scalar_delta = True
+    plain_reads = True
     column_spec = ColumnSpec(
         dtypes=("float64",),
         fills=(0.0,),
@@ -299,6 +305,7 @@ class Count(AggregateFunction):
     name = "count"
     subtractable = True
     scalar_delta = True
+    plain_reads = True
     # COUNT accepts arbitrary payloads (only their number matters), so raws
     # must stay in object window buffers: scalar_raws=False.
     column_spec = ColumnSpec(

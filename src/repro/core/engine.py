@@ -359,10 +359,10 @@ class EAGrEngine:
     def _recompile(self) -> None:
         """Full re-compilation (no maintainer): rebuild AG, overlay,
         decisions and runtime, preserving writer window buffers and the
-        pending change report (all keyed by graph node id), the write
-        stamp and the logical clock."""
+        pending change report (carried across by graph node id), the
+        write stamp and the logical clock."""
         buffers = self.runtime.buffers
-        pending_changes = self.runtime._changed_writers
+        pending_changes = self.runtime.pop_changed_writer_nodes()
         pending_readers = self.runtime._restructured_readers
         stamp = self.runtime.stamp
         clock = self.runtime.clock
@@ -390,7 +390,7 @@ class EAGrEngine:
             shm_name=self.shm_name,
         )
         self.runtime.clock = clock
-        self.runtime._changed_writers.update(pending_changes)
+        self.runtime.note_changed_writers(pending_changes)
         self.runtime._restructured_readers.update(pending_readers)
         if self.controller is not None:
             self.controller = AdaptiveController(

@@ -82,16 +82,21 @@ through the same dirty-set machinery as the plans.
 
 Changed-reader reporting
 ------------------------
-Every write path records the writers whose value actually moved, and
+Every write path records the *handles* of the writers whose value
+actually moved (the batch kernels the array they scattered), and
 structural changes record the readers whose neighbourhood they altered;
 :meth:`Runtime.changed_handles` turns both into the reader *handles*
 whose aggregates may have changed.  Each writer's **reader closure** (the
 full downstream reader set, push and pull alike, cached and invalidated
-through the same dependency index as the plans) is frozen as an int row
-of reader handles; a batch's rows are concatenated, marked in a
-persistent bool bitmap over the handle space and read back with one
+through the same dependency index as the plans) is frozen in one arena
+over *reader slots* — the readers numbered in ascending handle order
+(:mod:`repro.core.closures`) — as an index row of slots, or, for a hub
+writer whose index row would outgrow a packed bitset over the slots (and
+for every writer of a small overlay), as a bitset row.  A report ORs the
+bitset rows, unpacks them once into a slot bitmap, scatters the index
+rows into it and reads the set back with one
 ``flatnonzero`` — deduplicated and in ascending handle order without a
-sort or a per-reader Python step.  :meth:`Runtime.changed_readers` is
+per-writer or per-reader Python step.  :meth:`Runtime.changed_readers` is
 that plus one gather through an object array of the overlay's labels
 (:meth:`Runtime.labels_of`), so node ids exist only for the handles a
 caller keeps: the serving layer (:mod:`repro.serve`) intersects the
@@ -128,6 +133,7 @@ from typing import (
 import numpy as np
 
 from repro.core.aggregates import NEED_RECOMPUTE
+from repro.core.closures import MISSING, ReaderClosures
 from repro.core.overlay import (
     Decision,
     KIND_READER,
@@ -169,6 +175,12 @@ _EVENT_FIELDS = attrgetter("node", "value", "timestamp")
 #: kernel; below it the Python loop is cheaper (measured crossover 64–128
 #: rows, by how often writers repeat within a batch).
 _RING_ROWS = 128
+
+#: Moved-writer handles a runtime retains between reports before it
+#: collapses them to one duplicate-free array (bounds a report-free stream).
+_MOVED_CAP = 4096
+
+_NO_SLOTS = np.empty(0, dtype=np.int64)
 
 
 def normalize_write(item) -> Tuple[NodeId, Any, Optional[float]]:
@@ -294,24 +306,6 @@ class PullPlan:
         self.spans = spans
         self.exit_nodes = exit_nodes
         self.observe_all = tuple(a for op, a, _ in program if op != _OP_EXIT)
-
-
-class ReaderClosure:
-    """One writer's downstream reader set, compiled for change reporting.
-
-    ``readers`` holds the *overlay handles* of every reader reachable from
-    the writer in the overlay (an int array) — regardless of push/pull
-    decisions, because a pull reader's value changes just as much when an
-    upstream writer moves (it is merely computed on demand).  ``touched`` indexes the closure into the same
-    dependency-indexed invalidation registry as the propagation plans, so
-    overlay surgery drops exactly the closures it reroutes.
-    """
-
-    __slots__ = ("readers", "touched")
-
-    def __init__(self, readers: Sequence[int], touched: FrozenSet[int]) -> None:
-        self.readers = readers
-        self.touched = touched
 
 
 class _ScatterTable:
@@ -453,6 +447,7 @@ class Runtime:
         if self._row_reads:
             folds = {"add": np.add, "maximum": np.fmax, "minimum": np.fmin}
             self._row_fold = folds[self._spec.merge_ufunc]
+        self._plain_reads = getattr(self.aggregate, "plain_reads", False)
         # The identity PAO is immutable by the aggregate API contract
         # (merge/subtract never mutate arguments), so one instance serves
         # every identity use instead of reconstructing it per operation.
@@ -465,18 +460,20 @@ class Runtime:
         self._pull_plans: Dict[int, PullPlan] = {}
         # Dict-shaped either way; empty for good when reads are interpreted.
         self._pull_rows = PullRows() if self._row_reads else {}
-        self._reader_closures: Dict[int, ReaderClosure] = {}
-        # Writers whose value changed since the last pop_changed_writers()
-        # (dict-as-set; its order is not observable — changed_handles
-        # sorts), keyed by *graph node id* — like the window buffers — so
-        # the pending report survives overlay rebuilds that remap the
-        # handle space.  The serve layer turns this into the set of egos to
-        # diff for subscription notifications, which is what keeps
-        # notification work O(affected readers) instead of O(subscribers).
-        self._changed_writers: Dict[NodeId, None] = {}
+        self._closures = ReaderClosures()
+        # Handles of the writers whose value changed since the last
+        # pop_changed_writers(): int arrays or sequences, one per write
+        # call, repeats allowed (changed_handles is indifferent to them).
+        # The serve layer turns this into the set of egos to diff for
+        # subscription notifications, which is what keeps notification
+        # work O(affected readers) instead of O(subscribers).
+        self._moved: List = []
+        self._moved_rows = 0
+        self._moved_cap = _MOVED_CAP
         # Readers whose neighbourhood a structural change altered since the
         # last report (their value can move with no writer moving), keyed
-        # by graph node id for the same reason.
+        # by graph node id: the record must survive the rebuild the change
+        # triggers.
         self._restructured_readers: Dict[NodeId, None] = {}
         self._plan_deps: Dict[int, Set[Tuple[int, int]]] = {}
         self._out_cache: Dict[int, List[Tuple[int, int, bool, int]]] = {}
@@ -515,11 +512,15 @@ class Runtime:
             self.observed_pull = [0] * n
         if self._row_reads:
             self._pull_rows.resize(n)
-        # Handle space: the dedup scratch bitmap of :meth:`_distinct`
-        # (all-false between calls) and the handle -> node id gather table.
-        self._changed_mark = np.zeros(n, dtype=np.bool_)
-        # Filled slot by slot: assigning the list whole would broadcast
-        # tuple labels into a second axis.
+        # Reader slots: the readers in ascending handle order (handles only
+        # grow, so the closures already frozen keep their slots).
+        kinds = overlay.kinds
+        self._closures.resize(n, np.fromiter(
+            (h for h in range(n) if kinds[h] is NodeKind.READER), dtype=np.int64
+        ))
+        # The handle -> node id gather table, filled slot by slot:
+        # assigning the list whole would broadcast tuple labels into a
+        # second axis.
         self._label_array = np.empty(n, dtype=object)
         for handle, label in enumerate(overlay.labels):
             self._label_array[handle] = label
@@ -703,12 +704,12 @@ class Runtime:
                 len(self._push_plans)
                 + len(self._pull_plans)
                 + len(self._pull_rows)
-                + len(self._reader_closures)
+                + len(self._closures)
             )
             self._push_plans.clear()
             self._pull_plans.clear()
             self._pull_rows.clear()
-            self._reader_closures.clear()
+            self._closures.clear()
             self._plan_deps.clear()
             return
         deps = self._plan_deps
@@ -725,7 +726,7 @@ class Runtime:
             return self._pull_plans
         if kind == _PLAN_ROW:
             return self._pull_rows
-        return self._reader_closures
+        return self._closures
 
     def _drop_plan(self, key: Tuple[int, int]) -> None:
         kind, root = key
@@ -862,14 +863,14 @@ class Runtime:
         )
         self._register_plan(_PLAN_ROW, root, touched)
 
-    def _compile_reader_closure(self, writer: int) -> ReaderClosure:
-        """Freeze the reader handles downstream of ``writer`` into a row.
+    def _compile_reader_closure(self, writer: int) -> None:
+        """Freeze the readers downstream of ``writer`` into the arena.
 
         The traversal follows *every* overlay edge (not just push edges):
         a changed writer affects each reachable reader's value whether that
         reader materializes it eagerly or computes it on demand.  Each
-        reader appears once; the row's order is the visit order and carries
-        no meaning (:meth:`changed_handles` reports in handle order).
+        reader appears once; the visit order carries no meaning
+        (:meth:`changed_handles` reports in handle order).
         """
         csr = self._ensure_csr()
         out_indptr = csr.out_indptr
@@ -889,47 +890,78 @@ class Runtime:
                     readers.append(dst)
                 else:
                     stack.append(dst)
-        closure = ReaderClosure(
-            np.asarray(readers, dtype=np.int64), frozenset(touched)
-        )
-        self._reader_closures[writer] = closure
-        self._register_plan(_PLAN_READERS, writer, closure.touched)
-        return closure
+        touched = frozenset(touched)
+        self._closures.put(writer, readers, touched)
+        self._register_plan(_PLAN_READERS, writer, touched)
 
     # ------------------------------------------------------------------
     # changed-reader reporting (continuous subscriptions)
     # ------------------------------------------------------------------
 
-    def pop_changed_writers(self) -> List[int]:
-        """Writer handles whose value changed since the last pop.
+    def _note_moved(self, handles) -> None:
+        """Record the handles of writers whose value moved (a non-empty int
+        array or sequence of ints); past ``_MOVED_CAP`` retained handles
+        the record collapses to one duplicate-free array."""
+        moved = self._moved
+        moved.append(handles)
+        self._moved_rows += len(handles)
+        if self._moved_rows > self._moved_cap and len(moved) > 1:
+            unique = np.unique(np.concatenate(moved, dtype=np.int64))
+            self._moved = [unique]
+            self._moved_rows = unique.size
+            self._moved_cap = max(_MOVED_CAP, 2 * unique.size)
+
+    def pop_changed_writers(self):
+        """Handles of the writers whose value changed since the last pop.
 
         Every write path records the writers it actually moved (zero-delta
-        writers are skipped exactly where propagation skips them).  The
-        pending set is keyed by graph node id, so it survives overlay
-        rebuilds: stale entries map to the writer's *current* handle, and
-        writers removed from the overlay drop out silently.  The order of
-        the list is not observable: :meth:`changed_handles`, its only
-        consumer, reports in ascending handle order.
+        writers are skipped exactly where propagation skips them) as
+        handles: the batch kernels hand over the array they scattered, the
+        per-event paths their handles, so the record costs one list append
+        per write call.  Returns an int array in no particular order, a
+        writer possibly repeated; :meth:`changed_handles`, its consumer,
+        is indifferent to both.
+
+        Pending writers survive a new overlay by node id, and only there:
+        :meth:`rebuild` (overlay surgery in place) and the engine's full
+        recompile (a new runtime over a new handle space) take them out
+        with :meth:`pop_changed_writer_nodes` and put them back with
+        :meth:`note_changed_writers`, so a writer the surgery removed
+        drops out silently and every other one reaches its current handle.
         """
-        if not self._changed_writers:
-            return []
+        moved = self._moved
+        if not moved:
+            return np.empty(0, dtype=np.int64)
+        self._moved = []
+        self._moved_rows = 0
+        self._moved_cap = _MOVED_CAP
+        if len(moved) == 1:
+            return np.asarray(moved[0], dtype=np.int64)
+        return np.concatenate(moved, dtype=np.int64)
+
+    def pop_changed_writer_nodes(self) -> List[NodeId]:
+        """:meth:`pop_changed_writers` as node ids, for a record that must
+        outlive this handle space (see there)."""
+        return self._label_array[self.pop_changed_writers()].tolist()
+
+    def note_changed_writers(self, nodes: Iterable[NodeId]) -> None:
+        """Record writers by node id (as :meth:`pop_changed_writer_nodes`
+        returns them) against the current overlay; nodes that are no
+        longer writers drop out silently."""
         writer_of = self.overlay.writer_of
-        changed = [
-            writer_of[node]
-            for node in self._changed_writers
-            if node in writer_of
-        ]
-        self._changed_writers.clear()
-        return changed
+        handles = [writer_of[node] for node in nodes if node in writer_of]
+        if handles:
+            self._note_moved(handles)
 
     def note_restructured_readers(self, nodes: Iterable[NodeId]) -> None:
         """Record readers whose neighbourhood a structural change altered.
 
         Their aggregates can move without any writer moving (an edge
         removal takes a value out of ``N(r)``), so the next report unions
-        them in as candidates.  Node-keyed like the pending writers: the
-        record survives the overlay rebuild the change triggers, and nodes
-        that are no longer readers by then drop out silently.
+        them in as candidates.  Node-keyed, unlike the moved writers: the
+        record is rare and must survive the overlay rebuild the change
+        triggers; nodes that are no longer readers by then drop out
+        silently.
         """
         self._restructured_readers.update(dict.fromkeys(nodes))
 
@@ -937,15 +969,30 @@ class Runtime:
         """Reader *handles* whose aggregate may have changed — the one
         who-changed computation; every other report is a view of it.
 
-        Concatenates the frozen reader-closure rows of ``writers``
-        (default: :meth:`pop_changed_writers`) and of the structurally
-        affected readers recorded since the last call, marks them in the
-        persistent scratch bitmap and reads the set back with
-        ``flatnonzero``: O(closure entries) in a handful of numpy calls,
-        no per-reader Python step, no sort.  Returns an int array with no
-        duplicates, **in ascending handle order** — closure visit order is
-        not observable and nothing may rely on it.
-        The bitmap is all-false again when the call returns or raises.
+        The union of the frozen reader closures of ``writers`` (default:
+        :meth:`pop_changed_writers`) and of the structurally affected
+        readers recorded since the last call, built in reader-slot space
+        by a fixed sequence of numpy calls — no per-writer or per-reader
+        Python step.  Missing closures compile first (once per writer per
+        overlay).  The cost model, per call over ``S`` reader slots: the
+        ``H`` bitset rows among the writers' closures are ORed in packed
+        form (``H · S / 8`` bytes) and unpacked once into a slot bitmap,
+        the ``E`` entries of their index rows are gathered and scattered
+        into it, and one ``flatnonzero`` reads the set back —
+        O(``H · S / 8 + S + E``) whatever the rows' overlap, in about a
+        dozen numpy calls when both kinds meet and about half that when
+        one is absent (a call skips the part it has no rows for).  Which
+        kind a closure is was decided once, by size, when it was frozen
+        (see :class:`~repro.core.closures.ReaderClosures`): a hub writer's
+        closure is a bitset, a small one an index row, and on a shard's
+        overlay (``S`` ≤ 2 048) every closure is a bitset.  Slots map back
+        to handles with one gather.
+
+        Returns an int array with no duplicates, **in ascending handle
+        order** (ascending slot is ascending handle) — closure visit order
+        is not observable and nothing may rely on it.  The call keeps no
+        scratch state: a call that raises leaves the arena and every
+        later report as they were.
 
         The result is a *candidate* set: a reader is included when an
         upstream writer moved, even if cancellation (e.g. a MAX that did
@@ -954,33 +1001,52 @@ class Runtime:
         """
         if writers is None:
             writers = self.pop_changed_writers()
+        elif not isinstance(writers, np.ndarray):
+            writers = np.fromiter(writers, dtype=np.int64)
         self._check_plans()
-        closures = self._reader_closures
-        rows = []
-        for writer in writers:
-            closure = closures.get(writer)
-            if closure is None:
-                closure = self._compile_reader_closure(writer)
-            rows.append(closure.readers)
+        return self._closures.slots[self._changed_slots(writers)]
+
+    def _changed_slots(self, writers):
+        """:meth:`changed_handles` in slot space: the ascending reader
+        slots of the closures of ``writers`` (an int array of handles) and
+        of the restructured readers."""
+        closures = self._closures
+        rows = closures.bitrow[writers]
+        low = rows.min() if rows.size else 0
+        if low == MISSING:
+            for writer in dict.fromkeys(writers[rows == MISSING].tolist()):
+                self._compile_reader_closure(writer)
+            rows = closures.bitrow[writers]
+            low = rows.min()
+        entries = _NO_SLOTS
+        if low < 0:  # index rows among the writers' closures
+            idx, _offsets = ragged_index(closures.start[writers], closures.count[writers])
+            entries = closures.entries[idx]
+            rows = rows[rows >= 0]
         restructured = self._restructured_readers
         if restructured:
             reader_of = self.overlay.reader_of
-            row = [reader_of[node] for node in restructured if node in reader_of]
+            extra = [reader_of[node] for node in restructured if node in reader_of]
             restructured.clear()
-            rows.append(np.asarray(row, dtype=np.int64))
-        if not rows:
-            return np.empty(0, dtype=np.int64)
-        return self._distinct(np.concatenate(rows))
+            entries = np.concatenate(
+                [entries, closures.slot_of[np.asarray(extra, dtype=np.int64)]]
+            )
+        num_slots = closures.num_slots
+        if rows.size:
+            packed = np.bitwise_or.reduce(closures.bits[rows], axis=0)
+            mark = np.unpackbits(packed, count=num_slots).view(np.bool_)
+        else:
+            mark = np.zeros(num_slots, dtype=np.bool_)
+        if entries.size:
+            mark[entries] = True
+        return np.flatnonzero(mark)
 
     def _distinct(self, handles):
-        """``handles`` (an int array) without duplicates, ascending, through
-        the scratch bitmap — all-false again on return or raise."""
-        mark = self._changed_mark
-        try:
-            mark[handles] = True
-            return np.flatnonzero(mark)
-        finally:
-            mark.fill(False)
+        """``handles`` (an int array) without duplicates, ascending,
+        through a bitmap over the handle space."""
+        mark = np.zeros(len(self._label_array), dtype=np.bool_)
+        mark[handles] = True
+        return np.flatnonzero(mark)
 
     def labels_of(self, handles) -> List[NodeId]:
         """Node ids of ``handles`` (as :meth:`changed_handles` returns
@@ -1097,7 +1163,7 @@ class Runtime:
             self.trace.append(TraceOp(handle, "write", 1))
         message = self.writer_step(handle, [value], evicted)
         if message is not None:
-            self._changed_writers[node] = None
+            self._note_moved((handle,))
             self._propagate(handle, message)
 
     def write_batch(self, writes: Sequence) -> int:
@@ -1217,36 +1283,43 @@ class Runtime:
             plans = self._push_plans
             observed = self.observed_push
             values = self.values.data
-            changed = self._changed_writers
-            labels = self.overlay.labels
+            moved: List[int] = []
             push_ops = 0
-            for handle, (added, evicted) in pending.items():
-                delta = identity
-                for raw in added:
-                    delta = delta + lift(raw)
-                for raw in evicted:
-                    delta = delta - lift(raw)
-                if delta == identity:
-                    continue
-                changed[labels[handle]] = None
-                values[handle] = values[handle] + delta
-                plan = plans.get(handle)
-                if plan is None:
-                    plan = self._compile_push_plan(handle)
-                events = len(added) or 1  # eviction-only: one expiry sweep
-                for dst in plan.observe:
-                    observed[dst] += events
-                for dst, sign in plan.scalar_steps:
-                    values[dst] += sign * delta
-                push_ops += plan.push_count
-            self.counters.push_ops += push_ops
+            try:
+                for handle, (added, evicted) in pending.items():
+                    delta = identity
+                    for raw in added:
+                        delta = delta + lift(raw)
+                    for raw in evicted:
+                        delta = delta - lift(raw)
+                    if delta == identity:
+                        continue
+                    moved.append(handle)
+                    values[handle] = values[handle] + delta
+                    plan = plans.get(handle)
+                    if plan is None:
+                        plan = self._compile_push_plan(handle)
+                    events = len(added) or 1  # eviction-only: one expiry sweep
+                    for dst in plan.observe:
+                        observed[dst] += events
+                    for dst, sign in plan.scalar_steps:
+                        values[dst] += sign * delta
+                    push_ops += plan.push_count
+            finally:
+                self.counters.push_ops += push_ops
+                if moved:
+                    self._note_moved(moved)
             return
-        labels = self.overlay.labels
-        for handle, (added, evicted) in pending.items():
-            message = self.writer_step(handle, added, evicted)
-            if message is not None:
-                self._changed_writers[labels[handle]] = None
-                self._propagate(handle, message, len(added) or 1)
+        moved = []
+        try:
+            for handle, (added, evicted) in pending.items():
+                message = self.writer_step(handle, added, evicted)
+                if message is not None:
+                    moved.append(handle)
+                    self._propagate(handle, message, len(added) or 1)
+        finally:
+            if moved:
+                self._note_moved(moved)
 
     # ------------------------------------------------------------------
     # columnar lattice batches (MAX/MIN scatters)
@@ -1275,8 +1348,6 @@ class Runtime:
         store = self.values
         column = store.columns[0]
         cleared = store._cleared
-        changed = self._changed_writers
-        labels = self.overlay.labels
         grow_handles: List[int] = []
         grow_values: List[float] = []
         grow_events: List[int] = []
@@ -1294,8 +1365,8 @@ class Runtime:
             grow_handles.append(handle)
             grow_values.append(extremum)
             grow_events.append(len(added))
-            changed[labels[handle]] = None
         if grow_handles:
+            self._note_moved(grow_handles)
             table = self._scatter
             if table is None:
                 table = self._build_scatter_table()
@@ -1316,7 +1387,7 @@ class Runtime:
         for handle, (added, evicted) in slow:
             message = self.writer_step(handle, added, evicted)
             if message is not None:
-                changed[labels[handle]] = None
+                self._note_moved((handle,))
                 self._propagate_lattice_columns(
                     handle, message[0], message[1], len(added) or 1
                 )
@@ -1693,9 +1764,7 @@ class Runtime:
         num_writers = w_arr.size
         if not num_writers:
             return
-        self._changed_writers.update(
-            dict.fromkeys(self._label_array[w_arr].tolist())
-        )
+        self._note_moved(w_arr)
         table = self._scatter
         if table is None:
             table = self._build_scatter_table()
@@ -1913,7 +1982,7 @@ class Runtime:
     ) -> None:
         message = self.writer_step(handle, added, evicted)
         if message is not None:
-            self._changed_writers[self.overlay.labels[handle]] = None
+            self._note_moved((handle,))
             self._propagate(handle, message)
 
     # ------------------------------------------------------------------
@@ -1985,7 +2054,11 @@ class Runtime:
 
     def _finalize_columns(self, columns) -> List[Any]:
         """Column scalars to results — the one place the kernel's arrays
-        become Python objects."""
+        become Python objects: the column's ``tolist()`` as is for an
+        aggregate with ``plain_reads`` (SUM, COUNT), a per-row ``unpack``
+        and ``finalize`` otherwise."""
+        if self._plain_reads:
+            return columns[0].tolist()
         unpack, finalize = self._spec.unpack, self.aggregate.finalize
         scalars = zip(*[column.tolist() for column in columns])
         return [finalize(unpack(cols)) for cols in scalars]
@@ -2286,7 +2359,11 @@ class Runtime:
         # die with them rather than expand over a handle space that moved.
         self._obs_pending_handles, self._obs_pending_events = [], []
         self._obs_ring_rows, self._obs_ring_nodes = [], []
+        # Pending moved writers cross the surgery by node id (see
+        # pop_changed_writers).
+        moved = self.pop_changed_writer_nodes()
         self.invalidate_plans(dirty)
         self._plan_stamp = (self.overlay.version, self.overlay.decision_version)
         self._materialize()
+        self.note_changed_writers(moved)
         return self

@@ -103,11 +103,19 @@ class TestCompiledPlans:
         engine = warmed_engine()
         engine.write_batch([(node, 1.0) for node in list(engine.graph.nodes())[:8]])
         engine.changed_readers()  # compiles closures
-        runtime = engine.runtime
-        assert runtime._reader_closures
-        for closure in runtime._reader_closures.values():
-            clone = stable_fields(closure, ("readers",))
-            assert clone.touched == closure.touched
+        closures = engine.runtime._closures
+        assert len(closures), "expected compiled reader closures"
+        clone = roundtrip(closures, byte_identical=False)
+        for field in ("slots", "slot_of", "bitrow", "start", "count", "bits"):
+            assert (getattr(clone, field) == getattr(closures, field)).all()
+        assert list(clone.entries[:clone.used]) == list(closures.entries[:closures.used])
+        assert (clone.used, clone.bits_used) == (closures.used, closures.bits_used)
+        for writer in closures.touched:
+            before, after = closures.row(writer), clone.row(writer)
+            assert list(after.readers) == list(before.readers)
+            assert after.touched == before.touched
+            again = stable_fields(before, ("readers",))
+            assert list(again.readers) == list(before.readers)
 
 
 class TestColumnarStore:
