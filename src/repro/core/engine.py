@@ -265,6 +265,15 @@ class EAGrEngine:
             self.controller.tick(len(results))
         return results
 
+    def read_handle_column(self, handles):
+        """:meth:`read_handles` as one float64 array (see
+        :meth:`repro.core.execution.Runtime.read_handle_column`; only for
+        a runtime whose ``float_reads`` holds)."""
+        results = self.runtime.read_handle_column(handles)
+        if self.controller is not None:
+            self.controller.tick(len(results))
+        return results
+
     def changed_readers(self) -> List[NodeId]:
         """Reader nodes whose value may have changed since the last call.
 

@@ -2045,6 +2045,25 @@ class Runtime:
         memo: Dict = {}
         return [finalize(self._read_interpreted(handle, memo)) for handle in handles]
 
+    @property
+    def float_reads(self) -> bool:
+        """Whether reads are one float64 column as is (SUM over the
+        columnar store): :meth:`read_handle_column` answers, and the
+        values it returns are exactly :meth:`read_handles`'."""
+        return (
+            self._row_reads
+            and self._plain_reads
+            and self._spec.dtypes == ("float64",)
+        )
+
+    def read_handle_column(self, handles):
+        """:meth:`read_handles` as one float64 array, for a runtime with
+        :attr:`float_reads` — no Python float per row."""
+        self._begin_reads(len(handles))
+        if not len(handles):
+            return np.empty(0, dtype=np.float64)
+        return self._row_columns(handles)[0]
+
     def _begin_reads(self, count: int) -> None:
         """Once per read call, however many rows it carries."""
         self.counters.reads += count

@@ -206,8 +206,10 @@ class ChangeFrame:
 
 
 def _noteframe_from_bytes(subscriber, shard: int, data: bytes, ingress: float = None):
+    records = np.frombuffer(data, dtype=NOTE_DTYPE)
+    stamps = records["stamp"]
     return NoteFrame(
-        subscriber, shard, np.frombuffer(data, dtype=NOTE_DTYPE), ingress=ingress
+        subscriber, shard, records, int(stamps[0]), int(stamps[-1]), ingress
     )
 
 
@@ -225,16 +227,31 @@ class NoteFrame:
     materializing objects.  Subscribers get the raw records from
     ``Subscription.poll_batch()`` and pay :meth:`notifications` only on
     demand.
+
+    ``first_stamp`` and ``stamp`` are plain slots, set when the frame is
+    built or sliced and read off the records once when it is decoded:
+    the journal consults them several times per append, evict and
+    replay, and none of those touches the record array.
     """
 
-    __slots__ = ("subscriber", "shard", "records", "ingress")
+    __slots__ = ("subscriber", "shard", "records", "first_stamp", "stamp", "ingress")
 
     def __init__(
-        self, subscriber, shard: int, records, ingress: Optional[float] = None
+        self,
+        subscriber,
+        shard: int,
+        records,
+        first_stamp: int,
+        stamp: int,
+        ingress: Optional[float] = None,
     ) -> None:
         self.subscriber = subscriber
         self.shard = shard
         self.records = records
+        #: The frame's first stamp and its *last* (highest) stamp — the
+        #: journal-order key; ``stamp - first_stamp + 1 == len(self)``.
+        self.first_stamp = first_stamp
+        self.stamp = stamp
         #: Ingress timestamp of the triggering write batch (``None`` on
         #: un-stamped frames — recovery replays, journal resumes from a
         #: prior process whose monotonic clock is meaningless here).
@@ -244,32 +261,25 @@ class NoteFrame:
     def build(cls, subscriber, shard, egos, values, first_stamp, batch, ingress=None):
         """One frame from parallel ego/value arrays, stamping rows
         ``first_stamp, first_stamp+1, ...`` (the journal contract)."""
-        records = np.empty(len(egos), dtype=NOTE_DTYPE)
+        count = len(egos)
+        records = np.empty(count, dtype=NOTE_DTYPE)
         records["ego"] = egos
         records["value"] = values
-        records["stamp"] = np.arange(
-            first_stamp, first_stamp + len(egos), dtype=np.int64
-        )
+        records["stamp"] = np.arange(first_stamp, first_stamp + count, dtype=np.int64)
         records["batch"] = batch
-        return cls(subscriber, shard, records, ingress=ingress)
+        return cls(
+            subscriber, shard, records, first_stamp, first_stamp + count - 1, ingress
+        )
 
     # -- journal protocol ----------------------------------------------------
-
-    @property
-    def stamp(self) -> int:
-        """The frame's *last* (highest) stamp — its journal-order key."""
-        return int(self.records["stamp"][-1])
-
-    @property
-    def first_stamp(self) -> int:
-        return int(self.records["stamp"][0])
 
     def __len__(self) -> int:
         return len(self.records)
 
     def after(self, stamp: int) -> Optional["NoteFrame"]:
         """The suffix with stamps ``> stamp`` (``None`` when empty)."""
-        if self.first_stamp > stamp:
+        first = self.first_stamp
+        if first > stamp:
             return self
         if self.stamp <= stamp:
             return None
@@ -277,21 +287,26 @@ class NoteFrame:
         return NoteFrame(
             self.subscriber,
             self.shard,
-            self.records[stamp - self.first_stamp + 1 :],
-            ingress=self.ingress,
+            self.records[stamp - first + 1 :],
+            stamp + 1,
+            self.stamp,
+            self.ingress,
         )
 
     def upto(self, stamp: int) -> Optional["NoteFrame"]:
         """The prefix with stamps ``<= stamp`` (``None`` when empty)."""
         if self.stamp <= stamp:
             return self
-        if self.first_stamp > stamp:
+        first = self.first_stamp
+        if first > stamp:
             return None
         return NoteFrame(
             self.subscriber,
             self.shard,
-            self.records[: stamp - self.first_stamp + 1],
-            ingress=self.ingress,
+            self.records[: stamp - first + 1],
+            first,
+            stamp,
+            self.ingress,
         )
 
     # -- materialization (on demand only) ------------------------------------

@@ -102,8 +102,6 @@ class _Stream:
     __slots__ = (
         "subscriber",
         "subscription",
-        "event",
-        "task",
         "lock",
         "paused",
         "dead",
@@ -114,10 +112,6 @@ class _Stream:
     def __init__(self, subscriber: Hashable) -> None:
         self.subscriber = subscriber
         self.subscription = None
-        #: pump wake-up, set from the server's delivery threads via
-        #: ``loop.call_soon_threadsafe``.
-        self.event = asyncio.Event()
-        self.task: Optional[asyncio.Task] = None
         #: serializes pause/resume/subscribe transitions on this stream.
         self.lock = asyncio.Lock()
         self.paused = False
@@ -142,6 +136,9 @@ class _Connection:
         "closed",
         "default_subscriber",
         "peer",
+        "wake",
+        "armed",
+        "pump",
     )
 
     def __init__(self, reader, writer) -> None:
@@ -151,6 +148,14 @@ class _Connection:
         #: notification bytes on the wire but not yet acked.
         self.inflight = 0
         self.send_lock = asyncio.Lock()
+        #: the pump's wake-up, and whether one is already on its way:
+        #: delivery threads set ``armed`` and schedule ``wake.set`` only
+        #: when it was clear, the pump clears it before each drain.
+        self.wake = asyncio.Event()
+        self.armed = False
+        #: the connection's one notification pump (started with its
+        #: first stream).
+        self.pump: Optional[asyncio.Task] = None
         self.closed = False
         self.default_subscriber: Optional[Hashable] = None
         try:
@@ -169,6 +174,19 @@ class GatewayServer:
         :meth:`EAGrServer.accept` on one worker thread, so acceptance
         order across connections is the order that thread runs them in;
         reads, subscribes and acks run on a small shared pool.
+
+    Notifications leave through **one pump per connection**, however
+    many streams it carries: each stream's delivery hook arms at most one
+    wake-up per connection per round (a flag the pump clears before it
+    drains), and a round drains every stream and sends all their frames
+    with one ``writelines`` and one ``drain`` — the per-stream ledgers,
+    resume cursors and the connection's in-flight budget advance per
+    item exactly as they would stream by stream.  A fire-and-forget
+    ``K_ACK`` (request id ``None``) releases its credit at once, on the
+    loop; the journal truncations it asks for are queued, and one
+    executor call per round applies every queued one (the newest stamp
+    per subscriber).  An ack with a request id still runs, and replies,
+    on its own.
     host / port:
         Listen address.  ``port=0`` picks a free port; :meth:`start`
         returns the bound ``(host, port)``.  Control frames are pickled:
@@ -223,6 +241,10 @@ class GatewayServer:
         self._call_pool = ThreadPoolExecutor(
             max_workers=4, thread_name_prefix="eagr-gw-call"
         )
+        #: fire-and-forget acks not yet applied: subscriber -> stamp, and
+        #: whether the call applying them is already scheduled.
+        self._acks: Dict[Hashable, int] = {}
+        self._acks_due = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -373,9 +395,9 @@ class GatewayServer:
         conn.closed = True
         self._connections.discard(conn)
         self._gm["gw_connections_active"].add(-1)
+        if conn.pump is not None:
+            conn.pump.cancel()
         for stream in conn.streams.values():
-            if stream.task is not None:
-                stream.task.cancel()
             subscription = stream.subscription
             stream.subscription = None
             if subscription is not None:
@@ -493,7 +515,8 @@ class GatewayServer:
             stream = _Stream(subscriber)
             conn.streams[subscriber] = stream
             self._gm["gw_streams_active"].add(1)
-            stream.task = self._loop.create_task(self._pump(conn, stream))
+            if conn.pump is None:
+                conn.pump = self._loop.create_task(self._pump(conn))
         async with stream.lock:
             try:
                 subscription = await self._loop.run_in_executor(
@@ -523,7 +546,7 @@ class GatewayServer:
                 stream.last_sent = min(stream.last_sent, last)
             stream.paused = False
             stream.dead = False
-            self._attach(stream, subscription)
+            self._attach(conn, stream, subscription)
         await self._send(
             conn,
             encode_control(
@@ -552,64 +575,95 @@ class GatewayServer:
             while ledger and ledger[0][0] <= stamp:
                 released += ledger.popleft()[1]
             conn.inflight -= released
+        if rid is None:
+            # Fire and forget: the credit is back, the truncation waits
+            # for this round's one executor call.
+            self._acks[subscriber] = max(stamp, self._acks.get(subscriber, stamp))
+            if not self._acks_due:
+                self._acks_due = True
+                self._loop.create_task(self._apply_acks())
+            await self._maybe_resume(conn)
+            return
         try:
             dropped = await self._loop.run_in_executor(
                 self._call_pool, self._server.ack, subscriber, stamp
             )
         except Exception as exc:  # noqa: BLE001 - surfaced to the client
-            if rid is not None:
-                await self._send_error(conn, rid, type(exc).__name__, str(exc))
+            await self._send_error(conn, rid, type(exc).__name__, str(exc))
             return
-        if rid is not None:
-            await self._send(conn, encode_control(K_OK, (rid, dropped)))
+        await self._send(conn, encode_control(K_OK, (rid, dropped)))
         await self._maybe_resume(conn)
 
+    async def _apply_acks(self) -> None:
+        """Apply every queued fire-and-forget ack in one executor call."""
+        acks = self._acks
+        self._acks = {}
+        self._acks_due = False
+        await self._loop.run_in_executor(self._call_pool, self._ack_all, acks)
+
+    def _ack_all(self, acks: Dict[Hashable, int]) -> None:
+        for subscriber, stamp in acks.items():
+            try:
+                self._server.ack(subscriber, stamp)
+            except Exception:  # noqa: BLE001 - nobody asked for a reply
+                pass
+
     # ------------------------------------------------------------------
-    # the notification pump (one task per stream, event-driven)
+    # the notification pump (one task per connection, event-driven)
     # ------------------------------------------------------------------
 
-    def _attach(self, stream: _Stream, subscription) -> None:
-        """Point the server's delivery hook at this stream's pump."""
+    def _attach(self, conn: _Connection, stream: _Stream, subscription) -> None:
+        """Point the server's delivery hook at the connection's pump."""
         stream.subscription = subscription
         loop = self._loop
-        event = stream.event
+        wake = conn.wake
 
         def hook() -> None:
+            if conn.armed:
+                return  # this round's wake-up is already on its way
+            conn.armed = True
             try:
-                loop.call_soon_threadsafe(event.set)
+                loop.call_soon_threadsafe(wake.set)
             except RuntimeError:  # loop closed: gateway shutting down
                 pass
 
         subscription.on_delivery = hook
         # Cover deliveries that landed between subscribe() returning and
         # the hook attach: one unconditional wake-up.
-        event.set()
+        wake.set()
 
-    async def _pump(self, conn: _Connection, stream: _Stream) -> None:
+    async def _pump(self, conn: _Connection) -> None:
         try:
             while not conn.closed:
-                await stream.event.wait()
-                stream.event.clear()
-                subscription = stream.subscription
-                if subscription is None:
-                    continue  # paused or mid-transition
-                # One wake-up is one socket write: the budget and the
-                # resume cursor advance per item, the frames leave together.
+                await conn.wake.wait()
+                conn.wake.clear()
+                conn.armed = False
+                # One round is one socket write: every stream drains, the
+                # budget and each resume cursor advance per item, and the
+                # frames leave together.
                 frames = []
                 notes = 0
                 exhausted = False
-                for item in subscription.poll_batch():
-                    frame = frame_bytes(
-                        encode_control(K_NOTES, (stream.subscriber, item))
-                    )
-                    frames.append(frame)
-                    stamp = item.stamp
-                    stream.ledger.append((stamp, len(frame)))
-                    conn.inflight += len(frame)
-                    stream.last_sent = stamp
-                    notes += len(item) if hasattr(item, "__len__") else 1
-                    if conn.inflight >= self._max_inflight:
-                        exhausted = True
+                for stream in list(conn.streams.values()):
+                    subscription = stream.subscription
+                    if subscription is None:
+                        continue  # paused or mid-transition
+                    subscriber = stream.subscriber
+                    ledger = stream.ledger
+                    for item in subscription.poll_batch():
+                        frame = frame_bytes(
+                            encode_control(K_NOTES, (subscriber, item))
+                        )
+                        frames.append(frame)
+                        stamp = item.stamp
+                        ledger.append((stamp, len(frame)))
+                        conn.inflight += len(frame)
+                        stream.last_sent = stamp
+                        notes += len(item) if hasattr(item, "__len__") else 1
+                        if conn.inflight >= self._max_inflight:
+                            exhausted = True
+                            break
+                    if exhausted:
                         break
                 if frames:
                     await self._send_frames(conn, frames)
@@ -681,7 +735,7 @@ class GatewayServer:
                 return
             stream.paused = False
             self._gm["gw_stream_resumes"].inc()
-            self._attach(stream, subscription)
+            self._attach(conn, stream, subscription)
 
     # ------------------------------------------------------------------
     # socket writes

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from itertools import repeat
 from time import monotonic as _monotonic
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
@@ -205,9 +206,28 @@ class ShardHost:
     egos in the runtime's changed-reader report against their last
     notified values — so a quiet batch costs one empty report, a busy
     batch costs O(affected watched egos), and no batch ever scans the full
-    subscriber table.  The intersection happens in overlay-handle space
-    (the report's handles against a mask of the watched egos' handles), so
-    only watched-and-changed egos ever become Python objects.
+    subscriber table.  The whole diff runs in overlay-handle space:
+
+    * the watched egos are a bool mask over the handle space, and the
+      diff baseline is a per-handle *value column* beside it — a valid
+      mask, the last notified value, and the handle's ego (an int64
+      label column when every watched ego is an ``int``).  All of it is
+      rebuilt from :attr:`watchers` and the node-keyed baseline dict on
+      the same stamp, ``(runtime, overlay version)``;
+    * a report is one gather of the watched candidates, one compare
+      against the baseline, one ``flatnonzero``, and a
+      :class:`~repro.serve.frames.ChangeFrame` built from the surviving
+      arrays, labels gathered last — so only egos that actually changed
+      ever become node ids.  On a runtime whose reads are one float64
+      column (``Runtime.float_reads``: SUM over the columnar store) the
+      values stay an array end to end; any other store compares row by
+      row against an object column, same order, same rows.
+
+    The node-keyed dict is the column's cold form: what a
+    :class:`~repro.serve.messages.ShardCheckpoint` carries and what
+    watched egos without a reader handle keep.  The column is folded
+    into it at checkpoint (a copy), subscribe, unsubscribe and rebuild,
+    and loaded from it on the next batch; restore only replaces it.
     """
 
     def __init__(self, spec: ShardSpec) -> None:
@@ -244,8 +264,9 @@ class ShardHost:
         self.engine.runtime.op_timing = self._metrics_on
         #: ego -> subscribers watching it (dict-as-ordered-set).
         self.watchers: Dict[NodeId, Dict[Hashable, None]] = {}
-        #: ego -> last value delivered (or baselined at subscribe time).
-        self.baseline: Dict[NodeId, Any] = {}
+        #: ego -> last value delivered (or baselined at subscribe time),
+        #: for every baselined ego the value column does not hold.
+        self._baseline: Dict[NodeId, Any] = {}
         #: Monotone count of write batches applied by *this* host instance.
         self.batches = 0
         #: Highest front-end batch number applied (checkpoint-restored, so
@@ -260,10 +281,17 @@ class ShardHost:
         self._applied_window = 0
         self._load_mark = _monotonic()
         # The watched egos as a mask over the handle space of one
-        # (runtime, overlay version); a ``None`` stamp makes the next batch
-        # rebuild it from ``self.watchers``.
+        # (runtime, overlay version), and the baseline as columns over the
+        # same space; a ``None`` stamp makes the next batch rebuild all of
+        # them from ``self.watchers`` and ``self._baseline``.
         self._watch_mask = None
         self._watch_stamp: Optional[Tuple[Any, int]] = None
+        #: the watched handles, their egos, and the baseline's valid mask
+        #: and values per handle (``None``: no column, the dict is whole).
+        self._column_handles = None
+        self._labels = None
+        self._base_valid = None
+        self._base_values = None
         if spec.checkpoint is not None:
             self._restore(spec.checkpoint)
 
@@ -289,8 +317,8 @@ class ShardHost:
         self.watchers = {
             ego: dict.fromkeys(subs) for ego, subs in ck.watchers.items()
         }
-        self.baseline = dict(ck.baseline)
-        self._watch_stamp = None
+        self._baseline = dict(ck.baseline)
+        self._drop_column()
 
     def checkpoint(self) -> ShardCheckpoint:
         """Snapshot this shard's restart state (pickle-isolated).
@@ -308,7 +336,7 @@ class ShardHost:
             clock=runtime.clock,
             buffers=dict(runtime.buffers),
             watchers={ego: tuple(subs) for ego, subs in self.watchers.items()},
-            baseline=dict(self.baseline),
+            baseline=self._baseline_dict(),
         )
         return pickle.loads(pickle.dumps(ck))
 
@@ -359,11 +387,11 @@ class ShardHost:
         stamped with the runtime's global write stamp (stable across
         restarts): candidates are the engine's changed reader *handles*
         (moved writers' closures plus structurally affected readers)
-        intersected with the watch mask, only those are turned into node
-        ids (``runtime.labels_of``), and a re-read of the same handles
-        (``engine.read_handles``: one pass of the runtime's read kernel,
-        no node id looked up again) filters out cancellations.  Rows come
-        in ascending overlay handle order; nothing may rely on more than
+        intersected with the watch mask, a re-read of the surviving
+        handles (one pass of the runtime's read kernel) compared against
+        the baseline column filters out cancellations, and only the rows
+        left are turned into node ids (see :meth:`_diff`).  Rows come in
+        ascending overlay handle order; nothing may rely on more than
         "one row per ego".
         They travel as one :class:`~repro.serve.frames.ChangeFrame` when
         they pass the packing gate and as a list of ``(ego, value,
@@ -395,28 +423,14 @@ class ShardHost:
                 # (keeping it bounded) without compiling reader closures.
                 engine.runtime.pop_changed_writers()
                 return count, []
-            handles, candidates = self._watched(engine.changed_handles())
-            if not candidates:
+            frame = self._diff(engine, ingress)
+            if frame is None:
                 return count, []
-            stamp = engine.runtime.stamp
-            pairs: List[Tuple[NodeId, Any]] = []
-            baseline = self.baseline
-            for node, value in zip(
-                candidates, self._guarded(engine.read_handles, handles)
-            ):
-                if value == baseline.get(node, _MISSING):
-                    continue
-                baseline[node] = value
-                pairs.append((node, value))
-            if not pairs:
-                return count, []
-            self.notices_emitted += len(pairs)
+            notes = len(frame)
+            self.notices_emitted += notes
             if metered:
-                self.metrics["shard_notices_emitted"].inc(len(pairs))
-            frame = self._change_frame(pairs, stamp, ingress)
-            if frame is not None:
-                return count, frame
-            return count, [(node, value, stamp) for node, value in pairs]
+                self.metrics["shard_notices_emitted"].inc(notes)
+            return count, frame
         finally:
             if metered:
                 # Everything after the scatter — change diffing, the
@@ -427,43 +441,127 @@ class ShardHost:
                 self._busy_window += end - t0
                 self._applied_window += count
 
-    def _watched(self, handles) -> Tuple[Any, List[NodeId]]:
-        """The watched egos among the engine's reader ``handles``:
-        ``(surviving handles, their node ids)``, aligned.
+    def _diff(self, engine, ingress: Optional[float]):
+        """The watched egos whose value the batch changed, against the
+        baseline column, which they then update: a
+        :class:`~repro.serve.frames.ChangeFrame` (or ``(ego, value,
+        stamp)`` triples when the rows do not pack), ``None`` when no
+        row survives.  Rows come in ascending handle order."""
+        changed = engine.changed_handles()
+        self._sync_column()
+        kept = changed[self._watch_mask[changed]]
+        if not kept.size:
+            return None
+        stamp = engine.runtime.stamp
+        if self._base_values.dtype == np.float64:
+            # Missing baselines hold NaN, which compares unequal to
+            # everything: one compare covers them.
+            values = self._guarded(engine.read_handle_column, kept)
+            moved = np.flatnonzero(values != self._base_values[kept])
+            if not moved.size:
+                return None
+            hit = kept[moved]
+            values = values[moved]
+            self._base_values[hit] = values
+            self._base_valid[hit] = True
+            egos = self._label(hit)
+            if egos.dtype == np.int64:
+                return _frames.ChangeFrame(egos, values, stamp, ingress)
+            return list(zip(egos.tolist(), values.tolist(), repeat(stamp)))
+        # Object values (the object store, per-row finalize): the same
+        # compare row by row, against the object column.
+        values = self._guarded(engine.read_handles, kept)
+        hit: List[int] = []
+        fresh: List[Any] = []
+        for handle, value, known, old in zip(
+            kept.tolist(),
+            values,
+            self._base_valid[kept].tolist(),
+            self._base_values[kept].tolist(),
+        ):
+            if known and value == old:
+                continue
+            self._base_values[handle] = value
+            hit.append(handle)
+            fresh.append(value)
+        if not hit:
+            return None
+        self._base_valid[hit] = True
+        egos = self._label(np.asarray(hit, dtype=np.int64))
+        # the ingress frames' lossless gate: int egos, float values
+        if egos.dtype == np.int64 and all(isinstance(v, float) for v in fresh):
+            return _frames.ChangeFrame(
+                egos, np.asarray(fresh, dtype=np.float64), stamp, ingress
+            )
+        return list(zip(egos.tolist(), fresh, repeat(stamp)))
 
-        The watch set lives as a bool mask over the handle space, rebuilt
-        from :attr:`watchers` when it was edited or when the engine's
-        runtime or overlay is no longer the one it was built for; only the
-        handles inside it are mapped to node ids.
-        """
+    def _label(self, handles):
+        """The egos of watched ``handles``: one gather from the label
+        column, the only place the diff turns handles into node ids."""
+        return self._labels[handles]
+
+    def _sync_column(self) -> None:
+        """Rebuild the watch mask and the baseline column when the watch
+        set was edited or the engine's runtime or overlay is no longer
+        the one they were built for."""
         engine = self.engine
         runtime = engine.runtime
         stamp = (runtime, engine.overlay.version)
-        if stamp != self._watch_stamp:
-            reader_of = engine.overlay.reader_of
-            watched = [reader_of[ego] for ego in self.watchers if ego in reader_of]
-            self._watch_mask = np.zeros(engine.overlay.num_nodes, dtype=np.bool_)
-            self._watch_mask[watched] = True
-            self._watch_stamp = stamp
-        kept = handles[self._watch_mask[handles]]
-        return kept, runtime.labels_of(kept)
-
-    @staticmethod
-    def _change_frame(
-        pairs: List[Tuple[NodeId, Any]], stamp: int, ingress: Optional[float] = None
-    ):
-        """Pack changed ``(ego, value)`` pairs, or ``None`` to fall back
-        (same lossless gate as the ingress frames: int egos, float
-        values).  ``ingress`` rides along so the front-end can close the
-        write→notify latency loop."""
-        for node, value in pairs:
-            if type(node) is not int or not isinstance(value, float):
-                return None
-        egos = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        values = np.fromiter(
-            (p[1] for p in pairs), dtype=np.float64, count=len(pairs)
+        if stamp == self._watch_stamp:
+            return
+        self._drop_column()
+        reader_of = engine.overlay.reader_of
+        egos = [ego for ego in self.watchers if ego in reader_of]
+        handles = np.fromiter(
+            (reader_of[ego] for ego in egos), dtype=np.int64, count=len(egos)
         )
-        return _frames.ChangeFrame(egos, values, stamp, ingress=ingress)
+        size = engine.overlay.num_nodes
+        mask = np.zeros(size, dtype=np.bool_)
+        mask[handles] = True
+        if runtime.float_reads:
+            values = np.full(size, np.nan, dtype=np.float64)
+        else:
+            values = np.empty(size, dtype=object)
+        packs = all(type(ego) is int for ego in egos)
+        labels = np.zeros(size, dtype=np.int64 if packs else object)
+        if packs:
+            labels[handles] = egos
+        valid = np.zeros(size, dtype=np.bool_)
+        baseline = self._baseline
+        for ego, handle in zip(egos, handles.tolist()):
+            if not packs:
+                labels[handle] = ego  # one by one: an ego may be a tuple
+            if ego in baseline:
+                values[handle] = baseline.pop(ego)
+                valid[handle] = True
+        self._watch_mask = mask
+        self._column_handles = handles
+        self._labels = labels
+        self._base_valid = valid
+        self._base_values = values
+        self._watch_stamp = stamp
+
+    def _column_items(self):
+        """The column's baselines as ``(egos, values)`` lists."""
+        handles = self._column_handles
+        if handles is None:
+            return [], []
+        held = handles[self._base_valid[handles]]
+        return self._labels[held].tolist(), self._base_values[held].tolist()
+
+    def _drop_column(self) -> None:
+        """Fold the column back into the node-keyed dict and retire it
+        (with the watch mask: the next batch rebuilds both)."""
+        self._baseline.update(zip(*self._column_items()))
+        self._column_handles = None
+        self._labels = self._base_valid = self._base_values = None
+        self._watch_stamp = None
+
+    def _baseline_dict(self) -> Dict[NodeId, Any]:
+        """Every baseline, node-keyed (a copy; the column stays live)."""
+        baseline = dict(self._baseline)
+        baseline.update(zip(*self._column_items()))
+        return baseline
 
     def apply_write_group(
         self, group: List[Tuple[Optional[int], List[Tuple]]]
@@ -508,23 +606,25 @@ class ShardHost:
         post-crash redo replay of batches that predate this subscription
         is never delivered to the new subscriber.
         """
+        self._drop_column()
+        baseline = self._baseline
         snapshot: Dict[NodeId, Any] = {}
-        fresh = [node for node in nodes if node not in self.baseline]
+        fresh = [node for node in nodes if node not in baseline]
         if fresh:
             for node, value in zip(
                 fresh, self._guarded(self.engine.read_batch, fresh)
             ):
-                self.baseline[node] = value
+                baseline[node] = value
         for node in nodes:
             self.watchers.setdefault(node, {})[subscriber] = None
-            snapshot[node] = self.baseline[node]
-        self._watch_stamp = None
+            snapshot[node] = baseline[node]
         return snapshot, self.engine.runtime.stamp
 
     def unsubscribe(
         self, subscriber: Hashable, nodes: Optional[List[NodeId]] = None
     ) -> int:
         """Stop watching ``nodes`` (``None``: everything); returns removals."""
+        self._drop_column()
         targets = list(self.watchers) if nodes is None else nodes
         removed = 0
         for node in targets:
@@ -533,8 +633,7 @@ class ShardHost:
                 removed += 1
                 if not watching:
                     del self.watchers[node]
-                    self.baseline.pop(node, None)
-        self._watch_stamp = None
+                    self._baseline.pop(node, None)
         return removed
 
     def handles(self) -> Tuple[Optional[str], Dict[NodeId, Tuple[int, bool]]]:
@@ -644,7 +743,7 @@ class ShardHost:
             return (R_ERR, seq, f"{type(error).__name__}: {error}")
 
 
-#: Sentinel distinguishing "no baseline yet" from a stored None value.
+#: Sentinel distinguishing "not watching" from a stored None.
 _MISSING = object()
 
 

@@ -12,12 +12,11 @@ notifications.  What happens where:
   and a replica read one registry.  This module appends ``S`` and ``U``
   and reads the result; it never edits it.
 * **Filtered** — per (subscriber, ego), by shard write stamp.  A row at
-  or below the last stamp delivered for that ego (``_SubState.last_batch``)
-  — or, before any delivery, at or below the subscribe-time ``seed`` read
-  from the registry at the point of use — is a replay: a restarted shard
-  re-derives notifications from its checkpointed baseline under the
-  *same* write stamps, so the subscriber already has it (or it predates
-  the watch) and it is suppressed.
+  or below the stamp delivered through for that watch — or, before any
+  delivery, at or below the subscribe-time ``seed`` from the registry —
+  is a replay: a restarted shard re-derives notifications from its
+  checkpointed baseline under the *same* write stamps, so the subscriber
+  already has it (or it predates the watch) and it is suppressed.
 * **Stamped** — per subscriber, contiguous from 1, in the shard's report
   order, under the one lock; the stamp is the subscriber's resume token.
 * **Journalled, then delivered** — each stamped notification is appended
@@ -36,6 +35,13 @@ entry, one queue put, no ``Notification`` allocation — and a list report
 as individual :class:`~repro.serve.messages.Notification` objects;
 stamps, suppression and journal order are the same either way.
 
+Fan-out runs over a per-shard :class:`_WatchTable`, the shard's slice of
+the registry compiled once into arrays: its watched egos (sorted), a CSR
+of subscriber slots per ego, and a delivered-through stamp per watch.
+While a table lives, its ``through`` column *is* the delivery filter; the
+per-subscriber ``last_batch`` dicts are its cold form, written back when
+the table is dropped (see :meth:`Subscriptions._drop_tables` for when).
+
 Nothing here knows about executors, transports or routing: the caller
 (``EAGrServer``) resolves shards and talks to them.  ``_lock`` guards
 every field of :class:`Subscriptions` and of the states it holds, and
@@ -52,7 +58,10 @@ import time as _time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
-from repro.serve.frames import ChangeFrame, NoteFrame
+import numpy as np
+
+from repro.core.pullrows import ragged_index
+from repro.serve.frames import NOTE_DTYPE, ChangeFrame, NoteFrame
 from repro.serve.journal import NotificationLog, ResumeGapError, subscriber_log_path
 from repro.serve.messages import Notification
 from repro.serve.wal import WriteAheadLog
@@ -169,6 +178,12 @@ class Subscription:
         return len(self._buffer) + queued
 
 
+#: Reports of at most this many rows fan out by a row loop over the
+#: watch table; longer ones by its array path.  Below it the arrays'
+#: fixed cost (a dozen numpy calls) exceeds the loop's per-row cost.
+ROW_LOOP_ROWS = 8
+
+
 class _SubState:
     """Per-subscriber delivery state.
 
@@ -178,6 +193,8 @@ class _SubState:
     stamps).  ``last_batch`` maps each ego to the shard write stamp of
     its last delivered notification — the delivery half of the replay
     filter; an ego with no entry yet is filtered at its registry seed.
+    While a :class:`_WatchTable` covers the ego, the table's ``through``
+    column holds the newer value.
     """
 
     __slots__ = ("queue", "stamp", "subscription", "journal", "last_batch")
@@ -188,6 +205,183 @@ class _SubState:
         self.stamp = journal.last_stamp
         self.subscription = subscription
         self.last_batch: Dict[NodeId, int] = {}
+
+
+class _WatchTable:
+    """One shard's watches compiled for fan-out.
+
+    Row ``r`` is watched ego ``egos[r]`` (ascending when every ego is an
+    ``int``; ``keys`` is then the same as an int64 array, ``None``
+    otherwise).  The watches of row ``r`` are entries
+    ``indptr[r]:indptr[r+1]``, in registry order:
+    entry ``k`` belongs to subscriber slot ``slot[k]`` (``states[slot]``)
+    and ``through[k]`` is the shard write stamp its ego was delivered
+    through (the registry seed before any delivery).  ``base`` is
+    ``through`` as compiled, so a write-back touches only what moved.
+    Watchers without a subscriber state have no entry.  ``index`` is the
+    row loop's view of the same CSR — ego -> (first entry, the entries'
+    slots) as plain Python objects, so a short report costs no array
+    call per row.  ``watchers`` is
+    the registry slice it was compiled from: a table is valid only while
+    that dict is still the shard's.
+    """
+
+    __slots__ = (
+        "watchers", "egos", "keys", "index", "indptr", "slot", "through", "base",
+        "states",
+    )
+
+    def __init__(self, watchers, subs: Dict[Hashable, _SubState]) -> None:
+        egos = list(watchers)
+        ints = all(type(ego) is int for ego in egos)
+        if ints:
+            egos.sort()
+        slot_of: Dict[Hashable, int] = {}
+        states: List[_SubState] = []
+        indptr = [0]
+        slot: List[int] = []
+        through: List[int] = []
+        for ego in egos:
+            for subscriber, seed in watchers[ego].items():
+                state = subs.get(subscriber)
+                if state is None:  # never costs the others their note
+                    continue
+                at = slot_of.get(subscriber)
+                if at is None:
+                    at = slot_of[subscriber] = len(states)
+                    states.append(state)
+                slot.append(at)
+                through.append(state.last_batch.get(ego, seed))
+            indptr.append(len(slot))
+        self.watchers = watchers
+        self.egos = egos
+        self.keys = np.asarray(egos, dtype=np.int64) if ints else None
+        self.index = {
+            ego: (start, slot[start:stop])
+            for ego, start, stop in zip(egos, indptr, indptr[1:])
+        }
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.slot = np.asarray(slot, dtype=np.int64)
+        self.through = np.asarray(through, dtype=np.int64)
+        self.base = self.through.copy()
+        self.states = states
+
+    def write_back(self) -> None:
+        """Store every moved delivered-through stamp in its subscriber's
+        ``last_batch`` (the table's cold form)."""
+        moved = np.flatnonzero(self.through != self.base)
+        if not moved.size:
+            return
+        rows = np.searchsorted(self.indptr, moved, side="right") - 1
+        egos, states = self.egos, self.states
+        for slot, row, stamp in zip(
+            self.slot[moved].tolist(), rows.tolist(), self.through[moved].tolist()
+        ):
+            states[slot].last_batch[egos[row]] = stamp
+
+    # Both fan-outs return ``(suppressed, groups)``: one ``(state, items,
+    # entries)`` per subscriber reached, ``items`` its stamped delivery
+    # items (stamps continuing its own count, rows in report order) and
+    # ``entries`` the table entries of its rows, aligned with the stamps.
+
+    def fan_rows(self, shard_id: int, egos, values, batch: int, frame):
+        """The row loop; ``frame`` is the packed report (one
+        :class:`NoteFrame` per subscriber) or ``None`` (one
+        :class:`Notification` per row)."""
+        index, through = self.index, self.through
+        suppressed = 0
+        rows: Dict[int, Tuple[List[Any], List[Any], List[int]]] = {}
+        for ego, value in zip(egos, values):
+            watches = index.get(ego)
+            if watches is None:
+                continue
+            start, slots = watches
+            for entry, at in enumerate(slots, start):
+                if through.item(entry) >= batch:
+                    suppressed += 1
+                    continue
+                group = rows.get(at)
+                if group is None:
+                    group = rows[at] = ([], [], [])
+                group[0].append(ego)
+                group[1].append(value)
+                group[2].append(entry)
+        groups = []
+        for slot, (sub_egos, sub_values, entries) in rows.items():
+            state = self.states[slot]
+            subscriber = state.subscription.subscriber
+            first = state.stamp + 1
+            if frame is not None:
+                items: List[Any] = [
+                    NoteFrame.build(
+                        subscriber, shard_id, sub_egos, sub_values, first, batch,
+                        ingress=frame.ingress,
+                    )
+                ]
+            else:
+                items = [
+                    Notification(subscriber, ego, value, stamp, shard_id, batch)
+                    for stamp, (ego, value) in enumerate(zip(sub_egos, sub_values), first)
+                ]
+            groups.append((state, items, entries))
+        return suppressed, groups
+
+    def fan_arrays(self, shard_id: int, frame):
+        """The array path, for a packed report over int egos: the
+        unsuppressed watches sorted by subscriber slot (report order
+        within one) fill one record array, and each subscriber's
+        :class:`NoteFrame` is a slice of it."""
+        egos, batch = frame.egos, frame.batch
+        keys = self.keys
+        at = np.searchsorted(keys, egos)
+        at[at == keys.size] = 0
+        hit = np.flatnonzero(keys[at] == egos)
+        rows = at[hit]
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        entries, _offsets = ragged_index(starts, counts)
+        fresh = self.through[entries] < batch
+        suppressed = entries.size - int(np.count_nonzero(fresh))
+        entries = entries[fresh]
+        if not entries.size:
+            return suppressed, []
+        source = np.repeat(hit, counts)[fresh]
+        slots = self.slot[entries]
+        order = np.argsort(slots, kind="stable")
+        slots = slots[order]
+        entries = entries[order]
+        source = source[order]
+        cuts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
+        bounds = np.concatenate(([0], cuts, [slots.size]))
+        states = [self.states[slot] for slot in slots[bounds[:-1]].tolist()]
+        first = np.fromiter(
+            (state.stamp + 1 for state in states), dtype=np.int64, count=len(states)
+        )
+        records = np.empty(slots.size, dtype=NOTE_DTYPE)
+        records["ego"] = egos[source]
+        records["value"] = frame.values[source]
+        records["stamp"] = np.arange(slots.size) + np.repeat(
+            first - bounds[:-1], np.diff(bounds)
+        )
+        records["batch"] = batch
+        bounds = bounds.tolist()
+        return suppressed, [
+            (
+                state,
+                [
+                    NoteFrame(
+                        state.subscription.subscriber,
+                        shard_id,
+                        records[lo:hi],
+                        begin,
+                        begin + hi - lo - 1,
+                        frame.ingress,
+                    )
+                ],
+                entries[lo:hi],
+            )
+            for state, lo, hi, begin in zip(states, bounds, bounds[1:], first.tolist())
+        ]
 
 
 def _discard(journal: NotificationLog) -> None:
@@ -218,6 +412,14 @@ class Subscriptions:
     a WAL cold restart replays batch-exact and so reproduces pre-crash
     shard stamps.  ``attach(resume_from=N)`` splices such a subscriber
     back in with no gap and no duplicate.
+
+    Delivery runs over one compiled :class:`_WatchTable` per shard,
+    built on the shard's first report after a drop.  Every table is
+    written back to the ``last_batch`` dicts and dropped together on an
+    ``S`` (:meth:`watch`), a ``U`` (:meth:`forget`), an :meth:`attach`,
+    and — noticed by the next :meth:`deliver` — a ``P`` fold (a new
+    ``reader_shard`` dict) or a registry slice that is no longer the
+    shard's.
     """
 
     def __init__(
@@ -234,6 +436,10 @@ class Subscriptions:
         self._observe_latency = observe_latency
         self._lock = threading.Lock()
         self._subs: Dict[Hashable, _SubState] = {}
+        #: shard -> compiled watch table, and the partition they were
+        #: compiled under (see :meth:`_table`).
+        self._tables: Dict[int, _WatchTable] = {}
+        self._partition: Any = None
         self.delivered = 0
         self.replayed = 0
         self.suppressed = 0
@@ -304,6 +510,7 @@ class Subscriptions:
         trace — no registry entry, no queue, no journal file it created.
         """
         with self._lock:
+            self._drop_tables()
             known = subscriber in self._subs
             state = self._subs[subscriber] if known else self._open(subscriber)
             replayed: List[Any] = []
@@ -353,6 +560,7 @@ class Subscriptions:
         as stale."""
         with self._lock:
             if subscriber in self._subs:
+                self._drop_tables()
                 self._log.append(("S", subscriber, shard_id, nodes, shard_stamp))
         self._log.sync()
 
@@ -363,6 +571,7 @@ class Subscriptions:
         everything, which also retires its queue, journal and journal
         file — the one path that forgets a subscriber entirely)."""
         with self._lock:
+            self._drop_tables()
             self._log.append(("U", subscriber, nodes))
             state = self._subs.get(subscriber)
             if nodes is None:
@@ -403,71 +612,50 @@ class Subscriptions:
         """Fan one non-empty change report out (see the module
         docstring); returns the number of subscribers it reached.
 
+        The report's rows meet the shard's :class:`_WatchTable`: a packed
+        report of more than :data:`ROW_LOOP_ROWS` rows over int egos in
+        arrays (one ``searchsorted``, a ragged expand, one compare for
+        suppression, a stable sort by subscriber slot, and one record
+        array whose per-subscriber slices become the frames), anything
+        else in a row loop over the same table.  Either way each
+        subscriber's rows keep report order.
+
         A subscriber whose journal append fails is skipped from that
         point on — nothing of the failed item is stamped, marked seen or
         queued — the rest are served, and the first such error is raised
         once everyone else has been.
         """
         packed = changes.__class__ is ChangeFrame
-        if packed:
-            egos = changes.egos.tolist()
-            values = changes.values.tolist()
-            batch = changes.batch
-        else:
-            # one report = one applied batch: every row has its stamp
-            egos, values, (batch, *_same) = zip(*changes)
         failure: Optional[Exception] = None
         with self._lock:
-            watchers = self._log.state.watches.get(shard_id, {})
-            per_sub: Dict[Hashable, Tuple[List[NodeId], List[Any]]] = {}
-            for ego, value in zip(egos, values):
-                subs = watchers.get(ego)
-                if not subs:
-                    continue
-                for subscriber, seed in subs.items():
-                    state = self._subs.get(subscriber)
-                    if state is None:  # never costs the others their note
-                        continue
-                    if state.last_batch.get(ego, seed) >= batch:
-                        self.suppressed += 1
-                        continue
-                    entry = per_sub.get(subscriber)
-                    if entry is None:
-                        entry = per_sub[subscriber] = ([], [])
-                    entry[0].append(ego)
-                    entry[1].append(value)
+            table = self._table(shard_id)
+            if table is None:
+                return 0
+            if not packed:
+                # one report = one applied batch: every row has its stamp
+                egos, values, (batch, *_same) = zip(*changes)
+                suppressed, groups = table.fan_rows(shard_id, egos, values, batch, None)
+            elif table.keys is not None and len(changes) > ROW_LOOP_ROWS:
+                batch = changes.batch
+                suppressed, groups = table.fan_arrays(shard_id, changes)
+            else:
+                batch = changes.batch
+                suppressed, groups = table.fan_rows(
+                    shard_id, changes.egos.tolist(), changes.values.tolist(), batch, changes
+                )
+            self.suppressed += suppressed
             egress = self.egress[shard_id]
-            for subscriber, (sub_egos, sub_values) in per_sub.items():
-                state = self._subs[subscriber]
+            through = table.through
+            for state, items, entries in groups:
                 first_stamp = state.stamp + 1
-                if packed:
-                    items: List[Any] = [
-                        NoteFrame.build(
-                            subscriber,
-                            shard_id,
-                            sub_egos,
-                            sub_values,
-                            first_stamp,
-                            batch,
-                            ingress=changes.ingress,
-                        )
-                    ]
-                else:
-                    items = [
-                        Notification(subscriber, ego, value, stamp, shard_id, batch)
-                        for stamp, (ego, value) in enumerate(
-                            zip(sub_egos, sub_values), first_stamp
-                        )
-                    ]
                 hook = state.subscription.on_delivery
-                step = len(sub_egos) if packed else 1  # stamps per item
                 for item in items:
                     try:
                         state.journal.append(item)
                     except Exception as exc:  # noqa: BLE001 - re-raised below
                         failure = failure or exc
                         break
-                    state.stamp += step
+                    state.stamp = item.stamp
                     if state.queue is not None:
                         state.queue.put(item)
                         if hook is not None:
@@ -480,8 +668,11 @@ class Subscriptions:
                 sent = state.stamp - first_stamp + 1
                 if not sent:
                     continue
-                for ego in sub_egos[:sent]:
-                    state.last_batch[ego] = batch
+                if entries.__class__ is list:
+                    for entry in entries[:sent]:
+                        through[entry] = batch
+                else:
+                    through[entries[:sent]] = batch
                 if packed:
                     egress["notes_binary"] += sent
                     egress["egress_bytes"] += items[0].nbytes
@@ -492,7 +683,41 @@ class Subscriptions:
                     self._observe_latency(latency)
         if failure is not None:
             raise failure
-        return len(per_sub)
+        return len(groups)
+
+    def _table(self, shard_id: int) -> Optional[_WatchTable]:
+        """The shard's compiled watch table (``None``: nobody watches
+        there), compiled on first use after a drop.  Every table is
+        dropped when the partition changes: a ``P`` fold moves watch
+        entries between the shards' registry slices in place, so a
+        slice's identity alone would not show it, but it always installs
+        a new ``reader_shard`` dict."""
+        state = self._log.state
+        if state.reader_shard is not self._partition:
+            self._drop_tables()
+            self._partition = state.reader_shard
+        watchers = state.watches.get(shard_id)
+        table = self._tables.get(shard_id)
+        if table is not None and table.watchers is not watchers:
+            self._drop_tables()
+            table = None
+        if table is None and watchers:
+            table = self._tables[shard_id] = _WatchTable(watchers, self._subs)
+        return table
+
+    def _drop_tables(self) -> None:
+        """Write every table's delivered-through stamps back to the
+        subscribers' ``last_batch`` and drop the tables.  Under the lock,
+        before anything a table was compiled from changes: an ``S`` or
+        ``U`` append (:meth:`watch`, :meth:`forget`), a subscriber state
+        registered or replaced (:meth:`attach`) — and, found on the next
+        delivery, a ``P`` fold or a replaced registry slice
+        (:meth:`_table`).  All tables go at once: a ``P`` move hands an
+        ego's watches to another shard's table, which must compile from
+        the stamps the old one delivered."""
+        for table in self._tables.values():
+            table.write_back()
+        self._tables.clear()
 
     # ------------------------------------------------------------------
     # per-subscriber verbs

@@ -1,12 +1,16 @@
-"""``ShardHost`` intersects who-changed with who-watches in handle space.
+"""``ShardHost`` diffs who-changed against who-watches in handle space.
 
 Two hosts built from one spec run the same seeded schedule — write
 batches with subscribe / unsubscribe / checkpoint-restore / an overlay
 rebuild in between.  One goes through ``apply_write_batch``; the other
 computes each batch's rows the way the host did before the watch mask
-existed (the whole ``changed_readers()`` list filtered through
-``self.watchers``).  Every batch must yield the same rows, and the host
-must turn exactly ``|changed ∩ watched|`` handles into labels.
+and the baseline column existed (the whole ``changed_readers()`` list
+filtered through ``self.watchers``, then diffed per ego against a
+node-keyed dict).  Every batch must yield the same rows, the host must
+turn exactly the watched handles whose value changed into labels — one
+gather, and nothing when no row survives — and its baselines, read back
+node-keyed through a checkpoint, must equal the mirror's after every
+batch.
 """
 
 import random
@@ -14,13 +18,12 @@ import random
 import pytest
 
 from repro.core.aggregates import Sum
-from repro.core.execution import Runtime
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
-from repro.serve.shard import ShardSpec
+from repro.serve.shard import ShardHost, ShardSpec
 
 BATCHES = 200
 #: An ego with no in-edges at boot: it gets a reader handle only when the
@@ -56,18 +59,18 @@ def rows_of(changes):
 
 def reference_rows(host, items):
     """The pre-mask algorithm: every changed reader becomes a label, then
-    the Python filter through the watch registry.  Returns the rows and
-    how many of the changed readers were watched."""
+    the Python filter through the watch registry and the per-ego diff."""
     engine = host.engine
     engine.write_batch(items)
     stamp, changed = engine.changed_report()
     candidates = [node for node in changed if node in host.watchers]
     rows = set()
+    baseline = host._baseline  # the mirror never builds a column
     for node, value in zip(candidates, engine.read_batch(candidates)):
-        if value != host.baseline.get(node, _MISSING):
-            host.baseline[node] = value
+        if value != baseline.get(node, _MISSING):
+            baseline[node] = value
             rows.add((node, value, stamp))
-    return rows, len(candidates)
+    return rows
 
 
 @pytest.mark.parametrize("maintain", [False, True], ids=["recompile", "maintainer"])
@@ -79,15 +82,15 @@ def test_rows_and_materialised_labels_match_the_python_filter(maintain, monkeypa
     mirror_spec = make_spec(maintain)
     mirror = mirror_spec.build()
 
-    gathered = []  # lengths handed to labels_of by ``host``'s runtime
-    labels_of = Runtime.labels_of
+    gathered = []  # lengths of the label gathers ``host`` makes
+    label = ShardHost._label
 
     def counting(self, handles):
-        if self is host.engine.runtime:
+        if self is host:
             gathered.append(len(handles))
-        return labels_of(self, handles)
+        return label(self, handles)
 
-    monkeypatch.setattr(Runtime, "labels_of", counting)
+    monkeypatch.setattr(ShardHost, "_label", counting)
 
     rng = random.Random(7)
     nodes = sorted(spec.graph.nodes())
@@ -133,14 +136,37 @@ def test_rows_and_materialised_labels_match_the_python_filter(maintain, monkeypa
         items.append((feeder, float(number), float(number)))
         gathered.clear()
         _count, changes = host.apply_write_batch(number, items)
-        expected, watched_and_changed = reference_rows(mirror, items)
+        expected = reference_rows(mirror, items)
         assert rows_of(changes) == expected, f"batch {number}"
-        if host.watchers:
-            assert gathered == [watched_and_changed], f"batch {number}"
-        else:
-            assert gathered == []
-        assert host.baseline == mirror.baseline
+        assert gathered == ([len(expected)] if expected else []), f"batch {number}"
+        assert host.checkpoint().baseline == mirror._baseline, f"batch {number}"
         emitted += len(expected)
         island_notes += any(ego == ISLAND for ego, _value, _stamp in expected)
     assert emitted > BATCHES, "the schedule must exercise the notifying path"
     assert island_notes > 100, "the island must be heard while it has its edge"
+
+
+def test_a_watched_ego_without_a_baseline_notifies_once_and_is_baselined():
+    """A checkpoint may name a watcher with no baseline value (a
+    reshard's synthetic checkpoint keeps only the baselines it has): the
+    ego's first change is always news, and from then on it has a
+    baseline — through a rebuild of the column too."""
+    spec = make_spec(maintain=False)
+    host = spec.build()
+    nodes = sorted(spec.graph.nodes())
+    feeder = nodes[0]
+    ego = next(n for n in nodes if spec.graph.has_edge(feeder, n))
+    host.subscribe("s", [ego])
+    ck = host.checkpoint()
+    del ck.baseline[ego]
+    host = spec.with_checkpoint(ck).build()
+    _count, changes = host.apply_write_batch(1, [(feeder, 5.0, 1.0)])
+    first = {e: v for e, v, _s in rows_of(changes)}
+    assert ego in first
+    assert host.checkpoint().baseline[ego] == first[ego]
+    host.subscribe("t", [feeder])  # folds the column back, rebuilt next batch
+    assert host.checkpoint().baseline[ego] == first[ego]
+    _count, changes = host.apply_write_batch(2, [(feeder, 9.0, 2.0)])
+    second = {e: v for e, v, _s in rows_of(changes)}
+    assert second[ego] != first[ego]
+    assert host.checkpoint().baseline[ego] == second[ego]
