@@ -9,9 +9,9 @@ configuration) it measures sustained write throughput three ways:
   threads.  Correct, but CPython's GIL serializes the micro-tasks and the
   per-edge queue round-trips dominate.
 * **serve-K (queue)** — :class:`~repro.serve.server.EAGrServer` with K
-  shard **processes** (spawn) on the pickle-over-``mp.Queue`` transport:
-  batches pickle across the process boundary and each shard applies its
-  slice through the columnar scatter kernels.
+  shard **processes** (spawn) on the request-pipe (queue) transport:
+  batches cross the process boundary as frames written into a pipe and
+  each shard applies its slice through the columnar scatter kernels.
 * **serve-K (shm)** — the same deployment on the shared-memory transport:
   write batches scatter into per-shard ingress rings, shards keep their
   columns in named shared segments, the applied watermark replaces

@@ -46,7 +46,7 @@ The contract:
 
 The contract is deliberately *transport-free*: a backend may absorb
 writes from an in-process call or through either of the serve layer's
-transports (:mod:`repro.serve.transport` — a bounded ``mp.Queue`` or a
+transports (:mod:`repro.serve.transport` — a bounded request pipe or a
 shared-memory ingress ring, behind one worker loop), and may answer
 ``read_batch`` itself or expose its value columns for the caller to
 gather zero-copy — as long as the visibility rules above hold.  The

@@ -551,9 +551,8 @@ class WriteFrame:
 
     Frames are immutable after construction (views over received buffers
     are read-only by design).  Pickling round-trips through the raw
-    record bytes (:meth:`__reduce__`), so a frame crossing an
-    ``mp.Queue`` or entering the WAL costs one buffer copy, not a
-    per-tuple object walk.
+    record bytes (:meth:`__reduce__`), so a frame entering the WAL or
+    any pickle costs one buffer copy, not a per-tuple object walk.
     """
 
     __slots__ = ("records", "ingress")

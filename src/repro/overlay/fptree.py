@@ -122,6 +122,9 @@ class FPTree:
         self.root = FPNode(None, None)
         self._registry: Dict[Reader, Set[FPNode]] = collections.defaultdict(set)
         self._num_nodes = 0
+        #: whether any node ever held a negative or mined registration;
+        #: until then every support set contains its children's.
+        self._penalised = False
 
     # ------------------------------------------------------------------
     # construction
@@ -131,6 +134,8 @@ class FPTree:
         return sorted(items, key=self._rank.__getitem__)
 
     def _register(self, reader: Reader, node: FPNode, kind: str) -> None:
+        if kind != "support":
+            self._penalised = True
         getattr(node, kind).add(reader)
         self._registry[reader].add(node)
 
@@ -156,6 +161,7 @@ class FPTree:
                 self._num_nodes += 1
             if mined and item in mined:
                 child.mined_support.add(reader)
+                self._penalised = True
             else:
                 child.support.add(reader)
             registered.add(child)
@@ -257,8 +263,15 @@ class FPTree:
         — and only the penalised readers are walked to correct it.  A
         reader counts once for ``S`` and once more if it is also in ``S'``
         or ``S_mined`` at the node.
+
+        In a tree that never held a negative or mined registration
+        (``vnm``, ``vnm_a``) a reader at a node is in the support of every
+        ancestor, so support only shrinks down a path: a node with fewer
+        than two readers scores at most ``−1``, and so does its whole
+        subtree, which the walk skips.
         """
         best: Optional[MineCandidate] = None
+        prune = not self._penalised
         penalty: Dict[Reader, int] = {}
 
         def charge(node: FPNode, sign: int) -> None:
@@ -279,12 +292,14 @@ class FPTree:
             while marks and len(stack) <= marks[-1][0]:
                 charge(marks.pop()[1], -1)
             node = stack.pop()
+            support = node.support
+            if prune and len(support) < 2:
+                continue
             depth = node.depth
             negs, mined = node.neg_support, node.mined_support
             if negs or mined:
                 charge(node, 1)
                 marks.append((len(stack), node))
-            support = node.support
             benefit = len(support) * (depth - 1) - depth
             if penalty:
                 for reader, cost in penalty.items():
@@ -357,6 +372,7 @@ class FPTree:
             return None
 
         if duplicate_insensitive:
+            self._penalised = True
             for reader in kept:
                 for path_node in path_nodes:
                     if reader in path_node.support:

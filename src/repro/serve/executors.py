@@ -12,7 +12,7 @@ an ``on_reply`` callback:
   shared-memory ring; the executor does not know which).
   :meth:`try_submit` refuses instead of blocking when the shard is
   backed up (the front-end then coalesces), :meth:`submit` blocks — the
-  deployment's backpressure.  A drainer thread pumps the reply queue into
+  deployment's backpressure.  A drainer thread pumps the reply pipe into
   ``on_reply`` so the front-end never polls.
 * :class:`InProcessShardExecutor` — same protocol, zero processes: every
   request runs the same :class:`~repro.serve.shard.RequestStep`
@@ -37,7 +37,6 @@ be thread-safe either way.
 
 from __future__ import annotations
 
-import queue as _queue
 import threading
 from typing import Any, Callable, List, Sequence, Tuple
 
@@ -206,27 +205,27 @@ class ProcessShardExecutor:
     def _drain_replies(self, replies) -> None:
         from multiprocessing.connection import wait
 
-        watched = [replies._reader, self._process.sentinel]
+        watched = [replies, self._process.sentinel]
         while True:
             # Sleep until a reply is readable or the worker is gone.  A
             # worker that died without acknowledging OP_STOP sends
             # nothing more: once its pipe is drained this thread ends,
-            # and with it the join in stop()/kill().  (Waking it through
-            # the queue instead is not an option: a worker killed
-            # mid-reply dies holding the queue's write lock.)
+            # and with it the join in stop()/kill().  The reader never
+            # blocks on a frame the dead worker left half-written.
             wait(watched)
             try:
-                reply = replies.get_nowait()
-            except _queue.Empty:
-                if not self._alive():
-                    return
-                continue
-            try:
-                self._on_reply(reply)
-            except Exception as exc:  # noqa: BLE001 - report, keep draining
-                self._on_error(exc)
-            if reply[0] == R_STOPPED:
+                batch = replies.take()
+            except EOFError:
+                return  # the worker's end is closed: nothing can follow
+            if not batch and not self._alive():
                 return
+            for reply in batch:
+                try:
+                    self._on_reply(reply)
+                except Exception as exc:  # noqa: BLE001 - report, keep draining
+                    self._on_error(exc)
+                if reply[0] == R_STOPPED:
+                    return
 
     def flush_bell(self) -> None:
         """Wake the worker for everything submitted since the last call
@@ -275,7 +274,7 @@ class ProcessShardExecutor:
 
         Unlike :meth:`stop`, in-flight requests are abandoned — exactly
         what a real worker death does.  The drainer exits once the
-        process is gone and the reply queue is drained.  The front-end
+        process is gone and the reply pipe is drained.  The front-end
         recovers by rebuilding the shard from its spec + checkpoint and
         replaying the redo log
         (:meth:`repro.serve.server.EAGrServer.restart_shard`).

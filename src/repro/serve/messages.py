@@ -33,12 +33,15 @@ Requests — ``(op, seq, *payload)``:
   columns; pull readers and unknown nodes stay on the ``OP_READ`` path.
 
 Transports (:mod:`repro.serve.transport`): requests ride either a
-bounded ``mp.Queue`` or the shard's shared-memory ingress ring.  Both
-carry the *same request tuples* in FIFO order — every ordering guarantee
-documented here holds on either — and on the ring write batches stop
-producing ``R_WRITE`` replies unless they carry a change report: the
-processed-through watermark is published through the ring's header, so
-an empty acknowledgement would be pure codec traffic.
+bounded pipe or the shard's shared-memory ingress ring.  Both carry the
+*same request tuples* in FIFO order — every ordering guarantee
+documented here holds on either — and on both a write batch produces an
+``R_WRITE`` reply only when it carries a change report (or ``R_ERR``
+when it fails).  The one consumer of ``R_WRITE`` is the front-end's
+notification fan-out, which has nothing to do for an empty report, and
+nothing waits on a write's reply: a barrier is ``OP_DRAIN``, and on the
+ring the processed-through watermark in the ring header is what reads
+wait for.  An empty acknowledgement would be pure codec traffic.
 
 Wire frames (:mod:`repro.serve.frames`): every ring payload starts with
 a one-byte frame kind, and **the batch's own packability picks it** —
@@ -63,9 +66,10 @@ as a plain list otherwise.
 
 Replies:
 
-* ``(R_WRITE, seq, count, changes)`` — write batch applied; ``changes``
-  reports every watched ego whose value actually changed, one row per
-  ego (subscriber fan-out is the front-end's job): a
+* ``(R_WRITE, seq, count, changes)`` — write batch applied and some
+  watched ego changed (a batch that changes none sends nothing);
+  ``changes`` reports every watched ego whose value actually changed,
+  one row per ego (subscriber fan-out is the front-end's job): a
   :class:`~repro.serve.frames.ChangeFrame` (ego and value columns plus
   the shard write stamp) when the rows pass the packing gate, else a
   list of ``(ego, value, shard_batch)`` triples.

@@ -139,12 +139,27 @@ Acquired strictly in this order, never the reverse:
 Leaves (nothing is acquired while holding one): ``_seq_lock``,
 ``_pending_lock``, the ledger's lock (it serializes folds, so it is what
 guards the rounds and redo *lists*; the flush and route locks above only
-decide who may append which record), the transports' push and attach
-locks.  ``_scrape_lock`` serializes metric scrapes and is taken holding
-nothing (a queue-transport scrape awaits a shard reply under it).
-``_flush_failed`` / ``_poisoned`` / ``_async_errors`` are written
+decide who may append which record), the ledger's sync condition (its
+group commit: the fsync runs holding neither — the leader takes the
+ledger lock only to note the position and ``dup`` the descriptor — so
+an append never waits out a disk flush), the transports' push, send and
+attach locks.  ``_scrape_lock`` serializes metric scrapes and is taken
+holding nothing (a queue-transport scrape awaits a shard reply under
+it).  ``_flush_failed`` / ``_poisoned`` / ``_async_errors`` are written
 lock-free from the flusher and drainer threads (set-add, list-append,
 first-writer-wins string).
+
+A send may block holding locks: a request frame larger than the free
+pipe buffer waits, on the calling thread, for the shard to read it,
+and the sender may hold flush locks, ``_scrape_lock`` and the
+transport's send lock.  No cycle follows.  The shard reads its requests
+unless it is blocked writing a reply, and that only until the reply
+drainer reads the reply pipe.  The drainer takes only the subscriptions
+lock (``_deliver``) and leaves (``_pending_lock``, metric slots) —
+none of the locks a sender may hold; and nothing sends under the
+subscriptions lock, the route lock or any leaf but the send lock.  So the drainer always makes progress, the shard
+always drains, and the sender always finishes — or, if the shard died,
+gives up within a second with ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -883,9 +898,10 @@ class EAGrServer:
         accepted, count = self._accept(writes)
         self._fan_out(accepted)
         if count:
-            # One fsync per accepted batch, after the lock is dropped and
-            # the shards have the batch (they apply while the disk syncs):
-            # when this call returns, the batch is on stable storage.
+            # After the fan-out (the shards apply while the disk syncs):
+            # a group commit, so one fsync may cover several concurrent
+            # writers' batches; when this call returns, the batch is on
+            # stable storage.
             self._wal.sync()
         return count
 

@@ -752,8 +752,9 @@ class RequestStep:
 
     ``step(request)`` is: kill points → :meth:`ShardHost.handle` →
     reply-or-watermark decision, and returns the reply to send (``None``
-    when the shard just died at a kill point, or when the published
-    watermark makes an empty write acknowledgement redundant).  It is
+    when the shard just died at a kill point, or when the worker half's
+    ``published`` says an empty write acknowledgement is redundant — on
+    both transports).  It is
     driven by :func:`shard_worker` over either transport and, directly,
     by :class:`~repro.serve.executors.InProcessShardExecutor` — so kill
     points, replay idempotency and stamp discipline cannot differ
@@ -777,9 +778,11 @@ class RequestStep:
         notification stamps must match the pre-crash epoch's exactly.
     published:
         The worker half's ``published(batch_no, stamp)`` (``None``
-        in-process).  The watermark is *processed-through*, not
-        applied-through: it advances past failed (``R_ERR``) and
-        replay-skipped batches too.  Its one consumer is the front-end's
+        in-process): it stores the watermark where the transport has
+        one (the ring) and returns whether an empty write
+        acknowledgement may be dropped.  The watermark is
+        *processed-through*, not applied-through: it advances past
+        failed (``R_ERR``) and replay-skipped batches too.  Its one consumer is the front-end's
         read barrier, and a batch that was processed-but-not-applied has
         nothing further for a read to wait on — were the watermark
         pinned to ``applied_through``, one poisoned batch would wedge

@@ -5,8 +5,8 @@ single-consumer byte ring in a named ``multiprocessing.shared_memory``
 segment.  The front-end (one logical producer; concurrent server threads
 serialize on the transport's push lock) appends length-prefixed request
 frames; the shard worker polls and consumes them in FIFO order —
-the same total order the bounded ``mp.Queue`` gave, minus the queue's
-feeder thread, pipe syscalls and per-message wakeups.
+the same total order the queue transport's request pipe gives, minus
+its pipe syscalls and per-message wakeups.
 
 Framing is seqlock-style: a frame's payload bytes are written first and
 the ring's ``tail`` cursor — the publication point — is stored *after*
@@ -72,7 +72,7 @@ class ShmRing:
         Data-area bytes (excluding the header).  The ring refuses frames
         larger than the capacity outright — the caller's coalescing /
         blocking logic handles sustained overload, exactly as it does for
-        a full ``mp.Queue``.
+        a full request queue.
     """
 
     def __init__(self, name: str, capacity: int = 1 << 20, create: bool = True) -> None:

@@ -25,28 +25,40 @@ rides the queue, and every other aggregate rides the ring.  In-process
 shards have no transport at all (their executor calls the host
 directly) and report ``"queue"``.
 
-* :class:`QueueTransport` — a bounded ``mp.Queue`` of pickled requests.
-  Queue depth is the backpressure window.  ``poll`` never yields (the
-  worker applies one batch per request), ``published`` is a no-op (every
-  write batch is acknowledged by an ``R_WRITE`` reply), nothing can be
+* :class:`QueueTransport` — a bounded pipe of request frames.  Queue
+  depth is the backpressure window.  ``poll`` never yields (the worker
+  applies one batch per request), ``published`` stores nothing but, like
+  the ring's, lets the worker drop empty write acknowledgements (the
+  queue is FIFO and ``R_WRITE`` has one consumer, the front-end's
+  ``_deliver``, which returns at once on an empty report), nothing can be
   read locally, and shard metrics cost an ``OP_STATS`` round trip.
 * :class:`RingTransport` — a shared-memory ingress ring
-  (:class:`~repro.serve.shm.ShmRing`) of codec-tagged frames
-  (:mod:`repro.serve.frames`: packed write batches as raw ``K_WRITE``
-  record bytes, everything else ``K_PICKLE``), a doorbell pipe the
-  worker parks on when the ring is empty, the shard's value columns in a
-  shared segment the front-end gathers push readers from zero-copy, and
-  a metrics slab scraped with zero IPC.  ``poll`` hands the worker the
-  frames that queued up behind the one it is applying (consumer-side
-  merging), and ``published`` stores the shard's *processed-through*
-  watermark in the ring header — which is what lets the worker skip
-  empty write acknowledgements and lets :meth:`RingTransport.read_local`
-  give read-your-writes without a round trip.
+  (:class:`~repro.serve.shm.ShmRing`) of codec-tagged frames, a doorbell
+  pipe the worker parks on when the ring is empty, the shard's value
+  columns in a shared segment the front-end gathers push readers from
+  zero-copy, and a metrics slab scraped with zero IPC.  ``poll`` hands
+  the worker the frames that queued up behind the one it is applying
+  (consumer-side merging), and ``published`` stores the shard's
+  *processed-through* watermark in the ring header — which is what lets
+  :meth:`RingTransport.read_local` give read-your-writes without a round
+  trip.
 
-Replies ride an ``mp.Queue`` on both (they are rare on the ring's hot
-path).  The request queue, the reply queue and the doorbell belong to
-one worker incarnation — a killed process can leave any of them torn or
-locked — so :meth:`reset` replaces them; the named segments persist and
+Both carry the same frames (:mod:`repro.serve.frames`: packed write
+batches as raw ``K_WRITE`` record bytes, everything else ``K_PICKLE``),
+and both send replies back over one OS pipe of length-prefixed pickles
+(:class:`Replies` is the front end's reader).  Nothing is handed to a
+helper thread: a request is encoded and written — into the ring or the
+request pipe — on the thread that sends it, and a reply is pickled and
+written on the worker's loop thread.  A frame larger than the free pipe
+buffer therefore blocks its sender until the other side reads it; the
+front-end's lock order (``serve/server.py``) shows why that cannot
+close a cycle.  A blocked request write re-checks worker liveness once
+a second, so a dead worker surfaces as ``RuntimeError`` from ``send``
+and ``False`` from ``try_send``, never as a hang.
+
+The request pipe, the reply pipe and the doorbell belong to one worker
+incarnation — a killed process can leave any of them holding half a
+frame — so :meth:`reset` replaces them; the named segments persist and
 are rewound or re-attached instead.  The front-end names every segment
 and unlinks it **by name** in :meth:`close`, so stores created by
 workers that have since died uncleanly are destroyed too.
@@ -55,7 +67,9 @@ workers that have since died uncleanly are destroyed too.
 from __future__ import annotations
 
 import os
-import queue as _queue
+import pickle
+import select
+import struct
 import threading
 import time
 from functools import partial
@@ -87,7 +101,8 @@ def io_counters() -> Dict[str, int]:
 
 
 def tally_request(io: Dict[str, int], request: Tuple) -> None:
-    """Count one accepted request that moved as an object, not as bytes.
+    """Count one accepted request that moved as an object, not as bytes
+    (the in-process executor's).
 
     Only binary frames have a meaningful byte count there (their raw
     record bytes); pickled requests count codec-only.
@@ -103,17 +118,131 @@ def tally_request(io: Dict[str, int], request: Tuple) -> None:
         io["control_frames"] += 1
 
 
+def encode_request(request: Tuple) -> Tuple[bytes, str]:
+    """``(frame payload, codec-counter key)`` for one request tuple."""
+    if request[0] == OP_WRITE and request[3].__class__ is WriteFrame:
+        return (
+            _frames.encode_write(request[1], request[2], request[3]),
+            "write_frames_binary",
+        )
+    return (
+        _frames.encode_pickle(request),
+        "write_frames_pickle" if request[0] == OP_WRITE else "control_frames",
+    )
+
+
+# ---------------------------------------------------------------------------
+# pipe framing
+# ---------------------------------------------------------------------------
+
+#: every pipe frame is this length prefix plus the payload.
+_LENGTH = struct.Struct("<Q")
+
+
+def _read_exact(fd: int, size: int) -> bytes:
+    """Blocking read of exactly ``size`` bytes; ``EOFError`` when the
+    other end closed first."""
+    data = os.read(fd, size)
+    if len(data) == size:
+        return data
+    chunks = [data]
+    size -= len(data)
+    while size:
+        if not data:
+            raise EOFError("pipe closed mid-frame")
+        data = os.read(fd, min(size, 1 << 16))
+        chunks.append(data)
+        size -= len(data)
+    return b"".join(chunks)
+
+
+def _recv_frame(fd: int) -> bytes:
+    """The next frame's payload off a blocking pipe end."""
+    (size,) = _LENGTH.unpack(_read_exact(fd, _LENGTH.size))
+    return _read_exact(fd, size)
+
+
+def _send_reply(fd: int, reply: Tuple) -> None:
+    """Pickle and write one reply on the worker's loop thread (blocking:
+    the front-end's drainer empties the pipe)."""
+    payload = pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_LENGTH.pack(len(payload)) + payload)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class Replies:
+    """The front end's read side of one worker incarnation's reply pipe.
+
+    Read by one thread, the executor's drainer, which parks in
+    ``multiprocessing.connection.wait`` on this object (it has a
+    ``fileno``) and the worker's sentinel.  The descriptor is
+    non-blocking and :meth:`take` keeps a partial frame for the next
+    call, so a worker killed halfway through a reply leaves bytes
+    behind, never a blocked reader.
+    """
+
+    def __init__(self, conn) -> None:
+        self._conn = conn  # owns the descriptor (closed with it)
+        self._fd = conn.fileno()
+        os.set_blocking(self._fd, False)
+        self._buffer = bytearray()
+
+    def fileno(self) -> int:
+        return self._fd
+
+    def take(self) -> List[Tuple]:
+        """Every complete reply readable now, in order (``[]`` when only
+        part of one has arrived); ``EOFError`` once the worker's end is
+        closed and nothing complete is left."""
+        buffer = self._buffer
+        closed = False
+        while True:
+            try:
+                chunk = os.read(self._fd, 1 << 16)
+            except BlockingIOError:
+                break
+            if not chunk:
+                closed = True
+                break
+            buffer += chunk
+            if len(chunk) < 1 << 16:
+                break  # a short read emptied the pipe
+        replies = []
+        at, end = 0, len(buffer)
+        with memoryview(buffer) as view:
+            while end - at >= _LENGTH.size:
+                (size,) = _LENGTH.unpack_from(view, at)
+                start = at + _LENGTH.size
+                if end - start < size:
+                    break
+                replies.append(pickle.loads(view[start:start + size]))
+                at = start + size
+        del buffer[:at]
+        if closed and not replies:
+            raise EOFError("worker closed its reply pipe")
+        return replies
+
+
+def _reply_pipe(ctx) -> Tuple[Replies, Any]:
+    """``(front-end reader, worker's write end)`` of a fresh reply pipe."""
+    recv_end, send_end = ctx.Pipe(duplex=False)
+    return Replies(recv_end), send_end
+
+
 # ---------------------------------------------------------------------------
 # queue
 # ---------------------------------------------------------------------------
 
 
 class QueueTransport:
-    """Bounded ``mp.Queue`` of request tuples (see module docstring).
+    """Bounded pipe of request frames (see module docstring).
 
     ``call(op)`` performs one awaited control request against this
     transport's shard (the front-end's seq/pending plumbing); ``depth``
-    bounds the request queue, ``0`` meaning unbounded.
+    bounds the frames in flight — sent, not yet received by the worker —
+    ``0`` meaning unbounded.  A shared semaphore counts them: a sender
+    takes a slot, the worker frees it on receipt.
     """
 
     kind = "queue"
@@ -127,60 +256,98 @@ class QueueTransport:
         self.shard_id = shard_id
         self._depth = depth
         self._call = call
+        #: one frame on the request pipe at a time.
+        self._send_lock = threading.Lock()
 
     def reset(self) -> None:
         """Fresh channels and counters for a new worker incarnation
         (the executor calls this before it spawns one)."""
         ctx = self._ctx
-        self._requests = ctx.Queue(self._depth) if self._depth else ctx.Queue()
-        # The feeder thread may hold buffered items for a reader that no
-        # longer exists (a killed worker); don't let interpreter shutdown
-        # block on flushing them to a dead pipe.  Nothing is lost by it:
-        # a clean stop joins the worker only after it consumed OP_STOP.
-        self._requests.cancel_join_thread()
-        self.replies = ctx.Queue()
-        self.io = io_counters()
+        with self._send_lock:
+            self._requests_recv, requests = ctx.Pipe(duplex=False)
+            self._requests = requests  # owns the descriptor below
+            self._fd = requests.fileno()
+            os.set_blocking(self._fd, False)
+            self._writable = select.poll()
+            self._writable.register(self._fd, select.POLLOUT)
+            self._slots = ctx.BoundedSemaphore(self._depth) if self._depth else None
+            self.replies, self._replies_send = _reply_pipe(ctx)
+            self.io = io_counters()
 
     def worker_half(self) -> "_QueueWorker":
-        return _QueueWorker(self._requests, self.replies)
+        """The incarnation's worker half; takes the request pipe's read
+        end and the reply pipe's write end with it, so once the worker
+        is started this process holds neither (a dead worker then reads
+        as a broken pipe or an EOF, not as silence)."""
+        half = _QueueWorker(self._requests_recv, self._slots, self._replies_send)
+        self._requests_recv = self._replies_send = None
+        return half
+
+    def _write(self, payload: bytes, codec: str, alive: Alive) -> None:
+        """Write one frame on the calling thread (a slot already taken).
+
+        A frame larger than the free pipe buffer waits for the worker to
+        read; the wait re-checks liveness once a second, and a dead
+        worker raises ``RuntimeError`` instead of hanging.
+        """
+        view = memoryview(_LENGTH.pack(len(payload)) + payload)
+        with self._send_lock:
+            fd = self._fd
+            while view:
+                try:
+                    view = view[os.write(fd, view):]
+                except BlockingIOError:
+                    if not self._writable.poll(1000) and not alive():
+                        raise RuntimeError(
+                            f"shard {self.shard_id} worker died with a "
+                            "request frame in its pipe"
+                        ) from None
+                except OSError as error:  # EPIPE: nobody reads any more
+                    raise RuntimeError(
+                        f"shard {self.shard_id} worker died ({error})"
+                    ) from None
+            io = self.io
+            io[codec] += 1
+            io["ingress_bytes"] += len(payload)
 
     def try_send(self, request: Tuple, alive: Alive) -> bool:
-        """Non-blocking put; ``False`` when the queue is full.  A dead
-        worker is not noticed here — its queue simply fills."""
-        try:
-            self._requests.put_nowait(request)
-        except _queue.Full:
+        """Non-blocking on the depth bound: ``False`` when ``depth``
+        frames are in flight, or when the worker turns out dead."""
+        slots = self._slots
+        if slots is not None and not slots.acquire(False):
             return False
-        tally_request(self.io, request)
+        try:
+            self._write(*encode_request(request), alive)
+        except RuntimeError:
+            return False
         return True
 
     def send(
         self, request: Tuple, alive: Alive, timeout: Optional[float] = None
     ) -> bool:
-        """Blocking put: waits for queue space (backpressure).
+        """Blocking send: waits for a slot (backpressure), then for pipe
+        space.
 
-        Re-checks worker liveness once a second so a crashed shard
-        surfaces as ``RuntimeError`` instead of an unbounded hang on its
-        never-draining queue; ``False`` when ``timeout`` ran out first.
+        Both waits re-check worker liveness once a second, so a crashed
+        shard surfaces as ``RuntimeError`` instead of an unbounded hang;
+        ``False`` when ``timeout`` ran out before a slot freed up.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                self._requests.put(request, timeout=1.0)
-            except _queue.Full:
+        slots = self._slots
+        if slots is not None:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            while not slots.acquire(timeout=1.0):
                 if not alive():
                     raise RuntimeError(
                         f"shard {self.shard_id} worker died with a full "
                         "request queue"
-                    ) from None
+                    )
                 if deadline is not None and time.monotonic() >= deadline:
                     return False
-                continue
-            tally_request(self.io, request)
-            return True
+        self._write(*encode_request(request), alive)
+        return True
 
     def wake(self) -> None:
-        """No-op: the queue's feeder thread wakes the worker by itself."""
+        """No-op: the frame itself wakes the worker blocked on the pipe."""
 
     def read_local(
         self,
@@ -213,29 +380,37 @@ class QueueTransport:
 class _QueueWorker:
     """Worker half of :class:`QueueTransport`."""
 
-    def __init__(self, requests, replies) -> None:
+    def __init__(self, requests, slots, replies) -> None:
         self._requests = requests
+        self._slots = slots
         self._replies = replies
 
     def attach(self, spec, host) -> "_QueueWorker":
         return self
 
     def recv(self) -> Tuple:
-        return self._requests.get()
+        payload = _recv_frame(self._requests.fileno())
+        if self._slots is not None:
+            self._slots.release()
+        return _frames.decode(payload)
 
     def poll(self) -> None:
         """Never: the queue worker applies one batch per request."""
         return None
 
     def reply(self, reply: Tuple) -> None:
-        self._replies.put(reply)
+        _send_reply(self._replies.fileno(), reply)
 
     def published(self, batch_no: int, stamp: int) -> bool:
-        """No watermark: every write batch needs its ``R_WRITE``."""
-        return False
+        """Nothing to store, yet ``True``: requests are FIFO and only the
+        front-end's ``_deliver`` consumes an ``R_WRITE``, which returns at
+        once on an empty report — so an empty write acknowledgement is
+        pure codec traffic here, exactly as behind the ring's watermark."""
+        return True
 
     def close(self) -> None:
-        pass
+        self._requests.close()
+        self._replies.close()
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +508,7 @@ class RingTransport:
             self._bell_pending = False
             if self._bell is not None:
                 self._bell.close()
-            self.replies = self._ctx.Queue()
+            self.replies, self._replies_send = _reply_pipe(self._ctx)
             # Doorbell: the worker parks on this pipe when the ring is
             # empty; wake() rings it only while the worker is parked.
             self._bell_recv, self._bell = self._ctx.Pipe(duplex=False)
@@ -348,9 +523,10 @@ class RingTransport:
 
     def worker_half(self) -> "_RingWorker":
         """The incarnation's worker half; takes the doorbell's read end
-        with it, so this process keeps no reader on its own pipe."""
-        half = _RingWorker(self.replies, self._bell_recv)
-        self._bell_recv = None
+        and the reply pipe's write end with it, so this process keeps
+        neither end of its own pipes."""
+        half = _RingWorker(self._replies_send, self._bell_recv)
+        self._bell_recv = self._replies_send = None
         return half
 
     def close(self) -> None:
@@ -368,26 +544,13 @@ class RingTransport:
 
     # -- ingress ------------------------------------------------------------
 
-    @staticmethod
-    def _encode(request: Tuple) -> Tuple[bytes, str]:
-        """``(ring payload, codec-counter key)`` for one request tuple."""
-        if request[0] == OP_WRITE and request[3].__class__ is WriteFrame:
-            return (
-                _frames.encode_write(request[1], request[2], request[3]),
-                "write_frames_binary",
-            )
-        return (
-            _frames.encode_pickle(request),
-            "write_frames_pickle" if request[0] == OP_WRITE else "control_frames",
-        )
-
     def _push(self, payload: bytes, codec: str) -> bool:
         """Push one frame; the wake-up is *deferred* to :meth:`wake`.
 
         Ringing per push would wake the worker mid-multicast and let the
         scheduler preempt the producing front-end between shard pushes
-        (the queue transport avoids this accidentally — its feeder thread
-        only writes the pipe once the producer drops the GIL).  Deferring
+        (the queue transport's worker wakes on the request frame itself,
+        so a multicast round there pays one wake-up per shard push).  Deferring
         the doorbell to the end of the caller's submission round keeps
         the producer's burst intact: one syscall per round, workers wake
         to a ring already holding everything.
@@ -411,14 +574,14 @@ class RingTransport:
         backed-up queue shard)."""
         if not alive():
             return False
-        return self._push(*self._encode(request))
+        return self._push(*encode_request(request))
 
     def send(
         self, request: Tuple, alive: Alive, timeout: Optional[float] = None
     ) -> bool:
         """Blocking push: waits for ring space, fails fast on a corpse;
         ``False`` when ``timeout`` ran out first."""
-        payload, codec = self._encode(request)
+        payload, codec = encode_request(request)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             if not alive():
@@ -599,7 +762,7 @@ class RingTransport:
 class _RingWorker:
     """Worker half of :class:`RingTransport`.
 
-    Pickled with only the incarnation's reply queue and doorbell;
+    Pickled with only the incarnation's reply pipe and doorbell;
     :meth:`attach` maps the named segments (``spec.shm``) once the
     worker process has built its host.
     """
@@ -668,7 +831,7 @@ class _RingWorker:
         return None if frame is None else _frames.decode(frame)
 
     def reply(self, reply: Tuple) -> None:
-        self._replies.put(reply)
+        _send_reply(self._replies.fileno(), reply)
 
     def published(self, batch_no: int, stamp: int) -> bool:
         """Store the processed-through watermark; ``True``: an empty
@@ -683,6 +846,7 @@ class _RingWorker:
         if self._slab is not None:
             self._slab.close()
         self._ring.close()
+        self._replies.close()
 
 
 def open_transports(

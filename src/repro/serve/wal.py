@@ -32,8 +32,9 @@ Records are pickled tuples, one per frame:
 * ``("W", wal_seq, {shard: items}, clock)`` — one *accepted* write round:
   the stamped ``(node, value, timestamp)`` triples each shard's outbox
   received, appended under the route lock (file order = acceptance
-  order) and fsynced before ``write_batch`` returns — an acknowledged
-  batch is durable.  For a batch that passed the packing gate ``items``
+  order) and fsynced — by a group commit that may cover other writers'
+  rounds too — before ``write_batch`` returns: an acknowledged batch is
+  durable.  For a batch that passed the packing gate ``items``
   is a :class:`~repro.core.statestore.WriteFrame` whose pickled form is
   its raw record bytes, so replay rebuilds each round with one
   ``frombuffer`` instead of unpickling per-triple objects.
@@ -92,6 +93,22 @@ tail is always *consistent*: a ``B`` follows its ``W`` rounds and a
 ``C`` follows the ``B`` records it covers, so losing a suffix can only
 demote state (items become pending again), never corrupt it.
 
+Group commit
+------------
+:meth:`WriteAheadLog.sync` is the only place a caller waits for the
+disk, and it waits by group commit.  The caller notes how many frames
+are written under the ledger lock and fsyncs *outside* it, on a ``dup``
+of the segment's descriptor, so appends never queue behind a disk
+flush.  One fsync covers every frame written before it started: the
+thread that finds none in flight leads one, and the threads whose
+frames it covers — or that arrive while it runs — wait on a condition
+and either return or lead the next.  Acknowledged ⇒ durable is
+unchanged: ``sync`` returns only once an fsync that started after the
+caller's own append has completed.  A failed fsync raises in its leader
+and in every waiter it leaves uncovered, and poisons the log (below).
+Rotation, compaction and ``close`` fsync under the ledger lock, as
+before, and publish the whole log as durable.
+
 Segments and compaction
 -----------------------
 The log is a directory of ``wal-<n>.seg`` files.  Appends rotate to a
@@ -119,9 +136,12 @@ crashes), ``crash_after_appends``, ``crash_in_compact`` (``"before_replace"``
 or ``"after_replace"``), ``fsync_error_after`` (the N-th fsync raises
 ``OSError``; the log then *poisons itself fail-stop* — later appends
 raise :class:`WalError` instead of silently accepting writes that would
-not survive).  ``exit: True`` turns a crash point into a process-group
-``SIGKILL`` (for sacrificial driver subprocesses); the default raises
-:class:`WalCrash` so in-process unit tests can catch it.
+not survive), and the two group-commit states: ``crash_before_fsync``
+(the N-th fsync's position is taken, the fsync not yet run) and
+``crash_after_fsync`` (it ran, the durable mark is not yet published).
+``exit: True`` turns a crash point into a process-group ``SIGKILL`` (for
+sacrificial driver subprocesses); the default raises :class:`WalCrash`
+so in-process unit tests can catch it.
 """
 
 from __future__ import annotations
@@ -450,6 +470,13 @@ class WriteAheadLog:
         #: leaf lock: serializes folds (hence ``state``'s rounds and
         #: redo lists) and the file writes behind them.
         self._lock = threading.Lock()
+        #: group commit (see :meth:`sync`): frames written so far, the
+        #: count an fsync has covered, whether a leader is in one.
+        self._written = 0
+        self._durable = 0
+        self._syncing = False
+        #: leaf: guards the three fields above; followers wait on it.
+        self._synced = threading.Condition(threading.Lock())
         self._file = None
         self._lock_fh = None
         self._segment_index = 0
@@ -586,43 +613,109 @@ class WriteAheadLog:
             self._file.write(frame)
             self._file.flush()
             self._tail_bytes += len(frame)
+            self._written += 1
             crash_after = self.faults.get("crash_after_appends")
             if crash_after is not None and self._appends >= crash_after:
                 self._crash("post-append crash")
-            if sync:
-                self._sync_locked()
             if self._tail_bytes >= self.segment_bytes:
                 self._rotate_locked()
             if self._m_append is not None:
                 self._m_append.observe(_monotonic() - t0)
             if self._m_bytes is not None:
                 self._m_bytes.set(self._base_bytes + self._tail_bytes)
+        if sync:
+            self.sync()
 
     def sync(self) -> None:
-        """Force every accepted append to stable storage (fsync)."""
+        """Force every accepted append to stable storage, by group commit
+        (module docstring): when this returns, everything appended
+        before the call is on stable storage — acknowledged ⇒ durable.
+
+        The frames written so far (the caller's own included) are noted
+        under the ledger lock; outside it the caller returns once an
+        fsync that started after them has completed, waits on the sync
+        condition while another thread's fsync is in flight, or leads
+        the next one (:meth:`_lead`).  A failed fsync poisons the log
+        fail-stop and raises :class:`WalError` in its leader and in
+        every waiter it leaves uncovered; later appends raise too.
+        """
         with self._lock:
             self._check_usable()
-            if self._file is not None:
-                self._sync_locked()
+            if self._file is None:
+                return
+            if not self._fsync_enabled:
+                self._file.flush()
+                return
+            target = self._written
+        synced = self._synced
+        with synced:
+            while self._durable < target:
+                if self._poisoned is not None:
+                    raise WalError(f"WAL is poisoned fail-stop ({self._poisoned})")
+                if not self._syncing:
+                    self._syncing = True
+                    break
+                synced.wait()
+            else:
+                return  # an fsync that started after our append covered it
+        self._lead()
 
-    def _sync_locked(self) -> None:
-        self._file.flush()
-        if not self._fsync_enabled:
-            return
-        self._fsyncs += 1
-        fail_at = self.faults.get("fsync_error_after")
+    def _lead(self) -> None:
+        """One group-commit fsync: the position and a ``dup`` of the
+        segment's descriptor are taken under the ledger lock, the fsync
+        runs holding no lock.  The caller set ``_syncing``; this clears
+        it whatever happens."""
+        covered = None
+        try:
+            with self._lock:
+                self._check_usable()
+                position = self._written
+                self._fsyncs += 1
+                number = self._fsyncs
+                fd = os.dup(self._file.fileno())
+            try:
+                if self.faults.get("crash_before_fsync") == number:
+                    self._crash("position taken, not yet fsynced")
+                self._fsync_fd(fd, number)
+            finally:
+                os.close(fd)
+            if self.faults.get("crash_after_fsync") == number:
+                self._crash("fsynced, durable mark not yet published")
+            covered = position
+        finally:
+            with self._synced:
+                if covered is not None and covered > self._durable:
+                    self._durable = covered
+                self._syncing = False
+                self._synced.notify_all()
+
+    def _fsync_fd(self, fd: int, number: int) -> None:
+        """The ``number``-th fsync, timed; a failure poisons the log."""
         t0 = _monotonic() if self._m_fsync is not None else 0.0
         try:
-            if fail_at is not None and self._fsyncs >= fail_at:
+            os.fsync(fd)
+            fail_at = self.faults.get("fsync_error_after")
+            if fail_at is not None and number >= fail_at:
                 raise OSError(5, "injected fsync failure")
-            os.fsync(self._file.fileno())
-            if self._m_fsync is not None:
-                self._m_fsync.observe(_monotonic() - t0)
         except OSError as error:
             # Fail-stop: a log that cannot promise durability must stop
             # accepting writes, not degrade silently.
             self._poisoned = f"fsync failed: {error}"
             raise WalError(self._poisoned) from error
+        if self._m_fsync is not None:
+            self._m_fsync.observe(_monotonic() - t0)
+
+    def _sync_locked(self) -> None:
+        """Flush and fsync the open segment holding the ledger lock
+        (rotation, compaction, close): everything written is durable."""
+        self._file.flush()
+        if not self._fsync_enabled:
+            return
+        self._fsyncs += 1
+        self._fsync_fd(self._file.fileno(), self._fsyncs)
+        with self._synced:
+            if self._written > self._durable:
+                self._durable = self._written
 
     def _rotate_locked(self) -> None:
         self._sync_locked()

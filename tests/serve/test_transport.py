@@ -22,15 +22,17 @@ worker-replacement path — pinned once, over every transport.
 """
 
 import os
-import queue
 import random
+import signal
 import threading
+from multiprocessing.connection import wait
 
 import pytest
 
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
+from repro.core.statestore import WriteFrame
 from repro.core.windows import TupleWindow
 from repro.graph.generators import random_graph
 from repro.serve import (
@@ -46,6 +48,7 @@ from repro.serve.messages import (
     OP_STOP,
     OP_SUBSCRIBE,
     OP_WRITE,
+    R_ERR,
     R_OK,
     R_STOPPED,
     R_WRITE,
@@ -63,6 +66,8 @@ from tests.serve.faultlib import (
 )
 
 TRANSPORTS = ["queue", "shm"]
+#: rows in a write frame well past a 64 KiB pipe buffer (24 B per row).
+BIG_ROWS = 20_000
 ENGINE = {"overlay_algorithm": "identity", "dataflow": "all_push"}
 
 
@@ -163,13 +168,15 @@ class Loop:
         self._thread.join(timeout=20.0)
         assert not self._thread.is_alive(), "worker loop did not terminate"
         replies, self.payload = [], {}
-        while True:
+        while wait([self.transport.replies], 0.2):
             try:
-                reply = self.transport.replies.get(timeout=0.2)
-            except queue.Empty:
-                return replies
-            replies.append((reply[0], reply[1]))
-            self.payload[reply[1]] = reply[2]
+                batch = self.transport.replies.take()
+            except EOFError:  # the loop closed its end: all replies read
+                break
+            for reply in batch:
+                replies.append((reply[0], reply[1]))
+                self.payload[reply[1]] = reply[2]
+        return replies
 
 
 @pytest.mark.parametrize("shard", TRANSPORTS, indirect=True)
@@ -231,19 +238,16 @@ class TestWorkerLoop:
             (OP_READ, 7, nodes),
             (OP_STOP, 8),
         )
-        replies = loop.run()
+        # Nobody watches, so no write has a change report to carry: both
+        # transports drop the empty write acks.
+        assert loop.run() == [(R_OK, 7), (R_STOPPED, 8)]
         host = loop.host
         if transport.kind == "shm":
             # Batches 1-3 are redo (<= merge_after): one apply each.  4-6
-            # were all waiting: one merged apply.  Nobody watches, so the
-            # watermark stands in for every (empty) write ack.
+            # were all waiting: one merged apply.
             assert host.batches == 4
-            assert replies == [(R_OK, 7), (R_STOPPED, 8)]
         else:
             assert host.batches == 6  # the queue worker never merges
-            assert replies == [(R_WRITE, n) for n in range(1, 7)] + [
-                (R_OK, 7), (R_STOPPED, 8),
-            ]
         # Merged or not, the stamp advanced once per batch.
         assert host.applied_through == 6
         assert host.engine.runtime.stamp == 6
@@ -251,6 +255,27 @@ class TestWorkerLoop:
         for n in range(1, 7):
             oracle.write_batch(batch(nodes, n))
         assert loop.payload[7] == oracle.read_batch(nodes)
+
+    def test_only_empty_write_acks_are_dropped(self, monkeypatch, shard):
+        """A write whose change report has rows and a write that fails
+        shard-side still reply on both transports; a write that moves no
+        watched ego leaves nothing.  (Redo frames, so the ring does not
+        merge the three writes into one apply.)"""
+        graph, query, transport, make_spec = shard
+        nodes = list(graph.nodes())
+        loop = Loop(monkeypatch, make_spec(merge_after=3), transport)
+        loop.send(
+            (OP_SUBSCRIBE, 1, "watcher", nodes),
+            (OP_WRITE, 2, 1, batch(nodes, 1)),  # moves watched egos
+            (OP_WRITE, 3, 2, batch(nodes, 1)),  # same values: empty report
+            (OP_WRITE, 4, 3, [(nodes[0], "poison", 3.0)]),  # raises
+            (OP_STOP, 5),
+        )
+        assert loop.run() == [
+            (R_OK, 1), (R_WRITE, 2), (R_ERR, 4), (R_STOPPED, 5),
+        ]
+        assert loop.payload[2] == len(nodes)  # rows applied
+        assert loop.host.applied_through == 2
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +300,47 @@ def test_stopped_and_killed_executors_answer_alike(shard):
             make_spec(), replies.append, errors.append, transport
         )
 
-    for end in ("kill", "stop"):  # the second boot re-uses the transport
+    ends = ["kill", "stop"]  # later boots re-use the transport
+    if transport is not None and transport.kind == "queue":
+        ends.append("kill mid-frame")
+    for end in ends:
         ex = boot()
         assert ex.alive()
         assert ex.try_submit((OP_DRAIN, 1))
         ex.submit((OP_DRAIN, 2))
         ex.flush_bell()
         wait_until(lambda: len(replies) >= 2, desc="live replies")
-        if end == "kill":
+        if end == "kill mid-frame":
+            # A frozen worker reads nothing, so a frame far larger than
+            # the pipe buffer blocks its sender; killing the worker then
+            # must turn the blocked send into RuntimeError, not a hang.
+            nodes = list(graph.nodes())
+            big = WriteFrame.from_items(
+                [(nodes[i % len(nodes)], float(i), 1.0) for i in range(BIG_ROWS)]
+            )
+            pid = ex._process.pid
+            os.kill(pid, signal.SIGSTOP)
+            outcome = []
+
+            def send_big():
+                try:
+                    ex.submit((OP_WRITE, 3, 1, big))
+                except RuntimeError as exc:
+                    outcome.append(exc)
+                else:
+                    outcome.append(None)
+
+            sender = threading.Thread(target=send_big, daemon=True)
+            sender.start()
+            sender.join(0.5)
+            assert sender.is_alive(), "a frame this large cannot fit the pipe"
+            os.kill(pid, signal.SIGKILL)
+            sender.join(10.0)
+            assert not sender.is_alive(), "send hung on a dead worker"
+            assert isinstance(outcome[0], RuntimeError)
+            assert transport.try_send((OP_WRITE, 3, 1, big), ex.alive) is False
+            ex.kill()
+        elif end == "kill":
             ex.kill()
         else:
             ex.stop(3)
@@ -297,6 +355,71 @@ def test_stopped_and_killed_executors_answer_alike(shard):
         assert [reply[1] for reply in replies if reply[1] > 3] == []
         assert errors == []
         del replies[:]
+
+
+# ---------------------------------------------------------------------------
+# frames larger than the pipe buffer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_frames_larger_than_the_pipe_round_trip(kind):
+    """Write frames of 20 000 rows (480 KB against a 64 KiB pipe) sent to
+    a process shard that is busy applying them and replying — two
+    writer threads, a subscriber on every ego, a read in between — go
+    through with no deadlock: every thread finishes and reads equal the
+    oracle."""
+    graph = random_graph(2000, 8000, seed=29)
+    nodes = sorted(graph.nodes())
+    server = EAGrServer(
+        graph, make_query(), num_shards=1, executor="process",
+        transport=kind, ring_bytes=4 << 20, reply_timeout=60.0, **ENGINE,
+    )
+    try:
+        sub = server.subscribe("watcher", nodes)
+        # Disjoint writers per thread: the final state does not depend
+        # on how the two threads interleave.
+        lanes = [nodes[0::2], nodes[1::2]]
+        rounds = 3
+
+        def rows(lane, round_no):
+            return [
+                (lane[i % len(lane)], float(round_no * 7 + i % 5 + 1))
+                for i in range(BIG_ROWS)
+            ]
+
+        errors = []
+
+        def writer(lane):
+            try:
+                for round_no in range(rounds):
+                    server.write_batch(rows(lane, round_no))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(lane,)) for lane in lanes]
+        for thread in threads:
+            thread.start()
+        server.read_batch(nodes)  # a round trip while the frames flow
+        for thread in threads:
+            thread.join(60.0)
+        assert not any(thread.is_alive() for thread in threads), "deadlocked"
+        assert errors == []
+        server.drain()
+        oracle = EAGrEngine(graph, make_query(), **ENGINE)
+        for lane in lanes:
+            for round_no in range(rounds):
+                oracle.write_batch(rows(lane, round_no))
+        final = oracle.read_batch(nodes)
+        assert server.read_batch(nodes) == final
+        last = {note.ego: note.value for note in sub.poll()}
+        assert last and all(
+            last[ego] == value
+            for ego, value in zip(nodes, final)
+            if ego in last
+        )
+    finally:
+        server.close()
 
 
 # ---------------------------------------------------------------------------

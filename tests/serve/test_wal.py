@@ -17,6 +17,9 @@ closed.  The kill -9 end of the spectrum lives in
 import io
 import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -382,6 +385,122 @@ def test_fsync_failure_poisons_fail_stop(tmp_path):
     # The log must refuse further writes, not degrade silently.
     with pytest.raises(WalError, match="poisoned"):
         wal.append(("U", "w", None))
+    with pytest.raises(WalError, match="poisoned"):
+        wal.sync()
+    wal.close()
+
+
+# ---------------------------------------------------------------------------
+# group commit
+# ---------------------------------------------------------------------------
+
+
+def test_group_commit_covers_every_sync_with_fewer_fsyncs(tmp_path, monkeypatch):
+    """Threads append and ``sync()`` concurrently.  Every ``sync()``
+    returns only after an fsync that *started* with the segment already
+    holding its record (the size at each fsync's start is recorded), and
+    under contention one fsync serves several syncs."""
+    real_fsync = os.fsync
+    completed = []  # segment size at the start of each finished fsync
+    completed_lock = threading.Lock()
+
+    def recording_fsync(fd):
+        size = os.fstat(fd).st_size
+        time.sleep(0.002)  # a disk that takes a while
+        real_fsync(fd)
+        with completed_lock:
+            completed.append(size)
+
+    wal = WriteAheadLog(str(tmp_path), segment_bytes=1 << 30)
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    wal.append(("META", {"num_shards": 1, "reader_shard": {}}))
+    segment = list_segments(str(tmp_path))[-1][1]
+    append_lock = threading.Lock()
+    threads, rounds = 4, 25
+    uncovered = []
+
+    def writer(index):
+        for round_no in range(rounds):
+            with append_lock:  # our record's end, read before anyone appends
+                wal.append(("U", f"w{index}.{round_no}", None))
+                end = os.path.getsize(segment)
+            wal.sync()
+            with completed_lock:
+                covered = max(completed, default=-1)
+            if covered < end:
+                uncovered.append((index, round_no, end, covered))
+
+    workers = [
+        threading.Thread(target=writer, args=(index,)) for index in range(threads)
+    ]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads hard
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert uncovered == []
+    assert 0 < wal.fsyncs < threads * rounds
+    wal.close()
+    reopened = WriteAheadLog(str(tmp_path))
+    assert state_digest(reopened.state) == state_digest(wal.state)
+    reopened.close()
+
+
+def test_failed_group_fsync_fails_the_leader_and_its_followers(tmp_path, monkeypatch):
+    """``fsync_error_after`` fails the fsync in flight: its leader and
+    every follower waiting behind it raise :class:`WalError`, and so does
+    every later append.  The followers append while the leader is inside
+    its fsync — the ledger lock is not held across it."""
+    real_fsync = os.fsync
+    entered, release = threading.Event(), threading.Event()
+
+    def gated_fsync(fd):
+        entered.set()
+        release.wait(10.0)
+        real_fsync(fd)
+
+    wal = WriteAheadLog(str(tmp_path), faults={"fsync_error_after": 1})
+    monkeypatch.setattr(os, "fsync", gated_fsync)
+    wal.append(("META", {"num_shards": 1, "reader_shard": {}}))
+    outcomes = {}
+
+    def syncer(name):
+        try:
+            wal.append(("U", name, None))
+            wal.sync()
+        except WalError as error:
+            outcomes[name] = error
+        else:
+            outcomes[name] = None
+
+    leader = threading.Thread(target=syncer, args=("leader",))
+    leader.start()
+    assert entered.wait(10.0)
+    followers = [
+        threading.Thread(target=syncer, args=(f"follower{i}",)) for i in range(3)
+    ]
+    for follower in followers:
+        follower.start()
+    # All three append while the leader's fsync is in flight ...
+    deadline = time.monotonic() + 10.0
+    while wal.appends < 5 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert wal.appends == 5
+    time.sleep(0.05)
+    assert all(thread.is_alive() for thread in [leader, *followers])
+    release.set()  # ... and the fsync they all wait on fails.
+    for thread in [leader, *followers]:
+        thread.join(10.0)
+    assert sorted(outcomes) == ["follower0", "follower1", "follower2", "leader"]
+    assert all(isinstance(error, WalError) for error in outcomes.values())
+    assert "fsync failed" in str(outcomes["leader"])
+    with pytest.raises(WalError, match="poisoned"):
+        wal.append(("U", "late", None))
     with pytest.raises(WalError, match="poisoned"):
         wal.sync()
     wal.close()

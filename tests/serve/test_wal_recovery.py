@@ -6,7 +6,8 @@ group), lets it ingest a seeded workload against
 either the driver's own mid-ingest suicide after N acknowledged
 batches, or earlier inside an armed WAL disk fault: a torn append, a
 crash straight after one, a crash inside checkpoint-gated compaction
-(both sides of the atomic rename), or — in the double-crash schedules —
+(both sides of the atomic rename), on either side of a group-commit
+fsync, or — in the double-crash schedules —
 a second boot that dies *during its own recovery replay*.
 
 The verifier then cold-boots ``EAGrServer(wal_dir=...)`` in-process and
@@ -81,6 +82,12 @@ SCHEDULES = [
     dict(id="compact-after-rename", seed=4002, executor="inprocess",
          batches=12, ckpt=2, compact_bytes=2000,
          crash_compact="after_replace", expect_early=True),
+    # group commit: the N-th fsync's position is taken but the fsync has
+    # not run, or it has run but the durable mark is not yet published
+    dict(id="crash-before-fsync", seed=3004, executor="inprocess", batches=8,
+         ckpt=3, crash_before_fsync=6, expect_early=True),
+    dict(id="crash-after-fsync", seed=3005, executor="process", batches=8,
+         ckpt=3, crash_after_fsync=6, expect_early=True),
     # double crash: the second boot dies during its own recovery replay
     dict(id="recrash-early", seed=5001, executor="inprocess", batches=7,
          ckpt=100, recrash=1),
@@ -143,6 +150,10 @@ def phase_one_args(sched):
         args += ["--crash-after-appends", str(sched["crash_appends"])]
     if sched.get("crash_compact") is not None:
         args += ["--crash-in-compact", sched["crash_compact"]]
+    if sched.get("crash_before_fsync") is not None:
+        args += ["--crash-before-fsync", str(sched["crash_before_fsync"])]
+    if sched.get("crash_after_fsync") is not None:
+        args += ["--crash-after-fsync", str(sched["crash_after_fsync"])]
     return args
 
 

@@ -6,7 +6,8 @@
 front-end, flusher thread, spawn workers — either by the script's own
 ``os.kill(0, SIGKILL)`` after N acknowledged batches, or earlier inside
 an armed WAL fault (torn append, crash-after-append, crash inside
-compaction, crash during a recovery replay).  Nothing here ever calls
+compaction, crash on either side of a group-commit fsync, crash during a
+recovery replay).  Nothing here ever calls
 ``close()``: the only durable trace is the WAL directory plus the
 progress file, which is exactly the contract under test.
 
@@ -92,6 +93,8 @@ def main():
         choices=["before_replace", "after_replace"],
         default=None,
     )
+    parser.add_argument("--crash-before-fsync", type=int, default=None)
+    parser.add_argument("--crash-after-fsync", type=int, default=None)
     parser.add_argument("--crash-after-replay", type=int, default=None)
     args = parser.parse_args()
 
@@ -105,6 +108,10 @@ def main():
         faults["crash_after_appends"] = args.crash_after_appends
     if args.crash_in_compact is not None:
         faults["crash_in_compact"] = args.crash_in_compact
+    if args.crash_before_fsync is not None:
+        faults["crash_before_fsync"] = args.crash_before_fsync
+    if args.crash_after_fsync is not None:
+        faults["crash_after_fsync"] = args.crash_after_fsync
     if args.crash_after_replay is not None:
         faults["crash_after_replay_batches"] = args.crash_after_replay
     wal_options = {"faults": faults}
