@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import os
 import sys
+import time
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.bench.reporting import format_table
 from repro.core.aggregates import Max, Sum, TopK, get_aggregate
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -28,6 +29,7 @@ from repro.dataflow.frequencies import FrequencyModel
 from repro.graph.bipartite import build_bipartite
 from repro.graph.generators import load_dataset
 from repro.graph.neighborhoods import Neighborhood
+from repro.graph.streams import WriteEvent
 from repro.workload import WorkloadSpec, generate_events, warmup_writes
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -44,6 +46,37 @@ SYSTEMS = (
     ("vnm_d", "vnm_d", "mincut"),
     ("iob", "iob", "mincut"),
 )
+
+
+def format_cell(value) -> str:
+    if isinstance(value, float):
+        if value != 0 and (abs(value) >= 10_000 or abs(value) < 0.01):
+            return f"{value:.3e}"
+        return f"{value:,.3f}"
+    if isinstance(value, int):
+        return f"{value:,}"
+    return str(value)
+
+
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence], title: Optional[str] = None
+) -> str:
+    """Render an aligned fixed-width table (shapes, not plots, are the
+    deliverable, and shapes are legible in aligned columns)."""
+    rendered: List[List[str]] = [[format_cell(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in rendered:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+        lines.append("=" * len(title))
+    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in rendered:
+        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
 
 
 def emit(name: str, table: str) -> None:
@@ -78,8 +111,6 @@ def make_aggregate(name: str):
 def frequencies_from_events(events) -> FrequencyModel:
     """The workload's true expected frequencies (the paper assumes the
     read/write frequencies are known or predictable, Section 2.1)."""
-    from repro.graph.streams import WriteEvent
-
     trace = [
         ("write" if isinstance(e, WriteEvent) else "read", e.node) for e in events
     ]
@@ -95,8 +126,6 @@ def engine_cost_model(graph, aggregate_name: str = "sum", probes: int = 1500) ->
     on-demand evaluation); the returned model feeds the decision procedure
     real per-op constants instead of abstract units.
     """
-    import time as _time
-
     from repro.dataflow.costs import CostModel
 
     nodes = list(graph.nodes())[:60]
@@ -114,13 +143,13 @@ def engine_cost_model(graph, aggregate_name: str = "sum", probes: int = 1500) ->
         for _ in range(3):  # best-of-3: calibration noise skews decisions
             gc.collect()
             ops_before = getattr(engine.counters, counter)
-            started = _time.perf_counter()
+            started = time.perf_counter()
             for event in events:
                 if hasattr(event, "value"):
                     engine.write(event.node, event.value, event.timestamp)
                 else:
                     engine.read(event.node)
-            elapsed = _time.perf_counter() - started
+            elapsed = time.perf_counter() - started
             ops = getattr(engine.counters, counter) - ops_before
             best_unit = min(best_unit, elapsed / max(1, ops))
         units[mode] = best_unit
@@ -207,6 +236,87 @@ def workload(graph, num_events: int, write_read_ratio: float = 1.0, seed: int = 
     return events
 
 
+@dataclass
+class WorkloadResult:
+    """Throughput and read latencies from one :func:`run_workload` run."""
+
+    events: int
+    elapsed_seconds: float
+    reads: int
+    writes: int
+    read_latencies: List[float] = field(default_factory=list)
+
+    @property
+    def throughput(self) -> float:
+        """Events per second (the paper's headline metric)."""
+        if self.elapsed_seconds <= 0:
+            return 0.0
+        return self.events / self.elapsed_seconds
+
+    def latency_percentile(self, percentile: float) -> float:
+        """Read latency at ``percentile`` (0-100), in seconds."""
+        if not self.read_latencies:
+            return 0.0
+        ordered = sorted(self.read_latencies)
+        rank = min(
+            len(ordered) - 1, max(0, int(round(percentile / 100.0 * (len(ordered) - 1))))
+        )
+        return ordered[rank]
+
+    @property
+    def average_read_latency(self) -> float:
+        if not self.read_latencies:
+            return 0.0
+        return sum(self.read_latencies) / len(self.read_latencies)
+
+    @property
+    def worst_read_latency(self) -> float:
+        return max(self.read_latencies) if self.read_latencies else 0.0
+
+
+def run_workload(
+    engine: EAGrEngine, events: Sequence, measure_latency: bool = False
+) -> WorkloadResult:
+    """Play ``events`` against ``engine``, timing the whole run.
+
+    The paper's main metric is end-to-end throughput (Section 5.1), which
+    "accounts for the side effects of all potentially unknown system
+    parameters"; Figure 13(c) adds per-read latency.  With
+    ``measure_latency`` each read is timed individually, which adds
+    per-event clock overhead, so throughput comparisons leave it off.
+    """
+    reads = 0
+    writes = 0
+    latencies: List[float] = []
+    started = time.perf_counter()
+    if measure_latency:
+        for event in events:
+            if isinstance(event, WriteEvent):
+                engine.write(event.node, event.value, event.timestamp)
+                writes += 1
+            else:
+                t0 = time.perf_counter()
+                engine.read(event.node)
+                latencies.append(time.perf_counter() - t0)
+                reads += 1
+    else:
+        for event in events:
+            if isinstance(event, WriteEvent):
+                engine.write(event.node, event.value, event.timestamp)
+                writes += 1
+            else:
+                engine.read(event.node)
+                reads += 1
+    elapsed = time.perf_counter() - started
+    return WorkloadResult(
+        events=reads + writes,
+        elapsed_seconds=elapsed,
+        reads=reads,
+        writes=writes,
+        read_latencies=latencies,
+    )
+
+
 def measure_throughput(engine: EAGrEngine, events, passes: int = 3) -> float:
     """Events/second, best of ``passes`` replays (the paper's metric).
 
@@ -216,8 +326,6 @@ def measure_throughput(engine: EAGrEngine, events, passes: int = 3) -> float:
     dominates the ~20% margins the figures compare.
     """
     import gc
-
-    from repro.bench.harness import run_workload
 
     best = 0.0
     for _ in range(max(1, passes)):

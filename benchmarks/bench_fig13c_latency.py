@@ -10,8 +10,7 @@ distributed traversal).
 
 import pytest
 
-from benchmarks._common import bench_graph, emit_table, workload
-from repro.bench.harness import run_workload
+from benchmarks._common import bench_graph, emit_table, run_workload, workload
 from repro.core.aggregates import TopK
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery

@@ -4,22 +4,145 @@ Paper's series: TOP-K throughput at write:read 1:1 on LiveJournal as the
 serving threads sweep 1..48 for all-pull, all-push, and the decided overlay
 — rising until ~24 (their core count) then plateauing.
 
-Substitution (documented in DESIGN.md): CPython's GIL makes real-thread CPU
-scaling impossible, so the sweep runs on the discrete-event
-:class:`SimulatedExecutor`, which schedules the engine's *actual* micro-op
-trace across M virtual workers with per-node locks and a serial dispatcher —
-the same contention sources as the paper's implementation.  The real
-threaded engine exists too (``repro.core.concurrency.ThreadedEngine``) and
-is exercised by the unit tests for correctness.
+Substitution: CPython's GIL makes real-thread CPU scaling impossible, so
+the sweep runs on :class:`SimulatedExecutor`, a discrete-event simulation
+of the paper's hybrid threading model (Section 2.2.2).  It schedules the
+engine's *actual* micro-op trace (``collect_trace=True``) across M virtual
+workers with per-node locks and a serial dispatcher — the same contention
+sources as the paper's implementation.  Throughput rises near-linearly
+while work is available and plateaus when dispatch and lock contention
+dominate, the published shape.
 """
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
 from benchmarks._common import bench_graph, build_engine, emit_table, workload
-from repro.core.concurrency import SimulatedExecutor, collect_tasks
+from repro.core.engine import EAGrEngine
+from repro.core.execution import TraceOp
+from repro.dataflow.costs import CostModel
+from repro.graph.streams import ReadEvent, WriteEvent
 
 THREADS = (1, 2, 4, 8, 16, 24, 32, 48)
 NUM_EVENTS = 4_000
+
+
+@dataclass(frozen=True)
+class SimulationResult:
+    """Outcome of one simulated run."""
+
+    workers: int
+    tasks: int
+    makespan: float
+    throughput: float
+    total_work: float
+
+    @property
+    def utilization(self) -> float:
+        """Fraction of worker-time spent doing useful work."""
+        if self.makespan <= 0 or self.workers == 0:
+            return 0.0
+        return self.total_work / (self.makespan * self.workers)
+
+
+def op_cost(op: TraceOp, cost_model: CostModel) -> float:
+    """Cost of one micro-operation under the query's cost model."""
+    if op.kind == "push":
+        return cost_model.push_cost(op.fan_in)
+    if op.kind == "pull":
+        return cost_model.pull_cost(op.fan_in)
+    if op.kind == "write":
+        return 1.0
+    return 0.5  # "read" on a push node: finalize only
+
+
+def collect_tasks(engine: EAGrEngine, events: Sequence) -> List[List[TraceOp]]:
+    """Execute ``events`` on a trace-collecting engine, one task per event.
+
+    The engine must have been built with ``collect_trace=True``.  Returns the
+    per-event micro-operation lists the simulator schedules.
+    """
+    if engine.runtime.trace is None:
+        raise ValueError("engine was not built with collect_trace=True")
+    tasks: List[List[TraceOp]] = []
+    for event in events:
+        # A lazy recompile would replace engine.runtime (and its trace)
+        # inside the event call; settle it first so the slice below reads
+        # the trace list the event actually appends to.
+        engine._sync()
+        runtime = engine.runtime
+        before = len(runtime.trace)
+        if isinstance(event, WriteEvent):
+            engine.write(event.node, event.value, event.timestamp)
+        elif isinstance(event, ReadEvent):
+            engine.read(event.node)
+        else:
+            raise TypeError("collect_tasks handles read/write events only")
+        tasks.append(list(runtime.trace[before:]))
+    return tasks
+
+
+class SimulatedExecutor:
+    """Discrete-event scheduler of micro-op tasks over M virtual workers.
+
+    Model: a serial dispatcher hands each task to the earliest-free worker
+    (``dispatch_overhead`` time units each — the synchronization cost that
+    caps scaling); within a task, micro-ops run in order, each requiring
+    exclusive access to its overlay node (per-node lock serialization, so
+    hot aggregation nodes become contention points exactly as in the real
+    system).
+    """
+
+    def __init__(
+        self,
+        cost_model: Optional[CostModel] = None,
+        dispatch_overhead: float = 0.05,
+    ) -> None:
+        self.cost_model = cost_model or CostModel.constant_linear()
+        self.dispatch_overhead = dispatch_overhead
+
+    def run(self, tasks: Sequence[Sequence[TraceOp]], workers: int) -> SimulationResult:
+        """Schedule ``tasks`` on ``workers`` virtual cores; returns metrics."""
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        worker_free = [0.0] * workers
+        node_free: Dict[int, float] = {}
+        dispatch_clock = 0.0
+        total_work = 0.0
+        heap = [(0.0, w) for w in range(workers)]
+        heapq.heapify(heap)
+        for task in tasks:
+            dispatch_clock += self.dispatch_overhead
+            free_at, worker = heapq.heappop(heap)
+            t = max(free_at, dispatch_clock)
+            for op in task:
+                duration = op_cost(op, self.cost_model)
+                start = max(t, node_free.get(op.handle, 0.0))
+                t = start + duration
+                node_free[op.handle] = t
+                total_work += duration
+            worker_free[worker] = t
+            heapq.heappush(heap, (t, worker))
+        makespan = max(max(worker_free), dispatch_clock) if tasks else 0.0
+        throughput = len(tasks) / makespan if makespan > 0 else 0.0
+        return SimulationResult(
+            workers=workers,
+            tasks=len(tasks),
+            makespan=makespan,
+            throughput=throughput,
+            total_work=total_work,
+        )
+
+    def sweep(
+        self, tasks: Sequence[Sequence[TraceOp]], worker_counts: Sequence[int]
+    ) -> List[SimulationResult]:
+        """Run the same task trace at several worker counts (Figure 13(d))."""
+        return [self.run(tasks, workers) for workers in worker_counts]
 
 
 def trace_tasks(graph, dataflow):
@@ -52,13 +175,7 @@ def test_fig13d_parallel_scaling(benchmark):
     # The paper's "VNMA-topK-Ideal" reference: perfect work-conserving
     # scaling of the decided overlay's task trace (no locks, no dispatcher).
     total_work = sum(
-        sum(
-            executor.cost_model.push_cost(op.fan_in) if op.kind == "push"
-            else executor.cost_model.pull_cost(op.fan_in) if op.kind == "pull"
-            else 1.0 if op.kind == "write" else 0.5
-            for op in task
-        )
-        for task in main_tasks
+        sum(op_cost(op, executor.cost_model) for op in task) for task in main_tasks
     )
     ideal = [len(main_tasks) * workers / total_work for workers in THREADS]
     rows.insert(0, ["vnm_a-topk-ideal"] + [f"{t:,.2f}" for t in ideal])

@@ -45,11 +45,11 @@ from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.partition import (
     _stable_hash,
+    community_assignment,
     mincut_partition,
     planned_replication_factor,
     shard_sizes,
 )
-from repro.core.partitioned import community_assignment
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import community_graph

@@ -1,13 +1,8 @@
-"""Serving-layer scaling: shard processes vs the GIL-bound thread pool.
+"""Serving-layer scaling: write throughput against the shard count.
 
-Closes the ROADMAP's "process-pool execution" item with numbers.  On the
-same warmed write workload (vnm_a + mincut, SUM, the hotpath bench's
+On one warmed write workload (vnm_a + mincut, SUM, the hotpath bench's
 configuration) it measures sustained write throughput three ways:
 
-* **threaded** — :class:`~repro.core.concurrency.ThreadedEngine`
-  ``submit_write_batch`` + drain: the paper's queueing model on real OS
-  threads.  Correct, but CPython's GIL serializes the micro-tasks and the
-  per-edge queue round-trips dominate.
 * **serve-K (queue)** — :class:`~repro.serve.server.EAGrServer` with K
   shard **processes** (spawn) on the request-pipe (queue) transport:
   batches cross the process boundary as frames written into a pipe and
@@ -31,14 +26,14 @@ percentiles its pass observed (the metrics plane's
 ``write_notify_latency`` summary), and a ``metrics_overhead`` control leg
 re-runs the fastest shm configuration with ``metrics=False`` so the
 instrumentation tax is itself a committed number.
-``--smoke`` shrinks the workload and asserts the acceptance floors: serve
-at the highest shard count must beat threaded, the shm transport must
-actually resolve, and no ``/dev/shm`` segment may survive teardown.
+``--smoke`` shrinks the workload and asserts the acceptance floors: the
+shm transport must actually resolve and must not collapse against the
+queue, and no ``/dev/shm`` segment may survive teardown.
 
 Note on hosts: on a single-core container the shard processes time-slice
-one CPU, so the serve numbers measure the *per-event work advantage*
-(batched columnar kernels vs per-edge micro-tasks) rather than true
-parallel speedup; on a multi-core host the same harness shows both.
+one CPU, so adding shards adds routing and transport work without adding
+parallel speedup; on a multi-core host the same harness shows that
+speedup.
 """
 
 from __future__ import annotations
@@ -52,12 +47,11 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 try:
-    from benchmarks._common import bench_graph, build_engine, emit_table, workload
+    from benchmarks._common import bench_graph, emit_table, workload
 except ImportError:  # script mode
     sys.path.insert(0, os.path.dirname(__file__))
-    from _common import bench_graph, build_engine, emit_table, workload
+    from _common import bench_graph, emit_table, workload
 
-from repro.core.concurrency import ThreadedEngine
 from repro.graph.streams import WriteEvent
 from repro.serve import EAGrServer
 
@@ -67,7 +61,6 @@ BATCH_SIZE = 256
 # shared single core swings codec comparisons by ±30%.
 NUM_EVENTS = 24_000
 SHARD_COUNTS = (1, 2, 4)
-WRITE_THREADS = 2
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_serve.json")
 
@@ -92,29 +85,6 @@ def measure(apply_and_drain, events, passes: int = 3) -> float:
         if elapsed > 0:
             best = max(best, len(events) / elapsed)
     return best
-
-
-def bench_threaded(graph, events, passes: int) -> float:
-    # The object store is the thread pool's best configuration: its
-    # micro-tasks touch PAOs element-wise, where columnar slot access
-    # pays scalar conversion per touch.
-    engine = build_engine(
-        graph, aggregate_name="sum", algorithm="vnm_a", dataflow="mincut",
-        events=None, value_store="object",
-    )
-    threaded = ThreadedEngine(engine, write_threads=WRITE_THREADS)
-
-    def run(items):
-        submit = threaded.submit_write_batch
-        for start in range(0, len(items), BATCH_SIZE):
-            submit(items[start : start + BATCH_SIZE])
-        threaded.drain()
-
-    try:
-        run(events)  # warm: plans, buffers, queues
-        return measure(run, events, passes)
-    finally:
-        threaded.close()
 
 
 def bench_serve(
@@ -152,7 +122,7 @@ def bench_serve(
         assert server.transport == "shm", "shm transport failed to resolve"
     # A small watched set exercises the notification path so each row's
     # write->notify percentiles are sampled from real deliveries (same
-    # set on every serve leg; the threaded baseline has no equivalent).
+    # set on every serve leg).
     server.subscribe("bench-watch", sorted(graph.nodes(), key=repr)[:8])
 
     def run(items):
@@ -204,14 +174,10 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
     graph = bench_graph("livejournal-small", scale=0.25)
     events = write_workload(graph, num_events)
     results = {
-        "threaded_eps": 0.0,
         "serve": {},
         "shm": {},
         "serve_inprocess_eps": 0.0,
     }
-
-    threaded = bench_threaded(graph, events, passes)
-    results["threaded_eps"] = round(threaded)
 
     inproc, inproc_meta = bench_serve(graph, events, 2, "inprocess", passes)
     results["serve_inprocess_eps"] = round(inproc)
@@ -220,14 +186,11 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
         return [
             label,
             f"{eps:,.0f}",
-            f"{eps / threaded:.2f}x" if threaded else "-",
-            meta["codec"] if meta else "-",
-            f"{meta['bytes_per_event']:,.0f}" if meta else "-",
+            meta["codec"],
+            f"{meta['bytes_per_event']:,.0f}",
         ]
 
-    rows = [["threaded x%d" % WRITE_THREADS, f"{threaded:,.0f}", "1.00x",
-             "-", "-"],
-            row("serve-inproc x2", inproc, inproc_meta)]
+    rows = [row("serve-inproc x2", inproc, inproc_meta)]
     for shards in shard_counts:
         queue_eps, queue_meta = bench_serve(
             graph, events, shards, "process", passes, transport="queue"
@@ -238,16 +201,10 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
         )
         results["serve"][str(shards)] = {
             "eps": round(queue_eps),
-            "speedup_vs_threaded": round(
-                queue_eps / threaded if threaded else 0.0, 2
-            ),
             **queue_meta,
         }
         results["shm"][str(shards)] = {
             "eps": round(shm_eps),
-            "speedup_vs_threaded": round(
-                shm_eps / threaded if threaded else 0.0, 2
-            ),
             "speedup_vs_queue": round(
                 shm_eps / queue_eps if queue_eps else 0.0, 2
             ),
@@ -280,7 +237,7 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
         "serve_scaling",
         f"Serving layer [SUM, vnm_a+mincut, batch={BATCH_SIZE}]: "
         "write throughput (events/s)",
-        ["sink", "events/s", "vs threaded", "codec", "B/event"],
+        ["sink", "events/s", "codec", "B/event"],
         rows,
     )
     return results
@@ -302,7 +259,6 @@ def persist(results, num_events: int) -> None:
             "timestamp": time.time(),
             "num_events": num_events,
             "batch_size": BATCH_SIZE,
-            "write_threads": WRITE_THREADS,
             "cpus": os.cpu_count(),
             "aggregate": "sum",
             "results": results,
@@ -327,9 +283,7 @@ def main(argv):
     best = results["serve"][top]
     best_shm = results["shm"][top]
     print(
-        f"threaded: {results['threaded_eps']:,} ev/s; "
-        f"serve x{top} queue: {best['eps']:,} ev/s "
-        f"({best['speedup_vs_threaded']}x); "
+        f"serve x{top} queue: {best['eps']:,} ev/s; "
         f"shm: {best_shm['eps']:,} ev/s "
         f"({best_shm['speedup_vs_queue']}x vs queue); "
         f"write→notify p99 {best_shm['write_notify_p99_ms']} ms; "
@@ -337,16 +291,9 @@ def main(argv):
         f"JSON -> {JSON_PATH}"
     )
     if smoke:
-        # CI tripwires, deliberately loose: the serve layer clears the
-        # thread pool by 4-12x on a quiet single core, so even a noisy
-        # shared runner (spawn boot jitter, scheduler interference) stays
-        # far above this floor unless the hot path genuinely regressed.
-        assert best["speedup_vs_threaded"] >= 0.5, (
-            "serve layer grossly regressed vs ThreadedEngine: "
-            f"{best['speedup_vs_threaded']}x"
-        )
-        # The shm transport ran (bench_serve asserted it resolved and its
-        # segments were unlinked); it must not collapse vs the queue.
+        # CI tripwire, deliberately loose.  The shm transport ran
+        # (bench_serve asserted it resolved and its segments were
+        # unlinked); it must not collapse vs the queue.
         assert best_shm["speedup_vs_queue"] >= 0.5, (
             f"shm transport grossly regressed vs queue: "
             f"{best_shm['speedup_vs_queue']}x"

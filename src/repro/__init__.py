@@ -37,9 +37,7 @@ from repro.core import (
     Overlay,
     QueryMode,
     Runtime,
-    SimulatedExecutor,
     Sum,
-    ThreadedEngine,
     TimeWindow,
     TopK,
     TupleWindow,
@@ -85,9 +83,7 @@ __all__ = [
     "Overlay",
     "QueryMode",
     "Runtime",
-    "SimulatedExecutor",
     "Sum",
-    "ThreadedEngine",
     "TimeWindow",
     "TopK",
     "TupleWindow",

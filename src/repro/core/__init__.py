@@ -16,18 +16,10 @@ from repro.core.aggregates import (
     UserDefinedAggregate,
     get_aggregate,
 )
-from repro.core.concurrency import (
-    SimulatedExecutor,
-    SimulationResult,
-    ThreadedEngine,
-    collect_tasks,
-)
 from repro.core.engine import DATAFLOW_MODES, EAGrEngine
 from repro.core.execution import Runtime, RuntimeCounters, TraceOp
 from repro.core.overlay import Decision, NodeKind, Overlay, OverlayError
-from repro.core.partitioned import PartitionedEngine, community_assignment
 from repro.core.query import EgoQuery, QueryMode
-from repro.core.shards import ShardExecution
 from repro.core.windows import TimeWindow, TupleWindow, Window, WindowBuffer
 
 __all__ = [
@@ -46,10 +38,6 @@ __all__ = [
     "TopK",
     "UserDefinedAggregate",
     "get_aggregate",
-    "SimulatedExecutor",
-    "SimulationResult",
-    "ThreadedEngine",
-    "collect_tasks",
     "DATAFLOW_MODES",
     "EAGrEngine",
     "Runtime",
@@ -59,11 +47,8 @@ __all__ = [
     "NodeKind",
     "Overlay",
     "OverlayError",
-    "PartitionedEngine",
-    "community_assignment",
     "EgoQuery",
     "QueryMode",
-    "ShardExecution",
     "TimeWindow",
     "TupleWindow",
     "Window",

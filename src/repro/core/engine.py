@@ -238,7 +238,7 @@ class EAGrEngine:
         return results
 
     # ------------------------------------------------------------------
-    # shard-execution protocol (repro.core.shards.ShardExecution)
+    # change reports and lifecycle (what a serve-layer shard host drives)
     # ------------------------------------------------------------------
 
     def changed_handles(self):
@@ -279,8 +279,11 @@ class EAGrEngine:
 
         Consumes the runtime's pending report — moved writers mapped
         through their frozen reader closures, plus the readers structural
-        changes affected — in O(affected readers).  No duplicates,
-        ascending overlay handle order.
+        changes affected — in O(affected readers).  Each candidate once,
+        in ascending overlay handle order; the order is an artefact of
+        how the set is deduplicated, and nothing may rely on more than
+        "each candidate once".  A superset is allowed (consumers diff
+        values before acting); an empty list means nothing changed.
         """
         self._sync()
         return self.runtime.changed_readers()
@@ -292,7 +295,10 @@ class EAGrEngine:
         The stamp is stable across overlay rebuilds and — when the engine
         is restored from checkpointed window buffers, as the serve layer's
         shard restart does — across process restarts, so it can version
-        change notifications durably.
+        change notifications durably.  It advances in lockstep with
+        ingestion calls — once per ``write_batch`` however the batch
+        coalesces — so replaying a logged batch sequence through a fresh
+        engine reproduces both the values and the stamps.
         """
         self._sync()
         return self.runtime.changed_report()
@@ -301,7 +307,11 @@ class EAGrEngine:
         """Synchronous engine: every accepted write is already applied."""
 
     def close(self) -> None:
-        """Synchronous engine: nothing to flush or release."""
+        """Synchronous engine: nothing to flush or release.
+
+        Closing flushes rather than drops: every write accepted before
+        the call is visible to a final read.  Idempotent.
+        """
 
     def apply_structure_event(self, event: StructureEvent) -> None:
         """Apply one structure-stream event to the data graph.

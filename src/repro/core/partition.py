@@ -4,9 +4,9 @@ pointed at placement).
 The serve tier multicasts every write to all shards whose readers
 aggregate that writer, so the *replication factor* — the mean number of
 shards per writer — is the write amplification of the hot path.
-:func:`~repro.core.partitioned.community_assignment` reduces it with a
-BFS-grown locality heuristic; this module solves the placement problem
-the way the paper solves dataflow decisions: as a minimum cut.
+:func:`community_assignment` reduces it with a BFS-grown locality
+heuristic; this module solves the placement problem the way the paper
+solves dataflow decisions: as a minimum cut.
 
 The model is the standard hypergraph net cut.  Each writer ``w`` is one
 hyperedge spanning its reader set ``R(w)`` (the overlay's compiled reader
@@ -70,11 +70,8 @@ def partition_readers(
 ) -> Dict[NodeId, int]:
     """Reader node → owning shard for every pred-selected graph node.
 
-    The single source of the reader partition, shared by
-    :class:`~repro.core.partitioned.PartitionedEngine` and the serving
-    layer's ``EAGrServer`` so the predicate/assignment semantics cannot
-    drift apart.  ``assign`` defaults to the process-independent stable
-    hash.
+    The partition a freshly booted ``EAGrServer`` logs and routes by.
+    ``assign`` defaults to the process-independent stable hash.
     """
     assign = assign or (lambda node: _stable_hash(node) % num_shards)
     reader_shard: Dict[NodeId, int] = {}
@@ -82,6 +79,37 @@ def partition_readers(
         if query.predicate is None or query.predicate(node):
             reader_shard[node] = assign(node) % num_shards
     return reader_shard
+
+
+def community_assignment(graph, num_shards: int) -> Callable[[NodeId], int]:
+    """A cheap locality-aware assignment: BFS-grown balanced partitions.
+
+    Stands in for the "standard graph partitioning-based techniques" the
+    paper alludes to; co-locating neighborhoods cuts the write replication
+    factor versus hash assignment (asserted by the partitioning tests).
+    """
+    nodes = sorted(graph.nodes(), key=repr)
+    capacity = max(1, (len(nodes) + num_shards - 1) // num_shards)
+    assignment: Dict[NodeId, int] = {}
+    shard_id = 0
+    filled = 0
+    for start in nodes:
+        if start in assignment:
+            continue
+        queue = collections.deque([start])
+        while queue:
+            node = queue.popleft()
+            if node in assignment:
+                continue
+            assignment[node] = shard_id
+            filled += 1
+            if filled >= capacity:
+                shard_id = min(shard_id + 1, num_shards - 1)
+                filled = 0
+            for neighbor in sorted(graph.neighbors(node), key=repr):
+                if neighbor not in assignment:
+                    queue.append(neighbor)
+    return lambda node: assignment.get(node, 0)
 
 
 def _reader_closures(
@@ -318,8 +346,6 @@ def mincut_partition(
     if num_shards == 1 or len(readers) <= 1:
         return {node: 0 for node in readers}
     if len(readers) > max_nodes:
-        from repro.core.partitioned import community_assignment
-
         assign = community_assignment(graph, num_shards)
         return {node: assign(node) % num_shards for node in readers}
 
@@ -368,8 +394,8 @@ class TableAssignment:
     """A reader -> shard table usable both ways the serve tier needs it.
 
     *Callable* (``EAGrServer(assign=...)``, drop-in for
-    :func:`~repro.core.partitioned.community_assignment`): unknown nodes
-    resolve to ``default``.  *Dict-style* ``.get(node, fallback)``
+    :func:`community_assignment`): unknown nodes resolve to
+    ``default``.  *Dict-style* ``.get(node, fallback)``
     (:func:`~repro.serve.reshard.plan_from_assignment`): unknown nodes
     resolve to the caller's fallback — i.e. "leave that reader where it
     is", not ``default``.

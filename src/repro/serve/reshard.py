@@ -97,7 +97,7 @@ def plan_from_assignment(server, assignment) -> ReshardPlan:
     :func:`~repro.core.partition.mincut_assignment`) — readers absent
     from the target stay where they are — or, failing that, a plain
     reader->shard callable such as
-    :func:`~repro.core.partitioned.community_assignment`, which is
+    :func:`~repro.core.partition.community_assignment`, which is
     asked about every current reader.
     """
     getter = getattr(assignment, "get", None)

@@ -277,10 +277,10 @@ def test_batched_observed_push_matches_per_event():
     assert engine_b.counters.push_ops <= engine_a.counters.push_ops
 
 
-def test_collect_batch_tasks_survives_lazy_recompile():
+def test_collect_tasks_survives_lazy_recompile():
     """A pending lazy recompile swaps engine.runtime inside the first
-    flush; task collection must follow the live trace, not the dead one."""
-    from repro.core.concurrency import collect_batch_tasks
+    event; task collection must follow the live trace, not the dead one."""
+    from benchmarks.bench_fig13d_parallelism import collect_tasks
     from repro.graph.streams import WriteEvent
 
     graph = random_graph(12, 30, seed=14)
@@ -292,57 +292,10 @@ def test_collect_batch_tasks_survives_lazy_recompile():
         WriteEvent(node=nodes[tick % len(nodes)], value=1.0, timestamp=float(tick + 1))
         for tick in range(10)
     ]
-    tasks = collect_batch_tasks(engine, events, batch_size=4)
-    assert tasks and all(task for task in tasks)
+    tasks = collect_tasks(engine, events)
+    assert len(tasks) == len(events)
     # Writes on nodes no reader observes are dropped (no trace op); every
     # other write must appear in the collected tasks.
     live_writers = set(engine.runtime.overlay.writer_of)
     expected = sum(1 for event in events if event.node in live_writers)
     assert sum(op.kind == "write" for task in tasks for op in task) == expected > 0
-
-
-def test_threaded_submit_write_batch():
-    from repro.core.concurrency import ThreadedEngine
-
-    graph = random_graph(16, 40, seed=21)
-    engine = make_engine(graph, "sum", "vnm_a", "tuple", dataflow="all_push")
-    threaded = ThreadedEngine(engine, write_threads=2)
-    rng = random.Random(4)
-    nodes = sorted(graph.nodes(), key=repr)
-    try:
-        batch = []
-        for tick in range(200):
-            batch.append((rng.choice(nodes), float(rng.randrange(8)), float(tick + 1)))
-            if len(batch) >= 16:
-                threaded.submit_write_batch(batch)
-                batch = []
-        if batch:
-            threaded.submit_write_batch(batch)
-        threaded.drain()
-        for node in nodes:
-            assert threaded.read(node) == engine.reference_read(node), node
-    finally:
-        threaded.shutdown()
-
-
-def test_partitioned_batch_api():
-    from repro.core.partitioned import PartitionedEngine
-
-    graph = random_graph(18, 50, seed=8)
-    query = EgoQuery(
-        aggregate=Sum(), window=TupleWindow(2), neighborhood=Neighborhood.in_neighbors()
-    )
-    sharded = PartitionedEngine(graph, query, num_shards=3, overlay_algorithm="vnm_a")
-    single = EAGrEngine(graph.copy(), query, overlay_algorithm="vnm_a")
-    rng = random.Random(31)
-    nodes = sorted(graph.nodes(), key=repr)
-    writes = [
-        (rng.choice(nodes), float(rng.randrange(9)), float(tick + 1))
-        for tick in range(150)
-    ]
-    sharded.write_batch(writes)
-    single.write_batch(writes)
-    reads = nodes + ["missing-node"]
-    assert sharded.read_batch(reads) == [
-        single.read(node) if node in graph else 0.0 for node in reads
-    ]

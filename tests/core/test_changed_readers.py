@@ -244,29 +244,3 @@ class TestGlobalWriteStamp:
         assert restored.stamp == engine.runtime.stamp
         restored.write_batch([("c", 2.0)])
         assert restored.stamp == engine.runtime.stamp + 1
-
-    def test_threaded_and_partitioned_report_stamps(self):
-        from repro.core.concurrency import ThreadedEngine
-        from repro.core.partitioned import PartitionedEngine
-
-        graph = random_graph(16, 60, seed=7)
-        query = EgoQuery(
-            aggregate=Sum(),
-            window=TupleWindow(1),
-            neighborhood=Neighborhood.in_neighbors(),
-        )
-        nodes = list(graph.nodes())
-        threaded = ThreadedEngine(
-            EAGrEngine(graph, query, overlay_algorithm="vnm_a"),
-            write_threads=2,
-        )
-        try:
-            threaded.write_batch([(n, 1.0) for n in nodes])
-            stamp, readers = threaded.changed_report()
-            assert stamp >= 1 and readers
-        finally:
-            threaded.close()
-        parts = PartitionedEngine(graph, query, num_shards=3)
-        parts.write_batch([(n, 1.0) for n in nodes])
-        stamp, readers = parts.changed_report()
-        assert stamp >= 1 and readers

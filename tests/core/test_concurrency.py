@@ -1,20 +1,23 @@
-"""Tests for the threaded engine and the simulated multi-core executor."""
+"""Tests for the simulated multi-core executor behind Figure 13(d).
+
+The simulator lives beside its figure, in
+``benchmarks/bench_fig13d_parallelism.py``; these tests keep it in the
+tier-1 suite.
+"""
 
 import pytest
 
-from repro.core.aggregates import Sum, TopK
-from repro.core.concurrency import (
+from benchmarks.bench_fig13d_parallelism import (
     SimulatedExecutor,
-    ThreadedEngine,
     collect_tasks,
     op_cost,
 )
+from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.execution import TraceOp
 from repro.core.query import EgoQuery
-from repro.core.windows import TupleWindow
 from repro.dataflow.costs import CostModel
-from repro.graph.generators import paper_figure1, random_graph
+from repro.graph.generators import paper_figure1
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import WriteEvent
 
@@ -24,102 +27,6 @@ from tests.conftest import make_events
 def build_engine(**kwargs):
     query = EgoQuery(aggregate=Sum(), neighborhood=Neighborhood.in_neighbors())
     return EAGrEngine(paper_figure1(), query, overlay_algorithm="vnm_a", **kwargs)
-
-
-class TestThreadedEngine:
-    def test_quiesced_state_matches_serial(self):
-        serial = build_engine(dataflow="all_push")
-        threaded_engine = build_engine(dataflow="all_push")
-        threaded = ThreadedEngine(threaded_engine, write_threads=4)
-        try:
-            events = make_events(list("abcdefg"), 300, write_fraction=1.0, seed=41)
-            for event in events:
-                serial.write(event.node, event.value, event.timestamp)
-                threaded.submit_write(event.node, event.value, event.timestamp)
-            threaded.drain()
-            for node in "abcdefg":
-                assert threaded.read(node) == serial.read(node)
-        finally:
-            threaded.shutdown()
-
-    def test_reads_while_writing_are_sane(self):
-        engine = build_engine(dataflow="all_push")
-        threaded = ThreadedEngine(engine, write_threads=2)
-        try:
-            for i in range(200):
-                threaded.submit_write("a", 1.0, timestamp=float(i))
-                result = threaded.read("g")  # may be stale, must not crash
-                assert result >= 0.0
-            threaded.drain()
-            assert threaded.read("g") == engine.reference_read("g")
-        finally:
-            threaded.shutdown()
-
-    def test_pull_reads_under_threading(self):
-        engine = build_engine(dataflow="all_pull")
-        threaded = ThreadedEngine(engine, write_threads=2)
-        try:
-            threaded.submit_write("c", 5.0)
-            threaded.submit_write("d", 7.0)
-            threaded.drain()
-            assert threaded.read("a") == engine.reference_read("a")
-        finally:
-            threaded.shutdown()
-
-    def test_thread_count_validation(self):
-        with pytest.raises(ValueError):
-            ThreadedEngine(build_engine(), write_threads=0)
-
-    def test_close_flushes_pending_batches(self):
-        """close() right after submit_write_batch applies, never drops."""
-        serial = build_engine(dataflow="all_push")
-        threaded_engine = build_engine(dataflow="all_push")
-        threaded = ThreadedEngine(threaded_engine, write_threads=3)
-        events = make_events(list("abcdefg"), 600, write_fraction=1.0, seed=47)
-        for start in range(0, len(events), 32):
-            chunk = [
-                (e.node, e.value, e.timestamp)
-                for e in events[start : start + 32]
-            ]
-            serial.write_batch(chunk)
-            threaded.submit_write_batch(chunk)
-        threaded.close()  # no drain() first: close itself must flush
-        for node in "abcdefg":
-            assert threaded_engine.read(node) == serial.read(node), node
-
-    def test_close_is_idempotent_and_guards_submission(self):
-        threaded = ThreadedEngine(build_engine(dataflow="all_push"))
-        threaded.close()
-        threaded.close()
-        threaded.shutdown()
-        with pytest.raises(RuntimeError):
-            threaded.submit_write("a", 1.0)
-        with pytest.raises(RuntimeError):
-            threaded.submit_write_batch([("a", 1.0)])
-
-    def test_shard_protocol_write_read_changed(self):
-        """ThreadedEngine satisfies the shard-execution protocol."""
-        from repro.core.shards import ShardExecution
-
-        engine = build_engine(dataflow="all_push")
-        threaded = ThreadedEngine(engine, write_threads=2)
-        try:
-            assert isinstance(threaded, ShardExecution)
-            count = threaded.write_batch([("c", 5.0), ("d", 7.0), ("zz", 1.0)])
-            assert count == 3
-            changed = set(threaded.changed_readers())
-            expected = {
-                reader
-                for reader in engine.overlay.reader_of
-                if {"c", "d"}
-                & set(engine.query.neighborhood(engine.graph, reader))
-            }
-            assert changed == expected
-            assert threaded.changed_readers() == []
-            results = threaded.read_batch(["a", "g"])
-            assert results == [engine.reference_read("a"), engine.reference_read("g")]
-        finally:
-            threaded.close()
 
 
 class TestSimulatedExecutor:

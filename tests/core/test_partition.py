@@ -5,7 +5,7 @@ factor of its routing table, so the one number this suite defends is:
 on community-structured graphs, :func:`mincut_partition` must plan a
 *strictly lower* replication factor than both the stable-hash baseline
 and the BFS :func:`community_assignment` heuristic it replaced as the
-server default — while honouring the same balance bound the partitioner
+server default (which must itself beat the hash) — while honouring the same balance bound the partitioner
 promises (every shard within ``balance`` times the mean size).
 """
 
@@ -22,12 +22,12 @@ from repro.core.aggregates import Sum
 from repro.core.partition import (
     _repair,
     _stable_hash,
+    community_assignment,
     mincut_assignment,
     mincut_partition,
     planned_replication_factor,
     shard_sizes,
 )
-from repro.core.partitioned import community_assignment
 from repro.core.query import EgoQuery, Neighborhood
 from repro.core.windows import TupleWindow
 from repro.graph.dynamic_graph import DynamicGraph
@@ -89,6 +89,7 @@ class TestQualityRegression:
         )
         assert rf_mincut < rf_hash
         assert rf_mincut < rf_community
+        assert rf_community < rf_hash
 
     @pytest.mark.parametrize("config", COMMUNITY_CONFIGS)
     def test_balance_bound(self, config):

@@ -1,11 +1,16 @@
-"""Tests for the measurement harness and table reporting utilities."""
+"""Tests for the benchmarks' measurement harness and table reporting
+(``benchmarks/_common.py``)."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bench.harness import WorkloadResult, run_segmented, run_workload
-from repro.bench.reporting import format_cell, format_table
+from benchmarks._common import (
+    WorkloadResult,
+    format_cell,
+    format_table,
+    run_workload,
+)
 from repro.core.aggregates import Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
@@ -76,11 +81,6 @@ class TestRunWorkload:
         result = run_workload(self.engine(), self.events(), measure_latency=True)
         assert len(result.read_latencies) == 2
         assert all(l >= 0 for l in result.read_latencies)
-
-    def test_run_segmented(self):
-        durations = run_segmented(self.engine(), self.events() * 5, segment_size=4)
-        assert len(durations) == 5
-        assert all(d >= 0 for d in durations)
 
 
 class TestReporting:
