@@ -51,29 +51,30 @@ The delivery contract
 Subscriptions are diff-based: after each applied write batch a shard asks
 its runtime for the changed-reader report (O(affected readers)), re-reads
 exactly the watched egos among them, and emits a notice for every value
-that actually moved.  The front-end stamps, journals, and delivers them
-under one lock, which yields three guarantees:
+that actually moved.  The front-end stamps and journals (= delivers)
+them under one lock, which yields three guarantees:
 
-1. **At-least-once live.**  A connected subscriber eventually receives a
-   notification for every value change of a watched ego, with strictly
-   monotone contiguous stamps (1, 2, 3, ...).  Crash windows can cause a
-   change to be *re-derived* (a restarted shard diffs against its
-   checkpointed baselines), but the front-end's per-ego value filter
-   suppresses re-deliveries, so a subscriber never sees the same value
-   twice in a row for an ego.
+1. **At-least-once live.**  A connected subscriber that reads within
+   ``journal_capacity`` of the newest stamp receives a notification for
+   every value change of a watched ego, with strictly monotone
+   contiguous stamps (1, 2, 3, ...).  Crash windows can cause a change
+   to be *re-derived* (a restarted shard diffs against its checkpointed
+   baselines), but the front-end's per-ego value filter suppresses
+   re-deliveries, so a subscriber never sees the same value twice in a
+   row for an ego.
 2. **Exactly-once-after-resume.**  Every stamped notification is appended
-   to the subscriber's :class:`~repro.serve.journal.NotificationLog`
-   *before* it is offered to the live queue.  A client that disconnects
-   and reconnects with ``subscribe(..., resume_from=N)`` receives exactly
-   the notifications with stamps ``> N`` — original stamps, original
-   order, no gaps, no duplicates — replayed ahead of live deliveries in
-   one atomic splice.
+   to the subscriber's :class:`~repro.serve.journal.NotificationLog`,
+   its only copy, which a :class:`Subscription` reads through a cursor.
+   A client that reconnects with ``subscribe(..., resume_from=N)`` —
+   cursor ``N`` — receives exactly the notifications with stamps
+   ``> N``: original stamps, original order, no gaps, no duplicates.
 3. **Checkpoint / eviction semantics.**  Journals are bounded rings
-   (``journal_capacity``): overflow evicts the oldest entries and moves
-   the *resume horizon* forward; ``ack(subscriber, stamp)`` releases the
-   acknowledged prefix early.  A ``resume_from`` behind the horizon — or
-   ahead of everything the journal ever recorded — raises
-   :class:`~repro.serve.journal.ResumeGapError` rather than replaying a
+   (``journal_capacity`` notifications): overflow evicts the oldest and
+   moves the *resume horizon* forward; ``ack(subscriber, stamp)``
+   releases the acknowledged prefix early.  A ``resume_from`` behind the
+   horizon — or ahead of everything the journal ever recorded — and the
+   next read of a live handle whose cursor fell behind it raise
+   :class:`~repro.serve.journal.ResumeGapError` rather than delivering a
    gapped or regressing sequence; the client must re-baseline with a
    plain ``subscribe``.  With ``journal_dir`` set, logs are disk-backed
    (crash-tolerant appends, atomic compaction) and resume works across a

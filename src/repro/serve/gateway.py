@@ -37,24 +37,22 @@ log.  The shard apply and the notifications it triggers follow
 asynchronously (the server's background flusher runs them); a read sent
 after the ``K_OK`` still observes the write.
 
-Flow control maps onto the server's own journal machinery instead of
-buffering in the gateway.  Each connection has a bounded in-flight
-budget (``max_inflight_bytes``): notification bytes written to the
-socket count against it and an ``K_ACK`` from the client releases them.
-When a slow consumer exhausts the budget the gateway **pauses** its
-streams through :meth:`EAGrServer.disconnect` — the journal keeps
-recording, bounded by ``journal_capacity``, while the live queue is
-severed — and **resumes** with ``subscribe(resume_from=last_sent)`` once
-acks drain the budget below the low-water mark.  The journal replays the
-paused window with the original stamps, so a paused stream is
-indistinguishable from a slow network: gap-free, duplicate-free, and the
-gateway's memory stays O(connections × max_inflight_bytes) no matter how
-far behind a consumer falls.  A pause that outlives the journal's
-retention window surfaces as a ``ResumeGapError`` error frame — never a
-silent gap.
+Flow control is the server's journal, not a buffer in the gateway.
+Each connection has a bounded in-flight budget (``max_inflight_bytes``):
+notification bytes written to the socket count against it and an
+``K_ACK`` from the client releases them.  When a slow consumer exhausts
+the budget the gateway **pauses** its streams — it stops polling them;
+the journals, bounded by ``journal_capacity``, keep recording — and
+**resumes** with ``subscribe(resume_from=last_sent)`` once acks drain
+the budget below the low-water mark.  A paused stream is
+indistinguishable from a slow network: gap-free, duplicate-free, and
+the gateway's memory stays O(connections × max_inflight_bytes) no matter
+how far behind a consumer falls.  A pause or a slow socket that outlives
+the journal's retention window surfaces as a ``ResumeGapError`` error
+frame — never a silent gap.
 
-Disconnects route through the same path: a dropped socket severs the
-live queues but leaves the journals recording, so a client that
+A dropped socket goes through :meth:`EAGrServer.disconnect`: the live
+handles are cut off but the journals keep recording, so a client that
 reconnects and subscribes with its resume token (the last stamp it saw)
 continues exactly where the connection died.
 """
@@ -388,7 +386,7 @@ class GatewayServer:
 
     async def _teardown(self, conn: _Connection) -> None:
         """Route a vanished client through the server's disconnect path:
-        live queues are severed, journals keep recording, and a later
+        live handles are cut off, journals keep recording, and a later
         subscribe with the client's resume token replays the gap."""
         if conn.closed:
             return
@@ -541,7 +539,7 @@ class GatewayServer:
                 stream.last_sent = resume_from
             else:
                 # Fresh subscribe (or watch extension): anything already
-                # queued on the new subscription is about to be pumped;
+                # unread on the subscription is about to be pumped;
                 # the cursor trails the pump from here.
                 stream.last_sent = min(stream.last_sent, last)
             stream.paused = False
@@ -648,9 +646,17 @@ class GatewayServer:
                     subscription = stream.subscription
                     if subscription is None:
                         continue  # paused or mid-transition
+                    try:
+                        items = subscription.poll_batch()
+                    except ResumeGapError as exc:
+                        # The socket was slower than the journal is long.
+                        stream.subscription = None
+                        subscription.on_delivery = None
+                        await self._lost(conn, stream, exc)
+                        continue
                     subscriber = stream.subscriber
                     ledger = stream.ledger
-                    for item in subscription.poll_batch():
+                    for item in items:
                         frame = frame_bytes(
                             encode_control(K_NOTES, (subscriber, item))
                         )
@@ -670,7 +676,7 @@ class GatewayServer:
                     self._gm["gw_notes_sent"].inc(notes)
                 if exhausted:
                     # Budget exhausted: drop the drained remainder
-                    # (journaled — the resume replay restores it)
+                    # (the resume reads it again from the journal)
                     # and pause every stream on this connection.
                     await self._pause_all(conn)
         except asyncio.CancelledError:
@@ -693,12 +699,6 @@ class GatewayServer:
             stream.subscription = None
             subscription.on_delivery = None
             self._gm["gw_stream_pauses"].inc()
-            try:
-                await self._loop.run_in_executor(
-                    self._call_pool, self._server.disconnect, stream.subscriber
-                )
-            except Exception:  # noqa: BLE001 - server closing
-                pass
 
     async def _maybe_resume(self, conn: _Connection) -> None:
         if conn.inflight > self._low_water or conn.closed:
@@ -720,22 +720,23 @@ class GatewayServer:
                     ),
                 )
             except ResumeGapError as exc:
-                # The pause outlived the journal's retention window: the
-                # stream cannot continue gap-free.  Tell the client (it
-                # must re-subscribe and re-baseline) — never deliver a
-                # stream with a silent hole.
-                self._gm["gw_resume_gaps"].inc()
-                stream.paused = False
-                stream.dead = True
-                await self._send_error(
-                    conn, None, "ResumeGapError", str(exc), stream.subscriber
-                )
+                await self._lost(conn, stream, exc)
                 return
             except Exception:  # noqa: BLE001 - server closing
                 return
             stream.paused = False
             self._gm["gw_stream_resumes"].inc()
             self._attach(conn, stream, subscription)
+
+    async def _lost(self, conn: _Connection, stream: _Stream, exc) -> None:
+        """The stream fell behind the journal's window: tell the client
+        (it must re-subscribe and re-baseline), never deliver a hole."""
+        self._gm["gw_resume_gaps"].inc()
+        stream.paused = False
+        stream.dead = True
+        await self._send_error(
+            conn, None, "ResumeGapError", str(exc), stream.subscriber
+        )
 
     # ------------------------------------------------------------------
     # socket writes

@@ -1,13 +1,11 @@
 """Durable, resumable per-subscriber notification logs.
 
-The serving layer's live delivery is at-least-once and best-effort: a
-subscriber that disconnects (or whose process dies) loses whatever was
-sitting in its in-memory queue.  :class:`NotificationLog` closes that gap.
-The front-end appends every stamped :class:`~repro.serve.messages.Notification`
-to the subscriber's log *before* offering it to the live queue, so a client
-that reconnects with ``resume_from=N`` can replay the suffix with stamps
-``> N`` — the original stamps, exactly once, in order — and then splice
-seamlessly into live delivery.
+A subscriber's :class:`NotificationLog` is the one copy of every stamped
+:class:`~repro.serve.messages.Notification` it is sent: its live handle
+reads it through a cursor (:meth:`NotificationLog.replay` after the last
+stamp read), and a client that reconnects with ``resume_from=N`` is a
+handle whose cursor starts at ``N`` — the original stamps, exactly once,
+in order, and live ones after them with no seam.
 
 Design:
 
@@ -232,16 +230,17 @@ class NotificationLog:
     def replay(self, resume_from: int) -> List[Any]:
         """Every retained entry with stamp ``> resume_from``, in order.
 
-        Raises :class:`ResumeGapError` when entries in
-        ``(resume_from, first retained stamp)`` have been evicted — the
-        replay could not be gap-free.
+        Scans back from the newest entry: O(entries returned).  Raises
+        :class:`ResumeGapError` when entries in ``(resume_from, first
+        retained stamp)`` have been evicted — the replay could not be
+        gap-free.
         """
         if resume_from < self.evicted_through:
             raise ResumeGapError(
                 f"cannot resume from stamp {resume_from}: entries through "
                 f"stamp {self.evicted_through} have been evicted "
                 "(oldest retained: "
-                f"{self._entries[0].stamp if self._entries else 'none'})"
+                f"{self.first_stamp if self._entries else 'none'})"
             )
         if resume_from > self.last_stamp:
             # The log has never seen this stamp: the client is ahead of the
@@ -252,13 +251,15 @@ class NotificationLog:
                 f"last stamp is {self.last_stamp}"
             )
         out: List[Any] = []
-        for entry in self._entries:
+        for entry in reversed(self._entries):
             if entry.stamp <= resume_from:
-                continue
+                break
             if getattr(entry, "first_stamp", entry.stamp) <= resume_from:
                 # Frame straddling the resume point: replay its suffix only.
-                entry = entry.after(resume_from)
+                out.append(entry.after(resume_from))
+                break
             out.append(entry)
+        out.reverse()
         return out
 
     def truncate(self, upto: int) -> int:

@@ -32,18 +32,17 @@ four verbs:
   to the shard that owns an ego, under its flush lock (see the lock
   order below); everything after the shard's
   reply is :class:`~repro.serve.subscriptions.Subscriptions`' — the
-  fan-out to per-subscriber queues with strictly monotone,
+  fan-out to per-subscriber journals with strictly monotone,
   **contiguous** per-subscriber stamps, the replay filter, the
-  journals.  *Who watches what* is neither's: it is the ledger's fold
+  handles.  *Who watches what* is neither's: it is the ledger's fold
   (``S``/``U``/``P``, below), which ``Subscriptions`` appends to and
   reads.
 * **Durability and resume** — every stamped notification is journalled
   (:class:`~repro.serve.journal.NotificationLog`: bounded ring,
-  optionally disk-backed) *before* live delivery.  A disconnected client
-  reconnects with ``subscribe(..., resume_from=N)`` and receives the
-  journal suffix with the original stamps ``> N`` spliced gap-free ahead of
-  live deliveries — exactly-once-after-resume.  A ``resume_from`` older
-  than the journal's horizon raises
+  optionally disk-backed), its only copy: a :class:`Subscription` is a
+  cursor into it.  ``subscribe(..., resume_from=N)`` sets the cursor to
+  ``N`` — exactly-once-after-resume.  A ``resume_from`` older than the
+  journal's horizon, or a live cursor that falls behind it, raises
   :class:`~repro.serve.journal.ResumeGapError` (never a silent gap).
 * **One durability ledger** — which shard owns which reader, which
   rounds are accepted, which batch each became, what a checkpoint
@@ -117,13 +116,17 @@ Acquired strictly in this order, never the reverse:
    taken under it.
    The subscriptions lock (``Subscriptions._lock``) — every field of
    the :class:`~repro.serve.subscriptions.Subscriptions` object and of
-   the subscriber states it holds (queue, stamp, journal, delivery
+   the subscriber states it holds (handle, stamp, journal, delivery
    filter), and nothing of this class's; the ``S`` and ``U`` appends
    happen under it (their fsync after it).  Same level as the route
    lock: the two are never held together.  Taken holding nothing (a
    reply drainer's ``_deliver``, ``unsubscribe``'s ``U``) or holding
    flush locks (an in-process shard's ``_deliver``, which runs on the
    submitting thread; ``subscribe``'s ``S``).
+   Under it, a subscriber's lock (``_SubState.ready``, a leaf) guards
+   its journal ring and handle cursors.  A reader (``Subscription``'s
+   reads; the gateway's pump, on the event loop) takes only that lock:
+   it waits out one subscriber's appends, never a report's fan-out.
 
    What makes ``state.watches[shard]`` stable for a delivery walking it
    under this lock: only three folds write the registry.  ``S`` and
@@ -282,9 +285,10 @@ class EAGrServer:
         Seconds to wait for any single shard reply before raising
         :class:`ServeError`.
     journal_capacity:
-        Entries retained per subscriber in the notification log — the
-        resume window.  A ``resume_from`` older than the retained horizon
-        raises :class:`~repro.serve.journal.ResumeGapError`.
+        Notifications retained per subscriber — the resume window, and
+        how far a live handle may fall behind: an older ``resume_from``,
+        or a read further behind, raises
+        :class:`~repro.serve.journal.ResumeGapError`.
     journal_dir:
         Directory for disk-backed notification logs (created if missing).
         ``None`` (default) keeps journals in memory only — they survive
@@ -1312,18 +1316,17 @@ class EAGrServer:
         out by the query predicate or absent from the graph) appear in the
         snapshot with the identity value and never notify.
 
-        With ``resume_from=N`` this is a **reconnect**: the subscriber
-        gets a fresh :class:`Subscription` whose queue starts with the
-        journal suffix — every notification with stamp ``> N``, carrying
-        the *original* stamps — and live deliveries splice in after it
-        with no gap and no duplicate (the replay and the splice happen
-        atomically under the delivery lock).  Raises
-        :class:`~repro.serve.journal.ResumeGapError` when the journal no
-        longer retains stamp ``N+1`` (ring overflow or acknowledged
-        past it); the caller must re-baseline with a plain ``subscribe``
-        instead.  ``nodes`` may be omitted on reconnect (existing watches
-        stand); passing nodes as well extends the watch set in the same
-        call.
+        With ``resume_from=N`` this is a **reconnect**: a fresh handle
+        whose cursor into the journal is ``N`` replaces (cuts off) the
+        previous one; it reads every notification with stamp ``> N``,
+        carrying the *original* stamps, then live ones — no gap, no
+        duplicate.  Raises :class:`~repro.serve.journal.ResumeGapError`
+        (the previous handle cut off all the same) when the journal no
+        longer retains stamp ``N+1``; the caller must re-baseline with a
+        plain ``subscribe``, which hands out a fresh handle at the newest
+        stamp whenever the current one is cut off or behind the horizon.
+        ``nodes`` may be omitted on reconnect (existing watches stand);
+        passing nodes as well extends the watch set in the same call.
         """
         self._check_open()
         nodes = list(nodes) if nodes is not None else []
@@ -1351,10 +1354,11 @@ class EAGrServer:
         return subscription
 
     def disconnect(self, subscriber: Hashable) -> int:
-        """Sever ``subscriber``'s live queue (a client vanishing).
+        """Cut ``subscriber``'s live handle off (a client vanishing): its
+        reads return nothing from now on.
 
         Shard watches stay armed and the journal keeps recording, so a
-        later ``subscribe(..., resume_from=N)`` replays everything missed.
+        later ``subscribe(..., resume_from=N)`` reads everything missed.
         Returns the last stamp delivered-or-journaled for the subscriber
         (what a fully caught-up client would resume from).  Unknown
         subscribers return 0.
@@ -1394,7 +1398,7 @@ class EAGrServer:
         """Cancel ``subscriber``'s watches on ``nodes`` (``None``: all).
 
         Returns the number of (ego, shard) watches removed.  With
-        ``nodes=None`` the subscriber's delivery queue is also retired —
+        ``nodes=None`` the subscriber's journal is also retired —
         in-flight notifications for it are dropped.
         """
         self._check_open()
@@ -1972,7 +1976,7 @@ class EAGrServer:
         ``write_frames_pickle`` and ``notes_pickle`` stay at zero.
         ``write_notify_latency`` is the end-to-end write→notify latency
         summary (count/sum/p50/p95/p99 in seconds) measured from
-        ``write_batch`` ingress to subscriber-queue delivery through the
+        ``write_batch`` ingress to subscriber-journal delivery through the
         full shm + binary-frame path; with metrics off (or for batches
         on the pickle codec, which carries no ingress stamps) it reports
         zeros — present and finite either way.

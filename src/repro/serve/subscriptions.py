@@ -19,21 +19,21 @@ notifications.  What happens where:
   already has it (or it predates the watch) and it is suppressed.
 * **Stamped** — per subscriber, contiguous from 1, in the shard's report
   order, under the one lock; the stamp is the subscriber's resume token.
-* **Journalled, then delivered** — each stamped notification is appended
-  to the subscriber's :class:`~repro.serve.journal.NotificationLog`
-  *before* the live queue sees it, so everything delivered is resumable
-  (``attach(resume_from=N)`` replays the journal suffix with the
-  original stamps and splices live delivery behind it, atomically).  A
-  subscriber's filter and stamp advance only once its append succeeded:
-  a failing journal costs that subscriber that report — still unseen, so
-  a redo replay re-derives it — never a stamp, and never another
-  subscriber's notification.
+* **Journalled, once** — each stamped notification is appended to the
+  subscriber's :class:`~repro.serve.journal.NotificationLog` and stored
+  nowhere else: the subscriber's :class:`Subscription` is a cursor into
+  it, so everything delivered is resumable (``attach(resume_from=N)``
+  is a handle whose cursor starts at ``N``).
+  A subscriber's filter and stamp advance only once its append
+  succeeded: a failing journal costs that subscriber that report —
+  still unseen, so a redo replay re-derives it — never a stamp, and
+  never another subscriber's notification.
 
 A packed report (:class:`~repro.serve.frames.ChangeFrame`) lands as one
 :class:`~repro.serve.frames.NoteFrame` per subscriber — one journal
-entry, one queue put, no ``Notification`` allocation — and a list report
-as individual :class:`~repro.serve.messages.Notification` objects;
-stamps, suppression and journal order are the same either way.
+entry, no ``Notification`` allocation — and a list report as individual
+:class:`~repro.serve.messages.Notification` objects; stamps, suppression
+and journal order are the same either way.
 
 Fan-out runs over a per-shard :class:`_WatchTable`, the shard's slice of
 the registry compiled once into arrays: its watched egos (sorted), a CSR
@@ -45,18 +45,17 @@ the table is dropped (see :meth:`Subscriptions._drop_tables` for when).
 Nothing here knows about executors, transports or routing: the caller
 (``EAGrServer``) resolves shards and talks to them.  ``_lock`` guards
 every field of :class:`Subscriptions` and of the states it holds, and
-nothing else; what makes the registry stable to read under it is
-written in ``serve/server.py``'s lock-order section.
+nothing else; each state's ``ready`` lock, taken under it or alone by a
+reader, guards that subscriber's journal ring and handle cursors.  What
+makes the registry stable to read under ``_lock`` is written in
+``serve/server.py``'s lock-order section.
 """
 
 from __future__ import annotations
 
 import os as _os
-import queue as _queue
 import threading
-import time as _time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,111 +70,95 @@ NodeId = Hashable
 Watches = List[Tuple[Hashable, List[NodeId]]]
 
 
-def _note_count(item: Any) -> int:
-    """Notifications carried by one delivery-queue item (frame or object)."""
-    return len(item) if item.__class__ is NoteFrame else 1
-
-
 class Subscription:
-    """A subscriber's handle: baseline snapshot + delivery queue.
+    """A subscriber's handle: baseline snapshot + a cursor into its journal.
 
-    Notifications arrive in per-subscriber stamp order;
     :attr:`snapshot` holds the value of every subscribed ego at
-    subscription time (the diffing baseline).
-
-    The queue carries a :class:`~repro.serve.frames.NoteFrame` record
+    subscription time (the diffing baseline).  The handle stores no
+    notification: a read returns the entries of the subscriber's
+    :class:`~repro.serve.journal.NotificationLog` after the cursor (the
+    last stamp read), in stamp order, and moves the cursor past them.
+    The journal holds a :class:`~repro.serve.frames.NoteFrame` record
     batch for every change report that packed and individual
     :class:`~repro.serve.messages.Notification` objects for the rest.
     :meth:`get` and :meth:`poll` hide the difference — frames
     materialize into notification objects on demand — while
     :meth:`poll_batch` hands the raw frames (columnar record-array
     views) straight to subscribers that want to stay allocation-free.
+
+    A read whose cursor fell behind the journal's horizon (capacity
+    overflow, or an ``ack`` past it) raises
+    :class:`~repro.serve.journal.ResumeGapError`; a plain ``subscribe``
+    then re-baselines.  A cut-off handle (disconnected, or replaced by a
+    newer one) reads nothing.
     """
 
-    def __init__(self, subscriber: Hashable) -> None:
+    def __init__(
+        self, subscriber: Hashable, journal: NotificationLog, ready: threading.Condition,
+        cursor: int,
+    ) -> None:
         self.subscriber = subscriber
         self.snapshot: Dict[NodeId, Any] = {}
-        self._queue: "_queue.Queue[Any]" = _queue.Queue()
-        #: notifications materialized from a partially-consumed frame.
-        self._buffer: Deque[Notification] = deque()
+        #: the subscriber's journal (``None`` once cut off) and the
+        #: cursor, guarded by ``ready``, the subscriber's lock.
+        self._journal: Optional[NotificationLog] = journal
+        self._ready = ready
+        self._cursor = cursor
         #: Optional zero-argument callable fired (from the delivery
-        #: thread, outside any blocking wait) after each item lands in
-        #: the queue.  The network gateway points this at its event
-        #: loop so an async pump can sleep on an event instead of
-        #: burning a thread per subscription.  Exceptions are swallowed:
-        #: a dying hook must never take the reply drainer down with it.
+        #: thread) after each report that reached this subscriber.  The
+        #: network gateway points this at its event loop so an async
+        #: pump can sleep on an event instead of burning a thread per
+        #: subscription.  Exceptions are swallowed: a dying hook must
+        #: never take the reply drainer down with it.
         self.on_delivery: Optional[Callable[[], None]] = None
 
-    def get(self, timeout: Optional[float] = None) -> Optional[Notification]:
-        """Next notification, blocking up to ``timeout`` (``None``: forever);
-        returns ``None`` on timeout.
+    def _unread(self) -> Any:
+        """The journal entries after the cursor, or ``True`` when cut
+        off (``ready`` held)."""
+        return self._journal is None or self._journal.replay(self._cursor)
 
-        The deadline is absolute, computed once on entry: however many
-        internal waits servicing the call takes, it returns no later
-        than ``timeout`` seconds after it started — a wait can never be
-        extended by wakeups that yield nothing.
-        """
-        if self._buffer:
-            return self._buffer.popleft()
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        while True:
-            if deadline is None:
-                remaining = None
-            else:
-                remaining = deadline - _time.monotonic()
-                if remaining <= 0:
-                    return None
-            try:
-                item = self._queue.get(timeout=remaining)
-                break
-            except _queue.Empty:
+    def _cut_off(self) -> None:
+        with self._ready:
+            self._journal = None
+            self._ready.notify_all()
+
+    def get(self, timeout: Optional[float] = None) -> Optional[Notification]:
+        """Next notification, blocking up to ``timeout`` seconds from the
+        call (``None``: forever); ``None`` on timeout or when cut off."""
+        with self._ready:
+            unread = self._ready.wait_for(self._unread, timeout)
+            if self._journal is None or not unread:
                 return None
-        if item.__class__ is NoteFrame:
-            notes = item.notifications()
-            self._buffer.extend(notes[1:])
-            return notes[0]
-        return item
+            item = unread[0]
+            framed = item.__class__ is NoteFrame
+            self._cursor = item.first_stamp if framed else item.stamp
+        return item.upto(item.first_stamp).notifications()[0] if framed else item
 
     def poll(self) -> List[Notification]:
-        """Drain everything currently queued without blocking."""
-        drained: List[Notification] = list(self._buffer)
-        self._buffer.clear()
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except _queue.Empty:
-                return drained
-            if item.__class__ is NoteFrame:
-                drained.extend(item.notifications())
-            else:
-                drained.append(item)
+        """Everything unread, without blocking."""
+        return [
+            note
+            for item in self.poll_batch()
+            for note in (item.notifications() if item.__class__ is NoteFrame else (item,))
+        ]
 
     def poll_batch(self) -> List[Any]:
-        """Drain without materializing: the columnar fast path.
+        """Everything unread without materializing: the columnar fast path.
 
-        Returns the queued delivery items as they arrived —
+        Returns the journal entries as they were appended —
         :class:`~repro.serve.frames.NoteFrame` batches whose ``records``
-        attribute is the raw ``(ego, value, stamp, batch)`` record array
-        (call :meth:`NoteFrame.notifications` per frame only if objects
-        are needed), and plain :class:`Notification` objects for change
-        reports that could not pack.  Notifications already
-        materialized by an interleaved :meth:`get` are prepended as
-        objects so no stamp is ever skipped or reordered.
+        attribute is the raw ``(ego, value, stamp, batch)`` record array,
+        and plain :class:`Notification` objects for change reports that
+        could not pack.  A frame an interleaved :meth:`get` stopped
+        inside comes back as its unread suffix.
         """
-        drained: List[Any] = list(self._buffer)
-        self._buffer.clear()
-        while True:
-            try:
-                drained.append(self._queue.get_nowait())
-            except _queue.Empty:
-                return drained
-
-    @property
-    def pending(self) -> int:
-        """Number of undelivered notifications currently queued."""
-        with self._queue.mutex:
-            queued = sum(_note_count(item) for item in self._queue.queue)
-        return len(self._buffer) + queued
+        with self._ready:
+            unread = self._unread()
+            if unread is True:
+                return []
+            if unread:
+                self._cursor = unread[-1].stamp
+        return unread
 
 
 #: Reports of at most this many rows fan out by a row loop over the
@@ -187,23 +170,25 @@ ROW_LOOP_ROWS = 8
 class _SubState:
     """Per-subscriber delivery state.
 
-    ``queue`` is ``None`` while the subscriber is disconnected — the
-    journal keeps recording, live delivery is skipped.  ``stamp`` is the
-    last stamp assigned (it survives reconnects; replay re-uses original
-    stamps).  ``last_batch`` maps each ego to the shard write stamp of
-    its last delivered notification — the delivery half of the replay
-    filter; an ego with no entry yet is filtered at its registry seed.
-    While a :class:`_WatchTable` covers the ego, the table's ``through``
-    column holds the newer value.
+    ``subscription`` is the current handle, a cursor into ``journal``
+    (cut off while the subscriber is disconnected — the journal keeps
+    recording).  ``ready`` is the subscriber's lock over the journal's
+    ring and the handles' cursors (see ``serve/server.py``'s lock
+    order).  ``stamp`` is the last stamp assigned (it survives
+    reconnects; replay re-uses original stamps).  ``last_batch`` maps
+    each ego to the shard write stamp of its last delivered notification
+    — the delivery half of the replay filter; an ego with no entry yet is
+    filtered at its registry seed.  While a :class:`_WatchTable` covers
+    the ego, the table's ``through`` column holds the newer value.
     """
 
-    __slots__ = ("queue", "stamp", "subscription", "journal", "last_batch")
+    __slots__ = ("stamp", "subscription", "journal", "ready", "last_batch")
 
-    def __init__(self, subscription: Subscription, journal: NotificationLog) -> None:
-        self.queue = subscription._queue
+    def __init__(self, subscriber: Hashable, journal: NotificationLog) -> None:
         self.journal = journal
         self.stamp = journal.last_stamp
-        self.subscription = subscription
+        self.ready = threading.Condition()
+        self.subscription = Subscription(subscriber, journal, self.ready, self.stamp)
         self.last_batch: Dict[NodeId, int] = {}
 
 
@@ -458,7 +443,7 @@ class Subscriptions:
                     watched.setdefault(subscriber, {})[ego] = seed
         for subscriber, seeds in watched.items():
             state = self._open(subscriber)
-            state.queue = None
+            state.subscription._cut_off()
             last = state.last_batch
             for entry in state.journal.entries():
                 framed = entry.__class__ is NoteFrame
@@ -488,8 +473,7 @@ class Subscriptions:
         # notification.  The one path where rehydration is valid — WAL
         # cold restart — does it in ``__init__``.
         return _SubState(
-            Subscription(subscriber),
-            NotificationLog(capacity=self._journal_capacity, path=path),
+            subscriber, NotificationLog(capacity=self._journal_capacity, path=path)
         )
 
     # ------------------------------------------------------------------
@@ -500,43 +484,46 @@ class Subscriptions:
         self, subscriber: Hashable, resume_from: Optional[int] = None
     ) -> Subscription:
         """The subscriber's live handle (``EAGrServer.subscribe`` before
-        any shard is asked): registers an unknown subscriber, reconnects
-        a disconnected one with a fresh handle, and with ``resume_from``
-        starts that handle's queue with the journal suffix.
+        any shard is asked): registers an unknown subscriber, and hands a
+        known one a fresh handle — cutting the old one off — when it
+        resumes (cursor at ``resume_from``) or needs a new baseline (its
+        handle was cut off or fell behind the journal's horizon: cursor
+        at the last stamp, the unread suffix forfeited).  Otherwise the
+        current handle stands.
 
-        State is registered only after the replay succeeded: a
-        ``resume_from`` an unknown subscriber cannot satisfy raises
-        :class:`~repro.serve.journal.ResumeGapError` and leaves no
-        trace — no registry entry, no queue, no journal file it created.
+        A ``resume_from`` the journal cannot serve raises
+        :class:`~repro.serve.journal.ResumeGapError`.  A known subscriber
+        is then left disconnected; an unknown one leaves no trace — no
+        registry entry, no journal file it created.
         """
         with self._lock:
             self._drop_tables()
             known = subscriber in self._subs
             state = self._subs[subscriber] if known else self._open(subscriber)
-            replayed: List[Any] = []
+            handle = state.subscription
+            cursor = resume_from
             if resume_from is not None:
                 try:
-                    replayed = state.journal.replay(resume_from)
+                    state.journal.replay(resume_from)  # inside the window?
                 except ResumeGapError:
-                    if not known:
-                        if state.journal.last_stamp:
-                            # a reloaded history: another token may fit
-                            state.journal.close()
-                        else:
-                            _discard(state.journal)
+                    if known:
+                        handle._cut_off()
+                    elif state.journal.last_stamp:
+                        # a reloaded history: another token may fit
+                        state.journal.close()
+                    else:
+                        _discard(state.journal)
                     raise
-            if resume_from is not None or state.queue is None:
-                # Reconnect — or re-baseline after a disconnect (the
-                # resume window was lost to a ResumeGapError): fresh
-                # handle; without ``resume_from`` the journal suffix is
-                # forfeited and live delivery simply resumes.
-                state.subscription = Subscription(subscriber)
-                state.queue = state.subscription._queue
-                for note in replayed:
-                    state.queue.put(note)
-                self.replayed += sum(_note_count(note) for note in replayed)
+                self.replayed += state.stamp - resume_from  # stamps are contiguous
+            elif handle._journal is None or handle._cursor < state.journal.resumable_from:
+                cursor = state.stamp
+            if cursor is not None:
+                handle._cut_off()
+                handle = state.subscription = Subscription(
+                    subscriber, state.journal, state.ready, cursor
+                )
             self._subs[subscriber] = state
-            return state.subscription
+            return handle
 
     def watch(
         self,
@@ -568,8 +555,8 @@ class Subscriptions:
         self, subscriber: Hashable, nodes: Optional[List[NodeId]] = None
     ) -> None:
         """Record that ``subscriber`` stopped watching ``nodes`` (``None``:
-        everything, which also retires its queue, journal and journal
-        file — the one path that forgets a subscriber entirely)."""
+        everything, which also retires its journal and journal file —
+        the one path that forgets a subscriber entirely)."""
         with self._lock:
             self._drop_tables()
             self._log.append(("U", subscriber, nodes))
@@ -622,7 +609,7 @@ class Subscriptions:
 
         A subscriber whose journal append fails is skipped from that
         point on — nothing of the failed item is stamped, marked seen or
-        queued — the rest are served, and the first such error is raised
+        readable — the rest are served, and the first such error is raised
         once everyone else has been.
         """
         packed = changes.__class__ is ChangeFrame
@@ -648,26 +635,26 @@ class Subscriptions:
             through = table.through
             for state, items, entries in groups:
                 first_stamp = state.stamp + 1
-                hook = state.subscription.on_delivery
-                for item in items:
-                    try:
-                        state.journal.append(item)
-                    except Exception as exc:  # noqa: BLE001 - re-raised below
-                        failure = failure or exc
-                        break
-                    state.stamp = item.stamp
-                    if state.queue is not None:
-                        state.queue.put(item)
-                        if hook is not None:
-                            try:
-                                hook()
-                            except Exception:  # noqa: BLE001 - see on_delivery
-                                pass
+                with state.ready:
+                    for item in items:
+                        try:
+                            state.journal.append(item)
+                        except Exception as exc:  # noqa: BLE001 - re-raised below
+                            failure = failure or exc
+                            break
+                        state.stamp = item.stamp
+                    state.ready.notify_all()
                 # Stamps are contiguous in report order: what was
                 # journalled is a prefix of this subscriber's rows.
                 sent = state.stamp - first_stamp + 1
                 if not sent:
                     continue
+                hook = state.subscription.on_delivery
+                if hook is not None:
+                    try:
+                        hook()
+                    except Exception:  # noqa: BLE001 - see on_delivery
+                        pass
                 if entries.__class__ is list:
                     for entry in entries[:sent]:
                         through[entry] = batch
@@ -724,13 +711,13 @@ class Subscriptions:
     # ------------------------------------------------------------------
 
     def disconnect(self, subscriber: Hashable) -> int:
-        """Sever the live queue; returns the last stamp assigned (0 for
+        """Cut the live handle off; returns the last stamp assigned (0 for
         unknown subscribers).  Watches and journal stay."""
         with self._lock:
             state = self._subs.get(subscriber)
             if state is None:
                 return 0
-            state.queue = None
+            state.subscription._cut_off()
             return state.stamp
 
     def last_stamp(self, subscriber: Hashable) -> int:
@@ -759,7 +746,8 @@ class Subscriptions:
                     f"cannot ack stamp {stamp}: nothing beyond "
                     f"{state.stamp} has been delivered to {subscriber!r}"
                 )
-            return state.journal.truncate(stamp)
+            with state.ready:
+                return state.journal.truncate(stamp)
 
     # ------------------------------------------------------------------
     # introspection and shutdown

@@ -21,21 +21,37 @@ value, stamp, batch)``, and the return value and ``suppressed`` count
 must agree.  At the end every journal, replayed from 0, must equal it
 too, and the subscribers' filters, with the tables written back, must
 equal the reference's delivered-through stamps.
+
+Each client reads through a random mix of ``get``, ``poll`` and
+``poll_batch`` (its own random stream, so the operation schedule is the
+same whatever it reads with), which stops the handle's cursor inside a
+frame now and then.  A second schedule runs with a journal of a few
+dozen notifications and clients that skip reads: the reference keeps
+the newest ``capacity`` stamps of each subscriber, and a read must raise
+``ResumeGapError`` exactly when the client's cursor fell behind them —
+after which a plain ``attach`` hands out a fresh handle at the newest
+stamp.  The end-of-run replay then starts at the reference's horizon.
 """
 
 import random
+import sys
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.serve.frames import ChangeFrame
+from repro.serve.frames import ChangeFrame, NoteFrame
+from repro.serve.journal import ResumeGapError
 from repro.serve.subscriptions import ROW_LOOP_ROWS, Subscriptions
 from repro.serve.wal import WriteAheadLog
 
 SHARDS = 3
 EGOS = 1500
 SUBSCRIBERS = ["a", "b", "c", "d"]
+#: a resume window a few reports wide: cursors fall behind it often.
+SMALL_JOURNAL = 40
 
 
 class Reference:
@@ -105,51 +121,80 @@ class Reference:
                 self.through[sub][ego] = batch
         return len(per_sub)
 
+    def horizon(self, sub, capacity):
+        """The newest stamp a journal of ``capacity`` no longer holds."""
+        return max(0, self.stamp[sub] - capacity)
+
 
 def note_tuples(notes):
     return [(n.ego, n.value, n.stamp, n.batch) for n in notes]
 
 
 class Client:
-    """One subscriber's live handle and everything it has read."""
+    """One subscriber's live handle and the last stamp it has read."""
 
-    def __init__(self):
+    def __init__(self, cursor):
         self.handle = None
-        self.seen = []
+        self.cursor = cursor
 
-    def drain(self):
-        if self.handle is not None:
-            self.seen.extend(note_tuples(self.handle.poll()))
+    def read(self, reads):
+        """Everything new, through a random mix of the three reads."""
+        got = []
+        while True:
+            roll = reads.random()
+            if roll < 0.5:
+                note = self.handle.get(timeout=0)
+                if note is None:
+                    return got
+                got.append(note)
+                continue
+            items = self.handle.poll() if roll < 0.75 else self.handle.poll_batch()
+            for item in items:
+                got.extend(item.notifications() if isinstance(item, NoteFrame) else [item])
+            return got
 
 
-def run_schedule(seed, steps):
+def run_schedule(seed, steps, capacity=1 << 20, keep_up=1.0):
     rng = random.Random(seed)
+    reads = random.Random(-seed - 1)
     owner = {ego: ego % SHARDS for ego in range(EGOS)}
     log = WriteAheadLog(None)
     log.append(("META", {"num_shards": SHARDS, "reader_shard": dict(owner)}))
-    subs = Subscriptions(log, SHARDS, 1 << 20, None, lambda latency: None)
+    subs = Subscriptions(log, SHARDS, capacity, None, lambda latency: None)
     ref = Reference(owner)
     clients = {}
     batch = 0
     epoch = 0
-    paths = {"rows": 0, "arrays": 0}
+    paths = {"rows": 0, "arrays": 0, "reads": 0, "gaps": 0}
+
+    def rebaseline(name, client):
+        handle = subs.attach(name)
+        assert handle is not client.handle
+        client.handle, client.cursor = handle, ref.stamp[name]
+        paths["gaps"] += 1
+
     for _step in range(steps):
         roll = rng.random()
         sub = rng.choice(SUBSCRIBERS)
         client = clients.get(sub)
         if roll < 0.08:  # attach: register, or resume after a disconnect
             if client is None:
-                client = clients[sub] = Client()
-                client.handle = subs.attach(sub)
                 ref.attach(sub)
+                client = clients[sub] = Client(ref.stamp[sub])
+                client.handle = subs.attach(sub)
+            elif client.cursor < ref.horizon(sub, capacity):
+                if client.handle is None:
+                    with pytest.raises(ResumeGapError):
+                        subs.attach(sub, resume_from=client.cursor)
+                rebaseline(sub, client)
             elif client.handle is None:
-                resume_from = client.seen[-1][2] if client.seen else 0
-                client.handle = subs.attach(sub, resume_from=resume_from)
+                client.handle = subs.attach(sub, resume_from=client.cursor)
             else:
                 assert subs.attach(sub) is client.handle
-        elif roll < 0.13:  # disconnect: whatever sat in the queue is lost
+        elif roll < 0.13:  # disconnect: the handle reads nothing more
             if client is not None and client.handle is not None:
                 subs.disconnect(sub)
+                assert client.handle.poll() == [] and client.handle.get(0) is None
                 client.handle = None
         elif roll < 0.25:  # watch a run of egos on one shard
             shard = rng.randrange(SHARDS)
@@ -198,15 +243,22 @@ def run_schedule(seed, steps):
             reached = subs.deliver(shard, report)
             assert reached == ref.deliver(shard, rows, stamp)
         for name, each in clients.items():
-            each.drain()
-            if each.handle is not None:
-                assert each.seen == ref.history[name], name
-            else:
-                assert each.seen == ref.history[name][: len(each.seen)], name
+            if each.handle is None or (keep_up < 1.0 and reads.random() >= keep_up):
+                continue
+            if each.cursor < ref.horizon(name, capacity):
+                with pytest.raises(ResumeGapError):
+                    each.read(reads)
+                rebaseline(name, each)
+                continue
+            got = note_tuples(each.read(reads))
+            assert got == ref.history[name][each.cursor :], name
+            each.cursor = ref.stamp[name]
+            paths["reads"] += 1
         assert subs.suppressed == ref.suppressed
     for name in list(clients):
-        replayed = subs.attach(name, resume_from=0).poll()
-        assert note_tuples(replayed) == ref.history[name], name
+        horizon = ref.horizon(name, capacity)
+        replayed = subs.attach(name, resume_from=horizon).poll()
+        assert note_tuples(replayed) == ref.history[name][horizon:], name
     with subs._lock:
         subs._drop_tables()
         for name in ref.known:
@@ -220,12 +272,29 @@ def test_fan_out_matches_the_reference(seed):
     run_schedule(seed, 120)
 
 
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(min_value=0, max_value=1_000_000))
+def test_a_small_journal_gaps_exactly_when_a_cursor_falls_behind(seed):
+    run_schedule(seed, 120, capacity=SMALL_JOURNAL, keep_up=0.5)
+
+
 def test_both_fan_out_paths_run():
     paths = {"rows": 0, "arrays": 0}
     for seed in range(4):
-        for path, count in run_schedule(seed, 120).items():
-            paths[path] += count
+        counts = run_schedule(seed, 120)
+        assert counts["gaps"] == 0
+        for path in paths:
+            paths[path] += counts[path]
     assert paths["rows"] > 20 and paths["arrays"] > 20, paths
+
+
+def test_a_small_journal_both_gaps_and_keeps_up():
+    counts = {"reads": 0, "gaps": 0}
+    for seed in range(4):
+        for key, count in run_schedule(seed, 120, SMALL_JOURNAL, 0.5).items():
+            if key in counts:
+                counts[key] += count
+    assert counts["reads"] > 20 and counts["gaps"] > 5, counts
 
 
 def test_a_p_move_carries_delivered_through_to_the_new_shard():
@@ -261,3 +330,65 @@ def test_a_p_move_carries_delivered_through_to_the_new_shard():
     assert [(n.ego, n.stamp, n.batch) for n in handle.poll()] == [
         (4, 1, 3), (5, 2, 3), (4, 3, 4), (5, 4, 4),
     ]
+
+
+def test_racing_readers_read_every_stamp_exactly_once():
+    """Deliveries race four readers on one handle (more threads than
+    cores, a short switch interval): the subscriber's lock guards the
+    journal and the cursor, so the readers' reads partition the stream —
+    every stamp read once, each reader's in increasing order."""
+    owner = {ego: 0 for ego in range(64)}
+    log = WriteAheadLog(None)
+    log.append(("META", {"num_shards": 1, "reader_shard": dict(owner)}))
+    subs = Subscriptions(log, 1, 1 << 16, None, lambda latency: None)
+    handle = subs.attach("s")
+    subs.watch("s", 0, list(owner), 0)
+    delivered = threading.Event()
+    got = [[] for _ in range(4)]
+
+    def reader(index):
+        reads = random.Random(index)
+        while True:
+            finished = delivered.is_set()
+            roll = reads.random()
+            if roll < 0.4:
+                note = handle.get(timeout=0.001)
+                notes = [] if note is None else [note]
+            elif roll < 0.7:
+                notes = handle.poll()
+            else:
+                notes = [
+                    note
+                    for item in handle.poll_batch()
+                    for note in (item.notifications() if isinstance(item, NoteFrame) else [item])
+                ]
+            got[index].extend(note.stamp for note in notes)
+            if finished and not notes:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        rng = random.Random(7)
+        for batch in range(1, 301):
+            egos = rng.sample(list(owner), rng.randrange(1, 20))
+            if batch % 5:
+                report = ChangeFrame(
+                    np.array(egos, dtype=np.int64), np.full(len(egos), float(batch)), batch
+                )
+            else:
+                report = [(ego, float(batch), batch) for ego in egos]
+            subs.deliver(0, report)
+        delivered.set()
+        for thread in threads:
+            thread.join(30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for stamps in got:
+        assert stamps == sorted(stamps)
+    everything = sorted(stamp for stamps in got for stamp in stamps)
+    assert everything == list(range(1, subs.last_stamp("s") + 1))

@@ -382,6 +382,37 @@ class TestFlowControl:
             server.close()
 
 
+    def test_a_live_stream_a_whole_journal_behind_gets_a_gap_frame(self):
+        """The stream's cursor is the journal's: a report larger than the
+        journal overtakes it before the pump reads, and the client is
+        told with a ResumeGapError frame — the connection stays up."""
+        graph = random_graph(30, 140, seed=82)
+        server = EAGrServer(
+            graph, make_query(), num_shards=1, executor="inprocess",
+            overlay_algorithm="vnm_a", journal_capacity=4,
+        )
+        gateway = GatewayServer(server)
+        gateway.start()
+        try:
+            host, port = gateway.address
+            nodes = list(graph.nodes())
+            with deadline(60, "gap frame"), EAGrClient(
+                host, port, client_id="lagging"
+            ) as client:
+                stream = client.subscribe(nodes)
+                client.write_batch([(n, 5.0, 1.0) for n in nodes])
+                server.drain()
+                assert server.last_stamp("lagging") > 4
+                with pytest.raises(ResumeGapError):
+                    while stream.get(timeout=10.0) is not None:
+                        pass
+                assert server.metrics()["server"]["gw_resume_gaps"] == 1
+                assert client.read_batch(nodes[:1]) == server.read_batch(nodes[:1])
+        finally:
+            gateway.close()
+            server.close()
+
+
 def exchange_raw(address, payload):
     """Send one raw frame; return every reply payload until the gateway
     hangs up (a socket timeout means it did not)."""

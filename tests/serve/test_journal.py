@@ -13,6 +13,7 @@ import pickle
 import pytest
 
 from repro.serve import EAGrServer, NotificationLog, ResumeGapError
+from repro.serve.frames import NoteFrame
 from repro.serve.journal import subscriber_log_path
 from repro.serve.messages import Notification
 
@@ -56,6 +57,27 @@ class TestRingBounds:
         log.append(note(1))
         with pytest.raises(ResumeGapError):
             log.replay(7)  # the log never saw stamp 7: stamps would regress
+
+    def test_gap_error_names_the_oldest_retained_stamp_of_a_frame(self):
+        # a frame's ``stamp`` is its *last* stamp; the horizon cut the
+        # first frame mid-way, so the oldest retained stamp is 2, not 3
+        log = NotificationLog(capacity=5)
+        log.append(NoteFrame.build("s", 0, [1, 2, 3], [1.0, 2.0, 3.0], 1, 1))
+        log.append(NoteFrame.build("s", 0, [4, 5, 6], [4.0, 5.0, 6.0], 4, 2))
+        assert log.first_stamp == 2
+        with pytest.raises(ResumeGapError, match=r"oldest retained: 2\)"):
+            log.replay(0)
+
+    def test_replay_cuts_a_straddled_frame_to_its_suffix(self):
+        log = NotificationLog(capacity=16)
+        log.append(note(1))
+        log.append(NoteFrame.build("s", 0, [2, 3, 4], [2.0, 3.0, 4.0], 2, 2))
+        log.append(note(5))
+        assert [n.stamp for n in log.replay(0)] == [1, 4, 5]
+        tail = log.replay(2)
+        assert [(n.ego, n.stamp) for n in tail[0].notifications()] == [(3, 3), (4, 4)]
+        assert [n.stamp for n in tail] == [4, 5]
+        assert log.replay(4)[0].stamp == 5
 
     def test_resume_at_last_stamp_is_empty_not_error(self):
         log = NotificationLog(capacity=4)

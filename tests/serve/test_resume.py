@@ -205,14 +205,40 @@ def test_journal_overflow_resume_raises_gap_error():
         sub = server.subscribe("w", nodes)
         server.write_batch([(n, 1.0) for n in nodes])
         server.drain()
-        notes = sub.poll()
-        assert len(notes) > 4  # enough to overflow a capacity-4 ring
+        last = server.last_stamp("w")
+        assert last > 4  # enough to overflow a capacity-4 ring
+        # the live handle fell a whole journal behind: a gap, not a queue
+        with pytest.raises(ResumeGapError):
+            sub.poll()
         server.disconnect("w")
         with pytest.raises(ResumeGapError):
             server.subscribe("w", resume_from=0)
         # resuming inside the retained window still works
-        horizon = notes[-1].stamp - 4
+        horizon = last - 4
         resumed = server.subscribe("w", resume_from=horizon)
         assert [n.stamp for n in resumed.poll()] == [
             horizon + 1, horizon + 2, horizon + 3, horizon + 4,
         ]
+
+
+def test_live_handle_that_keeps_up_never_gaps():
+    """Reads between batches smaller than the journal keep a live
+    handle inside the window, however much passes through it."""
+    graph = random_graph(12, 40, seed=10)
+    query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+    nodes = list(graph.nodes())
+    watched = nodes[:3]  # a batch changes at most 3 watched egos
+    with EAGrServer(
+        graph, query, num_shards=3, executor="inprocess",
+        overlay_algorithm="vnm_a", journal_capacity=4,
+    ) as server:
+        sub = server.subscribe("w", watched)
+        seen = []
+        for round_ in range(60):
+            server.write_batch([(nodes[round_ % len(nodes)], float(round_ + 2))])
+            server.drain()
+            assert server.last_stamp("w") - (seen[-1].stamp if seen else 0) < 4
+            seen.extend(sub.poll())
+        assert len(seen) > 3 * 4  # the ring turned over several times
+        assert_contiguous([n.stamp for n in seen], tag="keeping up:")
+        assert seen[-1].stamp == server.last_stamp("w")

@@ -373,7 +373,9 @@ def test_frames_larger_than_the_pipe_round_trip(kind):
     nodes = sorted(graph.nodes())
     server = EAGrServer(
         graph, make_query(), num_shards=1, executor="process",
-        transport=kind, ring_bytes=4 << 20, reply_timeout=60.0, **ENGINE,
+        transport=kind, ring_bytes=4 << 20, reply_timeout=60.0,
+        # the subscriber reads once, at the end: its journal holds the run
+        journal_capacity=1 << 16, **ENGINE,
     )
     try:
         sub = server.subscribe("watcher", nodes)
