@@ -76,9 +76,11 @@ them under one lock, which yields three guarantees:
    next read of a live handle whose cursor fell behind it raise
    :class:`~repro.serve.journal.ResumeGapError` rather than delivering a
    gapped or regressing sequence; the client must re-baseline with a
-   plain ``subscribe``.  With ``journal_dir`` set, logs are disk-backed
-   (crash-tolerant appends, atomic compaction) and resume works across a
-   front-end process restart.  On the ingestion side,
+   plain ``subscribe`` (which, until the live handle has raised, returns
+   that same handle: a watch extension never hides the gap).  With
+   ``journal_dir`` set, logs are disk-backed (crash-tolerant appends,
+   atomic compaction) and resume works across a front-end process
+   restart.  On the ingestion side,
    :meth:`~repro.serve.server.EAGrServer.checkpoint` snapshots each
    shard's restart state and truncates its redo log;
    :meth:`~repro.serve.server.EAGrServer.restart_shard` rebuilds a dead

@@ -288,7 +288,8 @@ class AsyncEAGrClient:
         if subscriber is None:
             raise ValueError("no subscriber id: pass subscriber= or client_id=")
         stream = self._streams.get(subscriber)
-        if stream is None:
+        extends = stream is not None
+        if not extends:
             stream = AsyncSubscriptionStream(self, subscriber, auto_ack)
             self._streams[subscriber] = stream
         stream.auto_ack = auto_ack
@@ -302,7 +303,7 @@ class AsyncEAGrClient:
         stream.last_stamp = reply["last_stamp"]
         if resume_from is not None:
             stream.resume_token = max(stream.resume_token, resume_from)
-        else:
+        elif not extends:  # an extended stream's unsent stamps still come
             stream.resume_token = max(stream.resume_token, reply["last_stamp"])
         return stream
 

@@ -110,7 +110,7 @@ class _Stream:
     def __init__(self, subscriber: Hashable) -> None:
         self.subscriber = subscriber
         self.subscription = None
-        #: serializes pause/resume/subscribe transitions on this stream.
+        #: serializes resume/subscribe transitions on this stream.
         self.lock = asyncio.Lock()
         self.paused = False
         #: set when a resume hit a journal gap: the client must
@@ -537,14 +537,18 @@ class GatewayServer:
             last = self._server.last_stamp(subscriber)
             if resume_from is not None:
                 stream.last_sent = resume_from
-            else:
+                stream.paused = False
+            elif not stream.paused:
                 # Fresh subscribe (or watch extension): anything already
                 # unread on the subscription is about to be pumped;
                 # the cursor trails the pump from here.
                 stream.last_sent = min(stream.last_sent, last)
-            stream.paused = False
+            # A paused stream stays paused: its handle's cursor passed
+            # the remainder the pause dropped, which only the resume
+            # from ``last_sent`` reads again.
             stream.dead = False
-            self._attach(conn, stream, subscription)
+            if not stream.paused:
+                self._attach(conn, stream, subscription)
         await self._send(
             conn,
             encode_control(
@@ -678,7 +682,7 @@ class GatewayServer:
                     # Budget exhausted: drop the drained remainder
                     # (the resume reads it again from the journal)
                     # and pause every stream on this connection.
-                    await self._pause_all(conn)
+                    self._pause_all(conn)
         except asyncio.CancelledError:
             pass
         except (ConnectionError, RuntimeError):
@@ -686,19 +690,17 @@ class GatewayServer:
             # notices too; tear down once, here, if it hasn't.
             self._loop.create_task(self._teardown(conn))
 
-    async def _pause_all(self, conn: _Connection) -> None:
-        for stream in list(conn.streams.values()):
-            await self._pause_stream(conn, stream)
-
-    async def _pause_stream(self, conn: _Connection, stream: _Stream) -> None:
-        async with stream.lock:
-            if stream.paused or stream.dead or stream.subscription is None:
-                return
-            stream.paused = True
+    def _pause_all(self, conn: _Connection) -> None:
+        """Stop polling every live stream.  No server call and no await:
+        a subscribe or resume awaiting the server meanwhile sees the
+        pause when it continues."""
+        for stream in conn.streams.values():
             subscription = stream.subscription
-            stream.subscription = None
-            subscription.on_delivery = None
-            self._gm["gw_stream_pauses"].inc()
+            if subscription is not None:
+                stream.paused = True
+                stream.subscription = None
+                subscription.on_delivery = None
+                self._gm["gw_stream_pauses"].inc()
 
     async def _maybe_resume(self, conn: _Connection) -> None:
         if conn.inflight > self._low_water or conn.closed:

@@ -14,6 +14,10 @@ Design:
   ``resume_from`` older than the oldest retained stamp raises
   :class:`ResumeGapError` instead of silently replaying a gapped suffix.
   Acknowledged prefixes (:meth:`truncate`) free space early.
+* **One lock for readers.**  :attr:`NotificationLog.lock` (a condition)
+  is held for each ring change and notified after it; the disk frame is
+  written outside it, so a reader never waits on a flush or a
+  compaction.  The caller serializes the mutators.
 * **Optional disk backing.**  With a ``path`` the log is also an append-only
   file of pickled frames and survives process restart (:meth:`open` /
   construction with an existing file reloads it).  Appends are flushed per
@@ -41,10 +45,13 @@ format is unchanged — the same three frame kinds, cheaper payloads.
 
 from __future__ import annotations
 
+import bisect
 import io
 import os
 import pickle
+import threading
 from collections import deque
+from operator import attrgetter
 from typing import Any, Deque, List, Optional
 
 
@@ -57,45 +64,31 @@ def _drop_through(entries: Deque[Any], upto: int) -> int:
     """Drop every notification with stamp ``<= upto`` from ``entries``.
 
     Whole entries pop off the left; a frame straddling ``upto`` is
-    replaced by its retained suffix (stamps are contiguous within a
-    frame, so the cut is arithmetic).  Returns the number of
-    notifications dropped.
+    replaced by its retained suffix (stamps are contiguous, so the cut is
+    arithmetic).  Returns the number of notifications dropped.
     """
     dropped = 0
     while entries and entries[0].stamp <= upto:
         dropped += _count(entries.popleft())
-    if entries:
-        head = entries[0]
-        if getattr(head, "first_stamp", head.stamp) <= upto:
-            kept = head.after(upto)
-            dropped += _count(head) - _count(kept)
-            entries[0] = kept
+    if entries and getattr(entries[0], "first_stamp", upto + 1) <= upto:  # a frame
+        dropped += upto - entries[0].first_stamp + 1
+        entries[0] = entries[0].after(upto)
     return dropped
 
 
 def _evict_excess(entries: Deque[Any], total: int, capacity: int, evicted: int):
     """Evict the oldest notifications until ``total <= capacity``.
 
-    Frames evict at notification granularity — a frame holding more than
-    the excess sheds an acknowledged-by-overflow *prefix* and stays — so
-    the resume window always retains exactly the newest ``capacity``
-    notifications, byte-identical to the per-object plane.  Returns the
-    updated ``(total, evicted_through)``.
+    Retained stamps are contiguous, so that drops everything through the
+    stamp ``excess`` past the oldest: a frame holding more than the
+    excess sheds a prefix and stays, and the resume window retains
+    exactly the newest ``capacity`` notifications, byte-identical to the
+    per-object plane.  Returns the updated ``(total, evicted_through)``.
     """
-    while total > capacity and entries:
+    if total > capacity:
         head = entries[0]
-        excess = total - capacity
-        carried = _count(head)
-        if carried <= excess:
-            entries.popleft()
-            total -= carried
-            evicted = head.stamp
-        else:
-            first = getattr(head, "first_stamp", head.stamp)
-            cut = first + excess - 1
-            entries[0] = head.after(cut)
-            total -= excess
-            evicted = cut
+        evicted = getattr(head, "first_stamp", head.stamp) + total - capacity - 1
+        total -= _drop_through(entries, evicted)
     return total, evicted
 
 
@@ -117,8 +110,8 @@ class NotificationLog:
     Parameters
     ----------
     capacity:
-        Maximum retained entries; appending the ``capacity+1``-th entry
-        evicts the oldest (and moves the resumable horizon forward).
+        Maximum retained notifications; an append beyond it evicts the
+        oldest (and moves the resumable horizon forward).
     path:
         Optional file path for durability.  If the file exists its frames
         are replayed to restore state (surviving process restart); the
@@ -139,9 +132,14 @@ class NotificationLog:
         self.capacity = capacity
         self.path = path
         self._entries: Deque[Any] = deque()
-        #: Retained notifications (>= len(self._entries): frames batch).
-        self._note_total = 0
-        #: Highest stamp no longer retained (0: nothing ever evicted).
+        #: Held for every ring change, notified after it (module docstring).
+        self.lock = threading.Condition()
+        #: Retained notifications, what :attr:`capacity` bounds (>=
+        #: ``len(self)``: frames batch).
+        self.note_count = 0
+        #: Highest stamp no longer retained (0: nothing ever evicted): the
+        #: eviction horizon, the oldest ``resume_from`` :meth:`replay`
+        #: accepts.  An older token raises :class:`ResumeGapError`.
         self.evicted_through = 0
         #: Notifications evicted by capacity pressure this process
         #: lifetime (``truncate`` — an intentional ack release — is not
@@ -175,57 +173,34 @@ class NotificationLog:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def resumable_from(self) -> int:
-        """The oldest ``resume_from`` that :meth:`replay` accepts — the
-        eviction horizon.  A client holding a token ``>= resumable_from``
-        (and ``<= last_stamp``) can reconnect gap-free; anything older
-        raises :class:`ResumeGapError` and must re-baseline."""
-        return self.evicted_through
-
-    @property
-    def note_count(self) -> int:
-        """Retained notifications (what :attr:`capacity` bounds)."""
-        return self._note_total
-
-    def entries(self) -> List[Any]:
-        """Every retained entry, oldest first (a copy, safe to keep).
-
-        WAL cold-restart recovery walks these to rehydrate the
-        front-end's per-ego replay filter: on that path the redo replay
-        reproduces pre-crash shard stamps exactly, so the recorded
-        ``batch`` tags are valid suppression thresholds in the new
-        process (unlike a non-WAL reboot, where shards restart their
-        stamps from zero).
-        """
-        return list(self._entries)
-
     def append(self, entry: Any) -> None:
-        """Record ``entry`` (its stamps must all exceed :attr:`last_stamp`).
+        """Record ``entry``, whose stamps continue :attr:`last_stamp`
+        contiguously (a pristine log starts anywhere).
 
         The frame is written before the ring changes: an append that
         raises (a full disk) leaves the ring exactly as it was, so the
         caller may treat the entry as never stamped; whatever part of
         the frame reached the file is compacted away before the next
         frame lands (see :meth:`_write_frame`)."""
-        if getattr(entry, "first_stamp", entry.stamp) <= self.last_stamp:
+        first, last = getattr(entry, "first_stamp", entry.stamp), self.last_stamp
+        if first <= last or (last and first != last + 1):
             raise ValueError(
-                f"non-monotone journal append: stamp {entry.stamp} after "
-                f"{self.last_stamp}"
+                f"non-contiguous journal append: stamp {first} after {last}"
             )
         self._write_frame(("A", entry))
-        self._entries.append(entry)
-        before = self.evicted_through
-        self._note_total, self.evicted_through = _evict_excess(
-            self._entries,
-            self._note_total + _count(entry),
-            self.capacity,
-            self.evicted_through,
-        )
-        if self.evicted_through > before:
+        with self.lock:
+            self._entries.append(entry)
+            before = self.evicted_through
+            self.note_count, self.evicted_through = _evict_excess(
+                self._entries,
+                self.note_count + _count(entry),
+                self.capacity,
+                self.evicted_through,
+            )
             # Stamps are per-note contiguous, so the horizon delta *is*
             # the number of notifications evicted.
             self.evictions += self.evicted_through - before
+            self.lock.notify_all()
 
     def replay(self, resume_from: int) -> List[Any]:
         """Every retained entry with stamp ``> resume_from``, in order.
@@ -235,6 +210,30 @@ class NotificationLog:
         retained stamp)`` have been evicted — the replay could not be
         gap-free.
         """
+        self._window(resume_from)
+        out: List[Any] = []
+        for entry in reversed(self._entries):
+            if entry.stamp <= resume_from:
+                break
+            if getattr(entry, "first_stamp", entry.stamp) <= resume_from:
+                # Frame straddling the resume point: replay its suffix only.
+                out.append(entry.after(resume_from))
+                break
+            out.append(entry)
+        out.reverse()
+        return out
+
+    def next_after(self, stamp: int) -> Optional[Any]:
+        """The entry holding stamp ``stamp + 1`` (a frame comes whole), or
+        ``None`` before it lands: one bisection, O(log entries).  Raises
+        like :meth:`replay`."""
+        self._window(stamp)
+        at = bisect.bisect_right(self._entries, stamp, key=attrgetter("stamp"))
+        return self._entries[at] if at < len(self._entries) else None
+
+    def _window(self, resume_from: int) -> None:
+        """Raise :class:`ResumeGapError` unless the ring serves every
+        stamp after ``resume_from``."""
         if resume_from < self.evicted_through:
             raise ResumeGapError(
                 f"cannot resume from stamp {resume_from}: entries through "
@@ -250,17 +249,6 @@ class NotificationLog:
                 f"cannot resume from stamp {resume_from}: the journal's "
                 f"last stamp is {self.last_stamp}"
             )
-        out: List[Any] = []
-        for entry in reversed(self._entries):
-            if entry.stamp <= resume_from:
-                break
-            if getattr(entry, "first_stamp", entry.stamp) <= resume_from:
-                # Frame straddling the resume point: replay its suffix only.
-                out.append(entry.after(resume_from))
-                break
-            out.append(entry)
-        out.reverse()
-        return out
 
     def truncate(self, upto: int) -> int:
         """Drop notifications with stamp ``<= upto`` (an acknowledged prefix).
@@ -271,11 +259,13 @@ class NotificationLog:
         horizon: a later ``resume_from < upto`` raises
         :class:`ResumeGapError`.
         """
-        dropped = _drop_through(self._entries, upto)
-        self._note_total -= dropped
-        moved = upto > self.evicted_through
-        if moved:
-            self.evicted_through = upto
+        with self.lock:
+            dropped = _drop_through(self._entries, upto)
+            self.note_count -= dropped
+            moved = upto > self.evicted_through
+            if moved:
+                self.evicted_through = upto
+            self.lock.notify_all()
         if dropped or moved:
             self._write_frame(("T", upto))
         return dropped
@@ -325,7 +315,7 @@ class NotificationLog:
             with open(path, "r+b") as fh:
                 fh.truncate(torn_at)
         self._entries = entries
-        self._note_total = total
+        self.note_count = total
         self.evicted_through = evicted
 
     def _write_frame(self, frame) -> None:

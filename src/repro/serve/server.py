@@ -123,10 +123,12 @@ Acquired strictly in this order, never the reverse:
    reply drainer's ``_deliver``, ``unsubscribe``'s ``U``) or holding
    flush locks (an in-process shard's ``_deliver``, which runs on the
    submitting thread; ``subscribe``'s ``S``).
-   Under it, a subscriber's lock (``_SubState.ready``, a leaf) guards
-   its journal ring and handle cursors.  A reader (``Subscription``'s
-   reads; the gateway's pump, on the event loop) takes only that lock:
-   it waits out one subscriber's appends, never a report's fan-out.
+   Under it, a subscriber's lock (its journal's ``lock``, a leaf)
+   guards the journal ring and handle cursors; an append or ``ack``
+   takes it only for the ring change, the disk frame written outside.  A
+   reader (``Subscription``'s reads; the gateway's pump, on the event
+   loop) takes only that lock: it waits out one ring change, never a
+   report's fan-out or a journal file's write or fsync.
 
    What makes ``state.watches[shard]`` stable for a delivery walking it
    under this lock: only three folds write the registry.  ``S`` and
@@ -1324,7 +1326,9 @@ class EAGrServer:
         (the previous handle cut off all the same) when the journal no
         longer retains stamp ``N+1``; the caller must re-baseline with a
         plain ``subscribe``, which hands out a fresh handle at the newest
-        stamp whenever the current one is cut off or behind the horizon.
+        stamp once the current one is cut off or has raised
+        ``ResumeGapError`` (a live handle behind the horizon is returned
+        as it is, and its next read raises).
         ``nodes`` may be omitted on reconnect (existing watches stand);
         passing nodes as well extends the watch set in the same call.
         """

@@ -45,9 +45,9 @@ the table is dropped (see :meth:`Subscriptions._drop_tables` for when).
 Nothing here knows about executors, transports or routing: the caller
 (``EAGrServer``) resolves shards and talks to them.  ``_lock`` guards
 every field of :class:`Subscriptions` and of the states it holds, and
-nothing else; each state's ``ready`` lock, taken under it or alone by a
-reader, guards that subscriber's journal ring and handle cursors.  What
-makes the registry stable to read under ``_lock`` is written in
+nothing else; each journal's ``lock``, taken under it for a ring change
+or alone by a reader, guards that subscriber's ring and handle cursors.
+What makes the registry stable to read under ``_lock`` is written in
 ``serve/server.py``'s lock-order section.
 """
 
@@ -88,22 +88,21 @@ class Subscription:
 
     A read whose cursor fell behind the journal's horizon (capacity
     overflow, or an ``ack`` past it) raises
-    :class:`~repro.serve.journal.ResumeGapError`; a plain ``subscribe``
-    then re-baselines.  A cut-off handle (disconnected, or replaced by a
-    newer one) reads nothing.
+    :class:`~repro.serve.journal.ResumeGapError` and marks the handle
+    :attr:`gapped`; only then does a plain ``subscribe`` re-baseline.  A
+    cut-off handle (disconnected, or replaced by a newer one) reads
+    nothing.
     """
 
-    def __init__(
-        self, subscriber: Hashable, journal: NotificationLog, ready: threading.Condition,
-        cursor: int,
-    ) -> None:
+    def __init__(self, subscriber: Hashable, journal: NotificationLog, cursor: int) -> None:
         self.subscriber = subscriber
         self.snapshot: Dict[NodeId, Any] = {}
-        #: the subscriber's journal (``None`` once cut off) and the
-        #: cursor, guarded by ``ready``, the subscriber's lock.
+        #: the subscriber's journal (``None`` once cut off), the cursor
+        #: and ``gapped``, guarded by ``_ready``, the journal's lock.
         self._journal: Optional[NotificationLog] = journal
-        self._ready = ready
+        self._ready = journal.lock
         self._cursor = cursor
+        self.gapped = False
         #: Optional zero-argument callable fired (from the delivery
         #: thread) after each report that reached this subscriber.  The
         #: network gateway points this at its event loop so an async
@@ -112,10 +111,16 @@ class Subscription:
         #: never take the reply drainer down with it.
         self.on_delivery: Optional[Callable[[], None]] = None
 
-    def _unread(self) -> Any:
-        """The journal entries after the cursor, or ``True`` when cut
-        off (``ready`` held)."""
-        return self._journal is None or self._journal.replay(self._cursor)
+    def _read(self, read: Callable[[NotificationLog, int], Any]) -> Any:
+        """``read(journal, cursor)`` — a journal read — or ``True`` when
+        cut off (``_ready`` held)."""
+        if self._journal is None:
+            return True
+        try:
+            return read(self._journal, self._cursor)
+        except ResumeGapError:
+            self.gapped = True
+            raise
 
     def _cut_off(self) -> None:
         with self._ready:
@@ -124,15 +129,17 @@ class Subscription:
 
     def get(self, timeout: Optional[float] = None) -> Optional[Notification]:
         """Next notification, blocking up to ``timeout`` seconds from the
-        call (``None``: forever); ``None`` on timeout or when cut off."""
+        call (``None``: forever); ``None`` on timeout or when cut off.
+        O(log journal entries); :meth:`poll_batch` is the fast drain."""
         with self._ready:
-            unread = self._ready.wait_for(self._unread, timeout)
-            if self._journal is None or not unread:
+            item = self._ready.wait_for(lambda: self._read(NotificationLog.next_after), timeout)
+            if item is None or item is True:
                 return None
-            item = unread[0]
-            framed = item.__class__ is NoteFrame
-            self._cursor = item.first_stamp if framed else item.stamp
-        return item.upto(item.first_stamp).notifications()[0] if framed else item
+            self._cursor += 1  # stamps are contiguous
+            if item.__class__ is not NoteFrame:
+                return item
+            ego, value, stamp, batch = item.records[self._cursor - item.first_stamp].item()
+        return Notification(item.subscriber, ego, value, stamp, item.shard, batch)
 
     def poll(self) -> List[Notification]:
         """Everything unread, without blocking."""
@@ -153,7 +160,7 @@ class Subscription:
         inside comes back as its unread suffix.
         """
         with self._ready:
-            unread = self._unread()
+            unread = self._read(NotificationLog.replay)
             if unread is True:
                 return []
             if unread:
@@ -172,9 +179,8 @@ class _SubState:
 
     ``subscription`` is the current handle, a cursor into ``journal``
     (cut off while the subscriber is disconnected — the journal keeps
-    recording).  ``ready`` is the subscriber's lock over the journal's
-    ring and the handles' cursors (see ``serve/server.py``'s lock
-    order).  ``stamp`` is the last stamp assigned (it survives
+    recording); the journal's ``lock`` guards its ring and the handles'
+    cursors.  ``stamp`` is the last stamp assigned (it survives
     reconnects; replay re-uses original stamps).  ``last_batch`` maps
     each ego to the shard write stamp of its last delivered notification
     — the delivery half of the replay filter; an ego with no entry yet is
@@ -182,13 +188,12 @@ class _SubState:
     the ego, the table's ``through`` column holds the newer value.
     """
 
-    __slots__ = ("stamp", "subscription", "journal", "ready", "last_batch")
+    __slots__ = ("stamp", "subscription", "journal", "last_batch")
 
     def __init__(self, subscriber: Hashable, journal: NotificationLog) -> None:
         self.journal = journal
         self.stamp = journal.last_stamp
-        self.ready = threading.Condition()
-        self.subscription = Subscription(subscriber, journal, self.ready, self.stamp)
+        self.subscription = Subscription(subscriber, journal, self.stamp)
         self.last_batch: Dict[NodeId, int] = {}
 
 
@@ -445,7 +450,7 @@ class Subscriptions:
             state = self._open(subscriber)
             state.subscription._cut_off()
             last = state.last_batch
-            for entry in state.journal.entries():
+            for entry in state.journal.replay(state.journal.evicted_through):
                 framed = entry.__class__ is NoteFrame
                 for note in entry.notifications() if framed else (entry,):
                     ego = note.ego
@@ -487,9 +492,11 @@ class Subscriptions:
         any shard is asked): registers an unknown subscriber, and hands a
         known one a fresh handle — cutting the old one off — when it
         resumes (cursor at ``resume_from``) or needs a new baseline (its
-        handle was cut off or fell behind the journal's horizon: cursor
-        at the last stamp, the unread suffix forfeited).  Otherwise the
-        current handle stands.
+        handle was cut off, or has raised
+        :class:`~repro.serve.journal.ResumeGapError`: cursor at the last
+        stamp, the unread suffix forfeited).  Otherwise the current
+        handle stands — one behind the horizon raises on its next read,
+        so no caller misses the gap.
 
         A ``resume_from`` the journal cannot serve raises
         :class:`~repro.serve.journal.ResumeGapError`.  A known subscriber
@@ -504,7 +511,7 @@ class Subscriptions:
             cursor = resume_from
             if resume_from is not None:
                 try:
-                    state.journal.replay(resume_from)  # inside the window?
+                    state.journal.next_after(resume_from)  # inside the window?
                 except ResumeGapError:
                     if known:
                         handle._cut_off()
@@ -515,12 +522,12 @@ class Subscriptions:
                         _discard(state.journal)
                     raise
                 self.replayed += state.stamp - resume_from  # stamps are contiguous
-            elif handle._journal is None or handle._cursor < state.journal.resumable_from:
+            elif handle._journal is None or handle.gapped:
                 cursor = state.stamp
             if cursor is not None:
                 handle._cut_off()
                 handle = state.subscription = Subscription(
-                    subscriber, state.journal, state.ready, cursor
+                    subscriber, state.journal, cursor
                 )
             self._subs[subscriber] = state
             return handle
@@ -635,15 +642,13 @@ class Subscriptions:
             through = table.through
             for state, items, entries in groups:
                 first_stamp = state.stamp + 1
-                with state.ready:
-                    for item in items:
-                        try:
-                            state.journal.append(item)
-                        except Exception as exc:  # noqa: BLE001 - re-raised below
-                            failure = failure or exc
-                            break
-                        state.stamp = item.stamp
-                    state.ready.notify_all()
+                for item in items:
+                    try:
+                        state.journal.append(item)
+                    except Exception as exc:  # noqa: BLE001 - re-raised below
+                        failure = failure or exc
+                        break
+                    state.stamp = item.stamp
                 # Stamps are contiguous in report order: what was
                 # journalled is a prefix of this subscriber's rows.
                 sent = state.stamp - first_stamp + 1
@@ -730,7 +735,7 @@ class Subscriptions:
         """The journal's eviction horizon (0 for unknown subscribers)."""
         with self._lock:
             state = self._subs.get(subscriber)
-            return 0 if state is None else state.journal.resumable_from
+            return 0 if state is None else state.journal.evicted_through
 
     def ack(self, subscriber: Hashable, stamp: int) -> int:
         """Release the journal prefix through ``stamp``; returns the
@@ -746,8 +751,7 @@ class Subscriptions:
                     f"cannot ack stamp {stamp}: nothing beyond "
                     f"{state.stamp} has been delivered to {subscriber!r}"
                 )
-            with state.ready:
-                return state.journal.truncate(stamp)
+            return state.journal.truncate(stamp)
 
     # ------------------------------------------------------------------
     # introspection and shutdown

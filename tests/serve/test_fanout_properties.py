@@ -15,8 +15,8 @@ plainly, sharing no code with ``repro``: for each row, for each watcher
 in registry order, a row at or below the stamp that watch was delivered
 through (its seed before any delivery) is suppressed; the rest are
 stamped per subscriber, contiguous from 1, in report order.  After every
-step each live subscriber's stream — live queue plus the journal
-replayed on resume — must equal the reference's sequence of ``(ego,
+step each live subscriber's stream — its handle's reads, across
+resumes from the journal — must equal the reference's sequence of ``(ego,
 value, stamp, batch)``, and the return value and ``suppressed`` count
 must agree.  At the end every journal, replayed from 0, must equal it
 too, and the subscribers' filters, with the tables written back, must
@@ -29,8 +29,9 @@ frame now and then.  A second schedule runs with a journal of a few
 dozen notifications and clients that skip reads: the reference keeps
 the newest ``capacity`` stamps of each subscriber, and a read must raise
 ``ResumeGapError`` exactly when the client's cursor fell behind them —
-after which a plain ``attach`` hands out a fresh handle at the newest
-stamp.  The end-of-run replay then starts at the reference's horizon.
+after which, and not before, a plain ``attach`` hands out a fresh handle
+at the newest stamp (before it, ``attach`` returns the live handle).
+The end-of-run replay then starts at the reference's horizon.
 """
 
 import random
@@ -165,7 +166,7 @@ def run_schedule(seed, steps, capacity=1 << 20, keep_up=1.0):
     clients = {}
     batch = 0
     epoch = 0
-    paths = {"rows": 0, "arrays": 0, "reads": 0, "gaps": 0}
+    paths = {"rows": 0, "arrays": 0, "reads": 0, "gaps": 0, "stood": 0}
 
     def rebaseline(name, client):
         handle = subs.attach(name)
@@ -186,6 +187,10 @@ def run_schedule(seed, steps, capacity=1 << 20, keep_up=1.0):
                 if client.handle is None:
                     with pytest.raises(ResumeGapError):
                         subs.attach(sub, resume_from=client.cursor)
+                else:  # a live handle stands until its read has raised
+                    assert subs.attach(sub) is client.handle
+                    with pytest.raises(ResumeGapError):
+                        client.read(reads)
                 rebaseline(sub, client)
             elif client.handle is None:
                 client.handle = subs.attach(sub, resume_from=client.cursor)
@@ -197,6 +202,10 @@ def run_schedule(seed, steps, capacity=1 << 20, keep_up=1.0):
                 assert client.handle.poll() == [] and client.handle.get(0) is None
                 client.handle = None
         elif roll < 0.25:  # watch a run of egos on one shard
+            if client is not None and client.handle is not None:
+                # a watch extension attaches first, as EAGrServer.subscribe
+                # does: the live handle stands, behind the horizon or not
+                assert subs.attach(sub) is client.handle
             shard = rng.randrange(SHARDS)
             mine = [ego for ego, at in ref.owner.items() if at == shard]
             egos = rng.sample(mine, rng.randrange(1, 160))
@@ -246,6 +255,9 @@ def run_schedule(seed, steps, capacity=1 << 20, keep_up=1.0):
             if each.handle is None or (keep_up < 1.0 and reads.random() >= keep_up):
                 continue
             if each.cursor < ref.horizon(name, capacity):
+                if reads.random() < 0.5:  # a plain attach before the read
+                    assert subs.attach(name) is each.handle
+                    paths["stood"] += 1
                 with pytest.raises(ResumeGapError):
                     each.read(reads)
                 rebaseline(name, each)
@@ -289,12 +301,12 @@ def test_both_fan_out_paths_run():
 
 
 def test_a_small_journal_both_gaps_and_keeps_up():
-    counts = {"reads": 0, "gaps": 0}
+    counts = {"reads": 0, "gaps": 0, "stood": 0}
     for seed in range(4):
         for key, count in run_schedule(seed, 120, SMALL_JOURNAL, 0.5).items():
             if key in counts:
                 counts[key] += count
-    assert counts["reads"] > 20 and counts["gaps"] > 5, counts
+    assert counts["reads"] > 20 and counts["gaps"] > 5 and counts["stood"], counts
 
 
 def test_a_p_move_carries_delivered_through_to_the_new_shard():
@@ -392,3 +404,40 @@ def test_racing_readers_read_every_stamp_exactly_once():
         assert stamps == sorted(stamps)
     everything = sorted(stamp for stamps in got for stamp in stamps)
     assert everything == list(range(1, subs.last_stamp("s") + 1))
+
+
+def test_a_reader_never_waits_on_a_journal_file(tmp_path):
+    """A delivery writes a disk-backed journal's frame outside the
+    subscriber's lock: a read during that write returns at once."""
+    owner = {ego: 0 for ego in range(8)}
+    log = WriteAheadLog(None)
+    log.append(("META", {"num_shards": 1, "reader_shard": dict(owner)}))
+    subs = Subscriptions(log, 1, 64, str(tmp_path), lambda latency: None)
+    handle = subs.attach("s")
+    subs.watch("s", 0, list(owner), 0)
+    journal = subs._subs["s"].journal
+    writing, release = threading.Event(), threading.Event()
+    write_frame = journal._write_frame
+
+    def slow_write(frame):
+        writing.set()
+        release.wait(10.0)
+        write_frame(frame)
+
+    journal._write_frame = slow_write
+    delivery = threading.Thread(
+        target=subs.deliver, args=(0, [(ego, 1.0, 1) for ego in owner])
+    )
+    delivery.start()
+    try:
+        assert writing.wait(10.0)
+        done = []
+        reader = threading.Thread(target=lambda: done.append(handle.poll_batch()))
+        reader.start()
+        reader.join(2.0)
+        assert done == [[]], "the read waited out the journal file write"
+    finally:
+        release.set()
+        delivery.join(10.0)
+        subs.close()
+    assert [note.stamp for note in handle.poll()] == list(range(1, 9))

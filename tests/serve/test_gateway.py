@@ -382,6 +382,57 @@ class TestFlowControl:
             server.close()
 
 
+    def test_a_watch_extension_while_paused_loses_nothing(self):
+        """A plain subscribe that extends a paused stream's watch set
+        leaves it paused: the resume from the last stamp sent still
+        reads the remainder the pause dropped."""
+        graph = random_graph(30, 140, seed=82)
+        server = EAGrServer(
+            graph, make_query(), num_shards=2, executor="inprocess",
+            overlay_algorithm="vnm_a", journal_capacity=100_000,
+        )
+        gateway = GatewayServer(server, max_inflight_bytes=2000)
+        gateway.start()
+        try:
+            host, port = gateway.address
+            nodes = list(graph.nodes())
+            with deadline(90, "watch extension while paused"):
+                client = EAGrClient(host, port, client_id="slow")
+                stream = client.subscribe(nodes[:-3], auto_ack=False)
+                # hold the loop so the pump meets every report in one
+                # round: the pause then drops a drained remainder
+                gateway._loop.call_soon_threadsafe(time.sleep, 0.5)
+                for round_ in range(10):
+                    server.write_batch([(n, float(round_), 1.0) for n in nodes])
+                server.drain()
+                wait_until(
+                    lambda: server.metrics()["server"]["gw_stream_pauses"] >= 1,
+                    desc="stream paused at the budget",
+                )
+                client.subscribe(nodes[-3:], auto_ack=False)
+                client.write_batch([(n, 50.0, 1.0) for n in nodes])
+                server.drain()
+                seen = []
+                idle = 0
+                while idle < 8:
+                    notes = stream.poll()
+                    if notes:
+                        idle = 0
+                        seen.extend(notes)
+                        stream.ack()
+                    else:
+                        idle += 1
+                        time.sleep(0.1)
+                        if seen:
+                            stream.ack()
+                assert_contiguous([n.stamp for n in seen], tag="extended:")
+                assert len(seen) == server.last_stamp("slow")
+                assert {n.ego for n in seen} >= set(nodes[-3:])
+                client.close()
+        finally:
+            gateway.close()
+            server.close()
+
     def test_a_live_stream_a_whole_journal_behind_gets_a_gap_frame(self):
         """The stream's cursor is the journal's: a report larger than the
         journal overtakes it before the pump reads, and the client is

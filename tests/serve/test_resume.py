@@ -221,6 +221,34 @@ def test_journal_overflow_resume_raises_gap_error():
         ]
 
 
+def test_watch_extension_does_not_hide_a_live_handles_gap():
+    """A plain ``subscribe`` that extends the watch set returns the live
+    handle even when it fell behind the horizon: its next read raises,
+    and only then does a plain ``subscribe`` re-baseline."""
+    graph = random_graph(12, 40, seed=10)
+    query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
+    nodes = list(graph.nodes())
+    with EAGrServer(
+        graph, query, num_shards=3, executor="inprocess",
+        overlay_algorithm="vnm_a", journal_capacity=4,
+    ) as server:
+        sub = server.subscribe("w", nodes[:-2])
+        server.write_batch([(n, 1.0) for n in nodes])
+        server.drain()
+        assert server.last_stamp("w") > 4
+        assert server.subscribe("w", nodes[-2:]) is sub
+        with pytest.raises(ResumeGapError):
+            sub.poll()
+        fresh = server.subscribe("w")
+        assert fresh is not sub and sub.poll() == [] and fresh.poll() == []
+        before = server.last_stamp("w")
+        server.write_batch([(nodes[4], 2.0)])  # changes 2 egos: inside the ring
+        server.drain()
+        stamps = [n.stamp for n in fresh.poll()]
+        assert stamps
+        assert_contiguous(stamps, start=before + 1, tag="after the re-baseline:")
+
+
 def test_live_handle_that_keeps_up_never_gaps():
     """Reads between batches smaller than the journal keep a live
     handle inside the window, however much passes through it."""
