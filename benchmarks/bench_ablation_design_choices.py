@@ -16,6 +16,7 @@ mechanisms so a regression in any one of them is visible:
 
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks._common import bench_ag, emit_table
@@ -101,13 +102,14 @@ def test_ablation_shingle_ordering(benchmark):
     _, ag = bench_ag("eu2005-small")
     with_shingles = build_vnm(ag, variant="vnm_a", iterations=8)
 
-    original = vnm_module.shingle_order
+    original = vnm_module.order_rows
     try:
-        # Arbitrary (sorted-by-id) reader order instead of min-hash order.
-        vnm_module.shingle_order = lambda transactions, **kw: sorted(transactions)
+        # Arbitrary (sorted-by-handle) reader order instead of min-hash order:
+        # the transactions' rows come in handle order.
+        vnm_module.order_rows = lambda indptr, *args: np.arange(len(indptr) - 1)
         without = build_vnm(ag, variant="vnm_a", iterations=8)
     finally:
-        vnm_module.shingle_order = original
+        vnm_module.order_rows = original
 
     si_with = with_shingles.overlay.sharing_index(ag)
     si_without = without.overlay.sharing_index(ag)

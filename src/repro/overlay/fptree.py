@@ -12,9 +12,12 @@ and penalties account for negative edges (``VNM_N``) or reused/mined edges
 (``VNM_D``).  The benefit is exactly the number of overlay edges saved by
 replacing the biclique with one partial-aggregation node.
 
-This module implements one tree supporting all three modes:
+This module implements one object tree supporting all three modes.
+``VNM_N`` and ``VNM_D`` mine with it; ``VNM`` / ``VNM_A`` build their trees
+as columns (:mod:`repro.overlay.tries`), and their tests check those
+against this tree's plain mode, pick for pick:
 
-* plain insertion (VNM / VNM_A),
+* plain insertion,
 * insertion along up to ``k1`` additional quasi-biclique paths with at most
   ``k2`` negative edges each (``VNM_N``, Section 3.2.3) — tree nodes carry a
   second support set ``S'`` of readers that do *not* contain the node's item,

@@ -13,13 +13,19 @@ Hashing is deterministic: items are first mapped to dense integers, then
 passed through seeded universal hash functions ``h(x) = (a·x + b) mod p``.
 Python's built-in ``hash`` is process-salted and would make runs
 irreproducible.
+
+:func:`order_rows` is the kernel: the readers' input lists as a CSR, a
+:class:`HashTable` of every hash function's values by dense id, one
+``np.minimum.reduceat`` per hash function and one ``np.lexsort``.
+:func:`shingle_order` puts arbitrary hashable readers and items through it.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 Item = Hashable
 
@@ -57,6 +63,81 @@ class ShingleHasher:
         )
 
 
+class HashTable:
+    """Every hash function's values of the dense ids ``1..n``, as int64
+    columns indexed by id (column ``k`` holds ``h_k(x)`` at ``x``).
+
+    ``a·x`` overflows 64 bits, so values are computed as exact Python
+    ints; each fits in 61 bits once reduced modulo ``_PRIME``.  The table
+    is built once and extended as larger ids appear, so repeated orderings
+    (one per VNM iteration) hash each id once.
+    """
+
+    def __init__(self, num_hashes: int = 2, seed: int = 2014) -> None:
+        self._coeffs = ShingleHasher(num_hashes=num_hashes, seed=seed)._coeffs
+        self._columns = [np.zeros(1, dtype=np.int64) for _ in self._coeffs]
+
+    def columns(self, n: int) -> List[np.ndarray]:
+        """The columns, covering at least the ids ``1..n``."""
+        known = len(self._columns[0]) - 1
+        if n > known:
+            ids = range(known + 1, n + 1)
+            self._columns = [
+                np.concatenate(
+                    (column, np.array([(a * x + b) % _PRIME for x in ids], dtype=np.int64))
+                )
+                for column, (a, b) in zip(self._columns, self._coeffs)
+            ]
+        return self._columns
+
+
+def order_rows(
+    indptr: np.ndarray, items: np.ndarray, keys: np.ndarray, table: HashTable
+) -> np.ndarray:
+    """Positions of a CSR's rows sorted by min-hash signature.
+
+    ``items`` are non-negative integer codes.  They get dense ids ``1, 2,
+    …`` in order of first encounter, the ids :meth:`ShingleHasher.shingles`
+    would assign called on each row in turn; a scatter-min of entry
+    positions per code finds each code's first entry without sorting the
+    entries.  A row's shingle under each hash function is its minimum over
+    the row's ids (``_PRIME`` for an empty row), and rows are sorted by
+    their shingles, then by ``keys`` (the readers' deterministic key), then
+    by position.
+    """
+    n = len(indptr) - 1
+    width = int(items.max()) + 1 if len(items) else 0
+    first = np.full(width, len(items), dtype=np.int64)
+    np.minimum.at(first, items, np.arange(len(items)))
+    dense = np.empty(width, dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(1, width + 1)
+    ids = dense[items]
+    nonempty = indptr[:-1] < indptr[1:]
+    starts = indptr[:-1][nonempty]
+    minima = []
+    for column in table.columns(int(np.count_nonzero(first < len(items)))):
+        shingles = np.full(n, _PRIME, dtype=np.int64)
+        if len(ids):
+            shingles[nonempty] = np.minimum.reduceat(column[ids], starts)
+        minima.append(shingles)
+    return np.lexsort([np.arange(n), keys] + minima[::-1])
+
+
+def int_repr_key(values: np.ndarray) -> np.ndarray:
+    """An int64 key ordering non-negative ints below ``10**17`` as ``repr``
+    orders them (``10`` before ``9``): the digits left-aligned to a common
+    width, then the digit count, so a prefix (``1``) sorts before its
+    extensions (``10``)."""
+    digits = 1 + np.searchsorted(_POWERS, values, side="right")
+    width = int(digits.max()) if len(values) else 1
+    return (values * _POWERS_FROM_ONE[width - digits]) * (width + 1) + digits
+
+
+#: 10, 100, …: ``searchsorted`` against them counts a value's extra digits.
+_POWERS = 10 ** np.arange(1, 18, dtype=np.int64)
+_POWERS_FROM_ONE = np.concatenate(([1], _POWERS))
+
+
 def shingle_order(
     transactions: Dict[Hashable, Sequence[Item]],
     num_hashes: int = 2,
@@ -64,36 +145,30 @@ def shingle_order(
 ) -> List[Hashable]:
     """Order transaction keys (readers) by their min-hash signature.
 
-    Each distinct item is hashed once per hash function: items get dense
-    ids in first-encounter order over the transactions (the ids
-    :meth:`ShingleHasher.shingles` would assign called on each transaction
-    in turn), every hash function becomes an item → hash table, and a
-    transaction's shingle is its minimum over that table.  An empty
-    transaction's shingles are ``_PRIME``.  Ties are broken by a
-    deterministic key of the reader id itself, then by position in
+    Items get integer codes in first-encounter order and the rows go
+    through :func:`order_rows`; ties are broken by a deterministic key of
+    the reader id itself (type name, then ``repr``), then by position in
     ``transactions``, so the order is total and stable across runs.
     """
-    coeffs = ShingleHasher(num_hashes=num_hashes, seed=seed)._coeffs
-    items = dict.fromkeys(itertools.chain.from_iterable(transactions.values()))
-    tables = [
-        {item: (a * x + b) % _PRIME for x, item in enumerate(items, 1)}
-        for a, b in coeffs
-    ]
     readers = list(transactions)
-    rows = list(transactions.values())
-    minima = [
-        [min(map(table.__getitem__, row), default=_PRIME) for row in rows]
-        for table in tables
+    codes: Dict[Item, int] = {}
+    items = [
+        codes.setdefault(item, len(codes))
+        for row in transactions.values()
+        for item in row
     ]
-    keyed = sorted(
-        zip(
-            zip(*minima),
-            [type(reader).__name__ for reader in readers],
-            map(repr, readers),
-            range(len(readers)),
-        )
+    indptr = np.zeros(len(readers) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in transactions.values()], out=indptr[1:])
+    by_key = sorted(
+        range(len(readers)),
+        key=lambda i: (type(readers[i]).__name__, repr(readers[i])),
     )
-    return [readers[entry[-1]] for entry in keyed]
+    keys = np.empty(len(readers), dtype=np.int64)
+    keys[by_key] = np.arange(len(readers))
+    order = order_rows(
+        indptr, np.array(items, dtype=np.int64), keys, HashTable(num_hashes, seed)
+    )
+    return [readers[i] for i in order.tolist()]
 
 
 def chunk(ordered: Sequence[Hashable], size: int, overlap: float = 0.0) -> List[List[Hashable]]:

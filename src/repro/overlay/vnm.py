@@ -4,7 +4,7 @@ Four variants share one driver:
 
 * ``vnm`` — the baseline Virtual Node Mining adaptation of Buehrer &
   Chellapilla: shingle-sort the readers, chunk them into fixed-size groups,
-  build an FP-tree per group, and replace mined bicliques with partial
+  mine each group's FP-tree, and replace mined bicliques with partial
   aggregation (virtual) nodes.  Iterating re-mines the rewritten graph,
   producing multi-level overlays.
 * ``vnm_a`` — *adaptive* chunk sizing: start large (default 100) and shrink
@@ -26,6 +26,14 @@ mining are the readers' *current* positive input lists, so virtual nodes
 from earlier iterations participate as items (and, for the duplicate-
 sensitive variants, as transactions too — this is what creates
 virtual→virtual edges and hence multi-level overlays).
+
+The transactions are a CSR kept across iterations: a rewiring marks the
+readers it touched and only their rows, and the new virtual nodes', are
+re-read.  ``vnm`` and ``vnm_a`` build every group's FP-tree at once as
+columns (:mod:`repro.overlay.tries`).  ``vnm_n`` and ``vnm_d`` need the
+negative and mined registrations of :class:`~repro.overlay.fptree.FPTree`
+and mine one object tree per group.  Both produce the same
+:class:`~repro.overlay.fptree.Biclique` records.
 """
 
 from __future__ import annotations
@@ -34,12 +42,15 @@ import collections
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.core.overlay import NodeKind, Overlay
 from repro.graph.bipartite import BipartiteGraph
 from repro.overlay.fptree import Biclique, FPTree
-from repro.overlay.shingles import chunk, shingle_order
+from repro.overlay.shingles import HashTable, chunk, int_repr_key, order_rows
+from repro.overlay.tries import GroupTries
 
 _VARIANTS = ("vnm", "vnm_a", "vnm_n", "vnm_d")
 
@@ -138,6 +149,12 @@ class _VNMBuilder:
         self.overlay = Overlay.identity(ag)
         self.duplicate_insensitive = config.variant == "vnm_d"
         self._peak_tree_nodes = 0
+        self._rows = _Rows(self.overlay)
+        #: handles whose inputs this iteration rewired
+        self._touched: Set[int] = set()
+        #: handles from here on are partial (virtual) nodes
+        self._first_partial = self.overlay.num_nodes
+        self._hashes = HashTable(config.num_shingles, config.seed)
 
     # ------------------------------------------------------------------
 
@@ -181,8 +198,9 @@ class _VNMBuilder:
 
     # ------------------------------------------------------------------
 
-    def _transactions(self) -> Dict[int, List[int]]:
-        """Current positive input lists of readers (and virtual nodes).
+    def _transactions(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Current positive input lists of readers (and virtual nodes):
+        their handles, in handle order, and their rows as a CSR.
 
         Virtual nodes participate as transactions in every variant — this is
         what creates virtual→virtual edges and hence multi-level overlays.
@@ -190,52 +208,67 @@ class _VNMBuilder:
         paths), which keeps every item they can be covered by strictly
         upstream of them, so rewiring can never create a cycle.
         """
-        overlay = self.overlay
-        transactions: Dict[int, List[int]] = {}
-        handles = list(overlay.reader_of.values())
-        if self.config.virtual_transactions:
-            handles.extend(overlay.partial_handles())
-        for handle in handles:
-            items = [src for src, sign in overlay.inputs[handle].items() if sign > 0]
-            if len(items) >= 2:
-                transactions[handle] = items
-        return transactions
+        self._rows.update(self.overlay, self._touched)
+        self._touched.clear()
+        active = np.diff(self._rows.indptr) >= 2
+        if not self.config.virtual_transactions:
+            active[self._first_partial :] = False
+        handles = np.flatnonzero(active)
+        return (handles,) + self._rows.take(handles)
 
     def _run_iteration(self, chunk_size: int) -> Dict[str, object]:
         config = self.config
-        transactions = self._transactions()
+        handles, indptr, items = self._transactions()
         outcome: Dict[str, object] = {
             "bicliques": 0,
             "edges_saved": 0,
             "negative_edges": 0,
             "benefit_by_width": {},
         }
-        if not transactions:
+        if not len(handles):
             return outcome
-        order = shingle_order(
-            transactions, num_hashes=config.num_shingles, seed=config.seed
-        )
-        overlap = config.overlap if config.variant == "vnm_d" else 0.0
-        groups = chunk(order, chunk_size, overlap=overlap)
+        order = order_rows(indptr, items, int_repr_key(handles), self._hashes)
 
         # VNM_D defers rewiring to the end of the iteration so overlapping
         # groups can reuse edges; track consumed edges and vn assignments.
         mined_edges: Dict[int, Set[int]] = {}
         vn_assignments: Dict[int, List[int]] = {}
 
-        benefit_by_width: Dict[int, int] = {}
-        for group in groups:
-            found = self._mine_group(
-                group, transactions, mined_edges, vn_assignments
+        if config.variant in ("vnm", "vnm_a"):
+            handles = handles[order]
+            tries = GroupTries(
+                *self._rows.take(handles),
+                handles,
+                np.append(np.arange(0, len(handles), chunk_size), len(handles)),
+                config.min_item_frequency,
             )
-            for biclique in found:
-                outcome["bicliques"] += 1  # type: ignore[operator]
-                outcome["edges_saved"] += biclique.benefit  # type: ignore[operator]
-                outcome["negative_edges"] += sum(  # type: ignore[operator]
-                    len(v) for v in biclique.negatives.values()
-                )
-                width = biclique.width
-                benefit_by_width[width] = benefit_by_width.get(width, 0) + biclique.benefit
+            self._peak_tree_nodes = max(self._peak_tree_nodes, tries.peak_nodes)
+            found: Iterable[Biclique] = tries.bicliques()
+        else:
+            rows = items.tolist()
+            bounds = indptr.tolist()
+            transactions = {
+                handle: rows[bounds[i] : bounds[i + 1]]
+                for i, handle in enumerate(handles.tolist())
+            }
+            overlap = config.overlap if config.variant == "vnm_d" else 0.0
+            groups = chunk(handles[order].tolist(), chunk_size, overlap=overlap)
+            found = itertools.chain.from_iterable(
+                self._mine_group(group, transactions, mined_edges, vn_assignments)
+                for group in groups
+            )
+
+        benefit_by_width: Dict[int, int] = {}
+        for biclique in found:
+            if not self.duplicate_insensitive:
+                self._apply_biclique(biclique)
+            outcome["bicliques"] += 1  # type: ignore[operator]
+            outcome["edges_saved"] += biclique.benefit  # type: ignore[operator]
+            outcome["negative_edges"] += sum(  # type: ignore[operator]
+                len(v) for v in biclique.negatives.values()
+            )
+            width = biclique.width
+            benefit_by_width[width] = benefit_by_width.get(width, 0) + biclique.benefit
         outcome["benefit_by_width"] = benefit_by_width
 
         if self.duplicate_insensitive:
@@ -273,7 +306,7 @@ class _VNMBuilder:
                 sorted(eligible, key=lambda i: (-frequency[i], i))
             )
         }
-        tree = FPTree(rank)
+        tree = FPTree(rank)  # vnm_n / vnm_d only
         for reader in group:
             items = filtered.get(reader)
             if items is None:
@@ -313,7 +346,6 @@ class _VNMBuilder:
             if self.duplicate_insensitive:
                 self._record_deferred(biclique, mined_edges, vn_assignments)
             else:
-                self._apply_biclique(biclique)
                 for reader in biclique.readers:
                     remaining = live_items.get(reader)
                     if remaining is None:
@@ -371,6 +403,7 @@ class _VNMBuilder:
             for item in biclique.covered[reader]:
                 overlay.remove_edge(item, reader)
             overlay.add_edge(virtual, reader, 1)
+            self._touched.add(reader)
             for item in biclique.negatives[reader]:
                 overlay.add_edge(item, reader, -1)
         return True
@@ -397,6 +430,7 @@ class _VNMBuilder:
         vn_assignments: Dict[int, List[int]],
     ) -> None:
         overlay = self.overlay
+        self._touched.update(mined_edges)
         for reader, consumed in mined_edges.items():
             for item in consumed:
                 if overlay.has_edge(item, reader):
@@ -404,6 +438,69 @@ class _VNMBuilder:
             for virtual in vn_assignments.get(reader, ()):
                 if not overlay.has_edge(virtual, reader):
                     overlay.add_edge(virtual, reader, 1)
+
+
+class _Rows:
+    """Every overlay handle's positive inputs, in the order of its inputs
+    dict, as a CSR kept across iterations.
+
+    It is read from the overlay once; after that :meth:`update` re-reads
+    only the rows of handles the builder rewired and of new nodes.
+    """
+
+    def __init__(self, overlay: Overlay) -> None:
+        rows = [_positive(inputs) for inputs in overlay.inputs]
+        self.indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
+        self.items = np.fromiter(
+            itertools.chain.from_iterable(rows), np.int64, int(self.indptr[-1])
+        )
+
+    def take(self, handles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The CSR of the rows of ``handles``, in that order."""
+        starts = self.indptr[handles]
+        lengths = self.indptr[handles + 1] - starts
+        return _indptr(lengths), self.items[_ranges(starts, lengths)]
+
+    def update(self, overlay: Overlay, touched: Set[int]) -> None:
+        """Re-read the rows of ``touched`` handles and add new handles' rows."""
+        known = len(self.indptr) - 1
+        changed = np.array(
+            sorted(touched.union(range(known, overlay.num_nodes))), dtype=np.int64
+        )
+        if not len(changed):
+            return
+        rows = [_positive(overlay.inputs[handle]) for handle in changed.tolist()]
+        lengths = np.zeros(overlay.num_nodes, dtype=np.int64)
+        lengths[:known] = np.diff(self.indptr)
+        stays = np.ones(known, dtype=bool)
+        stays[changed[changed < known]] = False
+        stays = np.flatnonzero(stays)
+        lengths[changed] = np.fromiter(map(len, rows), np.int64, len(rows))
+        indptr = _indptr(lengths)
+        items = np.empty(int(indptr[-1]), dtype=np.int64)
+        kept = lengths[stays]
+        items[_ranges(indptr[stays], kept)] = self.items[_ranges(self.indptr[stays], kept)]
+        items[_ranges(indptr[changed], lengths[changed])] = np.fromiter(
+            itertools.chain.from_iterable(rows), np.int64
+        )
+        self.indptr, self.items = indptr, items
+
+
+def _positive(inputs: Dict[int, int]) -> List[int]:
+    return [src for src, sign in inputs.items() if sign > 0]
+
+
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges ``starts[i]:starts[i] + lengths[i]``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
 
 def _adapt_chunk_size(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import DynamicGraph
 from repro.core.overlay import NodeKind, Overlay
 from repro.graph.bipartite import BipartiteGraph, build_bipartite
 from repro.graph.generators import social_graph, web_graph
@@ -98,38 +99,82 @@ class TestDeterminism:
         b.overlay.validate(ag)  # different shingles, both correct
 
 
-#: sha256 of ``repr([(handle, kind, sorted inputs)])`` of each algorithm's
-#: default-parameter overlay, taken before shingles were hashed once per
-#: item and ``mine_best`` walked only penalised readers.
+def pa_edges(nodes, in_edges, rng):
+    """The benchmark suite's preferential-attachment digraph: node ``v``
+    draws ``in_edges`` distinct in-neighbours among the earlier nodes, each
+    with probability proportional to its degree so far."""
+    pool = list(range(in_edges))
+    edges = []
+    for v in range(in_edges, nodes):
+        chosen = set()
+        while len(chosen) < in_edges:
+            chosen.add(pool[rng.randrange(len(pool))])
+        for u in sorted(chosen):
+            edges.append((u, v))
+            pool.append(u)
+        pool.append(v)
+    return edges
+
+
+#: sha256 of each algorithm's default-parameter construction: of
+#: ``repr(rows)`` for ``iob``, and of ``repr((rows, stats))`` for the VNM
+#: family, where ``rows`` is ``[(handle, kind, sorted inputs)]`` and
+#: ``stats`` each iteration's ``(chunk_size, bicliques, edges_saved,
+#: negative_edges_added, sorted benefit_by_width, memory_estimate)``.
+#: ``iob``'s were taken before shingles were hashed once per item and
+#: ``mine_best`` walked only penalised readers; the VNM family's before
+#: ``vnm`` / ``vnm_a`` built their FP-trees as columns.
 GOLDEN_OVERLAYS = {
-    ("web", "vnm"): "cd85a624b6518e3879db7906bcf46bb9b0108c210879fb64c89be1db71fa19f5",
-    ("web", "vnm_a"): "5aae3b832726612a2b37cbb5661cb6b01a4c3e9c5ceaa0a10f7266ded5075f03",
-    ("web", "vnm_n"): "d634cce4eda797df2f19c740ba9ceaeaaace67a3a767c47c79f0656bfc3b6eb6",
-    ("web", "vnm_d"): "eab3f20d72231a28c657009b1cf9e42e05df14c1156e2ad5c9cf329281db3dd0",
+    ("web", "vnm"): "465d11ffb3a9d2e9b64f02a3ca294ff19b61eab21b2bdf3a3f81616eab9c37c8",
+    ("web", "vnm_a"): "21fe9e0570a358647eab1e019d1097c8ba011bb1919c1d1060a7a76808d5b792",
+    ("web", "vnm_n"): "5c654f5e9ba9a848c2ace9f60ad73a8eba23801697b1121358379ee3d518a09b",
+    ("web", "vnm_d"): "15e9abd07dd0b83919782cf79478a606becd17d450d11fd3232349d3329aea4f",
     ("web", "iob"): "90ae02664e3990ca90dbf737f2f6f782e3b33e6d13c22e81113d9c25ac1beceb",
-    ("social", "vnm"): "4a5739a76551bbc528240c8fbc427096e707550459852b512024606d3a91cfca",
-    ("social", "vnm_a"): "baa41cceb5ca299170afc27f464525c19112d0eb5921b99a19f2403d42a14b84",
-    ("social", "vnm_n"): "9e6c768daf48d413c401d8f1287ac7a4bb091e80d79cccc081409a9c1ffdd0e7",
-    ("social", "vnm_d"): "e0b4c03434086a54c13bf7061c20163c11db49f0c8435a7a1ed2a0ad1f8825ff",
+    ("social", "vnm"): "5bcc74357411ce165c4f96c63aed3268f84364de3996227a896851c15fd670fa",
+    ("social", "vnm_a"): "015b71b83d7b1b1718f2714d363ae07f986b287342ad0ca65eb426d24386396e",
+    ("social", "vnm_n"): "3865f280c4d9346c0d9c4ceac270637c021412ac778cefb0397c29157b35eae2",
+    ("social", "vnm_d"): "bec89e90019f88ffd265c0830bd8bf4c862cf78102c567f93c45071916fa7dbf",
     ("social", "iob"): "d2dbfed1d22695f7fad2bb2b421a2049bc0e48f25db54bcfa53ca0aca7443478",
+    ("pa", "vnm"): "f852678c4c00bd3ac04a5cfb8952385bedd9d4366efdcca26ac1afda9c238fc5",
+    ("pa", "vnm_a"): "a268a83a310fc6d3b7ff4fb8f2092c01db3b99fcf2bbec49593242af7f200517",
 }
 
 GOLDEN_GRAPHS = {
     "web": lambda: web_graph(600, 6, copy_probability=0.9, seed=25),
     "social": lambda: social_graph(500, seed=25),
+    # the suite's engine graph family at a quarter of its scale
+    "pa": lambda: DynamicGraph.from_edges(pa_edges(3000, 8, random.Random(25))),
 }
+
+
+def construction_digest(result, with_stats):
+    overlay = result.overlay
+    rows = [
+        (handle, overlay.kinds[handle].name, sorted(overlay.inputs[handle].items()))
+        for handle in range(overlay.num_nodes)
+    ]
+    if not with_stats:
+        return hashlib.sha256(repr(rows).encode()).hexdigest()
+    stats = [
+        (
+            s.chunk_size,
+            s.bicliques,
+            s.edges_saved,
+            s.negative_edges_added,
+            sorted(s.benefit_by_width.items()),
+            s.memory_estimate,
+        )
+        for s in result.stats
+    ]
+    return hashlib.sha256(repr((rows, stats)).encode()).hexdigest()
 
 
 class TestSameOverlays:
     @pytest.mark.parametrize("graph,algorithm", sorted(GOLDEN_OVERLAYS))
     def test_golden_overlay(self, graph, algorithm):
         ag = build_bipartite(GOLDEN_GRAPHS[graph](), Neighborhood.in_neighbors())
-        overlay = construct_overlay(ag, algorithm).overlay
-        rows = [
-            (handle, overlay.kinds[handle].name, sorted(overlay.inputs[handle].items()))
-            for handle in range(overlay.num_nodes)
-        ]
-        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        result = construct_overlay(ag, algorithm)
+        digest = construction_digest(result, with_stats=algorithm != "iob")
         assert digest == GOLDEN_OVERLAYS[graph, algorithm]
 
 

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.shingles import ShingleHasher, chunk, shingle_order
+import numpy as np
+
+from repro.overlay.shingles import (
+    HashTable,
+    ShingleHasher,
+    chunk,
+    int_repr_key,
+    order_rows,
+    shingle_order,
+)
 
 
 class TestHasher:
@@ -80,7 +89,7 @@ class TestHashedOnce:
     @settings(max_examples=200, deadline=None)
     @given(
         transactions=st.dictionaries(
-            st.one_of(st.integers(0, 40), st.text(alphabet="xyz", max_size=3)),
+            st.one_of(st.integers(0, 120), st.text(alphabet="xyz", max_size=3)),
             st.lists(ITEMS, max_size=8),
             max_size=30,
         ),
@@ -92,10 +101,52 @@ class TestHashedOnce:
         num_hashes=2,
         seed=2014,
     )
+    @example(  # int readers whose repr order (10, 100, 9) is not numeric
+        transactions={9: [1, 2], 100: [1, 2], 10: [1, 2], 11: [3], 1: []},
+        num_hashes=1,
+        seed=7,
+    )
     def test_equals_per_transaction_shingles(self, transactions, num_hashes, seed):
         assert shingle_order(transactions, num_hashes, seed) == per_transaction_order(
             transactions, num_hashes, seed
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.dictionaries(
+                st.integers(0, 150), st.lists(st.integers(0, 60), max_size=6), max_size=20
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        seed=st.integers(0, 5000),
+    )
+    @example(  # the second round brings ids the first never hashed
+        rounds=[{9: [1, 2], 10: [2, 1]}, {9: [1, 2], 10: [5, 6, 7], 100: [8, 9, 1]}],
+        seed=2014,
+    )
+    def test_a_shared_table_grows_across_rounds(self, rounds, seed):
+        """One :class:`HashTable` across several orderings (one per VNM
+        iteration) is extended as more distinct items appear, and orders
+        every round as a fresh one would."""
+        table = HashTable(num_hashes=2, seed=seed)
+        for transactions in rounds:
+            readers = np.array(list(transactions), dtype=np.int64)
+            rows = list(transactions.values())
+            indptr = np.cumsum([0] + [len(row) for row in rows])
+            items = np.array([i for row in rows for i in row], dtype=np.int64)
+            order = order_rows(indptr, items, int_repr_key(readers), table)
+            assert readers[order].tolist() == per_transaction_order(transactions, 2, seed)
+
+
+class TestIntReprKey:
+    @given(st.lists(st.integers(0, 10**16), max_size=40))
+    @example([9, 10, 100, 1, 0, 99, 1000, 19])
+    def test_orders_as_repr(self, values):
+        keys = int_repr_key(np.array(values, dtype=np.int64))
+        by_key = [values[i] for i in np.argsort(keys, kind="stable")]
+        assert by_key == sorted(values, key=repr)
 
 
 class TestChunk:
