@@ -135,8 +135,11 @@ class GroupTries:
         #: nodes in the largest group's tree
         self.peak_nodes = int(sizes.max(initial=0))
         benefit = self._support * (self._depth - 1) - self._depth
-        #: groups whose initial tree has a node of positive benefit
-        self.yielding = np.unique(group[benefit >= 1])
+        #: groups whose initial tree has a node of positive benefit (a
+        #: bincount: a plain ``np.unique`` imports ``numpy.ma`` on first use)
+        self.yielding = np.flatnonzero(
+            np.bincount(group[benefit >= 1], minlength=num_groups)
+        )
 
     def bicliques(self) -> Iterator[Biclique]:
         """Every group's bicliques, group by group, in extraction order."""

@@ -154,6 +154,13 @@ class _VNMBuilder:
         self._touched: Set[int] = set()
         #: handles from here on are partial (virtual) nodes
         self._first_partial = self.overlay.num_nodes
+        #: The overlay's own int object of each handle.  Mined ids come out
+        #: of numpy as fresh ints; edges are added with these instead, so
+        #: the overlay's dicts hold one object per node, not one per edge.
+        overlay = self.overlay
+        self._handles = sorted(
+            itertools.chain(overlay.writer_of.values(), overlay.reader_of.values())
+        )
         self._hashes = HashTable(config.num_shingles, config.seed)
 
     # ------------------------------------------------------------------
@@ -389,10 +396,10 @@ class _VNMBuilder:
 
     def _apply_biclique(self, biclique: Biclique) -> bool:
         """Materialize a duplicate-sensitive biclique in the overlay."""
-        overlay = self.overlay
-        virtual = overlay.add_partial()
+        overlay, handle = self.overlay, self._handles
+        virtual = self._add_partial()
         for item in biclique.items:
-            overlay.add_edge(item, virtual, 1)
+            overlay.add_edge(handle[item], virtual, 1)
         for reader in biclique.readers:
             if overlay.kinds[reader] is NodeKind.PARTIAL:
                 # Guard against cycles when rewiring a virtual node that was
@@ -402,11 +409,16 @@ class _VNMBuilder:
                     continue
             for item in biclique.covered[reader]:
                 overlay.remove_edge(item, reader)
-            overlay.add_edge(virtual, reader, 1)
+            overlay.add_edge(virtual, handle[reader], 1)
             self._touched.add(reader)
             for item in biclique.negatives[reader]:
-                overlay.add_edge(item, reader, -1)
+                overlay.add_edge(handle[item], handle[reader], -1)
         return True
+
+    def _add_partial(self) -> int:
+        virtual = self.overlay.add_partial()
+        self._handles.append(virtual)
+        return virtual
 
     def _record_deferred(
         self,
@@ -415,10 +427,9 @@ class _VNMBuilder:
         vn_assignments: Dict[int, List[int]],
     ) -> bool:
         """VNM_D: create the virtual node now, rewire readers at iteration end."""
-        overlay = self.overlay
-        virtual = overlay.add_partial()
+        virtual = self._add_partial()
         for item in biclique.items:
-            overlay.add_edge(item, virtual, 1)
+            self.overlay.add_edge(self._handles[item], virtual, 1)
         for reader in biclique.readers:
             mined_edges.setdefault(reader, set()).update(biclique.covered[reader])
             vn_assignments.setdefault(reader, []).append(virtual)
@@ -437,7 +448,7 @@ class _VNMBuilder:
                     overlay.remove_edge(item, reader)
             for virtual in vn_assignments.get(reader, ()):
                 if not overlay.has_edge(virtual, reader):
-                    overlay.add_edge(virtual, reader, 1)
+                    overlay.add_edge(virtual, self._handles[reader], 1)
 
 
 class _Rows:
