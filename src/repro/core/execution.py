@@ -514,16 +514,13 @@ class Runtime:
             self._pull_rows.resize(n)
         # Reader slots: the readers in ascending handle order (handles only
         # grow, so the closures already frozen keep their slots).
-        kinds = overlay.kinds
-        self._closures.resize(n, np.fromiter(
-            (h for h in range(n) if kinds[h] is NodeKind.READER), dtype=np.int64
-        ))
-        # The handle -> node id gather table, filled slot by slot:
-        # assigning the list whole would broadcast tuple labels into a
-        # second axis.
-        self._label_array = np.empty(n, dtype=object)
-        for handle, label in enumerate(overlay.labels):
-            self._label_array[handle] = label
+        self._closures.resize(
+            n, np.flatnonzero(np.array(overlay.kind_codes()) == KIND_READER)
+        )
+        # The handle -> node id gather table, one element per label:
+        # np.array of the list would broadcast tuple labels into a second
+        # axis.
+        self._label_array = np.fromiter(overlay.labels, dtype=object, count=n)
         if self._ring_window:
             self._build_ring()
         for node, handle in overlay.writer_of.items():

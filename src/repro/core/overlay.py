@@ -26,7 +26,11 @@ push) until :mod:`repro.dataflow` assigns them.
 from __future__ import annotations
 
 import enum
+import itertools
+import operator
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 
@@ -153,6 +157,10 @@ class Overlay:
     def num_partials(self) -> int:
         return sum(1 for kind in self.kinds if kind is NodeKind.PARTIAL)
 
+    def kind_codes(self) -> List[int]:
+        """Every node's kind as its integer code (``KIND_WRITER`` …)."""
+        return list(map(_CODE_BY_ID.__getitem__, map(id, self.kinds)))
+
     def is_writer(self, handle: int) -> bool:
         return self.kinds[handle] is NodeKind.WRITER
 
@@ -220,7 +228,7 @@ class Overlay:
 
     @property
     def num_negative_edges(self) -> int:
-        return sum(1 for _, _, sign in self.edges() if sign < 0)
+        return sum(map(operator.countOf, map(dict.values, self.inputs), itertools.repeat(-1)))
 
     # ------------------------------------------------------------------
     # decisions
@@ -247,14 +255,32 @@ class Overlay:
         if changed:
             self.decision_version += 1
 
+    def set_decisions(self, push: Sequence[bool]) -> None:
+        """Annotate every node at once: push where ``push[handle]`` is true,
+        pull elsewhere.  ``decision_version`` and the dirty set end as if
+        :meth:`set_decision` had been called for each node."""
+        decisions = list(map((Decision.PULL, Decision.PUSH).__getitem__, push))
+        changed = list(
+            itertools.compress(
+                range(self.num_nodes), map(operator.is_not, self.decisions, decisions)
+            )
+        )
+        for handle in changed:
+            if self.kinds[handle] is NodeKind.WRITER:
+                raise OverlayError("writer nodes are always push")
+        self.decisions[:] = decisions
+        self.decision_version += len(changed)
+        self._dirty.update(changed)
+
     def decisions_consistent(self) -> bool:
         """True iff no edge runs from a pull node into a push node."""
-        for src, dst, _ in self.edges():
-            if (
-                self.decisions[src] is Decision.PULL
-                and self.decisions[dst] is Decision.PUSH
-            ):
-                return False
+        decisions = self.decisions
+        pull = Decision.PULL
+        for inputs, decision in zip(self.inputs, decisions):
+            if decision is Decision.PUSH:
+                for src in inputs:
+                    if decisions[src] is pull:
+                        return False
         return True
 
     # ------------------------------------------------------------------
@@ -263,16 +289,18 @@ class Overlay:
 
     def topological_order(self) -> List[int]:
         """Writers-first topological order; raises if the overlay has a cycle."""
-        indegree = [len(self.inputs[h]) for h in range(self.num_nodes)]
-        frontier = [h for h in range(self.num_nodes) if indegree[h] == 0]
+        indegree = list(map(len, self.inputs))
+        frontier = [h for h, degree in enumerate(indegree) if not degree]
         order: List[int] = []
+        outputs = self.outputs
+        pop, push, emit = frontier.pop, frontier.append, order.append
         while frontier:
-            handle = frontier.pop()
-            order.append(handle)
-            for dst in self.outputs[handle]:
+            handle = pop()
+            emit(handle)
+            for dst in outputs[handle]:
                 indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    frontier.append(dst)
+                if not indegree[dst]:
+                    push(dst)
         if len(order) != self.num_nodes:
             raise OverlayError("overlay contains a cycle")
         return order
@@ -416,25 +444,24 @@ class Overlay:
         float merges are not associative.
         """
         n = self.num_nodes
-        in_indptr: List[int] = [0]
-        in_indices: List[int] = []
-        in_signs: List[int] = []
-        for dst in range(n):
-            for src, sign in self.inputs[dst].items():
-                in_indices.append(src)
-                in_signs.append(sign)
-            in_indptr.append(len(in_indices))
-        out_indptr: List[int] = [0]
-        out_indices: List[int] = []
-        out_signs: List[int] = []
-        for src in range(n):
-            for dst in self.outputs[src]:
-                out_indices.append(dst)
-                out_signs.append(self.inputs[dst][src])
-            out_indptr.append(len(out_indices))
-        push = [1 if d is Decision.PUSH else 0 for d in self.decisions]
-        kinds = [_KIND_CODES[k] for k in self.kinds]
-        fan_in = [in_indptr[h + 1] - in_indptr[h] for h in range(n)]
+        fan_in = list(map(len, self.inputs))
+        in_indptr = [0, *itertools.accumulate(fan_in)]
+        in_indices = list(itertools.chain.from_iterable(self.inputs))
+        in_signs = list(itertools.chain.from_iterable(map(dict.values, self.inputs)))
+        out_counts = list(map(len, self.outputs))
+        out_indptr = [0, *itertools.accumulate(out_counts)]
+        out_indices = list(itertools.chain.from_iterable(self.outputs))
+        # an out-edge's sign is its in-edge's: find it by (dst, src) key
+        in_keys = np.repeat(np.arange(n, dtype=np.int64), fan_in) * n + in_indices
+        by_key = np.argsort(in_keys)
+        out_keys = np.asarray(out_indices, dtype=np.int64) * n + np.repeat(
+            np.arange(n, dtype=np.int64), out_counts
+        )
+        out_signs = np.asarray(in_signs, dtype=np.int64)[
+            by_key[np.searchsorted(in_keys[by_key], out_keys)]
+        ].tolist()
+        push = list(map(int, map(operator.is_, self.decisions, itertools.repeat(Decision.PUSH))))
+        kinds = self.kind_codes()
         return OverlayCSR(
             num_nodes=n,
             in_indptr=in_indptr,
@@ -462,13 +489,38 @@ class Overlay:
         (all-pull: social-network style on-demand; all-push: CEP style
         materialization); they differ only in dataflow decisions.
         """
+        writers = sorted(ag.writers, key=lambda n: (type(n).__name__, repr(n)))
+        readers = list(ag.reader_inputs)
+        num_writers, num_nodes = len(writers), len(writers) + len(readers)
+        # one int object per handle, shared by every dict that holds it
+        handles = list(range(num_nodes))
         overlay = cls()
-        for writer in sorted(ag.writers, key=lambda n: (type(n).__name__, repr(n))):
-            overlay.add_writer(writer)
-        for reader, writers in ag.reader_inputs.items():
-            r = overlay.add_reader(reader)
-            for writer in writers:
-                overlay.add_edge(overlay.writer_of[writer], r)
+        overlay.kinds = [NodeKind.WRITER] * num_writers + [NodeKind.READER] * len(readers)
+        overlay.labels = writers + readers
+        overlay.decisions = [Decision.PUSH] * num_writers + [Decision.PULL] * len(readers)
+        overlay.writer_of = dict(zip(writers, handles))
+        overlay.reader_of = dict(zip(readers, handles[num_writers:]))
+        # each reader's inputs in its member order, each writer's outputs in
+        # reader order: the order edge-by-edge inserts would leave them in
+        handle_of = overlay.writer_of.__getitem__
+        inputs = [
+            dict.fromkeys(map(handle_of, members), 1)
+            for members in ag.reader_inputs.values()
+        ]
+        fan_in = np.fromiter(map(len, inputs), np.int64, len(inputs))
+        num_edges = int(fan_in.sum())
+        sources = np.fromiter(itertools.chain.from_iterable(inputs), np.int64, num_edges)
+        by_source = np.argsort(sources, kind="stable")
+        reader_handles = np.fromiter(handles[num_writers:], object, len(readers))
+        targets = np.repeat(reader_handles, fan_in)[by_source].tolist()
+        ends = np.cumsum(np.bincount(sources, minlength=num_writers)).tolist()
+        overlay.inputs = [{} for _ in writers] + inputs
+        overlay.outputs = [
+            dict.fromkeys(targets[start:end]) for start, end in zip([0] + ends, ends)
+        ] + [{} for _ in readers]
+        overlay._num_edges = num_edges
+        overlay.version = num_nodes + num_edges
+        overlay._dirty = set(handles)
         return overlay
 
     def copy(self) -> "Overlay":
@@ -500,6 +552,8 @@ _KIND_CODES = {
     NodeKind.READER: KIND_READER,
     NodeKind.PARTIAL: KIND_PARTIAL,
 }
+#: the same codes by member identity (an enum member's hash runs in Python)
+_CODE_BY_ID = {id(kind): code for kind, code in _KIND_CODES.items()}
 
 
 class OverlayCSR:

@@ -12,7 +12,8 @@ content updates).  From these, every overlay node ``u`` gets:
   ``u`` if every node were annotated pull.  Readers start with their read
   frequency; each node adds its pull frequency onto all of its inputs.
 
-Both are one topological sweep.  Edge signs are irrelevant here: a negative
+Both are one topological sweep, run over the overlay's columns by
+:func:`repro.dataflow.passes.push_pull_frequencies`.  Edge signs are irrelevant here: a negative
 edge moves exactly as much data as a positive one.
 """
 
@@ -22,7 +23,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Tuple
 
-from repro.core.overlay import NodeKind, Overlay
+from repro.core.overlay import Overlay
+from repro.dataflow.passes import DecisionGraph, push_pull_frequencies
 
 NodeId = Hashable
 
@@ -107,19 +109,5 @@ def compute_push_pull_frequencies(
     overlay: Overlay, frequencies: FrequencyModel
 ) -> Tuple[List[float], List[float]]:
     """Compute ``(f_h, f_l)`` for every overlay node (Section 4.1)."""
-    order = overlay.topological_order()
-    fh = [0.0] * overlay.num_nodes
-    fl = [0.0] * overlay.num_nodes
-
-    for handle in order:  # downstream sweep: push frequencies
-        if overlay.kinds[handle] is NodeKind.WRITER:
-            fh[handle] = frequencies.write_freq(overlay.labels[handle])
-        else:
-            fh[handle] = sum(fh[src] for src in overlay.inputs[handle])
-
-    for handle in reversed(order):  # upstream sweep: pull frequencies
-        if overlay.kinds[handle] is NodeKind.READER:
-            fl[handle] = frequencies.read_freq(overlay.labels[handle])
-        for src in overlay.inputs[handle]:
-            fl[src] += fl[handle]
-    return fh, fl
+    fh, fl = push_pull_frequencies(DecisionGraph(overlay), frequencies)
+    return fh.tolist(), fl.tolist()

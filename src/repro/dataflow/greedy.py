@@ -18,10 +18,19 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional, Set
 
-from repro.core.overlay import Decision, NodeKind, Overlay
+import numpy as np
+
+from repro.core.overlay import KIND_WRITER, NodeKind, Overlay
 from repro.dataflow.costs import CostModel
-from repro.dataflow.frequencies import FrequencyModel, compute_push_pull_frequencies
-from repro.dataflow.mincut import DataflowStats, assignment_cost, node_weights
+from repro.dataflow.frequencies import FrequencyModel
+from repro.dataflow.mincut import DataflowStats
+from repro.dataflow.passes import (
+    DecisionGraph,
+    assignment_cost_of,
+    consistent,
+    node_weight_column,
+    push_pull_frequencies,
+)
 
 
 class _State(enum.Enum):
@@ -44,7 +53,8 @@ def greedy_dataflow(
     """
     if cost_model is None:
         cost_model = CostModel.constant_linear()
-    fh, fl = compute_push_pull_frequencies(overlay, frequencies)
+    graph = DecisionGraph(overlay)
+    fh, fl = push_pull_frequencies(graph, frequencies)
     force: Optional[Set[int]] = None
     if force_push_readers:
         # Continuous mode: a push reader needs its whole upstream closure
@@ -59,12 +69,10 @@ def greedy_dataflow(
                 if src not in force:
                     force.add(src)
                     stack.append(src)
-    weights = node_weights(
-        overlay, fh, fl, cost_model, window_size=window_size, force_push=force
-    )
+    weights = node_weight_column(graph, fh, fl, cost_model, forced=force).tolist()
 
     state: Dict[int, _State] = {}
-    for handle in overlay.topological_order():
+    for handle in graph.order.tolist():
         if overlay.kinds[handle] is NodeKind.WRITER:
             state[handle] = _State.PUSH
             continue
@@ -110,23 +118,16 @@ def greedy_dataflow(
                 state[src] = _State.PULL
             state[handle] = _State.PULL
 
-    stats = DataflowStats(nodes_total=len(weights))
-    push_count = 0
-    pull_count = 0
+    # leftover tentative decisions become pull (paper's epilogue)
+    push = graph.kinds == KIND_WRITER
     for handle, node_state in state.items():
-        if overlay.kinds[handle] is NodeKind.WRITER:
-            continue
-        if node_state is _State.PUSH:
-            overlay.set_decision(handle, Decision.PUSH)
-            push_count += 1
-        else:  # leftover tentative decisions become pull (paper's epilogue)
-            overlay.set_decision(handle, Decision.PULL)
-            pull_count += 1
-    stats.push_nodes = push_count
-    stats.pull_nodes = pull_count
-    stats.total_cost = assignment_cost(
-        overlay, fh, fl, cost_model, window_size=window_size
-    )
-    if not overlay.decisions_consistent():
+        push[handle] = node_state is _State.PUSH
+    overlay.set_decisions(push.tolist())
+    decidable = graph.decidable()
+    stats = DataflowStats(nodes_total=len(decidable))
+    stats.push_nodes = int(np.count_nonzero(push[decidable]))
+    stats.pull_nodes = stats.nodes_total - stats.push_nodes
+    stats.total_cost = assignment_cost_of(graph, fh, fl, push, cost_model, window_size)
+    if not consistent(graph, push):
         raise AssertionError("greedy produced inconsistent decisions (bug)")
     return stats

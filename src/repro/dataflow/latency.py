@@ -27,7 +27,7 @@ from typing import Dict, Optional, Set
 from repro.core.overlay import Decision, Overlay
 from repro.dataflow.costs import CostModel
 from repro.dataflow.frequencies import FrequencyModel
-from repro.dataflow.mincut import DataflowStats, node_weights
+from repro.dataflow.mincut import DataflowStats, decide_forced
 
 
 def estimated_read_latency(
@@ -87,7 +87,7 @@ def decide_dataflow_with_latency_budget(
     rounds = 0
     limit = max_rounds if max_rounds is not None else len(overlay.reader_of) + 1
     while True:
-        stats = _decide(overlay, frequencies, cost_model, window_size, forced)
+        stats = decide_forced(overlay, frequencies, cost_model, window_size, forced)
         rounds += 1
         violators = {
             handle
@@ -98,54 +98,3 @@ def decide_dataflow_with_latency_budget(
         if not violators or rounds >= limit:
             return stats
         forced |= violators
-
-
-def _decide(
-    overlay: Overlay,
-    frequencies: FrequencyModel,
-    cost_model: CostModel,
-    window_size: float,
-    forced: Set[int],
-) -> DataflowStats:
-    """One min-cut round with an explicit force-push set."""
-    from repro.dataflow.frequencies import compute_push_pull_frequencies
-    from repro.dataflow.mincut import (
-        assignment_cost,
-        solve_dmp,
-    )
-    from repro.dataflow.pruning import connected_components, prune
-
-    fh, fl = compute_push_pull_frequencies(overlay, frequencies)
-    weights = node_weights(
-        overlay, fh, fl, cost_model, window_size=window_size,
-        force_push=forced or None,
-    )
-    edges = [
-        (src, dst)
-        for src, dst, _ in overlay.edges()
-        if src in weights and dst in weights
-    ]
-    stats = DataflowStats(nodes_total=len(weights))
-    pruned = prune(weights, edges)
-    push = set(pruned.pushed)
-    pull = set(pruned.pulled)
-    components = connected_components(pruned.remaining_nodes, pruned.remaining_edges)
-    stats.nodes_after_pruning = pruned.nodes_after
-    stats.num_components = len(components)
-    for members, component_edges in components:
-        component_weights = {node: weights[node] for node in members}
-        comp_push, comp_pull = solve_dmp(component_weights, component_edges)
-        push |= comp_push
-        pull |= comp_pull
-    for handle in push:
-        overlay.set_decision(handle, Decision.PUSH)
-    for handle in pull:
-        overlay.set_decision(handle, Decision.PULL)
-    stats.push_nodes = len(push)
-    stats.pull_nodes = len(pull)
-    stats.total_cost = assignment_cost(
-        overlay, fh, fl, cost_model, window_size=window_size
-    )
-    if not overlay.decisions_consistent():
-        raise AssertionError("latency-constrained cut inconsistent (bug)")
-    return stats

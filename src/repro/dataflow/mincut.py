@@ -20,13 +20,26 @@ decision annotation, returning the statistics Figure 12 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.core.overlay import Decision, NodeKind, Overlay
+import numpy as np
+
+from repro.core.overlay import KIND_READER, KIND_WRITER, Overlay
 from repro.dataflow.costs import CostModel
-from repro.dataflow.frequencies import FrequencyModel, compute_push_pull_frequencies
+from repro.dataflow.frequencies import FrequencyModel
 from repro.dataflow.maxflow import INF, FlowNetwork
-from repro.dataflow.pruning import connected_components, prune
+from repro.dataflow.passes import (
+    KEPT,
+    PUSHED,
+    PULLED,
+    DecisionGraph,
+    assignment_cost_of,
+    consistent,
+    node_weight_column,
+    peel,
+    push_pull_frequencies,
+)
+from repro.dataflow.pruning import connected_components
 
 Node = Hashable
 
@@ -93,40 +106,31 @@ class DataflowStats:
 
 def node_weights(
     overlay: Overlay,
-    fh: List[float],
-    fl: List[float],
+    fh: Sequence[float],
+    fl: Sequence[float],
     cost_model: CostModel,
-    window_size: float = 1.0,
     force_push: Optional[Set[int]] = None,
 ) -> Dict[int, float]:
     """``w(v) = PULL(v) − PUSH(v)`` for every *decidable* (non-writer) node.
 
-    Writers are excluded: they are always push (Section 2.2.1).  ``force_push``
-    handles continuous-mode readers, which get an effectively infinite
-    push benefit so the cut can never place them in the pull side.
+    Writers are excluded: they are always push (Section 2.2.1), and the
+    window size enters only their mandatory push cost in
+    :func:`assignment_cost`.  ``force_push`` handles continuous-mode
+    readers, which get an effectively infinite push benefit so the cut can
+    never place them in the pull side.
     """
-    weights: Dict[int, float] = {}
-    for handle in range(overlay.num_nodes):
-        kind = overlay.kinds[handle]
-        if kind is NodeKind.WRITER:
-            continue
-        fan_in = max(1, overlay.fan_in(handle))
-        degree = fan_in if kind is not NodeKind.WRITER else max(1, int(window_size))
-        push_cost = fh[handle] * cost_model.push_cost(degree)
-        pull_cost = fl[handle] * cost_model.pull_cost(degree)
-        weights[handle] = pull_cost - push_cost
-    if force_push:
-        bound = sum(abs(w) for w in weights.values()) + 1.0
-        for handle in force_push:
-            if handle in weights:
-                weights[handle] = bound
-    return weights
+    graph = DecisionGraph(overlay)
+    weights = node_weight_column(
+        graph, _column(fh), _column(fl), cost_model, forced=force_push
+    )
+    decidable = graph.decidable()
+    return dict(zip(decidable.tolist(), weights[decidable].tolist()))
 
 
 def assignment_cost(
     overlay: Overlay,
-    fh: List[float],
-    fl: List[float],
+    fh: Sequence[float],
+    fl: Sequence[float],
     cost_model: CostModel,
     window_size: float = 1.0,
 ) -> float:
@@ -135,18 +139,14 @@ def assignment_cost(
     Writers contribute their (mandatory) push cost with the window size as
     their effective fan-in, following Section 4.2.
     """
-    total = 0.0
-    for handle in range(overlay.num_nodes):
-        kind = overlay.kinds[handle]
-        if kind is NodeKind.WRITER:
-            total += fh[handle] * cost_model.push_cost(max(1, int(window_size)))
-            continue
-        degree = max(1, overlay.fan_in(handle))
-        if overlay.decisions[handle] is Decision.PUSH:
-            total += fh[handle] * cost_model.push_cost(degree)
-        else:
-            total += fl[handle] * cost_model.pull_cost(degree)
-    return total
+    graph = DecisionGraph(overlay)
+    return assignment_cost_of(
+        graph, _column(fh), _column(fl), graph.push_mask(), cost_model, window_size
+    )
+
+
+def _column(values: Sequence[float]) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64)
 
 
 def decide_dataflow(
@@ -163,60 +163,82 @@ def decide_dataflow(
     continuous-query mode.  Setting ``use_pruning=False`` runs max-flow on
     the full decision graph (tests verify pruning changes nothing).
     """
+    forced = overlay.reader_of.values() if force_push_readers else ()
+    return decide_forced(
+        overlay, frequencies, cost_model, window_size, forced, use_pruning=use_pruning
+    )
+
+
+def decide_forced(
+    overlay: Overlay,
+    frequencies: FrequencyModel,
+    cost_model: Optional[CostModel],
+    window_size: float,
+    forced: Iterable[int],
+    use_pruning: bool = True,
+) -> DataflowStats:
+    """:func:`decide_dataflow` with an explicit set of handles forced push
+    (their whole upstream closure follows, through the cut's ∞ edges).
+
+    One snapshot of the overlay feeds every pass: frequencies, weights and
+    P1/P2 run over its columns, and max-flow sees only the components of
+    what survives pruning.
+    """
     if cost_model is None:
         cost_model = CostModel.constant_linear()
-    fh, fl = compute_push_pull_frequencies(overlay, frequencies)
-    force = set(overlay.reader_of.values()) if force_push_readers else None
-    weights = node_weights(
-        overlay, fh, fl, cost_model, window_size=window_size, force_push=force
-    )
-    decision_edges = [
-        (src, dst)
-        for src, dst, _ in overlay.edges()
-        if src in weights and dst in weights
-    ]
+    graph = DecisionGraph(overlay)
+    fh, fl = push_pull_frequencies(graph, frequencies)
+    weights = node_weight_column(graph, fh, fl, cost_model, forced=set(forced))
+    decidable = graph.decidable()
+    readers = graph.kinds == KIND_READER
 
-    stats = DataflowStats(nodes_total=len(weights))
-    stats.graph_nodes_before = sum(
-        1 for h in weights if overlay.kinds[h] is NodeKind.READER
-    )
+    # the decision graph: decidable nodes, numbered in handle order, and
+    # the edges between them (writers are sources only) in edge order
+    between = graph.kinds[graph.src] != KIND_WRITER
+    src, dst = graph.src[between], graph.dst[between]
+    dense = np.full(graph.num_nodes, -1, dtype=np.int64)
+    dense[decidable] = np.arange(len(decidable), dtype=np.int64)
+    u, v = dense[src], dense[dst]
+    weight_list = weights[decidable].tolist()
+
+    stats = DataflowStats(nodes_total=len(decidable))
+    stats.graph_nodes_before = int(np.count_nonzero(readers))
     stats.virtual_nodes_before = stats.nodes_total - stats.graph_nodes_before
-
-    push: Set[int] = set()
-    pull: Set[int] = set()
     if use_pruning:
-        pruned = prune(weights, decision_edges)
-        push |= pruned.pushed
-        pull |= pruned.pulled
-        stats.nodes_after_pruning = pruned.nodes_after
-        stats.graph_nodes_after = sum(
-            1 for h in pruned.remaining_nodes if overlay.kinds[h] is NodeKind.READER
-        )
-        stats.virtual_nodes_after = pruned.nodes_after - stats.graph_nodes_after
-        components = connected_components(
-            pruned.remaining_nodes, pruned.remaining_edges
-        )
+        label = np.array(peel(weight_list, u, v), dtype=np.int8)
     else:
-        stats.nodes_after_pruning = len(weights)
-        components = connected_components(weights, decision_edges)
+        label = np.zeros(len(decidable), dtype=np.int8)
+    kept = label == KEPT
+    stats.nodes_after_pruning = int(np.count_nonzero(kept))
+    if use_pruning:
+        stats.graph_nodes_after = int(np.count_nonzero(kept & readers[decidable]))
+        stats.virtual_nodes_after = stats.nodes_after_pruning - stats.graph_nodes_after
 
+    # max-flow on the components of what is left, in handles and in the
+    # containers the per-handle pipeline passed (a set after pruning, a
+    # dict without): each component's nodes are numbered in the same order,
+    # so Dinic's float residuals, and with them the cut, are the same
+    residual = kept[u] & kept[v]
+    left = decidable[kept].tolist()
+    components = connected_components(
+        set(left) if use_pruning else dict.fromkeys(left),
+        list(zip(src[residual].tolist(), dst[residual].tolist())),
+    )
     stats.num_components = len(components)
     stats.largest_component = max((len(c[0]) for c in components), default=0)
     for members, edges in components:
-        component_weights = {node: weights[node] for node in members}
-        comp_push, comp_pull = solve_dmp(component_weights, edges)
-        push |= comp_push
-        pull |= comp_pull
+        comp_push, comp_pull = solve_dmp(
+            {node: weight_list[dense[node]] for node in members}, edges
+        )
+        label[dense[list(comp_push)]] = PUSHED
+        label[dense[list(comp_pull)]] = PULLED
 
-    for handle in push:
-        overlay.set_decision(handle, Decision.PUSH)
-    for handle in pull:
-        overlay.set_decision(handle, Decision.PULL)
-    stats.push_nodes = len(push)
-    stats.pull_nodes = len(pull)
-    stats.total_cost = assignment_cost(
-        overlay, fh, fl, cost_model, window_size=window_size
-    )
-    if not overlay.decisions_consistent():
+    push = graph.kinds == KIND_WRITER
+    push[decidable] = label == PUSHED
+    overlay.set_decisions(push.tolist())
+    stats.push_nodes = int(np.count_nonzero(label == PUSHED))
+    stats.pull_nodes = len(decidable) - stats.push_nodes
+    stats.total_cost = assignment_cost_of(graph, fh, fl, push, cost_model, window_size)
+    if not consistent(graph, push):
         raise AssertionError("min-cut produced inconsistent decisions (bug)")
     return stats

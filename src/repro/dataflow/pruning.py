@@ -20,6 +20,10 @@ import collections
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
+import numpy as np
+
+from repro.dataflow.passes import KEPT, PULLED, PUSHED, peel
+
 Node = Hashable
 
 
@@ -49,52 +53,27 @@ def prune(
     Zero-weight nodes are decision-indifferent; they are pruned whenever
     either rule's structural condition holds (a safe extension of the
     paper's strict inequalities — an indifferent node with no incoming
-    edges constrains nothing upstream, symmetrically for outgoing).
+    edges constrains nothing upstream, symmetrically for outgoing).  The
+    peel itself is :func:`repro.dataflow.passes.peel`, over the nodes
+    numbered in ``weights`` order.
     """
+    nodes = list(weights)
+    index = {node: i for i, node in enumerate(nodes)}
     edge_list = [(u, v) for u, v in edges]
-    out_degree: Dict[Node, int] = collections.Counter()
-    in_degree: Dict[Node, int] = collections.Counter()
-    successors: Dict[Node, List[Node]] = collections.defaultdict(list)
-    predecessors: Dict[Node, List[Node]] = collections.defaultdict(list)
-    for u, v in edge_list:
-        out_degree[u] += 1
-        in_degree[v] += 1
-        successors[u].append(v)
-        predecessors[v].append(u)
+    u = np.fromiter((index[a] for a, _ in edge_list), np.int64, len(edge_list))
+    v = np.fromiter((index[b] for _, b in edge_list), np.int64, len(edge_list))
+    label = peel([weights[node] for node in nodes], u, v)
 
     result = PruneResult()
-    removed: Set[Node] = set()
-    queue = collections.deque(weights)
-    queued = set(weights)
-    while queue:
-        node = queue.popleft()
-        queued.discard(node)
-        if node in removed:
-            continue
-        weight = weights[node]
-        if weight >= 0 and in_degree[node] == 0:
+    for node, mark in zip(nodes, label):
+        if mark == PUSHED:
             result.pushed.add(node)
-        elif weight <= 0 and out_degree[node] == 0:
+        elif mark == PULLED:
             result.pulled.add(node)
         else:
-            continue
-        removed.add(node)
-        for successor in successors[node]:
-            if successor not in removed:
-                in_degree[successor] -= 1
-                if successor not in queued:
-                    queue.append(successor)
-                    queued.add(successor)
-        for predecessor in predecessors[node]:
-            if predecessor not in removed:
-                out_degree[predecessor] -= 1
-                if predecessor not in queued:
-                    queue.append(predecessor)
-                    queued.add(predecessor)
-
-    result.remaining_nodes = {n for n in weights if n not in removed}
+            result.remaining_nodes.add(node)
     result.remaining_edges = [
-        (u, v) for u, v in edge_list if u not in removed and v not in removed
+        (a, b) for a, b in edge_list if label[index[a]] == KEPT and label[index[b]] == KEPT
     ]
     return result
 

@@ -16,6 +16,9 @@ FP-tree item ordering).
 
 from __future__ import annotations
 
+import collections
+import itertools
+import operator
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.dynamic_graph import DynamicGraph
@@ -39,13 +42,27 @@ class BipartiteGraph:
     """
 
     def __init__(self, reader_inputs: Dict[NodeId, Tuple[NodeId, ...]]) -> None:
-        self.reader_inputs: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        self.writer_out_degree: Dict[NodeId, int] = {}
-        for reader, inputs in reader_inputs.items():
-            ordered = tuple(sorted(set(inputs), key=_sort_key))
-            self.reader_inputs[reader] = ordered
-            for writer in ordered:
-                self.writer_out_degree[writer] = self.writer_out_degree.get(writer, 0) + 1
+        members = {reader: set(inputs) for reader, inputs in reader_inputs.items()}
+        # one _sort_key per distinct writer: each input list is then sorted
+        # by integer rank (equal keys share a rank, so ties keep the order
+        # a sort by key would leave them in)
+        writers = set().union(*members.values())
+        rank: Dict[NodeId, int] = {}
+        previous = None
+        for writer, key in sorted(
+            zip(writers, map(_sort_key, writers)), key=operator.itemgetter(1)
+        ):
+            if key != previous:
+                current, previous = len(rank), key
+            rank[writer] = current
+        by_rank = rank.__getitem__
+        self.reader_inputs: Dict[NodeId, Tuple[NodeId, ...]] = {
+            reader: tuple(sorted(inputs, key=by_rank))
+            for reader, inputs in members.items()
+        }
+        self.writer_out_degree: Dict[NodeId, int] = dict(
+            collections.Counter(itertools.chain.from_iterable(self.reader_inputs.values()))
+        )
 
     # ------------------------------------------------------------------
 
@@ -60,7 +77,7 @@ class BipartiteGraph:
     @property
     def num_edges(self) -> int:
         """|E'| — the denominator of the sharing index (Section 3.1)."""
-        return sum(len(inputs) for inputs in self.reader_inputs.values())
+        return sum(map(len, self.reader_inputs.values()))
 
     def inputs(self, reader: NodeId) -> Tuple[NodeId, ...]:
         return self.reader_inputs[reader]

@@ -207,9 +207,29 @@ class DynamicGraph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[Tuple[NodeId, NodeId]]) -> "DynamicGraph":
+        """The graph :meth:`add_edge` would build from ``edges`` one by one
+        (same node order, adjacency sets, edge count and clock), filled in
+        one loop: a fresh graph has no listener to tell."""
         graph = cls()
+        out, inn = graph._out, graph._in
+        added = 0
         for u, v in edges:
-            graph.add_edge(u, v)
+            if u == v:
+                raise GraphError("self loops are not supported")
+            targets = out.get(u)
+            if targets is None:
+                targets = out[u] = set()
+                inn[u] = set()
+            if v not in out:
+                out[v] = set()
+                inn[v] = set()
+            if v not in targets:
+                targets.add(v)
+                inn[v].add(u)
+                added += 1
+        graph._num_edges = added
+        # add_node and add_edge each tick the clock once per change
+        graph._clock = len(out) + added
         return graph
 
     def copy(self) -> "DynamicGraph":
