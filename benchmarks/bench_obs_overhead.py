@@ -2,14 +2,14 @@
 
 The metrics plane (``src/repro/obs``) instruments every layer of the
 serving hot path — ingress timestamps on write frames, histogram
-observes on route/apply/WAL paths, per-shard slab publishes — and its
+observes on route/apply/WAL paths, per-shard registries — and its
 whole design brief is *cheap enough to leave on in production*.  This
 bench proves (or falsifies) that claim with an interleaved A/B:
 
 * **metrics on** — ``EAGrServer(..., metrics=True)``: the full plane,
   ingress stamps, latency histograms, shard registries.
 * **metrics off** — the same deployment with ``metrics=False``: null
-  metric objects, no timestamps, no slab publishes.
+  metric objects, no timestamps, no shard registries to scrape.
 
 Passes run in on/off pairs within the same process, the leg that goes
 first alternating from pair to pair, and the verdict is the median of the
@@ -19,10 +19,9 @@ lucky pass on either side decide.  The in-process executor keeps worker
 scheduling noise out of the comparison entirely, leaving only the
 instrumentation delta, and its leg runs pinned to one CPU: the server's
 flusher thread then never hands the interpreter lock across CPUs, which
-on a two-vCPU virtual machine moved single passes by up to 30%.  A
-second A/B repeats the comparison on the shm process transport (where
-slab publishes and ring-depth gauges add their cost) when ``--shm`` is
-passed or in full runs.
+on a two-vCPU virtual machine moved single passes by up to 30%.  Full
+runs repeat the comparison on process shards over the queue transport
+(where the shard registries' ``OP_STATS`` scrape adds its cost).
 
 Results append to ``BENCH_obs.json`` at the repo root; each run also
 renders the metrics-on server's Prometheus exposition to
@@ -61,7 +60,7 @@ JSON_PATH = os.path.join(REPO_ROOT, "BENCH_obs.json")
 PROM_PATH = os.path.join(os.path.dirname(__file__), "results", "metrics.prom")
 
 
-def make_server(graph, metrics, executor="inprocess", transport="auto"):
+def make_server(graph, metrics, executor="inprocess"):
     from repro.core.aggregates import Sum
     from repro.core.query import EgoQuery
     from repro.core.windows import TupleWindow
@@ -77,7 +76,6 @@ def make_server(graph, metrics, executor="inprocess", transport="auto"):
         query,
         num_shards=2,
         executor=executor,
-        transport=transport,
         metrics=metrics,
         overlay_algorithm="vnm_a",
         dataflow="mincut",
@@ -107,14 +105,14 @@ def pinned_to_one_cpu():
         return None
 
 
-def ab_compare(graph, events, passes, executor="inprocess", transport="auto"):
+def ab_compare(graph, events, passes, executor="inprocess"):
     """``passes`` on/off pairs, one warmed server per leg, the first leg of
     a pair alternating: ``(median on ev/s, median off ev/s, median
     per-pair on/off ratio, latency, exposition)``.  The in-process leg
     runs pinned to one CPU (see the module docstring)."""
     allowed = pinned_to_one_cpu() if executor == "inprocess" else None
-    on = make_server(graph, True, executor=executor, transport=transport)
-    off = make_server(graph, False, executor=executor, transport=transport)
+    on = make_server(graph, True, executor=executor)
+    off = make_server(graph, False, executor=executor)
     try:
         assert on.metrics_enabled and not off.metrics_enabled
         # A small watched set on BOTH legs: the write→notify histogram
@@ -147,18 +145,16 @@ def ab_compare(graph, events, passes, executor="inprocess", transport="auto"):
             os.sched_setaffinity(0, allowed)
 
 
-def run_bench(num_events=NUM_EVENTS, passes=PASSES, with_shm=True):
+def run_bench(num_events=NUM_EVENTS, passes=PASSES, with_process=True):
     graph = bench_graph("livejournal-small", scale=0.25)
     events = write_workload(graph, num_events)
     results = {}
     rows = []
     exposition = None
-    legs = [("inprocess", "inprocess", "auto")]
-    if with_shm:
-        legs.append(("shm", "process", "shm"))
-    for label, executor, transport in legs:
+    legs = ["inprocess"] + (["process"] if with_process else [])
+    for label in legs:
         on_eps, off_eps, ratio, latency, expo = ab_compare(
-            graph, events, passes, executor=executor, transport=transport
+            graph, events, passes, executor=label
         )
         results[label] = {
             "metrics_on_eps": round(on_eps),
@@ -225,8 +221,7 @@ def main(argv):
     # Smoke keeps to the in-process leg: the floor below compares two legs
     # of identical deterministic work, which process-scheduling noise on a
     # shared single-core runner would otherwise drown.
-    with_shm = ("--shm" in argv) or not smoke
-    results = run_bench(num_events=num_events, with_shm=with_shm)
+    results = run_bench(num_events=num_events, with_process=not smoke)
     persist(results, num_events)
     inproc = results["inprocess"]
     print(

@@ -7,28 +7,22 @@ configuration) it measures sustained write throughput three ways:
   shard **processes** (spawn) on the request-pipe (queue) transport:
   batches cross the process boundary as frames written into a pipe and
   each shard applies its slice through the columnar scatter kernels.
-* **serve-K (shm)** — the same deployment on the shared-memory transport:
-  write batches scatter into per-shard ingress rings, shards keep their
-  columns in named shared segments, the applied watermark replaces
-  per-batch acknowledgements, and reads answer zero-copy front-side.
 * **serve-inproc** — the same server on the in-process executor (the
   routing overhead alone, no processes; context for the queue cost).
 
 Results append to ``BENCH_serve.json`` at the repo root so CI accumulates
-the trajectory (the ``shm`` column records the shared-memory transport).
-Every row records its transport, the frame codec its batches rode
-(``binary`` record frames vs ``pickle`` payloads, read off the server's
+the trajectory.  Every row records its transport, the frame codec its
+batches rode (``binary`` record frames vs ``pickle`` payloads, read off the server's
 codec-mix counters — see :mod:`repro.serve.frames`) and ingress bytes
 per delivered event.  (What binary frames buy over pickling the same
 rows is gated by ``bench_frame_codec.py``.)
 Every serve row also records the end-to-end **write→notify latency**
 percentiles its pass observed (the metrics plane's
 ``write_notify_latency`` summary), and a ``metrics_overhead`` control leg
-re-runs the fastest shm configuration with ``metrics=False`` so the
+re-runs the fastest process configuration with ``metrics=False`` so the
 instrumentation tax is itself a committed number.
-``--smoke`` shrinks the workload and asserts the acceptance floors: the
-shm transport must actually resolve and must not collapse against the
-queue, and no ``/dev/shm`` segment may survive teardown.
+``--smoke`` shrinks the run to 4 000 events, best of 2, over 1 and 2
+shards.
 
 Note on hosts: on a single-core container the shard processes time-slice
 one CPU, so adding shards adds routing and transport work without adding
@@ -93,9 +87,7 @@ def bench_serve(
     num_shards: int,
     executor: str,
     passes: int,
-    transport: str = "auto",
     metrics="auto",
-    check_segments=None,
 ):
     from repro.core.aggregates import Sum
     from repro.core.query import EgoQuery
@@ -112,14 +104,11 @@ def bench_serve(
         query,
         num_shards=num_shards,
         executor=executor,
-        transport=transport,
         metrics=metrics,
         overlay_algorithm="vnm_a",
         dataflow="mincut",
         queue_depth=16,
     )
-    if transport == "shm":
-        assert server.transport == "shm", "shm transport failed to resolve"
     # A small watched set exercises the notification path so each row's
     # write->notify percentiles are sampled from real deliveries (same
     # set on every serve leg).
@@ -131,9 +120,6 @@ def bench_serve(
             write_batch(items[start : start + BATCH_SIZE])
         server.drain()
 
-    segment_names = [
-        name for spec in server.specs if spec.shm for name in spec.shm.values()
-    ]
     try:
         run(events)  # warm: boots workers, compiles every shard's plans
         eps = measure(run, events, passes)
@@ -159,15 +145,6 @@ def bench_serve(
         return eps, meta
     finally:
         server.close()
-        if check_segments is not None:
-            check_segments(segment_names)
-
-
-def _assert_segments_gone(names):
-    from repro.core.statestore import segment_exists
-
-    leaked = [name for name in names if segment_exists(name)]
-    assert not leaked, f"leaked shared-memory segments after teardown: {leaked}"
 
 
 def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: int = 3):
@@ -175,7 +152,6 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
     events = write_workload(graph, num_events)
     results = {
         "serve": {},
-        "shm": {},
         "serve_inprocess_eps": 0.0,
     }
 
@@ -192,47 +168,32 @@ def run_bench(num_events: int = NUM_EVENTS, shard_counts=SHARD_COUNTS, passes: i
 
     rows = [row("serve-inproc x2", inproc, inproc_meta)]
     for shards in shard_counts:
-        queue_eps, queue_meta = bench_serve(
-            graph, events, shards, "process", passes, transport="queue"
-        )
-        shm_eps, shm_meta = bench_serve(
-            graph, events, shards, "process", passes,
-            transport="shm", check_segments=_assert_segments_gone,
-        )
+        queue_eps, queue_meta = bench_serve(graph, events, shards, "process", passes)
         results["serve"][str(shards)] = {
             "eps": round(queue_eps),
             **queue_meta,
         }
-        results["shm"][str(shards)] = {
-            "eps": round(shm_eps),
-            "speedup_vs_queue": round(
-                shm_eps / queue_eps if queue_eps else 0.0, 2
-            ),
-            **shm_meta,
-        }
         rows.append(row(f"serve-proc x{shards} (queue)", queue_eps, queue_meta))
-        rows.append(row(f"serve-proc x{shards} (shm)", shm_eps, shm_meta))
 
-    # The metrics-off control leg: the fastest configuration (1-shard
-    # shm) re-run with the metrics plane disabled.  Relative
+    # The metrics-off control leg: the fastest configuration (the fewest
+    # shard processes) re-run with the metrics plane disabled.  Relative
     # instrumentation overhead is largest where per-event work is
     # smallest, so this is the worst case for the observability tax
     # (bench_obs_overhead.py measures the same ratio with interleaved
     # passes on the noise-free in-process executor).
-    first = str(min(int(s) for s in results["shm"]))
+    first = str(min(int(s) for s in results["serve"]))
     off_eps, off_meta = bench_serve(
-        graph, events, int(first), "process", passes,
-        transport="shm", metrics=False, check_segments=_assert_segments_gone,
+        graph, events, int(first), "process", passes, metrics=False
     )
-    on_eps = results["shm"][first]["eps"]
+    on_eps = results["serve"][first]["eps"]
     results["metrics_overhead"] = {
         "shards": int(first),
-        "transport": "shm",
+        "transport": "queue",
         "metrics_on_eps": on_eps,
         "metrics_off_eps": round(off_eps),
         "on_vs_off": round(on_eps / off_eps, 3) if off_eps else 0.0,
     }
-    rows.append(row(f"serve-proc x{first} (shm, metrics off)", off_eps, off_meta))
+    rows.append(row(f"serve-proc x{first} (queue, metrics off)", off_eps, off_meta))
     emit_table(
         "serve_scaling",
         f"Serving layer [SUM, vnm_a+mincut, batch={BATCH_SIZE}]: "
@@ -274,30 +235,18 @@ def main(argv):
     num_events = 4_000 if smoke else NUM_EVENTS
     shard_counts = (1, 2) if smoke else SHARD_COUNTS
     # Full runs take best-of-5: at 4 shard processes on a shared single
-    # core, scheduler noise swings single passes ±20% — enough to flip a
-    # transport comparison that is stable under best-of.
+    # core, scheduler noise swings single passes ±20%.
     passes = 2 if smoke else 5
     results = run_bench(num_events=num_events, shard_counts=shard_counts, passes=passes)
     persist(results, num_events)
     top = str(max(int(s) for s in results["serve"]))
     best = results["serve"][top]
-    best_shm = results["shm"][top]
     print(
         f"serve x{top} queue: {best['eps']:,} ev/s; "
-        f"shm: {best_shm['eps']:,} ev/s "
-        f"({best_shm['speedup_vs_queue']}x vs queue); "
-        f"write→notify p99 {best_shm['write_notify_p99_ms']} ms; "
+        f"write→notify p99 {best['write_notify_p99_ms']} ms; "
         f"metrics on/off {results['metrics_overhead']['on_vs_off']}x; "
         f"JSON -> {JSON_PATH}"
     )
-    if smoke:
-        # CI tripwire, deliberately loose.  The shm transport ran
-        # (bench_serve asserted it resolved and its segments were
-        # unlinked); it must not collapse vs the queue.
-        assert best_shm["speedup_vs_queue"] >= 0.5, (
-            f"shm transport grossly regressed vs queue: "
-            f"{best_shm['speedup_vs_queue']}x"
-        )
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ WAL and serves staleness-bounded reads a bounded lag behind the primary.
 Run:  python examples/live_feed_server.py            (2 shard processes)
       python examples/live_feed_server.py --stats-interval 0.5
           (same, plus a one-line dashboard printed every 0.5 s while
-          streaming: events/s, ring depth, p99 write→notify latency and
-          p99 WAL fsync — all read from ``server.metrics()``, i.e. the
-          shared-memory metrics plane, not the shards.)
+          streaming: events/s, notifications delivered, p99 write→notify
+          latency and p99 WAL fsync — all read from ``server.metrics()``.)
       python examples/live_feed_server.py --smoke    (in-process shards,
           small workload, asserts round-trips and clean shutdown — the
           configuration the CI smoke job boots.  Also performs a real
@@ -66,19 +65,16 @@ def build_workload(nodes, num_events, seed=5):
 def dashboard_line(server, events_done, elapsed):
     """One line of ops truth, assembled purely from ``server.metrics()``.
 
-    Everything here is scraped from the front-end registry and the
-    per-shard shared-memory slabs — printing it costs no control message
-    to any shard worker.
+    Everything here comes from the front-end registry and each shard's
+    ``OP_STATS`` scrape.
     """
     m = server.metrics()
     eps = events_done / elapsed if elapsed > 0 else 0.0
-    depth = max(
-        (r["depth_frames"] for r in m["rings"].values()), default=0
-    )
+    notes = int(m["server"]["notifications_delivered"])
     lat = m["server"].get("srv_write_notify_seconds", {})
     fsync = m["server"].get("wal_fsync_seconds", {})
     return (
-        f"[stats] {eps:>9.0f} ev/s | ring depth {depth:>3} | "
+        f"[stats] {eps:>9.0f} ev/s | {notes:>7} notes | "
         f"write→notify p99 {lat.get('p99', 0.0) * 1e3:7.2f} ms "
         f"({int(lat.get('count', 0))} samples) | "
         f"wal fsync p99 {fsync.get('p99', 0.0) * 1e3:6.2f} ms"

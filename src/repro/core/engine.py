@@ -73,13 +73,8 @@ class EAGrEngine:
     value_store:
         Aggregate-state backend: ``auto`` (columnar numpy columns when the
         aggregate declares a column spec, object lists otherwise), or
-        force ``object`` / ``columnar`` / ``shared`` (shared-memory
-        columns other processes can attach by name — the serving layer's
-        zero-copy read path).  Invisible to callers — reads are
-        byte-identical between backends for integer streams.
-    shm_name:
-        Segment name for the ``shared`` backend (created, or adopted when
-        a compatible segment already exists); ignored otherwise.
+        force ``object`` / ``columnar``.  Invisible to callers — reads
+        are byte-identical between backends for integer streams.
     """
 
     def __init__(
@@ -98,7 +93,6 @@ class EAGrEngine:
         collect_trace: bool = False,
         overlay_params: Optional[Dict[str, Any]] = None,
         value_store: str = "auto",
-        shm_name: Optional[str] = None,
     ) -> None:
         if dataflow not in DATAFLOW_MODES:
             raise ValueError(f"dataflow must be one of {DATAFLOW_MODES}")
@@ -107,7 +101,6 @@ class EAGrEngine:
         self.dataflow = dataflow
         self.overlay_algorithm = overlay_algorithm
         self.value_store = value_store
-        self.shm_name = shm_name
         self.frequencies = frequencies or FrequencyModel.uniform(graph.nodes())
         self.cost_model = cost_model or CostModel.for_aggregate(query.aggregate)
         self.auto_redecide = auto_redecide
@@ -138,7 +131,6 @@ class EAGrEngine:
             query,
             collect_trace=collect_trace,
             value_store=value_store,
-            shm_name=shm_name,
         )
 
         self.maintainer: Optional[OverlayMaintainer] = None
@@ -386,11 +378,6 @@ class EAGrEngine:
         stamp = self.runtime.stamp
         clock = self.runtime.clock
         self._oracle_members.clear()
-        close_store = getattr(self.runtime.values, "close", None)
-        if close_store is not None:
-            # A shared store must drop its mapping before the replacement
-            # runtime adopts (or regrows) the named segment.
-            close_store()
         self.ag = build_bipartite(
             self.graph, self.query.neighborhood, self.query.predicate
         )
@@ -406,7 +393,6 @@ class EAGrEngine:
             collect_trace=self._collect_trace,
             value_store=self.value_store,
             stamp=stamp,
-            shm_name=self.shm_name,
         )
         self.runtime.clock = clock
         self.runtime.note_changed_writers(pending_changes)
@@ -439,7 +425,7 @@ class EAGrEngine:
     @property
     def value_store_backend(self) -> str:
         """The backend the ``value_store`` mode resolved to (``object`` /
-        ``columnar`` / ``shared``) for this engine's aggregate."""
+        ``columnar``) for this engine's aggregate."""
         return self.runtime.values.backend
 
     def sharing_index(self) -> float:

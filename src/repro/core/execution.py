@@ -364,7 +364,6 @@ class Runtime:
         collect_trace: bool = False,
         value_store: str = "auto",
         stamp: int = 0,
-        shm_name: Optional[str] = None,
     ) -> None:
         self.overlay = overlay
         self.query = query
@@ -391,12 +390,8 @@ class Runtime:
         self.stamp = stamp
         # -- pluggable value store ------------------------------------
         self.value_store_mode = value_store
-        self.values = make_value_store(
-            self.aggregate, overlay.num_nodes, value_store, shm_name=shm_name
-        )
-        # "shared" is columnar state in a shared-memory mapping: every
-        # columnar kernel applies unchanged (the columns are numpy views).
-        self._columnar = self.values.backend in ("columnar", "shared")
+        self.values = make_value_store(self.aggregate, overlay.num_nodes, value_store)
+        self._columnar = self.values.backend == "columnar"
         self._spec = self.aggregate.column_spec if self._columnar else None
         self._columnar_delta = self._columnar and self._spec.kind == "delta"
         self._scalar_buffers = self._columnar and self._spec.scalar_raws

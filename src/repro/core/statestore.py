@@ -15,15 +15,6 @@ behind a small list-like protocol so two backends can coexist:
   snapshot (:meth:`repro.core.overlay.Overlay.to_csr`) exposes, so the
   batched execution kernels can scatter whole batches with ``np.add.at``
   and reduce pull frontiers with vectorized segment sums.
-* :class:`SharedColumnarStore` — the same columns, but mapped into a
-  named ``multiprocessing.shared_memory`` segment so *other processes*
-  can attach by name and read (or fill) the identical state zero-copy.
-  The serving layer keeps each shard's aggregate state here: the worker
-  process creates (or re-attaches) the segment and writes through the
-  usual kernels, while the front-end attaches read-only and answers
-  reads without a queue round-trip, validated by the store's seqlock
-  stamp (:meth:`SharedColumnarStore.read_seq`).  Byte-parity with
-  :class:`ColumnarStore` is asserted by the statestore property suite.
 
 Backend choice is invisible to callers: both stores answer
 ``store[handle]`` with exactly the PAO the object backend would hold
@@ -36,13 +27,11 @@ Selection is by :func:`make_value_store`, and the rule is a property of
 the aggregate, not of the host: ``"auto"`` picks columnar exactly when
 the aggregate declares a column spec, ``"object"`` forces the seed
 behavior, ``"columnar"`` requests columns but takes the object store for
-an aggregate without a spec, and ``"shared"`` requests shared-memory
-columns with the same rule.
+an aggregate without a spec.
 """
 
 from __future__ import annotations
 
-import os as _os
 from typing import Any, List, Optional, Tuple
 
 import numpy as np
@@ -52,88 +41,7 @@ from repro.core.aggregates import AggregateFunction, ColumnSpec
 PAO = Any
 
 #: Valid ``value_store`` modes accepted throughout the stack.
-VALUE_STORE_MODES = ("auto", "object", "columnar", "shared")
-
-
-# ---------------------------------------------------------------------------
-# shared-memory segment helpers
-# ---------------------------------------------------------------------------
-#
-# ``multiprocessing.shared_memory`` registers segments with the resource
-# tracker — the crash-safety backstop that unlinks leaked segments when
-# the process tree dies.  Spawn workers share their parent's tracker, and
-# the tracker's cache is a *set* per resource type, so the registrations
-# a create-then-attach sequence produces (on Python < 3.13 attaching also
-# registers) deduplicate to one entry.  What does **not** deduplicate is
-# unregistration: every ``SharedMemory.unlink()`` sends one UNREGISTER,
-# and the second one for the same name crashes the tracker loop with a
-# ``KeyError`` and leaves "leaked shared_memory objects" warnings at
-# shutdown.  The discipline here is therefore: attaches keep their
-# (deduplicated) registration — losing it would disarm the backstop —
-# and every segment is unlinked **exactly once**, by name, through
-# :func:`unlink_segment`, which no-ops (without touching the tracker) on
-# a name that is already gone.  On Python >= 3.13 attaches opt out of
-# tracking directly, which additionally protects foreign-tree attachers
-# (their own tracker would otherwise unlink the segment on their exit).
-
-
-def attach_segment(name: str):
-    """Attach to an existing named segment (see tracker note above)."""
-    from multiprocessing import shared_memory
-
-    try:  # Python >= 3.13: attach without registering at all
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # older: the (deduplicated) registration stays
-        return shared_memory.SharedMemory(name=name)
-
-
-def create_segment(name: Optional[str], size: int):
-    """Create a named segment (tracker-registered: crash-safe backstop)."""
-    from multiprocessing import shared_memory
-
-    return shared_memory.SharedMemory(name=name, create=True, size=max(size, 8))
-
-
-def segment_exists(name: str) -> bool:
-    """Probe whether a named segment is currently attachable (the shared
-    leak-check primitive for benches and the fault harness)."""
-    try:
-        segment = attach_segment(name)
-    except FileNotFoundError:
-        return False
-    segment.close()
-    return True
-
-
-def unlink_segment(name: str) -> bool:
-    """Exactly-once, by-name unlink; ``True`` when the segment existed.
-
-    Serving front-ends call this for crash-safe cleanup: the segment is
-    destroyed by *name* regardless of which (possibly dead) process
-    created it, and a name that is already gone returns ``False`` without
-    sending the tracker a second UNREGISTER (the double-unlink warning
-    path this module exists to avoid).
-    """
-    try:
-        segment = attach_segment(name)
-    except FileNotFoundError:
-        return False
-    try:
-        segment.unlink()
-        if getattr(segment, "_track", True) is False:  # pragma: no cover
-            # 3.13+ tracked-out attach: unlink() skipped the UNREGISTER,
-            # but the creator's registration must still be retired.
-            from multiprocessing import resource_tracker
-
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:
-                pass
-    except FileNotFoundError:  # pragma: no cover - raced with another unlink
-        pass
-    finally:
-        segment.close()
-    return True
+VALUE_STORE_MODES = ("auto", "object", "columnar")
 
 
 class ValueStoreError(Exception):
@@ -256,243 +164,6 @@ class ColumnarStore:
         return self
 
 
-#: Header layout of a :class:`SharedColumnarStore` segment: int64 slots
-#: ``[magic, capacity, num_handles, seq, num_columns, reserved x3]``.
-_SHM_MAGIC = 0x45414752  # "EAGR"
-_SHM_HEADER_SLOTS = 8
-_SHM_HEADER_BYTES = _SHM_HEADER_SLOTS * 8
-_SHM_ALIGN = 16
-
-_shm_name_counter = [0]
-
-
-def _auto_shm_name() -> str:
-    """A collision-resistant default segment name for this process."""
-    _shm_name_counter[0] += 1
-    return "eagr{:x}_{:x}_{}".format(
-        _os.getpid(), int.from_bytes(_os.urandom(4), "little"), _shm_name_counter[0]
-    )
-
-
-def _shm_layout(spec: ColumnSpec, capacity: int):
-    """``(total_bytes, column_offsets, cleared_offset)`` for ``capacity``."""
-    offsets = []
-    cursor = _SHM_HEADER_BYTES
-    for dtype in spec.dtypes:
-        itemsize = np.dtype(dtype).itemsize
-        cursor = (cursor + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-        offsets.append(cursor)
-        cursor += capacity * itemsize
-    cursor = (cursor + _SHM_ALIGN - 1) // _SHM_ALIGN * _SHM_ALIGN
-    cleared_offset = cursor
-    cursor += capacity  # bool mask, 1 byte per handle
-    return cursor, tuple(offsets), cleared_offset
-
-
-class SharedColumnarStore(ColumnarStore):
-    """:class:`ColumnarStore` whose columns live in a named shm segment.
-
-    Same ``ValueStore`` contract and byte-identical read semantics — the
-    element accessors, batched scatter kernels and vectorized pull
-    segments all operate on the columns exactly as they do for the
-    process-private store; only the allocation differs (numpy views over
-    a ``multiprocessing.shared_memory`` mapping instead of owned arrays).
-
-    Construction is **create-or-adopt**: with a ``name``, an existing
-    segment of compatible layout is re-attached and reset (how a
-    restarted shard worker reclaims its predecessor's segment — the
-    engine's materialization pass re-derives every value right after),
-    otherwise the segment is created.  :meth:`attach` is the passive
-    counterpart for readers (the serving front-end): attach by name,
-    never reset, never unlink.
-
-    Concurrency contract — one writer, many readers: writers bracket
-    multi-column mutations with :meth:`begin_batch` / :meth:`end_batch`,
-    which bump the header's seqlock stamp to an odd value for the
-    duration; a reader samples :meth:`read_seq` before and after its
-    gather and retries on a mismatch or an odd stamp, so it never acts
-    on a torn batch.  Lifecycle: :meth:`close` drops this process's
-    mapping, :meth:`unlink` destroys the segment (owner's duty; serving
-    front-ends also unlink *by name* for crash-safe cleanup when the
-    owning worker died — see :func:`unlink_segment`).
-
-    Not picklable by design: state travels between processes through the
-    segment itself (or, for durability, through the window buffers a
-    :class:`~repro.serve.messages.ShardCheckpoint` carries).
-    """
-
-    __slots__ = ("_segment", "_header", "_capacity", "name", "owner")
-
-    backend = "shared"
-
-    def __init__(
-        self,
-        spec: ColumnSpec,
-        num_handles: int = 0,
-        name: Optional[str] = None,
-        capacity: Optional[int] = None,
-    ) -> None:
-        capacity = max(num_handles, capacity or 0, 1)
-        segment = None
-        if name is not None:
-            try:
-                segment = attach_segment(name)
-            except FileNotFoundError:
-                segment = None
-            if segment is not None:  # adopt: validate, then reset below
-                header = np.frombuffer(
-                    segment.buf, dtype=np.int64, count=_SHM_HEADER_SLOTS
-                )
-                if (
-                    int(header[0]) != _SHM_MAGIC
-                    or int(header[4]) != spec.num_columns
-                    or int(header[1]) < capacity
-                ):
-                    del header
-                    segment.close()
-                    unlink_segment(name)
-                    segment = None
-                else:
-                    capacity = int(header[1])
-                    del header
-        created = segment is None
-        if created:
-            size, _, _ = _shm_layout(spec, capacity)
-            segment = create_segment(name or _auto_shm_name(), size)
-        self._init_views(spec, segment, capacity, owner=True)
-        header = self._header
-        header[0] = _SHM_MAGIC
-        header[1] = capacity
-        header[2] = num_handles
-        header[3] = 0  # seqlock: even = quiescent
-        header[4] = spec.num_columns
-        self._num_handles = num_handles
-        self._reset_fills()
-
-    def _init_views(self, spec: ColumnSpec, segment, capacity: int, owner: bool) -> None:
-        """Bind header/column/mask views over ``segment`` (no resets)."""
-        self.spec = spec
-        self._unpack = spec.unpack
-        self._pack = spec.pack
-        self._segment = segment
-        self.name = segment.name
-        self.owner = owner
-        self._capacity = capacity
-        _total, offsets, cleared_offset = _shm_layout(spec, capacity)
-        buf = segment.buf
-        self._header = np.frombuffer(buf, dtype=np.int64, count=_SHM_HEADER_SLOTS)
-        self.columns = tuple(
-            np.frombuffer(buf, dtype=dtype, count=capacity, offset=offset)
-            for dtype, offset in zip(spec.dtypes, offsets)
-        )
-        self._cleared = np.frombuffer(
-            buf, dtype=np.bool_, count=capacity, offset=cleared_offset
-        )
-
-    @classmethod
-    def attach(cls, spec: ColumnSpec, name: str) -> "SharedColumnarStore":
-        """Attach read-mostly to an existing segment (no reset, no unlink).
-
-        Raises ``FileNotFoundError`` when no segment of that name exists
-        and :class:`ValueStoreError` on a layout mismatch.
-        """
-        segment = attach_segment(name)
-        header = np.frombuffer(segment.buf, dtype=np.int64, count=_SHM_HEADER_SLOTS)
-        magic, capacity, num_handles, _seq, ncols = (
-            int(header[i]) for i in range(5)
-        )
-        del header
-        if magic != _SHM_MAGIC or ncols != spec.num_columns:
-            segment.close()
-            raise ValueStoreError(
-                f"segment {name!r} does not hold a compatible column layout"
-            )
-        store = cls.__new__(cls)
-        store._init_views(spec, segment, capacity, owner=False)
-        store._num_handles = num_handles
-        return store
-
-    # -- seqlock (torn-read protection for cross-process readers) ----------
-
-    def read_seq(self) -> int:
-        """Current seqlock stamp (odd: a write batch is in flight)."""
-        return int(self._header[3])
-
-    def begin_batch(self) -> None:
-        """Mark a multi-column mutation in progress (stamp goes odd)."""
-        self._header[3] += 1
-
-    def end_batch(self) -> None:
-        """Publish the mutation (stamp returns even)."""
-        self._header[3] += 1
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def _reset_fills(self) -> None:
-        for column, fill in zip(self.columns, self.spec.fills):
-            column[: self._capacity] = fill
-        self._cleared[: self._capacity] = True
-
-    def resize(self, num_handles: int) -> "SharedColumnarStore":
-        """Remap to ``num_handles`` handles (same reset semantics as
-        :meth:`ColumnarStore.resize`).
-
-        Growth beyond the segment's capacity reallocates a **fresh
-        segment** under a new auto-generated name (the old one is
-        unlinked when owned) — attached peers must re-attach.  The
-        serving layer sizes segments to the shard overlay at build time
-        and never grows them; peer-visible growth only arises in
-        single-process use (overlay surgery in tests/tools).
-        """
-        if num_handles > self._capacity:
-            if not self.owner:
-                raise ValueStoreError(
-                    "cannot grow an attached SharedColumnarStore beyond "
-                    f"capacity {self._capacity} (re-attach after the owner "
-                    "resizes)"
-                )
-            spec = self.spec
-            self.close()
-            unlink_segment(self.name)
-            size, _, _ = _shm_layout(spec, num_handles)
-            segment = create_segment(_auto_shm_name(), size)
-            self._init_views(spec, segment, num_handles, owner=True)
-            header = self._header
-            header[0] = _SHM_MAGIC
-            header[1] = num_handles
-            header[4] = spec.num_columns
-            header[3] = 0
-        self._num_handles = num_handles
-        self._header[2] = num_handles
-        self._reset_fills()
-        return self
-
-    def close(self) -> None:
-        """Drop this process's mapping (idempotent; segment survives)."""
-        segment, self._segment = self._segment, None
-        if segment is None:
-            return
-        # Numpy views pin the exported buffer; drop them before closing.
-        self._header = None
-        self.columns = ()
-        self._cleared = None
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - a view escaped; freed at exit
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (idempotent; owner's responsibility)."""
-        name = self.name
-        self.close()
-        unlink_segment(name)
-
-    def __reduce__(self):
-        raise TypeError(
-            "SharedColumnarStore is not picklable: attach by name instead"
-        )
-
-
 # ---------------------------------------------------------------------------
 # columnar write batches
 # ---------------------------------------------------------------------------
@@ -541,8 +212,8 @@ class WriteFrame:
 
     The binary data plane's unit of ingress: the serving front-end packs
     integer-keyed batches once (:meth:`from_items`), and the same frame
-    then rides the shm ring (raw record bytes behind a fixed header), the
-    redo log, and the WAL without being re-encoded.  Consumers that stay
+    then rides the shard transport (raw record bytes behind a fixed
+    header), the redo log, and the WAL without being re-encoded.  Consumers that stay
     columnar scatter straight from the column views (:attr:`nodes` /
     :attr:`values` / :attr:`timestamps`); everything else falls back to
     the sequence protocol — iterating a frame yields plain
@@ -672,23 +343,11 @@ def resolve_value_store(aggregate: AggregateFunction, mode: str = "auto") -> str
     spec = getattr(aggregate, "column_spec", None)
     if spec is None:
         return "object"
-    return "shared" if mode == "shared" else "columnar"
+    return "columnar"
 
 
-def make_value_store(
-    aggregate: AggregateFunction,
-    num_handles: int,
-    mode: str = "auto",
-    shm_name: Optional[str] = None,
-):
-    """Instantiate the value store ``mode`` resolves to (see module doc).
-
-    ``shm_name`` names (or adopts) the shared segment when ``mode``
-    resolves to ``shared``; it is ignored otherwise.
-    """
-    resolved = resolve_value_store(aggregate, mode)
-    if resolved == "shared":
-        return SharedColumnarStore(aggregate.column_spec, num_handles, name=shm_name)
-    if resolved == "columnar":
+def make_value_store(aggregate: AggregateFunction, num_handles: int, mode: str = "auto"):
+    """Instantiate the value store ``mode`` resolves to (see module doc)."""
+    if resolve_value_store(aggregate, mode) == "columnar":
         return ColumnarStore(aggregate.column_spec, num_handles)
     return ObjectStore(num_handles)

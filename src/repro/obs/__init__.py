@@ -1,11 +1,10 @@
-"""Observability: low-overhead metrics registry + shared-memory scrape plane.
+"""Observability: a low-overhead metrics registry and its exposition.
 
 The serving tier (``repro.serve``) is a multi-process system: a front-end
-routes write batches to shard workers over shared-memory rings, shard
-workers apply them against their own engines, and notifications flow
-back.  Asking a worker "how are you doing?" with a control message would
-perturb exactly the thing being measured, so this package keeps the
-measurement plane on the same zero-copy substrate as the data plane:
+routes write batches to shard workers, shard workers apply them against
+their own engines, and notifications flow back.  Each shard keeps its
+own registry; the front-end scrapes it with one ``OP_STATS`` round trip
+and decodes it against the same schema:
 
 * :class:`~repro.obs.registry.MetricsRegistry` — a slot-backed registry
   of counters, gauges and log-bucketed latency histograms.  All metric
@@ -13,11 +12,6 @@ measurement plane on the same zero-copy substrate as the data plane:
   indexed add and a snapshot is one copy.  A disabled registry hands out
   shared no-op metrics, making the metrics-off cost a single attribute
   load.
-* :class:`~repro.obs.slab.MetricsSlab` — a named shared-memory segment
-  (same ``multiprocessing.shared_memory`` + seqlock discipline as
-  ``SharedColumnarStore``/``ShmRing``) into which each shard worker
-  publishes its registry's value array; the front-end scrapes every
-  shard with zero IPC and no control round-trip.
 * :func:`~repro.obs.schema.declare_shard_metrics` — the fixed, ordered
   shard-side schema, so worker and scraper agree on slot layout.
 * :class:`~repro.obs.exporter.MetricsExporter` — Prometheus text
@@ -38,7 +32,6 @@ from .registry import (
     bucket_index,
     percentile_from_buckets,
 )
-from .slab import MetricsSlab
 from .schema import (
     GATEWAY_METRICS,
     SHARD_METRICS,
@@ -50,7 +43,6 @@ from .exporter import MetricsExporter, serve_metrics_http
 __all__ = [
     "HIST_BUCKETS",
     "MetricsRegistry",
-    "MetricsSlab",
     "MetricsExporter",
     "SlowOpLog",
     "GATEWAY_METRICS",

@@ -10,7 +10,7 @@ same shape) as Prometheus text format (version 0.0.4):
   the canonical ``_bucket{le=...}`` / ``_sum`` / ``_count`` triplet with
   cumulative buckets (boundaries in **seconds**, converted from the
   registry's µs buckets);
-* sections keyed by shard id (``shards``, ``rings``, ``shard_io``)
+* sections keyed by shard id (``shards``, ``shard_io``)
   become a ``shard="i"`` label instead of a path component;
 * non-numeric leaves (strings, the slow-op list) are skipped — they
   belong to the structured snapshot, not the exposition.
@@ -29,7 +29,7 @@ import threading
 from .registry import bucket_bounds_us
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_]")
-_SHARD_KEYED = {"shards", "rings", "shard_io"}
+_SHARD_KEYED = {"shards", "shard_io"}
 
 
 def _clean(part):

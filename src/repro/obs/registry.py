@@ -7,8 +7,8 @@ flat layout is the whole trick:
 * an increment is one indexed ``+=`` — no dict lookup on the hot path,
   because call sites hold the metric object, which caches its offset;
 * a snapshot is one array copy;
-* publishing a shard's metrics into a shared-memory slab is one bulk
-  assign, and scraping it back is one bulk read (``slab.py``);
+* shipping a shard's metrics to the front-end is one array copy, and
+  decoding it there is one bulk load (:meth:`MetricsRegistry.load_values`);
 * merging shards is elementwise addition of same-schema arrays.
 
 Histograms are fixed-bucket and log-scaled in **microseconds**: bucket 0
@@ -239,7 +239,7 @@ class MetricsRegistry:
     the same ``counter``/``gauge``/``histogram`` calls in the same order
     are layout-compatible: one can :meth:`load_values` an array snapshot
     taken from the other (this is how the front-end decodes a shard's
-    shared-memory slab — see ``schema.declare_shard_metrics``).
+    ``OP_STATS`` scrape — see ``schema.declare_shard_metrics``).
     """
 
     def __init__(self, enabled=True):
@@ -290,7 +290,7 @@ class MetricsRegistry:
     def histogram(self, name):
         return self._register(name, KIND_HISTOGRAM, Histogram)
 
-    # -- bulk value plumbing (slab publish/scrape, shard merge) -------
+    # -- bulk value plumbing (shard scrape, shard merge) -------------
     @property
     def n_slots(self):
         return self._n_slots
@@ -313,8 +313,8 @@ class MetricsRegistry:
         """Elementwise-add a same-schema snapshot into this registry.
 
         Counters and histogram buckets accumulate across shards; gauges
-        sum too (shard gauges are per-shard magnitudes — ring depth,
-        engine seconds — whose fleet total is the meaningful roll-up).
+        sum too (shard gauges are per-shard magnitudes — engine
+        seconds, apply rate — whose fleet total is the meaningful roll-up).
         """
         if not self.enabled:
             return

@@ -1,8 +1,8 @@
 """Fixed shard-side metric schema: worker and scraper must agree on slots.
 
-A shard worker publishes its registry's flat value array into its
-:class:`~repro.obs.slab.MetricsSlab`; the front-end decodes the scrape
-by loading those values into a registry of its own.  Both sides build
+A shard sends its registry's flat value array to the front-end in its
+``OP_STATS`` reply; the front-end decodes the scrape by loading those
+values into a registry of its own.  Both sides build
 their registry with :func:`declare_shard_metrics`, which registers the
 same metrics in the same order — the order **is** the wire format, so
 changes here are wire-format changes: append new metrics at the end and
@@ -21,9 +21,6 @@ SHARD_METRICS = (
     ("shard_batches_applied", KIND_COUNTER),
     ("shard_writes_applied", KIND_COUNTER),
     ("shard_notices_emitted", KIND_COUNTER),
-    ("shard_groups_merged", KIND_COUNTER),
-    ("shard_parks", KIND_COUNTER),
-    ("shard_doorbell_wakeups", KIND_COUNTER),
     ("shard_engine_write_seconds", KIND_GAUGE),
     ("shard_engine_read_seconds", KIND_GAUGE),
     # Windowed load gauges (refreshed by the host when scraped/published

@@ -22,14 +22,14 @@ serving tier:
   **process** (``multiprocessing`` spawn, true multi-core) or in-process
   (deterministic, for tests and CI smoke).
 * :mod:`~repro.serve.transport` — how requests reach a worker process and
-  how its state is read back: a bounded queue, or a shared-memory ingress
-  ring with zero-copy reads from the shard's shared value columns.  The
-  only module that knows the difference.
+  how its replies come back: one bounded request pipe and one reply pipe
+  per shard, written on the sending thread.  Reads, like writes, are
+  requests.
 * :mod:`~repro.serve.gateway` / :mod:`~repro.serve.client` — the network
   edge: :class:`~repro.serve.gateway.GatewayServer` multiplexes many TCP
   clients onto one front-end over a length-prefixed binary protocol
-  (write batches travel as the same ``K_WRITE`` frames the shm ingress
-  ring carries), with per-connection flow control mapped onto the
+  (write batches travel as the same ``K_WRITE`` frames the shard
+  transport carries), with per-connection flow control mapped onto the
   journals; :class:`~repro.serve.client.EAGrClient` is the blocking
   client, :class:`~repro.serve.client.AsyncEAGrClient` the asyncio one.
 * :mod:`~repro.serve.journal` — per-subscriber durable notification logs:

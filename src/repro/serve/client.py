@@ -12,7 +12,7 @@ Two layers over one wire protocol (see :mod:`repro.serve.gateway`):
   ``EAGrServer`` for a remote gateway is a one-line change.
 
 Write batches are encoded client-side with the same
-:class:`~repro.core.statestore.WriteFrame` packing the ingress shm ring
+:class:`~repro.core.statestore.WriteFrame` packing the shard transport
 uses — when the batch qualifies for the columnar fast path the gateway
 hands the received frame to ``EAGrServer.accept`` without ever
 materializing triples.  Non-packable batches fall back to the pickle

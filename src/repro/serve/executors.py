@@ -7,9 +7,8 @@ an ``on_reply`` callback:
   host lives in its own **worker process** (``multiprocessing``, spawn
   context by default so the shard is fully reconstructed from pickled
   state — no fork-inherited locks or caches) running the one
-  :func:`~repro.serve.shard.shard_worker` loop, reached through a
-  transport (:mod:`repro.serve.transport` — bounded queue or
-  shared-memory ring; the executor does not know which).
+  :func:`~repro.serve.shard.shard_worker` loop, reached through the
+  shard's bounded request pipe (:mod:`repro.serve.transport`).
   :meth:`try_submit` refuses instead of blocking when the shard is
   backed up (the front-end then coalesces), :meth:`submit` blocks — the
   deployment's backpressure.  A drainer thread pumps the reply pipe into
@@ -20,11 +19,9 @@ an ``on_reply`` callback:
   ``submit`` returns.  Deterministic and dependency-free, this is the
   executor tests and CI smoke jobs run on.
 
-The shared surface is ``submit`` / ``try_submit`` / ``flush_bell`` /
-``stop`` / ``kill`` / ``alive`` plus what the shard can tell the
-front-end without a request: ``read_local`` (values readable front-side),
-``metric_values`` (the shard's metric registry) and ``io`` — the ingress
-codec mix and byte volume
+The shared surface is ``submit`` / ``try_submit`` / ``stop`` / ``kill`` /
+``alive`` plus ``metric_values`` (the shard's metric registry) and
+``io`` — the ingress codec mix and byte volume
 (``write_frames_binary`` / ``write_frames_pickle`` / ``control_frames``
 / ``ingress_bytes``), surfaced per shard by ``server_stats()``.  A
 stopped or dead executor answers ``try_submit`` with ``False`` and
@@ -38,7 +35,7 @@ be thread-safe either way.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Callable, Tuple
 
 from repro.serve.messages import OP_STOP, R_STOPPED
 from repro.serve.shard import RequestStep, ShardSpec, shard_worker
@@ -67,7 +64,7 @@ class InProcessShardExecutor:
         self._step = RequestStep(spec, self._host, self.kill)
         self._on_reply = on_reply
         self.io = io_counters()
-        # The process transports serialize requests through the worker's
+        # The process transport serializes requests through the worker's
         # single-threaded loop; synchronous execution must provide the
         # same contract explicitly, or concurrent front-end callers
         # (e.g. the gateway's call pool) interleave inside the shard
@@ -81,9 +78,6 @@ class InProcessShardExecutor:
     def host(self):
         """The live shard host (introspection for tests and examples)."""
         return self._host
-
-    def flush_bell(self) -> None:
-        """No-op: synchronous execution needs no wake-up signal."""
 
     def try_submit(self, request: Tuple) -> bool:
         """Execute immediately; refuses only a stopped or crashed shard."""
@@ -121,16 +115,6 @@ class InProcessShardExecutor:
     def alive(self) -> bool:
         return not self._stopped and not self._crashed
 
-    def read_local(
-        self,
-        nodes: Sequence[Any],
-        positions: List[int],
-        results: List[Any],
-        target_batch: int,
-    ) -> List[int]:
-        """Nothing is answered outside the request path."""
-        return positions
-
     def metric_values(self):
         """The host registry's flat value array, read directly."""
         host = self._host
@@ -141,7 +125,7 @@ class ProcessShardExecutor:
     """Run a shard in a dedicated worker process (spawn-safe).
 
     One worker *incarnation*: construction resets ``transport`` (fresh
-    channels, rewound ring, stale read attachments dropped) and spawns
+    pipes and counters) and spawns
     the worker on its worker half; the transport itself outlives the
     executor — the front-end hands it to the successor when it replaces
     a dead worker.
@@ -158,13 +142,14 @@ class ProcessShardExecutor:
     on_error:
         ``on_error(exc)``, called on the drainer thread.
     transport:
-        The shard's :class:`~repro.serve.transport.QueueTransport` or
-        :class:`~repro.serve.transport.RingTransport`.
+        The shard's :class:`~repro.serve.transport.QueueTransport`.
     mp_context:
         ``multiprocessing`` start method.  ``spawn`` (default) is the
         portable, state-clean choice; ``fork`` starts faster on POSIX but
         inherits the parent's whole heap.
     """
+
+    kind = "process"
 
     def __init__(
         self,
@@ -181,8 +166,6 @@ class ProcessShardExecutor:
         self._on_error = on_error
         #: the shard's transport (it outlives this executor).
         self.transport = transport
-        #: ``"process"`` over the queue, ``"shm"`` over the ring.
-        self.kind = "shm" if transport.kind == "shm" else "process"
         transport.reset()
         self.io = transport.io
         self._process = multiprocessing.get_context(mp_context).Process(
@@ -227,11 +210,6 @@ class ProcessShardExecutor:
                 if reply[0] == R_STOPPED:
                     return
 
-    def flush_bell(self) -> None:
-        """Wake the worker for everything submitted since the last call
-        (one deferred wake-up per submission round; see the transport)."""
-        self.transport.wake()
-
     def try_submit(self, request: Tuple) -> bool:
         """Non-blocking submit; ``False`` when the shard is backed up.
 
@@ -254,9 +232,8 @@ class ProcessShardExecutor:
     def stop(self, seq: int, timeout: float = 10.0) -> None:
         """Send ``OP_STOP``, join worker and drainer (idempotent).
 
-        The stop request rides the same FIFO transport as everything
-        else, so the worker flushes all earlier requests before
-        acknowledging.
+        The stop request rides the same FIFO pipe as everything else, so
+        the worker flushes all earlier requests before acknowledging.
         """
         if self._stopped:
             return
@@ -264,7 +241,6 @@ class ProcessShardExecutor:
         if self._alive():
             try:
                 self.transport.send((OP_STOP, seq), self._alive, timeout)
-                self.transport.wake()
             except RuntimeError:  # died under us: nothing left to flush
                 pass
         self._join(self._process.terminate, timeout)
@@ -294,22 +270,7 @@ class ProcessShardExecutor:
     def alive(self) -> bool:
         return self._alive()
 
-    def read_local(
-        self,
-        nodes: Sequence[Any],
-        positions: List[int],
-        results: List[Any],
-        target_batch: int,
-    ) -> List[int]:
-        """Fill ``results`` for the ``positions`` of ``nodes`` the
-        transport can answer front-side once the shard has processed
-        batch ``target_batch``; returns the positions left for
-        ``OP_READ``."""
-        return self.transport.read_local(
-            nodes, positions, results, target_batch, self._alive
-        )
-
     def metric_values(self):
-        """The shard's flat metric value array by the transport's
-        cheapest route; ``None`` when it cannot be scraped."""
+        """The shard's flat metric value array (an ``OP_STATS`` round
+        trip); ``None`` when it cannot be scraped."""
         return self.transport.metric_values(self._alive)

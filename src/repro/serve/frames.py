@@ -1,15 +1,15 @@
 """Binary frame codec for the serve data plane.
 
 The serving layer's hot path moves two kinds of payloads: write batches
-(front-end → shard, through the shm ingress ring or the queue executor)
-and change notifications (shard → front-end → subscriber).  Whatever
-packs losslessly travels as *binary frames* — raw numpy record bytes
-behind tiny fixed headers — so a steady-state columnar batch flows
-client → ring → scatter → notification → subscriber without a single
+(front-end → shard, through the shard transport's request pipe) and
+change notifications (shard → front-end → subscriber).  Whatever packs
+losslessly travels as *binary frames* — raw numpy record bytes behind
+tiny fixed headers — so a steady-state columnar batch flows client →
+request pipe → scatter → notification → subscriber without a single
 ``pickle.dumps``/``loads``; the batch's own packability is the only
 selector.
 
-Wire format of a ring payload (the first byte always tags the codec):
+Wire format of a request payload (the first byte always tags the codec):
 
 * ``K_PICKLE`` (``0x00``): the remaining bytes are a pickled request
   tuple — the universal fallback carrying control ops (reads, drains,
@@ -23,7 +23,7 @@ Wire format of a ring payload (the first byte always tags the codec):
   :class:`~repro.core.statestore.WriteFrame` record array — decoded with
   one ``np.frombuffer`` view, zero per-row work.
 
-Egress has no ring: change reports and journaled notifications travel as
+Egress has no codec of its own: change reports and journaled notifications travel as
 :class:`ChangeFrame` / :class:`NoteFrame` objects whose pickling reduces
 to their raw record bytes (``__reduce__``), so crossing an ``mp``
 connection or entering the notification journal costs one buffer copy.
@@ -44,17 +44,17 @@ import numpy as np
 from repro.core.statestore import WriteFrame
 from repro.serve.messages import OP_WRITE, Notification
 
-# -- payload codec kinds (first byte of every ring payload) -----------------
+# -- payload codec kinds (first byte of every request payload) --------------
 K_PICKLE = 0
 K_WRITE = 1
 
 # -- gateway control kinds (first byte of a TCP wire payload) ----------------
 # The network gateway (:mod:`repro.serve.gateway`) speaks length-prefixed
 # frames whose payloads reuse this codec: ``K_WRITE``/``K_PICKLE`` carry
-# write batches exactly as the ring does (the request id rides the header's
-# ``seq`` slot), and the kinds below carry the control plane.  Control
+# write batches exactly as the shard transport does (the request id rides
+# the header's ``seq`` slot), and the kinds below carry the control plane.  Control
 # bodies are pickled tuples — the gateway is a trusted-perimeter edge (same
-# trust domain as the shard transports), not an internet-facing protocol.
+# trust domain as the shard transport), not an internet-facing protocol.
 K_HELLO = 2  # client -> gateway: (request_id, client_id)
 K_SUBSCRIBE = 3  # client -> gateway: (request_id, subscriber, nodes, resume_from)
 K_ACK = 4  # client -> gateway: (request_id, subscriber, stamp)
@@ -84,7 +84,7 @@ NOTE_DTYPE = np.dtype(
 
 
 # ---------------------------------------------------------------------------
-# ring payload codec
+# request payload codec
 # ---------------------------------------------------------------------------
 
 
@@ -109,10 +109,10 @@ def encode_write(seq: int, batch_no: Optional[int], frame: WriteFrame) -> bytes:
 
 
 def decode(payload: bytes) -> Any:
-    """One ring payload back into a request tuple.
+    """One request payload back into a request tuple.
 
     ``K_WRITE`` payloads decode with a single ``np.frombuffer`` over the
-    received bytes (the ring pop hands the consumer an owned copy, so the
+    received bytes (the pipe read hands the consumer an owned copy, so the
     views stay valid for the request's lifetime); the items slot of the
     returned tuple is a :class:`WriteFrame` the shard scatters from
     directly.
@@ -346,7 +346,7 @@ class NoteFrame:
 # ---------------------------------------------------------------------------
 # batch merging — the one segment-merging function in serve/: the
 # ledger's ``B`` fold (hence coalescing, cold recovery and the replica)
-# and the shard worker's consumer-side group merge both call it
+# and the reshard residue both call it
 # ---------------------------------------------------------------------------
 
 

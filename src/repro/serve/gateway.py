@@ -6,8 +6,8 @@ turns the engine-with-a-server-shaped-API into a system with an actual
 edge: it owns (a reference to) an :class:`~repro.serve.server.EAGrServer`
 and multiplexes many concurrent TCP connections onto it, speaking the
 length-prefixed binary protocol of :mod:`repro.serve.frames` — write
-batches ride the wire as the same ``K_WRITE`` payloads the shm ingress
-ring carries, and subscription streams come back as pickled-to-raw-bytes
+batches ride the wire as the same ``K_WRITE`` payloads the shard
+transport carries, and subscription streams come back as pickled-to-raw-bytes
 :class:`~repro.serve.frames.NoteFrame` batches.  One gateway, one event
 loop thread, no thread-per-connection, no thread-per-subscription.
 

@@ -26,24 +26,16 @@ Requests — ``(op, seq, *payload)``:
   front-end keeps the latest checkpoint per shard and truncates that
   shard's redo log to batches after it.
 * ``(OP_STOP, seq)`` — flush, acknowledge, exit the loop.
-* ``(OP_HANDLES, seq)`` — reply with the shard's zero-copy read map:
-  ``{reader node: (overlay handle, is_push)}`` plus the shard's shared
-  value-segment name (or ``None`` off the shm path).  The front-end uses
-  it to answer push-reader reads straight from the shard's shared
-  columns; pull readers and unknown nodes stay on the ``OP_READ`` path.
 
-Transports (:mod:`repro.serve.transport`): requests ride either a
-bounded pipe or the shard's shared-memory ingress ring.  Both carry the
-*same request tuples* in FIFO order — every ordering guarantee
-documented here holds on either — and on both a write batch produces an
-``R_WRITE`` reply only when it carries a change report (or ``R_ERR``
-when it fails).  The one consumer of ``R_WRITE`` is the front-end's
-notification fan-out, which has nothing to do for an empty report, and
-nothing waits on a write's reply: a barrier is ``OP_DRAIN``, and on the
-ring the processed-through watermark in the ring header is what reads
-wait for.  An empty acknowledgement would be pure codec traffic.
+Transport (:mod:`repro.serve.transport`): requests ride a bounded pipe
+in FIFO order, and a worker process sends an ``R_WRITE`` reply only
+when the write batch carries a change report (or ``R_ERR`` when it
+fails).  The one consumer of ``R_WRITE`` is the front-end's notification
+fan-out, which has nothing to do for an empty report, and nothing waits
+on a write's reply — a barrier is ``OP_DRAIN`` — so an empty
+acknowledgement would be pure codec traffic.
 
-Wire frames (:mod:`repro.serve.frames`): every ring payload starts with
+Wire frames (:mod:`repro.serve.frames`): every request payload starts with
 a one-byte frame kind, and **the batch's own packability picks it** —
 there is no deployment-level codec setting.
 
@@ -57,7 +49,7 @@ there is no deployment-level codec setting.
   at the front-end's door, and travels this way.
 * ``K_PICKLE`` (0) — ``pickle.dumps`` of the request tuple.  Control
   ops (read/subscribe/drain/...) always use it; so do write batches
-  that fail the gate, item for item, on the same ring with identical
+  that fail the gate, item for item, on the same pipe with identical
   ordering and replay semantics — mixed workloads need no switches.
 
 Change reports follow the same rule in the other direction: the rows a
@@ -67,7 +59,8 @@ as a plain list otherwise.
 Replies:
 
 * ``(R_WRITE, seq, count, changes)`` — write batch applied and some
-  watched ego changed (a batch that changes none sends nothing);
+  watched ego changed (from a worker process, a batch that changes none
+  sends nothing);
   ``changes`` reports every watched ego whose value actually changed,
   one row per ego (subscriber fan-out is the front-end's job): a
   :class:`~repro.serve.frames.ChangeFrame` (ego and value columns plus
@@ -99,7 +92,6 @@ OP_DRAIN = 4
 OP_STATS = 5
 OP_STOP = 6
 OP_CHECKPOINT = 7
-OP_HANDLES = 8
 
 # -- reply kinds ------------------------------------------------------------
 R_OK = 0

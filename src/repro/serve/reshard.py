@@ -133,8 +133,8 @@ def propose_rebalance(
     """Propose a hot→cold reader migration, or ``None`` when balanced.
 
     ``load`` defaults to ``server.server_stats()["shard_load"]`` — the
-    windowed busy-fraction / apply-rate gauges the shard workers publish
-    through the metrics slab.  ``write_freq`` (observed or expected
+    windowed busy-fraction / apply-rate gauges the shard workers report
+    through ``OP_STATS``.  ``write_freq`` (observed or expected
     per-writer write counts) orders the hot shard's readers so the plan
     moves the load, not just the readers; without it every writer
     weighs 1 and the plan falls back to moving the widest closures.

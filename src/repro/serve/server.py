@@ -13,18 +13,15 @@ four verbs:
   blocking and consecutive batches **coalesce** in the outbox until
   either the shard frees up or the coalescing cap forces a blocking
   submit — bounded memory, bounded latency, no drops.
-* :meth:`EAGrServer.read_batch` — route reads to owning shards.  The
-  per-shard FIFO transport orders them after every previously accepted
-  write (read-your-writes per shard); what the shard's executor can
-  answer without a request — push readers, zero-copy from the shard's
-  shared value columns, on the **shared-memory transport** (the default
-  for columnar process deployments) — never becomes one.
-* **Transports** — how requests reach a process worker and how its state
-  is read back is :mod:`repro.serve.transport`'s secret: this module
-  resolves *which* transport a deployment gets (``_resolve_transport``),
-  holds one per shard for the shard's life, and otherwise talks to
-  executors.  FIFO order, and with it every guarantee in this docstring,
-  is transport-independent.
+* :meth:`EAGrServer.read_batch` — route reads to owning shards, one
+  ``OP_READ`` per shard.  The per-shard FIFO transport orders them after
+  every previously accepted write (read-your-writes per shard).
+* **Transport** — how requests reach a process worker and how its
+  replies come back is :mod:`repro.serve.transport`'s secret: this
+  module holds one transport per process shard for the shard's life and
+  otherwise talks to executors.  Every guarantee in this docstring rests
+  on the transport's FIFO order, which the in-process executor keeps
+  too.
 * :meth:`EAGrServer.subscribe` / :meth:`EAGrServer.unsubscribe` — standing
   queries: shards diff watched egos after each applied batch (via the
   runtime's O(affected) changed-reader report) and report one row per
@@ -72,7 +69,7 @@ Every verb is thread-safe, writes included: two racing ``write_batch``
 (see the lock order below).  :meth:`EAGrServer.accept` is the first half
 of ``write_batch`` — acceptance: routed, logged and, with a log
 directory, fsynced — and leaves the second half, the fan-out (outbox
-flush, doorbells, due checkpoints), to the background flusher it wakes.
+flushes, due checkpoints), to the background flusher it wakes.
 That is the network gateway's ack path.
 
 Lock order
@@ -94,18 +91,17 @@ Acquired strictly in this order, never the reverse:
    per-ego request (``read_batch``, ``subscribe``,
    ``unsubscribe(nodes=...)``) is therefore sent under the owning
    shards' locks (``_owners_locked``): flush, resolve ownership, submit
-   — a read also answers front-side what it can, which on the shm
-   transport waits for the shard's watermark, and ``subscribe`` also
-   awaits the reply and appends ``S`` — before they release, so no
+   — ``subscribe`` also awaits the reply and appends ``S`` — before
+   they release, so no
    write and no reshard reaches a shard between a watch being armed and
    it being recorded, and no read asks a shard that lost the ego.
    Holders of more than one (``reshard``, a per-ego request) take them
    in ascending shard id; non-blocking flushes
    ``acquire(blocking=False)`` and skip migrating shards, so a producer
-   never waits out a migration, a read's watermark or a subscribe's
-   reply — its writes park, and leave with the holder's closing flush
-   or the background flusher.  The one flush-lock wait a producer makes
-   is the coalesce cap's: ``accept`` blocks on a shard's lock (timed, re-checking
+   never waits out a migration or a subscribe's reply — its writes
+   park, and leave with the holder's closing flush or the background
+   flusher.  The one flush-lock wait a producer makes is the coalesce
+   cap's: ``accept`` blocks on a shard's lock (timed, re-checking
    ``_migrating``) once its outbox holds ``coalesce_max`` rows.  (An
    in-process executor's own submit lock nests here.)
 3. ``_route_lock`` — acceptance: every ``W`` and ``P`` append (so log
@@ -147,12 +143,11 @@ guards the rounds and redo *lists*; the flush and route locks above only
 decide who may append which record), the ledger's sync condition (its
 group commit: the fsync runs holding neither — the leader takes the
 ledger lock only to note the position and ``dup`` the descriptor — so
-an append never waits out a disk flush), the transports' push, send and
-attach locks.  ``_scrape_lock`` serializes metric scrapes and is taken
-holding nothing (a queue-transport scrape awaits a shard reply under
-it).  ``_flush_failed`` / ``_poisoned`` / ``_async_errors`` are written
-lock-free from the flusher and drainer threads (set-add, list-append,
-first-writer-wins string).
+an append never waits out a disk flush), the transports' send locks.
+``_scrape_lock`` serializes metric scrapes and is taken holding nothing
+(a scrape awaits shard replies under it).  ``_flush_failed`` /
+``_poisoned`` / ``_async_errors`` are written lock-free from the flusher
+and drainer threads (set-add, list-append, first-writer-wins string).
 
 A send may block holding locks: a request frame larger than the free
 pipe buffer waits, on the calling thread, for the shard to read it,
@@ -243,28 +238,22 @@ class EAGrServer:
         ``"inprocess"`` — shards run synchronously in the caller
         (deterministic; tests/CI).
     transport:
-        How requests reach process workers.  ``"auto"`` (default) picks
-        the shared-memory transport — per-shard ingress rings plus a
-        shared value-column segment answered zero-copy on reads — and
-        the pickle-over-queue transport exactly where the rule of
-        :mod:`repro.serve.transport` sends a shard there (aggregates
-        without a column spec such as TOP-K; in-process shards have no
-        transport and report ``"queue"``).  ``"queue"`` forces the queue;
-        ``"shm"`` demands shared memory and raises :class:`ServeError`
-        where the rule forbids it.
+        How requests reach process workers: ``"queue"``, the only value
+        (a bounded request pipe per shard, :mod:`repro.serve.transport`;
+        in-process shards have no transport and report it too).  Any
+        other value raises ``ValueError`` before the log is opened.
     metrics:
         Whether the metrics plane is on (see :mod:`repro.obs` and the
         Observability section of PERFORMANCE.md).  ``"auto"`` (default)
         turns it on, honouring the ``EAGR_METRICS`` environment variable
         (``"0"``/``"false"``/``"no"``/``"off"`` disable); pass
         ``True``/``False`` to override.  When on, the front-end registry
-        tracks routing/WAL/latency histograms, each shard worker
-        publishes its own registry into a named shared-memory slab
-        (scraped by :meth:`EAGrServer.metrics` with **zero IPC** on the
-        shm transport), and every accepted binary write batch carries a
-        monotonic ingress timestamp so ``server_stats()`` can report
-        true end-to-end write→notify latency percentiles.  Designed to
-        stay on in production — the overhead bound is benchmarked in
+        tracks routing/WAL/latency histograms, each shard keeps its own
+        registry (scraped by :meth:`EAGrServer.metrics`, with one
+        ``OP_STATS`` round trip per process shard), and every accepted
+        binary write batch carries a monotonic ingress timestamp so
+        ``server_stats()`` can report true end-to-end write→notify
+        latency percentiles.  Designed to stay on in production — the overhead bound is benchmarked in
         ``benchmarks/bench_obs_overhead.py``.
     assign:
         Optional reader→shard assignment.  Defaults to the balanced
@@ -274,11 +263,7 @@ class EAGrServer:
         factor — the dominant serve-tier write cost — relative to a
         stable hash.  Pass a callable for custom placement.
     queue_depth:
-        Request-queue bound per shard — the backpressure window (queue
-        transport).
-    ring_bytes:
-        Ingress-ring capacity per shard in bytes (shm transport); ring
-        space is that transport's backpressure window.
+        Request frames in flight per shard — the backpressure window.
     coalesce_max:
         Outbox size that forces a blocking flush on a backed-up shard.
     mp_context:
@@ -328,11 +313,10 @@ class EAGrServer:
         query: EgoQuery,
         num_shards: int = 2,
         executor: str = "process",
-        transport: str = "auto",
+        transport: str = "queue",
         metrics: Any = "auto",
         assign: Optional[Callable[[NodeId], int]] = None,
         queue_depth: int = 8,
-        ring_bytes: int = 1 << 20,
         coalesce_max: int = 8192,
         mp_context: str = "spawn",
         reply_timeout: float = 120.0,
@@ -352,7 +336,9 @@ class EAGrServer:
             )
         # Every argument check runs before the log opens: a rejected
         # deployment must never have held the single-writer lock.
-        self.transport = self._resolve_transport(transport, executor, query)
+        if transport != "queue":
+            raise ValueError(f"transport must be 'queue', got {transport!r}")
+        self.transport = transport
         self.metrics_enabled = self._resolve_metrics(metrics)
         from repro.obs import MetricsRegistry, SlowOpLog, declare_shard_metrics
 
@@ -371,8 +357,8 @@ class EAGrServer:
         self.slow_ops = SlowOpLog(
             threshold=float(_os.environ.get("EAGR_SLOW_OP_THRESHOLD") or 0.050)
         )
-        #: layout-compatible decoder registry for shard slab scrapes (the
-        #: worker registers the same schema in the same order).
+        #: layout-compatible decoder registry for shard metric scrapes
+        #: (the worker registers the same schema in the same order).
         self._shard_schema = MetricsRegistry(enabled=True)
         declare_shard_metrics(self._shard_schema)
         self._scrape_lock = threading.Lock()
@@ -449,7 +435,6 @@ class EAGrServer:
         self.coalesced_flushes = 0
         self.restarts = 0
         self.replayed_batches = 0
-        self.shm_reads = 0
 
         #: The durability ledger (see module docstring): the reader
         #: partition, the outboxes (``state.rounds``), batch counters,
@@ -473,7 +458,7 @@ class EAGrServer:
                 journal_dir,
                 self._m_latency.observe,
             )
-            self._boot(assign, queue_depth, ring_bytes, value_store, engine_kwargs)
+            self._boot(assign, queue_depth, value_store, engine_kwargs)
         except BaseException:
             self._wal.close()
             raise
@@ -482,7 +467,6 @@ class EAGrServer:
         self,
         assign: Optional[Callable[[NodeId], int]],
         queue_depth: int,
-        ring_bytes: int,
         value_store: str,
         engine_kwargs: Dict[str, Any],
     ) -> None:
@@ -539,16 +523,7 @@ class EAGrServer:
         self._transports: List[Any] = []
         if self.executor_kind == "process":
             self._transports = open_transports(
-                self.transport,
-                num_shards,
-                query,
-                bool(engine_kwargs.get("adaptive")),
-                self._mp_context,
-                queue_depth,
-                ring_bytes,
-                self._shard_schema.n_slots if self.metrics_enabled else 0,
-                self._reply_timeout,
-                self._call,
+                num_shards, self._mp_context, queue_depth, self._call
             )
 
         self.specs = [
@@ -560,7 +535,6 @@ class EAGrServer:
                 readers=owned[shard_id],
                 value_store=value_store,
                 engine_kwargs=engine_kwargs,
-                shm=self._transports[shard_id].segments if self._transports else None,
                 metrics=self.metrics_enabled,
             )
             for shard_id in range(num_shards)
@@ -585,27 +559,6 @@ class EAGrServer:
             target=self._flush_loop, name="eagr-server-flusher", daemon=True
         )
         self._flusher.start()
-
-    @staticmethod
-    def _resolve_transport(transport: str, executor: str, query: EgoQuery) -> str:
-        """Resolve ``auto``; validate an explicit choice (see __init__)."""
-        if transport not in ("auto", "queue", "shm"):
-            raise ValueError(
-                f"transport must be 'auto', 'queue' or 'shm', got {transport!r}"
-            )
-        from repro.core.statestore import resolve_value_store
-
-        supported = executor == "process" and resolve_value_store(
-            query.aggregate, "shared"
-        ) == "shared"
-        if transport == "shm" and not supported:
-            raise ServeError(
-                "shm transport requires process executors and an aggregate "
-                "with a column spec"
-            )
-        if transport == "queue":
-            return "queue"
-        return "shm" if supported else "queue"
 
     @staticmethod
     def _resolve_metrics(metrics: Any) -> bool:
@@ -638,13 +591,9 @@ class EAGrServer:
         and ``reshard`` all take (caller holds the shard's flush lock
         once the server is live).
 
-        A still-running predecessor is killed uncleanly.  The successor
-        is told to apply everything up to the shard's batch high-water
-        mark batch-exact (``merge_after``): whatever is replayed at it
-        must re-derive notifications under the stamps the previous epoch
-        delivered.  A process executor resets the shard's transport
-        before spawning, dropping the frames the predecessor abandoned
-        and every cached view of its state.  The worker knows the
+        A still-running predecessor is killed uncleanly.  A process
+        executor resets the shard's transport before spawning, dropping
+        the frames the predecessor abandoned.  The worker knows the
         watches its checkpoint carried; :meth:`_replay` brings it the
         rest.
         """
@@ -654,7 +603,6 @@ class EAGrServer:
         if readers is not None:
             self.specs[shard_id].readers = readers
         spec = self.specs[shard_id].with_checkpoint(checkpoint)
-        spec.merge_after = self._wal.state.batch_no.get(shard_id, 0)
         on_reply = self._reply_handler(shard_id)
         if self._transports:
             self._executors[shard_id] = ProcessShardExecutor(
@@ -725,7 +673,6 @@ class EAGrServer:
             replayed += 1
             if crash_after is not None and replayed >= crash_after:
                 self._wal._crash("crash during WAL replay")
-        ex.flush_bell()
         return replayed
 
     def _flush_loop(self) -> None:
@@ -838,14 +785,11 @@ class EAGrServer:
             with self._pending_lock:
                 del self._pending[seq]
             raise ServeError(f"shard {shard_id}: {exc}") from exc
-        # Awaited call: the worker must wake now for any frames deferred
-        # by earlier write pushes plus this request (shm transport).
-        ex.flush_bell()
         return call
 
     def _call(self, shard_id: int, op: int) -> Any:
         """One awaited control request (what a transport uses to ask its
-        own shard for ``OP_HANDLES`` / ``OP_STATS``)."""
+        own shard for ``OP_STATS``)."""
         return self._await([self._submit_call(shard_id, op)])[0]
 
     def _await(self, calls: Sequence[_Call]) -> List[Any]:
@@ -890,8 +834,8 @@ class EAGrServer:
         ``writes`` is a sequence of ``(node, value, timestamp)`` items or
         a pre-packed :class:`~repro.core.statestore.WriteFrame`.
 
-        This is :meth:`accept` with the fan-out — the outbox flushes, the
-        doorbells and the due-checkpoint check, which the background
+        This is :meth:`accept` with the fan-out — the outbox flushes and
+        the due-checkpoint check, which the background
         flusher runs after an :meth:`accept` — done inline on the
         caller's thread, ahead of the fsync.  With in-process shards the
         shard apply and the notification delivery therefore finish
@@ -980,7 +924,7 @@ class EAGrServer:
         if frame is not None:
             if metered:
                 # T0 of the write→notify latency measurement: rides the
-                # frame through ring, shard and change report back to
+                # frame through transport, shard and change report back to
                 # _deliver (same process, same clock).
                 frame.ingress = t0
             #: shard -> this round's items for it: the ``W`` record's
@@ -1050,8 +994,8 @@ class EAGrServer:
         return accepted, count
 
     def _fan_out(self, shards: Collection[int]) -> None:
-        """Fan-out: flush each shard's outbox without blocking, ring the
-        doorbells, checkpoint the shards whose redo log is due — run by
+        """Fan-out: flush each shard's outbox without blocking, then
+        checkpoint the shards whose redo log is due — run by
         :meth:`write_batch` on the caller's thread and by the background
         flusher after an :meth:`accept`."""
         migrating = self._migrating
@@ -1059,13 +1003,6 @@ class EAGrServer:
             if shard_id in migrating:
                 continue  # parked for the live migration; rerouted at swap
             self._flush_shard(shard_id, block=False)
-        for shard_id in shards:
-            if shard_id in migrating:
-                continue
-            # One doorbell per shard per multicast round, rung after every
-            # push: workers wake to a ring already holding the whole round
-            # instead of preempting the producer between shard pushes.
-            self._executors[shard_id].flush_bell()
         if self._checkpoint_interval:
             # A dead shard cannot answer OP_CHECKPOINT — leave its redo
             # log growing (writes keep parking) until restart_shard().
@@ -1117,7 +1054,6 @@ class EAGrServer:
                     self._flush_locked(shard_id, block=True)
                 finally:
                     lock.release()
-                self._executors[shard_id].flush_bell()
 
     def _flush_locked(self, shard_id: int, block: bool) -> None:
         """Number and submit the shard's outbox (its flush lock held),
@@ -1193,8 +1129,8 @@ class EAGrServer:
 
         The items are whatever ``write_batch`` filed: a
         :class:`~repro.core.statestore.WriteFrame` packed at the door —
-        the redo log, the executor submit (hence the ring payload or
-        queue pickle) and any restart/recovery replay all share that one
+        the redo log, the executor submit (hence the request frame) and
+        any restart/recovery replay all share that one
         record array — or, for batches that failed the packing gate, a
         triple list that rides the pickle codec.
         """
@@ -1217,7 +1153,6 @@ class EAGrServer:
         """Force every outbox into its shard queue (blocking on full queues)."""
         for shard_id in range(self.num_shards):
             self._flush_shard(shard_id, block=True)
-            self._executors[shard_id].flush_bell()
 
     # ------------------------------------------------------------------
     # reads
@@ -1269,12 +1204,8 @@ class EAGrServer:
 
         Flushes the involved shards' outboxes first, so a read observes
         every write this server accepted before the call (per-shard FIFO
-        read-your-writes).  Each shard's executor first answers what
-        it can without a request — on the shm transport, push readers
-        **zero-copy** from the shard's shared value columns once its
-        watermark covers every batch routed to it
-        (:meth:`repro.serve.transport.RingTransport.read_local`) — and
-        the leftover goes to the shard as ``OP_READ``.
+        read-your-writes), then sends each owning shard one ``OP_READ``
+        for its egos.
         """
         self._check_open()
         nodes = list(nodes)
@@ -1283,16 +1214,9 @@ class EAGrServer:
         results: List[Any] = [identity] * len(nodes)
         calls = []
         with self._owners_locked(nodes) as owners:
-            batch_no = self._wal.state.batch_no
             for shard_id, positions in owners.items():
-                leftover = self._executors[shard_id].read_local(
-                    nodes, positions, results, batch_no.get(shard_id, 0)
-                )
-                self.shm_reads += len(positions) - len(leftover)
-                if leftover:
-                    egos = [nodes[p] for p in leftover]
-                    call = self._submit_call(shard_id, OP_READ, egos)
-                    calls.append((leftover, call))
+                egos = [nodes[p] for p in positions]
+                calls.append((positions, self._submit_call(shard_id, OP_READ, egos)))
         for positions, call in calls:
             values = self._await([call])[0]
             for position, value in zip(positions, values):
@@ -1635,7 +1559,6 @@ class EAGrServer:
                         self._submit_write(
                             shard_id, drained[shard_id], block=True
                         )
-                    self._executors[shard_id].flush_bell()
                 self._fault("pre_checkpoint")
 
                 # -- 2. checkpoint through the FIFO (notices all delivered)
@@ -1713,7 +1636,6 @@ class EAGrServer:
             # -- 5. release: residue flushes to the new workers ----------
             for shard_id in affected:
                 self._flush_shard(shard_id, block=True)
-                self._executors[shard_id].flush_bell()
             self._wal.maybe_compact()
             self.reshards += 1
             return {
@@ -1828,9 +1750,6 @@ class EAGrServer:
             for ex in self._executors:
                 ex.stop(self._next_seq())
             self._subs.close()
-            for transport in self._transports:
-                # Unlinks every segment the deployment named, by name.
-                transport.close()
             # Closing drops the flock: a standby replica can promote.
             self._wal.close()
         if self._async_errors:
@@ -1845,17 +1764,16 @@ class EAGrServer:
         Sections: ``server`` (front-end registry: route/WAL/write→notify
         histograms plus delivery counters), ``shard_io``/``codec_mix``
         (per-shard and summed frame-codec counters), ``shards`` (each
-        shard's registry, scraped zero-IPC from its shared-memory slab on
-        the shm transport), ``rings`` (ingress-ring occupancy),
-        ``journal`` (notification-log occupancy and capacity evictions),
-        ``wal`` (size and append/fsync counts) and ``slow_ops`` (the
+        shard's registry, scraped with one ``OP_STATS`` round trip per
+        process shard), ``journal`` (notification-log occupancy and
+        capacity evictions), ``wal`` (size and append/fsync counts) and ``slow_ops`` (the
         bounded structured event ring).  Shard-keyed sections are dicts
         keyed by the shard id as a string, which the Prometheus exporter
         turns into a ``shard=...`` label.  With ``include_buckets`` each
         histogram summary also carries its raw bucket counts.
 
-        Safe to call concurrently with writes: scrapes are seqlock-
-        consistent and never block either party.
+        Safe to call concurrently with writes: a shard answers its scrape
+        between two requests, so what it reports is consistent.
         """
         server = dict(self._registry.snapshot(include_buckets))
         server.update(
@@ -1868,7 +1786,6 @@ class EAGrServer:
             restarts=self.restarts,
             replayed_batches=self.replayed_batches,
             recovered_batches=self.recovered_batches,
-            shm_reads=self.shm_reads,
         )
         shard_io: Dict[str, Dict[str, int]] = {}
         codec_mix: Dict[str, int] = {}
@@ -1878,7 +1795,6 @@ class EAGrServer:
             for key, value in row.items():
                 codec_mix[key] = codec_mix.get(key, 0) + value
         shards: Dict[str, Dict[str, Any]] = {}
-        rings: Dict[str, Dict[str, Any]] = {}
         if self.metrics_enabled and not self._closed:
             with self._scrape_lock:
                 for shard_id, ex in enumerate(self._executors):
@@ -1895,13 +1811,6 @@ class EAGrServer:
                     shards[str(shard_id)] = self._shard_schema.snapshot(
                         include_buckets
                     )
-            for shard_id, transport in enumerate(self._transports):
-                try:
-                    depth = transport.depth_stats()
-                except Exception:  # noqa: BLE001 - ring closed mid-scrape
-                    continue
-                if depth is not None:
-                    rings[str(shard_id)] = depth
         wal = self._wal
         wal_section = {
             "enabled": wal.directory is not None,
@@ -1915,7 +1824,6 @@ class EAGrServer:
             "shard_io": shard_io,
             "codec_mix": codec_mix,
             "shards": shards,
-            "rings": rings,
             "journal": self._subs.journal_stats(),
             "wal": wal_section,
             "slow_ops": self.slow_ops.snapshot(),
@@ -1934,7 +1842,9 @@ class EAGrServer:
     def _shard_load(self, m: Dict[str, Any]) -> List[Dict[str, Any]]:
         """Per-shard load rows from a :meth:`metrics` snapshot: the numbers
         the rebalance policy consumes and operators read — same source
-        (the ``obs`` shard gauges), so the two can never disagree."""
+        (the ``obs`` shard gauges), so the two can never disagree.
+        ``ring_depth`` is always 0: the transport has no ring, and the
+        column stays for readers of the row."""
         sizes = self.shard_sizes()
         pending = [
             self._parked_rows(shard_id) for shard_id in range(self.num_shards)
@@ -1955,9 +1865,6 @@ class EAGrServer:
                     scraped.get("shard_busy_fraction", 0.0)
                 )
                 row["applied_eps"] = float(scraped.get("shard_applied_eps", 0.0))
-            ring = m["rings"].get(str(shard_id))
-            if ring:
-                row["ring_depth"] = int(ring.get("depth_frames", 0))
             rows.append(row)
         return rows
 
@@ -1966,8 +1873,8 @@ class EAGrServer:
         :meth:`stats`): deployment shape, the reader-assignment strategy
         and its multicast **replication factor** — the average number of
         shards each accepted write fans out to, the serve tier's dominant
-        write cost — plus transport counters (zero-copy reads served,
-        coalesced flushes, restarts).
+        write cost — plus transport counters (coalesced flushes,
+        restarts).
 
         A compatibility view over :meth:`metrics` — every counter here is
         sourced from the same snapshot, so the two never disagree.
@@ -1981,7 +1888,7 @@ class EAGrServer:
         ``write_notify_latency`` is the end-to-end write→notify latency
         summary (count/sum/p50/p95/p99 in seconds) measured from
         ``write_batch`` ingress to subscriber-journal delivery through the
-        full shm + binary-frame path; with metrics off (or for batches
+        full binary-frame path; with metrics off (or for batches
         on the pickle codec, which carries no ingress stamps) it reports
         zeros — present and finite either way.
         """
@@ -2000,7 +1907,6 @@ class EAGrServer:
             "shard_sizes": self.shard_sizes(),
             "writes_sent": self.writes_sent,
             "writes_delivered": self.writes_delivered,
-            "shm_reads": self.shm_reads,
             "notifications_delivered": self._subs.delivered,
             "coalesced_flushes": self.coalesced_flushes,
             "restarts": self.restarts,

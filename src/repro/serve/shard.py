@@ -12,13 +12,12 @@ plus the shard-local subscription state.
 
 The host is transport-agnostic: :meth:`ShardHost.handle` maps one request
 tuple to one reply tuple (see :mod:`repro.serve.messages`).  Around it sits
-:class:`RequestStep` — kill points, consumer-side merging, the
-reply-or-watermark decision — the one per-request step of every
-deployment: :func:`shard_worker`, the single process entry point, drives
-it over the worker half of whichever transport the shard has
-(:mod:`repro.serve.transport`), and the in-process executor calls it
-directly — same code path, no channel — which is what the CI smoke tests
-run on.
+:class:`RequestStep` — kill points and the empty-acknowledgement drop —
+the one per-request step of every deployment: :func:`shard_worker`, the
+single process entry point, drives it over the worker half of the
+shard's transport (:mod:`repro.serve.transport`), and the in-process
+executor calls it directly — same code path, no channel — which is what
+the CI smoke tests run on.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.serve import frames as _frames
 from repro.serve.messages import (
     OP_CHECKPOINT,
     OP_DRAIN,
-    OP_HANDLES,
     OP_READ,
     OP_STATS,
     OP_STOP,
@@ -108,27 +106,10 @@ class ShardSpec:
         it; ``{"exit_after_writes": N}`` kills it after *applying* the
         N-th batch but before acknowledging — the applied-but-unacked
         window a real crash exposes.  ``None`` (default) disables both.
-    shm:
-        The named shared-memory segments of the shard's ring transport
-        (:attr:`repro.serve.transport.RingTransport.segments`), or
-        ``None`` off it: ``{"ring": ..., "store": ..., "metrics": ...}``.
-        The host puts its value columns in the ``store`` segment
-        (created on first boot, adopted on restart); the transport's
-        worker half attaches the other two.  Names are allocated by the
-        front-end, which also owns crash-safe unlinking.
-    merge_after:
-        Highest batch number the worker must apply **batch-exact** (no
-        consumer-side merging, see :class:`RequestStep`).  Every worker
-        replacement sets this to the shard's batch high-water mark:
-        replayed batches then re-derive notifications under exactly the
-        per-batch write stamps the pre-crash epoch delivered, so the
-        front-end's stamp-keyed replay filter suppresses precisely the
-        duplicates and nothing else.  Batches beyond it are fresh
-        traffic and free to merge.
     metrics:
         Whether the shard keeps a live metrics registry (apply/recompute
-        histograms, engine op seconds — see ``repro.obs``); the
-        transport decides how the front-end reads it back.
+        histograms, engine op seconds — see ``repro.obs``), which the
+        front-end reads back with ``OP_STATS``.
     """
 
     def __init__(
@@ -142,8 +123,6 @@ class ShardSpec:
         engine_kwargs: Optional[Dict[str, Any]] = None,
         checkpoint: Optional[ShardCheckpoint] = None,
         faults: Optional[Dict[str, int]] = None,
-        shm: Optional[Dict[str, str]] = None,
-        merge_after: int = 0,
         metrics: bool = True,
     ) -> None:
         self.graph = graph
@@ -166,8 +145,6 @@ class ShardSpec:
         self.engine_kwargs = dict(engine_kwargs or {})
         self.checkpoint = checkpoint
         self.faults = faults
-        self.shm = shm
-        self.merge_after = merge_after
         self.metrics = metrics
 
     def with_checkpoint(
@@ -232,25 +209,13 @@ class ShardHost:
 
     def __init__(self, spec: ShardSpec) -> None:
         from repro.core.engine import EAGrEngine
-        from repro.core.statestore import resolve_value_store
 
         self.spec = spec
         self.shard_id = spec.shard_id
-        value_store = spec.value_store
-        shm_name = None
-        if spec.shm is not None and resolve_value_store(
-            spec.query.aggregate, "shared"
-        ) == "shared":
-            # Shm transport: host the value columns in the front-end-named
-            # shared segment (created on first boot, adopted on restart)
-            # so the front-end can answer push-reader reads zero-copy.
-            value_store = "shared"
-            shm_name = spec.shm["store"]
         self.engine = EAGrEngine(
             spec.graph,
             spec.shard_query(),
-            value_store=value_store,
-            shm_name=shm_name,
+            value_store=spec.value_store,
             **spec.engine_kwargs,
         )
         # -- observability (repro.obs): a local slot-backed registry.
@@ -344,33 +309,6 @@ class ShardHost:
     # operations
     # ------------------------------------------------------------------
 
-    def _guarded(self, fn, *args):
-        """Run one engine operation under the shared store's seqlock.
-
-        Any engine call can mutate the shared columns — writes scatter,
-        reads advance time-window expiry, and *any* op may tick the
-        adaptive controller into a pull→push flip that materializes a
-        column outside the write path — so every engine touchpoint in
-        this host routes through here.  The stamp goes odd for the
-        duration and front-end zero-copy readers retry instead of
-        observing a torn (or half-materialized) state.  The live store is
-        re-checked in ``finally``: an engine recompile inside the call
-        closes and replaces the store instance, and ending the bracket on
-        the closed original would crash (while the replacement boots
-        quiescent — stamp even — and needs no end).  No-op for
-        process-private stores.
-        """
-        store = self.engine.runtime.values
-        begin_batch = getattr(store, "begin_batch", None)
-        if begin_batch is None:
-            return fn(*args)
-        begin_batch()
-        try:
-            return fn(*args)
-        finally:
-            if self.engine.runtime.values is store:
-                store.end_batch()
-
     def apply_write_batch(
         self, batch_no: Optional[int], items: List[Tuple]
     ) -> Tuple[int, Any]:
@@ -406,7 +344,7 @@ class ShardHost:
             # flag in lockstep (one attribute store per batch).
             engine.runtime.op_timing = True
             t0 = _monotonic()
-        count = self._guarded(engine.write_batch, items)
+        count = engine.write_batch(items)
         if metered:
             t1 = _monotonic()
             self.metrics["shard_apply_seconds"].observe(t1 - t0)
@@ -456,7 +394,7 @@ class ShardHost:
         if self._base_values.dtype == np.float64:
             # Missing baselines hold NaN, which compares unequal to
             # everything: one compare covers them.
-            values = self._guarded(engine.read_handle_column, kept)
+            values = engine.read_handle_column(kept)
             moved = np.flatnonzero(values != self._base_values[kept])
             if not moved.size:
                 return None
@@ -470,7 +408,7 @@ class ShardHost:
             return list(zip(egos.tolist(), values.tolist(), repeat(stamp)))
         # Object values (the object store, per-row finalize): the same
         # compare row by row, against the object column.
-        values = self._guarded(engine.read_handles, kept)
+        values = engine.read_handles(kept)
         hit: List[int] = []
         fresh: List[Any] = []
         for handle, value, known, old in zip(
@@ -563,37 +501,6 @@ class ShardHost:
         baseline.update(zip(*self._column_items()))
         return baseline
 
-    def apply_write_group(
-        self, group: List[Tuple[Optional[int], List[Tuple]]]
-    ) -> Tuple[int, Any]:
-        """Apply several numbered batches as **one** engine batch.
-
-        Consumer-side coalescing (:class:`RequestStep`): already-applied
-        batch numbers are skipped per entry (replay idempotency at the same
-        granularity as :meth:`apply_write_batch`), the survivors apply as
-        a single merged batch acknowledged at the newest number, and the
-        runtime's global write stamp is advanced by the group size so it
-        stays in lockstep with batch-at-a-time application — a re-derived
-        notification after a crash must never stamp *below* the stamp a
-        pre-crash epoch delivered for a later batch, or the front-end's
-        replay filter would suppress a genuinely new value.
-        """
-        live = [
-            (batch_no, items)
-            for batch_no, items in group
-            if batch_no is None or batch_no > self.applied_through
-        ]
-        if not live:
-            return 0, []
-        if len(live) == 1:
-            return self.apply_write_batch(live[0][0], live[0][1])
-        # An all-frame run concatenates columnar (array concat, no per-row
-        # objects); mixed groups materialize into a plain list.
-        merged = _frames.merge_items([items for _batch_no, items in live])
-        self.engine.runtime.stamp += len(live) - 1
-        self.metrics["shard_groups_merged"].inc()
-        return self.apply_write_batch(live[-1][0], merged)
-
     def subscribe(
         self, subscriber: Hashable, nodes: List[NodeId]
     ) -> Tuple[Dict[NodeId, Any], int]:
@@ -611,9 +518,7 @@ class ShardHost:
         snapshot: Dict[NodeId, Any] = {}
         fresh = [node for node in nodes if node not in baseline]
         if fresh:
-            for node, value in zip(
-                fresh, self._guarded(self.engine.read_batch, fresh)
-            ):
+            for node, value in zip(fresh, self.engine.read_batch(fresh)):
                 baseline[node] = value
         for node in nodes:
             self.watchers.setdefault(node, {})[subscriber] = None
@@ -636,31 +541,11 @@ class ShardHost:
                     self._baseline.pop(node, None)
         return removed
 
-    def handles(self) -> Tuple[Optional[str], Dict[NodeId, Tuple[int, bool]]]:
-        """Zero-copy read map: ``(store segment name, {node: (handle,
-        is_push)})``.
-
-        ``is_push`` reflects the decision at map time; the front-end
-        treats it as advisory — an adaptively flipped-to-pull node shows
-        up cleared in the shared mask and falls back to ``OP_READ``.
-        """
-        store = self.engine.runtime.values
-        name = store.name if store.backend == "shared" else None
-        overlay = self.engine.overlay
-        decisions = overlay.decisions
-        from repro.core.overlay import Decision
-
-        return name, {
-            node: (handle, decisions[handle] is Decision.PUSH)
-            for node, handle in overlay.reader_of.items()
-        }
-
     def metrics_values(self):
         """The registry's flat value array, engine gauges refreshed.
 
-        This is what the ring transport publishes into its metrics slab
-        and what ``stats()`` carries for the queue transport — one schema
-        (``repro.obs.schema.SHARD_METRICS``) either way.
+        This is what ``stats()`` carries to the front-end, in the
+        ``repro.obs.schema.SHARD_METRICS`` layout.
         """
         counters = self.engine.counters
         self.metrics["shard_engine_write_seconds"].set(counters.write_seconds)
@@ -691,8 +576,7 @@ class ShardHost:
             "watched_egos": len(self.watchers),
             "notices_emitted": self.notices_emitted,
             "value_store_backend": self.engine.value_store_backend,
-            # Same flat layout as the shm slab (SHARD_METRICS schema):
-            # the queue transport's shard-metrics carrier.
+            # The shard-metrics carrier (SHARD_METRICS layout).
             "metrics_values": (
                 list(self.metrics_values()) if self._metrics_on else None
             ),
@@ -702,28 +586,16 @@ class ShardHost:
     # message dispatch
     # ------------------------------------------------------------------
 
-    def handle(self, request: Tuple, more: Optional[List[Tuple]] = None) -> Tuple:
-        """Map one request tuple to one reply tuple (never raises).
-
-        ``more`` is the rest of a consumer-side merge group: further
-        ``OP_WRITE`` requests to apply together with ``request`` as one
-        engine batch, acknowledged at the last one's seq.  Empty or
-        ``None`` is a group of one.
-        """
+    def handle(self, request: Tuple) -> Tuple:
+        """Map one request tuple to one reply tuple (never raises)."""
         op = request[0]
         seq = request[1]
         try:
             if op == OP_WRITE:
-                if more:
-                    seq = more[-1][1]
-                    count, changes = self.apply_write_group(
-                        [(req[2], req[3]) for req in (request, *more)]
-                    )
-                else:
-                    count, changes = self.apply_write_batch(request[2], request[3])
+                count, changes = self.apply_write_batch(request[2], request[3])
                 return (R_WRITE, seq, count, changes)
             if op == OP_READ:
-                return (R_OK, seq, self._guarded(self.engine.read_batch, request[2]))
+                return (R_OK, seq, self.engine.read_batch(request[2]))
             if op == OP_SUBSCRIBE:
                 return (R_OK, seq, self.subscribe(request[2], request[3]))
             if op == OP_UNSUBSCRIBE:
@@ -734,8 +606,6 @@ class ShardHost:
                 return (R_OK, seq, self.stats())
             if op == OP_CHECKPOINT:
                 return (R_OK, seq, self.checkpoint())
-            if op == OP_HANDLES:
-                return (R_OK, seq, self.handles())
             if op == OP_STOP:
                 return (R_STOPPED, seq, None)
             return (R_ERR, seq, f"unknown op {op!r}")
@@ -750,72 +620,41 @@ _MISSING = object()
 class RequestStep:
     """One request through one shard — the single per-request step.
 
-    ``step(request)`` is: kill points → :meth:`ShardHost.handle` →
-    reply-or-watermark decision, and returns the reply to send (``None``
-    when the shard just died at a kill point, or when the worker half's
-    ``published`` says an empty write acknowledgement is redundant — on
-    both transports).  It is
-    driven by :func:`shard_worker` over either transport and, directly,
-    by :class:`~repro.serve.executors.InProcessShardExecutor` — so kill
+    ``step(request)`` is: kill points → :meth:`ShardHost.handle` → the
+    reply to send, or ``None`` when the shard just died at a kill point
+    or the reply is an empty write acknowledgement that may be dropped.
+    It is driven by :func:`shard_worker` and, directly, by
+    :class:`~repro.serve.executors.InProcessShardExecutor` — so kill
     points, replay idempotency and stamp discipline cannot differ
     between deployments.
 
     Parameters
     ----------
-    poll:
-        The transport worker half's ``poll`` (``None`` in-process): a
-        request already waiting behind the current one.  **Consumer-side
-        merging**: when the worker falls behind, the write frames ``poll``
-        yields are folded into the current apply as *one* engine batch
-        (replay-skipped per frame, acknowledged at the last frame's seq
-        and ``batch_no``, at most 128 frames), so the per-batch fixed
-        costs — plan dispatch, scatter setup, change diffing — amortize
-        exactly when they matter.  A non-write frame met while gathering
-        ends the group and is left in :attr:`follow_up` for the driver
-        to run next (FIFO preserved).  Merging is off while a kill point
-        is armed (so batch counting stays frame-exact) and for redo
-        frames (``batch_no <= spec.merge_after``), whose re-derived
-        notification stamps must match the pre-crash epoch's exactly.
-    published:
-        The worker half's ``published(batch_no, stamp)`` (``None``
-        in-process): it stores the watermark where the transport has
-        one (the ring) and returns whether an empty write
-        acknowledgement may be dropped.  The watermark is
-        *processed-through*, not applied-through: it advances past
-        failed (``R_ERR``) and replay-skipped batches too.  Its one consumer is the front-end's
-        read barrier, and a batch that was processed-but-not-applied has
-        nothing further for a read to wait on — were the watermark
-        pinned to ``applied_through``, one poisoned batch would wedge
-        every later zero-copy read until the reply timeout.
     die:
         What a triggered ``spec.faults`` kill point calls: on
         *receiving* the N-th write batch (``exit_before_writes``, batch
-        lost unapplied) or after *applying* it, before either the
-        watermark or the reply leaves (``exit_after_writes``, the
-        applied-but-unacknowledged window).
+        lost unapplied) or after *applying* it, before the reply leaves
+        (``exit_after_writes``, the applied-but-unacknowledged window).
+    drop_empty_acks:
+        Whether an ``R_WRITE`` with an empty change report is dropped
+        (the worker process) or returned (in-process).  Requests are
+        FIFO and an ``R_WRITE`` has one consumer, the front-end's
+        ``_deliver``, which returns at once on an empty report — so over
+        a pipe an empty acknowledgement is pure codec traffic.
     """
 
     def __init__(
-        self, spec: ShardSpec, host: "ShardHost", die, poll=None, published=None
+        self, spec: ShardSpec, host: "ShardHost", die, drop_empty_acks: bool = False
     ) -> None:
         self._host = host
         self._die = die
-        self._poll = poll
-        self._published = published
+        self._drop_empty_acks = drop_empty_acks
         faults = spec.faults or {}
         self._exit_before = faults.get("exit_before_writes")
         self._exit_after = faults.get("exit_after_writes")
         self._writes_seen = 0
-        self._merge = poll is not None and not faults
-        self._merge_floor = spec.merge_after
-        self._processed = host.applied_through
-        #: the non-write request popped while gathering a merge group.
-        self.follow_up: Optional[Tuple] = None
-        if published is not None:
-            published(self._processed, host.engine.runtime.stamp)
 
     def __call__(self, request: Tuple) -> Optional[Tuple]:
-        self.follow_up = None
         host = self._host
         if request[0] != OP_WRITE:
             return host.handle(request)
@@ -823,34 +662,12 @@ class RequestStep:
         if self._exit_before is not None and self._writes_seen >= self._exit_before:
             self._die()  # batch received, never applied
             return None
-        batch_no = request[2]
-        more = None
-        if self._merge and (batch_no is None or batch_no > self._merge_floor):
-            poll = self._poll
-            extra = poll()
-            if extra is not None:
-                more = []
-                while extra is not None and extra[0] == OP_WRITE:
-                    more.append(extra)
-                    # groups cap at 128 frames
-                    extra = poll() if len(more) < 127 else None
-                self.follow_up = extra  # a non-write frame ended the group
-                if more:
-                    batch_no = more[-1][2]
-        reply = host.handle(request, more)
+        reply = host.handle(request)
         if self._exit_after is not None and self._writes_seen >= self._exit_after:
-            self._die()  # applied, but neither watermark nor reply left
+            self._die()  # applied, but no reply left
             return None
-        published = self._published
-        if published is not None:
-            if batch_no is not None and batch_no > self._processed:
-                self._processed = batch_no
-            if (
-                published(self._processed, host.engine.runtime.stamp)
-                and reply[0] == R_WRITE
-                and not len(reply[3])
-            ):
-                return None  # the watermark says it all: empty ack saved
+        if self._drop_empty_acks and reply[0] == R_WRITE and not len(reply[3]):
+            return None
         return reply
 
 
@@ -860,7 +677,7 @@ def shard_worker(spec: ShardSpec, channel) -> None:
     Spawn-safe: everything arrives via the pickled ``spec`` and
     ``channel``, the worker half of the shard's transport
     (:mod:`repro.serve.transport`).  The loop is single-threaded and the
-    transports are FIFO, so request order *is* apply order — per-shard
+    transport is FIFO, so request order *is* apply order — per-shard
     read-your-writes.  Exits after acknowledging ``OP_STOP`` (the
     ``R_STOPPED`` reply also tells the front-end's drainer thread to
     finish).  A triggered kill point calls ``os._exit`` — no finalizer
@@ -869,23 +686,11 @@ def shard_worker(spec: ShardSpec, channel) -> None:
     """
     import os
 
-    host = spec.build()
-    channel = channel.attach(spec, host)
-    step = RequestStep(
-        spec, host, lambda: os._exit(17), channel.poll, channel.published
-    )
-    request = channel.recv()
+    step = RequestStep(spec, spec.build(), lambda: os._exit(17), drop_empty_acks=True)
     while True:
-        reply = step(request)
+        reply = step(channel.recv())
         if reply is not None:
             channel.reply(reply)
             if reply[0] == R_STOPPED:
                 break
-        request = step.follow_up or channel.recv()
-    # Clean exit: drop the shm views *before* interpreter teardown, or
-    # SharedMemory.__del__ trips over the still-exported numpy buffers
-    # ("cannot close exported pointers exist" noise on stderr).
-    store_close = getattr(host.engine.runtime.values, "close", None)
-    if store_close is not None:
-        store_close()
     channel.close()

@@ -1,67 +1,38 @@
-"""The shard transport: how requests reach a worker and how its state is
-read back.  One module knows; everything else holds a transport.
+"""The shard transport: how requests reach a worker process and how its
+replies come back.  One module knows; everything else holds a transport.
 
-A transport has a **front half**, owned by the front-end for the life of
-the shard (it survives worker replacement), and a picklable **worker
-half** (:meth:`worker_half`) that travels to each worker incarnation:
+:class:`QueueTransport` has a **front half**, owned by the front-end for
+the life of the shard (it survives worker replacement), and a picklable
+**worker half** (:meth:`QueueTransport.worker_half`) that travels to
+each worker incarnation:
 
 ======================  ===================================================
-front half              ``reset`` · ``try_send`` / ``send`` / ``wake`` ·
-                        ``read_local`` · ``metric_values`` ·
-                        ``depth_stats`` · ``close`` (+ ``replies``, ``io``,
-                        ``segments``)
-worker half             ``attach`` · ``recv`` / ``poll`` / ``reply`` /
-                        ``published`` · ``close``
+front half              ``reset`` · ``try_send`` / ``send`` ·
+                        ``metric_values`` (+ ``replies``, ``io``)
+worker half             ``recv`` / ``reply`` · ``close``
 ======================  ===================================================
 
-There are exactly two implementations, and both carry the *same request
-tuples* in the same FIFO order, so every ordering guarantee of
-:mod:`repro.serve.messages` is transport-independent.  Which one a shard
-gets (``transport="auto"``) is a property of the query, not of the
-host: the ring needs the shard's state in shared columns, so an
-aggregate without a :class:`~repro.core.aggregates.ColumnSpec` (TOP-K,
-user aggregates — they keep an :class:`~repro.core.statestore.ObjectStore`)
-rides the queue, and every other aggregate rides the ring.  In-process
-shards have no transport at all (their executor calls the host
-directly) and report ``"queue"``.
+Requests are the tuples of :mod:`repro.serve.messages`, in FIFO order,
+encoded as frames (:mod:`repro.serve.frames`: packed write batches as
+raw ``K_WRITE`` record bytes, everything else ``K_PICKLE``) on a bounded
+request pipe.  A shared semaphore bounds the frames in flight — the
+backpressure window.  Replies come back over one OS pipe of
+length-prefixed pickles (:class:`Replies` is the front end's reader);
+shard metrics cost an ``OP_STATS`` round trip.  In-process shards have
+no transport at all (their executor calls the host directly).
 
-* :class:`QueueTransport` — a bounded pipe of request frames.  Queue
-  depth is the backpressure window.  ``poll`` never yields (the worker
-  applies one batch per request), ``published`` stores nothing but, like
-  the ring's, lets the worker drop empty write acknowledgements (the
-  queue is FIFO and ``R_WRITE`` has one consumer, the front-end's
-  ``_deliver``, which returns at once on an empty report), nothing can be
-  read locally, and shard metrics cost an ``OP_STATS`` round trip.
-* :class:`RingTransport` — a shared-memory ingress ring
-  (:class:`~repro.serve.shm.ShmRing`) of codec-tagged frames, a doorbell
-  pipe the worker parks on when the ring is empty, the shard's value
-  columns in a shared segment the front-end gathers push readers from
-  zero-copy, and a metrics slab scraped with zero IPC.  ``poll`` hands
-  the worker the frames that queued up behind the one it is applying
-  (consumer-side merging), and ``published`` stores the shard's
-  *processed-through* watermark in the ring header — which is what lets
-  :meth:`RingTransport.read_local` give read-your-writes without a round
-  trip.
+Nothing is handed to a helper thread: a request is encoded and written
+on the thread that sends it, and a reply is pickled and written on the
+worker's loop thread.  A frame larger than the free pipe buffer
+therefore blocks its sender until the worker reads it; the front-end's
+lock order (``serve/server.py``) shows why that cannot close a cycle.
+A blocked request write re-checks worker liveness once a second, so a
+dead worker surfaces as ``RuntimeError`` from ``send`` and ``False``
+from ``try_send``, never as a hang.
 
-Both carry the same frames (:mod:`repro.serve.frames`: packed write
-batches as raw ``K_WRITE`` record bytes, everything else ``K_PICKLE``),
-and both send replies back over one OS pipe of length-prefixed pickles
-(:class:`Replies` is the front end's reader).  Nothing is handed to a
-helper thread: a request is encoded and written — into the ring or the
-request pipe — on the thread that sends it, and a reply is pickled and
-written on the worker's loop thread.  A frame larger than the free pipe
-buffer therefore blocks its sender until the other side reads it; the
-front-end's lock order (``serve/server.py``) shows why that cannot
-close a cycle.  A blocked request write re-checks worker liveness once
-a second, so a dead worker surfaces as ``RuntimeError`` from ``send``
-and ``False`` from ``try_send``, never as a hang.
-
-The request pipe, the reply pipe and the doorbell belong to one worker
-incarnation — a killed process can leave any of them holding half a
-frame — so :meth:`reset` replaces them; the named segments persist and
-are rewound or re-attached instead.  The front-end names every segment
-and unlinks it **by name** in :meth:`close`, so stores created by
-workers that have since died uncleanly are destroyed too.
+Both pipes belong to one worker incarnation — a killed process can
+leave either holding half a frame — so :meth:`QueueTransport.reset`
+replaces them.
 """
 
 from __future__ import annotations
@@ -73,30 +44,22 @@ import struct
 import threading
 import time
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.statestore import WriteFrame
 from repro.serve import frames as _frames
-from repro.serve.messages import OP_HANDLES, OP_STATS, OP_WRITE, ServeError
+from repro.serve.messages import OP_STATS, OP_WRITE, ServeError
 
-NodeId = Any
 Alive = Callable[[], bool]
 
 
 def io_counters() -> Dict[str, int]:
-    """Fresh ingress codec/byte counters for one worker incarnation.
-
-    ``ring_stalls`` counts rejected pushes (ring full / depth bound hit
-    — the frame parks in the outbox) and ``doorbell_rings`` the actual
-    wake-up bytes sent; both stay 0 off the ring.
-    """
+    """Fresh ingress codec/byte counters for one worker incarnation."""
     return {
         "ingress_bytes": 0,
         "write_frames_binary": 0,
         "write_frames_pickle": 0,
         "control_frames": 0,
-        "ring_stalls": 0,
-        "doorbell_rings": 0,
     }
 
 
@@ -231,7 +194,7 @@ def _reply_pipe(ctx) -> Tuple[Replies, Any]:
 
 
 # ---------------------------------------------------------------------------
-# queue
+# the transport
 # ---------------------------------------------------------------------------
 
 
@@ -244,10 +207,6 @@ class QueueTransport:
     ``0`` meaning unbounded.  A shared semaphore counts them: a sender
     takes a slot, the worker frees it on receipt.
     """
-
-    kind = "queue"
-    #: no named shared-memory segments.
-    segments: Optional[Dict[str, str]] = None
 
     def __init__(
         self, ctx, shard_id: int, depth: int, call: Callable[[int], Any]
@@ -346,35 +305,15 @@ class QueueTransport:
         self._write(*encode_request(request), alive)
         return True
 
-    def wake(self) -> None:
-        """No-op: the frame itself wakes the worker blocked on the pipe."""
-
-    def read_local(
-        self,
-        nodes: Sequence[NodeId],
-        positions: List[int],
-        results: List[Any],
-        target_batch: int,
-        alive: Alive,
-    ) -> List[int]:
-        """Nothing is readable front-side: every position is left over."""
-        return positions
-
     def metric_values(self, alive: Alive):
-        """The shard's flat metric array via an ``OP_STATS`` round trip
-        (the only route that costs a control message)."""
+        """The shard's flat metric array via an ``OP_STATS`` round trip;
+        ``None`` when the worker is dead or does not answer."""
         if not alive():
             return None
         try:
             return self._call(OP_STATS).get("metrics_values")
         except ServeError:
             return None
-
-    def depth_stats(self) -> Optional[Dict[str, Any]]:
-        return None
-
-    def close(self) -> None:
-        """Nothing named to release."""
 
 
 class _QueueWorker:
@@ -385,511 +324,29 @@ class _QueueWorker:
         self._slots = slots
         self._replies = replies
 
-    def attach(self, spec, host) -> "_QueueWorker":
-        return self
-
     def recv(self) -> Tuple:
         payload = _recv_frame(self._requests.fileno())
         if self._slots is not None:
             self._slots.release()
         return _frames.decode(payload)
 
-    def poll(self) -> None:
-        """Never: the queue worker applies one batch per request."""
-        return None
-
     def reply(self, reply: Tuple) -> None:
         _send_reply(self._replies.fileno(), reply)
-
-    def published(self, batch_no: int, stamp: int) -> bool:
-        """Nothing to store, yet ``True``: requests are FIFO and only the
-        front-end's ``_deliver`` consumes an ``R_WRITE``, which returns at
-        once on an empty report — so an empty write acknowledgement is
-        pure codec traffic here, exactly as behind the ring's watermark."""
-        return True
 
     def close(self) -> None:
         self._requests.close()
         self._replies.close()
 
 
-# ---------------------------------------------------------------------------
-# ring
-# ---------------------------------------------------------------------------
-
-
-class RingTransport:
-    """Shared-memory ingress ring + shared value columns + metrics slab.
-
-    ``try_send``/``send`` serialize on a push lock so the ring stays
-    single-producer even with concurrent server threads (reads,
-    subscribes, the background flusher).  Unlike the queue — whose
-    blocking ``send`` only notices a dead worker once the queue fills —
-    sends here fail fast whenever the worker is gone: ring space says
-    nothing about liveness, and a frame pushed at a corpse would
-    silently never apply (the front-end's redo log still has it).
-
-    Parameters
-    ----------
-    name:
-        Segment-name stem; the ring, value store and metrics slab are
-        ``{name}r{shard}`` / ``v`` / ``m``.
-    depth:
-        In-flight frame bound — the queue transport's depth semantics.
-        Byte capacity alone would let a fast producer enqueue hundreds
-        of small batches, defeating the outbox coalescing that keeps a
-        lagging worker fed with few, large batches; 0 means unbounded.
-    read_ok:
-        Whether push readers may be answered from the shared columns.
-    metrics_slots:
-        Size of the shard metrics schema, or 0 with the metrics plane
-        off (no slab).
-    """
-
-    kind = "shm"
-
-    def __init__(
-        self,
-        ctx,
-        name: str,
-        shard_id: int,
-        ring_bytes: int,
-        depth: int,
-        aggregate,
-        read_ok: bool,
-        metrics_slots: int,
-        reply_timeout: float,
-        call: Callable[[int], Any],
-    ) -> None:
-        from repro.serve.shm import ShmRing
-
-        self._ctx = ctx
-        self.shard_id = shard_id
-        self._depth = depth
-        self._aggregate = aggregate
-        self._read_ok = read_ok
-        self._reply_timeout = reply_timeout
-        self._call = call
-        self.segments = {
-            "ring": f"{name}r{shard_id}",
-            "store": f"{name}v{shard_id}",
-        }
-        self._ring = ShmRing(self.segments["ring"], capacity=ring_bytes, create=True)
-        self._slab = None
-        if metrics_slots:
-            from repro.obs import MetricsSlab
-
-            self.segments["metrics"] = f"{name}m{shard_id}"
-            self._slab = MetricsSlab.create(self.segments["metrics"], metrics_slots)
-        self._push_lock = threading.Lock()
-        #: serializes the attach between reader threads (a raced attach
-        #: would leak the loser's mapping).
-        self._attach_lock = threading.Lock()
-        #: (attached value store or None, {node: (handle, is_push)}) of
-        #: the live worker incarnation, fetched lazily.
-        self._view: Optional[Tuple[Any, Dict[NodeId, Tuple[int, bool]]]] = None
-        self._bell = None
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def reset(self) -> None:
-        """Rewind for a new worker incarnation (none may be running).
-
-        Frames the dead worker abandoned are superseded by the
-        front-end's redo replay: the successor starts from an empty ring
-        and republishes its watermark once it has restored its
-        checkpoint.  The value segment stays — the successor adopts it
-        by name and re-materializes every column — but the cached handle
-        map and read attachment go: a worker rebuilt for a larger reader
-        set recreates the segment, larger, under the *same* name.
-        """
-        with self._push_lock:
-            self._ring.reset()
-            self._bell_pending = False
-            if self._bell is not None:
-                self._bell.close()
-            self.replies, self._replies_send = _reply_pipe(self._ctx)
-            # Doorbell: the worker parks on this pipe when the ring is
-            # empty; wake() rings it only while the worker is parked.
-            self._bell_recv, self._bell = self._ctx.Pipe(duplex=False)
-            self.io = io_counters()
-        self._detach()
-
-    def _detach(self) -> None:
-        with self._attach_lock:
-            view, self._view = self._view, None
-        if view is not None and view[0] is not None:
-            view[0].close()
-
-    def worker_half(self) -> "_RingWorker":
-        """The incarnation's worker half; takes the doorbell's read end
-        and the reply pipe's write end with it, so this process keeps
-        neither end of its own pipes."""
-        half = _RingWorker(self._replies_send, self._bell_recv)
-        self._bell_recv = self._replies_send = None
-        return half
-
-    def close(self) -> None:
-        """Unlink every segment this transport named (idempotent)."""
-        from repro.core.statestore import unlink_segment
-
-        self._detach()
-        if self._bell is not None:
-            self._bell.close()
-        self._ring.unlink()
-        if self._slab is not None:
-            self._slab.close()
-            self._slab.unlink()
-        unlink_segment(self.segments["store"])
-
-    # -- ingress ------------------------------------------------------------
-
-    def _push(self, payload: bytes, codec: str) -> bool:
-        """Push one frame; the wake-up is *deferred* to :meth:`wake`.
-
-        Ringing per push would wake the worker mid-multicast and let the
-        scheduler preempt the producing front-end between shard pushes
-        (the queue transport's worker wakes on the request frame itself,
-        so a multicast round there pays one wake-up per shard push).  Deferring
-        the doorbell to the end of the caller's submission round keeps
-        the producer's burst intact: one syscall per round, workers wake
-        to a ring already holding everything.
-        """
-        with self._push_lock:
-            ring = self._ring
-            if (self._depth and ring.pending_frames >= self._depth) or (
-                not ring.try_push(payload)
-            ):
-                self.io["ring_stalls"] += 1
-                return False
-            self._bell_pending = True
-            io = self.io
-            io[codec] += 1
-            io["ingress_bytes"] += len(payload)
-        return True
-
-    def try_send(self, request: Tuple, alive: Alive) -> bool:
-        """Non-blocking push; ``False`` when the ring is full or the
-        worker is dead (writes then park in the outbox, exactly like a
-        backed-up queue shard)."""
-        if not alive():
-            return False
-        return self._push(*encode_request(request))
-
-    def send(
-        self, request: Tuple, alive: Alive, timeout: Optional[float] = None
-    ) -> bool:
-        """Blocking push: waits for ring space, fails fast on a corpse;
-        ``False`` when ``timeout`` ran out first."""
-        payload, codec = encode_request(request)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if not alive():
-                raise RuntimeError(
-                    f"shard {self.shard_id} worker died; ingress ring "
-                    "abandoned until restart"
-                )
-            if self._push(payload, codec):
-                return True
-            self.wake()  # ring full: make sure the worker is draining it
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.0005)
-
-    def wake(self) -> None:
-        """Wake the worker for every frame pushed since the last wake.
-
-        The byte is sent only while the worker is parked (or parking) on
-        the doorbell — ``ring.waiting()`` — so pipe traffic is bounded at
-        one byte per park cycle and a busy worker, which never drains the
-        pipe, cannot back it up into a blocking ``send_bytes``.  The
-        announce-then-recheck order in the worker makes the gate safe: a
-        worker that misses our frame during its recheck has already set
-        the flag we test here.  Its 0.5 s poll timeout is the final
-        backstop, so a missed wake costs latency, never progress.
-        """
-        if not self._bell_pending:
-            return
-        with self._push_lock:
-            if not self._bell_pending:
-                return
-            self._bell_pending = False
-        if not self._ring.waiting():
-            return  # worker is processing; it will see the frames itself
-        try:
-            self._bell.send_bytes(b"!")
-            self.io["doorbell_rings"] += 1
-        except (BrokenPipeError, OSError):  # pragma: no cover - dead worker
-            pass
-
-    # -- reading state back -------------------------------------------------
-
-    def wait_applied(self, target_batch: int, alive: Alive) -> None:
-        """Block until the watermark covers ``target_batch``.
-
-        The wait is bounded two ways, so a worker that dies between the
-        caller's liveness check and the watermark publication can never
-        hang this thread: every spin iteration re-checks worker liveness
-        (fail fast with :class:`ServeError`, not the reply timeout), and
-        an absolute deadline of ``reply_timeout`` catches a live-but-
-        wedged worker.  Death is confirmed against the watermark once
-        more before raising — a worker that applied the final batch and
-        *then* exited left complete columns behind, and reads from them
-        are correct.
-        """
-        ring = self._ring
-        self.wake()
-        if ring.applied() >= target_batch:
-            return
-        deadline = time.monotonic() + self._reply_timeout
-        while ring.applied() < target_batch:
-            if not alive():
-                if ring.applied() >= target_batch:
-                    return  # applied everything, then exited: columns complete
-                raise ServeError(
-                    f"shard {self.shard_id}: worker died before applying "
-                    f"batch {target_batch}"
-                )
-            if time.monotonic() >= deadline:
-                raise ServeError(
-                    f"shard {self.shard_id}: timed out waiting for batch "
-                    f"{target_batch} to apply"
-                )
-            time.sleep(0.0002)
-
-    def _live_view(self):
-        """``(store, handle map)`` of the live worker: its ``OP_HANDLES``
-        answer, fetched once per incarnation over the ring (so it trails
-        every boot-time rebuild), and the value columns attached by the
-        segment name the shard itself reported.  ``store`` is ``None``
-        when that segment is not attachable."""
-        view = self._view
-        if view is None:
-            from repro.core.statestore import SharedColumnarStore, ValueStoreError
-
-            store_name, hmap = self._call(OP_HANDLES)
-            with self._attach_lock:
-                if self._view is None:
-                    try:
-                        store = SharedColumnarStore.attach(
-                            self._aggregate.column_spec,
-                            store_name or self.segments["store"],
-                        )
-                    except (FileNotFoundError, ValueStoreError):
-                        store = None
-                    self._view = (store, hmap)
-                view = self._view
-        return view
-
-    def read_local(
-        self,
-        nodes: Sequence[NodeId],
-        positions: List[int],
-        results: List[Any],
-        target_batch: int,
-        alive: Alive,
-    ) -> List[int]:
-        """Serve what we can from the shard's shared columns.
-
-        Waits for the watermark to cover ``target_batch`` (read-your-
-        writes without a round trip), gathers the column scalars under
-        the store's seqlock stamp — retrying if a concurrent batch
-        landed mid-gather — finalizes locally into ``results``, and
-        returns the positions that still need a shard-side ``OP_READ``:
-        pull readers, cleared slots (adaptive flips), or the whole list
-        when the fast path is off (time windows advance expiry
-        shard-side; adaptive shards need the read traffic as their
-        observed-pull signal) or the worker is dead (the request path
-        surfaces the death fast).  Raises :class:`ServeError` when the
-        worker dies before covering the watermark.
-        """
-        if not self._read_ok or not alive():
-            return positions
-        self.wait_applied(target_batch, alive)
-        store, hmap = self._live_view()
-        if store is None:
-            return positions
-        leftover: List[int] = []
-        fast: List[Tuple[int, int]] = []
-        for position in positions:
-            info = hmap.get(nodes[position])
-            if info is None or not info[1]:
-                leftover.append(position)
-            else:
-                fast.append((position, info[0]))
-        if not fast:
-            return leftover
-        columns = store.columns
-        cleared_mask = store._cleared
-        aggregate = self._aggregate
-        unpack = aggregate.column_spec.unpack
-        # Bounded validation retries: under sustained write pressure a
-        # large gather can overlap a scatter on every attempt; after a
-        # few failed validations the shard answers via OP_READ instead
-        # of spinning toward the reply timeout.
-        for _attempt in range(8):
-            stamp = store.read_seq()
-            if stamp % 2 == 0:
-                gathered = [
-                    tuple(column[handle] for column in columns)
-                    for _position, handle in fast
-                ]
-                cleared = [bool(cleared_mask[handle]) for _p, handle in fast]
-                if store.read_seq() == stamp:
-                    break
-            time.sleep(0.0002)
-        else:
-            return leftover + [position for position, _handle in fast]
-        finalize = aggregate.finalize
-        for (position, _handle), scalars, is_cleared in zip(fast, gathered, cleared):
-            if is_cleared:
-                # Unmaterialized slot (e.g. an adaptive flip to pull since
-                # the handle map was fetched): let the shard answer.
-                leftover.append(position)
-            else:
-                results[position] = finalize(unpack(scalars))
-        return leftover
-
-    def metric_values(self, alive: Alive):
-        """Slab scrape: zero IPC, no worker perturbation (``None`` with
-        the metrics plane off)."""
-        return None if self._slab is None else self._slab.scrape()
-
-    def depth_stats(self) -> Optional[Dict[str, Any]]:
-        return self._ring.depth_stats()
-
-
-class _RingWorker:
-    """Worker half of :class:`RingTransport`.
-
-    Pickled with only the incarnation's reply pipe and doorbell;
-    :meth:`attach` maps the named segments (``spec.shm``) once the
-    worker process has built its host.
-    """
-
-    def __init__(self, replies, doorbell) -> None:
-        self._replies = replies
-        self._doorbell = doorbell
-
-    def attach(self, spec, host) -> "_RingWorker":
-        from repro.serve.shm import ShmRing
-
-        self._ring = ShmRing(spec.shm["ring"], create=False)
-        self._host = host
-        # Metrics slab: front-end-created segment this worker
-        # bulk-publishes its registry values into after every applied
-        # group (and before parking).
-        self._slab = None
-        slab_name = spec.shm.get("metrics")
-        if slab_name is not None and host._metrics_on:
-            from repro.obs import MetricsSlab
-
-            try:
-                self._slab = MetricsSlab.attach(
-                    slab_name, host.metrics_registry.n_slots
-                )
-            except Exception:  # noqa: BLE001
-                pass  # scrape degrades; never kill the worker
-        return self
-
-    def _publish_metrics(self) -> None:
-        if self._slab is not None:
-            self._slab.publish(self._host.metrics_values())
-
-    def recv(self) -> Tuple:
-        """Next request, parking on the doorbell while the ring is empty
-        (kernel-blocking, not poll-burning: a spinning worker would
-        steal the cycles the front-end needs to produce)."""
-        ring = self._ring
-        while True:
-            frame = ring.try_pop()
-            if frame is None:
-                # Announce first, re-check the ring (closing the
-                # producer's push-then-check race), then block.
-                ring.set_waiting(True)
-                frame = ring.try_pop()
-                if frame is None:
-                    metrics = self._host.metrics
-                    metrics["shard_parks"].inc()
-                    self._publish_metrics()  # idle worker: keep the scrape fresh
-                    doorbell = self._doorbell
-                    try:
-                        if doorbell.poll(0.5):
-                            metrics["shard_doorbell_wakeups"].inc()
-                            while doorbell.poll(0):  # swallow queued rings
-                                doorbell.recv_bytes()
-                    except (EOFError, OSError):
-                        pass  # sender closed: frames (incl. OP_STOP) still drain
-                    ring.set_waiting(False)
-                    continue
-                ring.set_waiting(False)
-            return _frames.decode(frame)
-
-    def poll(self) -> Optional[Tuple]:
-        """A request already waiting behind the current one, or ``None``."""
-        frame = self._ring.try_pop()
-        return None if frame is None else _frames.decode(frame)
-
-    def reply(self, reply: Tuple) -> None:
-        _send_reply(self._replies.fileno(), reply)
-
-    def published(self, batch_no: int, stamp: int) -> bool:
-        """Store the processed-through watermark; ``True``: an empty
-        write acknowledgement would now be pure codec traffic."""
-        self._ring.publish_applied(batch_no, stamp)
-        self._publish_metrics()
-        return True
-
-    def close(self) -> None:
-        """Drop the views (the segments survive — unlinking is the
-        front-end's job)."""
-        if self._slab is not None:
-            self._slab.close()
-        self._ring.close()
-        self._replies.close()
-
-
 def open_transports(
-    kind: str,
-    num_shards: int,
-    query,
-    adaptive: bool,
-    mp_context: str,
-    queue_depth: int,
-    ring_bytes: int,
-    metrics_slots: int,
-    reply_timeout: float,
-    call: Callable[[int, int], Any],
-) -> List[Any]:
-    """One transport per shard of a process deployment.
-
-    ``kind`` is the resolved transport (``"queue"`` or ``"shm"``);
-    ``call(shard_id, op)`` is the front-end's awaited control request.
-    """
+    num_shards: int, mp_context: str, queue_depth: int, call: Callable[[int, int], Any]
+) -> List[QueueTransport]:
+    """One transport per shard of a process deployment; ``call(shard_id,
+    op)`` is the front-end's awaited control request."""
     import multiprocessing
 
     ctx = multiprocessing.get_context(mp_context)
-    if kind == "queue":
-        return [
-            QueueTransport(ctx, shard_id, queue_depth, partial(call, shard_id))
-            for shard_id in range(num_shards)
-        ]
-    from repro.core.windows import TimeWindow
-
-    name = "eagr{:x}_{:x}".format(os.getpid(), int.from_bytes(os.urandom(4), "little"))
-    read_ok = not isinstance(query.window, TimeWindow) and not adaptive
     return [
-        RingTransport(
-            ctx,
-            name,
-            shard_id,
-            ring_bytes,
-            queue_depth,
-            query.aggregate,
-            read_ok,
-            metrics_slots,
-            reply_timeout,
-            partial(call, shard_id),
-        )
+        QueueTransport(ctx, shard_id, queue_depth, partial(call, shard_id))
         for shard_id in range(num_shards)
     ]

@@ -76,10 +76,9 @@ def _eagr_segments():
 def no_leaked_segments():
     """The run leaves no new ``eagr*`` shared-memory segment behind.
 
-    Every segment the serve tier creates is unlinked by name by whoever
-    owns it — the front end on close, or the test that SIGKILLed the front
-    end (``faultlib.unlink_orphaned_segments``).  A segment that outlives
-    the session is a leak, and this fails the run naming it.
+    The serve tier names no shared-memory segment: its shard transport
+    is a pair of pipes per worker.  A segment under that prefix that
+    outlives the session is a leak, and this fails the run naming it.
     """
     if not os.path.isdir(SHM_DIR):
         yield

@@ -17,12 +17,9 @@ from repro.core.query import EgoQuery
 from repro.core.statestore import (
     ColumnarStore,
     ObjectStore,
-    SharedColumnarStore,
     ValueStoreError,
-    attach_segment,
     make_value_store,
     resolve_value_store,
-    unlink_segment,
 )
 from repro.core.windows import (
     NO_VALUE,
@@ -225,8 +222,9 @@ class TestStores:
         assert resolve_value_store(TopK(3), "auto") == "object"
         # columnar is a request; an aggregate without a spec keeps objects
         assert resolve_value_store(TopK(3), "columnar") == "object"
-        with pytest.raises(ValueStoreError):
-            resolve_value_store(Sum(), "bogus")
+        for mode in ("bogus", "shared"):  # no shared-memory backend
+            with pytest.raises(ValueStoreError):
+                resolve_value_store(Sum(), mode)
 
     def test_object_store_roundtrip(self):
         store = make_value_store(TopK(3), 4, "auto")
@@ -269,117 +267,6 @@ class TestStores:
         store[5] = (1.0, 1)
         store.resize(6)  # same-size remap also resets
         assert store[5] is None
-
-
-# ---------------------------------------------------------------------------
-# shared-memory columns
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("aggregate_name", ["sum", "mean", "max"])
-def test_shared_backend_parity(aggregate_name):
-    """`value_store="shared"` answers byte-identically to the object
-    store across the same seeded drive the columnar backend passes."""
-    graph = random_graph(20, 56, seed=61)
-    object_engine = make_engine(graph, aggregate_name, "vnm_a", "tuple", "object")
-    shared_engine = make_engine(
-        graph.copy(), aggregate_name, "vnm_a", "tuple", "shared"
-    )
-    assert shared_engine.value_store_backend == "shared"
-    store = shared_engine.runtime.values
-    try:
-        checked = drive_backend_pair(object_engine, shared_engine, seed=59)
-        assert checked > 10
-    finally:
-        store.unlink()
-
-
-def test_shared_attach_by_name_sees_identical_state():
-    """A second process-style attachment by name reads the same bytes the
-    owner wrote — the serve tier's zero-copy read contract."""
-    engine = make_engine(
-        random_graph(16, 44, seed=21), "sum", "vnm_a", "unit", "shared"
-    )
-    store = engine.runtime.values
-    try:
-        nodes = sorted(engine.graph.nodes(), key=repr)
-        engine.write_batch([(node, float(i + 1)) for i, node in enumerate(nodes)])
-        peer = SharedColumnarStore.attach(Sum().column_spec, store.name)
-        assert len(peer) == len(store)
-        assert peer.read_seq() == store.read_seq()
-        for handle in range(len(store)):
-            assert peer[handle] == store[handle], handle
-        # writes by the owner become visible through the same mapping
-        engine.write_batch([(nodes[0], 100.0)])
-        for handle in range(len(store)):
-            assert peer[handle] == store[handle], handle
-        peer.close()
-    finally:
-        store.unlink()
-
-
-class TestSharedLifecycle:
-    def test_create_adopt_unlink_roundtrip(self):
-        spec = Sum().column_spec
-        store = SharedColumnarStore(spec, 6, name="eagr_test_lifecycle")
-        store[3] = 7.5
-        store.close()  # mapping dropped, segment survives
-        adopted = SharedColumnarStore(spec, 6, name="eagr_test_lifecycle")
-        assert adopted[3] is None  # adoption resets to identity state
-        adopted[2] = 1.25
-        assert adopted[2] == 1.25
-        adopted.unlink()
-        with pytest.raises(FileNotFoundError):
-            attach_segment("eagr_test_lifecycle")
-        assert unlink_segment("eagr_test_lifecycle") is False  # exactly-once
-
-    def test_seqlock_brackets(self):
-        store = SharedColumnarStore(Sum().column_spec, 4)
-        try:
-            assert store.read_seq() == 0
-            store.begin_batch()
-            assert store.read_seq() % 2 == 1  # in flight: readers retry
-            store.end_batch()
-            assert store.read_seq() == 2
-        finally:
-            store.unlink()
-
-    def test_resize_within_capacity_and_growth(self):
-        store = SharedColumnarStore(Mean().column_spec, 4, capacity=8)
-        name = store.name
-        try:
-            store[1] = (4.0, 2)
-            store.resize(8)  # within capacity: same segment, reset state
-            assert store.name == name
-            assert all(store[h] is None for h in range(8))
-            store.resize(32)  # growth: fresh segment, old one unlinked
-            assert store.name != name
-            assert len(store) == 32
-            with pytest.raises(FileNotFoundError):
-                attach_segment(name)
-            peer = SharedColumnarStore.attach(Mean().column_spec, store.name)
-            with pytest.raises(ValueStoreError):
-                peer.resize(64)  # attached peers cannot grow the segment
-            peer.close()
-        finally:
-            store.unlink()
-
-    def test_not_picklable(self):
-        import pickle
-
-        store = SharedColumnarStore(Sum().column_spec, 2)
-        try:
-            with pytest.raises(TypeError):
-                pickle.dumps(store)
-        finally:
-            store.unlink()
-
-    def test_resolution_and_fallback(self):
-        assert resolve_value_store(Sum(), "shared") == "shared"
-        assert resolve_value_store(TopK(3), "shared") == "object"
-        store = make_value_store(Sum(), 3, "shared")
-        assert isinstance(store, SharedColumnarStore)
-        store.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Hypothesis properties of the tuple-window write kernel (``_write_ring``).
 
-SUM and MEAN over ``TupleWindow(k)`` on a columnar (or shared) store keep
+SUM and MEAN over ``TupleWindow(k)`` on a columnar store keep
 every writer's window as a row of one ring matrix and run a packable batch
 — pairs, stamped triples, a ``WriteFrame`` — through one fold: vectorised
 (``_ring_kernel``) for long batches, a Python loop over the matrix
@@ -30,7 +30,6 @@ After every step:
 """
 
 import collections
-import os
 import pickle
 import random
 from itertools import count
@@ -40,7 +39,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import statestore
 from repro.core.aggregates import Mean, Sum
 from repro.core.engine import EAGrEngine
 from repro.core import execution
@@ -56,7 +54,6 @@ from tests.test_changed_plane_properties import random_structure_event
 
 AGGREGATES = {"sum": Sum, "mean": Mean}
 SHAPES = ("pairs", "triples", "frame", "repeat", "outside", "empty", "ints", "mixed_none")
-_names = count()
 
 
 def push_steps(overlay, writer):
@@ -165,7 +162,7 @@ class Rig:
     """A kernel engine, an object-store engine and the reference, driven
     in lockstep."""
 
-    def __init__(self, seed, aggregate, k, store, dyadic, maintain):
+    def __init__(self, seed, aggregate, k, dyadic, maintain):
         self.rng = random.Random(seed)
         self.dyadic = dyadic
         size = self.rng.randrange(8, 16)
@@ -186,8 +183,6 @@ class Rig:
             dataflow=self.rng.choice(["mincut", "all_push", "all_pull"]),
             maintain=maintain,
         )
-        self.store = store
-        self.segments = set()  # every name a shared store has lived under
         self.engine = self.make_engine(graph.copy())
         self.twin = EAGrEngine(graph.copy(), self.query, value_store="object", **self.options)
         self.reference = Reference(k, aggregate == "mean")
@@ -195,19 +190,7 @@ class Rig:
         self.labels = count(1000)
 
     def make_engine(self, graph):
-        name = None
-        if self.store == "shared":
-            name = f"eagr_wk{os.getpid():x}_{next(_names)}"
-            self.segments.add(name)
-        return EAGrEngine(
-            graph, self.query, value_store=self.store, shm_name=name, **self.options
-        )
-
-    def close(self):
-        if self.store == "shared":
-            self.engine.runtime.values.close()  # views first, then the segment
-        for name in self.segments:
-            statestore.unlink_segment(name)
+        return EAGrEngine(graph, self.query, value_store="columnar", **self.options)
 
     # -- schedule steps ----------------------------------------------------
 
@@ -217,8 +200,6 @@ class Rig:
         self.engine.read_batch([])
         self.twin.read_batch([])
         runtime = self.engine.runtime
-        if self.store == "shared":  # growth moves the columns to a new segment
-            self.segments.add(runtime.values.name)
         if runtime._ring is not self.ring:
             self.ring = runtime._ring
             self.reference.materialize(runtime.overlay)
@@ -277,11 +258,8 @@ class Rig:
         """Checkpoint the windows the way a shard does and resume fresh
         engines (a fresh overlay, too) from them."""
         self.sync()
-        old = self.engine.runtime
         self.engine = resume(self.engine, self.make_engine(self.engine.graph.copy()))
         assert all(type(buffer) is RingRow for buffer in self.engine.runtime.buffers.values())
-        if self.store == "shared":
-            old.values.close()
         twin = self.twin
         self.twin = resume(
             twin, EAGrEngine(twin.graph.copy(), self.query, value_store="object", **self.options)
@@ -311,35 +289,31 @@ def close(a, b):
     return a == b or (None not in (a, b) and abs(a - b) <= 1e-9 * max(1.0, abs(b)))
 
 
-def run_schedule(seed, aggregate, k, store, dyadic, maintain):
+def run_schedule(seed, aggregate, k, dyadic, maintain):
     for kernel_rows in (execution._RING_ROWS, 1):
         with mock.patch.object(execution, "_RING_ROWS", kernel_rows):
-            run_rig(Rig(seed, aggregate, k, store, dyadic, maintain))
+            run_rig(Rig(seed, aggregate, k, dyadic, maintain))
 
 
 def run_rig(rig):
-    try:
-        rig.sync()
-        for _ in range(rig.rng.randrange(6, 16)):
-            roll = rig.rng.random()
-            if roll < 0.12:
-                rig.structure()
-            elif roll < 0.2:
-                rig.restore()
-            else:
-                rig.write(rig.rng.choice(SHAPES))
-            if rig.rng.random() < 0.4:
-                rig.check()
-        rig.check()
-    finally:
-        rig.close()
+    rig.sync()
+    for _ in range(rig.rng.randrange(6, 16)):
+        roll = rig.rng.random()
+        if roll < 0.12:
+            rig.structure()
+        elif roll < 0.2:
+            rig.restore()
+        else:
+            rig.write(rig.rng.choice(SHAPES))
+        if rig.rng.random() < 0.4:
+            rig.check()
+    rig.check()
 
 
 schedules = st.tuples(
     st.integers(min_value=0, max_value=100_000),
     st.sampled_from(sorted(AGGREGATES)),
     st.sampled_from([1, 2, 3, 5]),
-    st.sampled_from(["columnar", "shared"]),
     st.booleans(),  # dyadic values (exact reads) or thirds/sevenths
     st.booleans(),  # maintain: rebuild in place, or recompile a new runtime
 )

@@ -2,8 +2,8 @@
 
 The registry's one structural promise is that two registries making the
 same registration calls in the same order are layout-compatible — that
-is what lets a front-end decode a shard's slab bytes by declaring the
-same schema.  These tests pin that promise.
+is what lets a front-end decode a shard's scraped value array by
+declaring the same schema.  These tests pin that promise.
 """
 
 import math
@@ -114,7 +114,7 @@ def test_disabled_registry_still_tracks_layout():
     g.set(5.0)
     assert h.count == 0.0 and c.value == 0.0 and g.value == 0.0
     # ...but the slot layout still matches the enabled twin, so a
-    # disabled registry can size and address a slab.
+    # disabled registry can size and address a scraped array.
     assert off.n_slots == on.n_slots
     assert off.schema() == on.schema()
 

@@ -29,12 +29,6 @@ lands in the window is both flaky and slow; everything here is
   layout assertions).  The WAL's own ``faults`` dict covers the
   *in-process* seams (fsync raising, crash-mid-compaction); these
   helpers corrupt the bytes **at rest**, after the writer is gone.
-* :func:`shm_segment_names` / :func:`assert_no_segments` — enumerate a
-  server's named shared-memory segments (ingress rings + value stores)
-  and assert they are gone after teardown: the leak check for the
-  zero-copy transport's front-end-owned cleanup.
-  :func:`unlink_orphaned_segments` is the cleanup a SIGKILLed front end
-  never ran: every segment named for its pid, unlinked by name.
 * stream verifiers — :func:`assert_contiguous`,
   :func:`assert_spliced_stream`, :func:`assert_subsequence`: the
   delivery-contract checks (monotone gap-free stamps, exactly-once
@@ -278,44 +272,6 @@ def wal_files(directory) -> List[str]:
     from repro.serve.wal import list_segments
 
     return [path for _index, path in list_segments(directory)]
-
-
-def shm_segment_names(server) -> List[str]:
-    """Every shared-memory segment name a server's deployment uses
-    (ingress rings and value-store columns); empty off the shm path."""
-    names: List[str] = []
-    for spec in getattr(server, "specs", ()):
-        if getattr(spec, "shm", None):
-            names.extend(spec.shm.values())
-    return names
-
-
-def unlink_orphaned_segments(pid: int) -> List[str]:
-    """Unlink every segment named for front-end ``pid``; returns the names.
-
-    The serve tier names its segments ``eagr{front-end pid:x}_…`` and the
-    front end unlinks them on close.  A front end killed by SIGKILL never
-    gets there (nor does its resource tracker, which dies with the process
-    group), so whoever killed it cleans up by name.
-    """
-    from repro.core.statestore import unlink_segment
-
-    prefix = "eagr{:x}_".format(pid)
-    try:
-        names = sorted(os.listdir(SHM_DIR))
-    except FileNotFoundError:  # no POSIX shm directory: nothing to unlink
-        return []
-    return [
-        name for name in names if name.startswith(prefix) and unlink_segment(name)
-    ]
-
-
-def assert_no_segments(names: Sequence[str], tag: str = "") -> None:
-    """Assert none of ``names`` is still attachable (post-close leak check)."""
-    from repro.core.statestore import segment_exists
-
-    leaked = [name for name in names if segment_exists(name)]
-    assert not leaked, f"{tag} leaked shared-memory segments: {leaked}"
 
 
 # ---------------------------------------------------------------------------

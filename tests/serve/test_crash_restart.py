@@ -10,11 +10,10 @@ stamps ``> N``, in order, with no gaps and no duplicates, and the
 recovered shard's reads are byte-equal to a single-process oracle that
 never crashed.
 
-The schedules run on **both process transports** — 10 seeds over the
-queue, 10 over the shared-memory ring — so the kill points of the one
-worker loop are reached through each transport's worker half.  One
-2-shard process server per transport is shared across its seeds (worker
-boots are the dominant cost); every seed
+Twenty seeded schedules run over the process transport, so the kill
+points of the one worker loop are reached through its worker half.  One
+2-shard process server is shared across the seeds (worker boots are the
+dominant cost); every seed
 gets a fresh subscriber, so stamp streams are independent, and shard 0
 is re-checkpointed at the start of each schedule so redo logs stay
 short.  Shard 1 is never killed — its uninterrupted service is asserted
@@ -48,15 +47,12 @@ from tests.serve.faultlib import (
     wait_dead,
 )
 
-NUM_SEEDS = 10  # per transport
+NUM_SEEDS = 20
 
 
-@pytest.fixture(
-    scope="module",
-    params=["queue", "shm"],
-)
+@pytest.fixture(scope="module", params=["queue"])
 def crashpad(request):
-    """One process-mode deployment per transport + the accumulated
+    """One process-mode deployment on the transport + the accumulated
     accepted-batch log."""
     graph = random_graph(14, 52, seed=41)
     query = EgoQuery(aggregate=Sum(), window=TupleWindow(1))
@@ -110,8 +106,6 @@ def test_seeded_crash_restart_resume(seed, crashpad):
     env = crashpad
     server = env["server"]
     nodes = env["nodes"]
-    if server.transport == "shm":
-        seed += NUM_SEEDS  # the ring leg runs schedules 10-19
     rng = random.Random(1000 + seed)
     name = f"watcher-{seed}"
     tag = f"seed {seed} ({server.transport}):"

@@ -27,6 +27,7 @@ Plus the constructor contract that rides along: whatever fails while the
 log is open closes it again, so the single-writer lock never leaks.
 """
 
+import os
 import random
 
 import pytest
@@ -36,7 +37,7 @@ from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import random_graph
-from repro.serve import EAGrServer, ReplicaServer, ServeError
+from repro.serve import EAGrServer, ReplicaServer
 from repro.serve.wal import WriteAheadLog
 
 from tests.serve.faultlib import assert_contiguous, refuse_submits
@@ -362,13 +363,24 @@ def test_constructor_failure_never_leaks_the_writer_lock(tmp_path):
     def exploding_assign(node):
         raise RuntimeError("injected: assignment failed with the log open")
 
+    # The queue is the only transport: anything else is refused, on
+    # either executor, before the log is opened (not even its directory
+    # exists yet), so a refused deployment never held the flock.
+    for executor in ("inprocess", "process"):
+        for transport in ("shm", "auto", None):
+            with pytest.raises(ValueError, match="transport must be 'queue'"):
+                EAGrServer(
+                    graph, query, executor=executor, transport=transport,
+                    wal_dir=wal_dir,
+                )
+    assert not os.path.exists(wal_dir)
     # Retried from inside the ``except`` block: the traceback still pins
     # the half-built server, so only an explicit close frees the flock.
     try:
         EAGrServer(
             graph, query, executor="inprocess", transport="shm", wal_dir=wal_dir
         )
-    except ServeError:
+    except ValueError:
         try:
             EAGrServer(
                 graph, query, executor="inprocess", assign=exploding_assign,

@@ -251,12 +251,11 @@ class TestBasicMigration:
                 == server.replication_factor
             )
 
-    def test_shm_reads_after_shard_growth(self):
-        """Regression: a migration that grows a shard past its value-store
-        segment's capacity makes the rebuilt worker recreate the segment —
-        larger, under the *same* name — so the front-end must drop its
-        zero-copy read attachment instead of gathering out-of-range
-        handles from the stale, smaller mapping."""
+    def test_reads_after_shard_growth(self):
+        """A migration that moves every reader onto one process shard
+        rebuilds that worker with a larger overlay than it booted with;
+        reads before and after it, and after further writes, equal a
+        single engine's."""
         graph, query = build_env(seed=48)
         nodes = sorted(graph.nodes())
         oracle = EAGrEngine(graph, query, overlay_algorithm="identity",

@@ -41,7 +41,6 @@ from tests.serve.faultlib import (
     collect,
     kill_shard,
     transitions_by_ego,
-    unlink_orphaned_segments,
 )
 
 DRIVER = reshard_driver.__file__
@@ -84,7 +83,6 @@ def spawn_driver(tmp_path, sched):
             cmd, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
         )
         returncode = proc.wait(timeout=120)
-    unlink_orphaned_segments(proc.pid)
     assert returncode == -signal.SIGKILL, (
         f"{sched['id']}: driver exited {returncode} instead of dying by "
         f"SIGKILL:\n{log_path.read_text()}"

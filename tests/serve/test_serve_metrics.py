@@ -1,4 +1,4 @@
-"""The metrics plane end-to-end: registry wiring, slab scrapes, the
+"""The metrics plane end-to-end: registry wiring, shard scrapes, the
 write→notify latency pipeline, replay hygiene, and the exposition paths.
 
 The latency tests pin the plane's one subtle invariant: an ingress
@@ -10,7 +10,6 @@ measured against a dead epoch's clock is a bogus sample.
 """
 
 import math
-import time
 import urllib.error
 import urllib.request
 
@@ -59,18 +58,15 @@ class TestLatencyPipeline:
                 assert math.isfinite(lat[field])
             assert 0.0 < lat["p50"] <= lat["p95"] <= lat["p99"] < 3600.0
 
-    def test_shm_binary_path_latency_and_slab_scrape(self, graph, query):
+    def test_process_latency_and_stats_scrape(self, graph, query):
         """The acceptance path: real worker processes, binary frames on
-        the shm ring, latency measured end-to-end and shard metrics
-        scraped from the slabs without any control message."""
-        with make_server(
-            graph, query, executor="process", transport="shm"
-        ) as server:
-            assert server.transport == "shm"
+        the request pipe, latency measured end-to-end and every shard's
+        metrics scraped with one ``OP_STATS`` round trip each."""
+        with make_server(graph, query, executor="process") as server:
+            assert server.transport == "queue"
             nodes = list(graph.nodes())
             server.subscribe("watcher", nodes[:6])
             drive(server, nodes, rounds=6)
-            time.sleep(0.2)  # let workers publish their slabs
 
             lat = server.server_stats()["write_notify_latency"]
             assert lat["count"] > 0
@@ -78,14 +74,13 @@ class TestLatencyPipeline:
 
             m = server.metrics()
             assert set(m["shards"]) == {"0", "1"}
+            assert "rings" not in m
             for sid, shard in m["shards"].items():
                 assert shard["shard_batches_applied"] > 0, sid
                 assert shard["shard_writes_applied"] > 0, sid
                 assert shard["shard_apply_seconds"]["count"] > 0, sid
-            # Ring occupancy gauges come straight from the ring headers.
-            for ring in m["rings"].values():
-                assert ring["pushed"] > 0
-                assert ring["pushed"] >= ring["popped"]
+            load = server.server_stats()["shard_load"]
+            assert all(row["ring_depth"] == 0 for row in load)
 
     def test_timestamped_writes_carry_ingress(self, graph, query):
         """Explicit-timestamp batches take the door-pack fast path into a
@@ -233,7 +228,7 @@ class TestMetricsSnapshot:
             for key in (
                 "num_shards", "executor", "transport", "assignment",
                 "replication_factor", "shard_sizes", "writes_sent",
-                "writes_delivered", "shm_reads", "notifications_delivered",
+                "writes_delivered", "notifications_delivered",
                 "coalesced_flushes", "restarts", "replayed_batches",
                 "wal", "wal_bytes", "recovered_batches",
                 "shard_io", "codec_mix", "metrics_enabled",

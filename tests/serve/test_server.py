@@ -850,7 +850,7 @@ class TestInProcessSerialization:
                 overlap = {"active": 0, "max": 0}
                 overlaps.append(overlap)
 
-                def spy(request, more=None):
+                def spy(request):
                     with guard:
                         overlap["active"] += 1
                         overlap["max"] = max(
@@ -858,7 +858,7 @@ class TestInProcessSerialization:
                         )
                     try:
                         time.sleep(0.001)  # widen any unserialized window
-                        return orig(request, more)
+                        return orig(request)
                     finally:
                         with guard:
                             overlap["active"] -= 1

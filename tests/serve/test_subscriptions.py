@@ -43,7 +43,7 @@ from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 from repro.graph.generators import random_graph
 from repro.serve import EAGrServer, ResumeGapError, ServeError
-from repro.serve.messages import OP_SUBSCRIBE
+from repro.serve.messages import OP_READ, OP_SUBSCRIBE
 
 from tests.serve.faultlib import fail_journal_once
 
@@ -310,12 +310,13 @@ def test_a_reshard_between_resolving_and_reading_reads_the_new_owner():
         executor = server._executors[0]
         joins = []
 
-        def racing_read_local(*args):
-            del executor.read_local  # once
-            joins.append(race(server, lambda: server.reshard({ego: 1})))
-            return executor.read_local(*args)
+        def racing_submit(request):
+            if request[0] == OP_READ:
+                del executor.submit  # once
+                joins.append(race(server, lambda: server.reshard({ego: 1})))
+            return executor.submit(request)
 
-        executor.read_local = racing_read_local
+        executor.submit = racing_submit
         expected = oracle_after(graph, query, nodes, 3).read(ego)
         assert server.read(ego) == expected != 0.0
         joins[0]()

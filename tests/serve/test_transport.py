@@ -1,22 +1,20 @@
 """The transport seam: one worker loop, one process executor, one
-worker-replacement path — pinned once, over every transport.
+worker-replacement path — pinned once, over every executor.
 
 * ``TestWorkerLoop`` runs the single ``shard_worker`` loop, on a thread
-  of this process, over the worker half of each transport with a
-  scripted request sequence pre-loaded into the front half: what leaves
-  (replies, watermark) and what the host holds afterwards must be the
-  same on the queue and on the ring, except where the transports differ
-  on purpose (the ring merges fresh frames and saves empty write acks).
-  A kill point ends the thread instead of the process (``os._exit`` is
-  patched), so the host can be inspected *after* its death.
+  of this process, over the transport's worker half with a scripted
+  request sequence pre-loaded into the front half: what leaves (replies)
+  and what the host holds afterwards.  A kill point ends the thread
+  instead of the process (``os._exit`` is patched), so the host can be
+  inspected *after* its death.
 * ``test_stopped_and_killed_executors_answer_alike`` pins ``try_submit``
   / ``submit`` / ``stop`` / ``kill`` / ``alive`` after stop and after
-  kill over ``{inprocess, queue, shm}``.
+  kill over ``{inprocess, queue}``.
 * ``test_drainer_survives_a_failing_delivery`` is the silent-wedge
   regression: one exception in the reply handler used to kill the
   drainer thread, and every later call on the shard waited out
   ``reply_timeout``.
-* ``TestReplacementPaths`` is the matrix ``{inprocess, queue, shm}`` ×
+* ``TestReplacementPaths`` is the matrix ``{inprocess, queue}`` ×
   ``{restart_shard, reshard, WAL cold reopen}`` — the three callers of
   ``EAGrServer._replace_worker`` — against a brute-force oracle.
 """
@@ -58,14 +56,13 @@ from repro.serve.transport import open_transports
 
 from tests.serve.faultlib import (
     assert_contiguous,
-    assert_no_segments,
     fail_journal_once,
     kill_shard,
-    shm_segment_names,
     wait_until,
 )
 
-TRANSPORTS = ["queue", "shm"]
+#: the process transports (the queue is the only one).
+TRANSPORTS = ["queue"]
 #: rows in a write frame well past a 64 KiB pipe buffer (24 B per row).
 BIG_ROWS = 20_000
 ENGINE = {"overlay_algorithm": "identity", "dataflow": "all_push"}
@@ -82,27 +79,20 @@ def no_call(shard_id, op):
 @pytest.fixture
 def shard(request):
     """``(graph, query, transport, make_spec)`` for one single-shard
-    deployment on the parametrized transport (``None`` in-process);
-    segments checked gone."""
+    deployment on the parametrized transport (``None`` in-process)."""
     graph = random_graph(10, 30, seed=23)
     query = make_query()
-    transport = segments = None
+    transport = None
     if request.param != "inprocess":
-        transport = open_transports(
-            request.param, 1, query, False, "spawn", 8, 1 << 16, 0, 5.0, no_call
-        )[0]
-        segments = transport.segments
+        transport = open_transports(1, "spawn", 8, no_call)[0]
 
     def make_spec(**kwargs):
         return ShardSpec(
             graph, query, 0, 1, frozenset(graph.nodes()),
-            engine_kwargs=ENGINE, shm=segments, **kwargs,
+            engine_kwargs=ENGINE, **kwargs,
         )
 
-    yield graph, query, transport, make_spec
-    if transport is not None:
-        transport.close()
-        assert_no_segments((segments or {}).values(), tag=request.param)
+    return graph, query, transport, make_spec
 
 
 def batch(nodes, round_no):
@@ -113,7 +103,7 @@ def batch(nodes, round_no):
 
 
 # ---------------------------------------------------------------------------
-# the single worker loop, over both transports
+# the single worker loop
 # ---------------------------------------------------------------------------
 
 
@@ -149,17 +139,13 @@ class Loop:
             shard_worker(spec, half)
         except Died:
             self.died = True
-            # A real death takes its mappings with it; this one must
-            # drop them by hand (the loop's clean-exit path never ran).
-            close = getattr(self.host.engine.runtime.values, "close", None)
-            if close is not None:
-                close()
+            # A real death closes its pipe ends; this one must close them
+            # by hand (the loop's clean-exit path never ran).
             half.close()
 
     def send(self, *requests):
         for request in requests:
             assert self.transport.try_send(request, lambda: True)
-        self.transport.wake()
 
     def run(self):
         """Start the loop, wait for it to end, return every reply as
@@ -194,8 +180,8 @@ class TestWorkerLoop:
             (OP_STOP, 6),
         )
         # Every write moves watched egos, so its R_WRITE carries a change
-        # report and leaves on both transports; replies come back in
-        # request order and R_STOPPED ends the loop.
+        # report and leaves; replies come back in request order and
+        # R_STOPPED ends the loop.
         assert loop.run() == [
             (R_OK, 1), (R_WRITE, 2), (R_OK, 3), (R_WRITE, 4), (R_OK, 5),
             (R_STOPPED, 6),
@@ -220,35 +206,26 @@ class TestWorkerLoop:
         # second leaves no reply either way, the drain is never reached.
         assert loop.run() == [(R_OK, 1), (R_WRITE, 2)]
         assert loop.died
-        # before: batch 2 never applied; after: applied, yet ...
+        # before: batch 2 never applied; after: applied, yet no reply left.
         applied = 1 if point == "exit_before_writes" else 2
         assert loop.host.applied_through == applied
-        if transport.kind == "shm":
-            # ... neither reply nor watermark left.
-            transport.wait_applied(1, lambda: False)
-            with pytest.raises(ServeError, match="died before applying"):
-                transport.wait_applied(2, lambda: False)
 
     def test_redo_frames_never_merge(self, monkeypatch, shard):
         graph, query, transport, make_spec = shard
         nodes = list(graph.nodes())
-        loop = Loop(monkeypatch, make_spec(merge_after=3), transport)
+        loop = Loop(monkeypatch, make_spec(), transport)
         loop.send(
             *[(OP_WRITE, n, n, batch(nodes, n)) for n in range(1, 7)],
             (OP_READ, 7, nodes),
             (OP_STOP, 8),
         )
-        # Nobody watches, so no write has a change report to carry: both
-        # transports drop the empty write acks.
+        # Nobody watches, so no write has a change report to carry: the
+        # worker drops the empty write acks.
         assert loop.run() == [(R_OK, 7), (R_STOPPED, 8)]
         host = loop.host
-        if transport.kind == "shm":
-            # Batches 1-3 are redo (<= merge_after): one apply each.  4-6
-            # were all waiting: one merged apply.
-            assert host.batches == 4
-        else:
-            assert host.batches == 6  # the queue worker never merges
-        # Merged or not, the stamp advanced once per batch.
+        # Six frames waiting at once still apply as six batches, and the
+        # stamp advances once per batch.
+        assert host.batches == 6
         assert host.applied_through == 6
         assert host.engine.runtime.stamp == 6
         oracle = EAGrEngine(graph, query, **ENGINE)
@@ -258,12 +235,11 @@ class TestWorkerLoop:
 
     def test_only_empty_write_acks_are_dropped(self, monkeypatch, shard):
         """A write whose change report has rows and a write that fails
-        shard-side still reply on both transports; a write that moves no
-        watched ego leaves nothing.  (Redo frames, so the ring does not
-        merge the three writes into one apply.)"""
+        shard-side still reply; a write that moves no watched ego leaves
+        nothing."""
         graph, query, transport, make_spec = shard
         nodes = list(graph.nodes())
-        loop = Loop(monkeypatch, make_spec(merge_after=3), transport)
+        loop = Loop(monkeypatch, make_spec(), transport)
         loop.send(
             (OP_SUBSCRIBE, 1, "watcher", nodes),
             (OP_WRITE, 2, 1, batch(nodes, 1)),  # moves watched egos
@@ -301,14 +277,13 @@ def test_stopped_and_killed_executors_answer_alike(shard):
         )
 
     ends = ["kill", "stop"]  # later boots re-use the transport
-    if transport is not None and transport.kind == "queue":
+    if transport is not None:
         ends.append("kill mid-frame")
     for end in ends:
         ex = boot()
         assert ex.alive()
         assert ex.try_submit((OP_DRAIN, 1))
         ex.submit((OP_DRAIN, 2))
-        ex.flush_bell()
         wait_until(lambda: len(replies) >= 2, desc="live replies")
         if end == "kill mid-frame":
             # A frozen worker reads nothing, so a frame far larger than
@@ -373,7 +348,7 @@ def test_frames_larger_than_the_pipe_round_trip(kind):
     nodes = sorted(graph.nodes())
     server = EAGrServer(
         graph, make_query(), num_shards=1, executor="process",
-        transport=kind, ring_bytes=4 << 20, reply_timeout=60.0,
+        transport=kind, reply_timeout=60.0,
         # the subscriber reads once, at the end: its journal holds the run
         journal_capacity=1 << 16, **ENGINE,
     )
@@ -458,7 +433,7 @@ def test_drainer_survives_a_failing_delivery():
 
 
 # ---------------------------------------------------------------------------
-# the replacement path: {inprocess, queue, shm} x {restart, reshard, reopen}
+# the replacement path: {inprocess, queue} x {restart, reshard, reopen}
 # ---------------------------------------------------------------------------
 
 
@@ -476,7 +451,6 @@ def pad(request, tmp_path_factory):
         return EAGrServer(
             graph, query, num_shards=2, wal_dir=wal_dir, reply_timeout=30.0,
             executor="inprocess" if kind == "inprocess" else "process",
-            transport="auto" if kind == "inprocess" else kind,
             **ENGINE,
         )
 
@@ -488,9 +462,7 @@ def pad(request, tmp_path_factory):
     }
     env["sub"] = server.subscribe("watcher", env["nodes"])
     yield env
-    names = shm_segment_names(env["server"])
     env["server"].close()
-    assert_no_segments(names, tag=f"{kind} teardown:")
 
 
 def write(env, count=3):
@@ -530,17 +502,13 @@ class TestReplacementPaths:
         write(env, 2)  # accepted while dead: redo log
         assert server.restart_shard(0) >= 2
         write(env)
-        before = server.shm_reads
         check(env)
-        # The ring's cached view of the dead worker went with it: the
-        # zero-copy path serves again through a refetched handle map.
-        assert (server.shm_reads > before) == (env["kind"] == "shm")
 
     def test_reshard_changes_the_reader_set(self, pad):
         env, server = pad, pad["server"]
         write(env)
         server.drain()
-        server.read_batch(env["nodes"])  # views of the old reader sets cached
+        server.read_batch(env["nodes"])
         moves = {
             node: 1
             for node in sorted(server.reader_shard)
@@ -550,25 +518,13 @@ class TestReplacementPaths:
         assert moves, "shard 0 owns no readers in this seed"
         assert server.reshard(moves)["moved"] == len(moves)
         write(env)
-        final = check(env)
-        if env["kind"] == "shm":
-            # Shard 1's new worker serves the readers it gained straight
-            # from its (regrown) columns: handle map and attachment were
-            # both refetched, or these would be misses or stale slots.
-            moved = list(moves)
-            results = [None] * len(moved)
-            leftover = server._executors[1].read_local(
-                moved, list(range(len(moved))), results, 0
-            )
-            assert leftover == [] and results == [final[n] for n in moved]
+        check(env)
 
     def test_wal_cold_reopen(self, pad):
         env, old = pad, pad["server"]
         write(env)
         check(env)
-        names = shm_segment_names(old)
         old.close()
-        assert_no_segments(names, tag=f"{env['kind']} close:")
         server = env["server"] = env["boot"]()
         assert server.recovered_batches > 0
         resume_from = env["seen"][-1].stamp if env["seen"] else 0

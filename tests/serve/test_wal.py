@@ -663,7 +663,6 @@ def test_double_replay_of_redo_suffix_is_noop(tmp_path, seed):
             num_shards=2,
             readers=readers,
             checkpoint=state.checkpoints.get(shard_id),
-            merge_after=state.batch_no.get(shard_id, 0),
         )
         host = spec.build()
         redo = state.redo.get(shard_id, [])

@@ -45,7 +45,6 @@ from tests.serve.faultlib import (
     assert_contiguous,
     assert_subsequence,
     transitions_by_ego,
-    unlink_orphaned_segments,
 )
 
 DRIVER = wal_driver.__file__
@@ -125,7 +124,6 @@ def spawn_phase(tmp_path, sched, phase, extra_args):
             cmd, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
         )
         returncode = proc.wait(timeout=90)
-    unlink_orphaned_segments(proc.pid)
     assert returncode == -signal.SIGKILL, (
         f"{sched['id']} phase {phase}: driver exited {returncode} instead of "
         f"dying by SIGKILL:\n{log_path.read_text()}"
