@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import DynamicGraph
 from repro.core.overlay import NodeKind, Overlay
+from repro.dataflow import CostModel, FrequencyModel, decide_dataflow
 from repro.graph.bipartite import BipartiteGraph, build_bipartite
 from repro.graph.generators import social_graph, web_graph
 from repro.graph.neighborhoods import Neighborhood
@@ -176,6 +177,58 @@ class TestSameOverlays:
         result = construct_overlay(ag, algorithm)
         digest = construction_digest(result, with_stats=algorithm != "iob")
         assert digest == GOLDEN_OVERLAYS[graph, algorithm]
+
+
+#: sha256 of :func:`ordered_digest` for the VNM family: what
+#: :data:`GOLDEN_OVERLAYS` leaves out.  The digest keeps every ``inputs``
+#: and ``outputs`` dict in insertion order (the order in which the
+#: runtime merges floats), ``version`` and ``decision_version``, the
+#: dirty set the construction leaves, and the push/pull decisions,
+#: versions and dirty set after one ``decide_dataflow``.  Taken while
+#: the builder still edited the overlay one edge at a time.
+ORDERED_OVERLAYS = {
+    ("pa", "vnm"): "f9dd3e976f41bc01b1e9d7bf24172eeb3ad0e50f4086903837596a7db003ce89",
+    ("pa", "vnm_a"): "5167152f0bc13b1b2e733e355a6be06f1404bf872ad627a93cdd3e9243943a9d",
+    ("pa", "vnm_d"): "489013c7e5a6dfa8c34f9e0cf551d6825dfaeb7bbd2c6006a5bbf2bdcb4f3fd0",
+    ("pa", "vnm_n"): "b39578f2cae6659b036599efe6a8ac19311bbc1f3d55ff85e6558b4f6819e705",
+    ("social", "vnm"): "b0cd686bf6dbd9f4c8a1e4a6dcc006a879b33ffacb03e5c45a3493d7637e82f2",
+    ("social", "vnm_a"): "64ff2a833049f03560fb9cd4a1dae86db905085a1568e57ce5c7a15fd12571b5",
+    ("social", "vnm_d"): "8268402ac6b455a1bf1fdb91978e88d8f51a867440cdca2fabbc0315aa2a5cba",
+    ("social", "vnm_n"): "d633186bcdb1c0405e0faba11a77da852e8182bd3c3d85b21f1a18a2fdc3ad64",
+    ("web", "vnm"): "b1ef08f60c23c86d18242451844b90a571857243134c09dad5fbf9824f37e763",
+    ("web", "vnm_a"): "f5242ee6229bd1eea25c3a2facd0b26c8f7d7a16ab2887028c11be55608872d8",
+    ("web", "vnm_d"): "b97ed455cff2a5aeec189fdc70cb01cf843e1f21ad84ab5261557c81c5e5bb64",
+    ("web", "vnm_n"): "9d1f9d893c587c948c783e9d50819f3cd31bf0af4fba6fd1a3e29045a859e4d5",
+}
+
+
+def ordered_digest(graph, result):
+    overlay = result.overlay
+    rows = [
+        (handle, kind.name, list(inputs.items()), list(outputs))
+        for handle, (kind, inputs, outputs) in enumerate(
+            zip(overlay.kinds, overlay.inputs, overlay.outputs)
+        )
+    ]
+    built = (overlay.version, overlay.decision_version, sorted(overlay.pop_dirty()))
+    model = FrequencyModel.zipf(graph.nodes(), write_read_ratio=2.0, seed=3)
+    decide_dataflow(overlay, model, CostModel.constant_linear(), window_size=4.0)
+    decided = (
+        overlay.version,
+        overlay.decision_version,
+        sorted(overlay.pop_dirty()),
+        [decision.name for decision in overlay.decisions],
+    )
+    return hashlib.sha256(repr((rows, built, decided)).encode()).hexdigest()
+
+
+class TestSameOrders:
+    @pytest.mark.parametrize("graph,algorithm", sorted(ORDERED_OVERLAYS))
+    def test_ordered_overlay(self, graph, algorithm):
+        data_graph = GOLDEN_GRAPHS[graph]()
+        ag = build_bipartite(data_graph, Neighborhood.in_neighbors())
+        result = construct_overlay(ag, algorithm)
+        assert ordered_digest(data_graph, result) == ORDERED_OVERLAYS[graph, algorithm]
 
 
 class TestIOBImprovement:
