@@ -411,10 +411,7 @@ class Overlay:
 
     def sharing_index(self, ag: BipartiteGraph) -> float:
         """``1 - |E''| / |E'|`` (Section 3.1); positive when sharing helps."""
-        ag_edges = ag.num_edges
-        if ag_edges == 0:
-            return 0.0
-        return 1.0 - self.num_edges / ag_edges
+        return sharing_index(self.num_edges, ag.num_edges)
 
     def reader_depths(self) -> Dict[int, int]:
         """Longest writer→reader path length per reader (Section 5.2)."""
@@ -427,9 +424,7 @@ class Overlay:
 
     def memory_estimate(self) -> int:
         """Rough resident-size estimate in bytes (Figure 10(b) metric)."""
-        per_node = 120  # kind + label + dict headers
-        per_edge = 100  # two dict entries
-        return self.num_nodes * per_node + self.num_edges * per_edge
+        return memory_estimate(self.num_nodes, self.num_edges)
 
     # ------------------------------------------------------------------
     # compiled representation
@@ -489,37 +484,74 @@ class Overlay:
         (all-pull: social-network style on-demand; all-push: CEP style
         materialization); they differ only in dataflow decisions.
         """
-        writers = sorted(ag.writers, key=lambda n: (type(n).__name__, repr(n)))
-        readers = list(ag.reader_inputs)
-        num_writers, num_nodes = len(writers), len(writers) + len(readers)
-        # one int object per handle, shared by every dict that holds it
+        writers, readers, src, dst = identity_rows(ag)
+        return cls.from_rows(
+            writers, readers, 0, src, dst, np.ones(len(src), dtype=np.int64),
+            version=len(writers) + len(readers) + len(src),
+        )
+
+    @classmethod
+    def from_rows(
+        cls,
+        writers: List[NodeId],
+        readers: List[NodeId],
+        num_partials: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        sign: np.ndarray,
+        version: int,
+    ) -> "Overlay":
+        """The overlay whose edges are the rows ``src → dst`` with
+        ``sign``, as if added one by one in row order.
+
+        Handles number the writers, then the readers, then
+        ``num_partials`` partial nodes.  Each ``inputs`` dict lists its
+        edges in row order, and so does each ``outputs`` dict, which is
+        the order edge-by-edge inserts leave them in.  Every handle is
+        dirty, decisions are the defaults and ``version`` is taken as
+        given.  Every dict holds one int object per handle.
+        """
+        num_writers = len(writers)
+        num_nodes = num_writers + len(readers) + num_partials
         handles = list(range(num_nodes))
         overlay = cls()
-        overlay.kinds = [NodeKind.WRITER] * num_writers + [NodeKind.READER] * len(readers)
-        overlay.labels = writers + readers
-        overlay.decisions = [Decision.PUSH] * num_writers + [Decision.PULL] * len(readers)
+        overlay.kinds = (
+            [NodeKind.WRITER] * num_writers
+            + [NodeKind.READER] * len(readers)
+            + [NodeKind.PARTIAL] * num_partials
+        )
+        overlay.labels = [*writers, *readers, *[None] * num_partials]
+        overlay.decisions = [Decision.PUSH] * num_writers + [Decision.PULL] * (
+            num_nodes - num_writers
+        )
         overlay.writer_of = dict(zip(writers, handles))
         overlay.reader_of = dict(zip(readers, handles[num_writers:]))
-        # each reader's inputs in its member order, each writer's outputs in
-        # reader order: the order edge-by-edge inserts would leave them in
-        handle_of = overlay.writer_of.__getitem__
+        # rows by (dst, row) and by (src, row): one unique int64 key each
+        rows = np.arange(len(src), dtype=np.int64)
+        span = max(len(src), 1)
+        by_dst = np.argsort(dst * span + rows)
+        by_src = np.argsort(src * span + rows)
+        objects = np.array(handles, dtype=object)
+        sources = objects[src[by_dst]].tolist()
+        targets = objects[dst[by_src]].tolist()
+        in_bounds = [0, *np.cumsum(np.bincount(dst, minlength=num_nodes)).tolist()]
+        out_bounds = [0, *np.cumsum(np.bincount(src, minlength=num_nodes)).tolist()]
         inputs = [
-            dict.fromkeys(map(handle_of, members), 1)
-            for members in ag.reader_inputs.values()
+            dict.fromkeys(sources[start:end], 1)
+            for start, end in zip(in_bounds, in_bounds[1:])
         ]
-        fan_in = np.fromiter(map(len, inputs), np.int64, len(inputs))
-        num_edges = int(fan_in.sum())
-        sources = np.fromiter(itertools.chain.from_iterable(inputs), np.int64, num_edges)
-        by_source = np.argsort(sources, kind="stable")
-        reader_handles = np.fromiter(handles[num_writers:], object, len(readers))
-        targets = np.repeat(reader_handles, fan_in)[by_source].tolist()
-        ends = np.cumsum(np.bincount(sources, minlength=num_writers)).tolist()
-        overlay.inputs = [{} for _ in writers] + inputs
+        negative = sign < 0
+        if negative.any():
+            signs = sign[by_dst].tolist()
+            for handle in set(dst[negative].tolist()):
+                start, end = in_bounds[handle], in_bounds[handle + 1]
+                inputs[handle] = dict(zip(sources[start:end], signs[start:end]))
+        overlay.inputs = inputs
         overlay.outputs = [
-            dict.fromkeys(targets[start:end]) for start, end in zip([0] + ends, ends)
-        ] + [{} for _ in readers]
-        overlay._num_edges = num_edges
-        overlay.version = num_nodes + num_edges
+            dict.fromkeys(targets[start:end]) for start, end in zip(out_bounds, out_bounds[1:])
+        ]
+        overlay._num_edges = len(src)
+        overlay.version = version
         overlay._dirty = set(handles)
         return overlay
 
@@ -554,6 +586,40 @@ _KIND_CODES = {
 }
 #: the same codes by member identity (an enum member's hash runs in Python)
 _CODE_BY_ID = {id(kind): code for kind, code in _KIND_CODES.items()}
+
+
+def sharing_index(num_edges: int, ag_edges: int) -> float:
+    """``1 - |E''| / |E'|`` of an overlay with ``num_edges`` edges over an
+    ``AG`` with ``ag_edges``."""
+    if ag_edges == 0:
+        return 0.0
+    return 1.0 - num_edges / ag_edges
+
+
+def memory_estimate(num_nodes: int, num_edges: int) -> int:
+    """Rough resident-size estimate in bytes of an overlay this large."""
+    per_node = 120  # kind + label + dict headers
+    per_edge = 100  # two dict entries
+    return num_nodes * per_node + num_edges * per_edge
+
+
+def identity_rows(
+    ag: BipartiteGraph,
+) -> Tuple[List[NodeId], List[NodeId], np.ndarray, np.ndarray]:
+    """The identity overlay's writers (by ``(type name, repr)``), readers
+    (in ``ag`` order) and edge rows ``src → dst``: each reader's inputs in
+    its member order, reader after reader, as handles."""
+    writers = sorted(ag.writers, key=lambda n: (type(n).__name__, repr(n)))
+    readers = list(ag.reader_inputs)
+    handle_of = dict(zip(writers, range(len(writers))))
+    fan_in = np.fromiter(map(len, ag.reader_inputs.values()), np.int64, len(readers))
+    src = np.fromiter(
+        map(handle_of.__getitem__, itertools.chain.from_iterable(ag.reader_inputs.values())),
+        np.int64,
+        int(fan_in.sum()),
+    )
+    dst = np.repeat(np.arange(len(writers), len(writers) + len(readers), dtype=np.int64), fan_in)
+    return writers, readers, src, dst
 
 
 class OverlayCSR:

@@ -42,15 +42,22 @@ import collections
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.overlay import NodeKind, Overlay
+from repro.core.overlay import (
+    Overlay,
+    OverlayError,
+    identity_rows,
+    memory_estimate,
+    sharing_index,
+)
+from repro.core.pullrows import ragged_index
 from repro.graph.bipartite import BipartiteGraph
 from repro.overlay.fptree import Biclique, FPTree
 from repro.overlay.shingles import HashTable, chunk, int_repr_key, order_rows
-from repro.overlay.tries import GroupTries
+from repro.overlay.tries import GroupTries, Mined, csr_indptr
 
 _VARIANTS = ("vnm", "vnm_a", "vnm_n", "vnm_d")
 
@@ -141,26 +148,14 @@ def build_vnm(ag: BipartiteGraph, config: Optional[VNMConfig] = None, **override
 
 
 class _VNMBuilder:
-    """Stateful driver running VNM iterations over a working overlay."""
+    """Stateful driver running VNM iterations over the edge table."""
 
     def __init__(self, ag: BipartiteGraph, config: VNMConfig) -> None:
         self.ag = ag
         self.config = config
-        self.overlay = Overlay.identity(ag)
+        self.table = _EdgeTable(ag)
         self.duplicate_insensitive = config.variant == "vnm_d"
         self._peak_tree_nodes = 0
-        self._rows = _Rows(self.overlay)
-        #: handles whose inputs this iteration rewired
-        self._touched: Set[int] = set()
-        #: handles from here on are partial (virtual) nodes
-        self._first_partial = self.overlay.num_nodes
-        #: The overlay's own int object of each handle.  Mined ids come out
-        #: of numpy as fresh ints; edges are added with these instead, so
-        #: the overlay's dicts hold one object per node, not one per edge.
-        overlay = self.overlay
-        self._handles = sorted(
-            itertools.chain(overlay.writer_of.values(), overlay.reader_of.values())
-        )
         self._hashes = HashTable(config.num_shingles, config.seed)
 
     # ------------------------------------------------------------------
@@ -169,6 +164,7 @@ class _VNMBuilder:
         """Execute all configured iterations and collect statistics."""
         stats: List[IterationStats] = []
         chunk_size = self.config.chunk_size
+        table, ag_edges = self.table, self.ag.num_edges
         for iteration in range(1, self.config.iterations + 1):
             started = time.perf_counter()
             outcome = self._run_iteration(chunk_size)
@@ -180,9 +176,9 @@ class _VNMBuilder:
                     bicliques=outcome["bicliques"],
                     edges_saved=outcome["edges_saved"],
                     negative_edges_added=outcome["negative_edges"],
-                    sharing_index=self.overlay.sharing_index(self.ag),
+                    sharing_index=sharing_index(table.num_edges, ag_edges),
                     elapsed_seconds=elapsed,
-                    memory_estimate=self.overlay.memory_estimate()
+                    memory_estimate=memory_estimate(table.num_nodes, table.num_edges)
                     + self._peak_tree_nodes * 200,
                     benefit_by_width=outcome["benefit_by_width"],
                 )
@@ -201,7 +197,7 @@ class _VNMBuilder:
                         self.config.adapt_keep_fraction,
                     ),
                 )
-        return ConstructionResult(overlay=self.overlay, stats=stats, config=self.config)
+        return ConstructionResult(overlay=table.overlay(), stats=stats, config=self.config)
 
     # ------------------------------------------------------------------
 
@@ -215,13 +211,13 @@ class _VNMBuilder:
         paths), which keeps every item they can be covered by strictly
         upstream of them, so rewiring can never create a cycle.
         """
-        self._rows.update(self.overlay, self._touched)
-        self._touched.clear()
-        active = np.diff(self._rows.indptr) >= 2
+        table = self.table
+        table.refresh()
+        active = np.diff(table.indptr) >= 2
         if not self.config.virtual_transactions:
-            active[self._first_partial :] = False
+            active[table.first_partial :] = False
         handles = np.flatnonzero(active)
-        return (handles,) + self._rows.take(handles)
+        return (handles,) + table.take(handles)
 
     def _run_iteration(self, chunk_size: int) -> Dict[str, object]:
         config = self.config
@@ -237,20 +233,21 @@ class _VNMBuilder:
         order = order_rows(indptr, items, int_repr_key(handles), self._hashes)
 
         # VNM_D defers rewiring to the end of the iteration so overlapping
-        # groups can reuse edges; track consumed edges and vn assignments.
+        # groups can reuse edges; track consumed edges and, per reader, the
+        # bicliques whose virtual nodes it is assigned.
         mined_edges: Dict[int, Set[int]] = {}
         vn_assignments: Dict[int, List[int]] = {}
 
         if config.variant in ("vnm", "vnm_a"):
             handles = handles[order]
             tries = GroupTries(
-                *self._rows.take(handles),
+                *self.table.take(handles),
                 handles,
                 np.append(np.arange(0, len(handles), chunk_size), len(handles)),
                 config.min_item_frequency,
             )
             self._peak_tree_nodes = max(self._peak_tree_nodes, tries.peak_nodes)
-            found: Iterable[Biclique] = tries.bicliques()
+            found = _Found.from_mined(tries.mine())
         else:
             rows = items.tolist()
             bounds = indptr.tolist()
@@ -259,36 +256,41 @@ class _VNMBuilder:
                 for i, handle in enumerate(handles.tolist())
             }
             overlap = config.overlap if config.variant == "vnm_d" else 0.0
-            groups = chunk(handles[order].tolist(), chunk_size, overlap=overlap)
-            found = itertools.chain.from_iterable(
-                self._mine_group(group, transactions, mined_edges, vn_assignments)
-                for group in groups
-            )
+            negative = self.table.negative_targets() if config.variant == "vnm_n" else None
+            bicliques: List[Biclique] = []
+            for group in chunk(handles[order].tolist(), chunk_size, overlap=overlap):
+                self._mine_group(
+                    group, transactions, negative, bicliques, mined_edges, vn_assignments
+                )
+            found = _Found.from_bicliques(bicliques)
 
         benefit_by_width: Dict[int, int] = {}
-        for biclique in found:
-            if not self.duplicate_insensitive:
-                self._apply_biclique(biclique)
-            outcome["bicliques"] += 1  # type: ignore[operator]
-            outcome["edges_saved"] += biclique.benefit  # type: ignore[operator]
-            outcome["negative_edges"] += sum(  # type: ignore[operator]
-                len(v) for v in biclique.negatives.values()
-            )
-            width = biclique.width
-            benefit_by_width[width] = benefit_by_width.get(width, 0) + biclique.benefit
+        widths = np.diff(found.reader_indptr).tolist()
+        for width, benefit in zip(widths, found.benefit.tolist()):
+            benefit_by_width[width] = benefit_by_width.get(width, 0) + benefit
+        outcome["bicliques"] = len(widths)
+        outcome["edges_saved"] = int(found.benefit.sum())
+        outcome["negative_edges"] = len(found.negatives)
         outcome["benefit_by_width"] = benefit_by_width
 
         if self.duplicate_insensitive:
-            self._apply_deferred_rewiring(mined_edges, vn_assignments)
+            self._rewire_deferred(found, mined_edges, vn_assignments)
+        else:
+            self.table.rewire(found)
         return outcome
 
     def _mine_group(
         self,
         group: List[int],
         transactions: Dict[int, List[int]],
+        negative: Optional[np.ndarray],
+        found: List[Biclique],
         mined_edges: Dict[int, Set[int]],
         vn_assignments: Dict[int, List[int]],
-    ) -> List[Biclique]:
+    ) -> None:
+        """Mine one group's object FP-tree (``vnm_n`` / ``vnm_d``) and
+        append its bicliques to ``found``.  ``negative`` marks the handles
+        that already have a negative input (``vnm_n``)."""
         config = self.config
         # Per-group item frequencies; rare items cannot join a biclique of
         # width >= 2 within this group, so they are filtered out (they keep
@@ -305,7 +307,7 @@ class _VNMBuilder:
             if len(items) >= 2:
                 filtered[reader] = items
         if not filtered:
-            return []
+            return
 
         rank = {
             item: position
@@ -313,19 +315,18 @@ class _VNMBuilder:
                 sorted(eligible, key=lambda i: (-frequency[i], i))
             )
         }
-        tree = FPTree(rank)  # vnm_n / vnm_d only
+        tree = FPTree(rank)
+        first_partial = self.table.first_partial
         for reader in group:
             items = filtered.get(reader)
             if items is None:
                 continue
-            is_partial = self.overlay.kinds[reader] is NodeKind.PARTIAL
-            if config.variant == "vnm_n" and not is_partial:
-                forbidden = {
-                    src
-                    for src, sign in self.overlay.inputs[reader].items()
-                    if sign < 0
-                }
-                self._insert_with_negatives(tree, reader, items, forbidden)
+            if config.variant == "vnm_n" and reader < first_partial and not negative[reader]:
+                # A path's negative item must not already have an edge to
+                # the reader (one edge per node pair): readers that carry
+                # negative edges are inserted plainly, and stay minable
+                # through ordinary paths.
+                tree.insert_with_negatives(reader, items, k1=config.k1, k2=config.k2)
             elif config.variant == "vnm_d":
                 tree.insert(reader, items, mined_items=mined_edges.get(reader, ()))
             else:
@@ -338,7 +339,6 @@ class _VNMBuilder:
         # lower benefit" as the paper describes, instead of forfeiting the
         # rest of their sharing potential for this group.
         live_items: Dict[int, Set[int]] = {r: set(items) for r, items in filtered.items()}
-        found: List[Biclique] = []
         skip: Set[int] = set()
         while True:
             candidate = tree.mine_best(skip)
@@ -351,7 +351,9 @@ class _VNMBuilder:
                 skip.add(id(candidate.node))
                 continue
             if self.duplicate_insensitive:
-                self._record_deferred(biclique, mined_edges, vn_assignments)
+                for reader in biclique.readers:
+                    mined_edges.setdefault(reader, set()).update(biclique.covered[reader])
+                    vn_assignments.setdefault(reader, []).append(len(found))
             else:
                 for reader in biclique.readers:
                     remaining = live_items.get(reader)
@@ -364,154 +366,313 @@ class _VNMBuilder:
                 # nodes, so give them another chance.
                 skip.clear()
             found.append(biclique)
-        return found
 
-    def _insert_with_negatives(
+    def _rewire_deferred(
         self,
-        tree: FPTree,
-        reader: int,
-        items: List[int],
-        forbidden_negatives: Set[int],
-    ) -> None:
-        """VNM_N insertion with an overlay-consistency guard.
-
-        A candidate path is unusable if one of its negative items already has
-        a (negative) direct edge to the reader — the overlay permits one edge
-        per node pair.  We enforce this by filtering candidates post-hoc via
-        a wrapped insert; in practice collisions are rare, so the simple
-        approach of delegating and cleaning up is sufficient.
-        """
-        if not forbidden_negatives:
-            tree.insert_with_negatives(
-                reader, items, k1=self.config.k1, k2=self.config.k2
-            )
-            return
-        # Conservative fallback: readers that already carry negative edges
-        # are inserted plainly; they remain minable through ordinary paths.
-        tree.insert(reader, items)
-
-    # ------------------------------------------------------------------
-    # overlay rewiring
-    # ------------------------------------------------------------------
-
-    def _apply_biclique(self, biclique: Biclique) -> bool:
-        """Materialize a duplicate-sensitive biclique in the overlay."""
-        overlay, handle = self.overlay, self._handles
-        virtual = self._add_partial()
-        for item in biclique.items:
-            overlay.add_edge(handle[item], virtual, 1)
-        for reader in biclique.readers:
-            if overlay.kinds[reader] is NodeKind.PARTIAL:
-                # Guard against cycles when rewiring a virtual node that was
-                # itself inserted along a quasi-biclique path: every biclique
-                # item must stay strictly upstream of the rewired node.
-                if any(item == reader for item in biclique.items):
-                    continue
-            for item in biclique.covered[reader]:
-                overlay.remove_edge(item, reader)
-            overlay.add_edge(virtual, handle[reader], 1)
-            self._touched.add(reader)
-            for item in biclique.negatives[reader]:
-                overlay.add_edge(handle[item], handle[reader], -1)
-        return True
-
-    def _add_partial(self) -> int:
-        virtual = self.overlay.add_partial()
-        self._handles.append(virtual)
-        return virtual
-
-    def _record_deferred(
-        self,
-        biclique: Biclique,
-        mined_edges: Dict[int, Set[int]],
-        vn_assignments: Dict[int, List[int]],
-    ) -> bool:
-        """VNM_D: create the virtual node now, rewire readers at iteration end."""
-        virtual = self._add_partial()
-        for item in biclique.items:
-            self.overlay.add_edge(self._handles[item], virtual, 1)
-        for reader in biclique.readers:
-            mined_edges.setdefault(reader, set()).update(biclique.covered[reader])
-            vn_assignments.setdefault(reader, []).append(virtual)
-        return True
-
-    def _apply_deferred_rewiring(
-        self,
+        found: "_Found",
         mined_edges: Dict[int, Set[int]],
         vn_assignments: Dict[int, List[int]],
     ) -> None:
-        overlay = self.overlay
-        self._touched.update(mined_edges)
+        """VNM_D: every biclique's virtual node and its item edges, then
+        each reader's consumed edges replaced by edges from its virtual
+        nodes."""
+        table = self.table
+        first = table.add_virtuals(found)
+        consumed_src: List[int] = []
+        consumed_dst: List[int] = []
+        added_src: List[int] = []
+        added_dst: List[int] = []
         for reader, consumed in mined_edges.items():
-            for item in consumed:
-                if overlay.has_edge(item, reader):
-                    overlay.remove_edge(item, reader)
-            for virtual in vn_assignments.get(reader, ()):
-                if not overlay.has_edge(virtual, reader):
-                    overlay.add_edge(virtual, self._handles[reader], 1)
+            consumed_src.extend(consumed)
+            consumed_dst.extend([reader] * len(consumed))
+            for index in dict.fromkeys(vn_assignments.get(reader, ())):
+                added_src.append(first + index)
+                added_dst.append(reader)
+        rows = table.find(np.array(consumed_src, dtype=np.int64), np.array(consumed_dst, dtype=np.int64))
+        table.kill(rows[rows >= 0])
+        table.append(
+            np.array(added_src, dtype=np.int64),
+            np.array(added_dst, dtype=np.int64),
+            np.ones(len(added_src), dtype=np.int64),
+        )
 
 
-class _Rows:
-    """Every overlay handle's positive inputs, in the order of its inputs
-    dict, as a CSR kept across iterations.
+class _Found(NamedTuple):
+    """An iteration's bicliques as columns, in the order they are applied.
 
-    It is read from the overlay once; after that :meth:`update` re-reads
-    only the rows of handles the builder rewired and of new nodes.
+    Biclique ``b`` has items ``items[item_indptr[b]:item_indptr[b + 1]]``
+    and readers ``readers[reader_indptr[b]:reader_indptr[b + 1]]``.  The
+    ``p``-th (biclique, reader) pair in that order replaces the edges from
+    ``covered[covered_indptr[p]:covered_indptr[p + 1]]`` and needs negative
+    edges from ``negatives[negative_indptr[p]:negative_indptr[p + 1]]``.
     """
 
-    def __init__(self, overlay: Overlay) -> None:
-        rows = [_positive(inputs) for inputs in overlay.inputs]
-        self.indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
-        self.items = np.fromiter(
-            itertools.chain.from_iterable(rows), np.int64, int(self.indptr[-1])
+    item_indptr: np.ndarray
+    items: np.ndarray
+    reader_indptr: np.ndarray
+    readers: np.ndarray
+    covered_indptr: np.ndarray
+    covered: np.ndarray
+    negative_indptr: np.ndarray
+    negatives: np.ndarray
+    benefit: np.ndarray
+
+    @classmethod
+    def from_mined(cls, mined: Mined) -> "_Found":
+        """The column miner's bicliques: every reader covers the items."""
+        item_counts = np.diff(mined.item_indptr)
+        owner = np.repeat(np.arange(len(item_counts)), np.diff(mined.reader_indptr))
+        covered = mined.items[ragged_index(mined.item_indptr[owner], item_counts[owner])[0]]
+        return cls(
+            mined.item_indptr,
+            mined.items,
+            mined.reader_indptr,
+            mined.readers,
+            csr_indptr(item_counts[owner]),
+            covered,
+            np.zeros(len(owner) + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            mined.benefit,
         )
+
+    @classmethod
+    def from_bicliques(cls, bicliques: List[Biclique]) -> "_Found":
+        """The object tree's bicliques."""
+        pairs = [(b, reader) for b in bicliques for reader in b.readers]
+
+        def column(rows):
+            rows = list(rows)
+            counts = np.fromiter(map(len, rows), np.int64, len(rows))
+            flat = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(counts.sum()))
+            return csr_indptr(counts), flat
+
+        return cls(
+            *column(b.items for b in bicliques),
+            *column(b.readers for b in bicliques),
+            *column(b.covered[reader] for b, reader in pairs),
+            *column(b.negatives[reader] for b, reader in pairs),
+            np.fromiter((b.benefit for b in bicliques), np.int64, len(bicliques)),
+        )
+
+
+class _EdgeTable:
+    """The overlay under construction, as one table of edges.
+
+    Rows are edges in the order they were added: ``src`` / ``dst`` /
+    ``sign`` int64 columns and an ``alive`` mask.  Rewiring appends rows
+    and tombstones the rows it removes.  A handle's live rows by ``dst``,
+    in row order, are its ``inputs`` dict, and by ``src`` its ``outputs``
+    dict, so :meth:`overlay` builds the :class:`Overlay` that edge-by-edge
+    edits leave, ``version`` (one per node or edge added or removed) and
+    dirty set included.  Handles number the identity overlay's writers and
+    readers, then the partial nodes from ``first_partial`` on.
+
+    The miner reads every handle's positive inputs as a CSR (``indptr`` /
+    ``items``, each entry's table row in ``entry_rows``), which
+    :meth:`refresh` brings up to date from the rows tombstoned and
+    appended since.
+    """
+
+    def __init__(self, ag: BipartiteGraph) -> None:
+        self.writers, self.readers, src, dst = identity_rows(ag)
+        self.first_partial = self.num_nodes = len(self.writers) + len(self.readers)
+        self.rows = self.num_edges = len(src)
+        self.version = self.num_nodes + self.num_edges
+        self.src, self.dst = src, dst
+        self.sign = np.ones(len(src), dtype=np.int64)
+        self.alive = np.ones(len(src), dtype=bool)
+        self.indptr = csr_indptr(np.bincount(dst, minlength=self.num_nodes))
+        self.items = src.copy()
+        self.entry_rows = np.arange(len(src), dtype=np.int64)
+        self._read = self.rows
+
+    # -- edits -----------------------------------------------------------
+
+    def add_partials(self, count: int) -> int:
+        """Add ``count`` partial nodes; returns the first one's handle."""
+        first = self.num_nodes
+        self.num_nodes += count
+        self.version += count
+        return first
+
+    def append(self, src: np.ndarray, dst: np.ndarray, sign: np.ndarray) -> None:
+        """Add the edges ``src → dst`` with ``sign``, in that order."""
+        start, end = self.rows, self.rows + len(src)
+        if end > len(self.src):
+            capacity = max(end, 2 * len(self.src))
+            for name in ("src", "dst", "sign", "alive"):
+                column = getattr(self, name)
+                grown = np.zeros(capacity, dtype=column.dtype)
+                grown[:start] = column[:start]
+                setattr(self, name, grown)
+        self.src[start:end] = src
+        self.dst[start:end] = dst
+        self.sign[start:end] = sign
+        self.alive[start:end] = True
+        self.rows = end
+        self.num_edges += len(src)
+        self.version += len(src)
+
+    def kill(self, rows: np.ndarray) -> None:
+        """Remove the edges in ``rows`` (each live, none twice)."""
+        ordered = np.sort(rows)
+        if not self.alive[ordered].all() or (np.diff(ordered) == 0).any():
+            raise OverlayError("a rewiring removes an edge that is not present")
+        self.alive[rows] = False
+        self.num_edges -= len(rows)
+        self.version += len(rows)
+
+    def rewire(self, found: _Found) -> None:
+        """Materialize duplicate-sensitive bicliques, in order: each gets a
+        virtual node fed by its items, and each of its readers trades its
+        covered edges for one edge from the virtual node, plus a negative
+        edge from each of its negative items."""
+        count = len(found.benefit)
+        if not count:
+            return
+        virtual = self.add_partials(count) + np.arange(count)
+        item_counts = np.diff(found.item_indptr)
+        owner = np.repeat(np.arange(count), np.diff(found.reader_indptr))
+        readers = found.readers
+        # Guard against cycles when rewiring a virtual node that was itself
+        # inserted along a quasi-biclique path: every biclique item must stay
+        # strictly upstream of the rewired node.
+        kept = np.ones(len(readers), dtype=bool)
+        partial = np.flatnonzero(readers >= self.first_partial)
+        if len(partial):
+            entries = ragged_index(
+                found.item_indptr[owner[partial]], item_counts[owner[partial]]
+            )[0]
+            pair = np.repeat(partial, item_counts[owner[partial]])
+            kept[pair[found.items[entries] == readers[pair]]] = False
+        covered_pair = np.repeat(np.arange(len(readers)), np.diff(found.covered_indptr))
+        removed = kept[covered_pair]
+        rows = self.find(found.covered[removed], readers[covered_pair[removed]])
+        if (rows < 0).any():
+            raise OverlayError("a rewiring removes an edge that is not present")
+        self.kill(rows)
+
+        # new rows, biclique by biclique: its item edges, then per kept
+        # reader the virtual node's edge and the reader's negative edges
+        negative_counts = np.diff(found.negative_indptr) * kept
+        pair_rows = kept + negative_counts
+        block = item_counts + np.bincount(owner, weights=pair_rows, minlength=count).astype(np.int64)
+        block_start = np.cumsum(block) - block
+        pair_offset = np.cumsum(pair_rows) - pair_rows
+        pair_start = (
+            block_start[owner]
+            + item_counts[owner]
+            + pair_offset
+            - pair_offset[found.reader_indptr[:-1]][owner]
+        )
+        total = int(block.sum())
+        src = np.empty(total, dtype=np.int64)
+        dst = np.empty(total, dtype=np.int64)
+        sign = np.ones(total, dtype=np.int64)
+        at = ragged_index(block_start, item_counts)[0]
+        src[at] = found.items
+        dst[at] = np.repeat(virtual, item_counts)
+        at = pair_start[kept]
+        src[at] = virtual[owner[kept]]
+        dst[at] = readers[kept]
+        negative_pair = np.repeat(np.arange(len(readers)), np.diff(found.negative_indptr))
+        negative_kept = kept[negative_pair]
+        if negative_kept.any():
+            negative_pair = negative_pair[negative_kept]
+            at = ragged_index(pair_start[kept] + 1, negative_counts[kept])[0]
+            src[at] = found.negatives[negative_kept]
+            dst[at] = readers[negative_pair]
+            sign[at] = -1
+        self.append(src, dst, sign)
+
+    def add_virtuals(self, found: _Found) -> int:
+        """Give every biclique its virtual node fed by its items; returns
+        the first virtual node's handle."""
+        count = len(found.benefit)
+        first = self.add_partials(count)
+        item_counts = np.diff(found.item_indptr)
+        self.append(
+            found.items,
+            np.repeat(first + np.arange(count), item_counts),
+            np.ones(len(found.items), dtype=np.int64),
+        )
+        return first
+
+    # -- reads -----------------------------------------------------------
+
+    def refresh(self) -> None:
+        """Bring the positive-input CSR up to date: drop the entries whose
+        rows were tombstoned, and add the positive rows appended since,
+        after each handle's surviving entries (row order either way)."""
+        num_nodes = self.num_nodes
+        counts = np.diff(self.indptr)
+        owner = np.repeat(np.arange(len(counts)), counts)
+        live = self.alive[self.entry_rows]
+        owner, items, rows = owner[live], self.items[live], self.entry_rows[live]
+        new = np.arange(self._read, self.rows)
+        new = new[(self.sign[new] > 0) & self.alive[new]]
+        new = new[np.argsort(self.dst[new], kind="stable")]
+        new_owner = self.dst[new]
+        kept = np.bincount(owner, minlength=num_nodes)
+        added = np.bincount(new_owner, minlength=num_nodes)
+        indptr = csr_indptr(kept + added)
+        old_at = indptr[owner] + np.arange(len(owner)) - (np.cumsum(kept) - kept)[owner]
+        new_at = (
+            indptr[new_owner]
+            + kept[new_owner]
+            + np.arange(len(new))
+            - (np.cumsum(added) - added)[new_owner]
+        )
+        self.items = np.empty(int(indptr[-1]), dtype=np.int64)
+        self.entry_rows = np.empty(int(indptr[-1]), dtype=np.int64)
+        self.items[old_at], self.entry_rows[old_at] = items, rows
+        self.items[new_at], self.entry_rows[new_at] = self.src[new], new
+        self.indptr = indptr
+        self._read = self.rows
 
     def take(self, handles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The CSR of the rows of ``handles``, in that order."""
+        """The CSR of the positive inputs of ``handles``, in that order."""
         starts = self.indptr[handles]
         lengths = self.indptr[handles + 1] - starts
-        return _indptr(lengths), self.items[_ranges(starts, lengths)]
+        return csr_indptr(lengths), self.items[ragged_index(starts, lengths)[0]]
 
-    def update(self, overlay: Overlay, touched: Set[int]) -> None:
-        """Re-read the rows of ``touched`` handles and add new handles' rows."""
-        known = len(self.indptr) - 1
-        changed = np.array(
-            sorted(touched.union(range(known, overlay.num_nodes))), dtype=np.int64
+    def find(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The rows of the live positive edges ``src → dst`` among the CSR's
+        entries, ``-1`` where there is none."""
+        owners = np.flatnonzero(np.bincount(dst, minlength=len(self.indptr) - 1))
+        starts = self.indptr[owners]
+        counts = self.indptr[owners + 1] - starts
+        entries = ragged_index(starts, counts)[0]
+        if not len(entries):
+            return np.full(len(src), -1, dtype=np.int64)
+        span = self.num_nodes
+        keys = np.repeat(owners, counts) * span + self.items[entries]
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        wanted = dst * span + src
+        slot = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        rows = self.entry_rows[entries[by_key[slot]]]
+        return np.where((keys[slot] == wanted) & self.alive[rows], rows, -1)
+
+    def negative_targets(self) -> np.ndarray:
+        """Whether each handle has a live negative input."""
+        negative = np.zeros(self.num_nodes, dtype=bool)
+        rows = self.sign[: self.rows] < 0
+        negative[self.dst[: self.rows][rows & self.alive[: self.rows]]] = True
+        return negative
+
+    def overlay(self) -> Overlay:
+        """The :class:`Overlay` of the live rows."""
+        live = np.flatnonzero(self.alive[: self.rows])
+        return Overlay.from_rows(
+            self.writers,
+            self.readers,
+            self.num_nodes - self.first_partial,
+            self.src[live],
+            self.dst[live],
+            self.sign[live],
+            version=self.version,
         )
-        if not len(changed):
-            return
-        rows = [_positive(overlay.inputs[handle]) for handle in changed.tolist()]
-        lengths = np.zeros(overlay.num_nodes, dtype=np.int64)
-        lengths[:known] = np.diff(self.indptr)
-        stays = np.ones(known, dtype=bool)
-        stays[changed[changed < known]] = False
-        stays = np.flatnonzero(stays)
-        lengths[changed] = np.fromiter(map(len, rows), np.int64, len(rows))
-        indptr = _indptr(lengths)
-        items = np.empty(int(indptr[-1]), dtype=np.int64)
-        kept = lengths[stays]
-        items[_ranges(indptr[stays], kept)] = self.items[_ranges(self.indptr[stays], kept)]
-        items[_ranges(indptr[changed], lengths[changed])] = np.fromiter(
-            itertools.chain.from_iterable(rows), np.int64
-        )
-        self.indptr, self.items = indptr, items
-
-
-def _positive(inputs: Dict[int, int]) -> List[int]:
-    return [src for src, sign in inputs.items() if sign > 0]
-
-
-def _indptr(lengths: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``starts[i]:starts[i] + lengths[i]``."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)
 
 
 def _adapt_chunk_size(
