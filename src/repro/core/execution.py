@@ -353,6 +353,89 @@ class _ScatterTable:
         return idx, counts
 
 
+def scatter_table(csr: OverlayCSR) -> _ScatterTable:
+    """Every writer's compiled push frontier as ragged rows.
+
+    Rows replay the exact ``(dst, cumulative_sign)`` application order
+    of :meth:`Runtime._compile_push_plan`, so a whole-batch ``np.add.at`` over
+    concatenated rows performs the same additions, in the same order,
+    as the per-writer Python loop.  That order is recursive: a push
+    node's row is its out-edges in order, then the rows of its push
+    children, last edge first, each scaled by the edge's sign.  Rows
+    are built for every push node, height by height from the push
+    nodes with no push child, as ragged copies of the children's rows.
+    """
+    n = csr.num_nodes
+    out_indptr = np.asarray(csr.out_indptr, dtype=np.int64)
+    out_dst = np.asarray(csr.out_indices, dtype=np.int64)
+    out_sign = np.asarray(csr.out_signs, dtype=np.int64)
+    push = np.asarray(csr.push, dtype=bool)
+    fan_out = np.diff(out_indptr)
+    out_src = np.repeat(np.arange(n, dtype=np.int64), fan_out)
+    # push → push edges (a push node's inputs are all push)
+    child = np.flatnonzero(push[out_dst])
+    height = np.zeros(n, dtype=np.int64)
+    while True:
+        taller = height.copy()
+        np.maximum.at(taller, out_src[child], height[out_dst[child]] + 1)
+        if np.array_equal(taller, height):
+            break
+        height = taller
+    levels = [
+        np.flatnonzero(push & (height == h)) for h in range(int(height.max(initial=0)) + 1)
+    ]
+    by_level = np.argsort(height[out_src[child]], kind="stable")
+    child = child[by_level]
+    child_bounds = np.searchsorted(height[out_src[child]], np.arange(len(levels) + 1))
+    # row lengths, then the rows, level by level
+    length = np.where(push, fan_out, 0)
+    for h in range(1, len(levels)):
+        edges = child[child_bounds[h] : child_bounds[h + 1]]
+        np.add.at(length, out_src[edges], length[out_dst[edges]])
+    row_start = np.cumsum(length) - length
+    row_dst = np.empty(int(length.sum()), dtype=np.int64)
+    row_coeff = np.empty(len(row_dst), dtype=np.int64)
+    for h, level in enumerate(levels):
+        starts = out_indptr[level]
+        edges = ragged_index(starts, fan_out[level])[0]
+        at = row_start[out_src[edges]] + edges - out_indptr[out_src[edges]]
+        row_dst[at] = out_dst[edges]
+        row_coeff[at] = out_sign[edges]
+        if not h:
+            continue
+        # the children's rows, each node's last push child first
+        edges = child[child_bounds[h] : child_bounds[h + 1]]
+        edges = edges[np.lexsort((-edges, out_src[edges]))]
+        parent, below = out_src[edges], out_dst[edges]
+        size = length[below]
+        offset = np.cumsum(size) - size
+        first = np.flatnonzero(np.diff(parent, prepend=-1))
+        offset -= np.repeat(offset[first], np.diff(first, append=len(parent)))
+        source = ragged_index(row_start[below], size)[0]
+        target = ragged_index(row_start[parent] + fan_out[parent] + offset, size)[0]
+        row_dst[target] = row_dst[source]
+        row_coeff[target] = row_coeff[source] * np.repeat(out_sign[edges], size)
+    writers = np.flatnonzero(np.asarray(csr.kinds) == KIND_WRITER)
+    entries = ragged_index(row_start[writers], length[writers])[0]
+    dst = row_dst[entries]
+    pushed = push[dst]
+    counts = np.zeros(n, dtype=np.int64)
+    counts[writers] = length[writers]
+    push_counts = np.zeros(n, dtype=np.int64)
+    push_counts[writers] = np.bincount(
+        np.repeat(np.arange(len(writers)), length[writers])[pushed],
+        minlength=len(writers),
+    )
+    return _ScatterTable(
+        indptr=np.concatenate(([0], np.cumsum(counts))),
+        dst=dst,
+        push_indptr=np.concatenate(([0], np.cumsum(push_counts))),
+        push_dst=dst[pushed],
+        push_coeff=row_coeff[entries][pushed].astype(np.int8),
+    )
+
+
+
 class Runtime:
     """Executes one compiled query over an annotated overlay."""
 
@@ -1072,48 +1155,9 @@ class Runtime:
         return self.stamp, self.changed_readers()
 
     def _build_scatter_table(self) -> _ScatterTable:
-        """Freeze every writer's compiled push frontier into ragged rows.
-
-        Rows replay the exact ``(dst, cumulative_sign)`` application order
-        of :meth:`_compile_push_plan`, so a whole-batch ``np.add.at`` over
-        concatenated rows performs the same additions, in the same order,
-        as the per-writer Python loop.
-        """
-        csr = self._ensure_csr()
-        out_indptr = csr.out_indptr
-        out_indices = csr.out_indices
-        out_signs = csr.out_signs
-        push = csr.push
-        kinds = csr.kinds
-        n = self.overlay.num_nodes
-        indptr = [0] * (n + 1)
-        dsts: List[int] = []
-        push_indptr = [0] * (n + 1)
-        push_dsts: List[int] = []
-        push_coeffs: List[int] = []
-        for handle in range(n):
-            if kinds[handle] == KIND_WRITER:
-                stack: List[Tuple[int, int]] = [(handle, 1)]
-                while stack:
-                    node, carried = stack.pop()
-                    for i in range(out_indptr[node], out_indptr[node + 1]):
-                        dst = out_indices[i]
-                        sign = carried * out_signs[i]
-                        dsts.append(dst)
-                        if push[dst]:
-                            push_dsts.append(dst)
-                            push_coeffs.append(sign)
-                            stack.append((dst, sign))
-            indptr[handle + 1] = len(dsts)
-            push_indptr[handle + 1] = len(push_dsts)
-        table = _ScatterTable(
-            indptr=np.asarray(indptr, dtype=np.int64),
-            dst=np.asarray(dsts, dtype=np.int64),
-            push_indptr=np.asarray(push_indptr, dtype=np.int64),
-            push_dst=np.asarray(push_dsts, dtype=np.int64),
-            push_coeff=np.asarray(push_coeffs, dtype=np.int8),
-        )
-        self._scatter = table
+        """Freeze every writer's compiled push frontier into ragged rows
+        (:func:`scatter_table`)."""
+        table = self._scatter = scatter_table(self._ensure_csr())
         self.scatter_builds += 1
         return table
 

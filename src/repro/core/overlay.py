@@ -76,6 +76,8 @@ class Overlay:
         #: Bumped whenever any node's push/pull decision actually changes.
         self.decision_version = 0
         self._dirty: Set[int] = set()
+        #: (version, order) of the last topological order taken
+        self._order: Tuple[int, List[int]] = (-1, [])
 
     # ------------------------------------------------------------------
     # plan-cache dirty tracking
@@ -288,7 +290,15 @@ class Overlay:
     # ------------------------------------------------------------------
 
     def topological_order(self) -> List[int]:
-        """Writers-first topological order; raises if the overlay has a cycle."""
+        """Writers-first topological order; raises if the overlay has a cycle.
+
+        Taken once per ``version``: every caller at the same version (the
+        §4 decision, then the runtime it annotates) gets a copy of one
+        order.
+        """
+        version, order = self._order
+        if version == self.version:
+            return list(order)
         indegree = list(map(len, self.inputs))
         frontier = [h for h, degree in enumerate(indegree) if not degree]
         order: List[int] = []
@@ -303,7 +313,8 @@ class Overlay:
                     push(dst)
         if len(order) != self.num_nodes:
             raise OverlayError("overlay contains a cycle")
-        return order
+        self._order = (self.version, order)
+        return list(order)
 
     def upstream(self, handle: int) -> Set[int]:
         """All nodes with a directed path to ``handle`` (exclusive)."""
@@ -446,15 +457,18 @@ class Overlay:
         out_counts = list(map(len, self.outputs))
         out_indptr = [0, *itertools.accumulate(out_counts)]
         out_indices = list(itertools.chain.from_iterable(self.outputs))
-        # an out-edge's sign is its in-edge's: find it by (dst, src) key
-        in_keys = np.repeat(np.arange(n, dtype=np.int64), fan_in) * n + in_indices
-        by_key = np.argsort(in_keys)
-        out_keys = np.asarray(out_indices, dtype=np.int64) * n + np.repeat(
-            np.arange(n, dtype=np.int64), out_counts
-        )
-        out_signs = np.asarray(in_signs, dtype=np.int64)[
-            by_key[np.searchsorted(in_keys[by_key], out_keys)]
-        ].tolist()
+        if -1 in in_signs:
+            # an out-edge's sign is its in-edge's: find it by (dst, src) key
+            in_keys = np.repeat(np.arange(n, dtype=np.int64), fan_in) * n + in_indices
+            by_key = np.argsort(in_keys)
+            out_keys = np.asarray(out_indices, dtype=np.int64) * n + np.repeat(
+                np.arange(n, dtype=np.int64), out_counts
+            )
+            out_signs = np.asarray(in_signs, dtype=np.int64)[
+                by_key[np.searchsorted(in_keys[by_key], out_keys)]
+            ].tolist()
+        else:
+            out_signs = [1] * len(out_indices)
         push = list(map(int, map(operator.is_, self.decisions, itertools.repeat(Decision.PUSH))))
         kinds = self.kind_codes()
         return OverlayCSR(

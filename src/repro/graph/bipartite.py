@@ -17,6 +17,7 @@ FP-tree item ordering).
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import operator
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
@@ -130,12 +131,14 @@ def build_bipartite(
     """
     reader_inputs: Dict[NodeId, Tuple[NodeId, ...]] = {}
     universe = graph.nodes() if readers is None else readers
+    # one plain hop reads each reader's members straight off the graph
+    members_of = neighborhood.one_hop(graph) or functools.partial(neighborhood, graph)
     for node in universe:
         if node not in graph:
             continue
         if predicate is not None and not predicate(node):
             continue
-        members = neighborhood(graph, node)
+        members = members_of(node)
         if members:
             reader_inputs[node] = tuple(members)
     return BipartiteGraph(reader_inputs)

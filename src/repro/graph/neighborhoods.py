@@ -116,6 +116,22 @@ class Neighborhood:
             members = {m for m in members if self.node_filter(graph, m)}
         return members
 
+    def one_hop(self, graph: DynamicGraph) -> Optional[Callable[[NodeId], Set[NodeId]]]:
+        """``N`` on ``graph`` as a look-up, when it is one hop with no
+        filter: a reader's members are then the graph's own in-, out- or
+        undirected neighbour set (no node is its own neighbour), plus the
+        node with ``include_self``.  Equal to calling this neighbourhood,
+        without its per-call set algebra; the sets returned must not be
+        modified.  ``None`` for any other neighbourhood."""
+        if self.hops != 1 or self.node_filter is not None:
+            return None
+        step = {IN: graph.in_neighbors, OUT: graph.out_neighbors, BOTH: graph.neighbors}[
+            self.direction
+        ]
+        if self.include_self:
+            return lambda node: step(node) | {node}
+        return step
+
     def affected_readers(self, graph: DynamicGraph, node: NodeId) -> Set[NodeId]:
         """Readers whose ``N(r)`` may include ``node`` (reverse expansion).
 

@@ -145,6 +145,60 @@ class TestBipartite:
         assert list(ag.writer_out_degree.items()) == list(degree.items())
 
 
+def per_reader_bipartite(graph, neighborhood, predicate=None, readers=None):
+    """``AG`` with one ``neighborhood(graph, node)`` call per reader."""
+    universe = graph.nodes() if readers is None else readers
+    return BipartiteGraph(
+        {
+            node: tuple(neighborhood(graph, node))
+            for node in universe
+            if node in graph
+            and (predicate is None or predicate(node))
+            and neighborhood(graph, node)
+        }
+    )
+
+
+class TestOneHop:
+    """One plain hop reads the graph's neighbour sets in bulk; every
+    ``reader_inputs`` tuple and out-degree must equal the per-reader
+    construction's, in order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        edges=edge_lists,
+        direction=st.sampled_from(["in", "out", "both"]),
+        include_self=st.booleans(),
+        keep=st.one_of(st.none(), st.sets(node_ids)),
+    )
+    def test_equals_per_reader(self, edges, direction, include_self, keep):
+        graph = DynamicGraph.from_edges(edges)
+        neighborhood = Neighborhood(hops=1, direction=direction, include_self=include_self)
+        assert neighborhood.one_hop(graph) is not None
+        predicate = None if keep is None else (lambda node: node in keep)
+        ag = build_bipartite(graph, neighborhood, predicate)
+        want = per_reader_bipartite(graph, neighborhood, predicate)
+        assert list(ag.reader_inputs.items()) == list(want.reader_inputs.items())
+        assert list(ag.writer_out_degree.items()) == list(want.writer_out_degree.items())
+
+    def test_engine_graph(self):
+        graph = random_graph(400, 3200, seed=11)
+        for neighborhood in (Neighborhood.in_neighbors(), Neighborhood.undirected()):
+            ag = build_bipartite(graph, neighborhood)
+            want = per_reader_bipartite(graph, neighborhood)
+            assert list(ag.reader_inputs.items()) == list(want.reader_inputs.items())
+
+    def test_other_neighborhoods_are_called_per_reader(self):
+        graph = random_graph(30, 90, seed=4)
+        assert Neighborhood.in_neighbors(hops=2).one_hop(graph) is None
+        filtered = Neighborhood(node_filter=lambda g, node: node % 2 == 0)
+        assert filtered.one_hop(graph) is None
+        for neighborhood in (Neighborhood.in_neighbors(hops=2), filtered):
+            ag = build_bipartite(graph, neighborhood)
+            want = per_reader_bipartite(graph, neighborhood)
+            assert list(ag.reader_inputs.items()) == list(want.reader_inputs.items())
+
+
 class TestIdentity:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(edges=edge_lists)
