@@ -143,10 +143,9 @@ class ProcessShardExecutor:
         ``on_error(exc)``, called on the drainer thread.
     transport:
         The shard's :class:`~repro.serve.transport.QueueTransport`.
-    mp_context:
-        ``multiprocessing`` start method.  ``spawn`` (default) is the
-        portable, state-clean choice; ``fork`` starts faster on POSIX but
-        inherits the parent's whole heap.
+
+    The worker is started with ``spawn``: a clean interpreter that
+    rebuilds its shard from the picklable spec.
     """
 
     kind = "process"
@@ -157,7 +156,6 @@ class ProcessShardExecutor:
         on_reply: OnReply,
         on_error: Callable[[Exception], None],
         transport,
-        mp_context: str = "spawn",
     ) -> None:
         import multiprocessing
 
@@ -168,7 +166,7 @@ class ProcessShardExecutor:
         self.transport = transport
         transport.reset()
         self.io = transport.io
-        self._process = multiprocessing.get_context(mp_context).Process(
+        self._process = multiprocessing.get_context("spawn").Process(
             target=shard_worker,
             args=(spec, transport.worker_half()),
             name=f"eagr-shard-{spec.shard_id}",

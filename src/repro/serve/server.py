@@ -266,8 +266,6 @@ class EAGrServer:
         Request frames in flight per shard — the backpressure window.
     coalesce_max:
         Outbox size that forces a blocking flush on a backed-up shard.
-    mp_context:
-        Start method for process executors (``spawn`` default).
     reply_timeout:
         Seconds to wait for any single shard reply before raising
         :class:`ServeError`.
@@ -318,7 +316,6 @@ class EAGrServer:
         assign: Optional[Callable[[NodeId], int]] = None,
         queue_depth: int = 8,
         coalesce_max: int = 8192,
-        mp_context: str = "spawn",
         reply_timeout: float = 120.0,
         journal_capacity: int = 4096,
         journal_dir: Optional[str] = None,
@@ -385,7 +382,6 @@ class EAGrServer:
         self.executor_kind = executor
         self._coalesce_max = coalesce_max
         self._reply_timeout = reply_timeout
-        self._mp_context = mp_context
         self._checkpoint_interval = checkpoint_interval
 
         # -- live resharding state ---------------------------------------
@@ -523,7 +519,7 @@ class EAGrServer:
         self._transports: List[Any] = []
         if self.executor_kind == "process":
             self._transports = open_transports(
-                num_shards, self._mp_context, queue_depth, self._call
+                num_shards, queue_depth, self._call
             )
 
         self.specs = [
@@ -610,7 +606,6 @@ class EAGrServer:
                 on_reply,
                 partial(self._fail_shard, shard_id, "reply delivery failed"),
                 self._transports[shard_id],
-                self._mp_context,
             )
         else:
             self._executors[shard_id] = InProcessShardExecutor(spec, on_reply)

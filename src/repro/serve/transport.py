@@ -339,13 +339,13 @@ class _QueueWorker:
 
 
 def open_transports(
-    num_shards: int, mp_context: str, queue_depth: int, call: Callable[[int, int], Any]
+    num_shards: int, queue_depth: int, call: Callable[[int, int], Any]
 ) -> List[QueueTransport]:
     """One transport per shard of a process deployment; ``call(shard_id,
     op)`` is the front-end's awaited control request."""
     import multiprocessing
 
-    ctx = multiprocessing.get_context(mp_context)
+    ctx = multiprocessing.get_context("spawn")
     return [
         QueueTransport(ctx, shard_id, queue_depth, partial(call, shard_id))
         for shard_id in range(num_shards)

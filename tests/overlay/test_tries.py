@@ -28,8 +28,9 @@ from repro.overlay.vnm import build_vnm
 def fptree_greedy(group, min_frequency=2):
     """The object tree's greedy loop over one group ``{reader: items}``.
 
-    Returns the bicliques, the initial tree's node count and how many
-    re-insertions walked into a node an extraction had emptied.
+    Returns the bicliques, the initial tree's node count, how many
+    re-insertions walked into a node an extraction had emptied and how
+    many extracted readers kept a rest shorter than two items.
     """
     frequency = collections.Counter(itertools.chain.from_iterable(group.values()))
     eligible = {item for item, f in frequency.items() if f >= min_frequency}
@@ -39,24 +40,25 @@ def fptree_greedy(group, min_frequency=2):
         if len(kept) >= 2:
             filtered[reader] = kept
     if not filtered:
-        return [], 0, 0
+        return [], 0, 0, 0
     ranked = sorted(eligible, key=lambda item: (-frequency[item], item))
     tree = FPTree({item: position for position, item in enumerate(ranked)})
     for reader, items in filtered.items():
         tree.insert(reader, items)
     initial_nodes = tree.num_nodes
     live = {reader: set(items) for reader, items in filtered.items()}
-    found, revived = [], 0
+    found, revived, short = [], 0, 0
     while True:
         candidate = tree.mine_best()
         if candidate is None:
-            return found, initial_nodes, revived
+            return found, initial_nodes, revived, short
         biclique = tree.extract(candidate)
         assert biclique is not None
         found.append(biclique)
         for reader in biclique.readers:
             live[reader] -= set(biclique.covered[reader])
             if len(live[reader]) < 2:
+                short += 1
                 continue
             node = tree.root
             for item in sorted(live[reader], key=ranked.index):
@@ -136,13 +138,13 @@ class TestColumnMinerEqualsFPTree:
         found, peak = column_groups(groups)
         expected_peak = 0
         for group, column in zip(groups, found):
-            expected, initial_nodes, _ = fptree_greedy(group)
+            expected, initial_nodes, _, _ = fptree_greedy(group)
             assert signature(column) == signature(expected)
             expected_peak = max(expected_peak, initial_nodes)
         assert peak == expected_peak
 
     def test_the_reviving_group_revives_an_emptied_node(self):
-        expected, _, revived = fptree_greedy(REVIVING)
+        expected, _, revived, _ = fptree_greedy(REVIVING)
         assert revived > 0
         assert signature(column_groups([REVIVING])[0][0]) == signature(expected)
 
@@ -155,6 +157,62 @@ class TestColumnMinerEqualsFPTree:
         found, peak = column_groups([{8: [0, 1], 9: [2, 3]}, {10: [0]}])
         assert found == [[], []]
         assert peak == 0
+
+
+@st.composite
+def many_groups(draw):
+    """2-6 groups over disjoint readers (ids across ``repr`` boundaries),
+    each drawn like :func:`tied_groups`' groups: a few repeated base
+    transactions over few items, so benefits tie, extracted readers come
+    back with rests of every length and emptied nodes fill again."""
+    readers = draw(st.permutations(READERS + list(range(1000, 1012))))
+    groups, at = [], 0
+    for _ in range(draw(st.integers(2, 6))):
+        if at == len(readers):
+            break
+        size = draw(st.integers(1, min(8, len(readers) - at)))
+        base = draw(st.lists(TRANSACTION, min_size=1, max_size=3))
+        rows = st.one_of(st.sampled_from(base), st.sampled_from(base), TRANSACTION)
+        groups.append({reader: list(draw(rows)) for reader in readers[at : at + size]})
+        at += size
+    return groups
+
+
+#: a group whose extraction leaves readers with a rest of one item
+SHORT_RESTS = repeated(([0, 1, 2], 3), ([0, 1], 2))
+
+
+class TestAllGroupsStep:
+    """The all-groups greedy step emits, in one sequence, exactly the
+    bicliques of the group-by-group :class:`FPTree` loop, in (group,
+    round) order."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(groups=many_groups())
+    @example(groups=[REVIVING, SHORT_RESTS, repeated(([0, 1, 2], 3), ([3, 4, 5], 3))])
+    @example(groups=[SHORT_RESTS, {8: [5, 4], 9: [4, 5]}, REVIVING])
+    def test_same_sequence_as_the_per_group_loop(self, groups):
+        readers = [reader for group in groups for reader in group]
+        rows = [items for group in groups for items in group.values()]
+        tries = GroupTries(
+            np.cumsum([0] + [len(row) for row in rows]),
+            np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64),
+            np.array(readers, dtype=np.int64),
+            np.cumsum([0] + [len(group) for group in groups]),
+            2,
+        )
+        expected = []
+        for group in groups:
+            expected.extend(fptree_greedy(group)[0])
+        assert signature(tries.bicliques()) == signature(expected)
+
+    def test_the_examples_tie_revive_and_leave_short_rests(self):
+        _, _, revived, _ = fptree_greedy(REVIVING)
+        found, _, _, short = fptree_greedy(SHORT_RESTS)
+        assert revived > 0 and short > 0
+        tied = repeated(([0, 1, 2], 3), ([3, 4, 5], 3))
+        first, second = fptree_greedy(tied)[0][:2]
+        assert first.benefit == second.benefit
 
 
 class TestPlainVariantsBuildNoFPTree:
