@@ -84,7 +84,7 @@ def shard(request):
     query = make_query()
     transport = None
     if request.param != "inprocess":
-        transport = open_transports(1, "spawn", 8, no_call)[0]
+        transport = open_transports(1, 8, no_call)[0]
 
     def make_spec(**kwargs):
         return ShardSpec(
