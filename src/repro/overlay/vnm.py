@@ -20,20 +20,24 @@ Four variants share one driver:
   mined sets, charged by the benefit function), so bicliques may reuse
   edges, which is safe for MAX-like aggregates.
 
-The driver operates directly on an :class:`~repro.core.overlay.Overlay`
-seeded with the identity (direct writer→reader) edges; transactions for
-mining are the readers' *current* positive input lists, so virtual nodes
-from earlier iterations participate as items (and, for the duplicate-
-sensitive variants, as transactions too — this is what creates
-virtual→virtual edges and hence multi-level overlays).
+The driver works on one edge table seeded with the identity (direct
+writer→reader) edges: ``src`` / ``dst`` / ``sign`` columns with an alive
+mask, where a rewiring appends rows and tombstones the rows it removes.
+The :class:`~repro.core.overlay.Overlay` is built from the live rows once,
+at the end, with every ``inputs`` / ``outputs`` dict in the order
+edge-by-edge edits would leave it, and the same ``version`` and dirty set.
+Transactions for mining are the readers' *current* positive input lists,
+so virtual nodes from earlier iterations participate as items (and, for
+the duplicate-sensitive variants, as transactions too — this is what
+creates virtual→virtual edges and hence multi-level overlays).  They are
+read from a CSR of every handle's positive inputs, brought up to date from
+the rows tombstoned and appended since the previous iteration.
 
-The transactions are a CSR kept across iterations: a rewiring marks the
-readers it touched and only their rows, and the new virtual nodes', are
-re-read.  ``vnm`` and ``vnm_a`` build every group's FP-tree at once as
-columns (:mod:`repro.overlay.tries`).  ``vnm_n`` and ``vnm_d`` need the
-negative and mined registrations of :class:`~repro.overlay.fptree.FPTree`
-and mine one object tree per group.  Both produce the same
-:class:`~repro.overlay.fptree.Biclique` records.
+``vnm`` and ``vnm_a`` mine every group's FP-tree at once as columns
+(:mod:`repro.overlay.tries`).  ``vnm_n`` and ``vnm_d`` need the negative
+and mined registrations of :class:`~repro.overlay.fptree.FPTree` and mine
+one object tree per group.  Either way an iteration's bicliques are
+applied to the table in one pass, in the order they were found.
 """
 
 from __future__ import annotations
