@@ -523,10 +523,23 @@ class Overlay:
         edges in row order, and so does each ``outputs`` dict, which is
         the order edge-by-edge inserts leave them in.  Every handle is
         dirty, decisions are the defaults and ``version`` is taken as
-        given.  Every dict holds one int object per handle.
+        given.  Every dict holds one int object per handle.  The rows
+        must keep :meth:`add_edge`'s rules, or :class:`OverlayError` is
+        raised.
         """
         num_writers = len(writers)
         num_nodes = num_writers + len(readers) + num_partials
+        if len(src):
+            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_nodes:
+                raise OverlayError("edge endpoints must be handles of the overlay")
+            if not ((sign == 1) | (sign == -1)).all():
+                raise OverlayError("edge sign must be +1 or -1")
+            if ((src >= num_writers) & (src < num_writers + len(readers))).any():
+                raise OverlayError("reader nodes cannot feed other overlay nodes")
+            if (dst < num_writers).any():
+                raise OverlayError("writer nodes cannot receive overlay edges")
+            if (src == dst).any():
+                raise OverlayError("self loops are not allowed")
         handles = list(range(num_nodes))
         overlay = cls()
         overlay.kinds = (
@@ -560,6 +573,8 @@ class Overlay:
             for handle in set(dst[negative].tolist()):
                 start, end = in_bounds[handle], in_bounds[handle + 1]
                 inputs[handle] = dict(zip(sources[start:end], signs[start:end]))
+        if sum(map(len, inputs)) != len(src):
+            raise OverlayError("duplicate edge")
         overlay.inputs = inputs
         overlay.outputs = [
             dict.fromkeys(targets[start:end]) for start, end in zip(out_bounds, out_bounds[1:])

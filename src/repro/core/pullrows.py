@@ -51,6 +51,13 @@ def ragged_index(starts, counts):
     return idx, offsets
 
 
+def csr_indptr(lengths):
+    """The CSR row pointers of rows ``lengths`` long."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
 class PullRows:
     """Every compiled :class:`PullRow`, ragged in one growable arena — the
     read side's dual of the runtime's scatter table.

@@ -29,6 +29,7 @@ from repro.core.overlay import (
     Decision,
     Overlay,
 )
+from repro.core.pullrows import csr_indptr, ragged_index
 from repro.dataflow.costs import CostModel
 
 if TYPE_CHECKING:  # frequencies.py builds on this module
@@ -54,7 +55,7 @@ class DecisionGraph:
         self.num_nodes = n
         self.kinds = np.array(overlay.kind_codes(), dtype=np.int8)
         self.fan_in = np.fromiter(map(len, overlay.inputs), np.int64, n)
-        self.indptr = _indptr(self.fan_in)
+        self.indptr = csr_indptr(self.fan_in)
         self.src = np.fromiter(
             itertools.chain.from_iterable(overlay.inputs), np.int64, int(self.indptr[-1])
         )
@@ -115,7 +116,7 @@ def push_pull_frequencies(
     position[order] = np.arange(n, dtype=np.int64)
     # outputs grouped by source, latest in topological order first
     by_src = np.argsort(src * n - position[dst])
-    out_indptr = _indptr(np.bincount(src, minlength=n))
+    out_indptr = csr_indptr(np.bincount(src, minlength=n))
     out_dst = dst[by_src]
 
     for nodes in _rounds(graph.fan_in, out_indptr, out_dst)[1:]:
@@ -140,7 +141,7 @@ def _rounds(degree: np.ndarray, indptr: np.ndarray, targets: np.ndarray) -> List
     while len(frontier):
         rounds.append(frontier)
         starts = indptr[frontier]
-        hit = targets[_ranges(starts, indptr[frontier + 1] - starts)]
+        hit = targets[ragged_index(starts, indptr[frontier + 1] - starts)[0]]
         counts = np.bincount(hit, minlength=len(degree))
         remaining -= counts
         frontier = np.flatnonzero((counts > 0) & (remaining == 0))
@@ -262,8 +263,8 @@ def peel(weights: List[float], u: np.ndarray, v: np.ndarray) -> List[int]:
     in_degree = np.bincount(v, minlength=m)
     succ = v[by_u].tolist()
     pred = u[by_v].tolist()
-    succ_ptr = _indptr(out_degree).tolist()
-    pred_ptr = _indptr(in_degree).tolist()
+    succ_ptr = csr_indptr(out_degree).tolist()
+    pred_ptr = csr_indptr(in_degree).tolist()
     out_left = out_degree.tolist()
     in_left = in_degree.tolist()
 
@@ -296,21 +297,3 @@ def peel(weights: List[float], u: np.ndarray, v: np.ndarray) -> List[int]:
                     waiting[prev] = 1
                     append(prev)
     return label
-
-
-# ---------------------------------------------------------------------------
-# CSR helpers
-# ---------------------------------------------------------------------------
-
-
-def _indptr(lengths: np.ndarray) -> np.ndarray:
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges ``starts[i]:starts[i] + lengths[i]``."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total)

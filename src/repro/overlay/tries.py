@@ -45,12 +45,12 @@ support is a count.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 import numpy as np
 
-from repro.core.pullrows import ragged_index
-from repro.overlay.fptree import Biclique
+from repro.core.pullrows import csr_indptr, ragged_index
+from repro.overlay.shingles import int_repr_key
 
 #: pads a root path in the tie-break sort: below every ``-node``, so a
 #: path sorts before the paths it is a prefix of
@@ -175,23 +175,6 @@ class GroupTries:
             np.bincount(group[benefit >= 1], minlength=num_groups)
         )
 
-    def bicliques(self) -> Iterator[Biclique]:
-        """Every group's bicliques, group by group, in extraction order."""
-        mined = self.mine()
-        items, readers = mined.items.tolist(), mined.readers.tolist()
-        item_bounds, reader_bounds = mined.item_indptr.tolist(), mined.reader_indptr.tolist()
-        for b, benefit in enumerate(mined.benefit.tolist()):
-            path = items[item_bounds[b] : item_bounds[b + 1]]
-            kept = readers[reader_bounds[b] : reader_bounds[b + 1]]
-            yield Biclique(
-                items=path,
-                readers=kept,
-                covered=dict.fromkeys(kept, path),
-                negatives={reader: [] for reader in kept},
-                reused={reader: [] for reader in kept},
-                benefit=benefit,
-            )
-
     def mine(self) -> Mined:
         """Run the greedy loop of every yielding group, all at once."""
         return _Greedy(self).run()
@@ -227,8 +210,9 @@ class _Greedy:
         self.live[tries.yielding] = True
         # the transactions with a chain in a live group, by (group, repr)
         active = np.flatnonzero(self.live[self.txn_group] & (self.length > 0))
-        digits, aligned = _repr_order(self.readers[active])
-        self.active = active[np.lexsort((digits, aligned, self.txn_group[active]))]
+        self.active = active[
+            np.lexsort((int_repr_key(self.readers[active]), self.txn_group[active]))
+        ]
         cand = np.flatnonzero((self.support[:n] > 1) & self.live[self.group[:n]])
         self.cand = cand
         self.in_cand = np.zeros(len(self.parent), dtype=bool)
@@ -427,18 +411,6 @@ def _preorder_first(nodes, groups, parent, depth):
     return nodes[heads], groups[heads]
 
 
-def _repr_order(values: np.ndarray):
-    """Sort keys putting non-negative ints in the order of their
-    ``repr``: the digits left-aligned, then the digit count (a prefix
-    first).  ``np.lexsort((digits, aligned))`` orders by them."""
-    digits = np.ones(len(values), dtype=np.int64)
-    for power in range(1, 19):
-        digits += values >= 10**power
-    widest = int(digits.max(initial=1))
-    aligned = values * 10 ** (widest - digits)
-    return digits, aligned
-
-
 def _room(column: np.ndarray, size: int) -> np.ndarray:
     """``column``, or a copy of it with room for ``size`` entries."""
     if len(column) >= size:
@@ -451,13 +423,6 @@ def _room(column: np.ndarray, size: int) -> np.ndarray:
 def _rows(counts: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Flat indices of ragged rows of ``counts``, taken in ``order``."""
     return ragged_index((np.cumsum(counts) - counts)[order], counts[order])[0]
-
-
-def csr_indptr(lengths: np.ndarray) -> np.ndarray:
-    """The CSR row pointers of rows ``lengths`` long."""
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
 
 
 def _concat(columns: List[np.ndarray]) -> np.ndarray:

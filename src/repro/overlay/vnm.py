@@ -57,11 +57,11 @@ from repro.core.overlay import (
     memory_estimate,
     sharing_index,
 )
-from repro.core.pullrows import ragged_index
+from repro.core.pullrows import csr_indptr, ragged_index
 from repro.graph.bipartite import BipartiteGraph
 from repro.overlay.fptree import Biclique, FPTree
 from repro.overlay.shingles import HashTable, chunk, int_repr_key, order_rows
-from repro.overlay.tries import GroupTries, Mined, csr_indptr
+from repro.overlay.tries import GroupTries, Mined
 
 _VARIANTS = ("vnm", "vnm_a", "vnm_n", "vnm_d")
 

@@ -1,5 +1,6 @@
 """Unit tests for the aggregation overlay graph structure."""
 
+import numpy as np
 import pytest
 
 from repro.core.overlay import Decision, NodeKind, Overlay, OverlayError
@@ -83,6 +84,39 @@ class TestStructure:
         ov.add_edge(w, r, sign=-1)
         assert list(ov.edges()) == [(w, r, -1)]
         assert ov.num_negative_edges == 1
+
+
+class TestFromRows:
+    """``Overlay.from_rows`` keeps ``add_edge``'s rules for a whole table."""
+
+    #: w1, w2, w3 are handles 0-2, r1, r2 are 3-4 and the partial is 5
+    ROWS = [(0, 5), (1, 5), (5, 3), (5, 4), (2, 4)]
+
+    @staticmethod
+    def build(rows, sign=None):
+        src = np.array([s for s, _ in rows], dtype=np.int64)
+        dst = np.array([d for _, d in rows], dtype=np.int64)
+        sign = np.ones(len(rows), dtype=np.int64) if sign is None else np.array(sign)
+        return Overlay.from_rows(["w1", "w2", "w3"], ["r1", "r2"], 1, src, dst, sign, 0)
+
+    def test_same_dicts_as_edge_by_edge(self, shared_overlay):
+        built = self.build(self.ROWS)
+        assert built.inputs == shared_overlay.inputs
+        assert built.outputs == shared_overlay.outputs
+        assert built.num_edges == shared_overlay.num_edges
+
+    @pytest.mark.parametrize(
+        "extra",
+        [(0, 5), (3, 5), (5, 0), (5, 5), (0, 6)],
+        ids=["duplicate", "reader-source", "writer-target", "self-loop", "no-such-handle"],
+    )
+    def test_rejects_a_row_add_edge_rejects(self, extra):
+        with pytest.raises(OverlayError):
+            self.build(self.ROWS + [extra])
+
+    def test_rejects_a_bad_sign(self):
+        with pytest.raises(OverlayError):
+            self.build(self.ROWS, sign=[1, 1, 2, 1, 1])
 
 
 class TestDecisions:
