@@ -21,9 +21,13 @@ one step per round.  A round
    can, and the readers that run out of them create the missing nodes,
    shared where their (parent, item) pairs agree.
 
-A group with no node of benefit >= 1 leaves the loop.  The bicliques come
-out in (group, round) order, which is the order the group-by-group loop
-of :class:`~repro.overlay.fptree.FPTree` finds them in.  That tree remains
+A group with no node of benefit >= 1 leaves the loop.  A round costs a
+few hundred numpy calls however few groups are live, so when fewer than
+:data:`ALL_GROUPS_FROM` groups yield, the same loop runs group by group
+over Python lists of each group's columns instead.  Either way the
+bicliques come out in (group, round) order, which is the order the
+group-by-group loop of :class:`~repro.overlay.fptree.FPTree` finds them
+in.  That tree remains
 the reference, pick for pick, and the variants with negative or mined
 edges still use it.  Its tie-break rules are:
 
@@ -45,7 +49,7 @@ support is a count.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 import numpy as np
 
@@ -55,6 +59,13 @@ from repro.overlay.shingles import int_repr_key
 #: pads a root path in the tie-break sort: below every ``-node``, so a
 #: path sorts before the paths it is a prefix of
 _PAD = np.iinfo(np.int64).min
+
+
+#: the fewest yielding groups the all-groups step runs for.  Measured per
+#: iteration: the 12 000-node engine graph (120-358 yielding groups) mines
+#: 2-4x faster all at once, a shard of the 1 000-node serve graph (0-19)
+#: 1.2-5x faster group by group.
+ALL_GROUPS_FROM = 32
 
 
 class Mined(NamedTuple):
@@ -176,7 +187,11 @@ class GroupTries:
         )
 
     def mine(self) -> Mined:
-        """Run the greedy loop of every yielding group, all at once."""
+        """Run the greedy loop of every yielding group: all at once, or
+        group by group when fewer than :data:`ALL_GROUPS_FROM` groups
+        yield."""
+        if len(self.yielding) < ALL_GROUPS_FROM:
+            return _group_by_group(self)
         return _Greedy(self).run()
 
 
@@ -384,6 +399,130 @@ class _Greedy:
             nodes = nodes[np.diff(nodes, prepend=-1) > 0]
             self.in_cand[nodes] = True
             self.cand = np.concatenate((self.cand, nodes))
+
+
+def _group_by_group(tries: GroupTries) -> Mined:
+    """The greedy loop of each yielding group in turn, over Python lists
+    of the group's columns (node numbers local to the group)."""
+    num_groups = tries._num_groups
+    node_bounds = np.searchsorted(tries._group, np.arange(num_groups + 1)).tolist()
+    txn_bounds = np.searchsorted(tries._txn_group, np.arange(num_groups + 1))
+    entry_bounds = csr_indptr(tries._lengths)[txn_bounds].tolist()
+    txn_bounds = txn_bounds.tolist()
+    found_items: List[int] = []
+    item_counts: List[int] = []
+    found_readers: List[int] = []
+    reader_counts: List[int] = []
+    benefits: List[int] = []
+    for g in tries.yielding.tolist():
+        lo, hi = node_bounds[g], node_bounds[g + 1]
+        parent = tries._parent[lo:hi]
+        parent = np.where(parent < 0, -1, parent - lo).tolist()
+        item = tries._item[lo:hi].tolist()
+        depth = tries._depth[lo:hi].tolist()
+        support = tries._support[lo:hi].tolist()
+        child: Dict[Tuple[int, int], int] = {
+            key: node for node, key in enumerate(zip(parent, item))
+        }
+        t0, t1 = txn_bounds[g], txn_bounds[g + 1]
+        flat = (tries._chains[entry_bounds[g] : entry_bounds[g + 1]] - lo).tolist()
+        chains: Dict[int, List[int]] = {}
+        at = 0
+        for reader, length in zip(tries._readers[t0:t1].tolist(), tries._lengths[t0:t1].tolist()):
+            if length:
+                chains[reader] = flat[at : at + length]
+                at += length
+        # the readers by the first node of their chain
+        under: Dict[int, Set[int]] = {}
+        for reader, chain in chains.items():
+            under.setdefault(chain[0], set()).add(reader)
+        # the benefit of every node of support >= 2; no other node has a
+        # positive one
+        gain = {
+            node: s * (depth[node] - 1) - depth[node] for node, s in enumerate(support) if s > 1
+        }
+
+        while True:
+            best = max(gain.values(), default=0)
+            if best < 1:
+                break
+            ties = [node for node, benefit in gain.items() if benefit == best]
+            top = ties[0] if len(ties) == 1 else min(ties, key=_preorder_key(parent))
+            d = depth[top]
+            head = top
+            while parent[head] >= 0:
+                head = parent[head]
+            readers = sorted(
+                (r for r in under[head] if len(chains[r]) >= d and chains[r][d - 1] == top),
+                key=repr,
+            )
+            path = chains[readers[0]][:d]
+            rests = []
+            for reader in readers:
+                under[head].discard(reader)
+                rests.append(chains.pop(reader)[d:])
+            for nodes, count in [(path, len(readers))] + [(rest, 1) for rest in rests]:
+                for node in nodes:
+                    s = support[node] = support[node] - count
+                    if s > 1:
+                        gain[node] = s * (depth[node] - 1) - depth[node]
+                    elif node in gain:
+                        del gain[node]
+            found_items.extend(item[node] for node in path)
+            item_counts.append(d)
+            found_readers.extend(readers)
+            reader_counts.append(len(readers))
+            benefits.append(best)
+            for reader, rest in zip(readers, rests):
+                if len(rest) < 2:
+                    continue
+                node, chain = -1, []
+                for x in rest:
+                    below = child.get((node, item[x]))
+                    if below is None:
+                        break
+                    node = below
+                    s = support[node] = support[node] + 1
+                    if s > 1:
+                        gain[node] = s * (depth[node] - 1) - depth[node]
+                    chain.append(node)
+                # The first missing child starts a new branch: the rest of
+                # the items hang below it as fresh nodes of support 1.
+                new = len(rest) - len(chain)
+                if new:
+                    first = len(parent)
+                    parent.append(node)
+                    parent.extend(range(first, first + new - 1))
+                    item.extend([item[x] for x in rest[len(chain) :]])
+                    depth.extend(range(len(chain) + 1, len(rest) + 1))
+                    support.extend([1] * new)
+                    created = range(first, first + new)
+                    child.update(zip(zip(parent[first:], item[first:]), created))
+                    chain.extend(created)
+                chains[reader] = chain
+                under.setdefault(chain[0], set()).add(reader)
+    return Mined(
+        item_indptr=csr_indptr(np.array(item_counts, dtype=np.int64)),
+        items=np.array(found_items, dtype=np.int64),
+        reader_indptr=csr_indptr(np.array(reader_counts, dtype=np.int64)),
+        readers=np.array(found_readers, dtype=np.int64),
+        benefit=np.array(benefits, dtype=np.int64),
+    )
+
+
+def _preorder_key(parent: List[int]):
+    """Key putting nodes in the tree walk's pre-order, newest child first:
+    the root path's creation numbers, negated."""
+
+    def key(node: int) -> List[int]:
+        path = []
+        while node >= 0:
+            path.append(-node)
+            node = parent[node]
+        path.reverse()
+        return path
+
+    return key
 
 
 def _preorder_first(nodes, groups, parent, depth):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import repro.overlay.tries as tries_module
 import repro.overlay.vnm as vnm_module
 from repro.graph.bipartite import build_bipartite
 from repro.graph.generators import web_graph
@@ -69,10 +70,18 @@ def fptree_greedy(group, min_frequency=2):
             tree.insert(reader, live[reader])
 
 
-def mined_bicliques(tries):
-    """The columns of ``tries.mine()`` as :class:`Biclique` objects, in
-    (group, round) order."""
-    mined = tries.mine()
+#: the two ways :meth:`GroupTries.mine` runs the greedy loop, chosen by
+#: how many groups yield; each must match :class:`FPTree` on its own
+RUNS = {
+    "all-groups": lambda tries: tries_module._Greedy(tries).run(),
+    "group-by-group": lambda tries: tries_module._group_by_group(tries),
+}
+run_each_way = pytest.mark.parametrize("run", list(RUNS.values()), ids=list(RUNS))
+
+
+def mined_bicliques(mined):
+    """``Mined`` columns as :class:`Biclique` objects, in (group, round)
+    order."""
     items, readers = mined.items.tolist(), mined.readers.tolist()
     item_bounds, reader_bounds = mined.item_indptr.tolist(), mined.reader_indptr.tolist()
     for b, benefit in enumerate(mined.benefit.tolist()):
@@ -88,20 +97,26 @@ def mined_bicliques(tries):
         )
 
 
-def column_groups(groups, min_frequency=2):
-    """Every group's bicliques from one :class:`GroupTries`, split by group,
-    and the largest initial tree."""
+def group_tries(groups, min_frequency=2):
+    """One :class:`GroupTries` over ``groups``, each ``{reader: items}``."""
     readers = [reader for group in groups for reader in group]
     rows = [items for group in groups for items in group.values()]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    items = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64)
-    bounds = np.cumsum([0] + [len(group) for group in groups])
-    tries = GroupTries(
-        indptr, items, np.array(readers, dtype=np.int64), bounds, min_frequency
+    return GroupTries(
+        np.cumsum([0] + [len(row) for row in rows]),
+        np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64),
+        np.array(readers, dtype=np.int64),
+        np.cumsum([0] + [len(group) for group in groups]),
+        min_frequency,
     )
+
+
+def column_groups(groups, run=GroupTries.mine, min_frequency=2):
+    """Every group's bicliques from one :class:`GroupTries`, split by group,
+    and the largest initial tree."""
+    tries = group_tries(groups, min_frequency)
     group_of = {reader: g for g, group in enumerate(groups) for reader in group}
     found = [[] for _ in groups]
-    for biclique in mined_bicliques(tries):
+    for biclique in mined_bicliques(run(tries)):
         found[group_of[biclique.readers[0]]].append(biclique)
     return found, tries.peak_nodes
 
@@ -202,28 +217,32 @@ SHORT_RESTS = repeated(([0, 1, 2], 3), ([0, 1], 2))
 
 
 class TestAllGroupsStep:
-    """The all-groups greedy step emits, in one sequence, exactly the
-    bicliques of the group-by-group :class:`FPTree` loop, in (group,
-    round) order."""
+    """The all-groups greedy step, and the loop group by group that
+    :meth:`GroupTries.mine` runs when few groups yield, each emit in one
+    sequence exactly the bicliques of the group-by-group :class:`FPTree`
+    loop, in (group, round) order."""
 
+    @run_each_way
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(groups=many_groups())
     @example(groups=[REVIVING, SHORT_RESTS, repeated(([0, 1, 2], 3), ([3, 4, 5], 3))])
     @example(groups=[SHORT_RESTS, {8: [5, 4], 9: [4, 5]}, REVIVING])
-    def test_same_sequence_as_the_per_group_loop(self, groups):
-        readers = [reader for group in groups for reader in group]
-        rows = [items for group in groups for items in group.values()]
-        tries = GroupTries(
-            np.cumsum([0] + [len(row) for row in rows]),
-            np.array(list(itertools.chain.from_iterable(rows)), dtype=np.int64),
-            np.array(readers, dtype=np.int64),
-            np.cumsum([0] + [len(group) for group in groups]),
-            2,
-        )
+    def test_same_sequence_as_the_per_group_loop(self, run, groups):
         expected = []
         for group in groups:
             expected.extend(fptree_greedy(group)[0])
-        assert signature(mined_bicliques(tries)) == signature(expected)
+        assert signature(mined_bicliques(run(group_tries(groups)))) == signature(expected)
+
+    def test_mine_runs_group_by_group_below_the_cut(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tries_module, "_group_by_group", lambda tries: calls.append("each"))
+        monkeypatch.setattr(tries_module._Greedy, "run", lambda self: calls.append("all"))
+        tries = group_tries([REVIVING, SHORT_RESTS])
+        assert len(tries.yielding) == 2
+        for cut in (3, 2):
+            monkeypatch.setattr(tries_module, "ALL_GROUPS_FROM", cut)
+            tries.mine()
+        assert calls == ["each", "all"]
 
     def test_the_examples_tie_revive_and_leave_short_rests(self):
         _, _, revived, _ = fptree_greedy(REVIVING)
