@@ -53,7 +53,7 @@ def main() -> None:
         batched.write_batch(writes[start : start + BATCH_SIZE])
     batched_eps = NUM_EVENTS / (time.perf_counter() - started)
 
-    write_compiles = batched.runtime.plan_compiles
+    table_builds = batched.runtime.scatter_builds
 
     sample = nodes[:200]
     assert batched.read_batch(sample) == [per_event.read(n) for n in sample]
@@ -66,7 +66,7 @@ def main() -> None:
         f"({batched_eps / per_event_eps:.2f}x, batch={BATCH_SIZE})"
     )
     print(
-        f"plan cache: {write_compiles} push-plan compiles for "
+        f"push table: {table_builds} scatter-table build(s) for "
         f"{len({n for n, _, _ in writes})} distinct writers over "
         f"{NUM_EVENTS:,} writes ({runtime.plan_invalidations} invalidations)"
     )

@@ -75,12 +75,6 @@ class AdaptiveController:
         if self._events_since_check >= self.config.check_interval:
             self.evaluate()
 
-    @property
-    def plan_stats(self) -> "tuple[int, int]":
-        """``(compiles, invalidations)`` of the runtime's plan cache —
-        the cost side of adaptive flipping under compiled execution."""
-        return (self.runtime.plan_compiles, self.runtime.plan_invalidations)
-
     def frontier(self) -> List[int]:
         """Handles whose decision may be flipped unilaterally."""
         overlay = self.runtime.overlay

@@ -162,10 +162,6 @@ class ColumnSpec:
             if any(source not in ("value", "count") for source in self.sources):
                 raise ValueError("column sources must be 'value' or 'count'")
 
-    @property
-    def num_columns(self) -> int:
-        return len(self.dtypes)
-
 
 class AggregateFunction(ABC):
     """Base class for EAGr aggregate functions.
@@ -183,8 +179,8 @@ class AggregateFunction(ABC):
     #: SUM-like: supports efficient removal of a contribution.
     subtractable: bool = False
     #: PAOs and deltas are plain numbers with ``merge == +`` and
-    #: ``negate == -`` (SUM, COUNT): enables the compiled push plans'
-    #: scalar kernel (``values[dst] += sign * delta``).
+    #: ``negate == -`` (SUM, COUNT): a single writer's write applies its
+    #: scatter-table rows as ``values[dst] += sign * delta``.
     scalar_delta: bool = False
     #: The columnar read result *is* the column scalar: one column whose
     #: ``tolist()`` value ``column_spec.unpack`` and :meth:`finalize` both

@@ -89,7 +89,6 @@ class EAGrEngine:
         maintain: bool = False,
         adaptive: bool = False,
         adaptive_config: Optional[AdaptiveConfig] = None,
-        auto_redecide: bool = True,
         collect_trace: bool = False,
         overlay_params: Optional[Dict[str, Any]] = None,
         value_store: str = "auto",
@@ -103,7 +102,6 @@ class EAGrEngine:
         self.value_store = value_store
         self.frequencies = frequencies or FrequencyModel.uniform(graph.nodes())
         self.cost_model = cost_model or CostModel.for_aggregate(query.aggregate)
-        self.auto_redecide = auto_redecide
         self._collect_trace = collect_trace
         self._needs_recompile = False
         # reference_read orders oracle members deterministically; the sort
@@ -353,7 +351,7 @@ class EAGrEngine:
         if self.maintainer is not None:
             if self.maintainer.version != self._seen_version:
                 self._seen_version = self.maintainer.version
-                if self.auto_redecide and self.dataflow in ("mincut", "greedy"):
+                if self.dataflow in ("mincut", "greedy"):
                     self.decision_stats = self._decide()
                 elif self.dataflow == "all_push":
                     self.overlay.set_all_decisions(Decision.PUSH)

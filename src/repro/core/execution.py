@@ -18,34 +18,36 @@ Two propagation strategies, selected by the aggregate's family
 
 Compiled propagation plans
 --------------------------
-The hot path no longer traverses the dict-of-dict overlay per event.  Once
+The hot path does not traverse the dict-of-dict overlay per event.  Once
 dataflow decisions are fixed, the runtime freezes the overlay into CSR
-arrays (:meth:`repro.core.overlay.Overlay.to_csr`) and compiles, lazily and
-per entry point:
+arrays (:meth:`repro.core.overlay.Overlay.to_csr`) and compiles, lazily:
 
-* a **push plan** per writer — for group aggregates, the exact ``(dst,
-  cumulative_sign, is_push)`` application sequence the interpreter's DFS
-  would perform (group propagation never short-circuits, so the sequence is
-  static); for Sum/Count a further scalar specialization applies the delta
-  with ``values[dst] += sign * delta``;
+* one **scatter table** (:func:`scatter_table`) holding every writer's
+  push frontier as ragged rows, in the order the interpreter's DFS
+  applies them: the destinations it observes (push applications and the
+  would-be pushes stopping at the pull frontier), and the push
+  applications with their cumulative ±1 coefficients.  Group
+  propagation never short-circuits, so the rows are static.  Every group
+  write runs them: a batch as one scatter per column, a single writer as
+  a loop over its rows (``values[dst] += sign * delta`` for Sum/Count);
 * a **pull plan** per pull reader — a flat three-op stack program (LEAF /
   ENTER / EXIT) replaying the recursive pull's merge order exactly, so
-  reads run without recursion or dict lookups;
-* for lattice aggregates, a per-node **compiled adjacency** (propagation is
-  data-dependent, so the DFS survives, but over flat tuples instead of
-  dicts).
+  reads run without recursion or dict lookups.
 
-Plans are cached and invalidated precisely: every plan registers the
-handles it touches in a dependency index, and structural or decision
-changes (overlay dirty set, :meth:`Runtime.set_decision`, rebuilds) drop
-only the plans touching the changed handles.  A ``(version,
-decision_version)`` stamp check guards against out-of-band overlay
-mutation.
+Lattice propagation is data-dependent, so its DFS survives, walking the
+CSR's out-rows.
+
+Pull plans, pull rows and reader closures are cached and invalidated
+precisely: each registers the handles it touches in a dependency index,
+and structural or decision changes (overlay dirty set,
+:meth:`Runtime.set_decision`, rebuilds) drop only the ones touching the
+changed handles.  The CSR and the scatter table are dropped on any
+change.  A ``(version, decision_version)`` stamp check guards against
+out-of-band overlay mutation.
 
 The batched entry points :meth:`Runtime.write_batch` /
 :meth:`Runtime.read_batch` coalesce same-writer deltas so a batch performs
-one plan execution per touched writer instead of one graph traversal per
-event.
+one propagation per touched writer instead of one per event.
 
 Columnar value store
 --------------------
@@ -76,9 +78,9 @@ object-list semantics.  On the columnar backend:
 
 Backend choice is invisible: reads are byte-identical between backends
 for integer streams (asserted by ``tests/core/test_statestore.py``), and
-both the scatter table and the pull rows ride the existing dependency
--indexed invalidation, so overlay surgery resizes and remaps columns
-through the same dirty-set machinery as the plans.
+the scatter table and the pull rows ride the same invalidation as the
+plans, so overlay surgery resizes and remaps columns through the same
+dirty-set machinery.
 
 Changed-reader reporting
 ------------------------
@@ -163,7 +165,7 @@ PAO = Any
 _OP_LEAF, _OP_ENTER, _OP_EXIT = 0, 1, 2
 
 #: Plan-kind codes for the dependency-indexed invalidation registry.
-_PLAN_PUSH, _PLAN_PULL, _PLAN_ROW, _PLAN_READERS = 0, 1, 2, 3
+_PLAN_PULL, _PLAN_ROW, _PLAN_READERS = 0, 1, 2
 
 #: Distinguishes "memo maps this key to None" from "no memo entry".
 _MISS = object()
@@ -233,35 +235,6 @@ class TraceOp:
     fan_in: int
 
 
-class PushPlan:
-    """Compiled propagation of one writer's delta (group aggregates).
-
-    ``steps`` is the exact application sequence of the interpreter's DFS:
-    ``(dst, cumulative_sign, is_push, fan_in)``.  ``observe`` lists every
-    destination (for observed-push accounting), ``scalar_steps`` is the
-    push-only ``(dst, sign)`` specialization for scalar deltas (Sum/Count),
-    and ``touched`` indexes the plan into the invalidation registry.
-    """
-
-    __slots__ = ("steps", "observe", "scalar_steps", "push_count", "touched")
-
-    def __init__(
-        self,
-        steps: Tuple[Tuple[int, int, bool, int], ...],
-        scalar: bool,
-        touched: FrozenSet[int],
-    ) -> None:
-        self.steps = steps
-        self.observe = tuple(step[0] for step in steps)
-        self.push_count = sum(1 for step in steps if step[2])
-        self.scalar_steps = (
-            tuple((dst, sign) for dst, sign, is_push, _ in steps if is_push)
-            if scalar
-            else None
-        )
-        self.touched = touched
-
-
 class PullPlan:
     """Compiled on-demand evaluation of one pull reader.
 
@@ -322,9 +295,13 @@ class _ScatterTable:
     value updates in the per-writer loop's addition order (the frontier
     stops it leaves out would only add exact zeros to slots no read
     uses), and a push row's length is its work-counter credit.
+
+    A single writer's write walks its rows in Python (:meth:`lists`).
     """
 
-    __slots__ = ("indptr", "dst", "push_indptr", "push_dst", "push_coeff", "has_push")
+    __slots__ = (
+        "indptr", "dst", "push_indptr", "push_dst", "push_coeff", "has_push", "_lists"
+    )
 
     def __init__(self, indptr, dst, push_indptr, push_dst, push_coeff):
         self.indptr = indptr
@@ -335,6 +312,23 @@ class _ScatterTable:
         # All-pull frontier right at the writers (pure on-demand systems):
         # batches then skip the value scatter entirely.
         self.has_push = bool(push_dst.size)
+        self._lists = None
+
+    def lists(self):
+        """``(observe, push)``: every node's observe row (``dst``) and push
+        row (``(push_dst, push_coeff)`` pairs) as a Python list, indexed by
+        handle; built on first use and kept with the table.  A loop over
+        one writer's list costs about half what slicing the arrays on every
+        write does."""
+        if self._lists is None:
+            indptr, push_indptr = self.indptr.tolist(), self.push_indptr.tolist()
+            dst = self.dst.tolist()
+            steps = list(zip(self.push_dst.tolist(), self.push_coeff.tolist()))
+            self._lists = (
+                [dst[a:b] for a, b in zip(indptr, indptr[1:])],
+                [steps[a:b] for a, b in zip(push_indptr, push_indptr[1:])],
+            )
+        return self._lists
 
     def expand(self, w_arr, push: bool = False):
         """Ragged expansion of ``w_arr``'s rows (push rows with ``push``).
@@ -357,9 +351,10 @@ def scatter_table(csr: OverlayCSR) -> _ScatterTable:
     """Every writer's compiled push frontier as ragged rows.
 
     Rows replay the exact ``(dst, cumulative_sign)`` application order
-    of :meth:`Runtime._compile_push_plan`, so a whole-batch ``np.add.at`` over
-    concatenated rows performs the same additions, in the same order,
-    as the per-writer Python loop.  That order is recursive: a push
+    of the reference DFS (:meth:`Runtime.propagate_from`), so a
+    whole-batch ``np.add.at`` over concatenated rows performs the same
+    additions, in the same order, as :meth:`Runtime._run_push_plan`'s
+    loop over one writer's rows.  That order is recursive: a push
     node's row is its out-edges in order, then the rows of its push
     children, last edge first, each scaled by the edge's sign.  Rows
     are built for every push node, height by height from the push
@@ -534,7 +529,6 @@ class Runtime:
             self.aggregate, "scalar_delta", False
         )
         # -- compiled-plan caches -------------------------------------
-        self._push_plans: Dict[int, PushPlan] = {}
         self._pull_plans: Dict[int, PullPlan] = {}
         # Dict-shaped either way; empty for good when reads are interpreted.
         self._pull_rows = PullRows() if self._row_reads else {}
@@ -554,7 +548,6 @@ class Runtime:
         # triggers.
         self._restructured_readers: Dict[NodeId, None] = {}
         self._plan_deps: Dict[int, Set[Tuple[int, int]]] = {}
-        self._out_cache: Dict[int, List[Tuple[int, int, bool, int]]] = {}
         self._csr: Optional[OverlayCSR] = None
         self._scatter: Optional[_ScatterTable] = None
         self._plan_stamp = (overlay.version, overlay.decision_version)
@@ -763,9 +756,9 @@ class Runtime:
 
         With ``handles`` given, only plans whose traversal touches one of
         those handles are dropped (precise invalidation); without, the
-        whole cache is cleared.  The CSR snapshot, compiled adjacencies and
-        the batch scatter table are cheap to rebuild lazily and are always
-        dropped (any structural or decision change can reroute a frontier).
+        whole cache is cleared.  The CSR snapshot and the scatter table are
+        cheap to rebuild lazily and are always dropped (any structural or
+        decision change can reroute a frontier).
         """
         # Deferred observed-push credits belong to the *outgoing* scatter
         # table's frontier rows; settle them before dropping it.
@@ -773,15 +766,12 @@ class Runtime:
             self._flush_observed()
         self._csr = None
         self._scatter = None
-        self._out_cache.clear()
         if handles is None:
             self.plan_invalidations += (
-                len(self._push_plans)
-                + len(self._pull_plans)
+                len(self._pull_plans)
                 + len(self._pull_rows)
                 + len(self._closures)
             )
-            self._push_plans.clear()
             self._pull_plans.clear()
             self._pull_rows.clear()
             self._closures.clear()
@@ -795,8 +785,6 @@ class Runtime:
                     self._drop_plan(key)
 
     def _plan_store(self, kind: int) -> Dict[int, Any]:
-        if kind == _PLAN_PUSH:
-            return self._push_plans
         if kind == _PLAN_PULL:
             return self._pull_plans
         if kind == _PLAN_ROW:
@@ -832,38 +820,6 @@ class Runtime:
         if csr is None:
             csr = self._csr = self.overlay.to_csr()
         return csr
-
-    def _compile_push_plan(self, handle: int) -> PushPlan:
-        """Freeze the DFS a group delta from ``handle`` would perform.
-
-        Group propagation never short-circuits (``apply_push`` always
-        forwards the signed delta from a push node), so the interpreter's
-        stack traversal is fully determined by the structure: simulate it
-        over the CSR arrays once, recording every application in order.
-        """
-        csr = self._ensure_csr()
-        out_indptr = csr.out_indptr
-        out_indices = csr.out_indices
-        out_signs = csr.out_signs
-        push = csr.push
-        fan_in = csr.fan_in
-        steps: List[Tuple[int, int, bool, int]] = []
-        touched = {handle}
-        stack: List[Tuple[int, int]] = [(handle, 1)]
-        while stack:
-            node, carried = stack.pop()
-            for i in range(out_indptr[node], out_indptr[node + 1]):
-                dst = out_indices[i]
-                sign = carried * out_signs[i]
-                is_push = bool(push[dst])
-                steps.append((dst, sign, is_push, fan_in[dst]))
-                touched.add(dst)
-                if is_push:
-                    stack.append((dst, sign))
-        plan = PushPlan(tuple(steps), self._scalar_group, frozenset(touched))
-        self._push_plans[handle] = plan
-        self._register_plan(_PLAN_PUSH, handle, plan.touched)
-        return plan
 
     def _compile_pull_plan(self, root: int) -> PullPlan:
         """Flatten the recursive pull of ``root`` into a stack program."""
@@ -1161,18 +1117,6 @@ class Runtime:
         self.scatter_builds += 1
         return table
 
-    def _compile_out(self, node: int) -> List[Tuple[int, int, bool, int]]:
-        """Per-node compiled adjacency for data-dependent (lattice) DFS."""
-        overlay = self.overlay
-        decisions = overlay.decisions
-        inputs = overlay.inputs
-        out = [
-            (dst, inputs[dst][node], decisions[dst] is Decision.PUSH, len(inputs[dst]))
-            for dst in overlay.outputs[node]
-        ]
-        self._out_cache[node] = out
-        return out
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -1305,46 +1249,10 @@ class Runtime:
         pending: Dict[int, Tuple[List[Any], List[Any]]],
         trace: Optional[List[TraceOp]],
     ) -> None:
-        """Propagation phase of a batch: one plan execution per writer."""
+        """Propagation phase of a batch: one propagation per touched
+        writer, carrying its coalesced added/evicted runs."""
         if self._lattice_columns and trace is None:
             self._apply_pending_lattice(pending)
-            return
-        if self._scalar_group and trace is None:
-            # Scalar kernel: coalesced delta per writer, applied through the
-            # compiled plan with plain arithmetic (matches writer_step +
-            # merge exactly: both are sequential ``+``/``-`` folds).
-            agg = self.aggregate
-            lift = agg.lift
-            identity = self._identity
-            plans = self._push_plans
-            observed = self.observed_push
-            values = self.values.data
-            moved: List[int] = []
-            push_ops = 0
-            try:
-                for handle, (added, evicted) in pending.items():
-                    delta = identity
-                    for raw in added:
-                        delta = delta + lift(raw)
-                    for raw in evicted:
-                        delta = delta - lift(raw)
-                    if delta == identity:
-                        continue
-                    moved.append(handle)
-                    values[handle] = values[handle] + delta
-                    plan = plans.get(handle)
-                    if plan is None:
-                        plan = self._compile_push_plan(handle)
-                    events = len(added) or 1  # eviction-only: one expiry sweep
-                    for dst in plan.observe:
-                        observed[dst] += events
-                    for dst, sign in plan.scalar_steps:
-                        values[dst] += sign * delta
-                    push_ops += plan.push_count
-            finally:
-                self.counters.push_ops += push_ops
-                if moved:
-                    self._note_moved(moved)
             return
         moved = []
         try:
@@ -1431,34 +1339,34 @@ class Runtime:
     def _propagate_lattice_columns(
         self, source: int, old: PAO, new: PAO, events: int = 1
     ) -> None:
-        """Lattice DFS over compiled adjacencies, state in columns.
+        """Lattice DFS over the CSR's out-rows, state in columns.
 
         Identical control flow to :meth:`_propagate_lattice`, but node
         values come from the columnar store's element accessors and a
         :data:`NEED_RECOMPUTE` gathers the destination's *input columns*
-        instead of a snapshot dict — valid because a push node's snapshot
-        of input ``src`` always mirrors ``values[src]`` (see __init__).
+        (its CSR in-row) instead of a snapshot dict — valid because a push
+        node's snapshot of input ``src`` always mirrors ``values[src]``
+        (see __init__).
         """
         agg = self.aggregate
         store = self.values
-        inputs = self.overlay.inputs
+        csr = self._ensure_csr()
+        out_indptr, out_indices, push = csr.out_indptr, csr.out_indices, csr.push
+        in_indptr, in_indices = csr.in_indptr, csr.in_indices
         observed = self.observed_push
         counters = self.counters
-        out_cache = self._out_cache
         stack: List[Tuple[int, PAO, PAO]] = [(source, old, new)]
         while stack:
             node, node_old, node_new = stack.pop()
-            out = out_cache.get(node)
-            if out is None:
-                out = self._compile_out(node)
-            for dst, _sign, is_push, _fan_in in out:
+            for dst in out_indices[out_indptr[node] : out_indptr[node + 1]]:
                 observed[dst] += events
-                if not is_push:
+                if not push[dst]:
                     continue
                 current = store[dst]
                 updated = agg.fast_update(current, node_old, node_new)
                 if updated is NEED_RECOMPUTE:
-                    updated = agg.combine(store[src] for src in inputs[dst])
+                    inputs = in_indices[in_indptr[dst] : in_indptr[dst + 1]]
+                    updated = agg.combine(store[src] for src in inputs)
                 counters.push_ops += 1
                 if updated != current:
                     store[dst] = updated
@@ -1835,9 +1743,9 @@ class Runtime:
 
         Returns the propagation message for the writer's consumers (a delta
         PAO for group aggregates, an ``(old, new)`` pair for lattice ones)
-        or ``None`` when nothing downstream can change.  Exposed as a
-        micro-task so the multi-threaded *queueing model* can run it under
-        a single node lock.
+        or ``None`` when nothing downstream can change.  Every per-writer
+        write path runs it before propagating the message; tests pair it
+        with :meth:`propagate_from` as the reference write.
         """
         agg = self.aggregate
         identity = self._identity
@@ -1865,7 +1773,7 @@ class Runtime:
         return (old, new)
 
     def apply_push(self, src: int, dst: int, message: PAO) -> Optional[PAO]:
-        """One micro-task of the queueing model: apply ``src``'s change at
+        """One step of the reference propagation: apply ``src``'s change at
         ``dst``; returns ``dst``'s own outgoing message (or ``None`` when
         propagation stops — at the frontier or on a no-op update)."""
         agg = self.aggregate
@@ -1926,63 +1834,59 @@ class Runtime:
             self._propagate_lattice(source, message, events)
 
     def _run_push_plan(self, source: int, message: PAO, events: int = 1) -> None:
-        """Execute a compiled group push plan (zero per-event traversal)."""
-        plan = self._push_plans.get(source)
-        if plan is None:
-            plan = self._compile_push_plan(source)
+        """Apply a group message along writer ``source``'s scatter-table
+        rows: its observe row credits ``observed_push``, its push row
+        merges the message (negated under a −1 coefficient) into each
+        destination in the reference DFS's order."""
+        table = self._scatter
+        if table is None:
+            table = self._build_scatter_table()
+        observe, push = table.lists()
+        steps = push[source]
         observed = self.observed_push
-        values = self.values.data
+        for node in observe[source]:
+            observed[node] += events
         trace = self.trace
-        scalar = plan.scalar_steps
-        if scalar is not None and trace is None:
-            for dst in plan.observe:
-                observed[dst] += events
-            if self._columnar:
-                column = self.values.columns[0]
-                for dst, sign in scalar:
-                    column[dst] += sign * message
-            else:
-                for dst, sign in scalar:
-                    values[dst] += sign * message
-            self.counters.push_ops += plan.push_count
-            return
-        agg = self.aggregate
-        merge = agg.merge
-        negative = None
-        for dst, sign, is_push, fan_in in plan.steps:
-            observed[dst] += events
-            if not is_push:
-                continue
-            if sign > 0:
-                msg = message
-            else:
-                if negative is None:
-                    negative = agg.negate(message)
-                msg = negative
-            values[dst] = merge(values[dst], msg)
-            if trace is not None:
-                trace.append(TraceOp(dst, "push", fan_in))
-        self.counters.push_ops += plan.push_count
+        if self._scalar_group and trace is None:
+            values = self.values.columns[0] if self._columnar else self.values.data
+            for node, sign in steps:
+                values[node] += sign * message
+        else:
+            agg = self.aggregate
+            merge = agg.merge
+            values = self.values.data
+            fan_in = self._csr.fan_in  # built with the table
+            negative = None
+            for node, sign in steps:
+                if sign > 0:
+                    msg = message
+                else:
+                    if negative is None:
+                        negative = agg.negate(message)
+                    msg = negative
+                values[node] = merge(values[node], msg)
+                if trace is not None:
+                    trace.append(TraceOp(node, "push", fan_in[node]))
+        self.counters.push_ops += len(steps)
 
     def _propagate_lattice(self, source: int, message: PAO, events: int = 1) -> None:
-        """Lattice DFS over compiled adjacencies (data-dependent stops)."""
+        """Lattice DFS over the CSR's out-rows (data-dependent stops)."""
         agg = self.aggregate
         values = self.values.data
         snapshots = self.snapshots
         observed = self.observed_push
         counters = self.counters
         trace = self.trace
-        out_cache = self._out_cache
+        csr = self._ensure_csr()
+        out_indptr, out_indices, push = csr.out_indptr, csr.out_indices, csr.push
+        fan_in = csr.fan_in
         stack: List[Tuple[int, PAO]] = [(source, message)]
         while stack:
             node, msg = stack.pop()
-            out = out_cache.get(node)
-            if out is None:
-                out = self._compile_out(node)
             old, new = msg
-            for dst, _sign, is_push, fan_in in out:
+            for dst in out_indices[out_indptr[node] : out_indptr[node + 1]]:
                 observed[dst] += events
-                if not is_push:
+                if not push[dst]:
                     continue
                 snaps = snapshots[dst]
                 previous = snaps.get(node, old)
@@ -1993,17 +1897,17 @@ class Runtime:
                     updated = agg.combine(snaps.values())
                 counters.push_ops += 1
                 if trace is not None:
-                    trace.append(TraceOp(dst, "push", fan_in))
+                    trace.append(TraceOp(dst, "push", fan_in[dst]))
                 if updated != current:
                     values[dst] = updated
                     stack.append((dst, (current, updated)))
 
     def propagate_from(self, source: int, message: PAO) -> None:
-        """Uncompiled reference propagation using the micro-steps.
+        """Uncompiled reference propagation: a DFS over the overlay's
+        dicts, one :meth:`apply_push` per edge.
 
-        Kept as the semantic baseline the compiled plans are tested
-        against, and for callers (the threaded queueing model) that work
-        at micro-task granularity.
+        The semantic baseline the scatter table and the lattice DFSs are
+        tested against; no write path calls it.
         """
         stack: List[Tuple[int, PAO]] = [(source, message)]
         while stack:
@@ -2192,19 +2096,25 @@ class Runtime:
         plan = self._pull_plans.get(handle)
         if plan is None:
             plan = self._compile_pull_plan(handle)
-        if memo is None:
-            return self._run_pull_plan(plan)
         return self._run_pull_plan_memo(plan, handle, memo)
 
-    def _run_pull_plan_memo(self, plan: PullPlan, root: int, memo: Dict) -> PAO:
-        """Interpreted pull with per-batch subtree memoization.
+    def _run_pull_plan_memo(
+        self, plan: PullPlan, root: int, memo: Optional[Dict]
+    ) -> PAO:
+        """Run a compiled pull program: no recursion, no dict lookups on
+        the overlay.
 
-        Identical merge order to :meth:`_run_pull_plan`, except that a
-        nested span whose node is already in the memo folds the cached
-        accumulator and skips its sub-program (crediting the skipped
-        handles' observed-pull frequencies), and every completed span
-        stores its accumulator for later readers in the batch.
+        With a per-batch ``memo``, a nested span whose node is already in
+        it folds the cached accumulator and skips its sub-program
+        (crediting the skipped handles' observed-pull frequencies), and
+        every completed span stores its accumulator for later readers in
+        the batch.  Without one (a single read) every span runs, so the
+        work counter is the plan's full ``pull_ops``.
         """
+        if memo is None:
+            memo, spans = {}, {}
+        else:
+            spans = plan.spans
         stamp = self._plan_stamp
         observed = self.observed_pull
         cached = memo.get((root, stamp), _MISS)
@@ -2218,7 +2128,6 @@ class Runtime:
         subtract = agg.subtract
         values = self.values.data
         trace = self.trace
-        spans = plan.spans
         exit_nodes = plan.exit_nodes
         program = plan.program
         length = len(program)
@@ -2261,34 +2170,6 @@ class Runtime:
             index += 1
         self.counters.pull_ops += ops
         memo[(root, stamp)] = acc
-        return acc
-
-    def _run_pull_plan(self, plan: PullPlan) -> PAO:
-        """Run a compiled pull program: no recursion, no dict lookups."""
-        agg = self.aggregate
-        merge = agg.merge
-        subtract = agg.subtract
-        values = self.values.data
-        observed = self.observed_pull
-        trace = self.trace
-        acc: PAO = None
-        acc_stack: List[PAO] = []
-        for op, a, b in plan.program:
-            if op == _OP_LEAF:
-                observed[a] += 1
-                value = values[a]
-                acc = merge(acc, value) if b > 0 else subtract(acc, value)
-            elif op == _OP_ENTER:
-                observed[a] += 1
-                if trace is not None:
-                    trace.append(TraceOp(a, "pull", b))
-                acc_stack.append(acc)
-                acc = self._identity
-            else:  # _OP_EXIT: fold the finished child into its parent
-                child = acc
-                acc = acc_stack.pop()
-                acc = merge(acc, child) if a > 0 else subtract(acc, child)
-        self.counters.pull_ops += plan.pull_ops
         return acc
 
     def _pull(self, handle: int) -> PAO:

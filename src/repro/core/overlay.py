@@ -219,9 +219,6 @@ class Overlay:
     def has_edge(self, src: int, dst: int) -> bool:
         return dst in self.outputs[src]
 
-    def edge_sign(self, src: int, dst: int) -> int:
-        return self.inputs[dst][src]
-
     def edges(self) -> Iterator[Tuple[int, int, int]]:
         """Yield ``(src, dst, sign)`` for every edge."""
         for dst, srcs in enumerate(self.inputs):

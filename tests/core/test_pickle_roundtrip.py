@@ -64,14 +64,20 @@ def warmed_engine(value_store="auto"):
 
 class TestCompiledPlans:
     def test_push_plans_roundtrip(self):
-        engine = warmed_engine()
-        runtime = engine.runtime
-        assert runtime._push_plans or runtime._scatter is not None
-        for handle, plan in runtime._push_plans.items():
-            clone = stable_fields(
-                plan, ("steps", "observe", "scalar_steps", "push_count")
-            )
-            assert clone.touched == plan.touched
+        """The scatter table every group write runs, and the list copy a
+        per-writer write walks, survive pickling byte-identically."""
+        for value_store in ("object", "columnar"):
+            engine = warmed_engine(value_store=value_store)
+            engine.write(next(iter(engine.graph.nodes())), 7.0)  # builds the lists
+            table = engine.runtime._scatter
+            assert table is not None and table._lists is not None
+            clone = roundtrip(table)
+            for field in ("indptr", "dst", "push_indptr", "push_dst", "push_coeff"):
+                before, after = getattr(table, field), getattr(clone, field)
+                assert after.dtype == before.dtype
+                assert after.tolist() == before.tolist()
+            assert clone.has_push == table.has_push
+            assert clone.lists() == table.lists()
 
     def test_pull_plans_roundtrip(self):
         engine = warmed_engine(value_store="object")

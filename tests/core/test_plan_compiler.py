@@ -1,4 +1,4 @@
-"""Compiled propagation plans: caching, kernels, precise invalidation."""
+"""Compiled propagation: the scatter table, pull plans, precise invalidation."""
 
 from repro.core.aggregates import Max, Sum, TopK
 from repro.core.execution import Runtime
@@ -23,14 +23,25 @@ def shared_overlay():
 
 class TestPlanCaching:
     def test_push_plan_compiled_once_per_writer(self):
-        ov, w, readers, pa = shared_overlay()
-        ov.set_all_decisions(Decision.PUSH)
-        rt = Runtime(ov, EgoQuery(aggregate=Sum()))
-        for _ in range(5):
-            rt.write("w1", 1.0)
-        assert rt.plan_compiles == 1
-        rt.write("w3", 1.0)
-        assert rt.plan_compiles == 2
+        """Every writer's push rows come from one scatter table, built once
+        per overlay version: per-event writes to any writer reuse it, and
+        the first write after a structural change builds the next one."""
+        for value_store in ("object", "columnar"):
+            ov, w, readers, pa = shared_overlay()
+            ov.set_all_decisions(Decision.PUSH)
+            rt = Runtime(ov, EgoQuery(aggregate=Sum()), value_store=value_store)
+            for _ in range(5):
+                rt.write("w1", 1.0)
+            assert rt.scatter_builds == 1
+            rt.write("w3", 1.0)
+            assert (rt.scatter_builds, rt.plan_compiles) == (1, 0)
+            w4 = ov.add_writer("w4")
+            ov.add_edge(w4, pa)
+            rt.rebuild()
+            rt.write("w4", 2.0)
+            rt.write("w1", 3.0)
+            assert rt.scatter_builds == 2
+            assert rt.read("r1") == rt.reference_read(["w1", "w2", "w4"]) == 5.0
 
     def test_pull_plan_compiled_once_per_reader(self):
         # The object backend compiles one monolithic pull plan; the
@@ -113,15 +124,22 @@ class TestPreciseInvalidation:
     def test_decision_flip_spares_untouched_plans(self):
         ov, w, (r1, r2), pa = shared_overlay()
         ov.set_all_decisions(Decision.PUSH)
-        rt = Runtime(ov, EgoQuery(aggregate=Sum()))
-        rt.write("w1", 1.0)  # compiles w1's plan (touches pa, r1, r2)
-        rt.write("w3", 2.0)  # compiles w3's plan (touches r2 only)
-        assert set(rt._push_plans) == {w["w1"], w["w3"]}
+        rt = Runtime(ov, EgoQuery(aggregate=Sum()), value_store="object")
+        rt.write("w1", 1.0)
+        rt.write("w3", 2.0)
+        rt.changed_handles()  # w1's closure touches pa, r1, r2; w3's only r2
+        assert set(rt._closures.touched) == {w["w1"], w["w3"]}
         rt.set_decision(r1, Decision.PULL)  # frontier flip
-        # w1's plan traverses r1 -> dropped; w3's never sees r1 -> kept.
-        assert w["w1"] not in rt._push_plans
-        assert w["w3"] in rt._push_plans
+        # w1's closure traverses r1 -> dropped; w3's never sees r1 -> kept.
+        assert set(rt._closures.touched) == {w["w3"]}
         rt.write("w2", 5.0)
+        assert rt.read("r1") == 6.0
+        assert rt.read("r2") == 8.0
+        # r1's pull plan (r1, pa) never sees r2; w3's closure does.
+        assert set(rt._pull_plans) == {r1}
+        rt.set_decision(r2, Decision.PULL)
+        assert set(rt._pull_plans) == {r1}
+        assert not rt._closures.touched
         assert rt.read("r1") == 6.0
         assert rt.read("r2") == 8.0
 
@@ -130,14 +148,17 @@ class TestPreciseInvalidation:
         ov.set_all_decisions(Decision.PUSH)
         rt = Runtime(ov, EgoQuery(aggregate=Sum()))
         rt.write("w1", 1.0)
-        assert rt._push_plans
-        # Mutate the overlay directly (no runtime API): the stamp check
-        # must drop stale plans on the next touch.
+        rt.changed_handles()
+        assert set(rt._closures.touched) == {w["w1"]}
+        # Mutate the overlay directly (no runtime API): every compiled plan
+        # and the scatter table are stale and must go.
         w4 = ov.add_writer("w4")
         ov.add_edge(w4, pa)
         rt.rebuild()
+        assert not rt._closures.touched and rt._scatter is None
         rt.write("w4", 3.0)
         assert rt.read("r1") == 4.0
+        assert set(rt.changed_handles().tolist()) == {r1, r2}
 
     def test_targeted_rebuild_keeps_unrelated_plans(self):
         # Two disjoint components: w1 -> pa -> r1 and w3 -> r2.
@@ -152,14 +173,16 @@ class TestPreciseInvalidation:
         rt = Runtime(ov, EgoQuery(aggregate=Sum(), window=TupleWindow(2)))
         rt.write("w1", 1.0)
         rt.write("w3", 2.0)
+        rt.changed_handles()
         compiles_before = rt.plan_compiles
         # Structural change local to w3/r2: direct edge removed.
         ov.remove_edge(w3, r2)
         rt.rebuild(dirty=ov.pop_dirty())
-        # w3's plan (touching r2) dropped, w1's plan survives untouched.
-        assert w1 in rt._push_plans
-        assert w3 not in rt._push_plans
+        # w3's closure (touching r2) dropped, w1's survives untouched.
+        assert w1 in rt._closures.touched
+        assert w3 not in rt._closures.touched
         rt.write("w1", 4.0)
+        assert rt.changed_handles().tolist() == [r1]
         assert rt.plan_compiles == compiles_before  # no recompilation needed
         assert rt.read("r1") == 5.0
         assert rt.read("r2") == 0.0  # w3 no longer contributes
@@ -167,13 +190,17 @@ class TestPreciseInvalidation:
     def test_full_rebuild_invalidates_everything(self):
         ov, w, (r1, r2), pa = shared_overlay()
         ov.set_all_decisions(Decision.PUSH)
-        rt = Runtime(ov, EgoQuery(aggregate=Sum()))
+        ov.set_decision(r1, Decision.PULL)
+        rt = Runtime(ov, EgoQuery(aggregate=Sum()), value_store="object")
         rt.write("w1", 1.0)
-        rt.read("r1")
-        assert rt._push_plans or rt._pull_plans
+        assert rt.read("r1") == 1.0
+        rt.changed_handles()
+        assert set(rt._pull_plans) == {r1}
+        assert set(rt._closures.touched) == {w["w1"]}
         rt.rebuild()
-        assert not rt._push_plans and not rt._pull_plans
-        assert rt.plan_invalidations >= 1
+        assert not rt._pull_plans and not rt._closures.touched
+        assert rt.plan_invalidations >= 2
+        assert rt.read("r1") == 1.0
 
 
 class TestCSRSnapshot:

@@ -2,21 +2,30 @@
 
 :func:`repro.core.execution.scatter_table` builds every push node's row
 height by height as ragged copies of its children's rows.  The reference
-walks each writer's push frontier with a stack, in the order the compiled
-push plans apply their steps.  Overlays are random DAGs with negative
-edges and shuffled edge order: those of ``tests/dataflow/test_passes.py``
-and layered ones whose push partials fan out to several push partials
-below them, so a row splices several children's rows, several levels
-deep.  The decisions are random but consistent: a node pushes only if
-every input does.
+walks each writer's push frontier with a stack, in the order the
+reference propagation (``Runtime.propagate_from``) applies its steps.
+Every group write runs the table's rows, so the second property drives
+whole runtimes: per-event ``write()`` and ``write_batch`` against
+``writer_step`` + ``propagate_from``.  Overlays are random DAGs with
+negative edges and shuffled edge order: those of
+``tests/dataflow/test_passes.py`` and layered ones whose push partials
+fan out to several push partials below them, so a row splices several
+children's rows, several levels deep.  The decisions are random but
+consistent: a node pushes only if every input does.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.execution import scatter_table
+from repro.core.aggregates import Sum, TopK
+from repro.core.execution import Runtime, scatter_table
 from repro.core.overlay import KIND_WRITER, NodeKind, Overlay
+from repro.core.query import EgoQuery
+from repro.core.windows import TupleWindow
 
 from tests.dataflow.test_passes import overlays
 
@@ -64,9 +73,9 @@ def layered_overlays(draw):
     return overlay
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(overlay=st.one_of(overlays(), layered_overlays()), data=st.data())
-def test_scatter_table_equals_per_writer_dfs(overlay, data):
+def decide(overlay, data):
+    """Random consistent decisions: writers push, and a node pushes only
+    if every input does."""
     push = set()
     for handle in overlay.topological_order():
         kind = overlay.kinds[handle]
@@ -76,6 +85,12 @@ def test_scatter_table_equals_per_writer_dfs(overlay, data):
         ):
             push.add(handle)
     overlay.set_decisions([handle in push for handle in range(overlay.num_nodes)])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overlay=st.one_of(overlays(), layered_overlays()), data=st.data())
+def test_scatter_table_equals_per_writer_dfs(overlay, data):
+    decide(overlay, data)
     csr = overlay.to_csr()
     table = scatter_table(csr)
     indptr, dsts, push_indptr, push_dsts, push_coeffs = per_writer_table(csr)
@@ -85,3 +100,71 @@ def test_scatter_table_equals_per_writer_dfs(overlay, data):
     assert table.push_dst.tolist() == push_dsts
     assert table.push_coeff.tolist() == push_coeffs
     assert table.push_coeff.dtype == np.int8
+
+
+RUNTIMES = [
+    pytest.param(Sum, "object", False, id="sum-object"),
+    pytest.param(Sum, "columnar", False, id="sum-columnar"),
+    pytest.param(lambda: TopK(2), "object", False, id="topk"),
+    pytest.param(Sum, "object", True, id="sum-traced"),
+]
+
+
+def pushes(trace):
+    return [op for op in trace if op.kind == "push"]
+
+
+@pytest.mark.parametrize("aggregate, value_store, traced", RUNTIMES)
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(overlay=st.one_of(overlays(), layered_overlays()), data=st.data())
+def test_writes_run_the_table_like_the_reference_dfs(
+    aggregate, value_store, traced, overlay, data
+):
+    """Per-event ``write()`` and ``write_batch`` reach the values,
+    ``push_ops``, ``observed_push`` and push trace of ``writer_step`` +
+    ``propagate_from``, event by event.
+
+    Rounds name each writer at most once, so a batch coalesces nothing and
+    propagates in stream order; values grow, so no write's delta is zero
+    (columnar tuple-window batches credit a zero-delta writer's traffic,
+    the reference does not; see ``Runtime.observed_push``).
+    """
+    decide(overlay, data)
+    writers = sorted(overlay.writer_of)
+    rounds = data.draw(
+        st.lists(st.lists(st.sampled_from(writers), unique=True, min_size=1), max_size=8)
+    )
+
+    def runtime():
+        query = EgoQuery(aggregate=aggregate(), window=TupleWindow(2))
+        return Runtime(
+            pickle.loads(pickle.dumps(overlay)), query,
+            collect_trace=traced, value_store=value_store,
+        )
+
+    reference, per_event, batched = runtime(), runtime(), runtime()
+    value = 0
+    for names in rounds:
+        batch = []
+        for node in names:
+            value += 1
+            batch.append((node, float(value)))
+            per_event.write(node, float(value))
+            reference.clock += 1.0
+            handle = reference.overlay.writer_of[node]
+            evicted = reference.buffers[node].append(float(value), reference.clock)
+            message = reference.writer_step(handle, [float(value)], evicted)
+            if message is not None:
+                reference.propagate_from(handle, message)
+        batched.write_batch(batch)
+    n = overlay.num_nodes
+    expected = [reference.values[h] for h in range(n)]
+    for rt in (per_event, batched):
+        assert [rt.values[h] for h in range(n)] == expected
+        assert rt.counters.push_ops == reference.counters.push_ops
+        assert list(rt.observed_push) == list(reference.observed_push)
+        if traced:
+            assert pushes(rt.trace) == pushes(reference.trace)
+    readers = list(overlay.reader_of)
+    reads = reference.read_batch(readers)
+    assert per_event.read_batch(readers) == reads == batched.read_batch(readers)
