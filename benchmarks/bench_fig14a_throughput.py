@@ -22,8 +22,10 @@ from benchmarks._common import (
     emit_table,
     engine_cost_model,
     measure_throughput,
+    run_workload,
     workload,
 )
+from repro.dataflow import CostModel
 
 RATIOS = (0.05, 0.2, 1.0, 5.0, 20.0)
 AGGREGATES = ("sum", "max", "topk")
@@ -44,28 +46,45 @@ def test_fig14a_end_to_end_throughput(benchmark):
     throughput = {}
     work = {}  # aggregate-op counts: deterministic, machine-independent
     for aggregate in AGGREGATES:
-        cost_model = engine_cost_model(graph, aggregate)
-        rows = []
+        # The wall-clock rows run on decisions costed with this machine's
+        # timings.  The work table runs on decisions costed in the units it
+        # counts, one per push and one per pulled input (H = 1, L = k),
+        # which no timing moves, so every run counts the same.
+        timed_model = engine_cost_model(graph, aggregate)
+        fixed_model = CostModel.constant_linear()
+        rows, work_rows = [], []
         for name, algorithm, dataflow in systems_for(aggregate):
-            cells = []
+            cells, work_cells = [], []
             for ratio in RATIOS:
                 events = workload(
                     graph, NUM_EVENTS, write_read_ratio=ratio, seed=int(ratio * 100)
                 )
-                engine = build_engine(
-                    graph, aggregate_name=aggregate, algorithm=algorithm,
-                    dataflow=dataflow, events=events, cost_model=cost_model,
+                timed, counted = (
+                    build_engine(
+                        graph, aggregate_name=aggregate, algorithm=algorithm,
+                        dataflow=dataflow, events=events, cost_model=model,
+                    )
+                    for model in (timed_model, fixed_model)
                 )
-                value = measure_throughput(engine, events)
+                value = measure_throughput(timed, events)
+                run_workload(counted, events)
                 throughput[(aggregate, name, ratio)] = value
-                work[(aggregate, name, ratio)] = engine.counters.work
+                work[(aggregate, name, ratio)] = counted.counters.work
                 cells.append(f"{value:,.0f}")
+                work_cells.append(f"{counted.counters.work:,}")
             rows.append([name] + cells)
+            work_rows.append([name] + work_cells)
         emit_table(
             f"fig14a_throughput_{aggregate}",
             f"Figure 14(a) [{aggregate.upper()}]: throughput (events/s) vs write:read ratio",
             ["system"] + [f"w:r={r}" for r in RATIOS],
             rows,
+        )
+        emit_table(
+            f"fig14a_work_{aggregate}",
+            f"Figure 14(a) [{aggregate.upper()}]: aggregate operations vs write:read ratio",
+            ["system"] + [f"w:r={r}" for r in RATIOS],
+            work_rows,
         )
 
     # -- shape assertions -----------------------------------------------

@@ -24,33 +24,25 @@ production — ``benchmarks/bench_obs_overhead.py`` proves the overhead);
 ``EAGR_METRICS=0`` or ``EAGrServer(metrics=False)`` turns them off.
 """
 
-from .registry import (
-    HIST_BUCKETS,
-    MetricsRegistry,
-    SlowOpLog,
-    bucket_bounds_us,
-    bucket_index,
-    percentile_from_buckets,
-)
-from .schema import (
-    GATEWAY_METRICS,
-    SHARD_METRICS,
-    declare_gateway_metrics,
-    declare_shard_metrics,
-)
-from .exporter import MetricsExporter, serve_metrics_http
+from repro._lazy import facade
 
-__all__ = [
-    "HIST_BUCKETS",
-    "MetricsRegistry",
-    "MetricsExporter",
-    "SlowOpLog",
-    "GATEWAY_METRICS",
-    "SHARD_METRICS",
-    "bucket_bounds_us",
-    "bucket_index",
-    "declare_gateway_metrics",
-    "declare_shard_metrics",
-    "percentile_from_buckets",
-    "serve_metrics_http",
-]
+#: Public name -> the submodule that defines it, resolved on first use:
+#: a shard worker reads only the registry and the shard schema, and the
+#: exporter loads with the first name that needs it.
+_EXPORTS = {
+    "HIST_BUCKETS": "registry",
+    "MetricsRegistry": "registry",
+    "MetricsExporter": "exporter",
+    "SlowOpLog": "registry",
+    "GATEWAY_METRICS": "schema",
+    "SHARD_METRICS": "schema",
+    "bucket_bounds_us": "registry",
+    "bucket_index": "registry",
+    "declare_gateway_metrics": "schema",
+    "declare_shard_metrics": "schema",
+    "percentile_from_buckets": "registry",
+    "serve_metrics_http": "exporter",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(globals(), _EXPORTS)

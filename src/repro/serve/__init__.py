@@ -92,47 +92,41 @@ N-th batch), seeded operation schedules, and condition-based waits — see
 its module docstring for how to script a crash.
 """
 
-from repro.serve.client import AsyncEAGrClient, EAGrClient, GatewayClosed
-from repro.serve.executors import InProcessShardExecutor, ProcessShardExecutor
-from repro.serve.gateway import GatewayError, GatewayServer
-from repro.serve.journal import NotificationLog, ResumeGapError
-from repro.serve.messages import Notification, ShardCheckpoint
-from repro.serve.replica import ReplicaServer, ReplicaError, StaleReadError
-from repro.serve.reshard import (
-    RebalancePolicy,
-    ReshardPlan,
-    plan_from_assignment,
-    propose_rebalance,
-)
-from repro.serve.server import EAGrServer, ServeError, Subscription
-from repro.serve.shard import ShardHost, ShardSpec
-from repro.serve.wal import WalError, WalLockedError, WriteAheadLog
+from repro._lazy import facade
 
-__all__ = [
-    "AsyncEAGrClient",
-    "EAGrClient",
-    "EAGrServer",
-    "GatewayClosed",
-    "GatewayError",
-    "GatewayServer",
-    "InProcessShardExecutor",
-    "Notification",
-    "NotificationLog",
-    "ProcessShardExecutor",
-    "RebalancePolicy",
-    "ReplicaError",
-    "ReplicaServer",
-    "ReshardPlan",
-    "ResumeGapError",
-    "ServeError",
-    "ShardCheckpoint",
-    "ShardHost",
-    "ShardSpec",
-    "StaleReadError",
-    "Subscription",
-    "WalError",
-    "WalLockedError",
-    "WriteAheadLog",
-    "plan_from_assignment",
-    "propose_rebalance",
-]
+#: Public name -> the submodule that defines it.  The package resolves a
+#: name on first use (PEP 562), so importing one submodule loads that
+#: submodule and what it imports, not the whole tier: a spawned shard
+#: worker enters through ``repro.serve.shard`` and never loads the
+#: gateway's asyncio, the client or the write-ahead log.
+_EXPORTS = {
+    "AsyncEAGrClient": "client",
+    "EAGrClient": "client",
+    "EAGrServer": "server",
+    "GatewayClosed": "client",
+    "GatewayError": "gateway",
+    "GatewayServer": "gateway",
+    "InProcessShardExecutor": "executors",
+    "Notification": "messages",
+    "NotificationLog": "journal",
+    "ProcessShardExecutor": "executors",
+    "RebalancePolicy": "reshard",
+    "ReplicaError": "replica",
+    "ReplicaServer": "replica",
+    "ReshardPlan": "reshard",
+    "ResumeGapError": "journal",
+    "ServeError": "messages",
+    "ShardCheckpoint": "messages",
+    "ShardHost": "shard",
+    "ShardSpec": "shard",
+    "StaleReadError": "replica",
+    "Subscription": "subscriptions",
+    "WalError": "wal",
+    "WalLockedError": "wal",
+    "WriteAheadLog": "wal",
+    "plan_from_assignment": "reshard",
+    "propose_rebalance": "reshard",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = facade(globals(), _EXPORTS)

@@ -5,7 +5,7 @@ an ``on_reply`` callback:
 
 * :class:`ProcessShardExecutor` — the real deployment shape.  The shard
   host lives in its own **worker process** (``multiprocessing``, spawn
-  context by default so the shard is fully reconstructed from pickled
+  context, so the shard is fully reconstructed from pickled
   state — no fork-inherited locks or caches) running the one
   :func:`~repro.serve.shard.shard_worker` loop, reached through the
   shard's bounded request pipe (:mod:`repro.serve.transport`).
@@ -145,7 +145,19 @@ class ProcessShardExecutor:
         The shard's :class:`~repro.serve.transport.QueueTransport`.
 
     The worker is started with ``spawn``: a clean interpreter that
-    rebuilds its shard from the picklable spec.
+    rebuilds its shard from the picklable spec.  Its boot is mostly its
+    imports: it enters through :mod:`repro.serve.shard`, and the lazy
+    ``repro.serve`` package loads only the shard, its transport, the
+    frames and the engine (45 ``repro`` modules, 13 260 lines, no asyncio
+    or ssl).  With ``PYTHONDONTWRITEBYTECODE=1`` every one of those lines
+    is compiled again in each worker.  On a 2-vCPU Xeon VM, pinned to one
+    CPU, a fresh worker that imports, unpickles ``serve_feed``'s 45 KB
+    spec and builds its 237-reader shard takes 0.38 s (min; median
+    0.45 s) without bytecode caching and 0.35 s with it; the same boot
+    with the whole serving tier imported takes 0.50 s and 0.43 s.
+    ``spawn`` stays the start method: a ``forkserver`` preloaded with the
+    shard module keeps one more process of 32–40 MB resident in the
+    tree for as long as the server runs.
     """
 
     kind = "process"

@@ -536,8 +536,11 @@ class EAGrServer:
             for shard_id in range(num_shards)
         ]
         self._executors: List[Any] = [None] * num_shards
-        # Every worker boots before any replay starts, so the shards
-        # build their overlays in parallel.
+        # Every worker is started before any replay starts.  The workers
+        # boot concurrently only when each has a CPU of its own and its
+        # pickled spec fits the 64 KB pipe buffer: past it,
+        # ``Process.start()`` blocks until the child has imported the
+        # shard module and read the spec, so the boots run one by one.
         for shard_id in range(num_shards):
             self._replace_worker(shard_id, state.checkpoints.get(shard_id))
         if recovered:
