@@ -42,13 +42,12 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 try:
-    from benchmarks._common import bench_graph, emit_table
-    from benchmarks.bench_serve_scaling import write_workload
+    from benchmarks._common import bench_graph, emit_table, workload
 except ImportError:  # script mode
     sys.path.insert(0, os.path.dirname(__file__))
-    from _common import bench_graph, emit_table
-    from bench_serve_scaling import write_workload
+    from _common import bench_graph, emit_table, workload
 
+from repro.graph.streams import WriteEvent
 from repro.obs import MetricsExporter
 from repro.serve import EAGrServer
 
@@ -58,6 +57,15 @@ PASSES = 25
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 JSON_PATH = os.path.join(REPO_ROOT, "BENCH_obs.json")
 PROM_PATH = os.path.join(os.path.dirname(__file__), "results", "metrics.prom")
+
+
+def write_workload(graph, num_events: int):
+    events = workload(graph, num_events, write_read_ratio=10_000.0, seed=23)
+    return [
+        (e.node, e.value, e.timestamp)
+        for e in events
+        if isinstance(e, WriteEvent)
+    ]
 
 
 def make_server(graph, metrics, executor="inprocess"):

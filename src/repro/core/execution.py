@@ -2172,24 +2172,6 @@ class Runtime:
         memo[(root, stamp)] = acc
         return acc
 
-    def _pull(self, handle: int) -> PAO:
-        """Uncompiled recursive pull (reference implementation)."""
-        agg = self.aggregate
-        overlay = self.overlay
-        self.observed_pull[handle] += 1
-        if self.trace is not None:
-            self.trace.append(TraceOp(handle, "pull", overlay.fan_in(handle)))
-        acc = self._identity
-        for src, sign in overlay.inputs[handle].items():
-            if overlay.decisions[src] is Decision.PUSH:
-                self.observed_pull[src] += 1
-                value = self.values[src]
-            else:
-                value = self._pull(src)
-            acc = agg.merge(acc, value) if sign > 0 else agg.subtract(acc, value)
-            self.counters.pull_ops += 1
-        return acc
-
     # ------------------------------------------------------------------
     # sliding-window expiry
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ and decodes it against the same schema:
 
 Metrics default **on** (they are cheap enough to leave on in
 production — ``benchmarks/bench_obs_overhead.py`` proves the overhead);
-``EAGR_METRICS=0`` or ``EAGrServer(metrics=False)`` turns them off.
+``EAGrServer(metrics=False)`` turns them off (null metric objects).
 """
 
 from repro._lazy import facade

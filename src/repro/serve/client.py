@@ -61,8 +61,7 @@ from repro.serve.frames import (
     encode_write,
 )
 from repro.serve.journal import ResumeGapError
-from repro.serve.messages import OP_WRITE, Notification
-from repro.serve.server import ServeError
+from repro.serve.messages import OP_WRITE, Notification, ServeError
 
 
 class GatewayClosed(ServeError):

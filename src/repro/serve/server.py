@@ -210,6 +210,10 @@ from repro.serve.wal import WriteAheadLog
 
 NodeId = Hashable
 
+#: A write's routing or its write→notify delivery that takes this many
+#: seconds or more lands in ``slow_ops``.
+SLOW_OP_THRESHOLD = 0.050
+
 
 class _Call:
     """One awaited request: an event plus its result-or-error slot."""
@@ -244,10 +248,9 @@ class EAGrServer:
         other value raises ``ValueError`` before the log is opened.
     metrics:
         Whether the metrics plane is on (see :mod:`repro.obs` and the
-        Observability section of PERFORMANCE.md).  ``"auto"`` (default)
-        turns it on, honouring the ``EAGR_METRICS`` environment variable
-        (``"0"``/``"false"``/``"no"``/``"off"`` disable); pass
-        ``True``/``False`` to override.  When on, the front-end registry
+        Observability section of PERFORMANCE.md): ``True`` (default) or
+        ``False``; any other value raises ``ValueError`` before the log
+        is opened.  When on, the front-end registry
         tracks routing/WAL/latency histograms, each shard keeps its own
         registry (scraped by :meth:`EAGrServer.metrics`, with one
         ``OP_STATS`` round trip per process shard), and every accepted
@@ -312,7 +315,7 @@ class EAGrServer:
         num_shards: int = 2,
         executor: str = "process",
         transport: str = "queue",
-        metrics: Any = "auto",
+        metrics: bool = True,
         assign: Optional[Callable[[NodeId], int]] = None,
         queue_depth: int = 8,
         coalesce_max: int = 8192,
@@ -336,7 +339,9 @@ class EAGrServer:
         if transport != "queue":
             raise ValueError(f"transport must be 'queue', got {transport!r}")
         self.transport = transport
-        self.metrics_enabled = self._resolve_metrics(metrics)
+        if metrics is not True and metrics is not False:
+            raise ValueError(f"metrics must be True or False, got {metrics!r}")
+        self.metrics_enabled = metrics
         from repro.obs import MetricsRegistry, SlowOpLog, declare_shard_metrics
 
         # -- metrics plane: the registry comes up before the log so its
@@ -351,9 +356,7 @@ class EAGrServer:
         self._m_wal_bytes = reg.gauge("wal_total_bytes")
         self._m_write_calls = reg.counter("srv_write_batches")
         self._m_latency_discarded = reg.counter("srv_latency_discarded")
-        self.slow_ops = SlowOpLog(
-            threshold=float(_os.environ.get("EAGR_SLOW_OP_THRESHOLD") or 0.050)
-        )
+        self.slow_ops = SlowOpLog(threshold=SLOW_OP_THRESHOLD)
         #: layout-compatible decoder registry for shard metric scrapes
         #: (the worker registers the same schema in the same order).
         self._shard_schema = MetricsRegistry(enabled=True)
@@ -558,26 +561,6 @@ class EAGrServer:
             target=self._flush_loop, name="eagr-server-flusher", daemon=True
         )
         self._flusher.start()
-
-    @staticmethod
-    def _resolve_metrics(metrics: Any) -> bool:
-        """Resolve the ``metrics`` toggle (see __init__).
-
-        Precedence: explicit ``True``/``False`` > ``EAGR_METRICS`` env
-        var > on.
-        """
-        if metrics is True:
-            return True
-        if metrics is False:
-            return False
-        if metrics != "auto":
-            raise ValueError(
-                f"metrics must be True, False or 'auto', got {metrics!r}"
-            )
-        env = _os.environ.get("EAGR_METRICS")
-        if env is not None and env.strip() != "":
-            return env.strip() not in ("0", "false", "no", "off")
-        return True
 
     def _replace_worker(
         self,

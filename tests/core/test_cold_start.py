@@ -9,6 +9,9 @@ A spawned shard worker compiles every module it imports again when
 bytecode caching is off, so its boot is mostly its import set: building
 a shard and applying a write must not load the front-end, the gateway,
 the client or the write-ahead log, nor asyncio and ssl behind them.
+
+A process that only talks to a gateway holds an ``EAGrClient``: importing
+the client must not load the server-side front-end behind it.
 """
 
 import os
@@ -70,6 +73,21 @@ NOT_IN_A_WORKER = (
     "repro.serve.wal",
 )
 
+CLIENT_SCRIPT = """
+import sys
+import repro.serve.client
+print(" ".join(sorted(set(sys.argv[1:]) & set(sys.modules))))
+"""
+
+#: The front-end a client-only process never runs.
+NOT_IN_A_CLIENT = tuple(
+    f"repro.serve.{name}"
+    for name in (
+        "executors", "reshard", "router", "server", "shard", "subscriptions",
+        "transport", "wal",
+    )
+)
+
 
 def run_fresh(script, *args):
     done = subprocess.run(
@@ -85,3 +103,7 @@ def test_engine_cold_start_does_not_import_numpy_ma():
 
 def test_shard_worker_imports_only_what_it_runs():
     assert run_fresh(WORKER_SCRIPT, *NOT_IN_A_WORKER) == ""
+
+
+def test_client_imports_no_front_end():
+    assert run_fresh(CLIENT_SCRIPT, *NOT_IN_A_CLIENT) == ""

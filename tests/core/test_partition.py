@@ -60,8 +60,7 @@ def community_partition(graph, query, num_shards):
 
 
 # Seeded community graphs at two shapes: many small communities with a
-# tight shard budget, and fewer larger ones.  These are the same
-# configurations BENCH_reshard.json records.
+# tight shard budget, and fewer larger ones.
 COMMUNITY_CONFIGS = [
     dict(num_communities=12, community_size=30, intra_probability=0.5,
          inter_edges=40, seed=101, num_shards=5),
@@ -104,6 +103,9 @@ class TestQualityRegression:
         # The partitioner's own promise: no shard above 1.25x the mean
         # (with a one-reader slack for ceil-rounded capacities).
         assert max(sizes) <= int(1.25 * mean) + 1
+        # The default balance is that bound: a server built without
+        # ``assign=`` gets this same partition.
+        assert mincut_partition(graph, query, num_shards) == mincut
 
     def test_write_freq_steers_the_cut(self):
         # With a handful of writers carrying 100x the traffic, the

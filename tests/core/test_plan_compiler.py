@@ -6,6 +6,8 @@ from repro.core.overlay import Decision, Overlay
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 
+from tests.core.test_pull_rows import uncompiled_pull
+
 
 def shared_overlay():
     """w1,w2 -> PA -> {r1, r2};  w3 -> r2 (handles returned for poking)."""
@@ -98,7 +100,7 @@ class TestPlanCaching:
         compiled = rt.read("r2")
         # reference: the uncompiled recursive pull
         handle = rt.overlay.reader_of["r2"]
-        assert compiled == rt.aggregate.finalize(rt._pull(handle)) == 12.0
+        assert compiled == rt.aggregate.finalize(uncompiled_pull(rt, handle)) == 12.0
 
     def test_negative_edges_through_plans(self):
         ov = Overlay()

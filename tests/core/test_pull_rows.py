@@ -3,7 +3,7 @@
 A seeded schedule interleaves write batches, structure events and adaptive
 frontier flips on a small random graph and reads at random points.  Every
 read must equal the brute-force oracle and the uncompiled recursive
-``_pull``; ``read(n)`` must be the same computation as
+pull (:func:`uncompiled_pull`); ``read(n)`` must be the same computation as
 ``read_batch([n])[0]``; duplicates, unknown nodes and the empty batch must
 behave as a per-node loop; and a batch must credit ``observed_pull`` with
 exactly what evaluating its readers one after the other credits.  On the
@@ -82,22 +82,38 @@ def build(seed, plan, dataflow, label_type, window, maintain, value_store):
     return rng, graph, engine, label
 
 
+def uncompiled_pull(runtime, handle):
+    """The recursive pull that plans and rows flatten, over the overlay's
+    dicts: merges in input order and credits ``observed_pull`` for
+    ``handle`` and every input it reaches, as one read does."""
+    agg = runtime.aggregate
+    overlay = runtime.overlay
+    runtime.observed_pull[handle] += 1
+    acc = agg.identity()
+    for src, sign in overlay.inputs[handle].items():
+        if overlay.decisions[src] is Decision.PUSH:
+            runtime.observed_pull[src] += 1
+            value = runtime.values[src]
+        else:
+            value = uncompiled_pull(runtime, src)
+        acc = agg.merge(acc, value) if sign > 0 else agg.subtract(acc, value)
+    return acc
+
+
 def sequential_credit(runtime, handles):
     """What evaluating ``handles`` one after the other, uncompiled, adds to
     ``observed_pull`` (and the values it computes)."""
     overlay = runtime.overlay
     before = list(runtime.observed_pull)
-    ops = runtime.counters.pull_ops
     values = []
     for handle in handles:
         if overlay.decisions[handle] is Decision.PUSH:
             runtime.observed_pull[handle] += 1
             pao = runtime.values[handle]
         else:
-            pao = runtime._pull(handle)
+            pao = uncompiled_pull(runtime, handle)
         values.append(runtime.aggregate.finalize(pao))
     credit = [now - was for now, was in zip(runtime.observed_pull, before)]
-    runtime.counters.pull_ops = ops
     return credit, values
 
 

@@ -192,6 +192,9 @@ class TestSubscriptions:
             notes = drain_stream(stream, expected)
             assert_contiguous([n.stamp for n in notes], tag="live stream:")
             assert all(n.subscriber == "sub" for n in notes)
+            # Writes that enter through the gateway carry their ingress
+            # stamp to delivery: the write->notify trace sees them.
+            assert server.server_stats()["write_notify_latency"]["count"] > 0
 
     def test_two_subscribers_one_connection(self, deployment):
         graph, server, gateway = deployment

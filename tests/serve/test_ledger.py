@@ -373,6 +373,13 @@ def test_constructor_failure_never_leaks_the_writer_lock(tmp_path):
                     graph, query, executor=executor, transport=transport,
                     wal_dir=wal_dir,
                 )
+        # The metrics plane is on or off; nothing else is accepted.
+        for metrics in ("auto", 1, None):
+            with pytest.raises(ValueError, match="metrics must be True or False"):
+                EAGrServer(
+                    graph, query, executor=executor, metrics=metrics,
+                    wal_dir=wal_dir,
+                )
     assert not os.path.exists(wal_dir)
     # Retried from inside the ``except`` block: the traceback still pins
     # the half-built server, so only an explicit close frees the flock.

@@ -207,17 +207,6 @@ class TestMetricsSnapshot:
             assert m["enabled"] is False
             assert m["shards"] == {}
 
-    def test_env_var_gates_metrics(self, graph, query, monkeypatch):
-        monkeypatch.setenv("EAGR_METRICS", "0")
-        with make_server(graph, query) as server:
-            assert not server.metrics_enabled
-        monkeypatch.setenv("EAGR_METRICS", "1")
-        with make_server(graph, query) as server:
-            assert server.metrics_enabled
-        # Explicit argument beats the environment.
-        with make_server(graph, query, metrics=False) as server:
-            assert not server.metrics_enabled
-
     def test_server_stats_compat_keys(self, graph, query):
         """server_stats() is now a view over metrics(); the pre-existing
         consumer contract must hold key for key."""
