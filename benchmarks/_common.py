@@ -79,18 +79,25 @@ def format_table(
     return "\n".join(lines)
 
 
-def emit(name: str, table: str) -> None:
-    """Print a results table past pytest's capture and persist it."""
+def emit(name: str, table: str, directory: str = RESULTS_DIR) -> None:
+    """Print a results table past pytest's capture and persist it as
+    ``directory/name.txt``."""
     text = f"\n{table}\n"
     sys.__stdout__.write(text)
     sys.__stdout__.flush()
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, f"{name}.txt"), "w") as handle:
         handle.write(table + "\n")
 
 
-def emit_table(name: str, title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
-    emit(name, format_table(headers, rows, title=title))
+def emit_table(
+    name: str,
+    title: str,
+    headers: Sequence[str],
+    rows: Iterable[Sequence],
+    directory: str = RESULTS_DIR,
+) -> None:
+    emit(name, format_table(headers, rows, title=title), directory)
 
 
 def bench_graph(dataset: str, scale: float = 0.35):

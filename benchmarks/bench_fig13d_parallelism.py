@@ -6,30 +6,40 @@ serving threads sweep 1..48 for all-pull, all-push, and the decided overlay
 
 Substitution: CPython's GIL makes real-thread CPU scaling impossible, so
 the sweep runs on :class:`SimulatedExecutor`, a discrete-event simulation
-of the paper's hybrid threading model (Section 2.2.2).  It schedules the
-engine's *actual* micro-op trace (``collect_trace=True``) across M virtual
-workers with per-node locks and a serial dispatcher — the same contention
-sources as the paper's implementation.  Throughput rises near-linearly
-while work is available and plateaus when dispatch and lock contention
-dominate, the published shape.
+of the paper's hybrid threading model (Section 2.2.2).  It schedules one
+task of micro-ops per event across M virtual workers with per-node locks
+and a serial dispatcher — the same contention sources as the paper's
+implementation.  The tasks are derived, not traced: :func:`collect_tasks`
+runs each event on the engine and reads the micro-ops the runtime
+performed off the compiled overlay (a write's push DFS when the writer
+moved, a read's pull walk).  Throughput rises near-linearly while work is
+available and plateaus when dispatch and lock contention dominate, the
+published shape.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import pytest
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from benchmarks._common import bench_graph, build_engine, emit_table, workload
 from repro.core.engine import EAGrEngine
-from repro.core.execution import TraceOp
+from repro.core.overlay import Decision, Overlay
+from repro.core.windows import TimeWindow
 from repro.dataflow.costs import CostModel
 from repro.graph.streams import ReadEvent, WriteEvent
 
 THREADS = (1, 2, 4, 8, 16, 24, 32, 48)
 NUM_EVENTS = 4_000
+
+
+class TraceOp(NamedTuple):
+    """One micro-operation of a simulated task."""
+
+    handle: int
+    kind: str  # "write" | "push" | "pull" | "read"
+    fan_in: int
 
 
 @dataclass(frozen=True)
@@ -61,29 +71,86 @@ def op_cost(op: TraceOp, cost_model: CostModel) -> float:
     return 0.5  # "read" on a push node: finalize only
 
 
-def collect_tasks(engine: EAGrEngine, events: Sequence) -> List[List[TraceOp]]:
-    """Execute ``events`` on a trace-collecting engine, one task per event.
+def push_ops(overlay: Overlay, writer: int) -> List[TraceOp]:
+    """The pushes of a write that moved ``writer``: the stack DFS of
+    ``Runtime.propagate_from`` over ``overlay.outputs``, which stops at
+    pull nodes.  A group aggregate pushes every message on, so the DFS
+    depends on the overlay alone."""
+    ops: List[TraceOp] = []
+    stack = [writer]
+    while stack:
+        node = stack.pop()
+        for dst in overlay.outputs[node]:
+            if overlay.decisions[dst] is Decision.PUSH:
+                ops.append(TraceOp(dst, "push", overlay.fan_in(dst)))
+                stack.append(dst)
+    return ops
 
-    The engine must have been built with ``collect_trace=True``.  Returns the
-    per-event micro-operation lists the simulator schedules.
+
+def pull_ops(overlay: Overlay, reader: int) -> List[TraceOp]:
+    """The pulls of one read at pull ``reader``: its pull nodes in
+    pre-order, inputs in input order, a node shared by two paths once per
+    path — the ENTER ops of the reader's compiled pull plan."""
+    ops: List[TraceOp] = []
+    stack = [reader]
+    while stack:
+        node = stack.pop()
+        ops.append(TraceOp(node, "pull", overlay.fan_in(node)))
+        stack.extend(
+            src
+            for src in reversed(list(overlay.inputs[node]))
+            if overlay.decisions[src] is not Decision.PUSH
+        )
+    return ops
+
+
+def collect_tasks(engine: EAGrEngine, events: Sequence) -> List[List[TraceOp]]:
+    """Execute ``events`` on ``engine``, one task per event.
+
+    Each task lists the micro-operations the event cost, derived from the
+    overlay the event ran on: ``write(w)`` then, if the write moved writer
+    ``w``, its :func:`push_ops`; ``read(h)`` at a push reader, the
+    :func:`pull_ops` of a pull reader; nothing for a node no overlay node
+    stands for.  Lattice aggregates and time windows are rejected: a
+    lattice push stops where a value stops changing, and a time window
+    expires values inside any event, so their micro-ops depend on the data.
     """
-    if engine.runtime.trace is None:
-        raise ValueError("engine was not built with collect_trace=True")
+    query = engine.query
+    if not query.aggregate.subtractable:
+        raise ValueError("lattice aggregates stop their pushes on the data")
+    if isinstance(query.window, TimeWindow):
+        raise ValueError("time windows expire values inside any event")
     tasks: List[List[TraceOp]] = []
     for event in events:
-        # A lazy recompile would replace engine.runtime (and its trace)
-        # inside the event call; settle it first so the slice below reads
-        # the trace list the event actually appends to.
+        # A lazy recompile would replace engine.runtime (and its overlay)
+        # inside the event call; settle it first.  The ops are read off
+        # the overlay before the event, which an adaptive controller may
+        # re-decide once the event is done.
         engine._sync()
         runtime = engine.runtime
-        before = len(runtime.trace)
+        overlay = runtime.overlay
         if isinstance(event, WriteEvent):
+            handle = overlay.writer_of.get(event.node)
+            task = []
+            if handle is not None:
+                task.append(TraceOp(handle, "write", 1))
+                pushes = push_ops(overlay, handle)
+            runtime.pop_changed_writers()
             engine.write(event.node, event.value, event.timestamp)
+            if handle is not None and handle in runtime.pop_changed_writers():
+                task.extend(pushes)
         elif isinstance(event, ReadEvent):
+            handle = overlay.reader_of.get(event.node)
+            if handle is None:
+                task = []
+            elif overlay.decisions[handle] is Decision.PUSH:
+                task = [TraceOp(handle, "read", 1)]
+            else:
+                task = pull_ops(overlay, handle)
             engine.read(event.node)
         else:
             raise TypeError("collect_tasks handles read/write events only")
-        tasks.append(list(runtime.trace[before:]))
+        tasks.append(task)
     return tasks
 
 
@@ -148,7 +215,7 @@ class SimulatedExecutor:
 def trace_tasks(graph, dataflow):
     engine = build_engine(
         graph, aggregate_name="topk", algorithm="vnm_a", dataflow=dataflow,
-        window=2, collect_trace=True,
+        window=2,
     )
     events = workload(graph, NUM_EVENTS, write_read_ratio=1.0, seed=47)
     return collect_tasks(engine, events)

@@ -23,9 +23,10 @@ on a two-vCPU virtual machine moved single passes by up to 30%.  Full
 runs repeat the comparison on process shards over the queue transport
 (where the shard registries' ``OP_STATS`` scrape adds its cost).
 
-Results append to ``BENCH_obs.json`` at the repo root; each run also
-renders the metrics-on server's Prometheus exposition to
-``benchmarks/results/metrics.prom`` (the artifact CI uploads).
+Every output lands in the untracked ``benchmarks/out/``: results append
+to ``BENCH_obs.json``, the table goes to ``obs_overhead.txt``, and the
+metrics-on server's Prometheus exposition to ``metrics.prom`` (CI
+uploads the first and the last).
 ``--smoke`` shrinks the workload and asserts the acceptance floor: the
 median per-pair on/off ratio >= 0.95 (overhead < 5%).
 """
@@ -54,9 +55,9 @@ from repro.serve import EAGrServer
 BATCH_SIZE = 256
 NUM_EVENTS = 12_000
 PASSES = 25
-REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-JSON_PATH = os.path.join(REPO_ROOT, "BENCH_obs.json")
-PROM_PATH = os.path.join(os.path.dirname(__file__), "results", "metrics.prom")
+OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+JSON_PATH = os.path.join(OUT_DIR, "BENCH_obs.json")
+PROM_PATH = os.path.join(OUT_DIR, "metrics.prom")
 
 
 def write_workload(graph, num_events: int):
@@ -187,9 +188,9 @@ def run_bench(num_events=NUM_EVENTS, passes=PASSES, with_process=True):
         "median of alternating on/off pairs",
         ["leg", "on ev/s", "off ev/s", "on/off", "p99 wr→notify"],
         rows,
+        OUT_DIR,
     )
     if exposition is not None:
-        os.makedirs(os.path.dirname(PROM_PATH), exist_ok=True)
         with open(PROM_PATH, "w") as handle:
             handle.write(exposition)
     return results

@@ -17,7 +17,7 @@ from repro.core.aggregates import (
     get_aggregate,
 )
 from repro.core.engine import DATAFLOW_MODES, EAGrEngine
-from repro.core.execution import Runtime, RuntimeCounters, TraceOp
+from repro.core.execution import Runtime, RuntimeCounters
 from repro.core.overlay import Decision, NodeKind, Overlay, OverlayError
 from repro.core.query import EgoQuery, QueryMode
 from repro.core.windows import TimeWindow, TupleWindow, Window, WindowBuffer
@@ -42,7 +42,6 @@ __all__ = [
     "EAGrEngine",
     "Runtime",
     "RuntimeCounters",
-    "TraceOp",
     "Decision",
     "NodeKind",
     "Overlay",

@@ -71,10 +71,10 @@ class EAGrEngine:
     adaptive:
         Attach the Section 4.8 adaptive decision controller.
     value_store:
-        Aggregate-state backend: ``auto`` (columnar numpy columns when the
+        Aggregate-state backend: ``columnar`` (numpy columns when the
         aggregate declares a column spec, object lists otherwise), or
-        force ``object`` / ``columnar``.  Invisible to callers — reads
-        are byte-identical between backends for integer streams.
+        force ``object``.  Invisible to callers — reads are
+        byte-identical between backends for integer streams.
     """
 
     def __init__(
@@ -89,9 +89,8 @@ class EAGrEngine:
         maintain: bool = False,
         adaptive: bool = False,
         adaptive_config: Optional[AdaptiveConfig] = None,
-        collect_trace: bool = False,
         overlay_params: Optional[Dict[str, Any]] = None,
-        value_store: str = "auto",
+        value_store: str = "columnar",
     ) -> None:
         if dataflow not in DATAFLOW_MODES:
             raise ValueError(f"dataflow must be one of {DATAFLOW_MODES}")
@@ -102,7 +101,6 @@ class EAGrEngine:
         self.value_store = value_store
         self.frequencies = frequencies or FrequencyModel.uniform(graph.nodes())
         self.cost_model = cost_model or CostModel.for_aggregate(query.aggregate)
-        self._collect_trace = collect_trace
         self._needs_recompile = False
         # reference_read orders oracle members deterministically; the sort
         # is cached per node and refreshed only when the membership changes.
@@ -127,7 +125,6 @@ class EAGrEngine:
         self.runtime = Runtime(
             self.overlay,
             query,
-            collect_trace=collect_trace,
             value_store=value_store,
         )
 
@@ -388,7 +385,6 @@ class EAGrEngine:
             self.overlay,
             self.query,
             buffers=buffers,
-            collect_trace=self._collect_trace,
             value_store=self.value_store,
             stamp=stamp,
         )

@@ -108,8 +108,7 @@ watched readers) instead of O(subscribers).
 
 The runtime also counts *observed* push and pull frequencies per node —
 including would-be pushes blocked at the frontier — which the adaptive
-controller (Section 4.8) consumes, and can record a micro-operation trace
-for the simulated multi-core executor.
+controller (Section 4.8) consumes.
 """
 
 from __future__ import annotations
@@ -224,15 +223,6 @@ class RuntimeCounters:
     @property
     def work(self) -> int:
         return self.push_ops + self.pull_ops
-
-
-@dataclass
-class TraceOp:
-    """One micro-operation for the simulated executor (Figure 13(d))."""
-
-    handle: int
-    kind: str  # "write" | "push" | "pull" | "read"
-    fan_in: int
 
 
 class PullPlan:
@@ -439,8 +429,7 @@ class Runtime:
         overlay: Overlay,
         query: EgoQuery,
         buffers: Optional[Dict[NodeId, WindowBuffer]] = None,
-        collect_trace: bool = False,
-        value_store: str = "auto",
+        value_store: str = "columnar",
         stamp: int = 0,
     ) -> None:
         self.overlay = overlay
@@ -502,21 +491,17 @@ class Runtime:
         self.op_timing = False
         self.clock = 0.0
         self._expiry_heap: List[Tuple[float, int]] = []
-        self.trace: Optional[List[TraceOp]] = [] if collect_trace else None
         # Columnar lattice execution (MAX/MIN over columns): per-input
         # snapshots are redundant — a push node's snapshot of input ``src``
         # always equals ``values[src]`` (every emitted message updates all
         # consumers before propagation descends), so recomputes gather the
         # inputs' columns directly and batches of grow-only updates apply
-        # as one ``fmax.at``/``fmin.at`` scatter.  Trace collection keeps
-        # the snapshot-based interpreter (micro-op parity with the seed).
-        self._lattice_columns = (
-            self._columnar and self._spec.kind == "lattice" and self.trace is None
-        )
+        # as one ``fmax.at``/``fmin.at`` scatter.
+        self._lattice_columns = self._columnar and self._spec.kind == "lattice"
         # Columnar reads run through frozen pull rows and one kernel
         # (:meth:`_row_columns`) whose ``_row_fold.reduceat`` folds a row;
-        # the object store and trace collection keep the interpreted plans.
-        self._row_reads = self._columnar and self.trace is None
+        # the object store keeps the interpreted plans.
+        self._row_reads = self._columnar
         if self._row_reads:
             folds = {"add": np.add, "maximum": np.fmax, "minimum": np.fmin}
             self._row_fold = folds[self._spec.merge_ufunc]
@@ -639,8 +624,7 @@ class Runtime:
         buffers from a checkpoint), and make every ``buffers`` entry a view
         of its row.  With plain ``int`` writer ids the rows are in id
         order, so ``_ring_keys`` maps node ids to rows by ``searchsorted``
-        (the kernel's precondition; ``None`` otherwise, or under trace
-        collection)."""
+        (the kernel's precondition; ``None`` otherwise)."""
         writer_of = self.overlay.writer_of
         nodes = list(writer_of)
         keyed = bool(nodes) and all(type(node) is int for node in nodes)
@@ -658,7 +642,7 @@ class Runtime:
             [writer_of[node] for node in nodes], dtype=np.int64
         )
         self._ring_keys = None
-        if keyed and self.trace is None:
+        if keyed:
             try:
                 self._ring_keys = np.array(nodes, dtype=np.int64)
             except OverflowError:  # ids beyond int64: per-event path only
@@ -828,7 +812,6 @@ class Runtime:
         in_indices = csr.in_indices
         in_signs = csr.in_signs
         push = csr.push
-        fan_in = csr.fan_in
         program: List[Tuple[int, int, int]] = []
         touched = {root}
         # Work items mirror the recursion: ENTER emits the node then
@@ -845,7 +828,7 @@ class Runtime:
                 program.append((_OP_EXIT, b, 0))
                 continue
             node = a
-            program.append((_OP_ENTER, node, fan_in[node]))
+            program.append((_OP_ENTER, node, 0))
             # Children are pushed reversed so they run in input order.
             for i in range(in_indptr[node + 1] - 1, in_indptr[node] - 1, -1):
                 src = in_indices[i]
@@ -1139,8 +1122,6 @@ class Runtime:
             heapq.heappush(
                 self._expiry_heap, (timestamp + self.query.window.duration, handle)
             )
-        if self.trace is not None:
-            self.trace.append(TraceOp(handle, "write", 1))
         message = self.writer_step(handle, [value], evicted)
         if message is not None:
             self._note_moved((handle,))
@@ -1188,12 +1169,11 @@ class Runtime:
                 if columns is not None:
                     last = max(columns[2]) if len(columns) == 3 else None
                     return self._write_ring(columns[0], columns[1], last)
-        if self._columnar_delta and self.trace is None:
+        if self._columnar_delta:
             return self._write_batch_columnar(writes)
         overlay = self.overlay
         writer_of = overlay.writer_of
         buffers = self.buffers
-        trace = self.trace
         time_window = self._time_window
         duration = self.query.window.duration if time_window else 0.0
         clock = self.clock
@@ -1233,25 +1213,19 @@ class Runtime:
                 entry[0].append(value)
                 if evicted:
                     entry[1].extend(evicted)
-                if trace is not None:
-                    trace.append(TraceOp(handle, "write", 1))
         finally:
             # Even when an item raises (e.g. a non-monotone timestamp),
             # values already absorbed into buffers must propagate so push
             # state stays consistent with the windows.
             self.clock = clock
             self.counters.writes += count
-            self._apply_pending(pending, trace)
+            self._apply_pending(pending)
         return count
 
-    def _apply_pending(
-        self,
-        pending: Dict[int, Tuple[List[Any], List[Any]]],
-        trace: Optional[List[TraceOp]],
-    ) -> None:
+    def _apply_pending(self, pending: Dict[int, Tuple[List[Any], List[Any]]]) -> None:
         """Propagation phase of a batch: one propagation per touched
         writer, carrying its coalesced added/evicted runs."""
-        if self._lattice_columns and trace is None:
+        if self._lattice_columns:
             self._apply_pending_lattice(pending)
             return
         moved = []
@@ -1786,8 +1760,6 @@ class Runtime:
             outgoing = message if sign > 0 else agg.negate(message)
             self.values[dst] = agg.merge(self.values[dst], outgoing)
             self.counters.push_ops += 1
-            if self.trace is not None:
-                self.trace.append(TraceOp(dst, "push", overlay.fan_in(dst)))
             return outgoing
         old, new = message
         snaps = self.snapshots[dst]
@@ -1809,8 +1781,6 @@ class Runtime:
             if updated is NEED_RECOMPUTE:
                 updated = agg.combine(snaps.values())
         self.counters.push_ops += 1
-        if self.trace is not None:
-            self.trace.append(TraceOp(dst, "push", overlay.fan_in(dst)))
         if updated == current:
             return None
         self.values[dst] = updated
@@ -1846,8 +1816,7 @@ class Runtime:
         observed = self.observed_push
         for node in observe[source]:
             observed[node] += events
-        trace = self.trace
-        if self._scalar_group and trace is None:
+        if self._scalar_group:
             values = self.values.columns[0] if self._columnar else self.values.data
             for node, sign in steps:
                 values[node] += sign * message
@@ -1855,7 +1824,6 @@ class Runtime:
             agg = self.aggregate
             merge = agg.merge
             values = self.values.data
-            fan_in = self._csr.fan_in  # built with the table
             negative = None
             for node, sign in steps:
                 if sign > 0:
@@ -1865,8 +1833,6 @@ class Runtime:
                         negative = agg.negate(message)
                     msg = negative
                 values[node] = merge(values[node], msg)
-                if trace is not None:
-                    trace.append(TraceOp(node, "push", fan_in[node]))
         self.counters.push_ops += len(steps)
 
     def _propagate_lattice(self, source: int, message: PAO, events: int = 1) -> None:
@@ -1876,10 +1842,8 @@ class Runtime:
         snapshots = self.snapshots
         observed = self.observed_push
         counters = self.counters
-        trace = self.trace
         csr = self._ensure_csr()
         out_indptr, out_indices, push = csr.out_indptr, csr.out_indices, csr.push
-        fan_in = csr.fan_in
         stack: List[Tuple[int, PAO]] = [(source, message)]
         while stack:
             node, msg = stack.pop()
@@ -1896,8 +1860,6 @@ class Runtime:
                 if updated is NEED_RECOMPUTE:
                     updated = agg.combine(snaps.values())
                 counters.push_ops += 1
-                if trace is not None:
-                    trace.append(TraceOp(dst, "push", fan_in[dst]))
                 if updated != current:
                     values[dst] = updated
                     stack.append((dst, (current, updated)))
@@ -2090,8 +2052,6 @@ class Runtime:
         ``memo`` when one is given)."""
         if self.overlay.decisions[handle] is Decision.PUSH:
             self.observed_pull[handle] += 1
-            if self.trace is not None:
-                self.trace.append(TraceOp(handle, "read", 1))
             return self.values[handle]
         plan = self._pull_plans.get(handle)
         if plan is None:
@@ -2127,7 +2087,6 @@ class Runtime:
         merge = agg.merge
         subtract = agg.subtract
         values = self.values.data
-        trace = self.trace
         exit_nodes = plan.exit_nodes
         program = plan.program
         length = len(program)
@@ -2157,8 +2116,6 @@ class Runtime:
                         index = exit_index + 1
                         continue
                 observed[a] += 1
-                if trace is not None:
-                    trace.append(TraceOp(a, "pull", b))
                 acc_stack.append(acc)
                 acc = self._identity
             else:  # _OP_EXIT

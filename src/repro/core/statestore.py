@@ -24,10 +24,9 @@ property tests in ``tests/core/test_statestore.py`` assert read-for-read
 equivalence between the backends on integer streams.
 
 Selection is by :func:`make_value_store`, and the rule is a property of
-the aggregate, not of the host: ``"auto"`` picks columnar exactly when
-the aggregate declares a column spec, ``"object"`` forces the seed
-behavior, ``"columnar"`` requests columns but takes the object store for
-an aggregate without a spec.
+the aggregate, not of the host: ``"columnar"`` (the default) picks
+columns exactly when the aggregate declares a column spec and the object
+store otherwise, ``"object"`` forces the seed behavior.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from repro.core.aggregates import AggregateFunction, ColumnSpec
 PAO = Any
 
 #: Valid ``value_store`` modes accepted throughout the stack.
-VALUE_STORE_MODES = ("auto", "object", "columnar")
+VALUE_STORE_MODES = ("columnar", "object")
 
 
 class ValueStoreError(Exception):
@@ -92,7 +91,7 @@ class ColumnarStore:
 
     ``data`` returns the store itself: kernels written against
     ``store.data`` fall back to per-element ``__getitem__``/``__setitem__``
-    access (used by the interpreted lattice/trace paths), which converts
+    access (used by MEAN's per-writer push loop), which converts
     between column scalars and Python PAOs at the boundary so arithmetic
     stays IEEE-identical to the object backend.
     """
@@ -332,7 +331,7 @@ class WriteFrame:
         return f"WriteFrame({len(self.records)} rows)"
 
 
-def resolve_value_store(aggregate: AggregateFunction, mode: str = "auto") -> str:
+def resolve_value_store(aggregate: AggregateFunction, mode: str = "columnar") -> str:
     """The backend ``mode`` resolves to for ``aggregate``."""
     if mode not in VALUE_STORE_MODES:
         raise ValueStoreError(
@@ -346,7 +345,9 @@ def resolve_value_store(aggregate: AggregateFunction, mode: str = "auto") -> str
     return "columnar"
 
 
-def make_value_store(aggregate: AggregateFunction, num_handles: int, mode: str = "auto"):
+def make_value_store(
+    aggregate: AggregateFunction, num_handles: int, mode: str = "columnar"
+):
     """Instantiate the value store ``mode`` resolves to (see module doc)."""
     if resolve_value_store(aggregate, mode) == "columnar":
         return ColumnarStore(aggregate.column_spec, num_handles)

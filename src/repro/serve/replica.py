@@ -95,7 +95,7 @@ class ReplicaServer:
         query: EgoQuery,
         wal_dir: str,
         poll_interval: float = 0.02,
-        value_store: str = "auto",
+        value_store: str = "columnar",
         attach_timeout: float = 30.0,
         **engine_kwargs: Any,
     ) -> None:

@@ -303,7 +303,7 @@ class EAGrServer:
         directory raises :class:`~repro.serve.wal.WalLockedError`.
     wal_options:
         Extra :class:`~repro.serve.wal.WriteAheadLog` keywords
-        (``segment_bytes``, ``compact_min_bytes``, ``fsync``, ``faults``).
+        (``segment_bytes``, ``compact_min_bytes``, ``faults``).
     value_store / engine_kwargs:
         Forwarded to every shard's engine.
     """
@@ -325,7 +325,7 @@ class EAGrServer:
         checkpoint_interval: Optional[int] = None,
         wal_dir: Optional[str] = None,
         wal_options: Optional[Dict[str, Any]] = None,
-        value_store: str = "auto",
+        value_store: str = "columnar",
         **engine_kwargs: Any,
     ) -> None:
         if num_shards < 1:

@@ -119,7 +119,7 @@ class ShardSpec:
         shard_id: int,
         num_shards: int,
         readers: FrozenSet[NodeId],
-        value_store: str = "auto",
+        value_store: str = "columnar",
         engine_kwargs: Optional[Dict[str, Any]] = None,
         checkpoint: Optional[ShardCheckpoint] = None,
         faults: Optional[Dict[str, int]] = None,

@@ -418,7 +418,9 @@ def _fsync_dir(directory: str) -> None:
 class WriteAheadLog:
     """The durability ledger (:attr:`state`, one fold per append) and,
     with a directory, its append-only, CRC-framed, segmented,
-    single-writer log (see module docstring).
+    single-writer log (see module docstring).  The log always fsyncs:
+    :meth:`sync`, rotation, compaction and ``close`` return only once
+    what they cover is on stable storage.
 
     Parameters
     ----------
@@ -431,10 +433,6 @@ class WriteAheadLog:
         Rotate to a fresh segment once the current one exceeds this.
     compact_min_bytes:
         :meth:`maybe_compact` is a no-op below this total size.
-    fsync:
-        ``False`` downgrades :meth:`sync` to a buffer flush — the log
-        then survives process death (``kill -9``) but not power loss.
-        The durability contract in PERFORMANCE.md spells this out.
     faults:
         Disk-fault injection plan (tests only); see module docstring.
     metrics:
@@ -450,14 +448,12 @@ class WriteAheadLog:
         *,
         segment_bytes: int = 4 << 20,
         compact_min_bytes: int = 1 << 20,
-        fsync: bool = True,
         faults: Optional[Dict[str, Any]] = None,
         metrics: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.directory = directory
         self.segment_bytes = segment_bytes
         self.compact_min_bytes = compact_min_bytes
-        self._fsync_enabled = fsync
         self.faults = dict(faults or {})
         metrics = metrics or {}
         self._m_append = metrics.get("append")
@@ -643,9 +639,6 @@ class WriteAheadLog:
             self._check_usable()
             if self._file is None:
                 return
-            if not self._fsync_enabled:
-                self._file.flush()
-                return
             target = self._written
         synced = self._synced
         with synced:
@@ -709,8 +702,6 @@ class WriteAheadLog:
         """Flush and fsync the open segment holding the ledger lock
         (rotation, compaction, close): everything written is durable."""
         self._file.flush()
-        if not self._fsync_enabled:
-            return
         self._fsyncs += 1
         self._fsync_fd(self._file.fileno(), self._fsyncs)
         with self._synced:
@@ -772,8 +763,7 @@ class WriteAheadLog:
         with open(tmp_path, "wb") as fh:
             fh.write(encode_frame(("SNAP", self.state, _SNAP_SHAPE)))
             fh.flush()
-            if self._fsync_enabled:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         if self.faults.get("crash_in_compact") == "before_replace":
             self._crash("compaction before rename")
         os.replace(tmp_path, final_path)

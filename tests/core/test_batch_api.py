@@ -279,12 +279,12 @@ def test_batched_observed_push_matches_per_event():
 
 def test_collect_tasks_survives_lazy_recompile():
     """A pending lazy recompile swaps engine.runtime inside the first
-    event; task collection must follow the live trace, not the dead one."""
+    event; task collection must follow the live overlay, not the dead one."""
     from benchmarks.bench_fig13d_parallelism import collect_tasks
     from repro.graph.streams import WriteEvent
 
     graph = random_graph(12, 30, seed=14)
-    engine = make_engine(graph, "sum", "vnm_a", "tuple", collect_trace=True)
+    engine = make_engine(graph, "sum", "vnm_a", "tuple")
     nodes = sorted(graph.nodes(), key=repr)
     u, v = next(iter(graph.edges()))
     engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_EDGE, u, v))
@@ -294,7 +294,7 @@ def test_collect_tasks_survives_lazy_recompile():
     ]
     tasks = collect_tasks(engine, events)
     assert len(tasks) == len(events)
-    # Writes on nodes no reader observes are dropped (no trace op); every
+    # Writes on nodes no reader observes are dropped (no op); every
     # other write must appear in the collected tasks.
     live_writers = set(engine.runtime.overlay.writer_of)
     expected = sum(1 for event in events if event.node in live_writers)

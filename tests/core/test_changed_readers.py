@@ -13,7 +13,7 @@ from repro.graph.streams import StructureEvent, StructureOp
 STORES = ["object", "columnar"]
 
 
-def build(graph=None, aggregate=None, value_store="auto", **kwargs):
+def build(graph=None, aggregate=None, value_store="columnar", **kwargs):
     return EAGrEngine(
         graph if graph is not None else paper_figure1(),
         EgoQuery(

@@ -230,13 +230,6 @@ class TestRebuildAndTrace:
         rt.rebuild()
         assert rt.read("r1") == 3.0
 
-    def test_trace_collection(self):
-        rt, *_ = make_runtime("push", collect_trace=True)
-        rt.write("w1", 1.0)
-        rt.read("r1")
-        kinds = [op.kind for op in rt.trace]
-        assert "write" in kinds and "push" in kinds and "read" in kinds
-
     def test_reference_read(self):
         rt, ov, w, (r1, r2), pa = make_runtime("push")
         rt.write("w1", 3.0)

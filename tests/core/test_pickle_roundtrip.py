@@ -48,7 +48,7 @@ def stable_fields(obj, names):
     return clone
 
 
-def warmed_engine(value_store="auto"):
+def warmed_engine(value_store="columnar"):
     graph = random_graph(24, 110, seed=19)
     engine = EAGrEngine(
         graph,

@@ -103,25 +103,20 @@ def test_scatter_table_equals_per_writer_dfs(overlay, data):
 
 
 RUNTIMES = [
-    pytest.param(Sum, "object", False, id="sum-object"),
-    pytest.param(Sum, "columnar", False, id="sum-columnar"),
-    pytest.param(lambda: TopK(2), "object", False, id="topk"),
-    pytest.param(Sum, "object", True, id="sum-traced"),
+    pytest.param(Sum, "object", id="sum-object"),
+    pytest.param(Sum, "columnar", id="sum-columnar"),
+    pytest.param(lambda: TopK(2), "object", id="topk"),
 ]
 
 
-def pushes(trace):
-    return [op for op in trace if op.kind == "push"]
-
-
-@pytest.mark.parametrize("aggregate, value_store, traced", RUNTIMES)
+@pytest.mark.parametrize("aggregate, value_store", RUNTIMES)
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(overlay=st.one_of(overlays(), layered_overlays()), data=st.data())
 def test_writes_run_the_table_like_the_reference_dfs(
-    aggregate, value_store, traced, overlay, data
+    aggregate, value_store, overlay, data
 ):
     """Per-event ``write()`` and ``write_batch`` reach the values,
-    ``push_ops``, ``observed_push`` and push trace of ``writer_step`` +
+    ``push_ops`` and ``observed_push`` of ``writer_step`` +
     ``propagate_from``, event by event.
 
     Rounds name each writer at most once, so a batch coalesces nothing and
@@ -139,7 +134,7 @@ def test_writes_run_the_table_like_the_reference_dfs(
         query = EgoQuery(aggregate=aggregate(), window=TupleWindow(2))
         return Runtime(
             pickle.loads(pickle.dumps(overlay)), query,
-            collect_trace=traced, value_store=value_store,
+            value_store=value_store,
         )
 
     reference, per_event, batched = runtime(), runtime(), runtime()
@@ -163,8 +158,6 @@ def test_writes_run_the_table_like_the_reference_dfs(
         assert [rt.values[h] for h in range(n)] == expected
         assert rt.counters.push_ops == reference.counters.push_ops
         assert list(rt.observed_push) == list(reference.observed_push)
-        if traced:
-            assert pushes(rt.trace) == pushes(reference.trace)
     readers = list(overlay.reader_of)
     reads = reference.read_batch(readers)
     assert per_event.read_batch(readers) == reads == batched.read_batch(readers)

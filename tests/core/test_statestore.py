@@ -217,17 +217,18 @@ def test_backend_parity_with_adaptive_flips():
 
 class TestStores:
     def test_resolution(self):
-        assert resolve_value_store(Sum(), "auto") == "columnar"
+        assert resolve_value_store(Sum(), "columnar") == "columnar"
+        assert resolve_value_store(Sum()) == "columnar"
         assert resolve_value_store(Sum(), "object") == "object"
-        assert resolve_value_store(TopK(3), "auto") == "object"
         # columnar is a request; an aggregate without a spec keeps objects
         assert resolve_value_store(TopK(3), "columnar") == "object"
-        for mode in ("bogus", "shared"):  # no shared-memory backend
+        # no shared-memory backend; "auto" was a second name for "columnar"
+        for mode in ("bogus", "shared", "auto"):
             with pytest.raises(ValueStoreError):
                 resolve_value_store(Sum(), mode)
 
     def test_object_store_roundtrip(self):
-        store = make_value_store(TopK(3), 4, "auto")
+        store = make_value_store(TopK(3), 4)
         assert isinstance(store, ObjectStore)
         assert store[2] is None
         store[2] = {"a": 1}
@@ -353,8 +354,8 @@ def test_write_batch_accepts_one_shot_iterators():
     """Generator input must not lose its consumed prefix when the fast
     extraction falls back to per-item dispatch (regression)."""
     graph = random_graph(12, 30, seed=41)
-    from_list = make_engine(graph, "sum", "vnm_a", "unit", "auto")
-    from_gen = make_engine(graph.copy(), "sum", "vnm_a", "unit", "auto")
+    from_list = make_engine(graph, "sum", "vnm_a", "unit", "columnar")
+    from_gen = make_engine(graph.copy(), "sum", "vnm_a", "unit", "columnar")
     nodes = sorted(graph.nodes(), key=repr)
     writes = [(node, float(i + 1), float(i + 1)) for i, node in enumerate(nodes)]
     from_list.write_batch(writes)
@@ -367,7 +368,7 @@ def test_write_batch_accepts_one_shot_iterators():
 
 def test_read_batch_memo_does_not_leak_across_batches():
     graph = random_graph(14, 40, seed=19)
-    engine = make_engine(graph, "sum", "vnm_a", "unit", "auto", dataflow="all_pull")
+    engine = make_engine(graph, "sum", "vnm_a", "unit", "columnar", dataflow="all_pull")
     nodes = sorted(graph.nodes(), key=repr)
     engine.write_batch([(node, 3.0) for node in nodes])
     first = engine.read_batch(nodes[:4])
