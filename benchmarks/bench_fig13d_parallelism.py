@@ -73,14 +73,14 @@ def op_cost(op: TraceOp, cost_model: CostModel) -> float:
 
 def push_ops(overlay: Overlay, writer: int) -> List[TraceOp]:
     """The pushes of a write that moved ``writer``: the stack DFS of
-    ``Runtime.propagate_from`` over ``overlay.outputs``, which stops at
+    ``Runtime.propagate_from`` over ``overlay.out_rows``, which stops at
     pull nodes.  A group aggregate pushes every message on, so the DFS
     depends on the overlay alone."""
     ops: List[TraceOp] = []
     stack = [writer]
     while stack:
         node = stack.pop()
-        for dst in overlay.outputs[node]:
+        for dst in overlay.out_rows(node)[0]:
             if overlay.decisions[dst] is Decision.PUSH:
                 ops.append(TraceOp(dst, "push", overlay.fan_in(dst)))
                 stack.append(dst)
@@ -98,7 +98,7 @@ def pull_ops(overlay: Overlay, reader: int) -> List[TraceOp]:
         ops.append(TraceOp(node, "pull", overlay.fan_in(node)))
         stack.extend(
             src
-            for src in reversed(list(overlay.inputs[node]))
+            for src in reversed(overlay.in_rows(node)[0])
             if overlay.decisions[src] is not Decision.PUSH
         )
     return ops

@@ -26,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.execution import Runtime
-from repro.core.overlay import Decision, NodeKind
+from repro.core.overlay import KIND_WRITER, Decision
 from repro.dataflow.costs import CostModel
 
 
@@ -76,26 +78,18 @@ class AdaptiveController:
             self.evaluate()
 
     def frontier(self) -> List[int]:
-        """Handles whose decision may be flipped unilaterally."""
+        """Handles whose decision may be flipped unilaterally: pull nodes
+        with no pull input and push nodes with no push consumer, ascending."""
         overlay = self.runtime.overlay
-        result: List[int] = []
-        for handle in range(overlay.num_nodes):
-            if overlay.kinds[handle] is NodeKind.WRITER:
-                continue
-            decision = overlay.decisions[handle]
-            if decision is Decision.PULL:
-                if all(
-                    overlay.decisions[src] is Decision.PUSH
-                    for src in overlay.inputs[handle]
-                ):
-                    result.append(handle)
-            else:
-                if all(
-                    overlay.decisions[dst] is Decision.PULL
-                    for dst in overlay.outputs[handle]
-                ):
-                    result.append(handle)
-        return result
+        push = overlay.push_mask()
+        indptr, sources, _ = overlay.in_csr()
+        targets = np.repeat(np.arange(overlay.num_nodes), np.diff(indptr))
+        pull_input = np.zeros(overlay.num_nodes, dtype=bool)
+        pull_input[targets[~push[sources]]] = True
+        push_consumer = np.zeros(overlay.num_nodes, dtype=bool)
+        push_consumer[sources[push[targets]]] = True
+        writer = np.array(overlay.kind_codes()) == KIND_WRITER
+        return np.flatnonzero(~writer & np.where(push, ~push_consumer, ~pull_input)).tolist()
 
     def evaluate(self) -> int:
         """Re-decide every frontier node from windowed observations.
@@ -123,21 +117,16 @@ class AdaptiveController:
             pull_cost = pulls * self.cost_model.pull_cost(fan_in)
             decision = overlay.decisions[handle]
             # An earlier flip in this sweep may have moved this node off the
-            # frontier; re-check the structural condition before flipping.
+            # frontier: a flip needs every input (consumer) at the target.
             if decision is Decision.PULL and push_cost * config.hysteresis < pull_cost:
-                if all(
-                    overlay.decisions[src] is Decision.PUSH
-                    for src in overlay.inputs[handle]
-                ):
-                    runtime.set_decision(handle, Decision.PUSH)
-                    flipped += 1
+                target, ends = Decision.PUSH, overlay.in_rows(handle)[0]
             elif decision is Decision.PUSH and pull_cost * config.hysteresis < push_cost:
-                if all(
-                    overlay.decisions[dst] is Decision.PULL
-                    for dst in overlay.outputs[handle]
-                ):
-                    runtime.set_decision(handle, Decision.PULL)
-                    flipped += 1
+                target, ends = Decision.PULL, overlay.out_rows(handle)[0]
+            else:
+                continue
+            if all(overlay.decisions[end] is target for end in ends):
+                runtime.set_decision(handle, target)
+                flipped += 1
         self.flips += flipped
         self._snapshot()
         return flipped

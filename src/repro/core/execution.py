@@ -18,9 +18,9 @@ Two propagation strategies, selected by the aggregate's family
 
 Compiled propagation plans
 --------------------------
-The hot path does not traverse the dict-of-dict overlay per event.  Once
-dataflow decisions are fixed, the runtime freezes the overlay into CSR
-arrays (:meth:`repro.core.overlay.Overlay.to_csr`) and compiles, lazily:
+The hot path does not read the overlay's edge table node by node per
+event.  Once dataflow decisions are fixed, the runtime freezes the overlay
+into CSR lists (:meth:`repro.core.overlay.Overlay.to_csr`) and compiles, lazily:
 
 * one **scatter table** (:func:`scatter_table`) holding every writer's
   push frontier as ragged rows, in the order the interpreter's DFS
@@ -600,6 +600,7 @@ class Runtime:
         self._ingest_by_handle = {
             route[0]: route for route in self._ingest.values()
         }
+        csr = self._ensure_csr()
         for handle in overlay.topological_order():
             kind = overlay.kinds[handle]
             if kind is NodeKind.WRITER:
@@ -616,7 +617,10 @@ class Runtime:
                         heapq.heappush(self._expiry_heap, (expiry, handle))
                 continue
             if overlay.decisions[handle] is Decision.PUSH:
-                self._initialize_push_node(handle)
+                start, end = csr.in_indptr[handle], csr.in_indptr[handle + 1]
+                self._initialize_push_node(
+                    handle, csr.in_indices[start:end], csr.in_signs[start:end]
+                )
 
     def _build_ring(self) -> None:
         """Rebuild the ring matrix over the current writers from the
@@ -648,12 +652,13 @@ class Runtime:
             except OverflowError:  # ids beyond int64: per-event path only
                 pass
 
-    def _initialize_push_node(self, handle: int) -> None:
-        """Compute a push node's PAO from its (push, by consistency) inputs."""
+    def _initialize_push_node(self, handle: int, sources: List[int], signs: List[int]) -> None:
+        """Compute a push node's PAO from its (push, by consistency) inputs
+        ``sources`` with ``signs``."""
         agg = self.aggregate
         acc = self._identity
         snaps: Dict[int, PAO] = {}
-        for src, sign in self.overlay.inputs[handle].items():
+        for src, sign in zip(sources, signs):
             value = self.values[src]
             snaps[src] = value
             acc = agg.merge(acc, value) if sign > 0 else agg.subtract(acc, value)
@@ -852,9 +857,9 @@ class Runtime:
         visits a sequential pull would make (shared pull nodes expand once
         per path, exactly as the interpreted plan replays them).
         """
-        overlay = self.overlay
-        decisions = overlay.decisions
-        inputs = overlay.inputs
+        decisions = self.overlay.decisions
+        csr = self._ensure_csr()
+        in_indptr, in_indices, in_signs = csr.in_indptr, csr.in_indices, csr.in_signs
         coeff: Dict[int, int] = {}
         credit: Dict[int, int] = {root: 1}
         pull = decisions[root] is not Decision.PUSH
@@ -863,7 +868,8 @@ class Runtime:
         stack = [(root, 1)] if pull else []
         while stack:
             node, carried = stack.pop()
-            for src, sign in inputs[node].items():
+            start, end = in_indptr[node], in_indptr[node + 1]
+            for src, sign in zip(in_indices[start:end], in_signs[start:end]):
                 credit[src] = credit.get(src, 0) + 1
                 if decisions[src] is Decision.PUSH:
                     coeff[src] = coeff.get(src, 0) + carried * sign
@@ -1756,7 +1762,8 @@ class Runtime:
         if overlay.decisions[dst] is Decision.PULL:
             return None
         if self.group:
-            sign = overlay.inputs[dst][src]
+            sources, signs = overlay.in_rows(dst)
+            sign = signs[sources.index(src)]
             outgoing = message if sign > 0 else agg.negate(message)
             self.values[dst] = agg.merge(self.values[dst], outgoing)
             self.counters.push_ops += 1
@@ -1772,7 +1779,7 @@ class Runtime:
             updated = agg.fast_update(current, old, new)
             if updated is NEED_RECOMPUTE:
                 updated = agg.combine(
-                    self.values[source] for source in overlay.inputs[dst]
+                    self.values[source] for source in overlay.in_rows(dst)[0]
                 )
         else:
             previous = snaps.get(src, old)
@@ -1866,7 +1873,7 @@ class Runtime:
 
     def propagate_from(self, source: int, message: PAO) -> None:
         """Uncompiled reference propagation: a DFS over the overlay's
-        dicts, one :meth:`apply_push` per edge.
+        output rows, one :meth:`apply_push` per edge.
 
         The semantic baseline the scatter table and the lattice DFSs are
         tested against; no write path calls it.
@@ -1874,7 +1881,7 @@ class Runtime:
         stack: List[Tuple[int, PAO]] = [(source, message)]
         while stack:
             node, msg = stack.pop()
-            for dst in self.overlay.outputs[node]:
+            for dst in self.overlay.out_rows(node)[0]:
                 outgoing = self.apply_push(node, dst, msg)
                 if outgoing is not None:
                     stack.append((dst, outgoing))
@@ -2178,15 +2185,15 @@ class Runtime:
             return
         self._check_plans()
         if decision is Decision.PUSH:
-            for src in self.overlay.inputs[handle]:
+            for src in self.overlay.in_rows(handle)[0]:
                 if self.overlay.decisions[src] is not Decision.PUSH:
                     raise OverlayError(
                         "cannot flip to push: an input is not push (not a frontier node)"
                     )
             self.overlay.set_decision(handle, decision)
-            self._initialize_push_node(handle)
+            self._initialize_push_node(handle, *self.overlay.in_rows(handle))
         else:
-            for dst in self.overlay.outputs[handle]:
+            for dst in self.overlay.out_rows(handle)[0]:
                 if self.overlay.decisions[dst] is Decision.PUSH:
                     raise OverlayError(
                         "cannot flip to pull: a consumer is push (not a frontier node)"

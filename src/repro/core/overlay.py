@@ -28,10 +28,11 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.pullrows import csr_indptr
 from repro.graph.bipartite import BipartiteGraph
 
 NodeId = Hashable
@@ -52,24 +53,55 @@ class OverlayError(Exception):
     """Raised on structurally invalid overlay mutations."""
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending (``np.unique`` imports
+    ``numpy.ma``, about 1 MB resident)."""
+    ordered = np.sort(values)
+    return ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0]
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
 class Overlay:
     """Mutable aggregation overlay graph.
 
-    Node handles are dense integers.  ``inputs[v]`` maps source handle →
-    sign; ``outputs[v]`` is the (insertion-ordered) set of destinations.
-    A data-graph node that both writes and reads appears as *two* overlay
+    Node handles are dense integers.  The edges are one table in the
+    order they were added: ``src`` / ``dst`` / ``sign`` int64 columns and
+    an ``alive`` mask.  :meth:`add_edge` appends a row, :meth:`remove_edge`
+    tombstones one, so a node's inputs (outputs) are its live rows by
+    ``dst`` (``src``) in row order: an edge removed and re-added comes
+    last.  :meth:`in_rows` / :meth:`out_rows` read one node's rows and
+    :meth:`in_csr` / :meth:`out_csr` every node's, from a CSR by ``dst``
+    and one by ``src``.  A node edited since the CSRs were last merged
+    reads its CSR row plus its edits since, kept as lists; the merge runs
+    once those edits pass a share of the edges, or on a whole-overlay
+    read, and compacts the table once a third of its rows are dead.  A
+    data-graph node that both writes and reads appears as *two* overlay
     nodes (the bipartite split of Section 3.1).
     """
 
     def __init__(self) -> None:
         self.kinds: List[NodeKind] = []
         self.labels: List[Optional[NodeId]] = []
-        self.inputs: List[Dict[int, int]] = []
-        self.outputs: List[Dict[int, None]] = []
         self.decisions: List[Decision] = []
         self.writer_of: Dict[NodeId, int] = {}
         self.reader_of: Dict[NodeId, int] = {}
+        # the edge table: rows [0, _rows) are used, _num_edges of them live
+        self._src = np.zeros(0, dtype=np.int64)
+        self._dst = np.zeros(0, dtype=np.int64)
+        self._sign = np.zeros(0, dtype=np.int64)
+        self._alive = np.zeros(0, dtype=bool)
+        self._rows = 0
         self._num_edges = 0
+        # the CSRs by dst and by src (built on first use) of the rows below
+        # _merged; _dead rows were tombstoned since, and _stale after a bulk
+        # edit, which patches no node's entries
+        self._in = _Index(np.zeros(1, dtype=np.int64), np.zeros((3, 0), dtype=np.int64))
+        self._out: Optional[_Index] = None
+        self._merged = 0
+        self._dead = 0
+        self._stale = False
         #: Bumped on every structural mutation (nodes/edges); compiled
         #: propagation plans and CSR snapshots key their validity off this.
         self.version = 0
@@ -105,8 +137,6 @@ class Overlay:
         handle = len(self.kinds)
         self.kinds.append(kind)
         self.labels.append(label)
-        self.inputs.append({})
-        self.outputs.append({})
         # Writers are always annotated push (Section 2.2.1); everything else
         # starts pull (safe: nothing is precomputed until decisions run).
         self.decisions.append(Decision.PUSH if kind is NodeKind.WRITER else Decision.PULL)
@@ -170,7 +200,7 @@ class Overlay:
         return self.kinds[handle] is NodeKind.READER
 
     def fan_in(self, handle: int) -> int:
-        return len(self.inputs[handle])
+        return len(self._index_of(True).node(handle)[0])
 
     # ------------------------------------------------------------------
     # edge management
@@ -194,40 +224,199 @@ class Overlay:
             raise OverlayError("writer nodes cannot receive overlay edges")
         if src == dst:
             raise OverlayError("self loops are not allowed")
-        if dst in self.outputs[src]:
+        if self.has_edge(src, dst):
             raise OverlayError(f"duplicate edge {src}->{dst}")
-        self.inputs[dst][src] = sign
-        self.outputs[src][dst] = None
-        self._num_edges += 1
-        self.version += 1
+        row = self._append(1, src, dst, sign)
+        for entries, end in ((self._in.patch(dst), src), (self._outputs().patch(src), dst)):
+            entries[0].append(row)
+            entries[1].append(end)
+            entries[2].append(sign)
         self._dirty.add(src)
         self._dirty.add(dst)
 
     def remove_edge(self, src: int, dst: int) -> int:
         """Remove ``src -> dst``; returns the sign it carried."""
+        rows, sources, signs = self._index_of(True).patch(dst)
         try:
-            sign = self.inputs[dst].pop(src)
-        except KeyError:
+            at = sources.index(src)
+        except ValueError:
             raise OverlayError(f"edge {src}->{dst} not present") from None
-        del self.outputs[src][dst]
+        row, sign = rows.pop(at), signs.pop(at)
+        del sources[at]
+        outputs = self._outputs().patch(src)
+        at = outputs[0].index(row)
+        for column in outputs:
+            del column[at]
+        self._alive[row] = False
+        self._dead += 1
         self._num_edges -= 1
         self.version += 1
         self._dirty.add(src)
         self._dirty.add(dst)
         return sign
 
+    def rewire(
+        self,
+        add: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        remove: Tuple[np.ndarray, np.ndarray] = (_NO_ROWS, _NO_ROWS),
+    ) -> None:
+        """Remove the edges ``remove = (src, dst)`` (each present, none
+        twice), then add the edges ``add = (src, dst, sign)`` in that
+        order, as :meth:`remove_edge` and :meth:`add_edge` would one by
+        one, under the same rules."""
+        src, dst, sign = add
+        n = self.num_nodes
+        if len(src):
+            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n:
+                raise OverlayError("edge endpoints must be handles of the overlay")
+            if not ((sign == 1) | (sign == -1)).all():
+                raise OverlayError("edge sign must be +1 or -1")
+            if NodeKind.READER in map(self.kinds.__getitem__, _distinct(src).tolist()):
+                raise OverlayError("reader nodes cannot feed other overlay nodes")
+            if NodeKind.WRITER in map(self.kinds.__getitem__, _distinct(dst).tolist()):
+                raise OverlayError("writer nodes cannot receive overlay edges")
+            if (src == dst).any():
+                raise OverlayError("self loops are not allowed")
+        if self._merged < self._rows or self._dead:
+            self._merge()
+        # the live edges into every node either list reaches, by key
+        reached = np.zeros(n, dtype=bool)
+        reached[remove[1]] = reached[dst] = True
+        rows = self._in.entries[0][reached[self._dst[self._in.entries[0]]]]
+        keys = self._dst[rows] * n + self._src[rows]
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+        gone = remove[1] * n + remove[0]
+        kept = np.ones(len(keys), dtype=bool)
+        if len(gone):
+            slot = np.minimum(np.searchsorted(keys, gone), max(len(keys) - 1, 0))
+            if not len(keys) or (keys[slot] != gone).any() or len(_distinct(gone)) != len(gone):
+                raise OverlayError("an edge to remove is not present")
+            self._alive[rows[by_key[slot]]] = False
+            kept[slot] = False
+        # the edges left are distinct, so any repeat involves a new one
+        keys = np.sort(np.concatenate((keys[kept], dst * n + src)))
+        if (keys[1:] == keys[:-1]).any():
+            raise OverlayError("duplicate edge")
+        self._dead += len(gone)
+        self._num_edges -= len(gone)
+        self.version += len(gone)
+        self._append(len(src), src, dst, sign)
+        self._stale = True
+        self._dirty.update(_distinct(np.concatenate((*remove, src, dst))).tolist())
+
     def has_edge(self, src: int, dst: int) -> bool:
-        return dst in self.outputs[src]
+        return src in self._index_of(True).patch(dst)[1]
+
+    def in_rows(self, handle: int) -> Tuple[List[int], List[int]]:
+        """``handle``'s inputs: their sources and signs, in insertion order."""
+        return self._index_of(True).node(handle)
+
+    def out_rows(self, handle: int) -> Tuple[List[int], List[int]]:
+        """``handle``'s outputs: their targets and signs, in insertion order."""
+        return self._index_of(False).node(handle)
+
+    def in_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's inputs as int64 columns ``(indptr, src, sign)``:
+        node ``v``'s are ``src[indptr[v]:indptr[v + 1]]``, in insertion
+        order."""
+        index = self._index(True)
+        return index.indptr, index.entries[1], index.entries[2]
+
+    def out_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's outputs as int64 columns ``(indptr, dst, sign)``,
+        in insertion order."""
+        index = self._index(False)
+        return index.indptr, index.entries[1], index.entries[2]
 
     def edges(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield ``(src, dst, sign)`` for every edge."""
-        for dst, srcs in enumerate(self.inputs):
-            for src, sign in srcs.items():
-                yield (src, dst, sign)
+        """Yield ``(src, dst, sign)`` for every edge, by ``dst``, each
+        node's inputs in insertion order."""
+        indptr, src, sign = self.in_csr()
+        dst = np.repeat(np.arange(self.num_nodes, dtype=np.int64), np.diff(indptr))
+        return zip(src.tolist(), dst.tolist(), sign.tolist())
 
     @property
     def num_negative_edges(self) -> int:
-        return sum(map(operator.countOf, map(dict.values, self.inputs), itertools.repeat(-1)))
+        return int(np.count_nonzero(self._sign[: self._rows][self._alive[: self._rows]] < 0))
+
+    # -- the table -------------------------------------------------------
+
+    def _append(self, count: int, src, dst, sign) -> int:
+        """Write ``count`` live rows ``src → dst`` with ``sign`` after the
+        table's last; returns the first one's row."""
+        start, end = self._rows, self._rows + count
+        if end > len(self._src):
+            capacity = max(end, 2 * len(self._src))
+            for name in ("_src", "_dst", "_sign", "_alive"):
+                column = getattr(self, name)
+                grown = np.zeros(capacity, dtype=column.dtype)
+                grown[:start] = column[:start]
+                setattr(self, name, grown)
+        # one edge by scalar stores: a slice store costs several times more
+        at = slice(start, end) if isinstance(src, np.ndarray) else start
+        self._src[at], self._dst[at], self._sign[at], self._alive[at] = src, dst, sign, True
+        self._rows = end
+        self._num_edges += count
+        self.version += count
+        return start
+
+    def _index_of(self, inbound: bool) -> "_Index":
+        """The CSR by ``dst`` (``inbound``) or by ``src`` for one node's
+        read or edit: merged first after a bulk edit, or once the edits
+        since pass the limit."""
+        if self._stale or self._rows - self._merged + self._dead > max(
+            _MERGE_MIN, self._num_edges >> _MERGE_SHIFT
+        ):
+            self._merge()
+        return self._in if inbound else self._outputs()
+
+    def _index(self, inbound: bool) -> "_Index":
+        """The merged CSR by ``dst`` (``inbound``) or by ``src``."""
+        if self._merged < self._rows or self._dead or len(self._in.indptr) <= self.num_nodes:
+            self._merge()
+        return self._in if inbound else self._outputs()
+
+    def _merge(self) -> None:
+        """Bring the CSR by ``dst`` up to date: drop the entries whose rows
+        were tombstoned and add the rows appended since, after each node's
+        surviving entries (row order either way).  Compacts the table once
+        a third of its rows are dead, and drops the CSR by ``src``."""
+        rows = np.concatenate((self._in.entries[0], np.arange(self._merged, self._rows)))
+        if self._dead:
+            rows = rows[self._alive[rows]]
+        if 3 * (self._rows - self._num_edges) > self._rows:
+            live = self._alive[: self._rows]
+            rows = (np.cumsum(live) - 1)[rows]
+            keep = np.flatnonzero(live)
+            self._src, self._dst, self._sign = self._src[keep], self._dst[keep], self._sign[keep]
+            self._alive = np.ones(len(keep), dtype=bool)
+            self._rows = len(keep)
+        # the surviving entries are sorted by dst already, so a stable sort
+        # only places the new rows
+        self._in = self._indexed(rows, self._dst, self._src)
+        self._out = None
+        self._merged = self._rows
+        self._dead = 0
+        self._stale = False
+
+    def _outputs(self) -> "_Index":
+        """The CSR by ``src`` as of the last merge."""
+        if self._out is None:
+            self._out = self._indexed(
+                np.flatnonzero(self._alive[: self._merged]), self._src, self._dst
+            )
+        return self._out
+
+    def _indexed(self, rows: np.ndarray, key: np.ndarray, ends: np.ndarray) -> "_Index":
+        """The CSR of ``rows`` (in row order within each ``key``) by
+        ``key``, each entry with its other end and sign."""
+        keys = key[rows]
+        rows = rows[np.argsort(keys, kind="stable")]
+        return _Index(
+            csr_indptr(np.bincount(keys, minlength=self.num_nodes)),
+            np.stack((rows, ends[rows], self._sign[rows])),
+        )
 
     # ------------------------------------------------------------------
     # decisions
@@ -244,15 +433,15 @@ class Overlay:
 
     def set_all_decisions(self, decision: Decision) -> None:
         """Annotate every non-writer node (all-push / all-pull baselines)."""
-        changed = False
-        for handle in range(self.num_nodes):
-            if self.kinds[handle] is not NodeKind.WRITER:
-                if self.decisions[handle] is not decision:
-                    self.decisions[handle] = decision
-                    self._dirty.add(handle)
-                    changed = True
-        if changed:
-            self.decision_version += 1
+        changed = [
+            handle
+            for handle, (kind, current) in enumerate(zip(self.kinds, self.decisions))
+            if kind is not NodeKind.WRITER and current is not decision
+        ]
+        for handle in changed:
+            self.decisions[handle] = decision
+        self._dirty.update(changed)
+        self.decision_version += bool(changed)
 
     def set_decisions(self, push: Sequence[bool]) -> None:
         """Annotate every node at once: push where ``push[handle]`` is true,
@@ -271,16 +460,19 @@ class Overlay:
         self.decision_version += len(changed)
         self._dirty.update(changed)
 
+    def push_mask(self) -> np.ndarray:
+        """The current decisions as a bool column, push true."""
+        return np.fromiter(
+            map(operator.is_, self.decisions, itertools.repeat(Decision.PUSH)),
+            bool,
+            self.num_nodes,
+        )
+
     def decisions_consistent(self) -> bool:
         """True iff no edge runs from a pull node into a push node."""
-        decisions = self.decisions
-        pull = Decision.PULL
-        for inputs, decision in zip(self.inputs, decisions):
-            if decision is Decision.PUSH:
-                for src in inputs:
-                    if decisions[src] is pull:
-                        return False
-        return True
+        push = self.push_mask()
+        live = np.flatnonzero(self._alive[: self._rows])
+        return not (push[self._dst[live]] & ~push[self._src[live]]).any()
 
     # ------------------------------------------------------------------
     # traversal
@@ -296,15 +488,16 @@ class Overlay:
         version, order = self._order
         if version == self.version:
             return list(order)
-        indegree = list(map(len, self.inputs))
+        indegree = np.diff(self._index(True).indptr).tolist()
+        indptr, targets, _ = self.out_csr()
+        indptr, targets = indptr.tolist(), targets.tolist()
         frontier = [h for h, degree in enumerate(indegree) if not degree]
         order: List[int] = []
-        outputs = self.outputs
         pop, push, emit = frontier.pop, frontier.append, order.append
         while frontier:
             handle = pop()
             emit(handle)
-            for dst in outputs[handle]:
+            for dst in targets[indptr[handle] : indptr[handle + 1]]:
                 indegree[dst] -= 1
                 if not indegree[dst]:
                     push(dst)
@@ -315,26 +508,22 @@ class Overlay:
 
     def upstream(self, handle: int) -> Set[int]:
         """All nodes with a directed path to ``handle`` (exclusive)."""
-        seen: Set[int] = set()
-        stack = list(self.inputs[handle])
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(self.inputs[node])
-        return seen
+        return self._reach(handle, self.in_rows)
 
     def downstream(self, handle: int) -> Set[int]:
         """All nodes reachable from ``handle`` (exclusive)."""
+        return self._reach(handle, self.out_rows)
+
+    @staticmethod
+    def _reach(handle: int, rows) -> Set[int]:
         seen: Set[int] = set()
-        stack = list(self.outputs[handle])
+        stack = rows(handle)[0]
         while stack:
             node = stack.pop()
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(self.outputs[node])
+            stack.extend(rows(node)[0])
         return seen
 
     # ------------------------------------------------------------------
@@ -358,7 +547,7 @@ class Overlay:
                 result = {node: 1}
             else:
                 result = {}
-                for src, sign in self.inputs[node].items():
+                for src, sign in zip(*self.in_rows(node)):
                     for writer, mult in rec(src).items():
                         total = result.get(writer, 0) + sign * mult
                         if total:
@@ -423,15 +612,17 @@ class Overlay:
 
     def reader_depths(self) -> Dict[int, int]:
         """Longest writer→reader path length per reader (Section 5.2)."""
+        indptr, sources, _ = self.in_csr()
+        indptr, sources = indptr.tolist(), sources.tolist()
         depth = [0] * self.num_nodes
         for handle in self.topological_order():
-            for src in self.inputs[handle]:
+            for src in sources[indptr[handle] : indptr[handle + 1]]:
                 if depth[src] + 1 > depth[handle]:
                     depth[handle] = depth[src] + 1
         return {h: depth[h] for h in self.reader_of.values()}
 
     def memory_estimate(self) -> int:
-        """Rough resident-size estimate in bytes (Figure 10(b) metric)."""
+        """Figure 10(b)'s resident-size model, in bytes."""
         return memory_estimate(self.num_nodes, self.num_edges)
 
     # ------------------------------------------------------------------
@@ -439,46 +630,29 @@ class Overlay:
     # ------------------------------------------------------------------
 
     def to_csr(self) -> "OverlayCSR":
-        """Freeze the overlay into a CSR (compressed sparse row) snapshot.
+        """Freeze the overlay into a CSR (compressed sparse row) snapshot
+        of Python lists.
 
-        Edge order within each row preserves the dicts' insertion order, so
-        anything compiled from the snapshot (propagation plans) replays the
-        exact merge order of the dict-based interpreter — important because
-        float merges are not associative.
+        Each row lists the node's edges in insertion order, so anything
+        compiled from the snapshot (propagation plans) replays the merge
+        order of :meth:`in_rows` — important because float merges are not
+        associative.
         """
-        n = self.num_nodes
-        fan_in = list(map(len, self.inputs))
-        in_indptr = [0, *itertools.accumulate(fan_in)]
-        in_indices = list(itertools.chain.from_iterable(self.inputs))
-        in_signs = list(itertools.chain.from_iterable(map(dict.values, self.inputs)))
-        out_counts = list(map(len, self.outputs))
-        out_indptr = [0, *itertools.accumulate(out_counts)]
-        out_indices = list(itertools.chain.from_iterable(self.outputs))
-        if -1 in in_signs:
-            # an out-edge's sign is its in-edge's: find it by (dst, src) key
-            in_keys = np.repeat(np.arange(n, dtype=np.int64), fan_in) * n + in_indices
-            by_key = np.argsort(in_keys)
-            out_keys = np.asarray(out_indices, dtype=np.int64) * n + np.repeat(
-                np.arange(n, dtype=np.int64), out_counts
-            )
-            out_signs = np.asarray(in_signs, dtype=np.int64)[
-                by_key[np.searchsorted(in_keys[by_key], out_keys)]
-            ].tolist()
-        else:
-            out_signs = [1] * len(out_indices)
-        push = list(map(int, map(operator.is_, self.decisions, itertools.repeat(Decision.PUSH))))
-        kinds = self.kind_codes()
+        in_indptr, in_src, in_sign = self.in_csr()
+        out_indptr, out_dst, out_sign = self.out_csr()
+        # one int object per handle, shared by every entry naming it
+        handles = np.arange(self.num_nodes).astype(object)
         return OverlayCSR(
-            num_nodes=n,
-            in_indptr=in_indptr,
-            in_indices=in_indices,
-            in_signs=in_signs,
-            out_indptr=out_indptr,
-            out_indices=out_indices,
-            out_signs=out_signs,
-            push=push,
-            kinds=kinds,
-            fan_in=fan_in,
+            num_nodes=self.num_nodes,
+            in_indptr=in_indptr.tolist(),
+            in_indices=handles[in_src].tolist(),
+            in_signs=in_sign.tolist(),
+            out_indptr=out_indptr.tolist(),
+            out_indices=handles[out_dst].tolist(),
+            out_signs=out_sign.tolist(),
+            push=self.push_mask().astype(np.int64).tolist(),
+            kinds=self.kind_codes(),
+            fan_in=np.diff(in_indptr).tolist(),
             version=self.version,
             decision_version=self.decision_version,
         )
@@ -493,9 +667,22 @@ class Overlay:
 
         This is the structure both industry baselines of Section 5.1 run on
         (all-pull: social-network style on-demand; all-push: CEP style
-        materialization); they differ only in dataflow decisions.
+        materialization); they differ only in dataflow decisions.  Writers
+        take handles by ``(type name, repr)``, then readers in ``ag``
+        order; the rows are each reader's inputs in member order.
         """
-        writers, readers, src, dst = identity_rows(ag)
+        writers = sorted(ag.writers, key=lambda n: (type(n).__name__, repr(n)))
+        readers = list(ag.reader_inputs)
+        handle_of = dict(zip(writers, range(len(writers))))
+        fan_in = np.fromiter(map(len, ag.reader_inputs.values()), np.int64, len(readers))
+        src = np.fromiter(
+            map(handle_of.__getitem__, itertools.chain.from_iterable(ag.reader_inputs.values())),
+            np.int64,
+            int(fan_in.sum()),
+        )
+        dst = np.repeat(
+            np.arange(len(writers), len(writers) + len(readers), dtype=np.int64), fan_in
+        )
         return cls.from_rows(
             writers, readers, 0, src, dst, np.ones(len(src), dtype=np.int64),
             version=len(writers) + len(readers) + len(src),
@@ -512,32 +699,16 @@ class Overlay:
         sign: np.ndarray,
         version: int,
     ) -> "Overlay":
-        """The overlay whose edges are the rows ``src → dst`` with
+        """The overlay whose edge table is the rows ``src → dst`` with
         ``sign``, as if added one by one in row order.
 
         Handles number the writers, then the readers, then
-        ``num_partials`` partial nodes.  Each ``inputs`` dict lists its
-        edges in row order, and so does each ``outputs`` dict, which is
-        the order edge-by-edge inserts leave them in.  Every handle is
-        dirty, decisions are the defaults and ``version`` is taken as
-        given.  Every dict holds one int object per handle.  The rows
-        must keep :meth:`add_edge`'s rules, or :class:`OverlayError` is
-        raised.
+        ``num_partials`` partial nodes.  Every handle is dirty, decisions
+        are the defaults and ``version`` is taken as given.  The rows must
+        keep :meth:`add_edge`'s rules, or :class:`OverlayError` is raised.
         """
         num_writers = len(writers)
-        num_nodes = num_writers + len(readers) + num_partials
-        if len(src):
-            if min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= num_nodes:
-                raise OverlayError("edge endpoints must be handles of the overlay")
-            if not ((sign == 1) | (sign == -1)).all():
-                raise OverlayError("edge sign must be +1 or -1")
-            if ((src >= num_writers) & (src < num_writers + len(readers))).any():
-                raise OverlayError("reader nodes cannot feed other overlay nodes")
-            if (dst < num_writers).any():
-                raise OverlayError("writer nodes cannot receive overlay edges")
-            if (src == dst).any():
-                raise OverlayError("self loops are not allowed")
-        handles = list(range(num_nodes))
+        handles = list(range(num_writers + len(readers) + num_partials))
         overlay = cls()
         overlay.kinds = (
             [NodeKind.WRITER] * num_writers
@@ -546,54 +717,37 @@ class Overlay:
         )
         overlay.labels = [*writers, *readers, *[None] * num_partials]
         overlay.decisions = [Decision.PUSH] * num_writers + [Decision.PULL] * (
-            num_nodes - num_writers
+            len(handles) - num_writers
         )
         overlay.writer_of = dict(zip(writers, handles))
         overlay.reader_of = dict(zip(readers, handles[num_writers:]))
-        # rows by (dst, row) and by (src, row): one unique int64 key each
-        rows = np.arange(len(src), dtype=np.int64)
-        span = max(len(src), 1)
-        by_dst = np.argsort(dst * span + rows)
-        by_src = np.argsort(src * span + rows)
-        objects = np.array(handles, dtype=object)
-        sources = objects[src[by_dst]].tolist()
-        targets = objects[dst[by_src]].tolist()
-        in_bounds = [0, *np.cumsum(np.bincount(dst, minlength=num_nodes)).tolist()]
-        out_bounds = [0, *np.cumsum(np.bincount(src, minlength=num_nodes)).tolist()]
-        inputs = [
-            dict.fromkeys(sources[start:end], 1)
-            for start, end in zip(in_bounds, in_bounds[1:])
-        ]
-        negative = sign < 0
-        if negative.any():
-            signs = sign[by_dst].tolist()
-            for handle in set(dst[negative].tolist()):
-                start, end = in_bounds[handle], in_bounds[handle + 1]
-                inputs[handle] = dict(zip(sources[start:end], signs[start:end]))
-        if sum(map(len, inputs)) != len(src):
-            raise OverlayError("duplicate edge")
-        overlay.inputs = inputs
-        overlay.outputs = [
-            dict.fromkeys(targets[start:end]) for start, end in zip(out_bounds, out_bounds[1:])
-        ]
-        overlay._num_edges = len(src)
+        overlay.rewire(
+            (
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(sign, dtype=np.int64),
+            )
+        )
         overlay.version = version
         overlay._dirty = set(handles)
         return overlay
 
     def copy(self) -> "Overlay":
+        """An independent overlay with the same nodes, edges (in the same
+        order), decisions and versions, and a clean dirty set."""
         clone = Overlay()
         clone.kinds = list(self.kinds)
         clone.labels = list(self.labels)
-        clone.inputs = [dict(d) for d in self.inputs]
-        clone.outputs = [dict(d) for d in self.outputs]
         clone.decisions = list(self.decisions)
         clone.writer_of = dict(self.writer_of)
         clone.reader_of = dict(self.reader_of)
-        clone._num_edges = self._num_edges
+        live = np.flatnonzero(self._alive[: self._rows])
+        clone._src, clone._dst, clone._sign = self._src[live], self._dst[live], self._sign[live]
+        clone._alive = np.ones(len(live), dtype=bool)
+        clone._rows = clone._num_edges = len(live)
+        clone._stale = True
         clone.version = self.version
         clone.decision_version = self.decision_version
-        clone._dirty = set()
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -601,6 +755,52 @@ class Overlay:
             f"Overlay(writers={len(self.writer_of)}, readers={len(self.reader_of)}, "
             f"partials={self.num_partials}, edges={self.num_edges})"
         )
+
+
+class _Index:
+    """One direction of an overlay's CSR, as of its last merge: node
+    ``v``'s entries are ``entries[:, indptr[v]:indptr[v + 1]]``, in row
+    order, each a row, its other end (source or target) and its sign.
+    A node edited since the merge reads from ``patched`` instead: its
+    entries as lists of rows, ends and signs, taken from the CSR at its
+    first edit, with the rows appended since added at the end and the
+    rows tombstoned since taken out."""
+
+    __slots__ = ("indptr", "bounds", "entries", "patched")
+
+    def __init__(self, indptr: np.ndarray, entries: np.ndarray) -> None:
+        self.indptr = indptr
+        self.bounds: Optional[List[int]] = None  # indptr as a list, on first use
+        self.entries = entries
+        self.patched: Dict[int, List[List[int]]] = {}
+
+    def base(self, handle: int, first: int) -> List[List[int]]:
+        """``handle``'s CSR entries from ``entries[first]`` on, as lists."""
+        bounds = self.bounds
+        if bounds is None:
+            bounds = self.bounds = self.indptr.tolist()
+        if handle + 1 < len(bounds) and bounds[handle] < bounds[handle + 1]:
+            return self.entries[first:, bounds[handle] : bounds[handle + 1]].tolist()
+        return [[] for _ in range(3 - first)]
+
+    def patch(self, handle: int) -> List[List[int]]:
+        """``handle``'s entries to edit in place: rows, ends, signs."""
+        patch = self.patched.get(handle)
+        if patch is None:
+            patch = self.patched[handle] = self.base(handle, 0)
+        return patch
+
+    def node(self, handle: int) -> Tuple[List[int], List[int]]:
+        """``handle``'s ends and signs, in row order, as new lists."""
+        patch = self.patched.get(handle)
+        return tuple(self.base(handle, 1)) if patch is None else (patch[1][:], patch[2][:])
+
+
+#: A node's read or edit merges the CSRs once more rows were appended and
+#: tombstoned since the last merge than ``_MERGE_MIN`` or the
+#: ``2 ** -_MERGE_SHIFT`` share of the edges, whichever is larger.
+_MERGE_MIN = 256
+_MERGE_SHIFT = 2
 
 
 #: Integer codes for :class:`NodeKind` in CSR snapshots.
@@ -623,78 +823,37 @@ def sharing_index(num_edges: int, ag_edges: int) -> float:
 
 
 def memory_estimate(num_nodes: int, num_edges: int) -> int:
-    """Rough resident-size estimate in bytes of an overlay this large."""
-    per_node = 120  # kind + label + dict headers
-    per_edge = 100  # two dict entries
+    """Figure 10(b)'s resident-size model of an overlay this large, in
+    bytes: not what this table holds."""
+    per_node = 120
+    per_edge = 100
     return num_nodes * per_node + num_edges * per_edge
 
 
-def identity_rows(
-    ag: BipartiteGraph,
-) -> Tuple[List[NodeId], List[NodeId], np.ndarray, np.ndarray]:
-    """The identity overlay's writers (by ``(type name, repr)``), readers
-    (in ``ag`` order) and edge rows ``src → dst``: each reader's inputs in
-    its member order, reader after reader, as handles."""
-    writers = sorted(ag.writers, key=lambda n: (type(n).__name__, repr(n)))
-    readers = list(ag.reader_inputs)
-    handle_of = dict(zip(writers, range(len(writers))))
-    fan_in = np.fromiter(map(len, ag.reader_inputs.values()), np.int64, len(readers))
-    src = np.fromiter(
-        map(handle_of.__getitem__, itertools.chain.from_iterable(ag.reader_inputs.values())),
-        np.int64,
-        int(fan_in.sum()),
-    )
-    dst = np.repeat(np.arange(len(writers), len(writers) + len(readers), dtype=np.int64), fan_in)
-    return writers, readers, src, dst
-
-
-class OverlayCSR:
-    """Immutable CSR snapshot of an overlay at a fixed (version, decisions).
+class OverlayCSR(NamedTuple):
+    """CSR snapshot of an overlay at a fixed (version, decisions), as
+    Python lists.
 
     ``in_indptr[v]:in_indptr[v+1]`` slices ``in_indices``/``in_signs`` to
     give node ``v``'s inputs (and symmetrically for outputs); ``push`` and
     ``kinds`` are dense bitmaps.  The plan compiler in
-    :mod:`repro.core.execution` walks these flat arrays instead of the
-    dict-of-dict representation.
+    :mod:`repro.core.execution` walks these flat lists, one Python int per
+    entry, instead of reading the overlay's table node by node.
     """
 
-    __slots__ = (
-        "num_nodes", "in_indptr", "in_indices", "in_signs",
-        "out_indptr", "out_indices", "out_signs",
-        "push", "kinds", "fan_in", "version", "decision_version",
-    )
-
-    def __init__(
-        self,
-        num_nodes: int,
-        in_indptr: Sequence[int],
-        in_indices: Sequence[int],
-        in_signs: Sequence[int],
-        out_indptr: Sequence[int],
-        out_indices: Sequence[int],
-        out_signs: Sequence[int],
-        push: Sequence[int],
-        kinds: Sequence[int],
-        fan_in: Sequence[int],
-        version: int = 0,
-        decision_version: int = 0,
-    ) -> None:
-        self.num_nodes = num_nodes
-        self.in_indptr = list(in_indptr)
-        self.in_indices = list(in_indices)
-        self.in_signs = list(in_signs)
-        self.out_indptr = list(out_indptr)
-        self.out_indices = list(out_indices)
-        self.out_signs = list(out_signs)
-        self.push = list(push)
-        self.kinds = list(kinds)
-        self.fan_in = list(fan_in)
-        self.version = version
-        self.decision_version = decision_version
+    num_nodes: int
+    in_indptr: List[int]
+    in_indices: List[int]
+    in_signs: List[int]
+    out_indptr: List[int]
+    out_indices: List[int]
+    out_signs: List[int]
+    push: List[int]
+    kinds: List[int]
+    fan_in: List[int]
+    version: int = 0
+    decision_version: int = 0
 
     @property
     def num_edges(self) -> int:
         return len(self.in_indices)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"OverlayCSR(nodes={self.num_nodes}, edges={self.num_edges})"

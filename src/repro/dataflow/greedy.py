@@ -65,7 +65,7 @@ def greedy_dataflow(
         stack = list(force)
         while stack:
             handle = stack.pop()
-            for src in overlay.inputs[handle]:
+            for src in overlay.in_rows(handle)[0]:
                 if src not in force:
                     force.add(src)
                     stack.append(src)
@@ -76,7 +76,7 @@ def greedy_dataflow(
         if overlay.kinds[handle] is NodeKind.WRITER:
             state[handle] = _State.PUSH
             continue
-        inputs = list(overlay.inputs[handle])
+        inputs = overlay.in_rows(handle)[0]
         input_states = [state[src] for src in inputs]
         wants_pull = weights[handle] < 0  # PULL cheaper than PUSH
 

@@ -50,7 +50,7 @@ def estimated_read_latency(
         if overlay.decisions[handle] is Decision.PUSH:
             continue
         total += cost_model.pull_cost(max(1, overlay.fan_in(handle)))
-        stack.extend(overlay.inputs[handle])
+        stack.extend(overlay.in_rows(handle)[0])
     return total
 
 

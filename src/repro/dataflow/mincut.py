@@ -141,7 +141,7 @@ def assignment_cost(
     """
     graph = DecisionGraph(overlay)
     return assignment_cost_of(
-        graph, _column(fh), _column(fl), graph.push_mask(), cost_model, window_size
+        graph, _column(fh), _column(fl), graph.overlay.push_mask(), cost_model, window_size
     )
 
 

@@ -5,8 +5,9 @@ greedy pass, the latency-constrained cut and the splitting optimisation —
 needs the same whole-overlay facts: each node's push and pull frequency
 (§4.1), its weight ``PULL − PUSH`` (§4.3), the P1/P2 peel (§4.5), the
 total cost of an assignment and its consistency.  They are computed here,
-once, over a :class:`DecisionGraph`: the overlay's in-edges as int64
-columns in the order of each ``inputs`` dict, plus kind codes.
+once, over a :class:`DecisionGraph`: the overlay's in-edge CSR
+(:meth:`Overlay.in_csr`), each node's inputs in insertion order, plus
+kind codes.
 
 Every float is bit-identical to the per-handle definition: a sum is
 accumulated term by term in the order the per-handle sweep adds them
@@ -18,17 +19,11 @@ from __future__ import annotations
 
 import collections
 import itertools
-import operator
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.overlay import (
-    KIND_READER,
-    KIND_WRITER,
-    Decision,
-    Overlay,
-)
+from repro.core.overlay import KIND_READER, KIND_WRITER, Overlay
 from repro.core.pullrows import csr_indptr, ragged_index
 from repro.dataflow.costs import CostModel
 
@@ -42,9 +37,10 @@ KEPT, PUSHED, PULLED = 0, 1, 2
 class DecisionGraph:
     """An overlay's in-edges as an int64 CSR, with kind codes.
 
-    ``src[indptr[v]:indptr[v + 1]]`` are ``v``'s inputs in the order of
-    ``overlay.inputs[v]``, so ``(src, dst)`` lists the edges in the order
-    of :meth:`Overlay.edges`.  The topological order is taken on first use.
+    ``src[indptr[v]:indptr[v + 1]]`` are ``v``'s inputs in insertion
+    order (:meth:`Overlay.in_csr`), so ``(src, dst)`` lists the edges in
+    the order of :meth:`Overlay.edges`.  The topological order is taken on
+    first use.
     """
 
     __slots__ = ("overlay", "num_nodes", "kinds", "fan_in", "indptr", "src", "dst", "_order")
@@ -54,11 +50,8 @@ class DecisionGraph:
         self.overlay = overlay
         self.num_nodes = n
         self.kinds = np.array(overlay.kind_codes(), dtype=np.int8)
-        self.fan_in = np.fromiter(map(len, overlay.inputs), np.int64, n)
-        self.indptr = csr_indptr(self.fan_in)
-        self.src = np.fromiter(
-            itertools.chain.from_iterable(overlay.inputs), np.int64, int(self.indptr[-1])
-        )
+        self.indptr, self.src, _ = overlay.in_csr()
+        self.fan_in = np.diff(self.indptr)
         self.dst = np.repeat(np.arange(n, dtype=np.int64), self.fan_in)
         self._order: Optional[np.ndarray] = None
 
@@ -75,14 +68,6 @@ class DecisionGraph:
     def decidable(self) -> np.ndarray:
         """Every non-writer handle, ascending: the nodes a decision assigns."""
         return np.flatnonzero(self.kinds != KIND_WRITER)
-
-    def push_mask(self) -> np.ndarray:
-        """The overlay's current decisions as a bool column."""
-        return np.fromiter(
-            map(operator.is_, self.overlay.decisions, itertools.repeat(Decision.PUSH)),
-            bool,
-            self.num_nodes,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,10 @@ def split_nodes(
         kind = overlay.kinds[handle]
         if kind is NodeKind.WRITER:
             continue
-        inputs = overlay.inputs[handle]
+        inputs, signs = overlay.in_rows(handle)
         if len(inputs) < min_fan_in:
             continue
-        if any(sign < 0 for sign in inputs.values()):
+        if any(sign < 0 for sign in signs):
             continue
         ordered = sorted(inputs, key=lambda src: (fh[src], src))
         freqs = [fh[src] for src in ordered]

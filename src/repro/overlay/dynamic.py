@@ -239,10 +239,10 @@ class OverlayMaintainer:
         out of a shared partial the reader also consumes) is *removed* —
         that is the +1 — where adding nothing would leave the net at 0.
         """
-        sign = self.overlay.inputs[handle].get(piece)
-        if sign is None:
+        sources, signs = self.overlay.in_rows(handle)
+        if piece not in sources:
             self.overlay.add_edge(piece, handle, 1)
-        elif sign < 0:
+        elif signs[sources.index(piece)] < 0:
             self.overlay.remove_edge(piece, handle)
 
     def _process_additions(self, reader: NodeId, added: Set[NodeId]) -> None:
@@ -273,7 +273,7 @@ class OverlayMaintainer:
         }
         # Classify the reader's inputs by whether they are touched.
         touched_partials: List[int] = []
-        for src in list(overlay.inputs[handle]):
+        for src in overlay.in_rows(handle)[0]:
             if src in removed_handles:
                 overlay.remove_edge(src, handle)  # direct edge: trivial fix
             elif overlay.kinds[src] is NodeKind.PARTIAL:
@@ -317,7 +317,7 @@ class OverlayMaintainer:
         # readers downstream of them.
         writer_handle = self.overlay.writer_of.get(node)
         if writer_handle is not None:
-            residual = list(self.overlay.outputs[writer_handle])
+            residual = self.overlay.out_rows(writer_handle)[0]
             if residual:
                 downstream_readers = {
                     self.overlay.labels[h]

@@ -16,7 +16,7 @@ Two indexes make the greedy step a single scan of the input list:
 * the **reverse index** maps a writer to every overlay node whose coverage
   contains it (the paper's example: ``a_w``'s entry contains ``v2`` even
   though the edge is indirect),
-* the **forward index** is the overlay's input adjacency itself.
+* the **forward index** is the overlay's input rows themselves.
 
 :class:`IOBState` packages the overlay with both indexes and the cover /
 split / prune operations; it is reused by incremental maintenance
@@ -81,7 +81,7 @@ class IOBState:
             merged: Dict[int, int] = {}
             clean = True
             size_sum = 0
-            for src, sign in overlay.inputs[handle].items():
+            for src, sign in zip(*overlay.in_rows(handle)):
                 if sign < 0 or src not in self.pure:
                     clean = False
                 size_sum += len(signed[src])
@@ -225,7 +225,7 @@ class IOBState:
             return None
         target = self.coverage[node] & needed
         movable: List[int] = []
-        for src in overlay.inputs[node]:
+        for src in overlay.in_rows(node)[0]:
             if src in self.pure and self.coverage[src] <= target:
                 movable.append(src)
         if not movable:
@@ -263,7 +263,7 @@ class IOBState:
         """Detach a reader from all its inputs, pruning orphaned partials."""
         overlay = self.overlay
         self._unregister(reader_handle)
-        sources = list(overlay.inputs[reader_handle])
+        sources = overlay.in_rows(reader_handle)[0]
         for src in sources:
             overlay.remove_edge(src, reader_handle)
         self.prune_orphans(sources)
@@ -279,21 +279,21 @@ class IOBState:
         stack = [
             h
             for h in candidates
-            if overlay.kinds[h] is NodeKind.PARTIAL and not overlay.outputs[h]
+            if overlay.kinds[h] is NodeKind.PARTIAL and not overlay.out_rows(h)[0]
         ]
         pruned = 0
         while stack:
             handle = stack.pop()
-            if handle in self.dead or overlay.outputs[handle]:
+            if handle in self.dead or overlay.out_rows(handle)[0]:
                 continue
-            sources = list(overlay.inputs[handle])
+            sources = overlay.in_rows(handle)[0]
             for src in sources:
                 overlay.remove_edge(src, handle)
             self._unregister(handle)
             self.dead.add(handle)
             pruned += 1
             for src in sources:
-                if overlay.kinds[src] is NodeKind.PARTIAL and not overlay.outputs[src]:
+                if overlay.kinds[src] is NodeKind.PARTIAL and not overlay.out_rows(src)[0]:
                     stack.append(src)
         return pruned
 
@@ -313,9 +313,9 @@ class IOBState:
         overlay = self.overlay
         rewired = 0
         for handle in list(overlay.partial_handles()):
-            if handle in self.dead or not overlay.outputs[handle]:
+            if handle in self.dead or not overlay.out_rows(handle)[0]:
                 continue
-            current_inputs = list(overlay.inputs[handle])
+            current_inputs = overlay.in_rows(handle)[0]
             target = self.coverage[handle]
             pieces = self.cover(
                 set(target), forbid={handle}, strict_subsets=True, allow_split=False

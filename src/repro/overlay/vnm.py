@@ -20,24 +20,23 @@ Four variants share one driver:
   mined sets, charged by the benefit function), so bicliques may reuse
   edges, which is safe for MAX-like aggregates.
 
-The driver works on one edge table seeded with the identity (direct
-writer→reader) edges: ``src`` / ``dst`` / ``sign`` columns with an alive
-mask, where a rewiring appends rows and tombstones the rows it removes.
-The :class:`~repro.core.overlay.Overlay` is built from the live rows once,
-at the end, with every ``inputs`` / ``outputs`` dict in the order
-edge-by-edge edits would leave it, and the same ``version`` and dirty set.
-Transactions for mining are the readers' *current* positive input lists,
-so virtual nodes from earlier iterations participate as items (and, for
-the duplicate-sensitive variants, as transactions too — this is what
-creates virtual→virtual edges and hence multi-level overlays).  They are
-read from a CSR of every handle's positive inputs, brought up to date from
-the rows tombstoned and appended since the previous iteration.
+The iterations work on the identity (direct writer→reader) overlay's
+edge table (:class:`~repro.core.overlay.Overlay` stores its edges as ``src`` /
+``dst`` / ``sign`` columns with an alive mask): a rewiring appends rows
+and tombstones the rows it removes, in bulk, and the overlay it leaves is
+the result, ``version`` and dirty set included, as edge-by-edge edits
+would leave them.  Transactions for mining are the readers' *current*
+positive input lists, so virtual nodes from earlier iterations
+participate as items (and, for the duplicate-sensitive variants, as
+transactions too — this is what creates virtual→virtual edges and hence
+multi-level overlays).  They are read once per iteration from the
+overlay's CSR of every handle's inputs.
 
 ``vnm`` and ``vnm_a`` mine every group's FP-tree at once as columns
 (:mod:`repro.overlay.tries`).  ``vnm_n`` and ``vnm_d`` need the negative
 and mined registrations of :class:`~repro.overlay.fptree.FPTree` and mine
 one object tree per group.  Either way an iteration's bicliques are
-applied to the table in one pass, in the order they were found.
+applied to the overlay in one pass, in the order they were found.
 """
 
 from __future__ import annotations
@@ -50,13 +49,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.overlay import (
-    Overlay,
-    OverlayError,
-    identity_rows,
-    memory_estimate,
-    sharing_index,
-)
+from repro.core.overlay import Overlay, memory_estimate, sharing_index
 from repro.core.pullrows import csr_indptr, ragged_index
 from repro.graph.bipartite import BipartiteGraph
 from repro.overlay.fptree import Biclique, FPTree
@@ -152,12 +145,19 @@ def build_vnm(ag: BipartiteGraph, config: Optional[VNMConfig] = None, **override
 
 
 class _VNMBuilder:
-    """Stateful driver running VNM iterations over the edge table."""
+    """Runs the VNM iterations over the overlay's edge table, keeping
+    their state."""
 
     def __init__(self, ag: BipartiteGraph, config: VNMConfig) -> None:
         self.ag = ag
         self.config = config
-        self.table = _EdgeTable(ag)
+        self.overlay = Overlay.identity(ag)
+        #: handles at or above this are the partial (virtual) nodes
+        self.first_partial = self.overlay.num_nodes
+        #: every handle's positive inputs as a CSR ``(indptr, items)``, and
+        #: whether it has a negative input, taken at each iteration's start
+        self._positive: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._negative: Optional[np.ndarray] = None
         self.duplicate_insensitive = config.variant == "vnm_d"
         self._peak_tree_nodes = 0
         self._hashes = HashTable(config.num_shingles, config.seed)
@@ -168,7 +168,7 @@ class _VNMBuilder:
         """Execute all configured iterations and collect statistics."""
         stats: List[IterationStats] = []
         chunk_size = self.config.chunk_size
-        table, ag_edges = self.table, self.ag.num_edges
+        overlay, ag_edges = self.overlay, self.ag.num_edges
         for iteration in range(1, self.config.iterations + 1):
             started = time.perf_counter()
             outcome = self._run_iteration(chunk_size)
@@ -180,9 +180,9 @@ class _VNMBuilder:
                     bicliques=outcome["bicliques"],
                     edges_saved=outcome["edges_saved"],
                     negative_edges_added=outcome["negative_edges"],
-                    sharing_index=sharing_index(table.num_edges, ag_edges),
+                    sharing_index=sharing_index(overlay.num_edges, ag_edges),
                     elapsed_seconds=elapsed,
-                    memory_estimate=memory_estimate(table.num_nodes, table.num_edges)
+                    memory_estimate=memory_estimate(overlay.num_nodes, overlay.num_edges)
                     + self._peak_tree_nodes * 200,
                     benefit_by_width=outcome["benefit_by_width"],
                 )
@@ -201,7 +201,7 @@ class _VNMBuilder:
                         self.config.adapt_keep_fraction,
                     ),
                 )
-        return ConstructionResult(overlay=table.overlay(), stats=stats, config=self.config)
+        return ConstructionResult(overlay=overlay, stats=stats, config=self.config)
 
     # ------------------------------------------------------------------
 
@@ -215,13 +215,25 @@ class _VNMBuilder:
         paths), which keeps every item they can be covered by strictly
         upstream of them, so rewiring can never create a cycle.
         """
-        table = self.table
-        table.refresh()
-        active = np.diff(table.indptr) >= 2
+        indptr, src, sign = self.overlay.in_csr()
+        n = len(indptr) - 1
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        positive = sign > 0
+        counts = np.bincount(owner[positive], minlength=n)
+        self._positive = csr_indptr(counts), src[positive]
+        self._negative = np.bincount(owner[~positive], minlength=n) > 0
+        active = counts >= 2
         if not self.config.virtual_transactions:
-            active[table.first_partial :] = False
+            active[self.first_partial :] = False
         handles = np.flatnonzero(active)
-        return (handles,) + table.take(handles)
+        return (handles,) + self._take(handles)
+
+    def _take(self, handles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The CSR of the positive inputs of ``handles``, in that order."""
+        indptr, items = self._positive
+        starts = indptr[handles]
+        lengths = indptr[handles + 1] - starts
+        return csr_indptr(lengths), items[ragged_index(starts, lengths)[0]]
 
     def _run_iteration(self, chunk_size: int) -> Dict[str, object]:
         config = self.config
@@ -245,7 +257,7 @@ class _VNMBuilder:
         if config.variant in ("vnm", "vnm_a"):
             handles = handles[order]
             tries = GroupTries(
-                *self.table.take(handles),
+                *self._take(handles),
                 handles,
                 np.append(np.arange(0, len(handles), chunk_size), len(handles)),
                 config.min_item_frequency,
@@ -260,7 +272,7 @@ class _VNMBuilder:
                 for i, handle in enumerate(handles.tolist())
             }
             overlap = config.overlap if config.variant == "vnm_d" else 0.0
-            negative = self.table.negative_targets() if config.variant == "vnm_n" else None
+            negative = self._negative if config.variant == "vnm_n" else None
             bicliques: List[Biclique] = []
             for group in chunk(handles[order].tolist(), chunk_size, overlap=overlap):
                 self._mine_group(
@@ -280,7 +292,7 @@ class _VNMBuilder:
         if self.duplicate_insensitive:
             self._rewire_deferred(found, mined_edges, vn_assignments)
         else:
-            self.table.rewire(found)
+            self._rewire(found)
         return outcome
 
     def _mine_group(
@@ -320,7 +332,7 @@ class _VNMBuilder:
             )
         }
         tree = FPTree(rank)
-        first_partial = self.table.first_partial
+        first_partial = self.first_partial
         for reader in group:
             items = filtered.get(reader)
             if items is None:
@@ -380,8 +392,10 @@ class _VNMBuilder:
         """VNM_D: every biclique's virtual node and its item edges, then
         each reader's consumed edges replaced by edges from its virtual
         nodes."""
-        table = self.table
-        first = table.add_virtuals(found)
+        count = len(found.benefit)
+        first = self.overlay.num_nodes
+        for _ in range(count):
+            self.overlay.add_partial()
         consumed_src: List[int] = []
         consumed_dst: List[int] = []
         added_src: List[int] = []
@@ -392,13 +406,77 @@ class _VNMBuilder:
             for index in dict.fromkeys(vn_assignments.get(reader, ())):
                 added_src.append(first + index)
                 added_dst.append(reader)
-        rows = table.find(np.array(consumed_src, dtype=np.int64), np.array(consumed_dst, dtype=np.int64))
-        table.kill(rows[rows >= 0])
-        table.append(
-            np.array(added_src, dtype=np.int64),
-            np.array(added_dst, dtype=np.int64),
-            np.ones(len(added_src), dtype=np.int64),
+        src = np.concatenate((found.items, np.array(added_src, dtype=np.int64)))
+        dst = np.concatenate(
+            (
+                np.repeat(first + np.arange(count), np.diff(found.item_indptr)),
+                np.array(added_dst, dtype=np.int64),
+            )
         )
+        self.overlay.rewire(
+            (src, dst, np.ones(len(src), dtype=np.int64)),
+            (np.array(consumed_src, dtype=np.int64), np.array(consumed_dst, dtype=np.int64)),
+        )
+
+    def _rewire(self, found: "_Found") -> None:
+        """Materialize duplicate-sensitive bicliques, in order: each gets a
+        virtual node fed by its items, and each of its readers trades its
+        covered edges for one edge from the virtual node, plus a negative
+        edge from each of its negative items."""
+        overlay = self.overlay
+        count = len(found.benefit)
+        if not count:
+            return
+        virtual = np.array([overlay.add_partial() for _ in range(count)], dtype=np.int64)
+        item_counts = np.diff(found.item_indptr)
+        owner = np.repeat(np.arange(count), np.diff(found.reader_indptr))
+        readers = found.readers
+        # Guard against cycles when rewiring a virtual node that was itself
+        # inserted along a quasi-biclique path: every biclique item must stay
+        # strictly upstream of the rewired node.
+        kept = np.ones(len(readers), dtype=bool)
+        partial = np.flatnonzero(readers >= self.first_partial)
+        if len(partial):
+            entries = ragged_index(
+                found.item_indptr[owner[partial]], item_counts[owner[partial]]
+            )[0]
+            pair = np.repeat(partial, item_counts[owner[partial]])
+            kept[pair[found.items[entries] == readers[pair]]] = False
+        covered_pair = np.repeat(np.arange(len(readers)), np.diff(found.covered_indptr))
+        removed = kept[covered_pair]
+
+        # new rows, biclique by biclique: its item edges, then per kept
+        # reader the virtual node's edge and the reader's negative edges
+        negative_counts = np.diff(found.negative_indptr) * kept
+        pair_rows = kept + negative_counts
+        block = item_counts + np.bincount(owner, weights=pair_rows, minlength=count).astype(np.int64)
+        block_start = np.cumsum(block) - block
+        pair_offset = np.cumsum(pair_rows) - pair_rows
+        pair_start = (
+            block_start[owner]
+            + item_counts[owner]
+            + pair_offset
+            - pair_offset[found.reader_indptr[:-1]][owner]
+        )
+        total = int(block.sum())
+        src = np.empty(total, dtype=np.int64)
+        dst = np.empty(total, dtype=np.int64)
+        sign = np.ones(total, dtype=np.int64)
+        at = ragged_index(block_start, item_counts)[0]
+        src[at] = found.items
+        dst[at] = np.repeat(virtual, item_counts)
+        at = pair_start[kept]
+        src[at] = virtual[owner[kept]]
+        dst[at] = readers[kept]
+        negative_pair = np.repeat(np.arange(len(readers)), np.diff(found.negative_indptr))
+        negative_kept = kept[negative_pair]
+        if negative_kept.any():
+            negative_pair = negative_pair[negative_kept]
+            at = ragged_index(pair_start[kept] + 1, negative_counts[kept])[0]
+            src[at] = found.negatives[negative_kept]
+            dst[at] = readers[negative_pair]
+            sign[at] = -1
+        overlay.rewire((src, dst, sign), (found.covered[removed], readers[covered_pair[removed]]))
 
 
 class _Found(NamedTuple):
@@ -456,226 +534,6 @@ class _Found(NamedTuple):
             *column(b.covered[reader] for b, reader in pairs),
             *column(b.negatives[reader] for b, reader in pairs),
             np.fromiter((b.benefit for b in bicliques), np.int64, len(bicliques)),
-        )
-
-
-class _EdgeTable:
-    """The overlay under construction, as one table of edges.
-
-    Rows are edges in the order they were added: ``src`` / ``dst`` /
-    ``sign`` int64 columns and an ``alive`` mask.  Rewiring appends rows
-    and tombstones the rows it removes.  A handle's live rows by ``dst``,
-    in row order, are its ``inputs`` dict, and by ``src`` its ``outputs``
-    dict, so :meth:`overlay` builds the :class:`Overlay` that edge-by-edge
-    edits leave, ``version`` (one per node or edge added or removed) and
-    dirty set included.  Handles number the identity overlay's writers and
-    readers, then the partial nodes from ``first_partial`` on.
-
-    The miner reads every handle's positive inputs as a CSR (``indptr`` /
-    ``items``, each entry's table row in ``entry_rows``), which
-    :meth:`refresh` brings up to date from the rows tombstoned and
-    appended since.
-    """
-
-    def __init__(self, ag: BipartiteGraph) -> None:
-        self.writers, self.readers, src, dst = identity_rows(ag)
-        self.first_partial = self.num_nodes = len(self.writers) + len(self.readers)
-        self.rows = self.num_edges = len(src)
-        self.version = self.num_nodes + self.num_edges
-        self.src, self.dst = src, dst
-        self.sign = np.ones(len(src), dtype=np.int64)
-        self.alive = np.ones(len(src), dtype=bool)
-        self.indptr = csr_indptr(np.bincount(dst, minlength=self.num_nodes))
-        self.items = src.copy()
-        self.entry_rows = np.arange(len(src), dtype=np.int64)
-        self._read = self.rows
-
-    # -- edits -----------------------------------------------------------
-
-    def add_partials(self, count: int) -> int:
-        """Add ``count`` partial nodes; returns the first one's handle."""
-        first = self.num_nodes
-        self.num_nodes += count
-        self.version += count
-        return first
-
-    def append(self, src: np.ndarray, dst: np.ndarray, sign: np.ndarray) -> None:
-        """Add the edges ``src → dst`` with ``sign``, in that order."""
-        start, end = self.rows, self.rows + len(src)
-        if end > len(self.src):
-            capacity = max(end, 2 * len(self.src))
-            for name in ("src", "dst", "sign", "alive"):
-                column = getattr(self, name)
-                grown = np.zeros(capacity, dtype=column.dtype)
-                grown[:start] = column[:start]
-                setattr(self, name, grown)
-        self.src[start:end] = src
-        self.dst[start:end] = dst
-        self.sign[start:end] = sign
-        self.alive[start:end] = True
-        self.rows = end
-        self.num_edges += len(src)
-        self.version += len(src)
-
-    def kill(self, rows: np.ndarray) -> None:
-        """Remove the edges in ``rows`` (each live, none twice)."""
-        ordered = np.sort(rows)
-        if not self.alive[ordered].all() or (np.diff(ordered) == 0).any():
-            raise OverlayError("a rewiring removes an edge that is not present")
-        self.alive[rows] = False
-        self.num_edges -= len(rows)
-        self.version += len(rows)
-
-    def rewire(self, found: _Found) -> None:
-        """Materialize duplicate-sensitive bicliques, in order: each gets a
-        virtual node fed by its items, and each of its readers trades its
-        covered edges for one edge from the virtual node, plus a negative
-        edge from each of its negative items."""
-        count = len(found.benefit)
-        if not count:
-            return
-        virtual = self.add_partials(count) + np.arange(count)
-        item_counts = np.diff(found.item_indptr)
-        owner = np.repeat(np.arange(count), np.diff(found.reader_indptr))
-        readers = found.readers
-        # Guard against cycles when rewiring a virtual node that was itself
-        # inserted along a quasi-biclique path: every biclique item must stay
-        # strictly upstream of the rewired node.
-        kept = np.ones(len(readers), dtype=bool)
-        partial = np.flatnonzero(readers >= self.first_partial)
-        if len(partial):
-            entries = ragged_index(
-                found.item_indptr[owner[partial]], item_counts[owner[partial]]
-            )[0]
-            pair = np.repeat(partial, item_counts[owner[partial]])
-            kept[pair[found.items[entries] == readers[pair]]] = False
-        covered_pair = np.repeat(np.arange(len(readers)), np.diff(found.covered_indptr))
-        removed = kept[covered_pair]
-        rows = self.find(found.covered[removed], readers[covered_pair[removed]])
-        if (rows < 0).any():
-            raise OverlayError("a rewiring removes an edge that is not present")
-        self.kill(rows)
-
-        # new rows, biclique by biclique: its item edges, then per kept
-        # reader the virtual node's edge and the reader's negative edges
-        negative_counts = np.diff(found.negative_indptr) * kept
-        pair_rows = kept + negative_counts
-        block = item_counts + np.bincount(owner, weights=pair_rows, minlength=count).astype(np.int64)
-        block_start = np.cumsum(block) - block
-        pair_offset = np.cumsum(pair_rows) - pair_rows
-        pair_start = (
-            block_start[owner]
-            + item_counts[owner]
-            + pair_offset
-            - pair_offset[found.reader_indptr[:-1]][owner]
-        )
-        total = int(block.sum())
-        src = np.empty(total, dtype=np.int64)
-        dst = np.empty(total, dtype=np.int64)
-        sign = np.ones(total, dtype=np.int64)
-        at = ragged_index(block_start, item_counts)[0]
-        src[at] = found.items
-        dst[at] = np.repeat(virtual, item_counts)
-        at = pair_start[kept]
-        src[at] = virtual[owner[kept]]
-        dst[at] = readers[kept]
-        negative_pair = np.repeat(np.arange(len(readers)), np.diff(found.negative_indptr))
-        negative_kept = kept[negative_pair]
-        if negative_kept.any():
-            negative_pair = negative_pair[negative_kept]
-            at = ragged_index(pair_start[kept] + 1, negative_counts[kept])[0]
-            src[at] = found.negatives[negative_kept]
-            dst[at] = readers[negative_pair]
-            sign[at] = -1
-        self.append(src, dst, sign)
-
-    def add_virtuals(self, found: _Found) -> int:
-        """Give every biclique its virtual node fed by its items; returns
-        the first virtual node's handle."""
-        count = len(found.benefit)
-        first = self.add_partials(count)
-        item_counts = np.diff(found.item_indptr)
-        self.append(
-            found.items,
-            np.repeat(first + np.arange(count), item_counts),
-            np.ones(len(found.items), dtype=np.int64),
-        )
-        return first
-
-    # -- reads -----------------------------------------------------------
-
-    def refresh(self) -> None:
-        """Bring the positive-input CSR up to date: drop the entries whose
-        rows were tombstoned, and add the positive rows appended since,
-        after each handle's surviving entries (row order either way)."""
-        num_nodes = self.num_nodes
-        counts = np.diff(self.indptr)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        live = self.alive[self.entry_rows]
-        owner, items, rows = owner[live], self.items[live], self.entry_rows[live]
-        new = np.arange(self._read, self.rows)
-        new = new[(self.sign[new] > 0) & self.alive[new]]
-        new = new[np.argsort(self.dst[new], kind="stable")]
-        new_owner = self.dst[new]
-        kept = np.bincount(owner, minlength=num_nodes)
-        added = np.bincount(new_owner, minlength=num_nodes)
-        indptr = csr_indptr(kept + added)
-        old_at = indptr[owner] + np.arange(len(owner)) - (np.cumsum(kept) - kept)[owner]
-        new_at = (
-            indptr[new_owner]
-            + kept[new_owner]
-            + np.arange(len(new))
-            - (np.cumsum(added) - added)[new_owner]
-        )
-        self.items = np.empty(int(indptr[-1]), dtype=np.int64)
-        self.entry_rows = np.empty(int(indptr[-1]), dtype=np.int64)
-        self.items[old_at], self.entry_rows[old_at] = items, rows
-        self.items[new_at], self.entry_rows[new_at] = self.src[new], new
-        self.indptr = indptr
-        self._read = self.rows
-
-    def take(self, handles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The CSR of the positive inputs of ``handles``, in that order."""
-        starts = self.indptr[handles]
-        lengths = self.indptr[handles + 1] - starts
-        return csr_indptr(lengths), self.items[ragged_index(starts, lengths)[0]]
-
-    def find(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """The rows of the live positive edges ``src → dst`` among the CSR's
-        entries, ``-1`` where there is none."""
-        owners = np.flatnonzero(np.bincount(dst, minlength=len(self.indptr) - 1))
-        starts = self.indptr[owners]
-        counts = self.indptr[owners + 1] - starts
-        entries = ragged_index(starts, counts)[0]
-        if not len(entries):
-            return np.full(len(src), -1, dtype=np.int64)
-        span = self.num_nodes
-        keys = np.repeat(owners, counts) * span + self.items[entries]
-        by_key = np.argsort(keys)
-        keys = keys[by_key]
-        wanted = dst * span + src
-        slot = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        rows = self.entry_rows[entries[by_key[slot]]]
-        return np.where((keys[slot] == wanted) & self.alive[rows], rows, -1)
-
-    def negative_targets(self) -> np.ndarray:
-        """Whether each handle has a live negative input."""
-        negative = np.zeros(self.num_nodes, dtype=bool)
-        rows = self.sign[: self.rows] < 0
-        negative[self.dst[: self.rows][rows & self.alive[: self.rows]]] = True
-        return negative
-
-    def overlay(self) -> Overlay:
-        """The :class:`Overlay` of the live rows."""
-        live = np.flatnonzero(self.alive[: self.rows])
-        return Overlay.from_rows(
-            self.writers,
-            self.readers,
-            self.num_nodes - self.first_partial,
-            self.src[live],
-            self.dst[live],
-            self.sign[live],
-            version=self.version,
         )
 
 

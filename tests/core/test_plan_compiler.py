@@ -214,10 +214,10 @@ class TestCSRSnapshot:
         # Row slices reproduce the dict adjacency in insertion order.
         for dst in range(ov.num_nodes):
             srcs = csr.in_indices[csr.in_indptr[dst] : csr.in_indptr[dst + 1]]
-            assert srcs == list(ov.inputs[dst])
+            assert srcs == ov.in_rows(dst)[0]
         for src in range(ov.num_nodes):
             dsts = csr.out_indices[csr.out_indptr[src] : csr.out_indptr[src + 1]]
-            assert dsts == list(ov.outputs[src])
+            assert dsts == ov.out_rows(src)[0]
         assert csr.fan_in == [ov.fan_in(h) for h in range(ov.num_nodes)]
 
     def test_csr_signs_and_decisions(self):

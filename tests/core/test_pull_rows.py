@@ -90,7 +90,7 @@ def uncompiled_pull(runtime, handle):
     overlay = runtime.overlay
     runtime.observed_pull[handle] += 1
     acc = agg.identity()
-    for src, sign in overlay.inputs[handle].items():
+    for src, sign in zip(*overlay.in_rows(handle)):
         if overlay.decisions[src] is Decision.PUSH:
             runtime.observed_pull[src] += 1
             value = runtime.values[src]

@@ -80,7 +80,7 @@ def decide(overlay, data):
     for handle in overlay.topological_order():
         kind = overlay.kinds[handle]
         if kind is NodeKind.WRITER or (
-            all(src in push for src in overlay.inputs[handle])
+            all(src in push for src in overlay.in_rows(handle)[0])
             and data.draw(st.sampled_from((True, True, False)))
         ):
             push.add(handle)

@@ -62,8 +62,8 @@ def push_steps(overlay, writer):
     stack = [(writer, 1)]
     while stack:
         node, carried = stack.pop()
-        for dst in overlay.outputs[node]:
-            sign = carried * overlay.inputs[dst][node]
+        for dst, edge_sign in zip(*overlay.out_rows(node)):
+            sign = carried * edge_sign
             is_push = overlay.decisions[dst] is Decision.PUSH
             yield dst, sign, is_push
             if is_push:
@@ -98,7 +98,7 @@ class Reference:
                 self.count[handle] = len(window)
             elif overlay.decisions[handle] is Decision.PUSH:
                 acc, cnt = 0.0, 0
-                for src, sign in overlay.inputs[handle].items():
+                for src, sign in zip(*overlay.in_rows(handle)):
                     acc = acc + self.value[src] if sign > 0 else acc - self.value[src]
                     cnt += sign * self.count[src]
                 self.value[handle], self.count[handle] = acc, cnt

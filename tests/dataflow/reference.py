@@ -31,13 +31,13 @@ def frequencies(overlay: Overlay, model: FrequencyModel) -> Tuple[List[float], L
             fh[handle] = model.write_freq(overlay.labels[handle])
         else:
             total = 0.0
-            for src in overlay.inputs[handle]:
+            for src in overlay.in_rows(handle)[0]:
                 total += fh[src]
             fh[handle] = total
     for handle in reversed(order):
         if overlay.kinds[handle] is NodeKind.READER:
             fl[handle] = model.read_freq(overlay.labels[handle])
-        for src in overlay.inputs[handle]:
+        for src in overlay.in_rows(handle)[0]:
             fl[src] += fl[handle]
     return fh, fl
 

@@ -196,7 +196,7 @@ class TestAgainstReference:
         expected = reference.decisions_consistent(overlay)
         assert overlay.decisions_consistent() is expected
         graph = passes.DecisionGraph(overlay)
-        assert passes.consistent(graph, graph.push_mask()) is expected
+        assert passes.consistent(graph, graph.overlay.push_mask()) is expected
 
 
 def test_pull_frequency_adds_outputs_in_reversed_topological_order():

@@ -102,7 +102,7 @@ class TestSplitNodes:
         # but may legitimately split — correctness must hold either way.
         overlay.validate(ag)
         for handle in created:
-            assert all(s > 0 for s in overlay.inputs[handle].values())
+            assert all(s > 0 for s in overlay.in_rows(handle)[1])
 
     def test_execution_equivalence_after_splitting(self):
         from repro.core.engine import EAGrEngine

@@ -11,6 +11,7 @@ set).  Node ids mix ints on both sides of a ``repr``-order boundary
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -79,8 +80,8 @@ def overlay_state(overlay):
         overlay.kinds,
         overlay.labels,
         overlay.decisions,
-        [list(inputs.items()) for inputs in overlay.inputs],
-        [list(outputs) for outputs in overlay.outputs],
+        [list(zip(*overlay.in_rows(handle))) for handle in range(overlay.num_nodes)],
+        [overlay.out_rows(handle)[0] for handle in range(overlay.num_nodes)],
         list(overlay.writer_of.items()),
         list(overlay.reader_of.items()),
         overlay.num_edges,
@@ -212,30 +213,31 @@ class TestIdentity:
         )
 
     def test_one_int_object_per_handle(self):
-        """Every dict holds the handle's own int, as ``add_edge`` calls with
-        the ``writer_of`` / ``reader_of`` handles leave them: one object
-        per node (beyond the small-int cache), not one per edge."""
+        """The overlay holds one int object per node (beyond the small-int
+        cache), as ``add_writer`` / ``add_reader`` calls leave it, and none
+        per edge: the edges are int64 columns."""
         ag = build_bipartite(random_graph(300, 3000, seed=5), Neighborhood.in_neighbors())
         overlay = Overlay.identity(ag)
         held = [*overlay.writer_of.values(), *overlay.reader_of.values(), *overlay._dirty]
-        for row in overlay.inputs + overlay.outputs:
-            held.extend(row)
         assert len({id(handle) for handle in held if handle > 256}) == overlay.num_nodes - 257
+        for column in (*overlay.in_csr(), *overlay.out_csr()):
+            assert column.dtype == np.int64
 
 
 def per_edge_csr(overlay):
     n = overlay.num_nodes
     in_indptr, in_indices, in_signs = [0], [], []
     for dst in range(n):
-        for src, sign in overlay.inputs[dst].items():
+        for src, sign in zip(*overlay.in_rows(dst)):
             in_indices.append(src)
             in_signs.append(sign)
         in_indptr.append(len(in_indices))
     out_indptr, out_indices, out_signs = [0], [], []
     for src in range(n):
-        for dst in overlay.outputs[src]:
+        for dst in overlay.out_rows(src)[0]:
             out_indices.append(dst)
-            out_signs.append(overlay.inputs[dst][src])
+            sources, signs = overlay.in_rows(dst)
+            out_signs.append(signs[sources.index(src)])
         out_indptr.append(len(out_indices))
     return (
         in_indptr, in_indices, in_signs, out_indptr, out_indices, out_signs,

@@ -151,7 +151,7 @@ GOLDEN_GRAPHS = {
 def construction_digest(result, with_stats):
     overlay = result.overlay
     rows = [
-        (handle, overlay.kinds[handle].name, sorted(overlay.inputs[handle].items()))
+        (handle, overlay.kinds[handle].name, sorted(zip(*overlay.in_rows(handle))))
         for handle in range(overlay.num_nodes)
     ]
     if not with_stats:
@@ -180,12 +180,14 @@ class TestSameOverlays:
 
 
 #: sha256 of :func:`ordered_digest` for the VNM family: what
-#: :data:`GOLDEN_OVERLAYS` leaves out.  The digest keeps every ``inputs``
-#: and ``outputs`` dict in insertion order (the order in which the
-#: runtime merges floats), ``version`` and ``decision_version``, the
-#: dirty set the construction leaves, and the push/pull decisions,
-#: versions and dirty set after one ``decide_dataflow``.  Taken while
-#: the builder still edited the overlay one edge at a time.
+#: :data:`GOLDEN_OVERLAYS` leaves out.  The digest keeps every node's
+#: inputs ``(source, sign)`` and outputs in insertion order (the order in
+#: which the runtime merges floats), read from ``in_rows`` / ``out_rows``
+#: as Python ints, ``version`` and ``decision_version``, the dirty set the
+#: construction leaves, and the push/pull decisions, versions and dirty
+#: set after one ``decide_dataflow``.  Taken while VNM still
+#: edited the overlay one edge at a time, and the overlay kept its edges
+#: in per-node dicts.
 ORDERED_OVERLAYS = {
     ("pa", "vnm"): "f9dd3e976f41bc01b1e9d7bf24172eeb3ad0e50f4086903837596a7db003ce89",
     ("pa", "vnm_a"): "5167152f0bc13b1b2e733e355a6be06f1404bf872ad627a93cdd3e9243943a9d",
@@ -205,10 +207,8 @@ ORDERED_OVERLAYS = {
 def ordered_digest(graph, result):
     overlay = result.overlay
     rows = [
-        (handle, kind.name, list(inputs.items()), list(outputs))
-        for handle, (kind, inputs, outputs) in enumerate(
-            zip(overlay.kinds, overlay.inputs, overlay.outputs)
-        )
+        (handle, kind.name, list(zip(*overlay.in_rows(handle))), overlay.out_rows(handle)[0])
+        for handle, kind in enumerate(overlay.kinds)
     ]
     built = (overlay.version, overlay.decision_version, sorted(overlay.pop_dirty()))
     model = FrequencyModel.zipf(graph.nodes(), write_read_ratio=2.0, seed=3)
@@ -265,7 +265,7 @@ class TestIOBImprovement:
         for handle, cover in state.coverage.items():
             if handle in state.dead:
                 continue
-            if overlay.kinds[handle] is NodeKind.PARTIAL and overlay.outputs[handle]:
+            if overlay.kinds[handle] is NodeKind.PARTIAL and overlay.out_rows(handle)[0]:
                 actual = overlay.coverage(handle)
                 assert cover == frozenset(actual)
                 for writer in cover:

@@ -113,7 +113,7 @@ class TestEdgeAddition:
         check(maintainer, graph)
         graph.add_edge("c", "r")
         check(maintainer, graph)
-        assert writers["c"] not in overlay.inputs[r]
+        assert writers["c"] not in overlay.in_rows(r)[0]
 
 
 class TestEdgeDeletion:

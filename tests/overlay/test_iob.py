@@ -132,8 +132,8 @@ class TestCoverMachinery:
         state.remove_reader_inputs(r2)
         # The shared partial aggregate lost all consumers -> pruned.
         for handle in overlay.partial_handles():
-            assert not overlay.outputs[handle]
-            assert not overlay.inputs[handle]
+            assert not overlay.out_rows(handle)[0]
+            assert not overlay.in_rows(handle)[0]
 
     def test_improve_partials_no_regression(self, web_ag):
         result = build_iob(web_ag, iterations=1)
@@ -162,7 +162,7 @@ class TestFromOverlay:
         state = IOBState(overlay)
         # Any node downstream of a negative edge must not be reusable.
         for dst in range(overlay.num_nodes):
-            if any(sign < 0 for sign in overlay.inputs[dst].values()):
+            if any(sign < 0 for sign in overlay.in_rows(dst)[1]):
                 assert dst not in state.pure
 
     def test_writers_always_pure(self, fig1_ag):
