@@ -23,7 +23,7 @@ The two baselines of Section 5.1 are spelled::
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.execution import Runtime
@@ -71,10 +71,10 @@ class EAGrEngine:
     adaptive:
         Attach the Section 4.8 adaptive decision controller.
     value_store:
-        Aggregate-state backend: ``columnar`` (numpy columns when the
-        aggregate declares a column spec, object lists otherwise), or
-        force ``object``.  Invisible to callers — reads are
-        byte-identical between backends for integer streams.
+        Only ``"columnar"``; anything else raises :class:`ValueError`.
+        The aggregate picks its store (numpy columns when it declares a
+        column spec, object lists otherwise), so there is nothing to
+        choose.
     """
 
     def __init__(
@@ -90,21 +90,24 @@ class EAGrEngine:
         adaptive: bool = False,
         adaptive_config: Optional[AdaptiveConfig] = None,
         overlay_params: Optional[Dict[str, Any]] = None,
+        # Kept only because the benchmark suite's engine workloads still
+        # pass value_store="columnar"; it goes once they stop.
         value_store: str = "columnar",
     ) -> None:
         if dataflow not in DATAFLOW_MODES:
             raise ValueError(f"dataflow must be one of {DATAFLOW_MODES}")
+        if value_store != "columnar":
+            raise ValueError(
+                f"value_store must be 'columnar', got {value_store!r}: the "
+                "aggregate picks its store"
+            )
         self.graph = graph
         self.query = query
         self.dataflow = dataflow
         self.overlay_algorithm = overlay_algorithm
-        self.value_store = value_store
         self.frequencies = frequencies or FrequencyModel.uniform(graph.nodes())
         self.cost_model = cost_model or CostModel.for_aggregate(query.aggregate)
         self._needs_recompile = False
-        # reference_read orders oracle members deterministically; the sort
-        # is cached per node and refreshed only when the membership changes.
-        self._oracle_members: Dict[NodeId, Tuple[frozenset, List[NodeId]]] = {}
 
         self.ag = build_bipartite(graph, query.neighborhood, query.predicate)
         self.construction = construct_overlay(
@@ -122,11 +125,7 @@ class EAGrEngine:
             )
 
         self.decision_stats = self._decide()
-        self.runtime = Runtime(
-            self.overlay,
-            query,
-            value_store=value_store,
-        )
+        self.runtime = Runtime(self.overlay, query)
 
         self.maintainer: Optional[OverlayMaintainer] = None
         self._seen_version = 0
@@ -324,7 +323,6 @@ class EAGrEngine:
             raise ValueError(f"unknown structure op: {op}")
         affected |= self._readers_near(endpoints)
         self.runtime.note_restructured_readers(affected)
-        self._oracle_members.clear()
         if self.maintainer is None:
             self._needs_recompile = True
 
@@ -354,7 +352,6 @@ class EAGrEngine:
                     self.overlay.set_all_decisions(Decision.PUSH)
                 else:
                     self.overlay.set_all_decisions(Decision.PULL)
-                self._oracle_members.clear()
                 # Incremental surgery dirties a bounded neighborhood of the
                 # overlay; only plans touching it are recompiled.
                 self.runtime.rebuild(dirty=self.maintainer.consume_plan_dirty())
@@ -372,7 +369,6 @@ class EAGrEngine:
         pending_readers = self.runtime._restructured_readers
         stamp = self.runtime.stamp
         clock = self.runtime.clock
-        self._oracle_members.clear()
         self.ag = build_bipartite(
             self.graph, self.query.neighborhood, self.query.predicate
         )
@@ -385,7 +381,6 @@ class EAGrEngine:
             self.overlay,
             self.query,
             buffers=buffers,
-            value_store=self.value_store,
             stamp=stamp,
         )
         self.runtime.clock = clock
@@ -400,17 +395,6 @@ class EAGrEngine:
     # introspection
     # ------------------------------------------------------------------
 
-    def reference_read(self, node: NodeId) -> Any:
-        """Brute-force oracle: evaluate ``F(N(node))`` from the live graph."""
-        members = self.query.neighborhood(self.graph, node)
-        cached = self._oracle_members.get(node)
-        if cached is not None and cached[0] == members:
-            ordered = cached[1]
-        else:
-            ordered = sorted(members, key=repr)
-            self._oracle_members[node] = (frozenset(members), ordered)
-        return self.runtime.reference_read(ordered)
-
     @property
     def counters(self):
         """Operation counters (writes/reads/push/pull) of the runtime."""
@@ -418,8 +402,8 @@ class EAGrEngine:
 
     @property
     def value_store_backend(self) -> str:
-        """The backend the ``value_store`` mode resolved to (``object`` /
-        ``columnar``) for this engine's aggregate."""
+        """The store this engine's aggregate picked (``object`` /
+        ``columnar``)."""
         return self.runtime.values.backend
 
     def sharing_index(self) -> float:

@@ -76,11 +76,10 @@ object-list semantics.  On the columnar backend:
   that maps a whole batch with one gather × coefficient and one
   ``reduceat`` per column (``fmax``/``fmin`` for the lattice extrema).
 
-Backend choice is invisible: reads are byte-identical between backends
-for integer streams (asserted by ``tests/core/test_statestore.py``), and
-the scatter table and the pull rows ride the same invalidation as the
-plans, so overlay surgery resizes and remaps columns through the same
-dirty-set machinery.
+The aggregate picks the store, and either reads what a brute-force fold
+over the windows reads; the scatter table and the pull rows ride the
+same invalidation as the plans, so overlay surgery resizes and remaps
+columns through the same dirty-set machinery.
 
 Changed-reader reporting
 ------------------------
@@ -429,7 +428,6 @@ class Runtime:
         overlay: Overlay,
         query: EgoQuery,
         buffers: Optional[Dict[NodeId, WindowBuffer]] = None,
-        value_store: str = "columnar",
         stamp: int = 0,
     ) -> None:
         self.overlay = overlay
@@ -455,9 +453,8 @@ class Runtime:
         # consumers (the serve layer's notifications) a version that is
         # stable across overlay rebuilds and shard restarts.
         self.stamp = stamp
-        # -- pluggable value store ------------------------------------
-        self.value_store_mode = value_store
-        self.values = make_value_store(self.aggregate, overlay.num_nodes, value_store)
+        # -- value store: columns when the aggregate declares them ------
+        self.values = make_value_store(self.aggregate, overlay.num_nodes)
         self._columnar = self.values.backend == "columnar"
         self._spec = self.aggregate.column_spec if self._columnar else None
         self._columnar_delta = self._columnar and self._spec.kind == "delta"
@@ -510,9 +507,8 @@ class Runtime:
         # (merge/subtract never mutate arguments), so one instance serves
         # every identity use instead of reconstructing it per operation.
         self._identity = self.aggregate.identity()
-        self._scalar_group = self.group and getattr(
-            self.aggregate, "scalar_delta", False
-        )
+        # SUM/COUNT: a push adds ``sign * delta`` to the value column.
+        self._scalar_group = self._columnar and self.aggregate.scalar_delta
         # -- compiled-plan caches -------------------------------------
         self._pull_plans: Dict[int, PullPlan] = {}
         # Dict-shaped either way; empty for good when reads are interpreted.
@@ -1824,7 +1820,7 @@ class Runtime:
         for node in observe[source]:
             observed[node] += events
         if self._scalar_group:
-            values = self.values.columns[0] if self._columnar else self.values.data
+            values = self.values.columns[0]
             for node, sign in steps:
                 values[node] += sign * message
         else:
@@ -2204,28 +2200,6 @@ class Runtime:
         self.invalidate_plans((handle,))
         self.overlay.pop_dirty()
         self._plan_stamp = (self.overlay.version, self.overlay.decision_version)
-
-    # ------------------------------------------------------------------
-    # validation helpers
-    # ------------------------------------------------------------------
-
-    def reference_read(self, input_nodes) -> Any:
-        """Brute-force evaluation straight from the window buffers.
-
-        This bypasses the overlay entirely and is the oracle the test suite
-        compares engine reads against.
-        """
-        agg = self.aggregate
-        acc = self._identity
-        for node in input_nodes:
-            buffer = self.buffers.get(node)
-            if buffer is None:
-                continue
-            if self._time_window:
-                buffer.evict_until(self.clock)
-            for raw in buffer.values():
-                acc = agg.merge(acc, agg.lift(raw))
-        return agg.finalize(acc)
 
     def rebuild(self, dirty: Optional[Iterable[int]] = None) -> "Runtime":
         """Re-derive all runtime state from the (possibly mutated) overlay.

@@ -4,10 +4,9 @@ The runtime (:mod:`repro.core.execution`) holds one partial aggregate
 object per overlay node.  This module abstracts *where* those PAOs live
 behind a small list-like protocol so two backends can coexist:
 
-* :class:`ObjectStore` — a plain Python list of PAOs.  Exact seed
-  semantics for the aggregates that declare no column spec (TOP-K
-  counter tables, user-defined aggregates), and the reference the
-  columnar kernels are tested against (``value_store="object"``).
+* :class:`ObjectStore` — a plain Python list of PAOs, for the aggregates
+  that declare no column spec (TOP-K and COUNT-DISTINCT counter tables,
+  distinct sets, user-defined aggregates).
 * :class:`ColumnarStore` — dense numpy columns, one per field of the
   aggregate's :class:`~repro.core.aggregates.ColumnSpec` (SUM/COUNT one
   column, MEAN a ``(sum, count)`` pair, MAX/MIN one nan-encoded extremum
@@ -19,14 +18,10 @@ behind a small list-like protocol so two backends can coexist:
 Backend choice is invisible to callers: both stores answer
 ``store[handle]`` with exactly the PAO the object backend would hold
 (``ColumnarStore.__getitem__`` unpacks columns back into Python scalars),
-and ``store[handle] = pao`` / ``store[handle] = None`` round-trip.  The
-property tests in ``tests/core/test_statestore.py`` assert read-for-read
-equivalence between the backends on integer streams.
+and ``store[handle] = pao`` / ``store[handle] = None`` round-trip.
 
-Selection is by :func:`make_value_store`, and the rule is a property of
-the aggregate, not of the host: ``"columnar"`` (the default) picks
-columns exactly when the aggregate declares a column spec and the object
-store otherwise, ``"object"`` forces the seed behavior.
+The aggregate picks its store (:func:`make_value_store`): columns exactly
+when it declares a column spec, objects otherwise.
 """
 
 from __future__ import annotations
@@ -38,13 +33,6 @@ import numpy as np
 from repro.core.aggregates import AggregateFunction, ColumnSpec
 
 PAO = Any
-
-#: Valid ``value_store`` modes accepted throughout the stack.
-VALUE_STORE_MODES = ("columnar", "object")
-
-
-class ValueStoreError(Exception):
-    """Raised on invalid value-store configuration."""
 
 
 class ObjectStore:
@@ -331,24 +319,9 @@ class WriteFrame:
         return f"WriteFrame({len(self.records)} rows)"
 
 
-def resolve_value_store(aggregate: AggregateFunction, mode: str = "columnar") -> str:
-    """The backend ``mode`` resolves to for ``aggregate``."""
-    if mode not in VALUE_STORE_MODES:
-        raise ValueStoreError(
-            f"value_store must be one of {VALUE_STORE_MODES}, got {mode!r}"
-        )
-    if mode == "object":
-        return "object"
-    spec = getattr(aggregate, "column_spec", None)
-    if spec is None:
-        return "object"
-    return "columnar"
-
-
-def make_value_store(
-    aggregate: AggregateFunction, num_handles: int, mode: str = "columnar"
-):
-    """Instantiate the value store ``mode`` resolves to (see module doc)."""
-    if resolve_value_store(aggregate, mode) == "columnar":
+def make_value_store(aggregate: AggregateFunction, num_handles: int):
+    """The store ``aggregate`` picks: columns for a column spec, objects
+    otherwise."""
+    if aggregate.column_spec is not None:
         return ColumnarStore(aggregate.column_spec, num_handles)
     return ObjectStore(num_handles)

@@ -95,7 +95,6 @@ class ReplicaServer:
         query: EgoQuery,
         wal_dir: str,
         poll_interval: float = 0.02,
-        value_store: str = "columnar",
         attach_timeout: float = 30.0,
         **engine_kwargs: Any,
     ) -> None:
@@ -103,7 +102,6 @@ class ReplicaServer:
         self.query = query
         self.wal_dir = wal_dir
         self.poll_interval = poll_interval
-        self._value_store = value_store
         self._engine_kwargs = engine_kwargs
         self._tailer = WalTailer(wal_dir)
         self._apply_lock = threading.Lock()
@@ -176,7 +174,6 @@ class ReplicaServer:
             shard_id=shard_id,
             num_shards=state.num_shards,
             readers=readers(state.reader_shard, [shard_id])[shard_id],
-            value_store=self._value_store,
             engine_kwargs=self._engine_kwargs,
             checkpoint=state.checkpoints.get(shard_id),
         )
@@ -354,7 +351,6 @@ class ReplicaServer:
         from repro.serve.server import EAGrServer
 
         server_kwargs.setdefault("num_shards", self.num_shards)
-        server_kwargs.setdefault("value_store", self._value_store)
         return EAGrServer(
             self.graph,
             self.query,

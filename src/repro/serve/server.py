@@ -304,7 +304,7 @@ class EAGrServer:
     wal_options:
         Extra :class:`~repro.serve.wal.WriteAheadLog` keywords
         (``segment_bytes``, ``compact_min_bytes``, ``faults``).
-    value_store / engine_kwargs:
+    engine_kwargs:
         Forwarded to every shard's engine.
     """
 
@@ -325,7 +325,6 @@ class EAGrServer:
         checkpoint_interval: Optional[int] = None,
         wal_dir: Optional[str] = None,
         wal_options: Optional[Dict[str, Any]] = None,
-        value_store: str = "columnar",
         **engine_kwargs: Any,
     ) -> None:
         if num_shards < 1:
@@ -457,7 +456,7 @@ class EAGrServer:
                 journal_dir,
                 self._m_latency.observe,
             )
-            self._boot(assign, queue_depth, value_store, engine_kwargs)
+            self._boot(assign, queue_depth, engine_kwargs)
         except BaseException:
             self._wal.close()
             raise
@@ -466,7 +465,6 @@ class EAGrServer:
         self,
         assign: Optional[Callable[[NodeId], int]],
         queue_depth: int,
-        value_store: str,
         engine_kwargs: Dict[str, Any],
     ) -> None:
         """The constructor's second half — everything that runs with the
@@ -532,7 +530,6 @@ class EAGrServer:
                 shard_id=shard_id,
                 num_shards=num_shards,
                 readers=owned[shard_id],
-                value_store=value_store,
                 engine_kwargs=engine_kwargs,
                 metrics=self.metrics_enabled,
             )
@@ -1730,6 +1727,8 @@ class EAGrServer:
             self._closed = True
             for ex in self._executors:
                 ex.stop(self._next_seq())
+            for transport in self._transports:
+                transport.close()
             self._subs.close()
             # Closing drops the flock: a standby replica can promote.
             self._wal.close()

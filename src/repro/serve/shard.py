@@ -88,7 +88,7 @@ class ShardSpec:
         This shard's position in the deployment.
     readers:
         The reader nodes assigned to this shard.
-    value_store / engine_kwargs:
+    engine_kwargs:
         Forwarded to the shard's :class:`~repro.core.engine.EAGrEngine`
         (overlay algorithm, dataflow mode, ...).  Unpicklable engine
         options (e.g. a calibrated cost model holding lambdas) cannot
@@ -119,7 +119,6 @@ class ShardSpec:
         shard_id: int,
         num_shards: int,
         readers: FrozenSet[NodeId],
-        value_store: str = "columnar",
         engine_kwargs: Optional[Dict[str, Any]] = None,
         checkpoint: Optional[ShardCheckpoint] = None,
         faults: Optional[Dict[str, int]] = None,
@@ -141,7 +140,6 @@ class ShardSpec:
         self.shard_id = shard_id
         self.num_shards = num_shards
         self.readers = frozenset(readers)
-        self.value_store = value_store
         self.engine_kwargs = dict(engine_kwargs or {})
         self.checkpoint = checkpoint
         self.faults = faults
@@ -212,12 +210,7 @@ class ShardHost:
 
         self.spec = spec
         self.shard_id = spec.shard_id
-        self.engine = EAGrEngine(
-            spec.graph,
-            spec.shard_query(),
-            value_store=spec.value_store,
-            **spec.engine_kwargs,
-        )
+        self.engine = EAGrEngine(spec.graph, spec.shard_query(), **spec.engine_kwargs)
         # -- observability (repro.obs): a local slot-backed registry.
         # Disabled registries hand out shared no-op metrics, so the
         # metrics-off hot path pays one truthy check per batch.

@@ -8,7 +8,7 @@ each worker incarnation:
 
 ======================  ===================================================
 front half              ``reset`` · ``try_send`` / ``send`` ·
-                        ``metric_values`` (+ ``replies``, ``io``)
+                        ``metric_values`` · ``close`` (+ ``replies``, ``io``)
 worker half             ``recv`` / ``reply`` · ``close``
 ======================  ===================================================
 
@@ -217,6 +217,7 @@ class QueueTransport:
         self._call = call
         #: one frame on the request pipe at a time.
         self._send_lock = threading.Lock()
+        self._requests = self._slots = None
 
     def reset(self) -> None:
         """Fresh channels and counters for a new worker incarnation
@@ -232,6 +233,16 @@ class QueueTransport:
             self._slots = ctx.BoundedSemaphore(self._depth) if self._depth else None
             self.replies, self._replies_send = _reply_pipe(ctx)
             self.io = io_counters()
+
+    def close(self) -> None:
+        """Release the last incarnation's request pipe and slot
+        semaphore once its worker is stopped (idempotent).  The
+        semaphore is a named ``/dev/shm`` entry that is unlinked when
+        its last holder lets go; a closed server must not keep it."""
+        with self._send_lock:
+            if self._requests is not None:
+                self._requests.close()
+            self._requests = self._slots = None
 
     def worker_half(self) -> "_QueueWorker":
         """The incarnation's worker half; takes the request pipe's read

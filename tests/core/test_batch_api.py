@@ -22,6 +22,8 @@ from repro.graph.generators import random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
+from tests.conftest import oracle_for
+
 AGGREGATES = {
     "sum": Sum,
     "max": Max,
@@ -72,11 +74,12 @@ def drive_pair(
     ``engine_a`` sees every event individually; ``engine_b`` gets writes
     coalesced into batches of up to ``batch_cap``.  Reads flush the pending
     batch (they must observe all prior writes) and are asserted equal
-    between the engines and against each engine's brute-force oracle.
-    Structure events flush too and are applied to both engines, forcing
-    plan invalidation between batches.
+    between the engines and against the brute-force oracle.  Structure
+    events flush too and are applied to both engines, forcing plan
+    invalidation between batches.
     """
     rng = random.Random(seed)
+    oracle = oracle_for(engine_a)
     nodes = sorted(engine_a.graph.nodes(), key=repr)
     buffered = []
     clock = 0.0
@@ -101,6 +104,7 @@ def drive_pair(
         if roll < 0.65:
             value = random_value(rng, aggregate_name)
             engine_a.write(node, value, clock)
+            oracle.write(node, value, clock)
             buffered.append((node, value, clock))
             if len(buffered) >= batch_cap:
                 flush()
@@ -109,14 +113,13 @@ def drive_pair(
             got_a = engine_a.read(node)
             got_b = engine_b.read_batch([node])[0]
             assert got_a == got_b, (node, got_a, got_b)
-            assert got_a == engine_a.reference_read(node)
-            assert got_b == engine_b.reference_read(node)
+            assert got_a == oracle.read(node)
             checked += 1
     flush()
     for node in nodes[:12]:
         got_a = engine_a.read(node)
         got_b = engine_b.read_batch([node])[0]
-        assert got_a == got_b == engine_b.reference_read(node), node
+        assert got_a == got_b == oracle.read(node), node
         checked += 1
     return checked
 
@@ -193,18 +196,18 @@ def test_write_batch_accepts_tuples_and_events():
 
     graph = random_graph(10, 25, seed=3)
     engine = make_engine(graph, "sum", "identity", "tuple")
+    oracle = oracle_for(engine)
     nodes = sorted(graph.nodes(), key=repr)
-    count = engine.write_batch(
-        [
-            (nodes[0], 2.0),
-            (nodes[1], 3.0, 5.0),
-            WriteEvent(node=nodes[2], value=4.0, timestamp=6.0),
-        ]
-    )
-    assert count == 3
+    batch = [
+        (nodes[0], 2.0),
+        (nodes[1], 3.0, 5.0),
+        WriteEvent(node=nodes[2], value=4.0, timestamp=6.0),
+    ]
+    assert engine.write_batch(batch) == 3
+    oracle.write_batch(batch)
     assert engine.counters.writes == 3
     for node in nodes:
-        assert engine.read(node) == engine.reference_read(node)
+        assert engine.read(node) == oracle.read(node)
 
 
 def test_runtime_write_batch_time_window_eviction():
@@ -241,17 +244,19 @@ def test_write_batch_midbatch_error_leaves_consistent_state():
     window buffers still propagate — reads keep matching the oracle."""
     graph = random_graph(10, 25, seed=3)
     engine = make_engine(graph, "sum", "identity", "time")
+    oracle = oracle_for(engine)
     nodes = sorted(graph.nodes(), key=repr)
+    batch = [
+        (nodes[0], 1.0, 10.0),
+        (nodes[1], 4.0, 11.0),
+        (nodes[0], 2.0, 3.0),  # non-monotone timestamp: raises
+    ]
     with pytest.raises(ValueError):
-        engine.write_batch(
-            [
-                (nodes[0], 1.0, 10.0),
-                (nodes[1], 4.0, 11.0),
-                (nodes[0], 2.0, 3.0),  # non-monotone timestamp: raises
-            ]
-        )
+        engine.write_batch(batch)
+    with pytest.raises(ValueError):
+        oracle.write_batch(batch)
     for node in nodes:
-        assert engine.read(node) == engine.reference_read(node), node
+        assert engine.read(node) == oracle.read(node), node
 
 
 def test_batched_observed_push_matches_per_event():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.aggregates import Max, Sum
+from repro.core.aggregates import CountDistinct, Max, Sum
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
@@ -10,19 +10,23 @@ from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
-STORES = ["object", "columnar"]
+from tests.conftest import STORE_OF
+
+#: SUM on columns and on objects, and COUNT-DISTINCT (objects): every
+#: write here moves a window's distinct count exactly when it moves its sum.
+AGGREGATES = {**STORE_OF, "count_distinct": lambda _sum: CountDistinct()}
 
 
-def build(graph=None, aggregate=None, value_store="columnar", **kwargs):
+def build(graph=None, aggregate=None, store=None, **kwargs):
+    aggregate = aggregate or Sum()
     return EAGrEngine(
         graph if graph is not None else paper_figure1(),
         EgoQuery(
-            aggregate=aggregate or Sum(),
+            aggregate=aggregate if store is None else AGGREGATES[store](aggregate),
             window=kwargs.pop("window", TupleWindow(1)),
             neighborhood=Neighborhood.in_neighbors(),
         ),
         overlay_algorithm=kwargs.pop("overlay_algorithm", "vnm_a"),
-        value_store=value_store,
         **kwargs,
     )
 
@@ -36,31 +40,31 @@ def downstream_readers(engine, writer_node):
     }
 
 
-@pytest.mark.parametrize("value_store", STORES)
+@pytest.mark.parametrize("store", list(AGGREGATES))
 class TestChangedReaders:
-    def test_report_covers_downstream_readers(self, value_store):
-        engine = build(value_store=value_store)
+    def test_report_covers_downstream_readers(self, store):
+        engine = build(store=store)
         engine.write_batch([("c", 5.0)])
         changed = set(engine.changed_readers())
         assert changed == downstream_readers(engine, "c")
 
-    def test_report_is_consumed(self, value_store):
-        engine = build(value_store=value_store)
+    def test_report_is_consumed(self, store):
+        engine = build(store=store)
         engine.write_batch([("c", 5.0)])
         assert engine.changed_readers()
         assert engine.changed_readers() == []
 
-    def test_zero_delta_batch_reports_nothing(self, value_store):
-        engine = build(value_store=value_store)
+    def test_zero_delta_batch_reports_nothing(self, store):
+        engine = build(store=store)
         engine.write_batch([("c", 5.0)])
         engine.changed_readers()
         # ROWS 1 window: rewriting the same value telescopes to delta 0.
         engine.write_batch([("c", 5.0)])
         assert engine.changed_readers() == []
 
-    def test_multi_writer_batch_unions_closures(self, value_store):
+    def test_multi_writer_batch_unions_closures(self, store):
         graph = random_graph(25, 110, seed=31)
-        engine = build(graph=graph, value_store=value_store)
+        engine = build(graph=graph, store=store)
         nodes = list(graph.nodes())[:6]
         engine.write_batch([(n, 3.0) for n in nodes])
         changed = set(engine.changed_readers())
@@ -69,15 +73,15 @@ class TestChangedReaders:
             expected |= downstream_readers(engine, node)
         assert changed == expected
 
-    def test_per_event_write_also_reports(self, value_store):
-        engine = build(value_store=value_store)
+    def test_per_event_write_also_reports(self, store):
+        engine = build(store=store)
         engine.write("d", 2.0)
         assert set(engine.changed_readers()) == downstream_readers(engine, "d")
 
-    def test_report_matches_across_batch_sizes(self, value_store):
+    def test_report_matches_across_batch_sizes(self, store):
         graph = random_graph(25, 110, seed=33)
-        whole = build(graph=graph, value_store=value_store)
-        chunked = build(graph=graph, value_store=value_store)
+        whole = build(graph=graph, store=store)
+        chunked = build(graph=graph, store=store)
         writes = [(n, float(i % 4)) for i, n in enumerate(graph.nodes())]
         whole.write_batch(writes)
         for start in range(0, len(writes), 5):
@@ -125,8 +129,8 @@ class TestInvalidationAndRebuild:
         # the reader closure beyond what other plans needed.
         assert engine.runtime.plan_compiles == compiles_before
 
-    @pytest.mark.parametrize("value_store", STORES)
-    def test_plan_compiles_are_first_touch_not_churn(self, value_store):
+    @pytest.mark.parametrize("store", list(AGGREGATES))
+    def test_plan_compiles_are_first_touch_not_churn(self, store):
         """A steady write → changed_readers → read cycle compiles each
         plan once: whatever ``plan_compiles`` reads after the first pass
         over a schedule is what it reads after the second (ROADMAP's
@@ -134,7 +138,7 @@ class TestInvalidationAndRebuild:
         import random
 
         graph = random_graph(60, 400, seed=41)
-        engine = build(graph=graph, value_store=value_store, dataflow="mincut")
+        engine = build(graph=graph, store=store, dataflow="mincut")
         rng = random.Random(41)
         nodes = list(graph.nodes())
         cycle = [
@@ -186,14 +190,14 @@ STRUCTURE_EVENTS = [
 ]
 
 
-@pytest.mark.parametrize("value_store", STORES)
+@pytest.mark.parametrize("store", list(AGGREGATES))
 @pytest.mark.parametrize("maintain", [False, True])
 @pytest.mark.parametrize("event", STRUCTURE_EVENTS, ids=lambda e: e.op.name)
-def test_structure_change_reports_readers_it_moved(event, maintain, value_store):
+def test_structure_change_reports_readers_it_moved(event, maintain, store):
     """A structural change moves aggregates with no writer moving (an edge
     removal takes a value out of N(r)); the report must name every reader
     whose value it changed, or a continuous subscriber never hears."""
-    engine = build(maintain=maintain, value_store=value_store)
+    engine = build(maintain=maintain, store=store)
     engine.write_batch([("c", 5.0)])
     engine.changed_readers()
     before = {r: engine.read(r) for r in engine.overlay.reader_of}

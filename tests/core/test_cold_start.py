@@ -33,7 +33,7 @@ nodes = sorted({node for edge in edges for node in edge})
 engine = EAGrEngine(
     DynamicGraph.from_edges(edges), query,
     frequencies=FrequencyModel.zipf(nodes, write_read_ratio=10.0),
-    value_store="columnar", overlay_algorithm="vnm_a", dataflow="mincut",
+    overlay_algorithm="vnm_a", dataflow="mincut",
 )
 assert engine.write_batch([(node, float(node % 7)) for node in nodes[:200]]) == 200
 assert engine.decision_stats.nodes_total > 0
@@ -54,7 +54,7 @@ query = EgoQuery(
     aggregate=Sum(), window=TupleWindow(2), neighborhood=Neighborhood.in_neighbors()
 )
 nodes = sorted(graph.nodes())
-spec = ShardSpec(graph, query, 0, 1, frozenset(nodes), value_store="columnar")
+spec = ShardSpec(graph, query, 0, 1, frozenset(nodes))
 step = RequestStep(spec, spec.build(), lambda: None)
 assert step((OP_SUBSCRIBE, 1, "s", nodes))[0] == R_OK
 reply = step((OP_WRITE, 2, 1, [(node, 1.0, 1.0) for node in nodes]))

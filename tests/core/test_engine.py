@@ -13,7 +13,7 @@ from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
-from tests.conftest import make_events, play_and_check
+from tests.conftest import make_events, oracle_for, play_and_check
 
 ALGORITHMS = ["identity", "vnm", "vnm_a", "vnm_n", "vnm_d", "iob"]
 DATAFLOWS = ["mincut", "greedy", "all_push", "all_pull"]
@@ -50,11 +50,13 @@ class TestPaperExample:
             dataflow=dataflow,
             overlay_params={} if algorithm == "identity" else {"iterations": 3},
         )
+        oracle = oracle_for(engine)
         for node, values in self.DATA.items():
             for value in values:
                 engine.write(node, value)
+                oracle.write(node, value)
         for node in self.DATA:
-            assert engine.read(node) == engine.reference_read(node)
+            assert engine.read(node) == oracle.read(node)
         if algorithm != "vnm_d":
             for node, expected in self.PINNED.items():
                 assert engine.read(node) == expected
@@ -191,14 +193,17 @@ class TestStructuralChanges:
         graph = random_graph(12, 36, seed=3)
         query = EgoQuery(aggregate=Sum(), window=TimeWindow(5.0))
         engine = EAGrEngine(graph, query, maintain=maintain)
+        oracle = oracle_for(engine)
         node = next(iter(graph.edges()))[0]
         engine.write_batch([(node, 1.0, 100.0)])
+        oracle.write(node, 1.0, 100.0)
         engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, 999))
         engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, 999, node))
         engine.write(node, 2.0)
-        assert engine.runtime.clock == 101.0
+        oracle.write(node, 2.0)
+        assert engine.runtime.clock == oracle.clock == 101.0
         for reader in graph.nodes():
-            assert engine.read(reader) == engine.reference_read(reader)
+            assert engine.read(reader) == oracle.read(reader)
 
 
 class TestRedecide:

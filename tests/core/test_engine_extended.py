@@ -2,6 +2,8 @@
 remaining aggregates end-to-end, UDAs, stream-player integration, and
 cost-model plumbing."""
 
+import math
+
 import pytest
 
 from repro.core.aggregates import (
@@ -156,7 +158,10 @@ class TestMoreAggregates:
         graph = self.graph()
         query = EgoQuery(aggregate=spread, window=TupleWindow(2))
         engine = EAGrEngine(graph, query, overlay_algorithm="vnm_d")
-        play_and_check(engine, make_events(list(graph.nodes()), 250, seed=60))
+        play_and_check(
+            engine, make_events(list(graph.nodes()), 250, seed=60),
+            aggregate=lambda values: max(values) - min(values) if values else None,
+        )
 
     def test_subtractable_uda_with_negative_edges(self):
         product = UserDefinedAggregate(
@@ -183,7 +188,7 @@ class TestMoreAggregates:
             if isinstance(e, WriteEvent) else e
             for e in events
         ]
-        play_and_check(engine, events, comparator=close)
+        play_and_check(engine, events, comparator=close, aggregate=math.prod)
 
 
 class TestPlumbing:

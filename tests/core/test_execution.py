@@ -229,10 +229,3 @@ class TestRebuildAndTrace:
         rt.write("w1", 2.0)
         rt.rebuild()
         assert rt.read("r1") == 3.0
-
-    def test_reference_read(self):
-        rt, ov, w, (r1, r2), pa = make_runtime("push")
-        rt.write("w1", 3.0)
-        rt.write("w3", 4.0)
-        assert rt.reference_read(["w1", "w3"]) == 7.0
-        assert rt.reference_read(["ghost"]) == 0.0

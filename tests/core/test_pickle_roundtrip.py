@@ -22,6 +22,8 @@ from repro.graph.neighborhoods import Neighborhood
 from repro.overlay.dynamic import OverlayMaintainer
 from repro.serve.shard import ShardSpec
 
+from tests.conftest import as_object, oracle_for
+
 
 def roundtrip(obj, byte_identical=True):
     """Pickle → unpickle; asserts byte identity, returns the clone.
@@ -48,13 +50,12 @@ def stable_fields(obj, names):
     return clone
 
 
-def warmed_engine(value_store="columnar"):
+def warmed_engine(aggregate=None):
     graph = random_graph(24, 110, seed=19)
     engine = EAGrEngine(
         graph,
-        EgoQuery(aggregate=Sum(), window=TupleWindow(2)),
+        EgoQuery(aggregate=aggregate or Sum(), window=TupleWindow(2)),
         overlay_algorithm="vnm_a",
-        value_store=value_store,
     )
     nodes = list(graph.nodes())
     engine.write_batch([(n, float(i % 5)) for i, n in enumerate(nodes)] * 2)
@@ -66,8 +67,8 @@ class TestCompiledPlans:
     def test_push_plans_roundtrip(self):
         """The scatter table every group write runs, and the list copy a
         per-writer write walks, survive pickling byte-identically."""
-        for value_store in ("object", "columnar"):
-            engine = warmed_engine(value_store=value_store)
+        for aggregate in (as_object(Sum()), Sum()):
+            engine = warmed_engine(aggregate)
             engine.write(next(iter(engine.graph.nodes())), 7.0)  # builds the lists
             table = engine.runtime._scatter
             assert table is not None and table._lists is not None
@@ -80,7 +81,7 @@ class TestCompiledPlans:
             assert clone.lists() == table.lists()
 
     def test_pull_plans_roundtrip(self):
-        engine = warmed_engine(value_store="object")
+        engine = warmed_engine(as_object(Sum()))
         runtime = engine.runtime
         assert runtime._pull_plans, "expected compiled pull plans"
         for plan in runtime._pull_plans.values():
@@ -91,7 +92,7 @@ class TestCompiledPlans:
             assert clone.touched == plan.touched
 
     def test_pull_rows_roundtrip(self):
-        engine = warmed_engine(value_store="columnar")
+        engine = warmed_engine()
         rows = engine.runtime._pull_rows
         assert len(rows), "expected compiled pull rows"
         clone = roundtrip(rows, byte_identical=False)
@@ -138,7 +139,7 @@ class TestColumnarStore:
             assert left.dtype == right.dtype
 
     def test_live_engine_store_roundtrip(self):
-        engine = warmed_engine(value_store="columnar")
+        engine = warmed_engine()
         assert engine.value_store_backend == "columnar"
         store = engine.runtime.values
         clone = roundtrip(store)
@@ -343,7 +344,7 @@ class TestLegacyCheckpoints:
         runtime = host.engine.runtime
         assert all(type(buffer) is RingRow for buffer in runtime.buffers.values())
         assert (runtime.stamp, runtime.clock) == (ck.stamp, ck.clock) == (5, 49.0)
-        oracle = EAGrEngine(graph.copy(), query, value_store="object")
+        oracle = oracle_for(graph=graph.copy(), query=query)
         stream = legacy_writes(graph, 9)
         for batch in stream[:5]:
             oracle.write_batch(batch)
@@ -354,9 +355,6 @@ class TestLegacyCheckpoints:
             host.engine.write_batch(batch)
             oracle.write_batch(batch)
             assert host.engine.read_batch(readers) == [oracle.read(r) for r in readers]
-            assert [host.engine.reference_read(r) for r in readers] == [
-                oracle.read(r) for r in readers
-            ]
 
     def test_a_new_checkpoint_unpickles_without_a_runtime(self):
         """A checkpoint taken over ring views unpickles in a fresh

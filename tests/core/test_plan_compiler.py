@@ -6,6 +6,7 @@ from repro.core.overlay import Decision, Overlay
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 
+from tests.conftest import as_object
 from tests.core.test_pull_rows import uncompiled_pull
 
 
@@ -28,10 +29,10 @@ class TestPlanCaching:
         """Every writer's push rows come from one scatter table, built once
         per overlay version: per-event writes to any writer reuse it, and
         the first write after a structural change builds the next one."""
-        for value_store in ("object", "columnar"):
+        for aggregate in (as_object(Sum()), Sum()):
             ov, w, readers, pa = shared_overlay()
             ov.set_all_decisions(Decision.PUSH)
-            rt = Runtime(ov, EgoQuery(aggregate=Sum()), value_store=value_store)
+            rt = Runtime(ov, EgoQuery(aggregate=aggregate))
             for _ in range(5):
                 rt.write("w1", 1.0)
             assert rt.scatter_builds == 1
@@ -43,7 +44,7 @@ class TestPlanCaching:
             rt.write("w4", 2.0)
             rt.write("w1", 3.0)
             assert rt.scatter_builds == 2
-            assert rt.read("r1") == rt.reference_read(["w1", "w2", "w4"]) == 5.0
+            assert rt.read("r1") == 5.0  # w1 (3.0) + w4 (2.0); w2 never wrote
 
     def test_pull_plan_compiled_once_per_reader(self):
         # The object backend compiles one monolithic pull plan; the
@@ -126,7 +127,7 @@ class TestPreciseInvalidation:
     def test_decision_flip_spares_untouched_plans(self):
         ov, w, (r1, r2), pa = shared_overlay()
         ov.set_all_decisions(Decision.PUSH)
-        rt = Runtime(ov, EgoQuery(aggregate=Sum()), value_store="object")
+        rt = Runtime(ov, EgoQuery(aggregate=as_object(Sum())))
         rt.write("w1", 1.0)
         rt.write("w3", 2.0)
         rt.changed_handles()  # w1's closure touches pa, r1, r2; w3's only r2
@@ -193,7 +194,7 @@ class TestPreciseInvalidation:
         ov, w, (r1, r2), pa = shared_overlay()
         ov.set_all_decisions(Decision.PUSH)
         ov.set_decision(r1, Decision.PULL)
-        rt = Runtime(ov, EgoQuery(aggregate=Sum()), value_store="object")
+        rt = Runtime(ov, EgoQuery(aggregate=as_object(Sum())))
         rt.write("w1", 1.0)
         assert rt.read("r1") == 1.0
         rt.changed_handles()

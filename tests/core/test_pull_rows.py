@@ -9,8 +9,9 @@ behave as a per-node loop; and a batch must credit ``observed_pull`` with
 exactly what evaluating its readers one after the other credits.  On the
 columnar store that exercises the frozen rows (``repro.core.pullrows``)
 and their invalidation; on the object store — the store of aggregates
-without a column spec — the same schedules run the interpreted
-``PullPlan`` path, the reference the rows are held to.
+without a column spec, here each aggregate's user-defined twin
+(``tests.conftest.as_object``) — the same schedules run the interpreted
+``PullPlan`` path.
 """
 
 import random
@@ -30,9 +31,8 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import random_graph
 from repro.graph.neighborhoods import Neighborhood
 
+from tests.conftest import STORE_OF, oracle_for
 from tests.test_changed_plane_properties import random_structure_event
-
-STORES = ["object", "columnar"]
 
 AGGREGATES = {"sum": Sum, "count": Count, "mean": Mean, "max": Max, "min": Min}
 GROUP = ("sum", "count", "mean")
@@ -54,7 +54,7 @@ schedules = st.tuples(
 )
 
 
-def build(seed, plan, dataflow, label_type, window, maintain, value_store):
+def build(seed, plan, dataflow, label_type, window, maintain, store):
     rng = random.Random(seed)
     size = rng.randrange(8, 14)
     label = (lambda i: i) if label_type is int else (lambda i: f"n{i}")
@@ -70,16 +70,15 @@ def build(seed, plan, dataflow, label_type, window, maintain, value_store):
     engine = EAGrEngine(
         graph,
         EgoQuery(
-            aggregate=AGGREGATES[aggregate](),
+            aggregate=STORE_OF[store](AGGREGATES[aggregate]()),
             window=TupleWindow(window),
             neighborhood=Neighborhood.in_neighbors(),
         ),
         overlay_algorithm=algorithm,
         dataflow=dataflow,
         maintain=maintain,
-        value_store=value_store,
     )
-    return rng, graph, engine, label
+    return rng, graph, engine, label, oracle_for(engine)
 
 
 def uncompiled_pull(runtime, handle):
@@ -117,7 +116,7 @@ def sequential_credit(runtime, handles):
     return credit, values
 
 
-def check_reads(rng, engine, unknown):
+def check_reads(rng, engine, oracle, unknown):
     """One read point of a schedule (see the module docstring)."""
     graph = engine.graph
     nodes = sorted(graph.nodes(), key=repr)
@@ -138,7 +137,7 @@ def check_reads(rng, engine, unknown):
 
     identity = runtime.aggregate.finalize(runtime.aggregate.identity())
     assert values == [
-        identity if node == unknown else engine.reference_read(node) for node in batch
+        identity if node == unknown else oracle.read(node) for node in batch
     ]
     assert [v for v, node in zip(values, batch) if node in reader_of] == uncompiled
     assert [engine.read(node) for node in batch] == values
@@ -160,9 +159,9 @@ def flip_a_frontier_node(rng, engine):
     return handle
 
 
-def run_schedule(seed, plan, dataflow, label_type, window, maintain, value_store):
-    rng, graph, engine, label = build(
-        seed, plan, dataflow, label_type, window, maintain, value_store
+def run_schedule(seed, plan, dataflow, label_type, window, maintain, store):
+    rng, graph, engine, label, oracle = build(
+        seed, plan, dataflow, label_type, window, maintain, store
     )
     counter = iter(range(1000, 10_000))
     unknown = label(999_999)
@@ -176,44 +175,46 @@ def run_schedule(seed, plan, dataflow, label_type, window, maintain, value_store
             flip_a_frontier_node(rng, engine)
         else:
             nodes = sorted(graph.nodes(), key=repr)
-            engine.write_batch(
-                [
-                    (rng.choice(nodes), float(rng.randrange(-4, 9)))
-                    for _ in range(rng.randrange(1, 10))
-                ]
-            )
+            batch = [
+                (rng.choice(nodes), float(rng.randrange(-4, 9)))
+                for _ in range(rng.randrange(1, 10))
+            ]
+            engine.write_batch(batch)
+            oracle.write_batch(batch)
         if rng.random() < 0.6:
-            check_reads(rng, engine, unknown)
-    check_reads(rng, engine, unknown)
+            check_reads(rng, engine, oracle, unknown)
+    check_reads(rng, engine, oracle, unknown)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schedules, st.sampled_from(STORES))
+@given(schedules, st.sampled_from(sorted(STORE_OF)))
 # Two schedules these properties found failing at PR 19, on both stores and
 # outside the read path: the maintainer kept a negative edge to a writer
 # that had just joined the reader's neighbourhood, and a rebuild expanded
 # deferred observed-push credits over an overlay that had grown meanwhile.
 @example((412, ("sum", "vnm_n"), "all_pull", int, 1, True), "columnar")
 @example((125, ("count", "vnm_a"), "all_push", int, 2, True), "columnar")
-def test_reads_equal_oracle_and_uncompiled_pull(schedule, value_store):
-    run_schedule(*schedule, value_store)
+def test_reads_equal_oracle_and_uncompiled_pull(schedule, store):
+    run_schedule(*schedule, store)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schedules, st.sampled_from(STORES))
-def test_read_is_a_batch_of_one_on_non_integer_floats(schedule, value_store):
+@given(schedules, st.sampled_from(sorted(STORE_OF)))
+def test_read_is_a_batch_of_one_on_non_integer_floats(schedule, store):
     """Thirds and sevenths do not sum exactly, so two different summation
     orders would show here: ``read`` and ``read_batch`` must agree to the
     last bit (and with the oracle up to rounding)."""
-    rng, graph, engine, _label = build(*schedule, value_store)
+    rng, graph, engine, _label, oracle = build(*schedule, store)
     nodes = sorted(graph.nodes(), key=repr)
-    engine.write_batch(
-        [(rng.choice(nodes), rng.randrange(1, 50) / rng.choice([3.0, 7.0])) for _ in range(40)]
-    )
+    writes = [
+        (rng.choice(nodes), rng.randrange(1, 50) / rng.choice([3.0, 7.0])) for _ in range(40)
+    ]
+    engine.write_batch(writes)
+    oracle.write_batch(writes)
     batch = engine.read_batch(nodes + nodes[::-1])
     assert batch == [engine.read(node) for node in nodes + nodes[::-1]]
     for node, value in zip(nodes, batch):
-        want = engine.reference_read(node)
+        want = oracle.read(node)
         assert value == want or value == pytest.approx(want, rel=1e-12)
 
 
@@ -223,7 +224,7 @@ def test_rows_never_outgrow_the_bipartite_graph(schedule):
     """Flattening un-shares nothing it has to pay for: over all readers the
     rows hold at most one entry per writer→reader edge of the bipartite
     graph (exactly that many when everything pulls from the writers)."""
-    _rng, graph, engine, _label = build(*schedule, "columnar")
+    _rng, graph, engine, _label, _oracle = build(*schedule, "columnar")
     readers = list(engine.overlay.reader_of)
     engine.read_batch(readers)
     rows = engine.runtime._pull_rows
@@ -264,13 +265,13 @@ def corner_overlay():
     return overlay, readers, {"w1": w1, "w2": w2, "w3": w3, "a": a, "b": b, "p": p}
 
 
-@pytest.mark.parametrize("value_store", STORES)
+@pytest.mark.parametrize("store", sorted(STORE_OF))
 @pytest.mark.parametrize("aggregate", ["sum", "count", "mean"])
-def test_corner_rows_signs_diamonds_net_zero_and_empty(value_store, aggregate):
+def test_corner_rows_signs_diamonds_net_zero_and_empty(store, aggregate):
     overlay, readers, h = corner_overlay()
     runtime = Runtime(
-        overlay, EgoQuery(aggregate=AGGREGATES[aggregate](), window=TupleWindow(2)),
-        value_store=value_store,
+        overlay,
+        EgoQuery(aggregate=STORE_OF[store](AGGREGATES[aggregate]()), window=TupleWindow(2)),
     )
     runtime.write_batch([("w1", 3.0), ("w2", 5.0), ("w3", 11.0), ("w1", 4.0)])
     names = list(readers) + ["ghost"] + list(readers)[::-1]
@@ -291,7 +292,7 @@ def test_corner_rows_signs_diamonds_net_zero_and_empty(value_store, aggregate):
         want = {"sum": total, "count": count,
                 "mean": total / count if count else None}[aggregate]
         assert value == want, name
-    if value_store == "columnar":
+    if runtime.values.backend == "columnar":
         rows = runtime._pull_rows
         diamond = rows.row(readers["r_diamond"])
         assert sorted(zip(diamond.leaf, diamond.coeff)) == [(h[w], 2) for w in ("w1", "w2", "w3")]
@@ -304,24 +305,26 @@ def test_corner_rows_signs_diamonds_net_zero_and_empty(value_store, aggregate):
         assert len(rows.row(readers["r_empty"]).leaf) == 0
 
 
-def steady_engine(value_store, dataflow="mincut", **kwargs):
+def steady_engine(store="columnar", dataflow="mincut", **kwargs):
     graph = random_graph(40, 220, seed=23)
     engine = EAGrEngine(
         graph,
-        EgoQuery(aggregate=Sum(), window=TupleWindow(2),
+        EgoQuery(aggregate=STORE_OF[store](Sum()), window=TupleWindow(2),
                  neighborhood=Neighborhood.in_neighbors()),
         overlay_algorithm="vnm_a",
         dataflow=dataflow,
-        value_store=value_store,
         **kwargs,
     )
+    oracle = oracle_for(engine)
     nodes = sorted(graph.nodes())
-    engine.write_batch([(node, float(i % 7)) for i, node in enumerate(nodes)])
-    return engine, nodes
+    writes = [(node, float(i % 7)) for i, node in enumerate(nodes)]
+    engine.write_batch(writes)
+    oracle.write_batch(writes)
+    return engine, oracle, nodes
 
 
 def test_a_row_is_recompiled_after_exactly_the_invalidations_that_touch_it():
-    engine, nodes = steady_engine("columnar", dataflow="all_pull")
+    engine, oracle, nodes = steady_engine(dataflow="all_pull")
     runtime = engine.runtime
     engine.read_batch(nodes)
     rows = runtime._pull_rows
@@ -337,7 +340,7 @@ def test_a_row_is_recompiled_after_exactly_the_invalidations_that_touch_it():
         assert set(rows.touched) == set(before) - doomed
         compiled = runtime.plan_compiles
         values = engine.read_batch(nodes)
-        assert values == [engine.reference_read(node) for node in nodes]
+        assert values == [oracle.read(node) for node in nodes]
         assert runtime.plan_compiles - compiled == len(doomed)
         for root in set(before) - doomed:  # untouched rows: same entries
             assert list(rows.row(root).leaf) == list(before[root].leaf)
@@ -345,7 +348,7 @@ def test_a_row_is_recompiled_after_exactly_the_invalidations_that_touch_it():
 
 
 def test_the_arena_compacts_its_garbage_instead_of_growing():
-    engine, nodes = steady_engine("columnar", dataflow="all_pull")
+    engine, oracle, nodes = steady_engine(dataflow="all_pull")
     runtime = engine.runtime
     rows = runtime._pull_rows
     engine.read_batch(nodes)
@@ -355,15 +358,15 @@ def test_the_arena_compacts_its_garbage_instead_of_growing():
         engine.read_batch(nodes)
     live = int((rows.meta[1] + rows.meta[2])[rows.meta[0] >= 0].sum())
     assert rows.used <= rows.entries.shape[1] <= max(1024, 4 * live)
-    assert engine.read_batch(nodes) == [engine.reference_read(node) for node in nodes]
+    assert engine.read_batch(nodes) == [oracle.read(node) for node in nodes]
 
 
-@pytest.mark.parametrize("value_store", STORES)
-def test_duplicates_cost_one_evaluation(value_store):
+@pytest.mark.parametrize("store", sorted(STORE_OF))
+def test_duplicates_cost_one_evaluation(store):
     """``nodes + nodes`` is the pull work of ``nodes`` on the columnar store
     (duplicates collapse before the kernel) and less than twice it on the
     object store (the memo answers the repeats)."""
-    engine, nodes = steady_engine(value_store, dataflow="all_pull")
+    engine, _oracle, nodes = steady_engine(store, dataflow="all_pull")
     runtime = engine.runtime
     engine.read_batch(nodes)
     ops = runtime.counters.pull_ops
@@ -372,12 +375,13 @@ def test_duplicates_cost_one_evaluation(value_store):
     ops = runtime.counters.pull_ops
     assert engine.read_batch(nodes + nodes) == once + once
     doubled = runtime.counters.pull_ops - ops
-    assert doubled == single if value_store == "columnar" else doubled < 2 * single
+    columnar = engine.value_store_backend == "columnar"
+    assert doubled == single if columnar else doubled < 2 * single
 
 
-@pytest.mark.parametrize("value_store", STORES)
+@pytest.mark.parametrize("store", sorted(STORE_OF))
 @pytest.mark.parametrize("dataflow", ["all_pull", "mincut", "all_push"])
-def test_time_window_read_batch_equals_the_per_node_loop(value_store, dataflow):
+def test_time_window_read_batch_equals_the_per_node_loop(store, dataflow):
     """A read advances window expiry before it evaluates; the batch does so
     once, for every row — same values, same changed-reader report, as
     reading node by node."""
@@ -386,27 +390,29 @@ def test_time_window_read_batch_equals_the_per_node_loop(value_store, dataflow):
         graph = random_graph(24, 110, seed=5)
         engine = EAGrEngine(
             graph,
-            EgoQuery(aggregate=Sum(), window=TimeWindow(10.0),
+            EgoQuery(aggregate=STORE_OF[store](Sum()), window=TimeWindow(10.0),
                      neighborhood=Neighborhood.in_neighbors()),
             overlay_algorithm="vnm_a",
             dataflow=dataflow,
-            value_store=value_store,
         )
+        oracle = oracle_for(engine)
         nodes = sorted(graph.nodes())
         for tick, node in enumerate(nodes):
             engine.write(node, float(tick % 5 + 1), timestamp=float(tick))
+            oracle.write(node, float(tick % 5 + 1), timestamp=float(tick))
         engine.changed_readers()
-        return engine, nodes
+        return engine, oracle, nodes
 
-    batched, nodes = fresh()
-    looped, _ = fresh()
+    batched, oracle, nodes = fresh()
+    looped, _oracle, _ = fresh()
     for clock in (28.0, 31.5, 40.0):  # each step expires more writers unseen
         batched.runtime.clock = looped.runtime.clock = clock
+        oracle.advance(clock)
         reads = looped.counters.reads
         values = batched.read_batch(nodes + nodes[:5])
         assert values == [looped.read(node) for node in nodes + nodes[:5]]
         assert looped.counters.reads - reads == len(nodes) + 5
         assert batched.counters.reads == looped.counters.reads
-        assert values[: len(nodes)] == [batched.reference_read(n) for n in nodes]
+        assert values[: len(nodes)] == [oracle.read(n) for n in nodes]
         assert batched.changed_readers() == looped.changed_readers()
     assert any(value == 0.0 for value in values), "nothing ever expired"

@@ -27,6 +27,7 @@ from repro.core.overlay import KIND_WRITER, NodeKind, Overlay
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
 
+from tests.conftest import as_object
 from tests.dataflow.test_passes import overlays
 
 
@@ -103,18 +104,16 @@ def test_scatter_table_equals_per_writer_dfs(overlay, data):
 
 
 RUNTIMES = [
-    pytest.param(Sum, "object", id="sum-object"),
-    pytest.param(Sum, "columnar", id="sum-columnar"),
-    pytest.param(lambda: TopK(2), "object", id="topk"),
+    pytest.param(lambda: as_object(Sum()), id="sum-object"),
+    pytest.param(Sum, id="sum-columnar"),
+    pytest.param(lambda: TopK(2), id="topk"),
 ]
 
 
-@pytest.mark.parametrize("aggregate, value_store", RUNTIMES)
+@pytest.mark.parametrize("aggregate", RUNTIMES)
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(overlay=st.one_of(overlays(), layered_overlays()), data=st.data())
-def test_writes_run_the_table_like_the_reference_dfs(
-    aggregate, value_store, overlay, data
-):
+def test_writes_run_the_table_like_the_reference_dfs(aggregate, overlay, data):
     """Per-event ``write()`` and ``write_batch`` reach the values,
     ``push_ops`` and ``observed_push`` of ``writer_step`` +
     ``propagate_from``, event by event.
@@ -132,10 +131,7 @@ def test_writes_run_the_table_like_the_reference_dfs(
 
     def runtime():
         query = EgoQuery(aggregate=aggregate(), window=TupleWindow(2))
-        return Runtime(
-            pickle.loads(pickle.dumps(overlay)), query,
-            value_store=value_store,
-        )
+        return Runtime(pickle.loads(pickle.dumps(overlay)), query)
 
     reference, per_event, batched = runtime(), runtime(), runtime()
     value = 0

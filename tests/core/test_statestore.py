@@ -1,26 +1,30 @@
-"""Value-store backends: ObjectStore ↔ ColumnarStore equivalence.
+"""Value stores: the aggregate picks its store, and both stores read true.
 
-Seeded property drives play identical integer streams through two engines
-that differ only in their value-store backend and assert every read comes
-back byte-identical (value *and* type), across overlay algorithms ×
-{SUM, COUNT, MEAN, MAX} × tuple/time windows, with window evictions,
-adaptive decision flips and overlay surgery interleaved mid-stream.
+Seeded property drives play integer streams through engines and assert
+every read equals the brute-force oracle (``tests/oracle.py``) — value
+*and* Python type — across overlay algorithms × {SUM, COUNT, MEAN, MAX}
+on columns and {TOP-K, COUNT-DISTINCT, a user-defined SUM} on objects ×
+tuple/time windows, with window evictions, adaptive decision flips and
+overlay surgery interleaved mid-stream.
 """
 
 import random
 
 import pytest
 
-from repro.core.aggregates import Count, Max, Mean, Sum, TopK
+from repro.core.aggregates import (
+    Count,
+    CountDistinct,
+    DistinctSet,
+    Max,
+    Mean,
+    Min,
+    Sum,
+    TopK,
+)
 from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
-from repro.core.statestore import (
-    ColumnarStore,
-    ObjectStore,
-    ValueStoreError,
-    make_value_store,
-    resolve_value_store,
-)
+from repro.core.statestore import ColumnarStore, ObjectStore, make_value_store
 from repro.core.windows import (
     NO_VALUE,
     TimeWindow,
@@ -35,11 +39,17 @@ from repro.graph.generators import random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
+from tests.conftest import STORE_OF, as_object, oracle_for
+
 AGGREGATES = {
     "sum": Sum,
     "count": Count,
     "mean": Mean,
     "max": Max,
+    # the object store's aggregates
+    "object_sum": lambda: as_object(Sum()),
+    "count_distinct": CountDistinct,
+    "topk": lambda: TopK(2),
 }
 
 #: Overlay algorithms legal per aggregate (vnm_n needs subtraction,
@@ -49,6 +59,9 @@ ALGORITHMS = {
     "count": ("identity", "vnm_a", "vnm_n", "iob"),
     "mean": ("identity", "vnm_a", "vnm_n", "iob"),
     "max": ("identity", "vnm_a", "vnm_d", "iob"),
+    "object_sum": ("identity", "vnm_a", "vnm_n", "iob"),
+    "count_distinct": ("identity", "vnm_a", "vnm_n", "iob"),
+    "topk": ("identity", "vnm_a", "vnm_n", "iob"),
 }
 
 WINDOWS = {
@@ -58,20 +71,18 @@ WINDOWS = {
 }
 
 
-def make_engine(graph, aggregate_name, algorithm, window_name, value_store, **kwargs):
+def make_engine(graph, aggregate, algorithm, window_name, **kwargs):
+    """An engine over ``aggregate`` (a name of :data:`AGGREGATES` or an
+    aggregate object)."""
+    if isinstance(aggregate, str):
+        aggregate = AGGREGATES[aggregate]()
     query = EgoQuery(
-        aggregate=AGGREGATES[aggregate_name](),
+        aggregate=aggregate,
         window=WINDOWS[window_name](),
         neighborhood=Neighborhood.in_neighbors(),
     )
     kwargs.setdefault("dataflow", "mincut")
-    return EAGrEngine(
-        graph,
-        query,
-        overlay_algorithm=algorithm,
-        value_store=value_store,
-        **kwargs,
-    )
+    return EAGrEngine(graph, query, overlay_algorithm=algorithm, **kwargs)
 
 
 def random_structure_event(rng, graph):
@@ -91,41 +102,44 @@ def random_structure_event(rng, graph):
     return StructureEvent(StructureOp.ADD_NODE, 900 + rng.randrange(40))
 
 
-def drive_backend_pair(
-    object_engine,
-    columnar_engine,
+def drive_against_oracle(
+    engine,
     seed,
     num_events=220,
     batch_cap=11,
     structure_fraction=0.0,
 ):
-    """Play one seeded integer stream through both backends.
+    """Play one seeded integer stream through ``engine`` and the oracle.
 
-    Both engines ingest identically (batched writes, flushed on reads);
-    every read is asserted byte-identical between backends — equal value
-    AND equal Python type — and checked against the brute-force oracle.
+    Writes are batched and flushed on reads; every read is asserted equal
+    to the oracle's — equal value AND equal Python type.
     """
     rng = random.Random(seed)
-    nodes = sorted(object_engine.graph.nodes(), key=repr)
+    oracle = oracle_for(engine)
+    nodes = sorted(engine.graph.nodes(), key=repr)
     buffered = []
     clock = 0.0
     checked = 0
 
     def flush():
         if buffered:
-            object_engine.write_batch(buffered)
-            columnar_engine.write_batch(list(buffered))
+            engine.write_batch(buffered)
+            oracle.write_batch(buffered)
             buffered.clear()
+
+    def check(got, node):
+        want = oracle.read(node)
+        assert got == want, (node, got, want)
+        assert type(got) is type(want), (node, type(got), type(want))
 
     for _ in range(num_events):
         clock += 1.0
         roll = rng.random()
         if structure_fraction and roll < structure_fraction:
             flush()
-            event = random_structure_event(rng, object_engine.graph)
+            event = random_structure_event(rng, engine.graph)
             if event is not None:
-                object_engine.apply_structure_event(event)
-                columnar_engine.apply_structure_event(event)
+                engine.apply_structure_event(event)
             continue
         node = rng.choice(nodes)
         if roll < 0.6:
@@ -135,22 +149,13 @@ def drive_backend_pair(
                 flush()
         else:
             flush()
-            got_object = object_engine.read(node)
-            got_columnar = columnar_engine.read(node)
-            assert got_object == got_columnar, (node, got_object, got_columnar)
-            assert type(got_object) is type(got_columnar), (
-                node,
-                type(got_object),
-                type(got_columnar),
-            )
-            assert got_object == object_engine.reference_read(node)
+            check(engine.read(node), node)
             checked += 1
     flush()
     for node in nodes[:10] + nodes[:2]:  # repeats exercise batch memo reuse
-        batch_object = object_engine.read_batch([node, node])
-        batch_columnar = columnar_engine.read_batch([node, node])
-        assert batch_object == batch_columnar, node
-        assert batch_object[0] == object_engine.reference_read(node), node
+        batch = engine.read_batch([node, node])
+        assert batch[0] == batch[1]
+        check(batch[0], node)
         checked += 1
     return checked
 
@@ -160,54 +165,47 @@ def drive_backend_pair(
 def test_backend_parity_across_algorithms(aggregate_name, window_name):
     for index, algorithm in enumerate(ALGORITHMS[aggregate_name]):
         graph = random_graph(22, 60, seed=31)
-        object_engine = make_engine(
-            graph, aggregate_name, algorithm, window_name, "object"
-        )
-        columnar_engine = make_engine(
-            graph.copy(), aggregate_name, algorithm, window_name, "columnar"
-        )
-        assert columnar_engine.value_store_backend == "columnar"
-        assert object_engine.value_store_backend == "object"
-        checked = drive_backend_pair(
-            object_engine,
-            columnar_engine,
-            seed=37 * len(aggregate_name) + index,
-        )
+        engine = make_engine(graph, aggregate_name, algorithm, window_name)
+        checked = drive_against_oracle(engine, seed=37 * len(aggregate_name) + index)
         assert checked > 10, (aggregate_name, algorithm, window_name)
 
 
-@pytest.mark.parametrize("aggregate_name", ["sum", "mean", "max"])
+@pytest.mark.parametrize("aggregate_name", ["sum", "mean", "max", "object_sum"])
 def test_backend_parity_under_overlay_surgery(aggregate_name):
-    """Structure events mid-stream resize/remap columns through the dirty
-    set machinery; both backends keep answering identically."""
+    """Structure events mid-stream resize/remap the store through the dirty
+    set machinery; reads keep equalling the oracle."""
     for maintain in (False, True):
         graph = random_graph(18, 48, seed=7)
-        object_engine = make_engine(
-            graph, aggregate_name, "vnm_a", "unit", "object", maintain=maintain
+        engine = make_engine(graph, aggregate_name, "vnm_a", "unit", maintain=maintain)
+        drive_against_oracle(
+            engine, seed=91, num_events=280, structure_fraction=0.08
         )
-        columnar_engine = make_engine(
-            graph.copy(), aggregate_name, "vnm_a", "unit", "columnar", maintain=maintain
-        )
-        drive_backend_pair(
-            object_engine,
-            columnar_engine,
-            seed=91,
-            num_events=280,
-            structure_fraction=0.08,
-        )
+
+
+@pytest.mark.parametrize("maintain", [False, True])
+@pytest.mark.parametrize("aggregate_name", ["sum", "count_distinct"])
+def test_two_hops_with_the_ego_and_a_predicate(aggregate_name, maintain):
+    """Two-hop neighbourhoods that include the ego, on the readers a
+    predicate selects, under structure events."""
+    graph = random_graph(18, 40, seed=5)
+    query = EgoQuery(
+        aggregate=AGGREGATES[aggregate_name](),
+        window=TupleWindow(2),
+        neighborhood=Neighborhood.in_neighbors(hops=2, include_self=True),
+        predicate=lambda node: node % 3 != 0,
+    )
+    engine = EAGrEngine(graph, query, overlay_algorithm="vnm_a", maintain=maintain)
+    drive_against_oracle(engine, seed=23, num_events=260, structure_fraction=0.08)
 
 
 def test_backend_parity_with_adaptive_flips():
-    """Adaptive decision flips mid-stream: columns re-materialize on push
-    flips and clear on pull flips, matching the object store exactly."""
-    graph = random_graph(18, 48, seed=3)
-    object_engine = make_engine(graph, "sum", "vnm_a", "tuple", "object", adaptive=True)
-    columnar_engine = make_engine(
-        graph.copy(), "sum", "vnm_a", "tuple", "columnar", adaptive=True
-    )
-    object_engine.controller.config.check_interval = 40
-    columnar_engine.controller.config.check_interval = 40
-    drive_backend_pair(object_engine, columnar_engine, seed=17, num_events=420)
+    """Adaptive decision flips mid-stream: either store re-materializes on
+    push flips and clears on pull flips."""
+    for aggregate in (Sum(), as_object(Sum())):
+        graph = random_graph(18, 48, seed=3)
+        engine = make_engine(graph, aggregate, "vnm_a", "tuple", adaptive=True)
+        engine.controller.config.check_interval = 40
+        drive_against_oracle(engine, seed=17, num_events=420)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +215,23 @@ def test_backend_parity_with_adaptive_flips():
 
 class TestStores:
     def test_resolution(self):
-        assert resolve_value_store(Sum(), "columnar") == "columnar"
-        assert resolve_value_store(Sum()) == "columnar"
-        assert resolve_value_store(Sum(), "object") == "object"
-        # columnar is a request; an aggregate without a spec keeps objects
-        assert resolve_value_store(TopK(3), "columnar") == "object"
-        # no shared-memory backend; "auto" was a second name for "columnar"
-        for mode in ("bogus", "shared", "auto"):
-            with pytest.raises(ValueStoreError):
-                resolve_value_store(Sum(), mode)
+        """The aggregate picks its store: columns exactly when it declares
+        a column spec, objects otherwise."""
+        for aggregate in (Sum(), Count(), Mean(), Max(), Min()):
+            assert isinstance(make_value_store(aggregate, 3), ColumnarStore), aggregate
+        for aggregate in (TopK(3), CountDistinct(), DistinctSet(), as_object(Sum())):
+            assert isinstance(make_value_store(aggregate, 3), ObjectStore), aggregate
+
+    def test_the_engine_takes_only_columnar(self):
+        """``value_store`` survives on the engine for callers that still
+        pass ``"columnar"``; any other value is an error."""
+        graph = random_graph(6, 12, seed=1)
+        query = EgoQuery(aggregate=Sum())
+        engine = EAGrEngine(graph, query, value_store="columnar")
+        assert engine.value_store_backend == "columnar"
+        for mode in ("object", "auto", "bogus"):
+            with pytest.raises(ValueError):
+                EAGrEngine(graph, query, value_store=mode)
 
     def test_object_store_roundtrip(self):
         store = make_value_store(TopK(3), 4)
@@ -243,7 +249,7 @@ class TestStores:
             (Mean(), (4.0, 2)),
             (Max(), 9.0),
         ):
-            store = make_value_store(aggregate, 5, "columnar")
+            store = make_value_store(aggregate, 5)
             assert isinstance(store, ColumnarStore)
             assert store[1] is None  # unassigned handles read as None
             store[1] = pao
@@ -253,14 +259,14 @@ class TestStores:
             assert store[1] is None
 
     def test_columnar_lattice_identity(self):
-        store = make_value_store(Max(), 3, "columnar")
+        store = make_value_store(Max(), 3)
         store[0] = None
         assert store[0] is None
         store[0] = Max().identity()  # identity is None for lattices
         assert store[0] is None
 
     def test_columnar_resize_remaps(self):
-        store = make_value_store(Mean(), 3, "columnar")
+        store = make_value_store(Mean(), 3)
         store[2] = (6.0, 3)
         store.resize(6)  # grow: everything reverts to cleared identity
         assert len(store) == 6
@@ -279,9 +285,7 @@ class TestStores:
 def test_lattice_batches_take_the_scatter_path(aggregate):
     """Eviction-free MAX/MIN batches apply as extremum scatters (no
     snapshot dicts retained), and mixed grow/evict batches still match
-    the object backend and the brute-force oracle."""
-    from repro.core.aggregates import Min
-
+    the brute-force oracle."""
     aggregates = {"max": Max, "min": Min}
     graph = random_graph(18, 50, seed=77)
     query = EgoQuery(
@@ -289,15 +293,9 @@ def test_lattice_batches_take_the_scatter_path(aggregate):
         window=TupleWindow(2),
         neighborhood=Neighborhood.in_neighbors(),
     )
-    object_engine = EAGrEngine(
-        graph, query, overlay_algorithm="vnm_a", dataflow="mincut",
-        value_store="object",
-    )
-    columnar_engine = EAGrEngine(
-        graph.copy(), query, overlay_algorithm="vnm_a", dataflow="mincut",
-        value_store="columnar",
-    )
-    runtime = columnar_engine.runtime
+    engine = EAGrEngine(graph, query, overlay_algorithm="vnm_a", dataflow="mincut")
+    oracle = oracle_for(engine)
+    runtime = engine.runtime
     assert runtime._lattice_columns
     # snapshot dicts are not materialized on the columnar lattice path
     assert all(snap is None for snap in runtime.snapshots)
@@ -308,12 +306,10 @@ def test_lattice_batches_take_the_scatter_path(aggregate):
             (rng.choice(nodes), float(rng.randrange(12)))
             for _ in range(rng.randrange(1, 9))
         ]
-        object_engine.write_batch(batch)
-        columnar_engine.write_batch(list(batch))
+        engine.write_batch(batch)
+        oracle.write_batch(batch)
     for node in nodes:
-        expected = object_engine.read(node)
-        assert columnar_engine.read(node) == expected, node
-        assert expected == object_engine.reference_read(node), node
+        assert engine.read(node) == oracle.read(node), node
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +317,15 @@ def test_lattice_batches_take_the_scatter_path(aggregate):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("value_store", ["object", "columnar"])
-def test_read_batch_memoizes_shared_pull_subtrees(value_store):
+@pytest.mark.parametrize("store", sorted(STORE_OF))
+def test_read_batch_memoizes_shared_pull_subtrees(store):
     """Within one read_batch, repeated work evaluates once and answers stay
     identical.  The object store's interpreter shares pull subtrees through
     its per-batch memo (``pull_memo_hits`` is its counter); the columnar
     kernel collapses duplicate readers before evaluating, so ``nodes +
     nodes`` performs exactly the pull work of ``nodes``."""
     graph = random_graph(20, 70, seed=13)
-    engine = make_engine(graph, "sum", "vnm_a", "unit", value_store, dataflow="all_pull")
+    engine = make_engine(graph, STORE_OF[store](Sum()), "vnm_a", "unit", dataflow="all_pull")
     nodes = sorted(graph.nodes(), key=repr)
     engine.write_batch([(node, float(i % 5 + 1)) for i, node in enumerate(nodes)])
     singles = [engine.read(node) for node in nodes]
@@ -339,7 +335,7 @@ def test_read_batch_memoizes_shared_pull_subtrees(value_store):
     batch = engine.read_batch(nodes + nodes)  # duplicates force reuse
     assert batch == singles + singles
     batched_ops = runtime.counters.pull_ops - before_ops
-    if value_store == "columnar":
+    if engine.value_store_backend == "columnar":
         assert runtime.pull_memo_hits == before_hits == 0
         assert engine.read_batch(nodes) == singles
         assert runtime.counters.pull_ops - before_ops == 2 * batched_ops
@@ -354,28 +350,32 @@ def test_write_batch_accepts_one_shot_iterators():
     """Generator input must not lose its consumed prefix when the fast
     extraction falls back to per-item dispatch (regression)."""
     graph = random_graph(12, 30, seed=41)
-    from_list = make_engine(graph, "sum", "vnm_a", "unit", "columnar")
-    from_gen = make_engine(graph.copy(), "sum", "vnm_a", "unit", "columnar")
+    from_list = make_engine(graph, "sum", "vnm_a", "unit")
+    from_gen = make_engine(graph.copy(), "sum", "vnm_a", "unit")
+    oracle = oracle_for(from_gen)
     nodes = sorted(graph.nodes(), key=repr)
     writes = [(node, float(i + 1), float(i + 1)) for i, node in enumerate(nodes)]
     from_list.write_batch(writes)
     assert from_gen.write_batch(item for item in writes) == len(writes)
+    oracle.write_batch(writes)
     for node in nodes:
-        assert from_list.read(node) == from_gen.read(node) == from_gen.reference_read(
-            node
-        ), node
+        assert from_list.read(node) == from_gen.read(node) == oracle.read(node), node
 
 
 def test_read_batch_memo_does_not_leak_across_batches():
     graph = random_graph(14, 40, seed=19)
-    engine = make_engine(graph, "sum", "vnm_a", "unit", "columnar", dataflow="all_pull")
+    engine = make_engine(graph, "sum", "vnm_a", "unit", dataflow="all_pull")
+    oracle = oracle_for(engine)
     nodes = sorted(graph.nodes(), key=repr)
-    engine.write_batch([(node, 3.0) for node in nodes])
-    first = engine.read_batch(nodes[:4])
-    engine.write_batch([(node, 5.0) for node in nodes])  # state moves on
-    second = engine.read_batch(nodes[:4])
+    for value in (3.0, 5.0):
+        batch = [(node, value) for node in nodes]
+        engine.write_batch(batch)
+        oracle.write_batch(batch)
+        if value == 3.0:
+            first = engine.read_batch(nodes[:4])
+    second = engine.read_batch(nodes[:4])  # the state moved on
     for node, got in zip(nodes[:4], second):
-        assert got == engine.reference_read(node), node
+        assert got == oracle.read(node), node
     assert first != second  # stale memo entries would have leaked
 
 
@@ -435,10 +435,10 @@ class TestRingBuffers:
 def test_mean_two_column_kernel_matches_object():
     """MEAN rides the columnar kernel as a (sum, count) pair — its
     inherited lattice ``fast_update`` stays unreachable (group aggregates
-    never take the lattice path)."""
+    never take the lattice path) — and reads what the oracle reads."""
     graph = random_graph(16, 44, seed=23)
-    object_engine = make_engine(graph, "mean", "vnm_a", "unit", "object")
-    columnar_engine = make_engine(graph.copy(), "mean", "vnm_a", "unit", "columnar")
+    engine = make_engine(graph, "mean", "vnm_a", "unit")
+    oracle = oracle_for(engine)
     rng = random.Random(29)
     nodes = sorted(graph.nodes(), key=repr)
     writes = [
@@ -447,13 +447,10 @@ def test_mean_two_column_kernel_matches_object():
     ]
     for start in range(0, len(writes), 32):
         chunk = writes[start : start + 32]
-        object_engine.write_batch(chunk)
-        columnar_engine.write_batch(chunk)
+        engine.write_batch(chunk)
+        oracle.write_batch(chunk)
     for node in nodes:
-        got_object = object_engine.read(node)
-        got_columnar = columnar_engine.read(node)
-        assert got_object == got_columnar, node
-        assert got_object == object_engine.reference_read(node), node
+        assert engine.read(node) == oracle.read(node), node
     spec = Mean.column_spec
     assert spec.sources == ("value", "count")
     assert spec.dtypes == ("float64", "int64")

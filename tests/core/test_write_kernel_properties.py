@@ -22,11 +22,13 @@ After every step:
   moved writers applied in first-touch order along the push plan's
   depth-first steps, columns re-derived from the windows whenever the
   runtime re-materialises;
-* reads equal ``reference_read`` and an object-store engine fed the same
-  batches (exactly on dyadic values, to rounding otherwise);
-* every writer's ``buffers[node].values()``, ``clock``, ``stamp`` and the
-  batch's ``counters.writes`` equal the object-store engine's (and the
-  clock the reference's).
+* reads equal the brute-force oracle (``tests/oracle.py``) fed the same
+  batches and structure events (exactly on dyadic values, to rounding
+  otherwise);
+* the writers holding ``buffers`` and every ``buffers[node].values()``
+  equal the oracle's writers and windows, ``clock`` equals the
+  reference's and the oracle's, ``stamp`` counts the ingestion calls, and
+  the batch's ``counters.writes`` its rows.
 """
 
 import collections
@@ -50,6 +52,7 @@ from repro.core.windows import RingRow, TupleWindow
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.neighborhoods import Neighborhood
 
+from tests.conftest import follow, oracle_for
 from tests.test_changed_plane_properties import random_structure_event
 
 AGGREGATES = {"sum": Sum, "mean": Mean}
@@ -159,8 +162,7 @@ def resume(engine, fresh):
 
 
 class Rig:
-    """A kernel engine, an object-store engine and the reference, driven
-    in lockstep."""
+    """A kernel engine, the oracle and the reference, driven in lockstep."""
 
     def __init__(self, seed, aggregate, k, dyadic, maintain):
         self.rng = random.Random(seed)
@@ -184,13 +186,14 @@ class Rig:
             maintain=maintain,
         )
         self.engine = self.make_engine(graph.copy())
-        self.twin = EAGrEngine(graph.copy(), self.query, value_store="object", **self.options)
+        self.oracle = oracle_for(self.engine)
+        self.calls = 0
         self.reference = Reference(k, aggregate == "mean")
         self.ring = None
         self.labels = count(1000)
 
     def make_engine(self, graph):
-        return EAGrEngine(graph, self.query, value_store="columnar", **self.options)
+        return EAGrEngine(graph, self.query, **self.options)
 
     # -- schedule steps ----------------------------------------------------
 
@@ -198,7 +201,6 @@ class Rig:
         """Apply pending structure, then track the runtime's materialisations
         (each builds a new ring)."""
         self.engine.read_batch([])
-        self.twin.read_batch([])
         runtime = self.engine.runtime
         if runtime._ring is not self.ring:
             self.ring = runtime._ring
@@ -239,20 +241,19 @@ class Rig:
         batch = self.batch(shape)
         items = batch.tolist() if isinstance(batch, WriteFrame) else batch
         runtime = self.engine.runtime
-        before = runtime.counters.writes, self.twin.runtime.counters.writes
+        before = runtime.counters.writes
         assert self.engine.write_batch(batch) == len(items)
-        self.twin.write_batch(items)
+        self.calls += 1
+        self.oracle.write_batch(items)
         self.reference.write_batch(runtime.overlay, items)
-        assert runtime.counters.writes - before[0] == len(items)
-        assert self.twin.runtime.counters.writes - before[1] == len(items)
-        assert runtime.clock == self.reference.clock == self.twin.runtime.clock
-        assert runtime.stamp == self.twin.runtime.stamp
+        assert runtime.counters.writes - before == len(items)
+        assert runtime.clock == self.reference.clock == self.oracle.clock
+        assert runtime.stamp == self.calls
         self.reference.assert_columns(runtime)
 
     def structure(self):
         event = random_structure_event(self.rng, self.engine.graph, lambda: next(self.labels))
         self.engine.apply_structure_event(event)
-        self.twin.apply_structure_event(event)
 
     def restore(self):
         """Checkpoint the windows the way a shard does and resume fresh
@@ -260,28 +261,25 @@ class Rig:
         self.sync()
         self.engine = resume(self.engine, self.make_engine(self.engine.graph.copy()))
         assert all(type(buffer) is RingRow for buffer in self.engine.runtime.buffers.values())
-        twin = self.twin
-        self.twin = resume(
-            twin, EAGrEngine(twin.graph.copy(), self.query, value_store="object", **self.options)
-        )
+        follow(self.oracle, self.engine.graph)
+        self.oracle.restart()
 
     def check(self):
         self.sync()
-        engine, twin = self.engine, self.twin
+        engine, oracle = self.engine, self.oracle
         runtime = engine.runtime
         assert all(type(buffer) is RingRow for buffer in runtime.buffers.values())
-        assert set(runtime.buffers) == set(twin.runtime.buffers)
+        assert set(runtime.buffers) == oracle.writers()
         for node, buffer in runtime.buffers.items():
-            assert buffer.values() == twin.runtime.buffers[node].values(), node
-        assert runtime.stamp == twin.runtime.stamp
+            assert buffer.values() == oracle.window(node), node
+        assert runtime.stamp == self.calls
         readers = sorted(engine.overlay.reader_of)
         got = engine.read_batch(readers)
-        oracle = [engine.reference_read(node) for node in readers]
-        other = twin.read_batch(readers)
+        want = [oracle.read(node) for node in readers]
         if self.dyadic:
-            assert got == oracle == other
+            assert got == want
         else:
-            assert all(map(close, got, oracle)) and all(map(close, got, other))
+            assert all(map(close, got, want))
 
 
 def close(a, b):
@@ -334,7 +332,7 @@ def small_engine(aggregate=Sum, k=3, seed=3):
         u, v = rng.sample(range(14), 2)
         graph.add_edge(u, v)
     query = EgoQuery(aggregate=aggregate(), window=TupleWindow(k))
-    return EAGrEngine(graph, query, value_store="columnar", overlay_algorithm="vnm_a")
+    return EAGrEngine(graph, query, overlay_algorithm="vnm_a")
 
 
 @pytest.mark.parametrize(
@@ -347,6 +345,7 @@ def test_packable_batches_and_only_those_fold_through_the_ring(shape, path):
     from repro.graph.streams import WriteEvent
 
     engine = small_engine()
+    oracle = oracle_for(engine)
     nodes = sorted(engine.graph.nodes())
     many = nodes * (execution._RING_ROWS // len(nodes) + 1)
     batch = {
@@ -367,11 +366,12 @@ def test_packable_batches_and_only_those_fold_through_the_ring(shape, path):
     }
     with spies["_ring_kernel"] as kernel, spies["_ring_loop"] as loop:
         engine.write_batch(batch)
+    oracle.write_batch(batch)
     assert {"_ring_kernel": kernel.called, "_ring_loop": loop.called} == {
         name: name == path for name in spies
     }
     for node in nodes:
-        assert engine.read(node) == engine.reference_read(node)
+        assert engine.read(node) == oracle.read(node)
 
 
 @pytest.mark.parametrize("kernel_rows", [1, 10**9])

@@ -1,7 +1,7 @@
 """Sacrificial subprocess for the crash-mid-migration kill -9 schedules.
 
-``test_reshard_faults.py`` spawns this script in its own session
-(process group), lets it ingest a seeded workload against
+``test_reshard_faults.py`` spawns this script, which moves into its own
+session (process group), lets it ingest a seeded workload against
 ``EAGrServer(wal_dir=...)``, then start a live ``reshard()`` with a
 process-group SIGKILL armed at one of the migration's fault points —
 ``pre_checkpoint`` (quiesced, nothing handed over), ``pre_swap``
@@ -39,6 +39,7 @@ import os
 import random
 import signal
 import sys
+from multiprocessing import resource_tracker
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -105,6 +106,13 @@ def main():
         "--fault-point", choices=FAULT_POINTS + ("none",), default="none"
     )
     args = parser.parse_args()
+
+    # The multiprocessing resource tracker starts here, in the caller's
+    # process group; the driver then leads a session of its own, so the
+    # SIGKILL of that group (the driver and the workers it spawns) spares
+    # the tracker, which unlinks the named semaphores they registered.
+    resource_tracker.ensure_running()
+    os.setsid()
 
     graph, query = build_env()
     nodes = sorted(graph.nodes())

@@ -1,7 +1,7 @@
 """Crash-mid-migration: kill -9 at seeded points inside a live reshard.
 
-Each schedule spawns ``reshard_driver.py`` in its own session (process
-group) against ``EAGrServer(wal_dir=...)`` and SIGKILLs the whole tree —
+Each schedule spawns ``reshard_driver.py``, which moves into its own
+session (process group), against ``EAGrServer(wal_dir=...)`` and SIGKILLs the whole tree —
 front-end and workers — at one of the migration's fault points, or
 after the migration completes.  The verifier then cold-boots from the
 WAL and holds recovery to the migration's atomicity contract:
@@ -79,9 +79,7 @@ def spawn_driver(tmp_path, sched):
         "--fault-point", sched["fault"],
     ]
     with open(log_path, "wb") as log:
-        proc = subprocess.Popen(
-            cmd, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
-        )
+        proc = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT)
         returncode = proc.wait(timeout=120)
     assert returncode == -signal.SIGKILL, (
         f"{sched['id']}: driver exited {returncode} instead of dying by "

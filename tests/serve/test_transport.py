@@ -14,6 +14,8 @@ worker-replacement path — pinned once, over every executor.
   regression: one exception in the reply handler used to kill the
   drainer thread, and every later call on the shard waited out
   ``reply_timeout``.
+* ``test_a_closed_server_holds_no_named_semaphore``: ``close`` releases
+  the transports' ``/dev/shm`` semaphores, not the garbage collector.
 * ``TestReplacementPaths`` is the matrix ``{inprocess, queue}`` ×
   ``{restart_shard, reshard, WAL cold reopen}`` — the three callers of
   ``EAGrServer._replace_worker`` — against a brute-force oracle.
@@ -54,7 +56,9 @@ from repro.serve.messages import (
 from repro.serve.shard import shard_worker
 from repro.serve.transport import open_transports
 
+from tests.conftest import oracle_for
 from tests.serve.faultlib import (
+    SHM_DIR,
     assert_contiguous,
     fail_journal_once,
     kill_shard,
@@ -432,6 +436,31 @@ def test_drainer_survives_a_failing_delivery():
         server.close()
 
 
+def test_a_closed_server_holds_no_named_semaphore():
+    """Each worker incarnation's slot semaphore is a ``sem.mp-*`` entry
+    in ``/dev/shm``; a replaced worker's goes with it, and ``close``
+    lets go of the last one while the server object is still alive."""
+    def semaphores():
+        return {name for name in os.listdir(SHM_DIR) if name.startswith("sem.mp-")}
+
+    before = semaphores()
+    graph = random_graph(10, 30, seed=19)
+    nodes = list(graph.nodes())
+    server = EAGrServer(
+        graph, make_query(), num_shards=2, executor="process",
+        transport="queue", reply_timeout=5.0, **ENGINE,
+    )
+    try:
+        assert len(semaphores() - before) == 2  # one per shard
+        server.restart_shard(0)
+        server.write_batch(batch(nodes, 1))
+        server.drain()
+        assert len(semaphores() - before) == 2
+    finally:
+        server.close()
+    assert not semaphores() - before
+
+
 # ---------------------------------------------------------------------------
 # the replacement path: {inprocess, queue} x {restart, reshard, reopen}
 # ---------------------------------------------------------------------------
@@ -484,10 +513,10 @@ def check(env):
     env["seen"] += env["sub"].poll()
     tag = f"{env['kind']}:"
     assert_contiguous([note.stamp for note in env["seen"]], tag=tag)
-    oracle = EAGrEngine(env["graph"], env["query"], **ENGINE)
+    oracle = oracle_for(graph=env["graph"], query=env["query"])
     for items in env["batches"]:
         oracle.write_batch(items)
-    final = {node: oracle.reference_read(node) for node in nodes}
+    final = {node: oracle.read(node) for node in nodes}
     assert dict(zip(nodes, server.read_batch(nodes))) == final, tag
     last = {note.ego: note.value for note in env["seen"]}
     assert all(final[ego] == value for ego, value in last.items()), tag

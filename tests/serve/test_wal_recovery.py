@@ -1,7 +1,7 @@
 """Whole-server kill -9 → cold-restart recovery, across seeded schedules.
 
-Each schedule spawns ``wal_driver.py`` in its own session (process
-group), lets it ingest a seeded workload against
+Each schedule spawns ``wal_driver.py``, which moves into its own session
+(process group), lets it ingest a seeded workload against
 ``EAGrServer(wal_dir=...)``, and then the whole group dies by SIGKILL —
 either the driver's own mid-ingest suicide after N acknowledged
 batches, or earlier inside an armed WAL disk fault: a torn append, a
@@ -120,9 +120,7 @@ def spawn_phase(tmp_path, sched, phase, extra_args):
         *extra_args,
     ]
     with open(log_path, "wb") as log:
-        proc = subprocess.Popen(
-            cmd, stdout=log, stderr=subprocess.STDOUT, start_new_session=True
-        )
+        proc = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT)
         returncode = proc.wait(timeout=90)
     assert returncode == -signal.SIGKILL, (
         f"{sched['id']} phase {phase}: driver exited {returncode} instead of "

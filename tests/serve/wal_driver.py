@@ -1,7 +1,7 @@
 """Sacrificial subprocess for the kill -9 WAL crash schedules.
 
-``test_wal_recovery.py`` spawns this script in its own session
-(process group), lets it ingest a seeded write workload against
+``test_wal_recovery.py`` spawns this script, which moves into its own
+session (process group), lets it ingest a seeded write workload against
 ``EAGrServer(wal_dir=...)``, and then the *whole group* dies —
 front-end, flusher thread, spawn workers — either by the script's own
 ``os.kill(0, SIGKILL)`` after N acknowledged batches, or earlier inside
@@ -37,6 +37,7 @@ import os
 import random
 import signal
 import sys
+from multiprocessing import resource_tracker
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -97,6 +98,13 @@ def main():
     parser.add_argument("--crash-after-fsync", type=int, default=None)
     parser.add_argument("--crash-after-replay", type=int, default=None)
     args = parser.parse_args()
+
+    # The multiprocessing resource tracker starts here, in the caller's
+    # process group; the driver then leads a session of its own, so the
+    # SIGKILL of that group (the driver and the workers it spawns) spares
+    # the tracker, which unlinks the named semaphores they registered.
+    resource_tracker.ensure_running()
+    os.setsid()
 
     graph, query = build_env()
     nodes = sorted(graph.nodes())

@@ -112,6 +112,93 @@ GUARDS = (
         "every node's through in_csr / out_csr.",
         plant="sources = list(overlay.inputs[handle])",
     ),
+    Guard(
+        "One columnar pull evaluator",
+        ("src/",),
+        r"_pull_segment_eval|PullSegment|_compile_pull_segment|_PLAN_SEGMENT",
+        "Columnar reads are frozen pull rows (core/pullrows.py) and one "
+        "kernel, Runtime._row_columns; the per-node segment interpreter and "
+        "its per-batch memo must not grow back beside it.",
+        plant="_PLAN_SEGMENT = 3",
+    ),
+    Guard(
+        "One tuple-window write kernel",
+        ("src/repro/core/",),
+        r'_write_frame_unit|_write_batch_unit|\("nodes",',
+        "SUM/MEAN tuple windows are rows of one ring matrix and packable "
+        "batches run Runtime._write_ring for every window size; the ROWS-1 "
+        "fast paths and their retained-node observed-push credits must not "
+        "grow back beside it.",
+        plant="def _write_batch_unit(writes): return writes",
+    ),
+    Guard(
+        "Who-changed in one kernel",
+        ("src/repro/core/",),
+        r"\b_changed_writers\b|rows\.append\(closure\.readers\)|np\.concatenate\(rows\)",
+        "Moved writers are recorded as handles and reader closures live in "
+        "one frozen arena (core/closures.py), so Runtime.changed_handles is "
+        "a fixed sequence of numpy calls; the node-keyed pending-writer dict "
+        "and the per-writer concatenation of closure rows must not grow back.",
+        plant="_changed_writers = {}",
+    ),
+    Guard(
+        "One push table",
+        ("src/",),
+        r"PushPlan|_compile_push_plan|_push_plans|scalar_steps|_out_cache|_compile_out|_run_pull_plan\(",
+        "Every group write runs the scatter table's rows: the per-writer push "
+        "plans, the lattice adjacency cache and the single-read pull runner "
+        "are gone.",
+        plant="_push_plans = {}",
+    ),
+    Guard(
+        "The trace leaves the runtime",
+        ("src/",),
+        r"collect_trace|TraceOp|\.trace\b",
+        "Figure 13(d)'s simulator derives its tasks from the compiled overlay "
+        "(benchmarks/bench_fig13d_parallelism.py collect_tasks, held by "
+        "tests/core/test_concurrency.py::TestCollectTasks), so the runtime "
+        "records no micro-op trace and a columnar runtime always runs its "
+        "kernels.",
+        plant="runtime.trace = []",
+    ),
+    Guard(
+        "Reads are checked against an oracle that shares no code",
+        ("src/",),
+        r"VALUE_STORE_MODES|resolve_value_store|ValueStoreError|reference_read|_oracle_members",
+        "Reads are checked against tests/oracle.py, which recomputes each ego "
+        "from the write log and the edge list; a reference read folded from "
+        "the runtime's own windows shares their bugs, and the aggregate picks "
+        "its store, so there is no store mode to resolve.",
+        plant="def reference_read(node): return node",
+    ),
+    *(
+        Guard(
+            "The aggregate picks its store",
+            (path,),
+            r"\bvalue_store\b",
+            "Columns exactly when the aggregate declares a column spec, "
+            "objects otherwise: no layer takes a store option.  Only "
+            "EAGrEngine keeps value_store, accepting 'columnar' alone, for "
+            "the callers that still pass it.",
+            scopes=(scope,),
+            plant='value_store = "object"',
+        )
+        for path, scope in (
+            ("src/repro/core/execution.py", "Runtime.__init__"),
+            ("src/repro/serve/server.py", "EAGrServer.__init__"),
+            ("src/repro/serve/shard.py", "ShardSpec.__init__"),
+            ("src/repro/serve/replica.py", "ReplicaServer.__init__"),
+        )
+    ),
+    Guard(
+        "The oracle shares no code",
+        ("tests/oracle.py",),
+        r"^\s*(from|import)\s+(repro|tests)\b",
+        "The oracle recomputes reads from the write log and the edge list "
+        "alone: an import of repro (or of a test module that imports it) "
+        "would let an engine bug read the same on both sides.",
+        plant="from repro.core.aggregates import Sum",
+    ),
 )
 
 

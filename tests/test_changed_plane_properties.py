@@ -33,7 +33,7 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 
-STORES = ["object", "columnar"]
+from tests.conftest import STORE_OF, oracle_for
 
 schedules = st.tuples(
     st.integers(min_value=0, max_value=100_000),  # seed
@@ -101,7 +101,7 @@ def check_arena(runtime):
         assert closures.row(writer).readers.tolist() == expected
 
 
-def check_report(engine, moved, restructured, seen, explicit=False):
+def check_report(engine, oracle, moved, restructured, seen, explicit=False):
     """One report against the brute force; returns the readers' values.
 
     ``moved`` / ``restructured`` are the writers that moved and the nodes
@@ -124,7 +124,7 @@ def check_report(engine, moved, restructured, seen, explicit=False):
     expected |= restructured & readers
     assert set(changed) == expected
     for reader, value in values.items():
-        assert value == engine.reference_read(reader)
+        assert value == oracle.read(reader)
         if value != seen.get(reader, 0.0):
             assert reader in expected, "a reader's value moved unreported"
     assert engine.changed_readers() == []
@@ -151,7 +151,7 @@ def random_graph(rng, label, hub):
     return graph
 
 
-def run_schedule(seed, label_type, dataflow, maintain, window, value_store, hub=False):
+def run_schedule(seed, label_type, dataflow, maintain, window, store, hub=False):
     rng = random.Random(seed)
     label = (lambda i: i) if label_type is int else (lambda i: f"n{i}")
     graph = random_graph(rng, label, hub)
@@ -160,15 +160,15 @@ def run_schedule(seed, label_type, dataflow, maintain, window, value_store, hub=
     engine = EAGrEngine(
         graph,
         EgoQuery(
-            aggregate=Sum(),
+            aggregate=STORE_OF[store](Sum()),
             window=TupleWindow(window),
             neighborhood=Neighborhood.in_neighbors(),
         ),
         overlay_algorithm="vnm_a",
         dataflow=dataflow,
         maintain=maintain,
-        value_store=value_store,
     )
+    oracle = oracle_for(engine)
     moved, restructured = set(), set()
     seen = {}  # reader -> value at the last report
     for _ in range(rng.randrange(6, 14)):
@@ -189,35 +189,37 @@ def run_schedule(seed, label_type, dataflow, maintain, window, value_store, hub=
                 for _ in range(rng.randrange(1, 8))
             ]
             writers = {node for node, _value in batch}
-            # A writer "moved" iff its own window aggregate changed: the
-            # brute-force evaluation of F over that one node's buffer.
-            engine.read_batch([])  # sync first: a recompile may drop buffers
-            old = {n: engine.runtime.reference_read([n]) for n in writers}
+            # A writer "moved" iff its own window aggregate changed: F over
+            # that one node's window, as the oracle holds it.
+            old = {n: oracle.fold([n]) for n in writers}
             engine.write_batch(batch)
-            moved |= {
-                n for n in writers if engine.runtime.reference_read([n]) != old[n]
-            }
+            oracle.write_batch(batch)
+            moved |= {n for n in writers if oracle.fold([n]) != old[n]}
         if rng.random() < 0.6:
             explicit = rng.random() < 0.5
-            seen = check_report(engine, moved, restructured, seen, explicit)
+            seen = check_report(engine, oracle, moved, restructured, seen, explicit)
             moved, restructured = set(), set()
-    check_report(engine, moved, restructured, seen)
+    check_report(engine, oracle, moved, restructured, seen)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schedules, st.sampled_from(STORES))
-def test_report_equals_brute_force(schedule, value_store):
-    run_schedule(*schedule, value_store)
+@given(schedules, st.sampled_from(sorted(STORE_OF)))
+def test_report_equals_brute_force(schedule, store):
+    run_schedule(*schedule, store)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(schedules, st.sampled_from(STORES), st.sampled_from([0, closures_module.BITSET_FLOOR]))
-def test_hub_report_equals_brute_force(schedule, value_store, floor):
+@given(
+    schedules,
+    st.sampled_from(sorted(STORE_OF)),
+    st.sampled_from([0, closures_module.BITSET_FLOOR]),
+)
+def test_hub_report_equals_brute_force(schedule, store, floor):
     with mock.patch.object(closures_module, "BITSET_FLOOR", floor):
-        run_schedule(*schedule, value_store, hub=True)
+        run_schedule(*schedule, store, hub=True)
 
 
-def hub_engine(maintain=False, value_store="columnar"):
+def hub_engine(maintain=False, store="columnar"):
     """80 readers: writer 0 feeds 70 of them, writers 100 to 102 a third
     each, writer 200 only reader 1."""
     graph = DynamicGraph()
@@ -228,11 +230,10 @@ def hub_engine(maintain=False, value_store="columnar"):
     graph.add_edge(200, 1)
     return EAGrEngine(
         graph,
-        EgoQuery(aggregate=Sum(), window=TupleWindow(1),
+        EgoQuery(aggregate=STORE_OF[store](Sum()), window=TupleWindow(1),
                  neighborhood=Neighborhood.in_neighbors()),
         overlay_algorithm="vnm_a",
         maintain=maintain,
-        value_store=value_store,
     )
 
 
@@ -240,10 +241,10 @@ def downstream_readers(graph, writers):
     return {r for r in readers_now(graph) if graph.in_neighbors(r) & set(writers)}
 
 
-@pytest.mark.parametrize("value_store", STORES)
-def test_bitset_and_index_rows_meet_in_one_report(value_store, monkeypatch):
+@pytest.mark.parametrize("store", sorted(STORE_OF))
+def test_bitset_and_index_rows_meet_in_one_report(store, monkeypatch):
     monkeypatch.setattr(closures_module, "BITSET_FLOOR", 0)
-    engine = hub_engine(value_store=value_store)
+    engine = hub_engine(store=store)
     engine.write_batch([(0, 1.0), (101, 2.0), (200, 1.0)])
     changed = engine.changed_readers()
     assert set(changed) == downstream_readers(engine.graph, [0, 101, 200])

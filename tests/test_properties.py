@@ -25,7 +25,7 @@ from repro.graph.neighborhoods import Neighborhood
 from repro.overlay.iob import build_iob
 from repro.overlay.vnm import build_vnm
 
-from tests.conftest import make_events, play_and_check
+from tests.conftest import make_events, oracle_for, play_and_check
 
 # -- strategies -------------------------------------------------------------
 
@@ -174,6 +174,7 @@ def test_maintained_engine_matches_oracle_under_churn(seed):
             graph.add_edge(u, v)
     query = EgoQuery(aggregate=Sum())
     engine = EAGrEngine(graph, query, overlay_algorithm="vnm_a", maintain=True)
+    oracle = oracle_for(engine)
     for step in range(25):
         action = rng.random()
         if action < 0.5:
@@ -185,7 +186,8 @@ def test_maintained_engine_matches_oracle_under_churn(seed):
             if edges:
                 u, v = rng.choice(edges)
                 graph.remove_edge(u, v)
-        node = rng.randrange(12)
-        engine.write(node, float(rng.randrange(9)))
+        node, value = rng.randrange(12), float(rng.randrange(9))
+        engine.write(node, value)
+        oracle.write(node, value)
         reader = rng.randrange(12)
-        assert engine.read(reader) == engine.reference_read(reader)
+        assert engine.read(reader) == oracle.read(reader)
