@@ -5,7 +5,6 @@ from typing import Optional
 from repro.core.aggregates import AggregateFunction
 from repro.graph.bipartite import BipartiteGraph
 from repro.overlay.dynamic import OverlayMaintainer
-from repro.overlay.fptree import Biclique, FPTree, mine_all
 from repro.overlay.iob import IOBState, build_iob
 from repro.overlay.metrics import (
     OverlaySummary,
@@ -15,7 +14,7 @@ from repro.overlay.metrics import (
     depth_distribution,
     summarize,
 )
-from repro.overlay.shingles import ShingleHasher, chunk, shingle_order
+from repro.overlay.shingles import ShingleHasher, group_ranges, shingle_order
 from repro.overlay.vnm import ConstructionResult, IterationStats, VNMConfig, build_vnm
 
 #: Algorithms selectable by name in :func:`construct_overlay` and the engine.
@@ -58,9 +57,6 @@ def construct_overlay(
 __all__ = [
     "ALGORITHMS",
     "construct_overlay",
-    "Biclique",
-    "FPTree",
-    "mine_all",
     "IOBState",
     "build_iob",
     "OverlayMaintainer",
@@ -71,7 +67,7 @@ __all__ = [
     "depth_distribution",
     "summarize",
     "ShingleHasher",
-    "chunk",
+    "group_ranges",
     "shingle_order",
     "ConstructionResult",
     "IterationStats",

@@ -17,7 +17,8 @@ irreproducible.
 :func:`order_rows` is the kernel: the readers' input lists as a CSR, a
 :class:`HashTable` of every hash function's values by dense id, one
 ``np.minimum.reduceat`` per hash function and one ``np.lexsort``.
-:func:`shingle_order` puts arbitrary hashable readers and items through it.
+:func:`shingle_order` puts arbitrary hashable readers and items through it,
+and :func:`group_ranges` cuts the ordered readers into groups.
 """
 
 from __future__ import annotations
@@ -171,8 +172,10 @@ def shingle_order(
     return [readers[i] for i in order.tolist()]
 
 
-def chunk(ordered: Sequence[Hashable], size: int, overlap: float = 0.0) -> List[List[Hashable]]:
-    """Split an ordered reader list into groups of ``size``.
+def group_ranges(n: int, size: int, overlap: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+    """Each reader group's row range ``starts[g]:stops[g]`` over ``n``
+    ordered readers: groups of ``size`` from the first reader on, up to
+    the first group that reaches the end.
 
     ``overlap`` (the ``p`` of ``VNM_D``, Section 3.2.4) is the fraction of
     readers two *consecutive* groups share; 0 gives the disjoint partition
@@ -183,13 +186,6 @@ def chunk(ordered: Sequence[Hashable], size: int, overlap: float = 0.0) -> List[
     if not 0.0 <= overlap < 1.0:
         raise ValueError("overlap must be in [0, 1)")
     step = max(1, int(round(size * (1.0 - overlap))))
-    groups: List[List[Hashable]] = []
-    start = 0
-    n = len(ordered)
-    while start < n:
-        group = list(ordered[start : start + size])
-        groups.append(group)
-        if start + size >= n:
-            break
-        start += step
-    return groups
+    starts = np.arange(0, n, step, dtype=np.int64)
+    starts = starts[: np.searchsorted(starts + size, n) + 1]
+    return starts, np.minimum(starts + size, n)

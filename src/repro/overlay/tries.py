@@ -1,15 +1,16 @@
-"""FP-trees of every reader group as flat columns (``vnm`` / ``vnm_a``).
+"""The FP-trees of every reader group as flat columns: the VNM family's
+one miner.
 
 One VNM iteration mines an FP-tree per reader group (paper Section
-3.2.1).  For the plain variants every group's tree is built at once, as
-columns over all groups: node ``parent``, ``item``, ``depth`` and
-``support``.  Depth by depth, the nodes are the distinct (parent, item)
-pairs of the transactions' sorted items.  Nodes are numbered in creation
-order, group after group, and nodes created later are appended, so within
-a group a higher number is a newer node.
+3.2.1).  Every group's tree is built at once, as columns over all
+groups: node ``parent``, ``item``, ``depth`` and ``support``.  Depth by
+depth, the nodes are the distinct (parent, item) pairs of the
+transactions' sorted items.  Nodes are numbered in creation order, group
+after group, and nodes created later are appended, so within a group a
+higher number is a newer node.
 
-The greedy extract / re-insert loop then runs for every group at once,
-one step per round.  A round
+For ``vnm`` / ``vnm_a`` the greedy extract / re-insert loop then runs
+for every group at once, one step per round.  A round
 
 1. takes every live group's best node: the largest benefit
    ``s·(d − 1) − d`` over its nodes of support ``s >= 2`` (a segmented
@@ -24,32 +25,47 @@ one step per round.  A round
 A group with no node of benefit >= 1 leaves the loop.  A round costs a
 few hundred numpy calls however few groups are live, so when fewer than
 :data:`ALL_GROUPS_FROM` groups yield, the same loop runs group by group
-over Python lists of each group's columns instead.  Either way the
-bicliques come out in (group, round) order, which is the order the
-group-by-group loop of :class:`~repro.overlay.fptree.FPTree` finds them
-in.  That tree remains
-the reference, pick for pick, and the variants with negative or mined
-edges still use it.  Its tie-break rules are:
+over Python lists of each group's columns instead.  In these trees a
+reader at a node is at every ancestor, so each reader's registrations
+are one root path (its *chain*) and a node's support is a count.
+
+``vnm_n`` and ``vnm_d`` run group by group.  Every ``vnm_d`` group, and
+every ``vnm_n`` group whose tree holds a negative registration, is mined
+as a :class:`_Tree`, whose nodes keep their readers and each reader's
+penalty:
+
+* ``vnm_n`` (Section 3.2.3) inserts a reader along up to ``k1 − 1``
+  quasi-biclique paths besides its own, registered negative at the
+  items it lacks; an extracted reader's registrations are erased and the
+  items it has not had covered re-inserted plainly;
+* ``vnm_d`` (Section 3.2.4) moves an extracted reader's support along the
+  path to mined registrations, and a reader that appears in a later,
+  overlapping group is inserted there with the items it has had covered
+  mined.
+
+A reader saves ``pos − 1 − neg`` edges at a node (nothing if that is not
+positive), and a node's benefit is its readers' savings less its depth.
+All variants follow the object tree of the tests
+(``tests/overlay/fptree.py``), the miner's oracle, pick for pick, with
+one tie-break:
 
 * the walk is pre-order with the newest child first, so among nodes of
   equal benefit the one whose root path, read as creation numbers
   newest-first, is lexicographically first wins (an ancestor before its
   descendants);
-* extraction removes every reader at the node from its whole root path
-  but keeps the emptied nodes in place;
+* extraction keeps the emptied nodes in place;
 * the extracted readers are re-inserted in ``repr`` order with their
   items below the node.  A re-insertion follows existing children, empty
   ones included, and appends new ones, which a later reader of the same
   group follows.
 
-In these variants a reader at a node is at every ancestor, so each
-reader's registrations are one root path (its *chain*) and a node's
-support is a count.
+The bicliques come out in (group, round) order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Set, Tuple
+import collections
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -72,13 +88,21 @@ class Mined(NamedTuple):
     """Bicliques as columns, in (group, round) order: biclique ``b`` has
     items ``items[item_indptr[b]:item_indptr[b + 1]]`` (root to node),
     readers ``readers[reader_indptr[b]:reader_indptr[b + 1]]`` (``repr``
-    order) and benefit ``benefit[b]``; every reader's covered items are
-    the biclique's items."""
+    order) and benefit ``benefit[b]``.  The ``p``-th (biclique, reader)
+    pair in that order replaces the reader's edges from
+    ``covered[covered_indptr[p]:covered_indptr[p + 1]]`` and needs
+    negative edges from ``negatives[negative_indptr[p]:negative_indptr[p
+    + 1]]``; together they are the biclique's items less those the
+    reader had already consumed."""
 
     item_indptr: np.ndarray
     items: np.ndarray
     reader_indptr: np.ndarray
     readers: np.ndarray
+    covered_indptr: np.ndarray
+    covered: np.ndarray
+    negative_indptr: np.ndarray
+    negatives: np.ndarray
     benefit: np.ndarray
 
 
@@ -177,7 +201,8 @@ class GroupTries:
         self._width = width
 
         sizes = np.bincount(group, minlength=num_groups)
-        #: nodes in the largest group's tree
+        #: nodes in the largest group's tree; :meth:`mine` raises it to
+        #: the size of the trees its quasi-biclique paths grew
         self.peak_nodes = int(sizes.max(initial=0))
         benefit = self._support * (self._depth - 1) - self._depth
         #: groups whose initial tree has a node of positive benefit (a
@@ -186,13 +211,25 @@ class GroupTries:
             np.bincount(group[benefit >= 1], minlength=num_groups)
         )
 
-    def mine(self) -> Mined:
-        """Run the greedy loop of every yielding group: all at once, or
-        group by group when fewer than :data:`ALL_GROUPS_FROM` groups
-        yield."""
-        if len(self.yielding) < ALL_GROUPS_FROM:
-            return _group_by_group(self)
-        return _Greedy(self).run()
+    def mine(
+        self,
+        quasi: Optional[np.ndarray] = None,
+        k1: int = 2,
+        k2: int = 3,
+        duplicate_insensitive: bool = False,
+    ) -> Mined:
+        """Run the greedy loop of every group that can yield.
+
+        ``quasi`` marks the transactions inserted along up to ``k1 − 1``
+        quasi-biclique paths with at most ``k2`` negative items each
+        (``vnm_n``).  ``duplicate_insensitive`` (``vnm_d``) keeps
+        extracted readers in the tree with their covered edges mined,
+        group after group.  Either runs group by group; the plain loop
+        runs all at once, or group by group when fewer than
+        :data:`ALL_GROUPS_FROM` groups yield."""
+        if quasi is None and not duplicate_insensitive and len(self.yielding) >= ALL_GROUPS_FROM:
+            return _Greedy(self).run()
+        return _group_by_group(self, quasi, k1, k2, duplicate_insensitive)
 
 
 class _Greedy:
@@ -296,14 +333,22 @@ class _Greedy:
             support, depth, group = self.support, self.depth, self.group
 
         by_group = np.argsort(_concat(found_groups), kind="stable")
-        item_counts = _concat(found_item_counts)
-        reader_counts = _concat(found_reader_counts)
+        item_counts = _concat(found_item_counts)[by_group]
+        reader_counts = _concat(found_reader_counts)[by_group]
+        items = _concat(found_items)[_rows(_concat(found_item_counts), by_group)]
+        # every reader covers all its biclique's items
+        item_indptr = csr_indptr(item_counts)
+        owner = np.repeat(np.arange(len(item_counts)), reader_counts)
         return Mined(
-            item_indptr=csr_indptr(item_counts[by_group]),
-            items=_concat(found_items)[_rows(item_counts, by_group)],
-            reader_indptr=csr_indptr(reader_counts[by_group]),
-            readers=_concat(found_readers)[_rows(reader_counts, by_group)],
-            benefit=_concat(found_benefit)[by_group],
+            item_indptr,
+            items,
+            csr_indptr(reader_counts),
+            _concat(found_readers)[_rows(_concat(found_reader_counts), by_group)],
+            csr_indptr(item_counts[owner]),
+            items[ragged_index(item_indptr[owner], item_counts[owner])[0]],
+            np.zeros(len(owner) + 1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64),
+            _concat(found_benefit)[by_group],
         )
 
     def _reinsert(self, txns: np.ndarray, rest_starts: np.ndarray, lengths: np.ndarray) -> None:
@@ -401,20 +446,68 @@ class _Greedy:
             self.cand = np.concatenate((self.cand, nodes))
 
 
-def _group_by_group(tries: GroupTries) -> Mined:
-    """The greedy loop of each yielding group in turn, over Python lists
-    of the group's columns (node numbers local to the group)."""
+def _group_by_group(
+    tries: GroupTries,
+    quasi: Optional[np.ndarray] = None,
+    k1: int = 2,
+    k2: int = 3,
+    duplicate_insensitive: bool = False,
+) -> Mined:
+    """The greedy loop of each group that can yield in turn, over Python
+    lists of the group's columns (node numbers local to the group).
+
+    A duplicate-insensitive run mines every yielding group as a
+    :class:`_Tree`, carrying each reader's consumed items from group to
+    group.  With ``quasi`` rows, every group holding one is rebuilt as a
+    :class:`_Tree`, yielding or not (a quasi-biclique path can yield
+    where no plain one does), and raises :attr:`GroupTries.peak_nodes`
+    to its size; it is mined as one if a path registered a negative
+    item, and otherwise holds the plain tree.  The other groups run the
+    plain loop."""
     num_groups = tries._num_groups
     node_bounds = np.searchsorted(tries._group, np.arange(num_groups + 1)).tolist()
     txn_bounds = np.searchsorted(tries._txn_group, np.arange(num_groups + 1))
     entry_bounds = csr_indptr(tries._lengths)[txn_bounds].tolist()
     txn_bounds = txn_bounds.tolist()
-    found_items: List[int] = []
-    item_counts: List[int] = []
-    found_readers: List[int] = []
-    reader_counts: List[int] = []
-    benefits: List[int] = []
-    for g in tries.yielding.tolist():
+    out = _Out()
+    groups = tries.yielding
+    yielding = np.zeros(num_groups, dtype=bool)
+    yielding[groups] = True
+    rebuilt = yielding if duplicate_insensitive else np.zeros(num_groups, dtype=bool)
+    if quasi is not None:
+        quasi = quasi & (tries._lengths > 0)
+        rebuilt = np.bincount(tries._txn_group[quasi], minlength=num_groups) > 0
+        groups = np.flatnonzero(yielding | rebuilt)
+        quasi = quasi.tolist()
+    rebuilt = rebuilt.tolist()
+    #: each reader's items consumed by the run's earlier bicliques
+    mined: Optional[Dict[int, Set[int]]] = {} if duplicate_insensitive else None
+    for g in groups.tolist():
+        t0, t1 = txn_bounds[g], txn_bounds[g + 1]
+        if rebuilt[g]:
+            flat = tries._item[tries._chains[entry_bounds[g] : entry_bounds[g + 1]]].tolist()
+            tree, rows, at = _Tree(), [], 0
+            for t, reader, length in zip(
+                range(t0, t1), tries._readers[t0:t1].tolist(), tries._lengths[t0:t1].tolist()
+            ):
+                if not length:
+                    continue
+                items = flat[at : at + length]
+                at += length
+                rows.append((reader, items))
+                if mined is not None:
+                    tree.insert(reader, items, mined.get(reader, ()))
+                elif quasi[t]:
+                    tree.insert_quasi(reader, items, k1, k2)
+                else:
+                    tree.insert(reader, items)
+            if mined is None:
+                tries.peak_nodes = max(tries.peak_nodes, len(tree.parent))
+            if tree.penalised or mined is not None:
+                _mine_tree(tree, rows, out, mined)
+                continue
+            if not yielding[g]:
+                continue
         lo, hi = node_bounds[g], node_bounds[g + 1]
         parent = tries._parent[lo:hi]
         parent = np.where(parent < 0, -1, parent - lo).tolist()
@@ -424,7 +517,6 @@ def _group_by_group(tries: GroupTries) -> Mined:
         child: Dict[Tuple[int, int], int] = {
             key: node for node, key in enumerate(zip(parent, item))
         }
-        t0, t1 = txn_bounds[g], txn_bounds[g + 1]
         flat = (tries._chains[entry_bounds[g] : entry_bounds[g + 1]] - lo).tolist()
         chains: Dict[int, List[int]] = {}
         at = 0
@@ -468,11 +560,8 @@ def _group_by_group(tries: GroupTries) -> Mined:
                         gain[node] = s * (depth[node] - 1) - depth[node]
                     elif node in gain:
                         del gain[node]
-            found_items.extend(item[node] for node in path)
-            item_counts.append(d)
-            found_readers.extend(readers)
-            reader_counts.append(len(readers))
-            benefits.append(best)
+            path_items = [item[node] for node in path]
+            out.add(path_items, readers, best, [path_items] * len(readers), [[]] * len(readers))
             for reader, rest in zip(readers, rests):
                 if len(rest) < 2:
                     continue
@@ -501,13 +590,246 @@ def _group_by_group(tries: GroupTries) -> Mined:
                     chain.extend(created)
                 chains[reader] = chain
                 under.setdefault(chain[0], set()).add(reader)
-    return Mined(
-        item_indptr=csr_indptr(np.array(item_counts, dtype=np.int64)),
-        items=np.array(found_items, dtype=np.int64),
-        reader_indptr=csr_indptr(np.array(reader_counts, dtype=np.int64)),
-        readers=np.array(found_readers, dtype=np.int64),
-        benefit=np.array(benefits, dtype=np.int64),
-    )
+    return out.mined()
+
+
+#: a reader's weight in its penalty at a node, by its registration there
+_SUPPORT, _MINED, _NEGATIVE = 0, 1, 2
+
+
+class _Tree:
+    """One group's FP-tree with negative and mined registrations, over
+    Python lists.  Nodes are numbered in creation order; the root is -1.
+
+    A reader is registered at every node of one or more root paths, at
+    each as a support reader or, counting in its penalty, a mined (weight
+    1) or negative (weight 2) one.  ``pen[x][r]`` is the sum of ``r``'s
+    weights from the root down to ``x``, so ``r`` saves ``max(depth − 1 −
+    pen, 0)`` edges at ``x``: ``pos − 1 − neg`` over the path when
+    positive.  ``saved[x]`` sums the savings of ``x``'s readers, and
+    ``x``'s benefit is ``saved[x] − depth[x]``, kept in ``gain`` for the
+    nodes where it is at least 1.
+    """
+
+    def __init__(self) -> None:
+        self.parent: List[int] = []
+        self.item: List[int] = []
+        self.depth: List[int] = []
+        #: each node's children by item, in creation order
+        self.kids: Dict[int, Dict[int, int]] = {-1: {}}
+        self.pen: List[Dict[int, int]] = []
+        self.saved: List[int] = []
+        #: each reader's registrations, node -> weight, parents first
+        self.regs: Dict[int, Dict[int, int]] = {}
+        #: whether an insertion registered a negative or mined item
+        self.penalised = False
+        self.gain: Dict[int, int] = {}
+        self._dirty: Set[int] = set()
+
+    def insert(self, reader: int, items: List[int], mined=(), node: int = -1) -> None:
+        """Register ``reader`` along ``items`` below ``node``, following
+        existing children and creating missing ones; an item in ``mined``
+        is a mined registration, the others support."""
+        for x in items:
+            below = self.kids[node].get(x)
+            if below is None:
+                below = self.kids[node][x] = len(self.parent)
+                self.kids[below] = {}
+                self.parent.append(node)
+                self.item.append(x)
+                self.depth.append(self.depth[node] + 1 if node >= 0 else 1)
+                self.pen.append({})
+                self.saved.append(0)
+            self._register(reader, below, _MINED if x in mined else _SUPPORT)
+            node = below
+
+    def insert_quasi(self, reader: int, items: List[int], k1: int, k2: int) -> None:
+        """The plain path plus up to ``k1 − 1`` quasi-biclique paths with
+        at most ``k2`` negative items each (Section 3.2.3).
+
+        A breadth-first search of the tree as it stands before the
+        reader's own path scores each root path by its gain, items the
+        reader has minus items it lacks, and abandons a subtree past
+        ``k2`` negatives.  The paths with a negative item and a gain of
+        at least 2 are taken by (−gain, negatives), then in search order;
+        the reader is registered along each, negative at the items it
+        lacks, and its other items hang below the path's end."""
+        have = set(items)
+        candidates: List[Tuple[int, int, int]] = []
+        queue = collections.deque((node, 0, 0) for node in self.kids[-1].values())
+        while queue:
+            node, gain, negatives = queue.popleft()
+            if self.item[node] in have:
+                gain += 1
+            else:
+                negatives += 1
+                gain -= 1
+            if negatives > k2:
+                continue
+            if negatives and gain >= 2:
+                candidates.append((gain, negatives, node))
+            queue.extend((below, gain, negatives) for below in self.kids[node].values())
+
+        self.insert(reader, items)
+        candidates.sort(key=lambda entry: (-entry[0], entry[1]))
+        for _, _, end in candidates[: max(0, k1 - 1)]:
+            path = self.path(end)
+            for node in path:
+                self._register(reader, node, _SUPPORT if self.item[node] in have else _NEGATIVE)
+            on_path = {self.item[node] for node in path}
+            self.insert(reader, [x for x in items if x not in on_path], node=end)
+
+    def _register(self, reader: int, node: int, weight: int) -> None:
+        regs = self.regs.setdefault(reader, {})
+        if node in regs:
+            return
+        regs[node] = weight
+        up = self.parent[node]
+        pen = weight + (self.pen[up][reader] if up >= 0 else 0)
+        self.pen[node][reader] = pen
+        self.saved[node] += max(self.depth[node] - 1 - pen, 0)
+        self._dirty.add(node)
+        if weight:
+            self.penalised = True
+
+    def remove(self, reader: int) -> None:
+        """Erase every registration of ``reader``."""
+        for node in self.regs.pop(reader):
+            pen = self.pen[node].pop(reader)
+            self.saved[node] -= max(self.depth[node] - 1 - pen, 0)
+            self._dirty.add(node)
+
+    def mine_out(self, reader: int, path: List[int]) -> None:
+        """Turn ``reader``'s support along ``path`` into mined
+        registrations, and re-weigh its penalties."""
+        regs = self.regs[reader]
+        for node in path:
+            if regs[node] == _SUPPORT:
+                regs[node] = _MINED
+        for node, weight in regs.items():
+            up = self.parent[node]
+            pen = weight + (self.pen[up][reader] if up >= 0 else 0)
+            old = self.pen[node][reader]
+            if pen != old:
+                room = self.depth[node] - 1
+                self.saved[node] += max(room - pen, 0) - max(room - old, 0)
+                self.pen[node][reader] = pen
+                self._dirty.add(node)
+
+    def best(self) -> Optional[int]:
+        """The node of largest benefit >= 1, first in the walk's pre-order
+        among ties, or ``None``."""
+        gain = self.gain
+        for node in self._dirty:
+            benefit = self.saved[node] - self.depth[node]
+            if benefit >= 1:
+                gain[node] = benefit
+            elif node in gain:
+                del gain[node]
+        self._dirty.clear()
+        if not gain:
+            return None
+        best = max(gain.values())
+        ties = [node for node, benefit in gain.items() if benefit == best]
+        return ties[0] if len(ties) == 1 else min(ties, key=_preorder_key(self.parent))
+
+    def path(self, node: int) -> List[int]:
+        """The nodes from the root (exclusive) down to ``node``."""
+        nodes = []
+        while node >= 0:
+            nodes.append(node)
+            node = self.parent[node]
+        nodes.reverse()
+        return nodes
+
+
+def _mine_tree(
+    tree: _Tree,
+    rows: List[Tuple[int, List[int]]],
+    out: "_Out",
+    mined: Optional[Dict[int, Set[int]]],
+) -> None:
+    """The greedy loop over one group's :class:`_Tree`.
+
+    Every reader at the best node with a positive saving joins its
+    biclique, in ``repr`` order, so the biclique's benefit is the node's
+    and no pick is ever refused.  A duplicate-insensitive run (``mined``
+    given) turns their support along the path into mined registrations
+    and adds the covered items to ``mined``.  Otherwise their
+    registrations are erased, and each re-inserts plainly, in rank
+    order, its items of ``rows`` not covered yet, if two or more are
+    left."""
+    live = dict(rows)
+    while True:
+        top = tree.best()
+        if top is None:
+            return
+        path = tree.path(top)
+        room = len(path) - 1
+        readers = sorted((r for r, pen in tree.pen[top].items() if pen < room), key=repr)
+        covered, negatives = [], []
+        for reader in readers:
+            regs = tree.regs[reader]
+            covered.append([tree.item[node] for node in path if regs[node] == _SUPPORT])
+            negatives.append([tree.item[node] for node in path if regs[node] == _NEGATIVE])
+        out.add([tree.item[node] for node in path], readers, tree.gain[top], covered, negatives)
+        if mined is not None:
+            for reader, items in zip(readers, covered):
+                tree.mine_out(reader, path)
+                mined.setdefault(reader, set()).update(items)
+            continue
+        for reader in readers:
+            tree.remove(reader)
+        for reader, items in zip(readers, covered):
+            done = set(items)
+            rest = live[reader] = [x for x in live[reader] if x not in done]
+            if len(rest) >= 2:
+                tree.insert(reader, rest)
+
+
+class _Out:
+    """Bicliques found group by group, as lists of :class:`Mined`'s
+    columns."""
+
+    def __init__(self) -> None:
+        self.items: List[int] = []
+        self.item_counts: List[int] = []
+        self.readers: List[int] = []
+        self.reader_counts: List[int] = []
+        self.covered: List[int] = []
+        self.covered_counts: List[int] = []
+        self.negatives: List[int] = []
+        self.negative_counts: List[int] = []
+        self.benefit: List[int] = []
+
+    def add(self, items, readers, benefit, covered, negatives) -> None:
+        """One biclique, with each reader's covered and negative items."""
+        self.items.extend(items)
+        self.item_counts.append(len(items))
+        self.readers.extend(readers)
+        self.reader_counts.append(len(readers))
+        self.benefit.append(benefit)
+        for pos, neg in zip(covered, negatives):
+            self.covered.extend(pos)
+            self.covered_counts.append(len(pos))
+            self.negatives.extend(neg)
+            self.negative_counts.append(len(neg))
+
+    def mined(self) -> Mined:
+        def column(values: List[int]) -> np.ndarray:
+            return np.array(values, dtype=np.int64)
+
+        return Mined(
+            csr_indptr(column(self.item_counts)),
+            column(self.items),
+            csr_indptr(column(self.reader_counts)),
+            column(self.readers),
+            csr_indptr(column(self.covered_counts)),
+            column(self.covered),
+            csr_indptr(column(self.negative_counts)),
+            column(self.negatives),
+            column(self.benefit),
+        )
 
 
 def _preorder_key(parent: List[int]):

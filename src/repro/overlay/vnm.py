@@ -32,28 +32,26 @@ transactions too — this is what creates virtual→virtual edges and hence
 multi-level overlays).  They are read once per iteration from the
 overlay's CSR of every handle's inputs.
 
-``vnm`` and ``vnm_a`` mine every group's FP-tree at once as columns
-(:mod:`repro.overlay.tries`).  ``vnm_n`` and ``vnm_d`` need the negative
-and mined registrations of :class:`~repro.overlay.fptree.FPTree` and mine
-one object tree per group.  Either way an iteration's bicliques are
-applied to the overlay in one pass, in the order they were found.
+Every variant mines its groups' FP-trees with one miner,
+:class:`~repro.overlay.tries.GroupTries`: ``vnm`` and ``vnm_a`` every
+group at once as columns, ``vnm_n`` and ``vnm_d`` group by group, with
+the negative and mined registrations of their trees.  Either way an
+iteration's bicliques are applied to the overlay in one pass, in the
+order they were found.
 """
 
 from __future__ import annotations
 
-import collections
-import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.overlay import Overlay, memory_estimate, sharing_index
 from repro.core.pullrows import csr_indptr, ragged_index
 from repro.graph.bipartite import BipartiteGraph
-from repro.overlay.fptree import Biclique, FPTree
-from repro.overlay.shingles import HashTable, chunk, int_repr_key, order_rows
+from repro.overlay.shingles import HashTable, group_ranges, int_repr_key, order_rows
 from repro.overlay.tries import GroupTries, Mined
 
 _VARIANTS = ("vnm", "vnm_a", "vnm_n", "vnm_d")
@@ -247,38 +245,21 @@ class _VNMBuilder:
         if not len(handles):
             return outcome
         order = order_rows(indptr, items, int_repr_key(handles), self._hashes)
-
-        # VNM_D defers rewiring to the end of the iteration so overlapping
-        # groups can reuse edges; track consumed edges and, per reader, the
-        # bicliques whose virtual nodes it is assigned.
-        mined_edges: Dict[int, Set[int]] = {}
-        vn_assignments: Dict[int, List[int]] = {}
-
-        if config.variant in ("vnm", "vnm_a"):
-            handles = handles[order]
-            tries = GroupTries(
-                *self._take(handles),
-                handles,
-                np.append(np.arange(0, len(handles), chunk_size), len(handles)),
-                config.min_item_frequency,
-            )
-            self._peak_tree_nodes = max(self._peak_tree_nodes, tries.peak_nodes)
-            found = _Found.from_mined(tries.mine())
-        else:
-            rows = items.tolist()
-            bounds = indptr.tolist()
-            transactions = {
-                handle: rows[bounds[i] : bounds[i + 1]]
-                for i, handle in enumerate(handles.tolist())
-            }
-            overlap = config.overlap if config.variant == "vnm_d" else 0.0
-            negative = self._negative if config.variant == "vnm_n" else None
-            bicliques: List[Biclique] = []
-            for group in chunk(handles[order].tolist(), chunk_size, overlap=overlap):
-                self._mine_group(
-                    group, transactions, negative, bicliques, mined_edges, vn_assignments
-                )
-            found = _Found.from_bicliques(bicliques)
+        overlap = config.overlap if self.duplicate_insensitive else 0.0
+        starts, stops = group_ranges(len(handles), chunk_size, overlap)
+        rows = handles[order][ragged_index(starts, stops - starts)[0]]
+        tries = GroupTries(
+            *self._take(rows), rows, csr_indptr(stops - starts), config.min_item_frequency
+        )
+        quasi = None
+        if config.variant == "vnm_n":
+            # A path's negative item must not already have an edge to the
+            # reader (one edge per node pair): readers that carry negative
+            # edges, and virtual nodes, are inserted plainly, and stay
+            # minable through ordinary paths.
+            quasi = (rows < self.first_partial) & ~self._negative[rows]
+        found = tries.mine(quasi, config.k1, config.k2, self.duplicate_insensitive)
+        self._peak_tree_nodes = max(self._peak_tree_nodes, tries.peak_nodes)
 
         benefit_by_width: Dict[int, int] = {}
         widths = np.diff(found.reader_indptr).tolist()
@@ -290,135 +271,34 @@ class _VNMBuilder:
         outcome["benefit_by_width"] = benefit_by_width
 
         if self.duplicate_insensitive:
-            self._rewire_deferred(found, mined_edges, vn_assignments)
+            self._rewire_deferred(found)
         else:
             self._rewire(found)
         return outcome
 
-    def _mine_group(
-        self,
-        group: List[int],
-        transactions: Dict[int, List[int]],
-        negative: Optional[np.ndarray],
-        found: List[Biclique],
-        mined_edges: Dict[int, Set[int]],
-        vn_assignments: Dict[int, List[int]],
-    ) -> None:
-        """Mine one group's object FP-tree (``vnm_n`` / ``vnm_d``) and
-        append its bicliques to ``found``.  ``negative`` marks the handles
-        that already have a negative input (``vnm_n``)."""
-        config = self.config
-        # Per-group item frequencies; rare items cannot join a biclique of
-        # width >= 2 within this group, so they are filtered out (they keep
-        # their direct overlay edges).
-        frequency = collections.Counter(
-            itertools.chain.from_iterable(transactions[reader] for reader in group)
-        )
-        eligible = {
-            item for item, f in frequency.items() if f >= config.min_item_frequency
-        }
-        filtered: Dict[int, List[int]] = {}
-        for reader in group:
-            items = [i for i in transactions[reader] if i in eligible]
-            if len(items) >= 2:
-                filtered[reader] = items
-        if not filtered:
-            return
-
-        rank = {
-            item: position
-            for position, item in enumerate(
-                sorted(eligible, key=lambda i: (-frequency[i], i))
-            )
-        }
-        tree = FPTree(rank)
-        first_partial = self.first_partial
-        for reader in group:
-            items = filtered.get(reader)
-            if items is None:
-                continue
-            if config.variant == "vnm_n" and reader < first_partial and not negative[reader]:
-                # A path's negative item must not already have an edge to
-                # the reader (one edge per node pair): readers that carry
-                # negative edges are inserted plainly, and stay minable
-                # through ordinary paths.
-                tree.insert_with_negatives(reader, items, k1=config.k1, k2=config.k2)
-            elif config.variant == "vnm_d":
-                tree.insert(reader, items, mined_items=mined_edges.get(reader, ()))
-            else:
-                tree.insert(reader, items)
-        self._peak_tree_nodes = max(self._peak_tree_nodes, tree.num_nodes)
-
-        # Mine the tree repeatedly.  Extraction removes the consumed readers
-        # from the tree (duplicate-sensitive modes); re-inserting them with
-        # their *remaining* items keeps mining "the same FP-tree ... with
-        # lower benefit" as the paper describes, instead of forfeiting the
-        # rest of their sharing potential for this group.
-        live_items: Dict[int, Set[int]] = {r: set(items) for r, items in filtered.items()}
-        skip: Set[int] = set()
-        while True:
-            candidate = tree.mine_best(skip)
-            if candidate is None:
-                break
-            biclique = tree.extract(
-                candidate, duplicate_insensitive=self.duplicate_insensitive
-            )
-            if biclique is None:
-                skip.add(id(candidate.node))
-                continue
-            if self.duplicate_insensitive:
-                for reader in biclique.readers:
-                    mined_edges.setdefault(reader, set()).update(biclique.covered[reader])
-                    vn_assignments.setdefault(reader, []).append(len(found))
-            else:
-                for reader in biclique.readers:
-                    remaining = live_items.get(reader)
-                    if remaining is None:
-                        continue
-                    remaining -= set(biclique.covered[reader])
-                    if len(remaining) >= 2:
-                        tree.insert(reader, remaining)
-                # Re-insertions can raise supports at previously-skipped
-                # nodes, so give them another chance.
-                skip.clear()
-            found.append(biclique)
-
-    def _rewire_deferred(
-        self,
-        found: "_Found",
-        mined_edges: Dict[int, Set[int]],
-        vn_assignments: Dict[int, List[int]],
-    ) -> None:
-        """VNM_D: every biclique's virtual node and its item edges, then
-        each reader's consumed edges replaced by edges from its virtual
-        nodes."""
+    def _rewire_deferred(self, found: Mined) -> None:
+        """VNM_D, once the iteration's overlapping groups are all mined:
+        every biclique's virtual node and its item edges, then each
+        reader's covered edges replaced by edges from its virtual nodes,
+        reader by reader in the order of their first biclique."""
         count = len(found.benefit)
         first = self.overlay.num_nodes
         for _ in range(count):
             self.overlay.add_partial()
-        consumed_src: List[int] = []
-        consumed_dst: List[int] = []
-        added_src: List[int] = []
-        added_dst: List[int] = []
-        for reader, consumed in mined_edges.items():
-            consumed_src.extend(consumed)
-            consumed_dst.extend([reader] * len(consumed))
-            for index in dict.fromkeys(vn_assignments.get(reader, ())):
-                added_src.append(first + index)
-                added_dst.append(reader)
-        src = np.concatenate((found.items, np.array(added_src, dtype=np.int64)))
+        readers = found.readers
+        owner = np.repeat(np.arange(count), np.diff(found.reader_indptr))
+        _, first_pair, reader_of = np.unique(readers, return_index=True, return_inverse=True)
+        by_reader = np.argsort(first_pair[reader_of], kind="stable")
+        src = np.concatenate((found.items, first + owner[by_reader]))
         dst = np.concatenate(
-            (
-                np.repeat(first + np.arange(count), np.diff(found.item_indptr)),
-                np.array(added_dst, dtype=np.int64),
-            )
+            (np.repeat(first + np.arange(count), np.diff(found.item_indptr)), readers[by_reader])
         )
         self.overlay.rewire(
             (src, dst, np.ones(len(src), dtype=np.int64)),
-            (np.array(consumed_src, dtype=np.int64), np.array(consumed_dst, dtype=np.int64)),
+            (found.covered, np.repeat(readers, np.diff(found.covered_indptr))),
         )
 
-    def _rewire(self, found: "_Found") -> None:
+    def _rewire(self, found: Mined) -> None:
         """Materialize duplicate-sensitive bicliques, in order: each gets a
         virtual node fed by its items, and each of its readers trades its
         covered edges for one edge from the virtual node, plus a negative
@@ -477,64 +357,6 @@ class _VNMBuilder:
             dst[at] = readers[negative_pair]
             sign[at] = -1
         overlay.rewire((src, dst, sign), (found.covered[removed], readers[covered_pair[removed]]))
-
-
-class _Found(NamedTuple):
-    """An iteration's bicliques as columns, in the order they are applied.
-
-    Biclique ``b`` has items ``items[item_indptr[b]:item_indptr[b + 1]]``
-    and readers ``readers[reader_indptr[b]:reader_indptr[b + 1]]``.  The
-    ``p``-th (biclique, reader) pair in that order replaces the edges from
-    ``covered[covered_indptr[p]:covered_indptr[p + 1]]`` and needs negative
-    edges from ``negatives[negative_indptr[p]:negative_indptr[p + 1]]``.
-    """
-
-    item_indptr: np.ndarray
-    items: np.ndarray
-    reader_indptr: np.ndarray
-    readers: np.ndarray
-    covered_indptr: np.ndarray
-    covered: np.ndarray
-    negative_indptr: np.ndarray
-    negatives: np.ndarray
-    benefit: np.ndarray
-
-    @classmethod
-    def from_mined(cls, mined: Mined) -> "_Found":
-        """The column miner's bicliques: every reader covers the items."""
-        item_counts = np.diff(mined.item_indptr)
-        owner = np.repeat(np.arange(len(item_counts)), np.diff(mined.reader_indptr))
-        covered = mined.items[ragged_index(mined.item_indptr[owner], item_counts[owner])[0]]
-        return cls(
-            mined.item_indptr,
-            mined.items,
-            mined.reader_indptr,
-            mined.readers,
-            csr_indptr(item_counts[owner]),
-            covered,
-            np.zeros(len(owner) + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            mined.benefit,
-        )
-
-    @classmethod
-    def from_bicliques(cls, bicliques: List[Biclique]) -> "_Found":
-        """The object tree's bicliques."""
-        pairs = [(b, reader) for b in bicliques for reader in b.readers]
-
-        def column(rows):
-            rows = list(rows)
-            counts = np.fromiter(map(len, rows), np.int64, len(rows))
-            flat = np.fromiter(itertools.chain.from_iterable(rows), np.int64, int(counts.sum()))
-            return csr_indptr(counts), flat
-
-        return cls(
-            *column(b.items for b in bicliques),
-            *column(b.readers for b in bicliques),
-            *column(b.covered[reader] for b, reader in pairs),
-            *column(b.negatives[reader] for b, reader in pairs),
-            np.fromiter((b.benefit for b in bicliques), np.int64, len(bicliques)),
-        )
 
 
 def _adapt_chunk_size(

@@ -1,4 +1,4 @@
-"""FP-tree construction and biclique mining (paper Sections 3.2.1–3.2.4).
+"""The object FP-tree: the column miner's oracle (paper Sections 3.2.1–3.2.4).
 
 The VNM family of overlay-construction algorithms finds bicliques in the
 bipartite graph ``AG`` by building an FP-tree over a *group* of readers
@@ -12,10 +12,10 @@ and penalties account for negative edges (``VNM_N``) or reused/mined edges
 (``VNM_D``).  The benefit is exactly the number of overlay edges saved by
 replacing the biclique with one partial-aggregation node.
 
-This module implements one object tree supporting all three modes.
-``VNM_N`` and ``VNM_D`` mine with it; ``VNM`` / ``VNM_A`` build their trees
-as columns (:mod:`repro.overlay.tries`), and their tests check those
-against this tree's plain mode, pick for pick:
+This module implements one object tree supporting all three modes, one
+group at a time, with nothing shared with the columns of
+:mod:`repro.overlay.tries`, whose tests check their miner against it,
+pick for pick:
 
 * plain insertion,
 * insertion along up to ``k1`` additional quasi-biclique paths with at most

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.fptree import FPTree, mine_all
+from tests.overlay.fptree import FPTree, mine_all
 
 
 def make_rank(items):

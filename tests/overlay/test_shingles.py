@@ -1,4 +1,4 @@
-"""Unit tests for min-hash shingle ordering and chunking."""
+"""Unit tests for min-hash shingle ordering and reader grouping."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +9,7 @@ import numpy as np
 from repro.overlay.shingles import (
     HashTable,
     ShingleHasher,
-    chunk,
+    group_ranges,
     int_repr_key,
     order_rows,
     shingle_order,
@@ -149,15 +149,22 @@ class TestIntReprKey:
         assert by_key == sorted(values, key=repr)
 
 
+def chunk(ordered, size, overlap=0.0):
+    """The groups :func:`group_ranges` cuts ``ordered`` into."""
+    starts, stops = group_ranges(len(ordered), size, overlap)
+    return [list(ordered[start:stop]) for start, stop in zip(starts.tolist(), stops.tolist())]
+
+
 class TestChunk:
     def test_disjoint_partition(self):
         groups = chunk(list(range(10)), 4)
         assert groups == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+        starts, stops = group_ranges(10, 4)
+        assert np.append(starts, stops[-1]).tolist() == np.append(np.arange(0, 10, 4), 10).tolist()
 
     def test_overlap(self):
         groups = chunk(list(range(10)), 4, overlap=0.5)
-        assert groups[0] == [0, 1, 2, 3]
-        assert groups[1] == [2, 3, 4, 5]
+        assert groups == [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7], [6, 7, 8, 9]]
 
     def test_every_reader_covered(self):
         for overlap in (0.0, 0.25, 0.5):
@@ -169,10 +176,25 @@ class TestChunk:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            chunk([1, 2], 0)
+            group_ranges(2, 0)
         with pytest.raises(ValueError):
-            chunk([1, 2], 2, overlap=1.0)
+            group_ranges(2, 2, overlap=1.0)
 
     def test_small_input(self):
         assert chunk([1], 10) == [[1]]
         assert chunk([], 10) == []
+
+    @given(
+        n=st.integers(0, 40),
+        size=st.integers(1, 8),
+        overlap=st.sampled_from([0.0, 0.2, 0.25, 0.5, 0.75, 0.9]),
+    )
+    def test_equals_the_group_by_group_loop(self, n, size, overlap):
+        step = max(1, int(round(size * (1.0 - overlap))))
+        groups, start = [], 0
+        while start < n:
+            groups.append(list(range(start, min(start + size, n))))
+            if start + size >= n:
+                break
+            start += step
+        assert chunk(list(range(n)), size, overlap) == groups

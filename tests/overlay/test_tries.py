@@ -1,15 +1,18 @@
-"""The column FP-trees of ``vnm`` / ``vnm_a`` against the object tree.
+"""The column miner of the VNM family against the object tree.
 
 :class:`~repro.overlay.tries.GroupTries` must pick, group by group, the
-same bicliques as :class:`~repro.overlay.fptree.FPTree`'s greedy loop
-(``mine_best`` / ``extract`` / re-insert the rest), ties included, and
-build initial trees of the same size.  Groups are drawn to tie: few
-items, duplicate transactions, and reader ids on both sides of a
+same bicliques as the object :class:`~tests.overlay.fptree.FPTree`'s
+greedy loop (``mine_best`` / ``extract`` / re-insert the rest), ties
+included, and build trees of the same size: plain (``vnm`` / ``vnm_a``),
+with quasi-biclique paths (``vnm_n``) and with mined registrations
+carried across overlapping groups (``vnm_d``).  Groups are drawn to tie:
+few items, duplicate transactions, and reader ids on both sides of a
 ``repr``-order boundary (``10`` sorts before ``9``).
 """
 
 import collections
 import itertools
+from typing import List, NamedTuple
 
 import numpy as np
 import pytest
@@ -17,57 +20,79 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.overlay.tries as tries_module
-import repro.overlay.vnm as vnm_module
-from repro.graph.bipartite import build_bipartite
-from repro.graph.generators import web_graph
-from repro.graph.neighborhoods import Neighborhood
-from repro.overlay.fptree import Biclique, FPTree
 from repro.overlay.tries import GroupTries
-from repro.overlay.vnm import build_vnm
+from tests.overlay.fptree import Biclique, FPTree
 
 
-def fptree_greedy(group, min_frequency=2):
-    """The object tree's greedy loop over one group ``{reader: items}``.
+class Run(NamedTuple):
+    """What the object tree's greedy loop found over some groups."""
 
-    Returns the bicliques, the initial tree's node count, how many
-    re-insertions walked into a node an extraction had emptied and how
-    many extracted readers kept a rest shorter than two items.
-    """
-    frequency = collections.Counter(itertools.chain.from_iterable(group.values()))
-    eligible = {item for item, f in frequency.items() if f >= min_frequency}
-    filtered = {}
-    for reader, items in group.items():
-        kept = [item for item in items if item in eligible]
-        if len(kept) >= 2:
-            filtered[reader] = kept
-    if not filtered:
-        return [], 0, 0, 0
-    ranked = sorted(eligible, key=lambda item: (-frequency[item], item))
-    tree = FPTree({item: position for position, item in enumerate(ranked)})
-    for reader, items in filtered.items():
-        tree.insert(reader, items)
-    initial_nodes = tree.num_nodes
-    live = {reader: set(items) for reader, items in filtered.items()}
-    found, revived, short = [], 0, 0
-    while True:
-        candidate = tree.mine_best()
-        if candidate is None:
-            return found, initial_nodes, revived, short
-        biclique = tree.extract(candidate)
-        assert biclique is not None
-        found.append(biclique)
-        for reader in biclique.readers:
-            live[reader] -= set(biclique.covered[reader])
-            if len(live[reader]) < 2:
-                short += 1
-                continue
-            node = tree.root
-            for item in sorted(live[reader], key=ranked.index):
-                node = node.children.get(item)
-                if node is None:
-                    break
-                revived += not node.support
-            tree.insert(reader, live[reader])
+    found: List[Biclique]
+    #: nodes in the largest initial tree
+    peak: int
+    #: re-insertions that walked into a node an extraction had emptied
+    revived: int
+    #: extracted readers left with fewer than two items
+    short: int
+    #: insertions that carried a mined item into a later group's tree
+    carried: int
+
+
+def fptree_mine(groups, quasi=(), k1=2, k2=3, duplicate_insensitive=False, min_frequency=2):
+    """The object tree's greedy loop over each group ``{reader: items}`` in
+    turn, as the VNM variants mine: readers in ``quasi`` are inserted
+    along up to ``k1 − 1`` quasi-biclique paths with at most ``k2``
+    negatives (``vnm_n``); a ``duplicate_insensitive`` run (``vnm_d``)
+    keeps extracted readers in the tree with their covered items mined,
+    and inserts them into later groups with those items mined; otherwise
+    extracted readers are re-inserted with the items not yet covered."""
+    found, peak, revived, short, carried = [], 0, 0, 0, 0
+    mined = {}
+    for group in groups:
+        frequency = collections.Counter(itertools.chain.from_iterable(group.values()))
+        eligible = {item for item, f in frequency.items() if f >= min_frequency}
+        filtered = {}
+        for reader, items in group.items():
+            kept = [item for item in items if item in eligible]
+            if len(kept) >= 2:
+                filtered[reader] = kept
+        if not filtered:
+            continue
+        ranked = sorted(eligible, key=lambda item: (-frequency[item], item))
+        tree = FPTree({item: position for position, item in enumerate(ranked)})
+        for reader, items in filtered.items():
+            if reader in quasi:
+                tree.insert_with_negatives(reader, items, k1=k1, k2=k2)
+            else:
+                carried += bool(mined.get(reader, set()) & set(items))
+                tree.insert(reader, items, mined_items=mined.get(reader, ()))
+        peak = max(peak, tree.num_nodes)
+        live = {reader: set(items) for reader, items in filtered.items()}
+        while True:
+            candidate = tree.mine_best()
+            if candidate is None:
+                break
+            biclique = tree.extract(candidate, duplicate_insensitive=duplicate_insensitive)
+            # mine_best scores the exact benefit extract computes, so no
+            # pick is refused and the column miner keeps no skip set
+            assert biclique is not None
+            found.append(biclique)
+            for reader in biclique.readers:
+                if duplicate_insensitive:
+                    mined.setdefault(reader, set()).update(biclique.covered[reader])
+                    continue
+                live[reader] -= set(biclique.covered[reader])
+                if len(live[reader]) < 2:
+                    short += 1
+                    continue
+                node = tree.root
+                for item in sorted(live[reader], key=ranked.index):
+                    node = node.children.get(item)
+                    if node is None:
+                        break
+                    revived += not node.total_support()
+                tree.insert(reader, live[reader])
+    return Run(found, peak, revived, short, carried)
 
 
 #: the two ways :meth:`GroupTries.mine` runs the greedy loop, chosen by
@@ -84,15 +109,23 @@ def mined_bicliques(mined):
     order."""
     items, readers = mined.items.tolist(), mined.readers.tolist()
     item_bounds, reader_bounds = mined.item_indptr.tolist(), mined.reader_indptr.tolist()
+    covered, negatives = mined.covered.tolist(), mined.negatives.tolist()
+    covered_bounds = mined.covered_indptr.tolist()
+    negative_bounds = mined.negative_indptr.tolist()
     for b, benefit in enumerate(mined.benefit.tolist()):
         path = items[item_bounds[b] : item_bounds[b + 1]]
         kept = readers[reader_bounds[b] : reader_bounds[b + 1]]
+        pairs = range(reader_bounds[b], reader_bounds[b + 1])
         yield Biclique(
             items=path,
             readers=kept,
-            covered=dict.fromkeys(kept, path),
-            negatives={reader: [] for reader in kept},
-            reused={reader: [] for reader in kept},
+            covered={
+                r: covered[covered_bounds[p] : covered_bounds[p + 1]] for r, p in zip(kept, pairs)
+            },
+            negatives={
+                r: negatives[negative_bounds[p] : negative_bounds[p + 1]]
+                for r, p in zip(kept, pairs)
+            },
             benefit=benefit,
         )
 
@@ -122,7 +155,7 @@ def column_groups(groups, run=GroupTries.mine, min_frequency=2):
 
 
 def signature(bicliques):
-    return [(b.items, b.readers, b.covered, b.benefit) for b in bicliques]
+    return [(b.items, b.readers, b.covered, b.negatives, b.benefit) for b in bicliques]
 
 
 #: reader ids whose ``repr`` order differs from their numeric order
@@ -170,17 +203,14 @@ class TestColumnMinerEqualsFPTree:
     @example(groups=[{8: [5, 4], 9: [4, 5]}, {10: [0, 1, 2], 11: [0, 1, 2], 12: [0, 1, 2]}])
     def test_same_bicliques_and_tree_size(self, groups):
         found, peak = column_groups(groups)
-        expected_peak = 0
         for group, column in zip(groups, found):
-            expected, initial_nodes, _, _ = fptree_greedy(group)
-            assert signature(column) == signature(expected)
-            expected_peak = max(expected_peak, initial_nodes)
-        assert peak == expected_peak
+            assert signature(column) == signature(fptree_mine([group]).found)
+        assert peak == fptree_mine(groups).peak
 
     def test_the_reviving_group_revives_an_emptied_node(self):
-        expected, _, revived, _ = fptree_greedy(REVIVING)
-        assert revived > 0
-        assert signature(column_groups([REVIVING])[0][0]) == signature(expected)
+        expected = fptree_mine([REVIVING])
+        assert expected.revived > 0
+        assert signature(column_groups([REVIVING])[0][0]) == signature(expected.found)
 
     def test_readers_come_out_in_repr_order(self):
         group = {9: [0, 1, 2], 10: [0, 1, 2], 100: [0, 1, 2]}
@@ -228,14 +258,14 @@ class TestAllGroupsStep:
     @example(groups=[REVIVING, SHORT_RESTS, repeated(([0, 1, 2], 3), ([3, 4, 5], 3))])
     @example(groups=[SHORT_RESTS, {8: [5, 4], 9: [4, 5]}, REVIVING])
     def test_same_sequence_as_the_per_group_loop(self, run, groups):
-        expected = []
-        for group in groups:
-            expected.extend(fptree_greedy(group)[0])
+        expected = fptree_mine(groups).found
         assert signature(mined_bicliques(run(group_tries(groups)))) == signature(expected)
 
     def test_mine_runs_group_by_group_below_the_cut(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(tries_module, "_group_by_group", lambda tries: calls.append("each"))
+        monkeypatch.setattr(
+            tries_module, "_group_by_group", lambda tries, *options: calls.append("each")
+        )
         monkeypatch.setattr(tries_module._Greedy, "run", lambda self: calls.append("all"))
         tries = group_tries([REVIVING, SHORT_RESTS])
         assert len(tries.yielding) == 2
@@ -245,24 +275,124 @@ class TestAllGroupsStep:
         assert calls == ["each", "all"]
 
     def test_the_examples_tie_revive_and_leave_short_rests(self):
-        _, _, revived, _ = fptree_greedy(REVIVING)
-        found, _, _, short = fptree_greedy(SHORT_RESTS)
-        assert revived > 0 and short > 0
+        assert fptree_mine([REVIVING]).revived > 0
+        assert fptree_mine([SHORT_RESTS]).short > 0
         tied = repeated(([0, 1, 2], 3), ([3, 4, 5], 3))
-        first, second = fptree_greedy(tied)[0][:2]
+        first, second = fptree_mine([tied]).found[:2]
         assert first.benefit == second.benefit
 
 
-class TestPlainVariantsBuildNoFPTree:
-    @pytest.mark.parametrize("variant", ["vnm", "vnm_a"])
-    def test_no_fptree(self, monkeypatch, variant):
-        def refuse(*args, **kwargs):
-            raise AssertionError(f"{variant} built an FPTree")
+def column_mine(groups, quasi=(), k1=2, k2=3, duplicate_insensitive=False):
+    """The column miner's bicliques over ``groups`` and its peak tree."""
+    tries = group_tries(groups)
+    flags = None
+    if quasi:
+        flags = np.array([reader in quasi for group in groups for reader in group], dtype=bool)
+    mined = tries.mine(flags, k1, k2, duplicate_insensitive)
+    return list(mined_bicliques(mined)), tries.peak_nodes
 
-        monkeypatch.setattr(vnm_module, "FPTree", refuse)
-        ag = build_bipartite(
-            web_graph(200, 6, copy_probability=0.9, seed=3), Neighborhood.in_neighbors()
-        )
-        result = build_vnm(ag, variant=variant, iterations=4)
-        assert result.stats[0].bicliques > 0
-        result.overlay.validate(ag)
+
+def near(base):
+    """A transaction one item away from one of ``base``: quasi-biclique bait."""
+    return st.tuples(st.sampled_from(base), st.integers(0, 6), st.booleans()).map(
+        lambda drawn: sorted(set(drawn[0]) - {drawn[1]} if drawn[2] else set(drawn[0]) | {drawn[1]})
+    )
+
+
+@st.composite
+def quasi_groups(draw):
+    """1-4 groups over disjoint readers, rows repeating or missing one
+    item of a few base transactions, and the readers inserted along
+    quasi-biclique paths."""
+    readers = draw(st.permutations(READERS + list(range(1000, 1006))))
+    groups, at = [], 0
+    for _ in range(draw(st.integers(1, 4))):
+        if at == len(readers):
+            break
+        size = draw(st.integers(1, min(8, len(readers) - at)))
+        base = draw(st.lists(TRANSACTION, min_size=1, max_size=3))
+        rows = st.one_of(st.sampled_from(base), near(base), near(base), TRANSACTION)
+        groups.append({reader: list(draw(rows)) for reader in readers[at : at + size]})
+        at += size
+    quasi = draw(st.sets(st.sampled_from(readers[:at])))
+    return groups, quasi
+
+
+@st.composite
+def overlapping_groups(draw):
+    """Groups of 2-6 consecutive readers of one ordered list, a group
+    starting 1..size readers after the previous one, as ``vnm_d``'s
+    overlapping chunks share readers."""
+    readers = draw(st.permutations(READERS + list(range(1000, 1004))))[: draw(st.integers(2, 14))]
+    base = draw(st.lists(TRANSACTION, min_size=1, max_size=3))
+    rows = st.one_of(st.sampled_from(base), st.sampled_from(base), near(base), TRANSACTION)
+    items = {reader: list(draw(rows)) for reader in readers}
+    size = draw(st.integers(2, 6))
+    step = draw(st.integers(1, size))
+    groups, start = [], 0
+    while start < len(readers):
+        groups.append({reader: items[reader] for reader in readers[start : start + size]})
+        if start + size >= len(readers):
+            break
+        start += step
+    return groups
+
+
+#: ``vnm_d`` groups whose second group takes the first's mined readers
+#: back, with their mined items
+CARRYING = [
+    {8: [0, 1, 2], 9: [0, 1, 2], 10: [0, 1, 2], 11: [3, 4]},
+    {9: [0, 1, 2], 10: [0, 1, 2], 11: [3, 4], 12: [0, 1, 2, 3], 98: [0, 1, 2, 3]},
+]
+
+#: ``vnm_n`` readers one item short of a shared path
+SHORT_OF_A_PATH = {
+    8: [0, 1, 2, 3, 4],
+    9: [0, 1, 2, 3, 4],
+    10: [0, 1, 3, 4, 5],
+    11: [0, 1, 2, 4, 5],
+    12: [1, 2, 3, 4, 5],
+}
+
+#: a ``vnm_n`` group whose quasi readers rank candidate paths of equal
+#: gain by their negatives
+RANKED_PATHS = {9: [0, 1, 2, 4], 10: [0, 1, 2, 3, 4, 5], 11: [0, 1, 2, 3], 12: [0, 1, 2, 3, 5]}
+
+
+class TestPenalisedGroups:
+    """``vnm_n`` and ``vnm_d`` groups: the column miner against the object
+    tree, pick for pick (items, readers, covered, negatives, benefit) and
+    on the largest tree."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=quasi_groups(), k1=st.integers(1, 3), k2=st.integers(0, 3))
+    @example(drawn=([SHORT_OF_A_PATH], set(SHORT_OF_A_PATH)), k1=2, k2=1)
+    @example(drawn=([SHORT_OF_A_PATH, REVIVING], {10, 11, 12}), k1=3, k2=2)
+    @example(drawn=([RANKED_PATHS], {9, 10, 11}), k1=3, k2=2)
+    def test_quasi_paths_pick_for_pick(self, drawn, k1, k2):
+        groups, quasi = drawn
+        expected = fptree_mine(groups, quasi, k1, k2)
+        found, peak = column_mine(groups, quasi, k1, k2)
+        assert signature(found) == signature(expected.found)
+        assert peak == expected.peak
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(groups=overlapping_groups())
+    @example(groups=CARRYING)
+    def test_mined_registrations_pick_for_pick(self, groups):
+        expected = fptree_mine(groups, duplicate_insensitive=True)
+        found, peak = column_mine(groups, duplicate_insensitive=True)
+        assert signature(found) == signature(expected.found)
+        assert peak == expected.peak
+
+    def test_the_examples_register_negatives_and_carry_mined_items(self):
+        found = fptree_mine([SHORT_OF_A_PATH], set(SHORT_OF_A_PATH), k1=2, k2=1).found
+        assert any(any(b.negatives.values()) for b in found)
+        assert fptree_mine(CARRYING, duplicate_insensitive=True).carried > 0
+
+    def test_a_quasi_path_yields_where_no_plain_path_does(self):
+        group = {8: [1, 2, 3, 4, 5], 9: [1, 2, 4, 5, 6], 10: [3, 6]}
+        assert fptree_mine([group]).found == []
+        found, _ = column_mine([group], quasi={9}, k1=2, k2=2)
+        assert signature(found) == signature(fptree_mine([group], {9}, 2, 2).found)
+        assert found and found[0].negatives[9] == [3]
