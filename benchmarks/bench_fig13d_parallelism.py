@@ -122,10 +122,9 @@ def collect_tasks(engine: EAGrEngine, events: Sequence) -> List[List[TraceOp]]:
         raise ValueError("time windows expire values inside any event")
     tasks: List[List[TraceOp]] = []
     for event in events:
-        # A lazy recompile would replace engine.runtime (and its overlay)
-        # inside the event call; settle it first.  The ops are read off
-        # the overlay before the event, which an adaptive controller may
-        # re-decide once the event is done.
+        # Settle the decisions and plans that structure surgery left stale
+        # first.  The ops are read off the overlay before the event, which
+        # an adaptive controller may re-decide once the event is done.
         engine._sync()
         runtime = engine.runtime
         overlay = runtime.overlay

@@ -27,9 +27,9 @@ def main(users: int = 500, checkins: int = 8_000, seed: int = 11) -> None:
         network.set_attr(user, "city", rng.choice(CITIES))
 
     def same_city(graph, member):
-        # Bound per-reader at compile time through closure-free access: the
-        # filter sees the graph, so attribute updates are picked up on the
-        # next recompile/maintenance pass.
+        # Evaluated when the overlay is built: a later attribute change
+        # reaches the filter only when a structure event re-derives the
+        # readers it affects.
         return graph.get_attr(member, "city") == "NYC"
 
     # "How many distinct NYC friends of mine posted among their last 3

@@ -12,8 +12,11 @@ query, the engine:
    ``greedy``, or the forced ``all_push`` / ``all_pull`` baselines
    (Sections 4.3–4.6); continuous-mode queries force readers to push,
 5. instantiates the :class:`~repro.core.execution.Runtime`, and optionally
-6. attaches the incremental overlay maintainer (Section 3.3) and the
-   adaptive decision controller (Section 4.8).
+   attaches the adaptive decision controller (Section 4.8).
+
+Structure-stream events go through :meth:`EAGrEngine.apply_structure_event`
+and are absorbed by the incremental overlay maintainer (Section 3.3), which
+the first event builds.
 
 The two baselines of Section 5.1 are spelled::
 
@@ -35,7 +38,7 @@ from repro.dataflow.greedy import greedy_dataflow
 from repro.dataflow.mincut import DataflowStats, decide_dataflow
 from repro.dataflow.splitting import split_nodes
 from repro.graph.bipartite import build_bipartite
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, GraphError
 from repro.graph.streams import StructureEvent, StructureOp
 from repro.overlay import construct_overlay
 from repro.overlay.dynamic import OverlayMaintainer
@@ -51,9 +54,9 @@ class EAGrEngine:
     Parameters
     ----------
     graph:
-        The data graph (kept live; structure changes flow through
-        :meth:`apply_structure_event` or direct graph mutation when a
-        maintainer is attached).
+        The data graph (kept live).  Structure changes go through
+        :meth:`apply_structure_event`; any other edit of the graph makes
+        the engine's next call raise :class:`GraphError`.
     query:
         The ``⟨F, w, N, pred⟩`` specification.
     overlay_algorithm:
@@ -65,9 +68,6 @@ class EAGrEngine:
         splitting only — execution is workload-agnostic.
     enable_splitting:
         Apply Section 4.7's partial pre-computation before decisions.
-    maintain:
-        Attach the Section 3.3 incremental overlay maintainer to the graph's
-        structure stream.
     adaptive:
         Attach the Section 4.8 adaptive decision controller.
     value_store:
@@ -86,7 +86,6 @@ class EAGrEngine:
         frequencies: Optional[FrequencyModel] = None,
         cost_model: Optional[CostModel] = None,
         enable_splitting: bool = False,
-        maintain: bool = False,
         adaptive: bool = False,
         adaptive_config: Optional[AdaptiveConfig] = None,
         overlay_params: Optional[Dict[str, Any]] = None,
@@ -107,7 +106,6 @@ class EAGrEngine:
         self.overlay_algorithm = overlay_algorithm
         self.frequencies = frequencies or FrequencyModel.uniform(graph.nodes())
         self.cost_model = cost_model or CostModel.for_aggregate(query.aggregate)
-        self._needs_recompile = False
 
         self.ag = build_bipartite(graph, query.neighborhood, query.predicate)
         self.construction = construct_overlay(
@@ -127,12 +125,15 @@ class EAGrEngine:
         self.decision_stats = self._decide()
         self.runtime = Runtime(self.overlay, query)
 
+        #: The Section 3.3 overlay maintainer, built by the first structure
+        #: event: its index of the partials and mirror of the readers'
+        #: inputs cost about half a construction, which an engine that
+        #: never sees an event does not pay.
         self.maintainer: Optional[OverlayMaintainer] = None
-        self._seen_version = 0
-        if maintain:
-            self.maintainer = OverlayMaintainer(
-                graph, query.neighborhood, self.overlay, predicate=query.predicate
-            ).attach()
+        # The graph's structure clock after the engine's own last edit, and
+        # as of the last sync: a clock that moved otherwise means the graph
+        # was edited behind the engine.
+        self._graph_clock = self._synced_clock = graph.clock
 
         self.controller: Optional[AdaptiveController] = None
         if adaptive:
@@ -302,29 +303,45 @@ class EAGrEngine:
     def apply_structure_event(self, event: StructureEvent) -> None:
         """Apply one structure-stream event to the data graph.
 
-        With a maintainer attached the overlay absorbs the change
-        incrementally; otherwise the engine recompiles lazily on the next
-        read/write.  Either way the readers whose neighbourhood the event
+        The overlay maintainer absorbs the change with local surgery (the
+        first event builds it, from the ``AG`` the overlay was built from);
+        the next read or write re-runs the decisions and recompiles only
+        the plans the surgery touched.  A writer keeps its window until
+        its node is removed.  The readers whose neighbourhood the event
         alters — before or after it — enter the pending change report:
         their aggregates can move although no writer did.
         """
-        op = event.op
+        self._check_graph()
+        graph = self.graph
+        if self.maintainer is None:
+            self.maintainer = OverlayMaintainer(
+                graph, self.query.neighborhood, self.overlay, self.ag,
+                predicate=self.query.predicate,
+            )
         endpoints = (event.u,) if event.v is None else (event.u, event.v)
         affected = self._readers_near(endpoints)
-        if op is StructureOp.ADD_EDGE:
-            self.graph.add_edge(event.u, event.v)
-        elif op is StructureOp.REMOVE_EDGE:
-            self.graph.remove_edge(event.u, event.v)
-        elif op is StructureOp.ADD_NODE:
-            self.graph.add_node(event.u)
-        elif op is StructureOp.REMOVE_NODE:
-            self.graph.remove_node(event.u)
-        else:  # pragma: no cover - enum exhaustive
-            raise ValueError(f"unknown structure op: {op}")
+        if event.op is StructureOp.REMOVE_NODE and event.u in graph:
+            # Edge by edge first, as DynamicGraph.remove_node does.
+            node = event.u
+            for v in list(graph.out_neighbors(node)):
+                self._edit(StructureEvent(StructureOp.REMOVE_EDGE, node, v))
+            for u in list(graph.in_neighbors(node)):
+                self._edit(StructureEvent(StructureOp.REMOVE_EDGE, u, node))
+        self._edit(event)
         affected |= self._readers_near(endpoints)
         self.runtime.note_restructured_readers(affected)
-        if self.maintainer is None:
-            self._needs_recompile = True
+
+    def _edit(self, event: StructureEvent) -> None:
+        """Make one edit to the graph (``ADD_EDGE`` calls ``add_edge`` …)
+        and hand it to the maintainer, which expects the graph to reflect
+        it already; an edit that changes nothing (an edge or node already
+        there) reaches no one."""
+        graph = self.graph
+        ends = (event.u,) if event.v is None else (event.u, event.v)
+        getattr(graph, event.op.name.lower())(*ends)
+        if graph.clock != self._graph_clock:
+            self._graph_clock = graph.clock
+            self.maintainer.apply(event)
 
     def _readers_near(self, endpoints) -> set:
         """Nodes whose ``N(r)`` may involve one of ``endpoints`` in the
@@ -342,54 +359,23 @@ class EAGrEngine:
     # synchronization after structural changes
     # ------------------------------------------------------------------
 
-    def _sync(self) -> None:
-        if self.maintainer is not None:
-            if self.maintainer.version != self._seen_version:
-                self._seen_version = self.maintainer.version
-                if self.dataflow in ("mincut", "greedy"):
-                    self.decision_stats = self._decide()
-                elif self.dataflow == "all_push":
-                    self.overlay.set_all_decisions(Decision.PUSH)
-                else:
-                    self.overlay.set_all_decisions(Decision.PULL)
-                # Incremental surgery dirties a bounded neighborhood of the
-                # overlay; only plans touching it are recompiled.
-                self.runtime.rebuild(dirty=self.maintainer.consume_plan_dirty())
-        elif self._needs_recompile:
-            self._recompile()
-            self._needs_recompile = False
-
-    def _recompile(self) -> None:
-        """Full re-compilation (no maintainer): rebuild AG, overlay,
-        decisions and runtime, preserving writer window buffers and the
-        pending change report (carried across by graph node id), the
-        write stamp and the logical clock."""
-        buffers = self.runtime.buffers
-        pending_changes = self.runtime.pop_changed_writer_nodes()
-        pending_readers = self.runtime._restructured_readers
-        stamp = self.runtime.stamp
-        clock = self.runtime.clock
-        self.ag = build_bipartite(
-            self.graph, self.query.neighborhood, self.query.predicate
-        )
-        self.construction = construct_overlay(
-            self.ag, self.overlay_algorithm, aggregate=self.query.aggregate
-        )
-        self.overlay = self.construction.overlay
-        self.decision_stats = self._decide()
-        self.runtime = Runtime(
-            self.overlay,
-            self.query,
-            buffers=buffers,
-            stamp=stamp,
-        )
-        self.runtime.clock = clock
-        self.runtime.note_changed_writers(pending_changes)
-        self.runtime._restructured_readers.update(pending_readers)
-        if self.controller is not None:
-            self.controller = AdaptiveController(
-                self.runtime, self.cost_model, self.controller.config
+    def _check_graph(self) -> None:
+        if self.graph.clock != self._graph_clock:
+            raise GraphError(
+                "the engine's graph was edited directly: structure changes "
+                "must go through EAGrEngine.apply_structure_event"
             )
+
+    def _sync(self) -> None:
+        clock = self.graph.clock
+        if clock == self._synced_clock:
+            return
+        self._check_graph()
+        self._synced_clock = clock
+        self.decision_stats = self._decide()
+        # Incremental surgery dirties a bounded neighborhood of the
+        # overlay; only plans touching it are recompiled.
+        self.runtime.rebuild(dirty=self.overlay.pop_dirty())
 
     # ------------------------------------------------------------------
     # introspection

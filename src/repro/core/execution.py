@@ -427,8 +427,6 @@ class Runtime:
         self,
         overlay: Overlay,
         query: EgoQuery,
-        buffers: Optional[Dict[NodeId, WindowBuffer]] = None,
-        stamp: int = 0,
     ) -> None:
         self.overlay = overlay
         self.query = query
@@ -444,15 +442,15 @@ class Runtime:
         self._time_window = isinstance(query.window, TimeWindow)
         # Per-writer sliding windows, keyed by *graph node id* so they can
         # survive overlay rebuilds.
-        self.buffers: Dict[NodeId, WindowBuffer] = buffers if buffers is not None else {}
+        self.buffers: Dict[NodeId, WindowBuffer] = {}
         # Global write stamp: bumped once per ingestion call (write /
-        # write_batch), never reset by rebuild() — seedable at construction
-        # so a runtime restored from checkpointed buffers continues the
-        # sequence of the instance it replaces.  Changed-reader reports are
-        # tagged with it (:meth:`changed_report`), giving downstream
+        # write_batch), never reset by rebuild() — a shard restored from a
+        # checkpoint sets it and the buffers, then rebuilds, so it continues
+        # the sequence of the instance it replaces.  Changed-reader reports
+        # are tagged with it (:meth:`changed_report`), giving downstream
         # consumers (the serve layer's notifications) a version that is
         # stable across overlay rebuilds and shard restarts.
-        self.stamp = stamp
+        self.stamp = 0
         # -- value store: columns when the aggregate declares them ------
         self.values = make_value_store(self.aggregate, overlay.num_nodes)
         self._columnar = self.values.backend == "columnar"
@@ -482,9 +480,8 @@ class Runtime:
         self._obs_ring_nodes: List = []
         self.counters = RuntimeCounters()
         # Engine-op wall-time accounting for the observability plane:
-        # off by default; the serve layer's ShardHost re-syncs it onto
-        # whatever runtime the engine currently holds (recompiles swap
-        # the instance) before each batch.
+        # off by default; the serve layer's ShardHost turns it on when
+        # the shard is metered.
         self.op_timing = False
         self.clock = 0.0
         self._expiry_heap: List[Tuple[float, int]] = []
@@ -938,12 +935,11 @@ class Runtime:
         writer possibly repeated; :meth:`changed_handles`, its consumer,
         is indifferent to both.
 
-        Pending writers survive a new overlay by node id, and only there:
-        :meth:`rebuild` (overlay surgery in place) and the engine's full
-        recompile (a new runtime over a new handle space) take them out
-        with :meth:`pop_changed_writer_nodes` and put them back with
-        :meth:`note_changed_writers`, so a writer the surgery removed
-        drops out silently and every other one reaches its current handle.
+        Pending writers survive overlay surgery by node id, and only there:
+        :meth:`rebuild` takes them out with :meth:`pop_changed_writer_nodes`
+        and puts them back with :meth:`note_changed_writers`, so a writer
+        the surgery removed drops out silently and every other one reaches
+        its current handle.
         """
         moved = self._moved
         if not moved:

@@ -57,6 +57,11 @@ class DynamicGraph:
         return len(self._out)
 
     @property
+    def clock(self) -> int:
+        """The structure clock: advanced by every successful edit."""
+        return self._clock
+
+    @property
     def num_edges(self) -> int:
         return self._num_edges
 
@@ -120,9 +125,9 @@ class DynamicGraph:
     def subscribe(self, listener: Callable[[StructureEvent], None]) -> None:
         """Register a callback invoked after every successful structure change.
 
-        Incremental overlay maintenance (Section 3.3) subscribes here so the
-        overlay tracks the data graph without the caller wiring each change
-        through by hand.
+        A standalone overlay maintainer (Section 3.3) subscribes here
+        (``OverlayMaintainer.attach``).  An engine does not: its graph
+        changes only through ``EAGrEngine.apply_structure_event``.
         """
         self._listeners.append(listener)
 

@@ -21,7 +21,8 @@ is too large for a local fix.  Concretely:
   bookkeeping.
 
 The maintainer keeps a mirror of every reader's current input set (the
-live ``AG``), so it also serves as the oracle tests compare against.
+live ``AG``, :meth:`OverlayMaintainer.live_bipartite`), and refreshes a
+reader by diffing its re-derived inputs against the mirror.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class OverlayMaintainer:
         The query parameters defining reader input lists.
     overlay:
         The overlay to maintain (from any construction algorithm).
+    ag:
+        The ``AG`` the overlay was built from: the mirror of the readers'
+        inputs starts from it rather than from the graph as it stands
+        (which a node filter over attributes may since read differently).
     delta_threshold:
         ``|Δ(I(r))|`` above which additions are covered with a partial
         aggregate instead of direct edges.
@@ -66,6 +71,7 @@ class OverlayMaintainer:
         graph: DynamicGraph,
         neighborhood: Neighborhood,
         overlay: Overlay,
+        ag: BipartiteGraph,
         predicate=None,
         delta_threshold: int = 3,
         direct_edge_threshold: int = 5,
@@ -82,31 +88,18 @@ class OverlayMaintainer:
         # Live AG mirror: reader -> current input writer set, plus inverse.
         self.current_inputs: Dict[NodeId, Set[NodeId]] = {}
         self._feeds: Dict[NodeId, Set[NodeId]] = {}
-        self._bootstrap_mirror()
-        #: Incremented on every overlay mutation; engines watch this to know
-        #: when to refresh their runtime state.
-        self.version = 0
+        self._bootstrap_mirror(ag)
 
     @property
     def overlay(self) -> Overlay:
         """The maintained overlay (shared with the engine's runtime)."""
         return self.state.overlay
 
-    def consume_plan_dirty(self) -> Set[int]:
-        """Handles touched by overlay surgery since the last call.
-
-        Engines feed this to :meth:`repro.core.execution.Runtime.rebuild`
-        so that absorbing a structure event invalidates only the compiled
-        propagation plans whose traversal crosses the surgery site,
-        instead of dropping the whole plan cache.
-        """
-        return self.overlay.pop_dirty()
-
     # ------------------------------------------------------------------
 
-    def _bootstrap_mirror(self) -> None:
+    def _bootstrap_mirror(self, ag: BipartiteGraph) -> None:
         for reader in list(self.overlay.reader_of):
-            members = self._query_inputs(reader)
+            members = set(ag.reader_inputs.get(reader, ()))
             self.current_inputs[reader] = members
             for writer in members:
                 self._feeds.setdefault(writer, set()).add(reader)
@@ -140,7 +133,6 @@ class OverlayMaintainer:
             self._remove_node(event.u)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown structure op {event.op}")
-        self.version += 1
 
     # ------------------------------------------------------------------
     # diff-based refresh

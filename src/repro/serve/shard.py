@@ -333,9 +333,6 @@ class ShardHost:
         engine = self.engine
         metered = self._metrics_on
         if metered:
-            # Recompiles swap the runtime instance; keep its op-timing
-            # flag in lockstep (one attribute store per batch).
-            engine.runtime.op_timing = True
             t0 = _monotonic()
         count = engine.write_batch(items)
         if metered:

@@ -60,14 +60,12 @@ def follow(oracle, graph):
 
 def oracle_for(engine=None, *, graph=None, query=None, aggregate=None):
     """A :class:`tests.oracle.EgoOracle` for ``engine`` (or for ``graph`` and
-    ``query``, as a recompiling engine): the query's ``⟨F, w, N, pred⟩``
+    ``query``): the query's ``⟨F, w, N, pred⟩``
     read off into the oracle's plain terms, the graph's edges copied, and
     the graph followed for structure changes.  ``aggregate`` overrides
     ``F`` (for a user-defined aggregate the oracle cannot name)."""
-    maintained = False
     if engine is not None:
         graph, query = engine.graph, engine.query
-        maintained = engine.maintainer is not None
     window = query.window
     neighborhood = query.neighborhood
     node_filter = neighborhood.node_filter
@@ -81,7 +79,6 @@ def oracle_for(engine=None, *, graph=None, query=None, aggregate=None):
         include_self=neighborhood.include_self,
         member_filter=None if node_filter is None else (lambda node: node_filter(graph, node)),
         readers=query.predicate,
-        maintained=maintained,
     )
     follow(oracle, graph)
     return oracle

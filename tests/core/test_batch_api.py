@@ -157,27 +157,22 @@ def test_batch_matches_per_event_across_algorithms(aggregate_name, window_name):
 @pytest.mark.parametrize("aggregate_name", ["sum", "max"])
 def test_batch_with_interleaved_structure_events(aggregate_name):
     """Structure events between batches invalidate plans; reads stay exact."""
-    for maintain in (False, True):
-        graph = random_graph(20, 55, seed=5)
-        engine_a = make_engine(
-            graph, aggregate_name, "vnm_a", "tuple", maintain=maintain
-        )
-        engine_b = make_engine(
-            graph.copy(), aggregate_name, "vnm_a", "tuple", maintain=maintain
-        )
-        drive_pair(
-            engine_a,
-            engine_b,
-            aggregate_name,
-            seed=77,
-            num_events=300,
-            structure_fraction=0.08,
-        )
-        # Plans were actually exercised and actually invalidated (the
-        # columnar backend batches through the scatter table instead of
-        # per-writer plans).
-        runtime = engine_b.runtime
-        assert runtime.plan_compiles > 0 or runtime.scatter_builds > 0
+    graph = random_graph(20, 55, seed=5)
+    engine_a = make_engine(graph, aggregate_name, "vnm_a", "tuple")
+    engine_b = make_engine(graph.copy(), aggregate_name, "vnm_a", "tuple")
+    drive_pair(
+        engine_a,
+        engine_b,
+        aggregate_name,
+        seed=77,
+        num_events=300,
+        structure_fraction=0.08,
+    )
+    # Plans were actually exercised and actually invalidated (the
+    # columnar backend batches through the scatter table instead of
+    # per-writer plans).
+    runtime = engine_b.runtime
+    assert runtime.plan_compiles > 0 or runtime.scatter_builds > 0
 
 
 def test_batch_with_adaptive_decision_flips():
@@ -281,26 +276,3 @@ def test_batched_observed_push_matches_per_event():
     # ...while the *work* counter reflects the coalescing savings
     assert engine_b.counters.push_ops <= engine_a.counters.push_ops
 
-
-def test_collect_tasks_survives_lazy_recompile():
-    """A pending lazy recompile swaps engine.runtime inside the first
-    event; task collection must follow the live overlay, not the dead one."""
-    from benchmarks.bench_fig13d_parallelism import collect_tasks
-    from repro.graph.streams import WriteEvent
-
-    graph = random_graph(12, 30, seed=14)
-    engine = make_engine(graph, "sum", "vnm_a", "tuple")
-    nodes = sorted(graph.nodes(), key=repr)
-    u, v = next(iter(graph.edges()))
-    engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_EDGE, u, v))
-    events = [
-        WriteEvent(node=nodes[tick % len(nodes)], value=1.0, timestamp=float(tick + 1))
-        for tick in range(10)
-    ]
-    tasks = collect_tasks(engine, events)
-    assert len(tasks) == len(events)
-    # Writes on nodes no reader observes are dropped (no op); every
-    # other write must appear in the collected tasks.
-    live_writers = set(engine.runtime.overlay.writer_of)
-    expected = sum(1 for event in events if event.node in live_writers)
-    assert sum(op.kind == "write" for task in tasks for op in task) == expected > 0

@@ -31,6 +31,13 @@ def build(graph=None, aggregate=None, store=None, **kwargs):
     )
 
 
+def build_maintainer(engine):
+    """Give ``engine`` its maintainer with a structure event that changes
+    nothing: a node already there."""
+    engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, "c"))
+    assert engine.maintainer is not None
+
+
 def downstream_readers(engine, writer_node):
     """Oracle: readers whose neighborhood contains ``writer_node``."""
     return {
@@ -161,13 +168,15 @@ class TestInvalidationAndRebuild:
         assert compiles > 0
         assert one_pass() == (compiles, invalidations)
 
-    @pytest.mark.parametrize("maintain", [False, True])
-    def test_pending_report_survives_structure_change(self, maintain):
-        """The report is keyed by node id, so overlay rebuilds (lazy full
-        recompile and incremental maintainer surgery alike) cannot lose a
-        change accepted before the mutation — and it is mapped through the
+    @pytest.mark.parametrize("built", [False, True])
+    def test_pending_report_survives_structure_change(self, built):
+        """The report is keyed by node id, so maintainer surgery cannot lose
+        a change accepted before the mutation — whether this event builds
+        the maintainer or an earlier one did — and it is mapped through the
         closures of the overlay *after* the mutation."""
-        engine = build(maintain=maintain)
+        engine = build()
+        if built:
+            build_maintainer(engine)
         engine.write_batch([("c", 5.0)])
         engine.changed_readers()  # compiles c's closure on the old overlay
         assert "b" not in downstream_readers(engine, "c")
@@ -191,13 +200,16 @@ STRUCTURE_EVENTS = [
 
 
 @pytest.mark.parametrize("store", list(AGGREGATES))
-@pytest.mark.parametrize("maintain", [False, True])
+@pytest.mark.parametrize("built", [False, True])
 @pytest.mark.parametrize("event", STRUCTURE_EVENTS, ids=lambda e: e.op.name)
-def test_structure_change_reports_readers_it_moved(event, maintain, store):
+def test_structure_change_reports_readers_it_moved(event, built, store):
     """A structural change moves aggregates with no writer moving (an edge
     removal takes a value out of N(r)); the report must name every reader
-    whose value it changed, or a continuous subscriber never hears."""
-    engine = build(maintain=maintain, store=store)
+    whose value it changed, or a continuous subscriber never hears — on
+    the event that builds the maintainer and on a later one."""
+    engine = build(store=store)
+    if built:
+        build_maintainer(engine)
     engine.write_batch([("c", 5.0)])
     engine.changed_readers()
     before = {r: engine.read(r) for r in engine.overlay.reader_of}
@@ -224,27 +236,30 @@ class TestGlobalWriteStamp:
         stamp_b, _ = engine.changed_report()
         assert stamp_b == stamp_a + 1
 
-    def test_stamp_survives_full_recompile(self):
-        engine = build(maintain=False)
+    def test_stamp_survives_a_structure_change(self):
+        engine = build()
         engine.write_batch([("c", 1.0)])
         engine.changed_readers()
         before = engine.runtime.stamp
         engine.apply_structure_event(
-            StructureEvent(StructureOp.ADD_EDGE, "c", "g")
+            StructureEvent(StructureOp.ADD_EDGE, "c", "b")
         )
-        engine.write_batch([("c", 2.0)])  # triggers the lazy recompile
-        stamp, _ = engine.changed_report()
-        assert stamp == before + 1
+        runtime = engine.runtime
+        engine.write_batch([("c", 2.0)])  # syncs: decisions and plans
+        stamp, changed = engine.changed_report()
+        assert stamp == before + 1 and "b" in changed
+        assert engine.runtime is runtime
 
     def test_stamp_seedable_for_restore(self):
         from repro.core.execution import Runtime
 
         engine = build()
         engine.write_batch([("c", 1.0)])
-        restored = Runtime(
-            engine.overlay, engine.query, buffers=engine.runtime.buffers,
-            stamp=engine.runtime.stamp,
-        )
+        # what a shard restored from a checkpoint does
+        restored = Runtime(engine.overlay, engine.query)
+        restored.buffers.update(engine.runtime.buffers)
+        restored.stamp = engine.runtime.stamp
+        restored.rebuild()
         assert restored.stamp == engine.runtime.stamp
         restored.write_batch([("c", 2.0)])
         assert restored.stamp == engine.runtime.stamp + 1

@@ -4,11 +4,11 @@ import pytest
 
 from repro.core.aggregates import Max, Sum, TopK
 from repro.core.engine import EAGrEngine
-from repro.core.overlay import Decision
+from repro.core.overlay import Decision, NodeKind
 from repro.core.query import EgoQuery, QueryMode
 from repro.core.windows import TupleWindow
 from repro.dataflow.frequencies import FrequencyModel
-from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.dynamic_graph import DynamicGraph, GraphError
 from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
@@ -156,11 +156,9 @@ class TestContinuousMode:
 
 
 class TestStructuralChanges:
-    def run_change_scenario(self, maintain):
+    def test_with_maintainer(self):
         graph = random_graph(20, 60, seed=12)
-        engine = EAGrEngine(
-            graph, fig1_query(), overlay_algorithm="vnm_a", maintain=maintain
-        )
+        engine = EAGrEngine(graph, fig1_query(), overlay_algorithm="vnm_a")
         nodes = list(graph.nodes())
         events = make_events(nodes, 100, seed=6)
         play_and_check(engine, events)
@@ -177,22 +175,21 @@ class TestStructuralChanges:
         engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_NODE, 999))
         play_and_check(engine, make_events(nodes, 100, seed=8))
 
-    def test_with_maintainer(self):
-        self.run_change_scenario(maintain=True)
-
-    def test_with_recompile(self):
-        self.run_change_scenario(maintain=False)
-
-    @pytest.mark.parametrize("maintain", [True, False])
-    def test_the_clock_survives_a_structural_change(self, maintain):
-        """A recompile used to start the new runtime's clock at 0: the next
-        timestamp-less write then went into a time window *behind* the
-        last one and raised."""
+    @pytest.mark.parametrize("built", [True, False])
+    def test_the_clock_survives_a_structural_change(self, built):
+        """The runtime's clock outlives the sync after a structure event,
+        whether that event builds the maintainer or an earlier one did: a
+        clock restarted at 0 would put the next timestamp-less write into a
+        time window *behind* the last one, which raises."""
         from repro.core.windows import TimeWindow
 
         graph = random_graph(12, 36, seed=3)
         query = EgoQuery(aggregate=Sum(), window=TimeWindow(5.0))
-        engine = EAGrEngine(graph, query, maintain=maintain)
+        engine = EAGrEngine(graph, query)
+        if built:
+            # an event that changes nothing still builds the maintainer
+            engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, 0))
+            assert engine.maintainer is not None
         oracle = oracle_for(engine)
         node = next(iter(graph.edges()))[0]
         engine.write_batch([(node, 1.0, 100.0)])
@@ -204,6 +201,138 @@ class TestStructuralChanges:
         assert engine.runtime.clock == oracle.clock == 101.0
         for reader in graph.nodes():
             assert engine.read(reader) == oracle.read(reader)
+
+
+class TestOneStructurePath:
+    """The overlay maintainer absorbs every structure event; nothing
+    rebuilds the overlay from scratch behind the engine's options."""
+
+    def test_the_first_structure_event_builds_the_maintainer(self):
+        graph = random_graph(20, 60, seed=12)
+        engine = EAGrEngine(graph, fig1_query())
+        nodes = sorted(graph.nodes())
+        engine.write_batch([(node, 1.0) for node in nodes])
+        engine.read_batch(nodes)
+        engine.changed_readers()
+        assert engine.maintainer is None
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, 999))
+        assert engine.maintainer is not None
+
+    def test_a_writer_no_reader_observes_keeps_its_window(self):
+        """w leaves the only neighbourhood it was in, is written, then joins
+        another: the writes in between count (one writer rule)."""
+        graph = DynamicGraph.from_edges([("w", "r"), ("x", "s")])
+        engine = EAGrEngine(graph, EgoQuery(aggregate=Sum(), window=TupleWindow(2)))
+        oracle = oracle_for(engine)
+        engine.write("w", 1.0)
+        oracle.write("w", 1.0)
+        engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_EDGE, "w", "r"))
+        for value in (2.0, 4.0):
+            engine.write("w", value)
+            oracle.write("w", value)
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, "w", "s"))
+        assert engine.read("s") == oracle.read("s") == 6.0
+        assert engine.read("r") == oracle.read("r") == 0.0
+
+    def test_split_partials_survive_a_structure_event(self):
+        graph = random_graph(25, 120, seed=31)
+        engine = EAGrEngine(
+            graph, EgoQuery(aggregate=Sum()), overlay_algorithm="identity",
+            frequencies=FrequencyModel.zipf(graph.nodes(), seed=5),
+            enable_splitting=True,
+        )
+        assert engine.split_handles
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, 999))
+        engine.read_batch([])
+        overlay = engine.overlay
+        for handle in engine.split_handles:
+            assert overlay.kinds[handle] is NodeKind.PARTIAL
+            assert overlay.out_rows(handle)[0]
+        play_and_check(engine, make_events(sorted(graph.nodes()), 200, seed=32))
+
+    def test_overlay_params_survive_a_structure_event(self):
+        graph = random_graph(30, 180, seed=8)
+        # no item is frequent enough to mine: an overlay without partials,
+        # where the default parameters mine ten
+        engine = EAGrEngine(
+            graph, fig1_query(), overlay_params={"min_item_frequency": 50}
+        )
+        edges = engine.overlay.num_edges
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, 999))
+        engine.read_batch([])
+        assert engine.construction.config.min_item_frequency == 50
+        assert engine.overlay.num_edges == edges
+        assert NodeKind.PARTIAL not in engine.overlay.kinds
+
+    def test_an_attribute_change_reaches_a_filter_with_the_next_event(self):
+        """The maintainer starts from the AG the overlay was built from, so
+        the event that builds it also re-derives what an attribute change
+        since then moved."""
+        graph = DynamicGraph.from_edges([("a", "r"), ("b", "r")])
+        for node in ("a", "b"):
+            graph.set_attr(node, "on", True)
+        query = EgoQuery(
+            aggregate=Sum(),
+            neighborhood=Neighborhood.in_neighbors(
+                node_filter=lambda g, node: g.get_attr(node, "on") is True
+            ),
+        )
+        engine = EAGrEngine(graph, query)
+        oracle = oracle_for(engine)
+        engine.write_batch([("a", 2.0), ("b", 3.0)])
+        oracle.write_batch([("a", 2.0), ("b", 3.0)])
+        assert engine.read("r") == 5.0
+        graph.set_attr("b", "on", False)
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, "c", "r"))
+        assert engine.read("r") == oracle.read("r") == 2.0
+
+
+    def test_removing_a_filtered_node_cuts_the_paths_through_it(self):
+        """x is no member of N(r) (the filter drops it), but w reaches r only
+        through x: removing x must take w out of N(r) too."""
+        graph = DynamicGraph.from_edges([("w", "x"), ("x", "r")])
+        query = EgoQuery(
+            aggregate=Sum(),
+            neighborhood=Neighborhood.in_neighbors(
+                hops=2, node_filter=lambda g, node: node != "x"
+            ),
+        )
+        engine = EAGrEngine(graph, query)
+        oracle = oracle_for(engine)
+        engine.write("w", 4.0)
+        oracle.write("w", 4.0)
+        assert engine.read("r") == 4.0
+        engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_NODE, "x"))
+        assert engine.read("r") == oracle.read("r") == 0.0
+
+
+class TestEditsBehindTheEngine:
+    """A graph edited directly, not through apply_structure_event, is
+    refused: the overlay would no longer describe it, and the report would
+    miss what the edit moved."""
+
+    def edited(self, built):
+        graph = DynamicGraph.from_edges([("a", "r"), ("b", "r")])
+        engine = EAGrEngine(graph, EgoQuery(aggregate=Sum()))
+        if built:
+            engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, "z"))
+        engine.write_batch([("a", 2.0), ("b", 3.0)])
+        assert engine.read("r") == 5.0
+        engine.changed_readers()
+        graph.remove_edge("a", "r")
+        return engine
+
+    def test_without_a_maintainer(self):
+        engine = self.edited(built=False)
+        with pytest.raises(GraphError, match="apply_structure_event"):
+            engine.read("r")
+
+    def test_with_a_maintainer(self):
+        engine = self.edited(built=True)
+        with pytest.raises(GraphError, match="apply_structure_event"):
+            engine.changed_readers()
+        with pytest.raises(GraphError, match="apply_structure_event"):
+            engine.apply_structure_event(StructureEvent(StructureOp.ADD_NODE, "y"))
 
 
 class TestRedecide:

@@ -22,7 +22,13 @@ from repro.dataflow.frequencies import FrequencyModel
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
-from repro.graph.streams import ReadEvent, StreamPlayer, WriteEvent
+from repro.graph.streams import (
+    ReadEvent,
+    StreamPlayer,
+    StructureEvent,
+    StructureOp,
+    WriteEvent,
+)
 
 from tests.conftest import make_events, play_and_check
 
@@ -236,9 +242,9 @@ class TestPlumbing:
     def test_time_window_with_maintainer(self):
         graph = random_graph(15, 50, seed=67)
         query = EgoQuery(aggregate=Sum(), window=TimeWindow(20.0))
-        engine = EAGrEngine(graph, query, maintain=True)
+        engine = EAGrEngine(graph, query)
         play_and_check(engine, make_events(list(graph.nodes()), 150, seed=68))
-        graph.add_edge(0, 2) if not graph.has_edge(0, 2) else None
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, 0, 2))
         # Timestamps must stay globally monotone across batches.
         second = [
             WriteEvent(e.node, e.value, e.timestamp + 200.0)

@@ -210,7 +210,7 @@ class TestServeShipment:
 
         ag = build_bipartite(graph, Neighborhood.in_neighbors())
         maintainer = OverlayMaintainer(
-            graph, Neighborhood.in_neighbors(), Overlay.identity(ag)
+            graph, Neighborhood.in_neighbors(), Overlay.identity(ag), ag
         ).attach()
         assert graph._listeners
         clone = pickle.loads(pickle.dumps(graph))

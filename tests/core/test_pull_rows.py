@@ -50,11 +50,10 @@ schedules = st.tuples(
     st.sampled_from(["all_pull", "mincut", "all_push"]),
     st.sampled_from([int, str]),  # label type
     st.sampled_from([1, 2]),  # tuple-window size
-    st.booleans(),  # maintain
 )
 
 
-def build(seed, plan, dataflow, label_type, window, maintain, store):
+def build(seed, plan, dataflow, label_type, window, store):
     rng = random.Random(seed)
     size = rng.randrange(8, 14)
     label = (lambda i: i) if label_type is int else (lambda i: f"n{i}")
@@ -76,7 +75,6 @@ def build(seed, plan, dataflow, label_type, window, maintain, store):
         ),
         overlay_algorithm=algorithm,
         dataflow=dataflow,
-        maintain=maintain,
     )
     return rng, graph, engine, label, oracle_for(engine)
 
@@ -159,9 +157,9 @@ def flip_a_frontier_node(rng, engine):
     return handle
 
 
-def run_schedule(seed, plan, dataflow, label_type, window, maintain, store):
+def run_schedule(seed, plan, dataflow, label_type, window, store):
     rng, graph, engine, label, oracle = build(
-        seed, plan, dataflow, label_type, window, maintain, store
+        seed, plan, dataflow, label_type, window, store
     )
     counter = iter(range(1000, 10_000))
     unknown = label(999_999)
@@ -192,8 +190,8 @@ def run_schedule(seed, plan, dataflow, label_type, window, maintain, store):
 # outside the read path: the maintainer kept a negative edge to a writer
 # that had just joined the reader's neighbourhood, and a rebuild expanded
 # deferred observed-push credits over an overlay that had grown meanwhile.
-@example((412, ("sum", "vnm_n"), "all_pull", int, 1, True), "columnar")
-@example((125, ("count", "vnm_a"), "all_push", int, 2, True), "columnar")
+@example((412, ("sum", "vnm_n"), "all_pull", int, 1), "columnar")
+@example((125, ("count", "vnm_a"), "all_push", int, 2), "columnar")
 def test_reads_equal_oracle_and_uncompiled_pull(schedule, store):
     run_schedule(*schedule, store)
 

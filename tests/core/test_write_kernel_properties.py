@@ -164,7 +164,7 @@ def resume(engine, fresh):
 class Rig:
     """A kernel engine, the oracle and the reference, driven in lockstep."""
 
-    def __init__(self, seed, aggregate, k, dyadic, maintain):
+    def __init__(self, seed, aggregate, k, dyadic):
         self.rng = random.Random(seed)
         self.dyadic = dyadic
         size = self.rng.randrange(8, 16)
@@ -183,7 +183,6 @@ class Rig:
         self.options = dict(
             overlay_algorithm=self.rng.choice(["identity", "vnm_a", "vnm_n"]),
             dataflow=self.rng.choice(["mincut", "all_push", "all_pull"]),
-            maintain=maintain,
         )
         self.engine = self.make_engine(graph.copy())
         self.oracle = oracle_for(self.engine)
@@ -287,10 +286,10 @@ def close(a, b):
     return a == b or (None not in (a, b) and abs(a - b) <= 1e-9 * max(1.0, abs(b)))
 
 
-def run_schedule(seed, aggregate, k, dyadic, maintain):
+def run_schedule(seed, aggregate, k, dyadic):
     for kernel_rows in (execution._RING_ROWS, 1):
         with mock.patch.object(execution, "_RING_ROWS", kernel_rows):
-            run_rig(Rig(seed, aggregate, k, dyadic, maintain))
+            run_rig(Rig(seed, aggregate, k, dyadic))
 
 
 def run_rig(rig):
@@ -313,7 +312,6 @@ schedules = st.tuples(
     st.sampled_from(sorted(AGGREGATES)),
     st.sampled_from([1, 2, 3, 5]),
     st.booleans(),  # dyadic values (exact reads) or thirds/sevenths
-    st.booleans(),  # maintain: rebuild in place, or recompile a new runtime
 )
 
 

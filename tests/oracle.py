@@ -24,13 +24,14 @@ The model, rule by rule:
   is the latest timestamp of any write (a write without one is stamped
   ``clock + 1``), or a later time given to :meth:`advance`.
 * **Which writes are kept.**  Only a *writer* keeps a window: a node that
-  some reader observes.  A write to any other node moves the clock and is
-  dropped.  After a structure change the writers are re-derived at the
-  next write or read (the next point an engine syncs), and the windows of
-  nodes that stopped being writers are dropped then.  With
-  ``maintained=True`` (an overlay maintained in place) a writer stays one,
-  window and all, until its node is removed; without it (an engine that
-  recompiles) the writers are exactly the nodes observed at that point.
+  some reader observes, or observed since the start.  A write to any other
+  node moves the clock and is dropped.  A writer stays one, window and all,
+  even when no reader observes it any more, until its node is removed.  A
+  removed node's window is dropped at the next write or read (the next
+  point an engine syncs), so a node removed and added back before then
+  keeps it.
+  :meth:`EgoOracle.restart` re-derives the writers from the graph as it
+  stands, as a shard restart builds a fresh engine.
 """
 
 import math
@@ -112,9 +113,6 @@ class EgoOracle:
     readers:
         The query's predicate: an ego ``v`` has a value only when
         ``readers(v)`` holds (``None``: every node).
-    maintained:
-        Whether a writer outlives the readers that observed it (module
-        docstring).
     """
 
     def __init__(
@@ -129,7 +127,6 @@ class EgoOracle:
         include_self=False,
         member_filter=None,
         readers=None,
-        maintained=False,
     ):
         kind, size = window
         if kind not in ("tuple", "time"):
@@ -144,7 +141,6 @@ class EgoOracle:
         self.include_self = include_self
         self.member_filter = member_filter
         self.readers = readers
-        self.maintained = maintained
         self.clock = 0.0
         self._out = {}
         self._in = {}
@@ -173,8 +169,7 @@ class EgoOracle:
             self._in[v].discard(node)
         for u in list(self._in.pop(node, ())):
             self._out[u].discard(node)
-        if self.maintained:
-            self._writers.discard(node)
+        self._writers.discard(node)
         self._changed()
 
     def add_edge(self, u, v):
@@ -191,8 +186,7 @@ class EgoOracle:
 
     def _changed(self):
         self._stale = True
-        if self.maintained:
-            self._writers |= self.observed()
+        self._writers |= self.observed()
 
     def members(self, ego):
         """``N(ego)`` on the graph as it stands."""
@@ -233,8 +227,6 @@ class EgoOracle:
     def _settle(self):
         if not self._stale:
             return
-        if not self.maintained:
-            self._writers = self.observed()
         for node in [n for n in self._windows if n not in self._writers]:
             del self._windows[node]
         self._stale = False

@@ -25,7 +25,7 @@ def make_maintained(graph, algorithm="vnm_a", neighborhood=None, **kwargs):
         overlay = build_iob(ag, iterations=2).overlay
     else:
         overlay = build_vnm(ag, variant=algorithm, iterations=4).overlay
-    maintainer = OverlayMaintainer(graph, neighborhood, overlay, **kwargs).attach()
+    maintainer = OverlayMaintainer(graph, neighborhood, overlay, ag, **kwargs).attach()
     return maintainer
 
 
@@ -107,8 +107,9 @@ class TestEdgeAddition:
         r = overlay.add_reader("r")
         overlay.add_edge(partial, r)
         overlay.add_edge(writers["c"], r, -1)
+        ag = build_bipartite(graph, Neighborhood.in_neighbors())
         maintainer = OverlayMaintainer(
-            graph, Neighborhood.in_neighbors(), overlay
+            graph, Neighborhood.in_neighbors(), overlay, ag
         ).attach()
         check(maintainer, graph)
         graph.add_edge("c", "r")
@@ -224,6 +225,8 @@ class TestRandomizedChurn:
     def test_version_counter_advances(self):
         graph = paper_figure1()
         maintainer = make_maintained(graph)
-        before = maintainer.version
+        before = maintainer.overlay.version
+        maintainer.overlay.pop_dirty()
         graph.add_edge("g", "b")
-        assert maintainer.version > before
+        assert maintainer.overlay.version > before
+        assert maintainer.overlay.pop_dirty()

@@ -15,8 +15,6 @@ batch.
 
 import random
 
-import pytest
-
 from repro.core.aggregates import Sum
 from repro.core.query import EgoQuery
 from repro.core.windows import TupleWindow
@@ -33,7 +31,7 @@ ISLAND = 1000
 _MISSING = object()
 
 
-def make_spec(maintain):
+def make_spec():
     graph = random_graph(40, 200, seed=61)
     graph.add_node(ISLAND)
     query = EgoQuery(
@@ -43,7 +41,7 @@ def make_spec(maintain):
     )
     return ShardSpec(
         graph, query, 0, 1, frozenset(graph.nodes()),
-        engine_kwargs={"overlay_algorithm": "vnm_a", "maintain": maintain},
+        engine_kwargs={"overlay_algorithm": "vnm_a"},
     )
 
 
@@ -73,13 +71,12 @@ def reference_rows(host, items):
     return rows
 
 
-@pytest.mark.parametrize("maintain", [False, True], ids=["recompile", "maintainer"])
-def test_rows_and_materialised_labels_match_the_python_filter(maintain, monkeypatch):
-    spec = make_spec(maintain)
+def test_rows_and_materialised_labels_match_the_python_filter(monkeypatch):
+    spec = make_spec()
     # Each host gets its own graph: engines sharing one would hear each
     # other's structure events.
     host = spec.build()
-    mirror_spec = make_spec(maintain)
+    mirror_spec = make_spec()
     mirror = mirror_spec.build()
 
     gathered = []  # lengths of the label gathers ``host`` makes
@@ -151,7 +148,7 @@ def test_a_watched_ego_without_a_baseline_notifies_once_and_is_baselined():
     reshard's synthetic checkpoint keeps only the baselines it has): the
     ego's first change is always news, and from then on it has a
     baseline — through a rebuild of the column too."""
-    spec = make_spec(maintain=False)
+    spec = make_spec()
     host = spec.build()
     nodes = sorted(spec.graph.nodes())
     feeder = nodes[0]

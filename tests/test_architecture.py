@@ -374,6 +374,33 @@ GUARDS = (
         plant="self.server.write_batch(rows)",
     ),
     Guard(
+        "One structure path",
+        ("src/repro/core/engine.py",),
+        r"\bmaintain\s*[:=]",
+        "The overlay maintainer is the engine's only way to absorb a "
+        "structure event, built by the first one; a switch that leaves it "
+        "out would bring back a second path with its own writer rule.",
+        plant="maintain: bool = False",
+    ),
+    Guard(
+        "One structure path",
+        ("src/repro/core/engine.py",),
+        r"_(needs_)?recompile\b",
+        "A full recompile rebuilt the overlay without overlay_params or the "
+        "split partials and dropped writers' windows; structure events are "
+        "absorbed by the maintainer's surgery alone.",
+        plant="_needs_recompile = True",
+    ),
+    Guard(
+        "One structure path",
+        ("tests/oracle.py",),
+        r"\bmaintained\b",
+        "The oracle models one writer rule, the maintained one: a writer "
+        "keeps its window until its node is removed.  A flag for a second "
+        "rule would let a bug on either side be matched instead of caught.",
+        plant="maintained = False",
+    ),
+    Guard(
         "The oracle shares no code",
         ("tests/oracle.py",),
         r"^\s*(from|import)\s+(repro|tests)\b",

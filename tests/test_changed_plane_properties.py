@@ -39,7 +39,6 @@ schedules = st.tuples(
     st.integers(min_value=0, max_value=100_000),  # seed
     st.sampled_from([int, str]),  # label type
     st.sampled_from(["all_push", "all_pull", "mincut"]),
-    st.booleans(),  # maintain
     st.sampled_from([1, 2]),  # tuple-window size
 )
 
@@ -151,7 +150,7 @@ def random_graph(rng, label, hub):
     return graph
 
 
-def run_schedule(seed, label_type, dataflow, maintain, window, store, hub=False):
+def run_schedule(seed, label_type, dataflow, window, store, hub=False):
     rng = random.Random(seed)
     label = (lambda i: i) if label_type is int else (lambda i: f"n{i}")
     graph = random_graph(rng, label, hub)
@@ -166,7 +165,6 @@ def run_schedule(seed, label_type, dataflow, maintain, window, store, hub=False)
         ),
         overlay_algorithm="vnm_a",
         dataflow=dataflow,
-        maintain=maintain,
     )
     oracle = oracle_for(engine)
     moved, restructured = set(), set()
@@ -219,7 +217,7 @@ def test_hub_report_equals_brute_force(schedule, store, floor):
         run_schedule(*schedule, store, hub=True)
 
 
-def hub_engine(maintain=False, store="columnar"):
+def hub_engine(store="columnar"):
     """80 readers: writer 0 feeds 70 of them, writers 100 to 102 a third
     each, writer 200 only reader 1."""
     graph = DynamicGraph()
@@ -233,7 +231,6 @@ def hub_engine(maintain=False, store="columnar"):
         EgoQuery(aggregate=STORE_OF[store](Sum()), window=TupleWindow(1),
                  neighborhood=Neighborhood.in_neighbors()),
         overlay_algorithm="vnm_a",
-        maintain=maintain,
     )
 
 
@@ -264,12 +261,10 @@ def test_bitset_and_index_rows_meet_in_one_report(store, monkeypatch):
     check_arena(engine.runtime)
 
 
-@pytest.mark.parametrize("maintain", [False, True], ids=["recompile", "rebuild"])
-def test_pending_writers_cross_a_new_overlay(maintain):
-    """Moved writers still pending when the overlay is recompiled (or
-    rebuilt in place by the maintainer) reach their new handles; a removed
-    writer drops out."""
-    engine = hub_engine(maintain=maintain)
+def test_pending_writers_cross_a_new_overlay():
+    """Moved writers still pending when the maintainer's surgery renumbers
+    the overlay reach their new handles; a removed writer drops out."""
+    engine = hub_engine()
     graph = engine.graph
     engine.write_batch([(0, 1.0), (200, 2.0), (102, 5.0)])
     before = engine.runtime
@@ -277,9 +272,9 @@ def test_pending_writers_cross_a_new_overlay(maintain):
     engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_NODE, 102))
     engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, 200, 60))
     restructured |= next_to(graph, (200, 60))
-    engine.read_batch([])  # sync: recompile or rebuild
+    engine.read_batch([])  # sync: rebuild the runtime in place
     runtime = engine.runtime
-    assert (runtime is before) == maintain
+    assert runtime is before
     handles = runtime.pop_changed_writers()
     assert sorted(runtime.labels_of(handles)) == [0, 200]
     changed = runtime.labels_of(runtime.changed_handles(handles))

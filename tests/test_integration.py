@@ -21,6 +21,7 @@ from repro.core.windows import TimeWindow, TupleWindow
 from repro.dataflow.frequencies import FrequencyModel
 from repro.graph.generators import community_graph, social_graph, web_graph
 from repro.graph.neighborhoods import Neighborhood
+from repro.graph.streams import StructureEvent, StructureOp
 from repro.workload import WorkloadSpec, generate_events, warmup_writes
 
 from tests.conftest import make_events, play_and_check
@@ -103,11 +104,11 @@ class TestFullStackComposition:
         engine = EAGrEngine(
             graph, query, overlay_algorithm="vnm_n",
             frequencies=FrequencyModel.zipf(nodes, seed=10),
-            enable_splitting=True, adaptive=True, maintain=True,
+            enable_splitting=True, adaptive=True,
         )
         play_and_check(engine, make_events(nodes, 400, seed=11, vocabulary=6))
-        graph.add_edge(0, 30)
-        graph.remove_node(17)
+        engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, 0, 30))
+        engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_NODE, 17))
         play_and_check(
             engine,
             make_events([n for n in nodes if n != 17], 400, seed=12, vocabulary=6),

@@ -104,17 +104,17 @@ def test_an_unobserved_write_moves_the_clock_and_is_dropped():
     assert oracle.window("lone") == []
 
 
-@pytest.mark.parametrize("maintained", [False, True])
-def test_an_edge_removal(maintained):
-    oracle = EgoOracle(SHARED, maintained=maintained)
+def test_an_edge_removal():
+    oracle = EgoOracle(SHARED)
     oracle.write("w3", 4.0)
     oracle.write("w1", 3.0)
     oracle.remove_edge("w3", "r2")
     assert oracle.read("r2") == 3.0  # w3 left N(r2)
-    # w3 feeds no reader now: a recompiled engine drops its window at the
-    # next sync, a maintained overlay keeps the writer and the window
+    # w3 feeds no reader now, but stays a writer, window and all
+    oracle.write("w3", 5.0)
+    assert oracle.writers() >= {"w3"} and oracle.window("w3") == [5.0]
     oracle.add_edge("w3", "r1")
-    assert oracle.read("r1") == (3.0 if not maintained else 7.0)
+    assert oracle.read("r1") == 8.0
     oracle.remove_node("w1")
     assert oracle.read("r2") == 0.0
     assert "w1" not in oracle.writers()
@@ -129,10 +129,10 @@ def test_a_removal_and_readdition_before_a_sync_keeps_the_window():
 
 
 def test_restart_rederives_the_writers():
-    oracle = EgoOracle([("a", "r")], maintained=True)
+    oracle = EgoOracle([("a", "r")])
     oracle.write("a", 2.0)
     oracle.remove_edge("a", "r")
-    oracle.write("a", 3.0)  # still a writer of the maintained overlay
+    oracle.write("a", 3.0)  # still a writer
     oracle.restart()  # a fresh engine over the graph as it stands
     oracle.add_edge("a", "r")
     assert oracle.read("r") == 0.0

@@ -22,6 +22,7 @@ from repro.dataflow.mincut import assignment_cost, decide_dataflow, partition_va
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.neighborhoods import Neighborhood
+from repro.graph.streams import StructureEvent, StructureOp
 from repro.overlay.iob import build_iob
 from repro.overlay.vnm import build_vnm
 
@@ -173,19 +174,19 @@ def test_maintained_engine_matches_oracle_under_churn(seed):
         if u != v and not graph.has_edge(u, v):
             graph.add_edge(u, v)
     query = EgoQuery(aggregate=Sum())
-    engine = EAGrEngine(graph, query, overlay_algorithm="vnm_a", maintain=True)
+    engine = EAGrEngine(graph, query, overlay_algorithm="vnm_a")
     oracle = oracle_for(engine)
     for step in range(25):
         action = rng.random()
         if action < 0.5:
             u, v = rng.randrange(12), rng.randrange(12)
             if u != v and not graph.has_edge(u, v):
-                graph.add_edge(u, v)
+                engine.apply_structure_event(StructureEvent(StructureOp.ADD_EDGE, u, v))
         else:
             edges = list(graph.edges())
             if edges:
                 u, v = rng.choice(edges)
-                graph.remove_edge(u, v)
+                engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_EDGE, u, v))
         node, value = rng.randrange(12), float(rng.randrange(9))
         engine.write(node, value)
         oracle.write(node, value)
