@@ -16,9 +16,10 @@ events, and flips the decision when the other side would have been cheaper
 by a hysteresis factor.  Flipping to push materializes the node's PAO from
 its (push) inputs; flipping to pull discards state.
 
-Flips go through :meth:`Runtime.set_decision`, which invalidates only the
-compiled propagation plans whose traversal touches the flipped node — an
-adaptive adjustment never forces a full plan-cache rebuild.
+A sweep's flips go through one :meth:`Runtime.set_decisions`, which
+invalidates only the compiled plans whose traversal touches a flipped
+node, in one scan of the plan stores — an adaptive adjustment never
+forces a full plan-cache rebuild.
 """
 
 from __future__ import annotations
@@ -94,15 +95,17 @@ class AdaptiveController:
     def evaluate(self) -> int:
         """Re-decide every frontier node from windowed observations.
 
-        Returns the number of flips performed.  The frontier is recomputed
-        as flips occur (a flip may expose new frontier nodes only in the
-        next evaluation round, matching the paper's incremental scheme).
+        Returns the number of flips performed.  The frontier is computed
+        once per sweep (a flip may expose new frontier nodes only in the
+        next evaluation round, matching the paper's incremental scheme);
+        the sweep's flips are applied together, in sweep order.
         """
         self._events_since_check = 0
         runtime = self.runtime
         overlay = runtime.overlay
         config = self.config
-        flipped = 0
+        decisions = overlay.decisions
+        flips = {}  # handle -> new decision, in sweep order
         # Grow baselines if the overlay gained nodes since the last check.
         while len(self._push_base) < overlay.num_nodes:
             self._push_base.append(0)
@@ -115,7 +118,7 @@ class AdaptiveController:
             fan_in = max(1, overlay.fan_in(handle))
             push_cost = pushes * self.cost_model.push_cost(fan_in)
             pull_cost = pulls * self.cost_model.pull_cost(fan_in)
-            decision = overlay.decisions[handle]
+            decision = decisions[handle]
             # An earlier flip in this sweep may have moved this node off the
             # frontier: a flip needs every input (consumer) at the target.
             if decision is Decision.PULL and push_cost * config.hysteresis < pull_cost:
@@ -124,9 +127,9 @@ class AdaptiveController:
                 target, ends = Decision.PULL, overlay.out_rows(handle)[0]
             else:
                 continue
-            if all(overlay.decisions[end] is target for end in ends):
-                runtime.set_decision(handle, target)
-                flipped += 1
-        self.flips += flipped
+            if all(flips.get(end, decisions[end]) is target for end in ends):
+                flips[handle] = target
+        runtime.set_decisions(flips.items())
+        self.flips += len(flips)
         self._snapshot()
-        return flipped
+        return len(flips)

@@ -6,16 +6,16 @@ every writer's reader closure (the readers downstream of it in the
 overlay) was frozen, once, into :class:`ReaderClosures` — one arena
 indexed by *reader slot* rather than by handle, in one of two row kinds
 chosen by size.  This module is where those rows live; it knows nothing
-about the runtime that compiles them or the registry that drops them.
+about the runtime that compiles them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.pullrows import ragged_index
+from repro.core.pullrows import compact, rows_hit
 
 #: ``ReaderClosures.bitrow`` of a writer whose closure is not compiled.
 MISSING = -(2**62)
@@ -29,15 +29,12 @@ BITSET_FLOOR = 256
 
 class ReaderClosure:
     """One writer's closure as :meth:`ReaderClosures.row` hands it out:
-    ``readers`` the reader handles, ascending, and ``touched`` (every
-    overlay handle the closure's walk visited) its key into the
-    invalidation registry."""
+    ``readers`` the reader handles, ascending."""
 
-    __slots__ = ("readers", "touched")
+    __slots__ = ("readers",)
 
-    def __init__(self, readers, touched: FrozenSet[int]) -> None:
+    def __init__(self, readers) -> None:
         self.readers = readers
-        self.touched = touched
 
 
 class ReaderClosures:
@@ -61,20 +58,22 @@ class ReaderClosures:
       ``count[w] == 0``, so a ragged gather over ``start`` / ``count``
       skips it.
 
-    ``bitrow[w] == MISSING`` marks a closure not compiled.  Dict-shaped
-    towards the invalidation registry (``pop`` / ``clear`` / ``len``),
-    like :class:`~repro.core.pullrows.PullRows`: a dropped row stays
-    behind as garbage until its store next fills, when live rows are
-    compacted to the front.
+    ``bitrow[w] == MISSING`` marks a closure not compiled.
+
+    Every compiled closure also keeps its dependency set — the handles
+    its walk visited — as ``dep_count[w]`` handles in ``deps`` from
+    ``dep_start[w]``; :meth:`invalidate` scans those rows.  Like
+    :class:`~repro.core.pullrows.PullRows`, a dropped row stays behind as
+    garbage until its store next fills, when live rows are compacted to
+    the front.
     """
 
     __slots__ = (
-        "touched", "slots", "slot_of", "bitrow", "start", "count",
-        "entries", "used", "bits", "bits_used",
+        "slots", "slot_of", "bitrow", "start", "count", "entries", "used",
+        "bits", "bits_used", "dep_start", "dep_count", "deps", "deps_used",
     )
 
     def __init__(self) -> None:
-        self.touched: Dict[int, FrozenSet[int]] = {}
         self.slots = np.empty(0, dtype=np.int64)
         self.slot_of = np.empty(0, dtype=np.int64)
         self.bitrow = np.empty(0, dtype=np.int64)
@@ -84,9 +83,17 @@ class ReaderClosures:
         self.used = 0
         self.bits = np.zeros((4, 0), dtype=np.uint8)
         self.bits_used = 0
+        self.dep_start = np.empty(0, dtype=np.int64)
+        self.dep_count = np.empty(0, dtype=np.int64)
+        self.deps = np.empty(1024, dtype=np.int64)
+        self.deps_used = 0
 
     def __len__(self) -> int:
-        return len(self.touched)
+        return int(np.count_nonzero(self.bitrow != MISSING))
+
+    def roots(self):
+        """The writers whose closure is compiled, ascending."""
+        return np.flatnonzero(self.bitrow != MISSING)
 
     @property
     def num_slots(self) -> int:
@@ -101,6 +108,8 @@ class ReaderClosures:
             self.start = np.concatenate([self.start, np.zeros(grow, np.int64)])
             self.count = np.concatenate([self.count, np.zeros(grow, np.int64)])
             self.slot_of = np.concatenate([self.slot_of, np.full(grow, -1, np.int64)])
+            self.dep_start = np.concatenate([self.dep_start, np.zeros(grow, np.int64)])
+            self.dep_count = np.concatenate([self.dep_count, np.zeros(grow, np.int64)])
         if readers.size == self.slots.size:
             return
         self.slot_of[readers] = np.arange(readers.size, dtype=np.int64)
@@ -109,9 +118,21 @@ class ReaderClosures:
         bits[:, :self.bits.shape[1]] = self.bits
         self.bits = bits
 
-    def put(self, writer: int, readers, touched: FrozenSet[int]) -> None:
+    def put(self, writer: int, readers, deps) -> None:
         """Freeze ``writer``'s closure: ``readers`` (reader handles, any
-        order, no duplicates) as a bitset row or an index row."""
+        order, no duplicates) as a bitset row or an index row, and
+        ``deps`` (every handle the walk visited, the writer among them)
+        as its dependency row."""
+        # The dependency row first: its compaction must not count
+        # ``writer`` live before the row exists.
+        deps = np.fromiter(deps, dtype=np.int64, count=len(deps))
+        if self.deps_used + deps.size > self.deps.size:
+            self._make_dep_room(deps.size)
+        start = self.deps_used
+        self.deps[start:start + deps.size] = deps
+        self.dep_start[writer] = start
+        self.dep_count[writer] = deps.size
+        self.deps_used = start + deps.size
         slots = self.slot_of[np.asarray(readers, dtype=np.int64)]
         size = slots.size
         width = self.bits.shape[1]
@@ -133,17 +154,21 @@ class ReaderClosures:
             self.start[writer] = start
             self.count[writer] = size
             self.used = start + size
-        self.touched[writer] = touched
 
     def _make_room(self, extra: int) -> None:
         """Compact the live index rows into an arena with room to double."""
         roots = np.flatnonzero(self.bitrow == -1)
-        idx, offsets = ragged_index(self.start[roots], self.count[roots])
-        entries = np.empty(max(1024, 2 * (idx.size + extra)), dtype=np.int64)
-        entries[:idx.size] = self.entries[idx]
-        self.start[roots] = offsets
-        self.entries = entries
-        self.used = idx.size
+        self.entries, self.start[roots], self.used = compact(
+            self.entries, self.start[roots], self.count[roots], extra
+        )
+
+    def _make_dep_room(self, extra: int) -> None:
+        """Compact the live dependency rows into an arena with room to
+        double."""
+        roots = self.roots()
+        self.deps, self.dep_start[roots], self.deps_used = compact(
+            self.deps, self.dep_start[roots], self.dep_count[roots], extra
+        )
 
     def _make_bit_room(self) -> None:
         """Compact the live bitset rows into a matrix with room to double."""
@@ -156,8 +181,7 @@ class ReaderClosures:
         self.bits_used = rows.size
 
     def row(self, writer: int) -> Optional[ReaderClosure]:
-        touched = self.touched.get(writer)
-        if touched is None:
+        if writer >= self.bitrow.size or self.bitrow[writer] == MISSING:
             return None
         bitrow = int(self.bitrow[writer])
         if bitrow >= 0:
@@ -165,20 +189,24 @@ class ReaderClosures:
         else:
             start = int(self.start[writer])
             slots = np.sort(self.entries[start:start + self.count[writer]])
-        return ReaderClosure(self.slots[slots], touched)
+        return ReaderClosure(self.slots[slots])
 
-    def pop(self, writer: int, default=None):
-        row = self.row(writer)
-        if row is None:
-            return default
-        del self.touched[writer]
-        self.bitrow[writer] = MISSING
-        self.count[writer] = 0
-        return row
+    def invalidate(self, dirty) -> int:
+        """Drop every closure whose walk visited a handle marked in
+        ``dirty`` (a boolean mask over the handle space); returns how many
+        went.  A dependency row holds at least its writer."""
+        roots = self.roots()
+        if not roots.size:
+            return 0
+        hit = rows_hit(self.deps, self.dep_start[roots], self.dep_count[roots], dirty)
+        doomed = roots[hit]
+        self.bitrow[doomed] = MISSING
+        self.count[doomed] = 0
+        return doomed.size
 
     def clear(self) -> None:
-        self.touched.clear()
         self.bitrow.fill(MISSING)
         self.count.fill(0)
         self.used = 0
         self.bits_used = 0
+        self.deps_used = 0

@@ -38,10 +38,11 @@ Lattice propagation is data-dependent, so its DFS survives, walking the
 CSR's out-rows.
 
 Pull plans, pull rows and reader closures are cached and invalidated
-precisely: each registers the handles it touches in a dependency index,
-and structural or decision changes (overlay dirty set,
-:meth:`Runtime.set_decision`, rebuilds) drop only the ones touching the
-changed handles.  The CSR and the scatter table are dropped on any
+precisely: each keeps the handles it touches (a pull row its observe
+entries, a closure one dependency row in its arena), and structural or
+decision changes (overlay dirty set, :meth:`Runtime.set_decisions`,
+rebuilds) scan those rows once and drop the ones touching the changed
+handles.  The CSR and the scatter table are dropped on any
 change.  A ``(version, decision_version)`` stamp check guards against
 out-of-band overlay mutation.
 
@@ -120,13 +121,11 @@ from operator import attrgetter
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -161,9 +160,6 @@ PAO = Any
 #: Pull-plan opcodes: merge a push source, enter a pull node, merge a
 #: finished pull node's accumulator into its parent.
 _OP_LEAF, _OP_ENTER, _OP_EXIT = 0, 1, 2
-
-#: Plan-kind codes for the dependency-indexed invalidation registry.
-_PLAN_PULL, _PLAN_ROW, _PLAN_READERS = 0, 1, 2
 
 #: Distinguishes "memo maps this key to None" from "no memo entry".
 _MISS = object()
@@ -238,17 +234,15 @@ class PullPlan:
     memo hit can skip the whole sub-program while still crediting the
     observed-pull frequencies; ``exit_nodes`` names the node each EXIT
     completes (the memo store point); ``observe_all`` is every handle the
-    full program observes (credited on a whole-plan hit).
+    full program observes (credited on a whole-plan hit), which is also
+    the plan's dependency set.
     """
 
-    __slots__ = ("program", "pull_ops", "touched", "spans", "exit_nodes", "observe_all")
+    __slots__ = ("program", "pull_ops", "spans", "exit_nodes", "observe_all")
 
-    def __init__(
-        self, program: Tuple[Tuple[int, int, int], ...], touched: FrozenSet[int]
-    ) -> None:
+    def __init__(self, program: Tuple[Tuple[int, int, int], ...]) -> None:
         self.program = program
         self.pull_ops = sum(1 for op, _, _ in program if op != _OP_ENTER)
-        self.touched = touched
         spans: Dict[int, Tuple[int, int, Tuple[int, ...]]] = {}
         exit_nodes: Dict[int, int] = {}
         enter_stack: List[Tuple[int, int]] = []
@@ -508,8 +502,8 @@ class Runtime:
         self._scalar_group = self._columnar and self.aggregate.scalar_delta
         # -- compiled-plan caches -------------------------------------
         self._pull_plans: Dict[int, PullPlan] = {}
-        # Dict-shaped either way; empty for good when reads are interpreted.
-        self._pull_rows = PullRows() if self._row_reads else {}
+        # Empty for good when reads are interpreted.
+        self._pull_rows = PullRows()
         self._closures = ReaderClosures()
         # Handles of the writers whose value changed since the last
         # pop_changed_writers(): int arrays or sequences, one per write
@@ -525,7 +519,6 @@ class Runtime:
         # by graph node id: the record must survive the rebuild the change
         # triggers.
         self._restructured_readers: Dict[NodeId, None] = {}
-        self._plan_deps: Dict[int, Set[Tuple[int, int]]] = {}
         self._csr: Optional[OverlayCSR] = None
         self._scatter: Optional[_ScatterTable] = None
         self._plan_stamp = (overlay.version, overlay.decision_version)
@@ -559,8 +552,7 @@ class Runtime:
         else:
             self._observed_push_store = [0] * n
             self.observed_pull = [0] * n
-        if self._row_reads:
-            self._pull_rows.resize(n)
+        self._pull_rows.resize(n)
         # Reader slots: the readers in ascending handle order (handles only
         # grow, so the closures already frozen keep their slots).
         self._closures.resize(
@@ -737,8 +729,11 @@ class Runtime:
         """Invalidate compiled plans.
 
         With ``handles`` given, only plans whose traversal touches one of
-        those handles are dropped (precise invalidation); without, the
-        whole cache is cleared.  The CSR snapshot and the scatter table are
+        those handles are dropped (precise invalidation): the handles
+        become one boolean mask, and the pull-row and closure arenas each
+        run one gather and one ``logical_or.reduceat`` over their live
+        rows' dependency entries and drop the rows that hit in bulk.  Without, the whole
+        cache is cleared.  The CSR snapshot and the scatter table are
         cheap to rebuild lazily and are always dropped (any structural or
         decision change can reroute a frontier).
         """
@@ -757,45 +752,25 @@ class Runtime:
             self._pull_plans.clear()
             self._pull_rows.clear()
             self._closures.clear()
-            self._plan_deps.clear()
             return
-        deps = self._plan_deps
-        for handle in handles:
-            bucket = deps.get(handle)
-            if bucket:
-                for key in list(bucket):
-                    self._drop_plan(key)
-
-    def _plan_store(self, kind: int) -> Dict[int, Any]:
-        if kind == _PLAN_PULL:
-            return self._pull_plans
-        if kind == _PLAN_ROW:
-            return self._pull_rows
-        return self._closures
-
-    def _drop_plan(self, key: Tuple[int, int]) -> None:
-        kind, root = key
-        plan = self._plan_store(kind).pop(root, None)
-        if plan is None:
-            return
-        self.plan_invalidations += 1
-        deps = self._plan_deps
-        for handle in plan.touched:
-            bucket = deps.get(handle)
-            if bucket is not None:
-                bucket.discard(key)
-                if not bucket:
-                    del deps[handle]
-
-    def _register_plan(self, kind: int, root: int, touched: FrozenSet[int]) -> None:
-        key = (kind, root)
-        deps = self._plan_deps
-        for handle in touched:
-            bucket = deps.get(handle)
-            if bucket is None:
-                bucket = deps[handle] = set()
-            bucket.add(key)
-        self.plan_compiles += 1
+        handles = np.fromiter(handles, dtype=np.int64)
+        # Handles past the stores' width are new: no compiled plan names one.
+        width = len(self._label_array)
+        dirty = np.zeros(width, dtype=np.bool_)
+        dirty[handles[handles < width]] = True
+        plans = self._pull_plans
+        if plans:
+            marked = set(np.flatnonzero(dirty).tolist())
+            doomed = [
+                root for root, plan in plans.items()
+                if not marked.isdisjoint(plan.observe_all)
+            ]
+            for root in doomed:
+                del plans[root]
+            self.plan_invalidations += len(doomed)
+        self.plan_invalidations += (
+            self._pull_rows.invalidate(dirty) + self._closures.invalidate(dirty)
+        )
 
     def _ensure_csr(self) -> OverlayCSR:
         csr = self._csr
@@ -811,7 +786,6 @@ class Runtime:
         in_signs = csr.in_signs
         push = csr.push
         program: List[Tuple[int, int, int]] = []
-        touched = {root}
         # Work items mirror the recursion: ENTER emits the node then
         # schedules its children in input order (LEAF for push sources,
         # ENTER+EXIT for nested pull nodes); EXIT folds a finished child
@@ -831,15 +805,14 @@ class Runtime:
             for i in range(in_indptr[node + 1] - 1, in_indptr[node] - 1, -1):
                 src = in_indices[i]
                 sign = in_signs[i]
-                touched.add(src)
                 if push[src]:
                     stack.append((_OP_LEAF, src, sign))
                 else:
                     stack.append((_OP_EXIT, src, sign))
                     stack.append((_OP_ENTER, src, 0))
-        plan = PullPlan(tuple(program), frozenset(touched))
+        plan = PullPlan(tuple(program))
         self._pull_plans[root] = plan
-        self._register_plan(_PLAN_PULL, root, plan.touched)
+        self.plan_compiles += 1
         return plan
 
     def _compile_pull_row(self, root: int) -> None:
@@ -869,12 +842,11 @@ class Runtime:
                 else:
                     stack.append((src, carried * sign))
         leaf = [handle for handle, net in coeff.items() if net]
-        touched = frozenset(credit)
         self._pull_rows.put(
             root, leaf, [coeff[handle] for handle in leaf],
-            list(credit), list(credit.values()), len(leaf) if pull else 0, touched,
+            list(credit), list(credit.values()), len(leaf) if pull else 0,
         )
-        self._register_plan(_PLAN_ROW, root, touched)
+        self.plan_compiles += 1
 
     def _compile_reader_closure(self, writer: int) -> None:
         """Freeze the readers downstream of ``writer`` into the arena.
@@ -889,23 +861,22 @@ class Runtime:
         out_indptr = csr.out_indptr
         out_indices = csr.out_indices
         kinds = csr.kinds
-        touched = {writer}
+        seen = {writer}
         readers: List[int] = []
         stack = [writer]
         while stack:
             node = stack.pop()
             for i in range(out_indptr[node], out_indptr[node + 1]):
                 dst = out_indices[i]
-                if dst in touched:
+                if dst in seen:
                     continue
-                touched.add(dst)
+                seen.add(dst)
                 if kinds[dst] == KIND_READER:
                     readers.append(dst)
                 else:
                     stack.append(dst)
-        touched = frozenset(touched)
-        self._closures.put(writer, readers, touched)
-        self._register_plan(_PLAN_READERS, writer, touched)
+        self._closures.put(writer, readers, seen)
+        self.plan_compiles += 1
 
     # ------------------------------------------------------------------
     # changed-reader reporting (continuous subscriptions)
@@ -2167,35 +2138,50 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def set_decision(self, handle: int, decision: Decision) -> None:
-        """Flip one node's dataflow decision, materializing state as needed.
+        """Flip one node's dataflow decision: :meth:`set_decisions` of one."""
+        self.set_decisions(((handle, decision),))
 
-        The caller must preserve consistency (the adaptive controller only
-        flips push/pull *frontier* nodes, which is always safe).  Only the
-        compiled plans whose traversal touches ``handle`` are invalidated.
+    def set_decisions(self, flips: Iterable[Tuple[int, Decision]]) -> None:
+        """Flip nodes' dataflow decisions in order, materializing state as
+        needed.
+
+        The caller must preserve consistency at every step (the adaptive
+        controller only flips push/pull *frontier* nodes, which is always
+        safe; a flip may rely on the ones before it).  One
+        :meth:`invalidate_plans` then drops the compiled plans whose
+        traversal touches a flipped node, also when a flip raises.
         """
-        if self.overlay.decisions[handle] is decision:
-            return
-        self._check_plans()
-        if decision is Decision.PUSH:
-            for src in self.overlay.in_rows(handle)[0]:
-                if self.overlay.decisions[src] is not Decision.PUSH:
-                    raise OverlayError(
-                        "cannot flip to push: an input is not push (not a frontier node)"
-                    )
-            self.overlay.set_decision(handle, decision)
-            self._initialize_push_node(handle, *self.overlay.in_rows(handle))
-        else:
-            for dst in self.overlay.out_rows(handle)[0]:
-                if self.overlay.decisions[dst] is Decision.PUSH:
-                    raise OverlayError(
-                        "cannot flip to pull: a consumer is push (not a frontier node)"
-                    )
-            self.overlay.set_decision(handle, decision)
-            self.values[handle] = None
-            self.snapshots[handle] = None
-        self.invalidate_plans((handle,))
-        self.overlay.pop_dirty()
-        self._plan_stamp = (self.overlay.version, self.overlay.decision_version)
+        overlay = self.overlay
+        flipped: List[int] = []
+        try:
+            for handle, decision in flips:
+                if overlay.decisions[handle] is decision:
+                    continue
+                if not flipped:
+                    self._check_plans()
+                if decision is Decision.PUSH:
+                    for src in overlay.in_rows(handle)[0]:
+                        if overlay.decisions[src] is not Decision.PUSH:
+                            raise OverlayError(
+                                "cannot flip to push: an input is not push (not a frontier node)"
+                            )
+                    overlay.set_decision(handle, decision)
+                    self._initialize_push_node(handle, *overlay.in_rows(handle))
+                else:
+                    for dst in overlay.out_rows(handle)[0]:
+                        if overlay.decisions[dst] is Decision.PUSH:
+                            raise OverlayError(
+                                "cannot flip to pull: a consumer is push (not a frontier node)"
+                            )
+                    overlay.set_decision(handle, decision)
+                    self.values[handle] = None
+                    self.snapshots[handle] = None
+                flipped.append(handle)
+        finally:
+            if flipped:
+                self.invalidate_plans(flipped)
+                overlay.pop_dirty()
+                self._plan_stamp = (overlay.version, overlay.decision_version)
 
     def rebuild(self, dirty: Optional[Iterable[int]] = None) -> "Runtime":
         """Re-derive all runtime state from the (possibly mutated) overlay.

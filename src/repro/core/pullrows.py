@@ -5,12 +5,12 @@ evaluates a batch of readers with a handful of numpy calls because each
 reader's pull subtree was flattened, once, into a :class:`PullRow`; this
 module is where those rows live — :class:`PullRows`, one growable arena
 indexed by overlay handle — and knows nothing about the runtime that
-compiles them or the registry that drops them.
+compiles them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,19 +25,19 @@ class PullRow:
     ``observe`` / ``credit`` are the handles a sequential
     evaluation observes and how often — what keeps the adaptive
     controller's pull frequencies equal to interpreted execution.  A push
-    reader's row is itself.  ``touched`` (the whole subtree) indexes the
-    row into the invalidation registry.  Rows live ragged in
-    :class:`PullRows`; this is the view :meth:`PullRows.row` hands out.
+    reader's row is itself.  ``observe`` is also the row's dependency set
+    (the whole subtree): a change to any of those handles drops the row.
+    Rows live ragged in :class:`PullRows`; this is the view
+    :meth:`PullRows.row` hands out.
     """
 
-    __slots__ = ("leaf", "coeff", "observe", "credit", "touched")
+    __slots__ = ("leaf", "coeff", "observe", "credit")
 
-    def __init__(self, leaf, coeff, observe, credit, touched) -> None:
+    def __init__(self, leaf, coeff, observe, credit) -> None:
         self.leaf = leaf
         self.coeff = coeff
         self.observe = observe
         self.credit = credit
-        self.touched = touched
 
 
 def ragged_index(starts, counts):
@@ -49,6 +49,25 @@ def ragged_index(starts, counts):
     total = int(ends[-1]) if len(ends) else 0
     idx = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
     return idx, offsets
+
+
+def compact(arena, starts, counts, extra: int):
+    """The ragged rows ``starts`` / ``counts`` of ``arena`` (rows along its
+    last axis) copied to the front of a new arena with room to double:
+    ``(arena, the rows' new starts, entries used)``."""
+    idx, offsets = ragged_index(starts, counts)
+    size = max(1024, 2 * (idx.size + extra))
+    out = np.empty(arena.shape[:-1] + (size,), dtype=arena.dtype)
+    out[..., :idx.size] = arena[..., idx]
+    return out, offsets, idx.size
+
+
+def rows_hit(arena, starts, counts, dirty):
+    """Which of the non-empty ragged rows ``starts`` / ``counts`` of the
+    handle column ``arena`` name a handle marked in ``dirty`` (a boolean
+    mask over the handle space): one gather and one ``reduceat``."""
+    idx, offsets = ragged_index(starts, counts)
+    return np.logical_or.reduceat(dirty[arena[idx]], offsets)
 
 
 def csr_indptr(lengths):
@@ -66,22 +85,25 @@ class PullRows:
     ``meta[:, h] = (start, leaves, observes, ops)``: ``leaves`` ``(leaf,
     coeff)`` entries from ``start``, then ``observes`` ``(observe,
     credit)`` entries; ``ops`` is the work-counter credit of one
-    evaluation and ``start < 0`` marks a row not compiled.  Dict-shaped
-    towards the invalidation registry (``pop`` / ``clear`` / ``len``): a
-    dropped row's entries stay behind as garbage until the arena next
-    fills, when live rows are compacted to the front.
+    evaluation and ``start < 0`` marks a row not compiled.  A row's
+    observe entries are its dependency set, which :meth:`invalidate`
+    scans.  A dropped row's entries stay behind as garbage until the
+    arena next fills, when live rows are compacted to the front.
     """
 
-    __slots__ = ("touched", "meta", "entries", "used")
+    __slots__ = ("meta", "entries", "used")
 
     def __init__(self, num_handles: int = 0) -> None:
-        self.touched: Dict[int, FrozenSet[int]] = {}
         self.meta = np.full((4, num_handles), -1, dtype=np.int64)
         self.entries = np.empty((2, 1024), dtype=np.int64)
         self.used = 0
 
     def __len__(self) -> int:
-        return len(self.touched)
+        return int(np.count_nonzero(self.meta[0] >= 0))
+
+    def roots(self):
+        """The handles whose row is compiled, ascending."""
+        return np.flatnonzero(self.meta[0] >= 0)
 
     def resize(self, num_handles: int) -> None:
         """Cover a grown handle space (existing rows keep their handles)."""
@@ -91,7 +113,7 @@ class PullRows:
                 [self.meta, np.full((4, grow), -1, dtype=np.int64)], axis=1
             )
 
-    def put(self, root, leaf, coeff, observe, credit, ops, touched) -> None:
+    def put(self, root, leaf, coeff, observe, credit, ops) -> None:
         size = len(leaf) + len(observe)
         if self.used + size > self.entries.shape[1]:
             self._make_room(size)
@@ -100,40 +122,38 @@ class PullRows:
         self.entries[1, start:start + size] = coeff + credit
         self.meta[:, root] = (start, len(leaf), len(observe), ops)
         self.used = start + size
-        self.touched[root] = touched
 
     def _make_room(self, extra: int) -> None:
         """Compact the live rows into an arena with room to double."""
-        roots = np.flatnonzero(self.meta[0] >= 0)
+        roots = self.roots()
         start, leaves, observes, _ops = self.meta[:, roots]
-        idx, offsets = ragged_index(start, leaves + observes)
-        entries = np.empty((2, max(1024, 2 * (idx.size + extra))), dtype=np.int64)
-        entries[:, :idx.size] = self.entries[:, idx]
-        self.meta[0, roots] = offsets
-        self.entries = entries
-        self.used = idx.size
+        self.entries, self.meta[0, roots], self.used = compact(
+            self.entries, start, leaves + observes, extra
+        )
 
     def row(self, root: int) -> Optional[PullRow]:
-        touched = self.touched.get(root)
-        if touched is None:
+        if root >= self.meta.shape[1] or self.meta[0, root] < 0:
             return None
         start, leaves, observes, _ops = self.meta[:, root].tolist()
         mid, end = start + leaves, start + leaves + observes
         handle, weight = self.entries
         return PullRow(
             handle[start:mid].copy(), weight[start:mid].copy(),
-            handle[mid:end].copy(), weight[mid:end].copy(), touched,
+            handle[mid:end].copy(), weight[mid:end].copy(),
         )
 
-    def pop(self, root: int, default=None):
-        row = self.row(root)
-        if row is None:
-            return default
-        del self.touched[root]
-        self.meta[:, root] = -1
-        return row
+    def invalidate(self, dirty) -> int:
+        """Drop every row that observes a handle marked in ``dirty`` (a
+        boolean mask over the handle space); returns how many went.  A
+        row observes at least its root, so no observe row is empty."""
+        roots = self.roots()
+        if not roots.size:
+            return 0
+        start, leaves, observes, _ops = self.meta[:, roots]
+        doomed = roots[rows_hit(self.entries[0], start + leaves, observes, dirty)]
+        self.meta[:, doomed] = -1
+        return doomed.size
 
     def clear(self) -> None:
-        self.touched.clear()
         self.meta.fill(-1)
         self.used = 0

@@ -25,28 +25,11 @@ from repro.serve.shard import ShardSpec
 from tests.conftest import as_object, oracle_for
 
 
-def roundtrip(obj, byte_identical=True):
-    """Pickle → unpickle; asserts byte identity, returns the clone.
-
-    ``byte_identical=False`` is for objects carrying hash-ordered
-    collections (the plans' ``touched`` frozensets): a rebuilt set may
-    iterate in a different-but-equal order, so their pickles legally
-    differ byte-for-byte while the contents are identical — those objects
-    assert byte identity over their order-deterministic fields via
-    :func:`stable_fields` instead.
-    """
+def roundtrip(obj):
+    """Pickle → unpickle; asserts byte identity, returns the clone."""
     data = pickle.dumps(obj)
     clone = pickle.loads(data)
-    if byte_identical:
-        assert pickle.dumps(clone) == data
-    return clone
-
-
-def stable_fields(obj, names):
-    """Byte identity of the order-deterministic projection of ``obj``."""
-    project = lambda o: pickle.dumps(tuple(getattr(o, n) for n in names))  # noqa: E731
-    clone = pickle.loads(pickle.dumps(obj))
-    assert project(clone) == project(obj)
+    assert pickle.dumps(clone) == data
     return clone
 
 
@@ -85,25 +68,22 @@ class TestCompiledPlans:
         runtime = engine.runtime
         assert runtime._pull_plans, "expected compiled pull plans"
         for plan in runtime._pull_plans.values():
-            clone = stable_fields(
-                plan, ("program", "pull_ops", "exit_nodes", "observe_all")
-            )
-            assert clone.spans == plan.spans
-            assert clone.touched == plan.touched
+            clone = roundtrip(plan)
+            for field in ("program", "pull_ops", "exit_nodes", "observe_all", "spans"):
+                assert getattr(clone, field) == getattr(plan, field)
 
     def test_pull_rows_roundtrip(self):
         engine = warmed_engine()
         rows = engine.runtime._pull_rows
         assert len(rows), "expected compiled pull rows"
-        clone = roundtrip(rows, byte_identical=False)
+        clone = roundtrip(rows)
         assert clone.used == rows.used
-        assert set(clone.touched) == set(rows.touched)
-        for handle in rows.touched:
+        assert clone.roots().tolist() == rows.roots().tolist()
+        for handle in rows.roots().tolist():
             before, after = rows.row(handle), clone.row(handle)
             for field in ("leaf", "coeff", "observe", "credit"):
                 assert list(getattr(after, field)) == list(getattr(before, field))
-            assert after.touched == before.touched
-            again = roundtrip(before, byte_identical=False)
+            again = roundtrip(before)
             assert list(again.leaf) == list(before.leaf)
 
     def test_reader_closures_roundtrip(self):
@@ -112,16 +92,20 @@ class TestCompiledPlans:
         engine.changed_readers()  # compiles closures
         closures = engine.runtime._closures
         assert len(closures), "expected compiled reader closures"
-        clone = roundtrip(closures, byte_identical=False)
-        for field in ("slots", "slot_of", "bitrow", "start", "count", "bits"):
+        clone = roundtrip(closures)
+        for field in (
+            "slots", "slot_of", "bitrow", "start", "count", "bits", "dep_start", "dep_count",
+        ):
             assert (getattr(clone, field) == getattr(closures, field)).all()
         assert list(clone.entries[:clone.used]) == list(closures.entries[:closures.used])
-        assert (clone.used, clone.bits_used) == (closures.used, closures.bits_used)
-        for writer in closures.touched:
+        assert list(clone.deps[:clone.deps_used]) == list(closures.deps[:closures.deps_used])
+        assert (clone.used, clone.bits_used, clone.deps_used) == (
+            closures.used, closures.bits_used, closures.deps_used
+        )
+        for writer in closures.roots().tolist():
             before, after = closures.row(writer), clone.row(writer)
             assert list(after.readers) == list(before.readers)
-            assert after.touched == before.touched
-            again = stable_fields(before, ("readers",))
+            again = roundtrip(before)
             assert list(again.readers) == list(before.readers)
 
 

@@ -131,10 +131,10 @@ class TestPreciseInvalidation:
         rt.write("w1", 1.0)
         rt.write("w3", 2.0)
         rt.changed_handles()  # w1's closure touches pa, r1, r2; w3's only r2
-        assert set(rt._closures.touched) == {w["w1"], w["w3"]}
+        assert set(rt._closures.roots().tolist()) == {w["w1"], w["w3"]}
         rt.set_decision(r1, Decision.PULL)  # frontier flip
         # w1's closure traverses r1 -> dropped; w3's never sees r1 -> kept.
-        assert set(rt._closures.touched) == {w["w3"]}
+        assert set(rt._closures.roots().tolist()) == {w["w3"]}
         rt.write("w2", 5.0)
         assert rt.read("r1") == 6.0
         assert rt.read("r2") == 8.0
@@ -142,7 +142,7 @@ class TestPreciseInvalidation:
         assert set(rt._pull_plans) == {r1}
         rt.set_decision(r2, Decision.PULL)
         assert set(rt._pull_plans) == {r1}
-        assert not rt._closures.touched
+        assert not len(rt._closures)
         assert rt.read("r1") == 6.0
         assert rt.read("r2") == 8.0
 
@@ -152,13 +152,13 @@ class TestPreciseInvalidation:
         rt = Runtime(ov, EgoQuery(aggregate=Sum()))
         rt.write("w1", 1.0)
         rt.changed_handles()
-        assert set(rt._closures.touched) == {w["w1"]}
+        assert set(rt._closures.roots().tolist()) == {w["w1"]}
         # Mutate the overlay directly (no runtime API): every compiled plan
         # and the scatter table are stale and must go.
         w4 = ov.add_writer("w4")
         ov.add_edge(w4, pa)
         rt.rebuild()
-        assert not rt._closures.touched and rt._scatter is None
+        assert not len(rt._closures) and rt._scatter is None
         rt.write("w4", 3.0)
         assert rt.read("r1") == 4.0
         assert set(rt.changed_handles().tolist()) == {r1, r2}
@@ -182,8 +182,8 @@ class TestPreciseInvalidation:
         ov.remove_edge(w3, r2)
         rt.rebuild(dirty=ov.pop_dirty())
         # w3's closure (touching r2) dropped, w1's survives untouched.
-        assert w1 in rt._closures.touched
-        assert w3 not in rt._closures.touched
+        assert w1 in rt._closures.roots()
+        assert w3 not in rt._closures.roots()
         rt.write("w1", 4.0)
         assert rt.changed_handles().tolist() == [r1]
         assert rt.plan_compiles == compiles_before  # no recompilation needed
@@ -199,9 +199,9 @@ class TestPreciseInvalidation:
         assert rt.read("r1") == 1.0
         rt.changed_handles()
         assert set(rt._pull_plans) == {r1}
-        assert set(rt._closures.touched) == {w["w1"]}
+        assert set(rt._closures.roots().tolist()) == {w["w1"]}
         rt.rebuild()
-        assert not rt._pull_plans and not rt._closures.touched
+        assert not rt._pull_plans and not len(rt._closures)
         assert rt.plan_invalidations >= 2
         assert rt.read("r1") == 1.0
 

@@ -226,8 +226,8 @@ def test_rows_never_outgrow_the_bipartite_graph(schedule):
     readers = list(engine.overlay.reader_of)
     engine.read_batch(readers)
     rows = engine.runtime._pull_rows
-    assert set(rows.touched) == set(engine.overlay.reader_of.values())
-    entries = sum(len(rows.row(handle).leaf) for handle in rows.touched)
+    assert set(rows.roots().tolist()) == set(engine.overlay.reader_of.values())
+    entries = sum(len(rows.row(handle).leaf) for handle in rows.roots().tolist())
     edges = sum(len(writers) for writers in engine.ag.reader_inputs.values())
     assert entries <= edges
     if schedule[2] == "all_pull" and schedule[1][0] in GROUP:
@@ -297,7 +297,7 @@ def test_corner_rows_signs_diamonds_net_zero_and_empty(store, aggregate):
         assert dict(zip(diamond.observe, diamond.credit))[h["a"]] == 2
         minus = rows.row(readers["r_minus"])
         assert sorted(minus.leaf) == [h["w2"], h["w3"]], "the net-zero leaf is dropped"
-        assert h["w1"] in minus.observe and h["w1"] in minus.touched
+        assert h["w1"] in minus.observe
         wide = rows.row(readers["r_wide"])
         assert sorted(zip(wide.leaf, wide.coeff)) == [(h["w1"], -1), (h["w2"], -1), (h["p"], 1)]
         assert len(rows.row(readers["r_empty"]).leaf) == 0
@@ -332,10 +332,10 @@ def test_a_row_is_recompiled_after_exactly_the_invalidations_that_touch_it():
 
     rng = random.Random(7)
     for _ in range(12):
-        before = {root: rows.row(root) for root in rows.touched}
+        before = {root: rows.row(root) for root in rows.roots().tolist()}
         handle = flip_a_frontier_node(rng, engine)
-        doomed = {root for root, row in before.items() if handle in row.touched}
-        assert set(rows.touched) == set(before) - doomed
+        doomed = {root for root, row in before.items() if handle in row.observe}
+        assert set(rows.roots().tolist()) == set(before) - doomed
         compiled = runtime.plan_compiles
         values = engine.read_batch(nodes)
         assert values == [oracle.read(node) for node in nodes]

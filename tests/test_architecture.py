@@ -401,6 +401,34 @@ GUARDS = (
         plant="maintained = False",
     ),
     Guard(
+        "Plan dependencies in the arenas",
+        ("src/repro/core/",),
+        r"\b_plan_deps\b",
+        "A compiled plan's dependency set is its own row in an arena (a pull "
+        "row's observe entries, a closure's dependency row), scanned by "
+        "invalidate_plans; a per-handle registry of Python sets repeated "
+        "those rows and cost more memory than the overlay.",
+        plant="_plan_deps = {}",
+    ),
+    *(
+        Guard(
+            "Plan dependencies in the arenas",
+            (path,),
+            r"\bfrozenset\(",
+            "Compiled rows and closures keep their dependency sets as int64 "
+            "arena rows; a frozenset per plan took more memory than the "
+            "arenas themselves.",
+            scopes=(scope,),
+            plant="touched = frozenset(())",
+        )
+        for path, scope in (
+            ("src/repro/core/execution.py", "Runtime._compile_pull_row"),
+            ("src/repro/core/execution.py", "Runtime._compile_reader_closure"),
+            ("src/repro/core/pullrows.py", "PullRows"),
+            ("src/repro/core/closures.py", "ReaderClosures"),
+        )
+    ),
+    Guard(
         "The oracle shares no code",
         ("tests/oracle.py",),
         r"^\s*(from|import)\s+(repro|tests)\b",

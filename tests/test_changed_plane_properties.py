@@ -93,7 +93,7 @@ def check_arena(runtime):
     readers downstream of its writer in the current overlay."""
     overlay = runtime.overlay
     closures = runtime._closures
-    for writer in closures.touched:
+    for writer in closures.roots().tolist():
         expected = sorted(
             h for h in overlay.downstream(writer) if overlay.is_reader(h)
         )
