@@ -39,7 +39,7 @@ from repro.dataflow.mincut import DataflowStats, decide_dataflow
 from repro.dataflow.splitting import split_nodes
 from repro.graph.bipartite import build_bipartite
 from repro.graph.dynamic_graph import DynamicGraph, GraphError
-from repro.graph.streams import StructureEvent, StructureOp
+from repro.graph.streams import StructureEvent
 from repro.overlay import construct_overlay
 from repro.overlay.dynamic import OverlayMaintainer
 
@@ -126,9 +126,9 @@ class EAGrEngine:
         self.runtime = Runtime(self.overlay, query)
 
         #: The Section 3.3 overlay maintainer, built by the first structure
-        #: event: its index of the partials and mirror of the readers'
-        #: inputs cost about half a construction, which an engine that
-        #: never sees an event does not pay.
+        #: event: its index of the partials costs a good part of a
+        #: construction, which an engine that never sees an event does not
+        #: pay.
         self.maintainer: Optional[OverlayMaintainer] = None
         # The graph's structure clock after the engine's own last edit, and
         # as of the last sync: a clock that moved otherwise means the graph
@@ -303,57 +303,24 @@ class EAGrEngine:
     def apply_structure_event(self, event: StructureEvent) -> None:
         """Apply one structure-stream event to the data graph.
 
-        The overlay maintainer absorbs the change with local surgery (the
-        first event builds it, from the ``AG`` the overlay was built from);
-        the next read or write re-runs the decisions and recompiles only
-        the plans the surgery touched.  A writer keeps its window until
-        its node is removed.  The readers whose neighbourhood the event
-        alters — before or after it — enter the pending change report:
-        their aggregates can move although no writer did.
+        The overlay maintainer makes the edit and absorbs it with local
+        surgery, keeping :attr:`ag` current (the first event builds it, from
+        the ``AG`` the overlay was built from); the next read or write
+        re-runs the decisions and recompiles only the plans the surgery
+        touched.  A writer keeps its window until its node is removed.  The
+        readers whose neighbourhood the event alters — before or after it —
+        enter the pending change report: their aggregates can move although
+        no writer did.
         """
         self._check_graph()
-        graph = self.graph
         if self.maintainer is None:
             self.maintainer = OverlayMaintainer(
-                graph, self.query.neighborhood, self.overlay, self.ag,
+                self.graph, self.query.neighborhood, self.overlay, self.ag,
                 predicate=self.query.predicate,
             )
-        endpoints = (event.u,) if event.v is None else (event.u, event.v)
-        affected = self._readers_near(endpoints)
-        if event.op is StructureOp.REMOVE_NODE and event.u in graph:
-            # Edge by edge first, as DynamicGraph.remove_node does.
-            node = event.u
-            for v in list(graph.out_neighbors(node)):
-                self._edit(StructureEvent(StructureOp.REMOVE_EDGE, node, v))
-            for u in list(graph.in_neighbors(node)):
-                self._edit(StructureEvent(StructureOp.REMOVE_EDGE, u, node))
-        self._edit(event)
-        affected |= self._readers_near(endpoints)
-        self.runtime.note_restructured_readers(affected)
-
-    def _edit(self, event: StructureEvent) -> None:
-        """Make one edit to the graph (``ADD_EDGE`` calls ``add_edge`` …)
-        and hand it to the maintainer, which expects the graph to reflect
-        it already; an edit that changes nothing (an edge or node already
-        there) reaches no one."""
-        graph = self.graph
-        ends = (event.u,) if event.v is None else (event.u, event.v)
-        getattr(graph, event.op.name.lower())(*ends)
-        if graph.clock != self._graph_clock:
-            self._graph_clock = graph.clock
-            self.maintainer.apply(event)
-
-    def _readers_near(self, endpoints) -> set:
-        """Nodes whose ``N(r)`` may involve one of ``endpoints`` in the
-        graph as it stands (the set the overlay maintainer re-derives)."""
-        graph = self.graph
-        affected_readers = self.query.neighborhood.affected_readers
-        near = set()
-        for node in endpoints:
-            if node in graph:
-                near.add(node)
-                near |= affected_readers(graph, node)
-        return near
+        readers = self.maintainer.apply(event)
+        self._graph_clock = self.graph.clock
+        self.runtime.note_restructured_readers(readers)
 
     # ------------------------------------------------------------------
     # synchronization after structural changes

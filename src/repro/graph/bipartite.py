@@ -40,6 +40,10 @@ class BipartiteGraph:
         For each writer, the number of readers whose input list contains it
         (its out-degree in ``AG``) — the frequency used to order FP-tree
         items.
+
+    An engine's ``AG`` is kept current under structure events: its overlay
+    maintainer rewrites the rows of the readers an edit changes, and their
+    writers' out-degrees, in place.
     """
 
     def __init__(self, reader_inputs: Dict[NodeId, Tuple[NodeId, ...]]) -> None:

@@ -5,9 +5,11 @@ The paper (Section 2.1) models the data as a heterogeneous directed graph
 whose *content* (attribute values on nodes) changes via per-node content
 streams.  This module implements the structure side: an in-memory directed
 graph supporting fast neighbor iteration in both directions, node/edge
-addition and removal, and an append-only structure log that downstream
-components (e.g. incremental overlay maintenance, Section 3.3) can subscribe
-to.
+addition and removal, and a structure clock that every successful edit
+advances (an engine reads it to tell its own edits from edits made behind
+it).  The structure stream itself is absorbed by the engine
+(``EAGrEngine.apply_structure_event``), whose overlay maintainer
+(Section 3.3) makes each edit here and refreshes the readers it touches.
 
 Content streams are deliberately *not* stored here: the execution engine
 (:mod:`repro.core.execution`) owns sliding-window state per writer.  The
@@ -16,9 +18,7 @@ graph only needs to answer neighborhood queries.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
-
-from repro.graph.streams import StructureEvent, StructureOp
+from typing import Dict, Hashable, Iterable, Iterator, Set, Tuple
 
 NodeId = Hashable
 
@@ -45,7 +45,6 @@ class DynamicGraph:
         self._in: Dict[NodeId, Set[NodeId]] = {}
         self._attrs: Dict[NodeId, Dict[str, object]] = {}
         self._num_edges = 0
-        self._listeners: List[Callable[[StructureEvent], None]] = []
         self._clock = 0
 
     # ------------------------------------------------------------------
@@ -122,44 +121,13 @@ class DynamicGraph:
     # structure updates
     # ------------------------------------------------------------------
 
-    def subscribe(self, listener: Callable[[StructureEvent], None]) -> None:
-        """Register a callback invoked after every successful structure change.
-
-        A standalone overlay maintainer (Section 3.3) subscribes here
-        (``OverlayMaintainer.attach``).  An engine does not: its graph
-        changes only through ``EAGrEngine.apply_structure_event``.
-        """
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[StructureEvent], None]) -> None:
-        self._listeners.remove(listener)
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the structure only: listeners are process-local callbacks
-        (e.g. an attached overlay maintainer) and never travel — a shard
-        worker process receiving this graph re-attaches its own."""
-        state = self.__dict__.copy()
-        state["_listeners"] = []
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-
-    def _emit(self, op: StructureOp, u: NodeId, v: Optional[NodeId] = None) -> None:
-        self._clock += 1
-        if not self._listeners:
-            return
-        event = StructureEvent(op=op, u=u, v=v, timestamp=self._clock)
-        for listener in self._listeners:
-            listener(event)
-
     def add_node(self, node: NodeId) -> bool:
         """Add ``node``; returns ``False`` if it already existed."""
         if node in self._out:
             return False
         self._out[node] = set()
         self._in[node] = set()
-        self._emit(StructureOp.ADD_NODE, node)
+        self._clock += 1
         return True
 
     def remove_node(self, node: NodeId) -> None:
@@ -173,12 +141,13 @@ class DynamicGraph:
         del self._out[node]
         del self._in[node]
         self._attrs.pop(node, None)
-        self._emit(StructureOp.REMOVE_NODE, node)
+        self._clock += 1
 
     def add_edge(self, u: NodeId, v: NodeId) -> bool:
         """Add the directed edge ``u -> v`` (creating endpoints as needed).
 
-        Returns ``False`` (and emits nothing) if the edge already existed.
+        Returns ``False`` (and leaves the clock alone) if the edge already
+        existed.
         Self loops are rejected: a node never feeds its own ego network.
         """
         if u == v:
@@ -190,7 +159,7 @@ class DynamicGraph:
         self._out[u].add(v)
         self._in[v].add(u)
         self._num_edges += 1
-        self._emit(StructureOp.ADD_EDGE, u, v)
+        self._clock += 1
         return True
 
     def add_undirected_edge(self, u: NodeId, v: NodeId) -> None:
@@ -204,7 +173,7 @@ class DynamicGraph:
         self._out[u].discard(v)
         self._in[v].discard(u)
         self._num_edges -= 1
-        self._emit(StructureOp.REMOVE_EDGE, u, v)
+        self._clock += 1
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -214,7 +183,7 @@ class DynamicGraph:
     def from_edges(cls, edges: Iterable[Tuple[NodeId, NodeId]]) -> "DynamicGraph":
         """The graph :meth:`add_edge` would build from ``edges`` one by one
         (same node order, adjacency sets, edge count and clock), filled in
-        one loop: a fresh graph has no listener to tell."""
+        one loop."""
         graph = cls()
         out, inn = graph._out, graph._in
         added = 0

@@ -135,9 +135,12 @@ class Neighborhood:
     def affected_readers(self, graph: DynamicGraph, node: NodeId) -> Set[NodeId]:
         """Readers whose ``N(r)`` may include ``node`` (reverse expansion).
 
-        Used by incremental overlay maintenance: when ``node``'s incident
-        structure changes, these are the readers whose input lists must be
-        re-derived.  This is the hop-reversed traversal of :meth:`__call__`.
+        The hop-reversed traversal of :meth:`__call__`, without the node
+        filter.  Incremental overlay maintenance takes it at both endpoints
+        of an edit, before and after it: those readers' input lists are
+        re-derived, and they are the readers the engine reports as
+        restructured.  Taken before an edit, it holds every reader that
+        loses an input to it.
         """
         reverse = {IN: OUT, OUT: IN, BOTH: BOTH}[self.direction]
         probe = Neighborhood(

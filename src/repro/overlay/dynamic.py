@@ -20,23 +20,35 @@ is too large for a local fix.  Concretely:
 * **Node addition/deletion** — composed from the above plus writer/reader
   bookkeeping.
 
-The maintainer keeps a mirror of every reader's current input set (the
-live ``AG``, :meth:`OverlayMaintainer.live_bipartite`), and refreshes a
-reader by diffing its re-derived inputs against the mirror.
+The maintainer owns the edit: :meth:`OverlayMaintainer.apply` makes it on
+the graph, re-derives the inputs of every reader near the edit's endpoints
+(before and after it), and refreshes a reader by diffing those inputs
+against its row of the engine's ``AG``, which it then rewrites in place.
+The ``AG`` is thus the one record of each reader's inputs, and stays
+current for everything that reads it (the sharing index, ``validate``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Set
+from typing import Dict, Hashable, Iterable, List, Set
 
 from repro.core.overlay import NodeKind, Overlay
-from repro.graph.bipartite import BipartiteGraph
+from repro.graph.bipartite import BipartiteGraph, _sort_key
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.neighborhoods import Neighborhood
 from repro.graph.streams import StructureEvent, StructureOp
 from repro.overlay.iob import IOBState
 
 NodeId = Hashable
+
+#: ``|Δ(I(r))|`` above which additions are covered with a partial aggregate
+#: instead of direct edges.
+DELTA_THRESHOLD = 3
+#: Accumulated direct edges per reader that trigger a full re-cover.
+DIRECT_EDGE_THRESHOLD = 5
+#: Number of affected partial aggregates above which a deletion rebuilds
+#: the reader outright (the paper uses 5).
+AFFECTED_THRESHOLD = 5
 
 
 class OverlayMaintainer:
@@ -45,25 +57,16 @@ class OverlayMaintainer:
     Parameters
     ----------
     graph:
-        The data graph; must already reflect the events passed to
-        :meth:`apply` (subscribe the maintainer *after* the graph mutates,
-        or use :meth:`attach` which wires this up).
+        The data graph; :meth:`apply` makes each event's edit on it.
     neighborhood / predicate:
         The query parameters defining reader input lists.
     overlay:
         The overlay to maintain (from any construction algorithm).
     ag:
-        The ``AG`` the overlay was built from: the mirror of the readers'
-        inputs starts from it rather than from the graph as it stands
-        (which a node filter over attributes may since read differently).
-    delta_threshold:
-        ``|Δ(I(r))|`` above which additions are covered with a partial
-        aggregate instead of direct edges.
-    direct_edge_threshold:
-        Accumulated direct edges per reader that trigger a full re-cover.
-    affected_threshold:
-        Number of affected partial aggregates above which a deletion
-        rebuilds the reader outright (paper uses 5).
+        The ``AG`` the overlay was built from, kept current in place: a
+        reader is refreshed by diffing its re-derived inputs against its
+        row here (not against the graph as it stood, which a node filter
+        over attributes may since read differently).
     """
 
     def __init__(
@@ -73,36 +76,18 @@ class OverlayMaintainer:
         overlay: Overlay,
         ag: BipartiteGraph,
         predicate=None,
-        delta_threshold: int = 3,
-        direct_edge_threshold: int = 5,
-        affected_threshold: int = 5,
     ) -> None:
         self.graph = graph
         self.neighborhood = neighborhood
         self.predicate = predicate
+        self.ag = ag
         self.state = IOBState(overlay)
-        self.delta_threshold = delta_threshold
-        self.direct_edge_threshold = direct_edge_threshold
-        self.affected_threshold = affected_threshold
         self._direct_counts: Dict[NodeId, int] = {}
-        # Live AG mirror: reader -> current input writer set, plus inverse.
-        self.current_inputs: Dict[NodeId, Set[NodeId]] = {}
-        self._feeds: Dict[NodeId, Set[NodeId]] = {}
-        self._bootstrap_mirror(ag)
 
     @property
     def overlay(self) -> Overlay:
         """The maintained overlay (shared with the engine's runtime)."""
         return self.state.overlay
-
-    # ------------------------------------------------------------------
-
-    def _bootstrap_mirror(self, ag: BipartiteGraph) -> None:
-        for reader in list(self.overlay.reader_of):
-            members = set(ag.reader_inputs.get(reader, ()))
-            self.current_inputs[reader] = members
-            for writer in members:
-                self._feeds.setdefault(writer, set()).add(reader)
 
     def _query_inputs(self, node: NodeId) -> Set[NodeId]:
         if node not in self.graph:
@@ -111,56 +96,69 @@ class OverlayMaintainer:
             return set()
         return self.neighborhood(self.graph, node)
 
-    def attach(self) -> "OverlayMaintainer":
-        """Subscribe to the graph's structure stream (events arrive after
-        the graph has already mutated, which is what :meth:`apply` expects)."""
-        self.graph.subscribe(self.apply)
-        return self
-
     # ------------------------------------------------------------------
     # event entry point
     # ------------------------------------------------------------------
 
-    def apply(self, event: StructureEvent) -> None:
-        """Absorb one structure-stream event into the overlay."""
-        if event.op is StructureOp.ADD_EDGE:
-            self._refresh_affected({event.u, event.v})
-        elif event.op is StructureOp.REMOVE_EDGE:
-            self._refresh_affected({event.u, event.v})
-        elif event.op is StructureOp.ADD_NODE:
-            self._refresh_affected({event.u})
-        elif event.op is StructureOp.REMOVE_NODE:
-            self._remove_node(event.u)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValueError(f"unknown structure op {event.op}")
+    def apply(self, event: StructureEvent) -> Set[NodeId]:
+        """Make one structure-stream event's edit on the graph and absorb
+        it into the overlay.
+
+        Returns the nodes whose ``N`` the event may alter, before or after
+        it: their aggregates can move although no writer did.  An edit
+        that changes nothing (an edge or node already there) refreshes no
+        reader.
+        """
+        graph, node = self.graph, event.u
+        if event.op is StructureOp.REMOVE_NODE and node in graph:
+            # Edge by edge first, as DynamicGraph.remove_node does.
+            near = self._readers_near((node,))
+            for v in list(graph.out_neighbors(node)):
+                self._edit(graph.remove_edge, (node, v))
+            for u in list(graph.in_neighbors(node)):
+                self._edit(graph.remove_edge, (u, node))
+            graph.remove_node(node)
+            self._remove_node(node)
+            return near
+        ends = (node,) if event.v is None else (node, event.v)
+        return self._edit(getattr(graph, event.op.name.lower()), ends)
+
+    def _edit(self, edit, ends) -> Set[NodeId]:
+        """``edit(*ends)`` on the graph, then refresh every reader near
+        ``ends`` before or after it; returns those readers."""
+        clock = self.graph.clock
+        near = self._readers_near(ends)
+        edit(*ends)
+        if self.graph.clock != clock:
+            near |= self._readers_near(ends)
+            for reader in sorted(near, key=_sort_key):
+                self._refresh_reader(reader)
+        return near
+
+    def _readers_near(self, ends: Iterable[NodeId]) -> Set[NodeId]:
+        """Nodes whose ``N(r)`` may involve one of ``ends`` in the graph as
+        it stands.  Taken before an edit, it holds every reader whose row
+        names an endpoint: a row never names a writer its reader cannot
+        reach."""
+        graph = self.graph
+        affected_readers = self.neighborhood.affected_readers
+        near: Set[NodeId] = set()
+        for node in ends:
+            if node in graph:
+                near.add(node)
+                near |= affected_readers(graph, node)
+        return near
 
     # ------------------------------------------------------------------
     # diff-based refresh
     # ------------------------------------------------------------------
 
-    def _affected_readers(self, endpoints: Set[NodeId]) -> Set[NodeId]:
-        affected: Set[NodeId] = set()
-        for node in endpoints:
-            if node in self.graph:
-                affected.add(node)
-                affected |= self.neighborhood.affected_readers(self.graph, node)
-        # Readers that previously depended on the endpoints must also be
-        # re-checked (reverse reachability may have shrunk).
-        for node in endpoints:
-            affected |= self._feeds.get(node, set())
-        return affected
-
-    def _refresh_affected(self, endpoints: Set[NodeId]) -> None:
-        for reader in sorted(
-            self._affected_readers(endpoints), key=lambda n: (type(n).__name__, repr(n))
-        ):
-            self._refresh_reader(reader)
-
     def _refresh_reader(self, reader: NodeId) -> None:
         new_inputs = self._query_inputs(reader)
-        old_inputs = self.current_inputs.get(reader, set())
-        if new_inputs == old_inputs:
+        row = self.ag.reader_inputs.get(reader, ())
+        if len(new_inputs) == len(row) and new_inputs.issuperset(row):
             return
+        old_inputs = set(row)
         added = new_inputs - old_inputs
         removed = old_inputs - new_inputs
         if not old_inputs and new_inputs:
@@ -182,19 +180,26 @@ class OverlayMaintainer:
                         if w in self.overlay.writer_of
                     ),
                 )
-        # Update mirrors.
-        for writer in removed:
-            bucket = self._feeds.get(writer)
-            if bucket is not None:
-                bucket.discard(reader)
-                if not bucket:
-                    del self._feeds[writer]
-        for writer in added:
-            self._feeds.setdefault(writer, set()).add(reader)
-        if new_inputs:
-            self.current_inputs[reader] = new_inputs
+        self._rewrite_row(reader, new_inputs)
+
+    def _rewrite_row(self, reader: NodeId, inputs: Set[NodeId]) -> None:
+        """Make ``reader``'s ``AG`` row ``inputs``, keeping the writers'
+        out-degrees in step."""
+        ag = self.ag
+        row = ag.reader_inputs.get(reader, ())
+        degree = ag.writer_out_degree
+        for writer in row:
+            if writer not in inputs:
+                if degree[writer] == 1:
+                    del degree[writer]
+                else:
+                    degree[writer] -= 1
+        for writer in inputs.difference(row):
+            degree[writer] = degree.get(writer, 0) + 1
+        if inputs:
+            ag.reader_inputs[reader] = tuple(sorted(inputs, key=_sort_key))
         else:
-            self.current_inputs.pop(reader, None)
+            ag.reader_inputs.pop(reader, None)
 
     # ------------------------------------------------------------------
     # reader-level operations
@@ -243,7 +248,7 @@ class OverlayMaintainer:
             self._add_reader(reader, self._query_inputs(reader))
             return
         added_handles = {self.state.ensure_writer(w) for w in added}
-        if len(added) > self.delta_threshold:
+        if len(added) > DELTA_THRESHOLD:
             # Large delta: aggregate it behind (possibly reused) partials.
             for piece in self.state.cover(added_handles):
                 self._contribute(piece, handle)
@@ -252,7 +257,7 @@ class OverlayMaintainer:
                 self._contribute(writer_handle, handle)
             count = self._direct_counts.get(reader, 0) + len(added_handles)
             self._direct_counts[reader] = count
-            if count > self.direct_edge_threshold:
+            if count > DIRECT_EDGE_THRESHOLD:
                 self._rebuild_reader(reader, self._query_inputs(reader))
 
     def _process_removals(self, reader: NodeId, removed: Set[NodeId]) -> None:
@@ -274,7 +279,7 @@ class OverlayMaintainer:
                     touched_partials.append(src)
         if not touched_partials:
             return
-        if len(touched_partials) > self.affected_threshold or any(
+        if len(touched_partials) > AFFECTED_THRESHOLD or any(
             src not in self.state.pure for src in touched_partials
         ):
             self._rebuild_reader(reader, self._query_inputs(reader))
@@ -294,17 +299,11 @@ class OverlayMaintainer:
     # ------------------------------------------------------------------
 
     def _remove_node(self, node: NodeId) -> None:
+        """The node is out of the graph and its edges were removed one by
+        one: no other reader can reach it, so no other row names it."""
         # The reader side: drop its query.
-        if node in self.overlay.reader_of:
-            self._drop_reader(node)
-            old = self.current_inputs.pop(node, set())
-            for writer in old:
-                bucket = self._feeds.get(writer)
-                if bucket is not None:
-                    bucket.discard(node)
-        # The writer side: every reader that consumed it must shed it.
-        for reader in sorted(self._feeds.pop(node, set()), key=repr):
-            self._refresh_reader(reader)
+        self._drop_reader(node)
+        self._rewrite_row(node, set())
         # Any residual consumers (stale aggregates) force a rebuild of the
         # readers downstream of them.
         writer_handle = self.overlay.writer_of.get(node)
@@ -322,15 +321,8 @@ class OverlayMaintainer:
                         self._rebuild_reader(reader, inputs)
                     else:
                         self._drop_reader(reader)
+                    self._rewrite_row(reader, inputs)
                 self.state.prune_orphans(residual)
             self.overlay.writer_of.pop(node, None)
             self.overlay.mark_dirty(writer_handle)  # ditto: direct pop
             self.state._unregister(writer_handle)
-
-    # ------------------------------------------------------------------
-
-    def live_bipartite(self) -> BipartiteGraph:
-        """The current ``AG`` implied by the mirror (for validation)."""
-        return BipartiteGraph(
-            {reader: tuple(inputs) for reader, inputs in self.current_inputs.items()}
-        )

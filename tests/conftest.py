@@ -48,21 +48,25 @@ def oracle_aggregate(aggregate):
     return BY_NAME["mean" if name == "avg" else name]
 
 
-def follow(oracle, graph):
-    """Feed ``oracle`` every structure change ``graph`` makes from now on."""
+def follow(oracle, engine):
+    """Feed ``oracle`` every structure event ``engine`` accepts from now on
+    (an event the engine refuses raises before the oracle sees it)."""
+    apply = engine.apply_structure_event
 
-    def listener(event):
+    def apply_and_follow(event):
+        apply(event)
         ends = (event.u,) if event.v is None else (event.u, event.v)
         getattr(oracle, event.op.name.lower())(*ends)
 
-    graph.subscribe(listener)
+    engine.apply_structure_event = apply_and_follow
 
 
 def oracle_for(engine=None, *, graph=None, query=None, aggregate=None):
     """A :class:`tests.oracle.EgoOracle` for ``engine`` (or for ``graph`` and
     ``query``): the query's ``⟨F, w, N, pred⟩``
     read off into the oracle's plain terms, the graph's edges copied, and
-    the graph followed for structure changes.  ``aggregate`` overrides
+    the engine's structure events followed (:func:`follow`; a bare
+    ``graph`` is not followed).  ``aggregate`` overrides
     ``F`` (for a user-defined aggregate the oracle cannot name)."""
     if engine is not None:
         graph, query = engine.graph, engine.query
@@ -80,7 +84,8 @@ def oracle_for(engine=None, *, graph=None, query=None, aggregate=None):
         member_filter=None if node_filter is None else (lambda node: node_filter(graph, node)),
         readers=query.predicate,
     )
-    follow(oracle, graph)
+    if engine is not None:
+        follow(oracle, engine)
     return oracle
 
 

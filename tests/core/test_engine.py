@@ -1,5 +1,7 @@
 """Integration tests for the EAGrEngine compile-and-run pipeline."""
 
+import random
+
 import pytest
 
 from repro.core.aggregates import Max, Sum, TopK
@@ -8,6 +10,7 @@ from repro.core.overlay import Decision, NodeKind
 from repro.core.query import EgoQuery, QueryMode
 from repro.core.windows import TupleWindow
 from repro.dataflow.frequencies import FrequencyModel
+from repro.graph.bipartite import build_bipartite
 from repro.graph.dynamic_graph import DynamicGraph, GraphError
 from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
@@ -304,6 +307,57 @@ class TestOneStructurePath:
         assert engine.read("r") == 4.0
         engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_NODE, "x"))
         assert engine.read("r") == oracle.read("r") == 0.0
+
+
+class TestTheAGStaysCurrent:
+    """The engine's ``AG`` is the one record of each reader's inputs: the
+    maintainer rewrites its rows, so the sharing index, ``describe()`` and
+    ``Overlay.validate`` read the graph as it stands."""
+
+    def test_edge_removals(self):
+        # regression: the AG kept the construction's rows, and the sharing
+        # index read 0.30 here where the live AG gives 0.0
+        graph = random_graph(80, 400, seed=3)
+        engine = EAGrEngine(graph, fig1_query())
+        rng = random.Random(3)
+        for _ in range(120):
+            u, v = rng.choice(sorted(graph.edges()))
+            engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_EDGE, u, v))
+        self.check(engine)
+        assert engine.sharing_index() == 0.0
+
+    def test_mixed_churn_with_a_reader_predicate(self):
+        graph = random_graph(40, 150, seed=5)
+        query = EgoQuery(
+            aggregate=Sum(),
+            neighborhood=Neighborhood.undirected(hops=2),
+            predicate=lambda node: node % 4 != 0,
+        )
+        engine = EAGrEngine(graph, query, overlay_algorithm="iob")
+        rng = random.Random(5)
+        for step in range(60):
+            nodes = sorted(graph.nodes())
+            roll = rng.random()
+            if roll < 0.4:
+                event = StructureEvent(StructureOp.ADD_EDGE, *rng.sample(nodes, 2))
+            elif roll < 0.8:
+                event = StructureEvent(StructureOp.REMOVE_EDGE, *rng.choice(sorted(graph.edges())))
+            elif roll < 0.9:
+                event = StructureEvent(StructureOp.ADD_NODE, 100 + step)
+            else:
+                event = StructureEvent(StructureOp.REMOVE_NODE, rng.choice(nodes))
+            engine.apply_structure_event(event)
+            engine.overlay.validate(engine.ag)
+        self.check(engine)
+
+    @staticmethod
+    def check(engine):
+        query = engine.query
+        fresh = build_bipartite(engine.graph, query.neighborhood, query.predicate)
+        assert engine.ag.reader_inputs == fresh.reader_inputs
+        assert engine.ag.writer_out_degree == fresh.writer_out_degree
+        assert engine.sharing_index() == 1.0 - engine.overlay.num_edges / fresh.num_edges
+        assert f"SI={engine.sharing_index():.3f}" in engine.describe()
 
 
 class TestEditsBehindTheEngine:

@@ -19,7 +19,6 @@ from repro.core.statestore import ColumnarStore
 from repro.core.windows import TupleWindow
 from repro.graph.generators import paper_figure1, random_graph
 from repro.graph.neighborhoods import Neighborhood
-from repro.overlay.dynamic import OverlayMaintainer
 from repro.serve.shard import ShardSpec
 
 from tests.conftest import as_object, oracle_for
@@ -187,20 +186,16 @@ class TestServeShipment:
         host = clone.build()
         assert set(host.engine.overlay.reader_of) <= keep
 
-    def test_graph_pickle_drops_listeners(self):
+    def test_graph_pickle_roundtrip(self):
         graph = paper_figure1()
-        from repro.core.overlay import Overlay
-        from repro.graph.bipartite import build_bipartite
-
-        ag = build_bipartite(graph, Neighborhood.in_neighbors())
-        maintainer = OverlayMaintainer(
-            graph, Neighborhood.in_neighbors(), Overlay.identity(ag), ag
-        ).attach()
-        assert graph._listeners
+        graph.set_attr("a", "kind", "user")
+        graph.remove_edge(*next(iter(graph.edges())))
         clone = pickle.loads(pickle.dumps(graph))
-        assert clone._listeners == []
-        assert sorted(map(repr, clone.nodes())) == sorted(map(repr, graph.nodes()))
-        assert maintainer.overlay is not None  # original subscription intact
+        assert list(clone.nodes()) == list(graph.nodes())
+        assert sorted(map(repr, clone.edges())) == sorted(map(repr, graph.edges()))
+        assert clone.num_edges == graph.num_edges
+        assert clone.get_attr("a", "kind") == "user"
+        assert clone.clock == graph.clock
 
     def test_query_components_roundtrip(self):
         query = EgoQuery(

@@ -260,7 +260,7 @@ class Rig:
         self.sync()
         self.engine = resume(self.engine, self.make_engine(self.engine.graph.copy()))
         assert all(type(buffer) is RingRow for buffer in self.engine.runtime.buffers.values())
-        follow(self.oracle, self.engine.graph)
+        follow(self.oracle, self.engine)
         self.oracle.restart()
 
     def check(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph import DynamicGraph, GraphError, StructureOp
+from repro.graph import DynamicGraph, GraphError
 
 
 @pytest.fixture
@@ -118,47 +118,66 @@ class TestAttributes:
 
 
 class TestStructureStream:
-    def test_listener_receives_events(self):
+    """The structure clock an engine reads to tell its own edits from
+    edits made behind it."""
+
+    def test_every_edit_ticks_once(self):
         g = DynamicGraph()
-        events = []
-        g.subscribe(events.append)
-        g.add_edge("a", "b")
-        ops = [e.op for e in events]
-        assert ops == [StructureOp.ADD_NODE, StructureOp.ADD_NODE, StructureOp.ADD_EDGE]
+        g.add_edge("a", "b")  # two nodes, then the edge
+        assert g.clock == 3
+        g.remove_edge("a", "b")
+        assert g.clock == 4
+        g.add_node("c")
+        assert g.clock == 5
+        g.set_attr("c", "k", 1)  # content, not structure
+        assert g.clock == 5
 
     def test_timestamps_monotone(self):
         g = DynamicGraph()
-        events = []
-        g.subscribe(events.append)
-        g.add_edge("a", "b")
-        g.remove_edge("a", "b")
-        stamps = [e.timestamp for e in events]
+        stamps = [g.clock]
+        for edit in (
+            lambda: g.add_edge("a", "b"),
+            lambda: g.add_edge("b", "c"),
+            lambda: g.remove_edge("a", "b"),
+            lambda: g.remove_node("c"),
+            lambda: g.add_node("d"),
+        ):
+            edit()
+            stamps.append(g.clock)
         assert stamps == sorted(stamps)
         assert len(set(stamps)) == len(stamps)
 
-    def test_unsubscribe(self):
-        g = DynamicGraph()
-        events = []
-        g.subscribe(events.append)
-        g.unsubscribe(events.append)
-        g.add_node("a")
-        assert events == []
-
-    def test_noop_operations_emit_nothing(self):
+    def test_noop_operations_do_not_tick(self):
         g = DynamicGraph()
         g.add_edge("a", "b")
-        events = []
-        g.subscribe(events.append)
-        g.add_node("a")
-        g.add_edge("a", "b")
-        assert events == []
+        clock = g.clock
+        assert g.add_node("a") is False
+        assert g.add_edge("a", "b") is False
+        assert g.clock == clock
 
-    def test_remove_node_emits_edge_removals_first(self, triangle):
-        events = []
-        triangle.subscribe(events.append)
-        triangle.remove_node("a")
-        assert events[-1].op == StructureOp.REMOVE_NODE
-        assert {e.op for e in events[:-1]} == {StructureOp.REMOVE_EDGE}
+    def test_refused_operations_do_not_tick(self, triangle):
+        clock = triangle.clock
+        for edit in (
+            lambda: triangle.remove_edge("a", "c"),
+            lambda: triangle.remove_node("ghost"),
+            lambda: triangle.add_edge("a", "a"),
+        ):
+            with pytest.raises(GraphError):
+                edit()
+        assert triangle.clock == clock
+
+    def test_remove_node_ticks_per_incident_edge_plus_one(self, triangle):
+        clock = triangle.clock
+        triangle.remove_node("a")  # a -> b and c -> a
+        assert triangle.clock == clock + 3
+        assert triangle.num_edges == 1
+
+    def test_from_edges_clock_matches_one_edit_at_a_time(self):
+        edges = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "a")]
+        g = DynamicGraph()
+        for u, v in edges:
+            g.add_edge(u, v)
+        assert DynamicGraph.from_edges(edges).clock == g.clock
 
 
 class TestConstruction:

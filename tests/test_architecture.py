@@ -401,6 +401,34 @@ GUARDS = (
         plant="maintained = False",
     ),
     Guard(
+        "One copy of each reader's inputs",
+        ("src/repro/graph/dynamic_graph.py",),
+        r"\b(subscribe|unsubscribe|_listeners)\b",
+        "The overlay maintainer makes every structure edit itself, so the "
+        "graph tells no one about its changes: it ticks its clock.  A "
+        "listener plane would bring back a second way to reach the "
+        "maintainer, one the engine's clock check cannot see.",
+        plant="self._listeners = []",
+    ),
+    Guard(
+        "One copy of each reader's inputs",
+        ("src/repro/overlay/dynamic.py",),
+        r"\b(current_inputs|_feeds|live_bipartite)\b|def attach",
+        "The engine's AG is the one record of each reader's inputs, kept "
+        "current by the maintainer; a mirror of it drifted from the AG and "
+        "cost 15 MiB on the 12 000-node suite graph.",
+        plant="self._feeds = {}",
+    ),
+    Guard(
+        "One copy of each reader's inputs",
+        ("src/repro/core/engine.py",),
+        r"\b(_readers_near|_edit)\b",
+        "OverlayMaintainer.apply makes the edit and finds the readers near "
+        "it, once; the engine expanding them again ran the same expansion "
+        "three times per edit.",
+        plant="affected = self._readers_near(endpoints)",
+    ),
+    Guard(
         "Plan dependencies in the arenas",
         ("src/repro/core/",),
         r"\b_plan_deps\b",

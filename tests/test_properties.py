@@ -187,6 +187,7 @@ def test_maintained_engine_matches_oracle_under_churn(seed):
             if edges:
                 u, v = rng.choice(edges)
                 engine.apply_structure_event(StructureEvent(StructureOp.REMOVE_EDGE, u, v))
+        engine.overlay.validate(engine.ag)
         node, value = rng.randrange(12), float(rng.randrange(9))
         engine.write(node, value)
         oracle.write(node, value)
