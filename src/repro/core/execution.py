@@ -142,7 +142,7 @@ from repro.core.overlay import (
     OverlayCSR,
     OverlayError,
 )
-from repro.core.pullrows import PullRows, ragged_index
+from repro.core.pullrows import PullRows
 from repro.core.query import EgoQuery
 from repro.core.statestore import WriteFrame, gated_columns, make_value_store
 from repro.core.windows import (
@@ -153,6 +153,7 @@ from repro.core.windows import (
     TupleWindow,
     WindowBuffer,
 )
+from repro.graph.columns import ragged_index
 
 NodeId = Hashable
 PAO = Any

@@ -32,8 +32,8 @@ from typing import Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from repro.core.pullrows import csr_indptr
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.columns import csr_indptr, distinct
 
 NodeId = Hashable
 
@@ -51,13 +51,6 @@ class Decision(enum.Enum):
 
 class OverlayError(Exception):
     """Raised on structurally invalid overlay mutations."""
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct ``values``, ascending (``np.unique`` imports
-    ``numpy.ma``, about 1 MB resident)."""
-    ordered = np.sort(values)
-    return ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0]
 
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -271,9 +264,9 @@ class Overlay:
                 raise OverlayError("edge endpoints must be handles of the overlay")
             if not ((sign == 1) | (sign == -1)).all():
                 raise OverlayError("edge sign must be +1 or -1")
-            if NodeKind.READER in map(self.kinds.__getitem__, _distinct(src).tolist()):
+            if NodeKind.READER in map(self.kinds.__getitem__, distinct(src).tolist()):
                 raise OverlayError("reader nodes cannot feed other overlay nodes")
-            if NodeKind.WRITER in map(self.kinds.__getitem__, _distinct(dst).tolist()):
+            if NodeKind.WRITER in map(self.kinds.__getitem__, distinct(dst).tolist()):
                 raise OverlayError("writer nodes cannot receive overlay edges")
             if (src == dst).any():
                 raise OverlayError("self loops are not allowed")
@@ -290,7 +283,7 @@ class Overlay:
         kept = np.ones(len(keys), dtype=bool)
         if len(gone):
             slot = np.minimum(np.searchsorted(keys, gone), max(len(keys) - 1, 0))
-            if not len(keys) or (keys[slot] != gone).any() or len(_distinct(gone)) != len(gone):
+            if not len(keys) or (keys[slot] != gone).any() or len(distinct(gone)) != len(gone):
                 raise OverlayError("an edge to remove is not present")
             self._alive[rows[by_key[slot]]] = False
             kept[slot] = False
@@ -303,7 +296,7 @@ class Overlay:
         self.version += len(gone)
         self._append(len(src), src, dst, sign)
         self._stale = True
-        self._dirty.update(_distinct(np.concatenate((*remove, src, dst))).tolist())
+        self._dirty.update(distinct(np.concatenate((*remove, src, dst))).tolist())
 
     def has_edge(self, src: int, dst: int) -> bool:
         return src in self._index_of(True).patch(dst)[1]

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.graph.columns import ragged_index
+
 
 class PullRow:
     """One reader's evaluation, frozen for the handle-space read kernel.
@@ -40,17 +42,6 @@ class PullRow:
         self.credit = credit
 
 
-def ragged_index(starts, counts):
-    """``(idx, offsets)``: flat indices of the ragged rows
-    ``starts[i] : starts[i] + counts[i]``, rows in input order, and each
-    row's offset into ``idx``."""
-    ends = np.cumsum(counts)
-    offsets = ends - counts
-    total = int(ends[-1]) if len(ends) else 0
-    idx = np.repeat(starts - offsets, counts) + np.arange(total, dtype=np.int64)
-    return idx, offsets
-
-
 def compact(arena, starts, counts, extra: int):
     """The ragged rows ``starts`` / ``counts`` of ``arena`` (rows along its
     last axis) copied to the front of a new arena with room to double:
@@ -68,13 +59,6 @@ def rows_hit(arena, starts, counts, dirty):
     mask over the handle space): one gather and one ``reduceat``."""
     idx, offsets = ragged_index(starts, counts)
     return np.logical_or.reduceat(dirty[arena[idx]], offsets)
-
-
-def csr_indptr(lengths):
-    """The CSR row pointers of rows ``lengths`` long."""
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
 
 
 class PullRows:

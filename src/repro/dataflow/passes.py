@@ -24,8 +24,8 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core.overlay import KIND_READER, KIND_WRITER, Overlay
-from repro.core.pullrows import csr_indptr, ragged_index
 from repro.dataflow.costs import CostModel
+from repro.graph.columns import csr_indptr, ragged_index
 
 if TYPE_CHECKING:  # frequencies.py builds on this module
     from repro.dataflow.frequencies import FrequencyModel

@@ -17,11 +17,13 @@ FP-tree item ordering).
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import operator
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.graph.columns import csr_indptr, ragged_index
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.neighborhoods import Neighborhood
 
@@ -68,6 +70,20 @@ class BipartiteGraph:
         self.writer_out_degree: Dict[NodeId, int] = dict(
             collections.Counter(itertools.chain.from_iterable(self.reader_inputs.values()))
         )
+
+    @classmethod
+    def from_rows(
+        cls,
+        reader_inputs: Dict[NodeId, Tuple[NodeId, ...]],
+        writer_out_degree: Dict[NodeId, int],
+    ) -> "BipartiteGraph":
+        """The ``AG`` whose rows are already what the constructor leaves:
+        distinct writers in ``_sort_key`` order, with their out-degrees in
+        the order the rows first name them."""
+        ag = cls.__new__(cls)
+        ag.reader_inputs = reader_inputs
+        ag.writer_out_degree = writer_out_degree
+        return ag
 
     # ------------------------------------------------------------------
 
@@ -133,16 +149,65 @@ def build_bipartite(
     -------
     BipartiteGraph
     """
-    reader_inputs: Dict[NodeId, Tuple[NodeId, ...]] = {}
     universe = graph.nodes() if readers is None else readers
-    # one plain hop reads each reader's members straight off the graph
-    members_of = neighborhood.one_hop(graph) or functools.partial(neighborhood, graph)
-    for node in universe:
-        if node not in graph:
-            continue
-        if predicate is not None and not predicate(node):
-            continue
-        members = members_of(node)
+    chosen = [
+        node
+        for node in dict.fromkeys(universe)
+        if node in graph and (predicate is None or predicate(node))
+    ]
+    # one plain hop reads every reader's members off the graph's columns
+    columns = neighborhood.one_hop(graph)
+    if columns is not None:
+        ag = _from_columns(graph, *columns, chosen)
+        if ag is not None:
+            return ag
+    reader_inputs: Dict[NodeId, Tuple[NodeId, ...]] = {}
+    for node in chosen:
+        members = neighborhood(graph, node)
         if members:
             reader_inputs[node] = tuple(members)
     return BipartiteGraph(reader_inputs)
+
+
+def _from_columns(
+    graph: DynamicGraph, indptr: np.ndarray, members: np.ndarray, readers: List[NodeId]
+) -> Optional[BipartiteGraph]:
+    """``AG`` of ``readers`` (distinct nodes of ``graph``) when each one's
+    members are its row of the CSR ``(indptr, members)`` over the graph's
+    handles: what :class:`BipartiteGraph` makes of those rows, ranked and
+    counted in columns.  ``None`` if two writers tie on :func:`_sort_key`,
+    whose order the constructor takes from its sets."""
+    labels = graph.labels
+    handles = np.fromiter(map(graph.handle, readers), np.int64, len(readers))
+    starts, sizes = indptr[handles], indptr[handles + 1] - indptr[handles]
+    nonempty = sizes > 0
+    readers = list(itertools.compress(readers, nonempty.tolist()))
+    sizes = sizes[nonempty]
+    flat = members[ragged_index(starts[nonempty], sizes)[0]]
+    bounds = csr_indptr(sizes)
+    total = len(flat)
+    # rank the distinct writers by _sort_key
+    by_writer = np.argsort(flat, kind="stable")
+    grouped = flat[by_writer]
+    firsts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    writers = grouped[firsts]
+    keys = list(map(_sort_key, map(labels.__getitem__, writers.tolist())))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    if any(keys[a] == keys[b] for a, b in zip(order, order[1:])):
+        return None
+    rank = np.zeros(len(labels), dtype=np.int64)
+    rank[writers[order]] = np.arange(len(order))
+    row_of = np.repeat(np.arange(len(sizes)), sizes)
+    names = list(map(labels.__getitem__, flat[np.argsort(row_of * len(order) + rank[flat])].tolist()))
+    cuts = bounds.tolist()
+    reader_inputs = {
+        reader: tuple(names[start:stop]) for reader, start, stop in zip(readers, cuts, cuts[1:])
+    }
+    # out-degrees in the order the ranked rows first name each writer: by
+    # the first row naming it, then by rank
+    degrees = np.diff(np.append(firsts, total))
+    seen = np.argsort(row_of[by_writer[firsts]] * len(order) + rank[writers])
+    return BipartiteGraph.from_rows(
+        reader_inputs,
+        dict(zip(map(labels.__getitem__, writers[seen].tolist()), degrees[seen].tolist())),
+    )

@@ -18,7 +18,9 @@ readers).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional, Set
+from typing import Callable, Hashable, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.graph.dynamic_graph import DynamicGraph
 
@@ -116,21 +118,23 @@ class Neighborhood:
             members = {m for m in members if self.node_filter(graph, m)}
         return members
 
-    def one_hop(self, graph: DynamicGraph) -> Optional[Callable[[NodeId], Set[NodeId]]]:
-        """``N`` on ``graph`` as a look-up, when it is one hop with no
-        filter: a reader's members are then the graph's own in-, out- or
-        undirected neighbour set (no node is its own neighbour), plus the
-        node with ``include_self``.  Equal to calling this neighbourhood,
-        without its per-call set algebra; the sets returned must not be
-        modified.  ``None`` for any other neighbourhood."""
+    def one_hop(self, graph: DynamicGraph) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``N`` of every node of ``graph`` as int64 columns ``(indptr,
+        members)`` over its handles (:meth:`DynamicGraph.csr`), when it is
+        one hop with no filter: a node's members are then its in-, out- or
+        undirected neighbours (no node is its own neighbour), plus the
+        node with ``include_self``.  The columns are the graph's own, or
+        new ones with ``include_self``; neither is to be modified.
+        ``None`` for any other neighbourhood."""
         if self.hops != 1 or self.node_filter is not None:
             return None
-        step = {IN: graph.in_neighbors, OUT: graph.out_neighbors, BOTH: graph.neighbors}[
-            self.direction
-        ]
-        if self.include_self:
-            return lambda node: step(node) | {node}
-        return step
+        indptr, members = graph.csr(self.direction)
+        if not self.include_self:
+            return indptr, members
+        nodes = np.arange(len(indptr) - 1)
+        owners = np.concatenate((np.repeat(nodes, np.diff(indptr)), nodes))
+        order = np.argsort(owners, kind="stable")
+        return indptr + np.arange(len(indptr)), np.concatenate((members, nodes))[order]
 
     def affected_readers(self, graph: DynamicGraph, node: NodeId) -> Set[NodeId]:
         """Readers whose ``N(r)`` may include ``node`` (reverse expansion).

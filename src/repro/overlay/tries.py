@@ -69,7 +69,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.pullrows import csr_indptr, ragged_index
+from repro.graph.columns import csr_indptr, ragged_index
 from repro.overlay.shingles import int_repr_key
 
 #: pads a root path in the tie-break sort: below every ``-node``, so a

@@ -49,8 +49,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.overlay import Overlay, memory_estimate, sharing_index
-from repro.core.pullrows import csr_indptr, ragged_index
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.columns import csr_indptr, ragged_index
 from repro.overlay.shingles import HashTable, group_ranges, int_repr_key, order_rows
 from repro.overlay.tries import GroupTries, Mined
 

@@ -78,8 +78,10 @@ class ShardSpec:
     Parameters
     ----------
     graph:
-        The data graph (pickled whole; listeners are dropped in transit —
-        see :meth:`repro.graph.dynamic_graph.DynamicGraph.__getstate__`).
+        The data graph, pickled whole as its columns: the node ids in
+        order, each node's out-degree and the targets of its out-edges,
+        in the smallest unsigned dtype that holds a node handle (see
+        :meth:`repro.graph.dynamic_graph.DynamicGraph.__getstate__`).
     query:
         The deployment-wide query.  The shard rebuilds it with a
         membership predicate over ``readers`` (the user predicate is

@@ -17,11 +17,16 @@ from repro.core.engine import EAGrEngine
 from repro.core.query import EgoQuery
 from repro.core.statestore import ColumnarStore
 from repro.core.windows import TupleWindow
-from repro.graph.generators import paper_figure1, random_graph
+from repro.graph.generators import paper_figure1, random_graph, social_graph
 from repro.graph.neighborhoods import Neighborhood
 from repro.serve.shard import ShardSpec
 
 from tests.conftest import as_object, oracle_for
+
+
+#: Linux's default pipe buffer: a spawned worker's arguments pickled past
+#: it block ``Process.start()`` until the child has booted and read them
+PIPE_BUFFER_BYTES = 64 * 1024
 
 
 def roundtrip(obj):
@@ -190,12 +195,29 @@ class TestServeShipment:
         graph = paper_figure1()
         graph.set_attr("a", "kind", "user")
         graph.remove_edge(*next(iter(graph.edges())))
-        clone = pickle.loads(pickle.dumps(graph))
+        graph.remove_node("c")  # its handle is renumbered away in transit
+        graph.add_edge("c", "a")  # back, now last in order
+        clone = roundtrip(graph)
         assert list(clone.nodes()) == list(graph.nodes())
-        assert sorted(map(repr, clone.edges())) == sorted(map(repr, graph.edges()))
+        assert list(graph.nodes())[-1] == "c"
+        assert set(clone.edges()) == set(graph.edges())
+        for node in graph.nodes():
+            assert clone.out_neighbors(node) == graph.out_neighbors(node)
+            assert clone.in_neighbors(node) == graph.in_neighbors(node)
         assert clone.num_edges == graph.num_edges
         assert clone.get_attr("a", "kind") == "user"
         assert clone.clock == graph.clock
+
+    def test_shard_spec_of_a_thousand_nodes_fits_a_pipe_buffer(self):
+        """The graph of 10 403 edges pickles as two-byte handles; as sets
+        of node ids it took 65 445 bytes alone."""
+        graph = social_graph(1000)
+        assert graph.num_edges == 10_403
+        spec = ShardSpec(
+            graph, EgoQuery(aggregate=Sum(), window=TupleWindow(1)),
+            shard_id=0, num_shards=1, readers=frozenset(graph.nodes()),
+        )
+        assert len(pickle.dumps(spec)) < PIPE_BUFFER_BYTES
 
     def test_query_components_roundtrip(self):
         query = EgoQuery(

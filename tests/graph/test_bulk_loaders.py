@@ -4,9 +4,10 @@
 ``Overlay.identity`` and ``Overlay.to_csr`` build their dicts, sets and
 lists in bulk; each must leave exactly what the per-edge construction
 leaves: the same nodes in the same order, the same containers iterating in
-the same order, and the same counters (``_clock``, ``version``, the dirty
-set).  Node ids mix ints on both sides of a ``repr``-order boundary
-(``10`` sorts before ``9``), strings and tuples.
+the same order (for the graph, the same neighbour sets), and the same
+counters (the clock, ``version``, the dirty set).  Node ids mix ints on
+both sides of a ``repr``-order boundary (``10`` sorts before ``9``),
+strings and tuples.
 """
 
 import random
@@ -42,11 +43,15 @@ def per_edge_graph(edges):
 
 
 def graph_state(graph):
+    """What the public API shows of ``graph``: its nodes in order, each
+    one's neighbour sets, the edge count and the clock."""
+    nodes = list(graph.nodes())
     return (
-        [(node, list(targets)) for node, targets in graph._out.items()],
-        [(node, list(sources)) for node, sources in graph._in.items()],
+        nodes,
+        [graph.out_neighbors(node) for node in nodes],
+        [graph.in_neighbors(node) for node in nodes],
         graph.num_edges,
-        graph._clock,
+        graph.clock,
     )
 
 
@@ -146,6 +151,13 @@ class TestBipartite:
         assert list(ag.writer_out_degree.items()) == list(degree.items())
 
 
+class Twin:
+    """A node id equal only to itself, whose ``repr`` every twin shares."""
+
+    def __repr__(self):
+        return "Twin()"
+
+
 def per_reader_bipartite(graph, neighborhood, predicate=None, readers=None):
     """``AG`` with one ``neighborhood(graph, node)`` call per reader."""
     universe = graph.nodes() if readers is None else readers
@@ -188,6 +200,17 @@ class TestOneHop:
             ag = build_bipartite(graph, neighborhood)
             want = per_reader_bipartite(graph, neighborhood)
             assert list(ag.reader_inputs.items()) == list(want.reader_inputs.items())
+
+    def test_writers_tied_on_the_sort_key(self):
+        """Distinct ids with one ``repr`` rank as the constructor ranks
+        them: in the order of each reader's neighbour set."""
+        twins = [Twin() for _ in range(6)]
+        edges = [(twin, reader) for twin in twins for reader in ("r", "s")][1:]
+        graph = DynamicGraph.from_edges(edges)
+        ag = build_bipartite(graph, Neighborhood.in_neighbors())
+        want = per_reader_bipartite(graph, Neighborhood.in_neighbors())
+        assert list(ag.reader_inputs.items()) == list(want.reader_inputs.items())
+        assert list(ag.writer_out_degree.items()) == list(want.writer_out_degree.items())
 
     def test_other_neighborhoods_are_called_per_reader(self):
         graph = random_graph(30, 90, seed=4)

@@ -465,6 +465,16 @@ GUARDS = (
         "would let an engine bug read the same on both sides.",
         plant="from repro.core.aggregates import Sum",
     ),
+    Guard(
+        "The data graph in int64 columns",
+        ("src/repro/graph/dynamic_graph.py",),
+        r"Dict\[NodeId, Set\[|defaultdict\(set\)",
+        "The graph's edges are a CSR by source and one by target, with a "
+        "node's edits since the last rebuild kept beside its row; a set of "
+        "neighbour ids per node took 161 bytes per edge against 26.  The "
+        "dict-of-sets graph is the reference under tests/graph/dict_graph.py.",
+        plant="_out: Dict[NodeId, Set[NodeId]] = {}",
+    ),
 )
 
 
