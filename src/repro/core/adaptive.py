@@ -9,12 +9,26 @@ unilaterally without breaking consistency:
 * push nodes all of whose consumers are pull, including consumer-less push
   readers (may flip to pull).
 
-For each frontier node, the controller compares the observed push traffic
-(``f_h`` estimates; the runtime counts would-be pushes even when they stop
-at the frontier) against the observed pull traffic over a sliding window of
-events, and flips the decision when the other side would have been cheaper
-by a hysteresis factor.  Flipping to push materializes the node's PAO from
-its (push) inputs; flipping to pull discards state.
+The controller counts the stream, not the runtime.  The engine hands it
+the node of every write and every read (:meth:`AdaptiveController.count_writes`,
+:meth:`AdaptiveController.count_reads`), and it keeps them as a window of
+per-node counts keyed by graph node id.  Each evaluation turns the window
+into a :class:`~repro.dataflow.frequencies.FrequencyModel` and derives
+every overlay node's ``f_h`` and ``f_l`` with
+:func:`~repro.dataflow.passes.push_pull_frequencies`, the §4.1 pass the
+static decision runs over expected frequencies.  So ``f_h`` at a node is
+the window's writes at each writer times the overlay paths from that writer
+to the node: every write counts, whatever its delta, and evictions and the
+points where the data stops a push do not.  ``f_l`` is the window's reads
+at each reader times the paths from the node to that reader.  At a frontier
+node these are the pushes it would receive and the pulls it would serve.
+The controller flips the decision when the other side would have been
+cheaper by a hysteresis factor.  Flipping to push materializes the node's
+PAO from its (push) inputs; flipping to pull discards state.
+
+Each evaluation clears the window, and so does the engine's ``redecide``.
+A structure event renumbers the overlay's handles but not the graph's
+nodes, so the window spans it unchanged.
 
 A sweep's flips go through one :meth:`Runtime.set_decisions`, which
 invalidates only the compiled plans whose traversal touches a flipped
@@ -24,14 +38,19 @@ forces a full plan-cache rebuild.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Collection, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.execution import Runtime
-from repro.core.overlay import KIND_WRITER, Decision
+from repro.core.overlay import KIND_READER, KIND_WRITER, Decision
 from repro.dataflow.costs import CostModel
+from repro.dataflow.frequencies import FrequencyModel
+from repro.dataflow.passes import DecisionGraph, push_pull_frequencies
+
+NodeId = Hashable
 
 
 @dataclass
@@ -47,7 +66,15 @@ class AdaptiveConfig:
 
 
 class AdaptiveController:
-    """Monitors a runtime and re-decides frontier nodes as traffic drifts."""
+    """Counts a runtime's stream and re-decides frontier nodes as it drifts.
+
+    The window holds the writes and reads counted since the last
+    evaluation, per graph node id.  :meth:`frequencies` turns it into
+    every handle's ``f_h`` (the window's writes, each counted once per
+    overlay path from its writer, whether or not it moved a value) and
+    ``f_l`` (its reads, once per path to their reader); nothing the
+    runtime does with the events enters them.
+    """
 
     def __init__(
         self,
@@ -60,23 +87,47 @@ class AdaptiveController:
         self.config = config or AdaptiveConfig()
         self._events_since_check = 0
         self.flips = 0
-        self._snapshot()
-
-    def _snapshot(self) -> None:
-        self._push_base: List[int] = list(self.runtime.observed_push)
-        self._pull_base: List[int] = list(self.runtime.observed_pull)
+        # The window: writes and reads per graph node id since it was
+        # last cleared.
+        self._writes: Counter = Counter()
+        self._reads: Counter = Counter()
 
     # ------------------------------------------------------------------
 
-    def tick(self, events: int = 1) -> None:
-        """Notify the controller that events were processed.
+    def count_writes(self, nodes: Collection[NodeId]) -> None:
+        """Count one write at each of ``nodes`` (graph node ids, repeats
+        allowed) and evaluate once the check interval is crossed,
+        so a batch crosses it exactly as the per-event loop would."""
+        self._count(self._writes, nodes)
 
-        Batched entry points tick once with the batch size, so a batch
-        crosses the check interval exactly as the per-event loop would.
-        """
-        self._events_since_check += events
+    def count_reads(self, nodes: Collection[NodeId]) -> None:
+        """:meth:`count_writes` for reads."""
+        self._count(self._reads, nodes)
+
+    def _count(self, window: Counter, nodes: Collection[NodeId]) -> None:
+        window.update(nodes)
+        self._events_since_check += len(nodes)
         if self._events_since_check >= self.config.check_interval:
             self.evaluate()
+
+    def clear(self) -> None:
+        """Empty the window."""
+        self._writes.clear()
+        self._reads.clear()
+
+    def frequencies(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The window's ``(f_h, f_l)`` for every handle of the runtime's
+        overlay: §4.1's pass with the window's counts as the frequencies."""
+        overlay = self.runtime.overlay
+        graph = DecisionGraph(overlay)
+        model = FrequencyModel(read=self._reads, write=self._writes)
+        fh, fl = push_pull_frequencies(graph, model)
+        # A dropped reader keeps its kind and label, without edges: it
+        # serves none of its node's reads.
+        dropped = graph.kinds == KIND_READER
+        dropped[list(overlay.reader_of.values())] = False
+        fl[dropped] = 0.0
+        return fh, fl
 
     def frontier(self) -> List[int]:
         """Handles whose decision may be flipped unilaterally: pull nodes
@@ -93,7 +144,7 @@ class AdaptiveController:
         return np.flatnonzero(~writer & np.where(push, ~push_consumer, ~pull_input)).tolist()
 
     def evaluate(self) -> int:
-        """Re-decide every frontier node from windowed observations.
+        """Re-decide every frontier node from the window, then clear it.
 
         Returns the number of flips performed.  The frontier is computed
         once per sweep (a flip may expose new frontier nodes only in the
@@ -105,14 +156,11 @@ class AdaptiveController:
         overlay = runtime.overlay
         config = self.config
         decisions = overlay.decisions
+        fh, fl = self.frequencies()
+        self.clear()
         flips = {}  # handle -> new decision, in sweep order
-        # Grow baselines if the overlay gained nodes since the last check.
-        while len(self._push_base) < overlay.num_nodes:
-            self._push_base.append(0)
-            self._pull_base.append(0)
         for handle in self.frontier():
-            pushes = runtime.observed_push[handle] - self._push_base[handle]
-            pulls = runtime.observed_pull[handle] - self._pull_base[handle]
+            pushes, pulls = fh[handle], fl[handle]
             if pushes + pulls < config.min_observations:
                 continue
             fan_in = max(1, overlay.fan_in(handle))
@@ -131,5 +179,4 @@ class AdaptiveController:
                 flips[handle] = target
         runtime.set_decisions(flips.items())
         self.flips += len(flips)
-        self._snapshot()
         return len(flips)

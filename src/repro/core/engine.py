@@ -30,6 +30,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 from repro.core.adaptive import AdaptiveConfig, AdaptiveController
 from repro.core.execution import Runtime
+from repro.core.statestore import WriteFrame
 from repro.core.overlay import Decision, Overlay
 from repro.core.query import EgoQuery
 from repro.dataflow.costs import CostModel
@@ -179,7 +180,7 @@ class EAGrEngine:
         # untouched writers/readers keep their compiled plans.
         self.runtime.rebuild(dirty=self.overlay.pop_dirty())
         if self.controller is not None:
-            self.controller._snapshot()
+            self.controller.clear()
 
     # ------------------------------------------------------------------
     # event API
@@ -190,7 +191,7 @@ class EAGrEngine:
         self._sync()
         self.runtime.write(node, value, timestamp)
         if self.controller is not None:
-            self.controller.tick()
+            self.controller.count_writes((node,))
 
     def write_batch(self, writes: Sequence) -> int:
         """Process a batch of writes, coalescing same-writer deltas.
@@ -202,9 +203,12 @@ class EAGrEngine:
         equivalent per-event loop.  Returns the number of writes applied.
         """
         self._sync()
+        if self.controller is None:
+            return self.runtime.write_batch(writes)
+        if writes.__class__ is not WriteFrame and not isinstance(writes, (list, tuple)):
+            writes = list(writes)  # the runtime and the controller both read it
         count = self.runtime.write_batch(writes)
-        if self.controller is not None:
-            self.controller.tick(count)
+        self.controller.count_writes(_written_nodes(writes))
         return count
 
     def read(self, node: NodeId) -> Any:
@@ -212,16 +216,19 @@ class EAGrEngine:
         self._sync()
         result = self.runtime.read(node)
         if self.controller is not None:
-            self.controller.tick()
+            self.controller.count_reads((node,))
         return result
 
     def read_batch(self, nodes: Sequence[NodeId]) -> List[Any]:
         """Evaluate the query at each of ``nodes`` (one structural sync,
         one pass of the runtime's read path for the whole batch)."""
         self._sync()
+        if self.controller is None:
+            return self.runtime.read_batch(nodes)
+        if not isinstance(nodes, (list, tuple)):
+            nodes = list(nodes)  # the runtime and the controller both read it
         results = self.runtime.read_batch(nodes)
-        if self.controller is not None:
-            self.controller.tick(len(results))
+        self.controller.count_reads(nodes)
         return results
 
     # ------------------------------------------------------------------
@@ -249,7 +256,7 @@ class EAGrEngine:
         """
         results = self.runtime.read_handles(handles)
         if self.controller is not None:
-            self.controller.tick(len(results))
+            self.controller.count_reads(self.runtime.labels_of(handles))
         return results
 
     def read_handle_column(self, handles):
@@ -258,7 +265,7 @@ class EAGrEngine:
         a runtime whose ``float_reads`` holds)."""
         results = self.runtime.read_handle_column(handles)
         if self.controller is not None:
-            self.controller.tick(len(results))
+            self.controller.count_reads(self.runtime.labels_of(handles))
         return results
 
     def changed_readers(self) -> List[NodeId]:
@@ -370,3 +377,10 @@ class EAGrEngine:
             f"overlay={self.overlay_algorithm}, dataflow={self.dataflow}, "
             f"SI={self.sharing_index():.3f}, edges={self.overlay.num_edges})"
         )
+
+
+def _written_nodes(writes) -> List[NodeId]:
+    """The node of each write in a batch ``write_batch`` accepts."""
+    if writes.__class__ is WriteFrame:
+        return writes.nodes.tolist()
+    return [item[0] if item.__class__ is tuple else item.node for item in writes]

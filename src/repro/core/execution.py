@@ -23,10 +23,8 @@ event.  Once dataflow decisions are fixed, the runtime freezes the overlay
 into CSR lists (:meth:`repro.core.overlay.Overlay.to_csr`) and compiles, lazily:
 
 * one **scatter table** (:func:`scatter_table`) holding every writer's
-  push frontier as ragged rows, in the order the interpreter's DFS
-  applies them: the destinations it observes (push applications and the
-  would-be pushes stopping at the pull frontier), and the push
-  applications with their cumulative ±1 coefficients.  Group
+  push applications as ragged rows, with their cumulative ±1
+  coefficients, in the order the interpreter's DFS applies them.  Group
   propagation never short-circuits, so the rows are static.  Every group
   write runs them: a batch as one scatter per column, a single writer as
   a loop over its rows (``values[dst] += sign * delta`` for Sum/Count);
@@ -39,10 +37,10 @@ CSR's out-rows.
 
 Pull plans, pull rows and reader closures are cached and invalidated
 precisely: each keeps the handles it touches (a pull row its observe
-entries, a closure one dependency row in its arena), and structural or
-decision changes (overlay dirty set, :meth:`Runtime.set_decisions`,
-rebuilds) scan those rows once and drop the ones touching the changed
-handles.  The CSR and the scatter table are dropped on any
+entries, every handle its pull subtree visits; a closure one dependency
+row in its arena), and structural or decision changes (overlay dirty set,
+:meth:`Runtime.set_decisions`, rebuilds) scan those rows once and drop
+the ones touching the changed handles.  The CSR and the scatter table are dropped on any
 change.  A ``(version, decision_version)`` stamp check guards against
 out-of-band overlay mutation.
 
@@ -106,15 +104,15 @@ handles with its watch mask first and diffs exactly those egos after each
 batch, which keeps continuous-subscription notification work O(affected
 watched readers) instead of O(subscribers).
 
-The runtime also counts *observed* push and pull frequencies per node —
-including would-be pushes blocked at the frontier — which the adaptive
-controller (Section 4.8) consumes.
+The runtime counts work (``counters``), not traffic: the adaptive
+controller (Section 4.8, :mod:`repro.core.adaptive`) counts the writes and
+reads of the stream itself, per graph node, and derives each node's push
+and pull frequency from them with the static decision's own §4.1 pass.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 from dataclasses import dataclass
 from time import monotonic as _monotonic
 from operator import attrgetter
@@ -231,12 +229,10 @@ class PullPlan:
 
     For batch-aware memoization the plan also indexes its own nesting:
     ``spans`` maps the program index of each nested ENTER to ``(matching
-    exit index, entered node, handles observed inside the span)`` so a
-    memo hit can skip the whole sub-program while still crediting the
-    observed-pull frequencies; ``exit_nodes`` names the node each EXIT
-    completes (the memo store point); ``observe_all`` is every handle the
-    full program observes (credited on a whole-plan hit), which is also
-    the plan's dependency set.
+    exit index, entered node)`` so a memo hit can skip the whole
+    sub-program; ``exit_nodes`` names the node each EXIT completes (the
+    memo store point); ``observe_all`` is every handle the program
+    visits, the plan's dependency set.
     """
 
     __slots__ = ("program", "pull_ops", "spans", "exit_nodes", "observe_all")
@@ -244,7 +240,7 @@ class PullPlan:
     def __init__(self, program: Tuple[Tuple[int, int, int], ...]) -> None:
         self.program = program
         self.pull_ops = sum(1 for op, _, _ in program if op != _OP_ENTER)
-        spans: Dict[int, Tuple[int, int, Tuple[int, ...]]] = {}
+        spans: Dict[int, Tuple[int, int]] = {}
         exit_nodes: Dict[int, int] = {}
         enter_stack: List[Tuple[int, int]] = []
         for index, (op, a, _b) in enumerate(program):
@@ -253,43 +249,30 @@ class PullPlan:
             elif op == _OP_EXIT:
                 start, node = enter_stack.pop()
                 exit_nodes[index] = node
-                spans[start] = (
-                    index,
-                    node,
-                    tuple(
-                        sa for so, sa, _ in program[start:index] if so != _OP_EXIT
-                    ),
-                )
+                spans[start] = (index, node)
         self.spans = spans
         self.exit_nodes = exit_nodes
         self.observe_all = tuple(a for op, a, _ in program if op != _OP_EXIT)
 
 
 class _ScatterTable:
-    """Ragged per-writer frontiers, frozen for whole-batch scatters.
+    """Ragged per-writer push rows, frozen for whole-batch scatters.
 
-    Two row sets per writer ``w``, each in the exact order the per-writer
-    plan visits its steps.  ``indptr[w]:indptr[w+1]`` slices ``dst`` to
-    every destination ``w``'s compiled propagation observes — push
-    applications and the would-be pushes stopping at the pull frontier —
-    what ``np.add.at(observed, dst, events)`` credits the observed-push
-    frequencies over.  ``push_indptr`` slices ``push_dst``/``push_coeff``
-    to the push applications alone, with their cumulative edge signs:
+    Writer ``w``'s row, ``push_indptr[w]:push_indptr[w+1]``, slices
+    ``push_dst``/``push_coeff`` to every push application of ``w``'s
+    compiled propagation, with its cumulative edge sign, in the exact
+    order the per-writer plan applies them:
     ``np.add.at(column, push_dst, push_coeff * delta)`` applies a batch's
-    value updates in the per-writer loop's addition order (the frontier
-    stops it leaves out would only add exact zeros to slots no read
-    uses), and a push row's length is its work-counter credit.
+    value updates in the per-writer loop's addition order, and a row's
+    length is its work-counter credit.  The pull nodes where a push
+    would stop are not in the rows: no write touches them.
 
-    A single writer's write walks its rows in Python (:meth:`lists`).
+    A single writer's write walks its row in Python (:meth:`lists`).
     """
 
-    __slots__ = (
-        "indptr", "dst", "push_indptr", "push_dst", "push_coeff", "has_push", "_lists"
-    )
+    __slots__ = ("push_indptr", "push_dst", "push_coeff", "has_push", "_lists")
 
-    def __init__(self, indptr, dst, push_indptr, push_dst, push_coeff):
-        self.indptr = indptr
-        self.dst = dst
+    def __init__(self, push_indptr, push_dst, push_coeff):
         self.push_indptr = push_indptr
         self.push_dst = push_dst
         self.push_coeff = push_coeff
@@ -299,32 +282,26 @@ class _ScatterTable:
         self._lists = None
 
     def lists(self):
-        """``(observe, push)``: every node's observe row (``dst``) and push
-        row (``(push_dst, push_coeff)`` pairs) as a Python list, indexed by
-        handle; built on first use and kept with the table.  A loop over
-        one writer's list costs about half what slicing the arrays on every
-        write does."""
+        """Every node's row as a Python list of ``(push_dst, push_coeff)``
+        pairs, indexed by handle; built on first use and kept with the
+        table.  A loop over one writer's list costs about half what slicing
+        the arrays on every write does."""
         if self._lists is None:
-            indptr, push_indptr = self.indptr.tolist(), self.push_indptr.tolist()
-            dst = self.dst.tolist()
+            indptr = self.push_indptr.tolist()
             steps = list(zip(self.push_dst.tolist(), self.push_coeff.tolist()))
-            self._lists = (
-                [dst[a:b] for a, b in zip(indptr, indptr[1:])],
-                [steps[a:b] for a, b in zip(push_indptr, push_indptr[1:])],
-            )
+            self._lists = [steps[a:b] for a, b in zip(indptr, indptr[1:])]
         return self._lists
 
-    def expand(self, w_arr, push: bool = False):
-        """Ragged expansion of ``w_arr``'s rows (push rows with ``push``).
+    def expand(self, w_arr):
+        """Ragged expansion of ``w_arr``'s rows.
 
-        Returns ``(idx, counts)`` where ``idx`` indexes ``dst`` (or
-        ``push_dst``/``push_coeff``) with every row of every writer in
+        Returns ``(idx, counts)`` where ``idx`` indexes
+        ``push_dst``/``push_coeff`` with every row of every writer in
         ``w_arr``, writers in input order and steps in row order, or
         ``None`` when the rows are all empty.
         """
-        indptr = self.push_indptr if push else self.indptr
-        starts = indptr[w_arr]
-        counts = indptr[w_arr + 1] - starts
+        starts = self.push_indptr[w_arr]
+        counts = self.push_indptr[w_arr + 1] - starts
         idx, _offsets = ragged_index(starts, counts)
         if not idx.size:
             return None
@@ -332,7 +309,7 @@ class _ScatterTable:
 
 
 def scatter_table(csr: OverlayCSR) -> _ScatterTable:
-    """Every writer's compiled push frontier as ragged rows.
+    """Every writer's compiled push applications as ragged rows.
 
     Rows replay the exact ``(dst, cumulative_sign)`` application order
     of the reference DFS (:meth:`Runtime.propagate_from`), so a
@@ -342,7 +319,8 @@ def scatter_table(csr: OverlayCSR) -> _ScatterTable:
     node's row is its out-edges in order, then the rows of its push
     children, last edge first, each scaled by the edge's sign.  Rows
     are built for every push node, height by height from the push
-    nodes with no push child, as ragged copies of the children's rows.
+    nodes with no push child, as ragged copies of the children's rows;
+    the writers' rows then drop the pull nodes where a push stops.
     """
     n = csr.num_nodes
     out_indptr = np.asarray(csr.out_indptr, dtype=np.int64)
@@ -396,21 +374,17 @@ def scatter_table(csr: OverlayCSR) -> _ScatterTable:
         row_coeff[target] = row_coeff[source] * np.repeat(out_sign[edges], size)
     writers = np.flatnonzero(np.asarray(csr.kinds) == KIND_WRITER)
     entries = ragged_index(row_start[writers], length[writers])[0]
-    dst = row_dst[entries]
-    pushed = push[dst]
-    counts = np.zeros(n, dtype=np.int64)
-    counts[writers] = length[writers]
+    pushed = push[row_dst[entries]]
+    entries = entries[pushed]
     push_counts = np.zeros(n, dtype=np.int64)
     push_counts[writers] = np.bincount(
         np.repeat(np.arange(len(writers)), length[writers])[pushed],
         minlength=len(writers),
     )
     return _ScatterTable(
-        indptr=np.concatenate(([0], np.cumsum(counts))),
-        dst=dst,
         push_indptr=np.concatenate(([0], np.cumsum(push_counts))),
-        push_dst=dst[pushed],
-        push_coeff=row_coeff[entries][pushed].astype(np.int8),
+        push_dst=row_dst[entries],
+        push_coeff=row_coeff[entries].astype(np.int8),
     )
 
 
@@ -462,17 +436,6 @@ class Runtime:
             and isinstance(query.window, TupleWindow)
         )
         self.snapshots: List[Optional[Dict[int, PAO]]] = []
-        self._observed_push_store = []
-        self.observed_pull = []
-        # Deferred observed-push credits from columnar batches: (writer,
-        # events) pairs, plus the writer rows (kernel) or node ids (loop)
-        # of every ring batch (O(1) per batch), expanded through the
-        # scatter table only when the counters are actually read (or
-        # before the table goes).
-        self._obs_pending_handles: List[int] = []
-        self._obs_pending_events: List[int] = []
-        self._obs_ring_rows: List = []
-        self._obs_ring_nodes: List = []
         self.counters = RuntimeCounters()
         # Engine-op wall-time accounting for the observability plane:
         # off by default; the serve layer's ShardHost turns it on when
@@ -547,12 +510,6 @@ class Runtime:
         # below re-derives every live PAO.
         self.values.resize(n)
         self.snapshots = [None] * n
-        if self._columnar:
-            self._observed_push_store = np.zeros(n, dtype=np.int64)
-            self.observed_pull = np.zeros(n, dtype=np.int64)
-        else:
-            self._observed_push_store = [0] * n
-            self.observed_pull = [0] * n
         self._pull_rows.resize(n)
         # Reader slots: the readers in ascending handle order (handles only
         # grow, so the closures already frozen keep their slots).
@@ -655,67 +612,6 @@ class Runtime:
             self.snapshots[handle] = snaps
 
     # ------------------------------------------------------------------
-    # observed-push accounting
-    # ------------------------------------------------------------------
-
-    @property
-    def observed_push(self):
-        """Observed push frequencies per handle (adaptive signal).
-
-        Columnar batches defer their credits — as ``(writer, events)``
-        pairs, or from ring batches as each batch's writer rows or node
-        ids — and expand them through the scatter table on first read,
-        so the batched hot path never pays for bookkeeping nobody is
-        looking at.  One deliberate nuance: tuple-window batches credit
-        every event of a writer's stream traffic even when its batch
-        delta sums to exactly zero — the closer reading of the paper's
-        ``f_h`` write-frequency estimate.  Both the object kernel and the
-        per-event ``write()`` path skip identity-delta writers instead,
-        so on the columnar backend a zero-net-delta workload (e.g. COUNT
-        over a full tuple window) reports higher — stream-accurate —
-        frequencies through ``write_batch`` than through ``write``.
-        """
-        if self._obs_pending_handles or self._obs_ring_rows or self._obs_ring_nodes:
-            self._flush_observed()
-        return self._observed_push_store
-
-    def _flush_observed(self) -> None:
-        """Materialize deferred observed-push credits into the counters:
-        the ``(writer, events)`` pairs and the ``bincount`` of the retained
-        ring rows (node ids mapped to rows first) added into one per-handle
-        tally, then one expansion of the credited writers through the
-        scatter table."""
-        tally = np.zeros(len(self._observed_push_store), dtype=np.int64)
-        if self._obs_pending_handles:
-            np.add.at(tally, self._obs_pending_handles, self._obs_pending_events)
-            self._obs_pending_handles, self._obs_pending_events = [], []
-        if self._obs_ring_nodes:
-            nodes = np.fromiter(chain.from_iterable(self._obs_ring_nodes), np.int64)
-            self._obs_ring_nodes = []
-            keys = self._ring_keys
-            rows = np.minimum(keys.searchsorted(nodes), len(keys) - 1)
-            self._obs_ring_rows.append(rows[keys[rows] == nodes])
-        if self._obs_ring_rows:
-            tally[self._ring_handles] += np.bincount(
-                np.concatenate(self._obs_ring_rows),
-                minlength=len(self._ring_handles),
-            )
-            self._obs_ring_rows = []
-        writers = tally.nonzero()[0]
-        if not writers.size:
-            return
-        table = self._scatter
-        if table is None:
-            table = self._build_scatter_table()
-        expanded = table.expand(writers)
-        if expanded is None:
-            return
-        idx, counts = expanded
-        np.add.at(
-            self._observed_push_store, table.dst[idx], np.repeat(tally[writers], counts)
-        )
-
-    # ------------------------------------------------------------------
     # plan compilation and invalidation
     # ------------------------------------------------------------------
 
@@ -738,10 +634,6 @@ class Runtime:
         cheap to rebuild lazily and are always dropped (any structural or
         decision change can reroute a frontier).
         """
-        # Deferred observed-push credits belong to the *outgoing* scatter
-        # table's frontier rows; settle them before dropping it.
-        if self._obs_pending_handles or self._obs_ring_rows or self._obs_ring_nodes:
-            self._flush_observed()
         self._csr = None
         self._scatter = None
         if handles is None:
@@ -820,15 +712,14 @@ class Runtime:
         """Flatten reader ``root``'s pull subtree into its :class:`PullRow`.
 
         The walk multiplies edge signs down every path, so a leaf's
-        coefficient is its net signed path count and ``credit`` counts the
-        visits a sequential pull would make (shared pull nodes expand once
-        per path, exactly as the interpreted plan replays them).
+        coefficient is its net signed path count; every handle it visits
+        is an observe entry, the row's dependency set.
         """
         decisions = self.overlay.decisions
         csr = self._ensure_csr()
         in_indptr, in_indices, in_signs = csr.in_indptr, csr.in_indices, csr.in_signs
         coeff: Dict[int, int] = {}
-        credit: Dict[int, int] = {root: 1}
+        observe: Dict[int, None] = {root: None}
         pull = decisions[root] is not Decision.PUSH
         if not pull:
             coeff[root] = 1
@@ -837,15 +728,15 @@ class Runtime:
             node, carried = stack.pop()
             start, end = in_indptr[node], in_indptr[node + 1]
             for src, sign in zip(in_indices[start:end], in_signs[start:end]):
-                credit[src] = credit.get(src, 0) + 1
+                observe[src] = None
                 if decisions[src] is Decision.PUSH:
                     coeff[src] = coeff.get(src, 0) + carried * sign
                 else:
                     stack.append((src, carried * sign))
         leaf = [handle for handle, net in coeff.items() if net]
         self._pull_rows.put(
-            root, leaf, [coeff[handle] for handle in leaf],
-            list(credit), list(credit.values()), len(leaf) if pull else 0,
+            root, leaf, [coeff[handle] for handle in leaf], list(observe),
+            len(leaf) if pull else 0,
         )
         self.plan_compiles += 1
 
@@ -1204,7 +1095,7 @@ class Runtime:
                 message = self.writer_step(handle, added, evicted)
                 if message is not None:
                     moved.append(handle)
-                    self._propagate(handle, message, len(added) or 1)
+                    self._propagate(handle, message)
         finally:
             if moved:
                 self._note_moved(moved)
@@ -1225,11 +1116,6 @@ class Runtime:
         that saw an eviction (the extremum may shrink) recompute from their
         window buffer and propagate through the data-dependent DFS, which
         gathers input columns directly instead of per-node snapshots.
-
-        Observed-push accounting: scattered writers defer full-closure
-        credits through the scatter table (the stream-frequency semantics
-        of the delta kernels); DFS writers credit per visited node like
-        the interpreter.  Both feed the same adaptive estimates.
         """
         is_max = self._spec.merge_ufunc == "maximum"
         fold_at = np.fmax.at if is_max else np.fmin.at
@@ -1238,7 +1124,6 @@ class Runtime:
         cleared = store._cleared
         grow_handles: List[int] = []
         grow_values: List[float] = []
-        grow_events: List[int] = []
         slow: List[Tuple[int, Tuple[List[Any], List[Any]]]] = []
         for handle, entry in pending.items():
             added, evicted = entry
@@ -1252,7 +1137,6 @@ class Runtime:
                     continue  # the writer's value did not move: no-op batch
             grow_handles.append(handle)
             grow_values.append(extremum)
-            grow_events.append(len(added))
         if grow_handles:
             self._note_moved(grow_handles)
             table = self._scatter
@@ -1263,26 +1147,20 @@ class Runtime:
             v_arr = np.fromiter(grow_values, dtype=np.float64, count=count)
             column[w_arr] = v_arr
             cleared[w_arr] = False
-            expanded = table.expand(w_arr, push=True)
+            expanded = table.expand(w_arr)
             if expanded is not None:
                 idx, counts = expanded
                 dsts = table.push_dst[idx]
                 fold_at(column, dsts, np.repeat(v_arr, counts))
                 cleared[dsts] = False
                 self.counters.push_ops += idx.size
-            self._obs_pending_handles.extend(grow_handles)
-            self._obs_pending_events.extend(grow_events)
         for handle, (added, evicted) in slow:
             message = self.writer_step(handle, added, evicted)
             if message is not None:
                 self._note_moved((handle,))
-                self._propagate_lattice_columns(
-                    handle, message[0], message[1], len(added) or 1
-                )
+                self._propagate_lattice_columns(handle, message[0], message[1])
 
-    def _propagate_lattice_columns(
-        self, source: int, old: PAO, new: PAO, events: int = 1
-    ) -> None:
+    def _propagate_lattice_columns(self, source: int, old: PAO, new: PAO) -> None:
         """Lattice DFS over the CSR's out-rows, state in columns.
 
         Identical control flow to :meth:`_propagate_lattice`, but node
@@ -1297,13 +1175,11 @@ class Runtime:
         csr = self._ensure_csr()
         out_indptr, out_indices, push = csr.out_indptr, csr.out_indices, csr.push
         in_indptr, in_indices = csr.in_indptr, csr.in_indices
-        observed = self.observed_push
         counters = self.counters
         stack: List[Tuple[int, PAO, PAO]] = [(source, old, new)]
         while stack:
             node, node_old, node_new = stack.pop()
             for dst in out_indices[out_indptr[node] : out_indptr[node + 1]]:
-                observed[dst] += events
                 if not push[dst]:
                     continue
                 current = store[dst]
@@ -1326,12 +1202,11 @@ class Runtime:
         Ingestion mirrors the generic loop event for event (same clock,
         window and expiry semantics), but instead of materializing
         added/evicted lists it folds each writer's run directly into a
-        running ``[value delta, count delta, coalesced events]``
-        accumulator on the writer's ingest route — exactly the sufficient
-        statistics for every delta column source — and the propagation
-        phase applies the whole batch through the scatter table in a
-        handful of numpy calls.  Tuple windows additionally take the
-        buffers' allocation-free
+        running ``[value delta, count delta]`` accumulator on the writer's
+        ingest route — exactly the sufficient statistics for every delta
+        column source — and the propagation phase applies the whole batch
+        through the scatter table in a handful of numpy calls.  Tuple
+        windows additionally take the buffers' allocation-free
         :meth:`~repro.core.windows.WindowBuffer.push` path, fusing the
         steady-state (window full) event into a single ``+= value - old``;
         this is what a tuple-window batch the ring kernel cannot take
@@ -1383,10 +1258,9 @@ class Runtime:
                         if route[3] is marker:
                             entry = route[2]
                         else:
-                            entry = route[2] = [0.0, 0, 0]
+                            entry = route[2] = [0.0, 0]
                             route[3] = marker
                             touched_append(route)
-                        entry[2] += 1
                         if old is NO_VALUE:
                             entry[0] += value
                             entry[1] += 1
@@ -1406,10 +1280,9 @@ class Runtime:
                         if route[3] is marker:
                             entry = route[2]
                         else:
-                            entry = route[2] = [0.0, 0, 0]
+                            entry = route[2] = [0.0, 0]
                             route[3] = marker
                             touched_append(route)
-                        entry[2] += 1
                         if old is NO_VALUE:
                             entry[1] += 1
             else:
@@ -1443,13 +1316,12 @@ class Runtime:
                     if route[3] is marker:
                         entry = route[2]
                     else:
-                        entry = route[2] = [0.0, 0, 0]
+                        entry = route[2] = [0.0, 0]
                         route[3] = marker
                         touched_append(route)
                     if use_value:
                         entry[0] += value
                     entry[1] += 1
-                    entry[2] += 1
                     if evicted:
                         if use_value:
                             for raw in evicted:
@@ -1460,7 +1332,7 @@ class Runtime:
             # buffers must propagate even when an item raises.
             self.clock = clock
             self.counters.writes += count
-            self._apply_pending_columnar(touched, credit_all=not time_window)
+            self._apply_pending_columnar(touched)
         return count
 
     def _write_ring(self, nodes, values, last: Optional[float]) -> int:
@@ -1507,8 +1379,7 @@ class Runtime:
         in first-touch order, each run pushed through the matrix's flat
         memoryviews (:class:`TupleRing`'s slot discipline) with the per-event
         ``dv += value - old`` — plain Python floats, so the same IEEE
-        additions as the kernel's.  Observed-push credits keep the batch's
-        node list (mapped to rows when they are flushed)."""
+        additions as the kernel's."""
         runs: Dict[NodeId, List[float]] = {}
         for node, value in zip(nodes, values):
             run = runs.get(node)
@@ -1516,9 +1387,6 @@ class Runtime:
                 runs[node] = [value]
             else:
                 run.append(value)
-        self._obs_ring_nodes.append(nodes)
-        if len(self._obs_ring_nodes) >= 256:  # bounds what read-free streams retain
-            self._flush_observed()
         ring = self._ring
         size, cells, counts = ring.size, ring.cells, ring.counts
         ingest_get = self._ingest.get
@@ -1564,9 +1432,6 @@ class Runtime:
             rows, order = rows[known], order[known]
         if not rows.size:
             return
-        self._obs_ring_rows.append(rows)
-        if len(self._obs_ring_rows) >= 256:  # bounds what read-free streams retain
-            self._flush_observed()
         starts, dv, dc = self._ring.fold_sorted(rows, values[order])
         moved = dv != 0
         if "count" in self._spec.sources:
@@ -1593,7 +1458,7 @@ class Runtime:
                 if route[3] is marker:
                     entry = route[2]
                 else:
-                    entry = route[2] = [0.0, 0, 0]
+                    entry = route[2] = [0.0, 0]
                     route[3] = marker
                     touched.append(route)
                 if use_value:
@@ -1601,24 +1466,18 @@ class Runtime:
                         entry[0] -= raw
                 entry[1] -= len(evicted)
 
-    def _apply_pending_columnar(self, touched: List[List], credit_all: bool) -> None:
+    def _apply_pending_columnar(self, touched: List[List]) -> None:
         """Propagation phase of a per-event columnar batch: one scatter
         per column.
 
         Per-writer column deltas come straight off the touched routes'
         accumulators (``value`` columns from the folded value delta,
-        ``count`` columns from the count delta); zero-delta writers'
-        *state* is skipped exactly as the object kernel skips identity
-        deltas.  Observed-push credits are deferred as (writer, events)
-        pairs: with ``credit_all`` (tuple windows) every touched writer's
-        events — the stream-accurate credit of the ring kernel — otherwise
-        (time windows) only moved writers', an eviction-only sweep
-        counting one.
+        ``count`` columns from the count delta); zero-delta writers are
+        skipped exactly as the object kernel skips identity deltas.
         """
         sources = self._spec.sources
         use_value = "value" in sources
         use_count = "count" in sources
-        credited, events = self._obs_pending_handles, self._obs_pending_events
         writers: List[int] = []
         value_deltas: List[float] = []
         count_deltas: List[int] = []
@@ -1626,19 +1485,11 @@ class Runtime:
             entry = route[2]
             dv = entry[0] if use_value else 0
             dc = entry[1] if use_count else 0
-            if credit_all:
-                credited.append(route[0])
-                events.append(entry[2])
             if not dv and not dc:
                 continue
-            if not credit_all:
-                credited.append(route[0])
-                events.append(entry[2] or 1)
             writers.append(route[0])
             value_deltas.append(dv)
             count_deltas.append(dc)
-        if len(credited) >= 8192:  # bounds what read-free streams retain
-            self._flush_observed()
         self._scatter_deltas(writers, value_deltas, count_deltas)
 
     def _scatter_deltas(self, writers, value_deltas, count_deltas) -> None:
@@ -1665,7 +1516,7 @@ class Runtime:
             for source, column in zip(self._spec.sources, columns)
         )
         push_total = 0
-        expanded = table.expand(w_arr, push=True) if table.has_push else None
+        expanded = table.expand(w_arr) if table.has_push else None
         if expanded is not None:
             idx, counts = expanded
             push_total = idx.size
@@ -1722,7 +1573,6 @@ class Runtime:
         propagation stops — at the frontier or on a no-op update)."""
         agg = self.aggregate
         overlay = self.overlay
-        self.observed_push[dst] += 1
         if overlay.decisions[dst] is Decision.PULL:
             return None
         if self.group:
@@ -1757,36 +1607,24 @@ class Runtime:
         self.values[dst] = updated
         return (current, updated)
 
-    def _propagate(self, source: int, message: PAO, events: int = 1) -> None:
-        """Dispatch a writer's message through the compiled hot path.
-
-        ``events`` is how many stream events the message coalesces: the
-        *work* counters reflect the single propagation actually performed,
-        but ``observed_push`` — the adaptive controller's estimate of
-        stream frequencies — is credited per coalesced event so batched
-        and per-event execution see the same traffic.
-        """
+    def _propagate(self, source: int, message: PAO) -> None:
+        """Dispatch a writer's message through the compiled hot path."""
         self._check_plans()
         if self.group:
-            self._run_push_plan(source, message, events)
+            self._run_push_plan(source, message)
         elif self._lattice_columns:
-            self._propagate_lattice_columns(source, message[0], message[1], events)
+            self._propagate_lattice_columns(source, message[0], message[1])
         else:
-            self._propagate_lattice(source, message, events)
+            self._propagate_lattice(source, message)
 
-    def _run_push_plan(self, source: int, message: PAO, events: int = 1) -> None:
+    def _run_push_plan(self, source: int, message: PAO) -> None:
         """Apply a group message along writer ``source``'s scatter-table
-        rows: its observe row credits ``observed_push``, its push row
-        merges the message (negated under a −1 coefficient) into each
+        row: the message (negated under a −1 coefficient) merges into each
         destination in the reference DFS's order."""
         table = self._scatter
         if table is None:
             table = self._build_scatter_table()
-        observe, push = table.lists()
-        steps = push[source]
-        observed = self.observed_push
-        for node in observe[source]:
-            observed[node] += events
+        steps = table.lists()[source]
         if self._scalar_group:
             values = self.values.columns[0]
             for node, sign in steps:
@@ -1806,12 +1644,11 @@ class Runtime:
                 values[node] = merge(values[node], msg)
         self.counters.push_ops += len(steps)
 
-    def _propagate_lattice(self, source: int, message: PAO, events: int = 1) -> None:
+    def _propagate_lattice(self, source: int, message: PAO) -> None:
         """Lattice DFS over the CSR's out-rows (data-dependent stops)."""
         agg = self.aggregate
         values = self.values.data
         snapshots = self.snapshots
-        observed = self.observed_push
         counters = self.counters
         csr = self._ensure_csr()
         out_indptr, out_indices, push = csr.out_indptr, csr.out_indices, csr.push
@@ -1820,7 +1657,6 @@ class Runtime:
             node, msg = stack.pop()
             old, new = msg
             for dst in out_indices[out_indptr[node] : out_indptr[node + 1]]:
-                observed[dst] += events
                 if not push[dst]:
                     continue
                 snaps = snapshots[dst]
@@ -1884,9 +1720,7 @@ class Runtime:
         The columnar store runs the batch as one pass of the row kernel,
         duplicates collapsed; the object store spans it with one memo dict,
         so overlapping pull plans evaluate each shared subtree once.  Either
-        saving shows in ``counters.pull_ops`` (work performed) while
-        ``observed_pull`` — the adaptive controller's traffic signal — is
-        credited as if every reader evaluated alone.
+        saving shows in ``counters.pull_ops``, the work performed.
         """
         if not self.op_timing:
             return self._read_batch_impl(nodes)
@@ -1961,47 +1795,38 @@ class Runtime:
         column, aligned with ``handles``.
 
         Duplicates collapse, missing rows compile (first touch), and the
-        batch's rows become two flat index arrays into the arena — two
-        slices for a batch of one, all that differs for it.  Leaf entries
-        reduce with one gather × coefficient and one ``reduceat`` per
-        column (empty rows keep the identity fill); observe entries credit
-        ``observed_pull`` with one scatter, once per *requested* reader;
-        ``counters.pull_ops`` grows by the leaf entries folded.
+        batch's leaf entries become one flat index array into the arena —
+        a slice for a batch of one, all that differs for it.  They reduce
+        with one gather × coefficient and one ``reduceat`` per column
+        (empty rows keep the identity fill); ``counters.pull_ops`` grows by
+        the leaf entries folded.
         """
         handles = np.asarray(handles, dtype=np.int64)
         rows = self._pull_rows
-        inverse = repeats = None
+        inverse = None
         if handles.size == 1:
             root = int(handles[0])
             if rows.meta[0, root] < 0:
                 self._compile_pull_row(root)
-            start, leaves, observes, ops = rows.meta[:, root].tolist()
+            start, leaves, _observes, ops = rows.meta[:, root].tolist()
             leaf_at = slice(start, start + leaves)
-            observe_at = slice(leaf_at.stop, leaf_at.stop + observes)
             offsets = np.zeros(1, dtype=np.int64)
             live = slice(0, min(leaves, 1))  # the one row, unless it is empty
         else:
             requested = handles
             handles = self._distinct(requested)
             inverse = np.searchsorted(handles, requested)
-            if handles.size < requested.size:
-                repeats = np.bincount(inverse)
             meta = rows.meta[:, handles]
             if meta[0].min() < 0:
                 for root in handles[meta[0] < 0].tolist():
                     self._compile_pull_row(root)
                 meta = rows.meta[:, handles]
-            start, leaves, observes, ops = meta
+            start, leaves, _observes, ops = meta
             ops = int(ops.sum())
             leaf_at, offsets = ragged_index(start, leaves)
-            observe_at, _ = ragged_index(start + leaves, observes)
             live = leaves > 0
         self.counters.pull_ops += ops
         handle_of, weight_of = rows.entries
-        credit = weight_of[observe_at]
-        if repeats is not None:
-            credit = credit * np.repeat(repeats, observes)
-        np.add.at(self.observed_pull, handle_of[observe_at], credit)
         leaf = handle_of[leaf_at]
         coeff = weight_of[leaf_at]
         bounds = offsets[live]
@@ -2022,7 +1847,6 @@ class Runtime:
         value, or its compiled :class:`PullPlan` run (through the per-batch
         ``memo`` when one is given)."""
         if self.overlay.decisions[handle] is Decision.PUSH:
-            self.observed_pull[handle] += 1
             return self.values[handle]
         plan = self._pull_plans.get(handle)
         if plan is None:
@@ -2036,8 +1860,7 @@ class Runtime:
         the overlay.
 
         With a per-batch ``memo``, a nested span whose node is already in
-        it folds the cached accumulator and skips its sub-program
-        (crediting the skipped handles' observed-pull frequencies), and
+        it folds the cached accumulator and skips its sub-program, and
         every completed span stores its accumulator for later readers in
         the batch.  Without one (a single read) every span runs, so the
         work counter is the plan's full ``pull_ops``.
@@ -2047,11 +1870,8 @@ class Runtime:
         else:
             spans = plan.spans
         stamp = self._plan_stamp
-        observed = self.observed_pull
         cached = memo.get((root, stamp), _MISS)
         if cached is not _MISS:
-            for h in plan.observe_all:
-                observed[h] += 1
             self.pull_memo_hits += 1
             return cached
         agg = self.aggregate
@@ -2068,25 +1888,21 @@ class Runtime:
         while index < length:
             op, a, b = program[index]
             if op == _OP_LEAF:
-                observed[a] += 1
                 value = values[a]
                 acc = merge(acc, value) if b > 0 else subtract(acc, value)
                 ops += 1
             elif op == _OP_ENTER:
                 span = spans.get(index)
                 if span is not None:
-                    exit_index, span_node, span_observe = span
+                    exit_index, span_node = span
                     hit = memo.get((span_node, stamp), _MISS)
                     if hit is not _MISS:
-                        for h in span_observe:
-                            observed[h] += 1
                         sign = program[exit_index][1]
                         acc = merge(acc, hit) if sign > 0 else subtract(acc, hit)
                         ops += 1
                         self.pull_memo_hits += 1
                         index = exit_index + 1
                         continue
-                observed[a] += 1
                 acc_stack.append(acc)
                 acc = self._identity
             else:  # _OP_EXIT
@@ -2194,10 +2010,6 @@ class Runtime:
         the whole plan cache is dropped.  Returns ``self`` for chaining.
         """
         self._expiry_heap.clear()
-        # The observed counters restart at zero below: credits still deferred
-        # die with them rather than expand over a handle space that moved.
-        self._obs_pending_handles, self._obs_pending_events = [], []
-        self._obs_ring_rows, self._obs_ring_nodes = [], []
         # Pending moved writers cross the surgery by node id (see
         # pop_changed_writers).
         moved = self.pop_changed_writer_nodes()

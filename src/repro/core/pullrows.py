@@ -24,22 +24,19 @@ class PullRow:
     ``leaf`` holds the distinct push handles whose stored values the read
     gathers, ``coeff`` their cumulative signed coefficients (the signed
     number of overlay paths to the reader; net-zero leaves are dropped).
-    ``observe`` / ``credit`` are the handles a sequential
-    evaluation observes and how often — what keeps the adaptive
-    controller's pull frequencies equal to interpreted execution.  A push
-    reader's row is itself.  ``observe`` is also the row's dependency set
-    (the whole subtree): a change to any of those handles drops the row.
-    Rows live ragged in :class:`PullRows`; this is the view
-    :meth:`PullRows.row` hands out.
+    A push reader's row is itself.  ``observe`` holds every handle the
+    evaluation visits, each once: the row's dependency set (the whole
+    subtree), so a change to any of those handles drops the row.  Rows
+    live ragged in :class:`PullRows`; this is the view :meth:`PullRows.row`
+    hands out.
     """
 
-    __slots__ = ("leaf", "coeff", "observe", "credit")
+    __slots__ = ("leaf", "coeff", "observe")
 
-    def __init__(self, leaf, coeff, observe, credit) -> None:
+    def __init__(self, leaf, coeff, observe) -> None:
         self.leaf = leaf
         self.coeff = coeff
         self.observe = observe
-        self.credit = credit
 
 
 def compact(arena, starts, counts, extra: int):
@@ -67,11 +64,11 @@ class PullRows:
 
     ``entries`` is ``(handle, weight)`` columns; reader ``h``'s row is
     ``meta[:, h] = (start, leaves, observes, ops)``: ``leaves`` ``(leaf,
-    coeff)`` entries from ``start``, then ``observes`` ``(observe,
-    credit)`` entries; ``ops`` is the work-counter credit of one
-    evaluation and ``start < 0`` marks a row not compiled.  A row's
-    observe entries are its dependency set, which :meth:`invalidate`
-    scans.  A dropped row's entries stay behind as garbage until the
+    coeff)`` entries from ``start``, then ``observes`` entries whose
+    handle is an observed one (their weight is 0); ``ops`` is the
+    work-counter credit of one evaluation and ``start < 0`` marks a row
+    not compiled.  A row's observe entries are its dependency set, which
+    :meth:`invalidate` scans.  A dropped row's entries stay behind as garbage until the
     arena next fills, when live rows are compacted to the front.
     """
 
@@ -97,13 +94,13 @@ class PullRows:
                 [self.meta, np.full((4, grow), -1, dtype=np.int64)], axis=1
             )
 
-    def put(self, root, leaf, coeff, observe, credit, ops) -> None:
+    def put(self, root, leaf, coeff, observe, ops) -> None:
         size = len(leaf) + len(observe)
         if self.used + size > self.entries.shape[1]:
             self._make_room(size)
         start = self.used
         self.entries[0, start:start + size] = leaf + observe
-        self.entries[1, start:start + size] = coeff + credit
+        self.entries[1, start:start + size] = coeff + [0] * len(observe)
         self.meta[:, root] = (start, len(leaf), len(observe), ops)
         self.used = start + size
 
@@ -122,8 +119,7 @@ class PullRows:
         mid, end = start + leaves, start + leaves + observes
         handle, weight = self.entries
         return PullRow(
-            handle[start:mid].copy(), weight[start:mid].copy(),
-            handle[mid:end].copy(), weight[mid:end].copy(),
+            handle[start:mid].copy(), weight[start:mid].copy(), handle[mid:end].copy()
         )
 
     def invalidate(self, dirty) -> int:

@@ -1,4 +1,8 @@
-"""Unit tests for the adaptive dataflow controller (Section 4.8)."""
+"""Unit tests for the adaptive dataflow controller (Section 4.8).
+
+A bare :class:`Runtime` does not feed a controller: the tests below hand
+it each event's node the way the engine does, after the runtime ran it.
+"""
 
 import pytest
 
@@ -29,6 +33,17 @@ def small_runtime(all_push=False):
     return rt, pa, r
 
 
+def write(rt, controller, node, value):
+    rt.write(node, value)
+    controller.count_writes((node,))
+
+
+def read(rt, controller, node):
+    result = rt.read(node)
+    controller.count_reads((node,))
+    return result
+
+
 class TestFrontier:
     def test_pull_node_with_push_inputs_is_frontier(self):
         rt, pa, r = small_runtime()
@@ -44,22 +59,28 @@ class TestFrontier:
         assert pa not in frontier  # its consumer r is push
 
 
+#: No evaluation but the ones a test calls.
+NEVER = 10**9
+
+
 class TestFlips:
-    def config(self):
-        return AdaptiveConfig(check_interval=10, hysteresis=1.1, min_observations=4)
+    def config(self, check_interval=NEVER):
+        return AdaptiveConfig(
+            check_interval=check_interval, hysteresis=1.1, min_observations=4
+        )
 
     def test_read_heavy_flips_to_push(self):
         rt, pa, r = small_runtime()
         controller = AdaptiveController(rt, CostModel.constant_linear(), self.config())
-        rt.write("w1", 1.0)
+        write(rt, controller, "w1", 1.0)
         for _ in range(30):
-            rt.read("r")
+            read(rt, controller, "r")
         flips = controller.evaluate()
         assert flips >= 1
         assert rt.overlay.decisions[pa] is Decision.PUSH
         # next round the reader becomes the frontier and flips too
         for _ in range(30):
-            rt.read("r")
+            read(rt, controller, "r")
         controller.evaluate()
         assert rt.overlay.decisions[r] is Decision.PUSH
         assert rt.read("r") == 1.0
@@ -68,52 +89,52 @@ class TestFlips:
         rt, pa, r = small_runtime(all_push=True)
         controller = AdaptiveController(rt, CostModel.constant_linear(), self.config())
         for i in range(40):
-            rt.write("w1", float(i))
+            write(rt, controller, "w1", float(i))
         controller.evaluate()
         assert rt.overlay.decisions[r] is Decision.PULL
         controller.evaluate()  # pa now exposed on the frontier
         for i in range(40):
-            rt.write("w2", float(i))
+            write(rt, controller, "w2", float(i))
         controller.evaluate()
         assert rt.overlay.decisions[pa] is Decision.PULL
         assert rt.read("r") == 39.0 + 39.0
 
     def test_min_observations_blocks_flip(self):
         rt, pa, r = small_runtime()
-        config = AdaptiveConfig(check_interval=10, min_observations=1000)
+        config = AdaptiveConfig(check_interval=NEVER, min_observations=1000)
         controller = AdaptiveController(rt, config=config)
         for _ in range(20):
-            rt.read("r")
+            read(rt, controller, "r")
         assert controller.evaluate() == 0
 
     def test_hysteresis_blocks_marginal_flip(self):
         # 30 would-be pushes (cost 30·H=30) vs 20 pulls (cost 20·L(2)=40):
         # a marginal win for push, blocked by a large hysteresis factor.
         rt, pa, r = small_runtime()
-        config = AdaptiveConfig(check_interval=10, hysteresis=100.0, min_observations=1)
+        config = AdaptiveConfig(check_interval=NEVER, hysteresis=100.0, min_observations=1)
         controller = AdaptiveController(rt, config=config)
         for i in range(30):
-            rt.write("w1", float(i))
+            write(rt, controller, "w1", float(i))
         for _ in range(20):
-            rt.read("r")
+            read(rt, controller, "r")
         assert controller.evaluate() == 0
         # The same observations flip once the hysteresis is small.
         relaxed = AdaptiveController(
-            rt, config=AdaptiveConfig(check_interval=10, hysteresis=1.05, min_observations=1)
+            rt, config=AdaptiveConfig(check_interval=NEVER, hysteresis=1.05, min_observations=1)
         )
-        relaxed._push_base = [0] * rt.overlay.num_nodes
-        relaxed._pull_base = [0] * rt.overlay.num_nodes
+        relaxed.count_writes(["w1"] * 30)
+        relaxed.count_reads(["r"] * 20)
         assert relaxed.evaluate() >= 1
 
     def test_decisions_stay_consistent(self):
         rt, pa, r = small_runtime()
         controller = AdaptiveController(
-            rt, CostModel.constant_linear(), self.config()
+            rt, CostModel.constant_linear(), self.config(check_interval=10)
         )
         for i in range(25):
-            rt.write("w1", float(i))
-            rt.read("r")
-            controller.tick(2)
+            write(rt, controller, "w1", float(i))
+            read(rt, controller, "r")
+        assert controller.flips  # the interval ran evaluations that flipped
         assert rt.overlay.decisions_consistent()
 
 

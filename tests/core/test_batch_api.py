@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.aggregates import Max, Sum, TopK
 from repro.core.engine import EAGrEngine
 from repro.core.execution import Runtime
@@ -256,23 +257,33 @@ def test_write_batch_midbatch_error_leaves_consistent_state():
 
 def test_batched_observed_push_matches_per_event():
     """The adaptive controller's traffic estimate must not deflate under
-    batching: observed_push is credited per coalesced event."""
+    batching: a per-event engine and a batched one, fed the same events,
+    make the same flips at the same points of the stream."""
     graph = random_graph(15, 40, seed=2)
-    engine_a = make_engine(graph, "sum", "vnm_a", "tuple")
-    engine_b = make_engine(graph.copy(), "sum", "vnm_a", "tuple")
+    config = AdaptiveConfig(check_interval=32, hysteresis=1.1, min_observations=4)
+    engine_a = make_engine(
+        graph, "sum", "vnm_a", "tuple", adaptive=True, adaptive_config=config
+    )
+    engine_b = make_engine(
+        graph.copy(), "sum", "vnm_a", "tuple", adaptive=True, adaptive_config=config
+    )
     nodes = sorted(graph.nodes(), key=repr)
     rng = random.Random(6)
-    # strictly increasing values: every write's delta is nonzero, so the
-    # per-event loop propagates (and counts) every single write
-    writes = [
-        (rng.choice(nodes), float(tick + 1), float(tick + 1)) for tick in range(200)
-    ]
-    for node, value, timestamp in writes:
-        engine_a.write(node, value, timestamp)
-    for start in range(0, len(writes), 32):
-        engine_b.write_batch(writes[start : start + 32])
-    # (list() both sides: the columnar backend keeps these as numpy arrays)
-    assert list(engine_a.runtime.observed_push) == list(engine_b.runtime.observed_push)
+    for block in range(16):
+        # A block is one check interval: writes, then reads, so both
+        # engines evaluate after its last read.  Write-heavy, then
+        # read-heavy; values repeat, so some writes move nothing.
+        num_writes = 28 if block < 8 else 4
+        writes = [(rng.choice(nodes), float(rng.randrange(3))) for _ in range(num_writes)]
+        reads = [rng.choice(nodes) for _ in range(32 - num_writes)]
+        for node, value in writes:
+            engine_a.write(node, value)
+        engine_b.write_batch(writes)
+        values = [engine_a.read(node) for node in reads]
+        assert engine_b.read_batch(reads) == values
+        assert engine_b.controller.flips == engine_a.controller.flips
+        assert engine_b.overlay.decisions == engine_a.overlay.decisions
+    assert engine_a.controller.flips
     # ...while the *work* counter reflects the coalescing savings
     assert engine_b.counters.push_ops <= engine_a.counters.push_ops
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.adaptive import AdaptiveController
 from repro.core.aggregates import Max, Sum, TopK
 from repro.core.execution import Runtime
 from repro.core.overlay import Decision, Overlay, OverlayError
@@ -207,19 +208,27 @@ class TestDecisionFlips:
 
 
 class TestObservedCounters:
+    """The adaptive controller's window, fed as the engine feeds it."""
+
     def test_would_be_pushes_counted_at_frontier(self):
         ov, w, (r1, r2), pa = shared_overlay()
         rt = Runtime(ov, EgoQuery(aggregate=Sum()))  # all pull
-        rt.write("w1", 1.0)
-        rt.write("w1", 2.0)
-        assert rt.observed_push[pa] == 2  # stopped there, still counted
+        controller = AdaptiveController(rt)
+        for value in (1.0, 2.0):
+            rt.write("w1", value)
+            controller.count_writes(("w1",))
+        pushes, _pulls = controller.frequencies()
+        assert pushes[pa] == 2  # stopped there, still counted
 
     def test_pull_visits_counted(self):
         ov, w, (r1, r2), pa = shared_overlay()
         rt = Runtime(ov, EgoQuery(aggregate=Sum()))
+        controller = AdaptiveController(rt)
         rt.read("r1")
-        assert rt.observed_pull[r1] == 1
-        assert rt.observed_pull[pa] == 1
+        controller.count_reads(("r1",))
+        _pushes, pulls = controller.frequencies()
+        assert pulls[r1] == 1
+        assert pulls[pa] == 1
 
 
 class TestRebuildAndTrace:

@@ -60,7 +60,7 @@ class TestCompiledPlans:
             table = engine.runtime._scatter
             assert table is not None and table._lists is not None
             clone = roundtrip(table)
-            for field in ("indptr", "dst", "push_indptr", "push_dst", "push_coeff"):
+            for field in ("push_indptr", "push_dst", "push_coeff"):
                 before, after = getattr(table, field), getattr(clone, field)
                 assert after.dtype == before.dtype
                 assert after.tolist() == before.tolist()
@@ -85,7 +85,7 @@ class TestCompiledPlans:
         assert clone.roots().tolist() == rows.roots().tolist()
         for handle in rows.roots().tolist():
             before, after = rows.row(handle), clone.row(handle)
-            for field in ("leaf", "coeff", "observe", "credit"):
+            for field in ("leaf", "coeff", "observe"):
                 assert list(getattr(after, field)) == list(getattr(before, field))
             again = roundtrip(before)
             assert list(again.leaf) == list(before.leaf)

@@ -32,7 +32,7 @@ from tests.dataflow.test_passes import overlays
 
 
 def per_writer_table(csr):
-    indptr, dsts, push_indptr, push_dsts, push_coeffs = [0], [], [0], [], []
+    push_indptr, push_dsts, push_coeffs = [0], [], []
     for handle in range(csr.num_nodes):
         if csr.kinds[handle] == KIND_WRITER:
             stack = [(handle, 1)]
@@ -41,14 +41,12 @@ def per_writer_table(csr):
                 for i in range(csr.out_indptr[node], csr.out_indptr[node + 1]):
                     dst = csr.out_indices[i]
                     sign = carried * csr.out_signs[i]
-                    dsts.append(dst)
                     if csr.push[dst]:
                         push_dsts.append(dst)
                         push_coeffs.append(sign)
                         stack.append((dst, sign))
-        indptr.append(len(dsts))
         push_indptr.append(len(push_dsts))
-    return indptr, dsts, push_indptr, push_dsts, push_coeffs
+    return push_indptr, push_dsts, push_coeffs
 
 
 @st.composite
@@ -94,9 +92,7 @@ def test_scatter_table_equals_per_writer_dfs(overlay, data):
     decide(overlay, data)
     csr = overlay.to_csr()
     table = scatter_table(csr)
-    indptr, dsts, push_indptr, push_dsts, push_coeffs = per_writer_table(csr)
-    assert table.indptr.tolist() == indptr
-    assert table.dst.tolist() == dsts
+    push_indptr, push_dsts, push_coeffs = per_writer_table(csr)
     assert table.push_indptr.tolist() == push_indptr
     assert table.push_dst.tolist() == push_dsts
     assert table.push_coeff.tolist() == push_coeffs
@@ -114,14 +110,11 @@ RUNTIMES = [
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(overlay=st.one_of(overlays(), layered_overlays()), data=st.data())
 def test_writes_run_the_table_like_the_reference_dfs(aggregate, overlay, data):
-    """Per-event ``write()`` and ``write_batch`` reach the values,
-    ``push_ops`` and ``observed_push`` of ``writer_step`` +
-    ``propagate_from``, event by event.
+    """Per-event ``write()`` and ``write_batch`` reach the values and
+    ``push_ops`` of ``writer_step`` + ``propagate_from``, event by event.
 
     Rounds name each writer at most once, so a batch coalesces nothing and
-    propagates in stream order; values grow, so no write's delta is zero
-    (columnar tuple-window batches credit a zero-delta writer's traffic,
-    the reference does not; see ``Runtime.observed_push``).
+    propagates in stream order; values grow, so no write's delta is zero.
     """
     decide(overlay, data)
     writers = sorted(overlay.writer_of)
@@ -153,7 +146,6 @@ def test_writes_run_the_table_like_the_reference_dfs(aggregate, overlay, data):
     for rt in (per_event, batched):
         assert [rt.values[h] for h in range(n)] == expected
         assert rt.counters.push_ops == reference.counters.push_ops
-        assert list(rt.observed_push) == list(reference.observed_push)
     readers = list(overlay.reader_of)
     reads = reference.read_batch(readers)
     assert per_event.read_batch(readers) == reads == batched.read_batch(readers)

@@ -41,6 +41,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.adaptive import AdaptiveConfig
 from repro.core.aggregates import Mean, Sum
 from repro.core.engine import EAGrEngine
 from repro.core import execution
@@ -321,7 +322,7 @@ def test_kernel_matches_the_per_event_fold(schedule):
     run_schedule(*schedule)
 
 
-def small_engine(aggregate=Sum, k=3, seed=3):
+def small_engine(aggregate=Sum, k=3, seed=3, **kwargs):
     rng = random.Random(seed)
     graph = DynamicGraph()
     for i in range(14):
@@ -330,7 +331,7 @@ def small_engine(aggregate=Sum, k=3, seed=3):
         u, v = rng.sample(range(14), 2)
         graph.add_edge(u, v)
     query = EgoQuery(aggregate=aggregate(), window=TupleWindow(k))
-    return EAGrEngine(graph, query, overlay_algorithm="vnm_a")
+    return EAGrEngine(graph, query, overlay_algorithm="vnm_a", **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -375,11 +376,14 @@ def test_packable_batches_and_only_those_fold_through_the_ring(shape, path):
 @pytest.mark.parametrize("kernel_rows", [1, 10**9])
 @pytest.mark.parametrize("k", [1, 4])
 def test_observed_push_is_the_per_event_tally(k, kernel_rows, monkeypatch):
-    """Ring batches — kernel or loop — credit every event's writer through
-    the scatter table's frontier row, pull-frontier stops included,
-    however often the caps flush in between."""
+    """Ring batches — kernel or loop — reach the adaptive controller event
+    by event: at every frontier node its window's f_h is the tally of each
+    event's walk along its writer's push plan, pull-frontier stops
+    included, zero-delta writes too."""
     monkeypatch.setattr(execution, "_RING_ROWS", kernel_rows)
-    engine = small_engine(k=k)
+    engine = small_engine(
+        k=k, adaptive=True, adaptive_config=AdaptiveConfig(check_interval=10**9)
+    )
     runtime = engine.runtime
     overlay = runtime.overlay
     rng = random.Random(k)
@@ -394,7 +398,10 @@ def test_observed_push_is_the_per_event_tally(k, kernel_rows, monkeypatch):
                 for dst, _sign, _push in push_steps(overlay, writer):
                     tally[dst] += 1
     assert runtime is engine.runtime
-    assert list(runtime.observed_push) == tally
+    pushes, _pulls = engine.controller.frequencies()
+    frontier = engine.controller.frontier()
+    assert any(tally[handle] for handle in frontier)
+    assert [pushes[handle] for handle in frontier] == [tally[handle] for handle in frontier]
 
 
 @pytest.mark.parametrize("kernel_rows", [1, 10**9])

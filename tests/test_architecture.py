@@ -466,6 +466,42 @@ GUARDS = (
         plant="from repro.core.aggregates import Sum",
     ),
     Guard(
+        "Adaptation counts the stream",
+        ("src/repro/core/execution.py", "src/repro/core/pullrows.py"),
+        r"\b(observed_push|observed_pull|_observed_push_store|_flush_observed)\b|\b_obs_",
+        "The adaptive controller counts the writes and reads of the stream "
+        "per graph node and derives f_h / f_l with the §4.1 pass; traffic "
+        "counters in the runtime, credited by every write and read path and "
+        "zeroed by every rebuild, counted differently on each path and read "
+        "negative across structure events.",
+        plant="self.observed_push = np.zeros(n, dtype=np.int64)",
+    ),
+    Guard(
+        "Adaptation counts the stream",
+        ("src/repro/core/execution.py",),
+        r"\b(indptr|dst)=|self\.(indptr|dst)\b|push: bool",
+        "The scatter table holds push rows only: its observe rows (the "
+        "destinations a write would reach, pull-frontier stops included) "
+        "existed to credit traffic counters.",
+        scopes=("_ScatterTable", "scatter_table"),
+        plant="self.dst = dst",
+    ),
+    Guard(
+        "Adaptation counts the stream",
+        ("src/repro/core/execution.py",),
+        r"\bevents\b|np\.add\.at|\bcredit|\brepeats\b",
+        "Propagation and reads do their work and count it in counters; "
+        "nothing on those paths credits per-event traffic (an events "
+        "parameter, an np.add.at over a read batch's observe entries).",
+        scopes=(
+            "Runtime._propagate", "Runtime._run_push_plan",
+            "Runtime._propagate_lattice", "Runtime._propagate_lattice_columns",
+            "Runtime._row_columns", "Runtime._run_pull_plan_memo",
+            "Runtime._read_interpreted", "Runtime._apply_pending_columnar",
+        ),
+        plant="events = 1",
+    ),
+    Guard(
         "The data graph in int64 columns",
         ("src/repro/graph/dynamic_graph.py",),
         r"Dict\[NodeId, Set\[|defaultdict\(set\)",
